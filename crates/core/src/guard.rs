@@ -18,6 +18,15 @@
 //!    Asymptotically the wrong tool (that is the paper's whole point)
 //!    but unconditionally accurate when it factors.
 //!
+//! A rung is never run when its schedule, knobs and input are those of
+//! a rung that just failed deterministically: if the tuned plan *is*
+//! the `MULTIGRID-V-SIMPLE` schedule (the default serving policy stamps
+//! exactly that family) and the guard failed it on the arithmetic
+//! alone, the heuristic rung would replay the same cycles bit for bit
+//! to the same verdict. It is recorded as
+//! [`FailureKind::SameScheduleAsFailed`] with zero seconds and the walk
+//! goes straight to the direct rung.
+//!
 //! Every failed rung is recorded as a [`Degradation`] (and as a
 //! [`CycleEvent::RungFailed`] in the [`Tracer`]); the rung that
 //! produced the returned solution is recorded in the
@@ -37,7 +46,7 @@ use crate::telemetry::SolveTelemetry;
 use crate::trace::{CycleEvent, LadderRung, Tracer};
 use crate::OpCounts;
 use petamg_grid::{batch_width, l2_norm_interior, Exec, Grid2d, Workspace};
-use petamg_problems::{residual_op, Problem};
+use petamg_problems::{residual_op, Problem, StencilOp};
 use petamg_solvers::{
     DirectSolverCache, GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
 };
@@ -59,6 +68,18 @@ pub enum FailureKind {
         /// Relative residual the rung achieved.
         rel_residual: f64,
     },
+    /// The rung was not run: its schedule, knobs and input equal those
+    /// of the rung above it, which just failed with this verdict — a
+    /// verdict that is a pure function of the arithmetic, so the replay
+    /// could only reproduce it.
+    SameScheduleAsFailed(GuardFailure),
+}
+
+impl FailureKind {
+    /// Whether the rung was skipped rather than attempted.
+    pub fn is_skip(&self) -> bool {
+        matches!(self, FailureKind::SameScheduleAsFailed(_))
+    }
 }
 
 impl std::fmt::Display for FailureKind {
@@ -72,12 +93,19 @@ impl std::fmt::Display for FailureKind {
             FailureKind::ToleranceNotMet { rel_residual } => {
                 write!(f, "tolerance not met (rel residual {rel_residual:.3e})")
             }
+            FailureKind::SameScheduleAsFailed(g) => {
+                write!(
+                    f,
+                    "skipped: same schedule as the rung that just failed ({g})"
+                )
+            }
         }
     }
 }
 
 /// One recorded step down the ladder: which rung failed, why, and how
-/// long the failed attempt ran before the guard rejected it.
+/// long the failed attempt ran before the guard rejected it (zero for a
+/// rung skipped as [`FailureKind::SameScheduleAsFailed`]).
 #[derive(Clone, Debug)]
 pub struct Degradation {
     /// The rung that failed.
@@ -312,6 +340,8 @@ impl GuardedSolver {
         }
         let start = std::time::Instant::now();
         let mut degradations: Vec<Degradation> = Vec::new();
+        let op = self.problem.op_for(n);
+        let mut check = ResidualCheck::new(&op, b);
         let mut resid_seconds = 0.0f64;
         let failed =
             |ctx: &mut ExecCtx, degradations: &mut Vec<Degradation>, rung, reason, seconds: f64| {
@@ -324,6 +354,7 @@ impl GuardedSolver {
             };
 
         // Rung 0: the tuned plan, if one was supplied and it matches.
+        let mut tuned_failure = None;
         if let Some(fam) = &self.plan {
             let rung_start = std::time::Instant::now();
             let admissible = fam
@@ -355,7 +386,7 @@ impl GuardedSolver {
                         level,
                         acc_idx,
                         x,
-                        b,
+                        &mut check,
                         tol,
                         &mut ctx,
                         &mut scratch,
@@ -382,53 +413,75 @@ impl GuardedSolver {
                                 rung_start.elapsed().as_secs_f64(),
                             );
                             x.copy_from(&x0);
+                            tuned_failure = Some(g);
                         }
                     }
                 }
             }
         }
 
-        // Rung 1: the hand-built MULTIGRID-V-SIMPLE family.
+        // Rung 1: the hand-built MULTIGRID-V-SIMPLE family — unless the
+        // tuned rung just ran that very schedule (same knob table, same
+        // restored `x`) into a verdict the arithmetic alone decides.
         let heuristic = simple_v_family(level.max(1), &PAPER_ACCURACIES);
-        let acc_idx = heuristic.num_accuracies() - 1;
-        let rung_start = std::time::Instant::now();
-        match self.run_family_guarded(
-            &heuristic,
-            level,
-            acc_idx,
-            x,
-            b,
-            tol,
-            &mut ctx,
-            &mut scratch,
-            &mut resid_seconds,
-        ) {
-            Ok((status, history)) => {
-                return Ok(self.report(
-                    LadderRung::HeuristicPlan,
-                    status,
-                    history,
-                    degradations,
-                    start,
-                    rung_start.elapsed().as_secs_f64(),
-                    resid_seconds,
-                    ctx,
-                ));
+        let replayed = match (&self.plan, tuned_failure) {
+            (Some(fam), Some(g))
+                if replays_identically(&g)
+                    && fam.accuracies == heuristic.accuracies
+                    && fam.plans[..=level] == heuristic.plans[..=level] =>
+            {
+                Some(g)
             }
-            Err(g) => {
-                failed(
-                    &mut ctx,
-                    &mut degradations,
-                    LadderRung::HeuristicPlan,
-                    FailureKind::Guard(g),
-                    rung_start.elapsed().as_secs_f64(),
-                );
-                x.copy_from(&x0);
+            _ => None,
+        };
+        if let Some(g) = replayed {
+            failed(
+                &mut ctx,
+                &mut degradations,
+                LadderRung::HeuristicPlan,
+                FailureKind::SameScheduleAsFailed(g),
+                0.0,
+            );
+        } else {
+            let acc_idx = heuristic.num_accuracies() - 1;
+            let rung_start = std::time::Instant::now();
+            match self.run_family_guarded(
+                &heuristic,
+                level,
+                acc_idx,
+                x,
+                &mut check,
+                tol,
+                &mut ctx,
+                &mut scratch,
+                &mut resid_seconds,
+            ) {
+                Ok((status, history)) => {
+                    return Ok(self.report(
+                        LadderRung::HeuristicPlan,
+                        status,
+                        history,
+                        degradations,
+                        start,
+                        rung_start.elapsed().as_secs_f64(),
+                        resid_seconds,
+                        ctx,
+                    ));
+                }
+                Err(g) => {
+                    failed(
+                        &mut ctx,
+                        &mut degradations,
+                        LadderRung::HeuristicPlan,
+                        FailureKind::Guard(g),
+                        rung_start.elapsed().as_secs_f64(),
+                    );
+                    x.copy_from(&x0);
+                }
             }
         }
 
         // Rung 2: unconditional full-size direct solve.
-        let op = self.problem.op_for(n);
         let rung_start = std::time::Instant::now();
         let factor = if faults::fail_direct(n) {
             Err("injected factorization fault".to_string())
@@ -448,7 +501,7 @@ impl GuardedSolver {
                 ctx.ops.level_mut(level).direct_solves += 1;
                 ctx.tracer.record(CycleEvent::Direct { level });
                 let check_start = std::time::Instant::now();
-                let rel = self.rel_residual(x, b, &mut scratch, &ctx);
+                let rel = check.rel(x, &mut scratch, &ctx.exec);
                 resid_seconds += check_start.elapsed().as_secs_f64();
                 if rel.is_finite() && rel <= tol {
                     return Ok(self.report(
@@ -623,6 +676,9 @@ impl GuardedSolver {
         }
         let mut scratch = self.workspace.acquire_unzeroed(n);
         let mut resid = self.workspace.acquire_unzeroed(n);
+        let op = self.problem.op_for(n);
+        let mut checks: Vec<ResidualCheck> =
+            bs.iter().map(|b| ResidualCheck::new(&op, b)).collect();
         let mut guards: Vec<SolveGuard> = tols
             .iter()
             .map(|&tol| SolveGuard::new(self.guard, tol))
@@ -663,7 +719,7 @@ impl GuardedSolver {
                 }
                 xb.store_lane(k, &mut scratch);
                 let check_start = std::time::Instant::now();
-                let rel = self.rel_residual(&scratch, &bs[k], &mut resid, &ctx);
+                let rel = checks[k].rel(&scratch, &mut resid, &ctx.exec);
                 resid_seconds += check_start.elapsed().as_secs_f64();
                 match guards[k].observe(rel) {
                     GuardVerdict::Continue => {}
@@ -756,7 +812,7 @@ impl GuardedSolver {
         level: usize,
         acc_idx: usize,
         x: &mut Grid2d,
-        b: &Grid2d,
+        check: &mut ResidualCheck,
         tol: f64,
         ctx: &mut ExecCtx,
         scratch: &mut Grid2d,
@@ -764,9 +820,9 @@ impl GuardedSolver {
     ) -> Result<(SolveStatus, Vec<f64>), GuardFailure> {
         let mut guard = SolveGuard::new(self.guard, tol);
         loop {
-            fam.run(level, acc_idx, x, b, ctx);
+            fam.run(level, acc_idx, x, check.b, ctx);
             let check_start = std::time::Instant::now();
-            let rel = self.rel_residual(x, b, scratch, ctx);
+            let rel = check.rel(x, scratch, &ctx.exec);
             *resid_seconds += check_start.elapsed().as_secs_f64();
             match guard.observe(rel) {
                 GuardVerdict::Continue => {}
@@ -781,14 +837,6 @@ impl GuardedSolver {
                 GuardVerdict::Fail(f) => return Err(f),
             }
         }
-    }
-
-    /// Relative residual of the posed operator's system, using `r` as
-    /// scratch.
-    fn rel_residual(&self, x: &Grid2d, b: &Grid2d, r: &mut Grid2d, ctx: &ExecCtx) -> f64 {
-        let op = self.problem.op_for(x.n());
-        residual_op(&op, x, b, r, &ctx.exec);
-        l2_norm_interior(r, &ctx.exec) / l2_norm_interior(b, &ctx.exec).max(f64::MIN_POSITIVE)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -829,6 +877,53 @@ impl GuardedSolver {
     }
 }
 
+/// What the per-cycle relative-residual check `‖b − A x‖₂ / ‖b‖₂`
+/// needs that does not change from cycle to cycle: the posed operator
+/// and the norm scale (clamped so an all-zero `b` cannot divide by
+/// zero), resolved once per system instead of once per observation.
+/// The scale is taken at the first observation, not up front, so a
+/// one-cycle solve does exactly the work it always did.
+struct ResidualCheck<'a> {
+    op: &'a StencilOp,
+    b: &'a Grid2d,
+    b_norm: Option<f64>,
+}
+
+impl<'a> ResidualCheck<'a> {
+    fn new(op: &'a StencilOp, b: &'a Grid2d) -> Self {
+        ResidualCheck {
+            op,
+            b,
+            b_norm: None,
+        }
+    }
+
+    /// Relative residual of `x`, using `r` as scratch.
+    fn rel(&mut self, x: &Grid2d, r: &mut Grid2d, exec: &Exec) -> f64 {
+        residual_op(self.op, x, self.b, r, exec);
+        let r_norm = l2_norm_interior(r, exec);
+        let b = self.b;
+        let b_norm = self
+            .b_norm
+            .get_or_insert_with(|| l2_norm_interior(b, exec).max(f64::MIN_POSITIVE));
+        r_norm / *b_norm
+    }
+}
+
+/// Whether re-running the same schedule from the same input must end
+/// in the same guard verdict. `NonFinite` is excluded because it is how
+/// one-shot faults (an injected poison, a transient bad read) surface —
+/// the replay may well be clean; `TimedOut` because it reads the clock.
+fn replays_identically(g: &GuardFailure) -> bool {
+    match g {
+        GuardFailure::Diverged { .. }
+        | GuardFailure::Stagnated { .. }
+        | GuardFailure::BudgetExhausted { .. }
+        | GuardFailure::BudgetUnreachable { .. } => true,
+        GuardFailure::NonFinite { .. } | GuardFailure::TimedOut { .. } => false,
+    }
+}
+
 /// The multigrid level of an `n`×`n` grid (`n = 2^k + 1` → `k`).
 ///
 /// # Panics
@@ -846,6 +941,7 @@ pub fn level_of(n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::faults::Fault;
+    use crate::plan::Choice;
     use crate::training::{Distribution, ProblemInstance};
 
     fn instance(level: usize, problem: &Problem) -> ProblemInstance {
@@ -1210,5 +1306,128 @@ mod tests {
         );
         assert!(report.rel_residual <= 1e-9);
         assert_eq!(report.status, SolveStatus::Converged { cycles: 1 });
+    }
+
+    /// The jump-coefficient profile at `level`, with the stamped
+    /// `MULTIGRID-V-SIMPLE` family the default serving policy hands out.
+    fn jump_with_simple_plan(level: usize) -> (Problem, TunedFamily) {
+        let problem = Problem::jump_inclusion(petamg_grid::level_size(level));
+        let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
+        fam.problem = problem.fingerprint().clone();
+        (problem, fam)
+    }
+
+    /// The tuned rung runs the simple schedule into a deterministic
+    /// verdict, so the heuristic rung — the same schedule, knobs and
+    /// restored `x` — is recorded as skipped and direct serves. The
+    /// answer is the one the ladder gave when it did replay.
+    #[test]
+    fn replayed_heuristic_rung_is_skipped() {
+        faults::clear();
+        let level = 6;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let inst = instance(level, &problem);
+        let solver = GuardedSolver::new(problem.clone())
+            .with_plan(fam)
+            .with_tracing();
+        let mut x = inst.working_grid();
+        let report = solver.solve(&mut x, &inst.b, 1e-8).expect("direct serves");
+        assert_eq!(report.rung, LadderRung::Direct);
+        assert!(report.degraded());
+        assert_eq!(report.degradations.len(), 2);
+        let tuned_verdict = match &report.degradations[0].reason {
+            FailureKind::Guard(g) => *g,
+            other => panic!("tuned rung must fail on a guard verdict, got {other}"),
+        };
+        assert!(
+            matches!(tuned_verdict, GuardFailure::BudgetUnreachable { .. }),
+            "{tuned_verdict}"
+        );
+        assert_eq!(report.degradations[1].rung, LadderRung::HeuristicPlan);
+        assert!(
+            matches!(&report.degradations[1].reason,
+                FailureKind::SameScheduleAsFailed(g) if *g == tuned_verdict),
+            "{}",
+            report.degradations[1].reason
+        );
+        assert_eq!(report.degradations[1].seconds, 0.0);
+        assert_eq!(
+            report.tracer.failed_rungs(),
+            vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
+        );
+        let top_level_cycles = report.ops.per_level[level].restricts;
+        assert!(
+            (5..50).contains(&top_level_cycles),
+            "one abandoned attempt, not two budgets: {top_level_cycles} cycles"
+        );
+
+        // Plan-less ladder: heuristic (runs, fails the same way) → direct.
+        let mut want = inst.working_grid();
+        let planless = GuardedSolver::new(problem)
+            .solve(&mut want, &inst.b, 1e-8)
+            .expect("direct serves");
+        assert_eq!(planless.rung, LadderRung::Direct);
+        assert!(matches!(
+            &planless.degradations[0].reason,
+            FailureKind::Guard(g) if *g == tuned_verdict
+        ));
+        assert_eq!(x.as_slice(), want.as_slice());
+    }
+
+    /// One slot off the simple schedule and the heuristic rung is a
+    /// different iteration: it must run.
+    #[test]
+    fn a_plan_that_differs_in_one_slot_still_runs_the_heuristic_rung() {
+        faults::clear();
+        let level = 6;
+        let (problem, mut fam) = jump_with_simple_plan(level);
+        let last = fam.num_accuracies() - 1;
+        fam.plans[level][last] = Choice::Recurse {
+            sub_accuracy: (last - 1) as u8,
+            iterations: 1,
+        };
+        let inst = instance(level, &problem);
+        let solver = GuardedSolver::new(problem).with_plan(fam);
+        let mut x = inst.working_grid();
+        let report = solver.solve(&mut x, &inst.b, 1e-8).expect("direct serves");
+        assert_eq!(report.rung, LadderRung::Direct);
+        assert_eq!(report.degradations.len(), 2);
+        for d in &report.degradations {
+            assert!(matches!(d.reason, FailureKind::Guard(_)), "{}", d.reason);
+        }
+        assert!(report.degradations[1].seconds > 0.0);
+    }
+
+    /// A degrading `solve_many` group still equals its solo solves:
+    /// every lane leaves the batch, re-walks the solo ladder, and
+    /// reports the same skip.
+    #[test]
+    fn solve_many_on_a_degrading_problem_matches_solo() {
+        faults::clear();
+        let level = 6;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let solver = GuardedSolver::new(problem.clone())
+            .with_plan(fam)
+            .with_batch_width(4);
+        let insts = batch_instances(level, &problem, 3);
+        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
+        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
+        let reports = solver.solve_many(&mut xs, &bs, &[1e-8; 3]);
+        for k in 0..3 {
+            let mut want = insts[k].working_grid();
+            let solo = solver.solve(&mut want, &bs[k], 1e-8).expect("solo serves");
+            let report = reports[k].as_ref().expect("lane serves");
+            assert_eq!(xs[k].as_slice(), want.as_slice(), "lane {k}");
+            assert_eq!(report.rung, LadderRung::Direct);
+            assert_eq!(report.residual_history, solo.residual_history);
+            let reasons = |r: &GuardedReport| -> Vec<String> {
+                r.degradations
+                    .iter()
+                    .map(|d| d.reason.to_string())
+                    .collect()
+            };
+            assert_eq!(reasons(report), reasons(&solo), "lane {k}");
+            assert!(report.degradations[1].reason.is_skip());
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The solve-side telemetry feed: guarded-solve phases as metrics.
 //!
 //! [`SolveTelemetry`] pre-registers every metric family the guarded
-//! solver reports into — counters per degradation-ladder rung,
-//! latency histograms for rung attempts and residual checks, and
-//! per-level kernel-time histograms fed from the executor's
-//! kernel-clock hooks ([`crate::trace::Tracer::timing_all`]). Handles
+//! solver reports into — served/failed/skipped counters per
+//! degradation-ladder rung, latency histograms for rung attempts and
+//! residual checks, and per-level kernel-time histograms fed from the
+//! executor's kernel-clock hooks
+//! ([`crate::trace::Tracer::timing_all`]). Handles
 //! are resolved once at registration, so the per-solve observation
 //! path is a handful of relaxed atomic adds with zero registry lookups
 //! and zero allocation.
@@ -13,7 +14,7 @@
 //! Observation is gated on [`petamg_obs::enabled`] by the solver, not
 //! here — tests may drive a `SolveTelemetry` directly.
 
-use crate::guard::{GuardedReport, SolveError};
+use crate::guard::{Degradation, GuardedReport, SolveError};
 use crate::trace::{LadderRung, Tracer, MAX_TIMED_LEVELS};
 use petamg_obs::{Counter, Histogram, Registry};
 
@@ -44,6 +45,7 @@ fn rung_idx(rung: LadderRung) -> usize {
 pub struct SolveTelemetry {
     served: [Counter; 3],
     failed: [Counter; 3],
+    skipped: [Counter; 3],
     attempt_seconds: [Histogram; 3],
     residual_check_seconds: Histogram,
     kernel_seconds: Vec<Histogram>,
@@ -60,6 +62,7 @@ impl SolveTelemetry {
         SolveTelemetry {
             served: per_rung_counter("petamg_rung_served_total"),
             failed: per_rung_counter("petamg_rung_failed_total"),
+            skipped: per_rung_counter("petamg_rung_skipped_total"),
             attempt_seconds: std::array::from_fn(|i| {
                 registry.histogram(
                     "petamg_rung_attempt_seconds",
@@ -84,10 +87,7 @@ impl SolveTelemetry {
         self.attempt_seconds[rung_idx(report.rung)].record_seconds(report.rung_seconds);
         self.residual_check_seconds
             .record_seconds(report.residual_check_seconds);
-        for d in &report.degradations {
-            self.failed[rung_idx(d.rung)].inc();
-            self.attempt_seconds[rung_idx(d.rung)].record_seconds(d.seconds);
-        }
+        self.observe_degradations(&report.degradations);
         self.observe_kernel_levels(&report.tracer);
     }
 
@@ -113,11 +113,23 @@ impl SolveTelemetry {
     /// Record a ladder-exhausted solve: every rung failed.
     pub fn observe_error(&self, err: &SolveError, tracer: &Tracer) {
         self.exhausted.inc();
-        for d in &err.degradations {
-            self.failed[rung_idx(d.rung)].inc();
-            self.attempt_seconds[rung_idx(d.rung)].record_seconds(d.seconds);
-        }
+        self.observe_degradations(&err.degradations);
         self.observe_kernel_levels(tracer);
+    }
+
+    /// A rung that ran and failed counts as a failure with an attempt
+    /// sample; a rung skipped as a replay ran nothing, so it counts in
+    /// `petamg_rung_skipped_total` alone — no failure, and no 0-second
+    /// sample dragging the attempt histogram down.
+    fn observe_degradations(&self, degradations: &[Degradation]) {
+        for d in degradations {
+            if d.reason.is_skip() {
+                self.skipped[rung_idx(d.rung)].inc();
+            } else {
+                self.failed[rung_idx(d.rung)].inc();
+                self.attempt_seconds[rung_idx(d.rung)].record_seconds(d.seconds);
+            }
+        }
     }
 
     fn observe_kernel_levels(&self, tracer: &Tracer) {
@@ -189,6 +201,36 @@ mod tests {
         assert_eq!(
             snap.counter("petamg_rung_served_total", &[("rung", "heuristic")]),
             1
+        );
+    }
+
+    #[test]
+    fn a_skipped_rung_is_neither_a_failure_nor_an_attempt() {
+        let registry = Registry::new();
+        let telemetry = SolveTelemetry::register(&registry);
+        // The stamped simple family fails the jump profile on a guard
+        // verdict, so the heuristic rung is skipped as its replay.
+        let problem = Problem::jump_inclusion(65);
+        let mut fam = crate::plan::simple_v_family(6, &crate::plan::PAPER_ACCURACIES);
+        fam.problem = problem.fingerprint().clone();
+        let inst = ProblemInstance::random_for(&problem, 6, Distribution::UnbiasedUniform, 9);
+        let solver = GuardedSolver::new(problem).with_plan(fam);
+        let mut x = inst.working_grid();
+        let report = solver.solve(&mut x, &inst.b, 1e-8).expect("direct serves");
+        assert!(report.degradations[1].reason.is_skip());
+        telemetry.observe_report(&report);
+        let snap = registry.snapshot();
+        let count = |name, rung| snap.counter(name, &[("rung", rung)]);
+        let attempts =
+            |rung| snap.histogram_count("petamg_rung_attempt_seconds", &[("rung", rung)]);
+        assert_eq!(count("petamg_rung_failed_total", "tuned"), 1);
+        assert_eq!(count("petamg_rung_failed_total", "heuristic"), 0);
+        assert_eq!(count("petamg_rung_skipped_total", "heuristic"), 1);
+        assert_eq!(count("petamg_rung_skipped_total", "tuned"), 0);
+        assert_eq!(count("petamg_rung_served_total", "direct"), 1);
+        assert_eq!(
+            (attempts("tuned"), attempts("heuristic"), attempts("direct")),
+            (1, 0, 1)
         );
     }
 }

@@ -1022,21 +1022,32 @@ fn lookup_or_tune(
     level: usize,
 ) -> (Option<Arc<TunedFamily>>, PlanSource) {
     let key = fingerprint_key(problem.fingerprint());
+    let library_hit = || {
+        let (plan, origin) = inner.library.get(problem)?;
+        // A cached plan tuned at a shallower level cannot serve this
+        // request's rung 0; the caller re-tunes at the deeper level
+        // (the file is overwritten in place).
+        (plan.max_level >= level).then(|| {
+            let source = match origin {
+                PlanOrigin::Memory => PlanSource::CacheHit,
+                PlanOrigin::Disk => PlanSource::DiskLoad,
+            };
+            (plan, source)
+        })
+    };
     loop {
-        if let Some((plan, origin)) = inner.library.get(problem) {
-            // A cached plan tuned at a shallower level cannot serve
-            // this request's rung 0; fall through and re-tune at the
-            // deeper level (the file is overwritten in place).
-            if plan.max_level >= level {
-                let source = match origin {
-                    PlanOrigin::Memory => PlanSource::CacheHit,
-                    PlanOrigin::Disk => PlanSource::DiskLoad,
-                };
-                return (Some(plan), source);
-            }
+        if let Some((plan, source)) = library_hit() {
+            return (Some(plan), source);
         }
         match inner.flights.join(key) {
             Role::Leader(token) => {
+                // Another flight for this key may have landed between
+                // the lookup above and winning this one; look again
+                // before tuning the same fingerprint a second time.
+                if let Some((plan, source)) = library_hit() {
+                    token.complete(Some(Arc::clone(&plan)));
+                    return (Some(plan), source);
+                }
                 bump(&inner.stats.tunes);
                 let tuned = catch_unwind(AssertUnwindSafe(|| tune(inner, problem, level)));
                 match tuned {

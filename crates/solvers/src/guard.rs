@@ -78,6 +78,17 @@ pub enum GuardFailure {
         /// Cycles spent (the budget).
         cycles: usize,
     },
+    /// The cycle budget cannot be met: even at the best contraction
+    /// recently observed, the target lies more cycles away than the
+    /// budget has left. Declared early instead of running to
+    /// [`GuardFailure::BudgetExhausted`].
+    BudgetUnreachable {
+        /// Cycle (1-based) at which the projection fired.
+        cycle: usize,
+        /// Lower bound on the further cycles the target needs
+        /// (saturating).
+        needed: usize,
+    },
     /// The wall-clock budget ran out above the target.
     TimedOut {
         /// Seconds elapsed when the guard fired.
@@ -99,6 +110,12 @@ impl std::fmt::Display for GuardFailure {
             }
             GuardFailure::BudgetExhausted { cycles } => {
                 write!(f, "cycle budget exhausted after {cycles} cycles")
+            }
+            GuardFailure::BudgetUnreachable { cycle, needed } => {
+                write!(
+                    f,
+                    "cycle budget unreachable at cycle {cycle} (at least {needed} more cycles needed)"
+                )
             }
             GuardFailure::TimedOut { seconds } => {
                 write!(f, "wall-clock budget exhausted after {seconds:.3}s")
@@ -150,6 +167,12 @@ impl Default for GuardConfig {
     }
 }
 
+/// Per-cycle contractions the budget projection looks back over. A
+/// constant, not a [`GuardConfig`] field: the rule has one correct
+/// setting per iteration class, and the ladder only runs stationary
+/// iterations.
+const PROJECTION_WINDOW: usize = 4;
+
 /// Watches a relative-residual trajectory and turns failure modes into
 /// typed verdicts. One [`SolveGuard::observe`] call per cycle.
 #[derive(Clone, Debug)]
@@ -190,8 +213,18 @@ impl SolveGuard {
     /// Feed one cycle's relative residual; returns what to do next.
     ///
     /// Check order: finiteness, convergence, divergence, stagnation,
-    /// wall clock, cycle budget — so a cycle that both converges and
-    /// exhausts the budget reports convergence.
+    /// budget projection, wall clock, cycle budget — so a cycle that
+    /// both converges and exhausts the budget reports convergence.
+    ///
+    /// The projection takes the *smallest* per-cycle contraction ρ of
+    /// the last four cycles and fails with
+    /// [`GuardFailure::BudgetUnreachable`] when `ln(target/rel) / ln ρ`
+    /// exceeds the cycles the budget has left. The contraction of a
+    /// stationary iteration rises toward its asymptotic rate, so the
+    /// most optimistic recent ρ bounds the cycles still needed from
+    /// below: only trajectories that would have run into
+    /// [`GuardFailure::BudgetExhausted`] anyway are failed, earlier.
+    /// The wall-clock budget is not projected — it is nondeterministic.
     pub fn observe(&mut self, rel_residual: f64) -> GuardVerdict {
         self.history.push(rel_residual);
         let cycle = self.history.len();
@@ -214,6 +247,23 @@ impl SolveGuard {
             let base = self.history[cycle - 1 - self.cfg.stagnation_window];
             if rel_residual >= base * (1.0 - self.cfg.stagnation_epsilon) {
                 return GuardVerdict::Fail(GuardFailure::Stagnated { cycle });
+            }
+        }
+        if cycle > PROJECTION_WINDOW && cycle < self.cfg.max_cycles {
+            let rho = self.history[cycle - 1 - PROJECTION_WINDOW..]
+                .windows(2)
+                .map(|w| w[1] / w[0])
+                .fold(f64::INFINITY, f64::min);
+            if rho > 0.0 && rho < 1.0 {
+                // Shaved by a hair so rounding in the two logarithms
+                // cannot push an exactly-on-budget trajectory over.
+                let needed = ((self.target / rel_residual).ln() / rho.ln() * (1.0 - 1e-9)).ceil();
+                if needed > (self.cfg.max_cycles - cycle) as f64 {
+                    return GuardVerdict::Fail(GuardFailure::BudgetUnreachable {
+                        cycle,
+                        needed: needed as usize,
+                    });
+                }
             }
         }
         if let Some(budget) = self.cfg.wall_clock {
@@ -327,7 +377,9 @@ mod tests {
     #[test]
     fn healthy_slow_convergence_is_not_stagnation() {
         // 5% improvement per cycle clears the 1% default epsilon over
-        // any window; the budget is what eventually stops it.
+        // any window, so this is never stagnation — but 1e-30 is ~1343
+        // cycles away at that rate, and the projection says so as soon
+        // as its window fills instead of spinning to the 50-cycle cap.
         let mut g = guard(1e-30);
         let mut r = 1.0;
         let failure = loop {
@@ -337,9 +389,45 @@ mod tests {
                 GuardVerdict::Converged => unreachable!(),
             }
         };
-        assert!(
-            matches!(failure, GuardFailure::BudgetExhausted { cycles: 50 }),
-            "got {failure}"
+        assert_eq!(
+            failure,
+            GuardFailure::BudgetUnreachable {
+                cycle: 5,
+                needed: 1343
+            }
+        );
+    }
+
+    #[test]
+    fn projection_spares_a_trajectory_that_lands_on_the_last_cycle() {
+        // Halving from 1.0 first drops to 2^-10 at observation 11; with
+        // a budget of exactly 11 the projection must stay quiet (6 more
+        // cycles needed at cycle 5, 6 left), and one cycle less must
+        // fail at cycle 5 rather than at the cap.
+        let run = |max_cycles| {
+            let cfg = GuardConfig {
+                max_cycles,
+                ..GuardConfig::default()
+            };
+            let mut g = SolveGuard::new(cfg, 2f64.powi(-10));
+            let mut r = 1.0;
+            loop {
+                match g.observe(r) {
+                    GuardVerdict::Continue => r *= 0.5,
+                    verdict => break (verdict, g.cycles()),
+                }
+            }
+        };
+        assert_eq!(run(11), (GuardVerdict::Converged, 11));
+        assert_eq!(
+            run(10),
+            (
+                GuardVerdict::Fail(GuardFailure::BudgetUnreachable {
+                    cycle: 5,
+                    needed: 6
+                }),
+                5
+            )
         );
     }
 
@@ -407,6 +495,11 @@ mod tests {
             GuardFailure::Stagnated { cycle: 9 }.to_string(),
             GuardFailure::BudgetExhausted { cycles: 50 }.to_string(),
             GuardFailure::TimedOut { seconds: 1.25 }.to_string(),
+            GuardFailure::BudgetUnreachable {
+                cycle: 8,
+                needed: 73,
+            }
+            .to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());
@@ -414,5 +507,98 @@ mod tests {
         assert!(msgs[0].contains("non-finite"));
         assert!(msgs[1].contains("diverged"));
         assert!(msgs[2].contains("stagnated"));
+        assert!(msgs[5].contains("unreachable") && msgs[5].contains("73"));
+    }
+
+    /// The guard's verdict on the trajectory `r`, `r·ratio(1)`,
+    /// `r·ratio(1)·ratio(2)`, …, with the cycle it was reached at.
+    fn drive(
+        cfg: GuardConfig,
+        target: f64,
+        mut r: f64,
+        ratio: impl Fn(usize) -> f64,
+    ) -> (GuardVerdict, usize) {
+        let mut g = SolveGuard::new(cfg, target);
+        loop {
+            match g.observe(r) {
+                GuardVerdict::Continue => r *= ratio(g.cycles()),
+                verdict => return (verdict, g.cycles()),
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On geometric trajectories the projection never changes a
+        /// success: whenever a budget-only check would converge, the
+        /// guard converges at the same cycle; otherwise it fails no
+        /// later than the budget. (ρ ≤ 0.99 keeps stagnation and
+        /// divergence out of the picture.)
+        #[test]
+        fn projection_agrees_with_a_budget_only_reference(
+            r0_exp in -3.0f64..3.0,
+            rho in 0.01f64..0.99,
+            target_exp in 1.0f64..14.0,
+            max_cycles in 1usize..80,
+        ) {
+            let (r0, target) = (10f64.powf(r0_exp), 10f64.powf(-target_exp));
+            let cfg = GuardConfig { max_cycles, ..GuardConfig::default() };
+            let mut r = r0;
+            let mut reference = None;
+            for cycle in 1..=max_cycles {
+                if r <= target {
+                    reference = Some(cycle);
+                    break;
+                }
+                r *= rho;
+            }
+            let (verdict, cycle) = drive(cfg, target, r0, |_| rho);
+            match reference {
+                Some(c) => prop_assert_eq!((verdict, cycle), (GuardVerdict::Converged, c)),
+                None => {
+                    prop_assert!(matches!(verdict, GuardVerdict::Fail(_)), "{verdict:?}");
+                    prop_assert!(cycle <= max_cycles);
+                }
+            }
+        }
+
+        /// When the per-cycle contraction only ever rises (toward
+        /// `rho_inf`, as a stationary iteration's does), `needed` is a
+        /// true lower bound: the un-budgeted trajectory does not cross
+        /// the target before `cycle + needed`.
+        #[test]
+        fn needed_is_a_lower_bound_under_rising_contraction(
+            rho_0 in 0.01f64..0.9,
+            rise in 0.0f64..1.0,
+            decay in 0.1f64..0.95,
+            target_exp in 1.0f64..14.0,
+            max_cycles in 6usize..80,
+        ) {
+            let rho_inf = rho_0 + rise * (0.99 - rho_0);
+            let ratio = |k: usize| rho_inf - (rho_inf - rho_0) * decay.powi(k as i32);
+            let target = 10f64.powf(-target_exp);
+            let cfg = GuardConfig { max_cycles, ..GuardConfig::default() };
+            if let (GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle, needed }), _) =
+                drive(cfg, target, 1.0, ratio)
+            {
+                let unbudgeted = GuardConfig {
+                    max_cycles: usize::MAX,
+                    stagnation_window: usize::MAX - 1,
+                    ..GuardConfig::default()
+                };
+                // Past the projection window only the budget can fail a
+                // contracting trajectory, and there is none.
+                let mut g = SolveGuard::new(unbudgeted, target);
+                let mut r = 1.0;
+                while g.observe(r) != GuardVerdict::Converged {
+                    r *= ratio(g.cycles());
+                }
+                prop_assert!(cycle + needed <= g.cycles(), "{cycle}+{needed} > {}", g.cycles());
+                prop_assert!(g.cycles() > max_cycles);
+            }
+        }
     }
 }

@@ -15,6 +15,13 @@
 //! cargo run --release --example guarded_solve
 //! ```
 //!
+//! The second solve it prints needs no fault to degrade: the ×1000
+//! jump-coefficient profile under the `MULTIGRID-V-SIMPLE` schedule
+//! contracts too slowly for the cycle budget. The guard projects that
+//! from the first few cycles (`cycle budget unreachable …`), the
+//! heuristic rung is not run because it *is* the schedule that just
+//! failed (`skipped: same schedule …`), and the direct rung serves.
+//!
 //! Then break things with the `PETAMG_FAULTS` variable (comma-separated
 //! spec; see `petamg::core::faults`) and watch the ladder absorb it:
 //!
@@ -43,15 +50,22 @@ fn main() {
     }
 
     let level = 7; // N = 129
-    let problem = Problem::poisson();
-    let inst = ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, 2024);
+    println!("== Poisson: the tuned rung serves unless a fault is armed ==");
+    solve_and_print(Problem::poisson(), level, 1e-9);
+    println!("\n== jump x1000: a plan that cannot meet its budget ==");
+    solve_and_print(Problem::jump_inclusion((1 << level) + 1), level, 1e-8);
+}
 
-    let solver = GuardedSolver::new(problem)
-        .with_plan(simple_v_family(level, &PAPER_ACCURACIES))
-        .with_tracing();
+/// One guarded solve of a random `problem` instance with the (stamped)
+/// simple V family as the tuned plan, reported rung by rung.
+fn solve_and_print(problem: Problem, level: usize, tol: f64) {
+    let inst = ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, 2024);
+    let mut plan = simple_v_family(level, &PAPER_ACCURACIES);
+    plan.problem = problem.fingerprint().clone();
+    let solver = GuardedSolver::new(problem).with_plan(plan).with_tracing();
 
     let mut x = inst.working_grid();
-    match solver.solve(&mut x, &inst.b, 1e-9) {
+    match solver.solve(&mut x, &inst.b, tol) {
         Ok(report) => {
             println!("served by rung:    {}", report.rung);
             println!(

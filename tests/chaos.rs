@@ -214,7 +214,10 @@ fn injected_mid_cycle_nan_degrades_and_still_converges() {
 /// in the heuristic rung's serve counter, and every rung attempt —
 /// served or failed — contributes one attempt-histogram sample. This
 /// is the snapshot-vs-report reconciliation CI's `PETAMG_TELEMETRY=1`
-/// chaos leg re-runs with the gate opened from the environment.
+/// chaos leg re-runs with the gate opened from the environment. A rung
+/// skipped as a replay is a degradation in the report but neither a
+/// failure nor an attempt in the registry, so the exact identity is
+/// `failed + skipped == Σ degradations`.
 #[test]
 fn telemetry_counts_injected_degradations() {
     faults::clear();
@@ -255,6 +258,104 @@ fn telemetry_counts_injected_degradations() {
         1
     );
     assert!(!faults::armed(), "fault must be consumed");
+
+    // A third solve, through the same feed, whose heuristic rung is
+    // skipped as the replay of a deterministically failed tuned rung.
+    let (jump, plan) = jump_with_simple_plan();
+    let inst = instance(&jump, 73);
+    let mut x = inst.working_grid();
+    let skipped = GuardedSolver::new(jump)
+        .with_plan(plan)
+        .with_telemetry(feed)
+        .solve(&mut x, &inst.b, TOL)
+        .expect("direct serves");
+    assert_eq!(skipped.rung, LadderRung::Direct);
+    let snap = registry.snapshot();
+    let count = |name, rung| snap.counter(name, &[("rung", rung)]);
+    assert_eq!(count("petamg_rung_failed_total", "tuned"), 2);
+    assert_eq!(count("petamg_rung_failed_total", "heuristic"), 0);
+    assert_eq!(count("petamg_rung_skipped_total", "heuristic"), 1);
+    assert_eq!(
+        snap.histogram_count("petamg_rung_attempt_seconds", &[("rung", "heuristic")]),
+        1,
+        "a skipped rung records no attempt"
+    );
+    let failed_or_skipped: u64 = ["tuned", "heuristic", "direct"]
+        .iter()
+        .map(|&r| count("petamg_rung_failed_total", r) + count("petamg_rung_skipped_total", r))
+        .sum();
+    let degradations: usize = [&healthy, &degraded, &skipped]
+        .iter()
+        .map(|r| r.degradations.len())
+        .sum();
+    assert_eq!(failed_or_skipped, degradations as u64);
+}
+
+/// The jump-coefficient profile at the chaos level with the stamped
+/// `MULTIGRID-V-SIMPLE` family — what the default serving policy hands
+/// a fingerprint it has no tuned plan for. Point relaxation contracts
+/// too slowly across the ×1000 jump to reach `TOL` within the budget.
+fn jump_with_simple_plan() -> (Problem, TunedFamily) {
+    let problem = Problem::jump_inclusion((1usize << LEVEL) + 1);
+    let mut plan = simple_v_family(LEVEL, &PAPER_ACCURACIES);
+    plan.problem = problem.fingerprint().clone();
+    (problem, plan)
+}
+
+/// No fault at all: the tuned rung *is* the simple schedule and fails
+/// on the arithmetic (a budget it cannot meet), so the heuristic rung —
+/// the same schedule from the same restored iterate — is recorded as
+/// skipped, not replayed, and the direct rung serves. The answer is
+/// bit for bit what the ladder produces when the heuristic rung does
+/// run (a plan-less solver), on every backend.
+#[test]
+fn deterministic_tuned_failure_skips_the_replayed_heuristic_rung() {
+    faults::clear();
+    let (problem, plan) = jump_with_simple_plan();
+    let inst = instance(&problem, 79);
+    for (name, exec) in backends() {
+        let solver = GuardedSolver::new(problem.clone())
+            .with_plan(plan.clone())
+            .with_exec(exec.clone())
+            .with_tracing();
+        let mut x = inst.working_grid();
+        let report = solver
+            .solve(&mut x, &inst.b, TOL)
+            .unwrap_or_else(|e| panic!("[{name}] direct rung must serve: {e}"));
+        assert_eq!(report.rung, LadderRung::Direct, "[{name}]");
+        assert_eq!(report.degradations.len(), 2, "[{name}]");
+        let verdict = match &report.degradations[0].reason {
+            FailureKind::Guard(g) => *g,
+            other => panic!("[{name}] tuned rung must fail on a guard verdict: {other}"),
+        };
+        assert!(
+            matches!(
+                &report.degradations[1].reason,
+                FailureKind::SameScheduleAsFailed(g) if *g == verdict
+            ),
+            "[{name}] {}",
+            report.degradations[1].reason
+        );
+        assert_eq!(report.degradations[1].seconds, 0.0, "[{name}]");
+        assert_eq!(
+            report.tracer.failed_rungs(),
+            vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
+            "[{name}]"
+        );
+        assert!(
+            report.ops.per_level[LEVEL].restricts < 50,
+            "[{name}] the doomed attempt is abandoned before its budget"
+        );
+        assert!(report.rel_residual <= TOL, "[{name}]");
+
+        let mut want = inst.working_grid();
+        let planless = GuardedSolver::new(problem.clone())
+            .with_exec(exec)
+            .solve(&mut want, &inst.b, TOL)
+            .unwrap_or_else(|e| panic!("[{name}] plan-less ladder must serve: {e}"));
+        assert_eq!(planless.rung, LadderRung::Direct, "[{name}]");
+        assert_eq!(x.as_slice(), want.as_slice(), "[{name}]");
+    }
 }
 
 /// Both plan rungs poisoned → the unconditional direct rung serves.

@@ -11,6 +11,7 @@ use petamg::serve::{ServeError, ServiceConfig, SolveRequest, SolverService, Tune
 use petamg_problems::residual_op;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -168,11 +169,13 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
     const THREADS: usize = 4;
     const PER_THREAD: usize = 32;
     let rungs = Arc::new(Mutex::new(HashMap::<&'static str, u64>::new()));
+    let degradations = Arc::new(AtomicU64::new(0));
     let mut clients = Vec::new();
     for t in 0..THREADS {
         let svc = Arc::clone(&svc);
         let profiles = profiles.clone();
         let rungs = Arc::clone(&rungs);
+        let degradations = Arc::clone(&degradations);
         clients.push(std::thread::spawn(move || {
             let mut tickets = Vec::new();
             for j in 0..PER_THREAD {
@@ -181,6 +184,7 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
             }
             for ticket in tickets {
                 let report = ticket.wait().expect("telemetry burst must converge");
+                degradations.fetch_add(report.report.degradations.len() as u64, Ordering::Relaxed);
                 *rungs
                     .lock()
                     .unwrap()
@@ -217,6 +221,20 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
             "rung counter `{rung}` disagrees with the client-side reports"
         );
     }
+    // Every reported degradation is a rung that ran and failed or a
+    // rung skipped as a replay — never both, never neither.
+    let failed_or_skipped: u64 = ["tuned", "heuristic", "direct"]
+        .iter()
+        .map(|&rung| {
+            snap.counter("petamg_rung_failed_total", &[("rung", rung)])
+                + snap.counter("petamg_rung_skipped_total", &[("rung", rung)])
+        })
+        .sum();
+    assert_eq!(
+        failed_or_skipped,
+        degradations.load(Ordering::Relaxed),
+        "failed + skipped must equal the degradations the reports carry"
+    );
 
     // Phase histograms: one queue wait and one solve per request, and
     // every request resolved its plan through exactly one source.
