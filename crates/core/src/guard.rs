@@ -45,7 +45,7 @@ use crate::plan::{simple_v_family, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::telemetry::SolveTelemetry;
 use crate::trace::{CycleEvent, LadderRung, Tracer};
 use crate::OpCounts;
-use petamg_grid::{batch_width, l2_norm_interior, Exec, Grid2d, Workspace};
+use petamg_grid::{batch_width, l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
 use petamg_problems::{residual_op, Problem, StencilOp};
 use petamg_solvers::{
     DirectSolverCache, GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
@@ -149,6 +149,11 @@ pub struct GuardedReport {
     /// Per-cycle relative residuals observed at the serving rung (a
     /// single entry for a direct solve).
     pub residual_history: Vec<f64>,
+    /// The family member (accuracy index) each cycle of the serving
+    /// rung ran, parallel to `residual_history`: the top member first,
+    /// then the cheapest member whose tuned accuracy covers what was
+    /// left. Empty for the direct rung.
+    pub members: Vec<u8>,
     /// Rungs that failed before the serving rung, with reasons.
     pub degradations: Vec<Degradation>,
     /// Wall time of the whole ladder walk.
@@ -380,11 +385,9 @@ impl GuardedSolver {
                     rung_start.elapsed().as_secs_f64(),
                 ),
                 Ok(()) => {
-                    let acc_idx = fam.num_accuracies() - 1;
                     match self.run_family_guarded(
                         fam,
                         level,
-                        acc_idx,
                         x,
                         &mut check,
                         tol,
@@ -392,11 +395,10 @@ impl GuardedSolver {
                         &mut scratch,
                         &mut resid_seconds,
                     ) {
-                        Ok((status, history)) => {
+                        Ok(trajectory) => {
                             return Ok(self.report(
                                 LadderRung::TunedPlan,
-                                status,
-                                history,
+                                trajectory,
                                 degradations,
                                 start,
                                 rung_start.elapsed().as_secs_f64(),
@@ -443,12 +445,10 @@ impl GuardedSolver {
                 0.0,
             );
         } else {
-            let acc_idx = heuristic.num_accuracies() - 1;
             let rung_start = std::time::Instant::now();
             match self.run_family_guarded(
                 &heuristic,
                 level,
-                acc_idx,
                 x,
                 &mut check,
                 tol,
@@ -456,11 +456,10 @@ impl GuardedSolver {
                 &mut scratch,
                 &mut resid_seconds,
             ) {
-                Ok((status, history)) => {
+                Ok(trajectory) => {
                     return Ok(self.report(
                         LadderRung::HeuristicPlan,
-                        status,
-                        history,
+                        trajectory,
                         degradations,
                         start,
                         rung_start.elapsed().as_secs_f64(),
@@ -506,8 +505,11 @@ impl GuardedSolver {
                 if rel.is_finite() && rel <= tol {
                     return Ok(self.report(
                         LadderRung::Direct,
-                        SolveStatus::Converged { cycles: 1 },
-                        vec![rel],
+                        Trajectory {
+                            status: SolveStatus::Converged { cycles: 1 },
+                            history: vec![rel],
+                            members: Vec::new(),
+                        },
                         degradations,
                         start,
                         rung_start.elapsed().as_secs_f64(),
@@ -661,8 +663,6 @@ impl GuardedSolver {
                 (&heuristic, LadderRung::HeuristicPlan)
             }
         };
-        let acc_idx = fam.num_accuracies() - 1;
-
         let start = std::time::Instant::now();
         // Interleave the systems into one batch of the dispatch width.
         // Unused trailing lanes (group width < batch width) stay zero:
@@ -683,73 +683,101 @@ impl GuardedSolver {
             .iter()
             .map(|&tol| SolveGuard::new(self.guard, tol))
             .collect();
+        let mut walks: Vec<MemberWalk> = (0..width).map(|_| MemberWalk::default()).collect();
 
+        // A finished lane keeps its terminal state in `xs[k]`: the
+        // solution once converged, the untouched initial guess once
+        // failed (the solo re-walk below starts from it).
         enum Lane {
             Active,
-            Converged {
-                x: Grid2d,
-                status: SolveStatus,
-                history: Vec<f64>,
-            },
+            Converged(Trajectory),
             Failed,
         }
         let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::Active).collect();
-        let mut active = width;
+        // Per-lane iterate snapshots, leased the first time a cycle's
+        // active lanes want different members. A group whose lanes
+        // always agree never takes one.
+        let mut held: Vec<Option<GridLease>> = (0..width).map(|_| None).collect();
         let mut resid_seconds = 0.0f64;
-        while active > 0 {
-            fam.run_batch(level, acc_idx, &mut xb, &bb, &mut ctx);
-            for k in 0..width {
-                match &lanes[k] {
-                    Lane::Active => {}
-                    // The convergence mask: a finished lane is frozen.
-                    // The batch necessarily computed something in its
-                    // lane this cycle, but the result is discarded and
-                    // the lane restored, so the lane is never observed
-                    // past its terminal iterate (and its values stay
-                    // bounded for the lanes still cycling — not that it
-                    // matters: no kernel mixes lanes).
-                    Lane::Converged { x, .. } => {
-                        xb.load_lane(k, x);
-                        continue;
-                    }
-                    Lane::Failed => {
-                        xb.load_lane(k, &xs[k]);
-                        continue;
+        loop {
+            // Each active lane picks the member its own solo solve
+            // would run next; the batch then cycles once per distinct
+            // member (a *class*), observing only that class's lanes.
+            let wants: Vec<Option<usize>> = (0..width)
+                .map(|k| match lanes[k] {
+                    Lane::Active => Some(walks[k].next(fam, &guards[k])),
+                    _ => None,
+                })
+                .collect();
+            let mut classes: Vec<usize> = wants.iter().flatten().copied().collect();
+            classes.sort_unstable();
+            classes.dedup();
+            let last_class = *classes.last().expect("cycles only while a lane is active");
+            let mixed = classes.len() > 1;
+            if mixed {
+                // A class's cycle overwrites every lane, so the lanes of
+                // the later classes are set aside first.
+                for k in (0..width).filter(|&k| wants[k] > Some(classes[0])) {
+                    xb.store_lane(
+                        k,
+                        held[k].get_or_insert_with(|| self.workspace.acquire_unzeroed(n)),
+                    );
+                }
+            }
+            for &member in &classes {
+                if member != classes[0] {
+                    for k in (0..width).filter(|&k| wants[k] == Some(member)) {
+                        xb.load_lane(k, held[k].as_ref().expect("set aside above"));
                     }
                 }
-                xb.store_lane(k, &mut scratch);
-                let check_start = std::time::Instant::now();
-                let rel = checks[k].rel(&scratch, &mut resid, &ctx.exec);
-                resid_seconds += check_start.elapsed().as_secs_f64();
-                match guards[k].observe(rel) {
-                    GuardVerdict::Continue => {}
-                    GuardVerdict::Converged => {
-                        lanes[k] = Lane::Converged {
-                            x: Grid2d::clone(&scratch),
-                            status: SolveStatus::Converged {
-                                cycles: guards[k].cycles(),
-                            },
-                            history: guards[k].history().to_vec(),
-                        };
-                        active -= 1;
-                    }
-                    GuardVerdict::Fail(_) => {
+                fam.run_batch(level, member, &mut xb, &bb, &mut ctx);
+                for k in (0..width).filter(|&k| wants[k] == Some(member)) {
+                    let iterate: &mut Grid2d = if mixed {
+                        held[k].get_or_insert_with(|| self.workspace.acquire_unzeroed(n))
+                    } else {
+                        &mut scratch
+                    };
+                    xb.store_lane(k, iterate);
+                    let check_start = std::time::Instant::now();
+                    let rel = checks[k].rel(iterate, &mut resid, &ctx.exec);
+                    resid_seconds += check_start.elapsed().as_secs_f64();
+                    match walks[k].observe(fam, &mut guards[k], member, rel) {
+                        GuardVerdict::Continue => {}
+                        GuardVerdict::Converged => {
+                            xs[k].copy_from(iterate);
+                            lanes[k] =
+                                Lane::Converged(std::mem::take(&mut walks[k]).finish(&guards[k]));
+                        }
                         // The lane leaves the batch. It is re-served
                         // below through the solo ladder from its
                         // untouched initial guess, which reproduces the
                         // failed rung (bitwise-identical arithmetic →
                         // identical guard trip), records it, and walks
                         // the remaining rungs exactly as a solo request.
-                        xb.load_lane(k, &xs[k]);
-                        lanes[k] = Lane::Failed;
-                        active -= 1;
+                        GuardVerdict::Fail(_) => lanes[k] = Lane::Failed,
                     }
+                }
+            }
+            if !lanes.iter().any(|l| matches!(l, Lane::Active)) {
+                break;
+            }
+            // Every lane but the last class's was cycled past the state
+            // it must carry into the next cycle — the freeze: a finished
+            // lane goes back to its terminal state, so it is never
+            // observed past it and its values stay bounded (not that it
+            // matters: no kernel mixes lanes); an active lane of an
+            // earlier class goes back to the iterate it was observed at.
+            for k in 0..width {
+                match lanes[k] {
+                    Lane::Active if wants[k] == Some(last_class) => {}
+                    Lane::Active => xb.load_lane(k, held[k].as_ref().expect("observed above")),
+                    _ => xb.load_lane(k, &xs[k]),
                 }
             }
         }
         let seconds = start.elapsed().as_secs_f64();
 
-        if lanes.iter().any(|l| matches!(l, Lane::Converged { .. })) {
+        if lanes.iter().any(|l| matches!(l, Lane::Converged(_))) {
             ctx.tracer.record(CycleEvent::RungServed {
                 rung,
                 width: self.batch_width,
@@ -764,76 +792,64 @@ impl GuardedSolver {
             .into_iter()
             .enumerate()
             .map(|(k, lane)| match lane {
-                Lane::Converged { x, status, history } => {
-                    xs[k].copy_from(&x);
-                    Ok(GuardedReport {
-                        status,
-                        rung,
-                        rel_residual: history.last().copied().unwrap_or(f64::NAN),
-                        residual_history: history,
-                        degradations: Vec::new(),
-                        seconds,
-                        rung_seconds: seconds,
-                        residual_check_seconds: resid_seconds,
-                        ops: ops.clone(),
-                        tracer: tracer.clone(),
-                        batch_width: self.batch_width,
-                    })
-                }
+                Lane::Converged(trajectory) => Ok(GuardedReport {
+                    status: trajectory.status,
+                    rung,
+                    rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
+                    residual_history: trajectory.history,
+                    members: trajectory.members,
+                    degradations: Vec::new(),
+                    seconds,
+                    rung_seconds: seconds,
+                    residual_check_seconds: resid_seconds,
+                    ops: ops.clone(),
+                    tracer: tracer.clone(),
+                    batch_width: self.batch_width,
+                }),
                 Lane::Failed => self.solve(&mut xs[k], &bs[k], tols[k]),
                 Lane::Active => unreachable!("loop exits only when no lane is active"),
             })
             .collect();
         if let Some(telemetry) = self.active_telemetry() {
-            // One group-level observation: the serving rung counted
-            // once per converged lane (matching the per-report view a
-            // consumer reconciles against), phase times once for the
-            // shared group attempt. Lanes that left the batch fed
-            // telemetry through their solo ladder re-walk above.
-            let converged = reports
+            // One group-level observation for the lanes the batch
+            // served. Lanes that left it fed telemetry through their
+            // solo ladder re-walk above.
+            let served: Vec<&GuardedReport> = reports
                 .iter()
-                .filter(|r| r.as_ref().is_ok_and(|rep| rep.degradations.is_empty()))
-                .count();
-            if converged > 0 {
-                telemetry.observe_group(rung, converged as u64, seconds, resid_seconds, &tracer);
-            }
+                .filter_map(|r| r.as_ref().ok())
+                .filter(|report| report.batch_width > 1)
+                .collect();
+            telemetry.observe_group(&served);
         }
         reports
     }
 
-    /// Iterate one family member under guard until `tol` or failure.
-    /// Returns the converged status and the residual trajectory;
-    /// accumulates the wall time of the per-cycle residual checks into
-    /// `resid_seconds`.
+    /// Iterate `fam` under guard until `tol` or failure, each cycle on
+    /// the member its [`MemberWalk`] selects. Accumulates the wall time
+    /// of the per-cycle residual checks into `resid_seconds`.
     #[allow(clippy::too_many_arguments)]
     fn run_family_guarded(
         &self,
         fam: &TunedFamily,
         level: usize,
-        acc_idx: usize,
         x: &mut Grid2d,
         check: &mut ResidualCheck,
         tol: f64,
         ctx: &mut ExecCtx,
         scratch: &mut Grid2d,
         resid_seconds: &mut f64,
-    ) -> Result<(SolveStatus, Vec<f64>), GuardFailure> {
+    ) -> Result<Trajectory, GuardFailure> {
         let mut guard = SolveGuard::new(self.guard, tol);
+        let mut walk = MemberWalk::default();
         loop {
-            fam.run(level, acc_idx, x, check.b, ctx);
+            let member = walk.next(fam, &guard);
+            fam.run(level, member, x, check.b, ctx);
             let check_start = std::time::Instant::now();
             let rel = check.rel(x, scratch, &ctx.exec);
             *resid_seconds += check_start.elapsed().as_secs_f64();
-            match guard.observe(rel) {
+            match walk.observe(fam, &mut guard, member, rel) {
                 GuardVerdict::Continue => {}
-                GuardVerdict::Converged => {
-                    return Ok((
-                        SolveStatus::Converged {
-                            cycles: guard.cycles(),
-                        },
-                        guard.history().to_vec(),
-                    ));
-                }
+                GuardVerdict::Converged => return Ok(walk.finish(&guard)),
                 GuardVerdict::Fail(f) => return Err(f),
             }
         }
@@ -843,8 +859,7 @@ impl GuardedSolver {
     fn report(
         &self,
         rung: LadderRung,
-        status: SolveStatus,
-        history: Vec<f64>,
+        trajectory: Trajectory,
         degradations: Vec<Degradation>,
         start: std::time::Instant,
         rung_seconds: f64,
@@ -856,12 +871,12 @@ impl GuardedSolver {
             width: 1,
             seconds: rung_seconds,
         });
-        let rel = history.last().copied().unwrap_or(f64::NAN);
         let report = GuardedReport {
-            status,
+            status: trajectory.status,
             rung,
-            rel_residual: rel,
-            residual_history: history,
+            rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
+            residual_history: trajectory.history,
+            members: trajectory.members,
             degradations,
             seconds: start.elapsed().as_secs_f64(),
             rung_seconds,
@@ -907,6 +922,88 @@ impl<'a> ResidualCheck<'a> {
             .b_norm
             .get_or_insert_with(|| l2_norm_interior(b, exec).max(f64::MIN_POSITIVE));
         r_norm / *b_norm
+    }
+}
+
+/// The family member a follow-up cycle runs: the cheapest one whose
+/// tuned accuracy `p_i` covers the reduction still `need`ed
+/// (`rel / tol`), but no member below `floor` — and the top member when
+/// nothing sub-top qualifies.
+pub(crate) fn select_member(fam: &TunedFamily, need: f64, floor: usize) -> usize {
+    fam.acc_index_for(need)
+        .max(floor)
+        .min(fam.num_accuracies() - 1)
+}
+
+/// A converged guarded iteration, as the serving rung's report carries
+/// it: `members[c]` ran cycle `c` and left `history[c]`.
+struct Trajectory {
+    status: SolveStatus,
+    history: Vec<f64>,
+    members: Vec<u8>,
+}
+
+/// Which member each cycle of one guarded iteration runs.
+///
+/// Cycle 1 runs the top member: no residual is known yet. Every later
+/// cycle runs [`select_member`] of what the last observation left to
+/// do. A sub-top member that was given the job and missed is not asked
+/// again, nor is anything weaker (`floor`), so an iteration spends at
+/// most `m − 1` sub-top cycles — each cheaper than a top cycle — before
+/// it is back on the top member for good.
+#[derive(Default)]
+struct MemberWalk {
+    floor: usize,
+    members: Vec<u8>,
+}
+
+impl MemberWalk {
+    /// The member the next cycle runs.
+    fn next(&self, fam: &TunedFamily, guard: &SolveGuard) -> usize {
+        match guard.history().last() {
+            None => fam.num_accuracies() - 1,
+            Some(rel) => select_member(fam, rel / guard.target(), self.floor),
+        }
+    }
+
+    /// Record that `member` ran and left `rel`; the guard's verdict,
+    /// except that a budget projection drawn from weaker members than
+    /// the one about to run is not acted on. The projection's ρ is the
+    /// best contraction of the last four cycles, which bounds the cycles
+    /// still needed from below only while the cycles to come are no
+    /// stronger than the ones observed.
+    fn observe(
+        &mut self,
+        fam: &TunedFamily,
+        guard: &mut SolveGuard,
+        member: usize,
+        rel: f64,
+    ) -> GuardVerdict {
+        self.members
+            .push(u8::try_from(member).expect("an admitted family has at most 256 members"));
+        let verdict = guard.observe(rel);
+        if verdict != GuardVerdict::Converged && member + 1 < fam.num_accuracies() {
+            self.floor = member + 1;
+        }
+        match verdict {
+            GuardVerdict::Fail(GuardFailure::BudgetUnreachable { .. })
+                if self.next(fam, guard) > member =>
+            {
+                GuardVerdict::Continue
+            }
+            verdict => verdict,
+        }
+    }
+
+    /// The converged iteration's record.
+    fn finish(self, guard: &SolveGuard) -> Trajectory {
+        Trajectory {
+            status: SolveStatus::Converged {
+                cycles: guard.cycles(),
+            },
+            history: guard.history().to_vec(),
+            members: self.members,
+        }
     }
 }
 
@@ -1428,6 +1525,226 @@ mod tests {
             };
             assert_eq!(reasons(report), reasons(&solo), "lane {k}");
             assert!(report.degradations[1].reason.is_skip());
+        }
+    }
+
+    /// A `QuickTune`-style plan for `problem`, stamped for it.
+    fn quick_plan(problem: &Problem, level: usize) -> TunedFamily {
+        use crate::tuner::{TunerOptions, VTuner};
+        let opts =
+            TunerOptions::quick(level, Distribution::UnbiasedUniform).with_problem(problem.clone());
+        let mut fam = VTuner::new(opts).tune();
+        fam.problem = problem.fingerprint().clone();
+        fam
+    }
+
+    /// The issue's case: the top member of the quick Poisson plan at
+    /// level 7 leaves 1e-8 about 10x short, and the follow-up cycle is
+    /// one or two V cycles instead of seven more.
+    #[test]
+    fn follow_up_cycle_runs_the_cheapest_member_that_covers_the_rest() {
+        faults::clear();
+        let level = 7;
+        let problem = Problem::poisson();
+        let fam = quick_plan(&problem, level);
+        let top = (fam.num_accuracies() - 1) as u8;
+        let solver = GuardedSolver::new(problem.clone()).with_plan(fam);
+        for seed in [1u64, 2, 3] {
+            let inst =
+                ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, seed);
+            let mut x = inst.working_grid();
+            let report = solver.solve(&mut x, &inst.b, 1e-8).expect("must serve");
+            assert_eq!(report.rung, LadderRung::TunedPlan);
+            assert!(!report.degraded());
+            assert_eq!(report.residual_history.len(), 2);
+            assert!(
+                report.members == [top, 0] || report.members == [top, 1],
+                "seed {seed}: {:?}",
+                report.members
+            );
+            let sweeps = report.ops.per_level[level].relax_sweeps;
+            assert!(
+                sweeps == 16 || sweeps == 18,
+                "seed {seed}: {sweeps} finest-level sweeps (top member every cycle: 28)"
+            );
+            // Independent residual check of the returned answer.
+            let mut r = Grid2d::zeros(x.n());
+            let exec = Exec::seq();
+            residual_op(&problem.op_for(x.n()), &x, &inst.b, &mut r, &exec);
+            let rel = l2_norm_interior(&r, &exec) / l2_norm_interior(&inst.b, &exec);
+            assert!(rel <= 1e-8, "seed {seed}: {rel:e}");
+            assert_eq!(rel, report.rel_residual);
+        }
+    }
+
+    /// A solve the top member finishes alone does exactly the work of
+    /// one bare top-member cycle: same bits, same operation counts.
+    #[test]
+    fn one_cycle_solves_are_one_bare_top_member_cycle() {
+        faults::clear();
+        for (problem, level) in [
+            (Problem::smooth_sinusoidal(65), 6),
+            (Problem::jump_inclusion(129), 7),
+        ] {
+            let fam = quick_plan(&problem, level);
+            let top = fam.num_accuracies() - 1;
+            let inst =
+                ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, 5);
+            let mut want = inst.working_grid();
+            let mut ctx = ExecCtx::new(Exec::seq()).with_problem(problem.clone());
+            fam.run(level, top, &mut want, &inst.b, &mut ctx);
+
+            let solver = GuardedSolver::new(problem.clone()).with_plan(fam);
+            let mut x = inst.working_grid();
+            let report = solver.solve(&mut x, &inst.b, 1e-8).expect("must serve");
+            assert_eq!(report.status, SolveStatus::Converged { cycles: 1 });
+            assert_eq!(report.members, [top as u8]);
+            assert_eq!(x.as_slice(), want.as_slice(), "{}", problem.describe());
+            assert_eq!(report.ops, ctx.ops);
+        }
+    }
+
+    /// A family whose sub-top members are useless (one SOR sweep) and
+    /// whose top member is a real V cycle.
+    fn useless_sub_top_family(level: usize) -> TunedFamily {
+        let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
+        let top = fam.num_accuracies() - 1;
+        for row in fam.plans.iter_mut().skip(2) {
+            for choice in &mut row[..top] {
+                *choice = Choice::Sor { iterations: 1 };
+            }
+        }
+        fam.validate().unwrap();
+        fam
+    }
+
+    /// Useless sub-top members cost at most one cheap cycle each: the
+    /// walk asks each at most once, in ascending order, then stays on
+    /// the top member; the solve still converges on the tuned rung, and
+    /// the budget projection is not acted on while its window holds
+    /// only members weaker than the one about to run.
+    #[test]
+    fn a_member_that_missed_is_not_asked_again() {
+        faults::clear();
+        let level = 5;
+        let problem = Problem::poisson();
+        let fam = useless_sub_top_family(level);
+        let top = fam.num_accuracies() - 1;
+        let inst = instance(level, &problem);
+        // What the top member alone does (the walk before selection).
+        let mut x = inst.working_grid();
+        let top_only = GuardedSolver::new(problem.clone())
+            .with_plan(simple_v_family(level, &PAPER_ACCURACIES))
+            .solve(&mut x, &inst.b, 1e-12)
+            .expect("must serve")
+            .residual_history;
+        let rel1 = top_only[0];
+        // Just enough budget for the detour: one top cycle, the four
+        // sub-top members, one more top cycle.
+        let cfg = GuardConfig {
+            max_cycles: 6,
+            ..GuardConfig::default()
+        };
+        let solver = GuardedSolver::new(problem.clone())
+            .with_plan(fam)
+            .with_guard_config(cfg);
+
+        // Cycle 1 leaves less than 10x to do: member 0 is asked first.
+        let tol = rel1 / 9.5;
+        let cycles_before = top_only.iter().position(|&r| r <= tol).unwrap() + 1;
+        assert_eq!(cycles_before, 2);
+        let mut x = inst.working_grid();
+        let report = solver.solve(&mut x, &inst.b, tol).expect("must serve");
+        assert_eq!(report.rung, LadderRung::TunedPlan);
+        assert!(!report.degraded());
+        assert_eq!(report.members, [4, 0, 1, 2, 3, 4]);
+        assert!(report.members.len() <= cycles_before + top);
+        // A bare guard fed this trajectory does project the budget
+        // unreachable at cycle 5, from four one-sweep contractions.
+        let mut bare = SolveGuard::new(cfg, tol);
+        let verdicts: Vec<GuardVerdict> = report
+            .residual_history
+            .iter()
+            .map(|&rel| bare.observe(rel))
+            .collect();
+        assert!(
+            matches!(
+                verdicts[4],
+                GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle: 5, .. })
+            ),
+            "{verdicts:?}"
+        );
+
+        // Cycle 1 leaves ~5000x to do: members 0 and 1 are never asked.
+        let tol = rel1 / 5e3;
+        let mut x = inst.working_grid();
+        let report = GuardedSolver::new(problem)
+            .with_plan(useless_sub_top_family(level))
+            .solve(&mut x, &inst.b, tol)
+            .expect("must serve");
+        assert!(!report.degraded());
+        assert_eq!(report.members[..4], [4, 2, 3, 4]);
+        assert!(report.members[4..].iter().all(|&m| m == 4));
+    }
+
+    /// A family whose member `i` is `i + 1` V cycles, so lanes that
+    /// pick different members run genuinely different schedules.
+    fn graded_family(level: usize) -> TunedFamily {
+        let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
+        for row in fam.plans.iter_mut().skip(2) {
+            for (i, choice) in row.iter_mut().enumerate() {
+                *choice = Choice::Recurse {
+                    sub_accuracy: 0,
+                    iterations: i as u32 + 1,
+                };
+            }
+        }
+        fam.validate().unwrap();
+        fam
+    }
+
+    /// Lanes of one group pick different members in the same cycle
+    /// (tolerances seven orders apart); the batch cycles once per
+    /// member class with the other lanes frozen, and every lane still
+    /// gets its solo schedule and its solo bits.
+    #[test]
+    fn solve_many_lanes_pick_their_own_members() {
+        faults::clear();
+        let level = 5;
+        let problem = Problem::poisson();
+        let all_tols = [1e-3, 1e-10, 1e-6, 1e-8, 1e-5, 1e-9, 1e-4, 1e-7];
+        for bw in [4usize, 8] {
+            let solver = GuardedSolver::new(problem.clone())
+                .with_plan(graded_family(level))
+                .with_batch_width(bw);
+            for count in [bw, bw - 1, 3] {
+                let tols = &all_tols[..count];
+                let insts = batch_instances(level, &problem, count);
+                let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
+                let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
+                let reports = solver.solve_many(&mut xs, &bs, tols);
+                let mut second_cycle = Vec::new();
+                for k in 0..count {
+                    let mut want = insts[k].working_grid();
+                    let solo = solver
+                        .solve(&mut want, &bs[k], tols[k])
+                        .expect("solo serves");
+                    let report = reports[k].as_ref().expect("batched lane serves");
+                    assert_eq!(
+                        xs[k].as_slice(),
+                        want.as_slice(),
+                        "bw={bw} count={count} lane {k}"
+                    );
+                    assert_eq!(report.members, solo.members);
+                    assert_eq!(report.residual_history, solo.residual_history);
+                    assert_eq!(report.batch_width, bw);
+                    second_cycle.extend(report.members.get(1).copied());
+                }
+                assert!(
+                    second_cycle.iter().any(|&m| m != second_cycle[0]),
+                    "bw={bw} count={count}: lanes must disagree on a member: {second_cycle:?}"
+                );
+            }
         }
     }
 }

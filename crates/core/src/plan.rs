@@ -558,6 +558,9 @@ impl TunedFamily {
         if m == 0 {
             return Err("no accuracy levels".into());
         }
+        if m > usize::from(u8::MAX) + 1 {
+            return Err(format!("{m} accuracy levels: members are indexed by a u8"));
+        }
         if !self.accuracies.windows(2).all(|w| w[0] < w[1]) {
             return Err("accuracies must be ascending".into());
         }

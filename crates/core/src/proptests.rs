@@ -2,6 +2,7 @@
 
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{LevelOps, MachineProfile, OpCounts};
+use crate::guard::select_member;
 use crate::plan::{simple_v_family, Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
 use crate::tuner::apply_knobs;
@@ -261,5 +262,31 @@ proptest! {
         } else if idx > 0 {
             prop_assert!(PAPER_ACCURACIES[idx - 1] < target);
         }
+    }
+
+    /// Member selection picks the smallest index at or above `floor`
+    /// whose accuracy covers `need` (the top member when none does),
+    /// and never moves down as `need` or `floor` grows.
+    #[test]
+    fn select_member_is_the_tightest_above_the_floor(
+        steps in prop::collection::vec(1.5f64..1e3, 1..8),
+        need in 1e-3f64..1e15,
+        more in 1.0f64..1e6,
+        floor in 0usize..10,
+    ) {
+        let accuracies: Vec<f64> = steps
+            .iter()
+            .scan(1.0, |p, step| {
+                *p *= step;
+                Some(*p)
+            })
+            .collect();
+        let fam = simple_v_family(1, &accuracies);
+        let top = accuracies.len() - 1;
+        let picked = select_member(&fam, need, floor);
+        let want = (floor..=top).find(|&i| accuracies[i] >= need).unwrap_or(top);
+        prop_assert_eq!(picked, want);
+        prop_assert!(select_member(&fam, need * more, floor) >= picked);
+        prop_assert!(select_member(&fam, need, floor + 1) >= picked);
     }
 }

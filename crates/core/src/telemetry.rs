@@ -2,8 +2,9 @@
 //!
 //! [`SolveTelemetry`] pre-registers every metric family the guarded
 //! solver reports into — served/failed/skipped counters per
-//! degradation-ladder rung, latency histograms for rung attempts and
-//! residual checks, and per-level kernel-time histograms fed from the
+//! degradation-ladder rung, cycles per family member at the serving
+//! rung, latency histograms for rung attempts and residual checks, and
+//! per-level kernel-time histograms fed from the
 //! executor's kernel-clock hooks
 //! ([`crate::trace::Tracer::timing_all`]). Handles
 //! are resolved once at registration, so the per-solve observation
@@ -41,9 +42,14 @@ fn rung_idx(rung: LadderRung) -> usize {
     }
 }
 
+/// Family members `petamg_cycle_member_total` tells apart (members
+/// past the last slot accumulate into it). The paper's family has five.
+const MAX_COUNTED_MEMBERS: usize = 8;
+
 /// Pre-resolved metric handles for guarded-solve observation.
 pub struct SolveTelemetry {
     served: [Counter; 3],
+    cycle_member: [[Counter; MAX_COUNTED_MEMBERS]; 2],
     failed: [Counter; 3],
     skipped: [Counter; 3],
     attempt_seconds: [Histogram; 3],
@@ -63,6 +69,17 @@ impl SolveTelemetry {
             served: per_rung_counter("petamg_rung_served_total"),
             failed: per_rung_counter("petamg_rung_failed_total"),
             skipped: per_rung_counter("petamg_rung_skipped_total"),
+            cycle_member: std::array::from_fn(|i| {
+                std::array::from_fn(|member| {
+                    registry.counter(
+                        "petamg_cycle_member_total",
+                        &[
+                            ("rung", rung_label(RUNGS[i])),
+                            ("member", &member.to_string()),
+                        ],
+                    )
+                })
+            }),
             attempt_seconds: std::array::from_fn(|i| {
                 registry.histogram(
                     "petamg_rung_attempt_seconds",
@@ -84,6 +101,7 @@ impl SolveTelemetry {
     /// and whatever per-level kernel times the tracer clocked.
     pub fn observe_report(&self, report: &GuardedReport) {
         self.served[rung_idx(report.rung)].inc();
+        self.observe_members(report.rung, &report.members);
         self.attempt_seconds[rung_idx(report.rung)].record_seconds(report.rung_seconds);
         self.residual_check_seconds
             .record_seconds(report.residual_check_seconds);
@@ -91,23 +109,23 @@ impl SolveTelemetry {
         self.observe_kernel_levels(&report.tracer);
     }
 
-    /// Record one batched group: the serving rung counted once per
-    /// converged lane (matching the per-lane reports a consumer
-    /// reconciles against), the shared group attempt and
-    /// residual-check times once.
-    pub fn observe_group(
-        &self,
-        rung: LadderRung,
-        converged_lanes: u64,
-        rung_seconds: f64,
-        residual_check_seconds: f64,
-        tracer: &Tracer,
-    ) {
-        self.served[rung_idx(rung)].add(converged_lanes);
-        self.attempt_seconds[rung_idx(rung)].record_seconds(rung_seconds);
+    /// Record one batched group from the reports of its converged
+    /// lanes: the serving rung and the members it ran counted per lane
+    /// (matching the per-lane reports a consumer reconciles against),
+    /// the group attempt and residual-check times — which the lanes
+    /// share — once.
+    pub fn observe_group(&self, lanes: &[&GuardedReport]) {
+        let Some(group) = lanes.first() else {
+            return;
+        };
+        for lane in lanes {
+            self.served[rung_idx(lane.rung)].inc();
+            self.observe_members(lane.rung, &lane.members);
+        }
+        self.attempt_seconds[rung_idx(group.rung)].record_seconds(group.rung_seconds);
         self.residual_check_seconds
-            .record_seconds(residual_check_seconds);
-        self.observe_kernel_levels(tracer);
+            .record_seconds(group.residual_check_seconds);
+        self.observe_kernel_levels(&group.tracer);
     }
 
     /// Record a ladder-exhausted solve: every rung failed.
@@ -115,6 +133,17 @@ impl SolveTelemetry {
         self.exhausted.inc();
         self.observe_degradations(&err.degradations);
         self.observe_kernel_levels(tracer);
+    }
+
+    /// One count per cycle of the serving rung, by the member that ran
+    /// it. The direct rung runs no member.
+    fn observe_members(&self, rung: LadderRung, members: &[u8]) {
+        let Some(per_member) = self.cycle_member.get(rung_idx(rung)) else {
+            return;
+        };
+        for &member in members {
+            per_member[usize::from(member).min(MAX_COUNTED_MEMBERS - 1)].inc();
+        }
     }
 
     /// A rung that ran and failed counts as a failure with an attempt
@@ -231,6 +260,53 @@ mod tests {
         assert_eq!(
             (attempts("tuned"), attempts("heuristic"), attempts("direct")),
             (1, 0, 1)
+        );
+    }
+
+    /// Solo or batched, the member counters add up to the cycles the
+    /// reports list.
+    #[test]
+    fn member_counters_reconcile_with_report_members() {
+        let registry = Registry::new();
+        let telemetry = SolveTelemetry::register(&registry);
+        let problem = Problem::poisson();
+        let solver = GuardedSolver::new(problem.clone()).with_batch_width(4);
+        let insts: Vec<ProblemInstance> = (0..3)
+            .map(|k| {
+                ProblemInstance::random_for(&problem, 4, Distribution::UnbiasedUniform, 20 + k)
+            })
+            .collect();
+        let mut xs: Vec<_> = insts.iter().map(|i| i.working_grid()).collect();
+        let bs: Vec<_> = insts.iter().map(|i| i.b.clone()).collect();
+        let reports: Vec<GuardedReport> = solver
+            .solve_many(&mut xs, &bs, &[1e-4, 1e-8, 1e-10])
+            .into_iter()
+            .map(|r| r.expect("serves"))
+            .collect();
+        telemetry.observe_group(&reports.iter().collect::<Vec<_>>());
+        let mut x = insts[0].working_grid();
+        let solo = solver.solve(&mut x, &insts[0].b, 1e-8).expect("serves");
+        telemetry.observe_report(&solo);
+
+        let snap = registry.snapshot();
+        let listed: usize = reports.iter().chain([&solo]).map(|r| r.members.len()).sum();
+        assert!(listed > 4);
+        assert_eq!(
+            snap.counter("petamg_cycle_member_total", &[("rung", "heuristic")]),
+            listed as u64
+        );
+        assert_eq!(
+            snap.counter("petamg_cycle_member_total", &[("member", "4")]),
+            reports
+                .iter()
+                .chain([&solo])
+                .flat_map(|r| &r.members)
+                .filter(|&&m| m == 4)
+                .count() as u64
+        );
+        assert_eq!(
+            snap.counter("petamg_rung_served_total", &[("rung", "heuristic")]),
+            4
         );
     }
 }

@@ -81,9 +81,17 @@ fn solve_and_print(problem: Problem, level: usize, tol: f64) {
                     println!("  {} failed: {}", d.rung, d.reason);
                 }
             }
+            // Cycle 1 runs the family's top member; each later cycle
+            // the cheapest member whose tuned accuracy covers what is
+            // left. (Every member of the simple family is the same V
+            // cycle, so here the choice shows but costs the same.) The
+            // direct rung runs no member.
             println!("\nresidual trajectory at the serving rung:");
             for (i, r) in report.residual_history.iter().enumerate() {
-                println!("  cycle {:>2}: {r:.3e}", i + 1);
+                match report.members.get(i) {
+                    Some(member) => println!("  cycle {:>2}: {r:.3e}  (member {member})", i + 1),
+                    None => println!("  cycle {:>2}: {r:.3e}", i + 1),
+                }
             }
         }
         Err(err) => {

@@ -61,6 +61,56 @@ fn autotuned_beats_reference_v_at_1e5() {
     }
 }
 
+/// Figs 10–11 on the serving path: a guarded solve to a relative
+/// residual of 1e-8 under the `TunerOptions::quick` plan costs no more
+/// (modeled, +10%) than reference V cycles iterated to the same
+/// residual. At level 7 the plan's top member lands about 10x short, so
+/// this holds only because the follow-up cycle is the cheapest member
+/// that covers the rest, not the top member again.
+#[test]
+fn guarded_solve_matches_reference_v_to_1e8_residual() {
+    let tol = 1e-8;
+    let profile = MachineProfile::intel_harpertown();
+    let problem = Problem::poisson();
+    let cache = Arc::new(DirectSolverCache::new());
+    let exec = Exec::seq();
+    let rel_residual = |x: &Grid2d, b: &Grid2d| {
+        let mut r = Grid2d::zeros(x.n());
+        petamg::problems::residual_op(&problem.op_for(x.n()), x, b, &mut r, &exec);
+        petamg::grid::l2_norm_interior(&r, &exec) / petamg::grid::l2_norm_interior(b, &exec)
+    };
+    for level in [5, 6, 7] {
+        let tuned = VTuner::new(TunerOptions::quick(level, Distribution::UnbiasedUniform)).tune();
+        let guarded = GuardedSolver::new(problem.clone())
+            .with_plan(tuned)
+            .with_cache(Arc::clone(&cache));
+        let inst = ProblemInstance::random(level, Distribution::UnbiasedUniform, 4242);
+
+        let mut x = inst.working_grid();
+        let report = guarded.solve(&mut x, &inst.b, tol).expect("must serve");
+        assert!(!report.degraded());
+        assert!(rel_residual(&x, &inst.b) <= tol);
+        let guarded_cost = petamg::core::tuner::price_ops(&profile, &report.ops);
+
+        let reference = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
+        let mut x = inst.working_grid();
+        let status =
+            reference.solve_v_until(&mut x, &inst.b, 50, |x| rel_residual(x, &inst.b) <= tol);
+        assert!(status.converged(), "reference V failed to reach {tol:e}");
+        let simple = petamg::core::plan::simple_v_family(level, &[1.0]);
+        let (one_cycle, _) = priced_run(&profile, &exec, &cache, |ctx| {
+            let mut x = inst.working_grid();
+            simple.run(level, 0, &mut x, &inst.b, ctx);
+        });
+        let reference_cost = one_cycle * status.cycles() as f64;
+        assert!(
+            guarded_cost <= reference_cost * 1.10,
+            "level {level}: guarded {guarded_cost} vs {} reference V cycles {reference_cost}",
+            status.cycles()
+        );
+    }
+}
+
 /// Fig 10 text: "an especially marked difference for small problem sizes
 /// due to the autotuned algorithms' use of the direct solve without
 /// incurring the overhead of recursion."

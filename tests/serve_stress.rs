@@ -170,12 +170,14 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
     const PER_THREAD: usize = 32;
     let rungs = Arc::new(Mutex::new(HashMap::<&'static str, u64>::new()));
     let degradations = Arc::new(AtomicU64::new(0));
+    let member_cycles = Arc::new(AtomicU64::new(0));
     let mut clients = Vec::new();
     for t in 0..THREADS {
         let svc = Arc::clone(&svc);
         let profiles = profiles.clone();
         let rungs = Arc::clone(&rungs);
         let degradations = Arc::clone(&degradations);
+        let member_cycles = Arc::clone(&member_cycles);
         clients.push(std::thread::spawn(move || {
             let mut tickets = Vec::new();
             for j in 0..PER_THREAD {
@@ -185,6 +187,7 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
             for ticket in tickets {
                 let report = ticket.wait().expect("telemetry burst must converge");
                 degradations.fetch_add(report.report.degradations.len() as u64, Ordering::Relaxed);
+                member_cycles.fetch_add(report.report.members.len() as u64, Ordering::Relaxed);
                 *rungs
                     .lock()
                     .unwrap()
@@ -234,6 +237,16 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
         failed_or_skipped,
         degradations.load(Ordering::Relaxed),
         "failed + skipped must equal the degradations the reports carry"
+    );
+
+    // Every cycle a serving plan rung ran is counted under the member
+    // that ran it — exactly the `members` the reports carry.
+    let counted_cycles = snap.counter("petamg_cycle_member_total", &[]);
+    assert!(counted_cycles > 0);
+    assert_eq!(
+        counted_cycles,
+        member_cycles.load(Ordering::Relaxed),
+        "member counters must equal the cycles the reports list"
     );
 
     // Phase histograms: one queue wait and one solve per request, and
@@ -322,7 +335,10 @@ fn full_queue_rejects_with_typed_error() {
 /// Warm-worker allocation accounting: after the service has seen every
 /// profile once, a steady-state burst leases every per-request grid
 /// from the per-worker arenas — the arenas' allocation counters must
-/// not move.
+/// not move. That includes `submit_many` groups whose lanes ask for
+/// tolerances orders apart: their lanes pick different family members,
+/// and the snapshots that freeze one member class while another cycles
+/// are arena leases too.
 #[test]
 fn warm_workers_allocate_nothing_at_steady_state() {
     let svc = Arc::new(
@@ -334,6 +350,31 @@ fn warm_workers_allocate_nothing_at_steady_state() {
         .unwrap(),
     );
     let profiles = profiles();
+    // Two same-fingerprint groups per call (one per worker), the same
+    // systems every time so every group makes the same lease demand.
+    let mixed_groups = || -> Vec<SolveRequest> {
+        let tols = [1e-3, 1e-10, 1e-6, 1e-8, 1e-5, 1e-9, 1e-4, 1e-7];
+        (0..16)
+            .map(|k| {
+                let mut req = request(&profiles[0], 7000 + k as u64);
+                req.tol = tols[k % tols.len()];
+                req
+            })
+            .collect()
+    };
+    let serve_mixed_groups = || {
+        let mut disagreed = false;
+        let responses: Vec<_> = svc
+            .submit_many(mixed_groups())
+            .into_iter()
+            .map(|t| t.wait().expect("mixed-tolerance group converges"))
+            .collect();
+        for pair in responses.windows(2) {
+            let (a, b) = (&pair[0].report.members, &pair[1].report.members);
+            disagreed |= a.iter().zip(b).any(|(ma, mb)| ma != mb);
+        }
+        assert!(disagreed, "lanes of a group must pick different members");
+    };
     // Warm-up: several rounds so every worker has served every profile
     // and every arena holds grids for each size class it will see.
     for round in 0..6 {
@@ -345,6 +386,7 @@ fn warm_workers_allocate_nothing_at_steady_state() {
         for t in tickets {
             t.wait().expect("warm-up converges");
         }
+        serve_mixed_groups();
     }
     svc.drain();
     let warm: u64 = svc.arena_stats().iter().map(|s| s.allocations).sum();
@@ -357,6 +399,9 @@ fn warm_workers_allocate_nothing_at_steady_state() {
     }
     for t in tickets {
         t.wait().expect("steady-state converges");
+    }
+    for _ in 0..10 {
+        serve_mixed_groups();
     }
     svc.drain();
     let steady: u64 = svc.arena_stats().iter().map(|s| s.allocations).sum();
