@@ -12,7 +12,7 @@ use petamg_core::accuracy::ratio_of_errors;
 use petamg_core::training::{Distribution, ProblemInstance};
 use petamg_core::tuner::{TunerOptions, VTuner};
 use petamg_grid::{l2_diff, Exec};
-use petamg_linalg::PoissonDirect;
+use petamg_problems::{OpDirect, StencilOp};
 use petamg_solvers::{omega_opt, sor_sweep, DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ fn main() {
         // Direct (factor + solve, like DPBSV).
         let direct = if n <= DIRECT_MAX_N {
             Some(time_best(2, || {
-                let solver = PoissonDirect::new(n).expect("SPD");
+                let solver = OpDirect::new(StencilOp::Poisson, n).expect("SPD");
                 let mut x = inst.working_grid();
                 solver.solve(&mut x, &inst.b);
             }))

@@ -3,8 +3,8 @@
 //!
 //! Two views are printed:
 //! 1. wall-clock on this host (honest, but a small shared container is
-//!    memory-bandwidth-bound for stencil sweeps — rayon shows the same
-//!    flat curve, so this measures the host, not the scheduler);
+//!    memory-bandwidth-bound for stencil sweeps, so this measures the
+//!    host, not the scheduler);
 //! 2. the modeled Intel-Harpertown speedup (the Amdahl-style model used
 //!    for the architecture studies), which exhibits the paper's shape.
 
@@ -26,7 +26,7 @@ fn main() {
         "parallel speedup of the multigrid Poisson solver",
         &format!(
             "Host has {host} cores. Stencil sweeps are DRAM-bound on small\n\
-             containers (rayon is equally flat), so the wall-clock view mainly\n\
+             containers, so the wall-clock view mainly\n\
              measures memory bandwidth; the modeled view shows the shape the\n\
              paper measured on a dedicated 8-core Xeon. Work: 10 V cycles at\n\
              N = {}.",

@@ -8,7 +8,7 @@ use petamg_bench::{banner, env_max_level, n_of, time_best};
 use petamg_core::accuracy::ratio_of_errors;
 use petamg_core::training::{Distribution, ProblemInstance};
 use petamg_grid::{l2_diff, Exec};
-use petamg_linalg::PoissonDirect;
+use petamg_problems::{OpDirect, StencilOp};
 use petamg_solvers::{omega_opt, sor_sweep, DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ fn main() {
 
         // Direct: factor + solve (total work, like DPBSV).
         let t_direct = time_best(2, || {
-            let solver = PoissonDirect::new(n).expect("SPD");
+            let solver = OpDirect::new(StencilOp::Poisson, n).expect("SPD");
             let mut x = inst.working_grid();
             solver.solve(&mut x, &inst.b);
         });

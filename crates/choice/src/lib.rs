@@ -1,26 +1,19 @@
 //! # petamg-choice
 //!
-//! A library-level reproduction of the PetaBricks *choice framework*
-//! (paper §3): algorithmic choices and tunable parameters live in a flat
-//! configuration space; the autotuner explores that space bottom-up —
-//! starting from small inputs and doubling — with a population-based
-//! genetic search, and optimizes scalar parameters (cutoffs, block
-//! sizes, iteration counts) with an n-ary search. Tuned configurations
-//! serialize to JSON files, mirroring PetaBricks' tuned-configuration
-//! files that subsequent runs load.
+//! The part of the PetaBricks *choice framework* (paper §3) the
+//! multigrid tuner uses: tunable parameters live in a flat
+//! configuration space ([`space`]), scalar parameters (cutoffs, block
+//! sizes, iteration counts) are optimized with an n-ary search
+//! ([`nary`]), and tuned configurations serialize to JSON, mirroring
+//! PetaBricks' tuned-configuration files that subsequent runs load.
 //!
-//! The paper's multigrid tuner (in `petamg-core`) uses its own dynamic
-//! programming strategy on top of this substrate; this crate provides
-//! the *generic* machinery (§3.2.2) plus a demonstration [`demo::SortTransform`]
-//! matching the paper's introductory sort-cutoff example.
+//! The paper's multigrid tuner (in `petamg-core`) is a dynamic program
+//! over this substrate; the generic population-based search of §3.2.2
+//! is not reproduced.
 
-pub mod demo;
-pub mod genetic;
 pub mod nary;
 pub mod space;
-pub mod transform;
 
-pub use genetic::{GeneticTuner, GeneticTunerOptions, MultiLevelConfig, Tunable, TuneResult};
 pub use nary::{nary_search_f64, nary_search_int};
 pub use space::{
     kernel_exec_space, problem_space, tuning_order, Config, ConfigError, ConfigSpace, KernelKnobs,

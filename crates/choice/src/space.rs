@@ -408,14 +408,8 @@ impl Default for KernelKnobs {
     }
 }
 
-/// Current schema version of serialized [`KnobTable`]s.
-///
-/// * **Version 2** (current) added the per-level `simd` policy to
-///   every entry.
-/// * **Version 1** tables (band + tblock only) upgrade on load via
-///   [`KnobTable::upgrade_value`]: each entry gains `simd: Auto`.
-/// * Plan files written before knob tables existed carry no table at
-///   all and upgrade to a uniform table of the global defaults.
+/// Schema version of serialized [`KnobTable`]s (band, tblock and simd
+/// per level). [`KnobTable::validate`] rejects any other version.
 pub const KNOB_TABLE_VERSION: u32 = 2;
 
 /// A per-level table of tuned [`KernelKnobs`]: entry `k` holds the
@@ -487,48 +481,13 @@ impl KnobTable {
         self.per_level.iter().all(|k| *k == KernelKnobs::default())
     }
 
-    /// Upgrade a serialized knob-table JSON value **in place** to the
-    /// current schema: version-1 tables (entries without a `simd`
-    /// field) gain `simd: "Auto"` per entry and move to version 2.
-    /// Current-version values pass through untouched. Returns an error
-    /// for structurally alien values (the caller surfaces it as a
-    /// parse failure).
-    pub fn upgrade_value(value: &mut serde_json::Value) -> Result<(), String> {
-        let serde_json::Value::Object(obj) = value else {
-            return Err("expected a JSON object for a knob table".into());
-        };
-        let version = obj
-            .get("version")
-            .and_then(|v| match v {
-                serde_json::Value::Number(n) => n.as_u64(),
-                _ => None,
-            })
-            .ok_or("knob table lacks a numeric version")?;
-        if version != 1 {
-            return Ok(()); // current (or future — validate rejects later)
-        }
-        if let Some(serde_json::Value::Array(entries)) = obj.get_mut("per_level") {
-            for entry in entries.iter_mut() {
-                if let serde_json::Value::Object(e) = entry {
-                    e.entry("simd".to_string())
-                        .or_insert_with(|| serde_json::Value::String("Auto".into()));
-                }
-            }
-        }
-        obj.insert(
-            "version".to_string(),
-            serde_json::Value::Number(serde_json::Number::from_u64(2)),
-        );
-        Ok(())
-    }
-
-    /// Structural validation: known version, non-empty, and every entry
+    /// Structural validation: current version, non-empty, and every entry
     /// inside the [`kernel_exec_space`] domains (read from the space
     /// itself, so widening an axis there widens what tables accept).
     pub fn validate(&self) -> Result<(), String> {
-        if self.version == 0 || self.version > KNOB_TABLE_VERSION {
+        if self.version != KNOB_TABLE_VERSION {
             return Err(format!(
-                "unsupported knob-table version {} (max {KNOB_TABLE_VERSION})",
+                "unsupported knob-table version {} (expected {KNOB_TABLE_VERSION})",
                 self.version
             ));
         }
@@ -588,9 +547,7 @@ pub const PROBLEM_FAMILY_LABELS: [&str; 4] = ["poisson", "smooth", "jump1000", "
 /// Unlike the kernel-execution knobs this is not a free tuning variable
 /// — the *user* poses the problem — but it is a first-class dimension
 /// of the plan library: tuned plans are stored and looked up per
-/// `(problem, machine, accuracy)`, and benches sweep this axis to
-/// demonstrate per-problem plan divergence (the `problem_sweep` section
-/// of `BENCH_kernels.json`). Every kernel knob depends on it: changing
+/// `(problem, machine, accuracy)`. Every kernel knob depends on it: changing
 /// the operator changes the per-row flop/byte mix, so band, tblock, and
 /// simd sweet spots must be re-searched per problem, exactly as the
 /// per-workload re-tuning literature (KTT, sustainable autotuning)
@@ -935,8 +892,10 @@ mod tests {
     #[test]
     fn knob_table_validation_rejects_bad_entries() {
         let mut t = KnobTable::defaults(3);
-        t.version = KNOB_TABLE_VERSION + 1;
-        assert!(t.validate().is_err(), "future versions rejected");
+        for version in [KNOB_TABLE_VERSION - 1, KNOB_TABLE_VERSION + 1] {
+            t.version = version;
+            assert!(t.validate().is_err(), "version {version} rejected");
+        }
 
         let mut t = KnobTable::defaults(3);
         t.per_level[1] = KernelKnobs {
@@ -976,58 +935,6 @@ mod tests {
         assert!(json.contains("\"version\""), "schema is versioned: {json}");
         let back: KnobTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn knob_table_v1_upgrades_to_current_schema() {
-        // Build a v1-shaped value: serialize the current table, strip
-        // the per-entry simd fields, and set version 1 — exactly what a
-        // pre-SIMD build wrote.
-        let mut t = KnobTable::defaults(3);
-        t.set(
-            2,
-            KernelKnobs {
-                band_rows: 8,
-                tblock: 4,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        let mut value: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
-        if let serde_json::Value::Object(obj) = &mut value {
-            obj.insert(
-                "version".into(),
-                serde_json::Value::Number(serde_json::Number::from_u64(1)),
-            );
-            if let Some(serde_json::Value::Array(entries)) = obj.get_mut("per_level") {
-                for e in entries.iter_mut() {
-                    if let serde_json::Value::Object(m) = e {
-                        m.remove("simd").expect("current schema has simd");
-                    }
-                }
-            }
-        }
-        // Without the upgrade the v1 value no longer deserializes.
-        assert!(
-            serde_json::from_str::<KnobTable>(&serde_json::to_string(&value).unwrap()).is_err()
-        );
-        KnobTable::upgrade_value(&mut value).unwrap();
-        let back: KnobTable =
-            serde_json::from_str(&serde_json::to_string(&value).unwrap()).unwrap();
-        assert_eq!(back.version, KNOB_TABLE_VERSION);
-        assert_eq!(back, t, "v1 entries upgrade with simd = Auto");
-        back.validate().unwrap();
-
-        // Current-version values pass through untouched.
-        let mut current: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
-        let before = serde_json::to_string(&current).unwrap();
-        KnobTable::upgrade_value(&mut current).unwrap();
-        assert_eq!(serde_json::to_string(&current).unwrap(), before);
-
-        // Alien values are rejected, not mangled.
-        let mut bogus = serde_json::Value::Array(Vec::new());
-        assert!(KnobTable::upgrade_value(&mut bogus).is_err());
     }
 
     #[test]

@@ -188,7 +188,7 @@ mod tests {
         // Solving with the same direct solver gives x == x_opt bitwise.
         let mut x = x0.clone();
         x.zero_interior();
-        cache.get(9).solve(&mut x, &b);
+        cache.solve_op(&mut x, &b, &petamg_problems::StencilOp::Poisson);
         assert_eq!(error_ratio(&x0, &x, &x_opt, &exec), ACC_CAP);
     }
 

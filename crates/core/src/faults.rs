@@ -23,7 +23,7 @@
 //!
 //! The disabled fast path is a single thread-local flag read
 //! ([`armed`]), so fault points cost nothing measurable in production
-//! (acceptance criterion: kernel benches within noise of the
+//! (the bar: the benchmark's kernel probes within noise of the
 //! fault-free build).
 //!
 //! Arming is programmatic ([`inject`]) or environment-driven: set

@@ -1170,7 +1170,7 @@ mod tests {
         let execs = [
             Exec::seq().with_simd(SimdPolicy::Scalar),
             Exec::seq().with_simd(SimdPolicy::Vector),
-            Exec::rayon().with_band(2).with_simd(SimdPolicy::Vector),
+            Exec::pbrt(3).with_band(2).with_simd(SimdPolicy::Vector),
         ];
         for problem in &problems {
             for exec in &execs {

@@ -2,11 +2,10 @@
 //! per-level kernel knob tables — as PetaBricks-style JSON
 //! configuration files.
 //!
-//! Loading accepts the current checksummed schema (v5) and every
-//! legacy schema back to v1 (those fall back to a uniform table of the
-//! global default knobs and the Poisson fingerprint). Saving always
-//! writes the current schema, so a load→save pass upgrades a legacy
-//! file.
+//! One schema is written and read: the checksummed v5 envelope of
+//! [`TunedFamily::to_json`]. Anything else — a missing checksum, a
+//! missing field, another knob-table version — fails to load with a
+//! reason, and on serving paths is quarantined like any damaged file.
 //!
 //! Three hardening properties, each an ingredient of the guarded-solve
 //! story (`crate::guard`):
@@ -48,7 +47,7 @@ pub enum PlanLoadError {
     /// Reading the file failed.
     Io(std::io::Error),
     /// The file did not parse/validate as a tuned plan (bad JSON,
-    /// checksum mismatch, or an invalid plan table).
+    /// missing or mismatched checksum, or an invalid plan table).
     Parse {
         /// What was wrong with the file.
         reason: String,
@@ -126,8 +125,7 @@ pub fn save_plan(family: &TunedFamily, path: &Path) -> std::io::Result<()> {
     write_atomic(path, &family.to_json())
 }
 
-/// Load a tuned `MULTIGRID-V` family; legacy files without a knob
-/// table load with the uniform default table. No quarantine — use
+/// Load a tuned `MULTIGRID-V` family. No quarantine — use
 /// [`load_plan_for`] on serving paths.
 pub fn load_plan(path: &Path) -> Result<TunedFamily, String> {
     let text = read_plan_bytes(path).map_err(|e| e.to_string())?;
@@ -136,8 +134,7 @@ pub fn load_plan(path: &Path) -> Result<TunedFamily, String> {
 
 /// Load a tuned `MULTIGRID-V` family **for a posed problem**.
 ///
-/// * The plan's `ProblemFingerprint` (schema ≥ v4; legacy files
-///   upgrade to the Poisson fingerprint) must match `problem`'s,
+/// * The plan's `ProblemFingerprint` must match `problem`'s,
 ///   otherwise the typed [`PlanLoadError::ProblemMismatch`] is
 ///   returned — a plan tuned for smooth coefficients is never silently
 ///   applied to a jump-coefficient run.
@@ -164,8 +161,8 @@ pub fn save_fmg_plan(family: &TunedFmgFamily, path: &Path) -> std::io::Result<()
     write_atomic(path, &family.to_json())
 }
 
-/// Load a tuned `FULL-MULTIGRID` family, upgrading legacy files like
-/// [`load_plan`].
+/// Load a tuned `FULL-MULTIGRID` family (no quarantine, like
+/// [`load_plan`]).
 pub fn load_fmg_plan(path: &Path) -> Result<TunedFmgFamily, String> {
     let text = read_plan_bytes(path).map_err(|e| e.to_string())?;
     TunedFmgFamily::from_json(&text)

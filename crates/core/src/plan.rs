@@ -485,14 +485,9 @@ pub struct TunedFamily {
     /// (`plans[0]` is unused padding; `plans[1]` is always `Direct`).
     pub plans: Vec<Vec<Choice>>,
     /// Per-level kernel-execution knobs (band height, temporal-block
-    /// depth), index-aligned with `plans`. Legacy plan files (written
-    /// before knob tables existed) carry no table; loading them falls
-    /// back to a uniform table of the global defaults.
+    /// depth), index-aligned with `plans`.
     pub knobs: KnobTable,
-    /// Fingerprint of the problem this family was tuned for (plan
-    /// schema v4). Legacy files (v1–v3, written before operator
-    /// families existed) upgrade to the constant-coefficient Poisson
-    /// fingerprint — exactly what they were tuned for.
+    /// Fingerprint of the problem this family was tuned for.
     pub problem: ProblemFingerprint,
     /// Human-readable provenance (distribution, cost model, seed).
     pub provenance: String,
@@ -819,8 +814,7 @@ impl TunedFamily {
     /// emitted schema carries the per-level knob table with its own
     /// `version` field plus a content `checksum` over the rest of the
     /// envelope (schema v5), so bit rot and truncation are detected at
-    /// load time; see [`TunedFamily::from_json`] for the legacy
-    /// fallback on the read side.
+    /// load time.
     pub fn to_json(&self) -> String {
         let mut value = serde::Serialize::to_value(self);
         attach_checksum(&mut value);
@@ -829,16 +823,13 @@ impl TunedFamily {
 
     /// Parse and validate from JSON.
     ///
-    /// Accepts the current checksummed schema (v5), the pre-checksum
-    /// v4 schema, and legacy plan files written before knob tables
-    /// existed; legacy plans load with a uniform table of the global
-    /// default knobs, so they execute exactly as they always did. A
-    /// *present but wrong* checksum is a hard error — the file was
-    /// damaged after it was written.
+    /// Accepts exactly the envelope [`TunedFamily::to_json`] writes
+    /// (schema v5): a missing or wrong `checksum`, a missing field, or
+    /// a knob table of another version is an error — the file was
+    /// damaged after it was written, or written by another schema.
     pub fn from_json(json: &str) -> Result<TunedFamily, String> {
         let mut value: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
         verify_checksum(&mut value)?;
-        upgrade_legacy_family(&mut value)?;
         let fam =
             <TunedFamily as serde::Deserialize>::from_value(&value).map_err(|e| e.to_string())?;
         fam.validate()?;
@@ -870,15 +861,17 @@ fn attach_checksum(value: &mut serde_json::Value) {
     }
 }
 
-/// Verify and strip the `checksum` field of a parsed plan object, if
-/// present. Absence is fine (v1–v4 files predate checksums); a
-/// mismatch means the file was corrupted and is a hard error.
+/// Verify and strip the `checksum` field of a parsed plan object. A
+/// missing field and a mismatch are both errors: without the field the
+/// content would execute unverified.
 fn verify_checksum(value: &mut serde_json::Value) -> Result<(), String> {
     let serde_json::Value::Object(obj) = value else {
         return Err("expected a JSON object for a tuned plan".into());
     };
     let Some(stored) = obj.remove("checksum") else {
-        return Ok(());
+        return Err(
+            "plan has no checksum field — not a v5 plan file, or the key was damaged".into(),
+        );
     };
     let serde_json::Value::String(stored) = stored else {
         return Err("plan checksum field is not a string".into());
@@ -892,42 +885,6 @@ fn verify_checksum(value: &mut serde_json::Value) -> Result<(), String> {
              the file was damaged after it was written"
         ))
     }
-}
-
-/// Upgrade a legacy plan object in place:
-///
-/// * if the `problem` fingerprint is absent (schema v1–v3, written
-///   before operator families existed), insert the
-///   constant-coefficient Poisson fingerprint — exactly the problem
-///   those plans were tuned for;
-/// * if the `knobs` field is absent (pre-knob-table schema), insert a
-///   uniform default table sized from `max_level`;
-/// * if the table is present but version 1 (pre-SIMD schema), upgrade
-///   each entry with `simd: Auto` via [`KnobTable::upgrade_value`].
-///
-/// Current-schema (v4) objects pass through untouched.
-fn upgrade_legacy_family(value: &mut serde_json::Value) -> Result<(), String> {
-    let serde_json::Value::Object(obj) = value else {
-        return Err("expected a JSON object for a tuned plan".into());
-    };
-    if obj.get("problem").is_none() {
-        obj.insert(
-            "problem".to_string(),
-            serde::Serialize::to_value(&ProblemFingerprint::poisson()),
-        );
-    }
-    if let Some(knobs) = obj.get_mut("knobs") {
-        return KnobTable::upgrade_value(knobs);
-    }
-    let max_level = obj
-        .get("max_level")
-        .ok_or("plan object lacks max_level")
-        .and_then(|v| <usize as serde::Deserialize>::from_value(v).map_err(|_| "bad max_level"))?;
-    obj.insert(
-        "knobs".to_string(),
-        serde::Serialize::to_value(&KnobTable::defaults(max_level)),
-    );
-    Ok(())
 }
 
 /// Follow-up phase of a tuned `FULL-MULTIGRID_i` after the estimate.
@@ -1091,18 +1048,12 @@ impl TunedFmgFamily {
         serde_json::to_string_pretty(&value).expect("plan serialization cannot fail")
     }
 
-    /// Parse from JSON (validates the embedded V family). Legacy files
-    /// whose embedded V family predates knob tables load with a uniform
-    /// default table, like [`TunedFamily::from_json`]; a present but
-    /// wrong envelope checksum is a hard error.
+    /// Parse from JSON (validates the embedded V family). Like
+    /// [`TunedFamily::from_json`], accepts exactly what
+    /// [`TunedFmgFamily::to_json`] writes.
     pub fn from_json(json: &str) -> Result<TunedFmgFamily, String> {
         let mut value: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
         verify_checksum(&mut value)?;
-        if let serde_json::Value::Object(obj) = &mut value {
-            if let Some(v) = obj.get_mut("v") {
-                upgrade_legacy_family(v)?;
-            }
-        }
         let fam = <TunedFmgFamily as serde::Deserialize>::from_value(&value)
             .map_err(|e| e.to_string())?;
         fam.v.validate()?;
@@ -1343,22 +1294,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_without_knobs_loads_with_default_table() {
-        // Strip the knobs field to simulate a pre-table plan file.
-        let fam = simple_v_family(4, &PAPER_ACCURACIES);
-        let mut value: serde_json::Value = serde_json::from_str(&fam.to_json()).unwrap();
-        if let serde_json::Value::Object(obj) = &mut value {
-            obj.remove("knobs").expect("current schema has knobs");
-            // Legacy files predate the checksum envelope too.
-            obj.remove("checksum").expect("current schema has checksum");
-        }
-        let legacy_json = serde_json::to_string_pretty(&value).unwrap();
-        let loaded = TunedFamily::from_json(&legacy_json).unwrap();
-        assert_eq!(loaded.plans, fam.plans);
-        assert_eq!(loaded.knobs, KnobTable::defaults(4), "legacy fallback");
-    }
-
-    #[test]
     fn from_json_rejects_bad_knob_tables() {
         let mut fam = simple_v_family(3, &PAPER_ACCURACIES);
         fam.knobs.version = 99;
@@ -1372,31 +1307,42 @@ mod tests {
         );
     }
 
+    /// Older schemas lacked `knobs` or `problem`; such an object is an
+    /// error even under a checksum that verifies, for the V family and
+    /// for the one embedded in an FMG family.
     #[test]
-    fn fmg_legacy_json_upgrades_embedded_v_family() {
+    fn from_json_rejects_missing_fields_and_missing_checksum() {
         let v = simple_v_family(3, &[1e3]);
-        let plans = vec![
-            Vec::new(),
-            vec![FmgChoice::Direct],
-            vec![FmgChoice::Estimate {
-                estimate_accuracy: 0,
-                follow: FollowUp::Sor { iterations: 2 },
-            }],
-            vec![FmgChoice::Direct],
-        ];
-        let fam = TunedFmgFamily { v, plans };
-        let mut value: serde_json::Value = serde_json::from_str(&fam.to_json()).unwrap();
-        if let serde_json::Value::Object(obj) = &mut value {
-            if let Some(serde_json::Value::Object(v_obj)) = obj.get_mut("v") {
-                v_obj.remove("knobs").expect("embedded v has knobs");
+        let fmg = TunedFmgFamily {
+            v: v.clone(),
+            plans: vec![
+                Vec::new(),
+                vec![FmgChoice::Direct],
+                vec![FmgChoice::Direct],
+                vec![FmgChoice::Direct],
+            ],
+        };
+        let resealed = |mut value: serde_json::Value| {
+            attach_checksum(&mut value);
+            serde_json::to_string(&value).unwrap()
+        };
+        for field in ["knobs", "problem"] {
+            let mut value = serde::Serialize::to_value(&v);
+            let mut fmg_value = serde::Serialize::to_value(&fmg);
+            if let serde_json::Value::Object(obj) = &mut value {
+                obj.remove(field).expect("current schema has the field");
             }
-            // Legacy files predate the checksum envelope too.
-            obj.remove("checksum").expect("current schema has checksum");
+            if let serde_json::Value::Object(obj) = &mut fmg_value {
+                obj.insert("v".to_string(), value.clone());
+            }
+            let err = TunedFamily::from_json(&resealed(value)).unwrap_err();
+            assert!(err.contains(field), "{err}");
+            let err = TunedFmgFamily::from_json(&resealed(fmg_value)).unwrap_err();
+            assert!(err.contains(field), "{err}");
         }
-        let legacy = serde_json::to_string(&value).unwrap();
-        let loaded = TunedFmgFamily::from_json(&legacy).unwrap();
-        assert_eq!(loaded.knobs(), &KnobTable::defaults(3));
-        assert_eq!(loaded.plans, fam.plans);
+        let unsealed = serde_json::to_string(&serde::Serialize::to_value(&fmg)).unwrap();
+        let err = TunedFmgFamily::from_json(&unsealed).unwrap_err();
+        assert!(err.contains("no checksum"), "{err}");
     }
 
     #[test]

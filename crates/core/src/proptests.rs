@@ -166,7 +166,7 @@ proptest! {
     /// (apply_knobs composition is idempotent), for every backend kind.
     #[test]
     fn apply_knobs_idempotent(knobs in arb_knobs()) {
-        for exec in [Exec::seq(), Exec::pbrt(2), Exec::rayon()] {
+        for exec in [Exec::seq(), Exec::pbrt(2)] {
             let once = apply_knobs(exec.clone(), &knobs);
             let twice = apply_knobs(once.clone(), &knobs);
             prop_assert_eq!(once.band(), twice.band());

@@ -4,8 +4,7 @@
 //! sweeps sequentially or across the runtime's work-stealing pool (with a
 //! tunable block size). [`Exec`] reifies that decision so every kernel in
 //! this workspace can be driven sequentially (deterministic, used in
-//! tests and modeled-cost tuning), on the in-house pool, or on rayon
-//! (ablation baseline).
+//! tests and modeled-cost tuning) or on the in-house pool.
 //!
 //! Alongside the scheduling backend, every policy carries the resolved
 //! [`SimdMode`] for the row kernels — the scalar-vs-vector execution
@@ -15,7 +14,6 @@
 
 use crate::simd::{SimdMode, SimdPolicy};
 use petamg_runtime::ThreadPool;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Default number of rows each parallel task processes before splitting
@@ -42,13 +40,10 @@ enum Backend {
         grain: usize,
         band: usize,
     },
-    /// rayon, for ablation benchmarks.
-    Rayon { grain: usize, band: usize },
 }
 
-/// How a grid sweep is executed: a scheduling backend (sequential, the
-/// in-house pool, or rayon) plus the resolved SIMD mode for the row
-/// kernels.
+/// How a grid sweep is executed: a scheduling backend (sequential or the
+/// in-house pool) plus the resolved SIMD mode for the row kernels.
 #[derive(Clone)]
 pub struct Exec {
     backend: Backend,
@@ -65,9 +60,6 @@ impl std::fmt::Debug for Exec {
                 "Exec::Pbrt(threads={}, grain={grain}, band={band}, simd={simd})",
                 pool.num_threads(),
             ),
-            Backend::Rayon { grain, band } => {
-                write!(f, "Exec::Rayon(grain={grain}, band={band}, simd={simd})")
-            }
         }
     }
 }
@@ -104,14 +96,6 @@ impl Exec {
         })
     }
 
-    /// rayon with the default grain and band height.
-    pub fn rayon() -> Self {
-        Exec::with_backend(Backend::Rayon {
-            grain: DEFAULT_ROW_GRAIN,
-            band: DEFAULT_BAND_ROWS,
-        })
-    }
-
     /// Whether this policy runs sequentially.
     pub fn is_seq(&self) -> bool {
         matches!(self.backend, Backend::Seq)
@@ -122,7 +106,6 @@ impl Exec {
         match &self.backend {
             Backend::Seq => 1,
             Backend::Pbrt { pool, .. } => pool.num_threads(),
-            Backend::Rayon { .. } => rayon::current_num_threads(),
         }
     }
 
@@ -130,9 +113,7 @@ impl Exec {
     pub fn with_grain(mut self, grain: usize) -> Self {
         match &mut self.backend {
             Backend::Seq => {}
-            Backend::Pbrt { grain: g, .. } | Backend::Rayon { grain: g, .. } => {
-                *g = grain.max(1);
-            }
+            Backend::Pbrt { grain: g, .. } => *g = grain.max(1),
         }
         self
     }
@@ -141,7 +122,7 @@ impl Exec {
     pub fn grain(&self) -> Option<usize> {
         match &self.backend {
             Backend::Seq => None,
-            Backend::Pbrt { grain, .. } | Backend::Rayon { grain, .. } => Some(*grain),
+            Backend::Pbrt { grain, .. } => Some(*grain),
         }
     }
 
@@ -152,9 +133,7 @@ impl Exec {
     pub fn with_band(mut self, band: usize) -> Self {
         match &mut self.backend {
             Backend::Seq => {}
-            Backend::Pbrt { band: b, .. } | Backend::Rayon { band: b, .. } => {
-                *b = band.max(1);
-            }
+            Backend::Pbrt { band: b, .. } => *b = band.max(1),
         }
         self
     }
@@ -164,7 +143,7 @@ impl Exec {
     pub fn band(&self) -> Option<usize> {
         match &self.backend {
             Backend::Seq => None,
-            Backend::Pbrt { band, .. } | Backend::Rayon { band, .. } => Some(*band),
+            Backend::Pbrt { band, .. } => Some(*band),
         }
     }
 
@@ -218,14 +197,6 @@ impl Exec {
                     });
                 }
             }
-            Backend::Rayon { band, .. } => {
-                let band = (*band).max(1);
-                let nbands = len.div_ceil(band);
-                (0..nbands).into_par_iter().with_min_len(1).for_each(|k| {
-                    let b_lo = lo + k * band;
-                    body(b_lo, (b_lo + band).min(hi));
-                });
-            }
         }
     }
 
@@ -257,9 +228,6 @@ impl Exec {
                     pool.parallel_for(len, *grain, |i| body(lo + i));
                 }
             }
-            Backend::Rayon { grain, .. } => {
-                (lo..hi).into_par_iter().with_min_len(*grain).for_each(body);
-            }
         }
     }
 
@@ -285,9 +253,6 @@ impl Exec {
                     })
                 }
             }
-            Backend::Rayon { grain, .. } => {
-                (lo..hi).into_par_iter().with_min_len(*grain).map(f).sum()
-            }
         }
     }
 
@@ -312,11 +277,6 @@ impl Exec {
                     })
                 }
             }
-            Backend::Rayon { grain, .. } => (lo..hi)
-                .into_par_iter()
-                .with_min_len(*grain)
-                .map(f)
-                .reduce(|| f64::NEG_INFINITY, f64::max),
         }
     }
 }
@@ -327,7 +287,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn policies() -> Vec<Exec> {
-        vec![Exec::seq(), Exec::pbrt(2), Exec::rayon()]
+        vec![Exec::seq(), Exec::pbrt(2), Exec::pbrt(3)]
     }
 
     #[test]
@@ -393,7 +353,6 @@ mod tests {
     fn threads_reporting() {
         assert_eq!(Exec::seq().threads(), 1);
         assert_eq!(Exec::pbrt(3).threads(), 3);
-        assert!(Exec::rayon().threads() >= 1);
     }
 
     #[test]
@@ -426,7 +385,7 @@ mod tests {
             Exec::pbrt(2).with_band(1),
             Exec::pbrt(2).with_band(7),
             Exec::pbrt(3).with_band(64),
-            Exec::rayon().with_band(5),
+            Exec::pbrt(3).with_band(5),
         ] {
             let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
             exec.for_row_bands(3, 97, |b_lo, b_hi| {
@@ -457,7 +416,7 @@ mod tests {
 
     #[test]
     fn empty_band_range_is_noop() {
-        for exec in [Exec::seq(), Exec::pbrt(2), Exec::rayon()] {
+        for exec in policies() {
             exec.for_row_bands(5, 5, |_, _| panic!("must not run"));
             exec.for_row_bands(9, 2, |_, _| panic!("must not run"));
         }
@@ -468,7 +427,6 @@ mod tests {
         let exec = Exec::pbrt(2).with_band(0);
         assert_eq!(exec.band(), Some(1));
         assert_eq!(Exec::seq().band(), None);
-        assert_eq!(Exec::rayon().with_band(9).band(), Some(9));
         // Grain and band are independent knobs.
         let exec = Exec::pbrt(2).with_grain(3).with_band(17);
         assert_eq!(exec.grain(), Some(3));

@@ -14,9 +14,9 @@
 //!   grid,
 //! * L2 / max norms used by the accuracy metric.
 //!
-//! All sweeps run through an [`Exec`] policy: sequential, the in-house
+//! All sweeps run through an [`Exec`] policy: sequential, or the in-house
 //! work-stealing pool from `petamg-runtime` (the PetaBricks runtime
-//! stand-in), or rayon (kept as an ablation baseline per the HPC guide).
+//! stand-in).
 //!
 //! ## The hot path: fused kernels + workspace arena
 //!

@@ -120,7 +120,7 @@ mod tests {
     fn parallel_norms_close_to_sequential() {
         let g = Grid2d::from_fn(65, |i, j| ((i * 31 + j * 7) % 101) as f64 / 9.0 - 5.0);
         let reference = l2_norm_interior(&g, &Exec::seq());
-        for exec in [Exec::pbrt(2).with_grain(3), Exec::rayon().with_grain(3)] {
+        for exec in [Exec::pbrt(2).with_grain(3), Exec::pbrt(3).with_grain(3)] {
             let v = l2_norm_interior(&g, &exec);
             assert!(
                 (v - reference).abs() <= 1e-12 * reference,

@@ -381,7 +381,7 @@ mod tests {
         let mut r_seq = Grid2d::zeros(65);
         residual(&u, &b, &mut r_seq, &Exec::seq());
 
-        for exec in [Exec::pbrt(2).with_grain(3), Exec::rayon().with_grain(4)] {
+        for exec in [Exec::pbrt(2).with_grain(3), Exec::pbrt(3).with_grain(4)] {
             let mut r_par = Grid2d::zeros(65);
             residual(&u, &b, &mut r_par, &exec);
             assert_eq!(r_seq.as_slice(), r_par.as_slice(), "{exec:?}");
@@ -435,7 +435,7 @@ mod tests {
         let mut c_seq = Grid2d::zeros(nc);
         residual_restrict(&x, &b, &mut c_seq, &ws, &Exec::seq());
 
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::rayon().with_grain(3)] {
+        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(3)] {
             let mut c_par = Grid2d::zeros(nc);
             residual_restrict(&x, &b, &mut c_par, &ws, &exec);
             assert_eq!(c_seq.as_slice(), c_par.as_slice(), "{exec:?}");

@@ -204,7 +204,7 @@ proptest! {
         prop_assert_eq!(got.as_slice(), want.as_slice());
     }
 
-    /// Fused residual+restriction under the pool / rayon stays within
+    /// Fused residual+restriction under the pool stays within
     /// 1e-13 relative of the sequential unfused composition. (The
     /// kernels are in fact bitwise equal — disjoint row writes, no
     /// reductions — so this documents the guaranteed tolerance.)
@@ -221,7 +221,7 @@ proptest! {
         restrict_full_weighting(&r, &mut want, &e);
         let scale = max_norm_interior(&want, &e).max(1.0);
 
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::rayon().with_grain(2)] {
+        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(2)] {
             let mut got = Grid2d::zeros(17);
             residual_restrict(&x, &b, &mut got, &ws, &exec);
             let err = max_diff(&got, &want, &e);
@@ -246,7 +246,7 @@ proptest! {
     }
 
     /// The block-cursor kernels are bitwise identical to the unfused
-    /// references for every band height, on the pool and on rayon —
+    /// references for every band height, on two pool sizes —
     /// including band = 1 (the pre-block-cursor one-task-per-row shape)
     /// and bands taller than the whole sweep.
     #[test]
@@ -264,7 +264,7 @@ proptest! {
         let mut want_f = x.clone();
         interpolate_add(&want_c, &mut want_f, &e);
 
-        for exec in [Exec::pbrt(2).with_band(band), Exec::rayon().with_band(band)] {
+        for exec in [Exec::pbrt(2).with_band(band), Exec::pbrt(3).with_band(band)] {
             let mut got_c = Grid2d::zeros(17);
             residual_restrict(&x, &b, &mut got_c, &ws, &exec);
             prop_assert_eq!(got_c.as_slice(), want_c.as_slice());
@@ -275,7 +275,7 @@ proptest! {
         }
     }
 
-    /// Fused interpolate-correct under the pool / rayon stays within
+    /// Fused interpolate-correct under the pool stays within
     /// 1e-13 relative of the sequential reference (bitwise, in fact).
     #[test]
     fn fused_interpolate_correct_parallel_within_tolerance(
@@ -287,7 +287,7 @@ proptest! {
         interpolate_add(&c, &mut want, &e);
         let scale = max_norm_interior(&want, &e).max(1.0);
 
-        for exec in [Exec::pbrt(2).with_grain(3), Exec::rayon().with_grain(2)] {
+        for exec in [Exec::pbrt(2).with_grain(3), Exec::pbrt(3).with_grain(2)] {
             let mut got = base.clone();
             interpolate_correct(&c, &mut got, &exec);
             let err = max_diff(&got, &want, &e);

@@ -302,7 +302,7 @@ mod tests {
         let mut c_seq = Grid2d::zeros(17);
         restrict_full_weighting(&fine_in, &mut c_seq, &Exec::seq());
 
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::rayon().with_grain(2)] {
+        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(2)] {
             let mut c_par = Grid2d::zeros(17);
             restrict_full_weighting(&fine_in, &mut c_par, &exec);
             assert_eq!(c_seq.as_slice(), c_par.as_slice());
@@ -338,7 +338,7 @@ mod tests {
         let mut f_seq = base.clone();
         interpolate_correct(&coarse, &mut f_seq, &Exec::seq());
 
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::rayon().with_grain(3)] {
+        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(3)] {
             let mut f_par = base.clone();
             interpolate_correct(&coarse, &mut f_par, &exec);
             assert_eq!(f_seq.as_slice(), f_par.as_slice(), "{exec:?}");

@@ -13,9 +13,9 @@
 //! * [`DenseMatrix`] — small dense Cholesky + Gaussian elimination used
 //!   as test oracles,
 //! * [`tridiagonal_solve`] — Thomas algorithm (1D Poisson oracle),
-//! * [`PoissonDirect`] — assembly of the 2D 5-point system over a grid's
-//!   interior and the boundary-aware direct solve used as the multigrid
-//!   base case and as the "Direct" algorithmic choice in the autotuner.
+//! * [`assemble_poisson_band`] — assembly of the 2D 5-point system
+//!   over a grid's interior (the boundary-aware direct solve on top of
+//!   it is `petamg_problems::OpDirect`).
 
 mod band;
 mod dense;
@@ -24,7 +24,7 @@ mod tridiag;
 
 pub use band::{dpbsv, BandCholesky, BandMatrix, LinalgError};
 pub use dense::DenseMatrix;
-pub use poisson::{assemble_poisson_band, PoissonDirect};
+pub use poisson::assemble_poisson_band;
 pub use tridiag::tridiagonal_solve;
 
 #[cfg(test)]

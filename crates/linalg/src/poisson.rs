@@ -1,10 +1,10 @@
-//! Direct solution of the 2D discrete Poisson system over a grid's
-//! interior: assembly of the 5-point band matrix and the boundary-aware
-//! solve. This is the "Solve directly" choice of the paper's
-//! `MULTIGRID-V` (band Cholesky through a DPBSV-equivalent).
+//! Assembly of the 2D discrete Poisson system over a grid's interior
+//! as a 5-point band matrix — the matrix the paper's "Solve directly"
+//! choice factors (band Cholesky through a DPBSV-equivalent). The
+//! boundary-aware solve for every operator family, Poisson included,
+//! is `petamg_problems::OpDirect`.
 
-use crate::{BandCholesky, BandMatrix, LinalgError};
-use petamg_grid::{Exec, Grid2d};
+use crate::BandMatrix;
 
 /// Assemble the SPD band matrix of the 5-point operator
 /// `A_h u = (4u − Σ neighbors)/h²` over the `(n-2)²` interior unknowns of
@@ -33,88 +33,9 @@ pub fn assemble_poisson_band(n: usize) -> BandMatrix {
     a
 }
 
-/// A reusable direct solver for the interior Poisson system of one grid
-/// size: the band Cholesky factor plus scratch for the RHS.
-///
-/// Factorization costs O(n²·(n-2)²) once; each solve is O(n·(n-2)²)...
-/// in grid terms: factor O(N⁴), solve O(N³) for an N×N grid — the `n²`
-/// total-complexity entry of the paper's §2 table.
-#[derive(Clone, Debug)]
-pub struct PoissonDirect {
-    n: usize,
-    factor: BandCholesky,
-}
-
-impl PoissonDirect {
-    /// Factor the interior system for `n×n` grids.
-    pub fn new(n: usize) -> Result<Self, LinalgError> {
-        let a = assemble_poisson_band(n);
-        Ok(PoissonDirect {
-            n,
-            factor: a.cholesky()?,
-        })
-    }
-
-    /// Grid size this solver was factored for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Solve `A_h x = b` exactly: reads `b`'s interior and `x`'s boundary
-    /// ring (Dirichlet data), overwrites `x`'s interior with the solution.
-    ///
-    /// # Panics
-    /// Panics if grid sizes don't match the factored size.
-    pub fn solve(&self, x: &mut Grid2d, b: &Grid2d) {
-        assert_eq!(x.n(), self.n, "x size mismatch");
-        assert_eq!(b.n(), self.n, "b size mismatch");
-        let n = self.n;
-        let k = n - 2;
-        let inv_h2 = x.inv_h2();
-        // RHS: interior b plus boundary contributions moved to the right:
-        // unknown neighbors stay in the matrix; each boundary neighbor v
-        // contributes +v/h².
-        let mut rhs = vec![0.0; k * k];
-        for i in 1..n - 1 {
-            for j in 1..n - 1 {
-                let mut v = b.at(i, j);
-                if i == 1 {
-                    v += inv_h2 * x.at(0, j);
-                }
-                if i == n - 2 {
-                    v += inv_h2 * x.at(n - 1, j);
-                }
-                if j == 1 {
-                    v += inv_h2 * x.at(i, 0);
-                }
-                if j == n - 2 {
-                    v += inv_h2 * x.at(i, n - 1);
-                }
-                rhs[(i - 1) * k + (j - 1)] = v;
-            }
-        }
-        self.factor
-            .solve_in_place(&mut rhs)
-            .expect("factored system must accept matching RHS");
-        for i in 1..n - 1 {
-            for j in 1..n - 1 {
-                x.set(i, j, rhs[(i - 1) * k + (j - 1)]);
-            }
-        }
-    }
-
-    /// Convenience: residual L2 norm after a solve (diagnostic).
-    pub fn residual_norm(&self, x: &Grid2d, b: &Grid2d) -> f64 {
-        let mut r = Grid2d::zeros(self.n);
-        petamg_grid::residual(x, b, &mut r, &Exec::seq());
-        petamg_grid::l2_norm_interior(&r, &Exec::seq())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petamg_grid::l2_norm_interior;
 
     #[test]
     fn assembled_matrix_shape() {
@@ -129,69 +50,6 @@ mod tests {
                                       // Row wrap: unknown 2 (end of row 0) and 3 (start of row 1) are
                                       // NOT neighbors in the grid.
         assert_eq!(a.get(2, 3), 0.0);
-    }
-
-    #[test]
-    fn base_case_3x3_single_unknown() {
-        // N=3: one interior point; 4·x/h² − (boundary)/h² = b.
-        let solver = PoissonDirect::new(3).unwrap();
-        let mut x = Grid2d::zeros(3);
-        x.set_boundary(|_, _| 1.0);
-        let b = Grid2d::from_fn(3, |_, _| 8.0);
-        solver.solve(&mut x, &b);
-        // 4x/h² = b + 4·1/h² with h=1/2 → inv_h2=4: 16x = 8 + 16 → x=1.5
-        assert!((x.at(1, 1) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exact_on_manufactured_solution() {
-        // u = x² + y² (stencil-exact), f = A_h u = -4.
-        for n in [5, 9, 17, 33] {
-            let h = 1.0 / (n as f64 - 1.0);
-            let exact = Grid2d::from_fn(n, |i, j| {
-                let (xx, yy) = (j as f64 * h, i as f64 * h);
-                xx * xx + yy * yy
-            });
-            let b = Grid2d::from_fn(n, |_, _| -4.0);
-            let mut x = Grid2d::zeros(n);
-            x.copy_boundary_from(&exact);
-            let solver = PoissonDirect::new(n).unwrap();
-            solver.solve(&mut x, &b);
-            let mut diff = x.clone();
-            diff.axpy(-1.0, &exact);
-            let err = l2_norm_interior(&diff, &Exec::seq());
-            assert!(err < 1e-9, "n={n}: err={err}");
-        }
-    }
-
-    #[test]
-    fn residual_is_machine_small_on_random_data() {
-        let n = 17;
-        let mut x = Grid2d::zeros(n);
-        x.set_boundary(|i, j| ((i * 31 + j * 17) % 13) as f64 * 1e3 - 6e3);
-        let b = Grid2d::from_fn(n, |i, j| ((i * 7 + j * 3) % 23) as f64 * 1e4 - 1e5);
-        let solver = PoissonDirect::new(n).unwrap();
-        solver.solve(&mut x, &b);
-        let rnorm = solver.residual_norm(&x, &b);
-        let bnorm = l2_norm_interior(&b, &Exec::seq());
-        assert!(
-            rnorm <= 1e-9 * bnorm.max(1.0),
-            "rel residual {}",
-            rnorm / bnorm
-        );
-    }
-
-    #[test]
-    fn solve_is_deterministic() {
-        let n = 9;
-        let b = Grid2d::from_fn(n, |i, j| (i * n + j) as f64);
-        let solver = PoissonDirect::new(n).unwrap();
-        let run = || {
-            let mut x = Grid2d::zeros(n);
-            solver.solve(&mut x, &b);
-            x
-        };
-        assert_eq!(run().as_slice(), run().as_slice());
     }
 
     #[test]

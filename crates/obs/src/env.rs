@@ -2,7 +2,7 @@
 //!
 //! Before this module the workspace parsed its env vars ad hoc —
 //! batch width in `grid`, fault specs in `core`, conformance filters
-//! and bench switches in their own binaries — and a typo like
+//! in their own test files — and a typo like
 //! `PETAMG_BATCH_WIDHT` was silently ignored. Every accessor here
 //! first runs a **warn-once** sweep over the process environment and
 //! prints any `PETAMG_*` name it does not recognize to stderr, so a
@@ -26,8 +26,6 @@ pub const KNOWN_VARS: &[&str] = &[
     "PETAMG_CONFORMANCE_PROBLEM",
     "PETAMG_PLAN_DIR",
     "PETAMG_MAX_LEVEL",
-    "PETAMG_BENCH_QUICK",
-    "PETAMG_BENCH_OUT",
     "PETAMG_REGEN_GOLDEN",
 ];
 
@@ -102,7 +100,8 @@ pub fn faults_spec() -> Option<String> {
 }
 
 /// `PETAMG_CONFORMANCE_BACKEND`: restrict conformance/chaos/serve
-/// suites to one execution backend (`seq`, `pbrt`, `rayon`).
+/// suites to one execution backend (`seq | pbrt | all`; a value that
+/// matches no backend fails the suites instead of skipping them).
 pub fn conformance_backend() -> Option<String> {
     var("PETAMG_CONFORMANCE_BACKEND")
 }
@@ -124,17 +123,6 @@ pub fn max_level() -> Option<usize> {
     var("PETAMG_MAX_LEVEL")
         .and_then(|v| v.parse().ok())
         .filter(|&l| (2..=13).contains(&l))
-}
-
-/// `PETAMG_BENCH_QUICK`: trimmed bench sweeps when set to anything
-/// but `0`.
-pub fn bench_quick() -> bool {
-    var("PETAMG_BENCH_QUICK").is_some_and(|v| v != "0")
-}
-
-/// `PETAMG_BENCH_OUT`: bench output path override.
-pub fn bench_out() -> Option<String> {
-    var("PETAMG_BENCH_OUT")
 }
 
 /// `PETAMG_REGEN_GOLDEN`: regenerate golden plan fixtures instead of

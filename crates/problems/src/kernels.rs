@@ -262,7 +262,7 @@ mod tests {
             for exec in [
                 Exec::seq(),
                 Exec::pbrt(2).with_band(2),
-                Exec::rayon().with_band(4),
+                Exec::pbrt(3).with_band(4),
             ] {
                 let mut got = Grid2d::from_fn(17, |_, _| 1.5);
                 residual_restrict_op(&op, &x, &b, &mut got, &ws, &exec);

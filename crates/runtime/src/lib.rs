@@ -25,8 +25,7 @@
 //!
 //! The public surface is intentionally small: [`ThreadPool`], [`join`],
 //! [`scope`], and [`parallel_for`]. The multigrid kernels in `petamg-grid`
-//! drive all of their parallel sweeps through this crate (with rayon kept
-//! next to it purely as an ablation baseline).
+//! drive all of their parallel sweeps through this crate.
 //!
 //! ```
 //! let pool = petamg_runtime::ThreadPool::new(2);

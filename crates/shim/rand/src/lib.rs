@@ -4,7 +4,7 @@
 //!
 //! The generator is SplitMix64 — a small, fast, well-mixed 64-bit PRNG.
 //! It is **not** cryptographic (neither is the use here: training-data
-//! generation and genetic-tuner mutation, both seeded for determinism).
+//! generation, seeded for determinism).
 
 use std::ops::{Range, RangeInclusive};
 

@@ -193,7 +193,7 @@ mod tests {
             Exec::seq().with_simd(SimdPolicy::Scalar),
             Exec::seq().with_simd(SimdPolicy::Vector),
             Exec::pbrt(2).with_band(2).with_simd(SimdPolicy::Vector),
-            Exec::rayon().with_band(4).with_simd(SimdPolicy::Scalar),
+            Exec::pbrt(3).with_band(4).with_simd(SimdPolicy::Scalar),
         ]
     }
 

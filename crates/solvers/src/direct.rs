@@ -2,84 +2,46 @@
 //!
 //! The paper's tuned algorithms call the direct solver at the multigrid
 //! base case and wherever the tuner decides a shortcut is cheaper. The
-//! Cholesky factor of the interior Poisson system depends only on the
-//! grid size, so we factor once per size and reuse it across calls
-//! (LAPACK's `DPBSV` refactors every call; both behaviours are exposed
-//! so the difference can be ablated).
+//! Cholesky factor of an operator's interior system depends only on the
+//! grid size and the operator's content, so we factor once per
+//! `(size, operator)` and reuse it across calls (LAPACK's `DPBSV`
+//! refactors every call).
 
 use parking_lot::Mutex;
 use petamg_grid::Grid2d;
-use petamg_linalg::{LinalgError, PoissonDirect};
+use petamg_linalg::LinalgError;
 use petamg_problems::{OpDirect, StencilOp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default bound on the number of factors a [`DirectSolverCache`]
-/// retains (Poisson and operator-family factors combined). Factor
-/// memory grows as `O(N^1.5)` per entry, so an unbounded cache shared
-/// across a serving workload would grow without limit; 64 distinct
-/// `(size, operator)` pairs is far beyond what any single tuning run or
-/// serving mix touches.
+/// retains. Factor memory grows as `O(N^1.5)` per entry, so an
+/// unbounded cache shared across a serving workload would grow without
+/// limit; 64 distinct `(size, operator)` pairs is far beyond what any
+/// single tuning run or serving mix touches.
 pub const DEFAULT_FACTOR_CAPACITY: usize = 64;
 
-/// An LRU map of factors: every hit stamps the entry with a fresh tick,
-/// and inserting beyond `capacity` (shared across both typed maps via
-/// an external count) evicts the stalest entry of *this* map.
-struct LruFactors<K, V> {
-    map: HashMap<K, (V, u64)>,
+/// A cached factor and the LRU tick of its last use.
+struct Entry {
+    factor: Arc<OpDirect>,
+    last_used: u64,
 }
 
-impl<K: std::hash::Hash + Eq + Copy, V: Clone> LruFactors<K, V> {
-    fn new() -> Self {
-        LruFactors {
-            map: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, key: &K, tick: u64) -> Option<V> {
-        self.map.get_mut(key).map(|(v, stamp)| {
-            *stamp = tick;
-            v.clone()
-        })
-    }
-
-    /// The tick of this map's least-recently-used entry, if any.
-    fn oldest(&self) -> Option<u64> {
-        self.map.values().map(|(_, stamp)| *stamp).min()
-    }
-
-    /// Evict the entry carrying `stamp` (the loser of a cross-map
-    /// `oldest()` comparison). Returns whether an entry was removed.
-    fn evict_stamp(&mut self, stamp: u64) -> bool {
-        let victim = self
-            .map
-            .iter()
-            .find(|(_, (_, s))| *s == stamp)
-            .map(|(k, _)| *k);
-        match victim {
-            Some(k) => self.map.remove(&k).is_some(),
-            None => false,
-        }
-    }
-}
-
-/// A thread-safe cache of band-Cholesky factors keyed by grid size
-/// (constant-coefficient Poisson) and by `(size, operator content)`
-/// for the operator families of `petamg-problems`.
+/// A thread-safe cache of band-Cholesky factors keyed by
+/// `(size, operator content)`; constant-coefficient Poisson is one
+/// operator among the families of `petamg-problems`.
 ///
 /// The cache is **bounded**: it holds at most `capacity` factors
-/// (default [`DEFAULT_FACTOR_CAPACITY`]) across both key spaces and
-/// evicts the least-recently-used factor when full, so a long-running
-/// serving process that touches many `(size, operator)` pairs cannot
-/// grow the cache without limit. Eviction only drops the cache's
-/// reference — outstanding `Arc`s held by in-flight solves stay valid.
+/// (default [`DEFAULT_FACTOR_CAPACITY`]) and evicts the
+/// least-recently-used factor when full, so a long-running serving
+/// process that touches many `(size, operator)` pairs cannot grow the
+/// cache without limit. Eviction only drops the cache's reference —
+/// outstanding `Arc`s held by in-flight solves stay valid.
 pub struct DirectSolverCache {
-    factors: Mutex<LruFactors<usize, Arc<PoissonDirect>>>,
-    /// Factors for non-Poisson operators, keyed by
-    /// `(n, StencilOp::cache_key())`.
-    op_factors: Mutex<LruFactors<(usize, u64), Arc<OpDirect>>>,
-    /// Monotonic LRU clock shared by both maps.
+    /// Keyed by `(n, StencilOp::cache_key())`.
+    factors: Mutex<HashMap<(usize, u64), Entry>>,
+    /// Monotonic LRU clock.
     tick: AtomicU64,
     capacity: usize,
     evictions: AtomicU64,
@@ -101,15 +63,14 @@ impl DirectSolverCache {
     /// Empty cache retaining at most `capacity` factors (at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
         DirectSolverCache {
-            factors: Mutex::new(LruFactors::new()),
-            op_factors: Mutex::new(LruFactors::new()),
+            factors: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
             capacity: capacity.max(1),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Maximum number of factors retained across both key spaces.
+    /// Maximum number of factors retained.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -119,83 +80,15 @@ impl DirectSolverCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Make room for one more entry: while at (or beyond) capacity,
-    /// evict the globally least-recently-used factor, comparing the
-    /// stalest stamp of each typed map. Callers hold neither lock.
-    fn evict_to_fit(&self) {
-        loop {
-            let mut factors = self.factors.lock();
-            let mut op_factors = self.op_factors.lock();
-            if factors.map.len() + op_factors.map.len() < self.capacity {
-                return;
-            }
-            let oldest_poisson = factors.oldest();
-            let oldest_op = op_factors.oldest();
-            let removed = match (oldest_poisson, oldest_op) {
-                (Some(a), Some(b)) if a <= b => factors.evict_stamp(a),
-                (Some(_), Some(b)) => op_factors.evict_stamp(b),
-                (Some(a), None) => factors.evict_stamp(a),
-                (None, Some(b)) => op_factors.evict_stamp(b),
-                (None, None) => return,
-            };
-            if removed {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Get (or build) the factored solver for `n×n` grids.
-    ///
-    /// # Panics
-    /// Panics if the Poisson system fails to factor — impossible for the
-    /// SPD 5-point operator unless `n < 3`.
-    pub fn get(&self, n: usize) -> Arc<PoissonDirect> {
-        // Fast path under the lock; factorization happens outside it so
-        // concurrent first requests for *different* sizes don't serialize.
-        let tick = self.next_tick();
-        if let Some(f) = self.factors.lock().get(&n, tick) {
-            return f;
-        }
-        let fresh = Arc::new(
-            PoissonDirect::new(n).expect("5-point Poisson operator is SPD and must factor"),
-        );
-        self.evict_to_fit();
-        let mut map = self.factors.lock();
-        Arc::clone(&map.map.entry(n).or_insert((fresh, tick)).0)
-    }
-
-    /// Solve `A_h x = b` via the cached factor (boundary-aware; see
-    /// [`PoissonDirect::solve`]).
-    pub fn solve(&self, x: &mut Grid2d, b: &Grid2d) {
-        self.get(x.n()).solve(x, b);
-    }
-
     /// Get (or build) the factored solver for operator `op` on `n×n`
-    /// grids. Poisson operators share the legacy per-size cache (so
-    /// existing factor reuse is unaffected); other operators are keyed
-    /// by `(n, operator content)`.
+    /// grids.
     ///
     /// # Panics
     /// Panics if the operator fails to factor — impossible for the SPD
     /// operators `petamg-problems` produces.
     pub fn get_op(&self, n: usize, op: &StencilOp) -> Arc<OpDirect> {
-        let key = (n, op.cache_key());
-        let tick = self.next_tick();
-        if let Some(f) = self.op_factors.lock().get(&key, tick) {
-            return f;
-        }
-        let fresh = Arc::new(
-            OpDirect::new(op.clone(), n).expect("operator-family systems are SPD and must factor"),
-        );
-        self.evict_to_fit();
-        let mut map = self.op_factors.lock();
-        Arc::clone(&map.map.entry(key).or_insert((fresh, tick)).0)
+        self.try_get_op(n, op)
+            .expect("operator-family systems are SPD and must factor")
     }
 
     /// Fallible variant of [`DirectSolverCache::get_op`]: returns the
@@ -205,41 +98,52 @@ impl DirectSolverCache {
     /// `petamg-core` drives the error arm in chaos tests.
     pub fn try_get_op(&self, n: usize, op: &StencilOp) -> Result<Arc<OpDirect>, LinalgError> {
         let key = (n, op.cache_key());
-        let tick = self.next_tick();
-        if let Some(f) = self.op_factors.lock().get(&key, tick) {
-            return Ok(f);
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(entry) = self.factors.lock().get_mut(&key) {
+            entry.last_used = tick;
+            return Ok(Arc::clone(&entry.factor));
         }
+        // Factor outside the lock so concurrent first requests for
+        // *different* keys don't serialize.
         let fresh = Arc::new(OpDirect::new(op.clone(), n)?);
-        self.evict_to_fit();
-        let mut map = self.op_factors.lock();
-        Ok(Arc::clone(&map.map.entry(key).or_insert((fresh, tick)).0))
+        let mut factors = self.factors.lock();
+        if let Some(raced) = factors.get(&key) {
+            // Another thread factored the same key meanwhile: share its.
+            return Ok(Arc::clone(&raced.factor));
+        }
+        while factors.len() >= self.capacity {
+            let stalest = factors
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(k, _)| *k)
+                .expect("capacity >= 1, so a full cache is non-empty");
+            factors.remove(&stalest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let entry = Entry {
+            factor: Arc::clone(&fresh),
+            last_used: tick,
+        };
+        factors.insert(key, entry);
+        Ok(fresh)
     }
 
-    /// Solve `A x = b` for operator `op` via the cached factor.
-    /// [`StencilOp::Poisson`] routes through the legacy Poisson cache
-    /// (bitwise identical to [`DirectSolverCache::solve`]).
+    /// Solve `A x = b` for operator `op` via the cached factor
+    /// (boundary-aware; see [`OpDirect::solve`]).
     pub fn solve_op(&self, x: &mut Grid2d, b: &Grid2d, op: &StencilOp) {
-        if op.is_poisson() {
-            self.solve(x, b);
-        } else {
-            self.get_op(x.n(), op).solve(x, b);
-        }
+        self.get_op(x.n(), op).solve(x, b);
     }
 
-    /// Pre-factor `op` at size `n` in whichever cache
-    /// [`DirectSolverCache::solve_op`] will hit, so a later solve pays
-    /// no factorization inside a timed region.
+    /// Pre-factor `op` at size `n`, so a later
+    /// [`DirectSolverCache::solve_op`] pays no factorization inside a
+    /// timed region.
     pub fn warm_op(&self, n: usize, op: &StencilOp) {
-        if op.is_poisson() {
-            let _ = self.get(n);
-        } else {
-            let _ = self.get_op(n, op);
-        }
+        let _ = self.get_op(n, op);
     }
 
-    /// Number of distinct sizes currently factored (both caches).
+    /// Number of factors currently cached.
     pub fn len(&self) -> usize {
-        self.factors.lock().map.len() + self.op_factors.lock().map.len()
+        self.factors.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -249,113 +153,136 @@ impl DirectSolverCache {
 
     /// Drop all cached factors.
     pub fn clear(&self) {
-        self.factors.lock().map.clear();
-        self.op_factors.lock().map.clear();
+        self.factors.lock().clear();
     }
-}
-
-/// Factor-and-solve without caching — the literal `DPBSV` behaviour, kept
-/// for the cache ablation benchmark.
-pub fn direct_solve_uncached(x: &mut Grid2d, b: &Grid2d) {
-    PoissonDirect::new(x.n())
-        .expect("5-point Poisson operator is SPD and must factor")
-        .solve(x, b);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petamg_grid::{l2_diff, Exec};
+    use petamg_problems::Problem;
+
+    /// One operator per `StencilOp` variant, bound to size `n`.
+    fn mixed_ops(n: usize) -> [StencilOp; 3] {
+        [
+            StencilOp::Poisson,
+            Problem::anisotropic(0.5).op_for(n),
+            Problem::jump_inclusion(n).op_for(n),
+        ]
+    }
 
     #[test]
-    fn cache_reuses_factor() {
+    fn cache_reuses_factor_per_size_and_operator() {
         let cache = DirectSolverCache::new();
-        let f1 = cache.get(9);
-        let f2 = cache.get(9);
-        assert!(Arc::ptr_eq(&f1, &f2));
-        assert_eq!(cache.len(), 1);
-        let _ = cache.get(17);
-        assert_eq!(cache.len(), 2);
+        for (count, op) in mixed_ops(9).iter().enumerate() {
+            let f1 = cache.get_op(9, op);
+            let f2 = cache.get_op(9, op);
+            assert!(Arc::ptr_eq(&f1, &f2));
+            assert_eq!(cache.len(), count + 1);
+        }
+        let _ = cache.get_op(17, &StencilOp::Poisson);
+        assert_eq!(cache.len(), 4);
         cache.clear();
         assert!(cache.is_empty());
     }
 
+    /// `solve_op` and `get_op` are one lookup family over one map: a
+    /// Poisson solve leaves the factor a later `get_op` hits.
     #[test]
-    fn cached_and_uncached_agree() {
+    fn solve_op_and_get_op_share_one_poisson_factor() {
+        let cache = DirectSolverCache::new();
         let b = Grid2d::from_fn(9, |i, j| ((i * 5 + j * 3) % 11) as f64 - 5.0);
         let mut x1 = Grid2d::zeros(9);
         x1.set_boundary(|i, j| (i + j) as f64);
         let mut x2 = x1.clone();
-        let cache = DirectSolverCache::new();
-        cache.solve(&mut x1, &b);
-        direct_solve_uncached(&mut x2, &b);
-        assert!(l2_diff(&x1, &x2, &Exec::seq()) < 1e-12);
+        cache.solve_op(&mut x1, &b, &StencilOp::Poisson);
+        let factor = cache.get_op(9, &StencilOp::Poisson);
+        assert_eq!(cache.len(), 1);
+        factor.solve(&mut x2, &b);
+        assert_eq!(x1.as_slice(), x2.as_slice());
+        cache.warm_op(9, &StencilOp::Poisson);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let cache = DirectSolverCache::with_capacity(2);
         assert_eq!(cache.capacity(), 2);
-        let f9 = cache.get(9);
-        let _f17 = cache.get(17);
+        let [poisson, aniso, jump] = mixed_ops(9);
+        let f_poisson = cache.get_op(9, &poisson);
+        let _f_aniso = cache.get_op(9, &aniso);
         assert_eq!(cache.len(), 2);
-        // Touch 9 so 17 becomes the LRU victim, then insert a third.
-        let f9_again = cache.get(9);
-        assert!(Arc::ptr_eq(&f9, &f9_again), "touch must not refactor");
-        let _f33 = cache.get(33);
+        // Touch Poisson so aniso becomes the LRU victim, then insert a
+        // third operator.
+        let again = cache.get_op(9, &poisson);
+        assert!(Arc::ptr_eq(&f_poisson, &again), "touch must not refactor");
+        let f_jump = cache.get_op(9, &jump);
         assert_eq!(cache.len(), 2, "capacity bound holds");
         assert_eq!(cache.evictions(), 1);
-        // 9 (recently touched) survived; 17 was evicted and refactors.
-        let f9_survivor = cache.get(9);
-        assert!(Arc::ptr_eq(&f9, &f9_survivor), "MRU entry survived");
+        // Poisson (recently touched) and jump survived; aniso was
+        // evicted and refactors.
+        assert!(Arc::ptr_eq(&f_poisson, &cache.get_op(9, &poisson)));
+        assert!(Arc::ptr_eq(&f_jump, &cache.get_op(9, &jump)));
+        assert_eq!(cache.evictions(), 1);
+        let _ = cache.get_op(9, &aniso);
+        assert_eq!(cache.evictions(), 2);
     }
 
     #[test]
-    fn eviction_spans_both_key_spaces() {
-        use petamg_problems::Problem;
-        let cache = DirectSolverCache::with_capacity(2);
-        let aniso = Problem::anisotropic(0.5);
-        let _p = cache.get(9);
-        let op1 = cache.get_op(9, &aniso.op_for(9));
-        assert_eq!(cache.len(), 2);
-        // The Poisson factor is now the globally stalest entry: a new
-        // operator factor evicts it, not the fresher op factor.
-        let _op2 = cache.get_op(17, &aniso.op_for(17));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        let op1_again = cache.get_op(9, &aniso.op_for(9));
-        assert!(Arc::ptr_eq(&op1, &op1_again), "op factor survived");
+    fn failed_factorization_is_an_error_and_caches_nothing() {
+        let cache = DirectSolverCache::new();
+        // Negative face weights: symmetric, consistent, not SPD.
+        let indefinite = StencilOp::ConstFive {
+            cw: -1.0,
+            ce: -1.0,
+            cn: -1.0,
+            cs: -1.0,
+            cc: -4.0,
+            inv_cc: -0.25,
+        };
+        assert!(cache.try_get_op(9, &indefinite).is_err());
+        assert!(cache.is_empty());
     }
 
     #[test]
     fn evicted_factors_stay_usable_through_outstanding_arcs() {
         let cache = DirectSolverCache::with_capacity(1);
-        let f9 = cache.get(9);
-        let _f17 = cache.get(17); // evicts 9 from the cache
+        let [_, aniso, jump] = mixed_ops(9);
+        let held = cache.get_op(9, &aniso);
+        let _ = cache.get_op(9, &jump); // evicts aniso from the cache
         assert_eq!(cache.len(), 1);
         // The Arc we hold is unaffected by eviction.
         let b = Grid2d::from_fn(9, |i, j| (i + j) as f64);
         let mut x = Grid2d::zeros(9);
-        f9.solve(&mut x, &b);
+        held.solve(&mut x, &b);
         assert!(x.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]
-    fn concurrent_access_is_safe() {
+    fn concurrent_first_use_is_safe_and_factors_each_key_once() {
         let cache = Arc::new(DirectSolverCache::new());
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    let n = if t % 2 == 0 { 9 } else { 17 };
-                    for _ in 0..10 {
-                        let b = Grid2d::from_fn(n, |i, j| (i + j + t) as f64);
-                        let mut x = Grid2d::zeros(n);
-                        cache.solve(&mut x, &b);
-                    }
-                });
-            }
+        let ops = mixed_ops(9);
+        let firsts: Vec<Arc<OpDirect>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|t| {
+                    let cache = Arc::clone(&cache);
+                    let op = &ops[t % 3];
+                    s.spawn(move || {
+                        let b = Grid2d::from_fn(9, |i, j| (i + j + t) as f64);
+                        let mut x = Grid2d::zeros(9);
+                        for _ in 0..10 {
+                            cache.solve_op(&mut x, &b, op);
+                        }
+                        cache.get_op(9, op)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), 3);
+        // Threads racing on one key end up sharing one factor.
+        for t in 0..3 {
+            assert!(Arc::ptr_eq(&firsts[t], &firsts[t + 3]));
+        }
     }
 }

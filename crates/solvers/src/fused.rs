@@ -642,7 +642,7 @@ mod tests {
             Exec::pbrt(2).with_band(1),
             Exec::pbrt(2).with_band(3),
             Exec::pbrt(3).with_band(8),
-            Exec::rayon().with_band(4),
+            Exec::pbrt(3).with_band(4),
         ]
     }
 

@@ -13,8 +13,8 @@
 //!   cycle of Fig 3 ("Reference Full MG"),
 //! * W-cycles via the `gamma` parameter.
 //!
-//! Everything is `Exec`-parameterized (sequential / work-stealing pool /
-//! rayon) and deterministic for a fixed policy.
+//! Everything is `Exec`-parameterized (sequential / work-stealing pool)
+//! and deterministic for a fixed policy.
 
 #![deny(missing_docs)]
 
@@ -32,7 +32,7 @@ pub use batch::{
     batch_interpolate_correct_relax_op, batch_relax_residual_restrict_op,
     batch_residual_restrict_op, batch_sor_half_sweep_op, batch_sor_sweep_op, batch_sor_sweeps_op,
 };
-pub use direct::{direct_solve_uncached, DirectSolverCache, DEFAULT_FACTOR_CAPACITY};
+pub use direct::{DirectSolverCache, DEFAULT_FACTOR_CAPACITY};
 pub use fused::{
     interpolate_correct_relax, interpolate_correct_relax_op, relax_residual_restrict,
     relax_residual_restrict_op, sor_sweeps_blocked, sor_sweeps_blocked_op,

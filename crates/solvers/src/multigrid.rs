@@ -279,14 +279,16 @@ mod tests {
     use super::*;
     use crate::guard::GuardConfig;
     use petamg_grid::{l2_diff, l2_norm_interior};
-    use petamg_linalg::PoissonDirect;
+    use petamg_problems::{OpDirect, StencilOp};
 
     fn test_problem(n: usize) -> (Grid2d, Grid2d, Grid2d) {
         let mut x = Grid2d::zeros(n);
         x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 * 100.0 - 900.0);
         let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 1e4 - 1.4e5);
         let mut x_opt = x.clone();
-        PoissonDirect::new(n).unwrap().solve(&mut x_opt, &b);
+        OpDirect::new(StencilOp::Poisson, n)
+            .unwrap()
+            .solve(&mut x_opt, &b);
         (x, b, x_opt)
     }
 
@@ -666,7 +668,7 @@ mod tests {
             for exec in [
                 Exec::seq(),
                 Exec::pbrt(2).with_band(2),
-                Exec::rayon().with_band(5),
+                Exec::pbrt(3).with_band(5),
             ] {
                 let solver = ReferenceSolver::new(MgConfig {
                     pre_sweeps: 2,

@@ -1,7 +1,7 @@
 //! Property tests for the temporally blocked kernels: on random grids,
 //! random temporal depths, and random band heights, every fused path
 //! must be **bitwise identical** to its staged reference composition on
-//! the sequential, pooled, and rayon backends.
+//! the sequential and pooled backends.
 
 use crate::fused::{interpolate_correct_relax, relax_residual_restrict, sor_sweeps_blocked};
 use crate::relax::sor_sweeps;
@@ -28,7 +28,7 @@ fn backends(band: usize) -> Vec<Exec> {
     vec![
         Exec::seq(),
         Exec::pbrt(2).with_band(band),
-        Exec::rayon().with_band(band),
+        Exec::pbrt(3).with_band(band),
     ]
 }
 

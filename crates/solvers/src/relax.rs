@@ -186,7 +186,7 @@ pub fn gauss_seidel_sweep(x: &mut Grid2d, b: &Grid2d, exec: &Exec) {
 mod tests {
     use super::*;
     use petamg_grid::{l2_diff, l2_norm_interior, residual};
-    use petamg_linalg::PoissonDirect;
+    use petamg_problems::OpDirect;
 
     fn test_problem(n: usize) -> (Grid2d, Grid2d, Grid2d) {
         // (x0, b, x_opt): random-ish boundary + rhs, exact solution by
@@ -195,7 +195,9 @@ mod tests {
         x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 - 9.0);
         let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 10.0 - 140.0);
         let mut x_opt = x.clone();
-        PoissonDirect::new(n).unwrap().solve(&mut x_opt, &b);
+        OpDirect::new(StencilOp::Poisson, n)
+            .unwrap()
+            .solve(&mut x_opt, &b);
         (x, b, x_opt)
     }
 
@@ -254,7 +256,7 @@ mod tests {
         for _ in 0..3 {
             sor_sweep(&mut x_seq, &b, 1.15, &Exec::seq());
         }
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::rayon().with_grain(2)] {
+        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(2)] {
             let mut x_par = x0.clone();
             for _ in 0..3 {
                 sor_sweep(&mut x_par, &b, 1.15, &exec);

@@ -22,7 +22,7 @@
 //! * [`linalg`] — packed band Cholesky (the paper's LAPACK `DPBSV`).
 //! * [`runtime`] — Cilk-style work-stealing pool (PetaBricks runtime).
 //! * [`choice`] — PetaBricks-style choice framework: config spaces,
-//!   bottom-up genetic autotuner, n-ary parameter search.
+//!   per-level kernel-knob tables, n-ary parameter search.
 //! * [`solvers`] — Red-Black SOR, weighted Jacobi, reference V-cycle /
 //!   W-cycle / full-multigrid solvers.
 //! * [`core`] — the paper's contribution: accuracy metric, DP tuner for

@@ -22,39 +22,17 @@ use petamg::persist::{self, PlanLoadError};
 use petamg::prelude::*;
 use std::path::PathBuf;
 
+mod common;
+
+/// Backends under chaos: `seq` and `pbrt2`, each in both SIMD modes.
+fn backends() -> Vec<(String, Exec)> {
+    common::backends(&[2])
+}
+
 /// Grid level the chaos instances live at (`n = 2^5 + 1 = 33`).
 const LEVEL: usize = 5;
 /// Relative-residual tolerance every surviving rung must meet.
 const TOL: f64 = 1e-9;
-
-/// Backends under chaos, filtered by `PETAMG_CONFORMANCE_BACKEND`
-/// exactly like the conformance suite (CI reuses the same matrix
-/// variable for both jobs).
-fn backends() -> Vec<(String, Exec)> {
-    let scheduling = vec![
-        ("seq", Exec::seq()),
-        ("pbrt2", Exec::pbrt(2)),
-        ("rayon", Exec::rayon()),
-    ];
-    let all: Vec<(String, Exec)> = scheduling
-        .into_iter()
-        .flat_map(|(name, exec)| {
-            [SimdPolicy::Scalar, SimdPolicy::Vector].map(|policy| {
-                (
-                    format!("{name}+{}", policy.name()),
-                    exec.clone().with_simd(policy),
-                )
-            })
-        })
-        .collect();
-    match petamg::obs::env::conformance_backend() {
-        Some(filter) if !filter.is_empty() && filter != "all" => all
-            .into_iter()
-            .filter(|(name, _)| name.starts_with(filter.as_str()))
-            .collect(),
-        _ => all,
-    }
-}
 
 fn instance(problem: &Problem, seed: u64) -> ProblemInstance {
     ProblemInstance::random_for(problem, LEVEL, Distribution::UnbiasedUniform, seed)

@@ -3,7 +3,7 @@
 //! One table-driven harness runs every solver path — the staged
 //! (unfused) reference composition, the fused plan executor, and the
 //! temporally blocked variants — across every execution backend
-//! (Seq, the in-house work-stealing pool at two widths, rayon), both
+//! (Seq, the in-house work-stealing pool at two widths), both
 //! SIMD modes (forced scalar and forced vector row kernels), and
 //! every knob mode (global knobs, a uniform default table, and a
 //! deliberately non-uniform per-level table — including mixed per-level
@@ -16,8 +16,8 @@
 //!
 //! This replaces the ad-hoc per-backend assertions that used to live in
 //! `end_to_end.rs`. CI runs it per backend via the
-//! `PETAMG_CONFORMANCE_BACKEND` env var (`seq` / `pbrt` / `rayon` /
-//! unset = all) so a parity regression names the offending backend.
+//! `PETAMG_CONFORMANCE_BACKEND` env var (`seq` / `pbrt` / unset = all)
+//! so a parity regression names the offending backend.
 //!
 //! Since the operator-family subsystem, the matrix also carries an
 //! **operator dimension**: every problem family (constant Poisson,
@@ -37,6 +37,13 @@ use petamg::problems::residual_op;
 use petamg::solvers::relax::{sor_sweep, sor_sweep_op, OMEGA_CYCLE};
 use petamg::solvers::DirectSolverCache;
 use std::sync::Arc;
+
+mod common;
+
+/// `seq`, `pbrt2` and `pbrt3`, each in both SIMD modes.
+fn backends() -> Vec<(String, Exec)> {
+    common::backends(&[2, 3])
+}
 
 // ---------------------------------------------------------------------
 // Fixtures
@@ -84,36 +91,19 @@ fn fixture_instances() -> Vec<(&'static str, ProblemInstance)> {
     ]
 }
 
-/// Execution backends under test — each scheduling backend crossed
-/// with both SIMD modes (the `{scalar, vector} × backend` dimension;
-/// stencils are bitwise identical across modes by construction, which
-/// is exactly what this matrix enforces end to end). Filtered by
-/// `PETAMG_CONFORMANCE_BACKEND` for CI's per-backend matrix entries.
-fn backends() -> Vec<(String, Exec)> {
-    let scheduling = vec![
-        ("seq", Exec::seq()),
-        ("pbrt2", Exec::pbrt(2)),
-        ("pbrt3", Exec::pbrt(3)),
-        ("rayon", Exec::rayon()),
-    ];
-    let all: Vec<(String, Exec)> = scheduling
-        .into_iter()
-        .flat_map(|(name, exec)| {
-            [SimdPolicy::Scalar, SimdPolicy::Vector].map(|policy| {
-                (
-                    format!("{name}+{}", policy.name()),
-                    exec.clone().with_simd(policy),
-                )
-            })
-        })
-        .collect();
-    match petamg::obs::env::conformance_backend() {
-        Some(filter) if !filter.is_empty() && filter != "all" => all
-            .into_iter()
-            .filter(|(name, _)| name.starts_with(filter.as_str()))
-            .collect(),
-        _ => all,
+/// The matrix filter keeps what its prefix names, and a prefix that
+/// names nothing (a typo, a deleted backend) fails loudly — it must not
+/// turn every `for .. in backends()` suite green without running it.
+#[test]
+#[should_panic(expected = "PETAMG_CONFORMANCE_BACKEND=gpu selects nothing; valid prefixes: seq")]
+fn backend_filter_selects_by_prefix_and_rejects_an_empty_selection() {
+    let var = "PETAMG_CONFORMANCE_BACKEND";
+    let all = || vec![("seq+scalar", 0), ("pbrt2+scalar", 1), ("pbrt3+vector", 2)];
+    for keep_all in [None, Some(String::new()), Some("all".to_string())] {
+        assert_eq!(common::select(var, keep_all, all()), all());
     }
+    assert_eq!(common::select(var, Some("pbrt".into()), all()), all()[1..]);
+    common::select(var, Some("gpu".into()), all());
 }
 
 /// Knob modes: the legacy global path, with and without temporal
@@ -189,7 +179,7 @@ fn staged_run(
 ) {
     let seq = Exec::seq();
     match fam.plan(level, acc) {
-        Choice::Direct => cache.solve(x, b),
+        Choice::Direct => cache.solve_op(x, b, &StencilOp::Poisson),
         Choice::Sor { iterations } => {
             let omega = petamg::solvers::relax::omega_opt(x.n());
             for _ in 0..iterations {
@@ -217,7 +207,7 @@ fn staged_recurse(
 ) {
     let seq = Exec::seq();
     if level <= 1 {
-        cache.solve(x, b);
+        cache.solve_op(x, b, &StencilOp::Poisson);
         return;
     }
     let n = level_size(level);
@@ -428,13 +418,11 @@ fn problem_families() -> Vec<(&'static str, Problem)> {
         ("smooth", Problem::smooth_sinusoidal(n)),
         ("jump", Problem::jump_inclusion(n)),
     ];
-    match petamg::obs::env::conformance_problem() {
-        Some(filter) if !filter.is_empty() && filter != "all" => all
-            .into_iter()
-            .filter(|(name, _)| name.starts_with(filter.as_str()))
-            .collect(),
-        _ => all,
-    }
+    common::select(
+        "PETAMG_CONFORMANCE_PROBLEM",
+        petamg::obs::env::conformance_problem(),
+        all,
+    )
 }
 
 /// The operator dimension of the conformance matrix: each problem

@@ -41,7 +41,7 @@ fn tune_save_load_solve_roundtrip() {
 }
 
 // Backend-parity assertions (bitwise-identical grids and identical op
-// counts across Seq / pbrt / rayon, with and without knob tables) live
+// counts across Seq / pbrt, with and without knob tables) live
 // in the table-driven suite in `tests/conformance.rs`.
 
 #[test]
@@ -93,4 +93,44 @@ fn solve_respects_requested_accuracy_tiers() {
         );
         prev_cost = cost;
     }
+}
+
+/// An attached telemetry feed observes only while the process gate is
+/// open: with the gate closed (the shipped default) a solve records
+/// nothing and clocks no kernel, which is why attaching a feed costs a
+/// serving path nothing measurable.
+#[test]
+fn attached_telemetry_feed_is_inert_while_the_gate_is_closed() {
+    use petamg::obs::TelemetryMode;
+    let registry = petamg::obs::Registry::new();
+    let feed = Arc::new(petamg::core::SolveTelemetry::register(&registry));
+    let problem = Problem::poisson();
+    let inst = ProblemInstance::random_for(&problem, 4, Distribution::UnbiasedUniform, 11);
+    let solver = GuardedSolver::new(problem).with_telemetry(feed);
+    let recorded = || {
+        let snap = registry.snapshot();
+        let counted: u64 = snap.counters.iter().map(|c| c.value).sum();
+        let sampled: u64 = snap.histograms.iter().map(|h| h.count).sum();
+        (counted, sampled)
+    };
+    let solve = |mode| {
+        petamg::obs::set_mode(mode);
+        let mut x = inst.working_grid();
+        solver.solve(&mut x, &inst.b, 1e-8).expect("serves");
+    };
+
+    solve(TelemetryMode::Off);
+    assert_eq!(recorded(), (0, 0), "a closed gate records nothing");
+    solve(TelemetryMode::Metrics);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("petamg_rung_served_total", &[]), 1);
+    assert!(
+        snap.histogram_count("petamg_kernel_seconds", &[]) > 0,
+        "an open gate clocks the kernels"
+    );
+    let open = recorded();
+    solve(TelemetryMode::Off);
+    assert_eq!(recorded(), open, "closing the gate stops the feed again");
+    // Leave the gate where the environment asked for it.
+    petamg::obs::set_mode(petamg::obs::env::telemetry_mode());
 }

@@ -1,31 +1,19 @@
-//! Golden-plan snapshot tests: committed plan-file fixtures pin the
+//! Golden-plan snapshot tests: one committed plan-file fixture pins the
 //! serialization schema.
 //!
-//! * `tests/fixtures/tuned_plan_legacy_v1.json` — a plan written before
-//!   per-level knob tables existed (no `knobs` field). It must keep
-//!   loading forever, falling back to the uniform default table.
-//! * `tests/fixtures/tuned_plan_v2.json` — a plan with a **version 1**
-//!   knob table (band + tblock, no `simd` field — the pre-SIMD
-//!   schema). It must keep loading forever; each entry upgrades with
-//!   `simd: Auto`.
-//! * `tests/fixtures/tuned_plan_v3.json` — a plan with the version-2
-//!   knob table but **no `problem` fingerprint** (the pre-operator-
-//!   family schema). It must keep loading forever; the fingerprint
-//!   upgrades to constant-coefficient Poisson — exactly what v3-era
-//!   plans were tuned for.
-//! * `tests/fixtures/tuned_plan_v4.json` — knob-table v2 **and** a
-//!   `ProblemFingerprint`, but no envelope checksum (the pre-checksum
-//!   schema). It must keep loading forever.
-//! * `tests/fixtures/tuned_plan_v5.json` — the current schema: v4 plus
-//!   a content `checksum` over the envelope. Loading and
-//!   re-serializing it must reproduce the file byte for byte, so any
-//!   accidental schema drift fails here first.
+//! `tests/fixtures/tuned_plan_v5.json` is the one schema the workspace
+//! writes and reads: plans, the per-level knob table (version 2), the
+//! `ProblemFingerprint`, and a content `checksum` over the envelope.
+//! Loading and re-serializing it must reproduce the file byte for byte,
+//! so any accidental schema drift fails here first.
 //!
-//! Every generation also gets **damage tests**: truncated, bit-flipped
-//! and wrong-version variants must produce a typed error — never a
-//! panic, never a silently wrong plan.
+//! The **damage tests** mangle it — truncated, bit-flipped, checksum
+//! stripped or renamed, wrong knob-table version, the checksum-less
+//! shape older builds wrote — and every variant must produce a typed
+//! error and a quarantined file: never a panic, never a plan that
+//! executes unverified.
 //!
-//! Regenerate the fixtures (after an *intentional* schema change) with:
+//! Regenerate the fixture (after an *intentional* schema change) with:
 //! `PETAMG_REGEN_GOLDEN=1 cargo test --test golden_plan`.
 
 use petamg::core::plan::TunedFamily;
@@ -33,13 +21,24 @@ use petamg::persist::PlanLoadError;
 use petamg::prelude::*;
 use std::path::PathBuf;
 
-const LEGACY_V1: &str = include_str!("fixtures/tuned_plan_legacy_v1.json");
-const LEGACY_V2: &str = include_str!("fixtures/tuned_plan_v2.json");
-const LEGACY_V3: &str = include_str!("fixtures/tuned_plan_v3.json");
-const LEGACY_V4: &str = include_str!("fixtures/tuned_plan_v4.json");
 const CURRENT_V5: &str = include_str!("fixtures/tuned_plan_v5.json");
 
-/// The deterministic family behind all five fixtures: a modeled-cost
+/// What a pre-checksum (v4) build wrote for the same plan: the v5
+/// envelope without its `checksum`. Pinned as a literal so the
+/// rejection does not depend on how a test derives the shape.
+const V4_SHAPE: &str = concat!(
+    r#"{"accuracies":[10.0,1000.0,100000.0,10000000.0,1000000000.0],"#,
+    r#""knobs":{"per_level":[{"band_rows":32,"simd":"Auto","tblock":1},"#,
+    r#"{"band_rows":32,"simd":"Auto","tblock":1},{"band_rows":32,"simd":"Auto","tblock":1},"#,
+    r#"{"band_rows":8,"simd":"Vector","tblock":2}],"version":2},"max_level":3,"#,
+    r#""plans":[[],["Direct","Direct","Direct","Direct","Direct"],"#,
+    r#"["Direct","Direct","Direct","Direct","Direct"],"#,
+    r#"["Direct","Direct","Direct","Direct","Direct"]],"#,
+    r#""problem":{"coeff_hash":"0","family":"const-poisson","n":0,"param":0.0,"profile":"constant"},"#,
+    r#""provenance":"golden fixture (deterministic quick tune, level 3)"}"#
+);
+
+/// The deterministic family behind the fixture: a modeled-cost
 /// quick tune (bit-reproducible) plus hand-pinned non-uniform knob
 /// entries so the table's serialization — including a non-default simd
 /// policy — is actually exercised.
@@ -57,28 +56,8 @@ fn golden_family() -> TunedFamily {
     fam
 }
 
-/// The same family as a v2-era file would describe it: every simd
-/// entry is `Auto` (the upgrade default), everything else identical.
-fn golden_family_v2_view() -> TunedFamily {
-    let mut fam = golden_family();
-    for entry in &mut fam.knobs.per_level {
-        entry.simd = SimdPolicy::Auto;
-    }
-    fam
-}
-
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-/// The current serialization minus the envelope checksum — what a
-/// v4-era build wrote.
-fn strip_checksum(json: &str) -> serde_json::Value {
-    let mut tree: serde_json::Value = serde_json::from_str(json).unwrap();
-    if let serde_json::Value::Object(obj) = &mut tree {
-        obj.remove("checksum").expect("current schema has checksum");
-    }
-    tree
 }
 
 #[test]
@@ -90,164 +69,7 @@ fn regenerate_golden_fixtures_when_asked() {
     let dir = fixtures_dir();
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("tuned_plan_v5.json"), fam.to_json()).unwrap();
-
-    // The v4 fixture is the same plan without the envelope checksum —
-    // exactly what a pre-checksum build wrote.
-    let tree = strip_checksum(&fam.to_json());
-    std::fs::write(
-        dir.join("tuned_plan_v4.json"),
-        serde_json::to_string_pretty(&tree).unwrap(),
-    )
-    .unwrap();
-
-    // The v3 fixture additionally drops the problem fingerprint —
-    // exactly what a pre-operator-family build wrote.
-    let mut tree = strip_checksum(&fam.to_json());
-    if let serde_json::Value::Object(obj) = &mut tree {
-        obj.remove("problem").expect("current schema has problem");
-        obj.insert(
-            "provenance".to_string(),
-            serde_json::Value::String("golden fixture (legacy v3 schema, no fingerprint)".into()),
-        );
-    }
-    std::fs::write(
-        dir.join("tuned_plan_v3.json"),
-        serde_json::to_string_pretty(&tree).unwrap(),
-    )
-    .unwrap();
-
-    // The v2 fixture additionally downgrades the knob table to version
-    // 1: per-entry simd fields stripped — what a pre-SIMD build wrote.
-    let mut tree = strip_checksum(&fam.to_json());
-    if let serde_json::Value::Object(obj) = &mut tree {
-        obj.remove("problem").expect("current schema has problem");
-        obj.insert(
-            "provenance".to_string(),
-            serde_json::Value::String("golden fixture (legacy v2 schema, knob table v1)".into()),
-        );
-        if let Some(serde_json::Value::Object(knobs)) = obj.get_mut("knobs") {
-            knobs.insert(
-                "version".to_string(),
-                serde_json::Value::Number(serde_json::Number::from_u64(1)),
-            );
-            if let Some(serde_json::Value::Array(entries)) = knobs.get_mut("per_level") {
-                for e in entries.iter_mut() {
-                    if let serde_json::Value::Object(m) = e {
-                        m.remove("simd").expect("current schema carries simd");
-                    }
-                }
-            }
-        }
-    }
-    std::fs::write(
-        dir.join("tuned_plan_v2.json"),
-        serde_json::to_string_pretty(&tree).unwrap(),
-    )
-    .unwrap();
-
-    // The legacy v1 fixture strips the knobs field entirely — what a
-    // pre-knob-table build wrote.
-    let mut tree = strip_checksum(&fam.to_json());
-    if let serde_json::Value::Object(obj) = &mut tree {
-        obj.remove("problem").expect("current schema has problem");
-        obj.remove("knobs").expect("current schema has knobs");
-        obj.insert(
-            "provenance".to_string(),
-            serde_json::Value::String("golden fixture (legacy v1 schema, no knob table)".into()),
-        );
-    }
-    std::fs::write(
-        dir.join("tuned_plan_legacy_v1.json"),
-        serde_json::to_string_pretty(&tree).unwrap(),
-    )
-    .unwrap();
-    panic!("fixtures regenerated — rerun without PETAMG_REGEN_GOLDEN");
-}
-
-#[test]
-fn legacy_v1_fixture_still_loads_with_default_table() {
-    let fam = TunedFamily::from_json(LEGACY_V1).expect("legacy plan files must keep loading");
-    fam.validate().unwrap();
-    assert_eq!(fam.max_level, 3);
-    assert_eq!(
-        fam.knobs,
-        KnobTable::defaults(3),
-        "legacy files fall back to the uniform default table"
-    );
-    assert_eq!(
-        fam.problem,
-        ProblemFingerprint::poisson(),
-        "legacy files upgrade to the Poisson fingerprint"
-    );
-    // The upgraded plan is executable.
-    let mut inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 77);
-    let report = fam.solve(&mut inst, 1e5);
-    assert!(
-        report.achieved_accuracy >= 5e4,
-        "achieved {:e}",
-        report.achieved_accuracy
-    );
-}
-
-#[test]
-fn legacy_v2_fixture_loads_with_auto_simd_entries() {
-    let fam = TunedFamily::from_json(LEGACY_V2).expect("v2 plan files must keep loading");
-    fam.validate().unwrap();
-    let want = golden_family_v2_view();
-    assert_eq!(fam.plans, want.plans);
-    assert_eq!(
-        fam.knobs, want.knobs,
-        "v1 knob tables upgrade entry-wise with simd = Auto"
-    );
-    assert_eq!(fam.knobs.version, petamg::choice::KNOB_TABLE_VERSION);
-    assert_eq!(fam.problem, ProblemFingerprint::poisson());
-    assert_eq!(
-        fam.knobs.get(3),
-        KernelKnobs {
-            band_rows: 8,
-            tblock: 2,
-            simd: SimdPolicy::Auto,
-        }
-    );
-    // A load→save pass writes the current schema (round-trips cleanly).
-    let resaved = TunedFamily::from_json(&fam.to_json()).unwrap();
-    assert_eq!(resaved.knobs, fam.knobs);
-}
-
-#[test]
-fn legacy_v3_fixture_loads_with_poisson_fingerprint() {
-    let fam = TunedFamily::from_json(LEGACY_V3).expect("v3 plan files must keep loading");
-    fam.validate().unwrap();
-    let want = golden_family();
-    assert_eq!(fam.plans, want.plans);
-    assert_eq!(fam.knobs, want.knobs, "v3 knob tables pass through intact");
-    assert_eq!(
-        fam.problem,
-        ProblemFingerprint::poisson(),
-        "pre-operator-family plans were tuned for constant Poisson"
-    );
-    // A load→save pass writes the current (checksummed) schema.
-    let resaved = fam.to_json();
-    assert!(resaved.contains("\"problem\""));
-    assert!(resaved.contains("\"checksum\""));
-}
-
-#[test]
-fn legacy_v4_fixture_loads_without_checksum() {
-    let fam = TunedFamily::from_json(LEGACY_V4).expect("v4 plan files must keep loading");
-    fam.validate().unwrap();
-    assert!(!fam.knobs.is_uniform(), "fixture carries a real table");
-    assert!(fam.problem.is_poisson(), "fixture carries the fingerprint");
-    assert_eq!(
-        fam.knobs.get(3),
-        KernelKnobs {
-            band_rows: 8,
-            tblock: 2,
-            simd: SimdPolicy::Vector,
-        }
-    );
-    // A load→save pass upgrades to the checksummed v5 schema.
-    assert_eq!(fam.to_json(), CURRENT_V5.trim_end());
+    panic!("fixture regenerated — rerun without PETAMG_REGEN_GOLDEN");
 }
 
 #[test]
@@ -293,31 +115,6 @@ fn freshly_tuned_plan_parses_under_versioned_schema() {
 }
 
 #[test]
-fn all_fixture_generations_describe_the_same_plan() {
-    let v1 = TunedFamily::from_json(LEGACY_V1).unwrap();
-    let v2 = TunedFamily::from_json(LEGACY_V2).unwrap();
-    let v3 = TunedFamily::from_json(LEGACY_V3).unwrap();
-    let v4 = TunedFamily::from_json(LEGACY_V4).unwrap();
-    let v5 = TunedFamily::from_json(CURRENT_V5).unwrap();
-    assert_eq!(v1.plans, v2.plans);
-    assert_eq!(v2.plans, v3.plans);
-    assert_eq!(v3.plans, v4.plans);
-    assert_eq!(v4.plans, v5.plans);
-    assert_eq!(v1.accuracies, v5.accuracies);
-    // Every generation upgrades to the same (Poisson) fingerprint.
-    for f in [&v1, &v2, &v3, &v4, &v5] {
-        assert_eq!(f.problem, ProblemFingerprint::poisson());
-    }
-    // Only the knob tables (and provenance notes) differ across
-    // generations: v1 has defaults, v2 upgraded with Auto, v3–v5 carry
-    // the pinned non-default policies.
-    assert_ne!(v1.knobs, v2.knobs);
-    assert_ne!(v2.knobs, v3.knobs);
-    assert_eq!(v3.knobs, v4.knobs);
-    assert_eq!(v4.knobs, v5.knobs);
-}
-
-#[test]
 fn mismatched_problem_fingerprint_is_rejected_typed() {
     // A current plan tuned for Poisson must be rejected — with the
     // typed error — when an anisotropic or jump problem is posed.
@@ -348,90 +145,97 @@ fn mismatched_problem_fingerprint_is_rejected_typed() {
 
 // ---- damage tests ---------------------------------------------------------
 //
-// Every fixture generation, mangled three ways. The contract is typed
-// failure: `from_json` returns `Err`, `load_plan_for` returns
-// `PlanLoadError` and quarantines — nothing panics, nothing loads a
-// scrambled plan.
+// The fixture, mangled. The contract is typed failure: `from_json`
+// returns `Err`, `load_plan_for` returns `PlanLoadError::Parse` and
+// quarantines — nothing panics, nothing loads a scrambled plan.
 
-fn all_generations() -> [(&'static str, &'static str); 5] {
-    [
-        ("v1", LEGACY_V1),
-        ("v2", LEGACY_V2),
-        ("v3", LEGACY_V3),
-        ("v4", LEGACY_V4),
-        ("v5", CURRENT_V5),
-    ]
+/// `load_plan_for` on a file holding `json` must fail as a parse error
+/// and move the file aside.
+fn assert_quarantined(tag: &str, json: &str) {
+    let dir = std::env::temp_dir().join(format!("petamg-golden-damage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.json"));
+    std::fs::write(&path, json).unwrap();
+    match petamg::persist::load_plan_for(&path, &Problem::poisson()) {
+        Err(PlanLoadError::Parse { quarantined, .. }) => {
+            let q = quarantined.expect("damaged file must be quarantined");
+            assert!(q.exists(), "{tag}: quarantine destination exists");
+            assert!(!path.exists(), "{tag}: original moved aside");
+        }
+        other => panic!("{tag}: expected Parse error, got {other:?}"),
+    }
 }
 
+// ("every generation" is the one generation left; the names predate
+// the removal of schemas v1–v4.)
 #[test]
 fn truncated_fixtures_of_every_generation_fail_typed() {
-    for (tag, json) in all_generations() {
-        for frac in [4, 2, 1] {
-            // 1/4, 1/2 and all-but-last-byte truncations.
-            let cut = if frac == 1 {
-                json.len() - 1
-            } else {
-                json.len() / frac
-            };
-            let damaged = &json[..cut];
-            let err = TunedFamily::from_json(damaged);
-            assert!(err.is_err(), "{tag} truncated to {cut} bytes must not load");
-        }
+    // 1/4, 1/2 and all-but-last-byte truncations.
+    for cut in [
+        CURRENT_V5.len() / 4,
+        CURRENT_V5.len() / 2,
+        CURRENT_V5.len() - 1,
+    ] {
+        let err = TunedFamily::from_json(&CURRENT_V5[..cut]);
+        assert!(err.is_err(), "truncated to {cut} bytes must not load");
     }
 }
 
 #[test]
 fn bit_flipped_fixtures_of_every_generation_never_panic() {
-    // Flip a character at every 37th position; each variant must either
-    // fail typed or (when the flip lands in an ignorable spot like a
-    // provenance string of a pre-checksum schema) produce a plan that
-    // still validates. The checksummed generation must *always* reject.
-    for (tag, json) in all_generations() {
-        let bytes = json.as_bytes();
-        let mut rejected = 0usize;
-        let mut positions = 0usize;
-        for pos in (0..bytes.len()).step_by(37) {
-            let mut damaged = bytes.to_vec();
-            damaged[pos] ^= 0x08;
-            let Ok(text) = String::from_utf8(damaged) else {
-                continue;
-            };
-            positions += 1;
-            match TunedFamily::from_json(&text) {
-                Err(_) => rejected += 1,
-                Ok(fam) => {
-                    fam.validate().expect("a plan that loads must validate");
-                }
-            }
-        }
-        assert!(rejected > 0, "{tag}: some flips must be caught");
-        if tag == "v5" {
-            assert_eq!(
-                rejected, positions,
-                "the checksummed schema must catch every flip"
-            );
-        }
+    // Flip a character at every 37th position: whether the flip lands
+    // in a value, a key or the checksum itself, the load must fail.
+    let bytes = CURRENT_V5.as_bytes();
+    for pos in (0..bytes.len()).step_by(37) {
+        let mut damaged = bytes.to_vec();
+        damaged[pos] ^= 0x08;
+        let Ok(text) = String::from_utf8(damaged) else {
+            continue;
+        };
+        assert!(
+            TunedFamily::from_json(&text).is_err(),
+            "flip at byte {pos} must be caught"
+        );
+    }
+}
+
+/// A plan whose checksum cannot be verified never loads: the key
+/// stripped, the key renamed by one flipped byte, and the shape a
+/// pre-checksum build wrote are all rejected by name and quarantined.
+#[test]
+fn plans_without_a_checksum_are_rejected_and_quarantined() {
+    let mut tree: serde_json::Value = serde_json::from_str(CURRENT_V5).unwrap();
+    if let serde_json::Value::Object(obj) = &mut tree {
+        obj.remove("checksum").expect("current schema has checksum");
+    }
+    let stripped = serde_json::to_string_pretty(&tree).unwrap();
+    // 'c' ^ 0x01 = 'b': the key no longer spells `checksum`.
+    let renamed = CURRENT_V5.replacen("\"checksum\"", "\"bhecksum\"", 1);
+    assert_ne!(renamed, CURRENT_V5);
+    for (tag, json) in [
+        ("stripped", stripped.as_str()),
+        ("renamed", renamed.as_str()),
+        ("v4-shape", V4_SHAPE),
+    ] {
+        let err = TunedFamily::from_json(json).expect_err(tag);
+        assert!(err.contains("no checksum"), "{tag}: {err}");
+        assert_quarantined(tag, json);
     }
 }
 
 #[test]
 fn wrong_version_markers_fail_typed() {
-    // A knob table claiming a future version must be rejected, not
-    // misinterpreted.
-    let mut tree: serde_json::Value = serde_json::from_str(LEGACY_V4).unwrap();
-    if let serde_json::Value::Object(obj) = &mut tree {
-        if let Some(serde_json::Value::Object(knobs)) = obj.get_mut("knobs") {
-            knobs.insert(
-                "version".to_string(),
-                serde_json::Value::Number(serde_json::Number::from_u64(99)),
-            );
-        }
+    // A knob table of any version but the current one is rejected, not
+    // misinterpreted — even under a checksum that verifies.
+    for version in [1, 99] {
+        let mut fam = golden_family();
+        fam.knobs.version = version;
+        let err = TunedFamily::from_json(&fam.to_json()).unwrap_err();
+        assert!(err.contains("knob-table version"), "{err}");
     }
-    let future = serde_json::to_string_pretty(&tree).unwrap();
-    assert!(TunedFamily::from_json(&future).is_err());
 
     // A checksum field of the wrong JSON type is typed, not a panic.
-    let mut tree: serde_json::Value = serde_json::from_str(LEGACY_V4).unwrap();
+    let mut tree: serde_json::Value = serde_json::from_str(CURRENT_V5).unwrap();
     if let serde_json::Value::Object(obj) = &mut tree {
         obj.insert(
             "checksum".to_string(),
@@ -445,19 +249,8 @@ fn wrong_version_markers_fail_typed() {
 
 #[test]
 fn damaged_files_quarantine_through_load_plan_for() {
-    let dir = std::env::temp_dir().join(format!("petamg-golden-damage-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    for (tag, json) in all_generations() {
-        let path = dir.join(format!("{tag}.json"));
-        std::fs::write(&path, &json[..json.len() / 2]).unwrap();
-        match petamg::persist::load_plan_for(&path, &Problem::poisson()) {
-            Err(PlanLoadError::Parse { quarantined, .. }) => {
-                let q = quarantined.expect("damaged file must be quarantined");
-                assert!(q.exists(), "{tag}: quarantine destination exists");
-                assert!(!path.exists(), "{tag}: original moved aside");
-            }
-            other => panic!("{tag}: expected Parse error, got {other:?}"),
-        }
-    }
+    assert_quarantined("truncated", &CURRENT_V5[..CURRENT_V5.len() / 2]);
+    let flipped = CURRENT_V5.replacen("\"max_level\": 3", "\"max_level\": 2", 1);
+    assert_ne!(flipped, CURRENT_V5);
+    assert_quarantined("flipped", &flipped);
 }

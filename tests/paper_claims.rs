@@ -245,3 +245,21 @@ fn cycle_shapes_vary_with_accuracy_target() {
         "expected accuracy-dependent plans, got {plans:?}"
     );
 }
+
+/// The tuner's answer depends on the operator posed: under the same
+/// deterministic modeled cost, convergence differs per operator, so the
+/// jump-coefficient and anisotropic profiles tune to different tables
+/// than constant Poisson — what makes a per-fingerprint plan library
+/// worth keeping.
+#[test]
+fn tuned_plans_diverge_across_problem_families() {
+    let level = 5;
+    let n = petamg::grid::level_size(level);
+    let tune = |problem: Problem| {
+        let opts = TunerOptions::quick(level, Distribution::UnbiasedUniform).with_problem(problem);
+        VTuner::new(opts).tune().plans
+    };
+    let poisson = tune(Problem::poisson());
+    assert_ne!(tune(Problem::jump_inclusion(n)), poisson, "jump ×1000");
+    assert_ne!(tune(Problem::anisotropic_canonical()), poisson, "aniso");
+}

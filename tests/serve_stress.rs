@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+mod common;
+
 /// Grid level the stress instances live at (`n = 2^4 + 1 = 17`).
 const LEVEL: usize = 4;
 const N: usize = 17;
@@ -484,35 +486,6 @@ fn tiny_plan_cache_under_concurrent_traffic_stays_correct() {
     );
 }
 
-/// Backends under batched stress, filtered by
-/// `PETAMG_CONFORMANCE_BACKEND` exactly like the conformance and chaos
-/// suites (CI reuses the same matrix variable).
-fn backends() -> Vec<(String, Exec)> {
-    let scheduling = vec![
-        ("seq", Exec::seq()),
-        ("pbrt2", Exec::pbrt(2)),
-        ("rayon", Exec::rayon()),
-    ];
-    let all: Vec<(String, Exec)> = scheduling
-        .into_iter()
-        .flat_map(|(name, exec)| {
-            [SimdPolicy::Scalar, SimdPolicy::Vector].map(|policy| {
-                (
-                    format!("{name}+{}", policy.name()),
-                    exec.clone().with_simd(policy),
-                )
-            })
-        })
-        .collect();
-    match petamg::obs::env::conformance_backend() {
-        Some(filter) if !filter.is_empty() && filter != "all" => all
-            .into_iter()
-            .filter(|(name, _)| name.starts_with(filter.as_str()))
-            .collect(),
-        _ => all,
-    }
-}
-
 /// Mixed batched and solo traffic under concurrency, on every backend:
 /// one client submits a `solve_many` mix that groups into batches
 /// (same-fingerprint runs), singles out a different size, and forces a
@@ -521,7 +494,7 @@ fn backends() -> Vec<(String, Exec)> {
 /// check — a batched lane leaking another lane's iterate cannot.
 #[test]
 fn batched_and_solo_mixed_traffic_stress() {
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends(&[2]) {
         let svc = Arc::new(
             SolverService::start(
                 ServiceConfig::new(tmp_dir(&format!("batchmix-{}", name.replace('+', "-"))))
