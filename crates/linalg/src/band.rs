@@ -1,6 +1,29 @@
 //! Packed symmetric band storage and band Cholesky factorization —
 //! the from-scratch equivalent of LAPACK's `DPBTRF` + `DPBTRS`
 //! (together: `DPBSV`), which the paper uses as its direct solver.
+//!
+//! **Layout.** Rows stay packed and columns ascend: `A(i, i-d)` lives
+//! at `data[i·(m+1) + (m-d)]`, diagonal last. Row `i`'s band
+//! `[i-len, i)` is then one contiguous slice aligned element for
+//! element with `y[i-len..i]`, so forward substitution is a dot
+//! product, backward substitution an axpy, and the factor's
+//! `Σ_k L(i,k)·L(j,k)` a dot of two row slices — every inner loop is
+//! contiguous and free of loop-carried dependencies.
+//!
+//! **Determinism.** Reductions follow the rule `grid::simd` states: a
+//! fixed-lane deterministic tree — here 8 lanes folded in halves
+//! (`dot`). Rust never contracts `a*b + c`, so the bits are the same
+//! under SSE2, AVX2, AVX-512 and `-C target-cpu=native`; the direct
+//! solver has one arithmetic and no scalar twin to keep equal. Where a
+//! kernel blocks rows or columns (four per pass in `cholesky` and in
+//! the backward substitution)
+//! every entry still sees the same operations in the same order as the
+//! unblocked loop, so blocking moves no bit either.
+//!
+//! **Cost.** The factor is `n·m²` multiply-adds and each solve `2·n·m`
+//! over an `8·n·(m+1)`-byte factor: at `n = 127²`, `m = 127` that is
+//! 260 M multiply-adds to factor and 16.5 MB streamed twice per solve,
+//! so the solve is bound by memory speed, not by its flop count.
 
 use std::fmt;
 
@@ -29,10 +52,97 @@ impl fmt::Display for LinalgError {
 
 impl std::error::Error for LinalgError {}
 
+/// Accumulator lanes of every reduction in this module.
+const LANES: usize = 8;
+
+/// The fixed combine order of the lane accumulators: fold the upper
+/// half onto the lower, 8 → 4 → 2 → 1. Whatever the vector width, that
+/// is whole-register adds and one final horizontal add, so no width
+/// needs a shuffle inside the accumulation loop to honour it.
+#[inline(always)]
+fn tree(acc: [f64; LANES]) -> f64 {
+    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
+}
+
+/// `out[t] = Σ a[k]·b[t][k]` as a fixed-lane deterministic tree: lane
+/// `l` accumulates elements `8c + l`, the lanes combine by [`tree`],
+/// and the 0–7 element tail folds in sequentially. Each `out[t]` has
+/// the bits it would have alone; computing `N` together only lets one
+/// load of `a` feed `N` accumulator sets.
+#[inline(always)]
+fn dots<const N: usize>(a: &[f64], b: [&[f64]; N]) -> [f64; N] {
+    let b = b.map(|r| &r[..a.len()]);
+    let body = a.len() - a.len() % LANES;
+    let mut acc = [[0.0; LANES]; N];
+    for c in (0..body).step_by(LANES) {
+        let x = &a[c..c + LANES];
+        for t in 0..N {
+            let y = &b[t][c..c + LANES];
+            for l in 0..LANES {
+                acc[t][l] += x[l] * y[l];
+            }
+        }
+    }
+    std::array::from_fn(|t| {
+        let tail = a[body..].iter().zip(&b[t][body..]);
+        tail.fold(tree(acc[t]), |s, (x, y)| s + x * y)
+    })
+}
+
+/// One fixed-lane dot product (see [`dots`]).
+#[inline(always)]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    dots(a, [b])[0]
+}
+
+/// Bands at least this large go back to the allocator shrunk first
+/// (see [`Packed`]): between the 2 MB band of a 65×65 grid, where
+/// mapping fresh pages for every factor costs a cold tuning round
+/// ≈ 20 %, and the 16.5 MB band of a 129×129 grid, where not doing it
+/// leaves 33 MB resident in whichever thread heap factored last.
+const SHRINK_BEFORE_FREE_BYTES: usize = 8 << 20;
+
+/// Packed band storage: a `Vec<f64>` whose large instances are shrunk
+/// to one element before they are freed.
+///
+/// An allocator that maps huge blocks (glibc: above 128 KB) unmaps a
+/// shrunk block at once. Freed whole, the first such block instead
+/// teaches glibc to carve every later band from the calling thread's
+/// heap top, where a freed band-plus-factor pair falls a few KB short
+/// of the trim threshold (twice the page-rounded band) and is never
+/// returned — the service's peak RSS then depended on which worker's
+/// heap the previous tune had used. For any other allocator this is a
+/// `realloc` followed by a `free`.
+#[derive(Clone, Debug, PartialEq)]
+struct Packed(Vec<f64>);
+
+impl Drop for Packed {
+    fn drop(&mut self) {
+        if std::mem::size_of_val(self.0.as_slice()) >= SHRINK_BEFORE_FREE_BYTES {
+            self.0.truncate(1);
+            self.0.shrink_to_fit();
+        }
+    }
+}
+
+impl std::ops::Deref for Packed {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Packed {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.0
+    }
+}
+
 /// A symmetric positive-definite band matrix in packed lower storage.
 ///
 /// For an `n×n` matrix with `m` sub-diagonals, entry `A(i, i-d)` for
-/// `d ∈ 0..=m` is stored at `data[i*(m+1) + d]`; everything below the
+/// `d ∈ 0..=m` is stored at `data[i*(m+1) + (m-d)]` — each row's
+/// columns ascend and its diagonal comes last; everything below the
 /// band is structurally zero and the upper triangle is implied by
 /// symmetry. Storage is `n·(m+1)` doubles — the same footprint as
 /// LAPACK's `AB` array.
@@ -40,7 +150,7 @@ impl std::error::Error for LinalgError {}
 pub struct BandMatrix {
     n: usize,
     m: usize,
-    data: Vec<f64>,
+    data: Packed,
 }
 
 impl BandMatrix {
@@ -54,7 +164,7 @@ impl BandMatrix {
         BandMatrix {
             n,
             m,
-            data: vec![0.0; n * (m + 1)],
+            data: Packed(vec![0.0; n * (m + 1)]),
         }
     }
 
@@ -70,6 +180,12 @@ impl BandMatrix {
         self.m
     }
 
+    /// Packed position of `A(hi, hi-d)`, `d ≤ m`.
+    #[inline]
+    fn slot(&self, hi: usize, d: usize) -> usize {
+        hi * (self.m + 1) + (self.m - d)
+    }
+
     /// Read `A(i, j)` (zero outside the band; symmetric).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "index out of range");
@@ -78,7 +194,7 @@ impl BandMatrix {
         if d > self.m {
             0.0
         } else {
-            self.data[hi * (self.m + 1) + d]
+            self.data[self.slot(hi, d)]
         }
     }
 
@@ -92,10 +208,11 @@ impl BandMatrix {
         let (hi, lo) = if i >= j { (i, j) } else { (j, i) };
         let d = hi - lo;
         assert!(d <= self.m, "entry ({i},{j}) outside bandwidth {}", self.m);
-        self.data[hi * (self.m + 1) + d] = v;
+        let at = self.slot(hi, d);
+        self.data[at] = v;
     }
 
-    /// Dense `y = A·x` (test oracle; O(n·m)).
+    /// Dense `y = A·x` (test oracle; one `get` per band entry).
     #[allow(clippy::needless_range_loop)] // band index arithmetic reads clearest indexed
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "matvec dimension mismatch");
@@ -117,38 +234,59 @@ impl BandMatrix {
 
     /// Band Cholesky factorization `A = L·Lᵀ` (≡ `DPBTRF`).
     ///
-    /// O(n·m²) flops, O(n·m) storage. Fails with
+    /// Row by row: `L(i,j) = (A(i,j) − Σ_k L(i,k)·L(j,k)) / L(j,j)` over
+    /// `k ∈ [i-len, j)`, where both operands of the sum are contiguous
+    /// row slices. Four columns are computed per pass so each load of
+    /// row `i` feeds four dot products; the 4×4 triangular corner that
+    /// couples them is finished sequentially in a fixed order. `n·m²`
+    /// multiply-adds, `n·(m+1)` doubles of storage. Fails with
     /// [`LinalgError::NotPositiveDefinite`] on a non-positive pivot.
     pub fn cholesky(&self) -> Result<BandCholesky, LinalgError> {
-        let n = self.n;
-        let m = self.m;
-        let w = m + 1;
+        let (n, m, w) = (self.n, self.m, self.m + 1);
         let mut l = self.data.clone();
-        for j in 0..n {
-            // Pivot: L(j,j) = sqrt(A(j,j) - sum_k L(j,k)^2).
-            let mut diag = l[j * w];
-            let kmin = j.saturating_sub(m);
-            for k in kmin..j {
-                let v = l[j * w + (j - k)];
-                diag -= v * v;
+        for i in 0..n {
+            let (done, rest) = l.split_at_mut(i * w);
+            let len = i.min(m);
+            let lo = i - len;
+            // `band[c]` is column `lo + c` of row `i`; `band[len]` its
+            // diagonal. In a finished row `j ≥ lo`, columns `[lo, j)`
+            // are the `j - lo` slots that end at its diagonal slot `m`.
+            let band = &mut rest[m - len..w];
+            let mut c = 0;
+            while c + 4 <= len {
+                let j = lo + c;
+                let [r0, r1, r2, r3]: [&[f64]; 4] =
+                    std::array::from_fn(|t| &done[(j + t) * w..(j + t + 1) * w]);
+                let (head, tail) = band.split_at_mut(c);
+                let s = dots(
+                    head,
+                    [
+                        &r0[m - c..m],
+                        &r1[m - 1 - c..m - 1],
+                        &r2[m - 2 - c..m - 2],
+                        &r3[m - 3 - c..m - 3],
+                    ],
+                );
+                let l0 = (tail[0] - s[0]) / r0[m];
+                let l1 = ((tail[1] - s[1]) - l0 * r1[m - 1]) / r1[m];
+                let l2 = (((tail[2] - s[2]) - l0 * r2[m - 2]) - l1 * r2[m - 1]) / r2[m];
+                let l3 = ((((tail[3] - s[3]) - l0 * r3[m - 3]) - l1 * r3[m - 2]) - l2 * r3[m - 1])
+                    / r3[m];
+                tail[..4].copy_from_slice(&[l0, l1, l2, l3]);
+                c += 4;
             }
+            while c < len {
+                let rj = &done[(lo + c) * w..(lo + c + 1) * w];
+                let (head, tail) = band.split_at_mut(c);
+                tail[0] = (tail[0] - dot(head, &rj[m - c..m])) / rj[m];
+                c += 1;
+            }
+            let (head, tail) = band.split_at_mut(len);
+            let diag = tail[0] - dot(head, head);
             if diag <= 0.0 || !diag.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite(j));
+                return Err(LinalgError::NotPositiveDefinite(i));
             }
-            let pivot = diag.sqrt();
-            l[j * w] = pivot;
-            let inv_pivot = 1.0 / pivot;
-            // Column below the pivot: L(i,j) for i in j+1..=j+m.
-            let imax = (j + m).min(n - 1);
-            for i in j + 1..=imax {
-                let mut v = l[i * w + (i - j)];
-                // sum_k L(i,k)*L(j,k) for k in [max(i-m, 0), j)
-                let kmin = i.saturating_sub(m).max(kmin);
-                for k in kmin..j {
-                    v -= l[i * w + (i - k)] * l[j * w + (j - k)];
-                }
-                l[i * w + (i - j)] = v * inv_pivot;
-            }
+            tail[0] = diag.sqrt();
         }
         Ok(BandCholesky { n, m, l })
     }
@@ -161,7 +299,7 @@ impl BandMatrix {
 pub struct BandCholesky {
     n: usize,
     m: usize,
-    l: Vec<f64>,
+    l: Packed,
 }
 
 impl BandCholesky {
@@ -177,9 +315,16 @@ impl BandCholesky {
         self.m
     }
 
+    /// The packed factor, for tests that compare it bit for bit.
+    #[cfg(test)]
+    pub(crate) fn packed(&self) -> &[f64] {
+        &self.l
+    }
+
     /// Solve `A·x = b` in place (≡ `DPBTRS`): forward substitution
-    /// `L·y = b`, then backward substitution `Lᵀ·x = y`. O(n·m).
-    #[allow(clippy::needless_range_loop)] // triangular-solve recurrences are index-coupled
+    /// `L·y = b` as one dot product per row, then backward substitution
+    /// `Lᵀ·x = y` as one axpy per row. `2·n·m` multiply-adds over the
+    /// whole factor, streamed once in each direction.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), LinalgError> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
@@ -188,23 +333,50 @@ impl BandCholesky {
             });
         }
         let (n, m, w) = (self.n, self.m, self.m + 1);
-        // Forward: y_i = (b_i - sum_{k<i} L(i,k) y_k) / L(i,i)
+        let row_of = |k: usize| &self.l[k * w..(k + 1) * w];
+        // Forward: y_i = (b_i - dot(L(i, i-len..i), y[i-len..i])) / L(i,i)
         for i in 0..n {
-            let kmin = i.saturating_sub(m);
-            let mut v = b[i];
-            for k in kmin..i {
-                v -= self.l[i * w + (i - k)] * b[k];
-            }
-            b[i] = v / self.l[i * w];
+            let (len, row) = (i.min(m), row_of(i));
+            let (done, rest) = b.split_at_mut(i);
+            rest[0] = (rest[0] - dot(&row[m - len..m], &done[i - len..])) / row[m];
         }
-        // Backward: x_i = (y_i - sum_{k>i} L(k,i) x_k) / L(i,i)
-        for i in (0..n).rev() {
-            let kmax = (i + m).min(n - 1);
-            let mut v = b[i];
-            for k in i + 1..=kmax {
-                v -= self.l[k * w + (k - i)] * b[k];
+        // Backward: x_k = y_k / L(k,k), then y[k-len..k] -= x_k · L(k, k-len..k).
+        // While four rows in a row carry a full band they go as one
+        // pass: their 4×4 corner first, then every y_j they share takes
+        // its four subtractions, row k's first, in one load and one
+        // store — the same operations in the same order as row by row.
+        let mut k = n; // rows k.. are solved
+        while m >= 3 && k >= m + 4 {
+            let [r0, r1, r2, r3] = [row_of(k - 1), row_of(k - 2), row_of(k - 3), row_of(k - 4)];
+            let x0 = b[k - 1] / r0[m];
+            let x1 = (b[k - 2] - x0 * r0[m - 1]) / r1[m];
+            let x2 = ((b[k - 3] - x0 * r0[m - 2]) - x1 * r1[m - 1]) / r2[m];
+            let x3 = (((b[k - 4] - x0 * r0[m - 3]) - x1 * r1[m - 2]) - x2 * r2[m - 1]) / r3[m];
+            b[k - 4..k].copy_from_slice(&[x3, x2, x1, x0]);
+            // Columns [k-1-m, k-4) lie in all four bands; the three
+            // below them only in the lower rows'.
+            let (lo, shared) = (k - 1 - m, m - 3);
+            let bands = r0[..shared]
+                .iter()
+                .zip(&r1[1..=shared])
+                .zip(&r2[2..shared + 2])
+                .zip(&r3[3..m]);
+            for (y, (((l0, l1), l2), l3)) in b[lo..lo + shared].iter_mut().zip(bands) {
+                *y = (((*y - x0 * l0) - x1 * l1) - x2 * l2) - x3 * l3;
             }
-            b[i] = v / self.l[i * w];
+            b[lo - 1] = ((b[lo - 1] - x1 * r1[0]) - x2 * r2[1]) - x3 * r3[2];
+            b[lo - 2] = (b[lo - 2] - x2 * r2[0]) - x3 * r3[1];
+            b[lo - 3] -= x3 * r3[0];
+            k -= 4;
+        }
+        for k in (0..k).rev() {
+            let (len, row) = (k.min(m), row_of(k));
+            let (above, rest) = b.split_at_mut(k);
+            let x = rest[0] / row[m];
+            rest[0] = x;
+            for (y, l) in above[k - len..].iter_mut().zip(&row[m - len..m]) {
+                *y -= x * l;
+            }
         }
         Ok(())
     }
@@ -259,6 +431,18 @@ mod tests {
     fn bandwidth_clamped_to_n_minus_1() {
         let a = BandMatrix::zeros(3, 100);
         assert_eq!(a.bandwidth(), 2);
+    }
+
+    #[test]
+    fn a_band_large_enough_to_shrink_before_free_still_clones_and_drops() {
+        let a = {
+            let mut a = BandMatrix::zeros(1100, 1000);
+            assert!(std::mem::size_of_val(&*a.data) >= SHRINK_BEFORE_FREE_BYTES);
+            a.set(1099, 99, 3.0);
+            a.clone()
+        };
+        assert_eq!(a.get(99, 1099), 3.0);
+        assert_eq!(a.get(0, 0), 0.0);
     }
 
     #[test]

@@ -215,24 +215,27 @@ mod tests {
 
     #[test]
     fn every_family_factors_and_solves_to_zero_residual() {
-        let n = 17;
+        // Bandwidths 15, 31 and 63: below, across and well beyond one
+        // 8-lane chunk and one 4-column block of the band kernels.
         let e = Exec::seq();
-        for p in [
-            Problem::poisson(),
-            Problem::anisotropic_canonical(),
-            Problem::smooth_sinusoidal(n),
-            Problem::jump_inclusion(n),
-        ] {
-            let op = p.op_for(n);
-            let solver = OpDirect::new(op.clone(), n).expect("SPD operators must factor");
-            let mut x = Grid2d::zeros(n);
-            x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 - 9.0);
-            let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 100.0 - 1400.0);
-            solver.solve(&mut x, &b);
-            let mut r = Grid2d::zeros(n);
-            residual_op(&op, &x, &b, &mut r, &e);
-            let rel = l2_norm_interior(&r, &e) / l2_norm_interior(&b, &e).max(1.0);
-            assert!(rel < 1e-9, "{}: rel residual {rel}", p.describe());
+        for n in [17, 33, 65] {
+            for p in [
+                Problem::poisson(),
+                Problem::anisotropic_canonical(),
+                Problem::smooth_sinusoidal(n),
+                Problem::jump_inclusion(n),
+            ] {
+                let op = p.op_for(n);
+                let solver = OpDirect::new(op.clone(), n).expect("SPD operators must factor");
+                let mut x = Grid2d::zeros(n);
+                x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 - 9.0);
+                let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 100.0 - 1400.0);
+                solver.solve(&mut x, &b);
+                let mut r = Grid2d::zeros(n);
+                residual_op(&op, &x, &b, &mut r, &e);
+                let rel = l2_norm_interior(&r, &e) / l2_norm_interior(&b, &e).max(1.0);
+                assert!(rel < 1e-9, "{} n={n}: rel residual {rel}", p.describe());
+            }
         }
     }
 

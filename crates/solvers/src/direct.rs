@@ -6,6 +6,12 @@
 //! grid size and the operator's content, so we factor once per
 //! `(size, operator)` and reuse it across calls (LAPACK's `DPBSV`
 //! refactors every call).
+//!
+//! "Once" holds under concurrency too: the cache is **single-flight**
+//! per key. The first caller to miss inserts an empty slot under the
+//! map lock and factors outside it; callers that arrive for the same
+//! key meanwhile block on that slot and share its factor (or its
+//! error), while callers for other keys proceed in parallel.
 
 use parking_lot::Mutex;
 use petamg_grid::Grid2d;
@@ -13,7 +19,7 @@ use petamg_linalg::LinalgError;
 use petamg_problems::{OpDirect, StencilOp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default bound on the number of factors a [`DirectSolverCache`]
 /// retains. Factor memory grows as `O(N^1.5)` per entry, so an
@@ -22,9 +28,13 @@ use std::sync::Arc;
 /// single tuning run or serving mix touches.
 pub const DEFAULT_FACTOR_CAPACITY: usize = 64;
 
-/// A cached factor and the LRU tick of its last use.
+/// One key's factorisation: empty while the first caller factors,
+/// then the factor or the error every caller of that flight receives.
+type Slot = Arc<OnceLock<Result<Arc<OpDirect>, LinalgError>>>;
+
+/// A cached (or in-flight) factor and the LRU tick of its last use.
 struct Entry {
-    factor: Arc<OpDirect>,
+    slot: Slot,
     last_used: u64,
 }
 
@@ -45,6 +55,7 @@ pub struct DirectSolverCache {
     tick: AtomicU64,
     capacity: usize,
     evictions: AtomicU64,
+    factorizations: AtomicU64,
 }
 
 impl Default for DirectSolverCache {
@@ -67,6 +78,7 @@ impl DirectSolverCache {
             tick: AtomicU64::new(0),
             capacity: capacity.max(1),
             evictions: AtomicU64::new(0),
+            factorizations: AtomicU64::new(0),
         }
     }
 
@@ -78,6 +90,13 @@ impl DirectSolverCache {
     /// How many factors have been evicted to honour the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// How many factorisations this cache has run, failed ones
+    /// included: one per key, however many callers missed together,
+    /// plus one per re-factor after an eviction or a failure.
+    pub fn factorizations(&self) -> u64 {
+        self.factorizations.load(Ordering::Relaxed)
     }
 
     /// Get (or build) the factored solver for operator `op` on `n×n`
@@ -96,36 +115,58 @@ impl DirectSolverCache {
     /// degradation path (e.g. the guarded-solve ladder) can convert a
     /// failed factor into a typed failure. A fault-injection hook in
     /// `petamg-core` drives the error arm in chaos tests.
+    ///
+    /// Callers that miss the same key together share one factorisation;
+    /// if it fails, each of them gets the error and the key is
+    /// forgotten, so the next call factors again.
     pub fn try_get_op(&self, n: usize, op: &StencilOp) -> Result<Arc<OpDirect>, LinalgError> {
         let key = (n, op.cache_key());
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(entry) = self.factors.lock().get_mut(&key) {
-            entry.last_used = tick;
-            return Ok(Arc::clone(&entry.factor));
-        }
-        // Factor outside the lock so concurrent first requests for
-        // *different* keys don't serialize.
-        let fresh = Arc::new(OpDirect::new(op.clone(), n)?);
-        let mut factors = self.factors.lock();
-        if let Some(raced) = factors.get(&key) {
-            // Another thread factored the same key meanwhile: share its.
-            return Ok(Arc::clone(&raced.factor));
-        }
-        while factors.len() >= self.capacity {
-            let stalest = factors
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(k, _)| *k)
-                .expect("capacity >= 1, so a full cache is non-empty");
-            factors.remove(&stalest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry = Entry {
-            factor: Arc::clone(&fresh),
-            last_used: tick,
+        let slot = {
+            let mut factors = self.factors.lock();
+            if let Some(entry) = factors.get_mut(&key) {
+                entry.last_used = tick;
+                if let Some(Ok(factor)) = entry.slot.get() {
+                    return Ok(Arc::clone(factor));
+                }
+                Arc::clone(&entry.slot)
+            } else {
+                while factors.len() >= self.capacity {
+                    let stalest = factors
+                        .iter()
+                        .min_by_key(|(_, entry)| entry.last_used)
+                        .map(|(k, _)| *k)
+                        .expect("capacity >= 1, so a full cache is non-empty");
+                    factors.remove(&stalest);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                let slot = Slot::default();
+                let entry = Entry {
+                    slot: Arc::clone(&slot),
+                    last_used: tick,
+                };
+                factors.insert(key, entry);
+                slot
+            }
         };
-        factors.insert(key, entry);
-        Ok(fresh)
+        // Factor outside the map lock, so first requests for *other*
+        // keys don't serialize behind this one; racers on this key
+        // block inside `get_or_init` until the one factorisation ends.
+        let result = slot.get_or_init(|| {
+            self.factorizations.fetch_add(1, Ordering::Relaxed);
+            OpDirect::new(op.clone(), n).map(Arc::new)
+        });
+        if result.is_err() {
+            let mut factors = self.factors.lock();
+            // A later flight may already have replaced this slot.
+            if factors
+                .get(&key)
+                .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
+            {
+                factors.remove(&key);
+            }
+        }
+        result.clone()
     }
 
     /// Solve `A x = b` for operator `op` via the cached factor
@@ -141,7 +182,7 @@ impl DirectSolverCache {
         let _ = self.get_op(n, op);
     }
 
-    /// Number of factors currently cached.
+    /// Number of factors currently cached or being factored.
     pub fn len(&self) -> usize {
         self.factors.lock().len()
     }
@@ -228,20 +269,74 @@ mod tests {
         assert_eq!(cache.evictions(), 2);
     }
 
-    #[test]
-    fn failed_factorization_is_an_error_and_caches_nothing() {
-        let cache = DirectSolverCache::new();
-        // Negative face weights: symmetric, consistent, not SPD.
-        let indefinite = StencilOp::ConstFive {
+    /// Negative face weights: symmetric, consistent, not SPD.
+    fn indefinite_op() -> StencilOp {
+        StencilOp::ConstFive {
             cw: -1.0,
             ce: -1.0,
             cn: -1.0,
             cs: -1.0,
             cc: -4.0,
             inv_cc: -0.25,
-        };
-        assert!(cache.try_get_op(9, &indefinite).is_err());
+        }
+    }
+
+    /// `threads` callers released together onto one cold key.
+    fn race_on_one_key(
+        cache: &DirectSolverCache,
+        threads: usize,
+        n: usize,
+        op: &StencilOp,
+    ) -> Vec<Result<Arc<OpDirect>, LinalgError>> {
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.try_get_op(n, op)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn failed_factorization_is_an_error_and_caches_nothing() {
+        let cache = DirectSolverCache::new();
+        assert!(cache.try_get_op(9, &indefinite_op()).is_err());
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn raced_first_use_factors_once_and_shares_one_factor() {
+        let cache = DirectSolverCache::new();
+        let op = Problem::jump_inclusion(33).op_for(33);
+        let got = race_on_one_key(&cache, 8, 33, &op);
+        let first = got[0].as_ref().expect("SPD operator factors");
+        for other in &got {
+            assert!(Arc::ptr_eq(first, other.as_ref().unwrap()));
+        }
+        assert_eq!(cache.factorizations(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn raced_failure_reaches_every_waiter_and_the_next_call_retries() {
+        let cache = DirectSolverCache::new();
+        let op = indefinite_op();
+        for got in race_on_one_key(&cache, 8, 33, &op) {
+            assert_eq!(got.unwrap_err(), LinalgError::NotPositiveDefinite(0));
+        }
+        // The failed flight left nothing behind, so the key factors
+        // (and fails) afresh instead of replaying a cached error.
+        assert_eq!(cache.len(), 0);
+        let before = cache.factorizations();
+        assert!((1..=8).contains(&before));
+        assert!(cache.try_get_op(33, &op).is_err());
+        assert_eq!(cache.factorizations(), before + 1);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -280,6 +375,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(cache.len(), 3);
+        assert_eq!(cache.factorizations(), 3);
         // Threads racing on one key end up sharing one factor.
         for t in 0..3 {
             assert!(Arc::ptr_eq(&firsts[t], &firsts[t + 3]));

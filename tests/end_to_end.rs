@@ -134,3 +134,48 @@ fn attached_telemetry_feed_is_inert_while_the_gate_is_closed() {
     // Leave the gate where the environment asked for it.
     petamg::obs::set_mode(petamg::obs::env::telemetry_mode());
 }
+
+/// The ladder's last rung at full size, through the service: the
+/// ×1000 inclusion at n=129 defeats the heuristic V family, so two
+/// workers handed two first requests at once both reach the direct
+/// rung — and the service's cache factors the 16.5 MB band once, not
+/// once per worker.
+#[test]
+fn simultaneous_first_direct_rung_requests_share_one_factorisation() {
+    let dir = std::env::temp_dir().join(format!("petamg-it-direct-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = SolverService::start(
+        ServiceConfig::new(&dir)
+            .with_workers(2)
+            .with_tuning(TunePolicy::Heuristic),
+    )
+    .unwrap();
+    let problem = Problem::jump_inclusion(129);
+    let tickets: Vec<_> = [21, 22]
+        .into_iter()
+        .map(|seed| {
+            let inst =
+                ProblemInstance::random_for(&problem, 7, Distribution::UnbiasedUniform, seed);
+            let request = SolveRequest::new(problem.clone(), inst.working_grid(), inst.b, 1e-8);
+            svc.submit(request).expect("queue has room")
+        })
+        .collect();
+    for ticket in tickets {
+        let served = ticket.wait().expect("the direct rung serves");
+        assert_eq!(served.report.rung, LadderRung::Direct);
+        assert!(served.report.rel_residual <= 1e-8);
+    }
+    // Two keys were ever asked for — the heuristic family's n=3 base
+    // case and the n=129 direct rung — and each was factored once.
+    let cache = svc.direct_cache();
+    assert_eq!(cache.len(), 2);
+    assert_eq!(cache.factorizations(), 2);
+    assert_eq!(cache.get_op(129, &problem.op_for(129)).n(), 129);
+    assert_eq!(
+        cache.factorizations(),
+        2,
+        "the full-size factor was already there"
+    );
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}
