@@ -27,6 +27,41 @@
 //! [`FailureKind::SameScheduleAsFailed`] with zero seconds and the walk
 //! goes straight to the direct rung.
 //!
+//! # What the service remembers
+//!
+//! A plan that fails its tuned rung on the arithmetic alone fails it
+//! for the next right-hand side too, so a solver given a
+//! [`LadderMemory`] ([`GuardedSolver::with_ladder_memory`] — the
+//! serving engine keeps one per resident plan *object*, so a re-tuned,
+//! re-inserted or reloaded plan starts with none) stops re-proving it.
+//! Per level, once `KNOWN_AFTER` (3) consecutive requests ended on the
+//! same rung below the tuned one, with nothing but verdicts that
+//! [replay identically](FailureKind::SameScheduleAsFailed) above it, a
+//! later request starts at that rung and lists the rungs above as
+//! [`FailureKind::KnownToFail`]: zero seconds, skipped, not attempted.
+//! The rules that keep this honest:
+//!
+//! * **Coverage.** A failure at `tol` says nothing about a looser
+//!   request: the memory holds the tightest `tol` of its streak, and a
+//!   request looser than that walks the whole ladder and neither reads
+//!   nor writes the memory.
+//! * **Bypass.** A traced solve, or one entered with a fault armed on
+//!   its thread, does the same — drills and traces see the full walk.
+//! * **Re-probe.** Every `REPROBE_EVERY`-th (64th) request that would
+//!   have started low walks the whole ladder instead, and any request
+//!   the tuned rung serves closes the memory.
+//! * **Never fail untried.** If the remembered rung itself fails, the
+//!   memory closes and that request attempts the rungs it had skipped
+//!   before a [`SolveError`] is returned.
+//! * **Same bits.** A failed rung restores `x` before the next one
+//!   runs, so an answer served from memory is bit for bit the full
+//!   walk's whenever the full walk ends on the same rung.
+//!
+//! Both numbers are constants, not settings: they trade a bounded share
+//! of wasted attempts (3 to learn, 1 in 64 to re-check) against how
+//! soon a change is noticed, and no caller has a reason to trade them
+//! differently. A solver without a memory walks every rung every time.
+//!
 //! Every failed rung is recorded as a [`Degradation`] (and as a
 //! [`CycleEvent::RungFailed`] in the [`Tracer`]); the rung that
 //! produced the returned solution is recorded in the
@@ -42,7 +77,7 @@
 
 use crate::faults;
 use crate::plan::{simple_v_family, ExecCtx, TunedFamily, PAPER_ACCURACIES};
-use crate::telemetry::SolveTelemetry;
+use crate::telemetry::{rung_idx, SolveTelemetry, RUNGS};
 use crate::trace::{CycleEvent, LadderRung, Tracer};
 use crate::OpCounts;
 use petamg_grid::{batch_width, l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
@@ -50,7 +85,7 @@ use petamg_problems::{residual_op, Problem, StencilOp};
 use petamg_solvers::{
     DirectSolverCache, GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Why a ladder rung failed.
 #[derive(Clone, Debug)]
@@ -73,12 +108,19 @@ pub enum FailureKind {
     /// verdict that is a pure function of the arithmetic, so the replay
     /// could only reproduce it.
     SameScheduleAsFailed(GuardFailure),
+    /// The rung was not run: the solver's [`LadderMemory`] holds this
+    /// verdict for it from the requests before, and started this one on
+    /// the rung that served them.
+    KnownToFail(GuardFailure),
 }
 
 impl FailureKind {
     /// Whether the rung was skipped rather than attempted.
     pub fn is_skip(&self) -> bool {
-        matches!(self, FailureKind::SameScheduleAsFailed(_))
+        matches!(
+            self,
+            FailureKind::SameScheduleAsFailed(_) | FailureKind::KnownToFail(_)
+        )
     }
 }
 
@@ -99,13 +141,16 @@ impl std::fmt::Display for FailureKind {
                     "skipped: same schedule as the rung that just failed ({g})"
                 )
             }
+            FailureKind::KnownToFail(g) => {
+                write!(f, "skipped: known to fail from the requests before ({g})")
+            }
         }
     }
 }
 
 /// One recorded step down the ladder: which rung failed, why, and how
 /// long the failed attempt ran before the guard rejected it (zero for a
-/// rung skipped as [`FailureKind::SameScheduleAsFailed`]).
+/// skipped rung, see [`FailureKind::is_skip`]).
 #[derive(Clone, Debug)]
 pub struct Degradation {
     /// The rung that failed.
@@ -185,6 +230,185 @@ impl GuardedReport {
     }
 }
 
+/// Consecutive covered requests that must end on the same rung below
+/// the tuned one before later requests start there.
+const KNOWN_AFTER: u32 = 3;
+
+/// While a level's memory is open, every this-many-th covered request
+/// walks the whole ladder again.
+const REPROBE_EVERY: u32 = 64;
+
+/// The verdicts remembered for the two plan rungs (tuned, heuristic):
+/// `Some` exactly for the rungs above the remembered one.
+type Verdicts = [Option<GuardFailure>; 2];
+
+/// What one level's recent requests showed.
+#[derive(Clone, Copy)]
+struct LevelMemory {
+    /// Consecutive covered requests that ended on `rung` with only
+    /// replayable verdicts above it; 0 when nothing is remembered.
+    streak: u32,
+    rung: LadderRung,
+    verdicts: Verdicts,
+    /// The tightest `tol` of the streak: what it covers.
+    tol: f64,
+    /// Covered requests since the memory opened or last re-probed.
+    since_probe: u32,
+}
+
+impl LevelMemory {
+    const EMPTY: LevelMemory = LevelMemory {
+        streak: 0,
+        rung: LadderRung::TunedPlan,
+        verdicts: [None; 2],
+        tol: f64::INFINITY,
+        since_probe: 0,
+    };
+
+    fn open(&self) -> bool {
+        self.streak >= KNOWN_AFTER
+    }
+}
+
+/// How a request enters the ladder, as its solver's memory decides.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Admission {
+    /// No memory, or a request looser than the streak: the whole
+    /// ladder, and the memory is not told.
+    Unremembered,
+    /// The whole ladder; the outcome is remembered.
+    Walk,
+    /// The whole ladder although the memory is open; the outcome is
+    /// remembered and counted as a re-probe.
+    Reprobe,
+    /// Start at this rung, the rungs above it known to fail.
+    StartAt(LadderRung, Verdicts),
+}
+
+/// What a resident plan's ladder did for the requests before: per
+/// level, the rung that served them and the deterministic verdicts of
+/// the rungs above it. See "What the service remembers" in the module
+/// docs. One memory belongs to one plan object and is shared by every
+/// solver built over that plan.
+#[derive(Default)]
+pub struct LadderMemory {
+    /// Indexed by level, grown on demand.
+    levels: Mutex<Vec<LevelMemory>>,
+}
+
+impl LadderMemory {
+    /// An empty memory: the next requests walk the whole ladder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether requests at some level currently start below the tuned
+    /// rung.
+    pub fn is_open(&self) -> bool {
+        self.lock().iter().any(LevelMemory::open)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<LevelMemory>> {
+        self.levels
+            .lock()
+            .expect("no code path panics while holding the ladder memory")
+    }
+
+    /// The loosest `tol` a request at `level` may ask for and still
+    /// start below the tuned rung (re-probes aside); `None` while the
+    /// level's memory is not open. Counts nothing.
+    fn starts_low_up_to(&self, level: usize) -> Option<f64> {
+        let levels = self.lock();
+        levels.get(level).filter(|m| m.open()).map(|m| m.tol)
+    }
+
+    /// Decide how a request at `level` to `tol` enters the ladder.
+    fn admit(&self, level: usize, tol: f64) -> Admission {
+        let mut levels = self.lock();
+        if levels.len() <= level {
+            levels.resize(level + 1, LevelMemory::EMPTY);
+        }
+        let m = &mut levels[level];
+        let covered = tol <= m.tol;
+        if !covered {
+            return Admission::Unremembered;
+        }
+        if !m.open() {
+            return Admission::Walk;
+        }
+        m.since_probe += 1;
+        if m.since_probe == REPROBE_EVERY {
+            m.since_probe = 0;
+            Admission::Reprobe
+        } else {
+            Admission::StartAt(m.rung, m.verdicts)
+        }
+    }
+
+    /// Take in how the request admitted as `admission` ended. Returns
+    /// whether the level's memory is open afterwards.
+    fn settle(
+        &self,
+        level: usize,
+        tol: f64,
+        admission: Admission,
+        result: Result<&GuardedReport, &SolveError>,
+    ) -> bool {
+        let mut levels = self.lock();
+        let m = &mut levels[level];
+        match admission {
+            Admission::Unremembered => {}
+            // The remembered rung served again: nothing new. Anything
+            // else and what was remembered no longer holds.
+            Admission::StartAt(rung, _) => {
+                if !result.is_ok_and(|report| report.rung == rung) {
+                    *m = LevelMemory::EMPTY;
+                }
+            }
+            Admission::Walk | Admission::Reprobe => {
+                match result.ok().and_then(replayable_outcome) {
+                    Some((rung, verdicts)) if m.streak > 0 && m.rung == rung => {
+                        m.streak = m.streak.saturating_add(1);
+                        m.verdicts = verdicts;
+                        m.tol = m.tol.min(tol);
+                    }
+                    Some((rung, verdicts)) => {
+                        *m = LevelMemory {
+                            streak: 1,
+                            rung,
+                            verdicts,
+                            tol,
+                            since_probe: 0,
+                        }
+                    }
+                    None => *m = LevelMemory::EMPTY,
+                }
+            }
+        }
+        m.open()
+    }
+}
+
+/// What a full walk's report leaves to remember: the serving rung and
+/// the verdicts above it, when the rung is below the tuned one and
+/// every rung above failed (or was skipped as the replay of a failure)
+/// on a verdict that [`replays_identically`].
+fn replayable_outcome(report: &GuardedReport) -> Option<(LadderRung, Verdicts)> {
+    let mut verdicts = [None; 2];
+    for d in &report.degradations {
+        match d.reason {
+            FailureKind::Guard(g) | FailureKind::SameScheduleAsFailed(g)
+                if replays_identically(&g) =>
+            {
+                // Only the two plan rungs ever end on a guard verdict.
+                verdicts[rung_idx(d.rung)] = Some(g);
+            }
+            _ => return None,
+        }
+    }
+    (report.rung != LadderRung::TunedPlan).then_some((report.rung, verdicts))
+}
+
 /// A solver that executes tuned plans under guard and degrades down
 /// the ladder instead of panicking. See the module docs.
 pub struct GuardedSolver {
@@ -197,6 +421,7 @@ pub struct GuardedSolver {
     tracing: bool,
     batch_width: usize,
     telemetry: Option<Arc<SolveTelemetry>>,
+    memory: Option<Arc<LadderMemory>>,
 }
 
 impl GuardedSolver {
@@ -215,6 +440,7 @@ impl GuardedSolver {
             tracing: false,
             batch_width: batch_width(),
             telemetry: None,
+            memory: None,
         }
     }
 
@@ -277,6 +503,27 @@ impl GuardedSolver {
         self
     }
 
+    /// Start requests at the rung `memory` has seen serve this plan
+    /// (see "What the service remembers" in the module docs). The
+    /// memory must belong to the plan this solver serves; without a
+    /// plan it is ignored.
+    pub fn with_ladder_memory(mut self, memory: Arc<LadderMemory>) -> Self {
+        self.memory = Some(memory);
+        self
+    }
+
+    /// The ladder memory this solve may read and write: none without a
+    /// plan, under tracing, or while a fault is armed on this thread —
+    /// traced requests and chaos drills see the whole walk.
+    fn usable_memory(&self) -> Option<&LadderMemory> {
+        match &self.memory {
+            Some(memory) if self.plan.is_some() && !self.tracing && !faults::armed() => {
+                Some(memory)
+            }
+            _ => None,
+        }
+    }
+
     /// The telemetry feed, when one is attached *and* the process gate
     /// is open.
     fn active_telemetry(&self) -> Option<&SolveTelemetry> {
@@ -316,14 +563,34 @@ impl GuardedSolver {
     /// reported rung; on [`SolveError`] `x` holds the initial guess
     /// again (never a poisoned iterate).
     pub fn solve(&self, x: &mut Grid2d, b: &Grid2d, tol: f64) -> Result<GuardedReport, SolveError> {
-        let n = x.n();
-        let level = level_of(n);
-        // Both per-call grids are leased from the shared arena (and
-        // fully overwritten before any read), so a warm solver performs
-        // zero steady-state grid allocations per request.
-        let mut x0 = self.workspace.acquire_unzeroed(n);
-        x0.copy_from(x);
-        let mut scratch = self.workspace.acquire_unzeroed(n);
+        let level = level_of(x.n());
+        self.remembering(level, tol, |admission| {
+            self.walk(x, b, tol, level, admission)
+        })
+    }
+
+    /// Run one request's `walk` entered as the ladder memory admits it,
+    /// and let the memory take in how it ended.
+    fn remembering(
+        &self,
+        level: usize,
+        tol: f64,
+        walk: impl FnOnce(Admission) -> Result<GuardedReport, SolveError>,
+    ) -> Result<GuardedReport, SolveError> {
+        let Some(memory) = self.usable_memory() else {
+            return walk(Admission::Unremembered);
+        };
+        let admission = memory.admit(level, tol);
+        let result = walk(admission);
+        let open = memory.settle(level, tol, admission, result.as_ref());
+        if let (Admission::Reprobe, Some(telemetry)) = (admission, self.active_telemetry()) {
+            telemetry.observe_reprobe(open);
+        }
+        result
+    }
+
+    /// The execution context of one guarded solve (solo or batched).
+    fn exec_ctx(&self) -> ExecCtx {
         let mut ctx = ExecCtx::with_cache(self.exec.clone(), Arc::clone(&self.cache))
             .with_workspace(Arc::clone(&self.workspace))
             .with_problem(self.problem.clone());
@@ -343,196 +610,207 @@ impl GuardedSolver {
                 ctx = ctx.with_knob_table(fam.knobs.clone());
             }
         }
-        let start = std::time::Instant::now();
-        let mut degradations: Vec<Degradation> = Vec::new();
-        let op = self.problem.op_for(n);
-        let mut check = ResidualCheck::new(&op, b);
-        let mut resid_seconds = 0.0f64;
-        let failed =
-            |ctx: &mut ExecCtx, degradations: &mut Vec<Degradation>, rung, reason, seconds: f64| {
-                ctx.tracer.record(CycleEvent::RungFailed { rung, seconds });
-                degradations.push(Degradation {
-                    rung,
-                    reason,
-                    seconds,
-                });
-            };
+        ctx
+    }
 
-        // Rung 0: the tuned plan, if one was supplied and it matches.
-        let mut tuned_failure = None;
-        if let Some(fam) = &self.plan {
-            let rung_start = std::time::Instant::now();
-            let admissible = fam
-                .ensure_problem(self.problem.fingerprint())
-                .map_err(|e| e.to_string())
-                .and_then(|()| fam.validate())
-                .and_then(|()| {
-                    if level <= fam.max_level {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "instance level {level} exceeds tuned max level {}",
-                            fam.max_level
-                        ))
-                    }
-                });
-            match admissible {
-                Err(why) => failed(
-                    &mut ctx,
-                    &mut degradations,
-                    LadderRung::TunedPlan,
-                    FailureKind::PlanRejected(why),
-                    rung_start.elapsed().as_secs_f64(),
-                ),
-                Ok(()) => {
-                    match self.run_family_guarded(
-                        fam,
-                        level,
-                        x,
-                        &mut check,
-                        tol,
-                        &mut ctx,
-                        &mut scratch,
-                        &mut resid_seconds,
-                    ) {
-                        Ok(trajectory) => {
-                            return Ok(self.report(
-                                LadderRung::TunedPlan,
-                                trajectory,
-                                degradations,
-                                start,
-                                rung_start.elapsed().as_secs_f64(),
-                                resid_seconds,
-                                ctx,
-                            ));
-                        }
-                        Err(g) => {
-                            failed(
-                                &mut ctx,
-                                &mut degradations,
-                                LadderRung::TunedPlan,
-                                FailureKind::Guard(g),
-                                rung_start.elapsed().as_secs_f64(),
-                            );
-                            x.copy_from(&x0);
-                            tuned_failure = Some(g);
-                        }
-                    }
-                }
+    /// One request's trip down the ladder, entered as `admission` says.
+    fn walk(
+        &self,
+        x: &mut Grid2d,
+        b: &Grid2d,
+        tol: f64,
+        level: usize,
+        admission: Admission,
+    ) -> Result<GuardedReport, SolveError> {
+        let n = x.n();
+        // Both per-call grids are leased from the shared arena (and
+        // fully overwritten before any read), so a warm solver performs
+        // zero steady-state grid allocations per request.
+        let mut x0 = self.workspace.acquire_unzeroed(n);
+        x0.copy_from(x);
+        let scratch = self.workspace.acquire_unzeroed(n);
+        let ctx = self.exec_ctx();
+        let start = std::time::Instant::now();
+        let op = self.problem.op_for(n);
+        let mut w = Walk {
+            level,
+            tol,
+            x0,
+            scratch,
+            ctx,
+            check: ResidualCheck::new(&op, b),
+            resid_seconds: 0.0,
+            degradations: Vec::new(),
+            tuned_failure: None,
+        };
+
+        // The rungs the memory knows to fail are listed, not run.
+        let mut first = 0;
+        if let Admission::StartAt(rung, verdicts) = admission {
+            first = rung_idx(rung);
+            for (rung, verdict) in RUNGS.into_iter().zip(verdicts.into_iter().flatten()) {
+                w.failed(rung, FailureKind::KnownToFail(verdict), 0.0);
             }
         }
+        let mut served = self.descend(&mut w, x, first..RUNGS.len());
+        if served.is_none() && first > 0 {
+            // The remembered rung and everything below it failed: what
+            // was known no longer holds, and an error may only say
+            // "every rung failed" of rungs that ran.
+            w.degradations
+                .retain(|d| !matches!(d.reason, FailureKind::KnownToFail(_)));
+            served = self.descend(&mut w, x, 0..first);
+            w.degradations.sort_by_key(|d| rung_idx(d.rung));
+        }
+        match served {
+            Some((rung, trajectory, rung_seconds)) => {
+                Ok(self.report(rung, trajectory, start, rung_seconds, w))
+            }
+            None => {
+                let err = SolveError {
+                    degradations: w.degradations,
+                };
+                if let Some(telemetry) = self.active_telemetry() {
+                    telemetry.observe_error(&err, &w.ctx.tracer);
+                }
+                Err(err)
+            }
+        }
+    }
 
-        // Rung 1: the hand-built MULTIGRID-V-SIMPLE family — unless the
-        // tuned rung just ran that very schedule (same knob table, same
-        // restored `x`) into a verdict the arithmetic alone decides.
-        let heuristic = simple_v_family(level.max(1), &PAPER_ACCURACIES);
-        let replayed = match (&self.plan, tuned_failure) {
+    /// Try `rungs` (indices into ladder order) one after the other
+    /// until one serves: its trajectory and the seconds its attempt
+    /// took. Every rung that fails is recorded in `w` and leaves `x`
+    /// the initial guess.
+    fn descend(
+        &self,
+        w: &mut Walk,
+        x: &mut Grid2d,
+        rungs: std::ops::Range<usize>,
+    ) -> Option<(LadderRung, Trajectory, f64)> {
+        RUNGS[rungs].iter().find_map(|&rung| {
+            let served = match rung {
+                LadderRung::TunedPlan => self.try_tuned(w, x),
+                LadderRung::HeuristicPlan => self.try_heuristic(w, x),
+                LadderRung::Direct => self.try_direct(w, x),
+            };
+            served.map(|(trajectory, seconds)| (rung, trajectory, seconds))
+        })
+    }
+
+    /// Whether `fam` may serve this solver's problem at `level`.
+    fn admit_plan(&self, fam: &TunedFamily, level: usize) -> Result<(), String> {
+        fam.ensure_problem(self.problem.fingerprint())
+            .map_err(|e| e.to_string())?;
+        fam.validate()?;
+        if level > fam.max_level {
+            return Err(format!(
+                "instance level {level} exceeds tuned max level {}",
+                fam.max_level
+            ));
+        }
+        Ok(())
+    }
+
+    /// Rung 0: the tuned plan, if one was supplied and it matches.
+    fn try_tuned(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
+        let fam = self.plan.as_ref()?;
+        let rung_start = std::time::Instant::now();
+        let failure = match self.admit_plan(fam, w.level) {
+            Err(why) => FailureKind::PlanRejected(why),
+            Ok(()) => match self.run_family_guarded(fam, w, x) {
+                Ok(trajectory) => return Some((trajectory, rung_start.elapsed().as_secs_f64())),
+                Err(g) => {
+                    x.copy_from(&w.x0);
+                    w.tuned_failure = Some(g);
+                    FailureKind::Guard(g)
+                }
+            },
+        };
+        w.failed(
+            LadderRung::TunedPlan,
+            failure,
+            rung_start.elapsed().as_secs_f64(),
+        );
+        None
+    }
+
+    /// Rung 1: the hand-built MULTIGRID-V-SIMPLE family — unless the
+    /// tuned rung just ran that very schedule (same knob table, same
+    /// restored `x`) into a verdict the arithmetic alone decides.
+    fn try_heuristic(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
+        let heuristic = simple_v_family(w.level.max(1), &PAPER_ACCURACIES);
+        let replayed = match (&self.plan, w.tuned_failure) {
             (Some(fam), Some(g))
                 if replays_identically(&g)
                     && fam.accuracies == heuristic.accuracies
-                    && fam.plans[..=level] == heuristic.plans[..=level] =>
+                    && fam.plans[..=w.level] == heuristic.plans[..=w.level] =>
             {
                 Some(g)
             }
             _ => None,
         };
         if let Some(g) = replayed {
-            failed(
-                &mut ctx,
-                &mut degradations,
+            w.failed(
                 LadderRung::HeuristicPlan,
                 FailureKind::SameScheduleAsFailed(g),
                 0.0,
             );
-        } else {
-            let rung_start = std::time::Instant::now();
-            match self.run_family_guarded(
-                &heuristic,
-                level,
-                x,
-                &mut check,
-                tol,
-                &mut ctx,
-                &mut scratch,
-                &mut resid_seconds,
-            ) {
-                Ok(trajectory) => {
-                    return Ok(self.report(
-                        LadderRung::HeuristicPlan,
-                        trajectory,
-                        degradations,
-                        start,
-                        rung_start.elapsed().as_secs_f64(),
-                        resid_seconds,
-                        ctx,
-                    ));
-                }
-                Err(g) => {
-                    failed(
-                        &mut ctx,
-                        &mut degradations,
-                        LadderRung::HeuristicPlan,
-                        FailureKind::Guard(g),
-                        rung_start.elapsed().as_secs_f64(),
-                    );
-                    x.copy_from(&x0);
-                }
+            return None;
+        }
+        let rung_start = std::time::Instant::now();
+        match self.run_family_guarded(&heuristic, w, x) {
+            Ok(trajectory) => Some((trajectory, rung_start.elapsed().as_secs_f64())),
+            Err(g) => {
+                x.copy_from(&w.x0);
+                w.failed(
+                    LadderRung::HeuristicPlan,
+                    FailureKind::Guard(g),
+                    rung_start.elapsed().as_secs_f64(),
+                );
+                None
             }
         }
+    }
 
-        // Rung 2: unconditional full-size direct solve.
+    /// Rung 2: unconditional full-size direct solve.
+    fn try_direct(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
+        let n = x.n();
         let rung_start = std::time::Instant::now();
         let factor = if faults::fail_direct(n) {
             Err("injected factorization fault".to_string())
         } else {
-            self.cache.try_get_op(n, &op).map_err(|e| format!("{e:?}"))
+            self.cache
+                .try_get_op(n, w.check.op)
+                .map_err(|e| format!("{e:?}"))
         };
-        match factor {
-            Err(why) => failed(
-                &mut ctx,
-                &mut degradations,
-                LadderRung::Direct,
-                FailureKind::DirectFactorization(why),
-                rung_start.elapsed().as_secs_f64(),
-            ),
+        let failure = match factor {
+            Err(why) => FailureKind::DirectFactorization(why),
             Ok(direct) => {
-                direct.solve(x, b);
-                ctx.ops.level_mut(level).direct_solves += 1;
-                ctx.tracer.record(CycleEvent::Direct { level });
+                direct.solve(x, w.check.b);
+                w.ctx.ops.level_mut(w.level).direct_solves += 1;
+                w.ctx.tracer.record(CycleEvent::Direct { level: w.level });
                 let check_start = std::time::Instant::now();
-                let rel = check.rel(x, &mut scratch, &ctx.exec);
-                resid_seconds += check_start.elapsed().as_secs_f64();
-                if rel.is_finite() && rel <= tol {
-                    return Ok(self.report(
-                        LadderRung::Direct,
-                        Trajectory {
-                            status: SolveStatus::Converged { cycles: 1 },
-                            history: vec![rel],
-                            members: Vec::new(),
-                        },
-                        degradations,
-                        start,
-                        rung_start.elapsed().as_secs_f64(),
-                        resid_seconds,
-                        ctx,
-                    ));
+                let rel = w.check.rel(x, &mut w.scratch, &w.ctx.exec);
+                w.resid_seconds += check_start.elapsed().as_secs_f64();
+                if rel.is_finite() && rel <= w.tol {
+                    let trajectory = Trajectory {
+                        status: SolveStatus::Converged { cycles: 1 },
+                        history: vec![rel],
+                        members: Vec::new(),
+                    };
+                    return Some((trajectory, rung_start.elapsed().as_secs_f64()));
                 }
-                failed(
-                    &mut ctx,
-                    &mut degradations,
-                    LadderRung::Direct,
-                    FailureKind::ToleranceNotMet { rel_residual: rel },
-                    rung_start.elapsed().as_secs_f64(),
-                );
+                x.copy_from(&w.x0);
+                FailureKind::ToleranceNotMet { rel_residual: rel }
             }
-        }
-
-        x.copy_from(&x0);
-        let err = SolveError { degradations };
-        if let Some(telemetry) = self.active_telemetry() {
-            telemetry.observe_error(&err, &ctx.tracer);
-        }
-        Err(err)
+        };
+        w.failed(
+            LadderRung::Direct,
+            failure,
+            rung_start.elapsed().as_secs_f64(),
+        );
+        None
     }
 
     /// Solve many systems of the same size, batching them through the
@@ -610,54 +888,35 @@ impl GuardedSolver {
         }
         let level = level_of(n);
 
-        let mut ctx = ExecCtx::with_cache(self.exec.clone(), Arc::clone(&self.cache))
-            .with_workspace(Arc::clone(&self.workspace))
-            .with_problem(self.problem.clone());
-        if self.tracing {
-            ctx = ctx.tracing();
-        }
-        if self.active_telemetry().is_some() {
-            ctx.tracer = std::mem::take(&mut ctx.tracer).with_timing_all();
-        }
-        if let Some(fam) = &self.plan {
-            if !fam.knobs.is_all_default() {
-                ctx = ctx.with_knob_table(fam.knobs.clone());
-            }
+        let solo_all = |xs: &mut [Grid2d]| -> Vec<Result<GuardedReport, SolveError>> {
+            xs.iter_mut()
+                .zip(bs)
+                .zip(tols)
+                .map(|((x, b), &tol)| self.solve(x, b, tol))
+                .collect()
+        };
+        // A lane the ladder memory would start below the tuned rung
+        // never joins the batch: batched, it would run the tuned rung
+        // to the verdict the memory already holds, and then again solo.
+        let low_up_to = self
+            .usable_memory()
+            .and_then(|memory| memory.starts_low_up_to(level));
+        let starts_low = |tol: f64| low_up_to.is_some_and(|covered| tol <= covered);
+        if tols.iter().all(|&tol| starts_low(tol)) {
+            return solo_all(xs);
         }
 
         // Rung admission, mirroring `solve` exactly. An inadmissible
         // plan sends every lane down the solo ladder, which records the
         // per-lane `PlanRejected` degradation and walks the remaining
         // rungs just as a solo request would.
+        let mut ctx = self.exec_ctx();
         let heuristic;
         let (fam, rung): (&TunedFamily, LadderRung) = match &self.plan {
-            Some(fam) => {
-                let admissible = fam
-                    .ensure_problem(self.problem.fingerprint())
-                    .map_err(|e| e.to_string())
-                    .and_then(|()| fam.validate())
-                    .and_then(|()| {
-                        if level <= fam.max_level {
-                            Ok(())
-                        } else {
-                            Err(format!(
-                                "instance level {level} exceeds tuned max level {}",
-                                fam.max_level
-                            ))
-                        }
-                    });
-                match admissible {
-                    Ok(()) => (fam.as_ref(), LadderRung::TunedPlan),
-                    Err(_) => {
-                        return xs
-                            .iter_mut()
-                            .zip(bs)
-                            .zip(tols)
-                            .map(|((x, b), &tol)| self.solve(x, b, tol))
-                            .collect();
-                    }
-                }
+            Some(fam) if self.admit_plan(fam, level).is_ok() => {
+                (fam.as_ref(), LadderRung::TunedPlan)
             }
+            Some(_) => return solo_all(xs),
             None => {
                 heuristic = simple_v_family(level.max(1), &PAPER_ACCURACIES);
                 (&heuristic, LadderRung::HeuristicPlan)
@@ -686,14 +945,22 @@ impl GuardedSolver {
         let mut walks: Vec<MemberWalk> = (0..width).map(|_| MemberWalk::default()).collect();
 
         // A finished lane keeps its terminal state in `xs[k]`: the
-        // solution once converged, the untouched initial guess once
-        // failed (the solo re-walk below starts from it).
+        // solution once converged, the untouched initial guess of a
+        // lane served solo (the solo walk below starts from it).
         enum Lane {
             Active,
             Converged(Trajectory),
-            Failed,
+            /// Out of the batch: its guard tripped, or the ladder
+            /// memory starts it below the batched rung.
+            Solo,
         }
-        let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::Active).collect();
+        let mut lanes: Vec<Lane> = tols
+            .iter()
+            .map(|&tol| match starts_low(tol) {
+                true => Lane::Solo,
+                false => Lane::Active,
+            })
+            .collect();
         // Per-lane iterate snapshots, leased the first time a cycle's
         // active lanes want different members. A group whose lanes
         // always agree never takes one.
@@ -754,7 +1021,7 @@ impl GuardedSolver {
                         // failed rung (bitwise-identical arithmetic →
                         // identical guard trip), records it, and walks
                         // the remaining rungs exactly as a solo request.
-                        GuardVerdict::Fail(_) => lanes[k] = Lane::Failed,
+                        GuardVerdict::Fail(_) => lanes[k] = Lane::Solo,
                     }
                 }
             }
@@ -806,7 +1073,7 @@ impl GuardedSolver {
                     tracer: tracer.clone(),
                     batch_width: self.batch_width,
                 }),
-                Lane::Failed => self.solve(&mut xs[k], &bs[k], tols[k]),
+                Lane::Solo => self.solve(&mut xs[k], &bs[k], tols[k]),
                 Lane::Active => unreachable!("loop exits only when no lane is active"),
             })
             .collect();
@@ -824,29 +1091,22 @@ impl GuardedSolver {
         reports
     }
 
-    /// Iterate `fam` under guard until `tol` or failure, each cycle on
-    /// the member its [`MemberWalk`] selects. Accumulates the wall time
-    /// of the per-cycle residual checks into `resid_seconds`.
-    #[allow(clippy::too_many_arguments)]
+    /// Iterate `fam` under guard until the walk's `tol` or failure, each
+    /// cycle on the member its [`MemberWalk`] selects.
     fn run_family_guarded(
         &self,
         fam: &TunedFamily,
-        level: usize,
+        w: &mut Walk,
         x: &mut Grid2d,
-        check: &mut ResidualCheck,
-        tol: f64,
-        ctx: &mut ExecCtx,
-        scratch: &mut Grid2d,
-        resid_seconds: &mut f64,
     ) -> Result<Trajectory, GuardFailure> {
-        let mut guard = SolveGuard::new(self.guard, tol);
+        let mut guard = SolveGuard::new(self.guard, w.tol);
         let mut walk = MemberWalk::default();
         loop {
             let member = walk.next(fam, &guard);
-            fam.run(level, member, x, check.b, ctx);
+            fam.run(w.level, member, x, w.check.b, &mut w.ctx);
             let check_start = std::time::Instant::now();
-            let rel = check.rel(x, scratch, &ctx.exec);
-            *resid_seconds += check_start.elapsed().as_secs_f64();
+            let rel = w.check.rel(x, &mut w.scratch, &w.ctx.exec);
+            w.resid_seconds += check_start.elapsed().as_secs_f64();
             match walk.observe(fam, &mut guard, member, rel) {
                 GuardVerdict::Continue => {}
                 GuardVerdict::Converged => return Ok(walk.finish(&guard)),
@@ -855,18 +1115,15 @@ impl GuardedSolver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn report(
         &self,
         rung: LadderRung,
         trajectory: Trajectory,
-        degradations: Vec<Degradation>,
         start: std::time::Instant,
         rung_seconds: f64,
-        residual_check_seconds: f64,
-        mut ctx: ExecCtx,
+        mut w: Walk,
     ) -> GuardedReport {
-        ctx.tracer.record(CycleEvent::RungServed {
+        w.ctx.tracer.record(CycleEvent::RungServed {
             rung,
             width: 1,
             seconds: rung_seconds,
@@ -877,18 +1134,48 @@ impl GuardedSolver {
             rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
             residual_history: trajectory.history,
             members: trajectory.members,
-            degradations,
+            degradations: w.degradations,
             seconds: start.elapsed().as_secs_f64(),
             rung_seconds,
-            residual_check_seconds,
-            ops: ctx.ops,
-            tracer: ctx.tracer,
+            residual_check_seconds: w.resid_seconds,
+            ops: w.ctx.ops,
+            tracer: w.ctx.tracer,
             batch_width: 1,
         };
         if let Some(telemetry) = self.active_telemetry() {
             telemetry.observe_report(&report);
         }
         report
+    }
+}
+
+/// What one solo walk down the ladder carries from rung to rung.
+struct Walk<'a> {
+    level: usize,
+    tol: f64,
+    /// The initial guess, put back into `x` after every failed attempt.
+    x0: GridLease<'a>,
+    scratch: GridLease<'a>,
+    ctx: ExecCtx,
+    check: ResidualCheck<'a>,
+    /// Wall time of the per-cycle residual checks so far.
+    resid_seconds: f64,
+    degradations: Vec<Degradation>,
+    /// The tuned rung's guard verdict, once it has failed on one.
+    tuned_failure: Option<GuardFailure>,
+}
+
+impl Walk<'_> {
+    /// Record that `rung` failed (or was skipped) after `seconds`.
+    fn failed(&mut self, rung: LadderRung, reason: FailureKind, seconds: f64) {
+        self.ctx
+            .tracer
+            .record(CycleEvent::RungFailed { rung, seconds });
+        self.degradations.push(Degradation {
+            rung,
+            reason,
+            seconds,
+        });
     }
 }
 
@@ -1746,5 +2033,555 @@ mod tests {
                 );
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Ladder memory.
+    // -----------------------------------------------------------------
+
+    /// A solver for `problem` serving `fam` over `memory`.
+    fn remembering_solver(
+        problem: &Problem,
+        fam: &TunedFamily,
+        memory: &Arc<LadderMemory>,
+    ) -> GuardedSolver {
+        GuardedSolver::new(problem.clone())
+            .with_plan(fam.clone())
+            .with_ladder_memory(Arc::clone(memory))
+    }
+
+    /// Serve instances `seeds` one after the other, each from its own
+    /// initial guess.
+    fn serve_each(
+        solver: &GuardedSolver,
+        problem: &Problem,
+        level: usize,
+        seeds: std::ops::Range<u64>,
+        tol: f64,
+    ) -> Vec<(Grid2d, GuardedReport)> {
+        seeds
+            .map(|seed| {
+                let inst = ProblemInstance::random_for(
+                    problem,
+                    level,
+                    Distribution::UnbiasedUniform,
+                    seed,
+                );
+                let mut x = inst.working_grid();
+                let report = solver.solve(&mut x, &inst.b, tol).expect("must serve");
+                (x, report)
+            })
+            .collect()
+    }
+
+    /// Rules 5 and 6: three walks that end on the direct rung the same
+    /// way open the memory; the fourth request lists both plan rungs as
+    /// known to fail — skipped, zero seconds — and its answer is the
+    /// full walk's, bit for bit.
+    #[test]
+    fn fourth_request_starts_at_the_rung_that_served_the_first_three() {
+        faults::clear();
+        let level = 5;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let memory = Arc::new(LadderMemory::new());
+        let solver = remembering_solver(&problem, &fam, &memory);
+        let served = serve_each(&solver, &problem, level, 40..44, 1e-8);
+        let mut verdict = None;
+        for (_, report) in &served[..3] {
+            assert_eq!(report.rung, LadderRung::Direct);
+            let [tuned, heuristic] = &report.degradations[..] else {
+                panic!("two rungs above direct: {:?}", report.degradations);
+            };
+            match (&tuned.reason, &heuristic.reason) {
+                (FailureKind::Guard(g), FailureKind::SameScheduleAsFailed(h)) if g == h => {
+                    assert!(replays_identically(g), "{g}");
+                    verdict = Some(*g);
+                }
+                other => panic!("expected a replayed guard verdict, got {other:?}"),
+            }
+            assert!(tuned.seconds > 0.0);
+        }
+        assert!(memory.is_open());
+
+        let (x, fourth) = &served[3];
+        assert_eq!(fourth.rung, LadderRung::Direct);
+        assert!(fourth.degraded());
+        assert_eq!(fourth.degradations.len(), 2);
+        for (d, rung) in fourth
+            .degradations
+            .iter()
+            .zip([LadderRung::TunedPlan, LadderRung::HeuristicPlan])
+        {
+            assert_eq!(d.rung, rung);
+            assert!(
+                matches!(d.reason, FailureKind::KnownToFail(g) if Some(g) == verdict),
+                "{}",
+                d.reason
+            );
+            assert!(d.reason.is_skip());
+            assert_eq!(d.seconds, 0.0);
+        }
+        assert_eq!(
+            fourth.ops.per_level[level].restricts, 0,
+            "no plan cycle ran"
+        );
+        assert!(fourth.rel_residual <= 1e-8);
+
+        let plain = GuardedSolver::new(problem.clone()).with_plan(fam);
+        let (want, full_walk) = serve_each(&plain, &problem, level, 43..44, 1e-8).remove(0);
+        assert!(matches!(
+            full_walk.degradations[0].reason,
+            FailureKind::Guard(_)
+        ));
+        assert_eq!(x.as_slice(), want.as_slice());
+        assert_eq!(fourth.residual_history, full_walk.residual_history);
+    }
+
+    /// Rule 4: a covered request the remembered rung cannot serve
+    /// (1e-18 is below what the band solve delivers) attempts the rungs
+    /// it had skipped before it fails, and closes the memory.
+    #[test]
+    fn a_failing_remembered_rung_tries_the_skipped_rungs_before_the_error() {
+        faults::clear();
+        let level = 5;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let memory = Arc::new(LadderMemory::new());
+        let solver = remembering_solver(&problem, &fam, &memory);
+        serve_each(&solver, &problem, level, 50..53, 1e-8);
+        assert!(memory.is_open());
+
+        let inst = instance(level, &problem);
+        let mut x = inst.working_grid();
+        let err = solver
+            .solve(&mut x, &inst.b, 1e-18)
+            .expect_err("no rung reaches 1e-18");
+        let rungs: Vec<LadderRung> = err.degradations.iter().map(|d| d.rung).collect();
+        assert_eq!(rungs, RUNGS, "{err}");
+        let [tuned, heuristic, direct] = &err.degradations[..] else {
+            unreachable!()
+        };
+        assert!(
+            matches!(tuned.reason, FailureKind::Guard(_)),
+            "{}",
+            tuned.reason
+        );
+        assert!(tuned.seconds > 0.0, "the tuned rung was attempted");
+        assert!(
+            !matches!(heuristic.reason, FailureKind::KnownToFail(_)),
+            "{}",
+            heuristic.reason
+        );
+        assert!(
+            matches!(direct.reason, FailureKind::ToleranceNotMet { .. }),
+            "{}",
+            direct.reason
+        );
+        assert_eq!(x.as_slice(), inst.working_grid().as_slice(), "x restored");
+        assert!(!memory.is_open());
+
+        // What a solver without a memory reports for the same request.
+        let mut x = inst.working_grid();
+        let plain = GuardedSolver::new(problem)
+            .with_plan(fam)
+            .solve(&mut x, &inst.b, 1e-18)
+            .expect_err("no rung reaches 1e-18");
+        let reasons = |e: &SolveError| -> Vec<String> {
+            e.degradations
+                .iter()
+                .map(|d| format!("{}: {}", d.rung, d.reason))
+                .collect()
+        };
+        assert_eq!(reasons(&err), reasons(&plain));
+    }
+
+    /// Rule 2: a request looser than what the memory was opened at is
+    /// not skipped for, and the tuned rung serving it does not close
+    /// the memory.
+    #[test]
+    fn a_looser_request_neither_reads_nor_writes_the_memory() {
+        faults::clear();
+        let level = 5;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let memory = Arc::new(LadderMemory::new());
+        let solver = remembering_solver(&problem, &fam, &memory);
+        serve_each(&solver, &problem, level, 60..63, 1e-8);
+        assert!(memory.is_open());
+
+        let (_, loose) = serve_each(&solver, &problem, level, 63..64, 1e-2).remove(0);
+        assert_eq!(loose.rung, LadderRung::TunedPlan);
+        assert!(!loose.degraded());
+        assert!(memory.is_open(), "an uncovered success is not evidence");
+
+        let (_, tight) = serve_each(&solver, &problem, level, 64..65, 1e-8).remove(0);
+        assert!(matches!(
+            tight.degradations[0].reason,
+            FailureKind::KnownToFail(_)
+        ));
+    }
+
+    /// Rule 3: a traced solve, and one entered with a fault armed,
+    /// see the whole walk and leave the memory as it was.
+    #[test]
+    fn traced_and_fault_armed_solves_bypass_the_memory() {
+        faults::clear();
+        let level = 5;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let memory = Arc::new(LadderMemory::new());
+        let solver = remembering_solver(&problem, &fam, &memory);
+        let traced = remembering_solver(&problem, &fam, &memory).with_tracing();
+
+        // Neither kind of request counts towards opening it.
+        for seed in 70..74 {
+            serve_each(&traced, &problem, level, seed..seed + 1, 1e-8);
+            faults::inject(Fault::FailDirect { n: 3 });
+            serve_each(&solver, &problem, level, seed..seed + 1, 1e-8);
+            faults::clear();
+        }
+        assert!(!memory.is_open());
+
+        serve_each(&solver, &problem, level, 74..77, 1e-8);
+        assert!(memory.is_open());
+        let (_, report) = serve_each(&traced, &problem, level, 77..78, 1e-8).remove(0);
+        assert!(matches!(
+            report.degradations[0].reason,
+            FailureKind::Guard(_)
+        ));
+        assert_eq!(
+            report.tracer.failed_rungs(),
+            vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
+        );
+        // A poisoned tuned rung with the memory open: the drill sees
+        // its NonFinite verdict, and that verdict is not taken in.
+        faults::inject(Fault::PoisonLevel { level });
+        let (_, report) = serve_each(&solver, &problem, level, 78..79, 1e-8).remove(0);
+        assert!(matches!(
+            report.degradations[0].reason,
+            FailureKind::Guard(GuardFailure::NonFinite { .. })
+        ));
+        faults::clear();
+        assert!(memory.is_open());
+    }
+
+    /// Rule 7: with the memory open every lane of a group goes through
+    /// the solo path — same bits as eight solo solves, and not one
+    /// batched cycle (a warm arena would have to allocate the batch
+    /// buffers it has never held).
+    #[test]
+    fn solve_many_with_the_memory_open_runs_no_batched_cycle() {
+        faults::clear();
+        let level = 5;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let memory = Arc::new(LadderMemory::new());
+        let arena = Arc::new(Workspace::new());
+        let solver = remembering_solver(&problem, &fam, &memory)
+            .with_workspace(Arc::clone(&arena))
+            .with_batch_width(8);
+        serve_each(&solver, &problem, level, 80..83, 1e-8);
+        assert!(memory.is_open());
+        let warm = arena.stats().allocations;
+
+        let insts = batch_instances(level, &problem, 8);
+        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
+        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
+        let reports = solver.solve_many(&mut xs, &bs, &[1e-8; 8]);
+        assert_eq!(arena.stats().allocations, warm, "no batch buffer leased");
+
+        let plain = GuardedSolver::new(problem).with_plan(fam);
+        for k in 0..8 {
+            let report = reports[k].as_ref().expect("lane serves");
+            assert_eq!(report.rung, LadderRung::Direct);
+            assert_eq!(report.batch_width, 1);
+            assert!(matches!(
+                report.degradations[0].reason,
+                FailureKind::KnownToFail(_)
+            ));
+            let mut want = insts[k].working_grid();
+            let solo = plain.solve(&mut want, &bs[k], 1e-8).expect("solo serves");
+            assert_eq!(solo.rung, LadderRung::Direct);
+            assert_eq!(xs[k].as_slice(), want.as_slice(), "lane {k}");
+        }
+    }
+
+    /// A mixed group: the lanes the memory covers leave the batch
+    /// before it runs, the looser ones are served by it.
+    #[test]
+    fn solve_many_keeps_uncovered_lanes_in_the_batch() {
+        faults::clear();
+        let level = 5;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let memory = Arc::new(LadderMemory::new());
+        let solver = remembering_solver(&problem, &fam, &memory).with_batch_width(4);
+        serve_each(&solver, &problem, level, 90..93, 1e-8);
+        let insts = batch_instances(level, &problem, 4);
+        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
+        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
+        let tols = [1e-2, 1e-8, 1e-2, 1e-8];
+        let reports = solver.solve_many(&mut xs, &bs, &tols);
+        let plain = GuardedSolver::new(problem).with_plan(fam);
+        for k in 0..4 {
+            let report = reports[k].as_ref().expect("lane serves");
+            let mut want = insts[k].working_grid();
+            plain
+                .solve(&mut want, &bs[k], tols[k])
+                .expect("solo serves");
+            assert_eq!(xs[k].as_slice(), want.as_slice(), "lane {k}");
+            if tols[k] == 1e-2 {
+                assert_eq!(
+                    (report.rung, report.batch_width),
+                    (LadderRung::TunedPlan, 4)
+                );
+            } else {
+                assert!(report.degradations[0].reason.is_skip(), "lane {k}");
+            }
+        }
+        assert!(memory.is_open());
+    }
+
+    /// What each rung would do with one generated request, and the
+    /// verdict a failing plan rung ends on.
+    #[derive(Clone, Copy, Debug)]
+    struct World {
+        serves: [bool; 3],
+        verdict: GuardFailure,
+    }
+
+    /// The ladder `GuardedSolver::walk` implements, with `world`
+    /// standing in for the arithmetic.
+    fn simulated_walk(world: World, admission: Admission) -> Result<GuardedReport, SolveError> {
+        let mut degradations = Vec::new();
+        let mut first = 0;
+        if let Admission::StartAt(rung, verdicts) = admission {
+            first = rung_idx(rung);
+            for (rung, g) in RUNGS.into_iter().zip(verdicts.into_iter().flatten()) {
+                degradations.push(Degradation {
+                    rung,
+                    reason: FailureKind::KnownToFail(g),
+                    seconds: 0.0,
+                });
+            }
+        }
+        for i in (first..3).chain(0..first) {
+            if i == 0 && first > 0 {
+                degradations.retain(|d| !matches!(d.reason, FailureKind::KnownToFail(_)));
+            }
+            if world.serves[i] {
+                return Ok(GuardedReport {
+                    status: SolveStatus::Converged { cycles: 1 },
+                    rung: RUNGS[i],
+                    rel_residual: 0.0,
+                    residual_history: Vec::new(),
+                    members: Vec::new(),
+                    degradations,
+                    seconds: 0.0,
+                    rung_seconds: 0.0,
+                    residual_check_seconds: 0.0,
+                    ops: OpCounts::default(),
+                    tracer: Tracer::default(),
+                    batch_width: 1,
+                });
+            }
+            degradations.push(Degradation {
+                rung: RUNGS[i],
+                reason: if RUNGS[i] == LadderRung::Direct {
+                    FailureKind::DirectFactorization("generated".into())
+                } else {
+                    FailureKind::Guard(world.verdict)
+                },
+                seconds: 1.0,
+            });
+        }
+        Err(SolveError { degradations })
+    }
+
+    /// The reference model of one level's memory.
+    struct Model {
+        streak: u32,
+        rung: LadderRung,
+        tol: f64,
+        since_probe: u32,
+    }
+
+    impl Model {
+        const EMPTY: Model = Model {
+            streak: 0,
+            rung: LadderRung::TunedPlan,
+            tol: f64::INFINITY,
+            since_probe: 0,
+        };
+
+        /// The rung a request that may use the memory must be started
+        /// at (`None`: the whole ladder), and whether that walk is a
+        /// re-probe; then the state after it.
+        fn step(&mut self, world: World, tol: f64) -> (Option<LadderRung>, bool) {
+            if tol > self.tol {
+                return (None, false);
+            }
+            let open = self.streak >= KNOWN_AFTER;
+            if open {
+                self.since_probe += 1;
+            }
+            let reprobe = open && self.since_probe == REPROBE_EVERY;
+            if open && !reprobe {
+                if !world.serves[rung_idx(self.rung)] {
+                    *self = Model::EMPTY;
+                    return (Some(LadderRung::TunedPlan), false);
+                }
+                return (Some(self.rung), false);
+            }
+            if reprobe {
+                self.since_probe = 0;
+            }
+            let served = world.serves.iter().position(|&s| s);
+            match served {
+                Some(i) if i > 0 && replays_identically(&world.verdict) => {
+                    if self.streak > 0 && self.rung == RUNGS[i] {
+                        self.streak += 1;
+                        self.tol = self.tol.min(tol);
+                    } else {
+                        *self = Model {
+                            streak: 1,
+                            rung: RUNGS[i],
+                            tol,
+                            since_probe: 0,
+                        };
+                    }
+                }
+                _ => *self = Model::EMPTY,
+            }
+            (None, reprobe)
+        }
+    }
+
+    /// Runs of identical requests: (what the rungs do, tolerance,
+    /// how the request is made, how many times).
+    fn arb_traffic() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u8, u8, u32)>> {
+        use proptest::prelude::*;
+        prop::collection::vec((0u8..12, 0u8..3, 0u8..6, 1u32..90), 1..10)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The memory against its model over generated traffic: which
+        /// requests start low and where, which walk the whole ladder,
+        /// which of those are re-probes, and whether the memory is open
+        /// after each — with traced and fault-armed requests changing
+        /// nothing.
+        #[test]
+        fn ladder_memory_follows_its_model(traffic in arb_traffic()) {
+            use proptest::prelude::*;
+            faults::clear();
+            let level = 3;
+            let memory = Arc::new(LadderMemory::new());
+            let fam = simple_v_family(level, &PAPER_ACCURACIES);
+            let solver = remembering_solver(&Problem::poisson(), &fam, &memory);
+            let traced = remembering_solver(&Problem::poisson(), &fam, &memory).with_tracing();
+            let mut model = Model::EMPTY;
+            for (outcome, tol, how, repeat) in traffic {
+                let world = match outcome {
+                    0 => World { serves: [true; 3], verdict: GuardFailure::Stagnated { cycle: 9 } },
+                    1 => World { serves: [false, true, true], verdict: GuardFailure::Diverged { cycle: 4, growth: 3.0 } },
+                    2 => World { serves: [false, false, true], verdict: GuardFailure::NonFinite { cycle: 1 } },
+                    3 => World { serves: [false, false, true], verdict: GuardFailure::TimedOut { seconds: 1.0 } },
+                    4 => World { serves: [false; 3], verdict: GuardFailure::BudgetExhausted { cycles: 50 } },
+                    _ => World { serves: [false, false, true], verdict: GuardFailure::BudgetUnreachable { cycle: 5, needed: 80 } },
+                };
+                let tol = [1e-6, 1e-8, 1e-10][usize::from(tol)];
+                for _ in 0..repeat {
+                    let mut admitted = None;
+                    let walk = |admission| {
+                        admitted = Some(admission);
+                        simulated_walk(world, admission)
+                    };
+                    match how {
+                        0 => {
+                            let _ = traced.remembering(level, tol, walk);
+                            prop_assert_eq!(admitted, Some(Admission::Unremembered));
+                        }
+                        1 => {
+                            faults::inject(Fault::FailDirect { n: 3 });
+                            let _ = solver.remembering(level, tol, walk);
+                            faults::clear();
+                            prop_assert_eq!(admitted, Some(Admission::Unremembered));
+                        }
+                        _ => {
+                            let was_covered = tol <= model.tol;
+                            let was_open = model.streak >= KNOWN_AFTER;
+                            let (start, reprobe) = model.step(world, tol);
+                            let result = solver.remembering(level, tol, walk);
+                            match admitted.expect("the walk ran") {
+                                Admission::Unremembered => prop_assert!(!was_covered),
+                                Admission::Walk => prop_assert!(was_covered && !was_open),
+                                Admission::Reprobe => prop_assert!(reprobe),
+                                Admission::StartAt(rung, _) => {
+                                    prop_assert!(was_open && !reprobe);
+                                    // Served where the memory said, or
+                                    // (rule 4) after every rung was tried.
+                                    match start {
+                                        Some(LadderRung::TunedPlan) => {
+                                            prop_assert!(!world.serves[rung_idx(rung)]);
+                                            if let Err(e) = &result {
+                                                prop_assert_eq!(e.degradations.len(), 3);
+                                                prop_assert!(e.degradations.iter().all(|d| !d.reason.is_skip()));
+                                            }
+                                        }
+                                        other => {
+                                            prop_assert_eq!(other, Some(rung));
+                                            prop_assert_eq!(result.map(|r| r.rung).ok(), Some(rung));
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    prop_assert_eq!(memory.is_open(), model.streak >= KNOWN_AFTER);
+                }
+            }
+        }
+    }
+
+    /// The two constants, exactly: open after the third covered
+    /// failure, re-probe on every 64th covered request from there.
+    #[test]
+    fn opens_after_three_and_reprobes_every_sixty_fourth() {
+        faults::clear();
+        let level = 3;
+        let memory = Arc::new(LadderMemory::new());
+        let fam = simple_v_family(level, &PAPER_ACCURACIES);
+        let solver = remembering_solver(&Problem::poisson(), &fam, &memory);
+        let world = World {
+            serves: [false, false, true],
+            verdict: GuardFailure::BudgetUnreachable {
+                cycle: 5,
+                needed: 80,
+            },
+        };
+        let mut full_walks = Vec::new();
+        for request in 1..=200u32 {
+            solver
+                .remembering(level, 1e-8, |admission| {
+                    match admission {
+                        Admission::Walk | Admission::Reprobe => full_walks.push(request),
+                        Admission::StartAt(rung, _) => assert_eq!(rung, LadderRung::Direct),
+                        Admission::Unremembered => panic!("every request is covered"),
+                    }
+                    simulated_walk(world, admission)
+                })
+                .expect("direct serves");
+            assert_eq!(memory.is_open(), request >= 3, "request {request}");
+        }
+        assert_eq!(full_walks, [1, 2, 3, 3 + 64, 3 + 128, 3 + 192]);
+
+        // The tuned rung serving a re-probe closes it.
+        let healthy = World {
+            serves: [true; 3],
+            ..world
+        };
+        for _ in 0..REPROBE_EVERY {
+            solver
+                .remembering(level, 1e-8, |admission| simulated_walk(healthy, admission))
+                .expect("serves");
+        }
+        assert!(!memory.is_open());
     }
 }

@@ -68,7 +68,7 @@ pub use petamg_obs::env;
 
 pub use accuracy::{error_ratio, AccuracyReport, ACC_CAP};
 pub use cost::{CostModel, MachineProfile, OpCounts};
-pub use guard::{Degradation, FailureKind, GuardedReport, GuardedSolver, SolveError};
+pub use guard::{Degradation, FailureKind, GuardedReport, GuardedSolver, LadderMemory, SolveError};
 pub use plan::{Choice, SolveReport, TunedFamily, TunedFmgFamily};
 pub use telemetry::SolveTelemetry;
 pub use training::{Distribution, ProblemInstance};

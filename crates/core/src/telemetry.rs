@@ -2,8 +2,9 @@
 //!
 //! [`SolveTelemetry`] pre-registers every metric family the guarded
 //! solver reports into — served/failed/skipped counters per
-//! degradation-ladder rung, cycles per family member at the serving
-//! rung, latency histograms for rung attempts and residual checks, and
+//! degradation-ladder rung, ladder-memory re-probes by outcome, cycles
+//! per family member at the serving rung, latency histograms for rung
+//! attempts and residual checks, and
 //! per-level kernel-time histograms fed from the
 //! executor's kernel-clock hooks
 //! ([`crate::trace::Tracer::timing_all`]). Handles
@@ -28,13 +29,15 @@ pub fn rung_label(rung: LadderRung) -> &'static str {
     }
 }
 
-const RUNGS: [LadderRung; 3] = [
+/// The rungs in ladder order.
+pub(crate) const RUNGS: [LadderRung; 3] = [
     LadderRung::TunedPlan,
     LadderRung::HeuristicPlan,
     LadderRung::Direct,
 ];
 
-fn rung_idx(rung: LadderRung) -> usize {
+/// A rung's position in [`RUNGS`].
+pub(crate) fn rung_idx(rung: LadderRung) -> usize {
     match rung {
         LadderRung::TunedPlan => 0,
         LadderRung::HeuristicPlan => 1,
@@ -56,6 +59,8 @@ pub struct SolveTelemetry {
     residual_check_seconds: Histogram,
     kernel_seconds: Vec<Histogram>,
     exhausted: Counter,
+    /// Ladder-memory re-probes, by outcome: still failing, recovered.
+    reprobe: [Counter; 2],
 }
 
 impl SolveTelemetry {
@@ -93,6 +98,9 @@ impl SolveTelemetry {
                 })
                 .collect(),
             exhausted: registry.counter("petamg_ladder_exhausted_total", &[]),
+            reprobe: ["still-failing", "recovered"].map(|outcome| {
+                registry.counter("petamg_ladder_reprobe_total", &[("outcome", outcome)])
+            }),
         }
     }
 
@@ -135,6 +143,13 @@ impl SolveTelemetry {
         self.observe_kernel_levels(tracer);
     }
 
+    /// Record a ladder-memory re-probe — a request that walked the
+    /// whole ladder although its plan's memory was open — by whether the
+    /// memory is still open after it.
+    pub fn observe_reprobe(&self, still_failing: bool) {
+        self.reprobe[usize::from(!still_failing)].inc();
+    }
+
     /// One count per cycle of the serving rung, by the member that ran
     /// it. The direct rung runs no member.
     fn observe_members(&self, rung: LadderRung, members: &[u8]) {
@@ -147,7 +162,8 @@ impl SolveTelemetry {
     }
 
     /// A rung that ran and failed counts as a failure with an attempt
-    /// sample; a rung skipped as a replay ran nothing, so it counts in
+    /// sample; a rung skipped — as a replay, or as known to fail from
+    /// the ladder memory — ran nothing, so it counts in
     /// `petamg_rung_skipped_total` alone — no failure, and no 0-second
     /// sample dragging the attempt histogram down.
     fn observe_degradations(&self, degradations: &[Degradation]) {

@@ -23,7 +23,7 @@ use crate::library::{fingerprint_key, PlanLibrary, PlanOrigin};
 use crate::telemetry::{PhaseStamp, ServeTelemetry};
 use parking_lot::{Condvar, Mutex};
 use petamg_core::faults::{self, Fault};
-use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
+use petamg_core::guard::{GuardedReport, GuardedSolver, LadderMemory, SolveError};
 use petamg_core::plan::{simple_v_family, TunedFamily, PAPER_ACCURACIES};
 use petamg_core::telemetry::{rung_label, SolveTelemetry};
 use petamg_core::training::Distribution;
@@ -33,9 +33,10 @@ use petamg_obs::{self as obs, Counter, Gauge, Registry, TelemetrySnapshot};
 use petamg_problems::Problem;
 use petamg_runtime::ThreadPool;
 use petamg_solvers::{DirectSolverCache, GuardConfig};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A caller-supplied tuning function: `(problem, level) -> family`.
 pub type TuneFn = dyn Fn(&Problem, usize) -> TunedFamily + Send + Sync;
@@ -419,6 +420,13 @@ struct Inner {
     library: PlanLibrary,
     flights: SingleFlight<Arc<TunedFamily>>,
     cache: Arc<DirectSolverCache>,
+    /// What each resident plan's ladder did lately, keyed by the plan
+    /// object's address. The `Weak` pins that address for as long as
+    /// the entry stands, so a key can only ever mean the plan it was
+    /// filed for: a re-tuned, re-inserted or reloaded plan is another
+    /// object and starts with an empty memory. Entries whose plan is
+    /// gone are dropped when the next one is filed.
+    ladder_memories: Mutex<HashMap<usize, Remembered>>,
     /// One warm arena per pool worker, indexed by
     /// `petamg_runtime::current_worker_index`.
     arenas: Vec<Arc<Workspace>>,
@@ -450,6 +458,57 @@ struct Inner {
     in_flight_gauge: Gauge,
     arena_allocations: Gauge,
     arena_reuses: Gauge,
+    ladder_memory_open: Gauge,
+}
+
+/// One plan object's ladder memory.
+struct Remembered {
+    plan: Weak<TunedFamily>,
+    memory: Arc<LadderMemory>,
+}
+
+impl Inner {
+    /// The ladder memory of `plan`, as the library serves it.
+    fn ladder_memory(&self, plan: &Arc<TunedFamily>) -> Arc<LadderMemory> {
+        let key = Arc::as_ptr(plan) as usize;
+        let mut memories = self.ladder_memories.lock();
+        if let Some(found) = memories.get(&key) {
+            return Arc::clone(&found.memory);
+        }
+        memories.retain(|_, r| r.plan.strong_count() > 0);
+        let memory = Arc::new(LadderMemory::new());
+        let plan = Arc::downgrade(plan);
+        memories.insert(
+            key,
+            Remembered {
+                plan,
+                memory: Arc::clone(&memory),
+            },
+        );
+        memory
+    }
+
+    /// The guarded solver every request of this service runs through,
+    /// on the calling worker's arena.
+    fn guarded_solver(&self, problem: Problem, plan: Option<Arc<TunedFamily>>) -> GuardedSolver {
+        let workspace = match petamg_runtime::current_worker_index() {
+            Some(i) if i < self.arenas.len() => Arc::clone(&self.arenas[i]),
+            _ => Arc::clone(&self.fallback_arena),
+        };
+        let solver = GuardedSolver::new(problem)
+            .with_exec(self.exec.clone())
+            .with_cache(Arc::clone(&self.cache))
+            .with_workspace(workspace)
+            .with_guard_config(self.guard)
+            .with_batch_width(self.batch_width)
+            .with_telemetry(Arc::clone(&self.solve_telemetry));
+        match plan {
+            Some(plan) => solver
+                .with_ladder_memory(self.ladder_memory(&plan))
+                .with_shared_plan(plan),
+            None => solver,
+        }
+    }
 }
 
 /// The plan-serving solver engine. See the module docs.
@@ -478,6 +537,7 @@ impl SolverService {
             library,
             flights: SingleFlight::new(),
             cache: Arc::new(DirectSolverCache::with_capacity(cfg.factor_capacity)),
+            ladder_memories: Mutex::new(HashMap::new()),
             arenas: (0..workers).map(|_| Arc::new(Workspace::new())).collect(),
             fallback_arena: Arc::new(Workspace::new()),
             exec: cfg.exec,
@@ -493,6 +553,7 @@ impl SolverService {
             in_flight_gauge: registry.gauge("petamg_in_flight", &[]),
             arena_allocations: registry.gauge("petamg_arena_allocations", &[]),
             arena_reuses: registry.gauge("petamg_arena_reuses", &[]),
+            ladder_memory_open: registry.gauge("petamg_ladder_memory_open", &[]),
             registry,
         });
         Ok(SolverService { pool, inner })
@@ -752,7 +813,7 @@ impl SolverService {
 
     /// One consistent snapshot of every registered metric, with the
     /// snapshot-time gauges (in-flight count, arena allocation
-    /// counters, batch width) refreshed first. This is the stable
+    /// counters, open ladder memories) refreshed first. This is the stable
     /// machine-readable telemetry schema ([`TelemetrySnapshot::to_json`]).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         self.inner
@@ -767,6 +828,14 @@ impl SolverService {
             .fold((0, 0), |(a, r), s| (a + s.allocations, r + s.reuses));
         self.inner.arena_allocations.set(allocations);
         self.inner.arena_reuses.set(reuses);
+        let open = self
+            .inner
+            .ladder_memories
+            .lock()
+            .values()
+            .filter(|r| r.plan.strong_count() > 0 && r.memory.is_open())
+            .count();
+        self.inner.ladder_memory_open.set(open as u64);
         self.inner.registry.snapshot()
     }
 
@@ -843,11 +912,14 @@ fn handle(inner: &Inner, request: SolveRequest) -> ServeResponse {
     }
     let result = serve_solve(inner, &problem, level, &mut x0, &b, tol, trace);
     faults::clear();
-    result.map(|(report, plan)| ServeReport {
-        x: x0,
-        report,
-        plan,
-    })
+    match result {
+        Ok((report, plan)) => Ok(ServeReport {
+            x: x0,
+            report,
+            plan,
+        }),
+        Err(error) => Err(ServeError::Ladder { error, x: x0 }),
+    }
 }
 
 /// Shape/size validation shared by the solo and batched paths. Returns
@@ -915,20 +987,7 @@ fn handle_group(inner: &Inner, requests: Vec<SolveRequest>) -> Vec<ServeResponse
     }
     if let Some((problem, level)) = posed {
         let (plan, source) = resolve_plan(inner, &problem, level);
-        let workspace = match petamg_runtime::current_worker_index() {
-            Some(i) if i < inner.arenas.len() => Arc::clone(&inner.arenas[i]),
-            _ => Arc::clone(&inner.fallback_arena),
-        };
-        let mut solver = GuardedSolver::new(problem)
-            .with_exec(inner.exec.clone())
-            .with_cache(Arc::clone(&inner.cache))
-            .with_workspace(workspace)
-            .with_guard_config(inner.guard)
-            .with_batch_width(inner.batch_width)
-            .with_telemetry(Arc::clone(&inner.solve_telemetry));
-        if let Some(plan) = plan {
-            solver = solver.with_shared_plan(plan);
-        }
+        let solver = inner.guarded_solver(problem, plan);
         let solve_stamp = PhaseStamp::capture();
         let results = solver.solve_many(&mut xs, &bs, &tols);
         if let Some(stamp) = solve_stamp {
@@ -959,21 +1018,9 @@ fn serve_solve(
     b: &Grid2d,
     tol: f64,
     trace: bool,
-) -> Result<(GuardedReport, PlanSource), ServeError> {
+) -> Result<(GuardedReport, PlanSource), SolveError> {
     let (plan, source) = resolve_plan(inner, problem, level);
-    let workspace = match petamg_runtime::current_worker_index() {
-        Some(i) if i < inner.arenas.len() => Arc::clone(&inner.arenas[i]),
-        _ => Arc::clone(&inner.fallback_arena),
-    };
-    let mut solver = GuardedSolver::new(problem.clone())
-        .with_exec(inner.exec.clone())
-        .with_cache(Arc::clone(&inner.cache))
-        .with_workspace(workspace)
-        .with_guard_config(inner.guard)
-        .with_telemetry(Arc::clone(&inner.solve_telemetry));
-    if let Some(plan) = plan {
-        solver = solver.with_shared_plan(plan);
-    }
+    let mut solver = inner.guarded_solver(problem.clone(), plan);
     if trace {
         solver = solver.with_tracing();
     }
@@ -991,10 +1038,7 @@ fn serve_solve(
             if let Some(stamp) = stamp {
                 inner.telemetry.observe_solve("ladder-exhausted", stamp);
             }
-            Err(ServeError::Ladder {
-                error,
-                x: x.clone(),
-            })
+            Err(error)
         }
     }
 }

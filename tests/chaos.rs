@@ -194,7 +194,8 @@ fn injected_mid_cycle_nan_degrades_and_still_converges() {
 /// is the snapshot-vs-report reconciliation CI's `PETAMG_TELEMETRY=1`
 /// chaos leg re-runs with the gate opened from the environment. A rung
 /// skipped as a replay is a degradation in the report but neither a
-/// failure nor an attempt in the registry, so the exact identity is
+/// failure nor an attempt in the registry, and neither is a rung the
+/// ladder memory knows to fail, so the exact identity is
 /// `failed + skipped == Σ degradations`.
 #[test]
 fn telemetry_counts_injected_degradations() {
@@ -242,9 +243,9 @@ fn telemetry_counts_injected_degradations() {
     let (jump, plan) = jump_with_simple_plan();
     let inst = instance(&jump, 73);
     let mut x = inst.working_grid();
-    let skipped = GuardedSolver::new(jump)
-        .with_plan(plan)
-        .with_telemetry(feed)
+    let skipped = GuardedSolver::new(jump.clone())
+        .with_plan(plan.clone())
+        .with_telemetry(std::sync::Arc::clone(&feed))
         .solve(&mut x, &inst.b, TOL)
         .expect("direct serves");
     assert_eq!(skipped.rung, LadderRung::Direct);
@@ -258,12 +259,47 @@ fn telemetry_counts_injected_degradations() {
         1,
         "a skipped rung records no attempt"
     );
+
+    // Four more through a solver with a ladder memory: three walks open
+    // it, the fourth is served from it with both plan rungs skipped as
+    // known to fail — skips like the replay's, and no attempt either.
+    let remembering = GuardedSolver::new(jump)
+        .with_plan(plan)
+        .with_ladder_memory(std::sync::Arc::new(petamg::core::LadderMemory::new()))
+        .with_telemetry(feed);
+    let remembered: Vec<GuardedReport> = (74..78)
+        .map(|seed| {
+            let inst = instance(remembering.problem(), seed);
+            let mut x = inst.working_grid();
+            remembering
+                .solve(&mut x, &inst.b, TOL)
+                .expect("direct serves")
+        })
+        .collect();
+    for d in &remembered[3].degradations {
+        assert!(
+            matches!(d.reason, FailureKind::KnownToFail(_)),
+            "{}",
+            d.reason
+        );
+    }
+    let snap = registry.snapshot();
+    let count = |name, rung| snap.counter(name, &[("rung", rung)]);
+    assert_eq!(count("petamg_rung_failed_total", "tuned"), 5);
+    assert_eq!(count("petamg_rung_skipped_total", "tuned"), 1);
+    assert_eq!(count("petamg_rung_skipped_total", "heuristic"), 5);
+    assert_eq!(
+        snap.histogram_count("petamg_rung_attempt_seconds", &[("rung", "tuned")]),
+        6,
+        "a rung known to fail records no attempt"
+    );
     let failed_or_skipped: u64 = ["tuned", "heuristic", "direct"]
         .iter()
         .map(|&r| count("petamg_rung_failed_total", r) + count("petamg_rung_skipped_total", r))
         .sum();
     let degradations: usize = [&healthy, &degraded, &skipped]
-        .iter()
+        .into_iter()
+        .chain(&remembered)
         .map(|r| r.degradations.len())
         .sum();
     assert_eq!(failed_or_skipped, degradations as u64);

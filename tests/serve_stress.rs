@@ -39,7 +39,11 @@ fn profiles() -> Vec<Problem> {
 }
 
 fn request(problem: &Problem, seed: u64) -> SolveRequest {
-    let inst = ProblemInstance::random_for(problem, LEVEL, Distribution::UnbiasedUniform, seed);
+    request_at(problem, LEVEL, seed)
+}
+
+fn request_at(problem: &Problem, level: usize, seed: u64) -> SolveRequest {
+    let inst = ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, seed);
     SolveRequest::new(problem.clone(), inst.working_grid(), inst.b.clone(), TOL)
 }
 
@@ -166,12 +170,18 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
         )
         .unwrap(),
     );
-    let profiles = profiles();
+    // The four stress profiles, and one the filed plan cannot serve:
+    // the simple family misses 1e-8 on the level-5 jump inside its
+    // budget, so after three such requests the ladder memory serves
+    // the rest from the direct rung with both plan rungs skipped.
+    let mut profiles: Vec<(Problem, usize)> = profiles().into_iter().map(|p| (p, LEVEL)).collect();
+    profiles.push((Problem::jump_inclusion(33), 5));
 
     const THREADS: usize = 4;
     const PER_THREAD: usize = 32;
     let rungs = Arc::new(Mutex::new(HashMap::<&'static str, u64>::new()));
     let degradations = Arc::new(AtomicU64::new(0));
+    let remembered = Arc::new(AtomicU64::new(0));
     let member_cycles = Arc::new(AtomicU64::new(0));
     let mut clients = Vec::new();
     for t in 0..THREADS {
@@ -179,16 +189,24 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
         let profiles = profiles.clone();
         let rungs = Arc::clone(&rungs);
         let degradations = Arc::clone(&degradations);
+        let remembered = Arc::clone(&remembered);
         let member_cycles = Arc::clone(&member_cycles);
         clients.push(std::thread::spawn(move || {
             let mut tickets = Vec::new();
             for j in 0..PER_THREAD {
-                let problem = &profiles[(t + j) % profiles.len()];
-                tickets.push(svc.submit_blocking(request(problem, (t * PER_THREAD + j) as u64)));
+                let (problem, level) = &profiles[(t + j) % profiles.len()];
+                let seed = (t * PER_THREAD + j) as u64;
+                tickets.push(svc.submit_blocking(request_at(problem, *level, seed)));
             }
             for ticket in tickets {
                 let report = ticket.wait().expect("telemetry burst must converge");
                 degradations.fetch_add(report.report.degradations.len() as u64, Ordering::Relaxed);
+                let from_memory = report
+                    .report
+                    .degradations
+                    .iter()
+                    .any(|d| matches!(d.reason, petamg::core::FailureKind::KnownToFail(_)));
+                remembered.fetch_add(u64::from(from_memory), Ordering::Relaxed);
                 member_cycles.fetch_add(report.report.members.len() as u64, Ordering::Relaxed);
                 *rungs
                     .lock()
@@ -227,7 +245,12 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
         );
     }
     // Every reported degradation is a rung that ran and failed or a
-    // rung skipped as a replay — never both, never neither.
+    // rung skipped (as a replay, or as known to fail from the ladder
+    // memory) — never both, never neither.
+    assert!(
+        remembered.load(Ordering::Relaxed) > 0,
+        "the burst must include requests served from the ladder memory"
+    );
     let failed_or_skipped: u64 = ["tuned", "heuristic", "direct"]
         .iter()
         .map(|&rung| {
