@@ -370,9 +370,9 @@ pub struct KernelKnobs {
     /// SOR sweeps fused per wavefront traversal
     /// (`petamg_solvers::fused`).
     pub tblock: usize,
-    /// Scalar-vs-vector row-kernel path (`Exec::with_simd`). Added in
-    /// knob-table schema version 2; version-1 tables upgrade to
-    /// `Auto` on load.
+    /// Scalar-vs-vector row-kernel path (`Exec::with_simd`). Part of
+    /// knob-table schema version 2, the only version
+    /// [`KnobTable::validate`] accepts.
     pub simd: SimdPolicy,
 }
 

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// Per-level operation counters accumulated by the plan executor.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LevelOps {
-    /// Relaxation sweeps (one full red-black SOR or Jacobi pass).
+    /// Relaxation sweeps (one full red-black SOR pass).
     pub relax_sweeps: u64,
     /// Residual computations.
     pub residuals: u64,

@@ -26,7 +26,7 @@
 //! narrower than `width`) carry zeros: all-zero data stays finite
 //! under the stencil arithmetic and is never read out.
 
-use crate::simd::{self, SimdMode};
+use crate::simd::{self, Five, SimdMode, Weight};
 use crate::{coarse_size, Exec, Grid2d};
 
 /// The widest batch any backend drives: the AVX-512 `f64` lane count.
@@ -249,49 +249,122 @@ pub fn batch_zero_boundary_ring(g: &mut BatchGrid) {
     }
 }
 
-/// One interior batch row of the Poisson residual `r = b − A x` into
-/// `out` (points `1..n-1`; the boundary points of `out` are left
-/// untouched). `up`/`mid`/`dn` are batch rows `i-1`, `i`, `i+1`, each
-/// of `n · width` values. Per lane this is exactly
-/// [`crate::residual_row_into`]'s scalar expression.
 #[allow(clippy::too_many_arguments)]
-pub fn batch_residual_row_into(
-    width: usize,
-    up: &[f64],
-    mid: &[f64],
-    dn: &[f64],
-    brow: &[f64],
-    inv_h2: f64,
-    out: &mut [f64],
-    mode: SimdMode,
-) {
-    let n = mid.len() / width;
-    match mode {
-        SimdMode::Vector => {
-            // SAFETY: all batch rows hold `width·n` values; every
-            // access is a `width`-lane load/store at element offset
-            // `width·j`, `j` in `1..n-1`; `out` (a distinct `&mut`)
-            // aliases nothing.
-            unsafe {
-                simd::batch_residual_row(
-                    width,
-                    up.as_ptr(),
-                    mid.as_ptr(),
-                    dn.as_ptr(),
-                    brow.as_ptr(),
-                    inv_h2,
-                    out.as_mut_ptr(),
-                    n,
-                );
+impl<W: Weight, D: Weight> Five<W, D> {
+    /// Batched (multi-RHS) [`Five::residual_row_into`]: every slice is
+    /// a *batch* row of `n · width` values (lane `k` of point `j` at
+    /// `[width·j + k]`, `width` 4 or 8). Writes points `1..n-1` of
+    /// `out`; boundary points untouched. Per lane this is the solo
+    /// `Five::residual_at` bit for bit — the operator is shared
+    /// across lanes, so per-cell weight rows stay solo-stride (`n`
+    /// values) and are splatted per point.
+    ///
+    /// # Panics
+    /// Panics unless all five batch rows are `mid.len()` long and every
+    /// per-cell weight holds `mid.len() / width` values.
+    #[inline]
+    pub fn batch_residual_row_into(
+        self,
+        width: usize,
+        up: &[f64],
+        mid: &[f64],
+        dn: &[f64],
+        brow: &[f64],
+        inv_h2: f64,
+        out: &mut [f64],
+        mode: SimdMode,
+    ) {
+        assert_width(width);
+        let len = mid.len();
+        let n = len / width;
+        assert!(
+            len == n * width
+                && up.len() == len
+                && dn.len() == len
+                && brow.len() == len
+                && out.len() == len
+                && self.covers(n),
+            "batched residual row: rows must hold {len} values and weights {n}"
+        );
+        match mode {
+            SimdMode::Vector => {
+                // SAFETY: all batch rows hold `width·n` values and the
+                // per-cell weights `n` (asserted above); every access is
+                // a `width`-lane load/store at element offset `width·j`,
+                // `j` in `1..n-1`; `out` (a distinct `&mut`) aliases
+                // nothing.
+                unsafe {
+                    simd::batch_residual_row(
+                        width,
+                        self,
+                        up.as_ptr(),
+                        mid.as_ptr(),
+                        dn.as_ptr(),
+                        brow.as_ptr(),
+                        inv_h2,
+                        out.as_mut_ptr(),
+                        n,
+                    );
+                }
+            }
+            SimdMode::Scalar => {
+                for j in 1..n - 1 {
+                    for k in 0..width {
+                        let e = j * width + k;
+                        let x = [up[e], mid[e - width], mid[e], mid[e + width], dn[e]];
+                        out[e] = self.residual_at(j, x, brow[e], inv_h2);
+                    }
+                }
             }
         }
-        SimdMode::Scalar => {
-            for j in 1..n - 1 {
-                for k in 0..width {
-                    let e = j * width + k;
-                    let (l, r) = (e - width, e + width);
-                    let ax = (4.0 * mid[e] - up[e] - dn[e] - mid[l] - mid[r]) * inv_h2;
-                    out[e] = brow[e] - ax;
+    }
+
+    /// Batched (multi-RHS) [`Five::sor_row_update`] over batch rows of
+    /// `n · width` values: every color cell updates all `width` lanes
+    /// at once, each with the solo `Five::relaxed_at`.
+    ///
+    /// # Safety
+    /// `width` must be 4 or 8, all four pointers valid for `n · width`
+    /// reads (`mid` for writes), `j0 >= 1`, and no other task may
+    /// concurrently write the cells read here.
+    ///
+    /// # Panics
+    /// Panics unless every per-cell weight is `n` long.
+    #[inline]
+    pub unsafe fn batch_sor_row_update(
+        self,
+        width: usize,
+        up: *const f64,
+        mid: *mut f64,
+        dn: *const f64,
+        brow: *const f64,
+        n: usize,
+        h2: f64,
+        omega: f64,
+        j0: usize,
+        mode: SimdMode,
+    ) {
+        assert!(
+            self.covers(n),
+            "batched SOR row: weights must hold {n} values"
+        );
+        match mode {
+            SimdMode::Vector => {
+                // SAFETY: forwarded contract; the weights cover `n`.
+                unsafe { simd::batch_sor_row(width, self, up, mid, dn, brow, n, h2, omega, j0) };
+            }
+            SimdMode::Scalar => {
+                let mut j = j0;
+                while j < n - 1 {
+                    for k in 0..width {
+                        let e = j * width + k;
+                        // SAFETY: forwarded contract; j in 1..n-1.
+                        unsafe {
+                            let x = simd::star(up, mid, dn, e, width, |p| *p);
+                            *mid.add(e) = self.relaxed_at(j, x, *brow.add(e), h2, omega);
+                        }
+                    }
+                    j += 2;
                 }
             }
         }
@@ -538,7 +611,7 @@ mod tests {
                         let _ = head;
                         let out = &mut tail[..w];
                         let xs_all = xb.as_slice();
-                        batch_residual_row_into(
+                        Five::POISSON.batch_residual_row_into(
                             width,
                             &xs_all[(i - 1) * w..i * w],
                             &xs_all[i * w..(i + 1) * w],

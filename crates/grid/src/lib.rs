@@ -87,19 +87,18 @@ mod transfer;
 mod workspace;
 
 pub use batch::{
-    batch_interpolate_correct, batch_interpolate_correct_row, batch_residual_row_into,
-    batch_restrict_full_weighting, batch_restrict_rows_into, batch_zero_boundary_ring, BatchGrid,
-    BatchPtr, MAX_BATCH_WIDTH,
+    batch_interpolate_correct, batch_interpolate_correct_row, batch_restrict_full_weighting,
+    batch_restrict_rows_into, batch_zero_boundary_ring, BatchGrid, BatchPtr, MAX_BATCH_WIDTH,
 };
 pub use exec::{Exec, DEFAULT_BAND_ROWS, DEFAULT_ROW_GRAIN};
 pub use grid::{coarse_size, fine_size, level_size, size_level, Grid2d};
-pub use norms::{dot_interior, l2_diff, l2_norm_interior, max_diff, max_norm_interior};
+pub use norms::{l2_diff, l2_norm_interior, max_norm_interior};
 pub use ops::{
-    apply_operator, residual, residual_restrict, residual_row_into, restrict_rows_into,
-    zero_boundary_ring,
+    apply_operator, residual, residual_restrict, residual_restrict_with, residual_with,
+    restrict_rows_into, zero_boundary_ring,
 };
 pub use ptr::GridPtr;
-pub use simd::{batch_width, vector_available, vector_backend, SimdMode, SimdPolicy};
+pub use simd::{batch_width, vector_available, vector_backend, Five, SimdMode, SimdPolicy};
 pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,
     restrict_full_weighting, restrict_inject,

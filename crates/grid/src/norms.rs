@@ -51,33 +51,6 @@ pub fn l2_diff(a: &Grid2d, b: &Grid2d, exec: &Exec) -> f64 {
     sum.sqrt()
 }
 
-/// Max norm of the interior difference.
-///
-/// # Panics
-/// Panics if sizes differ.
-pub fn max_diff(a: &Grid2d, b: &Grid2d, exec: &Exec) -> f64 {
-    assert_eq!(a.n(), b.n(), "size mismatch in max_diff");
-    let n = a.n();
-    let mode = exec.simd();
-    exec.max_rows(1, n - 1, |i| {
-        simd::max_abs_diff(interior_row(a, i), interior_row(b, i), mode)
-    })
-}
-
-/// Interior dot product `Σ a(i,j)·b(i,j)` (used by the variational
-/// property tests relating restriction and interpolation).
-///
-/// # Panics
-/// Panics if sizes differ.
-pub fn dot_interior(a: &Grid2d, b: &Grid2d, exec: &Exec) -> f64 {
-    assert_eq!(a.n(), b.n(), "size mismatch in dot_interior");
-    let n = a.n();
-    let mode = exec.simd();
-    exec.sum_rows(1, n - 1, |i| {
-        simd::dot_rows(interior_row(a, i), interior_row(b, i), mode)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +78,6 @@ mod tests {
         let e = Exec::seq();
         assert_eq!(l2_diff(&a, &a, &e), 0.0);
         assert!((l2_diff(&a, &b, &e) - l2_diff(&b, &a, &e)).abs() < 1e-12);
-        assert_eq!(max_diff(&a, &b, &e), max_diff(&b, &a, &e));
     }
 
     #[test]
@@ -152,27 +124,7 @@ mod tests {
                 l2_diff(&a, &b, &e_v).to_bits(),
                 "l2_diff n={n}"
             );
-            assert_eq!(
-                dot_interior(&a, &b, &e_s).to_bits(),
-                dot_interior(&a, &b, &e_v).to_bits(),
-                "dot n={n}"
-            );
             assert_eq!(max_norm_interior(&a, &e_s), max_norm_interior(&a, &e_v));
-            assert_eq!(max_diff(&a, &b, &e_s), max_diff(&a, &b, &e_v));
         }
-    }
-
-    #[test]
-    fn dot_interior_linear() {
-        let a = Grid2d::from_fn(9, |i, j| (i + j) as f64);
-        let b = Grid2d::from_fn(9, |i, j| (i * j) as f64 / 4.0);
-        let e = Exec::seq();
-        let d1 = dot_interior(&a, &b, &e);
-        let mut a2 = a.clone();
-        for (i, j) in a.interior() {
-            a2.set(i, j, 2.0 * a.at(i, j));
-        }
-        let d2 = dot_interior(&a2, &b, &e);
-        assert!((d2 - 2.0 * d1).abs() < 1e-9 * d1.abs().max(1.0));
     }
 }

@@ -13,13 +13,13 @@
 //!
 //! [`residual_restrict`] fuses the residual with full-weighting
 //! restriction: the fine-grid residual is never materialized. Each
-//! residual value is produced by [`residual_row_into`] in both the fused
-//! and unfused paths, and the restriction weights are combined in the
+//! residual value is produced by [`Five::residual_row_into`] in both the
+//! fused and unfused paths, and the restriction weights are combined in the
 //! same order as [`crate::restrict_full_weighting`], so fused and
 //! unfused results are **bitwise identical** under every execution
 //! policy.
 
-use crate::simd::{self, SimdMode};
+use crate::simd::{self, Five, SimdMode, Weight};
 use crate::{coarse_size, Exec, Grid2d, GridPtr, Workspace};
 
 /// Compute one interior row of `A_h x` into `out[1..n-1]`, scaled by
@@ -36,56 +36,113 @@ fn operator_row_into(up: &[f64], mid: &[f64], dn: &[f64], inv_h2: f64, out: &mut
     }
 }
 
-/// Compute one interior row of the residual `r = b − A_h x` into
-/// `out[1..n-1]` (`out[0]` and `out[n-1]` are left untouched).
-///
-/// `up`/`mid`/`dn` are rows `i-1`, `i`, `i+1` of the solution, `brow`
-/// is row `i` of the right-hand side, and `inv_h2` is the stencil
-/// scaling `1/h²`. This is **the** residual expression: every caller —
-/// unfused [`residual`], fused [`residual_restrict`], and the
-/// temporally blocked cycle-edge kernels in `petamg-solvers` — goes
-/// through it, which is what makes fused and unfused results bitwise
-/// equal. The scalar and vector paths ([`SimdMode`]) are bitwise
-/// identical too, so `mode` is a pure performance choice.
-#[inline]
-pub fn residual_row_into(
-    up: &[f64],
-    mid: &[f64],
-    dn: &[f64],
-    brow: &[f64],
-    inv_h2: f64,
-    out: &mut [f64],
-    mode: SimdMode,
-) {
-    let n = mid.len();
-    match mode {
-        SimdMode::Vector => {
-            let m = n - 2;
-            // SAFETY: all slices hold `n` values, the trimmed windows
-            // are `m = n-2` long, and `out` (a distinct `&mut`) cannot
-            // alias the inputs.
-            unsafe {
-                simd::residual_row(
-                    up.as_ptr().add(1),
-                    mid.as_ptr(),
-                    mid.as_ptr().add(1),
-                    mid.as_ptr().add(2),
-                    dn.as_ptr().add(1),
-                    brow.as_ptr().add(1),
-                    inv_h2,
-                    out.as_mut_ptr().add(1),
-                    m,
-                );
+#[allow(clippy::too_many_arguments)]
+impl<W: Weight, D: Weight> Five<W, D> {
+    /// Compute one interior row of the residual `r = b − A x` into
+    /// `out[1..n-1]` (`out[0]` and `out[n-1]` are left untouched), for
+    /// the row whose stencil weights are `self` (`d` the diagonal).
+    ///
+    /// `up`/`mid`/`dn` are rows `i-1`, `i`, `i+1` of the solution, `brow`
+    /// is row `i` of the right-hand side, and `inv_h2` is the stencil
+    /// scaling `1/h²`. This is **the** residual row: every caller —
+    /// unfused [`residual`], fused [`residual_restrict`], their operator
+    /// forms in `petamg-problems`, and the temporally blocked cycle-edge
+    /// kernels in `petamg-solvers` — goes through it, which is what
+    /// makes fused and unfused results bitwise equal. The scalar and
+    /// vector paths ([`SimdMode`]) evaluate `Five::residual_at` per
+    /// column and are bitwise identical too, so `mode` is a pure
+    /// performance choice.
+    ///
+    /// # Panics
+    /// Panics unless all five rows and every per-cell weight are
+    /// `mid.len()` long.
+    #[inline]
+    pub fn residual_row_into(
+        self,
+        up: &[f64],
+        mid: &[f64],
+        dn: &[f64],
+        brow: &[f64],
+        inv_h2: f64,
+        out: &mut [f64],
+        mode: SimdMode,
+    ) {
+        let n = mid.len();
+        assert!(
+            up.len() == n && dn.len() == n && brow.len() == n && out.len() == n && self.covers(n),
+            "residual row: rows and weights must all hold {n} values"
+        );
+        match mode {
+            SimdMode::Vector => {
+                // SAFETY: every row and per-cell weight holds `n` values
+                // (asserted above) and `out` (a distinct `&mut`) cannot
+                // alias the inputs.
+                unsafe {
+                    simd::residual_row(
+                        self,
+                        up.as_ptr(),
+                        mid.as_ptr(),
+                        dn.as_ptr(),
+                        brow.as_ptr(),
+                        inv_h2,
+                        out.as_mut_ptr(),
+                        n,
+                    );
+                }
+            }
+            SimdMode::Scalar => {
+                for j in 1..n - 1 {
+                    let x = [up[j], mid[j - 1], mid[j], mid[j + 1], dn[j]];
+                    out[j] = self.residual_at(j, x, brow[j], inv_h2);
+                }
             }
         }
-        SimdMode::Scalar => {
-            let (left, center, right) = (&mid[..n - 2], &mid[1..n - 1], &mid[2..]);
-            let (up, dn) = (&up[1..n - 1], &dn[1..n - 1]);
-            let brow = &brow[1..n - 1];
-            let out = &mut out[1..n - 1];
-            for j in 0..out.len() {
-                let ax = (4.0 * center[j] - up[j] - dn[j] - left[j] - right[j]) * inv_h2;
-                out[j] = brow[j] - ax;
+    }
+
+    /// Update the color cells `j0, j0+2, …` of one interior row in
+    /// place — **the** Gauss-Seidel/SOR row, shared by the staged
+    /// half-sweeps and the temporally blocked wavefront kernels in
+    /// `petamg-solvers` — for the row whose stencil weights are `self`
+    /// (`d` the **reciprocal** diagonal). Both [`SimdMode`]s evaluate
+    /// `Five::relaxed_at` per cell, so they are bitwise identical.
+    ///
+    /// # Safety
+    /// All four pointers must be valid for `n` reads (`mid` for
+    /// writes), `j0 >= 1`, and no other task may concurrently write the
+    /// cells read here (the color cells of `mid` and the opposite-color
+    /// cells of `up`/`dn`).
+    ///
+    /// # Panics
+    /// Panics unless every per-cell weight is `n` long.
+    #[inline]
+    pub unsafe fn sor_row_update(
+        self,
+        up: *const f64,
+        mid: *mut f64,
+        dn: *const f64,
+        brow: *const f64,
+        n: usize,
+        h2: f64,
+        omega: f64,
+        j0: usize,
+        mode: SimdMode,
+    ) {
+        assert!(self.covers(n), "SOR row: weights must hold {n} values");
+        match mode {
+            SimdMode::Vector => {
+                // SAFETY: forwarded contract; the weights cover `n`.
+                unsafe { simd::sor_row(self, up, mid, dn, brow, n, h2, omega, j0) };
+            }
+            SimdMode::Scalar => {
+                let mut j = j0;
+                while j < n - 1 {
+                    // SAFETY: forwarded contract; j stays in 1..n-1.
+                    unsafe {
+                        let x = simd::star(up, mid, dn, j, 1, |p| *p);
+                        *mid.add(j) = self.relaxed_at(j, x, *brow.add(j), h2, omega);
+                    }
+                    j += 2;
+                }
             }
         }
     }
@@ -123,6 +180,22 @@ pub fn apply_operator(x: &Grid2d, out: &mut Grid2d, exec: &Exec) {
 /// # Panics
 /// Panics if sizes differ.
 pub fn residual(x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec: &Exec) {
+    residual_with(|_| Five::POISSON, x, b, r, exec);
+}
+
+/// [`residual`] for any five-point operator: `weights(i)` is the
+/// stencil of row `i` (`d` the diagonal). This is the one residual
+/// traversal; `petamg-problems` picks `weights` per operator family.
+///
+/// # Panics
+/// Panics if sizes differ or a per-cell weight row is not `n` long.
+pub fn residual_with<W: Weight, D: Weight>(
+    weights: impl Fn(usize) -> Five<W, D> + Sync,
+    x: &Grid2d,
+    b: &Grid2d,
+    r: &mut Grid2d,
+    exec: &Exec,
+) {
     assert_eq!(x.n(), b.n(), "size mismatch in residual (x vs b)");
     assert_eq!(x.n(), r.n(), "size mismatch in residual (x vs r)");
     let n = x.n();
@@ -133,7 +206,7 @@ pub fn residual(x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec: &Exec) {
         // SAFETY: row `i` of `r` is written by exactly one task; `x`, `b`
         // are only read.
         let out_row = unsafe { std::slice::from_raw_parts_mut(rp.row_mut(i), n) };
-        residual_row_into(
+        weights(i).residual_row_into(
             row(x, i - 1),
             row(x, i),
             row(x, i + 1),
@@ -194,7 +267,7 @@ pub fn restrict_rows_into(
 ///
 /// Bitwise identical to `residual` + `restrict_full_weighting` under
 /// every [`Exec`] policy: each residual value comes from
-/// [`residual_row_into`] and each weighted sum from
+/// [`Five::residual_row_into`] and each weighted sum from
 /// [`restrict_rows_into`], regardless of how rows land on tasks.
 ///
 /// Execution runs over the **block cursor**
@@ -222,6 +295,25 @@ pub fn restrict_rows_into(
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
 pub fn residual_restrict(x: &Grid2d, b: &Grid2d, coarse: &mut Grid2d, ws: &Workspace, exec: &Exec) {
+    residual_restrict_with(|_| Five::POISSON, x, b, coarse, ws, exec);
+}
+
+/// [`residual_restrict`] for any five-point operator: `weights(i)` is
+/// the stencil of fine row `i` (`d` the diagonal). This is the one
+/// fused traversal; it is bitwise identical to [`residual_with`] +
+/// [`crate::restrict_full_weighting`] under every [`Exec`] policy.
+///
+/// # Panics
+/// Panics if sizes differ, are not a coarse/fine pair, or a per-cell
+/// weight row is not `n` long.
+pub fn residual_restrict_with<W: Weight, D: Weight>(
+    weights: impl Fn(usize) -> Five<W, D> + Sync,
+    x: &Grid2d,
+    b: &Grid2d,
+    coarse: &mut Grid2d,
+    ws: &Workspace,
+    exec: &Exec,
+) {
     assert_eq!(x.n(), b.n(), "size mismatch in residual_restrict");
     let n = x.n();
     let nc = coarse.n();
@@ -238,7 +330,7 @@ pub fn residual_restrict(x: &Grid2d, b: &Grid2d, coarse: &mut Grid2d, ws: &Works
         // Rolling window: residual rows 2ic-1, 2ic, 2ic+1 live in three
         // rotating thirds of one leased buffer for the whole band.
         //
-        // Unzeroed lease: residual_row_into writes indices 1..n-1 of
+        // Unzeroed lease: the residual row writes indices 1..n-1 of
         // each third and restrict_rows_into reads only 1..n-1, so stale
         // pool contents are never observed.
         let mut buf = ws.acquire_buffer_unzeroed(3 * n);
@@ -246,7 +338,7 @@ pub fn residual_restrict(x: &Grid2d, b: &Grid2d, coarse: &mut Grid2d, ws: &Works
         let (bb, c) = rest.split_at_mut(n);
         let mut rows = [a, bb, c];
         let res_row = |fi: usize, out: &mut [f64]| {
-            residual_row_into(
+            weights(fi).residual_row_into(
                 row(x, fi - 1),
                 row(x, fi),
                 row(x, fi + 1),

@@ -2,18 +2,18 @@
 //! the fused residual + restriction pass, parameterized by
 //! [`StencilOp`].
 //!
-//! These mirror the Poisson kernels in `petamg-grid` exactly — every
-//! residual value comes from [`StencilOp::residual_row_into`] and every
-//! restriction weight from `petamg_grid::restrict_rows_into`, so the
-//! fused and staged paths are **bitwise identical** under every
-//! [`Exec`] policy and [`SimdMode`](petamg_grid::SimdMode), for every
-//! operator variant. With [`StencilOp::Poisson`] they reduce to the
-//! original `petamg_grid` kernels bit for bit and instruction for
-//! instruction.
+//! [`residual_op`] and [`residual_restrict_op`] *are* the Poisson
+//! traversals of `petamg-grid` — `petamg_grid::residual_with` and
+//! `petamg_grid::residual_restrict_with` — handed the operator's
+//! per-row weights, matched once per sweep. So the fused and staged
+//! paths are **bitwise identical** under every [`Exec`] policy and
+//! [`SimdMode`](petamg_grid::SimdMode) for every operator variant, and
+//! with [`StencilOp::Poisson`] they are `petamg_grid::residual` /
+//! `petamg_grid::residual_restrict` themselves.
 
-use crate::op::StencilOp;
+use crate::op::{with_weights, StencilOp};
 use petamg_grid::{
-    batch_zero_boundary_ring, coarse_size, restrict_rows_into, zero_boundary_ring, BatchGrid,
+    batch_zero_boundary_ring, residual_restrict_with, residual_with, zero_boundary_ring, BatchGrid,
     BatchPtr, Exec, Grid2d, GridPtr, Workspace,
 };
 
@@ -63,29 +63,10 @@ pub fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d, exec: &Ex
 /// # Panics
 /// Panics if sizes differ or the operator is bound to another size.
 pub fn residual_op(op: &StencilOp, x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec: &Exec) {
-    assert_eq!(x.n(), b.n(), "size mismatch in residual_op (x vs b)");
-    assert_eq!(x.n(), r.n(), "size mismatch in residual_op (x vs r)");
     op.assert_n(x.n());
-    let n = x.n();
-    let inv_h2 = x.inv_h2();
-    let mode = exec.simd();
-    let rp = GridPtr::new(r);
-    exec.for_rows(1, n - 1, |i| {
-        // SAFETY: row `i` of `r` is written by exactly one task; `x`,
-        // `b` are only read.
-        let out_row = unsafe { std::slice::from_raw_parts_mut(rp.row_mut(i), n) };
-        op.residual_row_into(
-            i,
-            row(x, i - 1),
-            row(x, i),
-            row(x, i + 1),
-            row(b, i),
-            inv_h2,
-            out_row,
-            mode,
-        );
-    });
-    zero_boundary_ring(r);
+    with_weights!(op, residual, |weights| residual_with(
+        weights, x, b, r, exec
+    ))
 }
 
 /// Fused kernel for operator `op`: compute the residual `r = b − A x`
@@ -95,7 +76,7 @@ pub fn residual_op(op: &StencilOp, x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec:
 ///
 /// Bitwise identical to [`residual_op`] +
 /// `petamg_grid::restrict_full_weighting` under every [`Exec`] policy;
-/// with [`StencilOp::Poisson`] bitwise identical to
+/// with [`StencilOp::Poisson`] it is
 /// [`petamg_grid::residual_restrict`].
 ///
 /// # Panics
@@ -109,54 +90,10 @@ pub fn residual_restrict_op(
     ws: &Workspace,
     exec: &Exec,
 ) {
-    assert_eq!(x.n(), b.n(), "size mismatch in residual_restrict_op");
     op.assert_n(x.n());
-    let n = x.n();
-    let nc = coarse.n();
-    assert_eq!(
-        nc,
-        coarse_size(n),
-        "coarse grid size mismatch in residual_restrict_op"
-    );
-    let inv_h2 = x.inv_h2();
-    let mode = exec.simd();
-
-    let cp = GridPtr::new(coarse);
-    exec.for_row_bands(1, nc - 1, |c_lo, c_hi| {
-        // Rolling three-row residual window, exactly as the Poisson
-        // fused kernel (see `petamg_grid::residual_restrict`).
-        let mut buf = ws.acquire_buffer_unzeroed(3 * n);
-        let (a, rest) = buf.split_at_mut(n);
-        let (bb, c) = rest.split_at_mut(n);
-        let mut rows = [a, bb, c];
-        let res_row = |fi: usize, out: &mut [f64]| {
-            op.residual_row_into(
-                fi,
-                row(x, fi - 1),
-                row(x, fi),
-                row(x, fi + 1),
-                row(b, fi),
-                inv_h2,
-                out,
-                mode,
-            );
-        };
-        res_row(2 * c_lo - 1, rows[0]);
-        res_row(2 * c_lo, rows[1]);
-        res_row(2 * c_lo + 1, rows[2]);
-        for ic in c_lo..c_hi {
-            // SAFETY: bands partition the coarse interior, so each
-            // coarse row is written by exactly one task.
-            let crow = unsafe { std::slice::from_raw_parts_mut(cp.row_mut(ic), nc) };
-            restrict_rows_into(rows[0], rows[1], rows[2], crow, mode);
-            if ic + 1 < c_hi {
-                rows.rotate_left(2);
-                res_row(2 * ic + 2, rows[1]);
-                res_row(2 * ic + 3, rows[2]);
-            }
-        }
-    });
-    zero_boundary_ring(coarse);
+    with_weights!(op, residual, |weights| residual_restrict_with(
+        weights, x, b, coarse, ws, exec
+    ))
 }
 
 /// Batched (multi-RHS) `r = b − A x` on the interior for operator `op`;

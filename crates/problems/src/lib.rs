@@ -15,17 +15,18 @@
 //!   [`Problem::smooth_sinusoidal`], [`Problem::jump_inclusion`],
 //!   [`Problem::anisotropic_canonical`]).
 //! * **[`StencilOp`]** — one level's discrete operator behind a single
-//!   seam: per-row residual/SOR/Jacobi kernels in scalar **and** vector
-//!   form over the `petamg_grid::simd` lane layer, with the Poisson
-//!   variant delegating to the original kernels (bit-identical, same
-//!   instructions).
+//!   seam: it hands `petamg_grid`'s residual and SOR row kernels the
+//!   five stencil weights of a row (`petamg_grid::Five`); the kernels
+//!   are written once over those weights, in scalar **and** vector
+//!   form, and the Poisson instantiation carries no multiplication by
+//!   its unit weights.
 //! * **[`StencilCoeffs`]** — per-level face weights for variable
 //!   coefficients: harmonic face averaging (jump-safe), arithmetic
 //!   full-weighting restriction of the vertex field to coarse levels.
 //! * **[`OpDirect`]** — banded assembly + Cholesky for the coarse-grid
 //!   direct solve of any operator.
 //! * **[`ProblemFingerprint`]** — the serializable identity carried by
-//!   tuned-plan files (schema v4) so a plan tuned for one operator is
+//!   tuned-plan files so a plan tuned for one operator is
 //!   rejected — with the typed [`ProblemMismatch`] error — when posed
 //!   another.
 //!

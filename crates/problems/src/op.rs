@@ -5,10 +5,7 @@
 //! Three variants cover the operator families:
 //!
 //! * [`StencilOp::Poisson`] — the constant-coefficient 5-point
-//!   Laplacian. Its rows delegate to the original Poisson primitives
-//!   (`petamg_grid::residual_row_into`, `petamg_grid::simd::sor_row`,
-//!   …), so routing existing solvers through the seam changes **no
-//!   bits and no instructions** on the default problem.
+//!   Laplacian: unit weights, diagonal 4.
 //! * [`StencilOp::ConstFive`] — constant per-axis weights
 //!   `(cw, ce, cn, cs)` with diagonal `cc`: the axis-anisotropic
 //!   Poisson operator `-ε·u_xx - u_yy` (ε scales the west/east
@@ -17,24 +14,80 @@
 //!   [`StencilCoeffs`] level: variable-coefficient diffusion
 //!   `-∇·(a(x,y)∇u)`.
 //!
-//! Every row body exists in scalar and vector ([`SimdMode`]) form over
-//! the `petamg_grid::simd` lane seam, with identical IEEE-754
-//! association orders; with unit weights the weighted bodies reduce to
-//! the Poisson bodies bit for bit (multiplying by `1.0` is exact), so
-//! the whole conformance story of the Poisson stack carries over to
-//! the operator families.
+//! The variants differ only in the [`Five`] weights they hand the row
+//! kernels of `petamg_grid`: each residual and relaxation kernel is
+//! written once over those weights, in scalar and vector
+//! ([`SimdMode`]) form with one IEEE-754 association order. A unit
+//! weight is elided at compile time and equals multiplying by `1.0`
+//! bit for bit, so Poisson pays for no multiplication it does not
+//! need, unit-coefficient `ConstFive`/`Var` operators reproduce its
+//! bits exactly, and the whole conformance story of the Poisson stack
+//! carries over to the operator families.
 
 use crate::coeffs::StencilCoeffs;
-use petamg_grid::simd::{self, SimdMode};
-use petamg_grid::{batch_residual_row_into, residual_row_into};
+#[cfg(doc)]
+use petamg_grid::Five;
+use petamg_grid::SimdMode;
 use std::sync::Arc;
+
+/// Evaluate `$body` with `$weights` bound to `$op`'s per-row stencil,
+/// a `Fn(usize) -> Five<_, _>` from the global row index — this match
+/// is the only code that differs per operator family. `residual` puts
+/// the diagonal in `Five::d`, `relax` its reciprocal.
+macro_rules! with_weights {
+    ($op:expr, residual, |$weights:ident| $body:expr) => {
+        with_weights!($op, 4.0, cc, c_row, |$weights| $body)
+    };
+    ($op:expr, relax, |$weights:ident| $body:expr) => {
+        with_weights!($op, 0.25, inv_cc, ic_row, |$weights| $body)
+    };
+    ($op:expr, $four:expr, $cc:ident, $c_row:ident, |$weights:ident| $body:expr) => {
+        match $op {
+            StencilOp::Poisson => {
+                let $weights = |_: usize| ::petamg_grid::Five {
+                    d: $four,
+                    ..::petamg_grid::Five::POISSON
+                };
+                $body
+            }
+            StencilOp::ConstFive {
+                cw,
+                ce,
+                cn,
+                cs,
+                $cc: d,
+                ..
+            } => {
+                let $weights = |_: usize| ::petamg_grid::Five {
+                    w: *cw,
+                    e: *ce,
+                    n: *cn,
+                    s: *cs,
+                    d: *d,
+                };
+                $body
+            }
+            StencilOp::Var(cf) => {
+                let $weights = |i: usize| ::petamg_grid::Five {
+                    w: cf.w_row(i),
+                    e: cf.e_row(i),
+                    n: cf.n_row(i),
+                    s: cf.s_row(i),
+                    d: cf.$c_row(i),
+                };
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_weights;
 
 /// One level's discrete operator: `A u = (cc·u − cn·N − cs·S − cw·W −
 /// ce·E)/h²` with constant, per-axis-constant, or per-cell weights.
 #[derive(Clone, Debug)]
 pub enum StencilOp {
     /// The constant-coefficient 5-point Laplacian (weights `1`,
-    /// diagonal `4`) — dispatches to the original Poisson kernels.
+    /// diagonal `4`).
     Poisson,
     /// Constant five-point weights (the anisotropic family). `cc` must
     /// equal `((cw + ce) + cn) + cs` and `inv_cc = 1/cc`.
@@ -73,8 +126,7 @@ impl StencilOp {
         }
     }
 
-    /// Whether this is the constant-coefficient Poisson operator (the
-    /// variant that routes through the legacy kernel bodies).
+    /// Whether this is the constant-coefficient Poisson operator.
     #[inline]
     pub fn is_poisson(&self) -> bool {
         matches!(self, StencilOp::Poisson)
@@ -133,10 +185,7 @@ impl StencilOp {
     /// `out[1..n-1]` (`out[0]`/`out[n-1]` untouched). `i` is the global
     /// row index (selects the coefficient rows of [`StencilOp::Var`]);
     /// `up`/`mid`/`dn` are rows `i-1`, `i`, `i+1` of the solution.
-    ///
-    /// For [`StencilOp::Poisson`] this *is*
-    /// [`petamg_grid::residual_row_into`], so every existing bitwise
-    /// guarantee is inherited rather than re-established.
+    /// Row `i`'s weights through [`Five::residual_row_into`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn residual_row_into(
@@ -150,115 +199,16 @@ impl StencilOp {
         out: &mut [f64],
         mode: SimdMode,
     ) {
-        let n = mid.len();
-        match self {
-            StencilOp::Poisson => residual_row_into(up, mid, dn, brow, inv_h2, out, mode),
-            StencilOp::ConstFive {
-                cw, ce, cn, cs, cc, ..
-            } => {
-                let m = n - 2;
-                match mode {
-                    SimdMode::Vector => {
-                        // SAFETY: all slices hold `n` values; the
-                        // trimmed windows are `m = n-2` long; `out` (a
-                        // distinct `&mut`) cannot alias the inputs.
-                        unsafe {
-                            simd::wres_residual_row(
-                                up.as_ptr().add(1),
-                                mid.as_ptr(),
-                                mid.as_ptr().add(1),
-                                mid.as_ptr().add(2),
-                                dn.as_ptr().add(1),
-                                brow.as_ptr().add(1),
-                                *cw,
-                                *ce,
-                                *cn,
-                                *cs,
-                                *cc,
-                                inv_h2,
-                                out.as_mut_ptr().add(1),
-                                m,
-                            );
-                        }
-                    }
-                    SimdMode::Scalar => {
-                        let (left, center, right) = (&mid[..n - 2], &mid[1..n - 1], &mid[2..]);
-                        let (up, dn) = (&up[1..n - 1], &dn[1..n - 1]);
-                        let brow = &brow[1..n - 1];
-                        let out = &mut out[1..n - 1];
-                        for j in 0..out.len() {
-                            let ax = (cc * center[j]
-                                - cn * up[j]
-                                - cs * dn[j]
-                                - cw * left[j]
-                                - ce * right[j])
-                                * inv_h2;
-                            out[j] = brow[j] - ax;
-                        }
-                    }
-                }
-            }
-            StencilOp::Var(cf) => {
-                debug_assert_eq!(cf.n(), n, "coefficient level size mismatch");
-                let (wr, er, nr, sr, cr) = (
-                    cf.w_row(i),
-                    cf.e_row(i),
-                    cf.n_row(i),
-                    cf.s_row(i),
-                    cf.c_row(i),
-                );
-                let m = n - 2;
-                match mode {
-                    SimdMode::Vector => {
-                        // SAFETY: all rows (solution, rhs, coefficient)
-                        // hold `n` values; trimmed windows are `m`
-                        // long; `out` aliases nothing.
-                        unsafe {
-                            simd::var_residual_row(
-                                up.as_ptr().add(1),
-                                mid.as_ptr(),
-                                mid.as_ptr().add(1),
-                                mid.as_ptr().add(2),
-                                dn.as_ptr().add(1),
-                                brow.as_ptr().add(1),
-                                wr.as_ptr().add(1),
-                                er.as_ptr().add(1),
-                                nr.as_ptr().add(1),
-                                sr.as_ptr().add(1),
-                                cr.as_ptr().add(1),
-                                inv_h2,
-                                out.as_mut_ptr().add(1),
-                                m,
-                            );
-                        }
-                    }
-                    SimdMode::Scalar => {
-                        let (left, center, right) = (&mid[..n - 2], &mid[1..n - 1], &mid[2..]);
-                        let (up, dn) = (&up[1..n - 1], &dn[1..n - 1]);
-                        let brow = &brow[1..n - 1];
-                        let (wr, er) = (&wr[1..n - 1], &er[1..n - 1]);
-                        let (nr, sr, cr) = (&nr[1..n - 1], &sr[1..n - 1], &cr[1..n - 1]);
-                        let out = &mut out[1..n - 1];
-                        for j in 0..out.len() {
-                            let ax = (cr[j] * center[j]
-                                - nr[j] * up[j]
-                                - sr[j] * dn[j]
-                                - wr[j] * left[j]
-                                - er[j] * right[j])
-                                * inv_h2;
-                            out[j] = brow[j] - ax;
-                        }
-                    }
-                }
-            }
-        }
+        with_weights!(self, residual, |weights| weights(i)
+            .residual_row_into(up, mid, dn, brow, inv_h2, out, mode))
     }
 
     /// Update the `color` cells of one interior row in place — the
     /// Gauss-Seidel/SOR row body shared by the staged half-sweeps and
     /// the temporally blocked wavefront kernels in `petamg-solvers`.
     /// `i` is the **global** row index (fixes the red/black column
-    /// phase and selects coefficient rows).
+    /// phase and selects coefficient rows). Row `i`'s weights through
+    /// [`Five::sor_row_update`].
     ///
     /// # Safety
     /// All four pointers must be valid for `n` reads (`mid` for
@@ -280,110 +230,19 @@ impl StencilOp {
         color: usize,
         mode: SimdMode,
     ) {
-        // First interior column of this color in row i: cell (i, j) has
-        // color (i + j) % 2, so j starts at 1 when (i+1)%2 == color.
-        let j0 = if (i + 1) % 2 == color { 1 } else { 2 };
-        match self {
-            StencilOp::Poisson => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: forwarded contract.
-                    unsafe { simd::sor_row(up, mid, dn, brow, n, h2, omega, j0) };
-                }
-                SimdMode::Scalar => {
-                    let mut j = j0;
-                    while j < n - 1 {
-                        // SAFETY: forwarded contract; j stays in 1..n-1.
-                        unsafe {
-                            let nb = *up.add(j) + *dn.add(j) + *mid.add(j - 1) + *mid.add(j + 1);
-                            let gs = 0.25 * (nb + h2 * *brow.add(j));
-                            let old = *mid.add(j);
-                            *mid.add(j) = old + omega * (gs - old);
-                        }
-                        j += 2;
-                    }
-                }
-            },
-            StencilOp::ConstFive {
-                cw,
-                ce,
-                cn,
-                cs,
-                inv_cc,
-                ..
-            } => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: forwarded contract.
-                    unsafe {
-                        simd::wres_sor_row(
-                            up, mid, dn, brow, n, h2, omega, j0, *cw, *ce, *cn, *cs, *inv_cc,
-                        );
-                    }
-                }
-                SimdMode::Scalar => {
-                    let mut j = j0;
-                    while j < n - 1 {
-                        // SAFETY: forwarded contract; j stays in 1..n-1.
-                        unsafe {
-                            let nb = cn * *up.add(j)
-                                + cs * *dn.add(j)
-                                + cw * *mid.add(j - 1)
-                                + ce * *mid.add(j + 1);
-                            let gs = (nb + h2 * *brow.add(j)) * inv_cc;
-                            let old = *mid.add(j);
-                            *mid.add(j) = old + omega * (gs - old);
-                        }
-                        j += 2;
-                    }
-                }
-            },
-            StencilOp::Var(cf) => {
-                debug_assert_eq!(cf.n(), n, "coefficient level size mismatch");
-                let (wr, er, nr, sr, icr) = (
-                    cf.w_row(i).as_ptr(),
-                    cf.e_row(i).as_ptr(),
-                    cf.n_row(i).as_ptr(),
-                    cf.s_row(i).as_ptr(),
-                    cf.ic_row(i).as_ptr(),
-                );
-                match mode {
-                    SimdMode::Vector => {
-                        // SAFETY: forwarded contract; coefficient rows
-                        // hold `n` values each.
-                        unsafe {
-                            simd::var_sor_row(
-                                up, mid, dn, brow, wr, er, nr, sr, icr, n, h2, omega, j0,
-                            );
-                        }
-                    }
-                    SimdMode::Scalar => {
-                        let mut j = j0;
-                        while j < n - 1 {
-                            // SAFETY: forwarded contract; j in 1..n-1.
-                            unsafe {
-                                let nb = *nr.add(j) * *up.add(j)
-                                    + *sr.add(j) * *dn.add(j)
-                                    + *wr.add(j) * *mid.add(j - 1)
-                                    + *er.add(j) * *mid.add(j + 1);
-                                let gs = (nb + h2 * *brow.add(j)) * *icr.add(j);
-                                let old = *mid.add(j);
-                                *mid.add(j) = old + omega * (gs - old);
-                            }
-                            j += 2;
-                        }
-                    }
-                }
-            }
-        }
+        let j0 = first_column(i, color);
+        // SAFETY: forwarded contract; `j0` is 1 or 2.
+        with_weights!(self, relax, |weights| unsafe {
+            weights(i).sor_row_update(up, mid, dn, brow, n, h2, omega, j0, mode)
+        })
     }
 
     /// Batched (multi-RHS) residual row: like
     /// [`StencilOp::residual_row_into`], but every slice is a *batch*
     /// row of `n · width` values (lane `k` of point `j` at
-    /// `[width·j + k]`, `width` 4 or 8). Writes points `1..n-1` of
-    /// `out`; boundary points untouched. Per lane this reproduces the
-    /// solo scalar expression bit for bit — the operator is shared
-    /// across lanes, so coefficient rows stay solo-stride and are
-    /// splatted per point.
+    /// `[width·j + k]`, `width` 4 or 8). Per lane this reproduces the
+    /// solo row bit for bit. Row `i`'s weights through
+    /// [`Five::batch_residual_row_into`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn batch_residual_row_into(
@@ -398,111 +257,20 @@ impl StencilOp {
         out: &mut [f64],
         mode: SimdMode,
     ) {
-        let n = mid.len() / width;
-        match self {
-            StencilOp::Poisson => {
-                batch_residual_row_into(width, up, mid, dn, brow, inv_h2, out, mode)
-            }
-            StencilOp::ConstFive {
-                cw, ce, cn, cs, cc, ..
-            } => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: all batch rows hold `width·n` values;
-                    // every access is a `width`-lane op at element
-                    // offset `width·j`, `j` in `1..n-1`; `out` aliases
-                    // nothing.
-                    unsafe {
-                        simd::batch_wres_residual_row(
-                            width,
-                            up.as_ptr(),
-                            mid.as_ptr(),
-                            dn.as_ptr(),
-                            brow.as_ptr(),
-                            *cw,
-                            *ce,
-                            *cn,
-                            *cs,
-                            *cc,
-                            inv_h2,
-                            out.as_mut_ptr(),
-                            n,
-                        );
-                    }
-                }
-                SimdMode::Scalar => {
-                    for j in 1..n - 1 {
-                        for k in 0..width {
-                            let e = j * width + k;
-                            let (l, r) = (e - width, e + width);
-                            let ax =
-                                (cc * mid[e] - cn * up[e] - cs * dn[e] - cw * mid[l] - ce * mid[r])
-                                    * inv_h2;
-                            out[e] = brow[e] - ax;
-                        }
-                    }
-                }
-            },
-            StencilOp::Var(cf) => {
-                debug_assert_eq!(cf.n(), n, "coefficient level size mismatch");
-                let (wr, er, nr, sr, cr) = (
-                    cf.w_row(i),
-                    cf.e_row(i),
-                    cf.n_row(i),
-                    cf.s_row(i),
-                    cf.c_row(i),
-                );
-                match mode {
-                    SimdMode::Vector => {
-                        // SAFETY: batch rows hold `width·n` values,
-                        // the solo-stride coefficient rows `n`; `out`
-                        // aliases nothing.
-                        unsafe {
-                            simd::batch_var_residual_row(
-                                width,
-                                up.as_ptr(),
-                                mid.as_ptr(),
-                                dn.as_ptr(),
-                                brow.as_ptr(),
-                                wr.as_ptr(),
-                                er.as_ptr(),
-                                nr.as_ptr(),
-                                sr.as_ptr(),
-                                cr.as_ptr(),
-                                inv_h2,
-                                out.as_mut_ptr(),
-                                n,
-                            );
-                        }
-                    }
-                    SimdMode::Scalar => {
-                        for j in 1..n - 1 {
-                            for k in 0..width {
-                                let e = j * width + k;
-                                let (l, r) = (e - width, e + width);
-                                let ax = (cr[j] * mid[e]
-                                    - nr[j] * up[e]
-                                    - sr[j] * dn[e]
-                                    - wr[j] * mid[l]
-                                    - er[j] * mid[r])
-                                    * inv_h2;
-                                out[e] = brow[e] - ax;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        with_weights!(self, residual, |weights| weights(i)
+            .batch_residual_row_into(width, up, mid, dn, brow, inv_h2, out, mode))
     }
 
     /// Batched (multi-RHS) red/black SOR row update: like
     /// [`StencilOp::sor_row_update`], but over batch rows of
     /// `n · width` values — every color cell updates all `width`
-    /// lanes at once, each with the solo scalar expression.
+    /// lanes at once. Row `i`'s weights through
+    /// [`Five::batch_sor_row_update`].
     ///
     /// # Safety
-    /// All four pointers must be valid for `n · width` reads (`mid`
-    /// for writes), and no other task may concurrently write the cells
-    /// read here.
+    /// `width` must be 4 or 8, all four pointers valid for `n · width`
+    /// reads (`mid` for writes), and no other task may concurrently
+    /// write the cells read here.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub unsafe fn batch_sor_row_update(
@@ -519,253 +287,11 @@ impl StencilOp {
         color: usize,
         mode: SimdMode,
     ) {
-        let j0 = if (i + 1) % 2 == color { 1 } else { 2 };
-        match self {
-            StencilOp::Poisson => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: forwarded contract.
-                    unsafe { simd::batch_sor_row(width, up, mid, dn, brow, n, h2, omega, j0) };
-                }
-                SimdMode::Scalar => {
-                    let mut j = j0;
-                    while j < n - 1 {
-                        for k in 0..width {
-                            let e = j * width + k;
-                            let (l, r) = (e - width, e + width);
-                            // SAFETY: forwarded contract; j in 1..n-1.
-                            unsafe {
-                                let nb = *up.add(e) + *dn.add(e) + *mid.add(l) + *mid.add(r);
-                                let gs = 0.25 * (nb + h2 * *brow.add(e));
-                                let old = *mid.add(e);
-                                *mid.add(e) = old + omega * (gs - old);
-                            }
-                        }
-                        j += 2;
-                    }
-                }
-            },
-            StencilOp::ConstFive {
-                cw,
-                ce,
-                cn,
-                cs,
-                inv_cc,
-                ..
-            } => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: forwarded contract.
-                    unsafe {
-                        simd::batch_wres_sor_row(
-                            width, up, mid, dn, brow, n, h2, omega, j0, *cw, *ce, *cn, *cs, *inv_cc,
-                        );
-                    }
-                }
-                SimdMode::Scalar => {
-                    let mut j = j0;
-                    while j < n - 1 {
-                        for k in 0..width {
-                            let e = j * width + k;
-                            let (l, r) = (e - width, e + width);
-                            // SAFETY: forwarded contract; j in 1..n-1.
-                            unsafe {
-                                let nb = cn * *up.add(e)
-                                    + cs * *dn.add(e)
-                                    + cw * *mid.add(l)
-                                    + ce * *mid.add(r);
-                                let gs = (nb + h2 * *brow.add(e)) * inv_cc;
-                                let old = *mid.add(e);
-                                *mid.add(e) = old + omega * (gs - old);
-                            }
-                        }
-                        j += 2;
-                    }
-                }
-            },
-            StencilOp::Var(cf) => {
-                debug_assert_eq!(cf.n(), n, "coefficient level size mismatch");
-                let (wr, er, nr, sr, icr) = (
-                    cf.w_row(i).as_ptr(),
-                    cf.e_row(i).as_ptr(),
-                    cf.n_row(i).as_ptr(),
-                    cf.s_row(i).as_ptr(),
-                    cf.ic_row(i).as_ptr(),
-                );
-                match mode {
-                    SimdMode::Vector => {
-                        // SAFETY: forwarded contract; the solo-stride
-                        // coefficient rows hold `n` values each.
-                        unsafe {
-                            simd::batch_var_sor_row(
-                                width, up, mid, dn, brow, wr, er, nr, sr, icr, n, h2, omega, j0,
-                            );
-                        }
-                    }
-                    SimdMode::Scalar => {
-                        let mut j = j0;
-                        while j < n - 1 {
-                            for k in 0..width {
-                                let e = j * width + k;
-                                let (l, r) = (e - width, e + width);
-                                // SAFETY: forwarded contract; j in 1..n-1.
-                                unsafe {
-                                    let nb = *nr.add(j) * *up.add(e)
-                                        + *sr.add(j) * *dn.add(e)
-                                        + *wr.add(j) * *mid.add(l)
-                                        + *er.add(j) * *mid.add(r);
-                                    let gs = (nb + h2 * *brow.add(e)) * *icr.add(j);
-                                    let old = *mid.add(e);
-                                    *mid.add(e) = old + omega * (gs - old);
-                                }
-                            }
-                            j += 2;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One weighted-Jacobi row over trimmed interior slices of length
-    /// `m = n − 2`: `out[j] = prev[j] + ω·(gs − prev[j])` with all
-    /// reads from the previous iterate. `i` is the global row index.
-    ///
-    /// # Panics
-    /// Debug-panics on coefficient level size mismatch.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn jacobi_row_into(
-        &self,
-        i: usize,
-        up: &[f64],
-        dn: &[f64],
-        left: &[f64],
-        center: &[f64],
-        right: &[f64],
-        brow: &[f64],
-        h2: f64,
-        omega: f64,
-        out: &mut [f64],
-        mode: SimdMode,
-    ) {
-        let m = out.len();
-        match self {
-            StencilOp::Poisson => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: all trimmed windows are `m` long; `out`
-                    // aliases none of the reads.
-                    unsafe {
-                        simd::jacobi_row(
-                            up.as_ptr(),
-                            dn.as_ptr(),
-                            left.as_ptr(),
-                            center.as_ptr(),
-                            right.as_ptr(),
-                            brow.as_ptr(),
-                            h2,
-                            omega,
-                            out.as_mut_ptr(),
-                            m,
-                        );
-                    }
-                }
-                SimdMode::Scalar => {
-                    for j in 0..m {
-                        let nb = up[j] + dn[j] + left[j] + right[j];
-                        let jac = 0.25 * (nb + h2 * brow[j]);
-                        let prev = center[j];
-                        out[j] = prev + omega * (jac - prev);
-                    }
-                }
-            },
-            StencilOp::ConstFive {
-                cw,
-                ce,
-                cn,
-                cs,
-                inv_cc,
-                ..
-            } => match mode {
-                SimdMode::Vector => {
-                    // SAFETY: as above.
-                    unsafe {
-                        simd::wres_jacobi_row(
-                            up.as_ptr(),
-                            dn.as_ptr(),
-                            left.as_ptr(),
-                            center.as_ptr(),
-                            right.as_ptr(),
-                            brow.as_ptr(),
-                            *cw,
-                            *ce,
-                            *cn,
-                            *cs,
-                            *inv_cc,
-                            h2,
-                            omega,
-                            out.as_mut_ptr(),
-                            m,
-                        );
-                    }
-                }
-                SimdMode::Scalar => {
-                    for j in 0..m {
-                        let nb = cn * up[j] + cs * dn[j] + cw * left[j] + ce * right[j];
-                        let jac = (nb + h2 * brow[j]) * inv_cc;
-                        let prev = center[j];
-                        out[j] = prev + omega * (jac - prev);
-                    }
-                }
-            },
-            StencilOp::Var(cf) => {
-                let n = cf.n();
-                debug_assert_eq!(
-                    n - 2,
-                    m,
-                    "coefficient level size mismatch in jacobi_row_into"
-                );
-                let (wr, er, nr, sr, icr) = (
-                    &cf.w_row(i)[1..n - 1],
-                    &cf.e_row(i)[1..n - 1],
-                    &cf.n_row(i)[1..n - 1],
-                    &cf.s_row(i)[1..n - 1],
-                    &cf.ic_row(i)[1..n - 1],
-                );
-                match mode {
-                    SimdMode::Vector => {
-                        // SAFETY: as above, coefficient windows are `m`
-                        // long too.
-                        unsafe {
-                            simd::var_jacobi_row(
-                                up.as_ptr(),
-                                dn.as_ptr(),
-                                left.as_ptr(),
-                                center.as_ptr(),
-                                right.as_ptr(),
-                                brow.as_ptr(),
-                                wr.as_ptr(),
-                                er.as_ptr(),
-                                nr.as_ptr(),
-                                sr.as_ptr(),
-                                icr.as_ptr(),
-                                h2,
-                                omega,
-                                out.as_mut_ptr(),
-                                m,
-                            );
-                        }
-                    }
-                    SimdMode::Scalar => {
-                        for j in 0..m {
-                            let nb =
-                                nr[j] * up[j] + sr[j] * dn[j] + wr[j] * left[j] + er[j] * right[j];
-                            let jac = (nb + h2 * brow[j]) * icr[j];
-                            let prev = center[j];
-                            out[j] = prev + omega * (jac - prev);
-                        }
-                    }
-                }
-            }
-        }
+        let j0 = first_column(i, color);
+        // SAFETY: forwarded contract; `j0` is 1 or 2.
+        with_weights!(self, relax, |weights| unsafe {
+            weights(i).batch_sor_row_update(width, up, mid, dn, brow, n, h2, omega, j0, mode)
+        })
     }
 
     /// The stencil weights of cell `(i, j)` as `(cw, ce, cn, cs, cc)` —
@@ -788,5 +314,16 @@ impl StencilOp {
                 cf.c_row(i)[j],
             ),
         }
+    }
+}
+
+/// First interior column of `color` in row `i`: cell `(i, j)` has color
+/// `(i + j) % 2`, so `j` starts at 1 when `(i + 1) % 2 == color`.
+#[inline]
+fn first_column(i: usize, color: usize) -> usize {
+    if (i + 1) % 2 == color {
+        1
+    } else {
+        2
     }
 }

@@ -62,8 +62,8 @@ pub struct ProblemFingerprint {
 }
 
 impl ProblemFingerprint {
-    /// The fingerprint of the constant-coefficient Poisson problem —
-    /// what every legacy (pre-v4) plan file upgrades to.
+    /// The fingerprint of the constant-coefficient Poisson problem
+    /// (size-independent: `n` is 0 and there is no coefficient field).
     pub fn poisson() -> Self {
         ProblemFingerprint {
             family: "const-poisson".into(),

@@ -3,17 +3,20 @@
 //! * `a ≡ 1` variable coefficients ≡ Poisson, **bitwise**, in both SIMD
 //!   modes (the conformance anchor of the whole subsystem);
 //! * unit-weight anisotropic ≡ Poisson, bitwise;
+//! * a constant coefficient field ≡ the constant stencil of its
+//!   weights, bitwise — with the two above, the three weight kinds of
+//!   `petamg_grid::Five` agree pairwise, solo and batched;
 //! * vector ≡ scalar for every weighted kernel, including 0–3 lane
 //!   tails (grid sizes 5..=16 sweep every tail length);
 //! * fused residual+restrict ≡ staged, bitwise, per operator;
 //! * coefficient coarsening stays inside the fine field's range.
 
 use crate::coeffs::StencilCoeffs;
-use crate::kernels::{residual_op, residual_restrict_op};
+use crate::kernels::{batch_residual_op, residual_op, residual_restrict_op};
 use crate::op::StencilOp;
 use crate::Problem;
 use petamg_grid::{
-    residual, restrict_full_weighting, Exec, Grid2d, SimdMode, SimdPolicy, Workspace,
+    restrict_full_weighting, BatchGrid, Exec, Grid2d, SimdMode, SimdPolicy, Workspace,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -64,25 +67,68 @@ fn op_sor_sweep(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, mode: Si
     }
 }
 
-/// One weighted-Jacobi sweep through [`StencilOp::jacobi_row_into`].
-fn op_jacobi_sweep(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, mode: SimdMode) {
-    let n = x.n();
+/// One full red/black SOR sweep over a batch, row by row through
+/// [`StencilOp::batch_sor_row_update`].
+fn op_batch_sor_sweep(
+    op: &StencilOp,
+    x: &mut BatchGrid,
+    b: &BatchGrid,
+    omega: f64,
+    mode: SimdMode,
+) {
+    let (n, width) = (x.n(), x.width());
+    let w = n * width;
     let h2 = {
         let h = x.h();
         h * h
     };
-    let old = x.clone();
-    let os = old.as_slice();
-    let bs = b.as_slice();
-    for i in 1..n - 1 {
-        let up = &os[(i - 1) * n + 1..i * n - 1];
-        let dn = &os[(i + 1) * n + 1..(i + 2) * n - 1];
-        let mid = &os[i * n..(i + 1) * n];
-        let (left, center, right) = (&mid[..n - 2], &mid[1..n - 1], &mid[2..]);
-        let brow = &bs[i * n + 1..(i + 1) * n - 1];
-        let xrow = &mut x.as_mut_slice()[i * n + 1..(i + 1) * n - 1];
-        op.jacobi_row_into(i, up, dn, left, center, right, brow, h2, omega, xrow, mode);
+    for color in 0..2 {
+        let xp = x.as_mut_slice().as_mut_ptr();
+        let bs = b.as_slice().as_ptr();
+        for i in 1..n - 1 {
+            // SAFETY: sequential row walk; the stencil stays in bounds.
+            unsafe {
+                op.batch_sor_row_update(
+                    i,
+                    width,
+                    xp.add((i - 1) * w),
+                    xp.add(i * w),
+                    xp.add((i + 1) * w),
+                    bs.add(i * w),
+                    n,
+                    h2,
+                    omega,
+                    color,
+                    mode,
+                );
+            }
+        }
     }
+}
+
+/// A batch of `width` systems derived from `g`: lane `k` holds `g + k`.
+fn lanes_of(g: &Grid2d, width: usize) -> BatchGrid {
+    let mut batch = BatchGrid::zeros(g.n(), width);
+    for k in 0..width {
+        batch.load_lane(k, &Grid2d::from_fn(g.n(), |i, j| g.at(i, j) + k as f64));
+    }
+    batch
+}
+
+/// The constant coefficient field `a` at size `n` as a
+/// [`StencilOp::Var`], and the [`StencilOp::ConstFive`] carrying the
+/// very weights that field derives (every interior cell has the same).
+fn constant_field_ops(n: usize, a: f64) -> (StencilOp, StencilOp) {
+    let cf = StencilCoeffs::from_vertex_field(n, vec![a; n * n]);
+    let constant = StencilOp::ConstFive {
+        cw: cf.w_row(1)[1],
+        ce: cf.e_row(1)[1],
+        cn: cf.n_row(1)[1],
+        cs: cf.s_row(1)[1],
+        cc: cf.c_row(1)[1],
+        inv_cc: cf.ic_row(1)[1],
+    };
+    (constant, StencilOp::Var(Arc::new(cf)))
 }
 
 /// `StencilOp::Var` with `a ≡ 1` at size `n`.
@@ -109,41 +155,69 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The variable-coefficient operator with `a ≡ 1` matches the
-    /// Poisson kernels **bitwise** — residual, SOR, and Jacobi — in
-    /// both SIMD modes. (The issue's conformance anchor.)
+    /// Poisson kernels **bitwise** — residual and SOR — in both SIMD
+    /// modes (the conformance anchor), and so does the unit constant
+    /// stencil; a constant coefficient field matches the constant
+    /// stencil of its weights. Together: a unit weight, an `f64` weight
+    /// and a per-cell weight row agree pairwise wherever they carry the
+    /// same value, solo and batched at widths 4 and 8. Sizes 17 and 33
+    /// run the SOR body through several 8-column chunks plus a tail.
     #[test]
     fn unit_coefficients_match_poisson_bitwise(
-        x in any_grid(17, 50.0),
-        b in any_grid(17, 50.0),
+        xs in prop::collection::vec(-50.0f64..50.0, 33 * 33),
+        bs in prop::collection::vec(-50.0f64..50.0, 33 * 33),
         omega in 0.8f64..1.9,
+        a in 0.05f64..50.0,
     ) {
-        let n = 17;
-        for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
-            let e = exec(policy);
-            let mode = e.simd();
-            for op in [unit_var_op(n), unit_const_five()] {
-                // Residual.
-                let mut r_poisson = Grid2d::zeros(n);
-                residual(&x, &b, &mut r_poisson, &e);
-                let mut r_op = Grid2d::from_fn(n, |_, _| 7.0);
-                residual_op(&op, &x, &b, &mut r_op, &e);
-                prop_assert_eq!(r_op.as_slice(), r_poisson.as_slice());
+        for n in [17usize, 33] {
+            let x = Grid2d::from_vec(n, xs[..n * n].to_vec());
+            let b = Grid2d::from_vec(n, bs[..n * n].to_vec());
+            let (constant_a, var_a) = constant_field_ops(n, a);
+            // (reference, operators that must reproduce its bits).
+            let groups = [
+                (StencilOp::Poisson, vec![unit_var_op(n), unit_const_five()]),
+                (constant_a, vec![var_a]),
+            ];
+            for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
+                let e = exec(policy);
+                let mode = e.simd();
+                for (reference, twins) in &groups {
+                    for op in twins {
+                        // Residual.
+                        let mut r_ref = Grid2d::zeros(n);
+                        residual_op(reference, &x, &b, &mut r_ref, &e);
+                        let mut r_op = Grid2d::from_fn(n, |_, _| 7.0);
+                        residual_op(op, &x, &b, &mut r_op, &e);
+                        prop_assert_eq!(r_op.as_slice(), r_ref.as_slice());
 
-                // SOR (two sweeps to mix colors and rows).
-                let mut x_poisson = x.clone();
-                let mut x_op = x.clone();
-                for _ in 0..2 {
-                    op_sor_sweep(&StencilOp::Poisson, &mut x_poisson, &b, omega, mode);
-                    op_sor_sweep(&op, &mut x_op, &b, omega, mode);
+                        // SOR (two sweeps to mix colors and rows).
+                        let mut x_ref = x.clone();
+                        let mut x_op = x.clone();
+                        for _ in 0..2 {
+                            op_sor_sweep(reference, &mut x_ref, &b, omega, mode);
+                            op_sor_sweep(op, &mut x_op, &b, omega, mode);
+                        }
+                        prop_assert_eq!(x_op.as_slice(), x_ref.as_slice());
+
+                        // The same two kernels on batched rows.
+                        for width in [4usize, 8] {
+                            let (xb, bb) = (lanes_of(&x, width), lanes_of(&b, width));
+                            let mut r_ref = BatchGrid::zeros(n, width);
+                            batch_residual_op(reference, &xb, &bb, &mut r_ref, &e);
+                            let mut r_op = BatchGrid::zeros(n, width);
+                            batch_residual_op(op, &xb, &bb, &mut r_op, &e);
+                            prop_assert_eq!(r_op.as_slice(), r_ref.as_slice());
+
+                            let mut x_ref = xb.clone();
+                            let mut x_op = xb.clone();
+                            for _ in 0..2 {
+                                op_batch_sor_sweep(reference, &mut x_ref, &bb, omega, mode);
+                                op_batch_sor_sweep(op, &mut x_op, &bb, omega, mode);
+                            }
+                            prop_assert_eq!(x_op.as_slice(), x_ref.as_slice());
+                        }
+                    }
                 }
-                prop_assert_eq!(x_op.as_slice(), x_poisson.as_slice());
-
-                // Jacobi.
-                let mut j_poisson = x.clone();
-                let mut j_op = x.clone();
-                op_jacobi_sweep(&StencilOp::Poisson, &mut j_poisson, &b, omega, mode);
-                op_jacobi_sweep(&op, &mut j_op, &b, omega, mode);
-                prop_assert_eq!(j_op.as_slice(), j_poisson.as_slice());
             }
         }
     }
@@ -177,12 +251,6 @@ proptest! {
             let mut x_v = x.clone();
             op_sor_sweep(&op, &mut x_v, &b, omega, SimdMode::Vector);
             prop_assert_eq!(x_s.as_slice(), x_v.as_slice());
-
-            let mut j_s = x.clone();
-            op_jacobi_sweep(&op, &mut j_s, &b, omega, SimdMode::Scalar);
-            let mut j_v = x.clone();
-            op_jacobi_sweep(&op, &mut j_v, &b, omega, SimdMode::Vector);
-            prop_assert_eq!(j_s.as_slice(), j_v.as_slice());
         }
     }
 

@@ -1,10 +1,10 @@
 //! # petamg-solvers
 //!
 //! The algorithmic building blocks of the paper's §2: one direct solver
-//! (band Cholesky, via `petamg-linalg`), iterative relaxations
-//! (Red-Black Successive Over-Relaxation and weighted Jacobi), and the
-//! recursive reference multigrid algorithms that the autotuned cycles
-//! are benchmarked against:
+//! (band Cholesky, via `petamg-linalg`), the iterative relaxation
+//! (Red-Black Successive Over-Relaxation), and the recursive reference
+//! multigrid algorithms that the autotuned cycles are benchmarked
+//! against:
 //!
 //! * [`multigrid::ReferenceSolver::vcycle`] — `MULTIGRID-V-SIMPLE`
 //!   (fixed V cycle, one pre-/post-relaxation, direct solve at the base),
@@ -39,7 +39,4 @@ pub use fused::{
 };
 pub use guard::{GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
 pub use multigrid::{MgConfig, ReferenceSolver};
-pub use relax::{
-    gauss_seidel_sweep, jacobi_sweep, jacobi_sweep_op, omega_opt, sor_sweep, sor_sweep_op,
-    sor_sweeps, sor_sweeps_op,
-};
+pub use relax::{omega_opt, sor_sweep, sor_sweep_op, sor_sweeps, sor_sweeps_op};

@@ -2,8 +2,7 @@
 //!
 //! The paper fixes Red-Black SOR as the iteration function (§2.3):
 //! ω = ω_opt for standalone iteration (`MULTIGRID-Vi` line 3) and
-//! ω = 1.15 inside cycles (`RECURSEi` lines 4/8), with weighted Jacobi
-//! implemented for the SOR-vs-Jacobi comparison the authors ran.
+//! ω = 1.15 inside cycles (`RECURSEi` lines 4/8).
 //!
 //! Red-black ordering makes each half-sweep embarrassingly parallel: a
 //! red cell `(i+j even)` reads only black neighbors and vice versa, so
@@ -125,63 +124,6 @@ pub fn sor_sweeps_op(
     }
 }
 
-/// One weighted-Jacobi sweep: `x ← (1-ω)·x + ω·D⁻¹(b + offdiag)` using
-/// `scratch` for the previous iterate (sizes must match; `scratch`
-/// contents are overwritten).
-///
-/// # Panics
-/// Panics if grid sizes differ.
-pub fn jacobi_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, scratch: &mut Grid2d, exec: &Exec) {
-    jacobi_sweep_op(&StencilOp::Poisson, x, b, omega, scratch, exec);
-}
-
-/// One weighted-Jacobi sweep of operator `op`; with
-/// [`StencilOp::Poisson`] it *is* [`jacobi_sweep`], bit for bit.
-///
-/// # Panics
-/// Panics if grid sizes differ or the operator is bound to another
-/// size.
-pub fn jacobi_sweep_op(
-    op: &StencilOp,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    omega: f64,
-    scratch: &mut Grid2d,
-    exec: &Exec,
-) {
-    assert_eq!(x.n(), b.n(), "size mismatch in jacobi_sweep");
-    assert_eq!(x.n(), scratch.n(), "scratch size mismatch in jacobi_sweep");
-    op.assert_n(x.n());
-    let n = x.n();
-    let h2 = {
-        let h = x.h();
-        h * h
-    };
-    scratch.copy_from(x);
-    let xp = GridPtr::new(x);
-    let olds = scratch.as_slice();
-    let bs = b.as_slice();
-    let mode = exec.simd();
-    exec.for_rows(1, n - 1, |i| {
-        // SAFETY: writes go to distinct rows of `x`; all reads are from
-        // `scratch`/`b` (safe shared slices), which are not written in
-        // this sweep.
-        let out = unsafe { std::slice::from_raw_parts_mut(xp.row_mut(i), n) };
-        let up = &olds[(i - 1) * n + 1..i * n - 1];
-        let dn = &olds[(i + 1) * n + 1..(i + 2) * n - 1];
-        let mid = &olds[i * n..(i + 1) * n];
-        let (left, center, right) = (&mid[..n - 2], &mid[1..n - 1], &mid[2..]);
-        let brow = &bs[i * n + 1..(i + 1) * n - 1];
-        let out = &mut out[1..n - 1];
-        op.jacobi_row_into(i, up, dn, left, center, right, brow, h2, omega, out, mode);
-    });
-}
-
-/// Gauss-Seidel (red-black order) — SOR with ω = 1.
-pub fn gauss_seidel_sweep(x: &mut Grid2d, b: &Grid2d, exec: &Exec) {
-    sor_sweep(x, b, 1.0, exec);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,9 +186,6 @@ mod tests {
         let mut x = x_opt.clone();
         sor_sweep(&mut x, &b, 1.3, &e);
         assert!(l2_diff(&x, &x_opt, &e) < 1e-9);
-        let mut scratch = Grid2d::zeros(17);
-        jacobi_sweep(&mut x, &b, 0.8, &mut scratch, &e);
-        assert!(l2_diff(&x, &x_opt, &e) < 1e-9);
     }
 
     #[test]
@@ -285,51 +224,12 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_converges_with_two_thirds_weight() {
-        let (mut x, b, x_opt) = test_problem(9);
-        let e = Exec::seq();
-        let mut scratch = Grid2d::zeros(9);
-        let initial = l2_diff(&x, &x_opt, &e);
-        for _ in 0..800 {
-            jacobi_sweep(&mut x, &b, 2.0 / 3.0, &mut scratch, &e);
-        }
-        assert!(l2_diff(&x, &x_opt, &e) < 1e-8 * initial.max(1.0));
-    }
-
-    #[test]
-    fn sor_beats_jacobi_per_sweep() {
-        // The paper's §2.3 justification for fixing SOR: better error
-        // reduction for similar per-iteration cost.
-        let (x0, b, x_opt) = test_problem(17);
-        let e = Exec::seq();
-        let sweeps = 40;
-
-        let mut xs = x0.clone();
-        for _ in 0..sweeps {
-            sor_sweep(&mut xs, &b, omega_opt(17), &e);
-        }
-        let mut xj = x0.clone();
-        let mut scratch = Grid2d::zeros(17);
-        for _ in 0..sweeps {
-            jacobi_sweep(&mut xj, &b, 2.0 / 3.0, &mut scratch, &e);
-        }
-        let err_sor = l2_diff(&xs, &x_opt, &e);
-        let err_jac = l2_diff(&xj, &x_opt, &e);
-        assert!(
-            err_sor < err_jac,
-            "SOR ({err_sor}) should beat Jacobi ({err_jac}) after {sweeps} sweeps"
-        );
-    }
-
-    #[test]
     fn boundary_never_modified() {
         let (x0, b, _) = test_problem(9);
         let mut x = x0.clone();
         let e = Exec::seq();
-        let mut scratch = Grid2d::zeros(9);
         for _ in 0..5 {
             sor_sweep(&mut x, &b, 1.5, &e);
-            jacobi_sweep(&mut x, &b, 0.9, &mut scratch, &e);
         }
         for i in 0..9 {
             for j in [0, 8] {
@@ -347,7 +247,7 @@ mod tests {
         residual(&x, &b, &mut r, &e);
         let r0 = l2_norm_interior(&r, &e);
         for _ in 0..20 {
-            gauss_seidel_sweep(&mut x, &b, &e);
+            sor_sweep(&mut x, &b, 1.0, &e); // ω = 1: plain Gauss-Seidel
         }
         residual(&x, &b, &mut r, &e);
         let r1 = l2_norm_interior(&r, &e);

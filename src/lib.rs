@@ -23,8 +23,8 @@
 //! * [`runtime`] — Cilk-style work-stealing pool (PetaBricks runtime).
 //! * [`choice`] — PetaBricks-style choice framework: config spaces,
 //!   per-level kernel-knob tables, n-ary parameter search.
-//! * [`solvers`] — Red-Black SOR, weighted Jacobi, reference V-cycle /
-//!   W-cycle / full-multigrid solvers.
+//! * [`solvers`] — Red-Black SOR, reference V-cycle / W-cycle /
+//!   full-multigrid solvers.
 //! * [`core`] — the paper's contribution: accuracy metric, DP tuner for
 //!   `MULTIGRID-V_i` and `FULL-MULTIGRID_i`, tuned-plan executor, cycle
 //!   tracing/rendering, machine cost models, training distributions.
