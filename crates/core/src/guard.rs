@@ -80,7 +80,7 @@ use crate::plan::{simple_v_family, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::telemetry::{rung_idx, SolveTelemetry, RUNGS};
 use crate::trace::{CycleEvent, LadderRung, Tracer};
 use crate::OpCounts;
-use petamg_grid::{batch_width, l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
+use petamg_grid::{l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
 use petamg_problems::{residual_op, Problem, StencilOp};
 use petamg_solvers::{
     DirectSolverCache, GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
@@ -204,8 +204,7 @@ pub struct GuardedReport {
     /// Wall time of the whole ladder walk.
     pub seconds: f64,
     /// Wall time of the serving rung's attempt alone (equals
-    /// `seconds` minus the failed attempts above it; the shared group
-    /// wall time for a batched lane).
+    /// `seconds` minus the failed attempts above it).
     pub rung_seconds: f64,
     /// Wall time spent in per-cycle residual checks at the serving
     /// rung (the guard's observation cost, separated from kernel
@@ -217,10 +216,6 @@ pub struct GuardedReport {
     /// [`CycleEvent::RungFailed`]/[`CycleEvent::RungServed`] markers
     /// (empty unless [`GuardedSolver::with_tracing`] was requested).
     pub tracer: Tracer,
-    /// Batch lanes the serving dispatch carried: 1 for a solo solve,
-    /// 4 or 8 for a batched group. Observational only — the solution
-    /// bits are independent of the width that served them.
-    pub batch_width: usize,
 }
 
 impl GuardedReport {
@@ -312,14 +307,6 @@ impl LadderMemory {
         self.levels
             .lock()
             .expect("no code path panics while holding the ladder memory")
-    }
-
-    /// The loosest `tol` a request at `level` may ask for and still
-    /// start below the tuned rung (re-probes aside); `None` while the
-    /// level's memory is not open. Counts nothing.
-    fn starts_low_up_to(&self, level: usize) -> Option<f64> {
-        let levels = self.lock();
-        levels.get(level).filter(|m| m.open()).map(|m| m.tol)
     }
 
     /// Decide how a request at `level` to `tol` enters the ladder.
@@ -419,7 +406,6 @@ pub struct GuardedSolver {
     cache: Arc<DirectSolverCache>,
     workspace: Arc<Workspace>,
     tracing: bool,
-    batch_width: usize,
     telemetry: Option<Arc<SolveTelemetry>>,
     memory: Option<Arc<LadderMemory>>,
 }
@@ -438,7 +424,6 @@ impl GuardedSolver {
             cache: Arc::new(DirectSolverCache::new()),
             workspace: Arc::new(Workspace::new()),
             tracing: false,
-            batch_width: batch_width(),
             telemetry: None,
             memory: None,
         }
@@ -533,26 +518,6 @@ impl GuardedSolver {
         }
     }
 
-    /// Override the batch width [`GuardedSolver::solve_many`] groups
-    /// by. Defaults to the host-resolved [`petamg_grid::batch_width`]
-    /// (8 on AVX-512, 4 elsewhere). The width only changes how work is
-    /// amortized — every lane's solution is bitwise identical at every
-    /// width — so forcing 4 on an AVX-512 host reproduces another
-    /// machine's results exactly.
-    ///
-    /// # Panics
-    /// Panics if `width` is not 4 or 8.
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        assert!(width == 4 || width == 8, "batch width must be 4 or 8");
-        self.batch_width = width;
-        self
-    }
-
-    /// The width [`GuardedSolver::solve_many`] groups by.
-    pub fn batch_width(&self) -> usize {
-        self.batch_width
-    }
-
     /// The configured problem.
     pub fn problem(&self) -> &Problem {
         &self.problem
@@ -589,7 +554,7 @@ impl GuardedSolver {
         result
     }
 
-    /// The execution context of one guarded solve (solo or batched).
+    /// The execution context of one guarded solve.
     fn exec_ctx(&self) -> ExecCtx {
         let mut ctx = ExecCtx::with_cache(self.exec.clone(), Arc::clone(&self.cache))
             .with_workspace(Arc::clone(&self.workspace))
@@ -813,284 +778,6 @@ impl GuardedSolver {
         None
     }
 
-    /// Solve many systems of the same size, batching them through the
-    /// multi-RHS plan-execution path in groups of up to
-    /// [`GuardedSolver::batch_width`] (8 on AVX-512 hosts, 4
-    /// elsewhere, unless overridden).
-    ///
-    /// Each group runs **one** V-cycle schedule carrying every system in
-    /// a SIMD lane: plan admission, kernel dispatch, workspace leasing,
-    /// and coefficient traffic are paid once per group instead of once
-    /// per system. Per-RHS convergence is tracked by an independent
-    /// [`SolveGuard`] per lane; a lane that converges is *frozen* — its
-    /// iterate is captured at the observation point and restored after
-    /// every subsequent batch cycle, never advanced — while the
-    /// remaining lanes keep cycling.
-    ///
-    /// Because the batched kernels evaluate the solo scalar expression
-    /// per lane and never mix lanes, every lane's solution is **bitwise
-    /// identical** to what [`GuardedSolver::solve`] would produce for
-    /// that system alone, for every operator family, execution backend,
-    /// and SIMD mode. A lane whose guard trips (or whose plan is
-    /// inadmissible) leaves the batch and re-walks the full solo
-    /// degradation ladder from its untouched initial guess, so failure
-    /// reporting is also identical to the solo path.
-    ///
-    /// `xs[k]` holds system `k`'s initial guess on entry and its
-    /// solution (or restored guess, on error) on exit. Converged batched
-    /// lanes share the group's wall time and amortized operation
-    /// counts in their reports.
-    ///
-    /// # Panics
-    /// Panics if slice lengths differ, grids disagree in size within a
-    /// group, or a size is not `2^k + 1`.
-    pub fn solve_many(
-        &self,
-        xs: &mut [Grid2d],
-        bs: &[Grid2d],
-        tols: &[f64],
-    ) -> Vec<Result<GuardedReport, SolveError>> {
-        assert_eq!(xs.len(), bs.len(), "xs/bs length mismatch in solve_many");
-        assert_eq!(
-            xs.len(),
-            tols.len(),
-            "xs/tols length mismatch in solve_many"
-        );
-        let mut out = Vec::with_capacity(xs.len());
-        let mut lo = 0;
-        while lo < xs.len() {
-            let hi = (lo + self.batch_width).min(xs.len());
-            if hi - lo == 1 {
-                out.push(self.solve(&mut xs[lo], &bs[lo], tols[lo]));
-            } else {
-                out.extend(self.solve_chunk(&mut xs[lo..hi], &bs[lo..hi], &tols[lo..hi]));
-            }
-            lo = hi;
-        }
-        out
-    }
-
-    /// Serve one batch group (2 ..= `self.batch_width` systems)
-    /// through the batched plan-execution path. See
-    /// [`GuardedSolver::solve_many`].
-    fn solve_chunk(
-        &self,
-        xs: &mut [Grid2d],
-        bs: &[Grid2d],
-        tols: &[f64],
-    ) -> Vec<Result<GuardedReport, SolveError>> {
-        let width = xs.len();
-        debug_assert!((2..=self.batch_width).contains(&width));
-        let n = xs[0].n();
-        for k in 0..width {
-            assert_eq!(xs[k].n(), n, "grid size mismatch within a batch group");
-            assert_eq!(bs[k].n(), n, "rhs size mismatch within a batch group");
-        }
-        let level = level_of(n);
-
-        let solo_all = |xs: &mut [Grid2d]| -> Vec<Result<GuardedReport, SolveError>> {
-            xs.iter_mut()
-                .zip(bs)
-                .zip(tols)
-                .map(|((x, b), &tol)| self.solve(x, b, tol))
-                .collect()
-        };
-        // A lane the ladder memory would start below the tuned rung
-        // never joins the batch: batched, it would run the tuned rung
-        // to the verdict the memory already holds, and then again solo.
-        let low_up_to = self
-            .usable_memory()
-            .and_then(|memory| memory.starts_low_up_to(level));
-        let starts_low = |tol: f64| low_up_to.is_some_and(|covered| tol <= covered);
-        if tols.iter().all(|&tol| starts_low(tol)) {
-            return solo_all(xs);
-        }
-
-        // Rung admission, mirroring `solve` exactly. An inadmissible
-        // plan sends every lane down the solo ladder, which records the
-        // per-lane `PlanRejected` degradation and walks the remaining
-        // rungs just as a solo request would.
-        let mut ctx = self.exec_ctx();
-        let heuristic;
-        let (fam, rung): (&TunedFamily, LadderRung) = match &self.plan {
-            Some(fam) if self.admit_plan(fam, level).is_ok() => {
-                (fam.as_ref(), LadderRung::TunedPlan)
-            }
-            Some(_) => return solo_all(xs),
-            None => {
-                heuristic = simple_v_family(level.max(1), &PAPER_ACCURACIES);
-                (&heuristic, LadderRung::HeuristicPlan)
-            }
-        };
-        let start = std::time::Instant::now();
-        // Interleave the systems into one batch of the dispatch width.
-        // Unused trailing lanes (group width < batch width) stay zero:
-        // with a zero rhs they are fixed points of every kernel and can
-        // never produce a non-finite value, and no kernel mixes lanes.
-        let mut xb = self.workspace.acquire_batch(n, self.batch_width);
-        let mut bb = self.workspace.acquire_batch(n, self.batch_width);
-        for k in 0..width {
-            xb.load_lane(k, &xs[k]);
-            bb.load_lane(k, &bs[k]);
-        }
-        let mut scratch = self.workspace.acquire_unzeroed(n);
-        let mut resid = self.workspace.acquire_unzeroed(n);
-        let op = self.problem.op_for(n);
-        let mut checks: Vec<ResidualCheck> =
-            bs.iter().map(|b| ResidualCheck::new(&op, b)).collect();
-        let mut guards: Vec<SolveGuard> = tols
-            .iter()
-            .map(|&tol| SolveGuard::new(self.guard, tol))
-            .collect();
-        let mut walks: Vec<MemberWalk> = (0..width).map(|_| MemberWalk::default()).collect();
-
-        // A finished lane keeps its terminal state in `xs[k]`: the
-        // solution once converged, the untouched initial guess of a
-        // lane served solo (the solo walk below starts from it).
-        enum Lane {
-            Active,
-            Converged(Trajectory),
-            /// Out of the batch: its guard tripped, or the ladder
-            /// memory starts it below the batched rung.
-            Solo,
-        }
-        let mut lanes: Vec<Lane> = tols
-            .iter()
-            .map(|&tol| match starts_low(tol) {
-                true => Lane::Solo,
-                false => Lane::Active,
-            })
-            .collect();
-        // Per-lane iterate snapshots, leased the first time a cycle's
-        // active lanes want different members. A group whose lanes
-        // always agree never takes one.
-        let mut held: Vec<Option<GridLease>> = (0..width).map(|_| None).collect();
-        let mut resid_seconds = 0.0f64;
-        loop {
-            // Each active lane picks the member its own solo solve
-            // would run next; the batch then cycles once per distinct
-            // member (a *class*), observing only that class's lanes.
-            let wants: Vec<Option<usize>> = (0..width)
-                .map(|k| match lanes[k] {
-                    Lane::Active => Some(walks[k].next(fam, &guards[k])),
-                    _ => None,
-                })
-                .collect();
-            let mut classes: Vec<usize> = wants.iter().flatten().copied().collect();
-            classes.sort_unstable();
-            classes.dedup();
-            let last_class = *classes.last().expect("cycles only while a lane is active");
-            let mixed = classes.len() > 1;
-            if mixed {
-                // A class's cycle overwrites every lane, so the lanes of
-                // the later classes are set aside first.
-                for k in (0..width).filter(|&k| wants[k] > Some(classes[0])) {
-                    xb.store_lane(
-                        k,
-                        held[k].get_or_insert_with(|| self.workspace.acquire_unzeroed(n)),
-                    );
-                }
-            }
-            for &member in &classes {
-                if member != classes[0] {
-                    for k in (0..width).filter(|&k| wants[k] == Some(member)) {
-                        xb.load_lane(k, held[k].as_ref().expect("set aside above"));
-                    }
-                }
-                fam.run_batch(level, member, &mut xb, &bb, &mut ctx);
-                for k in (0..width).filter(|&k| wants[k] == Some(member)) {
-                    let iterate: &mut Grid2d = if mixed {
-                        held[k].get_or_insert_with(|| self.workspace.acquire_unzeroed(n))
-                    } else {
-                        &mut scratch
-                    };
-                    xb.store_lane(k, iterate);
-                    let check_start = std::time::Instant::now();
-                    let rel = checks[k].rel(iterate, &mut resid, &ctx.exec);
-                    resid_seconds += check_start.elapsed().as_secs_f64();
-                    match walks[k].observe(fam, &mut guards[k], member, rel) {
-                        GuardVerdict::Continue => {}
-                        GuardVerdict::Converged => {
-                            xs[k].copy_from(iterate);
-                            lanes[k] =
-                                Lane::Converged(std::mem::take(&mut walks[k]).finish(&guards[k]));
-                        }
-                        // The lane leaves the batch. It is re-served
-                        // below through the solo ladder from its
-                        // untouched initial guess, which reproduces the
-                        // failed rung (bitwise-identical arithmetic →
-                        // identical guard trip), records it, and walks
-                        // the remaining rungs exactly as a solo request.
-                        GuardVerdict::Fail(_) => lanes[k] = Lane::Solo,
-                    }
-                }
-            }
-            if !lanes.iter().any(|l| matches!(l, Lane::Active)) {
-                break;
-            }
-            // Every lane but the last class's was cycled past the state
-            // it must carry into the next cycle — the freeze: a finished
-            // lane goes back to its terminal state, so it is never
-            // observed past it and its values stay bounded (not that it
-            // matters: no kernel mixes lanes); an active lane of an
-            // earlier class goes back to the iterate it was observed at.
-            for k in 0..width {
-                match lanes[k] {
-                    Lane::Active if wants[k] == Some(last_class) => {}
-                    Lane::Active => xb.load_lane(k, held[k].as_ref().expect("observed above")),
-                    _ => xb.load_lane(k, &xs[k]),
-                }
-            }
-        }
-        let seconds = start.elapsed().as_secs_f64();
-
-        if lanes.iter().any(|l| matches!(l, Lane::Converged(_))) {
-            ctx.tracer.record(CycleEvent::RungServed {
-                rung,
-                width: self.batch_width,
-                seconds,
-            });
-        }
-        // Converged lanes share the batch's amortized cost accounting:
-        // one op-count set and one trace for the whole group.
-        let ops = ctx.ops;
-        let tracer = ctx.tracer;
-        let reports: Vec<Result<GuardedReport, SolveError>> = lanes
-            .into_iter()
-            .enumerate()
-            .map(|(k, lane)| match lane {
-                Lane::Converged(trajectory) => Ok(GuardedReport {
-                    status: trajectory.status,
-                    rung,
-                    rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
-                    residual_history: trajectory.history,
-                    members: trajectory.members,
-                    degradations: Vec::new(),
-                    seconds,
-                    rung_seconds: seconds,
-                    residual_check_seconds: resid_seconds,
-                    ops: ops.clone(),
-                    tracer: tracer.clone(),
-                    batch_width: self.batch_width,
-                }),
-                Lane::Solo => self.solve(&mut xs[k], &bs[k], tols[k]),
-                Lane::Active => unreachable!("loop exits only when no lane is active"),
-            })
-            .collect();
-        if let Some(telemetry) = self.active_telemetry() {
-            // One group-level observation for the lanes the batch
-            // served. Lanes that left it fed telemetry through their
-            // solo ladder re-walk above.
-            let served: Vec<&GuardedReport> = reports
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .filter(|report| report.batch_width > 1)
-                .collect();
-            telemetry.observe_group(&served);
-        }
-        reports
-    }
-
     /// Iterate `fam` under guard until the walk's `tol` or failure, each
     /// cycle on the member its [`MemberWalk`] selects.
     fn run_family_guarded(
@@ -1125,7 +812,6 @@ impl GuardedSolver {
     ) -> GuardedReport {
         w.ctx.tracer.record(CycleEvent::RungServed {
             rung,
-            width: 1,
             seconds: rung_seconds,
         });
         let report = GuardedReport {
@@ -1140,7 +826,6 @@ impl GuardedSolver {
             residual_check_seconds: w.resid_seconds,
             ops: w.ctx.ops,
             tracer: w.ctx.tracer,
-            batch_width: 1,
         };
         if let Some(telemetry) = self.active_telemetry() {
             telemetry.observe_report(&report);
@@ -1149,7 +834,7 @@ impl GuardedSolver {
     }
 }
 
-/// What one solo walk down the ladder carries from rung to rung.
+/// What one walk down the ladder carries from rung to rung.
 struct Walk<'a> {
     level: usize,
     tol: f64,
@@ -1427,247 +1112,6 @@ mod tests {
         faults::clear();
     }
 
-    /// Distinct random systems for a batch-parity test.
-    fn batch_instances(level: usize, problem: &Problem, count: usize) -> Vec<ProblemInstance> {
-        (0..count)
-            .map(|k| {
-                ProblemInstance::random_for(
-                    problem,
-                    level,
-                    Distribution::UnbiasedUniform,
-                    11 + k as u64,
-                )
-            })
-            .collect()
-    }
-
-    /// Batched solves must be bitwise identical per RHS to solo solves,
-    /// at every group width 1..=8 under both dispatch widths (so up to
-    /// 7 unused lanes), for every operator family and backend.
-    #[test]
-    fn solve_many_matches_solo_bitwise_at_every_width() {
-        faults::clear();
-        use petamg_grid::SimdPolicy;
-        let level = 4;
-        let problems = [
-            Problem::poisson(),
-            Problem::anisotropic(0.25),
-            Problem::jump_inclusion(petamg_grid::level_size(level)),
-        ];
-        let execs = [
-            Exec::seq().with_simd(SimdPolicy::Scalar),
-            Exec::seq().with_simd(SimdPolicy::Vector),
-            Exec::pbrt(3).with_band(2).with_simd(SimdPolicy::Vector),
-        ];
-        for problem in &problems {
-            for exec in &execs {
-                for dispatch_width in [4usize, 8] {
-                    let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
-                    fam.problem = problem.fingerprint().clone();
-                    let solver = GuardedSolver::new(problem.clone())
-                        .with_plan(fam)
-                        .with_exec(exec.clone())
-                        .with_batch_width(dispatch_width);
-                    for width in 1..=dispatch_width {
-                        let insts = batch_instances(level, problem, width);
-                        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-                        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-                        let tols = vec![1e-8; width];
-                        let reports = solver.solve_many(&mut xs, &bs, &tols);
-                        assert_eq!(reports.len(), width);
-                        for k in 0..width {
-                            let mut want = insts[k].working_grid();
-                            let solo = solver.solve(&mut want, &bs[k], 1e-8).expect("solo serves");
-                            let report = reports[k].as_ref().expect("batched lane serves");
-                            assert_eq!(
-                                xs[k].as_slice(),
-                                want.as_slice(),
-                                "{} {exec:?} bw={dispatch_width} width={width} lane={k}",
-                                problem.describe()
-                            );
-                            assert_eq!(report.rung, solo.rung);
-                            assert_eq!(report.status, solo.status);
-                            assert_eq!(
-                                report.residual_history, solo.residual_history,
-                                "residual trajectories must match bit for bit"
-                            );
-                            assert_eq!(report.degradations.len(), solo.degradations.len());
-                            // A lane served by the batch reports the
-                            // dispatch width; a solo request — or a
-                            // lane that degraded out of the batch and
-                            // was re-served by the solo ladder —
-                            // reports 1.
-                            let expected_width = if width == 1 || report.degraded() {
-                                1
-                            } else {
-                                dispatch_width
-                            };
-                            assert_eq!(
-                                report.batch_width, expected_width,
-                                "report must surface the dispatch width"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Forcing width 4 on any host (the dispatcher override seam) must
-    /// produce solutions, residual histories, and rungs bitwise
-    /// identical to width-8 dispatch — width is a locator for
-    /// amortization, never identity.
-    #[test]
-    fn solve_many_width4_and_width8_agree_bitwise() {
-        faults::clear();
-        let level = 4;
-        let problem = Problem::anisotropic(0.25);
-        let count = 6; // spans two width-4 groups, one width-8 group
-        let insts = batch_instances(level, &problem, count);
-        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-        let tols = vec![1e-8; count];
-        let mut results = Vec::new();
-        for bw in [4usize, 8] {
-            let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
-            fam.problem = problem.fingerprint().clone();
-            let solver = GuardedSolver::new(problem.clone())
-                .with_plan(fam)
-                .with_batch_width(bw);
-            let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-            let reports = solver.solve_many(&mut xs, &bs, &tols);
-            results.push((xs, reports));
-        }
-        let (xs4, r4) = &results[0];
-        let (xs8, r8) = &results[1];
-        for k in 0..count {
-            assert_eq!(
-                xs4[k].as_slice(),
-                xs8[k].as_slice(),
-                "lane {k}: width-4 and width-8 dispatch must agree bitwise"
-            );
-            let (a, b) = (r4[k].as_ref().unwrap(), r8[k].as_ref().unwrap());
-            assert_eq!(a.rung, b.rung);
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.residual_history, b.residual_history);
-            assert_eq!(a.batch_width, 4);
-            assert_eq!(b.batch_width, 8);
-        }
-    }
-
-    /// Lanes with different tolerances converge at different cycles;
-    /// an early-converged lane is frozen (not advanced) while the rest
-    /// keep cycling, and every lane still matches its solo solve —
-    /// under both dispatch widths.
-    #[test]
-    fn solve_many_partial_convergence_freezes_lanes() {
-        faults::clear();
-        let level = 4;
-        let problem = Problem::poisson();
-        for (bw, tols) in [
-            (4usize, &[1e-2, 1e-6, 1e-10, 1e-4][..]),
-            (8, &[1e-2, 1e-6, 1e-10, 1e-4, 1e-3, 1e-8, 1e-5, 1e-7][..]),
-        ] {
-            let solver = GuardedSolver::new(problem.clone()).with_batch_width(bw);
-            let insts = batch_instances(level, &problem, tols.len());
-            let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-            let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-            let reports = solver.solve_many(&mut xs, &bs, tols);
-            let mut cycles = Vec::new();
-            for k in 0..tols.len() {
-                let mut want = insts[k].working_grid();
-                let solo = solver
-                    .solve(&mut want, &bs[k], tols[k])
-                    .expect("solo serves");
-                let report = reports[k].as_ref().expect("batched lane serves");
-                assert_eq!(
-                    xs[k].as_slice(),
-                    want.as_slice(),
-                    "bw={bw} lane {k} (tol {:.0e}) must equal its solo solve bitwise",
-                    tols[k]
-                );
-                assert_eq!(report.status, solo.status);
-                assert_eq!(report.residual_history, solo.residual_history);
-                match report.status {
-                    SolveStatus::Converged { cycles: c } => cycles.push(c),
-                    ref other => panic!("bw={bw} lane {k} did not converge: {other:?}"),
-                }
-            }
-            assert!(
-                cycles.iter().any(|&c| c != cycles[0]),
-                "tolerances spanning 8 orders must converge at different cycles: {cycles:?}"
-            );
-        }
-    }
-
-    /// One lane with an unreachable tolerance trips its guard and
-    /// re-walks the solo ladder, while its batchmates converge and stay
-    /// bitwise equal to their solo solves — at width 8 that means up to
-    /// seven healthy lanes survive a single lane's failure.
-    #[test]
-    fn solve_many_per_lane_ladder_failure_at_width_8() {
-        faults::clear();
-        let level = 4;
-        let problem = Problem::poisson();
-        let solver = GuardedSolver::new(problem.clone()).with_batch_width(8);
-        let count = 8;
-        let insts = batch_instances(level, &problem, count);
-        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-        // Lane 2 asks for an accuracy double precision cannot reach:
-        // its guard stagnates out on every rung and the lane fails.
-        let mut tols = vec![1e-8; count];
-        tols[2] = 1e-300;
-        let reports = solver.solve_many(&mut xs, &bs, &tols);
-        assert_eq!(reports.len(), count);
-        for k in 0..count {
-            if k == 2 {
-                let err = reports[k].as_ref().expect_err("unreachable tol must fail");
-                assert!(!err.degradations.is_empty());
-                // The failed lane's x is restored to its initial guess,
-                // exactly like a solo failure.
-                assert_eq!(xs[k].as_slice(), insts[k].working_grid().as_slice());
-            } else {
-                let mut want = insts[k].working_grid();
-                let solo = solver
-                    .solve(&mut want, &bs[k], tols[k])
-                    .expect("solo serves");
-                let report = reports[k].as_ref().expect("healthy lane serves");
-                assert_eq!(
-                    xs[k].as_slice(),
-                    want.as_slice(),
-                    "lane {k} must survive lane 2's failure bitwise-intact"
-                );
-                assert_eq!(report.status, solo.status);
-            }
-        }
-    }
-
-    /// An inadmissible plan sends every batched lane down the solo
-    /// ladder: each lane records the rejection and serves from the
-    /// heuristic rung, exactly as a solo request would.
-    #[test]
-    fn solve_many_rejected_plan_degrades_every_lane() {
-        faults::clear();
-        let aniso = Problem::anisotropic(0.5);
-        let level = 4;
-        let insts = batch_instances(level, &aniso, 3);
-        // A plan fingerprinted for Poisson must not serve aniso lanes.
-        let fam = simple_v_family(level, &PAPER_ACCURACIES);
-        let solver = GuardedSolver::new(aniso).with_plan(fam);
-        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-        let reports = solver.solve_many(&mut xs, &bs, &[1e-8; 3]);
-        for report in &reports {
-            let report = report.as_ref().expect("heuristic rung serves");
-            assert_eq!(report.rung, LadderRung::HeuristicPlan);
-            assert_eq!(report.degradations.len(), 1);
-            assert!(matches!(
-                report.degradations[0].reason,
-                FailureKind::PlanRejected(_)
-            ));
-        }
-    }
-
     #[test]
     fn direct_rung_serves_when_both_plans_are_poisoned() {
         faults::clear();
@@ -1780,39 +1224,6 @@ mod tests {
             assert!(matches!(d.reason, FailureKind::Guard(_)), "{}", d.reason);
         }
         assert!(report.degradations[1].seconds > 0.0);
-    }
-
-    /// A degrading `solve_many` group still equals its solo solves:
-    /// every lane leaves the batch, re-walks the solo ladder, and
-    /// reports the same skip.
-    #[test]
-    fn solve_many_on_a_degrading_problem_matches_solo() {
-        faults::clear();
-        let level = 6;
-        let (problem, fam) = jump_with_simple_plan(level);
-        let solver = GuardedSolver::new(problem.clone())
-            .with_plan(fam)
-            .with_batch_width(4);
-        let insts = batch_instances(level, &problem, 3);
-        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-        let reports = solver.solve_many(&mut xs, &bs, &[1e-8; 3]);
-        for k in 0..3 {
-            let mut want = insts[k].working_grid();
-            let solo = solver.solve(&mut want, &bs[k], 1e-8).expect("solo serves");
-            let report = reports[k].as_ref().expect("lane serves");
-            assert_eq!(xs[k].as_slice(), want.as_slice(), "lane {k}");
-            assert_eq!(report.rung, LadderRung::Direct);
-            assert_eq!(report.residual_history, solo.residual_history);
-            let reasons = |r: &GuardedReport| -> Vec<String> {
-                r.degradations
-                    .iter()
-                    .map(|d| d.reason.to_string())
-                    .collect()
-            };
-            assert_eq!(reasons(report), reasons(&solo), "lane {k}");
-            assert!(report.degradations[1].reason.is_skip());
-        }
     }
 
     /// A `QuickTune`-style plan for `problem`, stamped for it.
@@ -1972,67 +1383,6 @@ mod tests {
         assert!(!report.degraded());
         assert_eq!(report.members[..4], [4, 2, 3, 4]);
         assert!(report.members[4..].iter().all(|&m| m == 4));
-    }
-
-    /// A family whose member `i` is `i + 1` V cycles, so lanes that
-    /// pick different members run genuinely different schedules.
-    fn graded_family(level: usize) -> TunedFamily {
-        let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
-        for row in fam.plans.iter_mut().skip(2) {
-            for (i, choice) in row.iter_mut().enumerate() {
-                *choice = Choice::Recurse {
-                    sub_accuracy: 0,
-                    iterations: i as u32 + 1,
-                };
-            }
-        }
-        fam.validate().unwrap();
-        fam
-    }
-
-    /// Lanes of one group pick different members in the same cycle
-    /// (tolerances seven orders apart); the batch cycles once per
-    /// member class with the other lanes frozen, and every lane still
-    /// gets its solo schedule and its solo bits.
-    #[test]
-    fn solve_many_lanes_pick_their_own_members() {
-        faults::clear();
-        let level = 5;
-        let problem = Problem::poisson();
-        let all_tols = [1e-3, 1e-10, 1e-6, 1e-8, 1e-5, 1e-9, 1e-4, 1e-7];
-        for bw in [4usize, 8] {
-            let solver = GuardedSolver::new(problem.clone())
-                .with_plan(graded_family(level))
-                .with_batch_width(bw);
-            for count in [bw, bw - 1, 3] {
-                let tols = &all_tols[..count];
-                let insts = batch_instances(level, &problem, count);
-                let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-                let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-                let reports = solver.solve_many(&mut xs, &bs, tols);
-                let mut second_cycle = Vec::new();
-                for k in 0..count {
-                    let mut want = insts[k].working_grid();
-                    let solo = solver
-                        .solve(&mut want, &bs[k], tols[k])
-                        .expect("solo serves");
-                    let report = reports[k].as_ref().expect("batched lane serves");
-                    assert_eq!(
-                        xs[k].as_slice(),
-                        want.as_slice(),
-                        "bw={bw} count={count} lane {k}"
-                    );
-                    assert_eq!(report.members, solo.members);
-                    assert_eq!(report.residual_history, solo.residual_history);
-                    assert_eq!(report.batch_width, bw);
-                    second_cycle.extend(report.members.get(1).copied());
-                }
-                assert!(
-                    second_cycle.iter().any(|&m| m != second_cycle[0]),
-                    "bw={bw} count={count}: lanes must disagree on a member: {second_cycle:?}"
-                );
-            }
-        }
     }
 
     // -----------------------------------------------------------------
@@ -2262,81 +1612,6 @@ mod tests {
         assert!(memory.is_open());
     }
 
-    /// Rule 7: with the memory open every lane of a group goes through
-    /// the solo path — same bits as eight solo solves, and not one
-    /// batched cycle (a warm arena would have to allocate the batch
-    /// buffers it has never held).
-    #[test]
-    fn solve_many_with_the_memory_open_runs_no_batched_cycle() {
-        faults::clear();
-        let level = 5;
-        let (problem, fam) = jump_with_simple_plan(level);
-        let memory = Arc::new(LadderMemory::new());
-        let arena = Arc::new(Workspace::new());
-        let solver = remembering_solver(&problem, &fam, &memory)
-            .with_workspace(Arc::clone(&arena))
-            .with_batch_width(8);
-        serve_each(&solver, &problem, level, 80..83, 1e-8);
-        assert!(memory.is_open());
-        let warm = arena.stats().allocations;
-
-        let insts = batch_instances(level, &problem, 8);
-        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-        let reports = solver.solve_many(&mut xs, &bs, &[1e-8; 8]);
-        assert_eq!(arena.stats().allocations, warm, "no batch buffer leased");
-
-        let plain = GuardedSolver::new(problem).with_plan(fam);
-        for k in 0..8 {
-            let report = reports[k].as_ref().expect("lane serves");
-            assert_eq!(report.rung, LadderRung::Direct);
-            assert_eq!(report.batch_width, 1);
-            assert!(matches!(
-                report.degradations[0].reason,
-                FailureKind::KnownToFail(_)
-            ));
-            let mut want = insts[k].working_grid();
-            let solo = plain.solve(&mut want, &bs[k], 1e-8).expect("solo serves");
-            assert_eq!(solo.rung, LadderRung::Direct);
-            assert_eq!(xs[k].as_slice(), want.as_slice(), "lane {k}");
-        }
-    }
-
-    /// A mixed group: the lanes the memory covers leave the batch
-    /// before it runs, the looser ones are served by it.
-    #[test]
-    fn solve_many_keeps_uncovered_lanes_in_the_batch() {
-        faults::clear();
-        let level = 5;
-        let (problem, fam) = jump_with_simple_plan(level);
-        let memory = Arc::new(LadderMemory::new());
-        let solver = remembering_solver(&problem, &fam, &memory).with_batch_width(4);
-        serve_each(&solver, &problem, level, 90..93, 1e-8);
-        let insts = batch_instances(level, &problem, 4);
-        let mut xs: Vec<Grid2d> = insts.iter().map(|i| i.working_grid()).collect();
-        let bs: Vec<Grid2d> = insts.iter().map(|i| i.b.clone()).collect();
-        let tols = [1e-2, 1e-8, 1e-2, 1e-8];
-        let reports = solver.solve_many(&mut xs, &bs, &tols);
-        let plain = GuardedSolver::new(problem).with_plan(fam);
-        for k in 0..4 {
-            let report = reports[k].as_ref().expect("lane serves");
-            let mut want = insts[k].working_grid();
-            plain
-                .solve(&mut want, &bs[k], tols[k])
-                .expect("solo serves");
-            assert_eq!(xs[k].as_slice(), want.as_slice(), "lane {k}");
-            if tols[k] == 1e-2 {
-                assert_eq!(
-                    (report.rung, report.batch_width),
-                    (LadderRung::TunedPlan, 4)
-                );
-            } else {
-                assert!(report.degradations[0].reason.is_skip(), "lane {k}");
-            }
-        }
-        assert!(memory.is_open());
-    }
-
     /// What each rung would do with one generated request, and the
     /// verdict a failing plan rung ends on.
     #[derive(Clone, Copy, Debug)]
@@ -2377,7 +1652,6 @@ mod tests {
                     residual_check_seconds: 0.0,
                     ops: OpCounts::default(),
                     tracer: Tracer::default(),
-                    batch_width: 1,
                 });
             }
             degradations.push(Degradation {

@@ -29,9 +29,6 @@ use crate::training::ProblemInstance;
 use petamg_choice::{KernelKnobs, KnobTable};
 use petamg_grid::{coarse_size, level_size, BatchGrid, Exec, Grid2d, Workspace};
 use petamg_problems::{Problem, ProblemFingerprint, ProblemMismatch};
-use petamg_solvers::batch::{
-    batch_interpolate_correct_relax_op, batch_relax_residual_restrict_op, batch_sor_sweeps_op,
-};
 use petamg_solvers::fused::{
     interpolate_correct_relax_op, relax_residual_restrict_op, sor_sweeps_blocked_op,
 };
@@ -367,111 +364,6 @@ impl ExecCtx {
         self.tracer
             .record(CycleEvent::SorSolve { level, iterations });
     }
-
-    // ----- batched (multi-RHS) kernel edges -------------------------
-    //
-    // Each method drives the batched composition whose per-lane bits
-    // equal the solo kernel above it; op counts and trace events are
-    // recorded once per batched invocation (the amortization the batch
-    // exists for), not once per lane.
-
-    /// Batched fault point: mirrors [`ExecCtx::maybe_poison`] in every
-    /// lane, so a poisoned level trips each lane's guard exactly as it
-    /// would trip the solo guard.
-    #[inline]
-    fn batch_maybe_poison(&self, level: usize, out: &mut BatchGrid) {
-        if crate::faults::poison_level(level) {
-            let n = out.n();
-            let width = out.width();
-            let base = (n / 2 * n + n / 2) * width;
-            out.as_mut_slice()[base..base + width].fill(f64::NAN);
-        }
-    }
-
-    /// Batched pre-relax + residual + restriction cycle edge (per-lane
-    /// bitwise equal to [`ExecCtx::relax_residual_restrict_into`]).
-    fn batch_relax_residual_restrict_into(
-        &mut self,
-        level: usize,
-        x: &mut BatchGrid,
-        b: &BatchGrid,
-        bc: &mut BatchGrid,
-        omega: f64,
-    ) {
-        let op = self.problem.op_for(x.n());
-        let exec = self.level_exec(level);
-        let clock = self.tracer.start_kernel_clock(level);
-        batch_relax_residual_restrict_op(&op, x, b, bc, omega, 1, &self.workspace, &exec);
-        self.tracer.stop_kernel_clock(clock);
-        self.batch_maybe_poison(level, x);
-        self.ops.level_mut(level).relax_sweeps += 1;
-        self.ops.level_mut(level).residuals += 1;
-        self.ops.level_mut(level).restricts += 1;
-        self.tracer.record(CycleEvent::Relax { level });
-        self.tracer.record(CycleEvent::Residual { level });
-        self.tracer.record(CycleEvent::Restrict { from: level });
-    }
-
-    /// Batched interpolation + post-relaxation cycle edge (per-lane
-    /// bitwise equal to [`ExecCtx::interpolate_relax`]).
-    fn batch_interpolate_relax(
-        &mut self,
-        to: usize,
-        coarse: &BatchGrid,
-        fine: &mut BatchGrid,
-        b: &BatchGrid,
-        omega: f64,
-    ) {
-        let op = self.problem.op_for(fine.n());
-        let exec = self.level_exec(to);
-        let clock = self.tracer.start_kernel_clock(to);
-        batch_interpolate_correct_relax_op(&op, coarse, fine, b, omega, 1, &exec);
-        self.tracer.stop_kernel_clock(clock);
-        self.batch_maybe_poison(to, fine);
-        self.ops.level_mut(to).interps += 1;
-        self.ops.level_mut(to).relax_sweeps += 1;
-        self.tracer.record(CycleEvent::Interpolate { to });
-        self.tracer.record(CycleEvent::Relax { level: to });
-    }
-
-    /// Batched base-case direct solve: each lane is extracted into solo
-    /// scratch, solved through the shared factor cache (identical input
-    /// bits → identical solution bits), and scattered back.
-    fn batch_direct(&mut self, level: usize, x: &mut BatchGrid, b: &BatchGrid) {
-        let op = self.problem.op_for(x.n());
-        let ws = Arc::clone(&self.workspace);
-        let mut xs = ws.acquire_unzeroed(x.n());
-        let mut bs = ws.acquire_unzeroed(b.n());
-        let clock = self.tracer.start_kernel_clock(level);
-        for k in 0..x.width() {
-            x.store_lane(k, &mut xs);
-            b.store_lane(k, &mut bs);
-            self.cache.solve_op(&mut xs, &bs, &op);
-            x.load_lane(k, &xs);
-        }
-        self.tracer.stop_kernel_clock(clock);
-        self.batch_maybe_poison(level, x);
-        self.ops.level_mut(level).direct_solves += 1;
-        self.tracer.record(CycleEvent::Direct { level });
-    }
-
-    /// Batched SOR solve at ω_opt. The solo path chunks sweeps through
-    /// the temporally blocked kernel, which is bitwise identical to the
-    /// staged schedule for every block depth — so the batched path runs
-    /// the staged schedule directly and stays per-lane identical for
-    /// any tabulated `tblock`.
-    fn batch_sor_solve(&mut self, level: usize, x: &mut BatchGrid, b: &BatchGrid, iterations: u32) {
-        let omega = omega_opt(x.n());
-        let op = self.problem.op_for(x.n());
-        let exec = self.level_exec(level);
-        let clock = self.tracer.start_kernel_clock(level);
-        batch_sor_sweeps_op(&op, x, b, omega, iterations as usize, &exec);
-        self.tracer.stop_kernel_clock(clock);
-        self.batch_maybe_poison(level, x);
-        self.ops.level_mut(level).relax_sweeps += iterations as u64;
-        self.tracer
-            .record(CycleEvent::SorSolve { level, iterations });
-    }
 }
 
 /// A tuned `MULTIGRID-V_i` family: the DP table of fastest choices.
@@ -662,17 +554,8 @@ impl TunedFamily {
         ctx.interpolate_relax(level, &ec, x, b, OMEGA_CYCLE);
     }
 
-    /// Execute `MULTIGRID-V_{acc_idx}` at `level` on a batch of
-    /// [`BatchGrid::width`] systems at once (4 or 8, per the host's
-    /// vector tier). Lane `k` of `(x, b)` follows exactly the schedule
-    /// [`TunedFamily::run`] would drive for system `k` alone, and
-    /// produces the same bits — the batched kernels evaluate the solo
-    /// scalar arithmetic per lane and never mix lanes, so the plan and
-    /// its results are portable across widths.
-    ///
-    /// # Panics
-    /// Panics if `x` is not sized for `level` or indices are out of
-    /// range.
+    // Pinned by `benchmark/src/probes.rs` (`core.plan.batch_cycle_us_per_system.n129`); delete with ROADMAP 1(i).
+    #[doc(hidden)]
     pub fn run_batch(
         &self,
         level: usize,
@@ -681,45 +564,9 @@ impl TunedFamily {
         b: &BatchGrid,
         ctx: &mut ExecCtx,
     ) {
-        assert_eq!(x.n(), level_size(level), "batch does not match level");
-        ctx.tracer.record(CycleEvent::EnterV { level, acc_idx });
-        match self.plans[level][acc_idx] {
-            Choice::Direct => ctx.batch_direct(level, x, b),
-            Choice::Sor { iterations } => ctx.batch_sor_solve(level, x, b, iterations),
-            Choice::Recurse {
-                sub_accuracy,
-                iterations,
-            } => {
-                for _ in 0..iterations {
-                    self.batch_recurse_step(level, sub_accuracy as usize, x, b, ctx);
-                }
-            }
+        for (x, b) in x.0.iter_mut().zip(&b.0) {
+            self.run(level, acc_idx, x, b, ctx);
         }
-    }
-
-    /// One batched `RECURSE_j` application at `level` — the multi-RHS
-    /// twin of [`TunedFamily::recurse_step`], with coarse scratch leased
-    /// from the batch pool.
-    pub fn batch_recurse_step(
-        &self,
-        level: usize,
-        sub_acc: usize,
-        x: &mut BatchGrid,
-        b: &BatchGrid,
-        ctx: &mut ExecCtx,
-    ) {
-        if level <= 1 {
-            ctx.batch_direct(level, x, b);
-            return;
-        }
-        let n = level_size(level);
-        let nc = coarse_size(n);
-        let ws = Arc::clone(&ctx.workspace);
-        let mut bc = ws.acquire_batch(nc, x.width());
-        ctx.batch_relax_residual_restrict_into(level, x, b, &mut bc, OMEGA_CYCLE);
-        let mut ec = ws.acquire_batch(nc, x.width());
-        self.run_batch(level - 1, sub_acc, &mut ec, &bc, ctx);
-        ctx.batch_interpolate_relax(level, &ec, x, b, OMEGA_CYCLE);
     }
 
     /// Solve `inst` to (at least) `target` accuracy using the family

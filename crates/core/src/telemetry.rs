@@ -117,25 +117,6 @@ impl SolveTelemetry {
         self.observe_kernel_levels(&report.tracer);
     }
 
-    /// Record one batched group from the reports of its converged
-    /// lanes: the serving rung and the members it ran counted per lane
-    /// (matching the per-lane reports a consumer reconciles against),
-    /// the group attempt and residual-check times — which the lanes
-    /// share — once.
-    pub fn observe_group(&self, lanes: &[&GuardedReport]) {
-        let Some(group) = lanes.first() else {
-            return;
-        };
-        for lane in lanes {
-            self.served[rung_idx(lane.rung)].inc();
-            self.observe_members(lane.rung, &lane.members);
-        }
-        self.attempt_seconds[rung_idx(group.rung)].record_seconds(group.rung_seconds);
-        self.residual_check_seconds
-            .record_seconds(group.residual_check_seconds);
-        self.observe_kernel_levels(&group.tracer);
-    }
-
     /// Record a ladder-exhausted solve: every rung failed.
     pub fn observe_error(&self, err: &SolveError, tracer: &Tracer) {
         self.exhausted.inc();
@@ -279,33 +260,29 @@ mod tests {
         );
     }
 
-    /// Solo or batched, the member counters add up to the cycles the
-    /// reports list.
+    /// The member counters add up to the cycles the reports list.
     #[test]
     fn member_counters_reconcile_with_report_members() {
         let registry = Registry::new();
         let telemetry = SolveTelemetry::register(&registry);
         let problem = Problem::poisson();
-        let solver = GuardedSolver::new(problem.clone()).with_batch_width(4);
-        let insts: Vec<ProblemInstance> = (0..3)
-            .map(|k| {
-                ProblemInstance::random_for(&problem, 4, Distribution::UnbiasedUniform, 20 + k)
+        let solver = GuardedSolver::new(problem.clone());
+        let reports: Vec<GuardedReport> = [1e-4, 1e-8, 1e-10, 1e-8]
+            .into_iter()
+            .zip([20, 21, 22, 20])
+            .map(|(tol, seed)| {
+                let inst =
+                    ProblemInstance::random_for(&problem, 4, Distribution::UnbiasedUniform, seed);
+                let mut x = inst.working_grid();
+                solver.solve(&mut x, &inst.b, tol).expect("serves")
             })
             .collect();
-        let mut xs: Vec<_> = insts.iter().map(|i| i.working_grid()).collect();
-        let bs: Vec<_> = insts.iter().map(|i| i.b.clone()).collect();
-        let reports: Vec<GuardedReport> = solver
-            .solve_many(&mut xs, &bs, &[1e-4, 1e-8, 1e-10])
-            .into_iter()
-            .map(|r| r.expect("serves"))
-            .collect();
-        telemetry.observe_group(&reports.iter().collect::<Vec<_>>());
-        let mut x = insts[0].working_grid();
-        let solo = solver.solve(&mut x, &insts[0].b, 1e-8).expect("serves");
-        telemetry.observe_report(&solo);
+        for report in &reports {
+            telemetry.observe_report(report);
+        }
 
         let snap = registry.snapshot();
-        let listed: usize = reports.iter().chain([&solo]).map(|r| r.members.len()).sum();
+        let listed: usize = reports.iter().map(|r| r.members.len()).sum();
         assert!(listed > 4);
         assert_eq!(
             snap.counter("petamg_cycle_member_total", &[("rung", "heuristic")]),
@@ -315,7 +292,6 @@ mod tests {
             snap.counter("petamg_cycle_member_total", &[("member", "4")]),
             reports
                 .iter()
-                .chain([&solo])
                 .flat_map(|r| &r.members)
                 .filter(|&&m| m == 4)
                 .count() as u64

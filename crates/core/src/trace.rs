@@ -100,10 +100,6 @@ pub enum CycleEvent {
     RungServed {
         /// The serving rung.
         rung: LadderRung,
-        /// Batch lanes the serving dispatch carried (1 for a solo
-        /// solve, 4 or 8 for a batched group). Purely observational —
-        /// results are bitwise independent of width.
-        width: usize,
         /// Wall-clock seconds of the serving attempt (0.0 in traces
         /// recorded before durations existed).
         seconds: f64,
@@ -152,17 +148,9 @@ impl Serialize for CycleEvent {
                 "RungFailed",
                 vec![("rung", rung.to_value()), ("seconds", float(seconds))],
             ),
-            CycleEvent::RungServed {
-                rung,
-                width,
-                seconds,
-            } => variant(
+            CycleEvent::RungServed { rung, seconds } => variant(
                 "RungServed",
-                vec![
-                    ("rung", rung.to_value()),
-                    ("width", num(width)),
-                    ("seconds", float(seconds)),
-                ],
+                vec![("rung", rung.to_value()), ("seconds", float(seconds))],
             ),
         }
     }
@@ -234,7 +222,6 @@ impl Deserialize for CycleEvent {
             }),
             "RungServed" => Ok(CycleEvent::RungServed {
                 rung: LadderRung::from_value(field("rung")?)?,
-                width: usize_field("width")?,
                 seconds,
             }),
             other => Err(serde::Error::custom(format!(
@@ -453,15 +440,6 @@ impl Tracer {
         })
     }
 
-    /// The batch width of the serving dispatch, if one was recorded
-    /// (1 for solo, 4 or 8 for batched groups).
-    pub fn served_width(&self) -> Option<usize> {
-        self.events.iter().rev().find_map(|e| match e {
-            CycleEvent::RungServed { width, .. } => Some(*width),
-            _ => None,
-        })
-    }
-
     /// Rungs recorded as failed during a guarded solve, in order.
     pub fn failed_rungs(&self) -> Vec<LadderRung> {
         self.events
@@ -539,7 +517,6 @@ mod tests {
             },
             CycleEvent::RungServed {
                 rung: LadderRung::HeuristicPlan,
-                width: 4,
                 seconds: 1.5,
             },
         ];
@@ -567,7 +544,6 @@ mod tests {
                 },
                 CycleEvent::RungServed {
                     rung: LadderRung::Direct,
-                    width: 1,
                     seconds: 0.0
                 },
                 CycleEvent::Relax { level: 3 },

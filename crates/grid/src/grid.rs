@@ -219,6 +219,21 @@ impl Grid2d {
     }
 }
 
+// Pinned by `benchmark/src/probes.rs` (`batch_of`); delete with ROADMAP 1(i).
+#[doc(hidden)]
+pub struct BatchGrid(pub Vec<Grid2d>);
+
+#[doc(hidden)]
+impl BatchGrid {
+    pub fn zeros(n: usize, width: usize) -> Self {
+        BatchGrid(vec![Grid2d::zeros(n); width])
+    }
+
+    pub fn load_lane(&mut self, k: usize, src: &Grid2d) {
+        self.0[k].copy_from(src);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

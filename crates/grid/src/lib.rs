@@ -76,7 +76,6 @@
 
 #![deny(missing_docs)]
 
-mod batch;
 mod exec;
 mod grid;
 mod norms;
@@ -86,12 +85,8 @@ pub mod simd;
 mod transfer;
 mod workspace;
 
-pub use batch::{
-    batch_interpolate_correct, batch_interpolate_correct_row, batch_restrict_full_weighting,
-    batch_restrict_rows_into, batch_zero_boundary_ring, BatchGrid, BatchPtr, MAX_BATCH_WIDTH,
-};
 pub use exec::{Exec, DEFAULT_BAND_ROWS, DEFAULT_ROW_GRAIN};
-pub use grid::{coarse_size, fine_size, level_size, size_level, Grid2d};
+pub use grid::{coarse_size, fine_size, level_size, size_level, BatchGrid, Grid2d};
 pub use norms::{l2_diff, l2_norm_interior, max_norm_interior};
 pub use ops::{
     apply_operator, residual, residual_restrict, residual_restrict_with, residual_with,
@@ -103,7 +98,7 @@ pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,
     restrict_full_weighting, restrict_inject,
 };
-pub use workspace::{BatchLease, BufferLease, GridLease, Workspace, WorkspaceStats, BUFFER_ALIGN};
+pub use workspace::{BufferLease, GridLease, Workspace, WorkspaceStats, BUFFER_ALIGN};
 
 #[cfg(test)]
 mod proptests;

@@ -138,7 +138,7 @@ impl<W: Weight, D: Weight> Five<W, D> {
                 while j < n - 1 {
                     // SAFETY: forwarded contract; j stays in 1..n-1.
                     unsafe {
-                        let x = simd::star(up, mid, dn, j, 1, |p| *p);
+                        let x = simd::star(up, mid, dn, j, |p| *p);
                         *mid.add(j) = self.relaxed_at(j, x, *brow.add(j), h2, omega);
                     }
                     j += 2;

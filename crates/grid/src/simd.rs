@@ -148,20 +148,11 @@ pub fn vector_available() -> bool {
 }
 
 /// Name of the vector tier this build + machine dispatches to:
-/// `"avx512"`, `"avx2+fma"`, `"neon"`, or `"portable"`. Recorded in
-/// the stamp of every benchmark report.
-///
-/// `"avx512"` means the machine *additionally* drives the eight-lane
-/// batched kernels natively (AVX-512F/VL); the four-lane solo kernels
-/// still run the AVX2+FMA path — their strides and the fixed 4-lane
-/// reduction tree are pinned at width 4 so result bits never depend on
-/// the machine tier.
+/// `"avx2+fma"`, `"neon"`, or `"portable"`. Recorded in the stamp of
+/// every benchmark report.
 pub fn vector_backend() -> &'static str {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if avx512_available() {
-            return "avx512";
-        }
         if avx2_available() {
             return "avx2+fma";
         }
@@ -174,29 +165,10 @@ pub fn vector_backend() -> &'static str {
     "portable"
 }
 
-/// The batch width the multi-RHS dispatcher resolves to on this
-/// machine, decided **once per process** (like [`vector_backend`]):
-/// 8 on AVX-512F/VL hosts, 4 everywhere else. The environment variable
-/// `PETAMG_BATCH_WIDTH` (value `4` or `8`; anything else is ignored)
-/// overrides the probe — the operator seam for forcing the narrow
-/// path on wide machines (or exercising the portable eight-lane
-/// fallback on narrow ones).
-///
-/// Width is a *locator for amortization, never identity*: every lane
-/// of a batched kernel evaluates the solo scalar expression, so
-/// results are bitwise independent of the width the dispatcher picks.
+// Pinned by `benchmark/src/{main,probes}.rs` (report stamp, two probes); delete with ROADMAP 1(i).
+#[doc(hidden)]
 pub fn batch_width() -> usize {
-    static WIDTH: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        if let Some(width) = petamg_obs::env::batch_width_override() {
-            return width;
-        }
-        if avx512_available() {
-            8
-        } else {
-            4
-        }
-    })
+    1
 }
 
 /// Cached runtime probe for AVX2 + FMA (both must be present: the
@@ -218,60 +190,30 @@ fn avx2_available() -> bool {
     }
 }
 
-/// Cached runtime probe for AVX-512F + AVX-512VL (both must be
-/// present: the eight-lane batch kernels are compiled with
-/// `target_feature(enable = "avx512f,avx512vl")`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx512_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let ok = std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vl");
-            STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-            ok
-        }
-    }
-}
-
-/// `avx512_available` is only probed on x86_64 + `simd`; elsewhere the
-/// wide tier never exists, so the probe is a constant `false`.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-fn avx512_available() -> bool {
-    false
-}
-
 // ---------------------------------------------------------------------
-// The lane abstractions
+// The lane abstraction
 // ---------------------------------------------------------------------
 
-/// The width-generic lane core: `splat`/`load`/`store` plus lane-wise
-/// arithmetic, with the lane count as an associated constant.
-/// Implementations must be bit-transparent: lane `k` of every
-/// arithmetic op is exactly the scalar IEEE-754 op on lane `k` of the
-/// inputs (no reassociation, no implicit FMA contraction).
-///
-/// The batched (multi-RHS) kernel bodies are written over this trait
-/// *alone* — no shuffles, no cross-lane ops — so one body serves both
-/// the four-lane tier (AVX2 / NEON / [`Portable`]) and the eight-lane
-/// tier (AVX-512 / [`Portable8`]).
-trait LaneOps: Copy {
-    /// Number of `f64` lanes this backend carries.
-    const WIDTH: usize;
+/// Four `f64` lanes: `splat`/`load`/`store` and lane-wise arithmetic,
+/// plus the stride-2 shuffles, interleaves and lane extraction the row
+/// kernels and fixed-lane reductions need. Implementations must be
+/// bit-transparent: lane `k` of every arithmetic op is exactly the
+/// scalar IEEE-754 op on lane `k` of the inputs (no reassociation, no
+/// implicit FMA contraction). The width is four by design — the
+/// kernels' strides and the deterministic 4-lane reduction tree are
+/// pinned to it (widening them would change result bits).
+trait Lanes: Copy {
     /// Broadcast.
     fn splat(v: f64) -> Self;
-    /// Load `WIDTH` consecutive values (unaligned).
+    /// Load 4 consecutive values (unaligned).
     ///
     /// # Safety
-    /// `p` must be valid for `WIDTH` reads.
+    /// `p` must be valid for 4 reads.
     unsafe fn load(p: *const f64) -> Self;
-    /// Store `WIDTH` consecutive values (unaligned).
+    /// Store 4 consecutive values (unaligned).
     ///
     /// # Safety
-    /// `p` must be valid for `WIDTH` writes.
+    /// `p` must be valid for 4 writes.
     unsafe fn store(self, p: *mut f64);
     /// Lane-wise `+`.
     fn add(self, o: Self) -> Self;
@@ -285,15 +227,6 @@ trait LaneOps: Copy {
     fn max(self, o: Self) -> Self;
     /// Lane-wise absolute value.
     fn abs(self) -> Self;
-}
-
-/// The four-lane *solo* tier: the stride-2 shuffles, interleaves, and
-/// lane extraction the solo row kernels and fixed-lane reductions
-/// additionally need. Only the width-4 backends implement this — the
-/// solo kernels' strides and the deterministic 4-lane reduction tree
-/// are pinned at width 4 by design (widening them would change result
-/// bits).
-trait Lanes: LaneOps {
     /// Load 8 consecutive values, split into (evens, odds):
     /// `p[0],p[2],p[4],p[6]` and `p[1],p[3],p[5],p[7]`.
     ///
@@ -371,8 +304,7 @@ trait Lanes: LaneOps {
 #[derive(Clone, Copy)]
 struct Portable([f64; 4]);
 
-impl LaneOps for Portable {
-    const WIDTH: usize = 4;
+impl Lanes for Portable {
     #[inline(always)]
     fn splat(v: f64) -> Self {
         Portable([v; 4])
@@ -414,9 +346,6 @@ impl LaneOps for Portable {
     fn abs(self) -> Self {
         Portable(std::array::from_fn(|k| self.0[k].abs()))
     }
-}
-
-impl Lanes for Portable {
     #[inline(always)]
     unsafe fn load2(p: *const f64) -> (Self, Self) {
         unsafe {
@@ -444,57 +373,6 @@ impl Lanes for Portable {
     }
 }
 
-/// The portable eight-lane backend: plain `[f64; 8]` lane arithmetic.
-/// Always compiled — it serves a forced width-8 batch dispatch when
-/// AVX-512 is absent, and defines the reference semantics the AVX-512
-/// backend must match bit for bit (property-tested on every host).
-#[derive(Clone, Copy)]
-struct Portable8([f64; 8]);
-
-impl LaneOps for Portable8 {
-    const WIDTH: usize = 8;
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        Portable8([v; 8])
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
-        unsafe { Portable8(std::array::from_fn(|k| *p.add(k))) }
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
-        unsafe {
-            for k in 0..8 {
-                *p.add(k) = self.0[k];
-            }
-        }
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        Portable8(std::array::from_fn(|k| self.0[k] + o.0[k]))
-    }
-    #[inline(always)]
-    fn sub(self, o: Self) -> Self {
-        Portable8(std::array::from_fn(|k| self.0[k] - o.0[k]))
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        Portable8(std::array::from_fn(|k| self.0[k] * o.0[k]))
-    }
-    #[inline(always)]
-    fn div(self, o: Self) -> Self {
-        Portable8(std::array::from_fn(|k| self.0[k] / o.0[k]))
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        Portable8(std::array::from_fn(|k| self.0[k].max(o.0[k])))
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        Portable8(std::array::from_fn(|k| self.0[k].abs()))
-    }
-}
-
 /// The `core::arch` AVX2+FMA backend. Methods wrap raw intrinsics;
 /// they must only *execute* inside the `target_feature(enable =
 /// "avx2,fma")` trampolines below, after the runtime probe passed.
@@ -503,8 +381,7 @@ impl LaneOps for Portable8 {
 struct Avx(core::arch::x86_64::__m256d);
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl LaneOps for Avx {
-    const WIDTH: usize = 4;
+impl Lanes for Avx {
     #[inline(always)]
     fn splat(v: f64) -> Self {
         use core::arch::x86_64::*;
@@ -550,10 +427,6 @@ impl LaneOps for Avx {
         use core::arch::x86_64::*;
         unsafe { Avx(_mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0)) }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl Lanes for Avx {
     #[inline(always)]
     unsafe fn load2(p: *const f64) -> (Self, Self) {
         use core::arch::x86_64::*;
@@ -635,65 +508,6 @@ impl Lanes for Avx {
     }
 }
 
-/// The `core::arch` AVX-512 eight-lane backend. Methods wrap raw
-/// intrinsics; they must only *execute* inside the
-/// `target_feature(enable = "avx512f,avx512vl")` trampolines below,
-/// after the runtime probe passed. Only AVX-512F intrinsics are used
-/// (`abs`/`max` are F, not DQ), so F+VL is the complete requirement.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[derive(Clone, Copy)]
-struct Avx512(core::arch::x86_64::__m512d);
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-impl LaneOps for Avx512 {
-    const WIDTH: usize = 8;
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_set1_pd(v)) }
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_loadu_pd(p)) }
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
-        use core::arch::x86_64::*;
-        unsafe { _mm512_storeu_pd(p, self.0) }
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_add_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn sub(self, o: Self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_sub_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_mul_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn div(self, o: Self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_div_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_max_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx512(_mm512_abs_pd(self.0)) }
-    }
-}
-
 /// The `core::arch` NEON backend: a pair of 128-bit registers. NEON is
 /// baseline on aarch64, so no runtime probe or trampoline is needed.
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
@@ -704,8 +518,7 @@ struct Neon(
 );
 
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-impl LaneOps for Neon {
-    const WIDTH: usize = 4;
+impl Lanes for Neon {
     #[inline(always)]
     fn splat(v: f64) -> Self {
         use core::arch::aarch64::*;
@@ -754,10 +567,6 @@ impl LaneOps for Neon {
         use core::arch::aarch64::*;
         unsafe { Neon(vabsq_f64(self.0), vabsq_f64(self.1)) }
     }
-}
-
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-impl Lanes for Neon {
     #[inline(always)]
     unsafe fn load2(p: *const f64) -> (Self, Self) {
         use core::arch::aarch64::*;
@@ -822,11 +631,11 @@ impl Lanes for Neon {
 #[derive(Clone, Copy, Debug)]
 pub struct One;
 
-// `LaneOps` stays private: the sealed trait below is its only mention
+// `Lanes` stays private: the sealed trait below is its only mention
 // in a bound the crate exports.
 #[allow(private_bounds)]
 mod seam {
-    use super::{LaneOps, One};
+    use super::{Lanes, One};
 
     /// One stencil weight: [`One`], an `f64` constant, or a per-cell
     /// row `&[f64]` indexed like the solution row it weighs. Sealed:
@@ -841,13 +650,12 @@ mod seam {
         /// kernel fetches a per-cell weight vector from a pointer to
         /// column `j` of a weight row: a plain load for the residual
         /// row, the even half of a deinterleaving load for the
-        /// stride-2 SOR row, a splat for a batched row (one operator
-        /// shared by every lane).
+        /// stride-2 SOR row.
         ///
         /// # Safety
         /// A per-cell weight must be valid for every read `get` makes
         /// from column `j`.
-        unsafe fn times<L: LaneOps>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L;
+        unsafe fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L;
     }
 
     impl Weight for One {
@@ -860,7 +668,7 @@ mod seam {
             v
         }
         #[inline(always)]
-        unsafe fn times<L: LaneOps>(self, v: L, _j: usize, _get: impl Fn(*const f64) -> L) -> L {
+        unsafe fn times<L: Lanes>(self, v: L, _j: usize, _get: impl Fn(*const f64) -> L) -> L {
             v
         }
     }
@@ -875,7 +683,7 @@ mod seam {
             self * v
         }
         #[inline(always)]
-        unsafe fn times<L: LaneOps>(self, v: L, _j: usize, _get: impl Fn(*const f64) -> L) -> L {
+        unsafe fn times<L: Lanes>(self, v: L, _j: usize, _get: impl Fn(*const f64) -> L) -> L {
             L::splat(self).mul(v)
         }
     }
@@ -890,7 +698,7 @@ mod seam {
             self[j] * v
         }
         #[inline(always)]
-        unsafe fn times<L: LaneOps>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L {
+        unsafe fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L {
             // SAFETY: forwarded contract.
             get(unsafe { self.as_ptr().add(j) }).mul(v)
         }
@@ -944,7 +752,7 @@ impl<W: Weight, D: Weight> Five<W, D> {
     /// **The** residual expression at column `j`, from the stencil
     /// values `x = [up, left, center, right, down]` and the right-hand
     /// side: `b − ((((d·center − n·up) − s·down) − w·left) − e·right) ·
-    /// inv_h2`. Every residual form — scalar, vector, solo, batched —
+    /// inv_h2`. Every residual form — scalar or vector —
     /// evaluates this, in this association order.
     #[inline(always)]
     pub(crate) fn residual_at(self, j: usize, x: [f64; 5], b: f64, inv_h2: f64) -> f64 {
@@ -963,7 +771,7 @@ impl<W: Weight, D: Weight> Five<W, D> {
     /// # Safety
     /// As [`Weight::times`], for all five weights.
     #[inline(always)]
-    unsafe fn residual_lanes<L: LaneOps>(
+    unsafe fn residual_lanes<L: Lanes>(
         self,
         j: usize,
         x: [L; 5],
@@ -1004,7 +812,7 @@ impl<W: Weight, D: Weight> Five<W, D> {
     /// # Safety
     /// As [`Weight::times`], for all five weights.
     #[inline(always)]
-    unsafe fn relaxed_lanes<L: LaneOps>(
+    unsafe fn relaxed_lanes<L: Lanes>(
         self,
         j: usize,
         x: [L; 5],
@@ -1026,27 +834,24 @@ impl<W: Weight, D: Weight> Five<W, D> {
     }
 }
 
-/// The stencil values `[up, left, center, right, down]` around element
-/// `e` of three rows whose horizontal neighbours lie `stride` elements
-/// apart (1 in a solo row, the batch width in a batch row), each
-/// fetched by `get`.
+/// The stencil values `[up, left, center, right, down]` around column
+/// `j` of three rows, each fetched by `get`.
 ///
 /// # Safety
-/// `get` must be sound at `up + e`, `dn + e` and `mid + e − stride ..=
-/// mid + e + stride`.
+/// `get` must be sound at `up + j`, `dn + j` and `mid + j − 1 ..= mid +
+/// j + 1`.
 #[inline(always)]
 pub(crate) unsafe fn star<T>(
     up: *const f64,
     mid: *const f64,
     dn: *const f64,
-    e: usize,
-    stride: usize,
+    j: usize,
     get: impl Fn(*const f64) -> T,
 ) -> [T; 5] {
     // SAFETY: forwarded contract.
     unsafe {
-        let (l, r) = (get(mid.add(e - stride)), get(mid.add(e + stride)));
-        [get(up.add(e)), l, get(mid.add(e)), r, get(dn.add(e))]
+        let (l, r) = (get(mid.add(j - 1)), get(mid.add(j + 1)));
+        [get(up.add(j)), l, get(mid.add(j)), r, get(dn.add(j))]
     }
 }
 
@@ -1055,7 +860,7 @@ pub(crate) unsafe fn star<T>(
 // ---------------------------------------------------------------------
 
 mod body {
-    use super::{star, Five, LaneOps, Lanes, Weight};
+    use super::{star, Five, Lanes, Weight};
 
     /// Residual row: columns `1..n-1` of `out` get `b − A x` for the
     /// row whose weights are `f` ([`Five::residual_at`] per column).
@@ -1076,13 +881,13 @@ mod body {
         let mut j = 1usize;
         unsafe {
             while j + 4 < n {
-                let x = star(up, mid, dn, j, 1, |p| L::load(p));
+                let x = star(up, mid, dn, j, |p| L::load(p));
                 f.residual_lanes(j, x, L::load(brow.add(j)), vinv, |p| L::load(p))
                     .store(out.add(j));
                 j += 4;
             }
             while j < n - 1 {
-                let x = star(up, mid, dn, j, 1, |p| *p);
+                let x = star(up, mid, dn, j, |p| *p);
                 *out.add(j) = f.residual_at(j, x, *brow.add(j), inv_h2);
                 j += 1;
             }
@@ -1249,189 +1054,9 @@ mod body {
                 j += 8;
             }
             while j < n - 1 {
-                let x = star(up, mid, dn, j, 1, |p| *p);
+                let x = star(up, mid, dn, j, |p| *p);
                 *mid.add(j) = f.relaxed_at(j, x, *brow.add(j), h2, omega);
                 j += 2;
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Batched (multi-RHS) row kernels
-    // -----------------------------------------------------------------
-    //
-    // Batch rows interleave `W = L::WIDTH` systems per grid point
-    // (`row[W·j..W·j+W]` = point `j`, lane `k` = system `k`), so every
-    // stencil operand is one contiguous `W`-lane load at element
-    // offset `W·j` — neighbours sit at `±W`, the SOR stride-2 walk at
-    // `±2W` — and each lane evaluates the solo *scalar* kernel's
-    // expression in the same association order. No deinterleaves, no
-    // permutes, no tails, and no cross-lane arithmetic: lane `k`'s
-    // bits match the solo scalar path exactly — at width 4 *and*
-    // width 8 — and garbage in an unused or frozen lane cannot leak
-    // into its neighbours. The bodies are generic over [`LaneOps`]
-    // only (the width-agnostic core), so one definition serves the
-    // AVX2/NEON/portable four-lane tier and the AVX-512/portable
-    // eight-lane tier.
-
-    /// Batched residual row: points `1..n-1` of `out` get `b − A x`
-    /// per lane (rows are `W·n` elements, untrimmed). A per-cell
-    /// weight row is *solo*-stride (`n` values, indexed by `j`): every
-    /// lane shares the operator, so each weight is splatted.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub(super) unsafe fn batch_residual_row<L: LaneOps, W: Weight, D: Weight>(
-        f: Five<W, D>,
-        up: *const f64,
-        mid: *const f64,
-        dn: *const f64,
-        brow: *const f64,
-        inv_h2: f64,
-        out: *mut f64,
-        n: usize,
-    ) {
-        let w = L::WIDTH;
-        let vinv = L::splat(inv_h2);
-        unsafe {
-            for j in 1..n - 1 {
-                let x = star(up, mid, dn, w * j, w, |p| L::load(p));
-                f.residual_lanes(j, x, L::load(brow.add(w * j)), vinv, |p| L::splat(*p))
-                    .store(out.add(w * j));
-            }
-        }
-    }
-
-    /// Batched red/black SOR row: color cells `j0, j0+2, …` of `mid`,
-    /// all lanes of a cell at once; per-cell weight rows are
-    /// solo-stride, splatted per color cell.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub(super) unsafe fn batch_sor_row<L: LaneOps, W: Weight, D: Weight>(
-        f: Five<W, D>,
-        up: *const f64,
-        mid: *mut f64,
-        dn: *const f64,
-        brow: *const f64,
-        n: usize,
-        h2: f64,
-        omega: f64,
-        j0: usize,
-    ) {
-        let w = L::WIDTH;
-        let vh2 = L::splat(h2);
-        let vomega = L::splat(omega);
-        let mut j = j0;
-        unsafe {
-            while j < n - 1 {
-                let x = star(up, mid, dn, w * j, w, |p| L::load(p));
-                let b = L::load(brow.add(w * j));
-                f.relaxed_lanes(j, x, b, vh2, vomega, |p| L::splat(*p))
-                    .store(mid.add(w * j));
-                j += 2;
-            }
-        }
-    }
-
-    /// Batched full-weighting restriction row (coarse points `1..nc-1`).
-    #[inline(always)]
-    pub(super) unsafe fn batch_restrict_row<L: LaneOps>(
-        r_up: *const f64,
-        r_mid: *const f64,
-        r_dn: *const f64,
-        coarse_row: *mut f64,
-        nc: usize,
-    ) {
-        let w = L::WIDTH;
-        let four = L::splat(4.0);
-        let two = L::splat(2.0);
-        let sixteen = L::splat(16.0);
-        unsafe {
-            for jc in 1..nc - 1 {
-                let fj = 2 * jc;
-                let center = L::load(r_mid.add(w * fj));
-                // edges = up[fj] + dn[fj] + mid[fj-1] + mid[fj+1]
-                let edges = L::load(r_up.add(w * fj))
-                    .add(L::load(r_dn.add(w * fj)))
-                    .add(L::load(r_mid.add(w * (fj - 1))))
-                    .add(L::load(r_mid.add(w * (fj + 1))));
-                // corners = up[fj-1] + up[fj+1] + dn[fj-1] + dn[fj+1]
-                let corners = L::load(r_up.add(w * (fj - 1)))
-                    .add(L::load(r_up.add(w * (fj + 1))))
-                    .add(L::load(r_dn.add(w * (fj - 1))))
-                    .add(L::load(r_dn.add(w * (fj + 1))));
-                four.mul(center)
-                    .add(two.mul(edges))
-                    .add(corners)
-                    .div(sixteen)
-                    .store(coarse_row.add(w * jc));
-            }
-        }
-    }
-
-    /// Batched coincident-row interpolation correction, *including* the
-    /// `jc = 0` prologue (`frow[1] += ½(c0[0] + c0[1])` per lane) —
-    /// unlike the solo kernel there is no stride reason to exclude it.
-    #[inline(always)]
-    pub(super) unsafe fn batch_interp_row_even<L: LaneOps>(
-        c0: *const f64,
-        frow: *mut f64,
-        nc: usize,
-    ) {
-        let w = L::WIDTH;
-        let half = L::splat(0.5);
-        unsafe {
-            let p = frow.add(w);
-            L::load(p)
-                .add(half.mul(L::load(c0).add(L::load(c0.add(w)))))
-                .store(p);
-            for jc in 1..nc - 1 {
-                let a = L::load(c0.add(w * jc));
-                let b = L::load(c0.add(w * (jc + 1)));
-                let p = frow.add(w * 2 * jc);
-                L::load(p).add(a).store(p);
-                let p = frow.add(w * (2 * jc + 1));
-                L::load(p).add(half.mul(a.add(b))).store(p);
-            }
-        }
-    }
-
-    /// Batched midpoint-row interpolation correction, including the
-    /// `jc = 0` prologue.
-    #[inline(always)]
-    pub(super) unsafe fn batch_interp_row_odd<L: LaneOps>(
-        c0: *const f64,
-        c1: *const f64,
-        frow: *mut f64,
-        nc: usize,
-    ) {
-        let w = L::WIDTH;
-        let half = L::splat(0.5);
-        let quarter = L::splat(0.25);
-        unsafe {
-            let p = frow.add(w);
-            // ((c0[0] + c0[1]) + c1[0]) + c1[1], scalar order.
-            L::load(p)
-                .add(
-                    quarter.mul(
-                        L::load(c0)
-                            .add(L::load(c0.add(w)))
-                            .add(L::load(c1))
-                            .add(L::load(c1.add(w))),
-                    ),
-                )
-                .store(p);
-            for jc in 1..nc - 1 {
-                let a0 = L::load(c0.add(w * jc));
-                let b0 = L::load(c0.add(w * (jc + 1)));
-                let a1 = L::load(c1.add(w * jc));
-                let b1 = L::load(c1.add(w * (jc + 1)));
-                let p = frow.add(w * 2 * jc);
-                L::load(p).add(half.mul(a0.add(a1))).store(p);
-                let p = frow.add(w * (2 * jc + 1));
-                // ((c0[jc] + c0[jc+1]) + c1[jc]) + c1[jc+1], scalar order.
-                L::load(p)
-                    .add(quarter.mul(a0.add(b0).add(a1).add(b1)))
-                    .store(p);
             }
         }
     }
@@ -1562,61 +1187,6 @@ macro_rules! dispatch {
     };
 }
 
-// `dispatch_batch!` is the width-adaptive analogue for the batched
-// kernels: it expands to an AVX2+FMA trampoline (width 4), an
-// AVX-512F/VL trampoline (width 8), and a public entry taking the
-// batch `width` as its leading argument. Width 8 dispatches to the
-// AVX-512 trampoline when the probe passes and to the portable
-// eight-lane body otherwise (a forced width-8 run is *always*
-// bitwise correct); width 4 walks the same AVX2 → NEON → portable
-// chain as `dispatch!`.
-//
-// Both macros take an optional `<W, D>` after the names: the weight
-// types of a `Five` argument. The trampolines are generic over them,
-// so every operator family gets its own AVX2 / AVX-512 instantiation
-// of the one body.
-
-macro_rules! dispatch_batch {
-    ($(#[$doc:meta])* $vis:vis unsafe fn $name:ident / $avx:ident / $avx512:ident $(<$($g:ident),*>)? ( $($arg:ident : $ty:ty),* $(,)? )) => {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        #[target_feature(enable = "avx2,fma")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx $(<$($g: Weight),*>)? ($($arg: $ty),*) {
-            unsafe { body::$name::<Avx $($(, $g)*)?>($($arg),*) }
-        }
-
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        #[target_feature(enable = "avx512f,avx512vl")]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx512 $(<$($g: Weight),*>)? ($($arg: $ty),*) {
-            unsafe { body::$name::<Avx512 $($(, $g)*)?>($($arg),*) }
-        }
-
-        $(#[$doc])*
-        #[allow(clippy::too_many_arguments)]
-        $vis unsafe fn $name $(<$($g: Weight),*>)? (width: usize, $($arg: $ty),*) {
-            debug_assert!(width == 4 || width == 8, "batch width must be 4 or 8");
-            if width == 8 {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                if avx512_available() {
-                    // SAFETY: the probe confirmed AVX-512F + AVX-512VL.
-                    return unsafe { $avx512($($arg),*) };
-                }
-                return unsafe { body::$name::<Portable8 $($(, $g)*)?>($($arg),*) };
-            }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if avx2_available() {
-                // SAFETY: the probe confirmed AVX2+FMA.
-                return unsafe { $avx($($arg),*) };
-            }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            return unsafe { body::$name::<Neon $($(, $g)*)?>($($arg),*) };
-            #[allow(unreachable_code)]
-            unsafe { body::$name::<Portable $($(, $g)*)?>($($arg),*) }
-        }
-    };
-}
-
 dispatch! {
     /// Vector residual row for the row weights `f`: columns `1..n-1` of
     /// `out` from untrimmed rows of `n` values.
@@ -1679,71 +1249,6 @@ dispatch! {
     )
 }
 
-dispatch_batch! {
-    /// Batched residual row for the row weights `f` over untrimmed
-    /// batch-row pointers (`width·n` values each); writes points
-    /// `1..n-1` of `out`.
-    ///
-    /// # Safety
-    /// All pointers must be valid for `width·n` reads (`out` for
-    /// `width·n` writes), `out` must not alias the inputs, and
-    /// `f.covers(n)`.
-    pub(crate) unsafe fn batch_residual_row / batch_residual_row_avx2 / batch_residual_row_avx512 <W, D>(
-        f: Five<W, D>, up: *const f64, mid: *const f64, dn: *const f64,
-        brow: *const f64, inv_h2: f64, out: *mut f64, n: usize,
-    )
-}
-
-dispatch_batch! {
-    /// Batched red/black SOR row update for the row weights `f`,
-    /// stride 2 from `j0`.
-    ///
-    /// # Safety
-    /// All batch rows valid for `width·n` reads (`mid` for writes), no
-    /// concurrent access to the color cells of `mid`, `j0 >= 1`, and
-    /// `f.covers(n)`.
-    pub(crate) unsafe fn batch_sor_row / batch_sor_row_avx2 / batch_sor_row_avx512 <W, D>(
-        f: Five<W, D>, up: *const f64, mid: *mut f64, dn: *const f64,
-        brow: *const f64, n: usize, h2: f64, omega: f64, j0: usize,
-    )
-}
-
-dispatch_batch! {
-    /// Batched full-weighting restriction row (coarse points `1..nc-1`).
-    ///
-    /// # Safety
-    /// The three fine batch rows must be valid for `width·(2(nc-1)+1)`
-    /// reads and `coarse_row` for `width·nc` writes, with no aliasing.
-    pub(crate) unsafe fn batch_restrict_row / batch_restrict_row_avx2 / batch_restrict_row_avx512(
-        r_up: *const f64, r_mid: *const f64, r_dn: *const f64,
-        coarse_row: *mut f64, nc: usize,
-    )
-}
-
-dispatch_batch! {
-    /// Batched coincident-row interpolation correction (includes the
-    /// `jc = 0` prologue, unlike the solo kernel).
-    ///
-    /// # Safety
-    /// `c0` must be valid for `width·nc` reads and `frow` for
-    /// `width·(2(nc-1)+1)` reads and writes, with no aliasing.
-    pub(crate) unsafe fn batch_interp_row_even / batch_interp_row_even_avx2 / batch_interp_row_even_avx512(
-        c0: *const f64, frow: *mut f64, nc: usize,
-    )
-}
-
-dispatch_batch! {
-    /// Batched midpoint-row interpolation correction (includes the
-    /// `jc = 0` prologue).
-    ///
-    /// # Safety
-    /// `c0`/`c1` must be valid for `width·nc` reads and `frow` for
-    /// `width·(2(nc-1)+1)` reads and writes, with no aliasing.
-    pub(crate) unsafe fn batch_interp_row_odd / batch_interp_row_odd_avx2 / batch_interp_row_odd_avx512(
-        c0: *const f64, c1: *const f64, frow: *mut f64, nc: usize,
-    )
-}
-
 dispatch! {
     /// Σ v² over a row (fixed-lane deterministic tree reduction).
     pub(crate) fn sum_sq / sum_sq_avx2(row: &[f64]) -> f64
@@ -1786,50 +1291,21 @@ mod tests {
     #[test]
     fn backend_name_is_consistent() {
         let name = vector_backend();
-        assert!(["avx512", "avx2+fma", "neon", "portable"].contains(&name));
-        if name != "portable" {
-            assert!(vector_available());
-        }
-        if name == "avx512" {
-            assert!(avx512_available());
-        }
-    }
-
-    #[test]
-    fn batch_width_is_valid_and_stable() {
-        let w = batch_width();
-        assert!(w == 4 || w == 8, "batch_width() must be 4 or 8, got {w}");
-        // Resolved once per process: repeated calls agree.
-        assert_eq!(batch_width(), w);
-        // Without AVX-512 the dispatcher must resolve to 4 (unless the
-        // env override forced it).
-        if petamg_obs::env::batch_width_override().is_none() && !avx512_available() {
-            assert_eq!(w, 4);
-        }
+        assert!(["avx2+fma", "neon", "portable"].contains(&name));
+        assert_eq!(name != "portable", vector_available());
     }
 
     type P = *const f64;
     type ResidualBody<W, D> = unsafe fn(Five<W, D>, P, P, P, P, f64, *mut f64, usize);
     type SorBody<W, D> = unsafe fn(Five<W, D>, P, *mut f64, P, P, usize, f64, f64, usize);
-    /// `(backend, lanes per point, residual body, SOR body)`: a solo
-    /// body carries one lane per point, a batched one 4 or 8.
-    type Backend<W, D> = (&'static str, usize, ResidualBody<W, D>, SorBody<W, D>);
+    /// `(backend, residual body, SOR body)`.
+    type Backend<W, D> = (&'static str, ResidualBody<W, D>, SorBody<W, D>);
 
-    fn solo<L: Lanes, W: Weight, D: Weight>(name: &'static str) -> Backend<W, D> {
+    fn bodies<L: Lanes, W: Weight, D: Weight>(name: &'static str) -> Backend<W, D> {
         (
             name,
-            1,
             body::residual_row::<L, W, D>,
             body::sor_row::<L, W, D>,
-        )
-    }
-
-    fn batched<L: LaneOps, W: Weight, D: Weight>(name: &'static str) -> Backend<W, D> {
-        (
-            name,
-            L::WIDTH,
-            body::batch_residual_row::<L, W, D>,
-            body::batch_sor_row::<L, W, D>,
         )
     }
 
@@ -1837,35 +1313,19 @@ mod tests {
     /// and host have (the AVX ones through their trampolines).
     fn backends<W: Weight, D: Weight>() -> Vec<Backend<W, D>> {
         #[allow(unused_mut)]
-        let mut all = vec![
-            solo::<Portable, W, D>("portable"),
-            batched::<Portable, W, D>("portable x4"),
-            batched::<Portable8, W, D>("portable x8"),
-        ];
+        let mut all = vec![bodies::<Portable, W, D>("portable")];
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if avx2_available() {
-            all.push(("avx2", 1, residual_row_avx2::<W, D>, sor_row_avx2::<W, D>));
-            let (residual, sor) = (batch_residual_row_avx2::<W, D>, batch_sor_row_avx2::<W, D>);
-            all.push(("avx2 x4", 4, residual, sor));
-        }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if avx512_available() {
-            let (residual, sor) = (
-                batch_residual_row_avx512::<W, D>,
-                batch_sor_row_avx512::<W, D>,
-            );
-            all.push(("avx512 x8", 8, residual, sor));
+            all.push(("avx2", residual_row_avx2::<W, D>, sor_row_avx2::<W, D>));
         }
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        all.extend([solo::<Neon, W, D>("neon"), batched::<Neon, W, D>("neon x4")]);
+        all.push(bodies::<Neon, W, D>("neon"));
         all
     }
 
-    /// On every backend, every lane of the residual body (weights
-    /// `residual`) and of the SOR body (the same with `inv_d` as `d`)
-    /// equals the scalar form on that lane's system, bit for bit.
-    /// Lanes carry unrelated values, so a lane that leaked into its
-    /// neighbour would show.
+    /// On every backend, the residual body (weights `residual`) and the
+    /// SOR body (the same with `inv_d` as `d`) equal the scalar form,
+    /// bit for bit.
     fn check_bodies<W: Weight, D: Weight>(n: usize, residual: Five<W, D>, inv_d: D) {
         let relax = Five {
             d: inv_d,
@@ -1873,47 +1333,34 @@ mod tests {
         };
         let (inv_h2, omega, scalar) = ((n as f64 - 1.0).powi(2), 1.15, SimdMode::Scalar);
         let h2 = 1.0 / inv_h2;
-        for (name, lanes, residual_body, sor_body) in backends::<W, D>() {
-            // Row `s` of lane `k`'s system, and the same row of all
-            // lanes interleaved the way a batch row stores them.
-            let solo = |s: usize, k: usize| -> Vec<f64> {
-                let value = |j| ((j * 31 + k * 7 + s * 13) % 101) as f64 / 9.0 - 5.0;
-                (0..n).map(value).collect()
-            };
-            let batch = |s: usize| -> Vec<f64> {
-                let value = |e| solo(s, e % lanes)[e / lanes];
-                (0..n * lanes).map(value).collect()
-            };
-            let (up, mid, dn, brow) = (batch(1), batch(2), batch(3), batch(4));
-            let (u, d, b) = (up.as_ptr(), dn.as_ptr(), brow.as_ptr());
-
-            let mut got = vec![0.0; n * lanes];
-            // SAFETY: every row holds `n·lanes` values and the weights
-            // cover `n` columns; the AVX entries are behind their probes.
+        let row = |s: usize| -> Vec<f64> {
+            let value = |j| ((j * 31 + s * 13) % 101) as f64 / 9.0 - 5.0;
+            (0..n).map(value).collect()
+        };
+        let (up, mid, dn, brow) = (row(1), row(2), row(3), row(4));
+        let (u, d, b) = (up.as_ptr(), dn.as_ptr(), brow.as_ptr());
+        for (name, residual_body, sor_body) in backends::<W, D>() {
+            let mut got = vec![0.0; n];
+            // SAFETY: every row holds `n` values and the weights cover
+            // `n` columns; the AVX entries are behind their probes.
             unsafe { residual_body(residual, u, mid.as_ptr(), d, b, inv_h2, got.as_mut_ptr(), n) };
-            for k in 0..lanes {
-                let (up, mid, dn, brow) = (solo(1, k), solo(2, k), solo(3, k), solo(4, k));
-                let mut want = vec![0.0; n];
-                residual.residual_row_into(&up, &mid, &dn, &brow, inv_h2, &mut want, scalar);
-                for j in 1..n - 1 {
-                    let (got, want) = (got[j * lanes + k].to_bits(), want[j].to_bits());
-                    assert_eq!(got, want, "residual {name} n={n} lane={k} j={j}");
-                }
+            let mut want = vec![0.0; n];
+            residual.residual_row_into(&up, &mid, &dn, &brow, inv_h2, &mut want, scalar);
+            for j in 1..n - 1 {
+                let (got, want) = (got[j].to_bits(), want[j].to_bits());
+                assert_eq!(got, want, "residual {name} n={n} j={j}");
             }
 
             for j0 in [1usize, 2] {
-                let mut got = mid.clone();
-                // SAFETY: as above; nothing else touches `got`.
-                unsafe { sor_body(relax, u, got.as_mut_ptr(), d, b, n, h2, omega, j0) };
-                for k in 0..lanes {
-                    let (up, mut want, dn, brow) = (solo(1, k), solo(2, k), solo(3, k), solo(4, k));
-                    let (u, m, d, b) = (up.as_ptr(), want.as_mut_ptr(), dn.as_ptr(), brow.as_ptr());
-                    // SAFETY: four `n`-long rows, one thread.
-                    unsafe { relax.sor_row_update(u, m, d, b, n, h2, omega, j0, scalar) };
-                    for j in 0..n {
-                        let (got, want) = (got[j * lanes + k].to_bits(), want[j].to_bits());
-                        assert_eq!(got, want, "sor {name} n={n} j0={j0} lane={k} j={j}");
-                    }
+                let (mut got, mut want) = (mid.clone(), mid.clone());
+                // SAFETY: as above; nothing else touches `got` or `want`.
+                unsafe {
+                    sor_body(relax, u, got.as_mut_ptr(), d, b, n, h2, omega, j0);
+                    relax.sor_row_update(u, want.as_mut_ptr(), d, b, n, h2, omega, j0, scalar);
+                }
+                for j in 0..n {
+                    let (got, want) = (got[j].to_bits(), want[j].to_bits());
+                    assert_eq!(got, want, "sor {name} n={n} j0={j0} j={j}");
                 }
             }
         }

@@ -13,7 +13,6 @@
 //! [`Workspace::stats`] exposes allocation/reuse counters so tests can
 //! assert the zero-allocation property directly.
 
-use crate::batch::BatchGrid;
 use crate::Grid2d;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -104,8 +103,6 @@ struct Pools {
     grids: HashMap<usize, Vec<Grid2d>>,
     /// Scratch row buffers keyed by length (64-byte-aligned storage).
     buffers: HashMap<usize, Vec<AlignedBuf>>,
-    /// Scratch batch grids keyed by `(n, width)` (multi-RHS solves).
-    batches: HashMap<(usize, usize), Vec<BatchGrid>>,
 }
 
 /// A pool of reusable scratch grids and row buffers.
@@ -218,57 +215,6 @@ impl Workspace {
         }
     }
 
-    /// Lease an all-zero `n`×`n` batch grid ([`BatchGrid`]) of `width`
-    /// lanes for a multi-RHS solve, reusing pooled storage when
-    /// available. Batches pool per `(n, width)` pair, so a process that
-    /// mixes widths (e.g. a forced-width-4 run next to native width 8)
-    /// never hands a lease of the wrong shape.
-    pub fn acquire_batch(&self, n: usize, width: usize) -> BatchLease<'_> {
-        let pooled = lock(&self.pools)
-            .batches
-            .get_mut(&(n, width))
-            .and_then(Vec::pop);
-        let batch = match pooled {
-            Some(mut b) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                b.fill_zero();
-                b
-            }
-            None => {
-                self.allocations.fetch_add(1, Ordering::Relaxed);
-                BatchGrid::zeros(n, width)
-            }
-        };
-        BatchLease {
-            ws: self,
-            batch: Some(batch),
-        }
-    }
-
-    /// Lease an `n`×`n` batch grid of `width` lanes **without**
-    /// clearing pooled contents (fresh allocations are still zeroed);
-    /// for batch scratch that is fully overwritten before any read.
-    pub fn acquire_batch_unzeroed(&self, n: usize, width: usize) -> BatchLease<'_> {
-        let pooled = lock(&self.pools)
-            .batches
-            .get_mut(&(n, width))
-            .and_then(Vec::pop);
-        let batch = match pooled {
-            Some(b) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                b
-            }
-            None => {
-                self.allocations.fetch_add(1, Ordering::Relaxed);
-                BatchGrid::zeros(n, width)
-            }
-        };
-        BatchLease {
-            ws: self,
-            batch: Some(batch),
-        }
-    }
-
     /// Allocation/reuse counters so far.
     pub fn stats(&self) -> WorkspaceStats {
         WorkspaceStats {
@@ -282,7 +228,6 @@ impl Workspace {
         let mut pools = lock(&self.pools);
         pools.grids.clear();
         pools.buffers.clear();
-        pools.batches.clear();
     }
 
     fn release_grid(&self, grid: Grid2d) {
@@ -299,14 +244,6 @@ impl Workspace {
             .entry(buf.len())
             .or_default()
             .push(buf);
-    }
-
-    fn release_batch(&self, batch: BatchGrid) {
-        lock(&self.pools)
-            .batches
-            .entry((batch.n(), batch.width()))
-            .or_default()
-            .push(batch);
     }
 }
 
@@ -370,66 +307,9 @@ impl Drop for BufferLease<'_> {
     }
 }
 
-/// An exclusively-owned scratch batch grid; returns to its
-/// [`Workspace`] on drop.
-pub struct BatchLease<'a> {
-    ws: &'a Workspace,
-    batch: Option<BatchGrid>,
-}
-
-impl Deref for BatchLease<'_> {
-    type Target = BatchGrid;
-    fn deref(&self) -> &BatchGrid {
-        self.batch.as_ref().expect("batch present until drop")
-    }
-}
-
-impl DerefMut for BatchLease<'_> {
-    fn deref_mut(&mut self) -> &mut BatchGrid {
-        self.batch.as_mut().expect("batch present until drop")
-    }
-}
-
-impl Drop for BatchLease<'_> {
-    fn drop(&mut self) {
-        if let Some(b) = self.batch.take() {
-            self.ws.release_batch(b);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_grids_pool_and_zero() {
-        let ws = Workspace::new();
-        {
-            let mut b = ws.acquire_batch(9, 4);
-            b.as_mut_slice()[17] = 3.0;
-        }
-        let b = ws.acquire_batch(9, 4);
-        assert_eq!(b.n(), 9);
-        assert_eq!(b.width(), 4);
-        assert!(b.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(ws.stats().reuses, 1);
-    }
-
-    #[test]
-    fn batch_widths_pool_separately() {
-        let ws = Workspace::new();
-        {
-            let _a = ws.acquire_batch(9, 4);
-        }
-        // Same n, different width: must be a fresh allocation of the
-        // right shape, never the pooled width-4 batch.
-        let b = ws.acquire_batch(9, 8);
-        assert_eq!(b.width(), 8);
-        assert_eq!(b.as_slice().len(), 9 * 9 * 8);
-        assert_eq!(ws.stats().allocations, 2);
-        assert_eq!(ws.stats().reuses, 0);
-    }
 
     #[test]
     fn acquire_reuses_released_grids() {

@@ -1,11 +1,10 @@
 //! One home for every `PETAMG_*` environment variable.
 //!
 //! Before this module the workspace parsed its env vars ad hoc —
-//! batch width in `grid`, fault specs in `core`, conformance filters
-//! in their own test files — and a typo like
-//! `PETAMG_BATCH_WIDHT` was silently ignored. Every accessor here
-//! first runs a **warn-once** sweep over the process environment and
-//! prints any `PETAMG_*` name it does not recognize to stderr, so a
+//! fault specs in `core`, conformance filters in their own test
+//! files — and a misspelled name was silently ignored. Every accessor
+//! here first runs a **warn-once** sweep over the process environment
+//! and prints any `PETAMG_*` name it does not recognize to stderr, so a
 //! misspelled knob announces itself the first time any petamg code
 //! reads the environment.
 //!
@@ -19,7 +18,6 @@ use std::sync::Once;
 /// Every `PETAMG_*` variable the workspace understands.
 pub const KNOWN_VARS: &[&str] = &[
     "PETAMG_TELEMETRY",
-    "PETAMG_BATCH_WIDTH",
     "PETAMG_NUM_THREADS",
     "PETAMG_FAULTS",
     "PETAMG_CONFORMANCE_BACKEND",
@@ -71,16 +69,6 @@ pub fn telemetry_mode() -> TelemetryMode {
         None | Some("0") | Some("off") | Some("false") | Some("") => TelemetryMode::Off,
         Some("2") | Some("trace") | Some("full") => TelemetryMode::Trace,
         Some(_) => TelemetryMode::Metrics,
-    }
-}
-
-/// `PETAMG_BATCH_WIDTH`: forced multi-RHS dispatch width. Only `4`
-/// and `8` are meaningful; anything else falls back to the host probe.
-pub fn batch_width_override() -> Option<usize> {
-    match var("PETAMG_BATCH_WIDTH").as_deref() {
-        Some("4") => Some(4),
-        Some("8") => Some(8),
-        _ => None,
     }
 }
 
@@ -138,8 +126,7 @@ mod tests {
     #[test]
     fn typo_is_flagged_known_are_not() {
         let vars = [
-            "PETAMG_BATCH_WIDHT", // the motivating typo
-            "PETAMG_BATCH_WIDTH",
+            "PETAMG_TELEMTRY",
             "PETAMG_TELEMETRY",
             "PATH",
             "PETAMG_NO_SUCH_KNOB",
@@ -148,8 +135,8 @@ mod tests {
         assert_eq!(
             unknown,
             vec![
-                "PETAMG_BATCH_WIDHT".to_string(),
-                "PETAMG_NO_SUCH_KNOB".to_string()
+                "PETAMG_NO_SUCH_KNOB".to_string(),
+                "PETAMG_TELEMTRY".to_string()
             ]
         );
     }

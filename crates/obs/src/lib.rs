@@ -14,8 +14,8 @@
 //!   of relaxed `fetch_add`s on a per-thread shard (no locks, no
 //!   allocation).
 //! * **Spans** ([`SpanRing`]): a preallocated ring of phase records
-//!   (queue wait → plan resolve → solve → batch assembly) exportable
-//!   as Chrome trace-event JSON for `chrome://tracing`.
+//!   (queue wait → plan resolve → solve) exportable as Chrome
+//!   trace-event JSON for `chrome://tracing`.
 //! * **Sinks**: a stable serde [`TelemetrySnapshot`] (JSON), a
 //!   Prometheus-style text exposition ([`render_prometheus`]), and a
 //!   Chrome trace export ([`chrome_trace_json`]).

@@ -13,8 +13,7 @@
 
 use crate::op::{with_weights, StencilOp};
 use petamg_grid::{
-    batch_zero_boundary_ring, residual_restrict_with, residual_with, zero_boundary_ring, BatchGrid,
-    BatchPtr, Exec, Grid2d, GridPtr, Workspace,
+    residual_restrict_with, residual_with, zero_boundary_ring, Exec, Grid2d, GridPtr, Workspace,
 };
 
 /// Row `i` of `g` as a slice.
@@ -94,53 +93,6 @@ pub fn residual_restrict_op(
     with_weights!(op, residual, |weights| residual_restrict_with(
         weights, x, b, coarse, ws, exec
     ))
-}
-
-/// Batched (multi-RHS) `r = b − A x` on the interior for operator `op`;
-/// `r`'s boundary ring is zeroed in every lane. Per lane bitwise
-/// identical to [`residual_op`] — the operator is shared across lanes.
-///
-/// # Panics
-/// Panics if sizes differ or the operator is bound to another size.
-pub fn batch_residual_op(
-    op: &StencilOp,
-    x: &BatchGrid,
-    b: &BatchGrid,
-    r: &mut BatchGrid,
-    exec: &Exec,
-) {
-    assert_eq!(x.n(), b.n(), "size mismatch in batch_residual_op (x vs b)");
-    assert_eq!(x.n(), r.n(), "size mismatch in batch_residual_op (x vs r)");
-    assert_eq!(
-        x.width(),
-        r.width(),
-        "width mismatch in batch_residual_op (x vs r)"
-    );
-    op.assert_n(x.n());
-    let n = x.n();
-    let width = x.width();
-    let w = n * width;
-    let inv_h2 = x.inv_h2();
-    let mode = exec.simd();
-    let rp = BatchPtr::new(r);
-    let xs = x.as_slice();
-    exec.for_rows(1, n - 1, |i| {
-        // SAFETY: batch row `i` of `r` is written by exactly one task;
-        // `x`, `b` are only read.
-        let out_row = unsafe { std::slice::from_raw_parts_mut(rp.row_mut(i), w) };
-        op.batch_residual_row_into(
-            i,
-            width,
-            &xs[(i - 1) * w..i * w],
-            &xs[i * w..(i + 1) * w],
-            &xs[(i + 1) * w..(i + 2) * w],
-            b.row(i),
-            inv_h2,
-            out_row,
-            mode,
-        );
-    });
-    batch_zero_boundary_ring(r);
 }
 
 #[cfg(test)]

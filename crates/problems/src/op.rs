@@ -237,63 +237,6 @@ impl StencilOp {
         })
     }
 
-    /// Batched (multi-RHS) residual row: like
-    /// [`StencilOp::residual_row_into`], but every slice is a *batch*
-    /// row of `n · width` values (lane `k` of point `j` at
-    /// `[width·j + k]`, `width` 4 or 8). Per lane this reproduces the
-    /// solo row bit for bit. Row `i`'s weights through
-    /// [`Five::batch_residual_row_into`].
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn batch_residual_row_into(
-        &self,
-        i: usize,
-        width: usize,
-        up: &[f64],
-        mid: &[f64],
-        dn: &[f64],
-        brow: &[f64],
-        inv_h2: f64,
-        out: &mut [f64],
-        mode: SimdMode,
-    ) {
-        with_weights!(self, residual, |weights| weights(i)
-            .batch_residual_row_into(width, up, mid, dn, brow, inv_h2, out, mode))
-    }
-
-    /// Batched (multi-RHS) red/black SOR row update: like
-    /// [`StencilOp::sor_row_update`], but over batch rows of
-    /// `n · width` values — every color cell updates all `width`
-    /// lanes at once. Row `i`'s weights through
-    /// [`Five::batch_sor_row_update`].
-    ///
-    /// # Safety
-    /// `width` must be 4 or 8, all four pointers valid for `n · width`
-    /// reads (`mid` for writes), and no other task may concurrently
-    /// write the cells read here.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub unsafe fn batch_sor_row_update(
-        &self,
-        i: usize,
-        width: usize,
-        up: *const f64,
-        mid: *mut f64,
-        dn: *const f64,
-        brow: *const f64,
-        n: usize,
-        h2: f64,
-        omega: f64,
-        color: usize,
-        mode: SimdMode,
-    ) {
-        let j0 = first_column(i, color);
-        // SAFETY: forwarded contract; `j0` is 1 or 2.
-        with_weights!(self, relax, |weights| unsafe {
-            weights(i).batch_sor_row_update(width, up, mid, dn, brow, n, h2, omega, j0, mode)
-        })
-    }
-
     /// The stencil weights of cell `(i, j)` as `(cw, ce, cn, cs, cc)` —
     /// the assembly view used by the banded direct solver,
     /// [`crate::apply_operator_op`], and the test oracles. (The hot

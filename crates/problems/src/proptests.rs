@@ -5,19 +5,17 @@
 //! * unit-weight anisotropic ≡ Poisson, bitwise;
 //! * a constant coefficient field ≡ the constant stencil of its
 //!   weights, bitwise — with the two above, the three weight kinds of
-//!   `petamg_grid::Five` agree pairwise, solo and batched;
+//!   `petamg_grid::Five` agree pairwise;
 //! * vector ≡ scalar for every weighted kernel, including 0–3 lane
 //!   tails (grid sizes 5..=16 sweep every tail length);
 //! * fused residual+restrict ≡ staged, bitwise, per operator;
 //! * coefficient coarsening stays inside the fine field's range.
 
 use crate::coeffs::StencilCoeffs;
-use crate::kernels::{batch_residual_op, residual_op, residual_restrict_op};
+use crate::kernels::{residual_op, residual_restrict_op};
 use crate::op::StencilOp;
 use crate::Problem;
-use petamg_grid::{
-    restrict_full_weighting, BatchGrid, Exec, Grid2d, SimdMode, SimdPolicy, Workspace,
-};
+use petamg_grid::{restrict_full_weighting, Exec, Grid2d, SimdMode, SimdPolicy, Workspace};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -67,54 +65,6 @@ fn op_sor_sweep(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, mode: Si
     }
 }
 
-/// One full red/black SOR sweep over a batch, row by row through
-/// [`StencilOp::batch_sor_row_update`].
-fn op_batch_sor_sweep(
-    op: &StencilOp,
-    x: &mut BatchGrid,
-    b: &BatchGrid,
-    omega: f64,
-    mode: SimdMode,
-) {
-    let (n, width) = (x.n(), x.width());
-    let w = n * width;
-    let h2 = {
-        let h = x.h();
-        h * h
-    };
-    for color in 0..2 {
-        let xp = x.as_mut_slice().as_mut_ptr();
-        let bs = b.as_slice().as_ptr();
-        for i in 1..n - 1 {
-            // SAFETY: sequential row walk; the stencil stays in bounds.
-            unsafe {
-                op.batch_sor_row_update(
-                    i,
-                    width,
-                    xp.add((i - 1) * w),
-                    xp.add(i * w),
-                    xp.add((i + 1) * w),
-                    bs.add(i * w),
-                    n,
-                    h2,
-                    omega,
-                    color,
-                    mode,
-                );
-            }
-        }
-    }
-}
-
-/// A batch of `width` systems derived from `g`: lane `k` holds `g + k`.
-fn lanes_of(g: &Grid2d, width: usize) -> BatchGrid {
-    let mut batch = BatchGrid::zeros(g.n(), width);
-    for k in 0..width {
-        batch.load_lane(k, &Grid2d::from_fn(g.n(), |i, j| g.at(i, j) + k as f64));
-    }
-    batch
-}
-
 /// The constant coefficient field `a` at size `n` as a
 /// [`StencilOp::Var`], and the [`StencilOp::ConstFive`] carrying the
 /// very weights that field derives (every interior cell has the same).
@@ -160,8 +110,8 @@ proptest! {
     /// stencil; a constant coefficient field matches the constant
     /// stencil of its weights. Together: a unit weight, an `f64` weight
     /// and a per-cell weight row agree pairwise wherever they carry the
-    /// same value, solo and batched at widths 4 and 8. Sizes 17 and 33
-    /// run the SOR body through several 8-column chunks plus a tail.
+    /// same value. Sizes 17 and 33 run the SOR body through several
+    /// 8-column chunks plus a tail.
     #[test]
     fn unit_coefficients_match_poisson_bitwise(
         xs in prop::collection::vec(-50.0f64..50.0, 33 * 33),
@@ -199,23 +149,6 @@ proptest! {
                         }
                         prop_assert_eq!(x_op.as_slice(), x_ref.as_slice());
 
-                        // The same two kernels on batched rows.
-                        for width in [4usize, 8] {
-                            let (xb, bb) = (lanes_of(&x, width), lanes_of(&b, width));
-                            let mut r_ref = BatchGrid::zeros(n, width);
-                            batch_residual_op(reference, &xb, &bb, &mut r_ref, &e);
-                            let mut r_op = BatchGrid::zeros(n, width);
-                            batch_residual_op(op, &xb, &bb, &mut r_op, &e);
-                            prop_assert_eq!(r_op.as_slice(), r_ref.as_slice());
-
-                            let mut x_ref = xb.clone();
-                            let mut x_op = xb.clone();
-                            for _ in 0..2 {
-                                op_batch_sor_sweep(reference, &mut x_ref, &bb, omega, mode);
-                                op_batch_sor_sweep(op, &mut x_op, &bb, omega, mode);
-                            }
-                            prop_assert_eq!(x_op.as_slice(), x_ref.as_slice());
-                        }
                     }
                 }
             }

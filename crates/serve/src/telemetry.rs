@@ -2,10 +2,10 @@
 //!
 //! [`ServeTelemetry`] pre-registers the request-lifecycle metric
 //! families — queue wait, plan resolution (labeled by
-//! [`PlanSource`]), end-to-end solve time, and batch-group assembly —
-//! plus a preallocated [`SpanRing`] for Chrome-trace export. Handles
-//! are resolved once at service startup, so the per-request
-//! observation path never touches the registry.
+//! [`PlanSource`]) and end-to-end solve time — plus a preallocated
+//! [`SpanRing`] for Chrome-trace export. Handles are resolved once at
+//! service startup, so the per-request observation path never touches
+//! the registry.
 //!
 //! Gating is the service's job: every observation site checks
 //! [`petamg_obs::enabled`] (one relaxed atomic load) before taking a
@@ -80,10 +80,8 @@ pub struct ServeTelemetry {
     pub queue_wait_seconds: Histogram,
     /// Plan resolution latency by [`PlanSource`].
     plan_resolve_seconds: [Histogram; 5],
-    /// End-to-end guarded-solve latency (per request or batch group).
+    /// End-to-end guarded-solve latency, per request.
     pub solve_seconds: Histogram,
-    /// Time spent grouping a `submit_many` burst into batch groups.
-    pub batch_assembly_seconds: Histogram,
     /// Request-phase spans for Chrome-trace export.
     pub spans: SpanRing,
 }
@@ -101,7 +99,6 @@ impl ServeTelemetry {
                 )
             }),
             solve_seconds: registry.histogram("petamg_solve_seconds", &[]),
-            batch_assembly_seconds: registry.histogram("petamg_batch_assembly_seconds", &[]),
             spans: SpanRing::with_capacity(SPAN_RING_CAPACITY),
         }
     }
@@ -135,15 +132,6 @@ impl ServeTelemetry {
         if petamg_obs::trace_enabled() {
             self.spans
                 .record_since("solve", "serve", detail, stamp.start_us);
-        }
-    }
-
-    /// Record one `submit_many` grouping pass that started at `stamp`.
-    pub fn observe_batch_assembly(&self, stamp: PhaseStamp) {
-        self.batch_assembly_seconds.record_elapsed(stamp.at);
-        if petamg_obs::trace_enabled() {
-            self.spans
-                .record_since("batch_assembly", "serve", "", stamp.start_us);
         }
     }
 }
@@ -187,13 +175,8 @@ mod tests {
         };
         telemetry.observe_queue_wait(stamp);
         telemetry.observe_solve("tuned", stamp);
-        telemetry.observe_batch_assembly(stamp);
         let snap = registry.snapshot();
         assert_eq!(snap.histogram_count("petamg_queue_wait_seconds", &[]), 1);
         assert_eq!(snap.histogram_count("petamg_solve_seconds", &[]), 1);
-        assert_eq!(
-            snap.histogram_count("petamg_batch_assembly_seconds", &[]),
-            1
-        );
     }
 }

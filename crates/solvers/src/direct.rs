@@ -94,7 +94,10 @@ impl DirectSolverCache {
 
     /// How many factorisations this cache has run, failed ones
     /// included: one per key, however many callers missed together,
-    /// plus one per re-factor after an eviction or a failure.
+    /// plus one per re-factor after an eviction or a failure. A key is
+    /// an operator at a size, not a problem fingerprint: a plan whose
+    /// recursion bottoms out in the n = 3 direct base case factors that
+    /// too, so one fingerprint's first requests can count 2.
     pub fn factorizations(&self) -> u64 {
         self.factorizations.load(Ordering::Relaxed)
     }

@@ -18,7 +18,6 @@
 
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod direct;
 pub mod fused;
 pub mod guard;
@@ -28,10 +27,6 @@ pub mod relax;
 #[cfg(test)]
 mod proptests;
 
-pub use batch::{
-    batch_interpolate_correct_relax_op, batch_relax_residual_restrict_op,
-    batch_residual_restrict_op, batch_sor_half_sweep_op, batch_sor_sweep_op, batch_sor_sweeps_op,
-};
 pub use direct::{DirectSolverCache, DEFAULT_FACTOR_CAPACITY};
 pub use fused::{
     interpolate_correct_relax, interpolate_correct_relax_op, relax_residual_restrict,
@@ -39,4 +34,6 @@ pub use fused::{
 };
 pub use guard::{GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
 pub use multigrid::{MgConfig, ReferenceSolver};
-pub use relax::{omega_opt, sor_sweep, sor_sweep_op, sor_sweeps, sor_sweeps_op};
+pub use relax::{
+    batch_sor_sweep_op, omega_opt, sor_sweep, sor_sweep_op, sor_sweeps, sor_sweeps_op,
+};

@@ -8,7 +8,7 @@
 //! red cell `(i+j even)` reads only black neighbors and vice versa, so
 //! the parallel result is bitwise identical to the sequential one.
 
-use petamg_grid::{Exec, Grid2d, GridPtr};
+use petamg_grid::{BatchGrid, Exec, Grid2d, GridPtr};
 use petamg_problems::StencilOp;
 
 /// The SOR weight inside tuned/reference cycles, fixed by the paper to
@@ -44,6 +44,20 @@ pub fn sor_sweep_op(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, exec
     assert_eq!(x.n(), b.n(), "size mismatch in sor_sweep");
     sor_half_sweep_op(op, x, b, omega, 0, exec); // red: (i + j) % 2 == 0
     sor_half_sweep_op(op, x, b, omega, 1, exec); // black
+}
+
+// Pinned by `benchmark/src/probes.rs` (`solvers.batch_sor_sweep_us_per_system.n129`); delete with ROADMAP 1(i).
+#[doc(hidden)]
+pub fn batch_sor_sweep_op(
+    op: &StencilOp,
+    x: &mut BatchGrid,
+    b: &BatchGrid,
+    omega: f64,
+    exec: &Exec,
+) {
+    for (x, b) in x.0.iter_mut().zip(&b.0) {
+        sor_sweep_op(op, x, b, omega, exec);
+    }
 }
 
 /// One half-sweep updating only cells of `color` (`(i+j) % 2 == color`).

@@ -360,10 +360,8 @@ fn full_queue_rejects_with_typed_error() {
 /// Warm-worker allocation accounting: after the service has seen every
 /// profile once, a steady-state burst leases every per-request grid
 /// from the per-worker arenas — the arenas' allocation counters must
-/// not move. That includes `submit_many` groups whose lanes ask for
-/// tolerances orders apart: their lanes pick different family members,
-/// and the snapshots that freeze one member class while another cycles
-/// are arena leases too.
+/// not move. That includes `submit_many` calls whose requests ask for
+/// tolerances orders apart, so neighbours run different family members.
 #[test]
 fn warm_workers_allocate_nothing_at_steady_state() {
     let svc = Arc::new(
@@ -375,9 +373,9 @@ fn warm_workers_allocate_nothing_at_steady_state() {
         .unwrap(),
     );
     let profiles = profiles();
-    // Two same-fingerprint groups per call (one per worker), the same
-    // systems every time so every group makes the same lease demand.
-    let mixed_groups = || -> Vec<SolveRequest> {
+    // Sixteen same-fingerprint requests per call, the same systems
+    // every time so every call makes the same lease demand.
+    let mixed_tols = || -> Vec<SolveRequest> {
         let tols = [1e-3, 1e-10, 1e-6, 1e-8, 1e-5, 1e-9, 1e-4, 1e-7];
         (0..16)
             .map(|k| {
@@ -387,18 +385,18 @@ fn warm_workers_allocate_nothing_at_steady_state() {
             })
             .collect()
     };
-    let serve_mixed_groups = || {
+    let serve_mixed_tols = || {
         let mut disagreed = false;
         let responses: Vec<_> = svc
-            .submit_many(mixed_groups())
+            .submit_many(mixed_tols())
             .into_iter()
-            .map(|t| t.wait().expect("mixed-tolerance group converges"))
+            .map(|t| t.wait().expect("mixed-tolerance call converges"))
             .collect();
         for pair in responses.windows(2) {
             let (a, b) = (&pair[0].report.members, &pair[1].report.members);
             disagreed |= a.iter().zip(b).any(|(ma, mb)| ma != mb);
         }
-        assert!(disagreed, "lanes of a group must pick different members");
+        assert!(disagreed, "neighbours must pick different members");
     };
     // Warm-up: several rounds so every worker has served every profile
     // and every arena holds grids for each size class it will see.
@@ -411,7 +409,7 @@ fn warm_workers_allocate_nothing_at_steady_state() {
         for t in tickets {
             t.wait().expect("warm-up converges");
         }
-        serve_mixed_groups();
+        serve_mixed_tols();
     }
     svc.drain();
     let warm: u64 = svc.arena_stats().iter().map(|s| s.allocations).sum();
@@ -426,7 +424,7 @@ fn warm_workers_allocate_nothing_at_steady_state() {
         t.wait().expect("steady-state converges");
     }
     for _ in 0..10 {
-        serve_mixed_groups();
+        serve_mixed_tols();
     }
     svc.drain();
     let steady: u64 = svc.arena_stats().iter().map(|s| s.allocations).sum();
@@ -509,18 +507,18 @@ fn tiny_plan_cache_under_concurrent_traffic_stays_correct() {
     );
 }
 
-/// Mixed batched and solo traffic under concurrency, on every backend:
-/// one client submits a `solve_many` mix that groups into batches
-/// (same-fingerprint runs), singles out a different size, and forces a
-/// traced request solo, while other clients hammer plain `solve` on
-/// the same service. Every response must pass the independent residual
-/// check — a batched lane leaking another lane's iterate cannot.
+/// `solve_many` and `solve` traffic mixed under concurrency, on every
+/// backend: one client submits a `solve_many` mix (two same-fingerprint
+/// runs, a different size, a traced request) while other clients
+/// hammer plain `solve` on the same service. Every response must pass
+/// the independent residual check and equal `solve` of the same
+/// request bit for bit — any worker, any arena, same bits.
 #[test]
-fn batched_and_solo_mixed_traffic_stress() {
+fn solve_many_and_solve_mixed_traffic_stress() {
     for (name, exec) in common::backends(&[2]) {
         let svc = Arc::new(
             SolverService::start(
-                ServiceConfig::new(tmp_dir(&format!("batchmix-{}", name.replace('+', "-"))))
+                ServiceConfig::new(tmp_dir(&format!("manymix-{}", name.replace('+', "-"))))
                     .with_workers(3)
                     .with_queue_capacity(64)
                     .with_exec(exec),
@@ -529,11 +527,11 @@ fn batched_and_solo_mixed_traffic_stress() {
         );
         let profiles = profiles();
 
-        // Batched client: 4 Poisson@17 + 3 aniso@17 + 1 Poisson@33 +
+        // `solve_many` client: 4 Poisson@17 + 3 aniso@17 + 1 Poisson@33 +
         // 1 traced Poisson@17 in one submission.
-        let batch_svc = Arc::clone(&svc);
-        let batch_name = name.clone();
-        let batched = std::thread::spawn(move || {
+        let many_svc = Arc::clone(&svc);
+        let many_name = name.clone();
+        let many = std::thread::spawn(move || {
             let mut requests = Vec::new();
             for k in 0..4 {
                 requests.push(request(&Problem::poisson(), 500 + k));
@@ -554,22 +552,24 @@ fn batched_and_solo_mixed_traffic_stress() {
                 TOL,
             ));
             requests.push(request(&Problem::poisson(), 521).with_trace());
-            let inputs: Vec<(Problem, Grid2d)> = requests
-                .iter()
-                .map(|r| (r.problem.clone(), r.b.clone()))
-                .collect();
-            let responses = batch_svc.solve_many(requests);
+            let responses = many_svc.solve_many(requests.clone());
             assert_eq!(responses.len(), 9);
-            for (k, ((problem, b), response)) in inputs.iter().zip(&responses).enumerate() {
+            for (k, (request, response)) in requests.into_iter().zip(&responses).enumerate() {
                 let report = response
                     .as_ref()
-                    .unwrap_or_else(|e| panic!("[{batch_name}] slot {k} failed: {e:?}"));
+                    .unwrap_or_else(|e| panic!("[{many_name}] slot {k} failed: {e:?}"));
                 assert!(report.report.rel_residual <= TOL);
-                let recomputed = rel_residual(problem, &report.x, b);
+                let recomputed = rel_residual(&request.problem, &report.x, &request.b);
                 assert!(
                     recomputed <= TOL * 10.0,
-                    "[{batch_name}] slot {k}: independent residual {recomputed:.3e} \
-                     disagrees — a batched lane leaked another system's iterate"
+                    "[{many_name}] slot {k}: independent residual {recomputed:.3e} \
+                     disagrees — the response carries another system's iterate"
+                );
+                let alone = many_svc.solve(request).expect("solve serves");
+                assert_eq!(
+                    report.x.as_slice(),
+                    alone.x.as_slice(),
+                    "[{many_name}] slot {k} differs from `solve` of the same request"
                 );
             }
             assert!(
@@ -580,12 +580,12 @@ fn batched_and_solo_mixed_traffic_stress() {
                     .tracer
                     .events
                     .is_empty(),
-                "[{batch_name}] traced request lost its trace in the batch path"
+                "[{many_name}] traced request lost its trace"
             );
         });
 
-        // Solo clients on the same service, overlapping the batches.
-        let mut clients = vec![batched];
+        // `solve` clients on the same service, overlapping the call.
+        let mut clients = vec![many];
         for t in 0..2u64 {
             let svc = Arc::clone(&svc);
             let profiles = profiles.clone();
@@ -595,7 +595,7 @@ fn batched_and_solo_mixed_traffic_stress() {
                     let p = &profiles[((t + j) % profiles.len() as u64) as usize];
                     let report = svc
                         .solve(request(p, 600 + t * 50 + j))
-                        .unwrap_or_else(|e| panic!("[{name}] solo solve failed: {e:?}"));
+                        .unwrap_or_else(|e| panic!("[{name}] solve failed: {e:?}"));
                     assert!(report.report.rel_residual <= TOL);
                 }
             }));
@@ -605,16 +605,12 @@ fn batched_and_solo_mixed_traffic_stress() {
         }
 
         let stats = svc.stats();
-        assert_eq!(stats.completed, 21, "[{name}] 9 batched-submit + 12 solo");
+        assert_eq!(
+            stats.completed, 30,
+            "[{name}] 9 in one call, each again alone, 12 more"
+        );
         assert_eq!(stats.panics, 0, "[{name}] worker panicked");
         assert_eq!(stats.bad_requests, 0);
-        assert!(
-            stats.batches >= 2 && stats.batched_requests >= 7,
-            "[{name}] mixed submission must batch the two same-fingerprint runs \
-             (got {} batches / {} batched requests)",
-            stats.batches,
-            stats.batched_requests
-        );
         assert_eq!(svc.in_flight(), 0, "[{name}] in-flight leak");
     }
 }
