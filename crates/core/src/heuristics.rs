@@ -15,7 +15,7 @@
 //! full DP tuner.
 
 use crate::plan::{Choice, TunedFamily};
-use crate::tuner::{TunerOptions, VTuner};
+use crate::tuner::{TunerOptions, VTuner, Walk};
 
 /// Build the heuristic family for strategy `sub_acc`/`final_acc`
 /// (`sub_acc == final_acc` gives the paper's plain "Strategy 10⁹").
@@ -50,37 +50,35 @@ pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) 
         for inst in &mut instances {
             inst.ensure_x_opt(&tuner.options().exec, tuner.cache());
         }
-        for (i, &target) in accuracies.iter().enumerate() {
-            let partial = tuner.family_view(&plans, k);
-            // Candidate 1: direct (if available/affordable).
-            let direct = tuner.measure_direct(k, &instances);
-            let budget = direct.as_ref().filter(|d| d.feasible).map(|d| d.cost);
-            // Candidate 2: RECURSE at the pinned sub accuracy (index 0).
-            let recurse = tuner.measure_recurse(&partial, k, 0, target, &instances, budget);
-
-            let choice = match (direct, recurse) {
-                (Some(d), Some(r)) if d.feasible && r.feasible => {
-                    if d.cost <= r.cost {
-                        Choice::Direct
-                    } else {
-                        Choice::Recurse {
-                            sub_accuracy: 0,
-                            iterations: r.iterations,
-                        }
-                    }
-                }
-                (Some(d), _) if d.feasible => Choice::Direct,
-                (_, Some(r)) if r.feasible => Choice::Recurse {
+        let partial = tuner.family_view(&plans, k);
+        // Candidate 1: direct (if available/affordable).
+        let direct = tuner.measure_direct(k, &instances);
+        // Candidate 2: RECURSE at the pinned sub accuracy (index 0),
+        // one walk for both targets.
+        let recurse = tuner.measure_recurse(
+            &partial,
+            k,
+            0,
+            &Walk {
+                instances: &instances,
+                starts: None,
+                targets: &accuracies,
+                budgets: &vec![direct.map(|d| d.cost); m],
+            },
+        );
+        plans[k] = recurse
+            .iter()
+            .map(|r| match direct {
+                Some(d) if !r.feasible || d.cost <= r.cost => Choice::Direct,
+                _ if r.feasible => Choice::Recurse {
                     sub_accuracy: 0,
                     iterations: r.iterations,
                 },
                 _ => panic!(
                     "heuristic {sub_acc:e}/{final_acc:e}: no feasible candidate at level {k}"
                 ),
-            };
-            let _ = i;
-            plans[k].push(choice);
-        }
+            })
+            .collect();
     }
 
     let family = TunedFamily {

@@ -5,9 +5,10 @@ use crate::cost::{LevelOps, MachineProfile, OpCounts};
 use crate::guard::select_member;
 use crate::plan::{simple_v_family, Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
-use crate::tuner::apply_knobs;
+use crate::tuner::{apply_knobs, TunerOptions, VTuner, Walk};
 use petamg_choice::{KernelKnobs, KnobTable, SimdPolicy, KNOB_TABLE_VERSION};
-use petamg_grid::Exec;
+use petamg_grid::{level_size, Exec};
+use petamg_problems::Problem;
 use proptest::prelude::*;
 
 fn arb_knobs() -> impl Strategy<Value = KernelKnobs> {
@@ -288,5 +289,80 @@ proptest! {
         prop_assert_eq!(picked, want);
         prop_assert!(select_member(&fam, need * more, floor) >= picked);
         prop_assert!(select_member(&fam, need, floor + 1) >= picked);
+    }
+
+    /// One walk serves every target exactly as a walk of its own would:
+    /// per-target budgets, abandons, iteration counts and costs read
+    /// off the shared trajectory equal, field for field, what walking
+    /// each target alone from the start gives — from `x0` (the V
+    /// tuner's form) and from given states that may already meet a
+    /// target (the FMG follow-up's form).
+    #[test]
+    fn shared_walk_equals_one_walk_per_target(
+        family in 0usize..4,
+        level in 2usize..=4,
+        mask in 1usize..32,
+        budgets in prop::collection::vec(0usize..7, 5),
+        sub_acc in 0usize..5,
+        sor in 0usize..2,
+        from_states in 0usize..2,
+    ) {
+        let n = level_size(level);
+        let problem = match family {
+            0 => Problem::poisson(),
+            1 => Problem::anisotropic_canonical(),
+            2 => Problem::smooth_sinusoidal(n),
+            _ => Problem::jump_inclusion(n),
+        };
+        let opts = |max_level| {
+            TunerOptions::quick(max_level, Distribution::UnbiasedUniform)
+                .with_problem(problem.clone())
+        };
+        let below = VTuner::new(opts(level - 1)).tune();
+        let tuner = VTuner::new(opts(level));
+        let mut instances = tuner.training_instances(level);
+        for inst in &mut instances {
+            inst.ensure_x_opt(&tuner.options().exec, tuner.cache());
+        }
+        let targets: Vec<f64> = (0..5)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| PAPER_ACCURACIES[i])
+            .collect();
+        // No budget, one no step survives, and a range around the
+        // price of the walk's natural yardstick, a direct solve.
+        let direct = tuner.measure_direct(level, &instances).expect("modeled").cost;
+        let scales = [None, Some(0.0), Some(0.02), Some(0.1), Some(0.5), Some(3.0), Some(50.0)];
+        let budgets: Vec<Option<f64>> = budgets[..targets.len()]
+            .iter()
+            .map(|&b| scales[b].map(|scale| scale * direct))
+            .collect();
+        let states: Vec<_> = instances
+            .iter()
+            .map(|inst| {
+                let mut x = inst.working_grid();
+                below.recurse_step(level, 0, &mut x, &inst.b, &mut tuner.fresh_ctx());
+                x
+            })
+            .collect();
+        let starts = (from_states == 1).then_some(&states[..]);
+
+        let measure = |targets: &[f64], budgets: &[Option<f64>]| {
+            let walk = Walk { instances: &instances, starts, targets, budgets };
+            if sor == 1 {
+                tuner.measure_sor(level, &walk)
+            } else {
+                tuner.measure_recurse(&below, level, sub_acc, &walk)
+            }
+        };
+        let together = measure(&targets, &budgets);
+        prop_assert_eq!(together.len(), targets.len());
+        for i in 0..targets.len() {
+            let alone = measure(&targets[i..=i], &budgets[i..=i]);
+            prop_assert!(
+                alone[0] == together[i],
+                "target {} of {:?}: alone {:?}, together {:?}",
+                i, targets, alone[0], together[i]
+            );
+        }
     }
 }

@@ -10,13 +10,11 @@
 //! > estimation phase, while in cases where very high precision is
 //! > needed, a high precision estimate may not be as helpful."
 
-use super::{Measured, TunerOptions, VTuner};
-use crate::accuracy::{ratio_of_errors, ACC_CAP};
+use super::{Measured, TunerOptions, VTuner, Walk};
 use crate::cost::CostModel;
 use crate::plan::{ExecCtx, FmgChoice, FollowUp, TunedFamily, TunedFmgFamily};
 use crate::training::ProblemInstance;
-use petamg_grid::{l2_diff, level_size, Grid2d};
-use petamg_solvers::relax::{omega_opt, sor_sweep_op};
+use petamg_grid::{level_size, Grid2d};
 use std::time::Instant;
 
 /// The `FULL-MULTIGRID_i` dynamic-programming tuner. Wraps a [`VTuner`]
@@ -73,11 +71,7 @@ impl FmgTuner {
             for inst in &mut instances {
                 inst.ensure_x_opt(&opts.exec, self.v_tuner.cache());
             }
-            for i in 0..m {
-                let target = opts.accuracies[i];
-                let choice = self.tune_fmg_slot(&v, &plans, k, target, &instances);
-                plans[k].push(choice);
-            }
+            plans[k] = self.tune_fmg_level(&v, &plans, k, &instances);
         }
         TunedFmgFamily { v, plans }
     }
@@ -89,82 +83,78 @@ impl FmgTuner {
         }
     }
 
-    fn tune_fmg_slot(
+    /// Tune every accuracy slot of one level. Each `ESTIMATE_j` runs
+    /// once and each follow-up is walked once from its states; every
+    /// slot keeps its own cheapest estimate + follow-up total.
+    fn tune_fmg_level(
         &self,
         v: &TunedFamily,
         plans: &[Vec<FmgChoice>],
         level: usize,
-        target: f64,
         instances: &[ProblemInstance],
-    ) -> FmgChoice {
-        let opts = self.v_tuner.options();
-        let m = opts.accuracies.len();
-        let mut best: Option<(f64, FmgChoice)> = None;
+    ) -> Vec<FmgChoice> {
+        let targets = &self.v_tuner.options().accuracies[..];
+        let m = targets.len();
 
         // 1. Direct.
-        if let Some(meas) = self.v_tuner.measure_direct(level, instances) {
-            if meas.feasible {
-                best = Some((meas.cost, FmgChoice::Direct));
-            }
-        }
+        let direct = self.v_tuner.measure_direct(level, instances);
+        let mut best: Vec<Option<(f64, FmgChoice)>> =
+            vec![direct.map(|d| (d.cost, FmgChoice::Direct)); m];
 
         // 2. ESTIMATE_j followed by SOR or RECURSE_m.
         let partial = self.partial(v, plans, level);
         for j in 0..m {
             // Run the estimate once per instance, snapshotting states.
             let (est_cost, est_states) = self.run_estimates(&partial, level, j, instances);
-
-            // Follow-up: SOR.
-            let budget = best.as_ref().map(|(c, _)| (*c - est_cost).max(0.0));
-            if let Some(meas) =
-                self.measure_follow_sor(level, target, instances, &est_states, budget)
-            {
-                if meas.feasible {
-                    let total = est_cost + meas.cost;
-                    let choice = FmgChoice::Estimate {
-                        estimate_accuracy: j as u8,
-                        follow: FollowUp::Sor {
-                            iterations: meas.iterations,
-                        },
-                    };
-                    if best.as_ref().is_none_or(|(c, _)| total < *c) {
-                        best = Some((total, choice));
-                    }
-                }
-            }
-
-            // Follow-up: RECURSE_m cycles.
-            for sub in 0..m {
-                let budget = best.as_ref().map(|(c, _)| (*c - est_cost).max(0.0));
-                if let Some(meas) = self.measure_follow_recurse(
-                    v,
-                    level,
-                    sub,
-                    target,
+            // What the incumbent leaves for the follow-up is its budget.
+            let mut follow_up = |measure: &dyn Fn(&Walk) -> Vec<Measured>,
+                                 follow: &dyn Fn(u32) -> FollowUp| {
+                let budgets: Vec<Option<f64>> = best
+                    .iter()
+                    .map(|b| b.map(|(cost, _)| (cost - est_cost).max(0.0)))
+                    .collect();
+                let measured = measure(&Walk {
                     instances,
-                    &est_states,
-                    budget,
-                ) {
-                    if meas.feasible {
-                        let total = est_cost + meas.cost;
+                    starts: Some(&est_states),
+                    targets,
+                    budgets: &budgets,
+                });
+                for (slot, meas) in best.iter_mut().zip(measured) {
+                    let total = est_cost + meas.cost;
+                    if meas.feasible && slot.is_none_or(|(cost, _)| total < cost) {
                         let choice = FmgChoice::Estimate {
                             estimate_accuracy: j as u8,
-                            follow: FollowUp::Recurse {
-                                sub_accuracy: sub as u8,
-                                iterations: meas.iterations,
-                            },
+                            follow: follow(meas.iterations),
                         };
-                        if best.as_ref().is_none_or(|(c, _)| total < *c) {
-                            best = Some((total, choice));
-                        }
+                        *slot = Some((total, choice));
                     }
                 }
+            };
+            follow_up(
+                &|walk| self.v_tuner.measure_sor(level, walk),
+                &|iterations| FollowUp::Sor { iterations },
+            );
+            for sub in 0..m {
+                follow_up(
+                    &|walk| self.v_tuner.measure_recurse(v, level, sub, walk),
+                    &|iterations| FollowUp::Recurse {
+                        sub_accuracy: sub as u8,
+                        iterations,
+                    },
+                );
             }
         }
 
-        best.map(|(_, c)| c).unwrap_or_else(|| {
-            panic!("no feasible FULL-MULTIGRID candidate at level {level} for target {target:e}")
-        })
+        best.iter()
+            .zip(targets)
+            .map(|(slot, target)| {
+                slot.map(|(_, choice)| choice).unwrap_or_else(|| {
+                    panic!(
+                        "no feasible FULL-MULTIGRID candidate at level {level} for target {target:e}"
+                    )
+                })
+            })
+            .collect()
     }
 
     /// Execute `ESTIMATE_j` on each instance; returns (cost of one
@@ -194,156 +184,6 @@ impl FmgTuner {
             states.push(x);
         }
         (cost, states)
-    }
-
-    /// Iterate SOR(ω_opt) from the estimate states until `target`.
-    fn measure_follow_sor(
-        &self,
-        level: usize,
-        target: f64,
-        instances: &[ProblemInstance],
-        est_states: &[Grid2d],
-        budget: Option<f64>,
-    ) -> Option<Measured> {
-        let opts = self.v_tuner.options();
-        let n = level_size(level);
-        let omega = omega_opt(n);
-        let op = opts.problem.op_for(n);
-        let cap = opts
-            .sor_cap_mult
-            .saturating_mul(n as u32)
-            .saturating_add(200);
-        let sweep_cost = opts.cost_model.profile().map(|p| {
-            let mut ops = crate::cost::OpCounts::new(level);
-            ops.level_mut(level).relax_sweeps = 1;
-            p.time(&ops)
-        });
-        let wall = Instant::now();
-        let mut iterations = 0u32;
-        let mut worst = f64::INFINITY;
-        for (inst, est) in instances.iter().zip(est_states) {
-            let x_opt = inst.x_opt().expect("x_opt ensured");
-            let e0 = l2_diff(&inst.x0, x_opt, &opts.exec);
-            let mut x = est.clone();
-            let mut it = 0u32;
-            let mut ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &opts.exec));
-            while ratio < target && it < cap {
-                sor_sweep_op(&op, &mut x, &inst.b, omega, &opts.exec);
-                it += 1;
-                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &opts.exec));
-                if let (Some(b), Some(sc)) = (budget, sweep_cost) {
-                    if it as f64 * sc > b.max(1e-12) * 1.5 {
-                        return None;
-                    }
-                }
-                if opts.cost_model.needs_timing()
-                    && budget.is_some_and(|b| wall.elapsed().as_secs_f64() > (3.0 * b).max(0.25))
-                {
-                    return None;
-                }
-            }
-            if ratio < target {
-                return None;
-            }
-            iterations = iterations.max(it);
-            worst = worst.min(ratio.min(ACC_CAP));
-        }
-        let cost = match &opts.cost_model {
-            CostModel::Modeled(_) => sweep_cost.expect("modeled") * iterations as f64,
-            CostModel::Measured { .. } => {
-                let mut x = est_states[0].clone();
-                let start = Instant::now();
-                for _ in 0..iterations {
-                    sor_sweep_op(&op, &mut x, &instances[0].b, omega, &opts.exec);
-                }
-                start.elapsed().as_secs_f64()
-            }
-        };
-        Some(Measured {
-            feasible: true,
-            accuracy: worst,
-            iterations,
-            cost,
-        })
-    }
-
-    /// Iterate `RECURSE_sub` cycles from the estimate states until
-    /// `target`.
-    #[allow(clippy::too_many_arguments)]
-    fn measure_follow_recurse(
-        &self,
-        v: &TunedFamily,
-        level: usize,
-        sub: usize,
-        target: f64,
-        instances: &[ProblemInstance],
-        est_states: &[Grid2d],
-        budget: Option<f64>,
-    ) -> Option<Measured> {
-        let opts = self.v_tuner.options();
-        let cap = opts.recurse_cap;
-        let wall = Instant::now();
-        let mut iterations = 0u32;
-        let mut worst = f64::INFINITY;
-        let mut per_iter: Option<f64> = None;
-        for (inst, est) in instances.iter().zip(est_states) {
-            let x_opt = inst.x_opt().expect("x_opt ensured");
-            let e0 = l2_diff(&inst.x0, x_opt, &opts.exec);
-            let mut x = est.clone();
-            let mut ctx = self.v_tuner.fresh_ctx();
-            let mut it = 0u32;
-            let mut ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &opts.exec));
-            while ratio < target && it < cap {
-                v.recurse_step(level, sub, &mut x, &inst.b, &mut ctx);
-                it += 1;
-                if it == 1 && per_iter.is_none() {
-                    per_iter = opts.cost_model.profile().map(|p| p.time(&ctx.ops));
-                }
-                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &opts.exec));
-                if let (Some(b), Some(c)) = (budget, per_iter) {
-                    if it as f64 * c > b.max(1e-12) * 1.5 {
-                        return None;
-                    }
-                }
-                if opts.cost_model.needs_timing()
-                    && budget.is_some_and(|b| wall.elapsed().as_secs_f64() > (3.0 * b).max(0.25))
-                {
-                    return None;
-                }
-            }
-            if ratio < target {
-                return None;
-            }
-            iterations = iterations.max(it);
-            worst = worst.min(ratio.min(ACC_CAP));
-        }
-        let cost = match &opts.cost_model {
-            CostModel::Modeled(p) => {
-                if iterations == 0 {
-                    0.0
-                } else {
-                    let mut ctx = self.v_tuner.fresh_ctx();
-                    let mut x = est_states[0].clone();
-                    v.recurse_step(level, sub, &mut x, &instances[0].b, &mut ctx);
-                    p.time(&ctx.ops) * iterations as f64
-                }
-            }
-            CostModel::Measured { .. } => {
-                let mut ctx = self.v_tuner.fresh_ctx();
-                let mut x = est_states[0].clone();
-                let start = Instant::now();
-                for _ in 0..iterations {
-                    v.recurse_step(level, sub, &mut x, &instances[0].b, &mut ctx);
-                }
-                start.elapsed().as_secs_f64()
-            }
-        };
-        Some(Measured {
-            feasible: true,
-            accuracy: worst,
-            iterations,
-            cost,
-        })
     }
 }
 
@@ -380,7 +220,7 @@ pub fn estimate_step(
 mod tests {
     use super::*;
     use crate::training::Distribution;
-    use petamg_grid::Exec;
+    use petamg_grid::{l2_diff, Exec};
 
     fn quick(max_level: usize) -> FmgTuner {
         FmgTuner::new(TunerOptions::quick(

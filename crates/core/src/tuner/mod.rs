@@ -1,20 +1,29 @@
 //! The accuracy-aware dynamic-programming autotuner (§2.2–2.3).
 //!
 //! For each level `k` (grid `N = 2^k + 1`), **after** all accuracies of
-//! level `k−1` are tuned, and for each target accuracy `p_i`, the tuner
-//! measures three candidate classes on training instances:
+//! level `k−1` are tuned, the tuner measures three candidate classes on
+//! training instances, for every target accuracy `p_i` of the level:
 //!
 //! * **Direct** — exact, cost known (or measured);
-//! * **SOR(ω_opt) × t** — `t` determined by iterating until the
-//!   error-ratio metric reaches `p_i`;
 //! * **RECURSE_j × t** for every `j` — each cycle recursing into the
-//!   already-tuned `MULTIGRID-V_j` of level `k−1`; `t` again measured.
+//!   already-tuned `MULTIGRID-V_j` of level `k−1`;
+//! * **SOR(ω_opt) × t**;
 //!
-//! The fastest feasible candidate is stored in the DP table
-//! (`plans[k][i]`). Candidates are evaluated cheap-first with an
-//! early-abandon budget so that hopeless SOR runs at large sizes cannot
-//! dominate tuning time (the paper instead capped its search space; the
-//! effect is the same).
+//! where `t` is the first iteration at which the error-ratio metric
+//! reaches `p_i`. The fastest feasible candidate is stored in the DP
+//! table (`plans[k][i]`).
+//!
+//! The search is **candidate-major**: all `p_i` of a level are tuned
+//! against the same level `k−1`, so the error trajectory of a candidate
+//! does not depend on which `p_i` is asked. Each candidate is therefore
+//! walked **once** per training instance and every target reads its `t`
+//! off that one trajectory. A target leaves the walk when it is reached
+//! or when the walk has cost more than 1.5× the target's own incumbent
+//! (hopeless SOR runs at large sizes cannot dominate tuning time; the
+//! paper instead capped its search space — the effect is the same), and
+//! the walk ends when no target is left. Slots of one level share
+//! nothing but the trajectory, so budgets, winners, tie-breaks and
+//! diagnostics are those of tuning each slot alone.
 
 mod fmg;
 mod knobs;
@@ -32,7 +41,7 @@ use crate::cost::{CostModel, MachineProfile, OpCounts};
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
 use petamg_choice::{KernelKnobs, KnobTable};
-use petamg_grid::{l2_diff, level_size, Exec, Workspace};
+use petamg_grid::{l2_diff, level_size, Exec, Grid2d, Workspace};
 use petamg_problems::Problem;
 use petamg_solvers::relax::{omega_opt, sor_sweep_op};
 use petamg_solvers::DirectSolverCache;
@@ -110,7 +119,8 @@ impl Default for KnobSearchOptions {
 
 impl TunerOptions {
     /// Deterministic quick-tuning preset: modeled Intel-Harpertown cost,
-    /// two training instances — ideal for tests and examples.
+    /// two training instances. This is what `TunePolicy::QuickTune`
+    /// serves from, so its tune time is a service's set-up time.
     pub fn quick(max_level: usize, distribution: Distribution) -> Self {
         TunerOptions {
             accuracies: PAPER_ACCURACIES.to_vec(),
@@ -192,8 +202,12 @@ pub struct CandidateEval {
 /// A tuning run's full diagnostics.
 #[derive(Clone, Debug, Default)]
 pub struct TuneDiagnostics {
-    /// Every candidate evaluated, in evaluation order.
+    /// Every candidate evaluated, slot by slot, in evaluation order.
     pub evaluations: Vec<CandidateEval>,
+    /// `RECURSE_j` applications the search ran, by level.
+    pub recurse_steps: Vec<u64>,
+    /// SOR sweeps the search ran, by level.
+    pub sor_sweeps: Vec<u64>,
 }
 
 impl TuneDiagnostics {
@@ -206,12 +220,56 @@ impl TuneDiagnostics {
     }
 }
 
-/// Outcome of one candidate measurement.
+/// Outcome of one candidate measurement for one accuracy target.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Measured {
     pub(crate) feasible: bool,
     pub(crate) accuracy: f64,
     pub(crate) iterations: u32,
     pub(crate) cost: f64,
+}
+
+/// What one candidate walk is asked: whose trajectories to follow and,
+/// per accuracy target, when to give up.
+pub(crate) struct Walk<'a> {
+    pub(crate) instances: &'a [ProblemInstance],
+    /// Where each instance's trajectory starts: its own `x0` (`None`),
+    /// or the state an `ESTIMATE_j` left — which may already meet a
+    /// target, so only these can be reached in zero iterations.
+    pub(crate) starts: Option<&'a [Grid2d]>,
+    /// Ascending accuracy targets read off the one trajectory.
+    pub(crate) targets: &'a [f64],
+    /// Per target, the incumbent's cost: the walk abandons the target
+    /// once it has cost 1.5× as much (`None`: no incumbent yet).
+    pub(crate) budgets: &'a [Option<f64>],
+}
+
+/// One `(level, acc)` slot of the DP table while its level is tuned.
+#[derive(Default)]
+struct Slot {
+    evals: Vec<CandidateEval>,
+    /// `(cost, iterations, choice)` of the incumbent.
+    best: Option<(f64, u32, Choice)>,
+}
+
+impl Slot {
+    fn consider(&mut self, level: usize, acc_idx: usize, meas: Measured, choice: Choice) {
+        self.evals.push(CandidateEval {
+            level,
+            acc_idx,
+            choice,
+            accuracy: meas.accuracy,
+            cost: meas.cost,
+            selected: false,
+            feasible: meas.feasible,
+        });
+        let better = self.best.is_none_or(|(cost, iterations, _)| {
+            meas.cost < cost || (meas.cost == cost && meas.iterations < iterations)
+        });
+        if meas.feasible && better {
+            self.best = Some((meas.cost, meas.iterations, choice));
+        }
+    }
 }
 
 /// The `MULTIGRID-V_i` dynamic-programming tuner.
@@ -226,6 +284,10 @@ pub struct VTuner {
     /// Knob-timing evaluations spent so far (bounded by
     /// [`KnobSearchOptions::max_evaluations`]).
     knob_evals: RefCell<usize>,
+    /// Candidate steps run so far, by level — counted where the step
+    /// runs ([`TuneDiagnostics::recurse_steps`] / `sor_sweeps`).
+    recurse_steps: RefCell<Vec<u64>>,
+    sor_sweeps: RefCell<Vec<u64>>,
 }
 
 impl VTuner {
@@ -249,6 +311,8 @@ impl VTuner {
             workspace: Arc::new(Workspace::new()),
             knobs: RefCell::new(KnobTable::defaults(max_level)),
             knob_evals: RefCell::new(0),
+            recurse_steps: RefCell::new(vec![0; max_level + 1]),
+            sor_sweeps: RefCell::new(vec![0; max_level + 1]),
         }
     }
 
@@ -274,6 +338,8 @@ impl VTuner {
         // inheriting (or discarding) the previous run's table.
         *self.knobs.borrow_mut() = KnobTable::defaults(self.opts.max_level);
         *self.knob_evals.borrow_mut() = 0;
+        self.recurse_steps.borrow_mut().fill(0);
+        self.sor_sweeps.borrow_mut().fill(0);
         let m = self.opts.accuracies.len();
         let mut diags = TuneDiagnostics::default();
         let mut plans: Vec<Vec<Choice>> = vec![Vec::new(); self.opts.max_level + 1];
@@ -288,14 +354,11 @@ impl VTuner {
             for inst in &mut instances {
                 inst.ensure_x_opt(&self.opts.exec, &self.cache);
             }
-            for i in 0..m {
-                let target = self.opts.accuracies[i];
-                let partial = self.family_view(&plans, k);
-                let (choice, evals) = self.tune_slot(&partial, k, i, target, &instances);
-                diags.evaluations.extend(evals);
-                plans[k].push(choice);
-            }
+            let partial = self.family_view(&plans, k);
+            plans[k] = self.tune_level(&partial, k, &instances, &mut diags.evaluations);
         }
+        diags.recurse_steps = self.recurse_steps.borrow().clone();
+        diags.sor_sweeps = self.sor_sweeps.borrow().clone();
 
         let family = TunedFamily {
             accuracies: self.opts.accuracies.clone(),
@@ -320,84 +383,71 @@ impl VTuner {
         (family, diags)
     }
 
-    /// Tune one `(level, acc)` slot: evaluate all candidates, pick the
-    /// fastest feasible one.
-    fn tune_slot(
+    /// Tune every accuracy slot of one level: each candidate is walked
+    /// once and offered to all slots, each slot keeps its own fastest
+    /// feasible one. Evaluations are appended slot by slot.
+    fn tune_level(
         &self,
         partial: &TunedFamily,
         level: usize,
-        acc_idx: usize,
-        target: f64,
         instances: &[ProblemInstance],
-    ) -> (Choice, Vec<CandidateEval>) {
-        let m = self.opts.accuracies.len();
-        let mut evals: Vec<CandidateEval> = Vec::new();
-        let mut best: Option<(f64, u32, Choice)> = None; // (cost, iters, choice)
-
-        let consider = |meas: Measured,
-                        choice: Choice,
-                        evals: &mut Vec<CandidateEval>,
-                        best: &mut Option<(f64, u32, Choice)>| {
-            evals.push(CandidateEval {
-                level,
-                acc_idx,
-                choice,
-                accuracy: meas.accuracy,
-                cost: meas.cost,
-                selected: false,
-                feasible: meas.feasible,
+        evaluations: &mut Vec<CandidateEval>,
+    ) -> Vec<Choice> {
+        let targets = &self.opts.accuracies[..];
+        let m = targets.len();
+        let mut slots: Vec<Slot> = (0..m).map(|_| Slot::default()).collect();
+        // Walk one candidate (each slot's incumbent cost is its
+        // early-abandon budget) and offer it to every slot.
+        let mut candidate = |measure: &dyn Fn(&Walk) -> Vec<Measured>,
+                             choice: &dyn Fn(u32) -> Choice| {
+            let budgets: Vec<Option<f64>> = slots
+                .iter()
+                .map(|slot| slot.best.map(|(cost, _, _)| cost))
+                .collect();
+            let measured = measure(&Walk {
+                instances,
+                starts: None,
+                targets,
+                budgets: &budgets,
             });
-            if meas.feasible {
-                let better = match best {
-                    None => true,
-                    Some((c, it, _)) => {
-                        meas.cost < *c || (meas.cost == *c && meas.iterations < *it)
-                    }
-                };
-                if better {
-                    *best = Some((meas.cost, meas.iterations, choice));
-                }
+            for (i, (slot, meas)) in slots.iter_mut().zip(measured).enumerate() {
+                slot.consider(level, i, meas, choice(meas.iterations));
             }
         };
-
         // 1. Direct (cheap to price).
         if let Some(meas) = self.measure_direct(level, instances) {
-            consider(meas, Choice::Direct, &mut evals, &mut best);
+            candidate(&|_| vec![meas; m], &|_| Choice::Direct);
         }
-
         // 2. RECURSE_j for every sub-accuracy.
         for j in 0..m {
-            let budget = best.as_ref().map(|(c, _, _)| *c);
-            if let Some(meas) = self.measure_recurse(partial, level, j, target, instances, budget) {
-                let choice = Choice::Recurse {
+            candidate(
+                &|walk| self.measure_recurse(partial, level, j, walk),
+                &|iterations| Choice::Recurse {
                     sub_accuracy: j as u8,
-                    iterations: meas.iterations,
-                };
-                consider(meas, choice, &mut evals, &mut best);
-            }
+                    iterations,
+                },
+            );
         }
-
-        // 3. SOR, with the incumbent cost as an early-abandon budget.
-        let budget = best.as_ref().map(|(c, _, _)| *c);
-        if let Some(meas) = self.measure_sor(level, target, instances, budget) {
-            let choice = Choice::Sor {
-                iterations: meas.iterations,
-            };
-            consider(meas, choice, &mut evals, &mut best);
-        }
-
-        let (_, _, winner) = best.unwrap_or_else(|| {
-            panic!(
-                "no feasible candidate at level {level} for accuracy {target:e} \
-                 (all iteration caps hit — raise recurse_cap/sor_cap_mult)"
-            )
+        // 3. SOR.
+        candidate(&|walk| self.measure_sor(level, walk), &|iterations| {
+            Choice::Sor { iterations }
         });
-        for e in &mut evals {
-            if e.choice == winner {
-                e.selected = true;
-            }
+
+        let mut winners = Vec::with_capacity(m);
+        for (slot, target) in slots.into_iter().zip(targets) {
+            let (_, _, winner) = slot.best.unwrap_or_else(|| {
+                panic!(
+                    "no feasible candidate at level {level} for accuracy {target:e} \
+                     (all iteration caps hit — raise recurse_cap/sor_cap_mult)"
+                )
+            });
+            evaluations.extend(slot.evals.into_iter().map(|mut e| {
+                e.selected = e.choice == winner;
+                e
+            }));
+            winners.push(winner);
         }
-        (winner, evals)
+        winners
     }
 
     /// Search the kernel-knob space for `level`, seeded from the
@@ -538,201 +588,150 @@ impl VTuner {
         }
     }
 
-    /// Iterate SOR(ω_opt) on each instance until the error ratio reaches
-    /// `target`; iterations = max over instances.
-    pub(crate) fn measure_sor(
-        &self,
-        level: usize,
-        target: f64,
-        instances: &[ProblemInstance],
-        budget: Option<f64>,
-    ) -> Option<Measured> {
+    /// SOR(ω_opt) sweeps until each target's error ratio is reached.
+    pub(crate) fn measure_sor(&self, level: usize, ask: &Walk) -> Vec<Measured> {
         let n = level_size(level);
         let omega = omega_opt(n);
         let op = self.opts.problem.op_for(n);
-        let cap = self.opts.sor_cap(n);
-        // Per-sweep modeled cost for budget math.
         let sweep_cost = self.modeled_cost(&{
             let mut ops = OpCounts::new(level);
             ops.level_mut(level).relax_sweeps = 1;
             ops
         });
-        let wall_start = Instant::now();
-
-        let mut iterations: u32 = 0;
-        let mut worst_ratio = f64::INFINITY;
-        for inst in instances {
-            let x_opt = inst.x_opt().expect("training instances carry x_opt");
-            let mut x = inst.working_grid();
-            let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
-            let mut it = 0u32;
-            let mut ratio = 1.0;
-            while it < cap {
-                sor_sweep_op(&op, &mut x, &inst.b, omega, &self.opts.exec);
-                it += 1;
-                let e = l2_diff(&x, x_opt, &self.opts.exec);
-                ratio = ratio_of_errors(e0, e);
-                if ratio >= target {
-                    break;
-                }
-                if let (Some(b), Some(sc)) = (budget, sweep_cost) {
-                    if it as f64 * sc > b * 1.5 {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
-                    }
-                }
-                if let Some(b) = budget {
-                    if self.opts.cost_model.needs_timing()
-                        && wall_start.elapsed().as_secs_f64() > (3.0 * b).max(0.25)
-                    {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
-                    }
-                }
-            }
-            if ratio < target {
-                return Some(Measured {
-                    feasible: false,
-                    accuracy: ratio,
-                    iterations: it,
-                    cost: f64::INFINITY,
-                });
-            }
-            iterations = iterations.max(it);
-            worst_ratio = worst_ratio.min(ratio);
-        }
-
-        let cost = match &self.opts.cost_model {
-            CostModel::Modeled(_) => sweep_cost.expect("modeled") * iterations as f64,
-            CostModel::Measured { trials } => {
-                let inst = &instances[0];
-                let mut best = f64::INFINITY;
-                for _ in 0..(*trials).max(1) {
-                    let mut x = inst.working_grid();
-                    let start = Instant::now();
-                    for _ in 0..iterations {
-                        sor_sweep_op(&op, &mut x, &inst.b, omega, &self.opts.exec);
-                    }
-                    best = best.min(start.elapsed().as_secs_f64());
-                }
-                best
-            }
-        };
-        Some(Measured {
-            feasible: true,
-            accuracy: worst_ratio,
-            iterations,
-            cost,
+        self.walk(level, ask, self.opts.sor_cap(n), |inst, x| {
+            sor_sweep_op(&op, x, &inst.b, omega, &self.opts.exec);
+            self.sor_sweeps.borrow_mut()[level] += 1;
+            sweep_cost
         })
     }
 
-    /// Iterate `RECURSE_j` cycles until the error ratio reaches `target`.
+    /// `RECURSE_j` cycles of `family` (j = `sub_acc`) until each
+    /// target's error ratio is reached.
     pub(crate) fn measure_recurse(
         &self,
-        partial: &TunedFamily,
+        family: &TunedFamily,
         level: usize,
         sub_acc: usize,
-        target: f64,
-        instances: &[ProblemInstance],
-        budget: Option<f64>,
-    ) -> Option<Measured> {
-        let cap = self.opts.recurse_cap;
-        let wall_start = Instant::now();
-        let mut iterations: u32 = 0;
-        let mut worst_ratio = f64::INFINITY;
-        let mut per_iter_cost: Option<f64> = None;
+        ask: &Walk,
+    ) -> Vec<Measured> {
+        let mut ctx = self.fresh_ctx();
+        let mut price = None;
+        self.walk(level, ask, self.opts.recurse_cap, |inst, x| {
+            family.recurse_step(level, sub_acc, x, &inst.b, &mut ctx);
+            self.recurse_steps.borrow_mut()[level] += 1;
+            // Every application runs the same ops: price the first.
+            if price.is_none() {
+                price = self.modeled_cost(&ctx.ops);
+            }
+            price
+        })
+    }
 
-        for inst in instances {
+    /// Walk one candidate's convergence trajectory per training
+    /// instance and read every target off it: a target's iteration
+    /// count is the first at which its error ratio is reached (max over
+    /// instances, accuracy = min). `step` applies the candidate once
+    /// and returns the modeled price of one application, if there is
+    /// one. A target is abandoned, for all instances, at the first
+    /// unreached iteration that has cost 1.5× its budget (under
+    /// wall-clock costs: 3× its budget on this walk's clock) or hits
+    /// `cap`; an instance's walk ends when no target is left on it.
+    fn walk(
+        &self,
+        level: usize,
+        ask: &Walk,
+        cap: u32,
+        mut step: impl FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
+    ) -> Vec<Measured> {
+        let exec = &self.opts.exec;
+        let timed = self.opts.cost_model.needs_timing();
+        let clock = Instant::now();
+        let mut x = self.workspace.acquire_unzeroed(level_size(level));
+        let mut price = None;
+        let mut out = vec![
+            Measured {
+                feasible: true,
+                accuracy: f64::INFINITY,
+                iterations: 0,
+                cost: 0.0,
+            };
+            ask.targets.len()
+        ];
+        let abandon = |it: u32, ratio: f64| Measured {
+            feasible: false,
+            accuracy: ratio,
+            iterations: it,
+            cost: f64::INFINITY,
+        };
+
+        for (idx, inst) in ask.instances.iter().enumerate() {
+            let mut pending: Vec<usize> = (0..out.len()).filter(|&i| out[i].feasible).collect();
+            if pending.is_empty() {
+                break;
+            }
             let x_opt = inst.x_opt().expect("training instances carry x_opt");
-            let mut x = inst.working_grid();
-            let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
-            let mut ctx = self.fresh_ctx();
+            let e0 = l2_diff(&inst.x0, x_opt, exec);
+            // Drop from `pending` the targets that iteration `it` reached
+            // or that have outspent their budget by it.
+            let mut settle = |pending: &mut Vec<usize>, it: u32, ratio: f64, price: Option<f64>| {
+                pending.retain(|&i| {
+                    if ratio >= ask.targets[i] {
+                        out[i].iterations = out[i].iterations.max(it);
+                        out[i].accuracy = out[i].accuracy.min(ratio);
+                        return false;
+                    }
+                    let spent = ask.budgets[i].is_some_and(|b| {
+                        price.is_some_and(|c| it as f64 * c > b * 1.5)
+                            || (timed && clock.elapsed().as_secs_f64() > (3.0 * b).max(0.25))
+                    });
+                    if spent {
+                        out[i] = abandon(it, ratio);
+                    }
+                    !spent
+                });
+            };
             let mut it = 0u32;
             let mut ratio = 1.0;
-            while it < cap {
-                partial.recurse_step(level, sub_acc, &mut x, &inst.b, &mut ctx);
+            match ask.starts {
+                None => x.copy_from(&inst.x0),
+                Some(states) => {
+                    x.copy_from(&states[idx]);
+                    ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+                    settle(&mut pending, 0, ratio, None);
+                }
+            }
+            while !pending.is_empty() && it < cap {
+                price = step(inst, &mut x);
                 it += 1;
-                if it == 1 && per_iter_cost.is_none() {
-                    per_iter_cost = self.modeled_cost(&ctx.ops);
-                }
-                let e = l2_diff(&x, x_opt, &self.opts.exec);
-                ratio = ratio_of_errors(e0, e);
-                if ratio >= target {
-                    break;
-                }
-                if let (Some(b), Some(c)) = (budget, per_iter_cost) {
-                    if it as f64 * c > b * 1.5 {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
-                    }
-                }
-                if let Some(b) = budget {
-                    if self.opts.cost_model.needs_timing()
-                        && wall_start.elapsed().as_secs_f64() > (3.0 * b).max(0.25)
-                    {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
-                    }
-                }
+                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+                settle(&mut pending, it, ratio, price);
             }
-            if ratio < target {
-                return Some(Measured {
-                    feasible: false,
-                    accuracy: ratio,
-                    iterations: it,
-                    cost: f64::INFINITY,
-                });
+            for i in pending {
+                out[i] = abandon(it, ratio);
             }
-            iterations = iterations.max(it);
-            worst_ratio = worst_ratio.min(ratio);
         }
 
-        let cost = match &self.opts.cost_model {
-            CostModel::Modeled(p) => {
-                // Count one representative iteration, scale by count.
-                let mut ctx = self.fresh_ctx();
-                let inst = &instances[0];
-                let mut x = inst.working_grid();
-                partial.recurse_step(level, sub_acc, &mut x, &inst.b, &mut ctx);
-                p.time(&ctx.ops) * iterations as f64
-            }
-            CostModel::Measured { trials } => {
-                let inst = &instances[0];
-                let mut best = f64::INFINITY;
-                for _ in 0..(*trials).max(1) {
-                    let mut ctx = self.fresh_ctx();
-                    let mut x = inst.working_grid();
-                    let start = Instant::now();
-                    for _ in 0..iterations {
-                        partial.recurse_step(level, sub_acc, &mut x, &inst.b, &mut ctx);
+        for meas in out.iter_mut().filter(|meas| meas.feasible) {
+            meas.cost = match &self.opts.cost_model {
+                // No step ran ⇒ no price, and nothing to pay for.
+                CostModel::Modeled(_) => price.unwrap_or(0.0) * meas.iterations as f64,
+                CostModel::Measured { trials } => {
+                    let inst = &ask.instances[0];
+                    let start = ask.starts.map_or(&inst.x0, |states| &states[0]);
+                    let mut best = f64::INFINITY;
+                    for _ in 0..(*trials).max(1) {
+                        x.copy_from(start);
+                        let timer = Instant::now();
+                        for _ in 0..meas.iterations {
+                            step(inst, &mut x);
+                        }
+                        best = best.min(timer.elapsed().as_secs_f64());
                     }
-                    best = best.min(start.elapsed().as_secs_f64());
+                    best
                 }
-                best
-            }
-        };
-        Some(Measured {
-            feasible: true,
-            accuracy: worst_ratio,
-            iterations,
-            cost,
-        })
+            };
+        }
+        out
     }
 
     /// Price a finished plan on a problem (modeled only): one
@@ -888,6 +887,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn each_candidate_is_walked_once_per_instance() {
+        // The search walks a candidate's trajectory once per training
+        // instance, however many targets read it: at most as far as the
+        // target that stayed on it longest. Level 7 tunes level 6 on
+        // its way, so one run pins both totals.
+        let tuner = quick_tuner(7);
+        let (_, diags) = tuner.tune_with_diagnostics();
+        let instances = tuner.options().instances as u64;
+        let longest = |k: usize, candidate: &dyn Fn(&Choice) -> Option<u32>| -> u64 {
+            let evals = diags.evaluations.iter().filter(|e| e.level == k);
+            u64::from(
+                evals
+                    .filter_map(|e| candidate(&e.choice))
+                    .max()
+                    .unwrap_or(0),
+            )
+        };
+        for k in 2..=7 {
+            let recurse: u64 = (0..5u8)
+                .map(|j| {
+                    longest(k, &|c| match c {
+                        Choice::Recurse {
+                            sub_accuracy,
+                            iterations,
+                        } if *sub_accuracy == j => Some(*iterations),
+                        _ => None,
+                    })
+                })
+                .sum();
+            let sor = longest(k, &|c| match c {
+                Choice::Sor { iterations } => Some(*iterations),
+                _ => None,
+            });
+            assert!(diags.recurse_steps[k] > 0 && diags.sor_sweeps[k] > 0);
+            assert!(
+                diags.recurse_steps[k] <= instances * recurse,
+                "level {k}: {} recurse steps > {instances} x {recurse}",
+                diags.recurse_steps[k]
+            );
+            assert!(
+                diags.sor_sweeps[k] <= instances * sor,
+                "level {k}: {} sweeps > {instances} x {sor}",
+                diags.sor_sweeps[k]
+            );
+        }
+        let upto = |counts: &[u64], level: usize| counts[..=level].iter().sum::<u64>();
+        // One walk per target ran 472 / 307 and 630 / 483.
+        assert_eq!(upto(&diags.recurse_steps, 6), 142);
+        assert_eq!(upto(&diags.sor_sweeps, 6), 84);
+        assert_eq!(upto(&diags.recurse_steps, 7), 194);
+        assert_eq!(upto(&diags.sor_sweeps, 7), 148);
     }
 
     #[test]

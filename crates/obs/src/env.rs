@@ -113,8 +113,8 @@ pub fn max_level() -> Option<usize> {
         .filter(|&l| (2..=13).contains(&l))
 }
 
-/// `PETAMG_REGEN_GOLDEN`: regenerate golden plan fixtures instead of
-/// comparing against them.
+/// `PETAMG_REGEN_GOLDEN`: regenerate the golden fixtures (plan schema,
+/// tuner decisions) instead of comparing against them.
 pub fn regen_golden() -> bool {
     var("PETAMG_REGEN_GOLDEN").is_some()
 }
