@@ -50,7 +50,7 @@ pub enum Fault {
     /// One timing sample of knob-tuner arm `arm` is multiplied by
     /// `factor`.
     InflateTiming {
-        /// Candidate index inside `tune_kernel_knobs_for_level`.
+        /// Candidate index inside `tuner::tune_kernel_knobs`.
         arm: usize,
         /// Multiplier applied to the victim sample.
         factor: f64,

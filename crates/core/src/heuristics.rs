@@ -14,6 +14,7 @@
 //! pinned instead of searched — exactly what makes them weaker than the
 //! full DP tuner.
 
+use crate::knobs::KnobTable;
 use crate::plan::{Choice, TunedFamily};
 use crate::tuner::{TunerOptions, VTuner, Walk};
 
@@ -85,7 +86,7 @@ pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) 
         accuracies,
         max_level: base.max_level,
         plans,
-        knobs: tuner.knob_table(),
+        knobs: KnobTable::defaults(base.max_level),
         problem: tuner.options().problem.fingerprint().clone(),
         provenance: format!("heuristic {:.0e}/{:.0e}", sub_acc, final_acc),
     };

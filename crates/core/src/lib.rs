@@ -28,10 +28,13 @@
 //!   Sun Niagara stand-ins) for the architecture studies of §4.3;
 //! * [`plan`] — tuned-plan representation ([`plan::Choice`],
 //!   [`plan::TunedFamily`], [`plan::TunedFmgFamily`]) and the executor;
+//! * [`knobs`] — the kernel-execution knobs ([`knobs::KernelKnobs`]) and
+//!   the per-level [`knobs::KnobTable`] a plan carries;
 //! * [`trace`] / [`render`] — cycle-shape event traces and the ASCII
 //!   renderings of Figs 4, 5 and 14;
-//! * [`tuner`] — the DP tuners ([`tuner::VTuner`], [`tuner::FmgTuner`])
-//!   and the full Pareto-set variant of §2.2;
+//! * [`tuner`] — the DP tuners ([`tuner::VTuner`], [`tuner::FmgTuner`]),
+//!   the full Pareto-set variant of §2.2 and the kernel-knob search
+//!   ([`tuner::tune_kernel_knobs`]);
 //! * [`heuristics`] — the fixed-accuracy `10^x/10^9` strategies of
 //!   Figs 7–8.
 
@@ -48,6 +51,7 @@ pub mod cost;
 pub mod faults;
 pub mod guard;
 pub mod heuristics;
+pub mod knobs;
 pub mod persist;
 pub mod plan;
 #[cfg(test)]

@@ -24,9 +24,9 @@ use crate::accuracy::error_ratio;
 #[cfg(test)]
 use crate::accuracy::ACC_CAP;
 use crate::cost::OpCounts;
+use crate::knobs::{KernelKnobs, KnobTable};
 use crate::trace::{CycleEvent, Tracer};
 use crate::training::ProblemInstance;
-use petamg_choice::{KernelKnobs, KnobTable};
 use petamg_grid::{coarse_size, level_size, BatchGrid, Exec, Grid2d, Workspace};
 use petamg_problems::{Problem, ProblemFingerprint, ProblemMismatch};
 use petamg_solvers::fused::{
@@ -940,7 +940,7 @@ pub fn simple_v_family(max_level: usize, accuracies: &[f64]) -> TunedFamily {
 mod tests {
     use super::*;
     use crate::training::Distribution;
-    use petamg_choice::SimdPolicy;
+    use petamg_grid::SimdPolicy;
 
     #[test]
     fn simple_family_validates() {
@@ -1256,39 +1256,33 @@ mod tests {
     }
 
     #[test]
-    fn kernel_clock_times_only_the_armed_level() {
-        // The per-level kernel clock (used by the knob tuner to cut
-        // coarse-level timing noise) accumulates only at its armed
-        // level, survives counter resets armed-but-zeroed, and stays
-        // silent on unarmed contexts.
+    fn kernel_clock_times_the_levels_the_plan_runs() {
+        // The per-level kernel clock (the telemetry feed) accumulates
+        // at every level the plan runs kernels on, survives counter
+        // resets armed-but-zeroed, and stays silent below the floor.
         let fam = simple_v_family(4, &[1e3]);
         let inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 13);
 
         let mut ctx = ExecCtx::new(Exec::seq());
-        ctx.tracer = crate::trace::Tracer::timing_level(4);
+        ctx.tracer = crate::trace::Tracer::timing_all();
+        let mut x = inst.working_grid();
+        fam.run(4, 0, &mut x, &inst.b, &mut ctx);
+        let seconds = ctx.tracer.level_kernel_seconds();
+        assert!(seconds[4] > 0.0, "the top level accumulates kernel time");
+        assert_eq!(seconds[0], 0.0, "levels never entered accumulate nothing");
+
+        ctx.reset_counters();
+        assert_eq!(
+            ctx.tracer.level_kernel_seconds()[4],
+            0.0,
+            "reset zeroes the clock"
+        );
+        assert!(ctx.tracer.is_timing_all(), "arming survives reset");
         let mut x = inst.working_grid();
         fam.run(4, 0, &mut x, &inst.b, &mut ctx);
         assert!(
-            ctx.tracer.kernel_seconds() > 0.0,
-            "armed level must accumulate kernel time"
-        );
-
-        ctx.reset_counters();
-        assert_eq!(ctx.tracer.kernel_seconds(), 0.0, "reset zeroes the clock");
-        assert_eq!(ctx.tracer.timed_level(), Some(4), "arming survives reset");
-        let mut x = inst.working_grid();
-        fam.run(4, 0, &mut x, &inst.b, &mut ctx);
-        assert!(ctx.tracer.kernel_seconds() > 0.0, "clock re-accumulates");
-
-        // A level the plan never reaches below its floor: arm level 0.
-        let mut ctx = ExecCtx::new(Exec::seq());
-        ctx.tracer = crate::trace::Tracer::timing_level(0);
-        let mut x = inst.working_grid();
-        fam.run(4, 0, &mut x, &inst.b, &mut ctx);
-        assert_eq!(
-            ctx.tracer.kernel_seconds(),
-            0.0,
-            "levels never entered accumulate nothing"
+            ctx.tracer.level_kernel_seconds()[4] > 0.0,
+            "clock re-accumulates"
         );
     }
 

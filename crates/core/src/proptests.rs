@@ -3,19 +3,20 @@
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{LevelOps, MachineProfile, OpCounts};
 use crate::guard::select_member;
+use crate::knobs::{KernelKnobs, KnobTable, BAND_ROWS_DOMAIN, KNOB_TABLE_VERSION, TBLOCK_DOMAIN};
 use crate::plan::{simple_v_family, Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
 use crate::tuner::{apply_knobs, TunerOptions, VTuner, Walk};
-use petamg_choice::{KernelKnobs, KnobTable, SimdPolicy, KNOB_TABLE_VERSION};
-use petamg_grid::{level_size, Exec};
+use petamg_grid::{level_size, Exec, SimdPolicy};
 use petamg_problems::Problem;
 use proptest::prelude::*;
 
 fn arb_knobs() -> impl Strategy<Value = KernelKnobs> {
-    (1usize..=512, 1usize..=8, 0usize..=2).prop_map(|(band_rows, tblock, simd)| KernelKnobs {
+    let simd = 0..SimdPolicy::ALL.len();
+    (BAND_ROWS_DOMAIN, TBLOCK_DOMAIN, simd).prop_map(|(band_rows, tblock, simd)| KernelKnobs {
         band_rows,
         tblock,
-        simd: SimdPolicy::from_index(simd),
+        simd: SimdPolicy::ALL[simd],
     })
 }
 

@@ -7,11 +7,9 @@
 //! solid arrows for direct solves and dashed arrows for iterative
 //! (SOR) solves.
 
-use serde::{Deserialize, Serialize};
-
 /// A rung of the guarded-solve degradation ladder (see `crate::guard`):
 /// the strategies tried in order when a solve misbehaves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LadderRung {
     /// The caller-supplied tuned plan (fastest; first choice).
     TunedPlan,
@@ -32,12 +30,6 @@ impl std::fmt::Display for LadderRung {
 }
 
 /// One multigrid operation, as recorded during plan execution.
-///
-/// `Serialize`/`Deserialize` are hand-written (below) rather than
-/// derived so the ladder events' `seconds` fields can default to `0.0`
-/// when absent: traces serialized before durations existed still
-/// deserialize, and the wire shape of every other variant is exactly
-/// what the derive produced.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CycleEvent {
     /// A relaxation sweep at `level`.
@@ -92,143 +84,16 @@ pub enum CycleEvent {
         /// The rung that failed.
         rung: LadderRung,
         /// Wall-clock seconds the failed attempt consumed before the
-        /// guard rejected it (0.0 in traces recorded before durations
-        /// existed).
+        /// guard rejected it.
         seconds: f64,
     },
     /// The ladder rung whose solution a guarded solve returned.
     RungServed {
         /// The serving rung.
         rung: LadderRung,
-        /// Wall-clock seconds of the serving attempt (0.0 in traces
-        /// recorded before durations existed).
+        /// Wall-clock seconds of the serving attempt.
         seconds: f64,
     },
-}
-
-impl Serialize for CycleEvent {
-    fn to_value(&self) -> serde::value::Value {
-        use serde::value::{Map, Number, Value};
-        let variant = |name: &str, fields: Vec<(&str, Value)>| {
-            let mut body = Map::new();
-            for (k, v) in fields {
-                body.insert(k.to_string(), v);
-            }
-            let mut outer = Map::new();
-            outer.insert(name.to_string(), Value::Object(body));
-            Value::Object(outer)
-        };
-        let num = |n: usize| Value::Number(Number::from_u64(n as u64));
-        let float = |s: f64| Value::Number(Number::from_f64(s));
-        match *self {
-            CycleEvent::Relax { level } => variant("Relax", vec![("level", num(level))]),
-            CycleEvent::Residual { level } => variant("Residual", vec![("level", num(level))]),
-            CycleEvent::Restrict { from } => variant("Restrict", vec![("from", num(from))]),
-            CycleEvent::Interpolate { to } => variant("Interpolate", vec![("to", num(to))]),
-            CycleEvent::Direct { level } => variant("Direct", vec![("level", num(level))]),
-            CycleEvent::SorSolve { level, iterations } => variant(
-                "SorSolve",
-                vec![
-                    ("level", num(level)),
-                    (
-                        "iterations",
-                        Value::Number(Number::from_u64(iterations as u64)),
-                    ),
-                ],
-            ),
-            CycleEvent::EnterV { level, acc_idx } => variant(
-                "EnterV",
-                vec![("level", num(level)), ("acc_idx", num(acc_idx))],
-            ),
-            CycleEvent::EnterFmg { level, acc_idx } => variant(
-                "EnterFmg",
-                vec![("level", num(level)), ("acc_idx", num(acc_idx))],
-            ),
-            CycleEvent::RungFailed { rung, seconds } => variant(
-                "RungFailed",
-                vec![("rung", rung.to_value()), ("seconds", float(seconds))],
-            ),
-            CycleEvent::RungServed { rung, seconds } => variant(
-                "RungServed",
-                vec![("rung", rung.to_value()), ("seconds", float(seconds))],
-            ),
-        }
-    }
-}
-
-impl Deserialize for CycleEvent {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::Error> {
-        use serde::value::{Map, Value};
-        let (name, body): (&str, &Map) = match v {
-            Value::Object(m) if m.len() == 1 => {
-                let (name, payload) = m.iter().next().expect("len checked");
-                match payload {
-                    Value::Object(body) => (name.as_str(), body),
-                    other => {
-                        return Err(serde::Error::custom(format!(
-                            "expected object payload for CycleEvent::{name}, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            other => {
-                return Err(serde::Error::custom(format!(
-                    "expected single-key object for CycleEvent, got {other:?}"
-                )))
-            }
-        };
-        let field = |key: &str| -> Result<&Value, serde::Error> {
-            body.get(key)
-                .ok_or_else(|| serde::Error::missing_field(key))
-        };
-        let usize_field =
-            |key: &str| -> Result<usize, serde::Error> { usize::from_value(field(key)?) };
-        // Absent in traces recorded before durations existed: default 0.
-        let seconds = match body.get("seconds") {
-            Some(v) => f64::from_value(v)?,
-            None => 0.0,
-        };
-        match name {
-            "Relax" => Ok(CycleEvent::Relax {
-                level: usize_field("level")?,
-            }),
-            "Residual" => Ok(CycleEvent::Residual {
-                level: usize_field("level")?,
-            }),
-            "Restrict" => Ok(CycleEvent::Restrict {
-                from: usize_field("from")?,
-            }),
-            "Interpolate" => Ok(CycleEvent::Interpolate {
-                to: usize_field("to")?,
-            }),
-            "Direct" => Ok(CycleEvent::Direct {
-                level: usize_field("level")?,
-            }),
-            "SorSolve" => Ok(CycleEvent::SorSolve {
-                level: usize_field("level")?,
-                iterations: u32::from_value(field("iterations")?)?,
-            }),
-            "EnterV" => Ok(CycleEvent::EnterV {
-                level: usize_field("level")?,
-                acc_idx: usize_field("acc_idx")?,
-            }),
-            "EnterFmg" => Ok(CycleEvent::EnterFmg {
-                level: usize_field("level")?,
-                acc_idx: usize_field("acc_idx")?,
-            }),
-            "RungFailed" => Ok(CycleEvent::RungFailed {
-                rung: LadderRung::from_value(field("rung")?)?,
-                seconds,
-            }),
-            "RungServed" => Ok(CycleEvent::RungServed {
-                rung: LadderRung::from_value(field("rung")?)?,
-                seconds,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown CycleEvent variant `{other}`"
-            ))),
-        }
-    }
 }
 
 /// Deepest grid level the per-level kernel-time table covers when a
@@ -249,27 +114,18 @@ pub struct KernelClock {
 /// An event recorder that can be disabled (zero-cost in tuning loops).
 ///
 /// Besides cycle events, a tracer can **clock kernels**: armed with
-/// [`Tracer::timing_level`], the plan executor brackets every kernel
-/// invocation at that level with a timestamp pair and accumulates the
-/// elapsed time into [`Tracer::kernel_seconds`]. The kernel-knob tuner
-/// uses this to judge a level's knob candidates by the level's *own*
-/// kernel time instead of whole-cycle wall time — cutting the
-/// coarse-level noise that full-cycle timing mixes in. Armed with
-/// [`Tracer::timing_all`] instead, every level's kernel time lands in
-/// a per-level table ([`Tracer::level_kernel_seconds`]) — the feed for
-/// the telemetry layer's per-level kernel histograms.
+/// [`Tracer::timing_all`], the plan executor brackets every kernel
+/// invocation with a timestamp pair and accumulates the elapsed time
+/// per level ([`Tracer::level_kernel_seconds`]) — the feed for the
+/// telemetry layer's per-level kernel histograms.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     enabled: bool,
     /// Recorded events in execution order.
     pub events: Vec<CycleEvent>,
-    /// Level whose kernel invocations are being clocked, if any.
-    timed_level: Option<usize>,
     /// Whether every level's kernels are being clocked into
     /// `level_seconds`.
     timed_all: bool,
-    /// Accumulated kernel seconds at the clocked level.
-    kernel_seconds: f64,
     /// Per-level kernel seconds when `timed_all` (levels ≥
     /// [`MAX_TIMED_LEVELS`] accumulate into the last slot).
     level_seconds: [f64; MAX_TIMED_LEVELS],
@@ -289,14 +145,6 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A tracer that clocks the kernels of `level` (events stay off).
-    pub fn timing_level(level: usize) -> Self {
-        Tracer {
-            timed_level: Some(level),
-            ..Tracer::default()
-        }
-    }
-
     /// A tracer that clocks every level's kernels into the per-level
     /// table (events stay off) — the telemetry layer's feed.
     pub fn timing_all() -> Self {
@@ -308,19 +156,18 @@ impl Tracer {
 
     /// Additionally clock every level's kernels into the per-level
     /// table, keeping this tracer's other configuration (composes with
-    /// event recording and a single armed level).
+    /// event recording).
     pub fn with_timing_all(mut self) -> Self {
         self.timed_all = true;
         self
     }
 
-    /// Rebuild this tracer's *configuration* (event recording, armed
-    /// timed level, timing-all flag) with all counters and events
-    /// cleared — what "reset" means for a reused execution context.
+    /// Rebuild this tracer's *configuration* (event recording,
+    /// timing-all flag) with all counters and events cleared — what
+    /// "reset" means for a reused execution context.
     pub fn reconfigured(&self) -> Self {
         Tracer {
             enabled: self.enabled,
-            timed_level: self.timed_level,
             timed_all: self.timed_all,
             ..Tracer::default()
         }
@@ -340,52 +187,30 @@ impl Tracer {
     }
 
     /// Start clocking one kernel invocation at `level`: returns a
-    /// clock when `level` is the armed timed level or the tracer is in
-    /// timing-all mode, `None` otherwise. Pass the result to
-    /// [`Tracer::stop_kernel_clock`].
+    /// clock when the tracer is in timing-all mode, `None` otherwise.
+    /// Pass the result to [`Tracer::stop_kernel_clock`].
     #[inline]
     pub fn start_kernel_clock(&self, level: usize) -> Option<KernelClock> {
-        let armed = self.timed_all || self.timed_level == Some(level);
-        if armed {
-            Some(KernelClock {
-                level,
-                t0: std::time::Instant::now(),
-            })
-        } else {
-            None
-        }
+        self.timed_all.then(|| KernelClock {
+            level,
+            t0: std::time::Instant::now(),
+        })
     }
 
-    /// Accumulate a clock started by [`Tracer::start_kernel_clock`]:
-    /// into [`Tracer::kernel_seconds`] when the clocked level is the
-    /// armed timed level, and into the per-level table when timing all.
+    /// Accumulate a clock started by [`Tracer::start_kernel_clock`]
+    /// into the per-level table.
     #[inline]
     pub fn stop_kernel_clock(&mut self, start: Option<KernelClock>) {
         if let Some(clock) = start {
             let dt = clock.t0.elapsed().as_secs_f64();
-            if self.timed_level == Some(clock.level) {
-                self.kernel_seconds += dt;
-            }
-            if self.timed_all {
-                self.level_seconds[clock.level.min(MAX_TIMED_LEVELS - 1)] += dt;
-            }
+            self.level_seconds[clock.level.min(MAX_TIMED_LEVELS - 1)] += dt;
         }
-    }
-
-    /// The level being clocked, if any (survives counter resets).
-    pub fn timed_level(&self) -> Option<usize> {
-        self.timed_level
     }
 
     /// Whether every level's kernels are being clocked (survives
     /// counter resets).
     pub fn is_timing_all(&self) -> bool {
         self.timed_all
-    }
-
-    /// Total kernel seconds accumulated at the clocked level.
-    pub fn kernel_seconds(&self) -> f64 {
-        self.kernel_seconds
     }
 
     /// Per-level kernel seconds accumulated in timing-all mode (all
@@ -492,66 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_events_round_trip_through_json() {
-        let events = vec![
-            CycleEvent::Relax { level: 4 },
-            CycleEvent::Residual { level: 4 },
-            CycleEvent::Restrict { from: 4 },
-            CycleEvent::Interpolate { to: 4 },
-            CycleEvent::Direct { level: 2 },
-            CycleEvent::SorSolve {
-                level: 3,
-                iterations: 9,
-            },
-            CycleEvent::EnterV {
-                level: 5,
-                acc_idx: 2,
-            },
-            CycleEvent::EnterFmg {
-                level: 5,
-                acc_idx: 1,
-            },
-            CycleEvent::RungFailed {
-                rung: LadderRung::TunedPlan,
-                seconds: 0.25,
-            },
-            CycleEvent::RungServed {
-                rung: LadderRung::HeuristicPlan,
-                seconds: 1.5,
-            },
-        ];
-        let json = serde_json::to_string(&events).expect("serializes");
-        let back: Vec<CycleEvent> = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, events);
-    }
-
-    /// Ladder events serialized before durations existed carry no
-    /// `seconds` field; they must still deserialize (seconds = 0.0).
-    #[test]
-    fn pre_duration_ladder_events_still_deserialize() {
-        let legacy = r#"[
-            {"RungFailed": {"rung": "TunedPlan"}},
-            {"RungServed": {"rung": "Direct", "width": 1}},
-            {"Relax": {"level": 3}}
-        ]"#;
-        let events: Vec<CycleEvent> = serde_json::from_str(legacy).expect("legacy shape parses");
-        assert_eq!(
-            events,
-            vec![
-                CycleEvent::RungFailed {
-                    rung: LadderRung::TunedPlan,
-                    seconds: 0.0
-                },
-                CycleEvent::RungServed {
-                    rung: LadderRung::Direct,
-                    seconds: 0.0
-                },
-                CycleEvent::Relax { level: 3 },
-            ]
-        );
-    }
-
-    #[test]
     fn timing_all_attributes_kernel_time_per_level() {
         let mut t = Tracer::timing_all();
         assert!(t.is_timing_all());
@@ -564,22 +329,11 @@ mod tests {
         let per_level = t.level_kernel_seconds();
         assert!(per_level[3] > 0.0, "level 3 accumulated");
         assert!(per_level[7] >= 0.0 && per_level[2] == 0.0);
-        // Single-level kernel_seconds stays zero: nothing is armed.
-        assert_eq!(t.kernel_seconds(), 0.0);
         // Reconfiguring keeps the mode, clears the table.
         let fresh = t.reconfigured();
         assert!(fresh.is_timing_all());
         assert_eq!(fresh.level_kernel_seconds()[3], 0.0);
-    }
-
-    #[test]
-    fn timing_level_clock_ignores_other_levels() {
-        let mut t = Tracer::timing_level(5);
-        assert!(t.start_kernel_clock(4).is_none());
-        let clock = t.start_kernel_clock(5);
-        assert!(clock.is_some());
-        t.stop_kernel_clock(clock);
-        assert!(t.kernel_seconds() >= 0.0);
-        assert_eq!(t.level_kernel_seconds()[5], 0.0, "not in timing-all mode");
+        // A tracer that is not timing all clocks nothing.
+        assert!(Tracer::enabled().start_kernel_clock(3).is_none());
     }
 }

@@ -59,9 +59,6 @@ impl FmgTuner {
             v.max_level >= opts.max_level,
             "V family must cover the tuned levels"
         );
-        // Measure FMG candidates with the V family's per-level knobs:
-        // every context the wrapped tuner hands out below carries them.
-        self.v_tuner.adopt_knob_table(v.knobs.clone());
         let m = opts.accuracies.len();
         let mut plans: Vec<Vec<FmgChoice>> = vec![Vec::new(); opts.max_level + 1];
         plans[1] = vec![FmgChoice::Direct; m];

@@ -1,27 +1,26 @@
-//! Tuning the kernel-execution knobs: block-cursor **band height** and
-//! **temporal-block depth**.
+//! Tuning the kernel-execution knobs: the **SIMD policy**, the
+//! block-cursor **band height** and the **temporal-block depth**.
 //!
 //! PetaBricks treats block sizes as ordinary scalar tunables searched
-//! with n-ary search (§3.2.2); this module does the same for the two
-//! axes the fused multigrid kernels expose via
-//! [`petamg_choice::kernel_exec_space`]. Both axes are *pure
-//! performance* knobs — every setting is bitwise identical (see
-//! `petamg_solvers::fused`) — so the search needs only timing, never
-//! accuracy re-validation. The axes are searched in dependency order
-//! ([`petamg_choice::tuning_order`]): the band height first, then the
-//! temporal depth given that band.
+//! with n-ary search (§3.2.2); this module does the same for the three
+//! [`KernelKnobs`] axes. All are *pure performance* knobs — every
+//! setting is bitwise identical (see `petamg_solvers::fused` and
+//! `petamg_grid::simd`) — so the search needs only timing, never
+//! accuracy re-validation. The axes are searched in a fixed order, each
+//! given the winners before it: the SIMD policy (a vectorized kernel
+//! moves more data per row, shifting the band sweet spot), then the
+//! band height, then the temporal depth (deeper blocking enlarges each
+//! band's recomputed halo).
 
 use crate::faults;
+use crate::knobs::{KernelKnobs, BAND_ROWS_DOMAIN, TBLOCK_DOMAIN};
 use crate::plan::{simple_v_family, ExecCtx, PAPER_ACCURACIES};
-use crate::trace::Tracer;
 use crate::training::{Distribution, ProblemInstance};
-use petamg_choice::{
-    kernel_exec_space, nary_search_int, tuning_order, ConfigSpace, KernelKnobs, KnobTable,
-    ParamValue, SimdPolicy, PARAM_BAND_ROWS, PARAM_SIMD, PARAM_TBLOCK,
-};
-use petamg_grid::{Exec, Workspace};
+use petamg_grid::{Exec, SimdPolicy, Workspace};
 use petamg_problems::Problem;
 use petamg_solvers::DirectSolverCache;
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -138,107 +137,25 @@ fn robust_median(reps: usize, mut sample: impl FnMut() -> f64) -> f64 {
 pub struct KnobTuneResult {
     /// The winning knob settings.
     pub knobs: KernelKnobs,
-    /// The space the knobs were drawn from (for serialization).
-    pub space: ConfigSpace,
-    /// Best measured candidate cost, seconds. Global-mode searches
-    /// ([`tune_kernel_knobs`]) report whole-cycle wall time; per-level
-    /// searches ([`tune_kernel_knobs_for_level`]) report the target
-    /// level's **own kernel time** (the tracer's kernel clock), which
-    /// excludes all coarser-level work by design — the two are not
-    /// comparable units.
+    /// Best measured candidate cost: whole-cycle wall time, seconds.
     pub best_seconds: f64,
     /// Candidate evaluations performed.
     pub evaluations: usize,
 }
 
-/// Search the kernel-execution space for the fastest `(band_rows,
-/// tblock)` on `exec`, timing tuned-plan cycles at `opts.level` on a
-/// training instance. Axes are searched via n-ary search in the space's
-/// dependency order; the incumbent value of the not-yet-tuned axis is
-/// its default.
+/// Search the three knob axes for the fastest [`KernelKnobs`] on
+/// `exec`, timing `MULTIGRID-V-SIMPLE` cycles at `opts.level` on a
+/// training instance of `opts.problem`. The SIMD axis times every
+/// choice with a distinct resolved mode (`auto` first, so it wins
+/// ties); the band axis is skipped when `exec` has no band (one band
+/// spans the whole sweep); `band_rows` and `tblock` each run an n-ary
+/// search followed by a run-off against the default.
 ///
 /// The returned knobs plug into an executor as
 /// `ExecCtx::with_cache(apply_knobs(exec, &knobs), cache)
 ///     .with_tblock(knobs.tblock)` — or, table-wise, as one entry of a
 /// `KnobTable` attached via `ExecCtx::with_knob_table`.
 pub fn tune_kernel_knobs(exec: &Exec, opts: &KnobTunerOptions) -> KnobTuneResult {
-    tune_kernel_knobs_seeded(exec, opts, None)
-}
-
-/// [`tune_kernel_knobs`] with an explicit starting incumbent, used by
-/// the DP tuner to seed each level's search from the next-coarser
-/// level's winner: the incumbent configuration starts at the seed, and
-/// each axis searches only the log-neighborhood `[seed/4, seed·4]` of
-/// its seeded value (grid sizes double level to level, so good knobs
-/// drift slowly) — keeping the whole per-level table near `O(levels)`
-/// timings instead of restarting from the full domain at each level.
-pub fn tune_kernel_knobs_seeded(
-    exec: &Exec,
-    opts: &KnobTunerOptions,
-    seed: Option<KernelKnobs>,
-) -> KnobTuneResult {
-    tune_kernel_knobs_impl(exec, opts, seed, None)
-}
-
-/// Tune the knobs for one level of a per-level [`KnobTable`]: candidate
-/// timings run V cycles at `opts.level` with `base`'s entries applied
-/// at every *other* level and only `opts.level`'s entry varying. This
-/// isolates the level's own contribution: the coarser levels keep
-/// their already-tuned knobs while the candidate is judged.
-///
-/// The timed workload is a representative `MULTIGRID-V-SIMPLE` cycle
-/// (one recursion per level), not the DP's actual partially tuned
-/// plans — a proxy that exercises the same fused kernels at the same
-/// grid sizes and keeps the knob search independent of plan shape.
-///
-/// The search is seeded from `base`'s entry at `opts.level - 1`.
-pub fn tune_kernel_knobs_for_level(
-    exec: &Exec,
-    opts: &KnobTunerOptions,
-    base: &KnobTable,
-) -> KnobTuneResult {
-    let seed = base.get(opts.level.saturating_sub(1));
-    tune_kernel_knobs_impl(exec, opts, Some(seed), Some(base))
-}
-
-fn tune_kernel_knobs_impl(
-    exec: &Exec,
-    opts: &KnobTunerOptions,
-    seed: Option<KernelKnobs>,
-    base: Option<&KnobTable>,
-) -> KnobTuneResult {
-    let space = kernel_exec_space();
-    let mut config = space.default_config();
-    let band_id = space.find(PARAM_BAND_ROWS).expect("band axis");
-    let tblock_id = space.find(PARAM_TBLOCK).expect("tblock axis");
-    let simd_id = space.find(PARAM_SIMD).expect("simd axis");
-    if let Some(seed) = seed {
-        // Clamp seeds into the axes' own domains (read from the space,
-        // the single source of truth for the bounds).
-        let (band_lo, band_hi) = space.int_domain(PARAM_BAND_ROWS).expect("band axis");
-        let (tblock_lo, tblock_hi) = space.int_domain(PARAM_TBLOCK).expect("tblock axis");
-        config
-            .set(
-                &space,
-                band_id,
-                ParamValue::Int(
-                    (seed.band_rows.min(i64::MAX as usize) as i64).clamp(band_lo, band_hi),
-                ),
-            )
-            .expect("clamped seed in domain");
-        config
-            .set(
-                &space,
-                tblock_id,
-                ParamValue::Int(
-                    (seed.tblock.min(i64::MAX as usize) as i64).clamp(tblock_lo, tblock_hi),
-                ),
-            )
-            .expect("clamped seed in domain");
-        config
-            .set(&space, simd_id, ParamValue::Switch(seed.simd.index()))
-            .expect("policy index in domain");
-    }
     let fam = simple_v_family(opts.level, &PAPER_ACCURACIES);
     let inst = ProblemInstance::random_for(
         &opts.problem,
@@ -250,173 +167,165 @@ fn tune_kernel_knobs_impl(
     let workspace = Arc::new(Workspace::new());
     let mut evaluations = 0usize;
     let mut best_seconds = f64::INFINITY;
-
-    {
-        let mut time_candidate = |cfg_knobs: KernelKnobs| -> f64 {
-            // The candidate's index doubles as its fault-injection
-            // "arm" id (see `faults::timing_inflation`).
-            let arm = evaluations;
-            evaluations += 1;
-            // In-table mode the candidate occupies only `opts.level`;
-            // global mode applies it everywhere (the pre-table search).
-            let mut ctx = match base {
-                Some(table) => {
-                    let mut trial = table.clone();
-                    trial.set(opts.level, cfg_knobs);
-                    ExecCtx::with_cache(exec.clone(), Arc::clone(&cache))
-                        .with_workspace(Arc::clone(&workspace))
-                        .with_problem(opts.problem.clone())
-                        .with_knob_table(trial)
-                }
-                None => {
-                    ExecCtx::with_cache(apply_knobs(exec.clone(), &cfg_knobs), Arc::clone(&cache))
-                        .with_workspace(Arc::clone(&workspace))
-                        .with_problem(opts.problem.clone())
-                        .with_tblock(cfg_knobs.tblock)
-                }
-            };
-            // In-table (per-level) mode, clock only the target level's
-            // own kernels via the executor's trace hooks: the coarser
-            // levels' noise — which full-cycle wall time mixes in —
-            // never enters the candidate's cost.
-            if base.is_some() {
-                ctx.tracer = Tracer::timing_level(opts.level);
-            }
-            // Warm the workspace pools and factor cache outside timing.
+    let time = |knobs: KernelKnobs| -> f64 {
+        // The candidate's index doubles as its fault-injection "arm" id
+        // (see `faults::timing_inflation`).
+        let arm = evaluations;
+        evaluations += 1;
+        let mut ctx = ExecCtx::with_cache(apply_knobs(exec.clone(), &knobs), Arc::clone(&cache))
+            .with_workspace(Arc::clone(&workspace))
+            .with_problem(opts.problem.clone())
+            .with_tblock(knobs.tblock);
+        // Warm the workspace pools and factor cache outside timing.
+        let mut x = inst.working_grid();
+        fam.run(opts.level, 0, &mut x, &inst.b, &mut ctx);
+        let cost = robust_median(opts.reps, || {
+            ctx.reset_counters();
             let mut x = inst.working_grid();
+            let start = Instant::now();
             fam.run(opts.level, 0, &mut x, &inst.b, &mut ctx);
-            let cost = robust_median(opts.reps, || {
-                ctx.reset_counters();
-                let mut x = inst.working_grid();
-                let start = Instant::now();
-                fam.run(opts.level, 0, &mut x, &inst.b, &mut ctx);
-                let mut sample = if base.is_some() {
-                    ctx.tracer.kernel_seconds()
-                } else {
-                    start.elapsed().as_secs_f64()
-                };
-                if let Some(factor) = faults::timing_inflation(arm) {
-                    sample *= factor;
-                }
-                sample
-            });
-            best_seconds = best_seconds.min(cost);
-            cost
-        };
-
-        for group in tuning_order(&space) {
-            for id in group {
-                let spec = space.spec(id);
-                // Sequential execution has no band (one band spans the
-                // whole sweep), so searching that axis would time
-                // identical configurations arms × rounds times.
-                if spec.name == petamg_choice::PARAM_BAND_ROWS && exec.band().is_none() {
-                    continue;
-                }
-                // Switch axes (the simd policy) have tiny domains:
-                // time every *distinct* choice and keep the fastest —
-                // the run-off against the incumbent is implicit because
-                // the incumbent's choice is among those timed. Choices
-                // are deduplicated by their resolved execution mode
-                // (`auto` always resolves to one of the forced modes on
-                // a given machine), keeping the earliest — i.e. `auto`
-                // wins ties, so tuned tables stay portable by default.
-                if let petamg_choice::ParamKind::Switch { choices } = &spec.kind {
-                    let mut seen_modes = Vec::new();
-                    let mut distinct = Vec::new();
-                    for i in 0..choices.len() {
-                        let mode = SimdPolicy::from_index(i).resolve();
-                        if !seen_modes.contains(&mode) {
-                            seen_modes.push(mode);
-                            distinct.push(i);
-                        }
-                    }
-                    let best = distinct
-                        .into_iter()
-                        .map(|i| {
-                            let mut trial = config.clone();
-                            trial
-                                .set(&space, id, ParamValue::Switch(i))
-                                .expect("choice in domain");
-                            (time_candidate(KernelKnobs::from_config(&space, &trial)), i)
-                        })
-                        .min_by(|a, b| a.0.total_cmp(&b.0))
-                        .map(|(_, i)| i)
-                        .expect("non-empty switch");
-                    config
-                        .set(&space, id, ParamValue::Switch(best))
-                        .expect("winner in domain");
-                    continue;
-                }
-                let (lo, hi) = match spec.kind {
-                    petamg_choice::ParamKind::Int { lo, hi, .. } => (lo, hi),
-                    _ => continue,
-                };
-                // A seeded search stays in the log-neighborhood of the
-                // seeded value instead of re-scanning the full domain.
-                let (nlo, nhi) = if seed.is_some() {
-                    let v = config.int(id);
-                    ((v / 4).max(lo), (v * 4).min(hi))
-                } else {
-                    (lo, hi)
-                };
-                // Remember every timing from the search so the run-off
-                // below can reuse them instead of re-timing.
-                let mut sampled: std::collections::BTreeMap<i64, f64> =
-                    std::collections::BTreeMap::new();
-                let searched = nary_search_int(nlo, nhi, opts.arms, opts.rounds, |v| {
-                    let mut trial = config.clone();
-                    trial
-                        .set(&space, id, ParamValue::Int(v))
-                        .expect("candidate in domain");
-                    let cost = time_candidate(KernelKnobs::from_config(&space, &trial));
-                    sampled
-                        .entry(v)
-                        .and_modify(|c| *c = c.min(cost))
-                        .or_insert(cost);
-                    cost
-                });
-                // Damp noise drift: the axis winner must beat both the
-                // seeded incumbent and the global default in a direct
-                // run-off, otherwise a level whose timing is
-                // insensitive to this axis (coarse grids) would lock a
-                // random value into the seed chain for finer levels.
-                // Values the search already timed are not re-timed.
-                let spec_default = match spec.default {
-                    ParamValue::Int(d) => d,
-                    _ => unreachable!("kernel axes are ints"),
-                };
-                let mut contenders = vec![searched, config.int(id), spec_default];
-                contenders.sort_unstable();
-                contenders.dedup();
-                let best = contenders
-                    .into_iter()
-                    .map(|v| {
-                        let cost = sampled.get(&v).copied().unwrap_or_else(|| {
-                            let mut trial = config.clone();
-                            trial
-                                .set(&space, id, ParamValue::Int(v))
-                                .expect("contender in domain");
-                            time_candidate(KernelKnobs::from_config(&space, &trial))
-                        });
-                        (cost, v)
-                    })
-                    .min_by(|a, b| a.0.total_cmp(&b.0))
-                    .map(|(_, v)| v)
-                    .expect("non-empty contenders");
-                config
-                    .set(&space, id, ParamValue::Int(best))
-                    .expect("winner in domain");
-            }
+            let sample = start.elapsed().as_secs_f64();
+            sample * faults::timing_inflation(arm).unwrap_or(1.0)
+        });
+        best_seconds = best_seconds.min(cost);
+        cost
+    };
+    let mut simd_choices: Vec<SimdPolicy> = Vec::new();
+    for policy in SimdPolicy::ALL {
+        if simd_choices.iter().all(|p| p.resolve() != policy.resolve()) {
+            simd_choices.push(policy);
         }
     }
-
+    let knobs = search_knobs(opts, &simd_choices, exec.band().is_some(), time);
     KnobTuneResult {
-        knobs: KernelKnobs::from_config(&space, &config),
-        space,
+        knobs,
         best_seconds,
         evaluations,
     }
+}
+
+/// The search behind [`tune_kernel_knobs`], over any cost `time`: from
+/// the default knobs, the cheapest of `simd_choices`, then `band_rows`
+/// (when `search_band`), then `tblock`, each axis timed with the
+/// winners before it.
+fn search_knobs(
+    opts: &KnobTunerOptions,
+    simd_choices: &[SimdPolicy],
+    search_band: bool,
+    mut time: impl FnMut(KernelKnobs) -> f64,
+) -> KernelKnobs {
+    let mut knobs = KernelKnobs::default();
+    knobs.simd = cheapest(
+        simd_choices
+            .iter()
+            .map(|&simd| (time(KernelKnobs { simd, ..knobs }), simd)),
+    );
+    if search_band {
+        knobs.band_rows = search_axis(opts, BAND_ROWS_DOMAIN, knobs.band_rows, |band_rows| {
+            time(KernelKnobs { band_rows, ..knobs })
+        });
+    }
+    knobs.tblock = search_axis(opts, TBLOCK_DOMAIN, knobs.tblock, |tblock| {
+        time(KernelKnobs { tblock, ..knobs })
+    });
+    knobs
+}
+
+/// One integer axis: an n-ary search over `domain`, then a run-off
+/// between its winner and `default` — the cheaper of the two wins, and
+/// on an exact tie the smaller value. Values the search already timed
+/// are not re-timed.
+fn search_axis(
+    opts: &KnobTunerOptions,
+    domain: RangeInclusive<usize>,
+    default: usize,
+    mut time: impl FnMut(usize) -> f64,
+) -> usize {
+    let mut sampled: BTreeMap<usize, f64> = BTreeMap::new();
+    let searched = nary_search_int(
+        *domain.start(),
+        *domain.end(),
+        opts.arms,
+        opts.rounds,
+        |v| {
+            let cost = time(v);
+            sampled
+                .entry(v)
+                .and_modify(|c| *c = c.min(cost))
+                .or_insert(cost);
+            cost
+        },
+    );
+    let mut contenders = vec![searched, default];
+    contenders.sort_unstable();
+    contenders.dedup();
+    cheapest(contenders.into_iter().map(|v| {
+        let cost = sampled.get(&v).copied().unwrap_or_else(|| time(v));
+        (cost, v)
+    }))
+}
+
+/// The value of the cheapest `(cost, value)` pair; the first wins ties.
+fn cheapest<T>(candidates: impl Iterator<Item = (f64, T)>) -> T {
+    candidates
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, v)| v)
+        .expect("at least one candidate")
+}
+
+/// N-ary search (§3.2.2) for the `x` in `[lo, hi]` minimizing `eval`:
+/// each round times `arms` evenly spaced candidates and shrinks the
+/// interval to the round winner's neighbourhood; once it is at most two
+/// points wide, both are timed and the search stops. The earlier
+/// candidate wins ties.
+///
+/// # Panics
+/// Panics if `lo > hi` or `arms < 2`.
+fn nary_search_int(
+    lo: usize,
+    hi: usize,
+    arms: usize,
+    rounds: usize,
+    mut eval: impl FnMut(usize) -> f64,
+) -> usize {
+    assert!(lo <= hi, "empty search range");
+    assert!(arms >= 2, "need at least two arms");
+    let (mut cur_lo, mut cur_hi) = (lo, hi);
+    let mut best_x = lo;
+    let mut best_cost = f64::INFINITY;
+    for _ in 0..rounds.max(1) {
+        let span = cur_hi - cur_lo;
+        let mut candidates: Vec<usize> =
+            (0..arms).map(|k| cur_lo + span * k / (arms - 1)).collect();
+        candidates.dedup();
+        let mut round_best_x = candidates[0];
+        let mut round_best_cost = f64::INFINITY;
+        for &x in &candidates {
+            let c = eval(x);
+            if c < round_best_cost {
+                round_best_cost = c;
+                round_best_x = x;
+            }
+        }
+        if round_best_cost < best_cost {
+            best_cost = round_best_cost;
+            best_x = round_best_x;
+        }
+        let step = (span / (arms - 1)).max(1);
+        cur_lo = round_best_x.saturating_sub(step).max(lo);
+        cur_hi = (round_best_x + step).min(hi);
+        if cur_hi - cur_lo <= 1 {
+            for x in [cur_lo, cur_hi] {
+                let c = eval(x);
+                if c < best_cost {
+                    best_cost = c;
+                    best_x = x;
+                }
+            }
+            break;
+        }
+    }
+    best_x
 }
 
 #[cfg(test)]
@@ -424,6 +333,121 @@ mod tests {
     use super::*;
 
     use petamg_grid::l2_diff;
+
+    fn show(k: KernelKnobs) -> String {
+        let simd = match k.simd {
+            SimdPolicy::Auto => 'A',
+            SimdPolicy::Scalar => 'S',
+            SimdPolicy::Vector => 'V',
+        };
+        format!("{simd}{}x{}", k.band_rows, k.tblock)
+    }
+
+    type Cost = fn(KernelKnobs) -> f64;
+
+    /// Synthetic cost surfaces over the knob space.
+    const SURFACES: [(&str, Cost); 4] = [
+        // A bowl at band 40 / tblock 3 that prefers `Scalar`.
+        ("bowl", |k| {
+            (k.band_rows as f64 / 40.0).ln().powi(2)
+                + (k.tblock as f64 - 3.0).powi(2)
+                + if k.simd == SimdPolicy::Scalar {
+                    0.0
+                } else {
+                    0.5
+                }
+        }),
+        // Flat: every comparison is a tie.
+        ("flat", |_| 1.0),
+        // Falling toward band 512 / tblock 8.
+        ("falling", |k| {
+            1.0 / k.band_rows as f64 + 1.0 / k.tblock as f64
+        }),
+        // The default band is a spike the n-ary search never samples:
+        // its winner loses the run-off.
+        ("spike", |k| {
+            let band = if k.band_rows == 32 {
+                0.5
+            } else {
+                1.0 + (k.band_rows as f64 - 200.0).abs() / 1000.0
+            };
+            band + (k.tblock as f64 - 5.0).powi(2) / 100.0
+        }),
+    ];
+
+    /// Every `(surface, band searched, SIMD choices)` run of the
+    /// search: the candidates it timed in order, its winner and its
+    /// evaluation count (`SIMD choices` 2 = `[Auto, Scalar]`, 1 =
+    /// `[Auto]`). Recorded on the pre-rewrite search over the generic
+    /// configuration space; the typed search must reproduce it.
+    #[rustfmt::skip]
+    const PINNED: [(&str, bool, usize, &str, &str, usize); 16] = [
+        ("bowl", true, 2, "A32x1 S32x1 S1x1 S256x1 S512x1 S1x1 S256x1 S511x1 S32x1 S32x1 S32x4 S32x8 S32x1 S32x4 S32x7", "S32x4", 15),
+        ("bowl", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 14),
+        ("bowl", false, 2, "A32x1 S32x1 S32x1 S32x4 S32x8 S32x1 S32x4 S32x7", "S32x4", 8),
+        ("bowl", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 7),
+        ("flat", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A1x1 A128x1 A256x1 A32x1 A1x1 A1x4 A1x8 A1x1 A1x2 A1x4 A1x1 A1x2", "A1x1", 17),
+        ("flat", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A128x1 A256x1 A32x1 A1x1 A1x4 A1x8 A1x1 A1x2 A1x4 A1x1 A1x2", "A1x1", 16),
+        ("flat", false, 2, "A32x1 S32x1 A32x1 A32x4 A32x8 A32x1 A32x2 A32x4 A32x1 A32x2", "A32x1", 10),
+        ("flat", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x1 A32x2 A32x4 A32x1 A32x2", "A32x1", 9),
+        ("falling", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A257x1 A384x1 A512x1 A32x1 A512x1 A512x4 A512x8 A512x5 A512x6 A512x8 A512x7 A512x8", "A512x8", 17),
+        ("falling", true, 1, "A32x1 A1x1 A256x1 A512x1 A257x1 A384x1 A512x1 A32x1 A512x1 A512x4 A512x8 A512x5 A512x6 A512x8 A512x7 A512x8", "A512x8", 16),
+        ("falling", false, 2, "A32x1 S32x1 A32x1 A32x4 A32x8 A32x5 A32x6 A32x8 A32x7 A32x8", "A32x8", 10),
+        ("falling", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x5 A32x6 A32x8 A32x7 A32x8", "A32x8", 9),
+        ("spike", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 15),
+        ("spike", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 14),
+        ("spike", false, 2, "A32x1 S32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 8),
+        ("spike", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 7),
+    ];
+
+    #[test]
+    fn search_visits_the_pinned_candidates() {
+        let simd_choices = [SimdPolicy::Auto, SimdPolicy::Scalar];
+        for (name, band, choices, trail, winner, evaluations) in PINNED {
+            let (_, cost) = SURFACES.iter().find(|(n, _)| *n == name).unwrap();
+            let mut seen = Vec::new();
+            let knobs = search_knobs(
+                &KnobTunerOptions::quick(7),
+                &simd_choices[..choices],
+                band,
+                |k| {
+                    seen.push(show(k));
+                    cost(k)
+                },
+            );
+            let case = format!("{name}, band searched: {band}, {choices} simd choices");
+            assert_eq!(seen.join(" "), trail, "{case}");
+            assert_eq!(show(knobs), winner, "{case}");
+            assert_eq!(seen.len(), evaluations, "{case}");
+        }
+    }
+
+    #[test]
+    fn nary_search_finds_integer_minima() {
+        assert_eq!(
+            nary_search_int(0, 1000, 5, 8, |x| (x as f64 - 371.0).abs()),
+            371
+        );
+        assert_eq!(nary_search_int(10, 99, 4, 6, |x| x as f64), 10);
+        assert_eq!(nary_search_int(10, 99, 4, 6, |x| -(x as f64)), 99);
+        assert_eq!(nary_search_int(7, 7, 3, 3, |_| 0.0), 7);
+        // Deterministic "noise" that does not move the basin.
+        let mut tick = 0u64;
+        let best = nary_search_int(0, 500, 6, 8, |x| {
+            tick = tick
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407 + x as u64);
+            let noise = ((tick >> 33) % 100) as f64 / 100.0; // [0, 1)
+            (x as f64 - 250.0).powi(2) / 100.0 + noise
+        });
+        assert!(best.abs_diff(250) <= 25, "best = {best}");
+        let mut calls = 0usize;
+        nary_search_int(0, 1_000_000, 8, 10, |x| {
+            calls += 1;
+            (x as f64 - 123456.0).abs()
+        });
+        assert!(calls <= 8 * 10 + 2, "calls = {calls}");
+    }
 
     #[test]
     fn quick_clamps_out_of_range_levels() {
@@ -438,75 +462,6 @@ mod tests {
         // The clamped options actually tune without panicking.
         let result = tune_kernel_knobs(&Exec::seq(), &KnobTunerOptions::quick(0));
         assert!(result.evaluations > 0);
-    }
-
-    #[test]
-    fn seeded_search_stays_in_the_seed_neighborhood() {
-        // Every candidate a seeded search evaluates lives in the
-        // log-neighborhood [seed/4, seed*4] of the seeded value, so the
-        // winner must too — that locality is what keeps the DP's
-        // per-level table near O(levels) timings.
-        let seed = KernelKnobs {
-            band_rows: 8,
-            tblock: 2,
-            simd: SimdPolicy::Auto,
-        };
-        let opts = KnobTunerOptions::quick(3);
-        let result = tune_kernel_knobs_seeded(&Exec::pbrt(2), &opts, Some(seed));
-        assert!(
-            (2..=32).contains(&result.knobs.band_rows),
-            "band {} outside seed neighborhood",
-            result.knobs.band_rows
-        );
-        assert!(
-            (1..=8).contains(&result.knobs.tblock),
-            "tblock {} outside seed neighborhood",
-            result.knobs.tblock
-        );
-        assert!(result.evaluations > 0);
-
-        // On a sequential policy the band axis is skipped entirely, so
-        // the seeded band comes back unchanged (this is how a level
-        // inherits its coarser neighbour's knobs).
-        let result = tune_kernel_knobs_seeded(&Exec::seq(), &opts, Some(seed));
-        assert_eq!(result.knobs.band_rows, seed.band_rows);
-
-        // Out-of-domain seeds are clamped into the space, not
-        // rejected. The winner lives in the clamped neighborhood — or
-        // is the global default, which always gets a run-off hearing.
-        let wild = KernelKnobs {
-            band_rows: 100_000,
-            tblock: 99,
-            simd: SimdPolicy::Auto,
-        };
-        let result = tune_kernel_knobs_seeded(&Exec::pbrt(2), &opts, Some(wild));
-        assert!(
-            (128..=512).contains(&result.knobs.band_rows)
-                || result.knobs.band_rows == KernelKnobs::default().band_rows
-        );
-        assert!(
-            (2..=8).contains(&result.knobs.tblock)
-                || result.knobs.tblock == KernelKnobs::default().tblock
-        );
-    }
-
-    #[test]
-    fn for_level_tuning_returns_in_domain_knobs() {
-        let mut base = KnobTable::defaults(4);
-        base.set(
-            3,
-            KernelKnobs {
-                band_rows: 8,
-                tblock: 2,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        let result =
-            tune_kernel_knobs_for_level(&Exec::pbrt(2), &KnobTunerOptions::quick(4), &base);
-        assert!((1..=512).contains(&result.knobs.band_rows));
-        assert!((1..=8).contains(&result.knobs.tblock));
-        assert!(result.evaluations > 0);
-        assert!(result.best_seconds.is_finite());
     }
 
     #[test]
@@ -557,7 +512,7 @@ mod tests {
         // re-measure pass keeps it out of the candidate's median, so
         // the winning cost stays physical.
         assert!(result.best_seconds < 1e3, "{}", result.best_seconds);
-        assert!((1..=8).contains(&result.knobs.tblock));
+        assert!(TBLOCK_DOMAIN.contains(&result.knobs.tblock));
         faults::clear();
     }
 
@@ -598,8 +553,8 @@ mod tests {
     fn tuned_knobs_are_in_domain_and_change_nothing() {
         let opts = KnobTunerOptions::quick(4);
         let result = tune_kernel_knobs(&Exec::seq(), &opts);
-        assert!((1..=512).contains(&result.knobs.band_rows));
-        assert!((1..=8).contains(&result.knobs.tblock));
+        assert!(BAND_ROWS_DOMAIN.contains(&result.knobs.band_rows));
+        assert!(TBLOCK_DOMAIN.contains(&result.knobs.tblock));
         assert!(result.evaluations > 0);
         assert!(result.best_seconds.is_finite());
 

@@ -31,16 +31,16 @@ mod pareto;
 
 pub use fmg::FmgTuner;
 pub use knobs::{
-    apply_knobs, tune_kernel_knobs, tune_kernel_knobs_for_level, tune_kernel_knobs_seeded,
-    KnobTuneResult, KnobTunerOptions, MAX_QUICK_KNOB_LEVEL, RE_MEASURE_SPREAD,
+    apply_knobs, tune_kernel_knobs, KnobTuneResult, KnobTunerOptions, MAX_QUICK_KNOB_LEVEL,
+    RE_MEASURE_SPREAD,
 };
 pub use pareto::{pareto_front, CandidatePoint, ParetoTuner};
 
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{CostModel, MachineProfile, OpCounts};
+use crate::knobs::KnobTable;
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
-use petamg_choice::{KernelKnobs, KnobTable};
 use petamg_grid::{l2_diff, level_size, Exec, Grid2d, Workspace};
 use petamg_problems::Problem;
 use petamg_solvers::relax::{omega_opt, sor_sweep_op};
@@ -73,48 +73,11 @@ pub struct TunerOptions {
     pub sor_cap_mult: u32,
     /// RECURSE iteration cap.
     pub recurse_cap: u32,
-    /// Per-level kernel-knob search. `None` (the presets' default)
-    /// fills the family's knob table with the global defaults — knob
-    /// timing is wall-clock, so it only pays off when the tuned plan
-    /// will actually run on this machine.
-    pub knob_search: Option<KnobSearchOptions>,
     /// The posed problem this tuner trains for. The tuned family is
     /// keyed by its fingerprint; every candidate measurement runs the
     /// problem's operator (convergence differs per operator, so plans
     /// genuinely diverge across problems — the paper's central claim).
     pub problem: Problem,
-}
-
-/// Budgeted per-level kernel-knob search inside the DP tuner: before a
-/// level's candidates are timed, its `(band_rows, tblock)` pair is
-/// tuned with the n-ary search, **seeded from the next-coarser level's
-/// result** so each level starts at an already-good incumbent and the
-/// whole DP stays near `O(levels)` knob timings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KnobSearchOptions {
-    /// N-ary search arms per round.
-    pub arms: usize,
-    /// N-ary search rounds per axis.
-    pub rounds: usize,
-    /// Timed cycle repetitions per candidate.
-    pub reps: usize,
-    /// Budget on knob-timing evaluations across the whole DP run,
-    /// checked before each level's search starts — so the final level
-    /// to search may overshoot it by one level's worth of evaluations.
-    /// Once spent, remaining levels inherit the coarser level's knobs
-    /// unchanged.
-    pub max_evaluations: usize,
-}
-
-impl Default for KnobSearchOptions {
-    fn default() -> Self {
-        KnobSearchOptions {
-            arms: 3,
-            rounds: 2,
-            reps: 2,
-            max_evaluations: 96,
-        }
-    }
 }
 
 impl TunerOptions {
@@ -133,7 +96,6 @@ impl TunerOptions {
             direct_max_n: 257,
             sor_cap_mult: 60,
             recurse_cap: 120,
-            knob_search: None,
             problem: Problem::poisson(),
         }
     }
@@ -277,13 +239,6 @@ pub struct VTuner {
     opts: TunerOptions,
     cache: Arc<DirectSolverCache>,
     workspace: Arc<Workspace>,
-    /// The per-level knob table built up as the DP ascends levels:
-    /// candidate timings at level `k` run with the knobs tuned for the
-    /// levels below, and the finished table ships inside the family.
-    knobs: RefCell<KnobTable>,
-    /// Knob-timing evaluations spent so far (bounded by
-    /// [`KnobSearchOptions::max_evaluations`]).
-    knob_evals: RefCell<usize>,
     /// Candidate steps run so far, by level — counted where the step
     /// runs ([`TuneDiagnostics::recurse_steps`] / `sor_sweeps`).
     recurse_steps: RefCell<Vec<u64>>,
@@ -309,8 +264,6 @@ impl VTuner {
             opts,
             cache: Arc::new(DirectSolverCache::new()),
             workspace: Arc::new(Workspace::new()),
-            knobs: RefCell::new(KnobTable::defaults(max_level)),
-            knob_evals: RefCell::new(0),
             recurse_steps: RefCell::new(vec![0; max_level + 1]),
             sor_sweeps: RefCell::new(vec![0; max_level + 1]),
         }
@@ -333,11 +286,6 @@ impl VTuner {
 
     /// Run the DP, also returning every candidate evaluation.
     pub fn tune_with_diagnostics(&self) -> (TunedFamily, TuneDiagnostics) {
-        // Each run starts from a fresh knob table and budget, so a
-        // second tune() on the same tuner re-tunes instead of silently
-        // inheriting (or discarding) the previous run's table.
-        *self.knobs.borrow_mut() = KnobTable::defaults(self.opts.max_level);
-        *self.knob_evals.borrow_mut() = 0;
         self.recurse_steps.borrow_mut().fill(0);
         self.sor_sweeps.borrow_mut().fill(0);
         let m = self.opts.accuracies.len();
@@ -346,10 +294,6 @@ impl VTuner {
         plans[1] = vec![Choice::Direct; m];
 
         for k in 2..=self.opts.max_level {
-            // Tune this level's kernel knobs first (seeded from the
-            // next-coarser level) so every candidate timing below runs
-            // with level-appropriate knobs.
-            self.tune_level_knobs(k);
             let mut instances = self.training_instances(k);
             for inst in &mut instances {
                 inst.ensure_x_opt(&self.opts.exec, &self.cache);
@@ -364,7 +308,7 @@ impl VTuner {
             accuracies: self.opts.accuracies.clone(),
             max_level: self.opts.max_level,
             plans,
-            knobs: self.knobs.borrow().clone(),
+            knobs: KnobTable::defaults(self.opts.max_level),
             problem: self.opts.problem.fingerprint().clone(),
             provenance: format!(
                 "VTuner(dist={}, cost={}, seed={}, instances={})",
@@ -450,50 +394,6 @@ impl VTuner {
         winners
     }
 
-    /// Search the kernel-knob space for `level`, seeded from the
-    /// next-coarser level's result, honouring the evaluation budget.
-    /// No-op when `knob_search` is disabled (the table keeps its
-    /// defaults).
-    fn tune_level_knobs(&self, level: usize) {
-        let Some(search) = &self.opts.knob_search else {
-            return;
-        };
-        let seed: KernelKnobs = self.knobs.borrow().get(level - 1);
-        let spent = *self.knob_evals.borrow();
-        if spent >= search.max_evaluations {
-            // Budget exhausted: inherit the coarser level's knobs.
-            self.knobs.borrow_mut().set(level, seed);
-            return;
-        }
-        let opts = KnobTunerOptions {
-            level,
-            arms: search.arms,
-            rounds: search.rounds,
-            reps: search.reps,
-            seed: self.opts.seed ^ 0x6B_6E_6F_62, // "knob"
-            // Knob timings must run the posed family's own kernels: a
-            // var-coeff plan knob-tuned on Poisson rows would lock in
-            // the wrong band/tblock.
-            problem: self.opts.problem.clone(),
-        };
-        let table = self.knobs.borrow().clone();
-        let result = knobs::tune_kernel_knobs_for_level(&self.opts.exec, &opts, &table);
-        *self.knob_evals.borrow_mut() = spent + result.evaluations;
-        self.knobs.borrow_mut().set(level, result.knobs);
-    }
-
-    /// The per-level knob table tuned so far (defaults where the DP has
-    /// not reached yet, or everywhere when `knob_search` is off).
-    pub fn knob_table(&self) -> KnobTable {
-        self.knobs.borrow().clone()
-    }
-
-    /// Seed the knob table from an existing family (used by the FMG
-    /// tuner layering over an already-tuned V family).
-    pub(crate) fn adopt_knob_table(&self, table: KnobTable) {
-        *self.knobs.borrow_mut() = table;
-    }
-
     pub(crate) fn training_instances(&self, level: usize) -> Vec<ProblemInstance> {
         crate::training::training_set_for(
             &self.opts.problem,
@@ -505,17 +405,14 @@ impl VTuner {
     }
 
     /// A read-only family over the levels tuned so far (plans at or
-    /// above `below_level` are absent and must not be executed). The
-    /// knob table is truncated to match, keeping the partial family
-    /// consistent with `TunedFamily::validate`'s shape invariant.
+    /// above `below_level` are absent and must not be executed).
     pub(crate) fn family_view(&self, plans: &[Vec<Choice>], below_level: usize) -> TunedFamily {
-        let mut knobs = self.knobs.borrow().clone();
-        knobs.per_level.truncate(below_level);
+        let max_level = below_level.saturating_sub(1).max(1);
         TunedFamily {
             accuracies: self.opts.accuracies.clone(),
-            max_level: below_level.saturating_sub(1).max(1),
+            max_level,
             plans: plans[..below_level].to_vec(),
-            knobs,
+            knobs: KnobTable::defaults(max_level),
             problem: self.opts.problem.fingerprint().clone(),
             provenance: "partial (tuning in progress)".into(),
         }
@@ -523,19 +420,11 @@ impl VTuner {
 
     /// A counting context sharing the tuner's factor cache and scratch
     /// arena (so back-to-back candidate evaluations never re-allocate
-    /// coarse-grid scratch). Carries the knob table tuned so far (when
-    /// it holds real tuning), so candidate timings run each level with
-    /// level-appropriate knobs without overriding a hand-configured
-    /// `opts.exec` in the untuned case.
+    /// coarse-grid scratch).
     pub(crate) fn fresh_ctx(&self) -> ExecCtx {
-        let mut ctx = ExecCtx::with_cache(self.opts.exec.clone(), Arc::clone(&self.cache))
+        ExecCtx::with_cache(self.opts.exec.clone(), Arc::clone(&self.cache))
             .with_workspace(Arc::clone(&self.workspace))
-            .with_problem(self.opts.problem.clone());
-        let table = self.knobs.borrow();
-        if !table.is_all_default() {
-            ctx = ctx.with_knob_table(table.clone());
-        }
-        ctx
+            .with_problem(self.opts.problem.clone())
     }
 
     /// Price one set of op counts (modeled mode only).
@@ -773,7 +662,6 @@ pub fn priced_run(
 mod tests {
     use super::*;
     use crate::plan::Choice;
-    use petamg_choice::SimdPolicy;
 
     fn quick_tuner(max_level: usize) -> VTuner {
         VTuner::new(TunerOptions::quick(
@@ -995,65 +883,9 @@ mod tests {
     }
 
     #[test]
-    fn no_knob_search_gives_default_table() {
+    fn tuned_families_carry_the_default_knob_table() {
         let fam = quick_tuner(4).tune();
         assert_eq!(fam.knobs, KnobTable::defaults(4));
-    }
-
-    #[test]
-    fn knob_search_produces_valid_in_domain_tables() {
-        let mut opts = TunerOptions::quick(3, Distribution::UnbiasedUniform);
-        opts.knob_search = Some(KnobSearchOptions {
-            arms: 2,
-            rounds: 1,
-            reps: 1,
-            max_evaluations: 16,
-        });
-        let fam = VTuner::new(opts).tune();
-        fam.validate().unwrap();
-        assert_eq!(fam.knobs.max_level(), 3);
-        // Tables round-trip with the rest of the plan.
-        let back = TunedFamily::from_json(&fam.to_json()).unwrap();
-        assert_eq!(back.knobs, fam.knobs);
-    }
-
-    #[test]
-    fn tune_starts_from_a_fresh_knob_table() {
-        // A stale table (e.g. adopted from a previous FMG layering, or
-        // left over from an earlier tune() run) must not leak into a
-        // new tuning run.
-        let tuner = quick_tuner(3);
-        let mut stale = KnobTable::defaults(3);
-        stale.set(
-            3,
-            KernelKnobs {
-                band_rows: 4,
-                tblock: 4,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        tuner.adopt_knob_table(stale);
-        let fam = tuner.tune();
-        assert_eq!(
-            fam.knobs,
-            KnobTable::defaults(3),
-            "tune() must reset knob state, not inherit it"
-        );
-    }
-
-    #[test]
-    fn knob_budget_zero_inherits_coarser_knobs() {
-        // With the budget already spent, every level inherits the
-        // next-coarser level's knobs — i.e. the level-1 defaults
-        // propagate up and the table stays uniform.
-        let mut opts = TunerOptions::quick(3, Distribution::UnbiasedUniform);
-        opts.knob_search = Some(KnobSearchOptions {
-            max_evaluations: 0,
-            ..Default::default()
-        });
-        let fam = VTuner::new(opts).tune();
-        assert!(fam.knobs.is_uniform());
-        assert_eq!(fam.knobs.get(3), KernelKnobs::default());
     }
 
     #[test]

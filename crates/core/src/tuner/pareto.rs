@@ -10,13 +10,12 @@
 //! discrete cutoffs `p_i` selecting the "solid square" members the main
 //! tuner remembers.
 
-use super::{apply_knobs, TunerOptions};
+use super::TunerOptions;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::CostModel;
 use crate::plan::ExecCtx;
 use crate::training::ProblemInstance;
-use petamg_choice::{KernelKnobs, KnobTable};
-use petamg_grid::{coarse_size, interpolate_correct, l2_diff, level_size, Exec, Grid2d};
+use petamg_grid::{coarse_size, interpolate_correct, l2_diff, level_size, Grid2d};
 use petamg_solvers::relax::{omega_opt, sor_sweep_op, OMEGA_CYCLE};
 use petamg_solvers::DirectSolverCache;
 use serde::{Deserialize, Serialize};
@@ -69,9 +68,6 @@ pub struct ParetoAlgo {
     pub accuracy: f64,
     /// Cost (modeled seconds).
     pub cost: f64,
-    /// The kernel-execution knobs this level was measured with (the
-    /// tuner's per-level table entry at enumeration time).
-    pub knobs: KernelKnobs,
 }
 
 /// Algorithm structure of a Pareto-set member.
@@ -104,36 +100,19 @@ pub struct ParetoTuner {
     pub max_sor_probe: u32,
     /// Max cycle count probed for recursive candidates.
     pub max_recurse_probe: u32,
-    /// Per-level kernel-execution knobs applied while measuring
-    /// candidates (defaults to the uniform global table).
-    pub knobs: KnobTable,
     cache: Arc<DirectSolverCache>,
 }
 
 impl ParetoTuner {
     /// Build with defaults (`set_cap = 24`).
     pub fn new(opts: TunerOptions) -> Self {
-        let knobs = KnobTable::defaults(opts.max_level);
         ParetoTuner {
             opts,
             set_cap: 24,
             max_sor_probe: 512,
             max_recurse_probe: 12,
-            knobs,
             cache: Arc::new(DirectSolverCache::new()),
         }
-    }
-
-    /// Replace the per-level knob table used during measurement.
-    pub fn with_knob_table(mut self, knobs: KnobTable) -> Self {
-        self.knobs = knobs;
-        self
-    }
-
-    /// The execution policy for sweeps at `level`: the configured
-    /// policy with the level's tabulated band height.
-    fn level_exec(&self, level: usize) -> Exec {
-        apply_knobs(self.opts.exec.clone(), &self.knobs.get(level))
     }
 
     fn profile(&self) -> &crate::cost::MachineProfile {
@@ -152,7 +131,6 @@ impl ParetoTuner {
             kind: ParetoKind::Direct,
             accuracy: ACC_CAP,
             cost: self.direct_cost(1),
-            knobs: self.knobs.get(1),
         }];
         for k in 2..=self.opts.max_level {
             let candidates = self.enumerate_level(k, &sets);
@@ -169,17 +147,12 @@ impl ParetoTuner {
             inst.ensure_x_opt(&self.opts.exec, &self.cache);
         }
         let mut out = Vec::new();
-        // All timings/sweeps at this level run with the level's
-        // tabulated kernel knobs (bitwise identical for any entry).
-        let exec_k = self.level_exec(k);
-        let level_knobs = self.knobs.get(k);
 
         // Direct.
         out.push(ParetoAlgo {
             kind: ParetoKind::Direct,
             accuracy: ACC_CAP,
             cost: self.direct_cost(k),
-            knobs: level_knobs,
         });
 
         // SOR with probed iteration counts (record accuracy at powers of
@@ -207,7 +180,7 @@ impl ParetoTuner {
             let mut done = 0u32;
             for (pi, &p) in probes.iter().enumerate() {
                 while done < p {
-                    sor_sweep_op(&op_k, &mut x, &inst.b, omega, &exec_k);
+                    sor_sweep_op(&op_k, &mut x, &inst.b, omega, &self.opts.exec);
                     done += 1;
                 }
                 let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &self.opts.exec));
@@ -219,7 +192,6 @@ impl ParetoTuner {
                 kind: ParetoKind::Sor { iterations: p },
                 accuracy: acc_at[pi],
                 cost: sweep_cost * p as f64,
-                knobs: level_knobs,
             });
         }
 
@@ -253,7 +225,6 @@ impl ParetoTuner {
                     },
                     accuracy: acc_per_t[(t - 1) as usize],
                     cost: per_iter * t as f64,
-                    knobs: level_knobs,
                 });
             }
         }
@@ -278,20 +249,20 @@ impl ParetoTuner {
         }
         let n = level_size(k);
         let op = self.opts.problem.op_for(n);
-        let exec_k = self.level_exec(k);
-        sor_sweep_op(&op, x, b, OMEGA_CYCLE, &exec_k);
+        let exec = &self.opts.exec;
+        sor_sweep_op(&op, x, b, OMEGA_CYCLE, exec);
         ctx.ops.level_mut(k).relax_sweeps += 1;
         let nc = coarse_size(n);
         let ws = Arc::clone(&ctx.workspace);
         let mut bc = ws.acquire(nc);
-        petamg_problems::residual_restrict_op(&op, x, b, &mut bc, &ws, &exec_k);
+        petamg_problems::residual_restrict_op(&op, x, b, &mut bc, &ws, exec);
         ctx.ops.level_mut(k).residuals += 1;
         ctx.ops.level_mut(k).restricts += 1;
         let mut ec = ws.acquire(nc);
         self.run_algo(sets, k - 1, sub_index, &mut ec, &bc, ctx);
-        interpolate_correct(&ec, x, &exec_k);
+        interpolate_correct(&ec, x, exec);
         ctx.ops.level_mut(k).interps += 1;
-        sor_sweep_op(&op, x, b, OMEGA_CYCLE, &exec_k);
+        sor_sweep_op(&op, x, b, OMEGA_CYCLE, exec);
         ctx.ops.level_mut(k).relax_sweeps += 1;
     }
 
@@ -312,9 +283,8 @@ impl ParetoTuner {
             ParetoKind::Sor { iterations } => {
                 let omega = omega_opt(x.n());
                 let op = self.opts.problem.op_for(x.n());
-                let exec_k = self.level_exec(k);
                 for _ in 0..iterations {
-                    sor_sweep_op(&op, x, b, omega, &exec_k);
+                    sor_sweep_op(&op, x, b, omega, &self.opts.exec);
                 }
                 ctx.ops.level_mut(k).relax_sweeps += iterations as u64;
             }
@@ -375,7 +345,6 @@ impl ParetoTuner {
             kind: ParetoKind::Direct,
             accuracy: ACC_CAP,
             cost: self.direct_cost(1),
-            knobs: self.knobs.get(1),
         }];
         for k in 2..=level {
             let cands = self.enumerate_level(k, &sets);

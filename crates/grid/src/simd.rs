@@ -32,9 +32,9 @@
 //!
 //! Because every mode produces identical bits, [`SimdPolicy`] is a
 //! *pure performance* knob, exactly like the band height and temporal
-//! depth: the autotuner can search it per level without re-validating
-//! accuracy, and coarse grids where vector setup overhead loses tune
-//! back to scalar automatically.
+//! depth: the knob search can time it without re-validating accuracy,
+//! and a plan's per-level knob table can run coarse grids, where vector
+//! setup overhead loses, on the scalar path.
 
 /// Which lane path a kernel invocation actually runs: the resolved form
 /// of a [`SimdPolicy`]. Carried by `Exec` and threaded to every row
@@ -65,8 +65,8 @@ impl SimdMode {
 /// between the scalar and vector row paths.
 ///
 /// All three settings produce bitwise identical results (see the
-/// module docs), so this is a pure performance axis in
-/// `kernel_exec_space()`.
+/// module docs), so this is a pure performance axis of the kernel-knob
+/// search (`petamg_core::tuner::tune_kernel_knobs`).
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
 )]
@@ -99,8 +99,7 @@ impl SimdPolicy {
         }
     }
 
-    /// Short lower-case name (`auto` / `scalar` / `vector`) — also the
-    /// choice labels of the `simd` axis in `kernel_exec_space()`.
+    /// Short lower-case name (`auto` / `scalar` / `vector`) for logs.
     pub fn name(self) -> &'static str {
         match self {
             SimdPolicy::Auto => "auto",
@@ -109,24 +108,9 @@ impl SimdPolicy {
         }
     }
 
-    /// All policies, index-aligned with [`SimdPolicy::index`] and the
-    /// `simd` switch axis of `kernel_exec_space()`.
+    /// All policies, `Auto` first (the knob search lets the earliest
+    /// of equally fast policies win).
     pub const ALL: [SimdPolicy; 3] = [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Vector];
-
-    /// The policy's index into [`SimdPolicy::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            SimdPolicy::Auto => 0,
-            SimdPolicy::Scalar => 1,
-            SimdPolicy::Vector => 2,
-        }
-    }
-
-    /// Inverse of [`SimdPolicy::index`] (out-of-range clamps to
-    /// `Auto`, so config round-trips can never panic).
-    pub fn from_index(i: usize) -> SimdPolicy {
-        SimdPolicy::ALL.get(i).copied().unwrap_or(SimdPolicy::Auto)
-    }
 }
 
 /// Whether a real ISA vector backend is compiled in **and** supported
@@ -171,23 +155,12 @@ pub fn batch_width() -> usize {
     1
 }
 
-/// Cached runtime probe for AVX2 + FMA (both must be present: the
-/// vector kernels are compiled with `target_feature(enable =
-/// "avx2,fma")`).
+/// Runtime probe for AVX2 + FMA (both must be present: the vector
+/// kernels are compiled with `target_feature(enable = "avx2,fma")`).
+/// std caches the CPUID probe behind the macro.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 fn avx2_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let ok = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-            ok
-        }
-    }
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
 // ---------------------------------------------------------------------
@@ -1278,14 +1251,6 @@ mod tests {
         } else {
             assert_eq!(auto, SimdMode::Scalar);
         }
-    }
-
-    #[test]
-    fn policy_index_roundtrip() {
-        for p in SimdPolicy::ALL {
-            assert_eq!(SimdPolicy::from_index(p.index()), p);
-        }
-        assert_eq!(SimdPolicy::from_index(99), SimdPolicy::Auto);
     }
 
     #[test]

@@ -21,13 +21,12 @@
 //!   scratch that makes steady-state cycles allocation-free.
 //! * [`linalg`] — packed band Cholesky (the paper's LAPACK `DPBSV`).
 //! * [`runtime`] — Cilk-style work-stealing pool (PetaBricks runtime).
-//! * [`choice`] — PetaBricks-style choice framework: config spaces,
-//!   per-level kernel-knob tables, n-ary parameter search.
 //! * [`solvers`] — Red-Black SOR, reference V-cycle / W-cycle /
 //!   full-multigrid solvers.
 //! * [`core`] — the paper's contribution: accuracy metric, DP tuner for
 //!   `MULTIGRID-V_i` and `FULL-MULTIGRID_i`, tuned-plan executor, cycle
-//!   tracing/rendering, machine cost models, training distributions.
+//!   tracing/rendering, machine cost models, training distributions, and
+//!   the per-level kernel-knob tables with their n-ary search.
 //! * [`serve`] — the tune-once/serve-many layer: a fingerprint-keyed
 //!   [`PlanLibrary`](petamg_serve::PlanLibrary) over checksummed plan
 //!   files and a [`SolverService`](petamg_serve::SolverService) with a
@@ -57,7 +56,6 @@
 //! assert!(report.achieved_accuracy >= 1e5);
 //! ```
 
-pub use petamg_choice as choice;
 pub use petamg_core as core;
 pub use petamg_grid as grid;
 pub use petamg_linalg as linalg;
@@ -69,14 +67,14 @@ pub use petamg_solvers as solvers;
 
 /// Convenience prelude with the most common types.
 pub mod prelude {
-    pub use petamg_choice::{KernelKnobs, KnobTable};
     pub use petamg_core::accuracy::{error_ratio, AccuracyReport};
     pub use petamg_core::cost::{CostModel, MachineProfile};
     pub use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
+    pub use petamg_core::knobs::{KernelKnobs, KnobTable};
     pub use petamg_core::plan::{Choice, ExecCtx, TunedFamily, TunedFmgFamily};
     pub use petamg_core::trace::LadderRung;
     pub use petamg_core::training::{Distribution, ProblemInstance};
-    pub use petamg_core::tuner::{FmgTuner, KnobSearchOptions, TunerOptions, VTuner};
+    pub use petamg_core::tuner::{FmgTuner, TunerOptions, VTuner};
     pub use petamg_grid::{Exec, Grid2d, Workspace};
     pub use petamg_grid::{SimdMode, SimdPolicy};
     pub use petamg_obs::{render_prometheus, Registry, TelemetryMode, TelemetrySnapshot};
