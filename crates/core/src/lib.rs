@@ -31,10 +31,11 @@
 //! * [`knobs`] — the kernel-execution knobs ([`knobs::KernelKnobs`]) and
 //!   the per-level [`knobs::KnobTable`] a plan carries;
 //! * [`trace`] / [`render`] — cycle-shape event traces and the ASCII
-//!   renderings of Figs 4, 5 and 14;
+//!   cycle diagram of Fig 5;
 //! * [`tuner`] — the DP tuners ([`tuner::VTuner`], [`tuner::FmgTuner`]),
-//!   the full Pareto-set variant of §2.2 and the kernel-knob search
-//!   ([`tuner::tune_kernel_knobs`]);
+//!   the full Pareto-set variant of §2.2 ([`tuner::ParetoTuner`], the
+//!   reference the Fig 2 test checks the discrete DP against) and the
+//!   kernel-knob search ([`tuner::tune_kernel_knobs`]);
 //! * [`heuristics`] — the fixed-accuracy `10^x/10^9` strategies of
 //!   Figs 7–8.
 

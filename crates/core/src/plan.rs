@@ -17,8 +17,8 @@
 //! ```
 //!
 //! The executor threads an [`ExecCtx`] through the recursion to count
-//! operations (for modeled costs), record cycle events (for the figure
-//! renderers), and share the direct-solver factor cache.
+//! operations (for modeled costs), record cycle events (for the cycle
+//! renderer), and share the direct-solver factor cache.
 
 use crate::accuracy::error_ratio;
 #[cfg(test)]
@@ -620,12 +620,6 @@ impl TunedFamily {
             seconds,
             ops: ctx.ops,
         }
-    }
-
-    /// Pre-factor every grid size this plan's direct solves touch
-    /// (constant-coefficient Poisson).
-    pub fn warm_factors(&self, level: usize, acc_idx: usize, cache: &Arc<DirectSolverCache>) {
-        self.warm_factors_for(&Problem::poisson(), level, acc_idx, cache);
     }
 
     /// Pre-factor every `(grid size, operator)` this plan's direct

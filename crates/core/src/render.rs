@@ -1,17 +1,11 @@
-//! ASCII renderings of tuned cycles and call stacks.
-//!
-//! Reproduces the paper's visual artifacts:
-//!
-//! * Fig 5 / Fig 14 — cycle diagrams: "The path of the algorithm
-//!   progresses from left to right through time. As the path moves down,
-//!   it represents a restriction to a coarser resolution, while paths up
-//!   represent interpolations. Dots represent red-black SOR relaxations,
-//!   solid horizontal arrows represent calls to the direct solver, and
-//!   dashed horizontal arrows represent calls to the iterative solver."
-//! * Fig 4 — call-stack listings of which `MULTIGRID-V_i` family member
-//!   is invoked at each recursion level.
+//! ASCII renderings of tuned cycles, the paper's Fig 5 cycle diagrams:
+//! "The path of the algorithm progresses from left to right
+//! through time. As the path moves down, it represents a restriction to
+//! a coarser resolution, while paths up represent interpolations. Dots
+//! represent red-black SOR relaxations, solid horizontal arrows
+//! represent calls to the direct solver, and dashed horizontal arrows
+//! represent calls to the iterative solver."
 
-use crate::plan::{Choice, FmgChoice, FollowUp, TunedFamily, TunedFmgFamily};
 use crate::trace::CycleEvent;
 use petamg_grid::level_size;
 
@@ -63,99 +57,10 @@ pub fn render_cycle(events: &[CycleEvent]) -> String {
     out
 }
 
-/// Fig 4-style call-stack listing for `MULTIGRID-V_{acc_idx}` at
-/// `level`: a static walk of the plan tree (the plan *is* the call
-/// structure).
-pub fn call_stack(family: &TunedFamily, level: usize, acc_idx: usize) -> String {
-    let mut out = String::new();
-    walk_v(family, level, acc_idx, 0, &mut out);
-    out
-}
-
-fn walk_v(family: &TunedFamily, level: usize, acc_idx: usize, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    let n = level_size(level);
-    let choice = family.plan(level, acc_idx);
-    out.push_str(&format!(
-        "{indent}MULTIGRID-V_{acc} @ level {level} (N={n}): {desc}\n",
-        acc = acc_idx + 1,
-        desc = choice.describe()
-    ));
-    if let Choice::Recurse { sub_accuracy, .. } = choice {
-        if level > 1 {
-            walk_v(family, level - 1, sub_accuracy as usize, depth + 1, out);
-        }
-    }
-}
-
-/// Fig 4-style call-stack listing for a tuned `FULL-MULTIGRID_{acc_idx}`.
-pub fn fmg_call_stack(family: &TunedFmgFamily, level: usize, acc_idx: usize) -> String {
-    let mut out = String::new();
-    walk_fmg(family, level, acc_idx, 0, &mut out);
-    out
-}
-
-fn walk_fmg(family: &TunedFmgFamily, level: usize, acc_idx: usize, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    let n = level_size(level);
-    if level <= 1 {
-        out.push_str(&format!(
-            "{indent}FULL-MULTIGRID_{acc} @ level {level} (N={n}): Direct\n",
-            acc = acc_idx + 1
-        ));
-        return;
-    }
-    let choice = family.plans[level][acc_idx];
-    out.push_str(&format!(
-        "{indent}FULL-MULTIGRID_{acc} @ level {level} (N={n}): {desc}\n",
-        acc = acc_idx + 1,
-        desc = choice.describe()
-    ));
-    if let FmgChoice::Estimate {
-        estimate_accuracy,
-        follow,
-    } = choice
-    {
-        walk_fmg(
-            family,
-            level - 1,
-            estimate_accuracy as usize,
-            depth + 1,
-            out,
-        );
-        if let FollowUp::Recurse { sub_accuracy, .. } = follow {
-            if level > 1 {
-                walk_v(&family.v, level - 1, sub_accuracy as usize, depth + 1, out);
-            }
-        }
-    }
-}
-
-/// One-line summary of a trace: counts per event class (handy in
-/// EXPERIMENTS.md tables).
-pub fn summarize_trace(events: &[CycleEvent]) -> String {
-    let mut relax = 0usize;
-    let mut restrict = 0usize;
-    let mut interp = 0usize;
-    let mut direct = 0usize;
-    let mut sor = 0usize;
-    for e in events {
-        match e {
-            CycleEvent::Relax { .. } => relax += 1,
-            CycleEvent::Restrict { .. } => restrict += 1,
-            CycleEvent::Interpolate { .. } => interp += 1,
-            CycleEvent::Direct { .. } => direct += 1,
-            CycleEvent::SorSolve { .. } => sor += 1,
-            _ => {}
-        }
-    }
-    format!("relax={relax} restrict={restrict} interp={interp} direct={direct} sor_solves={sor}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{simple_v_family, ExecCtx, PAPER_ACCURACIES};
+    use crate::plan::{simple_v_family, ExecCtx};
     use crate::training::{Distribution, ProblemInstance};
     use petamg_grid::Exec;
 
@@ -197,27 +102,5 @@ mod tests {
         let body = top_row.split('|').nth(1).unwrap();
         assert!(body.trim_start().starts_with('●'));
         assert!(body.trim_end().ends_with('●'));
-    }
-
-    #[test]
-    fn call_stack_descends_accuracies() {
-        let mut fam = simple_v_family(4, &PAPER_ACCURACIES);
-        fam.plans[4][3] = crate::plan::Choice::Recurse {
-            sub_accuracy: 1,
-            iterations: 2,
-        };
-        let s = call_stack(&fam, 4, 3);
-        assert!(s.contains("MULTIGRID-V_4 @ level 4"), "{s}");
-        assert!(s.contains("MULTIGRID-V_2 @ level 3"), "{s}");
-        assert!(s.contains("Direct"), "{s}");
-        // Indentation deepens.
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines[1].starts_with("  "));
-    }
-
-    #[test]
-    fn summarize_counts() {
-        let s = summarize_trace(&trace_of(3));
-        assert_eq!(s, "relax=4 restrict=2 interp=2 direct=1 sor_solves=0");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Executing a tuned plan optionally records the sequence of multigrid
 //! operations. The renderer (`crate::render`) turns these traces into
-//! the paper's cycle diagrams (Figs 4, 5, 14): dots for relaxations,
+//! the paper's cycle diagrams (Fig 5): dots for relaxations,
 //! descending/ascending path segments for restrictions/interpolations,
 //! solid arrows for direct solves and dashed arrows for iterative
 //! (SOR) solves.

@@ -186,8 +186,8 @@ impl FmgTuner {
 
 /// One `ESTIMATE_j` application (paper §2.4): residual, restrict,
 /// recursive tuned-FMG call on the coarse problem, interpolate the
-/// correction back up. Public for the figure binaries.
-pub fn estimate_step(
+/// correction back up.
+fn estimate_step(
     partial: &TunedFmgFamily,
     level: usize,
     j: usize,

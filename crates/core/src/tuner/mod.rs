@@ -34,7 +34,7 @@ pub use knobs::{
     apply_knobs, tune_kernel_knobs, KnobTuneResult, KnobTunerOptions, MAX_QUICK_KNOB_LEVEL,
     RE_MEASURE_SPREAD,
 };
-pub use pareto::{pareto_front, CandidatePoint, ParetoTuner};
+pub use pareto::ParetoTuner;
 
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{CostModel, MachineProfile, OpCounts};
@@ -624,8 +624,7 @@ impl VTuner {
     }
 
     /// Price a finished plan on a problem (modeled only): one
-    /// representative solve, op-counted and converted to seconds. Used by
-    /// the architecture-comparison figures and cross-tuning studies.
+    /// representative solve, op-counted and converted to seconds.
     pub fn modeled_solve_cost(
         &self,
         family: &TunedFamily,
@@ -646,7 +645,7 @@ pub fn price_ops(profile: &MachineProfile, ops: &OpCounts) -> f64 {
     profile.time(ops)
 }
 
-/// Helper for figures: execute `f` with a counting context and price it.
+/// Execute `f` with a counting context and price it.
 pub fn priced_run(
     profile: &MachineProfile,
     exec: &Exec,

@@ -5,10 +5,9 @@
 //! substituting every member of `A_{k−1}` into the recursive step with
 //! varying iteration counts.
 //!
-//! This module regenerates Fig 2(a): the cloud of candidate algorithms
-//! in (time, accuracy) space with the optimal set marked, and the
-//! discrete cutoffs `p_i` selecting the "solid square" members the main
-//! tuner remembers.
+//! It is the reference the Fig 2 test checks the discrete DP against:
+//! the member the main tuner remembers for each cutoff `p_i` must cost
+//! no more than the cheapest member of this set that reaches `p_i`.
 
 use super::TunerOptions;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
@@ -18,25 +17,11 @@ use crate::training::ProblemInstance;
 use petamg_grid::{coarse_size, interpolate_correct, l2_diff, level_size, Grid2d};
 use petamg_solvers::relax::{omega_opt, sor_sweep_op, OMEGA_CYCLE};
 use petamg_solvers::DirectSolverCache;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// A candidate algorithm as a point in (cost, accuracy) space.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CandidatePoint {
-    /// Modeled/measured cost in seconds.
-    pub cost: f64,
-    /// Accuracy level (error-ratio metric, capped).
-    pub accuracy: f64,
-    /// Human-readable description of the algorithm.
-    pub label: String,
-    /// Whether the point is in the Pareto-optimal set.
-    pub optimal: bool,
-}
 
 /// Indices of the Pareto-optimal (non-dominated) points: no other point
 /// has both `cost <=` and `accuracy >=` (with at least one strict).
-pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
+fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..points.len()).collect();
     // Sort by cost ascending, accuracy descending for ties.
     idx.sort_by(|&a, &b| {
@@ -140,8 +125,8 @@ impl ParetoTuner {
     }
 
     /// All candidate algorithms (with measured accuracy/cost) at level
-    /// `k`, given the sets below. Also used to regenerate Fig 2(a).
-    pub fn enumerate_level(&self, k: usize, sets: &[Vec<ParetoAlgo>]) -> Vec<ParetoAlgo> {
+    /// `k`, given the sets below.
+    fn enumerate_level(&self, k: usize, sets: &[Vec<ParetoAlgo>]) -> Vec<ParetoAlgo> {
         let mut instances = self.instances(k);
         for inst in &mut instances {
             inst.ensure_x_opt(&self.opts.exec, &self.cache);
@@ -335,45 +320,6 @@ impl ParetoTuner {
         ops.level_mut(k).direct_solves = 1;
         self.profile().time(&ops)
     }
-
-    /// Fig 2(a) data: every candidate at `level` as a
-    /// [`CandidatePoint`], with the optimal set flagged.
-    pub fn figure2_points(&self, level: usize) -> Vec<CandidatePoint> {
-        assert!(level >= 2, "need a recursive level");
-        let mut sets: Vec<Vec<ParetoAlgo>> = vec![Vec::new(); level + 1];
-        sets[1] = vec![ParetoAlgo {
-            kind: ParetoKind::Direct,
-            accuracy: ACC_CAP,
-            cost: self.direct_cost(1),
-        }];
-        for k in 2..=level {
-            let cands = self.enumerate_level(k, &sets);
-            if k == level {
-                let pts: Vec<(f64, f64)> = cands.iter().map(|c| (c.cost, c.accuracy)).collect();
-                let front: std::collections::HashSet<usize> =
-                    pareto_front(&pts).into_iter().collect();
-                return cands
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| CandidatePoint {
-                        cost: c.cost,
-                        accuracy: c.accuracy,
-                        label: match c.kind {
-                            ParetoKind::Direct => "Direct".into(),
-                            ParetoKind::Sor { iterations } => format!("SOR×{iterations}"),
-                            ParetoKind::Recurse {
-                                sub_index,
-                                iterations,
-                            } => format!("RECURSE[{sub_index}]×{iterations}"),
-                        },
-                        optimal: front.contains(&i),
-                    })
-                    .collect();
-            }
-            sets[k] = self.prune(cands);
-        }
-        unreachable!("loop returns at k == level")
-    }
 }
 
 #[cfg(test)]
@@ -445,58 +391,6 @@ mod tests {
         let sets = tuner.tune();
         for (k, set) in sets.iter().enumerate().skip(1) {
             assert!(set.len() <= 5, "level {k}: {}", set.len());
-        }
-    }
-
-    #[test]
-    fn figure2_points_contain_marked_front() {
-        let tuner = quick_tuner(3);
-        let pts = tuner.figure2_points(3);
-        assert!(pts.len() > 8, "rich candidate cloud, got {}", pts.len());
-        let optimal: Vec<_> = pts.iter().filter(|p| p.optimal).collect();
-        assert!(!optimal.is_empty());
-        // Every non-optimal point is dominated by some optimal point.
-        for p in pts.iter().filter(|p| !p.optimal) {
-            assert!(
-                optimal
-                    .iter()
-                    .any(|o| o.cost <= p.cost && o.accuracy >= p.accuracy),
-                "point ({}, {}) undominated but not marked optimal",
-                p.cost,
-                p.accuracy
-            );
-        }
-    }
-
-    #[test]
-    fn discrete_tuner_choice_is_on_or_near_the_front() {
-        // The discrete DP's winner for each p_i must not be dominated by
-        // a strictly cheaper, at-least-as-accurate Pareto member (up to
-        // sampling noise from differing iteration probes).
-        let tuner = quick_tuner(3);
-        let pts = tuner.figure2_points(3);
-        let discrete =
-            crate::tuner::VTuner::new(TunerOptions::quick(3, Distribution::UnbiasedUniform)).tune();
-        for (i, &p) in discrete.accuracies.clone().iter().enumerate() {
-            // Best Pareto cost achieving >= p:
-            let pareto_best = pts
-                .iter()
-                .filter(|c| c.optimal && c.accuracy >= p)
-                .map(|c| c.cost)
-                .fold(f64::INFINITY, f64::min);
-            // Modeled cost of the discrete choice:
-            let profile = crate::cost::MachineProfile::intel_harpertown();
-            let exec = petamg_grid::Exec::seq();
-            let cache = Arc::new(DirectSolverCache::new());
-            let inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 5);
-            let (cost, _) = crate::tuner::priced_run(&profile, &exec, &cache, |ctx| {
-                let mut x = inst.working_grid();
-                discrete.run(3, i, &mut x, &inst.b, ctx);
-            });
-            assert!(
-                cost <= pareto_best * 2.0 + 1e-12,
-                "discrete choice for p={p:e} costs {cost}, Pareto best {pareto_best}"
-            );
         }
     }
 }

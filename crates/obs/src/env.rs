@@ -23,7 +23,6 @@ pub const KNOWN_VARS: &[&str] = &[
     "PETAMG_CONFORMANCE_BACKEND",
     "PETAMG_CONFORMANCE_PROBLEM",
     "PETAMG_PLAN_DIR",
-    "PETAMG_MAX_LEVEL",
     "PETAMG_REGEN_GOLDEN",
 ];
 
@@ -103,14 +102,6 @@ pub fn conformance_problem() -> Option<String> {
 /// `PETAMG_PLAN_DIR`: plan-library directory for the serve demo.
 pub fn plan_dir() -> Option<String> {
     var("PETAMG_PLAN_DIR")
-}
-
-/// `PETAMG_MAX_LEVEL`: cap for bench sweep depth (2..=13; out-of-range
-/// values are ignored).
-pub fn max_level() -> Option<usize> {
-    var("PETAMG_MAX_LEVEL")
-        .and_then(|v| v.parse().ok())
-        .filter(|&l| (2..=13).contains(&l))
 }
 
 /// `PETAMG_REGEN_GOLDEN`: regenerate the golden fixtures (plan schema,

@@ -19,6 +19,7 @@ fn main() {
         let opts = TunerOptions::modeled(max_level, dist, MachineProfile::amd_barcelona());
         let fmg = FmgTuner::new(opts).tune();
         let v = &fmg.v;
+        let inst = ProblemInstance::random(max_level, dist, 1234);
 
         for (i, p) in v.accuracies.iter().enumerate().take(4) {
             println!(
@@ -26,12 +27,10 @@ fn main() {
                 format!("{p:.0e}"),
                 (1usize << max_level) + 1
             );
-            let inst = ProblemInstance::random(max_level, dist, 1234);
             let mut ctx = ExecCtx::new(Exec::seq()).tracing();
             let mut x = inst.working_grid();
             v.run(max_level, i, &mut x, &inst.b, &mut ctx);
             println!("{}", render::render_cycle(&ctx.tracer.events));
-            println!("({})\n", render::summarize_trace(&ctx.tracer.events));
 
             println!(
                 "--- FULL-MULTIGRID cycle, accuracy {:>6} ---",
@@ -41,7 +40,6 @@ fn main() {
             let mut x = inst.working_grid();
             fmg.run(max_level, i, &mut x, &inst.b, &mut ctx);
             println!("{}", render::render_cycle(&ctx.tracer.events));
-            let _ = inst;
         }
     }
     println!(

@@ -1,62 +1,168 @@
 //! Integration tests pinning the paper's qualitative claims (the
-//! "shape" of the results, not absolute numbers).
+//! "shape" of the results, not absolute numbers). Each §4 figure whose
+//! claim reproduces is asserted here at a small level; README's paper
+//! map names the test for each figure and the measured fact for each
+//! one that does not reproduce.
 
 use petamg::core::heuristics::paper_strategies;
-use petamg::core::tuner::priced_run;
+use petamg::core::tuner::{priced_run, ParetoTuner};
 use petamg::grid::l2_diff;
 use petamg::prelude::*;
 use petamg::solvers::{DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 
-/// Modeled cost of iterating the reference V cycle until `target`.
+/// Reference cycles until `inst`'s error has fallen by `target`: V
+/// cycles, or with `fmg` one full-multigrid pass and then V cycles (the
+/// pass counts as one).
+fn reference_cycles(
+    inst: &ProblemInstance,
+    target: f64,
+    cache: &Arc<DirectSolverCache>,
+    fmg: bool,
+) -> usize {
+    let exec = Exec::seq();
+    let x_opt = inst.x_opt().expect("precomputed");
+    let e0 = l2_diff(&inst.x0, x_opt, &exec);
+    let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(cache));
+    let done = |x: &Grid2d| l2_diff(x, x_opt, &exec) <= e0 / target;
+    let mut x = inst.working_grid();
+    let status = if fmg {
+        solver.solve_fmg_until(&mut x, &inst.b, 200, done)
+    } else {
+        solver.solve_v_until(&mut x, &inst.b, 200, done)
+    };
+    assert!(status.converged(), "reference failed to reach {target:e}");
+    status.cycles()
+}
+
+/// Modeled cost of iterating the reference V cycle until `target`. An
+/// iterated solver must test for convergence after every cycle, so each
+/// cycle is charged one fine-grid residual; the tuned plans are open
+/// loop and need none.
 fn reference_v_cost(
     profile: &MachineProfile,
     inst: &ProblemInstance,
     target: f64,
     cache: &Arc<DirectSolverCache>,
 ) -> f64 {
-    let exec = Exec::seq();
-    let x_opt = inst.x_opt().expect("precomputed").clone();
-    let e0 = l2_diff(&inst.x0, &x_opt, &exec);
-    let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(cache));
-    // Count cycles needed, then price one solve of that many cycles.
-    let mut x = inst.working_grid();
-    let status = solver.solve_v_until(&mut x, &inst.b, 200, |x| {
-        l2_diff(x, &x_opt, &exec) <= e0 / target
-    });
-    assert!(status.converged(), "reference V failed to reach {target:e}");
-    let iters = status.cycles();
+    let iters = reference_cycles(inst, target, cache, false);
     let fam = petamg::core::plan::simple_v_family(inst.level, &[target]);
-    let (one, _) = priced_run(profile, &exec, cache, |ctx| {
+    let (one, _) = priced_run(profile, &Exec::seq(), cache, |ctx| {
         let mut x = inst.working_grid();
         fam.run(inst.level, 0, &mut x, &inst.b, ctx);
+        ctx.ops.level_mut(inst.level).residuals += 1;
     });
     one * iters as f64
 }
 
-/// §4.2.2 / Figs 10–11: the autotuned algorithm beats (or at worst ties)
-/// the reference V cycle at accuracy 1e5 on both distributions.
+/// Fig 2 / §2.2: remembering one algorithm per discrete accuracy target
+/// loses nothing against keeping the whole Pareto-optimal set. For each
+/// `p_i`, the discrete DP's choice costs no more than the cheapest
+/// member of `ParetoTuner`'s top-level set that reaches `p_i`. At
+/// level 6 the five targets get five different choices: four iteration
+/// counts of `RECURSE_0`, then Direct.
+#[test]
+fn discrete_tuner_choice_is_on_the_pareto_front() {
+    let level = 6;
+    let opts = TunerOptions::quick(level, Distribution::UnbiasedUniform);
+    let profile = opts.cost_model.profile().unwrap().clone();
+    let mut pareto = ParetoTuner::new(opts.clone());
+    pareto.max_sor_probe = 64;
+    pareto.max_recurse_probe = 6;
+    let front = &pareto.tune()[level];
+    let discrete = VTuner::new(opts).tune();
+    let cache = Arc::new(DirectSolverCache::new());
+    let exec = Exec::seq();
+    let inst = ProblemInstance::random(level, Distribution::UnbiasedUniform, 5);
+    for (i, &p) in discrete.accuracies.iter().enumerate() {
+        let pareto_best = front
+            .iter()
+            .filter(|a| a.accuracy >= p)
+            .map(|a| a.cost)
+            .fold(f64::INFINITY, f64::min);
+        let (cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+            let mut x = inst.working_grid();
+            discrete.run(level, i, &mut x, &inst.b, ctx);
+        });
+        assert!(
+            cost <= pareto_best,
+            "discrete choice for p={p:e} costs {cost}, Pareto best {pareto_best}"
+        );
+    }
+}
+
+/// Fig 3 / §2.4: the estimation phase pays. Reference full multigrid
+/// (one FMG pass, then V cycles) needs no more passes than reference V
+/// cycles to reach 1e3, 1e5 and 1e9 on either distribution, and on
+/// biased data at 1e5 strictly fewer.
+#[test]
+fn full_multigrid_needs_no_more_passes_than_v_cycles() {
+    let exec = Exec::seq();
+    let cache = Arc::new(DirectSolverCache::new());
+    for dist in [Distribution::UnbiasedUniform, Distribution::BiasedUniform] {
+        for level in 4..=6 {
+            let mut inst = ProblemInstance::random(level, dist, 303 + level as u64);
+            inst.ensure_x_opt(&exec, &cache);
+            for target in [1e3, 1e5, 1e9] {
+                let v = reference_cycles(&inst, target, &cache, false);
+                let fmg = reference_cycles(&inst, target, &cache, true);
+                assert!(
+                    fmg <= v,
+                    "{} level {level} to {target:e}: FMG {fmg} passes vs V {v} cycles",
+                    dist.name()
+                );
+                if dist == Distribution::BiasedUniform && target == 1e5 {
+                    assert!(fmg < v, "biased level {level} to 1e5: FMG {fmg} vs V {v}");
+                }
+            }
+        }
+    }
+}
+
+/// Fig 4: the training distribution changes the tuned algorithm — the
+/// level-6 `quick` tables for unbiased and biased data differ.
+#[test]
+fn training_distribution_changes_the_tuned_tables() {
+    let tune = |dist| VTuner::new(TunerOptions::quick(6, dist)).tune().plans;
+    assert_ne!(
+        tune(Distribution::UnbiasedUniform),
+        tune(Distribution::BiasedUniform)
+    );
+}
+
+/// §4.2.2 / Figs 10–13: on every modeled testbed and both distributions,
+/// the autotuned V algorithm costs no more than the reference V cycle
+/// iterated to 1e5 or 1e9, stopping test included. Harpertown is tuned
+/// one level deeper, so its level-7 points are checked too.
 #[test]
 fn autotuned_beats_reference_v_at_1e5() {
-    for dist in [Distribution::UnbiasedUniform, Distribution::BiasedUniform] {
-        let profile = MachineProfile::intel_harpertown();
-        let opts = TunerOptions::modeled(7, dist, profile.clone());
-        let tuned = VTuner::new(opts).tune();
-        let cache = Arc::new(DirectSolverCache::new());
-        let exec = Exec::seq();
-        for level in [4, 5, 6, 7] {
-            let mut inst = ProblemInstance::random(level, dist, 31_337 + level as u64);
-            inst.ensure_x_opt(&exec, &cache);
-            let ref_cost = reference_v_cost(&profile, &inst, 1e5, &cache);
-            let (tuned_cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
-                let mut x = inst.working_grid();
-                tuned.run(level, tuned.acc_index_for(1e5), &mut x, &inst.b, ctx);
-            });
-            assert!(
-                tuned_cost <= ref_cost * 1.10,
-                "{} level {level}: tuned {tuned_cost} vs reference {ref_cost}",
-                dist.name()
-            );
+    let cache = Arc::new(DirectSolverCache::new());
+    let exec = Exec::seq();
+    for profile in MachineProfile::all_testbeds() {
+        let top = if profile == MachineProfile::intel_harpertown() {
+            7
+        } else {
+            6
+        };
+        for dist in [Distribution::UnbiasedUniform, Distribution::BiasedUniform] {
+            let tuned = VTuner::new(TunerOptions::modeled(top, dist, profile.clone())).tune();
+            for level in 4..=top {
+                let mut inst = ProblemInstance::random(level, dist, 31_337 + level as u64);
+                inst.ensure_x_opt(&exec, &cache);
+                for target in [1e5, 1e9] {
+                    let ref_cost = reference_v_cost(&profile, &inst, target, &cache);
+                    let (tuned_cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+                        let mut x = inst.working_grid();
+                        tuned.run(level, tuned.acc_index_for(target), &mut x, &inst.b, ctx);
+                    });
+                    assert!(
+                        tuned_cost <= ref_cost,
+                        "{} {} level {level} to {target:e}: tuned {tuned_cost} vs reference {ref_cost}",
+                        profile.name,
+                        dist.name()
+                    );
+                }
+            }
         }
     }
 }
@@ -160,31 +266,44 @@ fn autotuned_dominates_heuristic_strategies() {
     }
 }
 
-/// §4.3: cross-tuning penalty — a cycle tuned for machine A, when priced
-/// on machine B, is no faster than B's natively tuned cycle (the paper
-/// measured 29%/79% slowdowns between Xeon and Niagara).
+/// §4.3 and Fig 14. Cross-tuning penalty: a cycle tuned for machine A,
+/// priced on machine B, is no faster than B's natively tuned cycle (the
+/// paper measured 29%/79% slowdowns between Xeon and Niagara). And each
+/// testbed tunes to its own V and full-multigrid tables.
 #[test]
 fn cross_tuning_never_beats_native_tuning() {
     let level = 6;
     let dist = Distribution::UnbiasedUniform;
-    let intel = MachineProfile::intel_harpertown();
-    let sun = MachineProfile::sun_niagara();
-    let fam_intel = VTuner::new(TunerOptions::modeled(level, dist, intel.clone())).tune();
-    let fam_sun = VTuner::new(TunerOptions::modeled(level, dist, sun.clone())).tune();
+    let profiles = MachineProfile::all_testbeds();
+    let families: Vec<TunedFmgFamily> = profiles
+        .iter()
+        .map(|p| FmgTuner::new(TunerOptions::modeled(level, dist, p.clone())).tune())
+        .collect();
     let cache = Arc::new(DirectSolverCache::new());
     let exec = Exec::seq();
     let inst = ProblemInstance::random(level, dist, 11);
 
-    let price = |fam: &petamg::core::plan::TunedFamily, profile: &MachineProfile| {
+    let price = |fam: &TunedFamily, profile: &MachineProfile| {
         let (c, _) = priced_run(profile, &exec, &cache, |ctx| {
             let mut x = inst.working_grid();
             fam.run(level, fam.acc_index_for(1e5), &mut x, &inst.b, ctx);
         });
         c
     };
-    // Native tuning is optimal on its own machine.
-    assert!(price(&fam_intel, &intel) <= price(&fam_sun, &intel) * 1.001);
-    assert!(price(&fam_sun, &sun) <= price(&fam_intel, &sun) * 1.001);
+    for (a, runs_on) in profiles.iter().enumerate() {
+        let native = price(&families[a].v, runs_on);
+        for (b, trained_on) in profiles.iter().enumerate().filter(|&(b, _)| b != a) {
+            let foreign = price(&families[b].v, runs_on);
+            assert!(
+                native <= foreign * 1.001,
+                "on {}: native {native} vs tuned on {} {foreign}",
+                runs_on.name,
+                trained_on.name
+            );
+            assert_ne!(families[a].v.plans, families[b].v.plans, "V tables");
+            assert_ne!(families[a].plans, families[b].plans, "FMG tables");
+        }
+    }
 }
 
 /// §2 complexity table sanity: SOR sweeps-to-converge grows with N while
@@ -211,13 +330,7 @@ fn iteration_scaling_matches_complexity_table() {
         }
         sor_iters.push(it);
         // Reference V cycles for the same reduction.
-        let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
-        let mut x = inst.working_grid();
-        let status = solver.solve_v_until(&mut x, &inst.b, 100, |x| {
-            l2_diff(x, &x_opt, &exec) <= e0 / 1e3
-        });
-        assert!(status.converged(), "reference V failed to reach 1e3");
-        mg_iters.push(status.cycles());
+        mg_iters.push(reference_cycles(&inst, 1e3, &cache, false));
     }
     // SOR iteration counts grow noticeably with N...
     assert!(
