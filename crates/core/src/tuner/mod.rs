@@ -142,7 +142,8 @@ impl TunerOptions {
     }
 }
 
-/// One evaluated candidate (diagnostics; the Fig 2(a) scatter data).
+/// One evaluated candidate (diagnostics; `tests/tuner_golden.rs` pins
+/// every one of them bit for bit).
 #[derive(Clone, Debug)]
 pub struct CandidateEval {
     /// Level at which the candidate was evaluated.
@@ -269,7 +270,9 @@ impl VTuner {
         }
     }
 
-    /// The shared factor cache (useful for benches re-using factors).
+    /// The shared factor cache (the FMG tuner and the heuristic tables
+    /// compute their training instances' reference solutions through
+    /// it).
     pub fn cache(&self) -> &Arc<DirectSolverCache> {
         &self.cache
     }

@@ -12,11 +12,13 @@
 //! Coarse levels re-discretize: the vertex field moves down by the same
 //! **arithmetic** full-weighting average used for residual restriction
 //! (a 9-point [1 2 1; 2 4 2; 1 2 1]/16 stencil), and each coarse level
-//! then derives its own harmonic face weights. With `a ≡ 1` every face
-//! weight is exactly `1.0` and every diagonal exactly `4.0` at every
-//! level, which is what makes the variable-coefficient kernels
-//! bit-for-bit reducible to the Poisson kernels (property-tested in
-//! this crate).
+//! then derives its own harmonic face weights. The vertex field lives
+//! only while [`crate::Problem::variable`] builds the hierarchy; each
+//! level keeps four arrays, its face weights stored once per face (see
+//! [`StencilCoeffs`]). With `a ≡ 1` every face weight is exactly `1.0`
+//! and every diagonal exactly `4.0` at every level, which is what makes
+//! the variable-coefficient kernels bit-for-bit reducible to the Poisson
+//! kernels (property-tested in this crate).
 
 /// Harmonic mean `2ab/(a+b)` of two positive vertex values — the face
 /// weight between the cells holding them. `harmonic(1, 1) == 1.0`
@@ -46,16 +48,20 @@ pub fn field_hash(values: &[f64]) -> u64 {
 /// reciprocal is exactly `0.25`, matching the Poisson kernels'
 /// constant).
 ///
-/// All six arrays are full `n×n` row-major grids indexed like the
-/// solution; only interior entries are ever read by the kernels.
+/// Each face weight is stored once. Cell `(i, j)`'s west face is cell
+/// `(i, j−1)`'s east face, and its north face is cell `(i−1, j)`'s
+/// south face, so only the east and south faces have arrays: `e` with
+/// one leading pad element and `s` with one leading pad row. A west row
+/// is the east array one column behind, a north row is the previous
+/// row's south row. With the diagonal and its reciprocal that is four
+/// arrays, indexed like the solution; only interior entries are ever
+/// read by the kernels.
 #[derive(Clone, Debug)]
 pub struct StencilCoeffs {
     n: usize,
-    /// Vertex-centered coefficient field this level was derived from.
-    vertex: Vec<f64>,
-    w: Vec<f64>,
+    /// East faces: `e[1 + i·n + j]` joins `(i, j)` and `(i, j+1)`.
     e: Vec<f64>,
-    nn: Vec<f64>,
+    /// South faces: `s[(i+1)·n + j]` joins `(i, j)` and `(i+1, j)`.
     s: Vec<f64>,
     c: Vec<f64>,
     ic: Vec<f64>,
@@ -64,12 +70,12 @@ pub struct StencilCoeffs {
 
 impl StencilCoeffs {
     /// Derive face weights and diagonals from a vertex-centered field
-    /// (`values.len() == n*n`).
+    /// (`vertex.len() == n*n`). The field itself is not kept.
     ///
     /// # Panics
     /// Panics if the field length is not `n²`, `n < 3`, or any value is
     /// not strictly positive (the operator must stay elliptic/SPD).
-    pub fn from_vertex_field(n: usize, vertex: Vec<f64>) -> Self {
+    pub fn from_vertex_field(n: usize, vertex: &[f64]) -> Self {
         assert!(n >= 3, "coefficient field needs n >= 3");
         assert_eq!(vertex.len(), n * n, "coefficient field must be n^2 values");
         assert!(
@@ -77,35 +83,39 @@ impl StencilCoeffs {
             "coefficients must be strictly positive and finite"
         );
         let at = |i: usize, j: usize| vertex[i * n + j];
-        let mut w = vec![1.0; n * n];
-        let mut e = vec![1.0; n * n];
-        let mut nn = vec![1.0; n * n];
-        let mut s = vec![1.0; n * n];
+        let mut e = vec![1.0; n * n + 1];
+        let mut s = vec![1.0; n * n + n];
         let mut c = vec![4.0; n * n];
         let mut ic = vec![0.25; n * n];
+        // Every face an interior cell touches: the west face of column 1
+        // is the east face of column 0, the north face of row 1 the
+        // south face of row 0.
+        for i in 1..n - 1 {
+            for j in 0..n - 1 {
+                e[1 + i * n + j] = harmonic(at(i, j), at(i, j + 1));
+            }
+        }
+        for i in 0..n - 1 {
+            for j in 1..n - 1 {
+                s[(i + 1) * n + j] = harmonic(at(i, j), at(i + 1, j));
+            }
+        }
         for i in 1..n - 1 {
             for j in 1..n - 1 {
                 let u = i * n + j;
-                w[u] = harmonic(at(i, j), at(i, j - 1));
-                e[u] = harmonic(at(i, j), at(i, j + 1));
-                nn[u] = harmonic(at(i, j), at(i - 1, j));
-                s[u] = harmonic(at(i, j), at(i + 1, j));
-                // Same association order as the kernels' neighbor sums.
-                c[u] = ((w[u] + e[u]) + nn[u]) + s[u];
+                // Same association order as the kernels' neighbor sums:
+                // west e[u], east e[u + 1], north s[u], south s[u + n].
+                c[u] = ((e[u] + e[u + 1]) + s[u]) + s[u + n];
                 ic[u] = 1.0 / c[u];
             }
         }
-        let hash = field_hash(&vertex);
         StencilCoeffs {
             n,
-            vertex,
-            w,
             e,
-            nn,
             s,
             c,
             ic,
-            hash,
+            hash: field_hash(vertex),
         }
     }
 
@@ -121,31 +131,25 @@ impl StencilCoeffs {
         self.hash
     }
 
-    /// The vertex-centered field (row-major, `n²` values).
-    #[inline]
-    pub fn vertex_field(&self) -> &[f64] {
-        &self.vertex
-    }
-
-    /// West face-weight row `i`.
+    /// West face-weight row `i`: the east faces one column behind.
     #[inline]
     pub fn w_row(&self, i: usize) -> &[f64] {
-        &self.w[i * self.n..(i + 1) * self.n]
+        &self.e[i * self.n..(i + 1) * self.n]
     }
     /// East face-weight row `i`.
     #[inline]
     pub fn e_row(&self, i: usize) -> &[f64] {
-        &self.e[i * self.n..(i + 1) * self.n]
+        &self.e[i * self.n + 1..(i + 1) * self.n + 1]
     }
-    /// North face-weight row `i`.
+    /// North face-weight row `i`: row `i − 1`'s south faces.
     #[inline]
     pub fn n_row(&self, i: usize) -> &[f64] {
-        &self.nn[i * self.n..(i + 1) * self.n]
+        &self.s[i * self.n..(i + 1) * self.n]
     }
     /// South face-weight row `i`.
     #[inline]
     pub fn s_row(&self, i: usize) -> &[f64] {
-        &self.s[i * self.n..(i + 1) * self.n]
+        &self.s[(i + 1) * self.n..(i + 2) * self.n]
     }
     /// Diagonal row `i` (`c = ((w+e)+n)+s`).
     #[inline]
@@ -157,37 +161,35 @@ impl StencilCoeffs {
     pub fn ic_row(&self, i: usize) -> &[f64] {
         &self.ic[i * self.n..(i + 1) * self.n]
     }
+}
 
-    /// Restrict the vertex field to the next coarser grid by the
-    /// full-weighting average (arithmetic; boundary vertices by
-    /// injection) and derive that level's face weights.
-    ///
-    /// # Panics
-    /// Panics if `n <= 3` (no coarser level exists).
-    pub fn coarsen(&self) -> StencilCoeffs {
-        let n = self.n;
-        assert!(n > 3, "cannot coarsen below the 3x3 base case");
-        let nc = (n - 1) / 2 + 1;
-        let at = |i: usize, j: usize| self.vertex[i * n + j];
-        let mut coarse = vec![0.0; nc * nc];
-        for ic in 0..nc {
-            for jc in 0..nc {
-                let (fi, fj) = (2 * ic, 2 * jc);
-                coarse[ic * nc + jc] = if ic == 0 || jc == 0 || ic == nc - 1 || jc == nc - 1 {
-                    at(fi, fj)
-                } else {
-                    let center = at(fi, fj);
-                    let edges = at(fi - 1, fj) + at(fi + 1, fj) + at(fi, fj - 1) + at(fi, fj + 1);
-                    let corners = at(fi - 1, fj - 1)
-                        + at(fi - 1, fj + 1)
-                        + at(fi + 1, fj - 1)
-                        + at(fi + 1, fj + 1);
-                    (4.0 * center + 2.0 * edges + corners) / 16.0
-                };
-            }
+/// Restrict an `n×n` vertex field to the next coarser grid by the
+/// full-weighting average (arithmetic; boundary vertices by injection).
+///
+/// # Panics
+/// Panics if `n <= 3` (no coarser level exists).
+pub(crate) fn coarsen_vertex_field(n: usize, fine: &[f64]) -> Vec<f64> {
+    assert!(n > 3, "cannot coarsen below the 3x3 base case");
+    let nc = (n - 1) / 2 + 1;
+    let at = |i: usize, j: usize| fine[i * n + j];
+    let mut coarse = vec![0.0; nc * nc];
+    for ic in 0..nc {
+        for jc in 0..nc {
+            let (fi, fj) = (2 * ic, 2 * jc);
+            coarse[ic * nc + jc] = if ic == 0 || jc == 0 || ic == nc - 1 || jc == nc - 1 {
+                at(fi, fj)
+            } else {
+                let center = at(fi, fj);
+                let edges = at(fi - 1, fj) + at(fi + 1, fj) + at(fi, fj - 1) + at(fi, fj + 1);
+                let corners = at(fi - 1, fj - 1)
+                    + at(fi - 1, fj + 1)
+                    + at(fi + 1, fj - 1)
+                    + at(fi + 1, fj + 1);
+                (4.0 * center + 2.0 * edges + corners) / 16.0
+            };
         }
-        StencilCoeffs::from_vertex_field(nc, coarse)
     }
+    coarse
 }
 
 /// Named coefficient profiles `a(x, y)` on the unit square — the
@@ -280,7 +282,7 @@ mod tests {
 
     #[test]
     fn constant_field_gives_poisson_weights_exactly() {
-        let c = StencilCoeffs::from_vertex_field(9, vec![1.0; 81]);
+        let c = StencilCoeffs::from_vertex_field(9, &[1.0; 81]);
         for i in 1..8 {
             for j in 1..8 {
                 assert_eq!(c.w_row(i)[j], 1.0);
@@ -295,38 +297,97 @@ mod tests {
 
     #[test]
     fn coarsening_preserves_constant_fields_exactly() {
-        let fine = StencilCoeffs::from_vertex_field(9, vec![1.0; 81]);
-        let coarse = fine.coarsen();
-        assert_eq!(coarse.n(), 5);
-        assert!(coarse.vertex_field().iter().all(|&v| v == 1.0));
-        assert_eq!(coarse.c_row(2)[2], 4.0);
+        let coarse = coarsen_vertex_field(9, &[1.0; 81]);
+        assert_eq!(coarse.len(), 25);
+        assert!(coarse.iter().all(|&v| v == 1.0));
+        assert_eq!(
+            StencilCoeffs::from_vertex_field(5, &coarse).c_row(2)[2],
+            4.0
+        );
+    }
+
+    /// Cell `(i, j)`'s `[w, e, n, s, c, 1/c]` straight from the vertex
+    /// field, each face as the harmonic mean with the cell's own vertex
+    /// first — the model the shared-face rows must reproduce.
+    fn reference_cell(field: &[f64], n: usize, i: usize, j: usize) -> [f64; 6] {
+        let at = |i: usize, j: usize| field[i * n + j];
+        let w = harmonic(at(i, j), at(i, j - 1));
+        let e = harmonic(at(i, j), at(i, j + 1));
+        let nn = harmonic(at(i, j), at(i - 1, j));
+        let s = harmonic(at(i, j), at(i + 1, j));
+        let c = ((w + e) + nn) + s;
+        [w, e, nn, s, c, 1.0 / c]
+    }
+
+    /// A positive field spanning three orders of magnitude (splitmix64,
+    /// log-uniform in `[0.05, 50)`).
+    fn random_field(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..n * n)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+                0.05 * 1000f64.powf(u)
+            })
+            .collect()
     }
 
     #[test]
-    fn face_weights_are_symmetric_across_shared_faces() {
-        // e(i,j) and w(i,j+1) describe the same physical face.
-        let field = CoeffProfile::JumpInclusion { ratio: 1000.0 }.vertex_field(17);
-        let c = StencilCoeffs::from_vertex_field(17, field);
-        for i in 1..16 {
-            for j in 1..15 {
-                assert_eq!(
-                    c.e_row(i)[j],
-                    c.w_row(i)[j + 1],
-                    "face ({i},{j})-({i},{})",
-                    j + 1
-                );
+    fn rows_match_the_per_cell_reference_bit_for_bit() {
+        for n in [3usize, 5, 17, 33] {
+            let fields = [
+                (
+                    "jump",
+                    CoeffProfile::JumpInclusion { ratio: 1000.0 }.vertex_field(n),
+                ),
+                (
+                    "smooth",
+                    CoeffProfile::SmoothSinusoidal { amplitude: 0.9 }.vertex_field(n),
+                ),
+                ("random", random_field(n, n as u64)),
+            ];
+            for (name, field) in &fields {
+                let cf = StencilCoeffs::from_vertex_field(n, field);
+                // Every interior cell, the rows and columns next to the
+                // boundary (1 and n-2) included.
+                for i in 1..n - 1 {
+                    for j in 1..n - 1 {
+                        let got = [
+                            cf.w_row(i)[j],
+                            cf.e_row(i)[j],
+                            cf.n_row(i)[j],
+                            cf.s_row(i)[j],
+                            cf.c_row(i)[j],
+                            cf.ic_row(i)[j],
+                        ];
+                        let want = reference_cell(field, n, i, j);
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "{name} n={n} cell ({i},{j}): [w, e, n, s, c, ic]"
+                        );
+                    }
+                }
             }
         }
-        for i in 1..15 {
-            for j in 1..16 {
-                assert_eq!(
-                    c.s_row(i)[j],
-                    c.n_row(i + 1)[j],
-                    "face ({i},{j})-({},{j})",
-                    i + 1
-                );
-            }
+    }
+
+    #[test]
+    fn stores_each_face_once_in_four_arrays() {
+        for n in [3usize, 5, 17, 33] {
+            let cf = StencilCoeffs::from_vertex_field(n, &random_field(n, 7));
+            let stored = cf.e.len() + cf.s.len() + cf.c.len() + cf.ic.len();
+            assert!(stored <= 4 * n * n + n + 1, "n={n}: {stored} values stored");
         }
+        // A fifth array would grow the struct past four vectors, the size
+        // and the hash.
+        assert_eq!(
+            size_of::<StencilCoeffs>(),
+            4 * size_of::<Vec<f64>>() + size_of::<usize>() + size_of::<u64>()
+        );
     }
 
     #[test]
@@ -359,6 +420,6 @@ mod tests {
     fn rejects_nonpositive_coefficients() {
         let mut f = vec![1.0; 25];
         f[12] = 0.0;
-        let _ = StencilCoeffs::from_vertex_field(5, f);
+        let _ = StencilCoeffs::from_vertex_field(5, &f);
     }
 }

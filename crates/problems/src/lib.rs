@@ -21,8 +21,9 @@
 //!   form, and the Poisson instantiation carries no multiplication by
 //!   its unit weights.
 //! * **[`StencilCoeffs`]** — per-level face weights for variable
-//!   coefficients: harmonic face averaging (jump-safe), arithmetic
-//!   full-weighting restriction of the vertex field to coarse levels.
+//!   coefficients: harmonic face averaging (jump-safe), each face stored
+//!   once, arithmetic full-weighting restriction of the vertex field to
+//!   coarse levels.
 //! * **[`OpDirect`]** — banded assembly + Cholesky for the coarse-grid
 //!   direct solve of any operator.
 //! * **[`ProblemFingerprint`]** — the serializable identity carried by

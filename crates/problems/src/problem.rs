@@ -1,7 +1,7 @@
 //! The posed problem: which PDE the solver stack is running, with its
 //! per-level operator hierarchy and its serializable fingerprint.
 
-use crate::coeffs::{CoeffProfile, StencilCoeffs};
+use crate::coeffs::{coarsen_vertex_field, field_hash, CoeffProfile, StencilCoeffs};
 use crate::op::StencilOp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -193,17 +193,19 @@ impl Problem {
             n >= 3 && (n - 1).is_power_of_two(),
             "fine size must be 2^k + 1, got {n}"
         );
+        // The vertex field lives only while the hierarchy is built: each
+        // level keeps its face weights, never the field.
         let mut levels = BTreeMap::new();
-        let mut level = StencilCoeffs::from_vertex_field(n, profile.vertex_field(n));
-        let hash = level.hash();
+        let mut field = profile.vertex_field(n);
+        let hash = field_hash(&field);
+        let mut sz = n;
         loop {
-            let sz = level.n();
-            let next = (sz > 3).then(|| level.coarsen());
-            levels.insert(sz, Arc::new(level));
-            match next {
-                Some(c) => level = c,
-                None => break,
+            levels.insert(sz, Arc::new(StencilCoeffs::from_vertex_field(sz, &field)));
+            if sz == 3 {
+                break;
             }
+            field = coarsen_vertex_field(sz, &field);
+            sz = (sz - 1) / 2 + 1;
         }
         Problem {
             family: ProblemFamily::VarDiffusion,

@@ -50,8 +50,9 @@ pub enum TunePolicy {
     /// a service that should never block a request on a tuning run.
     Heuristic,
     /// Run the accuracy-aware DP autotuner (`TunerOptions::quick`) at
-    /// the request's level. Expensive — minutes at deep levels — but
-    /// produces a genuinely tuned plan.
+    /// the request's level. Expensive — a level-10 (n = 1025) tune on
+    /// smooth variable coefficients takes ≈ 1.8 s on a 2-core x86_64
+    /// Xeon — but produces a genuinely tuned plan.
     QuickTune,
     /// Caller-supplied tuner. The returned family's fingerprint is
     /// re-stamped by the service, so hand-built families work as-is.
