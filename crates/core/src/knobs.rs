@@ -28,8 +28,8 @@ pub const TBLOCK_DOMAIN: RangeInclusive<usize> = 1..=8;
 pub struct KernelKnobs {
     /// Rows per block-cursor band (`Exec::with_band` in `petamg-grid`).
     pub band_rows: usize,
-    /// SOR sweeps fused per wavefront traversal
-    /// (`petamg_solvers::fused`).
+    /// SOR sweeps fused per wavefront traversal on a sequential
+    /// executor (`petamg_solvers::fused`); a pool runs them staged.
     pub tblock: usize,
     /// Scalar-vs-vector row-kernel path (`Exec::with_simd`). Part of
     /// knob-table schema version 2, the only version

@@ -116,10 +116,11 @@ pub struct ExecCtx {
     /// attached, each level's band height comes from the table instead.
     pub exec: Exec,
     /// Temporal-block depth: SOR sweeps fused per wavefront traversal
-    /// (the other kernel-execution tuner axis; see
-    /// `petamg_solvers::fused`). Pure performance knob — results are
-    /// bitwise identical for every value. When a [`KnobTable`] is
-    /// attached, each level's depth comes from the table instead.
+    /// on a sequential executor (the other kernel-execution tuner axis;
+    /// see `petamg_solvers::fused`); a pool runs the sweeps staged. Pure
+    /// performance knob — results are bitwise identical for every
+    /// value. When a [`KnobTable`] is attached, each level's depth
+    /// comes from the table instead.
     pub tblock: usize,
     /// Optional per-level knob table. `None` keeps the legacy global
     /// behaviour (`exec` band + `tblock` at every level); `Some` makes

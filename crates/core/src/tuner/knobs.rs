@@ -9,8 +9,11 @@
 //! accuracy re-validation. The axes are searched in a fixed order, each
 //! given the winners before it: the SIMD policy (a vectorized kernel
 //! moves more data per row, shifting the band sweet spot), then the
-//! band height, then the temporal depth (deeper blocking enlarges each
-//! band's recomputed halo).
+//! band height on a pool or the temporal depth on the sequential
+//! executor. The depth fuses sweeps only on the sequential executor —
+//! a pool runs them staged (see `petamg_solvers::fused`) — and the band
+//! height splits only pool sweeps, so each executor searches the one
+//! axis that changes its schedule.
 
 use crate::faults;
 use crate::knobs::{KernelKnobs, BAND_ROWS_DOMAIN, TBLOCK_DOMAIN};
@@ -147,9 +150,9 @@ pub struct KnobTuneResult {
 /// `exec`, timing `MULTIGRID-V-SIMPLE` cycles at `opts.level` on a
 /// training instance of `opts.problem`. The SIMD axis times every
 /// choice with a distinct resolved mode (`auto` first, so it wins
-/// ties); the band axis is skipped when `exec` has no band (one band
-/// spans the whole sweep); `band_rows` and `tblock` each run an n-ary
-/// search followed by a run-off against the default.
+/// ties); then a pool searches `band_rows` and the sequential executor
+/// (no band: one band spans the whole sweep) searches `tblock`, each an
+/// n-ary search followed by a run-off against the default.
 ///
 /// The returned knobs plug into an executor as
 /// `ExecCtx::with_cache(apply_knobs(exec, &knobs), cache)
@@ -206,8 +209,8 @@ pub fn tune_kernel_knobs(exec: &Exec, opts: &KnobTunerOptions) -> KnobTuneResult
 
 /// The search behind [`tune_kernel_knobs`], over any cost `time`: from
 /// the default knobs, the cheapest of `simd_choices`, then `band_rows`
-/// (when `search_band`), then `tblock`, each axis timed with the
-/// winners before it.
+/// when `search_band` (a pool) or else `tblock` (the sequential
+/// executor, the only one it fuses on), timed with the SIMD winner.
 fn search_knobs(
     opts: &KnobTunerOptions,
     simd_choices: &[SimdPolicy],
@@ -224,10 +227,11 @@ fn search_knobs(
         knobs.band_rows = search_axis(opts, BAND_ROWS_DOMAIN, knobs.band_rows, |band_rows| {
             time(KernelKnobs { band_rows, ..knobs })
         });
+    } else {
+        knobs.tblock = search_axis(opts, TBLOCK_DOMAIN, knobs.tblock, |tblock| {
+            time(KernelKnobs { tblock, ..knobs })
+        });
     }
-    knobs.tblock = search_axis(opts, TBLOCK_DOMAIN, knobs.tblock, |tblock| {
-        time(KernelKnobs { tblock, ..knobs })
-    });
     knobs
 }
 
@@ -379,23 +383,25 @@ mod tests {
     /// search: the candidates it timed in order, its winner and its
     /// evaluation count (`SIMD choices` 2 = `[Auto, Scalar]`, 1 =
     /// `[Auto]`). Recorded on the pre-rewrite search over the generic
-    /// configuration space; the typed search must reproduce it.
+    /// configuration space; the typed search must reproduce it, except
+    /// that a band search no longer goes on to the `tblock` axis, so
+    /// those rows end where their `tblock` tail used to start.
     #[rustfmt::skip]
     const PINNED: [(&str, bool, usize, &str, &str, usize); 16] = [
-        ("bowl", true, 2, "A32x1 S32x1 S1x1 S256x1 S512x1 S1x1 S256x1 S511x1 S32x1 S32x1 S32x4 S32x8 S32x1 S32x4 S32x7", "S32x4", 15),
-        ("bowl", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 14),
+        ("bowl", true, 2, "A32x1 S32x1 S1x1 S256x1 S512x1 S1x1 S256x1 S511x1 S32x1", "S32x1", 9),
+        ("bowl", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1", "A32x1", 8),
         ("bowl", false, 2, "A32x1 S32x1 S32x1 S32x4 S32x8 S32x1 S32x4 S32x7", "S32x4", 8),
         ("bowl", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 7),
-        ("flat", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A1x1 A128x1 A256x1 A32x1 A1x1 A1x4 A1x8 A1x1 A1x2 A1x4 A1x1 A1x2", "A1x1", 17),
-        ("flat", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A128x1 A256x1 A32x1 A1x1 A1x4 A1x8 A1x1 A1x2 A1x4 A1x1 A1x2", "A1x1", 16),
+        ("flat", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A1x1 A128x1 A256x1 A32x1", "A1x1", 9),
+        ("flat", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A128x1 A256x1 A32x1", "A1x1", 8),
         ("flat", false, 2, "A32x1 S32x1 A32x1 A32x4 A32x8 A32x1 A32x2 A32x4 A32x1 A32x2", "A32x1", 10),
         ("flat", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x1 A32x2 A32x4 A32x1 A32x2", "A32x1", 9),
-        ("falling", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A257x1 A384x1 A512x1 A32x1 A512x1 A512x4 A512x8 A512x5 A512x6 A512x8 A512x7 A512x8", "A512x8", 17),
-        ("falling", true, 1, "A32x1 A1x1 A256x1 A512x1 A257x1 A384x1 A512x1 A32x1 A512x1 A512x4 A512x8 A512x5 A512x6 A512x8 A512x7 A512x8", "A512x8", 16),
+        ("falling", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A257x1 A384x1 A512x1 A32x1", "A512x1", 9),
+        ("falling", true, 1, "A32x1 A1x1 A256x1 A512x1 A257x1 A384x1 A512x1 A32x1", "A512x1", 8),
         ("falling", false, 2, "A32x1 S32x1 A32x1 A32x4 A32x8 A32x5 A32x6 A32x8 A32x7 A32x8", "A32x8", 10),
         ("falling", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x5 A32x6 A32x8 A32x7 A32x8", "A32x8", 9),
-        ("spike", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 15),
-        ("spike", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 14),
+        ("spike", true, 2, "A32x1 S32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1", "A32x1", 9),
+        ("spike", true, 1, "A32x1 A1x1 A256x1 A512x1 A1x1 A256x1 A511x1 A32x1", "A32x1", 8),
         ("spike", false, 2, "A32x1 S32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 8),
         ("spike", false, 1, "A32x1 A32x1 A32x4 A32x8 A32x1 A32x4 A32x7", "A32x4", 7),
     ];

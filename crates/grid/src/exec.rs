@@ -87,15 +87,6 @@ impl Exec {
         })
     }
 
-    /// Wrap an existing pool.
-    pub fn with_pool(pool: Arc<ThreadPool>, grain: usize) -> Self {
-        Exec::with_backend(Backend::Pbrt {
-            pool,
-            grain: grain.max(1),
-            band: DEFAULT_BAND_ROWS,
-        })
-    }
-
     /// Whether this policy runs sequentially.
     pub fn is_seq(&self) -> bool {
         matches!(self.backend, Backend::Seq)

@@ -138,9 +138,9 @@ fn interpolate_impl(coarse: &Grid2d, fine: &mut Grid2d, exec: &Exec, add: bool) 
 /// untouched), `cs` the coarse grid's row-major buffer with side `nc`.
 /// Every output value is combined with the same expression as
 /// [`interpolate_correct`], which builds the fused kernel from this
-/// primitive; the temporally blocked cycle-edge kernels in
-/// `petamg-solvers` reuse it on scratch rows, keeping all paths bitwise
-/// identical to [`interpolate_add`].
+/// primitive; the sequential wavefront of the post-relaxation cycle
+/// edge in `petamg-solvers` reuses it row by row, keeping all paths
+/// bitwise identical to [`interpolate_add`].
 #[inline]
 pub fn interpolate_correct_row(fi: usize, cs: &[f64], nc: usize, frow: &mut [f64], mode: SimdMode) {
     let ic = fi / 2;

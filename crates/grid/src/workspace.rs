@@ -165,9 +165,9 @@ impl Workspace {
 
     /// Lease an `n`×`n` grid **without** clearing pooled contents (fresh
     /// allocations are still zeroed). For scratch that is fully
-    /// overwritten before any read — e.g. the snapshot grids of the
-    /// temporally blocked sweeps, which `copy_from` immediately — the
-    /// zeroing of [`Workspace::acquire`] would be a dead memset.
+    /// overwritten before any read — e.g. the guarded solver's restore
+    /// snapshot, which `copy_from` fills immediately — the zeroing of
+    /// [`Workspace::acquire`] would be a dead memset.
     pub fn acquire_unzeroed(&self, n: usize) -> GridLease<'_> {
         let pooled = lock(&self.pools).grids.get_mut(&n).and_then(Vec::pop);
         let grid = match pooled {

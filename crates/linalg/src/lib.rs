@@ -20,7 +20,6 @@
 //!   LAPACK's interface,
 //! * [`DenseMatrix`] — small dense Cholesky + Gaussian elimination used
 //!   as test oracles,
-//! * [`tridiagonal_solve`] — Thomas algorithm (1D Poisson oracle),
 //! * [`assemble_poisson_band`] — assembly of the 2D 5-point system
 //!   over a grid's interior (the boundary-aware direct solve on top of
 //!   it is `petamg_problems::OpDirect`).
@@ -28,12 +27,10 @@
 mod band;
 mod dense;
 mod poisson;
-mod tridiag;
 
 pub use band::{dpbsv, BandCholesky, BandMatrix, LinalgError};
 pub use dense::DenseMatrix;
 pub use poisson::assemble_poisson_band;
-pub use tridiag::tridiagonal_solve;
 
 #[cfg(test)]
 mod proptests;

@@ -18,7 +18,6 @@ use std::sync::Once;
 /// Every `PETAMG_*` variable the workspace understands.
 pub const KNOWN_VARS: &[&str] = &[
     "PETAMG_TELEMETRY",
-    "PETAMG_NUM_THREADS",
     "PETAMG_FAULTS",
     "PETAMG_CONFORMANCE_BACKEND",
     "PETAMG_CONFORMANCE_PROBLEM",
@@ -69,15 +68,6 @@ pub fn telemetry_mode() -> TelemetryMode {
         Some("2") | Some("trace") | Some("full") => TelemetryMode::Trace,
         Some(_) => TelemetryMode::Metrics,
     }
-}
-
-/// `PETAMG_NUM_THREADS`: worker count for the process-global
-/// work-stealing pool (≥ 1; unset, unparsable, or zero falls back to
-/// the machine's available parallelism at the caller).
-pub fn num_threads() -> Option<usize> {
-    var("PETAMG_NUM_THREADS")
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t >= 1)
 }
 
 /// `PETAMG_FAULTS`: the chaos-drill fault spec (see

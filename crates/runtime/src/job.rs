@@ -2,7 +2,7 @@
 //!
 //! A [`JobRef`] is a fat-pointer-free erased reference to a job living
 //! either on a blocked caller's stack ([`StackJob`], used by `join` and
-//! `install`) or on the heap ([`HeapJob`], used by `scope::spawn`).
+//! `install`) or on the heap ([`HeapJob`], used by `ThreadPool::spawn`).
 //!
 //! # Safety model
 //!
@@ -34,7 +34,7 @@ pub(crate) struct JobRef {
 }
 
 // SAFETY: a JobRef is only ever created for jobs whose closures are Send
-// (enforced by the public API bounds on join/scope/install), and the
+// (enforced by the public API bounds on join/install/spawn), and the
 // pointed-to memory is kept alive by the latch protocol described above.
 unsafe impl Send for JobRef {}
 
@@ -143,7 +143,7 @@ where
     }
 }
 
-/// A heap-allocated fire-and-forget job, used by `Scope::spawn`.
+/// A heap-allocated fire-and-forget job, used by `ThreadPool::spawn`.
 /// Completion accounting (and panic capture) is the closure's own
 /// responsibility; executing the job frees the allocation.
 pub(crate) struct HeapJob<F>

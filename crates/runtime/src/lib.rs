@@ -15,7 +15,8 @@
 //!
 //! * every worker owns a **LIFO deque** (depth-first local execution,
 //!   FIFO stealing from the cold end — the classic Cilk discipline),
-//! * idle workers **steal** from a global injector and from random victims,
+//! * idle workers **steal** from the pool's injector and from random
+//!   victims,
 //! * blocked parents **help** by executing pending work while they wait
 //!   (continuation stealing is approximated by child stealing + helping,
 //!   as in rayon),
@@ -23,48 +24,44 @@
 //!   protocol so that work injection can never be missed for longer than
 //!   a bounded timeout.
 //!
-//! The public surface is intentionally small: [`ThreadPool`], [`join`],
-//! [`scope`], and [`parallel_for`]. The multigrid kernels in `petamg-grid`
-//! drive all of their parallel sweeps through this crate.
+//! The public surface is what the workspace uses: [`ThreadPool`]
+//! (`new`, `spawn`, `install`, `parallel_for`), [`join`],
+//! [`parallel_for`], the deterministic [`parallel_for_reduce_sum`] /
+//! [`parallel_for_reduce_max`] reductions and [`current_worker_index`].
+//! Each pool is owned by whoever built it — `petamg_grid::Exec::pbrt`
+//! for the grid sweeps, the serving engine for requests; there is no
+//! process-global pool, and off a pool every call runs inline.
 //!
 //! ```
 //! let pool = petamg_runtime::ThreadPool::new(2);
 //! let (a, b) = pool.install(|| petamg_runtime::join(|| 1 + 1, || 2 + 2));
 //! assert_eq!((a, b), (2, 4));
 //!
-//! let mut data = vec![0u64; 1024];
-//! pool.parallel_for_slice(&mut data, 64, |off, chunk| {
-//!     for (i, x) in chunk.iter_mut().enumerate() {
-//!         *x = (off + i) as u64;
-//!     }
-//! });
-//! assert_eq!(data[513], 513);
+//! let sum = pool.install(|| petamg_runtime::parallel_for_reduce_sum(1024, 64, &|i| i as f64));
+//! assert_eq!(sum, 523_776.0);
 //! ```
 
 mod job;
 mod latch;
 mod par;
 mod registry;
-mod scope;
 mod sleep;
 
-pub use par::{
-    parallel_for, parallel_for_reduce_max, parallel_for_reduce_sum, parallel_reduce, ParallelForExt,
-};
-pub use registry::{current_worker_index, PoolStats, ThreadPool};
-pub use scope::{scope, Scope};
+pub use par::{parallel_for, parallel_for_reduce_max, parallel_for_reduce_sum};
+pub use registry::{current_worker_index, ThreadPool};
 
 use job::StackJob;
 use latch::{Latch, SpinLatch};
 use registry::WorkerThread;
 
 /// Execute `oper_a` and `oper_b`, potentially in parallel, returning both
-/// results. Panics in either closure are propagated after both complete.
+/// results.
 ///
-/// When called on a worker thread, `oper_b` is pushed onto the local deque
-/// (where idle workers may steal it) while `oper_a` runs immediately —
-/// exactly the Cilk `spawn`/`sync` pattern. When called from a thread
-/// outside any pool, the call is routed through the global pool.
+/// On a worker thread, `oper_b` is pushed onto the local deque (where
+/// idle workers may steal it) while `oper_a` runs immediately — exactly
+/// the Cilk `spawn`/`sync` pattern — and a panic in either closure is
+/// propagated after both complete. Off a pool both closures run inline
+/// on the calling thread, `oper_a` then `oper_b`.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -74,7 +71,7 @@ where
 {
     match WorkerThread::current() {
         Some(worker) => join_core(worker, oper_a, oper_b),
-        None => registry::global().install(|| join(oper_a, oper_b)),
+        None => (oper_a(), oper_b()),
     }
 }
 
@@ -128,9 +125,21 @@ mod tests {
     }
 
     #[test]
-    fn join_from_external_thread_uses_global_pool() {
-        let (a, b) = join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
+    fn off_a_pool_join_runs_inline_in_order_and_reductions_keep_their_bits() {
+        let caller = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let record = |tag: char| log.lock().unwrap().push((tag, std::thread::current().id()));
+        join(|| record('a'), || record('b'));
+        assert_eq!(log.into_inner().unwrap(), [('a', caller), ('b', caller)]);
+
+        // The reduction tree is the splitting tree, whoever runs it.
+        let f = |i: usize| 1.0 / (1.0 + i as f64);
+        let pool = ThreadPool::new(3);
+        for grain in [1, 7, 64] {
+            let off = parallel_for_reduce_sum(4096, grain, &f);
+            let on = pool.install(|| parallel_for_reduce_sum(4096, grain, &f));
+            assert_eq!(off.to_bits(), on.to_bits(), "grain {grain}");
+        }
     }
 
     #[test]

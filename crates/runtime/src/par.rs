@@ -33,31 +33,11 @@ where
     );
 }
 
-/// Parallel loop over disjoint mutable chunks of a slice: the slice is
-/// split recursively (safe `split_at_mut`) down to `grain`-sized pieces
-/// and `body(offset, chunk)` is invoked on each.
-pub(crate) fn parallel_for_slice_core<T, F>(data: &mut [T], offset: usize, grain: usize, body: &F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.len() <= grain {
-        body(offset, data);
-        return;
-    }
-    let mid = data.len() / 2;
-    let (left, right) = data.split_at_mut(mid);
-    join(
-        || parallel_for_slice_core(left, offset, grain, body),
-        || parallel_for_slice_core(right, offset + mid, grain, body),
-    );
-}
-
 /// Parallel fold + reduce over `0..len`: each block folds locally with
 /// `fold`, block results combine with `reduce`. Deterministic shape
 /// (the reduction tree mirrors the splitting tree), so floating-point
 /// reductions are reproducible run-to-run for a fixed `grain`.
-pub fn parallel_reduce<T, F, R>(len: usize, grain: usize, identity: T, fold: &F, reduce: &R) -> T
+fn parallel_reduce<T, F, R>(len: usize, grain: usize, identity: T, fold: &F, reduce: &R) -> T
 where
     T: Send + Sync + Clone,
     F: Fn(T, usize) -> T + Sync,
@@ -116,24 +96,6 @@ where
     )
 }
 
-/// Extension trait giving slices a pool-free parallel chunk iterator that
-/// routes through the global pool.
-pub trait ParallelForExt<T: Send> {
-    /// Apply `body(offset, chunk)` over disjoint `grain`-sized chunks.
-    fn par_chunks_apply<F>(&mut self, grain: usize, body: F)
-    where
-        F: Fn(usize, &mut [T]) + Sync;
-}
-
-impl<T: Send> ParallelForExt<T> for [T] {
-    fn par_chunks_apply<F>(&mut self, grain: usize, body: F)
-    where
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        parallel_for_slice_core(self, 0, grain.max(1), &body);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,21 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_slice_partitions_exactly() {
-        let pool = ThreadPool::new(4);
-        let mut data = vec![0u32; 777];
-        pool.parallel_for_slice(&mut data, 10, |off, chunk| {
-            assert!(chunk.len() <= 10);
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (off + i) as u32;
-            }
-        });
-        for (i, x) in data.iter().enumerate() {
-            assert_eq!(*x, i as u32);
-        }
-    }
-
-    #[test]
     fn parallel_reduce_sums_correctly() {
         let pool = ThreadPool::new(2);
         let total = pool
@@ -207,17 +154,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn par_chunks_apply_uses_global_pool() {
-        let mut data = [1u8; 100];
-        data.par_chunks_apply(7, |_, chunk| {
-            for x in chunk {
-                *x += 1;
-            }
-        });
-        assert!(data.iter().all(|&x| x == 2));
     }
 
     #[test]

@@ -6,25 +6,9 @@ use crate::sleep::Sleep;
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Counters exposed for benchmarking and diagnostics. All counters are
-/// monotonically increasing over the pool's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Jobs executed by workers (both local pops and steals).
-    pub jobs_executed: u64,
-    /// Jobs obtained by stealing from another worker or the injector.
-    pub jobs_stolen: u64,
-}
-
-#[derive(Default)]
-struct Stats {
-    executed: AtomicU64,
-    stolen: AtomicU64,
-}
 
 pub(crate) struct Registry {
     injector: Injector<JobRef>,
@@ -32,7 +16,6 @@ pub(crate) struct Registry {
     sleep: Sleep,
     terminate: AtomicBool,
     num_threads: usize,
-    stats: Stats,
 }
 
 impl Registry {
@@ -110,18 +93,12 @@ impl WorkerThread {
     /// Pop local work or steal. Depth-first: local LIFO pop first, then
     /// the injector, then random-victim stealing (FIFO end).
     pub(crate) fn find_work(&self) -> Option<JobRef> {
-        if let Some(job) = self.deque.pop() {
-            self.registry.stats.executed.fetch_add(1, Ordering::Relaxed);
-            return Some(job);
-        }
-        self.steal_work()
+        self.deque.pop().or_else(|| self.steal_work())
     }
 
     fn steal_work(&self) -> Option<JobRef> {
         let registry = &*self.registry;
         if let Some(job) = registry.steal_from_injector() {
-            registry.stats.executed.fetch_add(1, Ordering::Relaxed);
-            registry.stats.stolen.fetch_add(1, Ordering::Relaxed);
             return Some(job);
         }
         let n = registry.stealers.len();
@@ -136,11 +113,7 @@ impl WorkerThread {
             }
             loop {
                 match registry.stealers[victim].steal() {
-                    Steal::Success(job) => {
-                        registry.stats.executed.fetch_add(1, Ordering::Relaxed);
-                        registry.stats.stolen.fetch_add(1, Ordering::Relaxed);
-                        return Some(job);
-                    }
+                    Steal::Success(job) => return Some(job),
                     Steal::Empty => break,
                     Steal::Retry => continue,
                 }
@@ -162,9 +135,8 @@ fn worker_main(deque: Worker<JobRef>, index: usize, registry: Arc<Registry>) {
     loop {
         if let Some(job) = worker.find_work() {
             // Jobs catch their own panics (StackJob) or are documented as
-            // fire-and-forget wrappers that catch internally (scope), so
-            // executing here cannot unwind through the worker loop in
-            // normal operation.
+            // must-not-unwind (`ThreadPool::spawn`), so executing here
+            // cannot unwind through the worker loop in normal operation.
             unsafe { job.execute() };
             continue;
         }
@@ -211,7 +183,6 @@ impl ThreadPool {
             sleep: Sleep::new(),
             terminate: AtomicBool::new(false),
             num_threads,
-            stats: Stats::default(),
         });
         let mut handles = Vec::with_capacity(num_threads);
         for (index, deque) in deques.into_iter().enumerate() {
@@ -231,14 +202,6 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn num_threads(&self) -> usize {
         self.registry.num_threads
-    }
-
-    /// Scheduler counters (approximate; relaxed atomics).
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            jobs_executed: self.registry.stats.executed.load(Ordering::Relaxed),
-            jobs_stolen: self.registry.stats.stolen.load(Ordering::Relaxed),
-        }
     }
 
     /// Run `op` inside the pool, blocking the calling thread until it
@@ -281,17 +244,6 @@ impl ThreadPool {
         self.registry.inject(crate::job::HeapJob::into_job_ref(op));
     }
 
-    /// `join` restricted to this pool (convenience: `install` + `join`).
-    pub fn join<A, B, RA, RB>(&self, oper_a: A, oper_b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        self.install(|| crate::join(oper_a, oper_b))
-    }
-
     /// Parallel loop over `0..len` in grain-sized blocks; see
     /// [`crate::parallel_for`].
     pub fn parallel_for<F>(&self, len: usize, grain: usize, body: F)
@@ -299,16 +251,6 @@ impl ThreadPool {
         F: Fn(usize) + Sync,
     {
         self.install(|| crate::parallel_for(len, grain, &body));
-    }
-
-    /// Parallel loop over disjoint mutable chunks of a slice. The body
-    /// receives `(offset_of_chunk, chunk)`.
-    pub fn parallel_for_slice<T, F>(&self, data: &mut [T], grain: usize, body: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        self.install(|| crate::par::parallel_for_slice_core(data, 0, grain.max(1), &body));
     }
 }
 
@@ -324,32 +266,6 @@ impl Drop for ThreadPool {
             let _ = h.join();
         }
     }
-}
-
-static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-
-/// The process-global pool, sized by `PETAMG_NUM_THREADS` or the machine's
-/// available parallelism.
-pub(crate) fn global() -> &'static ThreadPool {
-    GLOBAL.get_or_init(|| {
-        let threads = petamg_obs::env::num_threads().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        ThreadPool::new(threads)
-    })
-}
-
-/// Handle to the global pool for callers that want to reuse it explicitly.
-pub fn global_pool() -> &'static ThreadPool {
-    global()
-}
-
-/// Inject a job into the global pool (used by `Scope::spawn` from threads
-/// that are not pool workers).
-pub(crate) fn global_inject(job: JobRef) {
-    global().registry.inject(job);
 }
 
 /// Index of the current worker thread within its pool, if any. Useful for
@@ -396,17 +312,6 @@ mod tests {
         assert!(res.is_err());
         // Pool must still be usable afterwards.
         assert_eq!(pool.install(|| 3), 3);
-    }
-
-    #[test]
-    fn stats_record_execution() {
-        let pool = ThreadPool::new(2);
-        let before = pool.stats();
-        pool.install(|| {
-            crate::join(|| (), || ());
-        });
-        let after = pool.stats();
-        assert!(after.jobs_executed > before.jobs_executed);
     }
 
     #[test]

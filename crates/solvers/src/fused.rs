@@ -36,75 +36,68 @@
 //! streaming rows into the same rolling three-row window the fused
 //! [`petamg_grid::residual_restrict`] uses.
 //!
-//! ## Parallel execution: overlapped bands
+//! ## Parallel execution: the staged kernels
 //!
-//! The wavefront couples adjacent rows, so parallel backends use
-//! **overlapped temporal tiling** over the block cursor
-//! ([`Exec::for_row_bands`]): the pre-sweep solution is snapshotted
-//! into a [`Workspace`]-leased grid, and each band copies its rows plus
-//! a halo of `2d` rows per side into private scratch, runs the whole
-//! wavefront there (all traversals cache-resident), and writes back
-//! only the rows it owns. Halo rows are recomputed redundantly rather
-//! than shared, which keeps bands independent — and keeps every written
-//! value the product of exactly the reference dependency cone, i.e.
-//! bitwise identical again. The redundant work is `O(d²)` rows per band
-//! against `O(d·band)` useful rows, so the band height (the
-//! [`Exec::with_band`] knob) and the temporal depth `d` (the `tblock`
-//! knob in [`MgConfig`](crate::MgConfig) and the tuner) trade off
-//! against each other — exactly the kind of machine-dependent choice
-//! the autotuner is for.
+//! The wavefront couples adjacent rows, so it is a sequential schedule:
+//! the sequential executor fuses, and a pool backend runs each edge as
+//! the staged composition it is bitwise equal to — the half-sweeps of
+//! [`sor_sweeps_op`] (rows split across the pool), then
+//! [`residual_restrict_op`] for the pre-relaxation edge, or
+//! [`interpolate_correct`] first for the post-relaxation edge. Parallel
+//! backends used to run overlapped temporal tiles instead (each band
+//! relaxing a private copy of its rows plus a recomputed halo); on a
+//! 2-core Xeon, timing the three edges over Poisson and smooth
+//! coefficients, n ∈ {129, 257, 513, 1025} and band {32, 128} on
+//! `Exec::pbrt(2)` and `Exec::seq`, the tiles were fastest in 7 of 192
+//! cells, `Exec::seq` in most cells at n ≤ 257 and the staged pool
+//! composition in most at n ≥ 513 (ARCHITECTURE.md has the table). The
+//! temporal depth (the `tblock` knob in [`MgConfig`](crate::MgConfig)
+//! and the tuner) therefore only changes the schedule on the sequential
+//! executor.
 
+use crate::relax::sor_sweeps_op;
 use petamg_grid::{
     coarse_size, interpolate_correct, interpolate_correct_row, restrict_rows_into,
-    zero_boundary_ring, Exec, Grid2d, GridPtr, SimdMode, Workspace,
+    zero_boundary_ring, Exec, Grid2d, SimdMode, Workspace,
 };
 use petamg_problems::{residual_restrict_op, StencilOp};
 
-/// One cursor step of the red/black wavefront over a row-major buffer.
-///
-/// Buffer row `r` is global row `row0 + r`; rows `lo..hi` (buffer
-/// coordinates) are updatable, everything else is read-only halo.
-/// Stage `s` (0-based, color `s % 2`) processes buffer row `t - s`.
-///
-/// # Safety
-/// `buf` must hold at least `(hi + 1) * n` values with `lo >= 1` (the
-/// stencil reads one row on each side of every updated row), `bs` must
-/// be the global right-hand-side buffer of the same width, and no other
-/// task may concurrently access the touched rows.
+/// One cursor step of the red/black wavefront over the interior rows
+/// `1..n-1` of the row-major `n×n` grid `x`: stage `s` (color `s % 2`)
+/// updates row `t - s`, so stage 0 leads at the cursor and the last of
+/// the `half_sweeps` stages trails it by `half_sweeps - 1` rows.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-unsafe fn wavefront_step(
+fn wavefront_step(
     op: &StencilOp,
-    buf: *mut f64,
-    bs: *const f64,
+    x: &mut [f64],
+    b: &[f64],
     n: usize,
-    row0: usize,
-    lo: usize,
-    hi: usize,
     h2: f64,
     omega: f64,
     half_sweeps: usize,
     t: usize,
     mode: SimdMode,
 ) {
+    assert!(x.len() == n * n && b.len() == n * n, "wavefront grid size");
+    let xs = x.as_mut_ptr();
     for s in 0..half_sweeps {
-        if t < lo + s {
+        if t < 1 + s {
             break;
         }
         let r = t - s;
-        if r >= hi {
+        if r >= n - 1 {
             continue;
         }
-        let i = row0 + r;
-        // SAFETY: lo >= 1 and r < hi <= rows-1, so rows r-1 and r+1 are
-        // in-buffer; disjointness is the caller's contract.
+        // SAFETY: 1 <= r < n-1, so rows r-1..=r+1 lie inside the
+        // asserted n×n buffers, and `x` is borrowed exclusively.
         unsafe {
             op.sor_row_update(
-                i,
-                buf.add((r - 1) * n),
-                buf.add(r * n),
-                buf.add((r + 1) * n),
-                bs.add(i * n),
+                r,
+                xs.add((r - 1) * n),
+                xs.add(r * n),
+                xs.add((r + 1) * n),
+                b.as_ptr().add(r * n),
                 n,
                 h2,
                 omega,
@@ -115,83 +108,15 @@ unsafe fn wavefront_step(
     }
 }
 
-/// Run the full wavefront: `half_sweeps` half-sweeps over buffer rows
-/// `lo..hi` in one traversal.
-///
-/// # Safety
-/// Same contract as [`wavefront_step`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn wavefront_sor(
-    op: &StencilOp,
-    buf: *mut f64,
-    bs: *const f64,
-    n: usize,
-    row0: usize,
-    lo: usize,
-    hi: usize,
-    h2: f64,
-    omega: f64,
-    half_sweeps: usize,
-    mode: SimdMode,
-) {
-    if hi <= lo || half_sweeps == 0 {
-        return;
-    }
-    for t in lo..hi + half_sweeps - 1 {
-        // SAFETY: forwarded contract.
-        unsafe {
-            wavefront_step(
-                op,
-                buf,
-                bs,
-                n,
-                row0,
-                lo,
-                hi,
-                h2,
-                omega,
-                half_sweeps,
-                t,
-                mode,
-            )
-        };
-    }
-}
-
-/// Scratch geometry of one overlapped band: global rows `[g0, g1)` are
-/// copied into private scratch so that rows `[g0 + margin, g1 - margin)`
-/// (clipped at true boundaries) come out exactly equal to the
-/// reference after `margin` half-sweeps.
-struct BandScratch {
-    g0: usize,
-    g1: usize,
-}
-
-impl BandScratch {
-    /// Halo the exact range `[e_lo, e_hi)` by `margin` rows per side,
-    /// clipped to the grid.
-    fn new(e_lo: usize, e_hi: usize, margin: usize, n: usize) -> Self {
-        BandScratch {
-            g0: e_lo.saturating_sub(margin),
-            g1: (e_hi + margin).min(n),
-        }
-    }
-
-    fn rows(&self) -> usize {
-        self.g1 - self.g0
-    }
-}
-
 /// `sweeps` Red-Black SOR sweeps for `A_h x = b`, temporally blocked:
 /// all `2·sweeps` half-sweeps advance together in one wavefront
 /// traversal instead of `2·sweeps` separate passes over the grid.
 ///
 /// Bitwise identical to the staged reference
 /// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
-/// policy. Sequentially the wavefront runs in place; parallel backends
-/// snapshot `x` into `ws` and run overlapped bands (see the module
-/// docs), so all scratch is workspace-leased and steady-state calls
-/// allocate nothing.
+/// policy. The sequential executor runs the wavefront in place; a pool
+/// runs the staged sweeps (see the module docs). Neither leases
+/// scratch: `_ws` only keeps the edge kernels' signatures alike.
 ///
 /// ```
 /// use petamg_grid::{Exec, Grid2d, Workspace};
@@ -220,10 +145,10 @@ pub fn sor_sweeps_blocked(
 }
 
 /// [`sor_sweeps_blocked`] for an arbitrary operator: `sweeps` Red-Black
-/// SOR sweeps of `op`, temporally blocked into one wavefront traversal.
-/// Bitwise identical to the staged
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) under every [`Exec`]
-/// policy; with [`StencilOp::Poisson`] it *is* [`sor_sweeps_blocked`].
+/// SOR sweeps of `op`, temporally blocked into one wavefront traversal
+/// on the sequential executor. Bitwise identical to the staged
+/// [`sor_sweeps_op`] under every [`Exec`] policy (a pool runs it); with
+/// [`StencilOp::Poisson`] it *is* [`sor_sweeps_blocked`].
 ///
 /// # Panics
 /// Panics if grid sizes differ or the operator is bound to another
@@ -234,12 +159,13 @@ pub fn sor_sweeps_blocked_op(
     b: &Grid2d,
     omega: f64,
     sweeps: usize,
-    ws: &Workspace,
+    _ws: &Workspace,
     exec: &Exec,
 ) {
     assert_eq!(x.n(), b.n(), "size mismatch in sor_sweeps_blocked");
     op.assert_n(x.n());
-    if sweeps == 0 {
+    if sweeps == 0 || !exec.is_seq() {
+        sor_sweeps_op(op, x, b, omega, sweeps, exec);
         return;
     }
     let n = x.n();
@@ -248,53 +174,19 @@ pub fn sor_sweeps_blocked_op(
         h * h
     };
     let half = 2 * sweeps;
-    let bs = b.as_slice().as_ptr();
     let mode = exec.simd();
-
-    if exec.is_seq() {
-        // In place: the wavefront is a single pass over the grid.
-        let buf = x.as_mut_slice().as_mut_ptr();
-        // SAFETY: sequential — no concurrent access; rows 1..n-1
-        // are interior, so the stencil stays in bounds.
-        unsafe { wavefront_sor(op, buf, bs, n, 0, 1, n - 1, h2, omega, half, mode) };
-    } else {
-        // Overlapped bands: tasks read the snapshot, write disjoint
-        // row ranges of `x`, and never read `x` itself.
-        let mut snap = ws.acquire_unzeroed(n);
-        snap.copy_from(x);
-        let snap: &Grid2d = &snap;
-        let xp = GridPtr::new(x);
-        exec.for_row_bands(1, n - 1, |r_lo, r_hi| {
-            let bs = b.as_slice().as_ptr();
-            let g = BandScratch::new(r_lo, r_hi, half, n);
-            let rows = g.rows();
-            let mut scratch = ws.acquire_buffer_unzeroed(rows * n);
-            scratch.copy_from_slice(&snap.as_slice()[g.g0 * n..g.g1 * n]);
-            // SAFETY: scratch is private to this task; after the
-            // wavefront, rows r_lo..r_hi carry exact final values
-            // (the halo absorbs all contamination), and bands
-            // partition the interior so each row of `x` is written
-            // by exactly one task.
-            unsafe {
-                wavefront_sor(
-                    op,
-                    scratch.as_mut_ptr(),
-                    bs,
-                    n,
-                    g.g0,
-                    1,
-                    rows - 1,
-                    h2,
-                    omega,
-                    half,
-                    mode,
-                );
-                for r in r_lo..r_hi {
-                    let src = &scratch[(r - g.g0) * n..(r - g.g0 + 1) * n];
-                    std::slice::from_raw_parts_mut(xp.row_mut(r), n).copy_from_slice(src);
-                }
-            }
-        });
+    for t in 1..n + half - 2 {
+        wavefront_step(
+            op,
+            x.as_mut_slice(),
+            b.as_slice(),
+            n,
+            h2,
+            omega,
+            half,
+            t,
+            mode,
+        );
     }
 }
 
@@ -307,9 +199,8 @@ pub fn sor_sweeps_blocked_op(
 /// Bitwise identical to
 /// [`sor_sweeps`](crate::relax::sor_sweeps) followed by
 /// [`petamg_grid::residual_restrict`] under every [`Exec`] policy; with
-/// `sweeps == 0` it *is* [`petamg_grid::residual_restrict`]. Parallel backends run
-/// overlapped bands of coarse rows (each band owns the fine rows under
-/// its coarse rows and recomputes halo rows privately).
+/// `sweeps == 0` it *is* [`petamg_grid::residual_restrict`]. A pool
+/// runs that staged composition (see the module docs).
 ///
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
@@ -327,10 +218,10 @@ pub fn relax_residual_restrict(
 
 /// [`relax_residual_restrict`] for an arbitrary operator: the fused
 /// pre-relaxation cycle edge of `op`. Bitwise identical to
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) followed by
-/// [`residual_restrict_op`] under every [`Exec`] policy; with
-/// `sweeps == 0` it *is* [`residual_restrict_op`], and with
-/// [`StencilOp::Poisson`] it *is* [`relax_residual_restrict`].
+/// [`sor_sweeps_op`] followed by [`residual_restrict_op`] under every
+/// [`Exec`] policy (a pool runs exactly that); with `sweeps == 0` it
+/// *is* [`residual_restrict_op`], and with [`StencilOp::Poisson`] it
+/// *is* [`relax_residual_restrict`].
 ///
 /// # Panics
 /// Panics if sizes differ, are not a coarse/fine pair, or the operator
@@ -355,7 +246,8 @@ pub fn relax_residual_restrict_op(
         coarse_size(n),
         "coarse grid size mismatch in relax_residual_restrict"
     );
-    if sweeps == 0 {
+    if sweeps == 0 || !exec.is_seq() {
+        sor_sweeps_op(op, x, b, omega, sweeps, exec);
         residual_restrict_op(op, x, b, coarse, ws, exec);
         return;
     }
@@ -365,114 +257,35 @@ pub fn relax_residual_restrict_op(
     };
     let inv_h2 = x.inv_h2();
     let half = 2 * sweeps;
-    let bs = b.as_slice().as_ptr();
     let mode = exec.simd();
 
-    if exec.is_seq() {
-        let mut wbuf = ws.acquire_buffer_unzeroed(3 * n);
-        let (wa, rest) = wbuf.split_at_mut(n);
-        let (wb, wc) = rest.split_at_mut(n);
-        let win = [wa, wb, wc];
-        let buf = x.as_mut_slice().as_mut_ptr();
-        for t in 1..n - 1 + half {
-            // SAFETY: sequential; interior rows only.
-            unsafe { wavefront_step(op, buf, bs, n, 0, 1, n - 1, h2, omega, half, t, mode) };
-            // Residual row r = t - 2d: rows r-1..=r+1 finished their
-            // last half-sweep at cursors <= t, so they are final.
-            if t > half {
-                let r = t - half;
-                // SAFETY: rows r-1..r+1 are no longer written by any
-                // remaining stage (the wavefront has passed them).
-                let (up, mid, dn) = unsafe {
-                    (
-                        std::slice::from_raw_parts(buf.add((r - 1) * n), n),
-                        std::slice::from_raw_parts(buf.add(r * n), n),
-                        std::slice::from_raw_parts(buf.add((r + 1) * n), n),
-                    )
-                };
-                op.residual_row_into(r, up, mid, dn, b.row(r), inv_h2, win[r % 3], mode);
-                if r % 2 == 1 && r >= 3 {
-                    let ic = (r - 1) / 2;
-                    let crow = &mut coarse.as_mut_slice()[ic * nc..(ic + 1) * nc];
-                    restrict_rows_into(win[(r - 2) % 3], win[(r - 1) % 3], win[r % 3], crow, mode);
-                }
+    let mut wbuf = ws.acquire_buffer_unzeroed(3 * n);
+    let (wa, rest) = wbuf.split_at_mut(n);
+    let (wb, wc) = rest.split_at_mut(n);
+    let win = [wa, wb, wc];
+    let xs = x.as_mut_slice();
+    for t in 1..n - 1 + half {
+        wavefront_step(op, xs, b.as_slice(), n, h2, omega, half, t, mode);
+        // Residual row r = t - 2d: rows r-1..=r+1 finished their last
+        // half-sweep at cursors <= t, so they are final.
+        if t > half {
+            let r = t - half;
+            op.residual_row_into(
+                r,
+                &xs[(r - 1) * n..r * n],
+                &xs[r * n..(r + 1) * n],
+                &xs[(r + 1) * n..(r + 2) * n],
+                b.row(r),
+                inv_h2,
+                win[r % 3],
+                mode,
+            );
+            if r % 2 == 1 && r >= 3 {
+                let ic = (r - 1) / 2;
+                let crow = &mut coarse.as_mut_slice()[ic * nc..(ic + 1) * nc];
+                restrict_rows_into(win[(r - 2) % 3], win[(r - 1) % 3], win[r % 3], crow, mode);
             }
         }
-    } else {
-        let mut snap = ws.acquire_unzeroed(n);
-        snap.copy_from(x);
-        let snap: &Grid2d = &snap;
-        let xp = GridPtr::new(x);
-        let cp = GridPtr::new(coarse);
-        exec.for_row_bands(1, nc - 1, |c_lo, c_hi| {
-            let bs = b.as_slice().as_ptr();
-            // Fine rows owned by this band of coarse rows; the last
-            // band also owns the final interior fine row, so bands
-            // partition 1..n-1 exactly.
-            let f_lo = 2 * c_lo - 1;
-            let f_hi = if c_hi == nc - 1 { n - 1 } else { 2 * c_hi - 1 };
-            // Rows that must come out exactly final: the owned fine
-            // rows plus the residual stencils of the owned coarse
-            // rows (fine rows 2c_lo-2 ..= 2c_hi).
-            let g = BandScratch::new(2 * c_lo - 2, 2 * c_hi + 1, half, n);
-            let rows = g.rows();
-            let mut scratch = ws.acquire_buffer_unzeroed(rows * n);
-            scratch.copy_from_slice(&snap.as_slice()[g.g0 * n..g.g1 * n]);
-            // SAFETY: private scratch; owned fine rows and the
-            // residual stencil rows sit `half` rows inside the halo,
-            // so their final values are exact; bands write disjoint
-            // fine and coarse rows.
-            unsafe {
-                wavefront_sor(
-                    op,
-                    scratch.as_mut_ptr(),
-                    bs,
-                    n,
-                    g.g0,
-                    1,
-                    rows - 1,
-                    h2,
-                    omega,
-                    half,
-                    mode,
-                );
-                for r in f_lo..f_hi {
-                    let src = &scratch[(r - g.g0) * n..(r - g.g0 + 1) * n];
-                    std::slice::from_raw_parts_mut(xp.row_mut(r), n).copy_from_slice(src);
-                }
-            }
-            // Fused residual + restriction over the relaxed scratch,
-            // rolling window keyed by fine row mod 3.
-            let mut wbuf = ws.acquire_buffer_unzeroed(3 * n);
-            let (wa, rest) = wbuf.split_at_mut(n);
-            let (wb, wc) = rest.split_at_mut(n);
-            let win = [wa, wb, wc];
-            let srow = |fi: usize| &scratch[(fi - g.g0) * n..(fi - g.g0 + 1) * n];
-            for fi in 2 * c_lo - 1..2 * c_hi {
-                op.residual_row_into(
-                    fi,
-                    srow(fi - 1),
-                    srow(fi),
-                    srow(fi + 1),
-                    b.row(fi),
-                    inv_h2,
-                    win[fi % 3],
-                    mode,
-                );
-                if fi % 2 == 1 && fi > 2 * c_lo {
-                    let ic = (fi - 1) / 2;
-                    // SAFETY: each coarse row belongs to one band.
-                    let crow = unsafe { std::slice::from_raw_parts_mut(cp.row_mut(ic), nc) };
-                    restrict_rows_into(
-                        win[(fi - 2) % 3],
-                        win[(fi - 1) % 3],
-                        win[fi % 3],
-                        crow,
-                        mode,
-                    );
-                }
-            }
-        });
     }
     zero_boundary_ring(coarse);
 }
@@ -484,7 +297,9 @@ pub fn relax_residual_restrict_op(
 ///
 /// Bitwise identical to [`interpolate_correct`] followed by
 /// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
-/// policy; with `sweeps == 0` it *is* [`interpolate_correct`].
+/// policy; with `sweeps == 0` it *is* [`interpolate_correct`]. A pool
+/// runs that staged composition (see the module docs). Neither path
+/// leases scratch: `_ws` only keeps the edge kernels' signatures alike.
 ///
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
@@ -517,7 +332,7 @@ pub fn interpolate_correct_relax_op(
     b: &Grid2d,
     omega: f64,
     sweeps: usize,
-    ws: &Workspace,
+    _ws: &Workspace,
     exec: &Exec,
 ) {
     assert_eq!(x.n(), b.n(), "size mismatch in interpolate_correct_relax");
@@ -529,8 +344,9 @@ pub fn interpolate_correct_relax_op(
         coarse_size(n),
         "coarse grid size mismatch in interpolate_correct_relax"
     );
-    if sweeps == 0 {
+    if sweeps == 0 || !exec.is_seq() {
         interpolate_correct(coarse, x, exec);
+        sor_sweeps_op(op, x, b, omega, sweeps, exec);
         return;
     }
     let h2 = {
@@ -538,88 +354,17 @@ pub fn interpolate_correct_relax_op(
         h * h
     };
     let half = 2 * sweeps;
-    let bs = b.as_slice().as_ptr();
     let cs = coarse.as_slice();
     let mode = exec.simd();
-
-    if exec.is_seq() {
-        let buf = x.as_mut_slice().as_mut_ptr();
-        // Cursor: correction at lag 0, half-sweep s at lag s.
-        for t in 1..n - 1 + half {
-            if t < n - 1 {
-                // SAFETY: sequential; the correction only touches
-                // row t, which no trailing stage has reached yet.
-                let frow = unsafe { std::slice::from_raw_parts_mut(buf.add(t * n), n) };
-                interpolate_correct_row(t, cs, nc, frow, mode);
-            }
-            for s in 1..=half {
-                if t < 1 + s {
-                    break;
-                }
-                let r = t - s;
-                if r >= n - 1 {
-                    continue;
-                }
-                // SAFETY: sequential; rows r-1..=r+1 are corrected
-                // (lag 0 passed them) and at half-sweep depth s-1.
-                unsafe {
-                    op.sor_row_update(
-                        r,
-                        buf.add((r - 1) * n),
-                        buf.add(r * n),
-                        buf.add((r + 1) * n),
-                        bs.add(r * n),
-                        n,
-                        h2,
-                        omega,
-                        (s - 1) % 2,
-                        mode,
-                    );
-                }
-            }
+    let xs = x.as_mut_slice();
+    // Cursor: correction at lag 0, half-sweep s (1-based) at lag s — the
+    // wavefront one row behind. The correction of row t precedes every
+    // update that reads it.
+    for t in 1..n - 1 + half {
+        if t < n - 1 {
+            interpolate_correct_row(t, cs, nc, &mut xs[t * n..(t + 1) * n], mode);
         }
-    } else {
-        let mut snap = ws.acquire_unzeroed(n);
-        snap.copy_from(x);
-        let snap: &Grid2d = &snap;
-        let xp = GridPtr::new(x);
-        exec.for_row_bands(1, n - 1, |r_lo, r_hi| {
-            let bs = b.as_slice().as_ptr();
-            let g = BandScratch::new(r_lo, r_hi, half, n);
-            let rows = g.rows();
-            let mut scratch = ws.acquire_buffer_unzeroed(rows * n);
-            scratch.copy_from_slice(&snap.as_slice()[g.g0 * n..g.g1 * n]);
-            // The correction is pointwise in `coarse`, so it is
-            // exact on every scratch row — including the halo edges,
-            // which the relaxation cone then consumes.
-            for r in 0..rows {
-                let i = g.g0 + r;
-                if i >= 1 && i < n - 1 {
-                    interpolate_correct_row(i, cs, nc, &mut scratch[r * n..(r + 1) * n], mode);
-                }
-            }
-            // SAFETY: private scratch; owned rows sit `half` rows
-            // inside the halo; bands write disjoint rows of `x`.
-            unsafe {
-                wavefront_sor(
-                    op,
-                    scratch.as_mut_ptr(),
-                    bs,
-                    n,
-                    g.g0,
-                    1,
-                    rows - 1,
-                    h2,
-                    omega,
-                    half,
-                    mode,
-                );
-                for r in r_lo..r_hi {
-                    let src = &scratch[(r - g.g0) * n..(r - g.g0 + 1) * n];
-                    std::slice::from_raw_parts_mut(xp.row_mut(r), n).copy_from_slice(src);
-                }
-            }
-        });
+        wavefront_step(op, xs, b.as_slice(), n, h2, omega, half, t - 1, mode);
     }
 }
 
@@ -795,18 +540,11 @@ mod tests {
             for _ in 0..5 {
                 sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
             }
-            if exec.is_seq() {
-                assert_eq!(
-                    ws.stats().allocations,
-                    warm,
-                    "steady-state Seq must not allocate"
-                );
-            } else {
-                // Parallel lease counts depend on task interleaving;
-                // the pool still bounds them (no per-iteration growth).
-                let after = ws.stats();
-                assert!(after.reuses > 0, "pool must be reused");
-            }
+            assert_eq!(
+                ws.stats().allocations,
+                warm,
+                "steady-state sweeps must not allocate ({exec:?})"
+            );
         }
     }
 }

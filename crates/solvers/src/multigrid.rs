@@ -39,9 +39,10 @@ pub struct MgConfig {
     /// Recursive calls per level: 1 = V cycle, 2 = W cycle.
     pub gamma: usize,
     /// Temporal-block depth: how many SOR sweeps fuse into one
-    /// wavefront traversal (see [`crate::fused`]). Every value yields
-    /// bitwise identical results; it only moves the memory-traffic /
-    /// redundant-halo-work trade-off, which is why it is a tuner axis.
+    /// wavefront traversal on a sequential executor (see
+    /// [`crate::fused`]); a pool runs the sweeps staged. Every value
+    /// yields bitwise identical results; it only moves memory traffic,
+    /// which is why it is a tuner axis.
     pub tblock: usize,
     /// Execution policy for all sweeps (its band height is the second
     /// kernel-execution tuner axis).
