@@ -632,22 +632,26 @@ impl TunedFamily {
         acc_idx: usize,
         cache: &Arc<DirectSolverCache>,
     ) {
-        let warm = |lvl: usize| {
-            let n = level_size(lvl);
+        for n in self.direct_sizes(level, acc_idx) {
             cache.warm_op(n, &problem.op_for(n));
-        };
+        }
+    }
+
+    /// The grid sizes whose direct factors member `acc_idx` at `level`
+    /// solves with, finest first (a size may repeat).
+    pub fn direct_sizes(&self, level: usize, acc_idx: usize) -> Vec<usize> {
         match self.plans[level][acc_idx] {
-            Choice::Direct => warm(level),
-            Choice::Sor { .. } => {}
+            Choice::Direct => vec![level_size(level)],
+            Choice::Sor { .. } => Vec::new(),
+            Choice::Recurse { .. } if level <= 1 => vec![level_size(level)],
             Choice::Recurse { sub_accuracy, .. } => {
-                if level <= 1 {
-                    warm(level);
+                let mut sizes = if level - 1 == 1 {
+                    vec![level_size(1)]
                 } else {
-                    if level - 1 == 1 {
-                        warm(1);
-                    }
-                    self.warm_factors_for(problem, level - 1, sub_accuracy as usize, cache);
-                }
+                    Vec::new()
+                };
+                sizes.extend(self.direct_sizes(level - 1, sub_accuracy as usize));
+                sizes
             }
         }
     }

@@ -241,9 +241,18 @@ impl BandMatrix {
     /// couples them is finished sequentially in a fixed order. `n·m²`
     /// multiply-adds, `n·(m+1)` doubles of storage. Fails with
     /// [`LinalgError::NotPositiveDefinite`] on a non-positive pivot.
+    ///
+    /// Factors a copy; [`BandMatrix::into_cholesky`] factors in place.
     pub fn cholesky(&self) -> Result<BandCholesky, LinalgError> {
-        let (n, m, w) = (self.n, self.m, self.m + 1);
-        let mut l = self.data.clone();
+        self.clone().into_cholesky()
+    }
+
+    /// [`BandMatrix::cholesky`] in the matrix's own storage: `L`
+    /// overwrites `A` row by row, so band and factor are never both
+    /// alive. Same operations in the same order, so the same bits.
+    pub fn into_cholesky(self) -> Result<BandCholesky, LinalgError> {
+        let BandMatrix { n, m, data: mut l } = self;
+        let w = m + 1;
         for i in 0..n {
             let (done, rest) = l.split_at_mut(i * w);
             let len = i.min(m);
@@ -454,6 +463,15 @@ mod tests {
         let ch = a.cholesky().unwrap();
         let x = ch.solve(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn factoring_in_place_gives_the_copying_factor_bit_for_bit() {
+        let a = crate::assemble_poisson_band(17);
+        let copied = a.cholesky().unwrap();
+        let in_place = a.into_cholesky().unwrap();
+        let bits = |l: &BandCholesky| l.packed().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&copied), bits(&in_place));
     }
 
     #[test]

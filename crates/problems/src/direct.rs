@@ -81,14 +81,11 @@ pub struct OpDirect {
 }
 
 impl OpDirect {
-    /// Factor the interior system of `op` for `n×n` grids.
+    /// Factor the interior system of `op` for `n×n` grids, in the
+    /// assembled band's own storage.
     pub fn new(op: StencilOp, n: usize) -> Result<Self, LinalgError> {
-        let a = assemble_op_band(&op, n);
-        Ok(OpDirect {
-            n,
-            op,
-            factor: a.cholesky()?,
-        })
+        let factor = assemble_op_band(&op, n).into_cholesky()?;
+        Ok(OpDirect { n, op, factor })
     }
 
     /// Grid size this solver was factored for.

@@ -25,7 +25,7 @@
 //!   a bounded timeout.
 //!
 //! The public surface is what the workspace uses: [`ThreadPool`]
-//! (`new`, `spawn`, `install`, `parallel_for`), [`join`],
+//! (`new`, `spawn`, `install`, `parallel_for`), [`join`], [`spawn`],
 //! [`parallel_for`], the deterministic [`parallel_for_reduce_sum`] /
 //! [`parallel_for_reduce_max`] reductions and [`current_worker_index`].
 //! Each pool is owned by whoever built it — `petamg_grid::Exec::pbrt`
@@ -72,6 +72,23 @@ where
     match WorkerThread::current() {
         Some(worker) => join_core(worker, oper_a, oper_b),
         None => (oper_a(), oper_b()),
+    }
+}
+
+/// Inject a detached job into the calling worker's own pool, as
+/// [`ThreadPool::spawn`] would into a pool held by handle, and return
+/// at once. Off a pool `op` runs inline before `spawn` returns.
+///
+/// This is how a job hands work back to the pool it runs on (the
+/// serving engine's flights hand back the requests parked on them).
+/// Like `ThreadPool::spawn`, `op` must not unwind.
+pub fn spawn<F>(op: F)
+where
+    F: FnOnce() + Send + 'static,
+{
+    match WorkerThread::current() {
+        Some(worker) => worker.registry().inject(job::HeapJob::into_job_ref(op)),
+        None => op(),
     }
 }
 
@@ -140,6 +157,28 @@ mod tests {
             let on = pool.install(|| parallel_for_reduce_sum(4096, grain, &f));
             assert_eq!(off.to_bits(), on.to_bits(), "grain {grain}");
         }
+    }
+
+    #[test]
+    fn spawn_hands_a_job_to_the_calling_workers_pool_or_runs_it_inline() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inline = tx.clone();
+        spawn(move || inline.send(current_worker_index()).unwrap());
+        assert_eq!(
+            rx.try_recv(),
+            Ok(None),
+            "off a pool: run inline, already done"
+        );
+
+        let pool = ThreadPool::new(2);
+        pool.spawn(move || spawn(move || tx.send(current_worker_index()).unwrap()));
+        let ran_on = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the handed-back job runs");
+        assert!(
+            matches!(ran_on, Some(i) if i < 2),
+            "on a worker: {ran_on:?}"
+        );
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   by problem fingerprint, with a bounded in-memory LRU in front and
 //!   `persist`'s quarantine semantics preserved on reload.
 //! * [`SolverService`] — a long-running engine whose serving loop is
-//!   `PlanLibrary::get` → `GuardedSolver::solve`, with a bounded
+//!   `PlanLibrary::lookup` → `GuardedSolver::solve`, with a bounded
 //!   submission queue over the work-stealing pool (typed [`Rejected`]
 //!   on overload), warm per-worker [`Workspace`](petamg_grid::Workspace)
-//!   arenas, one shared `DirectSolverCache`, and single-flight
-//!   coalescing of concurrent tuning for the same fingerprint.
+//!   arenas, one shared `DirectSolverCache`, and one flight per cold
+//!   fingerprint: its leader loads or tunes the plan and warms its
+//!   direct factors, while the other requests park without holding a
+//!   worker.
 //!
 //! ```no_run
 //! use petamg_problems::Problem;
@@ -31,7 +33,7 @@ pub mod library;
 pub mod service;
 pub mod telemetry;
 
-pub use coalesce::{Role, SingleFlight};
+pub use coalesce::{Parked, ParkedJob, Role, SingleFlight};
 pub use library::{
     fingerprint_key, plan_file_name, LibraryStats, PlanLibrary, PlanOrigin,
     DEFAULT_LIBRARY_CAPACITY,

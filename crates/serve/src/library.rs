@@ -10,7 +10,11 @@
 //! semantics the guarded-solve story depends on: a corrupt file is
 //! moved aside to `<name>.quarantined` and the library reports a plain
 //! miss, so the caller falls back to tuning (or the heuristic rung)
-//! instead of executing a scrambled plan.
+//! instead of executing a scrambled plan. `get` is two steps a caller
+//! can also take apart: [`PlanLibrary::lookup`] (memory only) and
+//! [`PlanLibrary::load`] (disk only, nothing cached), whose result
+//! [`PlanLibrary::remember`] files in memory once the caller has made
+//! it servable — the service warms its direct factors first.
 //!
 //! Eviction is safe by construction — an evicted entry is only a cache
 //! entry, the file stays on disk and the next `get` reloads it
@@ -67,14 +71,22 @@ pub enum PlanOrigin {
     Disk,
 }
 
+/// What memory holds under a problem's key.
+enum Cached {
+    Hit(Arc<TunedFamily>),
+    /// Another fingerprint's plan under the same key.
+    Mismatch,
+    Absent,
+}
+
 /// Counter snapshot for observability and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LibraryStats {
-    /// `get` calls served from memory.
+    /// Lookups served from memory.
     pub hits: u64,
-    /// `get` calls that found nothing (no file, or the file was bad).
+    /// Lookups that found nothing (no file, or the file was bad).
     pub misses: u64,
-    /// `get` calls served by reloading a plan file from disk.
+    /// Lookups served by reloading a plan file from disk.
     pub disk_loads: u64,
     /// Corrupt plan files moved aside to `<name>.quarantined`.
     pub quarantined: u64,
@@ -261,7 +273,8 @@ impl PlanLibrary {
         }
     }
 
-    /// Fetch the plan for `problem`: memory first, then disk.
+    /// Fetch the plan for `problem`: [`PlanLibrary::lookup`], then
+    /// [`PlanLibrary::load`] and [`PlanLibrary::remember`].
     ///
     /// Returns `None` when no usable plan exists — never a corrupt
     /// one. A file that fails to parse or checksum is quarantined by
@@ -270,37 +283,60 @@ impl PlanLibrary {
     /// and counted. Either way the caller should tune (or let the
     /// guarded ladder fall back to its heuristic rung).
     pub fn get(&self, problem: &Problem) -> Option<(Arc<TunedFamily>, PlanOrigin)> {
-        let key = (self.key_fn)(problem.fingerprint());
-        {
-            let tick = self.next_tick();
-            let mut cache = self.cache.lock();
-            if let Some((plan, stamp)) = cache.get_mut(&key) {
-                // The key is only a locator: a cache hit must be
-                // verified against the full posed fingerprint before it
-                // is served. Two distinct problems whose fingerprints
-                // hash to one key would otherwise alias — the second
-                // would silently execute a plan tuned for the first.
-                if plan.ensure_problem(problem.fingerprint()).is_ok() {
-                    *stamp = tick;
-                    Self::bump(&self.stats.hits);
-                    return Some((Arc::clone(plan), PlanOrigin::Memory));
-                }
-                // The colliding key also names the on-disk file, so the
-                // disk path below could only reproduce the same
-                // mismatch; report the miss here without the wasted
-                // load. The cached entry stays — it is correct for the
-                // problem that inserted it.
-                Self::bump(&self.stats.mismatches);
-                Self::bump(&self.stats.misses);
-                return None;
+        match self.in_memory(problem) {
+            Cached::Hit(plan) => Some((plan, PlanOrigin::Memory)),
+            // The colliding key also names the on-disk file, so a load
+            // could only reproduce the same mismatch.
+            Cached::Mismatch => None,
+            Cached::Absent => {
+                let plan = self.remember(problem, self.load(problem)?);
+                Some((plan, PlanOrigin::Disk))
             }
         }
+    }
+
+    /// The plan for `problem` in memory, if any. Counts a hit, or a
+    /// mismatch and a miss; an absent key counts nothing (the disk
+    /// decides whether that is a miss).
+    pub fn lookup(&self, problem: &Problem) -> Option<Arc<TunedFamily>> {
+        match self.in_memory(problem) {
+            Cached::Hit(plan) => Some(plan),
+            Cached::Mismatch | Cached::Absent => None,
+        }
+    }
+
+    fn in_memory(&self, problem: &Problem) -> Cached {
+        let key = (self.key_fn)(problem.fingerprint());
+        let tick = self.next_tick();
+        let mut cache = self.cache.lock();
+        let Some((plan, stamp)) = cache.get_mut(&key) else {
+            return Cached::Absent;
+        };
+        // The key is only a locator: a cache hit must be verified
+        // against the full posed fingerprint before it is served. Two
+        // distinct problems whose fingerprints hash to one key would
+        // otherwise alias — the second would silently execute a plan
+        // tuned for the first. The cached entry stays either way — it
+        // is correct for the problem that inserted it.
+        if plan.ensure_problem(problem.fingerprint()).is_err() {
+            Self::bump(&self.stats.mismatches);
+            Self::bump(&self.stats.misses);
+            return Cached::Mismatch;
+        }
+        *stamp = tick;
+        Self::bump(&self.stats.hits);
+        Cached::Hit(Arc::clone(plan))
+    }
+
+    /// Read the plan for `problem` from its file (checksum
+    /// re-verified), without putting it in memory: the caller files it
+    /// there with [`PlanLibrary::remember`] once it is ready to serve.
+    /// `None` is a counted miss, as for [`PlanLibrary::get`].
+    pub fn load(&self, problem: &Problem) -> Option<TunedFamily> {
         match persist::load_plan_for(&self.path_for(problem.fingerprint()), problem) {
             Ok(family) => {
                 Self::bump(&self.stats.disk_loads);
-                let plan = Arc::new(family);
-                self.cache_put(key, Arc::clone(&plan));
-                Some((plan, PlanOrigin::Disk))
+                Some(family)
             }
             Err(PlanLoadError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 // No file: the routine cold miss.
@@ -348,12 +384,18 @@ impl PlanLibrary {
                 "plan fingerprint does not match the problem it is filed under",
             ));
         }
-        let key = (self.key_fn)(problem.fingerprint());
         persist::save_plan(&family, &self.path_for(problem.fingerprint()))?;
         Self::bump(&self.stats.inserts);
+        Ok(self.remember(problem, family))
+    }
+
+    /// Put a plan for `problem` that is already on disk (a
+    /// [`PlanLibrary::load`] result) in memory, and return the shared
+    /// copy every later lookup serves.
+    pub fn remember(&self, problem: &Problem, family: TunedFamily) -> Arc<TunedFamily> {
         let plan = Arc::new(family);
-        self.cache_put(key, Arc::clone(&plan));
-        Ok(plan)
+        self.cache_put((self.key_fn)(problem.fingerprint()), Arc::clone(&plan));
+        plan
     }
 
     /// Drop every in-memory entry (disk untouched). Tests use this to
@@ -414,6 +456,21 @@ mod tests {
         assert_eq!(plan.max_level, 4);
         let s = lib.stats();
         assert_eq!((s.hits, s.disk_loads, s.misses), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_load_is_served_from_memory_only_once_remembered() {
+        let lib = PlanLibrary::open(tmp_dir("split")).unwrap();
+        let poisson = Problem::poisson();
+        lib.insert(&poisson, stamped(&poisson, 4)).unwrap();
+        lib.clear_cache();
+        assert!(lib.lookup(&poisson).is_none());
+        let family = lib.load(&poisson).expect("the file loads");
+        assert!(lib.lookup(&poisson).is_none(), "a load caches nothing");
+        let plan = lib.remember(&poisson, family);
+        assert!(Arc::ptr_eq(&plan, &lib.lookup(&poisson).unwrap()));
+        let s = lib.stats();
+        assert_eq!((s.hits, s.disk_loads, s.misses), (1, 1, 0));
     }
 
     #[test]

@@ -2,14 +2,20 @@
 //!
 //! A [`SolverService`] is a long-running front door over the
 //! tune-once/serve-many artifacts: its serving loop is
-//! `PlanLibrary::get` → `GuardedSolver::solve`. Requests enter through
-//! a bounded submission queue over the `petamg-runtime` work-stealing
-//! pool; when the queue is full, [`SolverService::submit`] returns the
-//! typed [`Rejected`] instead of queueing unboundedly. Each pool
-//! worker owns a warm [`Workspace`] arena, every request shares one
-//! [`DirectSolverCache`] for the ladder's direct rung, and concurrent
-//! requests for the same not-yet-tuned fingerprint coalesce into a
-//! single tuning run (see [`crate::coalesce`]).
+//! `PlanLibrary::lookup` → `GuardedSolver::solve`. Requests enter
+//! through a bounded submission queue over the `petamg-runtime`
+//! work-stealing pool; when the queue is full, [`SolverService::submit`]
+//! returns the typed [`Rejected`] instead of queueing unboundedly. Each
+//! pool worker owns a warm [`Workspace`] arena, and every request shares
+//! one [`DirectSolverCache`].
+//!
+//! A request whose plan is not in memory joins its fingerprint's
+//! flight (see [`crate::coalesce`]). The first one leads it: it loads
+//! the plan from disk or tunes it, puts the top member's direct factors
+//! in the shared cache (adopting the tuner's own), and only then files
+//! the plan in memory and lands the flight. The others park on the
+//! flight without holding a worker, and the landing hands them back to
+//! the pool.
 //!
 //! Failure domains are per-request: a panic inside a solve is caught
 //! on the worker and surfaces as [`ServeError::Panicked`] on that
@@ -18,8 +24,8 @@
 //! the typed [`ServeError::Ladder`] with the iterate restored to the
 //! initial guess. The service itself keeps serving.
 
-use crate::coalesce::{Role, SingleFlight};
-use crate::library::{fingerprint_key, PlanLibrary, PlanOrigin};
+use crate::coalesce::{Parked, ParkedJob, SingleFlight};
+use crate::library::{fingerprint_key, PlanLibrary};
 use crate::telemetry::{PhaseStamp, ServeTelemetry};
 use parking_lot::{Condvar, Mutex};
 use petamg_core::faults::{self, Fault};
@@ -197,11 +203,13 @@ impl SolveRequest {
 pub enum PlanSource {
     /// The library's in-memory LRU cache.
     CacheHit,
-    /// Reloaded from the plan directory.
+    /// This request led a flight that reloaded it from the plan
+    /// directory.
     DiskLoad,
     /// This request led a tuning flight.
     TunedNow,
-    /// Another in-flight request tuned it; this one waited.
+    /// Another request's flight tuned or loaded it; this one was parked
+    /// on that flight.
     Coalesced,
     /// No plan could be produced (tuner failure); the ladder served
     /// from its heuristic rung.
@@ -338,7 +346,8 @@ pub struct ServiceStats {
     pub tunes: u64,
     /// Tuning runs that failed (panicked or unwound).
     pub tune_failures: u64,
-    /// Requests that waited on another request's tuning flight.
+    /// Requests parked on another request's tune or load flight,
+    /// counted once per landing they saw.
     pub coalesced: u64,
     // Pinned by `benchmark/src/workloads.rs` (`service_counters`), always 0; delete with ROADMAP 1(i).
     #[doc(hidden)]
@@ -476,6 +485,33 @@ impl Inner {
             None => solver,
         }
     }
+
+    /// Put the direct factors the top member of `plan` solves with at
+    /// `level` in the service's cache — the tuner's own where
+    /// `tuner_factors` holds them — so the first solves on the plan
+    /// factor nothing.
+    fn warm_top_member(
+        &self,
+        problem: &Problem,
+        level: usize,
+        plan: &TunedFamily,
+        tuner_factors: Option<&DirectSolverCache>,
+    ) {
+        // A plan the ladder will reject (a custom tuner's, shallower
+        // than the request or malformed) has nothing to warm.
+        if level > plan.max_level || plan.validate().is_err() {
+            return;
+        }
+        for n in plan.direct_sizes(level, plan.num_accuracies() - 1) {
+            let op = problem.op_for(n);
+            // A factor that fails here fails again, typed, on the
+            // ladder rung that asks for it.
+            let _ = match tuner_factors {
+                Some(donor) => self.cache.adopt_op(n, &op, donor),
+                None => self.cache.try_get_op(n, &op),
+            };
+        }
+    }
 }
 
 /// The plan-serving solver engine. See the module docs.
@@ -595,31 +631,13 @@ impl SolverService {
             if let Some(stamp) = queued {
                 inner.telemetry.observe_queue_wait(stamp);
             }
-            let response = catch_unwind(AssertUnwindSafe(|| handle(&inner, request)))
-                .unwrap_or_else(|p| {
-                    // The handler's own catch covers the solve; this
-                    // outer net covers the handler itself, so a worker
-                    // is never killed by a request.
-                    faults::clear();
-                    bump(&inner.stats.panics);
-                    Err(ServeError::Panicked(panic_message(&p)))
-                });
-            bump(&inner.stats.completed);
-            match &response {
-                Ok(_) => bump(&inner.stats.converged),
-                Err(ServeError::Ladder { .. }) => bump(&inner.stats.ladder_failures),
-                Err(ServeError::BadRequest(_)) => bump(&inner.stats.bad_requests),
-                Err(ServeError::Panicked(_)) => {}
-            }
-            // Release the queue slot before publishing the response:
-            // a client that observes its ticket done must also observe
-            // the request gone from the in-flight count.
-            {
-                let mut in_flight = inner.in_flight.lock();
-                *in_flight -= 1;
-            }
-            inner.changed.notify_all();
-            slot.fill(response);
+            let (on, to) = (Arc::clone(&inner), Arc::clone(&slot));
+            stretch(&on, &to, move || {
+                match Pending::admit(inner, request, slot) {
+                    Ok(pending) => pending.resolve(),
+                    Err(bad) => Some(Err(bad)),
+                }
+            });
         });
         ticket
     }
@@ -744,34 +762,167 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Serve one request on the current worker thread.
-fn handle(inner: &Inner, request: SolveRequest) -> ServeResponse {
-    let SolveRequest {
-        problem,
-        mut x0,
-        b,
-        tol,
-        trace,
-        faults: request_faults,
-    } = request;
-
-    let level = validate(&problem, &x0, &b)?;
-
-    // Arm this request's chaos faults on the worker actually running
-    // it, and make sure nothing armed here leaks into the next
-    // request this worker serves.
-    for fault in &request_faults {
-        faults::inject(fault.clone());
-    }
-    let result = serve_solve(inner, &problem, level, &mut x0, &b, tol, trace);
+/// Run one stretch of a request on the calling worker: from the queue,
+/// or from the landing of the flight it parked on, to its response —
+/// or to the flight it parks on (`work` returns `None`). A panic
+/// becomes this request's typed error, so a worker is never killed by
+/// a request.
+fn stretch(inner: &Inner, slot: &Slot, work: impl FnOnce() -> Option<ServeResponse>) {
+    let outcome = catch_unwind(AssertUnwindSafe(work));
+    // Nothing armed for this request may leak into whatever this
+    // worker runs next.
     faults::clear();
-    match result {
-        Ok((report, plan)) => Ok(ServeReport {
-            x: x0,
-            report,
-            plan,
-        }),
-        Err(error) => Err(ServeError::Ladder { error, x: x0 }),
+    let response = match outcome {
+        Ok(Some(response)) => response,
+        Ok(None) => return,
+        Err(p) => {
+            bump(&inner.stats.panics);
+            Err(ServeError::Panicked(panic_message(&p)))
+        }
+    };
+    bump(&inner.stats.completed);
+    match &response {
+        Ok(_) => bump(&inner.stats.converged),
+        Err(ServeError::Ladder { .. }) => bump(&inner.stats.ladder_failures),
+        Err(ServeError::BadRequest(_)) => bump(&inner.stats.bad_requests),
+        Err(ServeError::Panicked(_)) => {}
+    }
+    // Release the queue slot before publishing the response: a client
+    // that observes its ticket done must also observe the request gone
+    // from the in-flight count.
+    {
+        let mut in_flight = inner.in_flight.lock();
+        *in_flight -= 1;
+    }
+    inner.changed.notify_all();
+    slot.fill(response);
+}
+
+/// A validated request on its way to a plan: what a worker needs to
+/// serve it, or to park it on its plan's flight and resume it there.
+struct Pending {
+    inner: Arc<Inner>,
+    request: SolveRequest,
+    level: usize,
+    slot: Arc<Slot>,
+    /// Plan resolution's start. Time parked on a flight, and back in
+    /// the queue after its landing, is resolve time.
+    resolving: Option<PhaseStamp>,
+}
+
+impl Pending {
+    /// Validate `request` and arm its chaos faults on this worker.
+    fn admit(
+        inner: Arc<Inner>,
+        request: SolveRequest,
+        slot: Arc<Slot>,
+    ) -> Result<Self, ServeError> {
+        let level = validate(&request.problem, &request.x0, &request.b)?;
+        let pending = Pending {
+            inner,
+            request,
+            level,
+            slot,
+            resolving: PhaseStamp::capture(),
+        };
+        pending.arm_faults();
+        Ok(pending)
+    }
+
+    /// Arm this request's chaos faults on the worker running it. No
+    /// fault point lies before a request parks, so a resumed request
+    /// re-arms exactly what it carried.
+    fn arm_faults(&self) {
+        for fault in &self.request.faults {
+            faults::inject(fault.clone());
+        }
+    }
+
+    /// `plan` if it reaches this request's level: a plan tuned for a
+    /// shallower request cannot serve this one's rung 0.
+    fn deep_enough(&self, plan: Option<Arc<TunedFamily>>) -> Option<Arc<TunedFamily>> {
+        plan.filter(|plan| plan.max_level >= self.level)
+    }
+
+    /// Serve from memory; else park on the plan's flight (`None`);
+    /// else lead a new flight, land it, and serve.
+    fn resolve(self) -> Option<ServeResponse> {
+        let inner = Arc::clone(&self.inner);
+        if let Some(plan) = self.deep_enough(inner.library.lookup(&self.request.problem)) {
+            return Some(self.serve(Some(plan), PlanSource::CacheHit));
+        }
+        let key = fingerprint_key(self.request.problem.fingerprint());
+        match inner.flights.park(key, self) {
+            Parked::OnFlight => None,
+            Parked::Lead(token, pending) => {
+                let (plan, source) = lead(&inner, &pending.request.problem, pending.level);
+                token.complete(plan.clone());
+                Some(pending.serve(plan, source))
+            }
+        }
+    }
+
+    /// Continue after the flight this request parked on landed.
+    fn landed(self, outcome: Option<Arc<TunedFamily>>) -> Option<ServeResponse> {
+        bump(&self.inner.stats.coalesced);
+        match self.deep_enough(outcome) {
+            Some(plan) => Some(self.serve(Some(plan), PlanSource::Coalesced)),
+            // The leader failed, or made a plan for a shallower
+            // request: go around again.
+            None => self.resolve(),
+        }
+    }
+
+    /// Solve on `plan`, which `source` resolved.
+    fn serve(self, plan: Option<Arc<TunedFamily>>, source: PlanSource) -> ServeResponse {
+        let Pending {
+            inner,
+            request,
+            resolving,
+            ..
+        } = self;
+        if let Some(stamp) = resolving {
+            inner.telemetry.observe_plan_resolve(source, stamp);
+        }
+        let SolveRequest {
+            problem,
+            mut x0,
+            b,
+            tol,
+            trace,
+            ..
+        } = request;
+        let mut solver = inner.guarded_solver(problem, plan);
+        if trace {
+            solver = solver.with_tracing();
+        }
+        let stamp = PhaseStamp::capture();
+        let result = solver.solve(&mut x0, &b, tol);
+        if let Some(stamp) = stamp {
+            let detail = match &result {
+                Ok(report) => rung_label(report.rung),
+                Err(_) => "ladder-exhausted",
+            };
+            inner.telemetry.observe_solve(detail, stamp);
+        }
+        match result {
+            Ok(report) => Ok(ServeReport {
+                x: x0,
+                report,
+                plan: source,
+            }),
+            Err(error) => Err(ServeError::Ladder { error, x: x0 }),
+        }
+    }
+}
+
+impl ParkedJob<Arc<TunedFamily>> for Pending {
+    fn resume(self, outcome: Option<Arc<TunedFamily>>) {
+        let (inner, slot) = (Arc::clone(&self.inner), Arc::clone(&self.slot));
+        stretch(&inner, &slot, move || {
+            self.arm_faults();
+            self.landed(outcome)
+        });
     }
 }
 
@@ -802,163 +953,92 @@ fn validate(problem: &Problem, x0: &Grid2d, b: &Grid2d) -> Result<usize, ServeEr
     Ok(level)
 }
 
-fn serve_solve(
-    inner: &Inner,
-    problem: &Problem,
-    level: usize,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    tol: f64,
-    trace: bool,
-) -> Result<(GuardedReport, PlanSource), SolveError> {
-    let (plan, source) = resolve_plan(inner, problem, level);
-    let mut solver = inner.guarded_solver(problem.clone(), plan);
-    if trace {
-        solver = solver.with_tracing();
-    }
-    let stamp = PhaseStamp::capture();
-    match solver.solve(x, b, tol) {
-        Ok(report) => {
-            if let Some(stamp) = stamp {
-                inner
-                    .telemetry
-                    .observe_solve(rung_label(report.rung), stamp);
-            }
-            Ok((report, source))
-        }
-        Err(error) => {
-            if let Some(stamp) = stamp {
-                inner.telemetry.observe_solve("ladder-exhausted", stamp);
-            }
-            Err(error)
-        }
-    }
-}
-
-/// Library lookup with single-flight tuning on miss, timed into the
-/// `petamg_plan_resolve_seconds{source}` histogram (and a span) when
-/// telemetry is on.
-fn resolve_plan(
-    inner: &Inner,
-    problem: &Problem,
-    level: usize,
-) -> (Option<Arc<TunedFamily>>, PlanSource) {
-    let stamp = PhaseStamp::capture();
-    let (plan, source) = lookup_or_tune(inner, problem, level);
-    if let Some(stamp) = stamp {
-        inner.telemetry.observe_plan_resolve(source, stamp);
-    }
-    (plan, source)
-}
-
-/// The untimed body of [`resolve_plan`].
-fn lookup_or_tune(
-    inner: &Inner,
-    problem: &Problem,
-    level: usize,
-) -> (Option<Arc<TunedFamily>>, PlanSource) {
-    let key = fingerprint_key(problem.fingerprint());
-    let library_hit = || {
-        let (plan, origin) = inner.library.get(problem)?;
-        // A cached plan tuned at a shallower level cannot serve this
-        // request's rung 0; the caller re-tunes at the deeper level
-        // (the file is overwritten in place).
-        (plan.max_level >= level).then(|| {
-            let source = match origin {
-                PlanOrigin::Memory => PlanSource::CacheHit,
-                PlanOrigin::Disk => PlanSource::DiskLoad,
-            };
-            (plan, source)
-        })
+/// Make the plan for `problem` servable, as the leader of its flight:
+/// look in memory again (a flight may have landed since this request
+/// looked), else load the plan from disk or tune it; put its top
+/// member's direct factors in the service's cache; and only then file
+/// it where other requests see it. The caller lands the flight.
+fn lead(inner: &Inner, problem: &Problem, level: usize) -> (Option<Arc<TunedFamily>>, PlanSource) {
+    let on_disk = match inner.library.lookup(problem) {
+        Some(plan) if plan.max_level >= level => return (Some(plan), PlanSource::CacheHit),
+        // A shallower plan in memory: the file on disk is the same one.
+        Some(_) => None,
+        None => inner
+            .library
+            .load(problem)
+            .filter(|family| family.max_level >= level),
     };
-    loop {
-        if let Some((plan, source)) = library_hit() {
-            return (Some(plan), source);
-        }
-        match inner.flights.join(key) {
-            Role::Leader(token) => {
-                // Another flight for this key may have landed between
-                // the lookup above and winning this one; look again
-                // before tuning the same fingerprint a second time.
-                if let Some((plan, source)) = library_hit() {
-                    token.complete(Some(Arc::clone(&plan)));
-                    return (Some(plan), source);
-                }
-                bump(&inner.stats.tunes);
-                let tuned = catch_unwind(AssertUnwindSafe(|| tune(inner, problem, level)));
-                match tuned {
-                    Ok(family) => {
-                        let plan = match inner.library.insert(problem, family) {
-                            Ok(plan) => plan,
-                            Err(_) => {
-                                // Disk refused the write; serving can
-                                // continue from memory this once, but
-                                // don't publish a plan the library
-                                // could not file.
-                                token.complete(None);
-                                return (None, PlanSource::Untuned);
-                            }
-                        };
-                        token.complete(Some(Arc::clone(&plan)));
-                        return (Some(plan), PlanSource::TunedNow);
-                    }
-                    Err(_) => {
-                        bump(&inner.stats.tune_failures);
-                        token.complete(None);
-                        return (None, PlanSource::Untuned);
-                    }
-                }
-            }
-            Role::Follower(outcome) => {
-                bump(&inner.stats.coalesced);
-                match outcome {
-                    Some(plan) if plan.max_level >= level => {
-                        return (Some(plan), PlanSource::Coalesced);
-                    }
-                    // Leader failed, or tuned for a shallower request:
-                    // go around again (library hit or fresh flight).
-                    _ => continue,
-                }
-            }
-        }
+    if let Some(family) = on_disk {
+        inner.warm_top_member(problem, level, &family, None);
+        return (
+            Some(inner.library.remember(problem, family)),
+            PlanSource::DiskLoad,
+        );
     }
-}
-
-/// Produce a plan for `problem` at `level` per the configured policy,
-/// re-stamped with the request's fingerprint.
-fn tune(inner: &Inner, problem: &Problem, level: usize) -> TunedFamily {
+    bump(&inner.stats.tunes);
     let trims = level >= TRIM_FROM_LEVEL && !matches!(inner.tuning, TunePolicy::Heuristic);
     if trims {
         release_free_memory();
     }
-    let mut family = match &inner.tuning {
-        TunePolicy::Heuristic => simple_v_family(level.max(1), &PAPER_ACCURACIES),
-        TunePolicy::QuickTune => VTuner::new(
-            TunerOptions::quick(level.max(1), Distribution::UnbiasedUniform)
-                .with_problem(problem.clone()),
-        )
-        .tune(),
-        TunePolicy::Custom(tuner) => tuner(problem, level),
+    let resolved = match catch_unwind(AssertUnwindSafe(|| tune(inner, problem, level))) {
+        Ok((family, tuner_factors)) => {
+            inner.warm_top_member(problem, level, &family, tuner_factors.as_deref());
+            match inner.library.insert(problem, family) {
+                Ok(plan) => (Some(plan), PlanSource::TunedNow),
+                // Disk refused the write: serve this request from the
+                // heuristic rung, but publish no plan the library could
+                // not file.
+                Err(_) => (None, PlanSource::Untuned),
+            }
+        }
+        Err(_) => {
+            bump(&inner.stats.tune_failures);
+            (None, PlanSource::Untuned)
+        }
     };
-    family.problem = problem.fingerprint().clone();
     if trims {
         release_free_memory();
     }
-    family
+    resolved
+}
+
+/// Produce a plan for `problem` at `level` per the configured policy,
+/// re-stamped with the request's fingerprint, with the factor cache the
+/// tuner filled on the way when there was one.
+fn tune(
+    inner: &Inner,
+    problem: &Problem,
+    level: usize,
+) -> (TunedFamily, Option<Arc<DirectSolverCache>>) {
+    let (mut family, factors) = match &inner.tuning {
+        TunePolicy::Heuristic => (simple_v_family(level.max(1), &PAPER_ACCURACIES), None),
+        TunePolicy::QuickTune => {
+            let tuner = VTuner::new(
+                TunerOptions::quick(level.max(1), Distribution::UnbiasedUniform)
+                    .with_problem(problem.clone()),
+            );
+            (tuner.tune(), Some(Arc::clone(tuner.cache())))
+        }
+        TunePolicy::Custom(tuner) => (tuner(problem, level), None),
+    };
+    family.problem = problem.fingerprint().clone();
+    (family, factors)
 }
 
 /// The level from which a tune is bracketed by [`release_free_memory`].
-/// A tune factors every `Direct` candidate: 2 x 16.5 MB of band storage
-/// at level 7, 2 x 2 MB at level 6 — below that the pages a trim drops
-/// and the next solve faults back in cost more than they hold (4-5 % of
-/// a cold round at n=65).
+/// A tune factors every `Direct` candidate, in the band's own storage:
+/// 1 x 16.5 MB of band storage at level 7, 1 x 2 MB at level 6 — below
+/// that the pages a trim drops and the next solve faults back in cost
+/// more than they hold (4-5 % of a cold round at n=65).
 const TRIM_FROM_LEVEL: usize = 7;
 
 /// Hand the allocator's free memory back to the OS.
 ///
 /// Called before a tune, so its scratch does not land on top of free
-/// memory an earlier phase of the process left resident, and after it,
-/// so the scratch does not stay resident for the life of the worker.
+/// memory an earlier phase of the process left resident, and after it
+/// (and after the tuner's factor cache, minus the factors handed to the
+/// service, is gone), so the scratch does not stay resident for the
+/// life of the worker.
 /// glibc returns freed memory of that size by itself only when the heap
 /// top crosses a threshold that moves with the largest block freed so
 /// far, which made a service's resident set after tuning a matter of a
@@ -1067,6 +1147,22 @@ mod tests {
         assert_eq!(report.plan, PlanSource::TunedNow);
         assert_eq!(svc.stats().tunes, 2);
         assert!(!report.report.degraded(), "rung 0 must serve");
+    }
+
+    /// A custom tuner's plan the ladder rejects (too shallow for the
+    /// request) is still filed and served around, not a panic.
+    #[test]
+    fn a_plan_too_shallow_to_warm_degrades_instead_of_failing() {
+        let shallow = TunePolicy::Custom(Arc::new(|_: &Problem, _: usize| {
+            simple_v_family(2, &PAPER_ACCURACIES)
+        }));
+        let svc = SolverService::start(ServiceConfig::new(tmp_dir("shallow")).with_tuning(shallow))
+            .unwrap();
+        let served = svc
+            .solve(request(Problem::poisson(), 17, 7))
+            .expect("the heuristic rung serves");
+        assert_eq!(served.plan, PlanSource::TunedNow);
+        assert!(served.report.degraded());
     }
 
     /// Every `solve_many` answer is bitwise identical to `solve` of the

@@ -123,7 +123,42 @@ impl DirectSolverCache {
     /// if it fails, each of them gets the error and the key is
     /// forgotten, so the next call factors again.
     pub fn try_get_op(&self, n: usize, op: &StencilOp) -> Result<Arc<OpDirect>, LinalgError> {
+        self.get_or_fill((n, op.cache_key()), || {
+            self.factorizations.fetch_add(1, Ordering::Relaxed);
+            OpDirect::new(op.clone(), n).map(Arc::new)
+        })
+    }
+
+    /// [`DirectSolverCache::try_get_op`], except that a factor `donor`
+    /// has already finished for the same key is filed here as it is
+    /// instead of being factored again; adopting counts no
+    /// factorisation. A tuner's cache is the donor when its plan goes
+    /// into service.
+    pub fn adopt_op(
+        &self,
+        n: usize,
+        op: &StencilOp,
+        donor: &DirectSolverCache,
+    ) -> Result<Arc<OpDirect>, LinalgError> {
         let key = (n, op.cache_key());
+        let finished = donor
+            .factors
+            .lock()
+            .get(&key)
+            .and_then(|entry| entry.slot.get().cloned());
+        match finished {
+            Some(Ok(factor)) => self.get_or_fill(key, || Ok(factor)),
+            _ => self.try_get_op(n, op),
+        }
+    }
+
+    /// The factor under `key`, running `fill` for it when this caller
+    /// is the first to miss (see [`DirectSolverCache::try_get_op`]).
+    fn get_or_fill(
+        &self,
+        key: (usize, u64),
+        fill: impl FnOnce() -> Result<Arc<OpDirect>, LinalgError>,
+    ) -> Result<Arc<OpDirect>, LinalgError> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = {
             let mut factors = self.factors.lock();
@@ -155,10 +190,7 @@ impl DirectSolverCache {
         // Factor outside the map lock, so first requests for *other*
         // keys don't serialize behind this one; racers on this key
         // block inside `get_or_init` until the one factorisation ends.
-        let result = slot.get_or_init(|| {
-            self.factorizations.fetch_add(1, Ordering::Relaxed);
-            OpDirect::new(op.clone(), n).map(Arc::new)
-        });
+        let result = slot.get_or_init(fill);
         if result.is_err() {
             let mut factors = self.factors.lock();
             // A later flight may already have replaced this slot.
@@ -340,6 +372,21 @@ mod tests {
         assert!(cache.try_get_op(33, &op).is_err());
         assert_eq!(cache.factorizations(), before + 1);
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn adopting_files_the_donors_factor_and_counts_no_factorisation() {
+        let [poisson, aniso, _] = mixed_ops(9);
+        let donor = DirectSolverCache::new();
+        let donated = donor.get_op(9, &aniso);
+        let cache = DirectSolverCache::new();
+        let adopted = cache.adopt_op(9, &aniso, &donor).unwrap();
+        assert!(Arc::ptr_eq(&donated, &adopted));
+        assert!(Arc::ptr_eq(&adopted, &cache.get_op(9, &aniso)));
+        assert_eq!(cache.factorizations(), 0);
+        // A key the donor never factored is factored here.
+        cache.adopt_op(9, &poisson, &donor).unwrap();
+        assert_eq!((cache.factorizations(), cache.len()), (1, 2));
     }
 
     #[test]

@@ -125,7 +125,7 @@ fn main() {
         stats.completed, stats.converged, stats.ladder_failures, stats.panics
     );
     println!(
-        "plans: {} tuned here, {} coalesced waits, {} memory hits, {} disk loads, {} quarantined",
+        "plans: {} tuned here, {} parked on flights, {} memory hits, {} disk loads, {} quarantined",
         stats.tunes, stats.coalesced, lib.hits, lib.disk_loads, lib.quarantined
     );
     println!(

@@ -7,12 +7,14 @@
 
 use petamg::core::plan::{simple_v_family, PAPER_ACCURACIES};
 use petamg::prelude::*;
-use petamg::serve::{ServeError, ServiceConfig, SolveRequest, SolverService, TunePolicy};
+use petamg::serve::{
+    fingerprint_key, PlanSource, ServeError, ServiceConfig, SolveRequest, SolverService, TunePolicy,
+};
 use petamg_problems::residual_op;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 mod common;
@@ -324,6 +326,140 @@ fn concurrent_cold_fingerprint_coalesces_onto_one_flight() {
         stats.coalesced >= 1,
         "with 4 workers and a 100ms tune, some request must have waited on the flight"
     );
+}
+
+/// How long a test waits on an event another thread owes it before it
+/// calls the event lost.
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// A follower parks on its plan's flight instead of holding a worker.
+/// Two workers serve A₁, A₂, B₁, and A's tuner does not return until
+/// B's tuner has started: B₁ can only run on the worker that picked up
+/// A's follower, so it runs only if that follower parked. A follower
+/// that blocks on the flight holds the worker, and A's tuner gives up.
+#[test]
+fn a_parked_follower_frees_its_worker() {
+    for (name, exec) in common::backends(&[2]) {
+        let (a, b) = (Problem::poisson(), Problem::anisotropic(0.1));
+        let a_key = fingerprint_key(a.fingerprint());
+        let (b_started, b_has_started) = mpsc::channel();
+        let b_has_started = Mutex::new(b_has_started);
+        let saw_b = Arc::new(Mutex::new(None));
+        let seen = Arc::clone(&saw_b);
+        let tuning = TunePolicy::Custom(Arc::new(move |problem: &Problem, level: usize| {
+            if fingerprint_key(problem.fingerprint()) == a_key {
+                let waited = b_has_started.lock().unwrap().recv_timeout(PATIENCE);
+                *seen.lock().unwrap() = Some(waited.is_ok());
+            } else {
+                b_started.send(()).unwrap();
+            }
+            simple_v_family(level.max(1), &PAPER_ACCURACIES)
+        }));
+        let svc = SolverService::start(
+            ServiceConfig::new(tmp_dir(&format!("parked-{}", name.replace('+', "-"))))
+                .with_workers(2)
+                .with_exec(exec)
+                .with_tuning(tuning),
+        )
+        .unwrap();
+        let sources: Vec<PlanSource> = [(&a, 1), (&a, 2), (&b, 3)]
+            .map(|(problem, seed)| svc.submit(request(problem, seed)).expect("room"))
+            .into_iter()
+            .map(|ticket| ticket.wait().expect("every request converges").plan)
+            .collect();
+        assert_eq!(
+            *saw_b.lock().unwrap(),
+            Some(true),
+            "[{name}] B's tuner never started while A's flight was in the air: \
+             A's follower held its worker"
+        );
+        // Either A request may lead; the other parked.
+        assert!(
+            sources[..2].contains(&PlanSource::TunedNow)
+                && sources[..2].contains(&PlanSource::Coalesced),
+            "[{name}] {sources:?}"
+        );
+        assert_eq!(sources[2], PlanSource::TunedNow, "[{name}]");
+        let stats = svc.stats();
+        assert_eq!((stats.tunes, stats.coalesced), (2, 1), "[{name}]");
+        assert_eq!(svc.in_flight(), 0, "[{name}]");
+    }
+}
+
+/// The level and size of the factor-handover tests: every stress
+/// profile's quick plan at level 6 solves directly on its top member.
+const DIRECT_LEVEL: usize = 6;
+const DIRECT_N: usize = 65;
+
+/// A quick-tuned service on `dir` with `workers` workers.
+fn quick_tuned(dir: &std::path::Path, workers: usize) -> SolverService {
+    SolverService::start(
+        ServiceConfig::new(dir)
+            .with_workers(workers)
+            .with_tuning(TunePolicy::QuickTune),
+    )
+    .unwrap()
+}
+
+/// A cold `QuickTune` flight hands the tuner's direct factor to the
+/// service before it lands: serving the plan, whose top member at level
+/// 6 is `Direct`, factors nothing.
+#[test]
+fn a_tuned_plan_lands_with_the_tuners_direct_factor() {
+    let problem = Problem::jump_inclusion(DIRECT_N);
+    let svc = quick_tuned(&tmp_dir("handover"), 2);
+    let served = svc
+        .solve(request_at(&problem, DIRECT_LEVEL, 1))
+        .expect("the tuned plan serves");
+    assert_eq!(served.plan, PlanSource::TunedNow);
+    assert!(!served.report.degraded());
+    let plan = svc.library().lookup(&problem).expect("filed");
+    let top = plan.num_accuracies() - 1;
+    assert_eq!(plan.plan(DIRECT_LEVEL, top), Choice::Direct);
+    let cache = svc.direct_cache();
+    assert_eq!(
+        (cache.factorizations(), cache.len()),
+        (0, 1),
+        "the n = {DIRECT_N} factor is the tuner's, adopted"
+    );
+}
+
+/// After a restart, duplicates of a fingerprint whose plan is on disk
+/// share one load flight: its leader loads the plan and factors the top
+/// member once, the other two park on the flight and report
+/// `Coalesced`.
+#[test]
+fn restarted_duplicates_share_one_load_flight_and_one_factor() {
+    let problem = Problem::smooth_sinusoidal(DIRECT_N);
+    let dir = tmp_dir("restart-flight");
+    quick_tuned(&dir, 2)
+        .solve(request_at(&problem, DIRECT_LEVEL, 1))
+        .expect("the cold service tunes and files the plan");
+
+    let svc = quick_tuned(&dir, 2);
+    let tickets: Vec<_> = (0..3)
+        .map(|k| {
+            svc.submit(request_at(&problem, DIRECT_LEVEL, 10 + k))
+                .expect("room")
+        })
+        .collect();
+    let mut sources: Vec<PlanSource> = tickets
+        .into_iter()
+        .map(|ticket| ticket.wait().expect("the loaded plan serves").plan)
+        .collect();
+    sources.sort_by_key(|source| *source != PlanSource::DiskLoad);
+    assert_eq!(
+        sources,
+        [
+            PlanSource::DiskLoad,
+            PlanSource::Coalesced,
+            PlanSource::Coalesced
+        ]
+    );
+    assert_eq!(svc.direct_cache().factorizations(), 1);
+    assert_eq!(svc.library().stats().disk_loads, 1);
+    let stats = svc.stats();
+    assert_eq!((stats.tunes, stats.coalesced), (0, 2));
 }
 
 /// Admission control: a queue of capacity 2 over a slow tuner rejects
