@@ -11,7 +11,7 @@
 //! large sizes.
 
 use petamg_grid::{l2_diff, l2_norm_interior, Exec, Grid2d};
-use petamg_problems::{residual_op, Problem};
+use petamg_problems::{residual_norm_op, Problem};
 use petamg_solvers::{DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 
@@ -119,12 +119,10 @@ pub fn reference_solution_for(
     // converge slower per cycle, so the iteration cap is generous and
     // the stall test adaptive.
     let bnorm = l2_norm_interior(b, exec).max(1e-300);
-    let mut r = Grid2d::zeros(n);
     solver.fmg(&mut x, b);
     let mut prev = f64::INFINITY;
     for _ in 0..200 {
-        residual_op(&op, &x, b, &mut r, exec);
-        let rnorm = l2_norm_interior(&r, exec);
+        let rnorm = residual_norm_op(&op, &x, b, solver.workspace(), exec);
         if rnorm <= 1e-14 * bnorm || rnorm >= prev * 0.9 {
             break;
         }

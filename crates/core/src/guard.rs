@@ -81,7 +81,7 @@ use crate::telemetry::{rung_idx, SolveTelemetry, RUNGS};
 use crate::trace::{CycleEvent, LadderRung, Tracer};
 use crate::OpCounts;
 use petamg_grid::{l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
-use petamg_problems::{residual_op, Problem, StencilOp};
+use petamg_problems::{residual_norm_op, Problem, StencilOp};
 use petamg_solvers::{
     DirectSolverCache, GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
 };
@@ -455,11 +455,12 @@ impl GuardedSolver {
         self
     }
 
-    /// Share a scratch arena across solves. Every grid this solver
-    /// needs per call — the restore snapshot, the residual scratch, and
-    /// all of plan execution's coarse-level leases — comes from this
-    /// arena, so repeated solves through one solver (or one serving
-    /// worker) allocate nothing once the arena is warm.
+    /// Share a scratch arena across solves. Every grid and row buffer
+    /// this solver needs per call — the restore snapshot, the residual
+    /// check's row buffers, and all of plan execution's coarse-level
+    /// leases — comes from this arena, so repeated solves through one
+    /// solver (or one serving worker) allocate nothing once the arena is
+    /// warm.
     pub fn with_workspace(mut self, workspace: Arc<Workspace>) -> Self {
         self.workspace = workspace;
         self
@@ -588,12 +589,11 @@ impl GuardedSolver {
         admission: Admission,
     ) -> Result<GuardedReport, SolveError> {
         let n = x.n();
-        // Both per-call grids are leased from the shared arena (and
+        // The restore snapshot is leased from the shared arena (and
         // fully overwritten before any read), so a warm solver performs
         // zero steady-state grid allocations per request.
         let mut x0 = self.workspace.acquire_unzeroed(n);
         x0.copy_from(x);
-        let scratch = self.workspace.acquire_unzeroed(n);
         let ctx = self.exec_ctx();
         let start = std::time::Instant::now();
         let op = self.problem.op_for(n);
@@ -601,7 +601,6 @@ impl GuardedSolver {
             level,
             tol,
             x0,
-            scratch,
             ctx,
             check: ResidualCheck::new(&op, b),
             resid_seconds: 0.0,
@@ -756,7 +755,7 @@ impl GuardedSolver {
                 w.ctx.ops.level_mut(w.level).direct_solves += 1;
                 w.ctx.tracer.record(CycleEvent::Direct { level: w.level });
                 let check_start = std::time::Instant::now();
-                let rel = w.check.rel(x, &mut w.scratch, &w.ctx.exec);
+                let rel = w.check.rel(x, &w.ctx.workspace, &w.ctx.exec);
                 w.resid_seconds += check_start.elapsed().as_secs_f64();
                 if rel.is_finite() && rel <= w.tol {
                     let trajectory = Trajectory {
@@ -792,7 +791,7 @@ impl GuardedSolver {
             let member = walk.next(fam, &guard);
             fam.run(w.level, member, x, w.check.b, &mut w.ctx);
             let check_start = std::time::Instant::now();
-            let rel = w.check.rel(x, &mut w.scratch, &w.ctx.exec);
+            let rel = w.check.rel(x, &w.ctx.workspace, &w.ctx.exec);
             w.resid_seconds += check_start.elapsed().as_secs_f64();
             match walk.observe(fam, &mut guard, member, rel) {
                 GuardVerdict::Continue => {}
@@ -840,7 +839,6 @@ struct Walk<'a> {
     tol: f64,
     /// The initial guess, put back into `x` after every failed attempt.
     x0: GridLease<'a>,
-    scratch: GridLease<'a>,
     ctx: ExecCtx,
     check: ResidualCheck<'a>,
     /// Wall time of the per-cycle residual checks so far.
@@ -885,10 +883,10 @@ impl<'a> ResidualCheck<'a> {
         }
     }
 
-    /// Relative residual of `x`, using `r` as scratch.
-    fn rel(&mut self, x: &Grid2d, r: &mut Grid2d, exec: &Exec) -> f64 {
-        residual_op(self.op, x, self.b, r, exec);
-        let r_norm = l2_norm_interior(r, exec);
+    /// Relative residual of `x`. The residual is reduced row by row
+    /// (row buffers leased from `ws`), never stored as a grid.
+    fn rel(&mut self, x: &Grid2d, ws: &Workspace, exec: &Exec) -> f64 {
+        let r_norm = residual_norm_op(self.op, x, self.b, ws, exec);
         let b = self.b;
         let b_norm = self
             .b_norm
@@ -1012,6 +1010,7 @@ mod tests {
     use crate::faults::Fault;
     use crate::plan::Choice;
     use crate::training::{Distribution, ProblemInstance};
+    use petamg_problems::residual_op;
 
     fn instance(level: usize, problem: &Problem) -> ProblemInstance {
         ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, 7)
@@ -1134,6 +1133,42 @@ mod tests {
         );
         assert!(report.rel_residual <= 1e-9);
         assert_eq!(report.status, SolveStatus::Converged { cycles: 1 });
+    }
+
+    /// A warm plan whose members run `RECURSE_0×3` (two fused step
+    /// boundaries per cycle) and the guard's per-cycle residual checks
+    /// lease every grid and row buffer from the solver's arena: once
+    /// warm, a solve allocates nothing.
+    #[test]
+    fn warm_step_boundaries_and_residual_checks_allocate_nothing() {
+        faults::clear();
+        let level = 5;
+        let problem = Problem::smooth_sinusoidal(petamg_grid::level_size(level));
+        let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
+        fam.problem = problem.fingerprint().clone();
+        fam.plans[level].fill(Choice::Recurse {
+            sub_accuracy: 0,
+            iterations: 3,
+        });
+        let workspace = Arc::new(Workspace::new());
+        let solver = GuardedSolver::new(problem.clone())
+            .with_plan(fam)
+            .with_workspace(Arc::clone(&workspace));
+        let inst = instance(level, &problem);
+        let solve = || {
+            let mut x = inst.working_grid();
+            let report = solver.solve(&mut x, &inst.b, 1e-9).expect("must serve");
+            assert_eq!(report.rung, LadderRung::TunedPlan);
+            let cycles = report.residual_history.len() as u64;
+            assert!(cycles >= 2, "{cycles} guarded cycles");
+            assert_eq!(report.ops.per_level[level].restricts, 3 * cycles);
+        };
+        solve();
+        let warm = workspace.stats().allocations;
+        for _ in 0..3 {
+            solve();
+        }
+        assert_eq!(workspace.stats().allocations, warm);
     }
 
     /// The jump-coefficient profile at `level`, with the stamped

@@ -16,6 +16,14 @@
 //!   down; interpolate-correct; one SOR(1.15) sweep
 //! ```
 //!
+//! `t` iterations of `RECURSE_j` run as one loop
+//! ([`TunedFamily::recurse_steps`]): the opening pre-relaxation edge,
+//! then `t − 1` step boundaries, each fusing one step's interpolate +
+//! post-sweep with the next step's pre-sweep + residual + restrict into
+//! a single traversal of the grid, then the closing post edge. Results,
+//! operation counts and cycle events are those of `t` separate
+//! [`TunedFamily::recurse_step`]s.
+//!
 //! The executor threads an [`ExecCtx`] through the recursion to count
 //! operations (for modeled costs), record cycle events (for the cycle
 //! renderer), and share the direct-solver factor cache.
@@ -30,7 +38,8 @@ use crate::training::ProblemInstance;
 use petamg_grid::{coarse_size, level_size, BatchGrid, Exec, Grid2d, Workspace};
 use petamg_problems::{Problem, ProblemFingerprint, ProblemMismatch};
 use petamg_solvers::fused::{
-    interpolate_correct_relax_op, relax_residual_restrict_op, sor_sweeps_blocked_op,
+    interpolate_correct_relax_op, interpolate_relax_residual_restrict_op,
+    relax_residual_restrict_op, sor_sweeps_blocked_op,
 };
 use petamg_solvers::relax::{omega_opt, OMEGA_CYCLE};
 use petamg_solvers::DirectSolverCache;
@@ -335,6 +344,39 @@ impl ExecCtx {
         self.tracer.record(CycleEvent::Relax { level: to });
     }
 
+    /// The fused step boundary at `level`: the post edge of one
+    /// `RECURSE` step (interpolate `ec` + one sweep) and the pre edge of
+    /// the next (one sweep + residual + restrict into `bc`) in one
+    /// traversal. Counted and traced exactly like the two edges it
+    /// replaces bitwise; one fault point for the one kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn interpolate_relax_residual_restrict(
+        &mut self,
+        level: usize,
+        ec: &Grid2d,
+        x: &mut Grid2d,
+        b: &Grid2d,
+        bc: &mut Grid2d,
+        omega: f64,
+    ) {
+        let op = self.problem.op_for(x.n());
+        let exec = self.level_exec(level);
+        let clock = self.tracer.start_kernel_clock(level);
+        interpolate_relax_residual_restrict_op(&op, ec, x, b, bc, omega, 2, &self.workspace, &exec);
+        self.tracer.stop_kernel_clock(clock);
+        self.maybe_poison(level, x);
+        let ops = self.ops.level_mut(level);
+        ops.interps += 1;
+        ops.relax_sweeps += 2;
+        ops.residuals += 1;
+        ops.restricts += 1;
+        self.tracer.record(CycleEvent::Interpolate { to: level });
+        self.tracer.record(CycleEvent::Relax { level });
+        self.tracer.record(CycleEvent::Relax { level });
+        self.tracer.record(CycleEvent::Residual { level });
+        self.tracer.record(CycleEvent::Restrict { from: level });
+    }
+
     fn direct(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d) {
         let op = self.problem.op_for(x.n());
         let clock = self.tracer.start_kernel_clock(level);
@@ -518,11 +560,7 @@ impl TunedFamily {
             Choice::Recurse {
                 sub_accuracy,
                 iterations,
-            } => {
-                for _ in 0..iterations {
-                    self.recurse_step(level, sub_accuracy as usize, x, b, ctx);
-                }
-            }
+            } => self.recurse_steps(level, sub_accuracy as usize, iterations, x, b, ctx),
         }
     }
 
@@ -536,23 +574,53 @@ impl TunedFamily {
         b: &Grid2d,
         ctx: &mut ExecCtx,
     ) {
+        self.recurse_steps(level, sub_acc, 1, x, b, ctx);
+    }
+
+    /// `iterations` applications of `RECURSE_j` at `level` (j =
+    /// `sub_acc`), bitwise, count for count and event for event the same
+    /// as that many [`TunedFamily::recurse_step`]s. Between two steps the
+    /// first's interpolate + post-relax and the second's pre-relax +
+    /// residual + restrict run as one fused step boundary, so `t` steps
+    /// cost `t + 1` traversals of the grid at `level` instead of `2t`.
+    pub fn recurse_steps(
+        &self,
+        level: usize,
+        sub_acc: usize,
+        iterations: u32,
+        x: &mut Grid2d,
+        b: &Grid2d,
+        ctx: &mut ExecCtx,
+    ) {
         if level <= 1 {
-            ctx.direct(level, x, b);
+            for _ in 0..iterations {
+                ctx.direct(level, x, b);
+            }
+            return;
+        }
+        if iterations == 0 {
             return;
         }
         let n = level_size(level);
         let nc = coarse_size(n);
         // Lease coarse scratch from the shared arena (the local Arc
         // clone keeps the leases from borrowing `ctx`, which the
-        // recursion needs mutably).
+        // recursion needs mutably). Every edge that writes `bc`
+        // overwrites all of it; `ec` is the zero initial guess of each
+        // coarse solve.
         let ws = Arc::clone(&ctx.workspace);
-        let mut bc = ws.acquire(nc);
-        // Both cycle edges run fused: pre-relax + residual + restrict
-        // in one traversal, interpolate + post-relax in another.
-        ctx.relax_residual_restrict_into(level, x, b, &mut bc, OMEGA_CYCLE);
+        let mut bc = ws.acquire_unzeroed(nc);
         let mut ec = ws.acquire(nc);
-        self.run(level - 1, sub_acc, &mut ec, &bc, ctx);
-        ctx.interpolate_relax(level, &ec, x, b, OMEGA_CYCLE);
+        ctx.relax_residual_restrict_into(level, x, b, &mut bc, OMEGA_CYCLE);
+        for step in 1..=iterations {
+            self.run(level - 1, sub_acc, &mut ec, &bc, ctx);
+            if step == iterations {
+                ctx.interpolate_relax(level, &ec, x, b, OMEGA_CYCLE);
+            } else {
+                ctx.interpolate_relax_residual_restrict(level, &ec, x, b, &mut bc, OMEGA_CYCLE);
+                ec.fill_zero();
+            }
+        }
     }
 
     // Pinned by `benchmark/src/probes.rs` (`core.plan.batch_cycle_us_per_system.n129`); delete with ROADMAP 1(i).
@@ -842,11 +910,9 @@ impl TunedFmgFamily {
                     FollowUp::Recurse {
                         sub_accuracy,
                         iterations,
-                    } => {
-                        for _ in 0..iterations {
-                            self.v.recurse_step(level, sub_accuracy as usize, x, b, ctx);
-                        }
-                    }
+                    } => self
+                        .v
+                        .recurse_steps(level, sub_accuracy as usize, iterations, x, b, ctx),
                 }
             }
         }
@@ -1008,6 +1074,57 @@ mod tests {
         assert_eq!(ctx.ops.total_relax_sweeps(), 8);
         assert_eq!(ctx.ops.total_direct_solves(), 1);
         let _ = inst.ensure_x_opt(&exec, &cache);
+    }
+
+    /// `RECURSE_j×t` through `run` — one pre edge, `t − 1` fused step
+    /// boundaries, one post edge — equals `t` separate `recurse_step`s:
+    /// same grid, same operation counts, same cycle events, for every
+    /// problem family on `seq` and on a pool.
+    #[test]
+    fn recurse_steps_equal_repeated_recurse_step() {
+        let level = 5;
+        let n = level_size(level);
+        let problems = [
+            Problem::poisson(),
+            Problem::anisotropic_canonical(),
+            Problem::smooth_sinusoidal(n),
+            Problem::jump_inclusion(n),
+        ];
+        for problem in &problems {
+            let inst =
+                ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, 5);
+            for exec in [Exec::seq(), Exec::pbrt(2).with_band(4)] {
+                for t in [1u32, 2, 3, 7] {
+                    let mut fam = simple_v_family(level, &[1e3, 1e5]);
+                    fam.plans[level][1] = Choice::Recurse {
+                        sub_accuracy: 0,
+                        iterations: t,
+                    };
+                    let ctx = || {
+                        ExecCtx::new(exec.clone())
+                            .with_problem(problem.clone())
+                            .tracing()
+                    };
+                    let mut fused = ctx();
+                    let mut x_fused = inst.working_grid();
+                    fam.run(level, 1, &mut x_fused, &inst.b, &mut fused);
+
+                    let mut steps = ctx();
+                    let mut x_steps = inst.working_grid();
+                    steps
+                        .tracer
+                        .record(CycleEvent::EnterV { level, acc_idx: 1 });
+                    for _ in 0..t {
+                        fam.recurse_step(level, 0, &mut x_steps, &inst.b, &mut steps);
+                    }
+
+                    let case = format!("{} t={t} {exec:?}", problem.describe());
+                    assert_eq!(x_fused.as_slice(), x_steps.as_slice(), "{case}");
+                    assert_eq!(fused.ops, steps.ops, "{case}");
+                    assert_eq!(fused.tracer.events, steps.tracer.events, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

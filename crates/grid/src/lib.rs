@@ -89,11 +89,13 @@ pub use exec::{Exec, DEFAULT_BAND_ROWS, DEFAULT_ROW_GRAIN};
 pub use grid::{coarse_size, fine_size, level_size, size_level, BatchGrid, Grid2d};
 pub use norms::{l2_diff, l2_norm_interior, max_norm_interior};
 pub use ops::{
-    apply_operator, residual, residual_restrict, residual_restrict_with, residual_with,
-    restrict_rows_into, zero_boundary_ring,
+    apply_operator, residual, residual_norm_with, residual_restrict, residual_restrict_with,
+    residual_with, restrict_rows_into, zero_boundary_ring,
 };
 pub use ptr::GridPtr;
-pub use simd::{batch_width, vector_available, vector_backend, Five, SimdMode, SimdPolicy};
+pub use simd::{
+    batch_width, vector_available, vector_backend, FaceSum, Five, SimdMode, SimdPolicy,
+};
 pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,
     restrict_full_weighting, restrict_inject,

@@ -219,6 +219,46 @@ pub fn residual_with<W: Weight, D: Weight>(
     zero_boundary_ring(r);
 }
 
+/// `‖b − A x‖₂` over the interior for the five-point operator whose
+/// row-`i` stencil is `weights(i)`, without a residual grid: each
+/// residual row goes into a row buffer leased from `ws`, is reduced by
+/// the same fixed-lane sum of squares [`crate::l2_norm_interior`] uses,
+/// and [`Exec::sum_rows`] combines the rows in its usual order. So the
+/// result is bitwise [`residual_with`] followed by
+/// [`crate::l2_norm_interior`] under the same `exec`, at one traversal
+/// of `x` and `b` and no `n²` write.
+///
+/// # Panics
+/// Panics if sizes differ or a per-cell weight row is not `n` long.
+pub fn residual_norm_with<W: Weight, D: Weight>(
+    weights: impl Fn(usize) -> Five<W, D> + Sync,
+    x: &Grid2d,
+    b: &Grid2d,
+    ws: &Workspace,
+    exec: &Exec,
+) -> f64 {
+    assert_eq!(x.n(), b.n(), "size mismatch in residual_norm (x vs b)");
+    let n = x.n();
+    let inv_h2 = x.inv_h2();
+    let mode = exec.simd();
+    let sum = exec.sum_rows(1, n - 1, |i| {
+        // Unzeroed lease: the residual row writes exactly the interior
+        // columns the reduction reads.
+        let mut out = ws.acquire_buffer_unzeroed(n);
+        weights(i).residual_row_into(
+            row(x, i - 1),
+            row(x, i),
+            row(x, i + 1),
+            row(b, i),
+            inv_h2,
+            &mut out,
+            mode,
+        );
+        simd::sum_sq(&out[1..n - 1], mode)
+    });
+    sum.sqrt()
+}
+
 /// Combine three fine rows (`2ic-1`, `2ic`, `2ic+1` for coarse row
 /// `ic`) into one coarse row by full weighting, writing
 /// `coarse_row[1..nc-1]`. Weight order matches
@@ -531,6 +571,39 @@ mod tests {
             let mut c_par = Grid2d::zeros(nc);
             residual_restrict(&x, &b, &mut c_par, &ws, &exec);
             assert_eq!(c_seq.as_slice(), c_par.as_slice(), "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn residual_norm_is_residual_then_norm_bit_for_bit() {
+        let ws = Workspace::new();
+        let pool = Exec::pbrt(2).with_grain(2);
+        for n in [3usize, 5, 6, 7, 9, 17, 33] {
+            let x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
+            let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
+            let w: Vec<f64> = (0..n).map(|j| 0.5 + (j % 5) as f64 / 4.0).collect();
+            let e: Vec<f64> = (0..n).map(|j| 0.7 + (j % 3) as f64 / 8.0).collect();
+            let face = |_: usize| Five {
+                w: &w[..],
+                e: &e[..],
+                n: &e[..],
+                s: &w[..],
+                d: simd::FaceSum::new(&w, &e, &e, &w),
+            };
+            for policy in [crate::SimdPolicy::Scalar, crate::SimdPolicy::Vector] {
+                for exec in [Exec::seq(), pool.clone()] {
+                    let exec = exec.with_simd(policy);
+                    let mut r = Grid2d::zeros(n);
+                    residual(&x, &b, &mut r, &exec);
+                    let want = crate::l2_norm_interior(&r, &exec);
+                    let got = residual_norm_with(|_| Five::POISSON, &x, &b, &ws, &exec);
+                    assert_eq!(got.to_bits(), want.to_bits(), "poisson n={n} {exec:?}");
+                    residual_with(face, &x, &b, &mut r, &exec);
+                    let want = crate::l2_norm_interior(&r, &exec);
+                    let got = residual_norm_with(face, &x, &b, &ws, &exec);
+                    assert_eq!(got.to_bits(), want.to_bits(), "face sum n={n} {exec:?}");
+                }
+            }
         }
     }
 

@@ -593,10 +593,13 @@ impl Lanes for Neon {
 // The operator families differ only in what multiplies each term of
 // the five-point stencil: nothing (Poisson), a constant (the
 // anisotropic family) or a per-cell coefficient row (variable
-// diffusion). A `Weight` is one of those three and a `Five` one row's
+// diffusion). A `Weight` is one of those and a `Five` one row's
 // worth; the residual and relaxation bodies below are each written
 // once over `Five<W, D>` and monomorphised per operator, so a further
 // operator family is a further way to build a `Five`, not a kernel.
+// A variable-coefficient residual row takes its diagonal as a
+// `FaceSum`: the sum of the four face rows the body already streams,
+// added in registers instead of read from a stored diagonal array.
 
 /// The unit stencil weight. Multiplying by it returns the operand:
 /// no instruction at run time, and bit for bit the IEEE product
@@ -604,14 +607,45 @@ impl Lanes for Neon {
 #[derive(Clone, Copy, Debug)]
 pub struct One;
 
+/// A diagonal that is the sum of a row's four face weights,
+/// `c[j] = ((w[j] + e[j]) + n[j]) + s[j]`, computed where it is used
+/// instead of stored. Each row is indexed like the solution row it
+/// weighs. As a [`Five`] diagonal it multiplies the centre value by
+/// exactly the IEEE sum a stored `c` array would hold, so results keep
+/// their bits; it trades one streamed array for three adds, a saving
+/// where the residual is memory-bound (large levels), a cost where the
+/// level sits in cache.
+#[derive(Clone, Copy, Debug)]
+pub struct FaceSum<'a> {
+    w: &'a [f64],
+    e: &'a [f64],
+    n: &'a [f64],
+    s: &'a [f64],
+}
+
+impl<'a> FaceSum<'a> {
+    /// The diagonal of the row whose west/east/north/south face-weight
+    /// rows these are.
+    pub fn new(w: &'a [f64], e: &'a [f64], n: &'a [f64], s: &'a [f64]) -> Self {
+        FaceSum { w, e, n, s }
+    }
+
+    /// `((w[j] + e[j]) + n[j]) + s[j]`.
+    #[inline(always)]
+    pub fn at(self, j: usize) -> f64 {
+        ((self.w[j] + self.e[j]) + self.n[j]) + self.s[j]
+    }
+}
+
 // `Lanes` stays private: the sealed trait below is its only mention
 // in a bound the crate exports.
 #[allow(private_bounds)]
 mod seam {
-    use super::{Lanes, One};
+    use super::{FaceSum, Lanes, One};
 
-    /// One stencil weight: [`One`], an `f64` constant, or a per-cell
-    /// row `&[f64]` indexed like the solution row it weighs. Sealed:
+    /// One stencil weight: [`One`], an `f64` constant, a per-cell row
+    /// `&[f64]` indexed like the solution row it weighs, or a
+    /// [`FaceSum`] of four such rows. Sealed:
     /// this module is private, so the trait can bound a public generic
     /// function but cannot be named or implemented outside the crate.
     pub trait Weight: Copy + Send + Sync {
@@ -676,6 +710,31 @@ mod seam {
             get(unsafe { self.as_ptr().add(j) }).mul(v)
         }
     }
+
+    impl Weight for FaceSum<'_> {
+        #[inline(always)]
+        fn covers(self, n: usize) -> bool {
+            [self.w, self.e, self.n, self.s]
+                .into_iter()
+                .all(|row| row.len() == n)
+        }
+        #[inline(always)]
+        fn times1(self, v: f64, j: usize) -> f64 {
+            self.at(j) * v
+        }
+        #[inline(always)]
+        unsafe fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L {
+            // SAFETY: forwarded contract, for each of the four rows.
+            unsafe {
+                let at = |row: &[f64]| get(row.as_ptr().add(j));
+                at(self.w)
+                    .add(at(self.e))
+                    .add(at(self.n))
+                    .add(at(self.s))
+                    .mul(v)
+            }
+        }
+    }
 }
 pub(crate) use seam::Weight;
 
@@ -685,8 +744,9 @@ pub(crate) use seam::Weight;
 /// relaxation kernel (relaxation multiplies where it would divide).
 ///
 /// Poisson is `Five<One, f64>`, a constant stencil `Five<f64, f64>`,
-/// a variable-coefficient row `Five<&[f64], &[f64]>` (each row as long
-/// as the solution row; the kernels assert that).
+/// a variable-coefficient row `Five<&[f64], FaceSum>` for the residual
+/// and `Five<&[f64], &[f64]>` (the stored reciprocal) for relaxation
+/// (each row as long as the solution row; the kernels assert that).
 #[derive(Clone, Copy, Debug)]
 pub struct Five<W, D> {
     /// West weight (multiplies column `j − 1`).
@@ -1262,39 +1322,45 @@ mod tests {
 
     type P = *const f64;
     type ResidualBody<W, D> = unsafe fn(Five<W, D>, P, P, P, P, f64, *mut f64, usize);
-    type SorBody<W, D> = unsafe fn(Five<W, D>, P, *mut f64, P, P, usize, f64, f64, usize);
+    type SorBody<W, R> = unsafe fn(Five<W, R>, P, *mut f64, P, P, usize, f64, f64, usize);
     /// `(backend, residual body, SOR body)`.
-    type Backend<W, D> = (&'static str, ResidualBody<W, D>, SorBody<W, D>);
+    type Backend<W, D, R> = (&'static str, ResidualBody<W, D>, SorBody<W, R>);
 
-    fn bodies<L: Lanes, W: Weight, D: Weight>(name: &'static str) -> Backend<W, D> {
+    fn bodies<L: Lanes, W: Weight, D: Weight, R: Weight>(name: &'static str) -> Backend<W, D, R> {
         (
             name,
             body::residual_row::<L, W, D>,
-            body::sor_row::<L, W, D>,
+            body::sor_row::<L, W, R>,
         )
     }
 
     /// The residual and SOR bodies of every lane backend this build
     /// and host have (the AVX ones through their trampolines).
-    fn backends<W: Weight, D: Weight>() -> Vec<Backend<W, D>> {
+    fn backends<W: Weight, D: Weight, R: Weight>() -> Vec<Backend<W, D, R>> {
         #[allow(unused_mut)]
-        let mut all = vec![bodies::<Portable, W, D>("portable")];
+        let mut all = vec![bodies::<Portable, W, D, R>("portable")];
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if avx2_available() {
-            all.push(("avx2", residual_row_avx2::<W, D>, sor_row_avx2::<W, D>));
+            all.push(("avx2", residual_row_avx2::<W, D>, sor_row_avx2::<W, R>));
         }
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        all.push(bodies::<Neon, W, D>("neon"));
+        all.push(bodies::<Neon, W, D, R>("neon"));
         all
     }
 
     /// On every backend, the residual body (weights `residual`) and the
     /// SOR body (the same with `inv_d` as `d`) equal the scalar form,
     /// bit for bit.
-    fn check_bodies<W: Weight, D: Weight>(n: usize, residual: Five<W, D>, inv_d: D) {
+    fn check_bodies<W: Weight, D: Weight, R: Weight>(n: usize, residual: Five<W, D>, inv_d: R) {
+        let Five {
+            w, e, n: north, s, ..
+        } = residual;
         let relax = Five {
+            w,
+            e,
+            n: north,
+            s,
             d: inv_d,
-            ..residual
         };
         let (inv_h2, omega, scalar) = ((n as f64 - 1.0).powi(2), 1.15, SimdMode::Scalar);
         let h2 = 1.0 / inv_h2;
@@ -1304,7 +1370,7 @@ mod tests {
         };
         let (up, mid, dn, brow) = (row(1), row(2), row(3), row(4));
         let (u, d, b) = (up.as_ptr(), dn.as_ptr(), brow.as_ptr());
-        for (name, residual_body, sor_body) in backends::<W, D>() {
+        for (name, residual_body, sor_body) in backends::<W, D, R>() {
             let mut got = vec![0.0; n];
             // SAFETY: every row holds `n` values and the weights cover
             // `n` columns; the AVX entries are behind their probes.
@@ -1332,9 +1398,10 @@ mod tests {
     }
 
     /// The one residual body and the one SOR body, instantiated for
-    /// each of the three weight kinds on every lane backend, against
-    /// the scalar form. Sizes cover every tail of the 4-column residual
-    /// chunk and the 8-column SOR chunk.
+    /// each weight kind (the per-cell rows with a stored and with a
+    /// [`FaceSum`] diagonal) on every lane backend, against the scalar
+    /// form. Sizes cover every tail of the 4-column residual chunk and
+    /// the 8-column SOR chunk.
     #[test]
     fn every_backend_and_weight_matches_the_scalar_form() {
         for n in [3usize, 4, 5, 6, 7, 8, 9, 10, 11, 13, 17, 18, 19, 31] {
@@ -1365,6 +1432,17 @@ mod tests {
                     n: north,
                     s,
                     d,
+                },
+                inv_d,
+            );
+            check_bodies(
+                n,
+                Five {
+                    w,
+                    e,
+                    n: north,
+                    s,
+                    d: FaceSum::new(w, e, north, s),
                 },
                 inv_d,
             );

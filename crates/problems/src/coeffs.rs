@@ -14,11 +14,15 @@
 //! (a 9-point [1 2 1; 2 4 2; 1 2 1]/16 stencil), and each coarse level
 //! then derives its own harmonic face weights. The vertex field lives
 //! only while [`crate::Problem::variable`] builds the hierarchy; each
-//! level keeps four arrays, its face weights stored once per face (see
-//! [`StencilCoeffs`]). With `a ≡ 1` every face weight is exactly `1.0`
-//! and every diagonal exactly `4.0` at every level, which is what makes
-//! the variable-coefficient kernels bit-for-bit reducible to the Poisson
-//! kernels (property-tested in this crate).
+//! level keeps three arrays: its face weights stored once per face and
+//! the reciprocal diagonal (see [`StencilCoeffs`]). The diagonal itself
+//! is summed from the face weights where a residual needs it
+//! ([`petamg_grid::FaceSum`]). With `a ≡ 1` every face weight is
+//! exactly `1.0` and every diagonal exactly `4.0` at every level, which
+//! is what makes the variable-coefficient kernels bit-for-bit reducible
+//! to the Poisson kernels (property-tested in this crate).
+
+use petamg_grid::FaceSum;
 
 /// Harmonic mean `2ab/(a+b)` of two positive vertex values — the face
 /// weight between the cells holding them. `harmonic(1, 1) == 1.0`
@@ -42,8 +46,8 @@ pub fn field_hash(values: &[f64]) -> u64 {
 }
 
 /// One level's pre-derived stencil data for the variable-coefficient
-/// operator: per-cell face weights (west/east/north/south), the
-/// diagonal `c = ((w + e) + n) + s`, and its reciprocal `1/c` (so the
+/// operator: per-cell face weights (west/east/north/south) and the
+/// reciprocal `1/c` of the diagonal `c = ((w + e) + n) + s` (so the
 /// relaxation kernels multiply instead of divide; with `c = 4` the
 /// reciprocal is exactly `0.25`, matching the Poisson kernels'
 /// constant).
@@ -53,9 +57,12 @@ pub fn field_hash(values: &[f64]) -> u64 {
 /// south face, so only the east and south faces have arrays: `e` with
 /// one leading pad element and `s` with one leading pad row. A west row
 /// is the east array one column behind, a north row is the previous
-/// row's south row. With the diagonal and its reciprocal that is four
-/// arrays, indexed like the solution; only interior entries are ever
-/// read by the kernels.
+/// row's south row. With the reciprocal diagonal that is three arrays,
+/// indexed like the solution; only interior entries are ever read by
+/// the kernels. The diagonal is not stored: [`StencilCoeffs::diagonal_row`]
+/// sums it from the four face rows in the association order `1/c` was
+/// computed with, so a residual kernel gets the stored array's bits
+/// without streaming it.
 #[derive(Clone, Debug)]
 pub struct StencilCoeffs {
     n: usize,
@@ -63,7 +70,6 @@ pub struct StencilCoeffs {
     e: Vec<f64>,
     /// South faces: `s[(i+1)·n + j]` joins `(i, j)` and `(i+1, j)`.
     s: Vec<f64>,
-    c: Vec<f64>,
     ic: Vec<f64>,
     hash: u64,
 }
@@ -85,7 +91,6 @@ impl StencilCoeffs {
         let at = |i: usize, j: usize| vertex[i * n + j];
         let mut e = vec![1.0; n * n + 1];
         let mut s = vec![1.0; n * n + n];
-        let mut c = vec![4.0; n * n];
         let mut ic = vec![0.25; n * n];
         // Every face an interior cell touches: the west face of column 1
         // is the east face of column 0, the north face of row 1 the
@@ -103,17 +108,15 @@ impl StencilCoeffs {
         for i in 1..n - 1 {
             for j in 1..n - 1 {
                 let u = i * n + j;
-                // Same association order as the kernels' neighbor sums:
-                // west e[u], east e[u + 1], north s[u], south s[u + n].
-                c[u] = ((e[u] + e[u + 1]) + s[u]) + s[u + n];
-                ic[u] = 1.0 / c[u];
+                // The `diagonal_row` sum: west e[u], east e[u + 1],
+                // north s[u], south s[u + n].
+                ic[u] = 1.0 / (((e[u] + e[u + 1]) + s[u]) + s[u + n]);
             }
         }
         StencilCoeffs {
             n,
             e,
             s,
-            c,
             ic,
             hash: field_hash(vertex),
         }
@@ -151,10 +154,11 @@ impl StencilCoeffs {
     pub fn s_row(&self, i: usize) -> &[f64] {
         &self.s[(i + 1) * self.n..(i + 2) * self.n]
     }
-    /// Diagonal row `i` (`c = ((w+e)+n)+s`).
+    /// Diagonal row `i`, `c = ((w+e)+n)+s`, summed from the face rows
+    /// where it is read.
     #[inline]
-    pub fn c_row(&self, i: usize) -> &[f64] {
-        &self.c[i * self.n..(i + 1) * self.n]
+    pub fn diagonal_row(&self, i: usize) -> FaceSum<'_> {
+        FaceSum::new(self.w_row(i), self.e_row(i), self.n_row(i), self.s_row(i))
     }
     /// Reciprocal-diagonal row `i`.
     #[inline]
@@ -289,7 +293,7 @@ mod tests {
                 assert_eq!(c.e_row(i)[j], 1.0);
                 assert_eq!(c.n_row(i)[j], 1.0);
                 assert_eq!(c.s_row(i)[j], 1.0);
-                assert_eq!(c.c_row(i)[j], 4.0);
+                assert_eq!(c.diagonal_row(i).at(j), 4.0);
                 assert_eq!(c.ic_row(i)[j], 0.25);
             }
         }
@@ -301,7 +305,9 @@ mod tests {
         assert_eq!(coarse.len(), 25);
         assert!(coarse.iter().all(|&v| v == 1.0));
         assert_eq!(
-            StencilCoeffs::from_vertex_field(5, &coarse).c_row(2)[2],
+            StencilCoeffs::from_vertex_field(5, &coarse)
+                .diagonal_row(2)
+                .at(2),
             4.0
         );
     }
@@ -335,21 +341,25 @@ mod tests {
             .collect()
     }
 
+    /// The jump, smooth and random test fields at size `n`.
+    fn fields(n: usize) -> [(&'static str, Vec<f64>); 3] {
+        [
+            (
+                "jump",
+                CoeffProfile::JumpInclusion { ratio: 1000.0 }.vertex_field(n),
+            ),
+            (
+                "smooth",
+                CoeffProfile::SmoothSinusoidal { amplitude: 0.9 }.vertex_field(n),
+            ),
+            ("random", random_field(n, n as u64)),
+        ]
+    }
+
     #[test]
     fn rows_match_the_per_cell_reference_bit_for_bit() {
         for n in [3usize, 5, 17, 33] {
-            let fields = [
-                (
-                    "jump",
-                    CoeffProfile::JumpInclusion { ratio: 1000.0 }.vertex_field(n),
-                ),
-                (
-                    "smooth",
-                    CoeffProfile::SmoothSinusoidal { amplitude: 0.9 }.vertex_field(n),
-                ),
-                ("random", random_field(n, n as u64)),
-            ];
-            for (name, field) in &fields {
+            for (name, field) in &fields(n) {
                 let cf = StencilCoeffs::from_vertex_field(n, field);
                 // Every interior cell, the rows and columns next to the
                 // boundary (1 and n-2) included.
@@ -360,7 +370,7 @@ mod tests {
                             cf.e_row(i)[j],
                             cf.n_row(i)[j],
                             cf.s_row(i)[j],
-                            cf.c_row(i)[j],
+                            cf.diagonal_row(i).at(j),
                             cf.ic_row(i)[j],
                         ];
                         let want = reference_cell(field, n, i, j);
@@ -375,18 +385,59 @@ mod tests {
         }
     }
 
+    /// The residual kernel with the in-register [`FaceSum`] diagonal
+    /// equals, cell for cell, the residual that multiplies by the
+    /// diagonal the stored `c` array held, `((e[u] + e[u+1]) + s[u]) +
+    /// s[u+n]`, in both SIMD modes; sizes cover every tail of the
+    /// four-column residual chunk.
     #[test]
-    fn stores_each_face_once_in_four_arrays() {
+    fn face_sum_residual_matches_the_stored_diagonal_oracle() {
+        use crate::{residual_op, StencilOp};
+        use petamg_grid::{Exec, Grid2d, SimdPolicy};
+        use std::sync::Arc;
+
+        for n in [3usize, 5, 6, 7, 9, 17, 33] {
+            let x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
+            let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
+            let inv_h2 = x.inv_h2();
+            for (name, field) in &fields(n) {
+                let cf = Arc::new(StencilCoeffs::from_vertex_field(n, field));
+                let op = StencilOp::Var(Arc::clone(&cf));
+                for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
+                    let mut r = Grid2d::from_fn(n, |_, _| 9.0);
+                    residual_op(&op, &x, &b, &mut r, &Exec::seq().with_simd(policy));
+                    for (i, j) in x.interior() {
+                        let u = i * n + j;
+                        let (w, e, nn, s) = (cf.e[u], cf.e[u + 1], cf.s[u], cf.s[u + n]);
+                        let c = ((w + e) + nn) + s;
+                        let ax = ((((c * x.at(i, j) - nn * x.at(i - 1, j)) - s * x.at(i + 1, j))
+                            - w * x.at(i, j - 1))
+                            - e * x.at(i, j + 1))
+                            * inv_h2;
+                        let want = b.at(i, j) - ax;
+                        assert_eq!(
+                            r.at(i, j).to_bits(),
+                            want.to_bits(),
+                            "{name} n={n} {policy:?} cell ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stores_each_face_once_in_three_arrays() {
         for n in [3usize, 5, 17, 33] {
             let cf = StencilCoeffs::from_vertex_field(n, &random_field(n, 7));
-            let stored = cf.e.len() + cf.s.len() + cf.c.len() + cf.ic.len();
-            assert!(stored <= 4 * n * n + n + 1, "n={n}: {stored} values stored");
+            let stored = cf.e.len() + cf.s.len() + cf.ic.len();
+            assert!(stored <= 3 * n * n + n + 1, "n={n}: {stored} values stored");
         }
-        // A fifth array would grow the struct past four vectors, the size
-        // and the hash.
+        // A fourth array would grow the struct past three vectors, the
+        // size and the hash.
         assert_eq!(
             size_of::<StencilCoeffs>(),
-            4 * size_of::<Vec<f64>>() + size_of::<usize>() + size_of::<u64>()
+            3 * size_of::<Vec<f64>>() + size_of::<usize>() + size_of::<u64>()
         );
     }
 

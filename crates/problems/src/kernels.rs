@@ -2,8 +2,9 @@
 //! the fused residual + restriction pass, parameterized by
 //! [`StencilOp`].
 //!
-//! [`residual_op`] and [`residual_restrict_op`] *are* the Poisson
-//! traversals of `petamg-grid` — `petamg_grid::residual_with` and
+//! [`residual_op`], [`residual_norm_op`] and [`residual_restrict_op`]
+//! *are* the Poisson traversals of `petamg-grid` —
+//! `petamg_grid::residual_with`, `petamg_grid::residual_norm_with` and
 //! `petamg_grid::residual_restrict_with` — handed the operator's
 //! per-row weights, matched once per sweep. So the fused and staged
 //! paths are **bitwise identical** under every [`Exec`] policy and
@@ -13,7 +14,8 @@
 
 use crate::op::{with_weights, StencilOp};
 use petamg_grid::{
-    residual_restrict_with, residual_with, zero_boundary_ring, Exec, Grid2d, GridPtr, Workspace,
+    residual_norm_with, residual_restrict_with, residual_with, zero_boundary_ring, Exec, Grid2d,
+    GridPtr, Workspace,
 };
 
 /// Row `i` of `g` as a slice.
@@ -65,6 +67,26 @@ pub fn residual_op(op: &StencilOp, x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec:
     op.assert_n(x.n());
     with_weights!(op, residual, |weights| residual_with(
         weights, x, b, r, exec
+    ))
+}
+
+/// `‖b − A x‖₂` over the interior for operator `op`, without a
+/// residual grid (each row goes through a buffer leased from `ws`).
+/// Bitwise [`residual_op`] followed by
+/// [`petamg_grid::l2_norm_interior`] under the same `exec`.
+///
+/// # Panics
+/// Panics if sizes differ or the operator is bound to another size.
+pub fn residual_norm_op(
+    op: &StencilOp,
+    x: &Grid2d,
+    b: &Grid2d,
+    ws: &Workspace,
+    exec: &Exec,
+) -> f64 {
+    op.assert_n(x.n());
+    with_weights!(op, residual, |weights| residual_norm_with(
+        weights, x, b, ws, exec
     ))
 }
 
@@ -156,6 +178,50 @@ mod tests {
                 let mut got = Grid2d::from_fn(17, |_, _| 1.5);
                 residual_restrict_op(&op, &x, &b, &mut got, &ws, &exec);
                 assert_eq!(got.as_slice(), want.as_slice(), "{} {exec:?}", p.describe());
+            }
+        }
+    }
+
+    /// The residual check's norm equals the residual grid's norm bit
+    /// for bit, for every family, both SIMD modes, `seq` and a pool, and
+    /// sizes that hit every tail of the four-lane row chunks.
+    #[test]
+    fn residual_norm_equals_residual_then_norm_bit_for_bit() {
+        use crate::{CoeffProfile, StencilCoeffs};
+        use petamg_grid::{l2_norm_interior, SimdPolicy};
+        use std::sync::Arc;
+        let ws = Workspace::new();
+        let pool = Exec::pbrt(2).with_grain(2);
+        // The variable families' levels built straight from their
+        // fields, so sizes that are not 2^k + 1 run them too.
+        let var = |profile: CoeffProfile, n: usize| {
+            let field = profile.vertex_field(n);
+            StencilOp::Var(Arc::new(StencilCoeffs::from_vertex_field(n, &field)))
+        };
+        for n in [3usize, 5, 6, 7, 9, 17, 33] {
+            let (x, b) = test_grids(n);
+            let ops = [
+                StencilOp::Poisson,
+                Problem::anisotropic_canonical().op_for(n),
+                var(CoeffProfile::SmoothSinusoidal { amplitude: 0.9 }, n),
+                var(CoeffProfile::JumpInclusion { ratio: 1000.0 }, n),
+            ];
+            for op in &ops {
+                for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
+                    for exec in [Exec::seq(), pool.clone()] {
+                        let exec = exec.with_simd(policy);
+                        let mut r = Grid2d::zeros(n);
+                        residual_op(op, &x, &b, &mut r, &exec);
+                        let want = l2_norm_interior(&r, &exec);
+                        let got = residual_norm_op(op, &x, &b, &ws, &exec);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} n={n} {exec:?}",
+                            op.describe()
+                        );
+                    }
+                }
             }
         }
     }

@@ -51,7 +51,7 @@ mod problem;
 
 pub use coeffs::{field_hash, harmonic, CoeffProfile, StencilCoeffs};
 pub use direct::{assemble_op_band, OpDirect};
-pub use kernels::{apply_operator_op, residual_op, residual_restrict_op};
+pub use kernels::{apply_operator_op, residual_norm_op, residual_op, residual_restrict_op};
 pub use op::StencilOp;
 pub use problem::{Problem, ProblemFamily, ProblemFingerprint, ProblemMismatch};
 

@@ -33,10 +33,12 @@ use std::sync::Arc;
 /// Evaluate `$body` with `$weights` bound to `$op`'s per-row stencil,
 /// a `Fn(usize) -> Five<_, _>` from the global row index — this match
 /// is the only code that differs per operator family. `residual` puts
-/// the diagonal in `Five::d`, `relax` its reciprocal.
+/// the diagonal in `Five::d` (for [`StencilOp::Var`] a
+/// [`FaceSum`](petamg_grid::FaceSum) of the face rows, not a stored
+/// array), `relax` its reciprocal.
 macro_rules! with_weights {
     ($op:expr, residual, |$weights:ident| $body:expr) => {
-        with_weights!($op, 4.0, cc, c_row, |$weights| $body)
+        with_weights!($op, 4.0, cc, diagonal_row, |$weights| $body)
     };
     ($op:expr, relax, |$weights:ident| $body:expr) => {
         with_weights!($op, 0.25, inv_cc, ic_row, |$weights| $body)
@@ -254,7 +256,7 @@ impl StencilOp {
                 cf.e_row(i)[j],
                 cf.n_row(i)[j],
                 cf.s_row(i)[j],
-                cf.c_row(i)[j],
+                cf.diagonal_row(i).at(j),
             ),
         }
     }

@@ -75,7 +75,7 @@ fn constant_field_ops(n: usize, a: f64) -> (StencilOp, StencilOp) {
         ce: cf.e_row(1)[1],
         cn: cf.n_row(1)[1],
         cs: cf.s_row(1)[1],
-        cc: cf.c_row(1)[1],
+        cc: cf.diagonal_row(1).at(1),
         inv_cc: cf.ic_row(1)[1],
     };
     (constant, StencilOp::Var(Arc::new(cf)))

@@ -14,7 +14,13 @@
 //!   paper);
 //! * [`interpolate_correct_relax`] runs the interpolation correction in
 //!   front of the wavefront (the post-relaxation edge, `RECURSE` lines
-//!   7–8).
+//!   7–8);
+//! * [`interpolate_relax_residual_restrict_op`] is both at once: the
+//!   **step boundary** between two `RECURSE` applications at one level,
+//!   where step `k`'s post edge and step `k + 1`'s pre edge meet. The
+//!   correction leads, the half-sweeps of both edges trail it, and the
+//!   residual and its restriction trail those — one traversal where
+//!   the two edges took two.
 //!
 //! ## The wavefront
 //!
@@ -24,36 +30,38 @@
 //! all `2d` half-sweeps at once, stage `s` trailing `s` rows behind:
 //!
 //! ```text
-//! cursor t:  red₁(t)  black₁(t-1)  red₂(t-2)  black₂(t-3)  ...
+//! cursor t:  correct(t)  red₁(t-1)  black₁(t-2)  ...  stage 2d(t-2d)  residual(t-2d-1)
 //! ```
 //!
 //! Each row update is the *same* row body as the staged reference
 //! ([`sor_half_sweep`](crate::relax::sor_half_sweep) shares it), reads
 //! the same values in the same state, and therefore produces **bitwise
 //! identical** results — property-tested in this crate under every
-//! [`Exec`] backend. The residual hook trails the last half-sweep by
-//! one more row (its three-row stencil needs fully relaxed neighbors),
+//! [`Exec`] backend. The correction of row `t` precedes every update
+//! that reads it; the residual hook trails the last half-sweep by one
+//! more row (its three-row stencil needs fully relaxed neighbors),
 //! streaming rows into the same rolling three-row window the fused
-//! [`petamg_grid::residual_restrict`] uses.
+//! [`petamg_grid::residual_restrict`] uses. Every edge kernel is this
+//! one traversal with the correction, the residual, or both left out.
 //!
 //! ## Parallel execution: the staged kernels
 //!
 //! The wavefront couples adjacent rows, so it is a sequential schedule:
 //! the sequential executor fuses, and a pool backend runs each edge as
-//! the staged composition it is bitwise equal to — the half-sweeps of
+//! the staged composition it is bitwise equal to — [`interpolate_correct`]
+//! first for an edge that corrects, then the half-sweeps of
 //! [`sor_sweeps_op`] (rows split across the pool), then
-//! [`residual_restrict_op`] for the pre-relaxation edge, or
-//! [`interpolate_correct`] first for the post-relaxation edge. Parallel
+//! [`residual_restrict_op`] for an edge that restricts. Parallel
 //! backends used to run overlapped temporal tiles instead (each band
 //! relaxing a private copy of its rows plus a recomputed halo); on a
-//! 2-core Xeon, timing the three edges over Poisson and smooth
-//! coefficients, n ∈ {129, 257, 513, 1025} and band {32, 128} on
-//! `Exec::pbrt(2)` and `Exec::seq`, the tiles were fastest in 7 of 192
-//! cells, `Exec::seq` in most cells at n ≤ 257 and the staged pool
-//! composition in most at n ≥ 513 (ARCHITECTURE.md has the table). The
-//! temporal depth (the `tblock` knob in [`MgConfig`](crate::MgConfig)
-//! and the tuner) therefore only changes the schedule on the sequential
-//! executor.
+//! 2-core Xeon, timing the pre, post and blocked-sweep edges over
+//! Poisson and smooth coefficients, n ∈ {129, 257, 513, 1025} and band
+//! {32, 128} on `Exec::pbrt(2)` and `Exec::seq`, the tiles were fastest
+//! in 7 of 192 cells, `Exec::seq` in most cells at n ≤ 257 and the
+//! staged pool composition in most at n ≥ 513 (ARCHITECTURE.md has the
+//! table). The temporal depth (the `tblock` knob in
+//! [`MgConfig`](crate::MgConfig) and the tuner) therefore only changes
+//! the schedule on the sequential executor.
 
 use crate::relax::sor_sweeps_op;
 use petamg_grid::{
@@ -108,6 +116,90 @@ fn wavefront_step(
     }
 }
 
+/// The one sequential traversal behind every edge kernel of this
+/// module. At cursor `t` the interpolation of `correction` (if any) is
+/// added to row `t`, half-sweep `s` (0-based) updates row `t − 1 − s`,
+/// and the residual of row `r = t − 1 − 2·sweeps` goes into the rolling
+/// three-row window from which each odd `r ≥ 3` restricts coarse row
+/// `(r − 1)/2` of `coarse` (if any). The window is the only scratch,
+/// leased from `ws` only when there is a `coarse` to restrict into.
+#[allow(clippy::too_many_arguments)]
+fn wavefront(
+    op: &StencilOp,
+    correction: Option<&Grid2d>,
+    x: &mut Grid2d,
+    b: &Grid2d,
+    coarse: Option<&mut Grid2d>,
+    omega: f64,
+    sweeps: usize,
+    ws: &Workspace,
+    mode: SimdMode,
+) {
+    let n = x.n();
+    let h2 = {
+        let h = x.h();
+        h * h
+    };
+    let inv_h2 = x.inv_h2();
+    let half = 2 * sweeps;
+    // Unzeroed lease: each residual row writes columns 1..n-1 of its
+    // third and the restriction reads only those.
+    let mut window = coarse.map(|c| (c, ws.acquire_buffer_unzeroed(3 * n)));
+    let third = |r: usize| r % 3 * n..(r % 3 + 1) * n;
+    let xs = x.as_mut_slice();
+    for t in 1..n + half {
+        if let Some(c) = correction {
+            if t < n - 1 {
+                interpolate_correct_row(t, c.as_slice(), c.n(), &mut xs[t * n..(t + 1) * n], mode);
+            }
+        }
+        wavefront_step(op, xs, b.as_slice(), n, h2, omega, half, t - 1, mode);
+        // Residual row r: rows r-1..=r+1 finished their last half-sweep
+        // at cursors <= t, so they are final.
+        let r = (t - 1).checked_sub(half).filter(|&r| r > 0);
+        if let (Some((coarse, buf)), Some(r)) = (window.as_mut(), r) {
+            op.residual_row_into(
+                r,
+                &xs[(r - 1) * n..r * n],
+                &xs[r * n..(r + 1) * n],
+                &xs[(r + 1) * n..(r + 2) * n],
+                b.row(r),
+                inv_h2,
+                &mut buf[third(r)],
+                mode,
+            );
+            if r % 2 == 1 && r >= 3 {
+                let (ic, nc) = ((r - 1) / 2, coarse.n());
+                let crow = &mut coarse.as_mut_slice()[ic * nc..(ic + 1) * nc];
+                restrict_rows_into(
+                    &buf[third(r - 2)],
+                    &buf[third(r - 1)],
+                    &buf[third(r)],
+                    crow,
+                    mode,
+                );
+            }
+        }
+    }
+    if let Some((coarse, _)) = window {
+        zero_boundary_ring(coarse);
+    }
+}
+
+/// Panic unless `x` and `b` share a size `op` serves and, for an edge
+/// that transfers, `nc` is the next coarser size.
+fn assert_sizes(op: &StencilOp, x: &Grid2d, b: &Grid2d, nc: Option<usize>, kernel: &str) {
+    assert_eq!(x.n(), b.n(), "size mismatch in {kernel}");
+    op.assert_n(x.n());
+    if let Some(nc) = nc {
+        assert_eq!(
+            nc,
+            coarse_size(x.n()),
+            "coarse grid size mismatch in {kernel}"
+        );
+    }
+}
+
 /// `sweeps` Red-Black SOR sweeps for `A_h x = b`, temporally blocked:
 /// all `2·sweeps` half-sweeps advance together in one wavefront
 /// traversal instead of `2·sweeps` separate passes over the grid.
@@ -116,7 +208,7 @@ fn wavefront_step(
 /// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
 /// policy. The sequential executor runs the wavefront in place; a pool
 /// runs the staged sweeps (see the module docs). Neither leases
-/// scratch: `_ws` only keeps the edge kernels' signatures alike.
+/// scratch: `ws` only keeps the edge kernels' signatures alike.
 ///
 /// ```
 /// use petamg_grid::{Exec, Grid2d, Workspace};
@@ -159,35 +251,15 @@ pub fn sor_sweeps_blocked_op(
     b: &Grid2d,
     omega: f64,
     sweeps: usize,
-    _ws: &Workspace,
+    ws: &Workspace,
     exec: &Exec,
 ) {
-    assert_eq!(x.n(), b.n(), "size mismatch in sor_sweeps_blocked");
-    op.assert_n(x.n());
+    assert_sizes(op, x, b, None, "sor_sweeps_blocked");
     if sweeps == 0 || !exec.is_seq() {
         sor_sweeps_op(op, x, b, omega, sweeps, exec);
         return;
     }
-    let n = x.n();
-    let h2 = {
-        let h = x.h();
-        h * h
-    };
-    let half = 2 * sweeps;
-    let mode = exec.simd();
-    for t in 1..n + half - 2 {
-        wavefront_step(
-            op,
-            x.as_mut_slice(),
-            b.as_slice(),
-            n,
-            h2,
-            omega,
-            half,
-            t,
-            mode,
-        );
-    }
+    wavefront(op, None, x, b, None, omega, sweeps, ws, exec.simd());
 }
 
 /// The fused pre-relaxation cycle edge: `sweeps` SOR sweeps on
@@ -237,57 +309,13 @@ pub fn relax_residual_restrict_op(
     ws: &Workspace,
     exec: &Exec,
 ) {
-    assert_eq!(x.n(), b.n(), "size mismatch in relax_residual_restrict");
-    op.assert_n(x.n());
-    let n = x.n();
-    let nc = coarse.n();
-    assert_eq!(
-        nc,
-        coarse_size(n),
-        "coarse grid size mismatch in relax_residual_restrict"
-    );
+    assert_sizes(op, x, b, Some(coarse.n()), "relax_residual_restrict");
     if sweeps == 0 || !exec.is_seq() {
         sor_sweeps_op(op, x, b, omega, sweeps, exec);
         residual_restrict_op(op, x, b, coarse, ws, exec);
         return;
     }
-    let h2 = {
-        let h = x.h();
-        h * h
-    };
-    let inv_h2 = x.inv_h2();
-    let half = 2 * sweeps;
-    let mode = exec.simd();
-
-    let mut wbuf = ws.acquire_buffer_unzeroed(3 * n);
-    let (wa, rest) = wbuf.split_at_mut(n);
-    let (wb, wc) = rest.split_at_mut(n);
-    let win = [wa, wb, wc];
-    let xs = x.as_mut_slice();
-    for t in 1..n - 1 + half {
-        wavefront_step(op, xs, b.as_slice(), n, h2, omega, half, t, mode);
-        // Residual row r = t - 2d: rows r-1..=r+1 finished their last
-        // half-sweep at cursors <= t, so they are final.
-        if t > half {
-            let r = t - half;
-            op.residual_row_into(
-                r,
-                &xs[(r - 1) * n..r * n],
-                &xs[r * n..(r + 1) * n],
-                &xs[(r + 1) * n..(r + 2) * n],
-                b.row(r),
-                inv_h2,
-                win[r % 3],
-                mode,
-            );
-            if r % 2 == 1 && r >= 3 {
-                let ic = (r - 1) / 2;
-                let crow = &mut coarse.as_mut_slice()[ic * nc..(ic + 1) * nc];
-                restrict_rows_into(win[(r - 2) % 3], win[(r - 1) % 3], win[r % 3], crow, mode);
-            }
-        }
-    }
-    zero_boundary_ring(coarse);
+    wavefront(op, None, x, b, Some(coarse), omega, sweeps, ws, exec.simd());
 }
 
 /// The fused post-relaxation cycle edge: add the bilinear interpolation
@@ -299,7 +327,7 @@ pub fn relax_residual_restrict_op(
 /// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
 /// policy; with `sweeps == 0` it *is* [`interpolate_correct`]. A pool
 /// runs that staged composition (see the module docs). Neither path
-/// leases scratch: `_ws` only keeps the edge kernels' signatures alike.
+/// leases scratch: `ws` only keeps the edge kernels' signatures alike.
 ///
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
@@ -332,40 +360,67 @@ pub fn interpolate_correct_relax_op(
     b: &Grid2d,
     omega: f64,
     sweeps: usize,
-    _ws: &Workspace,
+    ws: &Workspace,
     exec: &Exec,
 ) {
-    assert_eq!(x.n(), b.n(), "size mismatch in interpolate_correct_relax");
-    op.assert_n(x.n());
-    let n = x.n();
-    let nc = coarse.n();
-    assert_eq!(
-        nc,
-        coarse_size(n),
-        "coarse grid size mismatch in interpolate_correct_relax"
-    );
+    assert_sizes(op, x, b, Some(coarse.n()), "interpolate_correct_relax");
     if sweeps == 0 || !exec.is_seq() {
         interpolate_correct(coarse, x, exec);
         sor_sweeps_op(op, x, b, omega, sweeps, exec);
         return;
     }
-    let h2 = {
-        let h = x.h();
-        h * h
-    };
-    let half = 2 * sweeps;
-    let cs = coarse.as_slice();
-    let mode = exec.simd();
-    let xs = x.as_mut_slice();
-    // Cursor: correction at lag 0, half-sweep s (1-based) at lag s — the
-    // wavefront one row behind. The correction of row t precedes every
-    // update that reads it.
-    for t in 1..n - 1 + half {
-        if t < n - 1 {
-            interpolate_correct_row(t, cs, nc, &mut xs[t * n..(t + 1) * n], mode);
-        }
-        wavefront_step(op, xs, b.as_slice(), n, h2, omega, half, t - 1, mode);
+    wavefront(op, Some(coarse), x, b, None, omega, sweeps, ws, exec.simd());
+}
+
+/// The fused step boundary between two `RECURSE` applications at one
+/// level: add the interpolation of `correction` into `x`, run `sweeps`
+/// SOR sweeps of `op` (the first step's post-relaxation and the next
+/// step's pre-relaxation together), and residual-restrict the result
+/// into `coarse` — one wavefront traversal where the post edge
+/// ([`interpolate_correct_relax_op`]) and the pre edge
+/// ([`relax_residual_restrict_op`]) took two.
+///
+/// Bitwise identical to [`interpolate_correct`], [`sor_sweeps_op`] and
+/// [`residual_restrict_op`] in turn under every [`Exec`] policy — and
+/// so to the post edge with any `k ≤ sweeps` sweeps followed by the pre
+/// edge with the other `sweeps − k`. A pool runs that staged
+/// composition, as does `sweeps == 0` (see the module docs).
+///
+/// # Panics
+/// Panics if sizes differ, `correction` and `coarse` are not the next
+/// coarser size, or the operator is bound to another size.
+#[allow(clippy::too_many_arguments)]
+pub fn interpolate_relax_residual_restrict_op(
+    op: &StencilOp,
+    correction: &Grid2d,
+    x: &mut Grid2d,
+    b: &Grid2d,
+    coarse: &mut Grid2d,
+    omega: f64,
+    sweeps: usize,
+    ws: &Workspace,
+    exec: &Exec,
+) {
+    let kernel = "interpolate_relax_residual_restrict";
+    assert_sizes(op, x, b, Some(correction.n()), kernel);
+    assert_sizes(op, x, b, Some(coarse.n()), kernel);
+    if sweeps == 0 || !exec.is_seq() {
+        interpolate_correct(correction, x, exec);
+        sor_sweeps_op(op, x, b, omega, sweeps, exec);
+        residual_restrict_op(op, x, b, coarse, ws, exec);
+        return;
     }
+    wavefront(
+        op,
+        Some(correction),
+        x,
+        b,
+        Some(coarse),
+        omega,
+        sweeps,
+        ws,
+        exec.simd(),
+    );
 }
 
 #[cfg(test)]
@@ -373,12 +428,32 @@ mod tests {
     use super::*;
     use crate::relax::{sor_sweep, sor_sweeps};
     use petamg_grid::{residual_restrict, restrict_full_weighting};
+    use petamg_problems::{CoeffProfile, StencilCoeffs};
+    use std::sync::Arc;
 
     fn test_problem(n: usize) -> (Grid2d, Grid2d) {
         let mut x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
         x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 - 9.0);
         let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
         (x, b)
+    }
+
+    /// A coarse correction with a zero boundary ring.
+    fn test_correction(nc: usize) -> Grid2d {
+        Grid2d::from_fn(nc, |i, j| {
+            if i == 0 || j == 0 || i == nc - 1 || j == nc - 1 {
+                0.0
+            } else {
+                ((i * 7 + j * 3) % 11) as f64 / 4.0 - 1.0
+            }
+        })
+    }
+
+    /// Poisson and a ×1000-jump variable-coefficient operator at `n`.
+    fn test_ops(n: usize) -> [StencilOp; 2] {
+        let field = CoeffProfile::JumpInclusion { ratio: 1000.0 }.vertex_field(n);
+        let var = StencilCoeffs::from_vertex_field(n, &field);
+        [StencilOp::Poisson, StencilOp::Var(Arc::new(var))]
     }
 
     fn backends() -> Vec<Exec> {
@@ -457,13 +532,7 @@ mod tests {
         let ws = Workspace::new();
         for n in [5usize, 9, 17, 33] {
             let nc = coarse_size(n);
-            let correction = Grid2d::from_fn(nc, |i, j| {
-                if i == 0 || j == 0 || i == nc - 1 || j == nc - 1 {
-                    0.0
-                } else {
-                    ((i * 7 + j * 3) % 11) as f64 / 4.0 - 1.0
-                }
-            });
+            let correction = test_correction(nc);
             for sweeps in [0usize, 1, 2] {
                 let (x0, b) = test_problem(n);
                 let mut x_want = x0.clone();
@@ -486,6 +555,66 @@ mod tests {
                         x_want.as_slice(),
                         "n={n} sweeps={sweeps} {exec:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The step boundary equals a post edge of `post` sweeps followed
+    /// by a pre edge of `pre` sweeps, for every split of its sweeps, on
+    /// every backend, for Poisson and a variable-coefficient operator.
+    #[test]
+    fn fused_step_boundary_bitwise_equal_post_then_pre_edge() {
+        let ws = Workspace::new();
+        let seq = Exec::seq();
+        for n in [5usize, 9, 17, 33] {
+            let nc = coarse_size(n);
+            let correction = test_correction(nc);
+            let (x0, b) = test_problem(n);
+            for op in test_ops(n) {
+                for (post, pre) in [(0usize, 0usize), (0, 1), (1, 0), (1, 1), (2, 0), (1, 2)] {
+                    let mut x_want = x0.clone();
+                    let mut c_want = Grid2d::zeros(nc);
+                    interpolate_correct_relax_op(
+                        &op,
+                        &correction,
+                        &mut x_want,
+                        &b,
+                        1.15,
+                        post,
+                        &ws,
+                        &seq,
+                    );
+                    relax_residual_restrict_op(
+                        &op,
+                        &mut x_want,
+                        &b,
+                        &mut c_want,
+                        1.15,
+                        pre,
+                        &ws,
+                        &seq,
+                    );
+
+                    for exec in backends() {
+                        let mut x_got = x0.clone();
+                        let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
+                        interpolate_relax_residual_restrict_op(
+                            &op,
+                            &correction,
+                            &mut x_got,
+                            &b,
+                            &mut c_got,
+                            1.15,
+                            post + pre,
+                            &ws,
+                            &exec,
+                        );
+                        let case =
+                            format!("{} n={n} post={post} pre={pre} {exec:?}", op.describe());
+                        assert_eq!(x_got.as_slice(), x_want.as_slice(), "x: {case}");
+                        assert_eq!(c_got.as_slice(), c_want.as_slice(), "coarse: {case}");
+                    }
                 }
             }
         }

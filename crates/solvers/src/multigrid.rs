@@ -21,7 +21,7 @@ use petamg_grid::{
     coarse_size, interpolate_into, l2_norm_interior, restrict_full_weighting, restrict_inject,
     Exec, Grid2d, Workspace,
 };
-use petamg_problems::{residual_op, Problem};
+use petamg_problems::{residual_norm_op, Problem};
 use std::sync::Arc;
 
 /// Configuration for the reference cycles.
@@ -237,13 +237,11 @@ impl ReferenceSolver {
     }
 
     /// The relative residual `‖b − A x‖₂ / ‖b‖₂` of the posed
-    /// operator's system (scratch leased from the workspace; the norm
-    /// scale is clamped so an all-zero `b` cannot divide by zero).
+    /// operator's system (row buffers leased from the workspace; the
+    /// norm scale is clamped so an all-zero `b` cannot divide by zero).
     pub fn rel_residual(&self, x: &Grid2d, b: &Grid2d) -> f64 {
         let op = self.cfg.problem.op_for(x.n());
-        let mut r = self.workspace.acquire(x.n());
-        residual_op(&op, x, b, &mut r, &self.cfg.exec);
-        l2_norm_interior(&r, &self.cfg.exec)
+        residual_norm_op(&op, x, b, &self.workspace, &self.cfg.exec)
             / l2_norm_interior(b, &self.cfg.exec).max(f64::MIN_POSITIVE)
     }
 
