@@ -19,7 +19,11 @@
 //! fault affects only the calling thread's next matching fault point,
 //! so parallel test binaries cannot interfere with each other. This
 //! works because every fault point executes on the thread driving the
-//! solve — kernels parallelize internally, below the fault point.
+//! solve — kernels parallelize internally, below the fault point. A
+//! tune is different: its training-instance jobs run on whichever
+//! worker of the pool takes them, so the serving engine takes a
+//! request's faults off its thread for the tune and re-arms them for
+//! its solve.
 //!
 //! The disabled fast path is a single thread-local flag read
 //! ([`armed`]), so fault points cost nothing measurable in production

@@ -47,10 +47,7 @@ pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) 
     plans[1] = vec![Choice::Direct; m];
 
     for k in 2..=base.max_level {
-        let mut instances = tuner.training_instances(k);
-        for inst in &mut instances {
-            inst.ensure_x_opt(&tuner.options().exec, tuner.cache());
-        }
+        let instances = tuner.training_instances(k);
         let partial = tuner.family_view(&plans, k);
         // Candidate 1: direct (if available/affordable).
         let direct = tuner.measure_direct(k, &instances);

@@ -321,10 +321,7 @@ proptest! {
         };
         let below = VTuner::new(opts(level - 1)).tune();
         let tuner = VTuner::new(opts(level));
-        let mut instances = tuner.training_instances(level);
-        for inst in &mut instances {
-            inst.ensure_x_opt(&tuner.options().exec, tuner.cache());
-        }
+        let instances = tuner.training_instances(level);
         let targets: Vec<f64> = (0..5)
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| PAPER_ACCURACIES[i])

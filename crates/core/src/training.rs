@@ -188,10 +188,25 @@ pub fn training_set_for(
     seed: u64,
 ) -> Vec<ProblemInstance> {
     (0..count)
-        .map(|i| {
-            ProblemInstance::random_for(problem, level, dist, seed.wrapping_add(i as u64 * 0x9E37))
-        })
+        .map(|index| training_instance_for(problem, level, dist, seed, index))
         .collect()
+}
+
+/// Instance `index` of [`training_set_for`] with the same
+/// `(problem, level, dist, seed)`, generated on its own.
+pub(crate) fn training_instance_for(
+    problem: &Problem,
+    level: usize,
+    dist: Distribution,
+    seed: u64,
+    index: usize,
+) -> ProblemInstance {
+    ProblemInstance::random_for(
+        problem,
+        level,
+        dist,
+        seed.wrapping_add(index as u64 * 0x9E37),
+    )
 }
 
 #[cfg(test)]

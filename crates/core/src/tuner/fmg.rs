@@ -10,7 +10,7 @@
 //! > estimation phase, while in cases where very high precision is
 //! > needed, a high precision estimate may not be as helpful."
 
-use super::{Measured, TunerOptions, VTuner, Walk};
+use super::{per_instance, Measured, TunerOptions, VTuner, Walk};
 use crate::cost::CostModel;
 use crate::plan::{ExecCtx, FmgChoice, FollowUp, TunedFamily, TunedFmgFamily};
 use crate::training::ProblemInstance;
@@ -64,10 +64,7 @@ impl FmgTuner {
         plans[1] = vec![FmgChoice::Direct; m];
 
         for k in 2..=opts.max_level {
-            let mut instances = self.v_tuner.training_instances(k);
-            for inst in &mut instances {
-                inst.ensure_x_opt(&opts.exec, self.v_tuner.cache());
-            }
+            let instances = self.v_tuner.training_instances(k);
             plans[k] = self.tune_fmg_level(&v, &plans, k, &instances);
         }
         TunedFmgFamily { v, plans }
@@ -154,8 +151,9 @@ impl FmgTuner {
             .collect()
     }
 
-    /// Execute `ESTIMATE_j` on each instance; returns (cost of one
-    /// estimate, post-estimate states).
+    /// Execute `ESTIMATE_j` on each instance, each as its own job;
+    /// returns (cost of the first instance's estimate, post-estimate
+    /// states).
     fn run_estimates(
         &self,
         partial: &TunedFmgFamily,
@@ -164,23 +162,20 @@ impl FmgTuner {
         instances: &[ProblemInstance],
     ) -> (f64, Vec<Grid2d>) {
         let opts = self.v_tuner.options();
-        let mut states = Vec::with_capacity(instances.len());
-        let mut cost = 0.0;
-        for (idx, inst) in instances.iter().enumerate() {
+        let estimates = per_instance(instances.len(), |idx| {
+            let inst = &instances[idx];
             let mut ctx = self.v_tuner.fresh_ctx();
             let mut x = inst.working_grid();
             let start = Instant::now();
             estimate_step(partial, level, j, &mut x, &inst.b, &mut ctx);
-            let elapsed = start.elapsed().as_secs_f64();
-            if idx == 0 {
-                cost = match &opts.cost_model {
-                    CostModel::Modeled(p) => p.time(&ctx.ops),
-                    CostModel::Measured { .. } => elapsed,
-                };
-            }
-            states.push(x);
-        }
-        (cost, states)
+            let cost = match &opts.cost_model {
+                CostModel::Modeled(p) => p.time(&ctx.ops),
+                CostModel::Measured { .. } => start.elapsed().as_secs_f64(),
+            };
+            (cost, x)
+        });
+        let cost = estimates.first().map_or(0.0, |&(cost, _)| cost);
+        (cost, estimates.into_iter().map(|(_, x)| x).collect())
     }
 }
 

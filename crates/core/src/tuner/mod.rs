@@ -24,6 +24,24 @@
 //! the walk ends when no target is left. Slots of one level share
 //! nothing but the trajectory, so budgets, winners, tie-breaks and
 //! diagnostics are those of tuning each slot alone.
+//!
+//! The training instances never read each other's data, so each is its
+//! own job on the pool the tuner runs on (`per_instance` halves the
+//! instance list through `petamg_runtime::join`): generating it and
+//! solving for its `x_opt`, each `ESTIMATE_j` of the FMG tuner, and its
+//! trajectory of every candidate walk, with its own `ExecCtx` over the
+//! tuner's shared factor cache and scratch arena. A walk merges its
+//! trajectories in instance order by the sequential rule: the first
+//! instance to abandon a target decides it; otherwise the target's
+//! iteration count is the max over the instances and its accuracy the
+//! min. An instance drops a target as soon as an earlier one has
+//! abandoned it. Off a pool, or on a pool whose other workers are busy,
+//! the jobs run one after another on the calling thread and do exactly
+//! the sequential tuner's work. On a pool a later instance may walk
+//! ahead on a target an earlier one then abandons: speculative steps on
+//! an otherwise idle worker, which only raise
+//! [`TuneDiagnostics::recurse_steps`] / `sor_sweeps`. Plans and
+//! evaluations are bit-identical either way.
 
 mod fmg;
 mod knobs;
@@ -40,12 +58,13 @@ use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{CostModel, MachineProfile, OpCounts};
 use crate::knobs::KnobTable;
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
-use crate::training::{Distribution, ProblemInstance};
+use crate::training::{training_instance_for, Distribution, ProblemInstance};
 use petamg_grid::{l2_diff, level_size, Exec, Grid2d, Workspace};
 use petamg_problems::Problem;
 use petamg_solvers::relax::{omega_opt, sor_sweep_op};
 use petamg_solvers::DirectSolverCache;
-use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -167,9 +186,13 @@ pub struct CandidateEval {
 pub struct TuneDiagnostics {
     /// Every candidate evaluated, slot by slot, in evaluation order.
     pub evaluations: Vec<CandidateEval>,
-    /// `RECURSE_j` applications the search ran, by level.
+    /// `RECURSE_j` applications the search ran, by level. Exact off a
+    /// pool; on a pool possibly higher, by the steps a later training
+    /// instance walked ahead on a target an earlier one then abandoned
+    /// (see the module docs).
     pub recurse_steps: Vec<u64>,
-    /// SOR sweeps the search ran, by level.
+    /// SOR sweeps the search ran, by level; exact off a pool, possibly
+    /// higher on one, as [`TuneDiagnostics::recurse_steps`].
     pub sor_sweeps: Vec<u64>,
 }
 
@@ -207,6 +230,54 @@ pub(crate) struct Walk<'a> {
     pub(crate) budgets: &'a [Option<f64>],
 }
 
+/// How one training instance's trajectory left one target of a walk.
+#[derive(Clone, Copy)]
+enum Settle {
+    /// Reached at this iteration, with this error ratio.
+    Reached(u32, f64),
+    /// Abandoned at this iteration, with this error ratio.
+    Abandoned(u32, f64),
+    /// Not walked to the end: an earlier instance abandoned it.
+    Dropped,
+}
+
+/// `job(i)` for every training instance `i` in `0..count`, in instance
+/// order. On a pool each instance is its own job: the list is halved
+/// through [`petamg_runtime::join`], so an idle worker steals half of
+/// it. Off a pool, and on a pool whose other workers are busy, the jobs
+/// run one after another on the calling thread.
+pub(crate) fn per_instance<T: Send>(count: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    fn halves<T: Send>(range: Range<usize>, job: &(impl Fn(usize) -> T + Sync)) -> Vec<T> {
+        if range.len() <= 1 {
+            return range.map(job).collect();
+        }
+        let mid = range.start + range.len() / 2;
+        let (mut head, tail) = petamg_runtime::join(
+            || halves(range.start..mid, job),
+            || halves(mid..range.end, job),
+        );
+        head.extend(tail);
+        head
+    }
+    halves(0..count, &job)
+}
+
+/// The training set of `opts` at `level`: each instance generated and
+/// given its reference solution `x_opt` (through `cache`) as its own
+/// job.
+pub(crate) fn solved_training_set(
+    opts: &TunerOptions,
+    level: usize,
+    cache: &Arc<DirectSolverCache>,
+) -> Vec<ProblemInstance> {
+    let seed = opts.seed ^ ((level as u64) << 20);
+    per_instance(opts.instances, |index| {
+        let mut inst = training_instance_for(&opts.problem, level, opts.distribution, seed, index);
+        inst.ensure_x_opt(&opts.exec, cache);
+        inst
+    })
+}
+
 /// One `(level, acc)` slot of the DP table while its level is tuned.
 #[derive(Default)]
 struct Slot {
@@ -241,9 +312,18 @@ pub struct VTuner {
     cache: Arc<DirectSolverCache>,
     workspace: Arc<Workspace>,
     /// Candidate steps run so far, by level — counted where the step
-    /// runs ([`TuneDiagnostics::recurse_steps`] / `sor_sweeps`).
-    recurse_steps: RefCell<Vec<u64>>,
-    sor_sweeps: RefCell<Vec<u64>>,
+    /// runs ([`TuneDiagnostics::recurse_steps`] / `sor_sweeps`), by
+    /// whichever worker runs it.
+    recurse_steps: Vec<AtomicU64>,
+    sor_sweeps: Vec<AtomicU64>,
+}
+
+fn zeroed_counts(len: usize) -> Vec<AtomicU64> {
+    (0..len).map(|_| AtomicU64::new(0)).collect()
+}
+
+fn read_counts(counts: &[AtomicU64]) -> Vec<u64> {
+    counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
 }
 
 impl VTuner {
@@ -265,8 +345,8 @@ impl VTuner {
             opts,
             cache: Arc::new(DirectSolverCache::new()),
             workspace: Arc::new(Workspace::new()),
-            recurse_steps: RefCell::new(vec![0; max_level + 1]),
-            sor_sweeps: RefCell::new(vec![0; max_level + 1]),
+            recurse_steps: zeroed_counts(max_level + 1),
+            sor_sweeps: zeroed_counts(max_level + 1),
         }
     }
 
@@ -289,23 +369,21 @@ impl VTuner {
 
     /// Run the DP, also returning every candidate evaluation.
     pub fn tune_with_diagnostics(&self) -> (TunedFamily, TuneDiagnostics) {
-        self.recurse_steps.borrow_mut().fill(0);
-        self.sor_sweeps.borrow_mut().fill(0);
+        for count in self.recurse_steps.iter().chain(&self.sor_sweeps) {
+            count.store(0, Ordering::Relaxed);
+        }
         let m = self.opts.accuracies.len();
         let mut diags = TuneDiagnostics::default();
         let mut plans: Vec<Vec<Choice>> = vec![Vec::new(); self.opts.max_level + 1];
         plans[1] = vec![Choice::Direct; m];
 
         for k in 2..=self.opts.max_level {
-            let mut instances = self.training_instances(k);
-            for inst in &mut instances {
-                inst.ensure_x_opt(&self.opts.exec, &self.cache);
-            }
+            let instances = self.training_instances(k);
             let partial = self.family_view(&plans, k);
             plans[k] = self.tune_level(&partial, k, &instances, &mut diags.evaluations);
         }
-        diags.recurse_steps = self.recurse_steps.borrow().clone();
-        diags.sor_sweeps = self.sor_sweeps.borrow().clone();
+        diags.recurse_steps = read_counts(&self.recurse_steps);
+        diags.sor_sweeps = read_counts(&self.sor_sweeps);
 
         let family = TunedFamily {
             accuracies: self.opts.accuracies.clone(),
@@ -397,14 +475,9 @@ impl VTuner {
         winners
     }
 
+    /// The training instances of `level`, each with its `x_opt`.
     pub(crate) fn training_instances(&self, level: usize) -> Vec<ProblemInstance> {
-        crate::training::training_set_for(
-            &self.opts.problem,
-            level,
-            self.opts.distribution,
-            self.opts.instances,
-            self.opts.seed ^ ((level as u64) << 20),
-        )
+        solved_training_set(&self.opts, level, &self.cache)
     }
 
     /// A read-only family over the levels tuned so far (plans at or
@@ -484,16 +557,18 @@ impl VTuner {
     pub(crate) fn measure_sor(&self, level: usize, ask: &Walk) -> Vec<Measured> {
         let n = level_size(level);
         let omega = omega_opt(n);
-        let op = self.opts.problem.op_for(n);
+        let op = &self.opts.problem.op_for(n);
         let sweep_cost = self.modeled_cost(&{
             let mut ops = OpCounts::new(level);
             ops.level_mut(level).relax_sweeps = 1;
             ops
         });
-        self.walk(level, ask, self.opts.sor_cap(n), |inst, x| {
-            sor_sweep_op(&op, x, &inst.b, omega, &self.opts.exec);
-            self.sor_sweeps.borrow_mut()[level] += 1;
-            sweep_cost
+        self.walk(level, ask, self.opts.sor_cap(n), || {
+            move |inst: &ProblemInstance, x: &mut Grid2d| {
+                sor_sweep_op(op, x, &inst.b, omega, &self.opts.exec);
+                self.sor_sweeps[level].fetch_add(1, Ordering::Relaxed);
+                sweep_cost
+            }
         })
     }
 
@@ -506,40 +581,57 @@ impl VTuner {
         sub_acc: usize,
         ask: &Walk,
     ) -> Vec<Measured> {
-        let mut ctx = self.fresh_ctx();
-        let mut price = None;
-        self.walk(level, ask, self.opts.recurse_cap, |inst, x| {
-            family.recurse_step(level, sub_acc, x, &inst.b, &mut ctx);
-            self.recurse_steps.borrow_mut()[level] += 1;
-            // Every application runs the same ops: price the first.
-            if price.is_none() {
-                price = self.modeled_cost(&ctx.ops);
+        self.walk(level, ask, self.opts.recurse_cap, || {
+            let mut ctx = self.fresh_ctx();
+            let mut price = None;
+            move |inst: &ProblemInstance, x: &mut Grid2d| {
+                family.recurse_step(level, sub_acc, x, &inst.b, &mut ctx);
+                self.recurse_steps[level].fetch_add(1, Ordering::Relaxed);
+                // Every application runs the same ops: price the first.
+                if price.is_none() {
+                    price = self.modeled_cost(&ctx.ops);
+                }
+                price
             }
-            price
         })
     }
 
     /// Walk one candidate's convergence trajectory per training
     /// instance and read every target off it: a target's iteration
     /// count is the first at which its error ratio is reached (max over
-    /// instances, accuracy = min). `step` applies the candidate once
-    /// and returns the modeled price of one application, if there is
-    /// one. A target is abandoned, for all instances, at the first
-    /// unreached iteration that has cost 1.5× its budget (under
-    /// wall-clock costs: 3× its budget on this walk's clock) or hits
-    /// `cap`; an instance's walk ends when no target is left on it.
-    fn walk(
+    /// instances, accuracy = min). `stepper` makes one instance's step
+    /// function, which applies the candidate once and returns the
+    /// modeled price of one application, if there is one. A target is
+    /// abandoned, for all instances, at the first unreached iteration
+    /// that has cost 1.5× its budget (under wall-clock costs: 3× its
+    /// budget on this walk's clock) or hits `cap`; an instance's walk
+    /// ends when no target is left on it. Each instance walks as its own
+    /// job and the first instance to abandon a target decides it (see
+    /// the module docs).
+    fn walk<S>(
         &self,
         level: usize,
         ask: &Walk,
         cap: u32,
-        mut step: impl FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
-    ) -> Vec<Measured> {
-        let exec = &self.opts.exec;
-        let timed = self.opts.cost_model.needs_timing();
+        stepper: impl Fn() -> S + Sync,
+    ) -> Vec<Measured>
+    where
+        S: FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
+    {
         let clock = Instant::now();
-        let mut x = self.workspace.acquire_unzeroed(level_size(level));
-        let mut price = None;
+        let targets = ask.targets.len();
+        // `abandoned[idx][i]`: instance `idx` gave up on target `i`. The
+        // flags only prune later instances' work and publish no data
+        // (the merge below decides), hence `Relaxed`.
+        let abandoned: Vec<Vec<AtomicBool>> = ask
+            .instances
+            .iter()
+            .map(|_| (0..targets).map(|_| AtomicBool::new(false)).collect())
+            .collect();
+        let trajectories = per_instance(ask.instances.len(), |idx| {
+            self.walk_instance(level, ask, cap, idx, &abandoned, clock, &mut stepper())
+        });
+
         let mut out = vec![
             Measured {
                 feasible: true,
@@ -547,69 +639,46 @@ impl VTuner {
                 iterations: 0,
                 cost: 0.0,
             };
-            ask.targets.len()
+            targets
         ];
-        let abandon = |it: u32, ratio: f64| Measured {
-            feasible: false,
-            accuracy: ratio,
-            iterations: it,
-            cost: f64::INFINITY,
-        };
-
-        for (idx, inst) in ask.instances.iter().enumerate() {
-            let mut pending: Vec<usize> = (0..out.len()).filter(|&i| out[i].feasible).collect();
-            if pending.is_empty() {
-                break;
-            }
-            let x_opt = inst.x_opt().expect("training instances carry x_opt");
-            let e0 = l2_diff(&inst.x0, x_opt, exec);
-            // Drop from `pending` the targets that iteration `it` reached
-            // or that have outspent their budget by it.
-            let mut settle = |pending: &mut Vec<usize>, it: u32, ratio: f64, price: Option<f64>| {
-                pending.retain(|&i| {
-                    if ratio >= ask.targets[i] {
-                        out[i].iterations = out[i].iterations.max(it);
-                        out[i].accuracy = out[i].accuracy.min(ratio);
-                        return false;
+        let mut price = None;
+        for (settled, stepped) in trajectories {
+            price = stepped.or(price);
+            for (meas, settle) in out.iter_mut().zip(settled) {
+                match settle {
+                    // The first instance to abandon a target decides it.
+                    _ if !meas.feasible => {}
+                    Settle::Reached(it, ratio) => {
+                        meas.iterations = meas.iterations.max(it);
+                        meas.accuracy = meas.accuracy.min(ratio);
                     }
-                    let spent = ask.budgets[i].is_some_and(|b| {
-                        price.is_some_and(|c| it as f64 * c > b * 1.5)
-                            || (timed && clock.elapsed().as_secs_f64() > (3.0 * b).max(0.25))
-                    });
-                    if spent {
-                        out[i] = abandon(it, ratio);
+                    Settle::Abandoned(it, ratio) => {
+                        *meas = Measured {
+                            feasible: false,
+                            accuracy: ratio,
+                            iterations: it,
+                            cost: f64::INFINITY,
+                        };
                     }
-                    !spent
-                });
-            };
-            let mut it = 0u32;
-            let mut ratio = 1.0;
-            match ask.starts {
-                None => x.copy_from(&inst.x0),
-                Some(states) => {
-                    x.copy_from(&states[idx]);
-                    ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
-                    settle(&mut pending, 0, ratio, None);
+                    Settle::Dropped => {}
                 }
-            }
-            while !pending.is_empty() && it < cap {
-                price = step(inst, &mut x);
-                it += 1;
-                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
-                settle(&mut pending, it, ratio, price);
-            }
-            for i in pending {
-                out[i] = abandon(it, ratio);
             }
         }
 
-        for meas in out.iter_mut().filter(|meas| meas.feasible) {
-            meas.cost = match &self.opts.cost_model {
-                // No step ran ⇒ no price, and nothing to pay for.
-                CostModel::Modeled(_) => price.unwrap_or(0.0) * meas.iterations as f64,
-                CostModel::Measured { trials } => {
-                    let inst = &ask.instances[0];
-                    let start = ask.starts.map_or(&inst.x0, |states| &states[0]);
+        let feasible = out.iter_mut().filter(|meas| meas.feasible);
+        match &self.opts.cost_model {
+            // No step ran ⇒ no price, and nothing to pay for.
+            CostModel::Modeled(_) => {
+                for meas in feasible {
+                    meas.cost = price.unwrap_or(0.0) * meas.iterations as f64;
+                }
+            }
+            CostModel::Measured { trials } => {
+                let inst = &ask.instances[0];
+                let start = ask.starts.map_or(&inst.x0, |states| &states[0]);
+                let mut step = stepper();
+                let mut x = self.workspace.acquire_unzeroed(level_size(level));
+                for meas in feasible {
                     let mut best = f64::INFINITY;
                     for _ in 0..(*trials).max(1) {
                         x.copy_from(start);
@@ -619,11 +688,91 @@ impl VTuner {
                         }
                         best = best.min(timer.elapsed().as_secs_f64());
                     }
-                    best
+                    meas.cost = best;
                 }
-            };
+            }
         }
         out
+    }
+
+    /// Instance `idx`'s trajectory of a [`VTuner::walk`]: how it left
+    /// each target, and the price `step` returned last, if it stepped.
+    /// It drops a target as soon as an earlier instance has flagged it
+    /// in `abandoned`, and flags the targets it abandons itself.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_instance(
+        &self,
+        level: usize,
+        ask: &Walk,
+        cap: u32,
+        idx: usize,
+        abandoned: &[Vec<AtomicBool>],
+        clock: Instant,
+        step: &mut impl FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
+    ) -> (Vec<Settle>, Option<f64>) {
+        let exec = &self.opts.exec;
+        let timed = self.opts.cost_model.needs_timing();
+        let inst = &ask.instances[idx];
+        let mut settled = vec![Settle::Dropped; ask.targets.len()];
+        let given_up = |i: usize| {
+            abandoned[..idx]
+                .iter()
+                .any(|flags| flags[i].load(Ordering::Relaxed))
+        };
+        let mut pending: Vec<usize> = (0..settled.len()).filter(|&i| !given_up(i)).collect();
+        if pending.is_empty() {
+            return (settled, None);
+        }
+        let x_opt = inst.x_opt().expect("training instances carry x_opt");
+        let e0 = l2_diff(&inst.x0, x_opt, exec);
+        let abandon = |settled: &mut [Settle], i: usize, it: u32, ratio: f64| {
+            settled[i] = Settle::Abandoned(it, ratio);
+            abandoned[idx][i].store(true, Ordering::Relaxed);
+        };
+        // Drop from `pending` the targets an earlier instance abandoned,
+        // and those that iteration `it` reached or that have outspent
+        // their budget by it.
+        let mut settle = |pending: &mut Vec<usize>, it: u32, ratio: f64, price: Option<f64>| {
+            pending.retain(|&i| {
+                if given_up(i) {
+                    return false;
+                }
+                if ratio >= ask.targets[i] {
+                    settled[i] = Settle::Reached(it, ratio);
+                    return false;
+                }
+                let spent = ask.budgets[i].is_some_and(|b| {
+                    price.is_some_and(|c| it as f64 * c > b * 1.5)
+                        || (timed && clock.elapsed().as_secs_f64() > (3.0 * b).max(0.25))
+                });
+                if spent {
+                    abandon(&mut settled, i, it, ratio);
+                }
+                !spent
+            });
+        };
+        let mut x = self.workspace.acquire_unzeroed(level_size(level));
+        let mut it = 0u32;
+        let mut ratio = 1.0;
+        let mut price = None;
+        match ask.starts {
+            None => x.copy_from(&inst.x0),
+            Some(states) => {
+                x.copy_from(&states[idx]);
+                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+                settle(&mut pending, 0, ratio, None);
+            }
+        }
+        while !pending.is_empty() && it < cap {
+            price = step(inst, &mut x);
+            it += 1;
+            ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+            settle(&mut pending, it, ratio, price);
+        }
+        for i in pending {
+            abandon(&mut settled, i, it, ratio);
+        }
+        (settled, price)
     }
 
     /// Price a finished plan on a problem (modeled only): one
@@ -784,7 +933,8 @@ mod tests {
         // The search walks a candidate's trajectory once per training
         // instance, however many targets read it: at most as far as the
         // target that stayed on it longest. Level 7 tunes level 6 on
-        // its way, so one run pins both totals.
+        // its way, so one run pins both totals. Off a pool the instance
+        // jobs run in order, so the counts are exact.
         let tuner = quick_tuner(7);
         let (_, diags) = tuner.tune_with_diagnostics();
         let instances = tuner.options().instances as u64;
@@ -831,6 +981,47 @@ mod tests {
         assert_eq!(upto(&diags.sor_sweeps, 6), 84);
         assert_eq!(upto(&diags.recurse_steps, 7), 194);
         assert_eq!(upto(&diags.sor_sweeps, 7), 148);
+    }
+
+    #[test]
+    fn a_pooled_tune_decides_the_same_and_walks_no_less() {
+        // On a pool the instances walk as parallel jobs: plans and every
+        // evaluation are those of the off-pool tune, bit for bit, and the
+        // step counts can only grow, by the speculative steps a later
+        // instance took on a target an earlier one abandoned.
+        let pool = petamg_runtime::ThreadPool::new(2);
+        let bits = |diags: &TuneDiagnostics| -> Vec<_> {
+            diags
+                .evaluations
+                .iter()
+                .map(|e| {
+                    let (acc, cost) = (e.accuracy.to_bits(), e.cost.to_bits());
+                    (
+                        e.level, e.acc_idx, e.choice, acc, cost, e.feasible, e.selected,
+                    )
+                })
+                .collect()
+        };
+        for problem in [Problem::poisson(), Problem::jump_inclusion(level_size(6))] {
+            let tuner = || {
+                VTuner::new(
+                    TunerOptions::quick(6, Distribution::UnbiasedUniform)
+                        .with_problem(problem.clone()),
+                )
+            };
+            let (off_family, off) = tuner().tune_with_diagnostics();
+            let (on_family, on) = pool.install(|| tuner().tune_with_diagnostics());
+            let name = problem.describe();
+            assert_eq!(on_family.plans, off_family.plans, "{name}");
+            assert_eq!(bits(&on), bits(&off), "{name}");
+            for k in 2..=6 {
+                assert!(
+                    on.recurse_steps[k] >= off.recurse_steps[k],
+                    "{name} level {k}"
+                );
+                assert!(on.sor_sweeps[k] >= off.sor_sweeps[k], "{name} level {k}");
+            }
+        }
     }
 
     #[test]

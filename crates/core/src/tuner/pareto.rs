@@ -13,7 +13,6 @@ use super::TunerOptions;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::CostModel;
 use crate::plan::ExecCtx;
-use crate::training::ProblemInstance;
 use petamg_grid::{coarse_size, interpolate_correct, l2_diff, level_size, Grid2d};
 use petamg_solvers::relax::{omega_opt, sor_sweep_op, OMEGA_CYCLE};
 use petamg_solvers::DirectSolverCache;
@@ -127,10 +126,7 @@ impl ParetoTuner {
     /// All candidate algorithms (with measured accuracy/cost) at level
     /// `k`, given the sets below.
     fn enumerate_level(&self, k: usize, sets: &[Vec<ParetoAlgo>]) -> Vec<ParetoAlgo> {
-        let mut instances = self.instances(k);
-        for inst in &mut instances {
-            inst.ensure_x_opt(&self.opts.exec, &self.cache);
-        }
+        let instances = super::solved_training_set(&self.opts, k, &self.cache);
         let mut out = Vec::new();
 
         // Direct.
@@ -303,16 +299,6 @@ impl ParetoTuner {
             chosen = thinned;
         }
         chosen
-    }
-
-    fn instances(&self, k: usize) -> Vec<ProblemInstance> {
-        crate::training::training_set_for(
-            &self.opts.problem,
-            k,
-            self.opts.distribution,
-            self.opts.instances,
-            self.opts.seed ^ ((k as u64) << 20),
-        )
     }
 
     fn direct_cost(&self, k: usize) -> f64 {

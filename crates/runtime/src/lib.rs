@@ -19,7 +19,11 @@
 //!   victims,
 //! * blocked parents **help** by executing pending work while they wait
 //!   (continuation stealing is approximated by child stealing + helping,
-//!   as in rayon),
+//!   as in rayon). A worker waiting in [`join`] pops its own deque and
+//!   steals from other workers' deques, never from the injector: it only
+//!   ever runs halves of some `join`, and a job injected by
+//!   [`ThreadPool::spawn`] or [`spawn`] — a serving engine's request —
+//!   starts only on a worker that is not inside another job,
 //! * sleeping workers park on a condition variable with an event-counter
 //!   protocol so that work injection can never be missed for longer than
 //!   a bounded timeout.
@@ -60,8 +64,11 @@ use registry::WorkerThread;
 /// On a worker thread, `oper_b` is pushed onto the local deque (where
 /// idle workers may steal it) while `oper_a` runs immediately — exactly
 /// the Cilk `spawn`/`sync` pattern — and a panic in either closure is
-/// propagated after both complete. Off a pool both closures run inline
-/// on the calling thread, `oper_a` then `oper_b`.
+/// propagated after both complete. While it waits for a stolen
+/// `oper_b`, the worker helps with other `join` halves only: an
+/// injected job never starts before this `join` returns. Off a pool
+/// both closures run inline on the calling thread, `oper_a` then
+/// `oper_b`.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -112,8 +119,9 @@ where
 
     while !job_b.latch().probe() {
         // Depth-first: drain our own deque (this is where `job_b` sits if
-        // nobody stole it), otherwise help by stealing someone else's work.
-        match worker.find_work() {
+        // nobody stole it), otherwise help by stealing another worker's
+        // `join` halves — never an injected job (see `find_help`).
+        match worker.find_help() {
             Some(job) => unsafe { job.execute() },
             None => {
                 std::hint::spin_loop();
@@ -178,6 +186,63 @@ mod tests {
         assert!(
             matches!(ran_on, Some(i) if i < 2),
             "on a worker: {ran_on:?}"
+        );
+    }
+
+    #[test]
+    fn a_worker_waiting_in_join_does_not_start_an_injected_job() {
+        // The other worker steals `b` and holds it until `a` has returned
+        // with a job injected, and a while longer unless that job starts.
+        // The waiting worker's own deque is then empty, so the injected
+        // job is all it could run before its `join` returns.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+        let pool = ThreadPool::new(2);
+        let (b_started, a_done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (injected_started, b_done) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let wait_for = |flag: &AtomicBool, patience: Duration| {
+            let deadline = Instant::now() + patience;
+            while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            flag.load(Ordering::SeqCst)
+        };
+        pool.install(|| {
+            join(
+                || {
+                    assert!(
+                        wait_for(&b_started, Duration::from_secs(10)),
+                        "`b` was never stolen"
+                    );
+                    let (started, b_done) = (Arc::clone(&injected_started), Arc::clone(&b_done));
+                    spawn(move || {
+                        started.store(true, Ordering::SeqCst);
+                        tx.send(b_done.load(Ordering::SeqCst)).unwrap();
+                    });
+                    a_done.store(true, Ordering::SeqCst);
+                },
+                || {
+                    b_started.store(true, Ordering::SeqCst);
+                    assert!(
+                        wait_for(&a_done, Duration::from_secs(10)),
+                        "`a` never returned"
+                    );
+                    wait_for(&injected_started, Duration::from_millis(200));
+                    b_done.store(true, Ordering::SeqCst);
+                },
+            )
+        });
+        let b_was_done = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the injected job runs");
+        assert!(
+            b_was_done,
+            "the injected job started inside the join waiting for `b`"
         );
     }
 

@@ -93,14 +93,23 @@ impl WorkerThread {
     /// Pop local work or steal. Depth-first: local LIFO pop first, then
     /// the injector, then random-victim stealing (FIFO end).
     pub(crate) fn find_work(&self) -> Option<JobRef> {
-        self.deque.pop().or_else(|| self.steal_work())
+        self.deque
+            .pop()
+            .or_else(|| self.registry.steal_from_injector())
+            .or_else(|| self.steal_from_workers())
     }
 
-    fn steal_work(&self) -> Option<JobRef> {
+    /// The work a worker blocked in `join` may run while it waits: its
+    /// own deque, then other workers' deques — never the injector. An
+    /// injected job is new top-level work (a serving engine's request),
+    /// and starting one inside the waiting job would run it in the
+    /// middle of someone else's.
+    pub(crate) fn find_help(&self) -> Option<JobRef> {
+        self.deque.pop().or_else(|| self.steal_from_workers())
+    }
+
+    fn steal_from_workers(&self) -> Option<JobRef> {
         let registry = &*self.registry;
-        if let Some(job) = registry.steal_from_injector() {
-            return Some(job);
-        }
         let n = registry.stealers.len();
         if n <= 1 {
             return None;

@@ -56,9 +56,13 @@ pub enum TunePolicy {
     /// a service that should never block a request on a tuning run.
     Heuristic,
     /// Run the accuracy-aware DP autotuner (`TunerOptions::quick`) at
-    /// the request's level. Expensive — a level-10 (n = 1025) tune on
-    /// smooth variable coefficients takes ≈ 1.8 s on a 2-core x86_64
-    /// Xeon — but produces a genuinely tuned plan.
+    /// the request's level, on the serving pool: the tuner's training
+    /// instances are jobs that idle workers steal, so the workers a
+    /// flight's parked followers left free help with its tune.
+    /// Expensive — a level-10 (n = 1025) tune on smooth variable
+    /// coefficients takes ≈ 3.5–4 s on one worker and ≈ 2.2–2.7 s on a
+    /// 2-worker serving pool, on a 2-core x86_64 Xeon — but produces a
+    /// genuinely tuned plan.
     QuickTune,
     /// Caller-supplied tuner. The returned family's fingerprint is
     /// re-stamped by the service, so hand-built families work as-is.
@@ -980,7 +984,14 @@ fn lead(inner: &Inner, problem: &Problem, level: usize) -> (Option<Arc<TunedFami
     if trims {
         release_free_memory();
     }
-    let resolved = match catch_unwind(AssertUnwindSafe(|| tune(inner, problem, level))) {
+    // The request's faults are for its own solve. None may fire in the
+    // tune: not on this worker, and not on another one running one of
+    // the tuner's instance jobs.
+    let armed = faults::armed_faults();
+    faults::clear();
+    let tuned = catch_unwind(AssertUnwindSafe(|| tune(inner, problem, level)));
+    armed.into_iter().for_each(faults::inject);
+    let resolved = match tuned {
         Ok((family, tuner_factors)) => {
             inner.warm_top_member(problem, level, &family, tuner_factors.as_deref());
             match inner.library.insert(problem, family) {

@@ -614,6 +614,76 @@ fn serve_fail_direct_mid_serve_degrades_per_ladder_and_service_survives() {
     }
 }
 
+/// A `QuickTune` leader's faults are for its own solve. Its tune runs
+/// its training instances as jobs on both workers while a second
+/// fingerprint's request is queued behind it: neither the tune, on
+/// either worker, nor the other request fires them, and the leader's
+/// solve fires all three.
+#[test]
+fn serve_quick_tune_leader_keeps_its_faults_for_its_own_solve() {
+    faults::clear();
+    let n = (1usize << LEVEL) + 1;
+    let leader = Problem::poisson();
+    let queued = Problem::anisotropic(0.25);
+    for (name, exec) in backends() {
+        let dir = tmp_dir(&format!("serve-tune-faults-{}", name.replace('+', "-")));
+        let svc = SolverService::start(
+            ServiceConfig::new(&dir)
+                .with_workers(2)
+                .with_exec(exec.clone())
+                .with_tuning(TunePolicy::QuickTune),
+        )
+        .unwrap();
+        // Every plan rung runs kernels at the request's level, whatever
+        // the tuned plan's shape, and so does every tune that reaches it.
+        let sabotage = vec![
+            Fault::PoisonLevel { level: LEVEL },
+            Fault::PoisonLevel { level: LEVEL },
+            Fault::FailDirect { n },
+        ];
+        let doomed = serve_request(&leader, 91);
+        let x0 = doomed.x0.clone();
+        let chaos = svc
+            .submit(doomed.with_faults(sabotage))
+            .expect("queue has room");
+        let bystander = svc.submit(serve_request(&queued, 92)).expect("room");
+
+        match chaos.wait() {
+            Err(ServeError::Ladder { error, x }) => {
+                assert_eq!(
+                    error.degradations.len(),
+                    3,
+                    "[{name}] a fault fired outside the leader's solve: {error}"
+                );
+                assert!(
+                    matches!(
+                        error.degradations[2].reason,
+                        FailureKind::DirectFactorization(_)
+                    ),
+                    "[{name}] {:?}",
+                    error.degradations[2].reason
+                );
+                assert_eq!(x.as_slice(), x0.as_slice(), "[{name}] iterate restored");
+            }
+            other => panic!("[{name}] the leader's faults must exhaust its ladder, got {other:?}"),
+        }
+        let served = bystander
+            .wait()
+            .unwrap_or_else(|e| panic!("[{name}] the queued request must serve: {e}"));
+        assert_eq!(served.plan, PlanSource::TunedNow, "[{name}]");
+        assert!(
+            !served.report.degraded(),
+            "[{name}] the leader's faults fired in another request"
+        );
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.tunes, stats.ladder_failures, stats.panics),
+            (2, 1, 0),
+            "[{name}]"
+        );
+    }
+}
+
 /// A fault that never fires (its rung never runs) must not leak into
 /// the worker's next request: the service clears per-request faults on
 /// completion.

@@ -424,6 +424,43 @@ fn a_tuned_plan_lands_with_the_tuners_direct_factor() {
     );
 }
 
+/// A cold `QuickTune` flight tunes on both workers — its follower
+/// parked, the tuner's instance jobs on the worker the follower left —
+/// and files the plan an off-pool tune of the same problem makes, byte
+/// for byte.
+#[test]
+fn a_pooled_quick_tune_files_the_off_pool_plan() {
+    let problem = Problem::jump_inclusion(DIRECT_N);
+    let svc = quick_tuned(&tmp_dir("pooled-tune"), 2);
+    let tickets: Vec<_> = (0..2)
+        .map(|k| {
+            svc.submit(request_at(&problem, DIRECT_LEVEL, 20 + k))
+                .expect("room")
+        })
+        .collect();
+    let mut sources: Vec<PlanSource> = tickets
+        .into_iter()
+        .map(|ticket| ticket.wait().expect("the tuned plan serves").plan)
+        .collect();
+    sources.sort_by_key(|source| *source != PlanSource::TunedNow);
+    assert_eq!(sources, [PlanSource::TunedNow, PlanSource::Coalesced]);
+
+    let off_pool = VTuner::new(
+        TunerOptions::quick(DIRECT_LEVEL, Distribution::UnbiasedUniform)
+            .with_problem(problem.clone()),
+    )
+    .tune();
+    let reference = tmp_dir("pooled-tune-reference");
+    std::fs::create_dir_all(&reference).unwrap();
+    let reference = reference.join("off-pool.json");
+    petamg::persist::save_plan(&off_pool, &reference).unwrap();
+    let filed = svc.library().path_for(problem.fingerprint());
+    assert_eq!(
+        std::fs::read(filed).unwrap(),
+        std::fs::read(reference).unwrap()
+    );
+}
+
 /// After a restart, duplicates of a fingerprint whose plan is on disk
 /// share one load flight: its leader loads the plan and factors the top
 /// member once, the other two park on the flight and report

@@ -11,6 +11,11 @@
 //! kernel that shifts one training trajectory by one ulp shows here
 //! next to the plan it would have changed.
 //!
+//! Every case renders twice: off a pool, where the tuner's training
+//! instances run one after another, and inside a 2-worker pool, where
+//! they run as parallel jobs. Both renders must equal the one committed
+//! section.
+//!
 //! `PETAMG_CONFORMANCE_PROBLEM` (`poisson` / `aniso` / `smooth` /
 //! `jump`) restricts the run to one family's cases, so CI can shard it
 //! beside the operator conformance matrix.
@@ -27,6 +32,12 @@ use std::path::PathBuf;
 mod common;
 
 const FIXTURE: &str = include_str!("fixtures/tuner_golden.txt");
+
+/// The tuner's instance jobs share it across workers.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<VTuner>();
+};
 
 #[derive(Clone, Copy)]
 enum Kind {
@@ -144,23 +155,33 @@ fn tuner_decisions_and_diagnostics_match_the_fixture_bit_for_bit() {
         petamg::obs::env::conformance_problem(),
         all_cases(),
     );
+    let pool = ThreadPool::new(2);
     for (name, (problem, level, kind)) in cases {
-        let got = render(problem, level, kind);
         let want = committed(&name);
-        if got != want {
-            let line = got
-                .lines()
-                .zip(want.lines())
-                .position(|(g, w)| g != w)
-                .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-            panic!(
-                "{name}: tuner output drifted from the fixture at line {line}\n  got:  {}\n  want: {}\n\
-                 ({} lines got, {} committed)",
-                got.lines().nth(line).unwrap_or("<end>"),
-                want.lines().nth(line).unwrap_or("<end>"),
-                got.lines().count(),
-                want.lines().count()
-            );
+        let off_pool = render(problem.clone(), level, kind);
+        let pooled = pool.install(|| render(problem, level, kind));
+        for (how, got) in [("off a pool", off_pool), ("on a 2-worker pool", pooled)] {
+            check(&format!("{name} ({how})"), &got, want);
         }
     }
+}
+
+/// Panic at the first line where `got` drifts from the committed `want`.
+fn check(name: &str, got: &str, want: &str) {
+    if got == want {
+        return;
+    }
+    let line = got
+        .lines()
+        .zip(want.lines())
+        .position(|(g, w)| g != w)
+        .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+    panic!(
+        "{name}: tuner output drifted from the fixture at line {line}\n  got:  {}\n  want: {}\n\
+         ({} lines got, {} committed)",
+        got.lines().nth(line).unwrap_or("<end>"),
+        want.lines().nth(line).unwrap_or("<end>"),
+        got.lines().count(),
+        want.lines().count()
+    );
 }
