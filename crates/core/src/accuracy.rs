@@ -204,6 +204,43 @@ mod tests {
         assert_eq!(x_opt.at(0, 5), x0.at(0, 5));
     }
 
+    /// 64-bit FNV-1a over the grid's `f64::to_bits`: a hash whose
+    /// algorithm is fixed, unlike `DefaultHasher`'s.
+    fn fnv1a(x: &Grid2d) -> u64 {
+        x.as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn multigrid_reference_solution_keeps_its_bits() {
+        // n = 257 is the smallest size on the multigrid path. The
+        // constants were recorded before the reference cycles moved onto
+        // the fixed `MULTIGRID-V-SIMPLE` plan; any change to the stall
+        // loop, the FMG pass or a kernel moves them.
+        let n = 257;
+        let (x0, b) = problem(n);
+        for (problem, pin) in [
+            (Problem::poisson(), 0xf35b_434e_ee4d_c7ceu64),
+            (Problem::smooth_sinusoidal(n), 0xfbfc_09bd_fcb2_d26b),
+        ] {
+            for exec in [Exec::seq(), Exec::pbrt(2)] {
+                let cache = Arc::new(DirectSolverCache::new());
+                let x_opt = reference_solution_for(&problem, &x0, &b, &exec, &cache);
+                assert_eq!(
+                    fnv1a(&x_opt),
+                    pin,
+                    "{} on {exec:?}: {:#018x}",
+                    problem.describe(),
+                    fnv1a(&x_opt)
+                );
+            }
+        }
+    }
+
     #[test]
     fn small_and_large_paths_agree_at_the_boundary_size() {
         // At n = 65 (direct path) vs multigrid-converged: same answer.
