@@ -10,9 +10,13 @@
 //! solver at small sizes and from a far-converged multigrid solve at
 //! large sizes.
 
-use petamg_grid::{l2_diff, l2_norm_interior, Exec, Grid2d};
+use crate::plan::{simple_v_family, ExecCtx, TunedFamily};
+use petamg_grid::{
+    coarse_size, interpolate_into, l2_diff, l2_norm_interior, restrict_full_weighting,
+    restrict_inject, size_level, Exec, Grid2d,
+};
 use petamg_problems::{residual_norm_op, Problem};
-use petamg_solvers::{DirectSolverCache, MgConfig, ReferenceSolver};
+use petamg_solvers::DirectSolverCache;
 use std::sync::Arc;
 
 /// Cap reported accuracy ratios (direct solves produce zero error up to
@@ -72,25 +76,13 @@ impl AccuracyReport {
     }
 }
 
-/// Compute the reference ("optimal") solution of `A_h x = b` with the
-/// Dirichlet boundary taken from `x0`.
+/// The exact solution of `A x = b` for the posed problem's operator,
+/// with the Dirichlet boundary taken from `x0`.
 ///
 /// Small grids (≤ [`DIRECT_REFERENCE_MAX_N`]) use the exact band-Cholesky
-/// solve; larger grids run FMG + V cycles until the residual stalls at
-/// the round-off floor.
-pub fn reference_solution(
-    x0: &Grid2d,
-    b: &Grid2d,
-    exec: &Exec,
-    cache: &Arc<DirectSolverCache>,
-) -> Grid2d {
-    reference_solution_for(&Problem::poisson(), x0, b, exec, cache)
-}
-
-/// [`reference_solution`] for an arbitrary posed problem: the exact
-/// solution of `A x = b` for the problem's operator (banded direct for
-/// small sizes, far-converged operator-aware multigrid above
-/// [`DIRECT_REFERENCE_MAX_N`]).
+/// solve; larger grids run one [`reference_fmg`] pass and then
+/// `MULTIGRID-V-SIMPLE` cycles until the residual stalls at the
+/// round-off floor.
 pub fn reference_solution_for(
     problem: &Problem,
     x0: &Grid2d,
@@ -105,42 +97,80 @@ pub fn reference_solution_for(
         cache.solve_op(&mut x, b, &problem.op_for(n));
         return x;
     }
-    let solver = ReferenceSolver::with_cache(
-        MgConfig {
-            exec: exec.clone(),
-            problem: problem.clone(),
-            ..MgConfig::default()
-        },
-        Arc::clone(cache),
-    );
+    let level = size_level(n).expect("reference grids are 2^k + 1 wide");
+    let v = simple_v_family(level, &[1.0]);
+    let mut ctx =
+        ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(problem.clone());
     let op = problem.op_for(n);
     // Converge until the residual norm stops improving (round-off floor)
     // or drops below a scale-relative epsilon. Non-Poisson operators
     // converge slower per cycle, so the iteration cap is generous and
     // the stall test adaptive.
     let bnorm = l2_norm_interior(b, exec).max(1e-300);
-    solver.fmg(&mut x, b);
+    reference_fmg(level, &mut x, b, &mut ctx);
     let mut prev = f64::INFINITY;
     for _ in 0..200 {
-        let rnorm = residual_norm_op(&op, &x, b, solver.workspace(), exec);
+        let rnorm = residual_norm_op(&op, &x, b, &ctx.workspace, exec);
         if rnorm <= 1e-14 * bnorm || rnorm >= prev * 0.9 {
             break;
         }
         prev = rnorm;
-        solver.vcycle(&mut x, b);
+        v.run(level, 0, &mut x, b, &mut ctx);
     }
     x
+}
+
+/// One standard full-multigrid pass (Fig 3, "Reference Full MG") at
+/// `level`: restrict the whole problem down to the 3×3 base case, solve
+/// it directly, then interpolate the coarse *solution* up and run one
+/// `MULTIGRID-V-SIMPLE` cycle per level. Overwrites `x`'s interior
+/// (its boundary ring is the Dirichlet data); every kernel runs the
+/// operator, cache and workspace `ctx` carries.
+///
+/// The right-hand side moves down by **full weighting** (boundary data
+/// by injection): on rough right-hand sides, injection would alias all
+/// high-frequency energy onto the coarse problem and destroy the
+/// estimate's value. This nested iteration is not the tuned
+/// `ESTIMATE_j`, which restricts a residual and corrects.
+pub fn reference_fmg(level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx) {
+    nested_iteration(&simple_v_family(level, &[1.0]), level, x, b, ctx);
+}
+
+fn nested_iteration(v: &TunedFamily, level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx) {
+    if level > 1 {
+        let nc = coarse_size(x.n());
+        let ws = Arc::clone(&ctx.workspace);
+        let mut xc = ws.acquire(nc);
+        let mut bc = ws.acquire(nc);
+        restrict_inject(x, &mut xc); // boundary ring
+        restrict_full_weighting(b, &mut bc, &ctx.exec);
+        xc.zero_interior();
+        nested_iteration(v, level - 1, &mut xc, &bc, ctx);
+        interpolate_into(&xc, x, &ctx.exec);
+    }
+    v.run(level, 0, x, b, ctx);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use petamg_grid::level_size;
 
     fn problem(n: usize) -> (Grid2d, Grid2d) {
         let mut x0 = Grid2d::zeros(n);
         x0.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 * 100.0 - 900.0);
         let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 1e4 - 1.4e5);
         (x0, b)
+    }
+
+    /// `cycles` Poisson `MULTIGRID-V-SIMPLE` cycles on `x`.
+    fn v_cycles(x: &mut Grid2d, b: &Grid2d, cycles: usize, cache: Arc<DirectSolverCache>) {
+        let level = size_level(x.n()).unwrap();
+        let v = simple_v_family(level, &[1.0]);
+        let mut ctx = ExecCtx::with_cache(Exec::seq(), cache);
+        for _ in 0..cycles {
+            v.run(level, 0, x, b, &mut ctx);
+        }
     }
 
     #[test]
@@ -158,16 +188,13 @@ mod tests {
         let (x0, b) = problem(17);
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution(&x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
 
         // A poor solve: one SOR sweep. A good solve: five V cycles.
         let mut x_poor = x0.clone();
         petamg_solvers::sor_sweep(&mut x_poor, &b, 1.15, &exec);
-        let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
         let mut x_good = x0.clone();
-        for _ in 0..5 {
-            solver.vcycle(&mut x_good, &b);
-        }
+        v_cycles(&mut x_good, &b, 5, cache);
         let poor = error_ratio(&x0, &x_poor, &x_opt, &exec);
         let good = error_ratio(&x0, &x_good, &x_opt, &exec);
         assert!(poor > 1.0, "any SOR sweep improves: {poor}");
@@ -182,7 +209,7 @@ mod tests {
         let (x0, b) = problem(9);
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution(&x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
         // Solving with the same direct solver gives x == x_opt bitwise.
         let mut x = x0.clone();
         x.zero_interior();
@@ -195,7 +222,7 @@ mod tests {
         let (x0, b) = problem(257); // above DIRECT_REFERENCE_MAX_N
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution(&x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
         let mut r = Grid2d::zeros(257);
         petamg_grid::residual(&x_opt, &b, &mut r, &exec);
         let rel = l2_norm_interior(&r, &exec) / l2_norm_interior(&b, &exec);
@@ -218,9 +245,10 @@ mod tests {
     #[test]
     fn multigrid_reference_solution_keeps_its_bits() {
         // n = 257 is the smallest size on the multigrid path. The
-        // constants were recorded before the reference cycles moved onto
-        // the fixed `MULTIGRID-V-SIMPLE` plan; any change to the stall
-        // loop, the FMG pass or a kernel moves them.
+        // constants were recorded on the reference cycles' own recursive
+        // executor, before they ran as the fixed `MULTIGRID-V-SIMPLE`
+        // plan; any change to the stall loop, the FMG pass or a kernel
+        // moves them.
         let n = 257;
         let (x0, b) = problem(n);
         for (problem, pin) in [
@@ -243,18 +271,67 @@ mod tests {
 
     #[test]
     fn small_and_large_paths_agree_at_the_boundary_size() {
-        // At n = 65 (direct path) vs multigrid-converged: same answer.
+        // At n = 65 (direct path) vs V-cycle converged: same answer.
         let (x0, b) = problem(65);
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let direct = reference_solution(&x0, &b, &exec, &cache);
+        let direct = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
 
-        let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
         let mut mg = x0.clone();
-        for _ in 0..40 {
-            solver.vcycle(&mut mg, &b);
-        }
+        v_cycles(&mut mg, &b, 40, cache);
         let rel = l2_diff(&direct, &mg, &exec) / l2_norm_interior(&direct, &exec);
         assert!(rel < 1e-11, "paths disagree: {rel}");
+    }
+
+    #[test]
+    fn one_fmg_pass_beats_the_zero_guess_and_keeps_the_boundary() {
+        // One pass already beats the zero guess by tens of x. (On rough
+        // right-hand sides the coarse estimate carries less information
+        // than the smooth-data theory assumes, so not the asymptotic
+        // O(truncation) of smooth problems.)
+        let level = 6;
+        let n = level_size(level);
+        let (x0, b) = problem(n);
+        let exec = Exec::seq();
+        for (problem, factor) in [
+            (Problem::poisson(), 0.05),
+            (Problem::smooth_sinusoidal(n), 0.1),
+        ] {
+            let cache = Arc::new(DirectSolverCache::new());
+            let x_opt = reference_solution_for(&problem, &x0, &b, &exec, &cache);
+            let mut ctx = ExecCtx::with_cache(exec.clone(), cache).with_problem(problem.clone());
+            let mut x = x0.clone();
+            reference_fmg(level, &mut x, &b, &mut ctx);
+            let err = l2_diff(&x, &x_opt, &exec);
+            let zero_err = l2_diff(&x0, &x_opt, &exec);
+            assert!(
+                err < factor * zero_err,
+                "{}: FMG error {err} vs initial {zero_err}",
+                problem.describe()
+            );
+            for i in 0..n {
+                for j in [0, n - 1] {
+                    assert_eq!(x.at(i, j), x0.at(i, j));
+                    assert_eq!(x.at(j, i), x0.at(j, i));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_fmg_passes_allocate_nothing() {
+        let level = 6;
+        let (x0, b) = problem(level_size(level));
+        let mut ctx = ExecCtx::new(Exec::seq());
+        let mut x = x0.clone();
+        reference_fmg(level, &mut x, &b, &mut ctx);
+        let warm = ctx.workspace.stats().allocations;
+        assert!(warm > 0, "warm-up must have populated the pools");
+        for _ in 0..3 {
+            reference_fmg(level, &mut x, &b, &mut ctx);
+        }
+        let after = ctx.workspace.stats();
+        assert_eq!(after.allocations, warm, "a warm FMG pass must not allocate");
+        assert!(after.reuses > 0, "pools must actually be reused");
     }
 }

@@ -35,7 +35,7 @@ pub const MAX_QUICK_KNOB_LEVEL: usize = 10;
 
 /// Apply tuned [`KernelKnobs`] to an execution policy (the band height
 /// and SIMD policy; the temporal depth travels separately into
-/// [`ExecCtx::tblock`] / `MgConfig::tblock`).
+/// [`ExecCtx::tblock`]).
 pub fn apply_knobs(exec: Exec, knobs: &KernelKnobs) -> Exec {
     exec.with_band(knobs.band_rows).with_simd(knobs.simd)
 }

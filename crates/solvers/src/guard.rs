@@ -11,18 +11,16 @@
 //! [`GuardFailure`] instead of letting the caller read NaNs or spin to
 //! a cap.
 //!
-//! The guard deliberately lives in `petamg-solvers` so both the
-//! reference iterations here and the tuned-plan executor in
-//! `petamg-core` (which depends on this crate) can thread it through
-//! their cycle loops; `petamg-core`'s `guard` module layers the
-//! degradation ladder and the full `SolveError` taxonomy on top.
+//! The tuned-plan executor in `petamg-core` (which depends on this
+//! crate) threads it through its cycle loop; `petamg-core`'s `guard`
+//! module layers the degradation ladder and the full `SolveError`
+//! taxonomy on top.
 
 use std::time::{Duration, Instant};
 
 /// Outcome of a bounded iteration: did it meet its target, and how many
-/// cycles did it spend? Replaces the old convention of returning a bare
-/// `usize` from `solve_v_until`, where `max_iters` was indistinguishable
-/// from "converged on exactly the last cycle".
+/// cycles did it spend? A bare cycle count would not tell converging on
+/// exactly the last budgeted cycle from running out of budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveStatus {
     /// The `done` predicate (or residual target) was met.

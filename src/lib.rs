@@ -21,12 +21,15 @@
 //!   scratch that makes steady-state cycles allocation-free.
 //! * [`linalg`] — packed band Cholesky (the paper's LAPACK `DPBSV`).
 //! * [`runtime`] — Cilk-style work-stealing pool (PetaBricks runtime).
-//! * [`solvers`] — Red-Black SOR, reference V-cycle / W-cycle /
-//!   full-multigrid solvers.
+//! * [`solvers`] — direct solver cache, Red-Black SOR, the fused
+//!   cycle-edge kernels and the per-cycle solve guard.
 //! * [`core`] — the paper's contribution: accuracy metric, DP tuner for
-//!   `MULTIGRID-V_i` and `FULL-MULTIGRID_i`, tuned-plan executor, cycle
-//!   tracing/rendering, machine cost models, training distributions, and
-//!   the per-level kernel-knob tables with their n-ary search.
+//!   `MULTIGRID-V_i` and `FULL-MULTIGRID_i`, the one plan executor (the
+//!   paper's reference `MULTIGRID-V-SIMPLE` is the fixed plan
+//!   `simple_v_family`, its reference full multigrid
+//!   `accuracy::reference_fmg`), cycle tracing/rendering, machine cost
+//!   models, training distributions, and the per-level kernel-knob
+//!   tables with their n-ary search.
 //! * [`serve`] — the tune-once/serve-many layer: a fingerprint-keyed
 //!   [`PlanLibrary`](petamg_serve::PlanLibrary) over checksummed plan
 //!   files and a [`SolverService`](petamg_serve::SolverService) with a
@@ -72,6 +75,9 @@ pub mod prelude {
     pub use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
     pub use petamg_core::knobs::{KernelKnobs, KnobTable};
     pub use petamg_core::plan::{Choice, ExecCtx, TunedFamily, TunedFmgFamily};
+    // Pinned by `benchmark/src/probes.rs` (`solvers.reference_v.solve_ms.*`); delete with ROADMAP 1(i).
+    #[doc(hidden)]
+    pub use petamg_core::plan::{MgConfig, ReferenceSolver};
     pub use petamg_core::trace::LadderRung;
     pub use petamg_core::training::{Distribution, ProblemInstance};
     pub use petamg_core::tuner::{FmgTuner, TunerOptions, VTuner};
@@ -89,7 +95,6 @@ pub mod prelude {
     pub use petamg_solvers::guard::{
         GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
     };
-    pub use petamg_solvers::multigrid::{MgConfig, ReferenceSolver};
     pub use petamg_solvers::relax::omega_opt;
 }
 

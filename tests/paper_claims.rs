@@ -4,16 +4,42 @@
 //! map names the test for each figure and the measured fact for each
 //! one that does not reproduce.
 
+use petamg::core::accuracy::reference_fmg;
 use petamg::core::heuristics::paper_strategies;
+use petamg::core::plan::simple_v_family;
 use petamg::core::tuner::{priced_run, ParetoTuner};
 use petamg::grid::l2_diff;
 use petamg::prelude::*;
-use petamg::solvers::{DirectSolverCache, MgConfig, ReferenceSolver};
+use petamg::solvers::DirectSolverCache;
 use std::sync::Arc;
 
-/// Reference cycles until `inst`'s error has fallen by `target`: V
-/// cycles, or with `fmg` one full-multigrid pass and then V cycles (the
-/// pass counts as one).
+/// The paper's reference iterations on `inst` until `done` or `max`
+/// passes: `MULTIGRID-V-SIMPLE` cycles, or with `fmg` one reference
+/// full-multigrid pass and then V cycles (the pass counts as one).
+fn reference_passes(
+    inst: &ProblemInstance,
+    cache: &Arc<DirectSolverCache>,
+    fmg: bool,
+    max: usize,
+    mut done: impl FnMut(&Grid2d) -> bool,
+) -> SolveStatus {
+    let v = simple_v_family(inst.level, &[1.0]);
+    let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::clone(cache));
+    let mut x = inst.working_grid();
+    for pass in 1..=max {
+        if fmg && pass == 1 {
+            reference_fmg(inst.level, &mut x, &inst.b, &mut ctx);
+        } else {
+            v.run(inst.level, 0, &mut x, &inst.b, &mut ctx);
+        }
+        if done(&x) {
+            return SolveStatus::Converged { cycles: pass };
+        }
+    }
+    SolveStatus::BudgetExhausted { cycles: max }
+}
+
+/// Reference passes until `inst`'s error has fallen by `target`.
 fn reference_cycles(
     inst: &ProblemInstance,
     target: f64,
@@ -23,14 +49,9 @@ fn reference_cycles(
     let exec = Exec::seq();
     let x_opt = inst.x_opt().expect("precomputed");
     let e0 = l2_diff(&inst.x0, x_opt, &exec);
-    let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(cache));
-    let done = |x: &Grid2d| l2_diff(x, x_opt, &exec) <= e0 / target;
-    let mut x = inst.working_grid();
-    let status = if fmg {
-        solver.solve_fmg_until(&mut x, &inst.b, 200, done)
-    } else {
-        solver.solve_v_until(&mut x, &inst.b, 200, done)
-    };
+    let status = reference_passes(inst, cache, fmg, 200, |x| {
+        l2_diff(x, x_opt, &exec) <= e0 / target
+    });
     assert!(status.converged(), "reference failed to reach {target:e}");
     status.cycles()
 }
@@ -46,7 +67,7 @@ fn reference_v_cost(
     cache: &Arc<DirectSolverCache>,
 ) -> f64 {
     let iters = reference_cycles(inst, target, cache, false);
-    let fam = petamg::core::plan::simple_v_family(inst.level, &[target]);
+    let fam = simple_v_family(inst.level, &[target]);
     let (one, _) = priced_run(profile, &Exec::seq(), cache, |ctx| {
         let mut x = inst.working_grid();
         fam.run(inst.level, 0, &mut x, &inst.b, ctx);
@@ -198,12 +219,11 @@ fn guarded_solve_matches_reference_v_to_1e8_residual() {
         assert!(rel_residual(&x, &inst.b) <= tol);
         let guarded_cost = petamg::core::tuner::price_ops(&profile, &report.ops);
 
-        let reference = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
-        let mut x = inst.working_grid();
-        let status =
-            reference.solve_v_until(&mut x, &inst.b, 50, |x| rel_residual(x, &inst.b) <= tol);
+        let status = reference_passes(&inst, &cache, false, 50, |x| {
+            rel_residual(x, &inst.b) <= tol
+        });
         assert!(status.converged(), "reference V failed to reach {tol:e}");
-        let simple = petamg::core::plan::simple_v_family(level, &[1.0]);
+        let simple = simple_v_family(level, &[1.0]);
         let (one_cycle, _) = priced_run(&profile, &exec, &cache, |ctx| {
             let mut x = inst.working_grid();
             simple.run(level, 0, &mut x, &inst.b, ctx);
