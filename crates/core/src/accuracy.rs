@@ -10,7 +10,7 @@
 //! solver at small sizes and from a far-converged multigrid solve at
 //! large sizes.
 
-use crate::plan::{simple_v_family, ExecCtx, TunedFamily};
+use crate::plan::{simple_v_family, ExecCtx};
 use petamg_grid::{
     coarse_size, interpolate_into, l2_diff, l2_norm_interior, restrict_full_weighting,
     restrict_inject, size_level, Exec, Grid2d,
@@ -133,10 +133,6 @@ pub fn reference_solution_for(
 /// estimate's value. This nested iteration is not the tuned
 /// `ESTIMATE_j`, which restricts a residual and corrects.
 pub fn reference_fmg(level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx) {
-    nested_iteration(&simple_v_family(level, &[1.0]), level, x, b, ctx);
-}
-
-fn nested_iteration(v: &TunedFamily, level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx) {
     if level > 1 {
         let nc = coarse_size(x.n());
         let ws = Arc::clone(&ctx.workspace);
@@ -145,10 +141,10 @@ fn nested_iteration(v: &TunedFamily, level: usize, x: &mut Grid2d, b: &Grid2d, c
         restrict_inject(x, &mut xc); // boundary ring
         restrict_full_weighting(b, &mut bc, &ctx.exec);
         xc.zero_interior();
-        nested_iteration(v, level - 1, &mut xc, &bc, ctx);
+        reference_fmg(level - 1, &mut xc, &bc, ctx);
         interpolate_into(&xc, x, &ctx.exec);
     }
-    v.run(level, 0, x, b, ctx);
+    simple_v_family(level, &[1.0]).run(level, 0, x, b, ctx);
 }
 
 #[cfg(test)]

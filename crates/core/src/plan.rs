@@ -1201,6 +1201,27 @@ mod tests {
     }
 
     #[test]
+    fn simple_v_cycles_reach_machine_precision_on_poisson() {
+        let (level, n) = (4, 17);
+        let mut x = Grid2d::zeros(n);
+        x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 * 100.0 - 900.0);
+        let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 1e4 - 1.4e5);
+        let mut x_opt = x.clone();
+        petamg_problems::OpDirect::new(petamg_problems::StencilOp::Poisson, n)
+            .unwrap()
+            .solve(&mut x_opt, &b);
+        let e = Exec::seq();
+        let fam = simple_v_family(level, &[1.0]);
+        let mut ctx = ExecCtx::new(e.clone());
+        for _ in 0..30 {
+            fam.run(level, 0, &mut x, &b, &mut ctx);
+        }
+        let rel = petamg_grid::l2_diff(&x, &x_opt, &e)
+            / petamg_grid::l2_norm_interior(&x_opt, &e).max(1.0);
+        assert!(rel < 1e-12, "rel err {rel}");
+    }
+
+    #[test]
     fn kernel_knobs_and_backends_keep_the_fixed_plan_bits() {
         // Temporal-block depth, band height, grain and backend are pure
         // performance knobs for every operator family. Level 3 runs SOR
