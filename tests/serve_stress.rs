@@ -499,6 +499,56 @@ fn restarted_duplicates_share_one_load_flight_and_one_factor() {
     assert_eq!((stats.tunes, stats.coalesced), (0, 2));
 }
 
+/// The benchmark's `cold_tune` round, counted: four classes × three
+/// duplicates at n = 65 in flight together on two workers, then the
+/// same twelve on a restarted service over the same directory. The
+/// cold pass tunes each class once and factors nothing (the tuners'
+/// factors are adopted); the restart loads each plan once and factors
+/// each top member once. Which duplicates find the plan resident and
+/// which park on its flight is a matter of timing, so only their sum
+/// is pinned.
+#[test]
+fn a_cold_round_and_its_restart_keep_their_counts() {
+    let classes = [
+        Problem::poisson(),
+        Problem::anisotropic_canonical(),
+        Problem::smooth_sinusoidal(DIRECT_N),
+        Problem::jump_inclusion(DIRECT_N),
+    ];
+    let dir = tmp_dir("cold-round");
+    let pass = |first: PlanSource| {
+        let svc = quick_tuned(&dir, 2);
+        let tickets: Vec<_> = classes
+            .iter()
+            .flat_map(|problem| (0..3).map(move |k| (problem, 40 + k)))
+            .map(|(problem, seed)| {
+                svc.submit(request_at(problem, DIRECT_LEVEL, seed))
+                    .expect("room")
+            })
+            .collect();
+        let sources: Vec<PlanSource> = tickets
+            .into_iter()
+            .map(|ticket| ticket.wait().expect("every request converges").plan)
+            .collect();
+        let count = |wanted: &[PlanSource]| sources.iter().filter(|s| wanted.contains(s)).count();
+        assert_eq!(count(&[first]), 4, "{sources:?}");
+        assert_eq!(
+            count(&[PlanSource::CacheHit, PlanSource::Coalesced]),
+            8,
+            "{sources:?}"
+        );
+        let stats = svc.stats();
+        assert_eq!(stats.converged, 12);
+        (
+            stats.tunes,
+            svc.library().stats().disk_loads,
+            svc.direct_cache().factorizations(),
+        )
+    };
+    assert_eq!(pass(PlanSource::TunedNow), (4, 0, 0), "cold pass");
+    assert_eq!(pass(PlanSource::DiskLoad), (0, 4, 4), "restart");
+}
+
 /// Admission control: a queue of capacity 2 over a slow tuner rejects
 /// the overflow with the typed `Rejected` instead of queueing
 /// unboundedly, and accepted work still completes.
