@@ -32,8 +32,9 @@
 //! A plan that fails its tuned rung on the arithmetic alone fails it
 //! for the next right-hand side too, so a solver given a
 //! [`LadderMemory`] ([`GuardedSolver::with_ladder_memory`] — the
-//! serving engine keeps one per resident plan *object*, so a re-tuned,
-//! re-inserted or reloaded plan starts with none) stops re-proving it.
+//! serving engine keeps one in each resident plan's library entry, so a
+//! re-tuned, re-inserted or reloaded plan starts with none) stops
+//! re-proving it.
 //! Per level, once `KNOWN_AFTER` (3) consecutive requests ended on the
 //! same rung below the tuned one, with nothing but verdicts that
 //! [replay identically](FailureKind::SameScheduleAsFailed) above it, a

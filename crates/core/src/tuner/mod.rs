@@ -774,22 +774,6 @@ impl VTuner {
         }
         (settled, price)
     }
-
-    /// Price a finished plan on a problem (modeled only): one
-    /// representative solve, op-counted and converted to seconds.
-    pub fn modeled_solve_cost(
-        &self,
-        family: &TunedFamily,
-        level: usize,
-        acc_idx: usize,
-        inst: &ProblemInstance,
-    ) -> Option<f64> {
-        let profile = self.opts.cost_model.profile()?;
-        let mut ctx = self.fresh_ctx();
-        let mut x = inst.working_grid();
-        family.run(level, acc_idx, &mut x, &inst.b, &mut ctx);
-        Some(profile.time(&ctx.ops))
-    }
 }
 
 /// Price an arbitrary execution's op counts on a machine profile.

@@ -31,7 +31,12 @@
 //! The public surface is what the workspace uses: [`ThreadPool`]
 //! (`new`, `spawn`, `install`, `parallel_for`), [`join`], [`spawn`],
 //! [`parallel_for`], the deterministic [`parallel_for_reduce_sum`] /
-//! [`parallel_for_reduce_max`] reductions and [`current_worker_index`].
+//! [`parallel_for_reduce_max`] reductions, [`current_worker_index`],
+//! and [`SingleFlight`]: the one keyed map of reusable values in the
+//! workspace (the direct-factor cache, the plan library's memory tier
+//! and the serving engine's plan flights), holding at most one flight
+//! in the air and one landed value per key under an LRU bound, whose
+//! landings hand parked jobs back to the pool through [`spawn`].
 //! Each pool is owned by whoever built it — `petamg_grid::Exec::pbrt`
 //! for the grid sweeps, the serving engine for requests; there is no
 //! process-global pool, and off a pool every call runs inline.
@@ -45,12 +50,14 @@
 //! assert_eq!(sum, 523_776.0);
 //! ```
 
+mod flight;
 mod job;
 mod latch;
 mod par;
 mod registry;
 mod sleep;
 
+pub use flight::{FlightGuard, Parked, ParkedJob, Role, SingleFlight};
 pub use par::{parallel_for, parallel_for_reduce_max, parallel_for_reduce_sum};
 pub use registry::{current_worker_index, ThreadPool};
 

@@ -6,15 +6,18 @@
 //!
 //! * [`PlanLibrary`] — a directory of checksummed v5 plan files keyed
 //!   by problem fingerprint, with a bounded in-memory LRU in front and
-//!   `persist`'s quarantine semantics preserved on reload.
+//!   `persist`'s quarantine semantics preserved on reload. The memory
+//!   tier is a [`SingleFlight`] (from `petamg-runtime`, re-exported
+//!   here): each key holds its resident plan with the plan's ladder
+//!   memory, and the one flight making its next plan.
 //! * [`SolverService`] — a long-running engine whose serving loop is
-//!   `PlanLibrary::lookup` → `GuardedSolver::solve`, with a bounded
+//!   `PlanLibrary::park` → `GuardedSolver::solve`, with a bounded
 //!   submission queue over the work-stealing pool (typed [`Rejected`]
 //!   on overload), warm per-worker [`Workspace`](petamg_grid::Workspace)
-//!   arenas, one shared `DirectSolverCache`, and one flight per cold
-//!   fingerprint: its leader loads or tunes the plan and warms its
-//!   direct factors, while the other requests park without holding a
-//!   worker.
+//!   arenas, one shared `DirectSolverCache` (a `SingleFlight` too), and
+//!   one flight per cold fingerprint: its leader loads or tunes the plan
+//!   and warms its direct factors, while the other requests park
+//!   without holding a worker.
 //!
 //! ```no_run
 //! use petamg_problems::Problem;
@@ -28,16 +31,15 @@
 //! println!("served by {:?} at residual {:.3e}", report.plan, report.report.rel_residual);
 //! ```
 
-pub mod coalesce;
 pub mod library;
 pub mod service;
 pub mod telemetry;
 
-pub use coalesce::{Parked, ParkedJob, Role, SingleFlight};
 pub use library::{
     fingerprint_key, plan_file_name, LibraryStats, PlanLibrary, PlanOrigin,
     DEFAULT_LIBRARY_CAPACITY,
 };
+pub use petamg_runtime::{Parked, ParkedJob, Role, SingleFlight};
 pub use service::{
     PlanSource, Rejected, ServeError, ServeReport, ServeResponse, ServiceConfig, ServiceStats,
     SolveRequest, SolverService, Ticket, TunePolicy,

@@ -16,18 +16,26 @@
 //! [`PlanLibrary::remember`] files in memory once the caller has made
 //! it servable — the service warms its direct factors first.
 //!
+//! The memory tier is a [`SingleFlight`] keyed by the plan's file key:
+//! one resident plan per key, and at most one flight making the next
+//! one. A resident plan carries the [`LadderMemory`] its guarded solves
+//! share, made empty when the plan lands, so a re-tuned, re-inserted or
+//! reloaded plan starts from nothing remembered and an evicted plan
+//! takes its memory with it. The service resolves a request with one
+//! `park`: the resident plan, else a place on the flight in the air,
+//! else the lead of a new flight, which it lands with `land`.
+//!
 //! Eviction is safe by construction — an evicted entry is only a cache
 //! entry, the file stays on disk and the next `get` reloads it
 //! (re-verifying the v5 checksum on the way in).
 
-use parking_lot::Mutex;
+use petamg_core::guard::LadderMemory;
 use petamg_core::persist::{self, PlanLoadError};
 use petamg_core::plan::TunedFamily;
 use petamg_obs::{Counter, Registry};
 use petamg_problems::{Problem, ProblemFingerprint};
-use std::collections::HashMap;
+use petamg_runtime::{FlightGuard, Parked, ParkedJob, SingleFlight};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default number of plans held in memory.
@@ -71,12 +79,23 @@ pub enum PlanOrigin {
     Disk,
 }
 
-/// What memory holds under a problem's key.
-enum Cached {
-    Hit(Arc<TunedFamily>),
-    /// Another fingerprint's plan under the same key.
-    Mismatch,
-    Absent,
+/// A plan in memory, with what its degradation ladder did lately.
+#[derive(Clone)]
+pub(crate) struct Resident {
+    /// The plan every lookup serves.
+    pub plan: Arc<TunedFamily>,
+    /// Shared by every guarded solve on this plan while it stays
+    /// resident.
+    pub memory: Arc<LadderMemory>,
+}
+
+impl Resident {
+    fn new(family: TunedFamily) -> Self {
+        Resident {
+            plan: Arc::new(family),
+            memory: Arc::new(LadderMemory::new()),
+        }
+    }
 }
 
 /// Counter snapshot for observability and tests.
@@ -154,11 +173,8 @@ impl Counters {
 /// workers behind an `Arc`.
 pub struct PlanLibrary {
     dir: PathBuf,
-    capacity: usize,
-    /// key → (plan, last-touched tick). The tick pattern matches
-    /// `DirectSolverCache`: monotone counter, evict the smallest.
-    cache: Mutex<HashMap<u64, (Arc<TunedFamily>, u64)>>,
-    tick: AtomicU64,
+    /// key → resident plan, and the flight making the next one.
+    memory: SingleFlight<Resident>,
     stats: Counters,
     /// Fingerprint → cache key / file name. [`fingerprint_key`] in
     /// production; tests swap in a colliding function to exercise the
@@ -180,9 +196,7 @@ impl PlanLibrary {
         std::fs::create_dir_all(&dir)?;
         Ok(PlanLibrary {
             dir,
-            capacity: capacity.max(1),
-            cache: Mutex::new(HashMap::new()),
-            tick: AtomicU64::new(0),
+            memory: SingleFlight::with_capacity(capacity),
             stats: Counters::default(),
             key_fn: fingerprint_key,
         })
@@ -212,12 +226,14 @@ impl PlanLibrary {
 
     /// The in-memory capacity bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.memory.capacity()
     }
 
-    /// Number of plans currently cached in memory (≤ capacity).
+    /// Number of plans currently cached in memory: ≤ capacity whenever
+    /// no flight is in the air (a plan whose successor is being made is
+    /// not evicted).
     pub fn cached(&self) -> usize {
-        self.cache.lock().len()
+        self.memory.len()
     }
 
     /// Path the plan for `fp` is (or would be) stored at.
@@ -228,10 +244,13 @@ impl PlanLibrary {
 
     /// Cached keys in most-recently-used-first order (for tests).
     pub fn cached_keys(&self) -> Vec<u64> {
-        let cache = self.cache.lock();
-        let mut entries: Vec<(u64, u64)> = cache.iter().map(|(k, (_, t))| (*k, *t)).collect();
-        entries.sort_by_key(|&(_, tick)| std::cmp::Reverse(tick));
-        entries.into_iter().map(|(k, _)| k).collect()
+        self.memory.landed().into_iter().map(|(k, _)| k).collect()
+    }
+
+    /// How many resident plans have a ladder memory that skips a rung.
+    pub(crate) fn open_ladder_memories(&self) -> usize {
+        let landed = self.memory.landed();
+        landed.iter().filter(|(_, r)| r.memory.is_open()).count()
     }
 
     /// Counter snapshot.
@@ -252,25 +271,23 @@ impl PlanLibrary {
         counter.inc();
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    fn key(&self, problem: &Problem) -> u64 {
+        (self.key_fn)(problem.fingerprint())
     }
 
-    /// Put `plan` in the cache under `key`, evicting the least recently
-    /// used entries to stay within capacity.
-    fn cache_put(&self, key: u64, plan: Arc<TunedFamily>) {
-        let tick = self.next_tick();
-        let mut cache = self.cache.lock();
-        cache.insert(key, (plan, tick));
-        while cache.len() > self.capacity {
-            let stalest = cache
-                .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| *k)
-                .expect("cache over capacity implies at least one entry");
-            cache.remove(&stalest);
-            Self::bump(&self.stats.evictions);
+    /// Whether `plan`, found under `problem`'s key, is `problem`'s.
+    /// The key is only a locator: two distinct problems whose
+    /// fingerprints hash to one key would otherwise alias — the second
+    /// would silently execute a plan tuned for the first. A mismatch
+    /// counts as a mismatch and a miss; the plan stays, as it is
+    /// correct for the problem that filed it.
+    fn owns(&self, plan: &TunedFamily, problem: &Problem) -> bool {
+        let owns = plan.ensure_problem(problem.fingerprint()).is_ok();
+        if !owns {
+            Self::bump(&self.stats.mismatches);
+            Self::bump(&self.stats.misses);
         }
+        owns
     }
 
     /// Fetch the plan for `problem`: [`PlanLibrary::lookup`], then
@@ -283,15 +300,14 @@ impl PlanLibrary {
     /// and counted. Either way the caller should tune (or let the
     /// guarded ladder fall back to its heuristic rung).
     pub fn get(&self, problem: &Problem) -> Option<(Arc<TunedFamily>, PlanOrigin)> {
-        match self.in_memory(problem) {
-            Cached::Hit(plan) => Some((plan, PlanOrigin::Memory)),
-            // The colliding key also names the on-disk file, so a load
-            // could only reproduce the same mismatch.
-            Cached::Mismatch => None,
-            Cached::Absent => {
-                let plan = self.remember(problem, self.load(problem)?);
-                Some((plan, PlanOrigin::Disk))
-            }
+        match self.memory.get(&self.key(problem)) {
+            // On a mismatch the colliding key also names the on-disk
+            // file, so a load could only reproduce the same mismatch.
+            Some(resident) => Some((self.hit(resident, problem)?, PlanOrigin::Memory)),
+            None => Some((
+                self.remember(problem, self.load(problem)?),
+                PlanOrigin::Disk,
+            )),
         }
     }
 
@@ -299,33 +315,48 @@ impl PlanLibrary {
     /// mismatch and a miss; an absent key counts nothing (the disk
     /// decides whether that is a miss).
     pub fn lookup(&self, problem: &Problem) -> Option<Arc<TunedFamily>> {
-        match self.in_memory(problem) {
-            Cached::Hit(plan) => Some(plan),
-            Cached::Mismatch | Cached::Absent => None,
-        }
+        self.hit(self.memory.get(&self.key(problem))?, problem)
     }
 
-    fn in_memory(&self, problem: &Problem) -> Cached {
-        let key = (self.key_fn)(problem.fingerprint());
-        let tick = self.next_tick();
-        let mut cache = self.cache.lock();
-        let Some((plan, stamp)) = cache.get_mut(&key) else {
-            return Cached::Absent;
+    /// `resident`'s plan, counted as a hit, if it is `problem`'s.
+    fn hit(&self, resident: Resident, problem: &Problem) -> Option<Arc<TunedFamily>> {
+        self.owns(&resident.plan, problem).then(|| {
+            Self::bump(&self.stats.hits);
+            resident.plan
+        })
+    }
+
+    /// Serve `job` from the resident plan of its `problem` if `serves`
+    /// takes it; else park `job` on the flight making that plan; else
+    /// open one and hand `job` back with its lead, to land with
+    /// [`PlanLibrary::land`]. One lock, counted as
+    /// [`PlanLibrary::lookup`] counts, except that a plan of the
+    /// problem's that `serves` turns down counts nothing.
+    pub(crate) fn park<J: ParkedJob<Resident>>(
+        &self,
+        job: J,
+        problem: fn(&J) -> &Problem,
+        serves: impl FnOnce(&TunedFamily) -> bool,
+    ) -> Parked<Resident, J> {
+        let accept = |resident: &Resident, job: &J| {
+            let hit = self.owns(&resident.plan, problem(job)) && serves(&resident.plan);
+            if hit {
+                Self::bump(&self.stats.hits);
+            }
+            hit
         };
-        // The key is only a locator: a cache hit must be verified
-        // against the full posed fingerprint before it is served. Two
-        // distinct problems whose fingerprints hash to one key would
-        // otherwise alias — the second would silently execute a plan
-        // tuned for the first. The cached entry stays either way — it
-        // is correct for the problem that inserted it.
-        if plan.ensure_problem(problem.fingerprint()).is_err() {
-            Self::bump(&self.stats.mismatches);
-            Self::bump(&self.stats.misses);
-            return Cached::Mismatch;
-        }
-        *stamp = tick;
-        Self::bump(&self.stats.hits);
-        Cached::Hit(Arc::clone(plan))
+        self.memory.park(self.key(problem(&job)), accept, job)
+    }
+
+    /// File `family` in memory by landing `flight`, its problem's
+    /// flight from [`PlanLibrary::park`], and return what every later
+    /// lookup serves. The plan must already be on disk: loaded with
+    /// [`PlanLibrary::load`], or saved.
+    pub(crate) fn land(&self, flight: FlightGuard<Resident>, family: TunedFamily) -> Resident {
+        let resident = Resident::new(family);
+        let evicted = flight.file(resident.clone());
+        self.stats.evictions.add(evicted);
+        resident
     }
 
     /// Read the plan for `problem` from its file (checksum
@@ -378,30 +409,37 @@ impl PlanLibrary {
         problem: &Problem,
         family: TunedFamily,
     ) -> std::io::Result<Arc<TunedFamily>> {
+        self.save(problem, &family)?;
+        Ok(self.remember(problem, family))
+    }
+
+    /// The disk half of [`PlanLibrary::insert`].
+    pub(crate) fn save(&self, problem: &Problem, family: &TunedFamily) -> std::io::Result<()> {
         if family.ensure_problem(problem.fingerprint()).is_err() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "plan fingerprint does not match the problem it is filed under",
             ));
         }
-        persist::save_plan(&family, &self.path_for(problem.fingerprint()))?;
+        persist::save_plan(family, &self.path_for(problem.fingerprint()))?;
         Self::bump(&self.stats.inserts);
-        Ok(self.remember(problem, family))
+        Ok(())
     }
 
     /// Put a plan for `problem` that is already on disk (a
     /// [`PlanLibrary::load`] result) in memory, and return the shared
     /// copy every later lookup serves.
     pub fn remember(&self, problem: &Problem, family: TunedFamily) -> Arc<TunedFamily> {
-        let plan = Arc::new(family);
-        self.cache_put((self.key_fn)(problem.fingerprint()), Arc::clone(&plan));
-        plan
+        let resident = Resident::new(family);
+        let evicted = self.memory.put(self.key(problem), resident.clone());
+        self.stats.evictions.add(evicted);
+        resident.plan
     }
 
     /// Drop every in-memory entry (disk untouched). Tests use this to
     /// force disk reloads.
     pub fn clear_cache(&self) {
-        self.cache.lock().clear();
+        self.memory.clear();
     }
 }
 

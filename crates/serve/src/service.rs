@@ -2,20 +2,21 @@
 //!
 //! A [`SolverService`] is a long-running front door over the
 //! tune-once/serve-many artifacts: its serving loop is
-//! `PlanLibrary::lookup` → `GuardedSolver::solve`. Requests enter
+//! `PlanLibrary::park` → `GuardedSolver::solve`. Requests enter
 //! through a bounded submission queue over the `petamg-runtime`
 //! work-stealing pool; when the queue is full, [`SolverService::submit`]
 //! returns the typed [`Rejected`] instead of queueing unboundedly. Each
 //! pool worker owns a warm [`Workspace`] arena, and every request shares
 //! one [`DirectSolverCache`].
 //!
-//! A request whose plan is not in memory joins its fingerprint's
-//! flight (see [`crate::coalesce`]). The first one leads it: it loads
-//! the plan from disk or tunes it, puts the top member's direct factors
-//! in the shared cache (adopting the tuner's own), and only then files
-//! the plan in memory and lands the flight. The others park on the
-//! flight without holding a worker, and the landing hands them back to
-//! the pool.
+//! A request resolves its plan with one `PlanLibrary::park`: the
+//! resident plan if it reaches the request's level, else a place on
+//! the fingerprint's flight, else the lead of a new one. The leader
+//! loads the plan from disk or tunes it, puts the top member's direct
+//! factors in the shared cache (adopting the tuner's own), and only
+//! then lands the flight, which files the plan in memory with an empty
+//! ladder memory. The others park on the flight without holding a
+//! worker, and the landing hands them back to the pool.
 //!
 //! Failure domains are per-request: a panic inside a solve is caught
 //! on the worker and surfaces as [`ServeError::Panicked`] on that
@@ -24,12 +25,11 @@
 //! the typed [`ServeError::Ladder`] with the iterate restored to the
 //! initial guess. The service itself keeps serving.
 
-use crate::coalesce::{Parked, ParkedJob, SingleFlight};
-use crate::library::{fingerprint_key, PlanLibrary};
+use crate::library::{PlanLibrary, Resident};
 use crate::telemetry::{PhaseStamp, ServeTelemetry};
 use parking_lot::{Condvar, Mutex};
 use petamg_core::faults::{self, Fault};
-use petamg_core::guard::{GuardedReport, GuardedSolver, LadderMemory, SolveError};
+use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
 use petamg_core::plan::{simple_v_family, TunedFamily, PAPER_ACCURACIES};
 use petamg_core::telemetry::{rung_label, SolveTelemetry};
 use petamg_core::training::Distribution;
@@ -37,12 +37,11 @@ use petamg_core::tuner::{TunerOptions, VTuner};
 use petamg_grid::{size_level, Exec, Grid2d, Workspace, WorkspaceStats};
 use petamg_obs::{self as obs, Counter, Gauge, Registry, TelemetrySnapshot};
 use petamg_problems::Problem;
-use petamg_runtime::ThreadPool;
+use petamg_runtime::{FlightGuard, Parked, ParkedJob, ThreadPool};
 use petamg_solvers::{DirectSolverCache, GuardConfig};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// A caller-supplied tuning function: `(problem, level) -> family`.
 pub type TuneFn = dyn Fn(&Problem, usize) -> TunedFamily + Send + Sync;
@@ -400,16 +399,9 @@ fn bump(c: &Counter) {
 }
 
 struct Inner {
+    /// The plans, each with its ladder memory, and their flights.
     library: PlanLibrary,
-    flights: SingleFlight<Arc<TunedFamily>>,
     cache: Arc<DirectSolverCache>,
-    /// What each resident plan's ladder did lately, keyed by the plan
-    /// object's address. The `Weak` pins that address for as long as
-    /// the entry stands, so a key can only ever mean the plan it was
-    /// filed for: a re-tuned, re-inserted or reloaded plan is another
-    /// object and starts with an empty memory. Entries whose plan is
-    /// gone are dropped when the next one is filed.
-    ladder_memories: Mutex<HashMap<usize, Remembered>>,
     /// One warm arena per pool worker, indexed by
     /// `petamg_runtime::current_worker_index`.
     arenas: Vec<Arc<Workspace>>,
@@ -442,36 +434,10 @@ struct Inner {
     ladder_memory_open: Gauge,
 }
 
-/// One plan object's ladder memory.
-struct Remembered {
-    plan: Weak<TunedFamily>,
-    memory: Arc<LadderMemory>,
-}
-
 impl Inner {
-    /// The ladder memory of `plan`, as the library serves it.
-    fn ladder_memory(&self, plan: &Arc<TunedFamily>) -> Arc<LadderMemory> {
-        let key = Arc::as_ptr(plan) as usize;
-        let mut memories = self.ladder_memories.lock();
-        if let Some(found) = memories.get(&key) {
-            return Arc::clone(&found.memory);
-        }
-        memories.retain(|_, r| r.plan.strong_count() > 0);
-        let memory = Arc::new(LadderMemory::new());
-        let plan = Arc::downgrade(plan);
-        memories.insert(
-            key,
-            Remembered {
-                plan,
-                memory: Arc::clone(&memory),
-            },
-        );
-        memory
-    }
-
     /// The guarded solver every request of this service runs through,
     /// on the calling worker's arena.
-    fn guarded_solver(&self, problem: Problem, plan: Option<Arc<TunedFamily>>) -> GuardedSolver {
+    fn guarded_solver(&self, problem: Problem, plan: Option<Resident>) -> GuardedSolver {
         let workspace = match petamg_runtime::current_worker_index() {
             Some(i) if i < self.arenas.len() => Arc::clone(&self.arenas[i]),
             _ => Arc::clone(&self.fallback_arena),
@@ -483,9 +449,9 @@ impl Inner {
             .with_guard_config(self.guard)
             .with_telemetry(Arc::clone(&self.solve_telemetry));
         match plan {
-            Some(plan) => solver
-                .with_ladder_memory(self.ladder_memory(&plan))
-                .with_shared_plan(plan),
+            Some(Resident { plan, memory }) => {
+                solver.with_ladder_memory(memory).with_shared_plan(plan)
+            }
             None => solver,
         }
     }
@@ -540,9 +506,7 @@ impl SolverService {
         let pool = ThreadPool::new(workers);
         let inner = Arc::new(Inner {
             library,
-            flights: SingleFlight::new(),
             cache: Arc::new(DirectSolverCache::with_capacity(cfg.factor_capacity)),
-            ladder_memories: Mutex::new(HashMap::new()),
             arenas: (0..workers).map(|_| Arc::new(Workspace::new())).collect(),
             fallback_arena: Arc::new(Workspace::new()),
             exec: cfg.exec,
@@ -702,13 +666,7 @@ impl SolverService {
             .fold((0, 0), |(a, r), s| (a + s.allocations, r + s.reuses));
         self.inner.arena_allocations.set(allocations);
         self.inner.arena_reuses.set(reuses);
-        let open = self
-            .inner
-            .ladder_memories
-            .lock()
-            .values()
-            .filter(|r| r.plan.strong_count() > 0 && r.memory.is_open())
-            .count();
+        let open = self.inner.library.open_ladder_memories();
         self.inner.ladder_memory_open.set(open as u64);
         self.inner.registry.snapshot()
     }
@@ -842,34 +800,35 @@ impl Pending {
         }
     }
 
-    /// `plan` if it reaches this request's level: a plan tuned for a
-    /// shallower request cannot serve this one's rung 0.
-    fn deep_enough(&self, plan: Option<Arc<TunedFamily>>) -> Option<Arc<TunedFamily>> {
-        plan.filter(|plan| plan.max_level >= self.level)
-    }
-
-    /// Serve from memory; else park on the plan's flight (`None`);
-    /// else lead a new flight, land it, and serve.
+    /// Serve from memory if the resident plan reaches this request's
+    /// level (a plan tuned for a shallower request cannot serve this
+    /// one's rung 0); else park on the plan's flight (`None`); else lead
+    /// a new flight, land it, and serve.
     fn resolve(self) -> Option<ServeResponse> {
-        let inner = Arc::clone(&self.inner);
-        if let Some(plan) = self.deep_enough(inner.library.lookup(&self.request.problem)) {
-            return Some(self.serve(Some(plan), PlanSource::CacheHit));
-        }
-        let key = fingerprint_key(self.request.problem.fingerprint());
-        match inner.flights.park(key, self) {
+        let (inner, level) = (Arc::clone(&self.inner), self.level);
+        let mut shallow = false;
+        let deep_enough = |plan: &TunedFamily| {
+            shallow = plan.max_level < level;
+            !shallow
+        };
+        match inner
+            .library
+            .park(self, |p| &p.request.problem, deep_enough)
+        {
+            Parked::Ready(plan, pending) => Some(pending.serve(Some(plan), PlanSource::CacheHit)),
             Parked::OnFlight => None,
-            Parked::Lead(token, pending) => {
-                let (plan, source) = lead(&inner, &pending.request.problem, pending.level);
-                token.complete(plan.clone());
+            Parked::Lead(flight, pending) => {
+                let problem = &pending.request.problem;
+                let (plan, source) = lead(&inner, flight, problem, level, shallow);
                 Some(pending.serve(plan, source))
             }
         }
     }
 
     /// Continue after the flight this request parked on landed.
-    fn landed(self, outcome: Option<Arc<TunedFamily>>) -> Option<ServeResponse> {
+    fn landed(self, outcome: Option<Resident>) -> Option<ServeResponse> {
         bump(&self.inner.stats.coalesced);
-        match self.deep_enough(outcome) {
+        match outcome.filter(|landed| landed.plan.max_level >= self.level) {
             Some(plan) => Some(self.serve(Some(plan), PlanSource::Coalesced)),
             // The leader failed, or made a plan for a shallower
             // request: go around again.
@@ -878,7 +837,7 @@ impl Pending {
     }
 
     /// Solve on `plan`, which `source` resolved.
-    fn serve(self, plan: Option<Arc<TunedFamily>>, source: PlanSource) -> ServeResponse {
+    fn serve(self, plan: Option<Resident>, source: PlanSource) -> ServeResponse {
         let Pending {
             inner,
             request,
@@ -920,8 +879,8 @@ impl Pending {
     }
 }
 
-impl ParkedJob<Arc<TunedFamily>> for Pending {
-    fn resume(self, outcome: Option<Arc<TunedFamily>>) {
+impl ParkedJob<Resident> for Pending {
+    fn resume(self, outcome: Option<Resident>) {
         let (inner, slot) = (Arc::clone(&self.inner), Arc::clone(&self.slot));
         stretch(&inner, &slot, move || {
             self.arm_faults();
@@ -957,17 +916,23 @@ fn validate(problem: &Problem, x0: &Grid2d, b: &Grid2d) -> Result<usize, ServeEr
     Ok(level)
 }
 
-/// Make the plan for `problem` servable, as the leader of its flight:
-/// look in memory again (a flight may have landed since this request
-/// looked), else load the plan from disk or tune it; put its top
-/// member's direct factors in the service's cache; and only then file
-/// it where other requests see it. The caller lands the flight.
-fn lead(inner: &Inner, problem: &Problem, level: usize) -> (Option<Arc<TunedFamily>>, PlanSource) {
-    let on_disk = match inner.library.lookup(problem) {
-        Some(plan) if plan.max_level >= level => return (Some(plan), PlanSource::CacheHit),
-        // A shallower plan in memory: the file on disk is the same one.
-        Some(_) => None,
-        None => inner
+/// Make the plan for `problem` servable, as the leader of its
+/// `flight`: load the plan from disk, unless the resident plan is
+/// `shallow` for this request, or tune it; put its top
+/// member's direct factors in the service's cache; and only then land
+/// the flight, filing the plan where other requests see it. A leader
+/// with no plan to file lands the flight empty.
+fn lead(
+    inner: &Inner,
+    flight: FlightGuard<Resident>,
+    problem: &Problem,
+    level: usize,
+    shallow: bool,
+) -> (Option<Resident>, PlanSource) {
+    let on_disk = match shallow {
+        // The file on disk is the resident plan's.
+        true => None,
+        false => inner
             .library
             .load(problem)
             .filter(|family| family.max_level >= level),
@@ -975,7 +940,7 @@ fn lead(inner: &Inner, problem: &Problem, level: usize) -> (Option<Arc<TunedFami
     if let Some(family) = on_disk {
         inner.warm_top_member(problem, level, &family, None);
         return (
-            Some(inner.library.remember(problem, family)),
+            Some(inner.library.land(flight, family)),
             PlanSource::DiskLoad,
         );
     }
@@ -994,8 +959,11 @@ fn lead(inner: &Inner, problem: &Problem, level: usize) -> (Option<Arc<TunedFami
     let resolved = match tuned {
         Ok((family, tuner_factors)) => {
             inner.warm_top_member(problem, level, &family, tuner_factors.as_deref());
-            match inner.library.insert(problem, family) {
-                Ok(plan) => (Some(plan), PlanSource::TunedNow),
+            match inner.library.save(problem, &family) {
+                Ok(()) => (
+                    Some(inner.library.land(flight, family)),
+                    PlanSource::TunedNow,
+                ),
                 // Disk refused the write: serve this request from the
                 // heuristic rung, but publish no plan the library could
                 // not file.

@@ -7,19 +7,18 @@
 //! `(size, operator)` and reuse it across calls (LAPACK's `DPBSV`
 //! refactors every call).
 //!
-//! "Once" holds under concurrency too: the cache is **single-flight**
-//! per key. The first caller to miss inserts an empty slot under the
-//! map lock and factors outside it; callers that arrive for the same
-//! key meanwhile block on that slot and share its factor (or its
-//! error), while callers for other keys proceed in parallel.
+//! "Once" holds under concurrency too: the factors live in a
+//! [`SingleFlight`] keyed by `(size, operator)`. The first caller to
+//! miss a key factors it and lands the factor; callers that arrive for
+//! the same key meanwhile wait for that landing and share the factor,
+//! while callers for other keys proceed in parallel.
 
-use parking_lot::Mutex;
 use petamg_grid::Grid2d;
 use petamg_linalg::LinalgError;
 use petamg_problems::{OpDirect, StencilOp};
-use std::collections::HashMap;
+use petamg_runtime::{Role, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default bound on the number of factors a [`DirectSolverCache`]
 /// retains. Factor memory grows as `O(N^1.5)` per entry, so an
@@ -27,16 +26,6 @@ use std::sync::{Arc, OnceLock};
 /// limit; 64 distinct `(size, operator)` pairs is far beyond what any
 /// single tuning run or serving mix touches.
 pub const DEFAULT_FACTOR_CAPACITY: usize = 64;
-
-/// One key's factorisation: empty while the first caller factors,
-/// then the factor or the error every caller of that flight receives.
-type Slot = Arc<OnceLock<Result<Arc<OpDirect>, LinalgError>>>;
-
-/// A cached (or in-flight) factor and the LRU tick of its last use.
-struct Entry {
-    slot: Slot,
-    last_used: u64,
-}
 
 /// A thread-safe cache of band-Cholesky factors keyed by
 /// `(size, operator content)`; constant-coefficient Poisson is one
@@ -50,10 +39,7 @@ struct Entry {
 /// outstanding `Arc`s held by in-flight solves stay valid.
 pub struct DirectSolverCache {
     /// Keyed by `(n, StencilOp::cache_key())`.
-    factors: Mutex<HashMap<(usize, u64), Entry>>,
-    /// Monotonic LRU clock.
-    tick: AtomicU64,
-    capacity: usize,
+    factors: SingleFlight<Arc<OpDirect>, (usize, u64)>,
     evictions: AtomicU64,
     factorizations: AtomicU64,
 }
@@ -74,9 +60,7 @@ impl DirectSolverCache {
     /// Empty cache retaining at most `capacity` factors (at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
         DirectSolverCache {
-            factors: Mutex::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            capacity: capacity.max(1),
+            factors: SingleFlight::with_capacity(capacity),
             evictions: AtomicU64::new(0),
             factorizations: AtomicU64::new(0),
         }
@@ -84,7 +68,7 @@ impl DirectSolverCache {
 
     /// Maximum number of factors retained.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.factors.capacity()
     }
 
     /// How many factors have been evicted to honour the capacity bound.
@@ -119,9 +103,10 @@ impl DirectSolverCache {
     /// failed factor into a typed failure. A fault-injection hook in
     /// `petamg-core` drives the error arm in chaos tests.
     ///
-    /// Callers that miss the same key together share one factorisation;
-    /// if it fails, each of them gets the error and the key is
-    /// forgotten, so the next call factors again.
+    /// Callers that miss the same key together share one factorisation.
+    /// If it fails, nothing is cached: its caller gets the error, and
+    /// each caller that waited on it factors again, so every one of
+    /// them gets an error of its own.
     pub fn try_get_op(&self, n: usize, op: &StencilOp) -> Result<Arc<OpDirect>, LinalgError> {
         self.get_or_fill((n, op.cache_key()), || {
             self.factorizations.fetch_add(1, Ordering::Relaxed);
@@ -141,67 +126,34 @@ impl DirectSolverCache {
         donor: &DirectSolverCache,
     ) -> Result<Arc<OpDirect>, LinalgError> {
         let key = (n, op.cache_key());
-        let finished = donor
-            .factors
-            .lock()
-            .get(&key)
-            .and_then(|entry| entry.slot.get().cloned());
-        match finished {
-            Some(Ok(factor)) => self.get_or_fill(key, || Ok(factor)),
-            _ => self.try_get_op(n, op),
+        match donor.factors.get(&key) {
+            Some(factor) => self.get_or_fill(key, || Ok(factor)),
+            None => self.try_get_op(n, op),
         }
     }
 
     /// The factor under `key`, running `fill` for it when this caller
-    /// is the first to miss (see [`DirectSolverCache::try_get_op`]).
+    /// leads the key's flight (see [`DirectSolverCache::try_get_op`]).
     fn get_or_fill(
         &self,
         key: (usize, u64),
         fill: impl FnOnce() -> Result<Arc<OpDirect>, LinalgError>,
     ) -> Result<Arc<OpDirect>, LinalgError> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = {
-            let mut factors = self.factors.lock();
-            if let Some(entry) = factors.get_mut(&key) {
-                entry.last_used = tick;
-                if let Some(Ok(factor)) = entry.slot.get() {
-                    return Ok(Arc::clone(factor));
+        loop {
+            match self.factors.join(key) {
+                Role::Follower(Some(factor)) => return Ok(factor),
+                // The flight this caller waited on failed: go again.
+                Role::Follower(None) => continue,
+                // Factor outside the map lock, so first requests for
+                // *other* keys don't serialize behind this one.
+                Role::Leader(flight) => {
+                    let factor = fill()?;
+                    let evicted = flight.file(Arc::clone(&factor));
+                    self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                    return Ok(factor);
                 }
-                Arc::clone(&entry.slot)
-            } else {
-                while factors.len() >= self.capacity {
-                    let stalest = factors
-                        .iter()
-                        .min_by_key(|(_, entry)| entry.last_used)
-                        .map(|(k, _)| *k)
-                        .expect("capacity >= 1, so a full cache is non-empty");
-                    factors.remove(&stalest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                let slot = Slot::default();
-                let entry = Entry {
-                    slot: Arc::clone(&slot),
-                    last_used: tick,
-                };
-                factors.insert(key, entry);
-                slot
-            }
-        };
-        // Factor outside the map lock, so first requests for *other*
-        // keys don't serialize behind this one; racers on this key
-        // block inside `get_or_init` until the one factorisation ends.
-        let result = slot.get_or_init(fill);
-        if result.is_err() {
-            let mut factors = self.factors.lock();
-            // A later flight may already have replaced this slot.
-            if factors
-                .get(&key)
-                .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
-            {
-                factors.remove(&key);
             }
         }
-        result.clone()
     }
 
     /// Solve `A x = b` for operator `op` via the cached factor
@@ -217,19 +169,19 @@ impl DirectSolverCache {
         let _ = self.get_op(n, op);
     }
 
-    /// Number of factors currently cached or being factored.
+    /// Number of factors currently cached.
     pub fn len(&self) -> usize {
-        self.factors.lock().len()
+        self.factors.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.factors.is_empty()
     }
 
     /// Drop all cached factors.
     pub fn clear(&self) {
-        self.factors.lock().clear();
+        self.factors.clear();
     }
 }
 

@@ -1,7 +1,9 @@
 //! # petamg-solvers
 //!
 //! The algorithmic building blocks of the paper's §2: one direct solver
-//! (band Cholesky, via `petamg-linalg`), the iterative relaxation
+//! (band Cholesky, via `petamg-linalg`, its factors cached in a
+//! `petamg_runtime::SingleFlight` keyed by size and operator), the
+//! iterative relaxation
 //! (Red-Black Successive Over-Relaxation), the fused cycle edges every
 //! multigrid cycle runs, and the per-cycle solve guard. The cycles
 //! themselves — tuned, and the paper's fixed `MULTIGRID-V-SIMPLE` and

@@ -212,3 +212,48 @@ fn traced_and_fault_carrying_requests_never_open_a_memory() {
         assert_eq!(open_memories(&svc), 1, "[{name}]");
     }
 }
+
+/// A ladder memory lives in its plan's resident entry: with room for
+/// one plan, serving a second fingerprint evicts the degrading plan and
+/// its open memory with it, and the plan reloaded from disk walks the
+/// ladder from its tuned rung again.
+#[test]
+fn a_ladder_memory_leaves_memory_with_its_plan() {
+    let level = 7;
+    let jump = Problem::jump_inclusion(129);
+    let svc = SolverService::start(
+        ServiceConfig::new(tmp_dir("evicted"))
+            .with_workers(2)
+            .with_library_capacity(1),
+    )
+    .unwrap();
+    let solve = |problem: &Problem, seed: u64| {
+        svc.solve(request(problem, level, seed))
+            .expect("every request serves")
+    };
+    let first_failure = |served: &ServeReport| {
+        assert_eq!(served.report.rung, LadderRung::Direct);
+        served.report.degradations[0].reason.clone()
+    };
+
+    for seed in 0..3 {
+        let walked = solve(&jump, seed);
+        assert!(matches!(first_failure(&walked), FailureKind::Guard(_)));
+    }
+    assert_eq!(open_memories(&svc), 1);
+    let remembered = solve(&jump, 3);
+    assert!(matches!(
+        first_failure(&remembered),
+        FailureKind::KnownToFail(_)
+    ));
+
+    let other = solve(&Problem::poisson(), 4);
+    assert_eq!(other.plan, PlanSource::TunedNow);
+    assert_eq!(svc.library().cached(), 1);
+    assert_eq!(open_memories(&svc), 0, "the memory left with its plan");
+
+    let reloaded = solve(&jump, 5);
+    assert_eq!(reloaded.plan, PlanSource::DiskLoad);
+    assert!(matches!(first_failure(&reloaded), FailureKind::Guard(_)));
+    assert_eq!(open_memories(&svc), 0);
+}
