@@ -324,9 +324,9 @@ impl BandCholesky {
         self.m
     }
 
-    /// The packed factor, for tests that compare it bit for bit.
-    #[cfg(test)]
-    pub(crate) fn packed(&self) -> &[f64] {
+    /// The packed factor (laid out like [`BandMatrix`]), for tests
+    /// that compare or hash it bit for bit.
+    pub fn packed(&self) -> &[f64] {
         &self.l
     }
 

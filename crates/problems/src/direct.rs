@@ -248,4 +248,60 @@ mod tests {
         let corner = a.get(0, 0);
         assert!(mid > 100.0 * corner, "mid={mid} corner={corner}");
     }
+
+    /// 64-bit FNV-1a over `f64::to_bits`: a hash whose algorithm is
+    /// fixed, unlike `DefaultHasher`'s.
+    fn fnv1a(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn factor_and_solve_keep_their_bits() {
+        // Bandwidths 31 and 63, Poisson and the stiff ×1000 inclusion.
+        // The constants were recorded on the portable band kernels;
+        // every vector tier must reproduce them, since each factor
+        // entry and each solved value sees the same operations in the
+        // same order whatever instructions carry them.
+        let pins: [(usize, Problem, [u64; 2]); 4] = [
+            (
+                33,
+                Problem::poisson(),
+                [0xf003_7496_9231_488c, 0x1d6f_e4b5_f657_0020],
+            ),
+            (
+                33,
+                Problem::jump_inclusion(33),
+                [0x4e9f_6e3d_0c14_2978, 0x773b_3b19_a75f_44c4],
+            ),
+            (
+                65,
+                Problem::poisson(),
+                [0xf2de_67ba_f141_a3ad, 0x5534_0184_9e18_71f9],
+            ),
+            (
+                65,
+                Problem::jump_inclusion(65),
+                [0x1534_409d_6ac2_2ec9, 0xec53_21d3_3b38_b49a],
+            ),
+        ];
+        for (n, p, pin) in pins {
+            let solver = OpDirect::new(p.op_for(n), n).expect("SPD operators must factor");
+            let mut x = Grid2d::zeros(n);
+            x.set_boundary(|i, j| ((i * 37 + j * 61) % 19) as f64 - 9.0);
+            let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 7) % 29) as f64 * 100.0 - 1400.0);
+            solver.solve(&mut x, &b);
+            let (factor, solve) = (fnv1a(solver.factor.packed()), fnv1a(x.as_slice()));
+            assert_eq!(
+                [factor, solve],
+                pin,
+                "{} n={n}: ({factor:#018x}, {solve:#018x})",
+                p.describe()
+            );
+        }
+    }
 }
