@@ -13,18 +13,23 @@
 //! **Determinism.** Reductions follow the rule `grid::simd` states: a
 //! fixed-lane deterministic tree — here 8 lanes folded in halves
 //! (`dot`). Rust never contracts `a*b + c`, so the bits are the same
-//! under SSE2, AVX2, AVX-512 and `-C target-cpu=native`; the direct
-//! solver has one arithmetic and no scalar twin to keep equal. Where a
-//! kernel blocks rows or columns (four per pass in `cholesky` and in
-//! the backward substitution)
+//! under SSE2, AVX2, AVX-512 and `-C target-cpu=native`. The factor
+//! and the forward substitution are dispatched at runtime to a tier
+//! (`vector::Tier`): the portable bodies here, or with the `simd`
+//! feature an AVX2 body that runs the same operations in the same
+//! order, so every tier gives the same bits. Where a kernel blocks rows
+//! or columns (four columns per pass in the factor, two rows per pass
+//! in its AVX2 body, four rows per pass in the backward substitution)
 //! every entry still sees the same operations in the same order as the
 //! unblocked loop, so blocking moves no bit either.
 //!
-//! **Cost.** The factor is `n·m²` multiply-adds and each solve `2·n·m`
-//! over an `8·n·(m+1)`-byte factor: at `n = 127²`, `m = 127` that is
-//! 260 M multiply-adds to factor and 16.5 MB streamed twice per solve,
-//! so the solve is bound by memory speed, not by its flop count.
+//! **Cost.** The factor is `n·m²/2` multiply-adds (`n·m²` flops) and
+//! each solve `2·n·m` over an `8·n·(m+1)`-byte factor: at `n = 127²`,
+//! `m = 127` that is 130 M multiply-adds to factor and 16.5 MB streamed
+//! twice per solve, so the solve is bound by memory speed, not by its
+//! flop count.
 
+use crate::vector::Tier;
 use std::fmt;
 
 /// Errors from direct factorizations.
@@ -238,7 +243,7 @@ impl BandMatrix {
     /// `k ∈ [i-len, j)`, where both operands of the sum are contiguous
     /// row slices. Four columns are computed per pass so each load of
     /// row `i` feeds four dot products; the 4×4 triangular corner that
-    /// couples them is finished sequentially in a fixed order. `n·m²`
+    /// couples them is finished sequentially in a fixed order. `n·m²/2`
     /// multiply-adds, `n·(m+1)` doubles of storage. Fails with
     /// [`LinalgError::NotPositiveDefinite`] on a non-positive pivot.
     ///
@@ -251,53 +256,77 @@ impl BandMatrix {
     /// overwrites `A` row by row, so band and factor are never both
     /// alive. Same operations in the same order, so the same bits.
     pub fn into_cholesky(self) -> Result<BandCholesky, LinalgError> {
+        self.into_cholesky_on(Tier::detect())
+    }
+
+    /// [`BandMatrix::into_cholesky`] on a named tier.
+    pub(crate) fn into_cholesky_on(self, tier: Tier) -> Result<BandCholesky, LinalgError> {
         let BandMatrix { n, m, data: mut l } = self;
-        let w = m + 1;
-        for i in 0..n {
-            let (done, rest) = l.split_at_mut(i * w);
-            let len = i.min(m);
-            let lo = i - len;
-            // `band[c]` is column `lo + c` of row `i`; `band[len]` its
-            // diagonal. In a finished row `j ≥ lo`, columns `[lo, j)`
-            // are the `j - lo` slots that end at its diagonal slot `m`.
-            let band = &mut rest[m - len..w];
-            let mut c = 0;
-            while c + 4 <= len {
-                let j = lo + c;
-                let [r0, r1, r2, r3]: [&[f64]; 4] =
-                    std::array::from_fn(|t| &done[(j + t) * w..(j + t + 1) * w]);
-                let (head, tail) = band.split_at_mut(c);
-                let s = dots(
-                    head,
-                    [
-                        &r0[m - c..m],
-                        &r1[m - 1 - c..m - 1],
-                        &r2[m - 2 - c..m - 2],
-                        &r3[m - 3 - c..m - 3],
-                    ],
-                );
-                let l0 = (tail[0] - s[0]) / r0[m];
-                let l1 = ((tail[1] - s[1]) - l0 * r1[m - 1]) / r1[m];
-                let l2 = (((tail[2] - s[2]) - l0 * r2[m - 2]) - l1 * r2[m - 1]) / r2[m];
-                let l3 = ((((tail[3] - s[3]) - l0 * r3[m - 3]) - l1 * r3[m - 2]) - l2 * r3[m - 1])
-                    / r3[m];
-                tail[..4].copy_from_slice(&[l0, l1, l2, l3]);
-                c += 4;
-            }
-            while c < len {
-                let rj = &done[(lo + c) * w..(lo + c + 1) * w];
-                let (head, tail) = band.split_at_mut(c);
-                tail[0] = (tail[0] - dot(head, &rj[m - c..m])) / rj[m];
-                c += 1;
-            }
-            let (head, tail) = band.split_at_mut(len);
-            let diag = tail[0] - dot(head, head);
-            if diag <= 0.0 || !diag.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite(i));
-            }
-            tail[0] = diag.sqrt();
-        }
+        tier.factor(&mut l, n, m)?;
         Ok(BandCholesky { n, m, l })
+    }
+}
+
+/// The portable band factor: `l` (`n` packed rows of `m + 1`) is
+/// overwritten by `L` row by row. The vector tiers run the same
+/// operations in the same order.
+pub(crate) fn factor_portable(l: &mut [f64], n: usize, m: usize) -> Result<(), LinalgError> {
+    let w = m + 1;
+    for i in 0..n {
+        let (done, rest) = l.split_at_mut(i * w);
+        let len = i.min(m);
+        let lo = i - len;
+        // `band[c]` is column `lo + c` of row `i`; `band[len]` its
+        // diagonal. In a finished row `j ≥ lo`, columns `[lo, j)` are
+        // the `j - lo` slots that end at its diagonal slot `m`.
+        let band = &mut rest[m - len..w];
+        let mut c = 0;
+        while c + 4 <= len {
+            let j = lo + c;
+            let [r0, r1, r2, r3]: [&[f64]; 4] =
+                std::array::from_fn(|t| &done[(j + t) * w..(j + t + 1) * w]);
+            let (head, tail) = band.split_at_mut(c);
+            let s = dots(
+                head,
+                [
+                    &r0[m - c..m],
+                    &r1[m - 1 - c..m - 1],
+                    &r2[m - 2 - c..m - 2],
+                    &r3[m - 3 - c..m - 3],
+                ],
+            );
+            let l0 = (tail[0] - s[0]) / r0[m];
+            let l1 = ((tail[1] - s[1]) - l0 * r1[m - 1]) / r1[m];
+            let l2 = (((tail[2] - s[2]) - l0 * r2[m - 2]) - l1 * r2[m - 1]) / r2[m];
+            let l3 =
+                ((((tail[3] - s[3]) - l0 * r3[m - 3]) - l1 * r3[m - 2]) - l2 * r3[m - 1]) / r3[m];
+            tail[..4].copy_from_slice(&[l0, l1, l2, l3]);
+            c += 4;
+        }
+        while c < len {
+            let rj = &done[(lo + c) * w..(lo + c + 1) * w];
+            let (head, tail) = band.split_at_mut(c);
+            tail[0] = (tail[0] - dot(head, &rj[m - c..m])) / rj[m];
+            c += 1;
+        }
+        let (head, tail) = band.split_at_mut(len);
+        let diag = tail[0] - dot(head, head);
+        if diag <= 0.0 || !diag.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite(i));
+        }
+        tail[0] = diag.sqrt();
+    }
+    Ok(())
+}
+
+/// The portable forward substitution `L·y = b` on the packed factor:
+/// `y_i = (b_i - dot(L(i, i-len..i), y[i-len..i])) / L(i,i)`.
+pub(crate) fn forward_portable(l: &[f64], n: usize, m: usize, b: &mut [f64]) {
+    let w = m + 1;
+    for i in 0..n {
+        let (len, row) = (i.min(m), &l[i * w..(i + 1) * w]);
+        let (done, rest) = b.split_at_mut(i);
+        rest[0] = (rest[0] - dot(&row[m - len..m], &done[i - len..])) / row[m];
     }
 }
 
@@ -335,6 +364,12 @@ impl BandCholesky {
     /// `Lᵀ·x = y` as one axpy per row. `2·n·m` multiply-adds over the
     /// whole factor, streamed once in each direction.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), LinalgError> {
+        self.solve_in_place_on(b, Tier::detect())
+    }
+
+    /// [`BandCholesky::solve_in_place`] with its forward substitution on
+    /// a named tier.
+    pub(crate) fn solve_in_place_on(&self, b: &mut [f64], tier: Tier) -> Result<(), LinalgError> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.n,
@@ -342,13 +377,8 @@ impl BandCholesky {
             });
         }
         let (n, m, w) = (self.n, self.m, self.m + 1);
+        tier.forward(&self.l, n, m, b);
         let row_of = |k: usize| &self.l[k * w..(k + 1) * w];
-        // Forward: y_i = (b_i - dot(L(i, i-len..i), y[i-len..i])) / L(i,i)
-        for i in 0..n {
-            let (len, row) = (i.min(m), row_of(i));
-            let (done, rest) = b.split_at_mut(i);
-            rest[0] = (rest[0] - dot(&row[m - len..m], &done[i - len..])) / row[m];
-        }
         // Backward: x_k = y_k / L(k,k), then y[k-len..k] -= x_k · L(k, k-len..k).
         // While four rows in a row carry a full band they go as one
         // pass: their 4×4 corner first, then every y_j they share takes
@@ -396,11 +426,6 @@ impl BandCholesky {
         self.solve_in_place(&mut x)?;
         Ok(x)
     }
-}
-
-/// Factor-and-solve in one call, mirroring LAPACK `DPBSV`.
-pub fn dpbsv(a: &BandMatrix, b: &mut [f64]) -> Result<(), LinalgError> {
-    a.cholesky()?.solve_in_place(b)
 }
 
 #[cfg(test)]
@@ -482,7 +507,7 @@ mod tests {
         let a = poisson_1d(n);
         let mut b = vec![0.0; n];
         b[0] = 1.0;
-        dpbsv(&a, &mut b).unwrap();
+        a.cholesky().unwrap().solve_in_place(&mut b).unwrap();
         #[allow(clippy::needless_range_loop)]
         for i in 0..n {
             let exact = (n - i) as f64 / (n + 1) as f64;

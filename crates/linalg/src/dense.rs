@@ -1,5 +1,4 @@
-//! Small dense solvers used as oracles in tests and for the 3×3
-//! multigrid base case (one interior unknown).
+//! Small dense solvers, the band kernels' test oracles.
 
 use crate::LinalgError;
 

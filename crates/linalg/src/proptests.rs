@@ -1,7 +1,9 @@
 //! Property-based tests: band Cholesky against dense oracles on random
 //! SPD band systems, against the scalar kernels it replaced, and bit
-//! for bit against a straight-line rendering of its own arithmetic.
+//! for bit against a straight-line rendering of its own arithmetic, on
+//! every tier the running CPU executes.
 
+use crate::vector::Tier;
 use crate::{BandMatrix, DenseMatrix, LinalgError};
 use proptest::prelude::*;
 
@@ -36,12 +38,15 @@ fn spd_band(n: usize, m: usize) -> impl Strategy<Value = BandMatrix> {
 }
 
 /// Bandwidths on both sides of every 8-lane chunk and 4-column block
-/// boundary, each at a full matrix (`n = m + 1`), a matrix whose rows
-/// mostly have the full band, and a fixed large size.
+/// boundary, and of the two-row pass's `m ≥ 5` (a 4-column group of
+/// row `i + 1` that does not read row `i`), each at a full matrix
+/// (`n = m + 1`: one full-band row, which goes alone), a matrix whose
+/// rows mostly have the full band, and two fixed large sizes that leave
+/// the full-band rows an even and an odd count for each `m`.
 fn shapes() -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    for m in [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 40] {
-        for n in [m + 1, 2 * m + 3, 97] {
+    for m in [1usize, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 40, 63] {
+        for n in [m + 1, 2 * m + 3, 96, 97] {
             out.push((n, m));
         }
     }
@@ -49,8 +54,8 @@ fn shapes() -> Vec<(usize, usize)> {
 }
 
 /// Largest shape of [`shapes`], which sizes the value pools below.
-const MAX_N: usize = 97;
-const MAX_M: usize = 40;
+const MAX_M: usize = 63;
+const MAX_N: usize = 2 * MAX_M + 3;
 
 fn dense_of(a: &BandMatrix) -> DenseMatrix {
     let n = a.n();
@@ -249,11 +254,11 @@ fn l2(v: &[f64]) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every shape that reaches an 8-lane chunk, a 4-column block and
-    /// their remainders: (a) agrees with dense Cholesky, (b) leaves a
-    /// small residual, (c) agrees with the scalar kernels it replaced,
-    /// (d) equals the straight-line rendering bit for bit, factor and
-    /// solution.
+    /// Every shape that reaches an 8-lane chunk, a 4-column block, the
+    /// two-row pass and their remainders: (a) agrees with dense
+    /// Cholesky, (b) leaves a small residual, (c) agrees with the scalar
+    /// kernels it replaced, (d) equals the straight-line rendering bit
+    /// for bit, factor and solution, on every tier.
     #[test]
     fn fixed_lane_kernels_agree_with_every_oracle(
         vals in prop::collection::vec(-1.0f64..1.0, MAX_N * MAX_M),
@@ -263,8 +268,9 @@ proptest! {
         for (n, m) in shapes() {
             let a = spd_band_from(n, m, &vals, margin);
             let b = &rhs[..n];
-            let ch = a.cholesky().unwrap();
-            let x = ch.solve(b).unwrap();
+            let ch = a.clone().into_cholesky_on(Tier::Portable).unwrap();
+            let mut x = b.to_vec();
+            ch.solve_in_place_on(&mut x, Tier::Portable).unwrap();
 
             let x_dense = dense_of(&a).cholesky_solve(b).unwrap();
             for (u, v) in x.iter().zip(&x_dense) {
@@ -287,8 +293,13 @@ proptest! {
             let mut x_line = b.to_vec();
             straight_line::solve(&l, n, m, &mut x_line);
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            prop_assert!(bits(ch.packed()) == bits(&l), "factor bits, n={n} m={m}");
-            prop_assert!(bits(&x) == bits(&x_line), "solution bits, n={n} m={m}");
+            for tier in Tier::available() {
+                let ch = a.clone().into_cholesky_on(tier).unwrap();
+                let mut x = b.to_vec();
+                ch.solve_in_place_on(&mut x, tier).unwrap();
+                prop_assert!(bits(ch.packed()) == bits(&l), "factor bits, {tier:?} n={n} m={m}");
+                prop_assert!(bits(&x) == bits(&x_line), "solution bits, {tier:?} n={n} m={m}");
+            }
         }
     }
 
@@ -326,8 +337,10 @@ proptest! {
     }
 
     /// Indefinite input reports `NotPositiveDefinite` at the pivot the
-    /// scalar oracle (and the straight-line rendering) reports, whether
-    /// a diagonal or an off-diagonal entry breaks definiteness.
+    /// scalar oracle (and the straight-line rendering) reports, on every
+    /// tier, whether a diagonal or an off-diagonal entry breaks
+    /// definiteness, at two neighbouring rows — so on either row of a
+    /// two-row pass.
     #[test]
     fn non_spd_reports_the_oracles_pivot(
         vals in prop::collection::vec(-1.0f64..1.0, MAX_N * MAX_M),
@@ -336,19 +349,24 @@ proptest! {
         through_diagonal in 0usize..2,
     ) {
         for (n, m) in shapes() {
-            let mut a = spd_band_from(n, m, &vals, margin);
-            let p = 1 + ((at * (n - 1) as f64) as usize).min(n - 2);
-            if through_diagonal == 1 {
-                a.set(p, p, -margin);
-            } else {
-                let big = 10.0 * (a.get(p, p) + a.get(p - 1, p - 1));
-                a.set(p, p - 1, big);
+            let first = 1 + ((at * (n - 1) as f64) as usize).min(n - 2);
+            for p in [first, first + 1].into_iter().filter(|&p| p < n) {
+                let mut a = spd_band_from(n, m, &vals, margin);
+                if through_diagonal == 1 {
+                    a.set(p, p, -margin);
+                } else {
+                    let big = 10.0 * (a.get(p, p) + a.get(p - 1, p - 1));
+                    a.set(p, p - 1, big);
+                }
+                let old = ScalarBand::of(&a).cholesky().map(|_| ());
+                prop_assert_eq!(&old, &Err(LinalgError::NotPositiveDefinite(p)));
+                for tier in Tier::available() {
+                    let got = a.clone().into_cholesky_on(tier).map(|_| ());
+                    prop_assert!(got == old, "pivot, {tier:?} n={n} m={m}");
+                }
+                let mut l = packed_of(&a);
+                prop_assert_eq!(straight_line::factor(&mut l, n, m), Err(p));
             }
-            let old = ScalarBand::of(&a).cholesky().map(|_| ());
-            prop_assert_eq!(&old, &Err(LinalgError::NotPositiveDefinite(p)));
-            prop_assert!(a.cholesky().map(|_| ()) == old, "pivot, n={n} m={m}");
-            let mut l = packed_of(&a);
-            prop_assert_eq!(straight_line::factor(&mut l, n, m), Err(p));
         }
     }
 }
