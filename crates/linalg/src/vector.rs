@@ -20,7 +20,7 @@
 //! There is no AVX-512F tier. One `__m512d` per accumulator, with both
 //! rows' groups in one loop, factored n = 65 about 5 % and n = 129
 //! about 14 % faster than this body on a 2-core Sapphire Rapids guest,
-//! and solved no faster: less than a second tier's code is worth.
+//! and solved no faster: too little to carry a second tier.
 
 use crate::band::{factor_portable, forward_portable};
 use crate::LinalgError;
@@ -100,10 +100,9 @@ fn avx2_available() -> bool {
 }
 
 /// The AVX2 tier: the portable bodies' operations in the portable
-/// bodies' order, over `Acc8`. The helpers are
-/// `#[inline(always)]`, so they compile inside the two
-/// `#[target_feature]` entry points, which only [`Tier`] calls, after
-/// the probe.
+/// bodies' order, over `Acc8`. The helpers are `#[inline(always)]`, so
+/// they compile inside the two `#[target_feature]` entry points, which
+/// only [`Tier`] calls, after the probe.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     use crate::LinalgError;
