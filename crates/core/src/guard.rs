@@ -1262,6 +1262,69 @@ mod tests {
         assert!(report.degradations[1].seconds > 0.0);
     }
 
+    /// Two end-to-end ladder walks, exactly: the jump profile under the
+    /// stamped simple schedule projects its budget unreachable, skips
+    /// the replay and is served direct; Poisson under the same family
+    /// serves itself. Each served trajectory is pinned by the FNV-1a
+    /// hash of its bits.
+    #[test]
+    fn ladder_verdicts_are_pinned() {
+        use petamg_problems::field_hash;
+        faults::clear();
+        let level = 6;
+        let (problem, fam) = jump_with_simple_plan(level);
+        let inst = instance(level, &problem);
+        let mut x = inst.working_grid();
+        let report = GuardedSolver::new(problem)
+            .with_plan(fam)
+            .solve(&mut x, &inst.b, 1e-8)
+            .expect("direct serves");
+        let verdict = GuardFailure::BudgetUnreachable {
+            cycle: 6,
+            needed: 56,
+        };
+        let [tuned, heuristic] = &report.degradations[..] else {
+            panic!("two rungs above direct: {:?}", report.degradations);
+        };
+        assert_eq!(tuned.rung, LadderRung::TunedPlan);
+        assert!(
+            matches!(tuned.reason, FailureKind::Guard(g) if g == verdict),
+            "{}",
+            tuned.reason
+        );
+        assert_eq!(heuristic.rung, LadderRung::HeuristicPlan);
+        assert!(
+            matches!(heuristic.reason, FailureKind::SameScheduleAsFailed(g) if g == verdict),
+            "{}",
+            heuristic.reason
+        );
+        assert_eq!(report.rung, LadderRung::Direct);
+        assert_eq!(
+            field_hash(&report.residual_history),
+            0x84af_af1c_27df_c018,
+            "{:?}",
+            report.residual_history
+        );
+
+        let level = 5;
+        let problem = Problem::poisson();
+        let inst = instance(level, &problem);
+        let mut x = inst.working_grid();
+        let report = GuardedSolver::new(problem)
+            .with_plan(simple_v_family(level, &PAPER_ACCURACIES))
+            .solve(&mut x, &inst.b, 1e-9)
+            .expect("must serve");
+        assert_eq!(report.rung, LadderRung::TunedPlan);
+        assert!(!report.degraded());
+        assert_eq!(report.members, [4, 4, 4, 3, 4, 4, 4, 4]);
+        assert_eq!(
+            field_hash(&report.residual_history),
+            0x7853_9a70_b654_677e,
+            "{:?}",
+            report.residual_history
+        );
+    }
+
     /// A `QuickTune`-style plan for `problem`, stamped for it.
     fn quick_plan(problem: &Problem, level: usize) -> TunedFamily {
         use crate::tuner::{TunerOptions, VTuner};
