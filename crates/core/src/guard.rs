@@ -25,7 +25,11 @@
 //! alone, the heuristic rung would replay the same cycles bit for bit
 //! to the same verdict. It is recorded as
 //! [`FailureKind::SameScheduleAsFailed`] with zero seconds and the walk
-//! goes straight to the direct rung.
+//! goes straight to the direct rung. Every guard verdict but
+//! `NonFinite` is decided on the arithmetic alone: the guard is one
+//! fixed policy, with constant thresholds and no clock, so its verdict
+//! is a pure function of the residuals the rung observed. `NonFinite`
+//! is how one-shot faults surface, and a replay may well be clean.
 //!
 //! # What the service remembers
 //!
@@ -83,16 +87,14 @@ use crate::trace::{CycleEvent, LadderRung, Tracer};
 use crate::OpCounts;
 use petamg_grid::{l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
 use petamg_problems::{residual_norm_op, Problem, StencilOp};
-use petamg_solvers::{
-    DirectSolverCache, GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
-};
+use petamg_solvers::{DirectSolverCache, GuardFailure, GuardVerdict, SolveGuard};
 use std::sync::{Arc, Mutex};
 
 /// Why a ladder rung failed.
 #[derive(Clone, Debug)]
 pub enum FailureKind {
     /// The per-cycle guard tripped (NaN/Inf, divergence, stagnation,
-    /// or an exhausted cycle/wall-clock budget).
+    /// or a cycle budget exhausted or projected out of reach).
     Guard(GuardFailure),
     /// The rung's plan was rejected before execution (fingerprint
     /// mismatch, invalid table, or level out of range).
@@ -185,15 +187,13 @@ impl std::error::Error for SolveError {}
 /// Outcome of a successful [`GuardedSolver::solve`].
 #[derive(Clone, Debug)]
 pub struct GuardedReport {
-    /// Converged-vs-budget status of the serving rung (always
-    /// `Converged` on the ladder's success path).
-    pub status: SolveStatus,
     /// The rung that produced the returned solution.
     pub rung: LadderRung,
     /// Final relative residual `‖b − A x‖₂ / ‖b‖₂`.
     pub rel_residual: f64,
     /// Per-cycle relative residuals observed at the serving rung (a
-    /// single entry for a direct solve).
+    /// single entry for a direct solve); its length is the number of
+    /// cycles the serving rung ran.
     pub residual_history: Vec<f64>,
     /// The family member (accuracy index) each cycle of the serving
     /// rung ran, parallel to `residual_history`: the top member first,
@@ -402,7 +402,6 @@ fn replayable_outcome(report: &GuardedReport) -> Option<(LadderRung, Verdicts)> 
 pub struct GuardedSolver {
     problem: Problem,
     plan: Option<Arc<TunedFamily>>,
-    guard: GuardConfig,
     exec: Exec,
     cache: Arc<DirectSolverCache>,
     workspace: Arc<Workspace>,
@@ -413,14 +412,13 @@ pub struct GuardedSolver {
 
 impl GuardedSolver {
     /// A guarded solver for `problem`: sequential execution, fresh
-    /// factor cache, default guard budgets, no tuned plan (the ladder
+    /// factor cache, no tuned plan (the ladder
     /// starts at the heuristic rung until [`GuardedSolver::with_plan`]
     /// supplies one).
     pub fn new(problem: Problem) -> Self {
         GuardedSolver {
             problem,
             plan: None,
-            guard: GuardConfig::default(),
             exec: Exec::seq(),
             cache: Arc::new(DirectSolverCache::new()),
             workspace: Arc::new(Workspace::new()),
@@ -464,12 +462,6 @@ impl GuardedSolver {
     /// warm.
     pub fn with_workspace(mut self, workspace: Arc<Workspace>) -> Self {
         self.workspace = workspace;
-        self
-    }
-
-    /// Override the per-rung guard budgets and detection thresholds.
-    pub fn with_guard_config(mut self, cfg: GuardConfig) -> Self {
-        self.guard = cfg;
         self
     }
 
@@ -760,7 +752,6 @@ impl GuardedSolver {
                 w.resid_seconds += check_start.elapsed().as_secs_f64();
                 if rel.is_finite() && rel <= w.tol {
                     let trajectory = Trajectory {
-                        status: SolveStatus::Converged { cycles: 1 },
                         history: vec![rel],
                         members: Vec::new(),
                     };
@@ -786,7 +777,7 @@ impl GuardedSolver {
         w: &mut Walk,
         x: &mut Grid2d,
     ) -> Result<Trajectory, GuardFailure> {
-        let mut guard = SolveGuard::new(self.guard, w.tol);
+        let mut guard = SolveGuard::new(w.tol);
         let mut walk = MemberWalk::default();
         loop {
             let member = walk.next(fam, &guard);
@@ -815,7 +806,6 @@ impl GuardedSolver {
             seconds: rung_seconds,
         });
         let report = GuardedReport {
-            status: trajectory.status,
             rung,
             rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
             residual_history: trajectory.history,
@@ -909,7 +899,6 @@ pub(crate) fn select_member(fam: &TunedFamily, need: f64, floor: usize) -> usize
 /// A converged guarded iteration, as the serving rung's report carries
 /// it: `members[c]` ran cycle `c` and left `history[c]`.
 struct Trajectory {
-    status: SolveStatus,
     history: Vec<f64>,
     members: Vec<u8>,
 }
@@ -969,9 +958,6 @@ impl MemberWalk {
     /// The converged iteration's record.
     fn finish(self, guard: &SolveGuard) -> Trajectory {
         Trajectory {
-            status: SolveStatus::Converged {
-                cycles: guard.cycles(),
-            },
             history: guard.history().to_vec(),
             members: self.members,
         }
@@ -979,17 +965,12 @@ impl MemberWalk {
 }
 
 /// Whether re-running the same schedule from the same input must end
-/// in the same guard verdict. `NonFinite` is excluded because it is how
-/// one-shot faults (an injected poison, a transient bad read) surface —
-/// the replay may well be clean; `TimedOut` because it reads the clock.
+/// in the same guard verdict. Every verdict is a pure function of the
+/// residuals, so only `NonFinite` is excluded: it is how one-shot
+/// faults (an injected poison, a transient bad read) surface, and the
+/// replay may well be clean.
 fn replays_identically(g: &GuardFailure) -> bool {
-    match g {
-        GuardFailure::Diverged { .. }
-        | GuardFailure::Stagnated { .. }
-        | GuardFailure::BudgetExhausted { .. }
-        | GuardFailure::BudgetUnreachable { .. } => true,
-        GuardFailure::NonFinite { .. } | GuardFailure::TimedOut { .. } => false,
-    }
+    !matches!(g, GuardFailure::NonFinite { .. })
 }
 
 /// The multigrid level of an `n`×`n` grid (`n = 2^k + 1` → `k`).
@@ -1043,7 +1024,6 @@ mod tests {
         assert_eq!(report.rung, LadderRung::TunedPlan);
         assert!(!report.degraded());
         assert!(report.rel_residual <= 1e-9);
-        assert!(report.status.converged());
         assert_eq!(report.tracer.served_rung(), Some(LadderRung::TunedPlan));
         assert!(report.tracer.failed_rungs().is_empty());
     }
@@ -1133,7 +1113,7 @@ mod tests {
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
         );
         assert!(report.rel_residual <= 1e-9);
-        assert_eq!(report.status, SolveStatus::Converged { cycles: 1 });
+        assert_eq!(report.residual_history.len(), 1);
     }
 
     /// A warm plan whose members run `RECURSE_0×3` (two fused step
@@ -1394,7 +1374,7 @@ mod tests {
             let solver = GuardedSolver::new(problem.clone()).with_plan(fam);
             let mut x = inst.working_grid();
             let report = solver.solve(&mut x, &inst.b, 1e-8).expect("must serve");
-            assert_eq!(report.status, SolveStatus::Converged { cycles: 1 });
+            assert_eq!(report.residual_history.len(), 1);
             assert_eq!(report.members, [top as u8]);
             assert_eq!(x.as_slice(), want.as_slice(), "{}", problem.describe());
             assert_eq!(report.ops, ctx.ops);
@@ -1417,9 +1397,7 @@ mod tests {
 
     /// Useless sub-top members cost at most one cheap cycle each: the
     /// walk asks each at most once, in ascending order, then stays on
-    /// the top member; the solve still converges on the tuned rung, and
-    /// the budget projection is not acted on while its window holds
-    /// only members weaker than the one about to run.
+    /// the top member; the solve still converges on the tuned rung.
     #[test]
     fn a_member_that_missed_is_not_asked_again() {
         faults::clear();
@@ -1436,15 +1414,7 @@ mod tests {
             .expect("must serve")
             .residual_history;
         let rel1 = top_only[0];
-        // Just enough budget for the detour: one top cycle, the four
-        // sub-top members, one more top cycle.
-        let cfg = GuardConfig {
-            max_cycles: 6,
-            ..GuardConfig::default()
-        };
-        let solver = GuardedSolver::new(problem.clone())
-            .with_plan(fam)
-            .with_guard_config(cfg);
+        let solver = GuardedSolver::new(problem.clone()).with_plan(fam);
 
         // Cycle 1 leaves less than 10x to do: member 0 is asked first.
         let tol = rel1 / 9.5;
@@ -1456,21 +1426,6 @@ mod tests {
         assert!(!report.degraded());
         assert_eq!(report.members, [4, 0, 1, 2, 3, 4]);
         assert!(report.members.len() <= cycles_before + top);
-        // A bare guard fed this trajectory does project the budget
-        // unreachable at cycle 5, from four one-sweep contractions.
-        let mut bare = SolveGuard::new(cfg, tol);
-        let verdicts: Vec<GuardVerdict> = report
-            .residual_history
-            .iter()
-            .map(|&rel| bare.observe(rel))
-            .collect();
-        assert!(
-            matches!(
-                verdicts[4],
-                GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle: 5, .. })
-            ),
-            "{verdicts:?}"
-        );
 
         // Cycle 1 leaves ~5000x to do: members 0 and 1 are never asked.
         let tol = rel1 / 5e3;
@@ -1482,6 +1437,47 @@ mod tests {
         assert!(!report.degraded());
         assert_eq!(report.members[..4], [4, 2, 3, 4]);
         assert!(report.members[4..].iter().all(|&m| m == 4));
+    }
+
+    /// A budget projection drawn from members weaker than the one about
+    /// to run is not acted on; once the top member has run, it is. Fed
+    /// the same trajectory — 9.5x above the target, then 1 % better per
+    /// cycle — a bare guard projects its budget unreachable at cycle 5.
+    #[test]
+    fn a_projection_from_weaker_members_is_not_acted_on() {
+        let fam = simple_v_family(5, &PAPER_ACCURACIES);
+        let tol = 1e-8;
+        let trajectory: Vec<f64> = (0..6).map(|c| 9.5 * tol * 0.99f64.powi(c)).collect();
+        let mut bare = SolveGuard::new(tol);
+        let bare_verdicts: Vec<GuardVerdict> =
+            trajectory.iter().map(|&rel| bare.observe(rel)).collect();
+        assert!(
+            matches!(
+                bare_verdicts[4],
+                GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle: 5, .. })
+            ),
+            "{bare_verdicts:?}"
+        );
+
+        let mut guard = SolveGuard::new(tol);
+        let mut walk = MemberWalk::default();
+        let verdicts: Vec<GuardVerdict> = trajectory
+            .iter()
+            .map(|&rel| {
+                let member = walk.next(&fam, &guard);
+                walk.observe(&fam, &mut guard, member, rel)
+            })
+            .collect();
+        assert_eq!(walk.members, [4, 0, 1, 2, 3, 4]);
+        assert_eq!(verdicts[..5], [GuardVerdict::Continue; 5]);
+        assert_eq!(verdicts[5], bare_verdicts[5]);
+        assert!(
+            matches!(
+                verdicts[5],
+                GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle: 6, .. })
+            ),
+            "{verdicts:?}"
+        );
     }
 
     // -----------------------------------------------------------------
@@ -1740,7 +1736,6 @@ mod tests {
             }
             if world.serves[i] {
                 return Ok(GuardedReport {
-                    status: SolveStatus::Converged { cycles: 1 },
                     rung: RUNGS[i],
                     rel_residual: 0.0,
                     residual_history: Vec::new(),
@@ -1855,8 +1850,7 @@ mod tests {
                     0 => World { serves: [true; 3], verdict: GuardFailure::Stagnated { cycle: 9 } },
                     1 => World { serves: [false, true, true], verdict: GuardFailure::Diverged { cycle: 4, growth: 3.0 } },
                     2 => World { serves: [false, false, true], verdict: GuardFailure::NonFinite { cycle: 1 } },
-                    3 => World { serves: [false, false, true], verdict: GuardFailure::TimedOut { seconds: 1.0 } },
-                    4 => World { serves: [false; 3], verdict: GuardFailure::BudgetExhausted { cycles: 50 } },
+                    3 => World { serves: [false; 3], verdict: GuardFailure::BudgetExhausted { cycles: 50 } },
                     _ => World { serves: [false, false, true], verdict: GuardFailure::BudgetUnreachable { cycle: 5, needed: 80 } },
                 };
                 let tol = [1e-6, 1e-8, 1e-10][usize::from(tol)];

@@ -85,13 +85,6 @@ pub struct TunerOptions {
     pub cost_model: CostModel,
     /// Execution policy for training runs.
     pub exec: Exec,
-    /// The Direct candidate is only *executed* for grids up to this size
-    /// (factor memory grows as N³; modeled costs need no execution).
-    pub direct_max_n: usize,
-    /// SOR iteration cap multiplier: cap = `sor_cap_mult`·N + 200.
-    pub sor_cap_mult: u32,
-    /// RECURSE iteration cap.
-    pub recurse_cap: u32,
     /// The posed problem this tuner trains for. The tuned family is
     /// keyed by its fingerprint; every candidate measurement runs the
     /// problem's operator (convergence differs per operator, so plans
@@ -112,9 +105,6 @@ impl TunerOptions {
             seed: 0x5EED,
             cost_model: CostModel::Modeled(MachineProfile::intel_harpertown()),
             exec: Exec::seq(),
-            direct_max_n: 257,
-            sor_cap_mult: 60,
-            recurse_cap: 120,
             problem: Problem::poisson(),
         }
     }
@@ -153,12 +143,22 @@ impl TunerOptions {
             ..Self::quick(max_level, distribution)
         }
     }
+}
 
-    fn sor_cap(&self, n: usize) -> u32 {
-        self.sor_cap_mult
-            .saturating_mul(n as u32)
-            .saturating_add(200)
-    }
+/// Measured costs only *execute* the Direct candidate for grids up to
+/// this size (factor memory grows as N³; modeled costs need no
+/// execution).
+const DIRECT_MAX_N: usize = 257;
+
+/// SOR iteration cap multiplier: the cap is `SOR_CAP_MULT`·N + 200.
+const SOR_CAP_MULT: u32 = 60;
+
+/// `RECURSE_j` iteration cap.
+const RECURSE_CAP: u32 = 120;
+
+/// SOR sweeps a candidate may run on an `n`×`n` grid.
+fn sor_cap(n: usize) -> u32 {
+    SOR_CAP_MULT.saturating_mul(n as u32).saturating_add(200)
 }
 
 /// One evaluated candidate (diagnostics; `tests/tuner_golden.rs` pins
@@ -463,7 +463,7 @@ impl VTuner {
             let (_, _, winner) = slot.best.unwrap_or_else(|| {
                 panic!(
                     "no feasible candidate at level {level} for accuracy {target:e} \
-                     (all iteration caps hit — raise recurse_cap/sor_cap_mult)"
+                     (no candidate reached it within its iteration cap)"
                 )
             });
             evaluations.extend(slot.evals.into_iter().map(|mut e| {
@@ -530,7 +530,7 @@ impl VTuner {
                 })
             }
             CostModel::Measured { trials } => {
-                if n > self.opts.direct_max_n {
+                if n > DIRECT_MAX_N {
                     return None; // factoring would blow memory/time
                 }
                 let op = self.opts.problem.op_for(n);
@@ -563,7 +563,7 @@ impl VTuner {
             ops.level_mut(level).relax_sweeps = 1;
             ops
         });
-        self.walk(level, ask, self.opts.sor_cap(n), || {
+        self.walk(level, ask, sor_cap(n), || {
             move |inst: &ProblemInstance, x: &mut Grid2d| {
                 sor_sweep_op(op, x, &inst.b, omega, &self.opts.exec);
                 self.sor_sweeps[level].fetch_add(1, Ordering::Relaxed);
@@ -581,7 +581,7 @@ impl VTuner {
         sub_acc: usize,
         ask: &Walk,
     ) -> Vec<Measured> {
-        self.walk(level, ask, self.opts.recurse_cap, || {
+        self.walk(level, ask, RECURSE_CAP, || {
             let mut ctx = self.fresh_ctx();
             let mut price = None;
             move |inst: &ProblemInstance, x: &mut Grid2d| {

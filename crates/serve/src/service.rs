@@ -38,7 +38,7 @@ use petamg_grid::{size_level, Exec, Grid2d, Workspace, WorkspaceStats};
 use petamg_obs::{self as obs, Counter, Gauge, Registry, TelemetrySnapshot};
 use petamg_problems::Problem;
 use petamg_runtime::{FlightGuard, Parked, ParkedJob, ThreadPool};
-use petamg_solvers::{DirectSolverCache, GuardConfig};
+use petamg_solvers::DirectSolverCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -90,29 +90,25 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// In-memory plan cache bound (disk backs evictions).
     pub library_capacity: usize,
-    /// Factorization cache bound for the ladder's direct rung.
-    pub factor_capacity: usize,
     /// Execution policy inside a single solve. Defaults to sequential:
     /// the service parallelizes across requests, not within one.
     pub exec: Exec,
-    /// Guard budgets applied to every request.
-    pub guard: GuardConfig,
     /// What to do on a fingerprint miss.
     pub tuning: TunePolicy,
 }
 
 impl ServiceConfig {
     /// Defaults: 4 workers, 64-deep queue, sequential per-request
-    /// execution, heuristic tuning.
+    /// execution, heuristic tuning. Every request runs under the
+    /// guard's one fixed policy, and the direct rung's factor cache
+    /// holds [`petamg_solvers::DEFAULT_FACTOR_CAPACITY`] factors.
     pub fn new(plan_dir: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             plan_dir: plan_dir.into(),
             workers: 4,
             queue_capacity: 64,
             library_capacity: crate::library::DEFAULT_LIBRARY_CAPACITY,
-            factor_capacity: petamg_solvers::DEFAULT_FACTOR_CAPACITY,
             exec: Exec::seq(),
-            guard: GuardConfig::default(),
             tuning: TunePolicy::Heuristic,
         }
     }
@@ -138,12 +134,6 @@ impl ServiceConfig {
     /// Set the per-solve execution policy.
     pub fn with_exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Set the guard budgets.
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
         self
     }
 
@@ -409,7 +399,6 @@ struct Inner {
     /// the pool.
     fallback_arena: Arc<Workspace>,
     exec: Exec,
-    guard: GuardConfig,
     tuning: TunePolicy,
     queue_capacity: usize,
     /// Submitted-but-unfinished request count, guarded by a mutex so
@@ -446,7 +435,6 @@ impl Inner {
             .with_exec(self.exec.clone())
             .with_cache(Arc::clone(&self.cache))
             .with_workspace(workspace)
-            .with_guard_config(self.guard)
             .with_telemetry(Arc::clone(&self.solve_telemetry));
         match plan {
             Some(Resident { plan, memory }) => {
@@ -506,11 +494,10 @@ impl SolverService {
         let pool = ThreadPool::new(workers);
         let inner = Arc::new(Inner {
             library,
-            cache: Arc::new(DirectSolverCache::with_capacity(cfg.factor_capacity)),
+            cache: Arc::new(DirectSolverCache::new()),
             arenas: (0..workers).map(|_| Arc::new(Workspace::new())).collect(),
             fallback_arena: Arc::new(Workspace::new()),
             exec: cfg.exec,
-            guard: cfg.guard,
             tuning: cfg.tuning,
             queue_capacity: cfg.queue_capacity.max(1),
             in_flight: Mutex::new(0),

@@ -1,4 +1,4 @@
-//! Solve guards: cheap per-cycle failure detection and budgets.
+//! Solve guards: cheap per-cycle failure detection and a cycle budget.
 //!
 //! Iterative multigrid can fail in ways a raw `f64` result does not
 //! report: the residual can diverge (a wrong or unstable plan), it can
@@ -11,12 +11,18 @@
 //! [`GuardFailure`] instead of letting the caller read NaNs or spin to
 //! a cap.
 //!
+//! The guard is one fixed policy: a 50-cycle budget, divergence at 10×
+//! growth over 3 cycles, stagnation at under 1 % improvement over 8
+//! cycles, and a budget projection over the last 4 contractions. Its
+//! thresholds are constants, and it reads no clock, so every verdict is
+//! a pure function of the observed residuals — the paper's
+//! `MULTIGRID-V_i` likewise iterates "until accuracy `p_i`", a rule that
+//! depends on the arithmetic alone.
+//!
 //! The tuned-plan executor in `petamg-core` (which depends on this
 //! crate) threads it through its cycle loop; `petamg-core`'s `guard`
 //! module layers the degradation ladder and the full `SolveError`
 //! taxonomy on top.
-
-use std::time::{Duration, Instant};
 
 /// Outcome of a bounded iteration: did it meet its target, and how many
 /// cycles did it spend? A bare cycle count would not tell converging on
@@ -57,21 +63,20 @@ pub enum GuardFailure {
         /// Cycle (1-based) at which the non-finite value was observed.
         cycle: usize,
     },
-    /// The residual grew by at least the configured factor over the
-    /// divergence window.
+    /// The residual grew tenfold or more over the last three cycles.
     Diverged {
         /// Cycle (1-based) at which divergence was declared.
         cycle: usize,
         /// Residual growth ratio over the window.
         growth: f64,
     },
-    /// The residual improved by less than the configured fraction over
-    /// the stagnation window (without growing enough to be divergence).
+    /// The residual improved by less than 1 % over the last eight
+    /// cycles (without growing enough to be divergence).
     Stagnated {
         /// Cycle (1-based) at which stagnation was declared.
         cycle: usize,
     },
-    /// The cycle budget ran out above the target.
+    /// The 50-cycle budget ran out above the target.
     BudgetExhausted {
         /// Cycles spent (the budget).
         cycles: usize,
@@ -86,11 +91,6 @@ pub enum GuardFailure {
         /// Lower bound on the further cycles the target needs
         /// (saturating).
         needed: usize,
-    },
-    /// The wall-clock budget ran out above the target.
-    TimedOut {
-        /// Seconds elapsed when the guard fired.
-        seconds: f64,
     },
 }
 
@@ -115,9 +115,6 @@ impl std::fmt::Display for GuardFailure {
                     "cycle budget unreachable at cycle {cycle} (at least {needed} more cycles needed)"
                 )
             }
-            GuardFailure::TimedOut { seconds } => {
-                write!(f, "wall-clock budget exhausted after {seconds:.3}s")
-            }
         }
     }
 }
@@ -133,63 +130,43 @@ pub enum GuardVerdict {
     Fail(GuardFailure),
 }
 
-/// Thresholds and budgets for a [`SolveGuard`].
-#[derive(Clone, Copy, Debug)]
-pub struct GuardConfig {
-    /// Cycle budget (observations before [`GuardFailure::BudgetExhausted`]).
-    pub max_cycles: usize,
-    /// Optional wall-clock budget measured from guard construction.
-    pub wall_clock: Option<Duration>,
-    /// Residual growth ratio over [`GuardConfig::divergence_window`]
-    /// cycles that counts as divergence.
-    pub divergence_factor: f64,
-    /// Number of cycles over which residual growth is judged.
-    pub divergence_window: usize,
-    /// Minimum fractional improvement required over
-    /// [`GuardConfig::stagnation_window`] cycles.
-    pub stagnation_epsilon: f64,
-    /// Number of cycles over which stagnation is judged.
-    pub stagnation_window: usize,
-}
+/// Cycle budget: observations before [`GuardFailure::BudgetExhausted`].
+const MAX_CYCLES: usize = 50;
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            max_cycles: 50,
-            wall_clock: None,
-            divergence_factor: 10.0,
-            divergence_window: 3,
-            stagnation_epsilon: 0.01,
-            stagnation_window: 8,
-        }
-    }
-}
+/// Residual growth over [`DIVERGENCE_WINDOW`] cycles that counts as
+/// divergence.
+const DIVERGENCE_FACTOR: f64 = 10.0;
 
-/// Per-cycle contractions the budget projection looks back over. A
-/// constant, not a [`GuardConfig`] field: the rule has one correct
-/// setting per iteration class, and the ladder only runs stationary
-/// iterations.
+/// Cycles over which residual growth is judged.
+const DIVERGENCE_WINDOW: usize = 3;
+
+/// Least fractional improvement over [`STAGNATION_WINDOW`] cycles that
+/// is not stagnation.
+const STAGNATION_EPSILON: f64 = 0.01;
+
+/// Cycles over which stagnation is judged.
+const STAGNATION_WINDOW: usize = 8;
+
+/// Per-cycle contractions the budget projection looks back over: the
+/// rule has one correct setting per iteration class, and the ladder
+/// only runs stationary iterations.
 const PROJECTION_WINDOW: usize = 4;
 
 /// Watches a relative-residual trajectory and turns failure modes into
 /// typed verdicts. One [`SolveGuard::observe`] call per cycle.
 #[derive(Clone, Debug)]
 pub struct SolveGuard {
-    cfg: GuardConfig,
     target: f64,
     history: Vec<f64>,
-    start: Instant,
 }
 
 impl SolveGuard {
     /// A guard that declares convergence when the observed relative
     /// residual drops to `target` or below.
-    pub fn new(cfg: GuardConfig, target: f64) -> Self {
+    pub fn new(target: f64) -> Self {
         SolveGuard {
-            cfg,
             target,
             history: Vec::new(),
-            start: Instant::now(),
         }
     }
 
@@ -211,8 +188,8 @@ impl SolveGuard {
     /// Feed one cycle's relative residual; returns what to do next.
     ///
     /// Check order: finiteness, convergence, divergence, stagnation,
-    /// budget projection, wall clock, cycle budget — so a cycle that
-    /// both converges and exhausts the budget reports convergence.
+    /// budget projection, cycle budget — so a cycle that both converges
+    /// and exhausts the budget reports convergence.
     ///
     /// The projection takes the *smallest* per-cycle contraction ρ of
     /// the last four cycles and fails with
@@ -222,7 +199,6 @@ impl SolveGuard {
     /// most optimistic recent ρ bounds the cycles still needed from
     /// below: only trajectories that would have run into
     /// [`GuardFailure::BudgetExhausted`] anyway are failed, earlier.
-    /// The wall-clock budget is not projected — it is nondeterministic.
     pub fn observe(&mut self, rel_residual: f64) -> GuardVerdict {
         self.history.push(rel_residual);
         let cycle = self.history.len();
@@ -232,22 +208,22 @@ impl SolveGuard {
         if rel_residual <= self.target {
             return GuardVerdict::Converged;
         }
-        if cycle > self.cfg.divergence_window {
-            let base = self.history[cycle - 1 - self.cfg.divergence_window];
-            if base > 0.0 && rel_residual >= base * self.cfg.divergence_factor {
+        if cycle > DIVERGENCE_WINDOW {
+            let base = self.history[cycle - 1 - DIVERGENCE_WINDOW];
+            if base > 0.0 && rel_residual >= base * DIVERGENCE_FACTOR {
                 return GuardVerdict::Fail(GuardFailure::Diverged {
                     cycle,
                     growth: rel_residual / base,
                 });
             }
         }
-        if cycle > self.cfg.stagnation_window {
-            let base = self.history[cycle - 1 - self.cfg.stagnation_window];
-            if rel_residual >= base * (1.0 - self.cfg.stagnation_epsilon) {
+        if cycle > STAGNATION_WINDOW {
+            let base = self.history[cycle - 1 - STAGNATION_WINDOW];
+            if rel_residual >= base * (1.0 - STAGNATION_EPSILON) {
                 return GuardVerdict::Fail(GuardFailure::Stagnated { cycle });
             }
         }
-        if cycle > PROJECTION_WINDOW && cycle < self.cfg.max_cycles {
+        if cycle > PROJECTION_WINDOW && cycle < MAX_CYCLES {
             let rho = self.history[cycle - 1 - PROJECTION_WINDOW..]
                 .windows(2)
                 .map(|w| w[1] / w[0])
@@ -256,7 +232,7 @@ impl SolveGuard {
                 // Shaved by a hair so rounding in the two logarithms
                 // cannot push an exactly-on-budget trajectory over.
                 let needed = ((self.target / rel_residual).ln() / rho.ln() * (1.0 - 1e-9)).ceil();
-                if needed > (self.cfg.max_cycles - cycle) as f64 {
+                if needed > (MAX_CYCLES - cycle) as f64 {
                     return GuardVerdict::Fail(GuardFailure::BudgetUnreachable {
                         cycle,
                         needed: needed as usize,
@@ -264,15 +240,7 @@ impl SolveGuard {
                 }
             }
         }
-        if let Some(budget) = self.cfg.wall_clock {
-            let elapsed = self.start.elapsed();
-            if elapsed >= budget {
-                return GuardVerdict::Fail(GuardFailure::TimedOut {
-                    seconds: elapsed.as_secs_f64(),
-                });
-            }
-        }
-        if cycle >= self.cfg.max_cycles {
+        if cycle >= MAX_CYCLES {
             return GuardVerdict::Fail(GuardFailure::BudgetExhausted { cycles: cycle });
         }
         GuardVerdict::Continue
@@ -284,7 +252,7 @@ mod tests {
     use super::*;
 
     fn guard(target: f64) -> SolveGuard {
-        SolveGuard::new(GuardConfig::default(), target)
+        SolveGuard::new(target)
     }
 
     #[test]
@@ -398,31 +366,18 @@ mod tests {
 
     #[test]
     fn projection_spares_a_trajectory_that_lands_on_the_last_cycle() {
-        // Halving from 1.0 first drops to 2^-10 at observation 11; with
-        // a budget of exactly 11 the projection must stay quiet (6 more
-        // cycles needed at cycle 5, 6 left), and one cycle less must
-        // fail at cycle 5 rather than at the cap.
-        let run = |max_cycles| {
-            let cfg = GuardConfig {
-                max_cycles,
-                ..GuardConfig::default()
-            };
-            let mut g = SolveGuard::new(cfg, 2f64.powi(-10));
-            let mut r = 1.0;
-            loop {
-                match g.observe(r) {
-                    GuardVerdict::Continue => r *= 0.5,
-                    verdict => break (verdict, g.cycles()),
-                }
-            }
-        };
-        assert_eq!(run(11), (GuardVerdict::Converged, 11));
+        // Halving from 1.0 first drops to 2^-49 at observation 50, the
+        // budget's last cycle: the projection must stay quiet (45 more
+        // cycles needed at cycle 5, 45 left), and a target one halving
+        // further must fail at cycle 5 rather than at the cap.
+        let halving = |c: i32| drive(2f64.powi(-c), 1.0, |_| 0.5);
+        assert_eq!(halving(49), (GuardVerdict::Converged, 50));
         assert_eq!(
-            run(10),
+            halving(50),
             (
                 GuardVerdict::Fail(GuardFailure::BudgetUnreachable {
                     cycle: 5,
-                    needed: 6
+                    needed: 46
                 }),
                 5
             )
@@ -431,44 +386,30 @@ mod tests {
 
     #[test]
     fn budget_counts_cycles() {
-        let cfg = GuardConfig {
-            max_cycles: 3,
-            // Disarm stagnation so the flat trajectory hits the budget.
-            stagnation_window: 100,
-            ..GuardConfig::default()
-        };
-        let mut g = SolveGuard::new(cfg, 1e-10);
-        assert_eq!(g.observe(0.9), GuardVerdict::Continue);
-        assert_eq!(g.observe(0.8), GuardVerdict::Continue);
+        // Halving to 2^-42 at observation 43, twice the target, then
+        // exactly flat: ρ = 1 keeps the projection quiet, and the
+        // seven-cycle stall is shorter than the stagnation window, so
+        // only the cycle budget can end it.
+        let (verdict, cycles) = drive(2f64.powi(-43), 1.0, |c| if c < 43 { 0.5 } else { 1.0 });
         assert_eq!(
-            g.observe(0.7),
-            GuardVerdict::Fail(GuardFailure::BudgetExhausted { cycles: 3 })
+            (verdict, cycles),
+            (
+                GuardVerdict::Fail(GuardFailure::BudgetExhausted { cycles: 50 }),
+                50
+            )
         );
     }
 
     #[test]
-    fn wall_clock_budget_fires() {
-        let cfg = GuardConfig {
-            wall_clock: Some(Duration::from_nanos(1)),
-            ..GuardConfig::default()
-        };
-        let mut g = SolveGuard::new(cfg, 1e-10);
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(matches!(
-            g.observe(0.9),
-            GuardVerdict::Fail(GuardFailure::TimedOut { .. })
-        ));
-    }
-
-    #[test]
     fn convergence_beats_budget_on_the_last_cycle() {
-        let cfg = GuardConfig {
-            max_cycles: 2,
-            ..GuardConfig::default()
-        };
-        let mut g = SolveGuard::new(cfg, 1e-10);
-        assert_eq!(g.observe(0.9), GuardVerdict::Continue);
-        assert_eq!(g.observe(1e-12), GuardVerdict::Converged);
+        let mut g = guard(2f64.powi(-49));
+        let mut r = 1.0;
+        for _ in 1..MAX_CYCLES {
+            assert_eq!(g.observe(r), GuardVerdict::Continue);
+            r *= 0.5;
+        }
+        assert_eq!(g.observe(r), GuardVerdict::Converged);
+        assert_eq!(g.cycles(), MAX_CYCLES);
     }
 
     #[test]
@@ -492,7 +433,6 @@ mod tests {
             .to_string(),
             GuardFailure::Stagnated { cycle: 9 }.to_string(),
             GuardFailure::BudgetExhausted { cycles: 50 }.to_string(),
-            GuardFailure::TimedOut { seconds: 1.25 }.to_string(),
             GuardFailure::BudgetUnreachable {
                 cycle: 8,
                 needed: 73,
@@ -505,18 +445,14 @@ mod tests {
         assert!(msgs[0].contains("non-finite"));
         assert!(msgs[1].contains("diverged"));
         assert!(msgs[2].contains("stagnated"));
-        assert!(msgs[5].contains("unreachable") && msgs[5].contains("73"));
+        assert!(msgs[3].contains("exhausted"));
+        assert!(msgs[4].contains("unreachable") && msgs[4].contains("73"));
     }
 
     /// The guard's verdict on the trajectory `r`, `r·ratio(1)`,
     /// `r·ratio(1)·ratio(2)`, …, with the cycle it was reached at.
-    fn drive(
-        cfg: GuardConfig,
-        target: f64,
-        mut r: f64,
-        ratio: impl Fn(usize) -> f64,
-    ) -> (GuardVerdict, usize) {
-        let mut g = SolveGuard::new(cfg, target);
+    fn drive(target: f64, mut r: f64, ratio: impl Fn(usize) -> f64) -> (GuardVerdict, usize) {
+        let mut g = guard(target);
         loop {
             match g.observe(r) {
                 GuardVerdict::Continue => r *= ratio(g.cycles()),
@@ -540,25 +476,23 @@ mod tests {
             r0_exp in -3.0f64..3.0,
             rho in 0.01f64..0.99,
             target_exp in 1.0f64..14.0,
-            max_cycles in 1usize..80,
         ) {
             let (r0, target) = (10f64.powf(r0_exp), 10f64.powf(-target_exp));
-            let cfg = GuardConfig { max_cycles, ..GuardConfig::default() };
             let mut r = r0;
             let mut reference = None;
-            for cycle in 1..=max_cycles {
+            for cycle in 1..=MAX_CYCLES {
                 if r <= target {
                     reference = Some(cycle);
                     break;
                 }
                 r *= rho;
             }
-            let (verdict, cycle) = drive(cfg, target, r0, |_| rho);
+            let (verdict, cycle) = drive(target, r0, |_| rho);
             match reference {
                 Some(c) => prop_assert_eq!((verdict, cycle), (GuardVerdict::Converged, c)),
                 None => {
                     prop_assert!(matches!(verdict, GuardVerdict::Fail(_)), "{verdict:?}");
-                    prop_assert!(cycle <= max_cycles);
+                    prop_assert!(cycle <= MAX_CYCLES);
                 }
             }
         }
@@ -573,29 +507,22 @@ mod tests {
             rise in 0.0f64..1.0,
             decay in 0.1f64..0.95,
             target_exp in 1.0f64..14.0,
-            max_cycles in 6usize..80,
         ) {
             let rho_inf = rho_0 + rise * (0.99 - rho_0);
             let ratio = |k: usize| rho_inf - (rho_inf - rho_0) * decay.powi(k as i32);
             let target = 10f64.powf(-target_exp);
-            let cfg = GuardConfig { max_cycles, ..GuardConfig::default() };
             if let (GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle, needed }), _) =
-                drive(cfg, target, 1.0, ratio)
+                drive(target, 1.0, ratio)
             {
-                let unbudgeted = GuardConfig {
-                    max_cycles: usize::MAX,
-                    stagnation_window: usize::MAX - 1,
-                    ..GuardConfig::default()
-                };
-                // Past the projection window only the budget can fail a
-                // contracting trajectory, and there is none.
-                let mut g = SolveGuard::new(unbudgeted, target);
-                let mut r = 1.0;
-                while g.observe(r) != GuardVerdict::Converged {
-                    r *= ratio(g.cycles());
+                // The same trajectory with no checks at all: the cycle
+                // it first reaches the target at.
+                let (mut crossing, mut r) = (1, 1.0);
+                while r > target {
+                    r *= ratio(crossing);
+                    crossing += 1;
                 }
-                prop_assert!(cycle + needed <= g.cycles(), "{cycle}+{needed} > {}", g.cycles());
-                prop_assert!(g.cycles() > max_cycles);
+                prop_assert!(cycle + needed <= crossing, "{cycle}+{needed} > {crossing}");
+                prop_assert!(crossing > MAX_CYCLES);
             }
         }
     }

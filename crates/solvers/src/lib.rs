@@ -27,7 +27,7 @@ pub use fused::{
     interpolate_correct_relax, interpolate_correct_relax_op, relax_residual_restrict,
     relax_residual_restrict_op, sor_sweeps_blocked, sor_sweeps_blocked_op,
 };
-pub use guard::{GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
+pub use guard::{GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
 pub use relax::{
     batch_sor_sweep_op, omega_opt, sor_sweep, sor_sweep_op, sor_sweeps, sor_sweeps_op,
 };

@@ -2,8 +2,8 @@
 //! the env-driven chaos drill.
 //!
 //! A [`GuardedSolver`] runs a tuned plan under a [`SolveGuard`]
-//! (finiteness, divergence, stagnation, cycle/wall-clock budgets) and
-//! walks the degradation ladder on any failure:
+//! (finiteness, divergence, stagnation, a 50-cycle budget and its
+//! early projection) and walks the degradation ladder on any failure:
 //!
 //! ```text
 //!   tuned plan  →  heuristic MULTIGRID-V-SIMPLE  →  direct solve
@@ -68,11 +68,7 @@ fn solve_and_print(problem: Problem, level: usize, tol: f64) {
     match solver.solve(&mut x, &inst.b, tol) {
         Ok(report) => {
             println!("served by rung:    {}", report.rung);
-            println!(
-                "status:            {:?} ({} cycle(s))",
-                report.status,
-                report.status.cycles()
-            );
+            println!("cycles:            {}", report.residual_history.len());
             println!("relative residual: {:.3e}", report.rel_residual);
             println!("wall time:         {:.1} ms", report.seconds * 1e3);
             if report.degraded() {

@@ -92,9 +92,7 @@ pub mod prelude {
         PlanLibrary, PlanSource, Rejected, ServeError, ServeReport, ServiceConfig, SolveRequest,
         SolverService, TunePolicy,
     };
-    pub use petamg_solvers::guard::{
-        GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus,
-    };
+    pub use petamg_solvers::guard::{GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
     pub use petamg_solvers::relax::omega_opt;
 }
 
