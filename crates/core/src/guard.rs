@@ -412,9 +412,8 @@ pub struct GuardedSolver {
 
 impl GuardedSolver {
     /// A guarded solver for `problem`: sequential execution, fresh
-    /// factor cache, no tuned plan (the ladder
-    /// starts at the heuristic rung until [`GuardedSolver::with_plan`]
-    /// supplies one).
+    /// factor cache, no tuned plan (the ladder starts at the heuristic
+    /// rung until [`GuardedSolver::with_plan`] supplies one).
     pub fn new(problem: Problem) -> Self {
         GuardedSolver {
             problem,

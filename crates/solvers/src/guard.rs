@@ -251,15 +251,11 @@ impl SolveGuard {
 mod tests {
     use super::*;
 
-    fn guard(target: f64) -> SolveGuard {
-        SolveGuard::new(target)
-    }
-
     #[test]
     fn converging_trajectory_is_clean() {
         // Halving is exact in binary, so the cycle count is too:
         // observations 2^0 .. 2^-10, and 2^-10 < 1e-3 converges.
-        let mut g = guard(1e-3);
+        let mut g = SolveGuard::new(1e-3);
         let mut r = 1.0;
         loop {
             match g.observe(r) {
@@ -274,12 +270,12 @@ mod tests {
 
     #[test]
     fn nan_and_inf_are_caught_immediately() {
-        let mut g = guard(1e-10);
+        let mut g = SolveGuard::new(1e-10);
         assert_eq!(
             g.observe(f64::NAN),
             GuardVerdict::Fail(GuardFailure::NonFinite { cycle: 1 })
         );
-        let mut g = guard(1e-10);
+        let mut g = SolveGuard::new(1e-10);
         assert_eq!(g.observe(0.5), GuardVerdict::Continue);
         assert_eq!(
             g.observe(f64::INFINITY),
@@ -289,7 +285,7 @@ mod tests {
 
     #[test]
     fn divergence_fires_on_growth_over_window() {
-        let mut g = guard(1e-10);
+        let mut g = SolveGuard::new(1e-10);
         let mut r = 1.0;
         let failure = loop {
             match g.observe(r) {
@@ -312,7 +308,7 @@ mod tests {
         // 1.1x per cycle: 1.33x over the 3-cycle divergence window
         // (below 10x), but certainly not improving — stagnation fires
         // once its window fills.
-        let mut g = guard(1e-10);
+        let mut g = SolveGuard::new(1e-10);
         let mut r = 1.0;
         let failure = loop {
             match g.observe(r) {
@@ -329,7 +325,7 @@ mod tests {
 
     #[test]
     fn stagnation_fires_on_flat_trajectory() {
-        let mut g = guard(1e-10);
+        let mut g = SolveGuard::new(1e-10);
         let failure = loop {
             match g.observe(0.5) {
                 GuardVerdict::Continue => {}
@@ -346,7 +342,7 @@ mod tests {
         // any window, so this is never stagnation — but 1e-30 is ~1343
         // cycles away at that rate, and the projection says so as soon
         // as its window fills instead of spinning to the 50-cycle cap.
-        let mut g = guard(1e-30);
+        let mut g = SolveGuard::new(1e-30);
         let mut r = 1.0;
         let failure = loop {
             match g.observe(r) {
@@ -402,7 +398,7 @@ mod tests {
 
     #[test]
     fn convergence_beats_budget_on_the_last_cycle() {
-        let mut g = guard(2f64.powi(-49));
+        let mut g = SolveGuard::new(2f64.powi(-49));
         let mut r = 1.0;
         for _ in 1..MAX_CYCLES {
             assert_eq!(g.observe(r), GuardVerdict::Continue);
@@ -452,7 +448,7 @@ mod tests {
     /// The guard's verdict on the trajectory `r`, `r·ratio(1)`,
     /// `r·ratio(1)·ratio(2)`, …, with the cycle it was reached at.
     fn drive(target: f64, mut r: f64, ratio: impl Fn(usize) -> f64) -> (GuardVerdict, usize) {
-        let mut g = guard(target);
+        let mut g = SolveGuard::new(target);
         loop {
             match g.observe(r) {
                 GuardVerdict::Continue => r *= ratio(g.cycles()),
