@@ -179,3 +179,61 @@ fn simultaneous_first_direct_rung_requests_share_one_factorisation() {
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Served bits through the plan file. Each request is served by a cold
+/// service that files its plan, then again by a restarted service over
+/// the same directory that loads the file. Both answers must carry the
+/// pinned FNV-1a hash of their bits and the pinned serving rung, so a
+/// change to the plan file's format that changes what a loaded plan
+/// runs fails here.
+#[test]
+fn served_bits_survive_a_plan_file_and_a_restart() {
+    let cases = [
+        (
+            TunePolicy::QuickTune,
+            Problem::poisson(),
+            7,
+            (0x390f_f8b0_7a7a_8a90, LadderRung::TunedPlan),
+        ),
+        (
+            TunePolicy::QuickTune,
+            Problem::smooth_sinusoidal(65),
+            6,
+            (0x4f19_d432_3ad5_3c61, LadderRung::TunedPlan),
+        ),
+        // The simple V family cannot reach 1e-8 on the jump: the ladder
+        // walks down to its direct rung.
+        (
+            TunePolicy::Heuristic,
+            Problem::jump_inclusion(65),
+            6,
+            (0x1fea_96cb_b7e4_ad62, LadderRung::Direct),
+        ),
+    ];
+    for (case, (tuning, problem, level, pinned)) in cases.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("petamg-it-pin-{case}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let serve = |source: PlanSource| {
+            let svc = SolverService::start(
+                ServiceConfig::new(&dir)
+                    .with_workers(1)
+                    .with_tuning(tuning.clone()),
+            )
+            .unwrap();
+            let inst =
+                ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, 77);
+            let request = SolveRequest::new(problem.clone(), inst.working_grid(), inst.b, 1e-8);
+            let served = svc.solve(request).expect("the request converges");
+            assert_eq!(served.plan, source, "case {case}");
+            (
+                petamg::problems::field_hash(served.x.as_slice()),
+                served.report.rung,
+            )
+        };
+        let cold = serve(PlanSource::TunedNow);
+        let restarted = serve(PlanSource::DiskLoad);
+        assert_eq!(cold, restarted, "case {case}");
+        assert_eq!(restarted, pinned, "case {case}: {:#018x}", restarted.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
