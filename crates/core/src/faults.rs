@@ -10,8 +10,6 @@
 //! * [`Fault::CorruptPlan`] / [`Fault::TruncatePlan`] — the next plan
 //!   file read through `persist` has its bytes mangled before parsing
 //!   (caught by checksum/parse validation, triggering quarantine);
-//! * [`Fault::InflateTiming`] — one timing sample of a knob-tuner arm
-//!   is multiplied by a factor (absorbed by median-of-k measurement);
 //! * [`Fault::FailDirect`] — the next direct factorization at a grid
 //!   size fails (drives the ladder past its last rung).
 //!
@@ -51,14 +49,6 @@ pub enum Fault {
     /// The next plan file read through `persist` is truncated to half
     /// its length before parsing.
     TruncatePlan,
-    /// One timing sample of knob-tuner arm `arm` is multiplied by
-    /// `factor`.
-    InflateTiming {
-        /// Candidate index inside `tuner::tune_kernel_knobs`.
-        arm: usize,
-        /// Multiplier applied to the victim sample.
-        factor: f64,
-    },
     /// The next direct factorization requested for `n`×`n` grids on
     /// the guarded fallback path reports failure.
     FailDirect {
@@ -147,19 +137,6 @@ pub fn mangle_plan_bytes(bytes: &mut String) -> bool {
     false
 }
 
-/// Fault point: multiplier for the current timing sample of knob arm
-/// `arm`, if an inflation fault is armed for it.
-#[inline]
-pub fn timing_inflation(arm: usize) -> Option<f64> {
-    if !armed() {
-        return None;
-    }
-    match consume(|f| matches!(f, Fault::InflateTiming { arm: a, .. } if *a == arm)) {
-        Some(Fault::InflateTiming { factor, .. }) => Some(factor),
-        _ => None,
-    }
-}
-
 /// Fault point: should the direct factorization for `n`×`n` grids fail?
 #[inline]
 pub fn fail_direct(n: usize) -> bool {
@@ -171,7 +148,7 @@ pub fn fail_direct(n: usize) -> bool {
 
 /// Parse a fault spec: comma-separated entries of
 /// `poison-level:<level>`, `corrupt-plan`, `truncate-plan`,
-/// `inflate-timing:<arm>x<factor>`, `fail-direct:<n>`.
+/// `fail-direct:<n>`.
 pub fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
     let mut out = Vec::new();
     for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
@@ -185,17 +162,6 @@ pub fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
             },
             ("corrupt-plan", None) => Fault::CorruptPlan,
             ("truncate-plan", None) => Fault::TruncatePlan,
-            ("inflate-timing", Some(a)) => {
-                let (arm, factor) = a
-                    .split_once('x')
-                    .ok_or_else(|| format!("`{entry}` wants <arm>x<factor>"))?;
-                Fault::InflateTiming {
-                    arm: arm.parse().map_err(|_| format!("bad arm in `{entry}`"))?,
-                    factor: factor
-                        .parse()
-                        .map_err(|_| format!("bad factor in `{entry}`"))?,
-                }
-            }
             ("fail-direct", Some(n)) => Fault::FailDirect {
                 n: n.parse().map_err(|_| format!("bad size in `{entry}`"))?,
             },
@@ -234,7 +200,6 @@ mod tests {
         clear();
         assert!(!armed());
         assert!(!poison_level(3));
-        assert!(timing_inflation(0).is_none());
         assert!(!fail_direct(33));
         let mut s = String::from("{\"a\":1}");
         assert!(!mangle_plan_bytes(&mut s));
@@ -269,18 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_inflation_targets_one_arm() {
-        clear();
-        inject(Fault::InflateTiming {
-            arm: 2,
-            factor: 10.0,
-        });
-        assert!(timing_inflation(0).is_none());
-        assert_eq!(timing_inflation(2), Some(10.0));
-        assert!(timing_inflation(2).is_none());
-    }
-
-    #[test]
     fn direct_failure_keyed_by_size() {
         clear();
         inject(Fault::FailDirect { n: 33 });
@@ -291,25 +244,18 @@ mod tests {
 
     #[test]
     fn spec_parsing_round_trips_every_kind() {
-        let faults = parse_spec(
-            "poison-level:3, corrupt-plan,truncate-plan,inflate-timing:2x10.5,fail-direct:33",
-        )
-        .unwrap();
+        let faults =
+            parse_spec("poison-level:3, corrupt-plan,truncate-plan,fail-direct:33").unwrap();
         assert_eq!(
             faults,
             vec![
                 Fault::PoisonLevel { level: 3 },
                 Fault::CorruptPlan,
                 Fault::TruncatePlan,
-                Fault::InflateTiming {
-                    arm: 2,
-                    factor: 10.5
-                },
                 Fault::FailDirect { n: 33 },
             ]
         );
         assert!(parse_spec("poison-level").is_err());
-        assert!(parse_spec("inflate-timing:2").is_err());
         assert!(parse_spec("warp-core-breach").is_err());
         assert_eq!(parse_spec("").unwrap(), vec![]);
     }

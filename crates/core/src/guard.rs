@@ -18,8 +18,8 @@
 //!    Asymptotically the wrong tool (that is the paper's whole point)
 //!    but unconditionally accurate when it factors.
 //!
-//! A rung is never run when its schedule, knobs and input are those of
-//! a rung that just failed deterministically: if the tuned plan *is*
+//! A rung is never run when its schedule and input are those of a rung
+//! that just failed deterministically: if the tuned plan *is*
 //! the `MULTIGRID-V-SIMPLE` schedule (the default serving policy stamps
 //! exactly that family) and the guard failed it on the arithmetic
 //! alone, the heuristic rung would replay the same cycles bit for bit
@@ -106,8 +106,8 @@ pub enum FailureKind {
         /// Relative residual the rung achieved.
         rel_residual: f64,
     },
-    /// The rung was not run: its schedule, knobs and input equal those
-    /// of the rung above it, which just failed with this verdict — a
+    /// The rung was not run: its schedule and input equal those of the
+    /// rung above it, which just failed with this verdict — a
     /// verdict that is a pure function of the arithmetic, so the replay
     /// could only reproduce it.
     SameScheduleAsFailed(GuardFailure),
@@ -561,13 +561,6 @@ impl GuardedSolver {
             // telemetry gate is open).
             ctx.tracer = std::mem::take(&mut ctx.tracer).with_timing_all();
         }
-        if let Some(fam) = &self.plan {
-            // Knobs are pure performance (bitwise-identical results),
-            // so a tuned table may safely serve the heuristic rung too.
-            if !fam.knobs.is_all_default() {
-                ctx = ctx.with_knob_table(fam.knobs.clone());
-            }
-        }
         ctx
     }
 
@@ -692,8 +685,7 @@ impl GuardedSolver {
     }
 
     /// Rung 1: the hand-built MULTIGRID-V-SIMPLE family — unless the
-    /// tuned rung just ran that very schedule (same knob table, same
-    /// restored `x`) into a verdict the arithmetic alone decides.
+    /// tuned rung just ran that very schedule (same restored `x`) into a verdict the arithmetic alone decides.
     fn try_heuristic(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
         let heuristic = simple_v_family(w.level.max(1), &PAPER_ACCURACIES);
         let replayed = match (&self.plan, w.tuned_failure) {
@@ -1161,8 +1153,8 @@ mod tests {
     }
 
     /// The tuned rung runs the simple schedule into a deterministic
-    /// verdict, so the heuristic rung — the same schedule, knobs and
-    /// restored `x` — is recorded as skipped and direct serves. The
+    /// verdict, so the heuristic rung — the same schedule and restored
+    /// `x` — is recorded as skipped and direct serves. The
     /// answer is the one the ladder gave when it did replay.
     #[test]
     fn replayed_heuristic_rung_is_skipped() {

@@ -14,9 +14,8 @@
 //! pinned instead of searched — exactly what makes them weaker than the
 //! full DP tuner.
 
-use crate::knobs::KnobTable;
 use crate::plan::{Choice, TunedFamily};
-use crate::tuner::{TunerOptions, VTuner, Walk};
+use crate::tuner::{DefaultKnobs, TunerOptions, VTuner, Walk};
 
 /// Build the heuristic family for strategy `sub_acc`/`final_acc`
 /// (`sub_acc == final_acc` gives the paper's plain "Strategy 10⁹").
@@ -83,7 +82,7 @@ pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) 
         accuracies,
         max_level: base.max_level,
         plans,
-        knobs: KnobTable::defaults(base.max_level),
+        knobs: DefaultKnobs,
         problem: tuner.options().problem.fingerprint().clone(),
         provenance: format!("heuristic {:.0e}/{:.0e}", sub_acc, final_acc),
     };

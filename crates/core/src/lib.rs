@@ -28,14 +28,11 @@
 //!   Sun Niagara stand-ins) for the architecture studies of §4.3;
 //! * [`plan`] — tuned-plan representation ([`plan::Choice`],
 //!   [`plan::TunedFamily`], [`plan::TunedFmgFamily`]) and the executor;
-//! * [`knobs`] — the kernel-execution knobs ([`knobs::KernelKnobs`]) and
-//!   the per-level [`knobs::KnobTable`] a plan carries;
 //! * [`trace`] / [`render`] — cycle-shape event traces and the ASCII
 //!   cycle diagram of Fig 5;
 //! * [`tuner`] — the DP tuners ([`tuner::VTuner`], [`tuner::FmgTuner`]),
 //!   the full Pareto-set variant of §2.2 ([`tuner::ParetoTuner`], the
-//!   reference the Fig 2 test checks the discrete DP against) and the
-//!   kernel-knob search ([`tuner::tune_kernel_knobs`]);
+//!   reference the Fig 2 test checks the discrete DP against);
 //! * [`heuristics`] — the fixed-accuracy `10^x/10^9` strategies of
 //!   Figs 7–8.
 
@@ -52,7 +49,6 @@ pub mod cost;
 pub mod faults;
 pub mod guard;
 pub mod heuristics;
-pub mod knobs;
 pub mod persist;
 pub mod plan;
 #[cfg(test)]

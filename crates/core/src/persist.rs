@@ -1,11 +1,12 @@
-//! Hardened plan persistence: tuned families — including their
-//! per-level kernel knob tables — as PetaBricks-style JSON
+//! Hardened plan persistence: tuned families as PetaBricks-style JSON
 //! configuration files.
 //!
-//! One schema is written and read: the checksummed v5 envelope of
-//! [`TunedFamily::to_json`]. Anything else — a missing checksum, a
-//! missing field, another knob-table version — fails to load with a
-//! reason, and on serving paths is quarantined like any damaged file.
+//! One schema is written and read: the checksummed v6 plan file of
+//! [`TunedFamily::to_json`] and [`TunedFmgFamily::to_json`] (its fields
+//! are listed in ARCHITECTURE, "Plan files (schema v6)"). Anything else
+//! — a missing checksum, a missing field, another schema number, a v5
+//! file — fails to load with a reason, and on serving paths is
+//! quarantined like any damaged file and re-tuned.
 //!
 //! Three hardening properties, each an ingredient of the guarded-solve
 //! story (`crate::guard`):
@@ -13,9 +14,9 @@
 //! * **Atomic writes** — [`save_plan`] writes to a sibling temp file
 //!   and renames it into place, so a crash mid-write can never leave a
 //!   half-written plan where a reader expects a whole one.
-//! * **Content checksums** — the v5 envelope carries an FNV-1a
-//!   checksum over the plan body (see [`TunedFamily::to_json`]); bit
-//!   rot is detected at load instead of executing a scrambled plan.
+//! * **Content checksums** — the plan file carries an FNV-1a checksum
+//!   over the rest of its fields; bit rot is detected at load instead
+//!   of executing a scrambled plan.
 //! * **Quarantine** — when [`load_plan_for`] meets a corrupt file it
 //!   moves it aside to `<name>.quarantined` and reports where, so the
 //!   broken artifact is preserved for inspection, the next load
@@ -30,14 +31,162 @@
 //! let tuned = VTuner::new(TunerOptions::quick(5, Distribution::UnbiasedUniform)).tune();
 //! persist::save_plan(&tuned, "family.json".as_ref()).unwrap();
 //! let loaded = persist::load_plan("family.json".as_ref()).unwrap();
-//! assert_eq!(loaded.knobs, tuned.knobs);
+//! assert_eq!(loaded.plans, tuned.plans);
 //! ```
 
 use crate::faults;
-use crate::plan::{TunedFamily, TunedFmgFamily};
-use petamg_problems::{Problem, ProblemMismatch};
+use crate::plan::{Choice, FmgChoice, TunedFamily, TunedFmgFamily};
+use crate::tuner::DefaultKnobs;
+use petamg_problems::{Problem, ProblemFingerprint, ProblemMismatch};
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// The plan-file schema this build writes, and the only one it reads.
+const SCHEMA: u32 = 6;
+
+/// The fields of a v6 plan file but two: the `checksum`, attached and
+/// verified on the JSON value around this struct, and the optional
+/// `fmg` table of an FMG file.
+#[derive(Serialize, Deserialize)]
+struct PlanFile {
+    schema: u32,
+    accuracies: Vec<f64>,
+    max_level: usize,
+    plans: Vec<Vec<Choice>>,
+    problem: ProblemFingerprint,
+    provenance: String,
+}
+
+/// Render `family` as a pretty-printed v6 plan file, with `fmg` as its
+/// FMG table when it is one.
+fn write_file(family: &TunedFamily, fmg: Option<&Vec<Vec<FmgChoice>>>) -> String {
+    let file = PlanFile {
+        schema: SCHEMA,
+        accuracies: family.accuracies.clone(),
+        max_level: family.max_level,
+        plans: family.plans.clone(),
+        problem: family.problem.clone(),
+        provenance: family.provenance.clone(),
+    };
+    let mut value = file.to_value();
+    if let (Some(fmg), serde_json::Value::Object(obj)) = (fmg, &mut value) {
+        obj.insert("fmg".to_string(), fmg.to_value());
+    }
+    attach_checksum(&mut value);
+    serde_json::to_string_pretty(&value).expect("plan serialization cannot fail")
+}
+
+/// Parse, verify and validate a v6 plan file: its V family, and its FMG
+/// table if it has one.
+#[allow(clippy::type_complexity)]
+fn read_file(json: &str) -> Result<(TunedFamily, Option<Vec<Vec<FmgChoice>>>), String> {
+    let mut value: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
+    verify_checksum(&mut value)?;
+    let file = PlanFile::from_value(&value).map_err(|e| e.to_string())?;
+    if file.schema != SCHEMA {
+        return Err(format!(
+            "plan file schema {}: this build reads only schema {SCHEMA}",
+            file.schema
+        ));
+    }
+    let fmg = match value.as_object().and_then(|obj| obj.get("fmg")) {
+        Some(fmg) => Some(Deserialize::from_value(fmg).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    let family = TunedFamily {
+        accuracies: file.accuracies,
+        max_level: file.max_level,
+        plans: file.plans,
+        knobs: DefaultKnobs,
+        problem: file.problem,
+        provenance: file.provenance,
+    };
+    family.validate()?;
+    Ok((family, fmg))
+}
+
+impl TunedFamily {
+    /// The family as a pretty-printed plan file (schema v6).
+    pub fn to_json(&self) -> String {
+        write_file(self, None)
+    }
+
+    /// Parse and validate a plan file. Accepts exactly what
+    /// [`TunedFamily::to_json`] writes, and reads an FMG file as its V
+    /// family: a missing or wrong `checksum`, a missing field or
+    /// another schema number is an error — the file was damaged after
+    /// it was written, or written by another schema.
+    pub fn from_json(json: &str) -> Result<TunedFamily, String> {
+        read_file(json).map(|(family, _)| family)
+    }
+}
+
+impl TunedFmgFamily {
+    /// The family as a pretty-printed plan file (schema v6) carrying
+    /// its `fmg` table.
+    pub fn to_json(&self) -> String {
+        write_file(&self.v, Some(&self.plans))
+    }
+
+    /// Parse a plan file with an `fmg` table. Like
+    /// [`TunedFamily::from_json`], accepts exactly what
+    /// [`TunedFmgFamily::to_json`] writes.
+    pub fn from_json(json: &str) -> Result<TunedFmgFamily, String> {
+        match read_file(json)? {
+            (v, Some(plans)) => Ok(TunedFmgFamily { v, plans }),
+            (_, None) => Err("plan file has no `fmg` table: not an FMG plan".into()),
+        }
+    }
+}
+
+/// FNV-1a (64-bit) over the *compact* serialization of a plan value —
+/// the content checksum of the plan file. Computing over the compact
+/// form makes the checksum independent of on-disk pretty formatting,
+/// and the shim's `BTreeMap` object model keeps key order (and
+/// therefore the hash) deterministic.
+fn content_checksum(value: &serde_json::Value) -> String {
+    let compact = serde_json::to_string(value).expect("value serialization cannot fail");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in compact.as_bytes() {
+        h ^= u64::from(*byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("fnv1a:{h:016x}")
+}
+
+/// Insert the `checksum` field into a serialized plan object (hash
+/// taken over the object *without* the field).
+fn attach_checksum(value: &mut serde_json::Value) {
+    let checksum = content_checksum(value);
+    if let serde_json::Value::Object(obj) = value {
+        obj.insert("checksum".to_string(), serde_json::Value::String(checksum));
+    }
+}
+
+/// Verify and strip the `checksum` field of a parsed plan object. A
+/// missing field and a mismatch are both errors: without the field the
+/// content would execute unverified.
+fn verify_checksum(value: &mut serde_json::Value) -> Result<(), String> {
+    let serde_json::Value::Object(obj) = value else {
+        return Err("expected a JSON object for a tuned plan".into());
+    };
+    let Some(stored) = obj.remove("checksum") else {
+        return Err("plan has no checksum field — not a plan file, or the key was damaged".into());
+    };
+    let serde_json::Value::String(stored) = stored else {
+        return Err("plan checksum field is not a string".into());
+    };
+    let computed = content_checksum(value);
+    if stored == computed {
+        Ok(())
+    } else {
+        Err(format!(
+            "plan checksum mismatch: file says {stored}, content hashes to {computed} — \
+             the file was damaged after it was written"
+        ))
+    }
+}
 
 /// Typed failure modes of [`load_plan_for`]: I/O, parse/validation
 /// (with the quarantine destination if the damaged file was moved
@@ -54,7 +203,7 @@ pub enum PlanLoadError {
         /// Where the damaged file was moved, if quarantine succeeded.
         quarantined: Option<PathBuf>,
     },
-    /// The plan's [`ProblemFingerprint`](petamg_problems::ProblemFingerprint)
+    /// The plan's [`ProblemFingerprint`]
     /// does not match the posed problem.
     ProblemMismatch(ProblemMismatch),
 }
@@ -119,8 +268,7 @@ fn read_plan_bytes(path: &Path) -> std::io::Result<String> {
     Ok(text)
 }
 
-/// Save a tuned `MULTIGRID-V` family (with its knob table),
-/// atomically.
+/// Save a tuned `MULTIGRID-V` family, atomically.
 pub fn save_plan(family: &TunedFamily, path: &Path) -> std::io::Result<()> {
     write_atomic(path, &family.to_json())
 }
@@ -155,8 +303,8 @@ pub fn load_plan_for(path: &Path, problem: &Problem) -> Result<TunedFamily, Plan
     Ok(family)
 }
 
-/// Save a tuned `FULL-MULTIGRID` family (the knob table travels inside
-/// the embedded V family), atomically.
+/// Save a tuned `FULL-MULTIGRID` family (its V family and its `fmg`
+/// table in one plan file), atomically.
 pub fn save_fmg_plan(family: &TunedFmgFamily, path: &Path) -> std::io::Result<()> {
     write_atomic(path, &family.to_json())
 }
@@ -173,6 +321,63 @@ mod tests {
     use super::*;
     use crate::faults::{self, Fault};
     use crate::plan::{simple_v_family, PAPER_ACCURACIES};
+
+    /// The schema number, the fingerprint, or an FMG file's `fmg`
+    /// table missing is an error even under a checksum that verifies,
+    /// for the V family and the FMG family; so is the checksum missing.
+    #[test]
+    fn plan_files_missing_a_field_or_the_checksum_are_rejected() {
+        let v = simple_v_family(3, &[1e3]);
+        let direct = vec![FmgChoice::Direct];
+        let fmg = TunedFmgFamily {
+            v: v.clone(),
+            plans: vec![Vec::new(), direct.clone(), direct.clone(), direct],
+        };
+        let without = |json: String, field: &str| {
+            let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+            if let serde_json::Value::Object(obj) = &mut value {
+                obj.remove(field).expect("the file has the field");
+                if field != "checksum" {
+                    obj.remove("checksum");
+                    attach_checksum(&mut value);
+                }
+            }
+            serde_json::to_string(&value).unwrap()
+        };
+        for field in ["schema", "problem"] {
+            let err = TunedFamily::from_json(&without(v.to_json(), field)).unwrap_err();
+            assert!(err.contains(field), "{err}");
+            let err = TunedFmgFamily::from_json(&without(fmg.to_json(), field)).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+        let err = TunedFmgFamily::from_json(&without(fmg.to_json(), "fmg")).unwrap_err();
+        assert!(err.contains("fmg"), "{err}");
+        let err = TunedFmgFamily::from_json(&without(fmg.to_json(), "checksum")).unwrap_err();
+        assert!(err.contains("no checksum"), "{err}");
+        // An FMG file reads as its V family.
+        assert_eq!(
+            TunedFamily::from_json(&fmg.to_json()).unwrap().plans,
+            v.plans
+        );
+    }
+
+    /// Another schema number is rejected by name, under a checksum that
+    /// verifies.
+    #[test]
+    fn another_schema_number_is_rejected() {
+        let json = simple_v_family(3, &PAPER_ACCURACIES).to_json();
+        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        if let serde_json::Value::Object(obj) = &mut value {
+            obj.remove("checksum");
+            obj.insert(
+                "schema".to_string(),
+                serde_json::Value::Number(serde_json::Number::from_u64(5)),
+            );
+        }
+        attach_checksum(&mut value);
+        let err = TunedFamily::from_json(&serde_json::to_string(&value).unwrap()).unwrap_err();
+        assert!(err.contains("schema 5"), "{err}");
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("petamg-persist-{tag}-{}", std::process::id()));

@@ -32,9 +32,9 @@ use crate::accuracy::error_ratio;
 #[cfg(test)]
 use crate::accuracy::ACC_CAP;
 use crate::cost::OpCounts;
-use crate::knobs::{KernelKnobs, KnobTable};
 use crate::trace::{CycleEvent, Tracer};
 use crate::training::ProblemInstance;
+use crate::tuner::DefaultKnobs;
 use petamg_grid::{
     coarse_size, l2_norm_interior, level_size, size_level, BatchGrid, Exec, Grid2d, Workspace,
 };
@@ -86,60 +86,10 @@ impl Choice {
     }
 }
 
-/// Per-level record of the kernel knobs the executor actually applied
-/// while walking a plan — the "exec stats" that let tests (and the
-/// bench harness) assert that a tuned knob table really switches as the
-/// cycle descends and ascends levels.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KnobStats {
-    /// `applied[k]` = knobs applied at level `k`; `None` means the
-    /// level was never visited or no knob table was attached.
-    pub applied: Vec<Option<KernelKnobs>>,
-}
-
-impl KnobStats {
-    fn record(&mut self, level: usize, knobs: KernelKnobs) {
-        if level >= self.applied.len() {
-            self.applied.resize(level + 1, None);
-        }
-        self.applied[level] = Some(knobs);
-    }
-
-    /// The knobs applied at `level`, if the level executed with a table.
-    pub fn applied_at(&self, level: usize) -> Option<KernelKnobs> {
-        self.applied.get(level).copied().flatten()
-    }
-
-    /// Levels that executed with table-driven knobs.
-    pub fn levels_touched(&self) -> Vec<usize> {
-        self.applied
-            .iter()
-            .enumerate()
-            .filter_map(|(k, a)| a.map(|_| k))
-            .collect()
-    }
-}
-
 /// Execution context threaded through plan execution.
 pub struct ExecCtx {
-    /// Execution policy for all grid sweeps (its band height is one of
-    /// the kernel-execution tuner axes). When a [`KnobTable`] is
-    /// attached, each level's band height comes from the table instead.
+    /// Execution policy for all grid sweeps.
     pub exec: Exec,
-    /// Temporal-block depth: SOR sweeps fused per wavefront traversal
-    /// on a sequential executor (the other kernel-execution tuner axis;
-    /// see `petamg_solvers::fused`); a pool runs the sweeps staged. Pure
-    /// performance knob — results are bitwise identical for every
-    /// value. When a [`KnobTable`] is attached, each level's depth
-    /// comes from the table instead.
-    pub tblock: usize,
-    /// Optional per-level knob table. `None` keeps the legacy global
-    /// behaviour (`exec` band + `tblock` at every level); `Some` makes
-    /// the executor re-derive both knobs from the table at every level
-    /// it enters.
-    pub knobs: Option<KnobTable>,
-    /// Which knobs the table actually applied, per level.
-    pub knob_stats: KnobStats,
     /// The posed problem: every kernel the executor runs applies the
     /// operator [`Problem::op_for`] returns for its level's size.
     /// Defaults to constant-coefficient Poisson (the legacy behaviour,
@@ -167,23 +117,12 @@ impl ExecCtx {
     pub fn with_cache(exec: Exec, cache: Arc<DirectSolverCache>) -> Self {
         ExecCtx {
             exec,
-            tblock: 1,
-            knobs: None,
-            knob_stats: KnobStats::default(),
             problem: Problem::poisson(),
             cache,
             workspace: Arc::new(Workspace::new()),
             ops: OpCounts::default(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Attach a per-level knob table: every level the executor enters
-    /// re-derives its band height and temporal-block depth from the
-    /// table (instead of the global `exec` band / `tblock`).
-    pub fn with_knob_table(mut self, table: KnobTable) -> Self {
-        self.knobs = Some(table);
-        self
     }
 
     /// Pose a problem: every kernel this context drives runs the
@@ -193,45 +132,10 @@ impl ExecCtx {
         self
     }
 
-    /// The execution policy for sweeps at `level`: the base policy with
-    /// the level's tabulated band height and SIMD policy when a table
-    /// is attached.
-    fn level_exec(&mut self, level: usize) -> Exec {
-        match &self.knobs {
-            None => self.exec.clone(),
-            Some(table) => {
-                let knobs = table.get(level);
-                self.knob_stats.record(level, knobs);
-                self.exec
-                    .clone()
-                    .with_band(knobs.band_rows)
-                    .with_simd(knobs.simd)
-            }
-        }
-    }
-
-    /// The temporal-block depth for SOR solves at `level`.
-    fn level_tblock(&mut self, level: usize) -> usize {
-        match &self.knobs {
-            None => self.tblock.max(1),
-            Some(table) => {
-                let knobs = table.get(level);
-                self.knob_stats.record(level, knobs);
-                knobs.tblock.max(1)
-            }
-        }
-    }
-
     /// Replace the scratch arena with a shared one (tuners reuse one
     /// workspace across every candidate evaluation).
     pub fn with_workspace(mut self, workspace: Arc<Workspace>) -> Self {
         self.workspace = workspace;
-        self
-    }
-
-    /// Replace the temporal-block depth (clamped to at least 1).
-    pub fn with_tblock(mut self, tblock: usize) -> Self {
-        self.tblock = tblock.max(1);
         self
     }
 
@@ -241,12 +145,11 @@ impl ExecCtx {
         self
     }
 
-    /// Reset counters, knob stats, and trace (keeps cache, policy, and
+    /// Reset counters and trace (keeps cache, policy, and
     /// the tracer's configuration — event recording and armed kernel
     /// clocks survive with zeroed accumulators).
     pub fn reset_counters(&mut self) {
         self.ops = OpCounts::default();
-        self.knob_stats = KnobStats::default();
         self.tracer = self.tracer.reconfigured();
     }
 
@@ -274,9 +177,8 @@ impl ExecCtx {
         bc: &mut Grid2d,
     ) {
         let op = self.problem.op_for(x.n());
-        let exec = self.level_exec(level);
         let clock = self.tracer.start_kernel_clock(level);
-        relax_residual_restrict_op(&op, x, b, bc, OMEGA_CYCLE, 0, &self.workspace, &exec);
+        relax_residual_restrict_op(&op, x, b, bc, OMEGA_CYCLE, 0, &self.workspace, &self.exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
         self.ops.level_mut(level).residuals += 1;
@@ -289,9 +191,17 @@ impl ExecCtx {
     /// estimate edge; the follow-up phase relaxes separately).
     fn interpolate(&mut self, to: usize, coarse: &Grid2d, fine: &mut Grid2d, b: &Grid2d) {
         let op = self.problem.op_for(fine.n());
-        let exec = self.level_exec(to);
         let clock = self.tracer.start_kernel_clock(to);
-        interpolate_correct_relax_op(&op, coarse, fine, b, OMEGA_CYCLE, 0, &self.workspace, &exec);
+        interpolate_correct_relax_op(
+            &op,
+            coarse,
+            fine,
+            b,
+            OMEGA_CYCLE,
+            0,
+            &self.workspace,
+            &self.exec,
+        );
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(to, fine);
         self.ops.level_mut(to).interps += 1;
@@ -311,9 +221,8 @@ impl ExecCtx {
         omega: f64,
     ) {
         let op = self.problem.op_for(x.n());
-        let exec = self.level_exec(level);
         let clock = self.tracer.start_kernel_clock(level);
-        relax_residual_restrict_op(&op, x, b, bc, omega, 1, &self.workspace, &exec);
+        relax_residual_restrict_op(&op, x, b, bc, omega, 1, &self.workspace, &self.exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
         self.ops.level_mut(level).relax_sweeps += 1;
@@ -335,9 +244,8 @@ impl ExecCtx {
         omega: f64,
     ) {
         let op = self.problem.op_for(fine.n());
-        let exec = self.level_exec(to);
         let clock = self.tracer.start_kernel_clock(to);
-        interpolate_correct_relax_op(&op, coarse, fine, b, omega, 1, &self.workspace, &exec);
+        interpolate_correct_relax_op(&op, coarse, fine, b, omega, 1, &self.workspace, &self.exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(to, fine);
         self.ops.level_mut(to).interps += 1;
@@ -362,9 +270,18 @@ impl ExecCtx {
         omega: f64,
     ) {
         let op = self.problem.op_for(x.n());
-        let exec = self.level_exec(level);
         let clock = self.tracer.start_kernel_clock(level);
-        interpolate_relax_residual_restrict_op(&op, ec, x, b, bc, omega, 2, &self.workspace, &exec);
+        interpolate_relax_residual_restrict_op(
+            &op,
+            ec,
+            x,
+            b,
+            bc,
+            omega,
+            2,
+            &self.workspace,
+            &self.exec,
+        );
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
         let ops = self.ops.level_mut(level);
@@ -392,16 +309,11 @@ impl ExecCtx {
     fn sor_solve(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d, iterations: u32) {
         let omega = omega_opt(x.n());
         let op = self.problem.op_for(x.n());
-        // Temporal blocking: fuse up to `tblock` sweeps per wavefront
-        // traversal (bitwise identical to iterated single sweeps).
-        let depth = self.level_tblock(level);
-        let exec = self.level_exec(level);
+        // One sweep per wavefront traversal: running all of them in one
+        // traversal measured no faster (ARCHITECTURE, `crates/solvers`).
         let clock = self.tracer.start_kernel_clock(level);
-        let mut left = iterations as usize;
-        while left > 0 {
-            let chunk = left.min(depth);
-            sor_sweeps_blocked_op(&op, x, b, omega, chunk, &self.workspace, &exec);
-            left -= chunk;
+        for _ in 0..iterations {
+            sor_sweeps_blocked_op(&op, x, b, omega, 1, &self.workspace, &self.exec);
         }
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
@@ -412,7 +324,8 @@ impl ExecCtx {
 }
 
 /// A tuned `MULTIGRID-V_i` family: the DP table of fastest choices.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// `core::persist` writes and reads it as a plan file (schema v6).
+#[derive(Clone, Debug)]
 pub struct TunedFamily {
     /// Accuracy targets `p_i`, ascending.
     pub accuracies: Vec<f64>,
@@ -421,9 +334,9 @@ pub struct TunedFamily {
     /// `plans[k][i]` = choice for level `k`, accuracy index `i`
     /// (`plans[0]` is unused padding; `plans[1]` is always `Direct`).
     pub plans: Vec<Vec<Choice>>,
-    /// Per-level kernel-execution knobs (band height, temporal-block
-    /// depth), index-aligned with `plans`.
-    pub knobs: KnobTable,
+    // Pinned by `benchmark/src/probes.rs` (`core.plan.cycle_us.*`); delete with ROADMAP 1(i).
+    #[doc(hidden)]
+    pub knobs: DefaultKnobs,
     /// Fingerprint of the problem this family was tuned for.
     pub problem: ProblemFingerprint,
     /// Human-readable provenance (distribution, cost model, seed).
@@ -501,14 +414,6 @@ impl TunedFamily {
                 "plans length {} != max_level+1 {}",
                 self.plans.len(),
                 self.max_level + 1
-            ));
-        }
-        self.knobs.validate()?;
-        if self.knobs.per_level.len() != self.plans.len() {
-            return Err(format!(
-                "knob table covers {} levels, plans cover {}",
-                self.knobs.per_level.len(),
-                self.plans.len()
             ));
         }
         for (k, row) in self.plans.iter().enumerate().skip(1) {
@@ -671,14 +576,8 @@ impl TunedFamily {
         // Warm the factor cache outside the timed region (plans reuse
         // factors across solves, as does the paper's tuned binary).
         self.warm_factors_for(&inst.problem, inst.level, acc_idx, cache);
-        // Attach the family's knob table only when it actually carries
-        // tuning: an all-default table (untuned or legacy plans) must
-        // not override a caller's hand-configured band/tblock on `exec`.
         let mut ctx =
             ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
-        if !self.knobs.is_all_default() {
-            ctx = ctx.with_knob_table(self.knobs.clone());
-        }
         let mut x = inst.working_grid();
         let start = std::time::Instant::now();
         self.run(inst.level, acc_idx, &mut x, &inst.b, &mut ctx);
@@ -724,82 +623,6 @@ impl TunedFamily {
                 sizes
             }
         }
-    }
-
-    /// Serialize to pretty JSON (the tuned "configuration file"). The
-    /// emitted schema carries the per-level knob table with its own
-    /// `version` field plus a content `checksum` over the rest of the
-    /// envelope (schema v5), so bit rot and truncation are detected at
-    /// load time.
-    pub fn to_json(&self) -> String {
-        let mut value = serde::Serialize::to_value(self);
-        attach_checksum(&mut value);
-        serde_json::to_string_pretty(&value).expect("plan serialization cannot fail")
-    }
-
-    /// Parse and validate from JSON.
-    ///
-    /// Accepts exactly the envelope [`TunedFamily::to_json`] writes
-    /// (schema v5): a missing or wrong `checksum`, a missing field, or
-    /// a knob table of another version is an error — the file was
-    /// damaged after it was written, or written by another schema.
-    pub fn from_json(json: &str) -> Result<TunedFamily, String> {
-        let mut value: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        verify_checksum(&mut value)?;
-        let fam =
-            <TunedFamily as serde::Deserialize>::from_value(&value).map_err(|e| e.to_string())?;
-        fam.validate()?;
-        Ok(fam)
-    }
-}
-
-/// FNV-1a (64-bit) over the *compact* serialization of a plan value —
-/// the content checksum of the v5 plan envelope. Computing over the
-/// compact form makes the checksum independent of on-disk pretty
-/// formatting, and the shim's `BTreeMap` object model keeps key order
-/// (and therefore the hash) deterministic.
-fn content_checksum(value: &serde_json::Value) -> String {
-    let compact = serde_json::to_string(value).expect("value serialization cannot fail");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in compact.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("fnv1a:{h:016x}")
-}
-
-/// Insert the v5 `checksum` field into a serialized plan object (hash
-/// taken over the object *without* the field).
-fn attach_checksum(value: &mut serde_json::Value) {
-    let checksum = content_checksum(value);
-    if let serde_json::Value::Object(obj) = value {
-        obj.insert("checksum".to_string(), serde_json::Value::String(checksum));
-    }
-}
-
-/// Verify and strip the `checksum` field of a parsed plan object. A
-/// missing field and a mismatch are both errors: without the field the
-/// content would execute unverified.
-fn verify_checksum(value: &mut serde_json::Value) -> Result<(), String> {
-    let serde_json::Value::Object(obj) = value else {
-        return Err("expected a JSON object for a tuned plan".into());
-    };
-    let Some(stored) = obj.remove("checksum") else {
-        return Err(
-            "plan has no checksum field — not a v5 plan file, or the key was damaged".into(),
-        );
-    };
-    let serde_json::Value::String(stored) = stored else {
-        return Err("plan checksum field is not a string".into());
-    };
-    let computed = content_checksum(value);
-    if stored == computed {
-        Ok(())
-    } else {
-        Err(format!(
-            "plan checksum mismatch: file says {stored}, content hashes to {computed} — \
-             the file was damaged after it was written"
-        ))
     }
 }
 
@@ -862,7 +685,7 @@ impl FmgChoice {
 }
 
 /// A tuned `FULL-MULTIGRID_i` family layered over a tuned V family.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TunedFmgFamily {
     /// The underlying tuned `MULTIGRID-V` family (used by follow-up
     /// recursion).
@@ -872,13 +695,6 @@ pub struct TunedFmgFamily {
 }
 
 impl TunedFmgFamily {
-    /// The per-level kernel knob table (carried by the embedded V
-    /// family; the FMG layer shares it, so one table drives both the
-    /// estimation and follow-up phases).
-    pub fn knobs(&self) -> &KnobTable {
-        &self.v.knobs
-    }
-
     /// Execute `FULL-MULTIGRID_{acc_idx}` at `level` on `(x, b)`.
     ///
     /// # Panics
@@ -934,13 +750,8 @@ impl TunedFmgFamily {
             .unwrap_or_else(|e| panic!("{e}"));
         inst.ensure_x_opt(exec, cache);
         cache.warm_op(3, &inst.problem.op_for(3));
-        // Like TunedFamily::solve_with: only a table with real tuning
-        // overrides the caller's execution policy.
         let mut ctx =
             ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
-        if !self.v.knobs.is_all_default() {
-            ctx = ctx.with_knob_table(self.v.knobs.clone());
-        }
         let mut x = inst.working_grid();
         let start = std::time::Instant::now();
         self.run(inst.level, acc_idx, &mut x, &inst.b, &mut ctx);
@@ -953,25 +764,6 @@ impl TunedFmgFamily {
             seconds,
             ops: ctx.ops,
         }
-    }
-
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        let mut value = serde::Serialize::to_value(self);
-        attach_checksum(&mut value);
-        serde_json::to_string_pretty(&value).expect("plan serialization cannot fail")
-    }
-
-    /// Parse from JSON (validates the embedded V family). Like
-    /// [`TunedFamily::from_json`], accepts exactly what
-    /// [`TunedFmgFamily::to_json`] writes.
-    pub fn from_json(json: &str) -> Result<TunedFmgFamily, String> {
-        let mut value: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        verify_checksum(&mut value)?;
-        let fam = <TunedFmgFamily as serde::Deserialize>::from_value(&value)
-            .map_err(|e| e.to_string())?;
-        fam.v.validate()?;
-        Ok(fam)
     }
 }
 
@@ -997,7 +789,7 @@ pub fn simple_v_family(max_level: usize, accuracies: &[f64]) -> TunedFamily {
         accuracies: accuracies.to_vec(),
         max_level,
         plans,
-        knobs: KnobTable::defaults(max_level),
+        knobs: DefaultKnobs,
         problem: ProblemFingerprint::poisson(),
         provenance: "hand-built MULTIGRID-V-SIMPLE".into(),
     }
@@ -1064,7 +856,6 @@ impl ReferenceSolver {
 mod tests {
     use super::*;
     use crate::training::Distribution;
-    use petamg_grid::SimdPolicy;
 
     #[test]
     fn simple_family_validates() {
@@ -1222,10 +1013,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_knobs_and_backends_keep_the_fixed_plan_bits() {
-        // Temporal-block depth, band height, grain and backend are pure
-        // performance knobs for every operator family. Level 3 runs SOR
-        // so the temporal-block depth has sweeps to fuse.
+    fn backends_keep_the_fixed_plan_bits() {
+        // Band height, grain and backend are pure performance settings
+        // for every operator family. Level 3 runs an SOR solve.
         let (level, n) = (5, 33);
         let mut fam = simple_v_family(level, &[1.0]);
         fam.plans[3][0] = Choice::Sor { iterations: 5 };
@@ -1233,30 +1023,25 @@ mod tests {
         x0.set_boundary(|i, j| ((i * 7 + j * 3) % 11) as f64);
         let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
         for problem in operator_families(n) {
-            let run = |exec: &Exec, tblock: usize| {
-                let mut ctx = ExecCtx::new(exec.clone())
-                    .with_tblock(tblock)
-                    .with_problem(problem.clone());
+            let run = |exec: &Exec| {
+                let mut ctx = ExecCtx::new(exec.clone()).with_problem(problem.clone());
                 let mut x = x0.clone();
                 fam.run(level, 0, &mut x, &b, &mut ctx);
                 x
             };
-            let reference = run(&Exec::seq(), 1);
-            for tblock in [1, 2, 3, 5] {
-                for exec in [
-                    Exec::seq(),
-                    Exec::pbrt(2).with_grain(2),
-                    Exec::pbrt(2).with_band(1),
-                    Exec::pbrt(2).with_band(4),
-                    Exec::pbrt(3).with_band(5),
-                ] {
-                    assert_eq!(
-                        run(&exec, tblock).as_slice(),
-                        reference.as_slice(),
-                        "{} tblock={tblock} {exec:?}",
-                        problem.describe()
-                    );
-                }
+            let reference = run(&Exec::seq());
+            for exec in [
+                Exec::pbrt(2).with_grain(2),
+                Exec::pbrt(2).with_band(1),
+                Exec::pbrt(2).with_band(4),
+                Exec::pbrt(3).with_band(5),
+            ] {
+                assert_eq!(
+                    run(&exec).as_slice(),
+                    reference.as_slice(),
+                    "{} {exec:?}",
+                    problem.describe()
+                );
             }
         }
     }
@@ -1411,149 +1196,6 @@ mod tests {
         let fam2 = TunedFamily::from_json(&json).unwrap();
         assert_eq!(fam.plans, fam2.plans);
         assert_eq!(fam.accuracies, fam2.accuracies);
-        assert_eq!(fam.knobs, fam2.knobs);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_nonuniform_knob_table() {
-        let mut fam = simple_v_family(4, &PAPER_ACCURACIES);
-        fam.knobs.set(
-            2,
-            KernelKnobs {
-                band_rows: 4,
-                tblock: 2,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        fam.knobs.set(
-            4,
-            KernelKnobs {
-                band_rows: 128,
-                tblock: 3,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        let json = fam.to_json();
-        assert!(json.contains("\"knobs\""), "schema carries the table");
-        assert!(json.contains("\"version\""), "table is versioned");
-        let fam2 = TunedFamily::from_json(&json).unwrap();
-        assert_eq!(fam2.knobs, fam.knobs);
-        assert!(!fam2.knobs.is_uniform());
-    }
-
-    #[test]
-    fn from_json_rejects_bad_knob_tables() {
-        let mut fam = simple_v_family(3, &PAPER_ACCURACIES);
-        fam.knobs.version = 99;
-        assert!(TunedFamily::from_json(&fam.to_json()).is_err());
-
-        let mut fam = simple_v_family(3, &PAPER_ACCURACIES);
-        fam.knobs.per_level.pop();
-        assert!(
-            TunedFamily::from_json(&fam.to_json()).is_err(),
-            "table/plans level mismatch rejected"
-        );
-    }
-
-    /// Older schemas lacked `knobs` or `problem`; such an object is an
-    /// error even under a checksum that verifies, for the V family and
-    /// for the one embedded in an FMG family.
-    #[test]
-    fn from_json_rejects_missing_fields_and_missing_checksum() {
-        let v = simple_v_family(3, &[1e3]);
-        let fmg = TunedFmgFamily {
-            v: v.clone(),
-            plans: vec![
-                Vec::new(),
-                vec![FmgChoice::Direct],
-                vec![FmgChoice::Direct],
-                vec![FmgChoice::Direct],
-            ],
-        };
-        let resealed = |mut value: serde_json::Value| {
-            attach_checksum(&mut value);
-            serde_json::to_string(&value).unwrap()
-        };
-        for field in ["knobs", "problem"] {
-            let mut value = serde::Serialize::to_value(&v);
-            let mut fmg_value = serde::Serialize::to_value(&fmg);
-            if let serde_json::Value::Object(obj) = &mut value {
-                obj.remove(field).expect("current schema has the field");
-            }
-            if let serde_json::Value::Object(obj) = &mut fmg_value {
-                obj.insert("v".to_string(), value.clone());
-            }
-            let err = TunedFamily::from_json(&resealed(value)).unwrap_err();
-            assert!(err.contains(field), "{err}");
-            let err = TunedFmgFamily::from_json(&resealed(fmg_value)).unwrap_err();
-            assert!(err.contains(field), "{err}");
-        }
-        let unsealed = serde_json::to_string(&serde::Serialize::to_value(&fmg)).unwrap();
-        let err = TunedFmgFamily::from_json(&unsealed).unwrap_err();
-        assert!(err.contains("no checksum"), "{err}");
-    }
-
-    #[test]
-    fn executor_switches_knobs_per_level() {
-        // A non-uniform table must be re-derived at every level the
-        // cycle enters — asserted through the context's knob stats —
-        // while staying bitwise identical to the global-knob run.
-        let fam = simple_v_family(5, &[1e5]);
-        let mut table = KnobTable::defaults(5);
-        table.set(
-            5,
-            KernelKnobs {
-                band_rows: 64,
-                tblock: 2,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        table.set(
-            4,
-            KernelKnobs {
-                band_rows: 16,
-                tblock: 1,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        table.set(
-            3,
-            KernelKnobs {
-                band_rows: 2,
-                tblock: 4,
-                simd: SimdPolicy::Auto,
-            },
-        );
-        let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 41);
-
-        let run = |table: Option<KnobTable>| {
-            let mut ctx = ExecCtx::new(Exec::pbrt(2));
-            if let Some(t) = table {
-                ctx = ctx.with_knob_table(t);
-            }
-            let mut x = inst.working_grid();
-            fam.run(5, 0, &mut x, &inst.b, &mut ctx);
-            (x, ctx)
-        };
-        let (x_global, ctx_global) = run(None);
-        let (x_table, ctx_table) = run(Some(table.clone()));
-
-        assert_eq!(
-            x_global.as_slice(),
-            x_table.as_slice(),
-            "knob tables are pure performance settings"
-        );
-        assert_eq!(ctx_global.ops, ctx_table.ops, "op counts knob-independent");
-        assert!(ctx_global.knob_stats.levels_touched().is_empty());
-        // The V cycle reaches every level 2..=5 with fused edges; each
-        // must have applied exactly its table entry.
-        for level in 2..=5 {
-            assert_eq!(
-                ctx_table.knob_stats.applied_at(level),
-                Some(table.get(level)),
-                "level {level} ran with its own knobs"
-            );
-        }
     }
 
     #[test]
@@ -1585,18 +1227,6 @@ mod tests {
             ctx.tracer.level_kernel_seconds()[4] > 0.0,
             "clock re-accumulates"
         );
-    }
-
-    #[test]
-    fn reset_counters_clears_knob_stats() {
-        let fam = simple_v_family(3, &[1e3]);
-        let inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 2);
-        let mut ctx = ExecCtx::new(Exec::seq()).with_knob_table(KnobTable::defaults(3));
-        let mut x = inst.working_grid();
-        fam.run(3, 0, &mut x, &inst.b, &mut ctx);
-        assert!(!ctx.knob_stats.levels_touched().is_empty());
-        ctx.reset_counters();
-        assert!(ctx.knob_stats.levels_touched().is_empty());
     }
 
     #[test]

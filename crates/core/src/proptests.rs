@@ -3,31 +3,12 @@
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{LevelOps, MachineProfile, OpCounts};
 use crate::guard::select_member;
-use crate::knobs::{KernelKnobs, KnobTable, BAND_ROWS_DOMAIN, KNOB_TABLE_VERSION, TBLOCK_DOMAIN};
 use crate::plan::{simple_v_family, Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
-use crate::tuner::{apply_knobs, TunerOptions, VTuner, Walk};
-use petamg_grid::{level_size, Exec, SimdPolicy};
+use crate::tuner::{DefaultKnobs, TunerOptions, VTuner, Walk};
+use petamg_grid::{level_size, Exec};
 use petamg_problems::Problem;
 use proptest::prelude::*;
-
-fn arb_knobs() -> impl Strategy<Value = KernelKnobs> {
-    let simd = 0..SimdPolicy::ALL.len();
-    (BAND_ROWS_DOMAIN, TBLOCK_DOMAIN, simd).prop_map(|(band_rows, tblock, simd)| KernelKnobs {
-        band_rows,
-        tblock,
-        simd: SimdPolicy::ALL[simd],
-    })
-}
-
-fn arb_knob_table(max_level: usize) -> impl Strategy<Value = KnobTable> {
-    prop::collection::vec(arb_knobs(), max_level + 1..=max_level + 1).prop_map(|per_level| {
-        KnobTable {
-            version: KNOB_TABLE_VERSION,
-            per_level,
-        }
-    })
-}
 
 fn arb_level_ops() -> impl Strategy<Value = LevelOps> {
     (0u64..50, 0u64..20, 0u64..20, 0u64..20, 0u64..5).prop_map(
@@ -73,12 +54,11 @@ fn arb_family(max_level: usize) -> impl Strategy<Value = TunedFamily> {
             rows.push(prop::collection::vec(choice(level), m).boxed());
         }
     }
-    let table = arb_knob_table(max_level);
-    (rows, table).prop_map(move |(plans, knobs)| TunedFamily {
+    rows.prop_map(move |plans| TunedFamily {
         accuracies: PAPER_ACCURACIES.to_vec(),
         max_level,
         plans,
-        knobs,
+        knobs: DefaultKnobs,
         problem: petamg_problems::ProblemFingerprint::poisson(),
         provenance: "proptest".into(),
     })
@@ -144,8 +124,7 @@ proptest! {
         prop_assert!(r1 <= ACC_CAP && r2 <= ACC_CAP && r3 <= ACC_CAP);
     }
 
-    /// Random valid families validate, serialize, and round-trip —
-    /// including their per-level knob tables.
+    /// Random valid families validate, serialize, and round-trip.
     #[test]
     fn family_json_roundtrip(fam in arb_family(5)) {
         prop_assume!(fam.validate().is_ok());
@@ -153,55 +132,7 @@ proptest! {
         let back = TunedFamily::from_json(&json).unwrap();
         prop_assert_eq!(back.plans, fam.plans);
         prop_assert_eq!(back.accuracies, fam.accuracies);
-        prop_assert_eq!(back.knobs, fam.knobs);
-    }
-
-    /// Arbitrary knob tables survive serde bit-for-bit.
-    #[test]
-    fn knob_table_serde_roundtrip(table in arb_knob_table(6)) {
-        let json = serde_json::to_string(&table).unwrap();
-        let back: KnobTable = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, table);
-    }
-
-    /// Applying the same knobs twice is the same as applying them once
-    /// (apply_knobs composition is idempotent), for every backend kind.
-    #[test]
-    fn apply_knobs_idempotent(knobs in arb_knobs()) {
-        for exec in [Exec::seq(), Exec::pbrt(2)] {
-            let once = apply_knobs(exec.clone(), &knobs);
-            let twice = apply_knobs(once.clone(), &knobs);
-            prop_assert_eq!(once.band(), twice.band());
-            prop_assert_eq!(once.threads(), twice.threads());
-        }
-    }
-
-    /// Plan execution with a table of all-default knobs is bitwise
-    /// equal (grid and op counts) to the legacy global-knob path.
-    #[test]
-    fn default_table_matches_global_path(acc in 0usize..5, seed in 0u64..500) {
-        let fam = simple_v_family(4, &PAPER_ACCURACIES);
-        let inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, seed);
-        let run = |table: Option<KnobTable>| {
-            let mut ctx = ExecCtx::new(Exec::seq());
-            if let Some(t) = table {
-                ctx = ctx.with_knob_table(t);
-            }
-            let mut x = inst.working_grid();
-            fam.run(4, acc, &mut x, &inst.b, &mut ctx);
-            (x, ctx.ops, ctx.knob_stats)
-        };
-        let (x_global, ops_global, stats_global) = run(None);
-        let (x_table, ops_table, stats_table) = run(Some(KnobTable::defaults(4)));
-        prop_assert_eq!(x_global.as_slice(), x_table.as_slice());
-        prop_assert_eq!(ops_global, ops_table);
-        // The global path records nothing; the table path records the
-        // defaults at every level the cycle touched.
-        prop_assert!(stats_global.levels_touched().is_empty());
-        prop_assert!(!stats_table.levels_touched().is_empty());
-        for level in stats_table.levels_touched() {
-            prop_assert_eq!(stats_table.applied_at(level), Some(KernelKnobs::default()));
-        }
+        prop_assert_eq!(back.problem, fam.problem);
     }
 
     /// Executing any valid family never touches the boundary ring and

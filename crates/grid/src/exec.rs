@@ -10,7 +10,7 @@
 //! [`SimdMode`] for the row kernels — the scalar-vs-vector execution
 //! path (see [`crate::simd`]). Stencil results are bitwise identical in
 //! either mode, so the mode (like the grain, band, and thread count) is
-//! a pure performance knob.
+//! a pure performance setting.
 
 use crate::simd::{SimdMode, SimdPolicy};
 use petamg_runtime::ThreadPool;

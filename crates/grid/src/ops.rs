@@ -318,7 +318,7 @@ pub fn restrict_rows_into(
 /// before); parallel backends pay one extra window prime per band
 /// instead of re-deriving all three rows per coarse row, which is what
 /// lets the sequential rolling-window saving survive parallel
-/// execution. The band height is the [`Exec::with_band`] tuning knob.
+/// execution. The band height is set by [`Exec::with_band`].
 ///
 /// ```
 /// use petamg_grid::{residual_restrict, coarse_size, Exec, Grid2d, Workspace};

@@ -30,11 +30,9 @@
 //!   bitwise identical across modes, backends, and runs — they differ
 //!   (by ulps) only from the pre-SIMD sequential fold.
 //!
-//! Because every mode produces identical bits, [`SimdPolicy`] is a
-//! *pure performance* knob, exactly like the band height and temporal
-//! depth: the knob search can time it without re-validating accuracy,
-//! and a plan's per-level knob table can run coarse grids, where vector
-//! setup overhead loses, on the scalar path.
+//! Because every mode produces identical bits, [`SimdPolicy`] changes
+//! speed, never answers. `Auto` serves; `Scalar` is the oracle the
+//! vector = scalar tests compare the vector path against.
 
 /// Which lane path a kernel invocation actually runs: the resolved form
 /// of a [`SimdPolicy`]. Carried by `Exec` and threaded to every row
@@ -61,15 +59,10 @@ impl SimdMode {
     }
 }
 
-/// The tuner-visible vectorization knob: how a level's kernels choose
-/// between the scalar and vector row paths.
-///
-/// All three settings produce bitwise identical results (see the
-/// module docs), so this is a pure performance axis of the kernel-knob
-/// search (`petamg_core::tuner::tune_kernel_knobs`).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+/// How an `Exec`'s kernels choose between the scalar and vector row
+/// paths. All three settings produce bitwise identical results (see
+/// the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SimdPolicy {
     /// Use the vector path whenever a real ISA backend is compiled in
     /// and the CPU supports it; scalar otherwise. The default.
@@ -107,10 +100,6 @@ impl SimdPolicy {
             SimdPolicy::Vector => "vector",
         }
     }
-
-    /// All policies, `Auto` first (the knob search lets the earliest
-    /// of equally fast policies win).
-    pub const ALL: [SimdPolicy; 3] = [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Vector];
 }
 
 /// Whether a real ISA vector backend is compiled in **and** supported

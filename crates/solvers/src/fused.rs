@@ -59,8 +59,8 @@
 //! {32, 128} on `Exec::pbrt(2)` and `Exec::seq`, the tiles were fastest
 //! in 7 of 192 cells, `Exec::seq` in most cells at n ≤ 257 and the
 //! staged pool composition in most at n ≥ 513 (ARCHITECTURE.md has the
-//! table). The temporal depth (the tuner's `tblock` knob) therefore
-//! only changes the schedule on the sequential executor.
+//! table). The temporal depth therefore only changes the schedule on
+//! the sequential executor.
 
 use crate::relax::sor_sweeps_op;
 use petamg_grid::{

@@ -28,8 +28,7 @@
 //!   paper's reference `MULTIGRID-V-SIMPLE` is the fixed plan
 //!   `simple_v_family`, its reference full multigrid
 //!   `accuracy::reference_fmg`), cycle tracing/rendering, machine cost
-//!   models, training distributions, and the per-level kernel-knob
-//!   tables with their n-ary search.
+//!   models and training distributions.
 //! * [`serve`] — the tune-once/serve-many layer: a fingerprint-keyed
 //!   [`PlanLibrary`](petamg_serve::PlanLibrary) over checksummed plan
 //!   files and a [`SolverService`](petamg_serve::SolverService) with a
@@ -73,7 +72,6 @@ pub mod prelude {
     pub use petamg_core::accuracy::{error_ratio, AccuracyReport};
     pub use petamg_core::cost::{CostModel, MachineProfile};
     pub use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
-    pub use petamg_core::knobs::{KernelKnobs, KnobTable};
     pub use petamg_core::plan::{Choice, ExecCtx, TunedFamily, TunedFmgFamily};
     // Pinned by `benchmark/src/probes.rs` (`solvers.reference_v.solve_ms.*`); delete with ROADMAP 1(i).
     #[doc(hidden)]

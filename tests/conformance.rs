@@ -1,18 +1,15 @@
 //! Cross-backend, cross-kernel-path conformance suite.
 //!
 //! One table-driven harness runs every solver path — the staged
-//! (unfused) reference composition, the fused plan executor, and the
-//! temporally blocked variants — across every execution backend
-//! (Seq, the in-house work-stealing pool at two widths), both
-//! SIMD modes (forced scalar and forced vector row kernels), and
-//! every knob mode (global knobs, a uniform default table, and a
-//! deliberately non-uniform per-level table — including mixed per-level
-//! SIMD policies), on shared fixtures, and asserts:
+//! (unfused) reference composition and the fused plan executor —
+//! across every execution backend (Seq, the in-house work-stealing
+//! pool at two widths) and both SIMD modes (forced scalar and forced
+//! vector row kernels), on shared fixtures, and asserts:
 //!
 //! * **bitwise-identical solutions** — every combination must produce
 //!   exactly the grid the staged sequential reference produces;
 //! * **identical [`OpCounts`]** — operation counting is a semantic
-//!   property of the plan, never of the backend or the knobs.
+//!   property of the plan, never of the backend.
 //!
 //! This replaces the ad-hoc per-backend assertions that used to live in
 //! `end_to_end.rs`. CI runs it per backend via the
@@ -64,8 +61,8 @@ fn fixture_families() -> Vec<(&'static str, TunedFamily)> {
         iterations: 2,
     };
 
-    // SOR at the top (drives the temporally blocked kernel path) over a
-    // recursive interior, plus a direct solve at a mid level.
+    // SOR at the top (drives the wavefront SOR solve) over a recursive
+    // interior, plus a direct solve at a mid level.
     let mut mixed = simple_v_family(LEVEL, &PAPER_ACCURACIES);
     mixed.plans[LEVEL][0] = Choice::Sor { iterations: 7 };
     mixed.plans[LEVEL][1] = Choice::Recurse {
@@ -106,69 +103,14 @@ fn backend_filter_selects_by_prefix_and_rejects_an_empty_selection() {
     common::select(var, Some("gpu".into()), all());
 }
 
-/// Knob modes: the legacy global path, with and without temporal
-/// blocking, and both uniform and non-uniform per-level tables.
-enum KnobMode {
-    /// No table attached; global band from the backend, global tblock.
-    Global { tblock: usize },
-    /// A table attached to the context.
-    Table(KnobTable),
-}
-
-fn knob_modes() -> Vec<(&'static str, KnobMode)> {
-    // Mixed per-level SIMD policies: the executor must re-derive the
-    // row-kernel path at every level it enters, and the result must
-    // stay bitwise identical regardless.
-    let mut per_level = KnobTable::defaults(LEVEL);
-    per_level.set(
-        LEVEL,
-        KernelKnobs {
-            band_rows: 64,
-            tblock: 3,
-            simd: SimdPolicy::Vector,
-        },
-    );
-    per_level.set(
-        LEVEL - 1,
-        KernelKnobs {
-            band_rows: 8,
-            tblock: 1,
-            simd: SimdPolicy::Scalar,
-        },
-    );
-    per_level.set(
-        3,
-        KernelKnobs {
-            band_rows: 1,
-            tblock: 4,
-            simd: SimdPolicy::Auto,
-        },
-    );
-    per_level.set(
-        2,
-        KernelKnobs {
-            band_rows: 2,
-            tblock: 2,
-            simd: SimdPolicy::Vector,
-        },
-    );
-    vec![
-        ("global", KnobMode::Global { tblock: 1 }),
-        ("global_blocked", KnobMode::Global { tblock: 3 }),
-        ("table_default", KnobMode::Table(KnobTable::defaults(LEVEL))),
-        ("table_per_level", KnobMode::Table(per_level)),
-    ]
-}
-
 // ---------------------------------------------------------------------
 // Staged (unfused) reference executor
 // ---------------------------------------------------------------------
 
 /// Execute a plan with the seed-era staged kernels: separate relax,
 /// residual, restrict, and interpolate passes, sequential, no fusion,
-/// no temporal blocking, no workspace pooling. This is the semantic
-/// ground truth every fused/blocked/parallel combination must match
-/// bitwise.
+/// no workspace pooling. This is the semantic
+/// ground truth every fused/parallel combination must match bitwise.
 fn staged_run(
     fam: &TunedFamily,
     level: usize,
@@ -300,44 +242,12 @@ fn run_case(
     inst: &ProblemInstance,
     acc: usize,
     exec: &Exec,
-    mode: &KnobMode,
     cache: &Arc<DirectSolverCache>,
 ) -> CaseResult {
     let mut ctx =
         ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
-    match mode {
-        KnobMode::Global { tblock } => ctx = ctx.with_tblock(*tblock),
-        KnobMode::Table(table) => ctx = ctx.with_knob_table(table.clone()),
-    }
     let mut x = inst.working_grid();
     fam.run(LEVEL, acc, &mut x, &inst.b, &mut ctx);
-
-    // Exec-stats contract: a table-driven run must have applied exactly
-    // its table entry at every level it touched; a global run must have
-    // recorded nothing.
-    match mode {
-        KnobMode::Global { .. } => assert!(
-            ctx.knob_stats.levels_touched().is_empty(),
-            "global mode recorded table knobs"
-        ),
-        KnobMode::Table(table) => {
-            // A direct-only plan never enters the fused/SOR kernels, so
-            // it legitimately records nothing; any relaxation work must
-            // have recorded its level's knobs.
-            assert!(
-                ctx.ops.total_relax_sweeps() == 0 || !ctx.knob_stats.levels_touched().is_empty(),
-                "table mode ran relaxations without recording applied knobs"
-            );
-            for level in ctx.knob_stats.levels_touched() {
-                assert_eq!(
-                    ctx.knob_stats.applied_at(level),
-                    Some(table.get(level)),
-                    "level {level} applied foreign knobs"
-                );
-            }
-        }
-    }
-
     CaseResult {
         grid: x,
         ops: ctx.ops,
@@ -345,16 +255,15 @@ fn run_case(
 }
 
 /// The conformance matrix: {family × instance × accuracy} fixtures,
-/// each run through {kernel path × backend × knob mode}, everything
-/// asserted bitwise-equal (grids) and exactly equal (op counts) to the
-/// staged sequential reference.
+/// each run through {kernel path × backend}, everything asserted
+/// bitwise-equal (grids) and exactly equal (op counts) to the staged
+/// sequential reference.
 #[test]
-fn all_backend_knob_combinations_match_staged_reference() {
+fn all_backend_combinations_match_staged_reference() {
     let cache = Arc::new(DirectSolverCache::new());
     let mut cases = 0usize;
     // Built once: each pbrt backend owns an OS thread pool.
     let backends = backends();
-    let modes = knob_modes();
 
     for (fam_name, fam) in fixture_families() {
         for (inst_name, inst) in fixture_instances() {
@@ -364,14 +273,7 @@ fn all_backend_knob_combinations_match_staged_reference() {
                 staged_run(&fam, LEVEL, acc, &mut x_ref, &inst.b, &cache);
 
                 // Reference op counts from the fused seq executor.
-                let baseline = run_case(
-                    &fam,
-                    &inst,
-                    acc,
-                    &Exec::seq(),
-                    &KnobMode::Global { tblock: 1 },
-                    &cache,
-                );
+                let baseline = run_case(&fam, &inst, acc, &Exec::seq(), &cache);
                 assert_eq!(
                     baseline.grid.as_slice(),
                     x_ref.as_slice(),
@@ -379,30 +281,27 @@ fn all_backend_knob_combinations_match_staged_reference() {
                 );
 
                 for (backend_name, exec) in &backends {
-                    for (mode_name, mode) in &modes {
-                        let got = run_case(&fam, &inst, acc, exec, mode, &cache);
-                        let tag =
-                            format!("[{fam_name}/{inst_name}/acc{acc}/{backend_name}/{mode_name}]");
-                        assert_eq!(
-                            got.grid.as_slice(),
-                            x_ref.as_slice(),
-                            "{tag} solution not bitwise identical to staged reference"
-                        );
-                        assert_eq!(
-                            got.ops, baseline.ops,
-                            "{tag} op counts differ across backend/knob mode"
-                        );
-                        cases += 1;
-                    }
+                    let got = run_case(&fam, &inst, acc, exec, &cache);
+                    let tag = format!("[{fam_name}/{inst_name}/acc{acc}/{backend_name}]");
+                    assert_eq!(
+                        got.grid.as_slice(),
+                        x_ref.as_slice(),
+                        "{tag} solution not bitwise identical to staged reference"
+                    );
+                    assert_eq!(
+                        got.ops, baseline.ops,
+                        "{tag} op counts differ across backends"
+                    );
+                    cases += 1;
                 }
             }
         }
     }
-    // 2 families × 2 instances × 2 accuracies × |backends × simd| × 4
-    // knob modes; even a single-backend CI filter keeps both simd
-    // modes, so the floor is the seq-only matrix.
+    // 2 families × 2 instances × 2 accuracies × |backends × simd|; even
+    // a single-backend CI filter keeps both simd modes, so the floor is
+    // the seq-only matrix.
     assert!(
-        cases >= 2 * 2 * 2 * 2 * 4,
+        cases >= 2 * 2 * 2 * 2,
         "matrix unexpectedly small: {cases} cases"
     );
     println!("conformance: {cases} combinations matched the staged reference");
@@ -426,8 +325,8 @@ fn problem_families() -> Vec<(&'static str, Problem)> {
 }
 
 /// The operator dimension of the conformance matrix: each problem
-/// family × {staged, fused} × {scalar, vector} × backend × knob mode,
-/// all bitwise-equal (grids) and exactly equal (op counts) to that
+/// family × {staged, fused} × {scalar, vector} × backend, all
+/// bitwise-equal (grids) and exactly equal (op counts) to that
 /// family's own staged sequential-scalar reference. Plans here carry
 /// the family's fingerprint, so `run_case`'s executor runs the posed
 /// operator at every level.
@@ -435,7 +334,6 @@ fn problem_families() -> Vec<(&'static str, Problem)> {
 fn operator_families_match_their_staged_references() {
     let cache = Arc::new(DirectSolverCache::new());
     let backends = backends();
-    let modes = knob_modes();
     let mut cases = 0usize;
 
     // One plan shape exercising SOR, recursion, and a mid-level direct
@@ -463,14 +361,7 @@ fn operator_families_match_their_staged_references() {
                 );
             }
 
-            let baseline = run_case(
-                &fam,
-                &inst,
-                acc,
-                &Exec::seq(),
-                &KnobMode::Global { tblock: 1 },
-                &cache,
-            );
+            let baseline = run_case(&fam, &inst, acc, &Exec::seq(), &cache);
             assert_eq!(
                 baseline.grid.as_slice(),
                 x_ref.as_slice(),
@@ -478,20 +369,18 @@ fn operator_families_match_their_staged_references() {
             );
 
             for (backend_name, exec) in &backends {
-                for (mode_name, mode) in &modes {
-                    let got = run_case(&fam, &inst, acc, exec, mode, &cache);
-                    let tag = format!("[{prob_name}/acc{acc}/{backend_name}/{mode_name}]");
-                    assert_eq!(
-                        got.grid.as_slice(),
-                        x_ref.as_slice(),
-                        "{tag} solution not bitwise identical to staged reference"
-                    );
-                    assert_eq!(
-                        got.ops, baseline.ops,
-                        "{tag} op counts differ across backend/knob mode"
-                    );
-                    cases += 1;
-                }
+                let got = run_case(&fam, &inst, acc, exec, &cache);
+                let tag = format!("[{prob_name}/acc{acc}/{backend_name}]");
+                assert_eq!(
+                    got.grid.as_slice(),
+                    x_ref.as_slice(),
+                    "{tag} solution not bitwise identical to staged reference"
+                );
+                assert_eq!(
+                    got.ops, baseline.ops,
+                    "{tag} op counts differ across backends"
+                );
+                cases += 1;
             }
         }
     }
@@ -499,21 +388,10 @@ fn operator_families_match_their_staged_references() {
 }
 
 /// A freshly DP-tuned plan (not a hand-built fixture) must also agree
-/// across backends and knob modes, including through its own
-/// `solve_with` path (which attaches the family's knob table).
+/// across backends, including through its own `solve_with` path.
 #[test]
-fn tuned_family_conforms_and_solve_applies_its_table() {
-    let mut tuned = VTuner::new(TunerOptions::quick(LEVEL, Distribution::UnbiasedUniform)).tune();
-    // Give the tuned family a non-uniform table to make table
-    // application observable.
-    tuned.knobs.set(
-        LEVEL,
-        KernelKnobs {
-            band_rows: 16,
-            tblock: 2,
-            simd: SimdPolicy::Auto,
-        },
-    );
+fn tuned_family_conforms_on_every_backend() {
+    let tuned = VTuner::new(TunerOptions::quick(LEVEL, Distribution::UnbiasedUniform)).tune();
     tuned.validate().unwrap();
     let cache = Arc::new(DirectSolverCache::new());
     let inst = ProblemInstance::random(LEVEL, Distribution::UnbiasedUniform, 9_001);
@@ -522,17 +400,13 @@ fn tuned_family_conforms_and_solve_applies_its_table() {
     let mut x_ref = inst.working_grid();
     staged_run(&tuned, LEVEL, acc, &mut x_ref, &inst.b, &cache);
 
-    let modes = knob_modes();
     for (backend_name, exec) in &backends() {
-        for (mode_name, mode) in &modes {
-            let got = run_case(&tuned, &inst, acc, exec, mode, &cache);
-            assert_eq!(
-                got.grid.as_slice(),
-                x_ref.as_slice(),
-                "[tuned/{backend_name}/{mode_name}] diverged"
-            );
-        }
-        // solve_with attaches the family's own (non-default) table.
+        let got = run_case(&tuned, &inst, acc, exec, &cache);
+        assert_eq!(
+            got.grid.as_slice(),
+            x_ref.as_slice(),
+            "[tuned/{backend_name}] diverged"
+        );
         let report = tuned.solve_with(&mut inst.clone(), 1e5, exec, &cache);
         assert!(
             report.achieved_accuracy >= 1e5 * 0.5,

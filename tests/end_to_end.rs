@@ -9,16 +9,7 @@ use std::sync::Arc;
 #[test]
 fn tune_save_load_solve_roundtrip() {
     let opts = TunerOptions::quick(5, Distribution::UnbiasedUniform);
-    let mut tuned = VTuner::new(opts).tune();
-    // A non-uniform knob table must survive persistence too.
-    tuned.knobs.set(
-        5,
-        KernelKnobs {
-            band_rows: 16,
-            tblock: 2,
-            simd: SimdPolicy::Auto,
-        },
-    );
+    let tuned = VTuner::new(opts).tune();
 
     // Persist like a PetaBricks configuration file and reload, through
     // the facade's save/load path.
@@ -28,9 +19,9 @@ fn tune_save_load_solve_roundtrip() {
     persist::save_plan(&tuned, &path).unwrap();
     let loaded = persist::load_plan(&path).unwrap();
     assert_eq!(loaded.plans, tuned.plans);
-    assert_eq!(loaded.knobs, tuned.knobs);
+    assert_eq!(loaded.problem, tuned.problem);
 
-    // The reloaded plan solves to target (with its knob table applied).
+    // The reloaded plan solves to target.
     let mut inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 2_222);
     let report = loaded.solve(&mut inst, 1e7);
     assert!(
@@ -41,8 +32,8 @@ fn tune_save_load_solve_roundtrip() {
 }
 
 // Backend-parity assertions (bitwise-identical grids and identical op
-// counts across Seq / pbrt, with and without knob tables) live
-// in the table-driven suite in `tests/conformance.rs`.
+// counts across Seq / pbrt) live in the table-driven suite in
+// `tests/conformance.rs`.
 
 #[test]
 fn fmg_and_v_families_share_accuracies_and_solve() {

@@ -1,17 +1,18 @@
 //! Golden-plan snapshot tests: one committed plan-file fixture pins the
 //! serialization schema.
 //!
-//! `tests/fixtures/tuned_plan_v5.json` is the one schema the workspace
-//! writes and reads: plans, the per-level knob table (version 2), the
-//! `ProblemFingerprint`, and a content `checksum` over the envelope.
+//! `tests/fixtures/tuned_plan_v6.json` is the one schema the workspace
+//! writes and reads: the schema number, the plans, the
+//! `ProblemFingerprint`, and a content `checksum` over the rest.
 //! Loading and re-serializing it must reproduce the file byte for byte,
 //! so any accidental schema drift fails here first.
 //!
 //! The **damage tests** mangle it — truncated, bit-flipped, checksum
-//! stripped or renamed, wrong knob-table version, the checksum-less
-//! shape older builds wrote — and every variant must produce a typed
-//! error and a quarantined file: never a panic, never a plan that
-//! executes unverified.
+//! stripped or renamed, another schema number — or hand over what older
+//! builds wrote: the checksum-less v4 shape and a whole v5 file. Every
+//! variant must produce a typed error and a quarantined file: never a
+//! panic, never a plan that executes unverified. A v5 file on a
+//! service's plan directory is a miss that re-tunes once.
 //!
 //! Regenerate the fixture (after an *intentional* schema change) with:
 //! `PETAMG_REGEN_GOLDEN=1 cargo test --test golden_plan`.
@@ -21,7 +22,80 @@ use petamg::persist::PlanLoadError;
 use petamg::prelude::*;
 use std::path::PathBuf;
 
-const CURRENT_V5: &str = include_str!("fixtures/tuned_plan_v5.json");
+const CURRENT_V6: &str = include_str!("fixtures/tuned_plan_v6.json");
+
+/// The plan file a v5 build wrote for the fixture's plan (with a
+/// non-default knob entry at level 3), byte for byte: its checksum
+/// verifies, but it has no schema number. Pinned as a literal so the
+/// rejection does not depend on how a test derives the shape.
+const V5_FILE: &str = r#"{
+  "accuracies": [
+    10.0,
+    1000.0,
+    100000.0,
+    10000000.0,
+    1000000000.0
+  ],
+  "checksum": "fnv1a:1d40bdfac0e837cf",
+  "knobs": {
+    "per_level": [
+      {
+        "band_rows": 32,
+        "simd": "Auto",
+        "tblock": 1
+      },
+      {
+        "band_rows": 32,
+        "simd": "Auto",
+        "tblock": 1
+      },
+      {
+        "band_rows": 32,
+        "simd": "Auto",
+        "tblock": 1
+      },
+      {
+        "band_rows": 8,
+        "simd": "Vector",
+        "tblock": 2
+      }
+    ],
+    "version": 2
+  },
+  "max_level": 3,
+  "plans": [
+    [],
+    [
+      "Direct",
+      "Direct",
+      "Direct",
+      "Direct",
+      "Direct"
+    ],
+    [
+      "Direct",
+      "Direct",
+      "Direct",
+      "Direct",
+      "Direct"
+    ],
+    [
+      "Direct",
+      "Direct",
+      "Direct",
+      "Direct",
+      "Direct"
+    ]
+  ],
+  "problem": {
+    "coeff_hash": "0",
+    "family": "const-poisson",
+    "n": 0,
+    "param": 0.0,
+    "profile": "constant"
+  },
+  "provenance": "golden fixture (deterministic quick tune, level 3)"
+}"#;
 
 /// What a pre-checksum (v4) build wrote for the same plan: the v5
 /// envelope without its `checksum`. Pinned as a literal so the
@@ -39,19 +113,9 @@ const V4_SHAPE: &str = concat!(
 );
 
 /// The deterministic family behind the fixture: a modeled-cost
-/// quick tune (bit-reproducible) plus hand-pinned non-uniform knob
-/// entries so the table's serialization — including a non-default simd
-/// policy — is actually exercised.
+/// quick tune (bit-reproducible).
 fn golden_family() -> TunedFamily {
     let mut fam = VTuner::new(TunerOptions::quick(3, Distribution::UnbiasedUniform)).tune();
-    fam.knobs.set(
-        3,
-        KernelKnobs {
-            band_rows: 8,
-            tblock: 2,
-            simd: SimdPolicy::Vector,
-        },
-    );
     fam.provenance = "golden fixture (deterministic quick tune, level 3)".into();
     fam
 }
@@ -68,24 +132,27 @@ fn regenerate_golden_fixtures_when_asked() {
     let fam = golden_family();
     let dir = fixtures_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("tuned_plan_v5.json"), fam.to_json()).unwrap();
+    std::fs::write(dir.join("tuned_plan_v6.json"), fam.to_json()).unwrap();
     panic!("fixture regenerated — rerun without PETAMG_REGEN_GOLDEN");
 }
 
 #[test]
-fn current_v5_fixture_roundtrips_byte_for_byte() {
-    let fam = TunedFamily::from_json(CURRENT_V5).expect("current fixture parses");
+fn current_v6_fixture_roundtrips_byte_for_byte() {
+    let fam = TunedFamily::from_json(CURRENT_V6).expect("current fixture parses");
     fam.validate().unwrap();
-    assert!(!fam.knobs.is_uniform(), "fixture carries a real table");
     assert!(fam.problem.is_poisson(), "fixture carries the fingerprint");
     assert!(
-        CURRENT_V5.contains("\"checksum\": \"fnv1a:"),
+        CURRENT_V6.contains("\"schema\": 6"),
+        "fixture carries the schema number"
+    );
+    assert!(
+        CURRENT_V6.contains("\"checksum\": \"fnv1a:"),
         "fixture carries the envelope checksum"
     );
     // Schema stability: re-serializing reproduces the committed bytes.
     assert_eq!(
         fam.to_json(),
-        CURRENT_V5.trim_end(),
+        CURRENT_V6.trim_end(),
         "serialization schema drifted from the committed golden fixture"
     );
 }
@@ -94,9 +161,8 @@ fn current_v5_fixture_roundtrips_byte_for_byte() {
 fn freshly_tuned_plan_parses_under_versioned_schema() {
     let fam = golden_family();
     let json = fam.to_json();
-    assert!(json.contains("\"knobs\""), "schema carries the table");
-    assert!(json.contains("\"version\""), "table is versioned");
-    assert!(json.contains("\"simd\""), "entries carry the simd policy");
+    assert!(json.contains("\"schema\": 6"), "schema is numbered");
+    assert!(!json.contains("\"knobs\""), "schema v6 has no knob table");
     assert!(
         json.contains("\"problem\""),
         "schema carries the fingerprint"
@@ -107,11 +173,10 @@ fn freshly_tuned_plan_parses_under_versioned_schema() {
     );
     let back = TunedFamily::from_json(&json).unwrap();
     assert_eq!(back.plans, fam.plans);
-    assert_eq!(back.knobs, fam.knobs);
     assert_eq!(back.problem, fam.problem);
     // And it matches the committed fixture (the quick tune is
     // deterministic by construction).
-    assert_eq!(json, CURRENT_V5.trim_end());
+    assert_eq!(json, CURRENT_V6.trim_end());
 }
 
 #[test]
@@ -119,7 +184,7 @@ fn mismatched_problem_fingerprint_is_rejected_typed() {
     // A current plan tuned for Poisson must be rejected — with the
     // typed error — when an anisotropic or jump problem is posed.
     let dir = fixtures_dir();
-    let path = dir.join("tuned_plan_v5.json");
+    let path = dir.join("tuned_plan_v6.json");
 
     // Matching problem loads fine.
     let ok = petamg::persist::load_plan_for(&path, &Problem::poisson());
@@ -138,7 +203,7 @@ fn mismatched_problem_fingerprint_is_rejected_typed() {
     }
 
     // And solve_with enforces the same check at execution time.
-    let fam = TunedFamily::from_json(CURRENT_V5).unwrap();
+    let fam = TunedFamily::from_json(CURRENT_V6).unwrap();
     let posed2 = Problem::jump_inclusion(9);
     assert!(fam.ensure_problem(posed2.fingerprint()).is_err());
 }
@@ -172,11 +237,11 @@ fn assert_quarantined(tag: &str, json: &str) {
 fn truncated_fixtures_of_every_generation_fail_typed() {
     // 1/4, 1/2 and all-but-last-byte truncations.
     for cut in [
-        CURRENT_V5.len() / 4,
-        CURRENT_V5.len() / 2,
-        CURRENT_V5.len() - 1,
+        CURRENT_V6.len() / 4,
+        CURRENT_V6.len() / 2,
+        CURRENT_V6.len() - 1,
     ] {
-        let err = TunedFamily::from_json(&CURRENT_V5[..cut]);
+        let err = TunedFamily::from_json(&CURRENT_V6[..cut]);
         assert!(err.is_err(), "truncated to {cut} bytes must not load");
     }
 }
@@ -185,7 +250,7 @@ fn truncated_fixtures_of_every_generation_fail_typed() {
 fn bit_flipped_fixtures_of_every_generation_never_panic() {
     // Flip a character at every 37th position: whether the flip lands
     // in a value, a key or the checksum itself, the load must fail.
-    let bytes = CURRENT_V5.as_bytes();
+    let bytes = CURRENT_V6.as_bytes();
     for pos in (0..bytes.len()).step_by(37) {
         let mut damaged = bytes.to_vec();
         damaged[pos] ^= 0x08;
@@ -204,14 +269,14 @@ fn bit_flipped_fixtures_of_every_generation_never_panic() {
 /// pre-checksum build wrote are all rejected by name and quarantined.
 #[test]
 fn plans_without_a_checksum_are_rejected_and_quarantined() {
-    let mut tree: serde_json::Value = serde_json::from_str(CURRENT_V5).unwrap();
+    let mut tree: serde_json::Value = serde_json::from_str(CURRENT_V6).unwrap();
     if let serde_json::Value::Object(obj) = &mut tree {
         obj.remove("checksum").expect("current schema has checksum");
     }
     let stripped = serde_json::to_string_pretty(&tree).unwrap();
     // 'c' ^ 0x01 = 'b': the key no longer spells `checksum`.
-    let renamed = CURRENT_V5.replacen("\"checksum\"", "\"bhecksum\"", 1);
-    assert_ne!(renamed, CURRENT_V5);
+    let renamed = CURRENT_V6.replacen("\"checksum\"", "\"bhecksum\"", 1);
+    assert_ne!(renamed, CURRENT_V6);
     for (tag, json) in [
         ("stripped", stripped.as_str()),
         ("renamed", renamed.as_str()),
@@ -225,17 +290,15 @@ fn plans_without_a_checksum_are_rejected_and_quarantined() {
 
 #[test]
 fn wrong_version_markers_fail_typed() {
-    // A knob table of any version but the current one is rejected, not
-    // misinterpreted — even under a checksum that verifies.
-    for version in [1, 99] {
-        let mut fam = golden_family();
-        fam.knobs.version = version;
-        let err = TunedFamily::from_json(&fam.to_json()).unwrap_err();
-        assert!(err.contains("knob-table version"), "{err}");
-    }
+    // A v5 file is rejected, not misinterpreted, although its checksum
+    // verifies: it has no schema number. (Another schema number under a
+    // verifying checksum is `core::persist`'s unit test.)
+    let err = TunedFamily::from_json(V5_FILE).unwrap_err();
+    assert!(err.contains("schema"), "{err}");
+    assert_quarantined("v5", V5_FILE);
 
     // A checksum field of the wrong JSON type is typed, not a panic.
-    let mut tree: serde_json::Value = serde_json::from_str(CURRENT_V5).unwrap();
+    let mut tree: serde_json::Value = serde_json::from_str(CURRENT_V6).unwrap();
     if let serde_json::Value::Object(obj) = &mut tree {
         obj.insert(
             "checksum".to_string(),
@@ -249,8 +312,55 @@ fn wrong_version_markers_fail_typed() {
 
 #[test]
 fn damaged_files_quarantine_through_load_plan_for() {
-    assert_quarantined("truncated", &CURRENT_V5[..CURRENT_V5.len() / 2]);
-    let flipped = CURRENT_V5.replacen("\"max_level\": 3", "\"max_level\": 2", 1);
-    assert_ne!(flipped, CURRENT_V5);
+    assert_quarantined("truncated", &CURRENT_V6[..CURRENT_V6.len() / 2]);
+    let flipped = CURRENT_V6.replacen("\"max_level\": 3", "\"max_level\": 2", 1);
+    assert_ne!(flipped, CURRENT_V6);
     assert_quarantined("flipped", &flipped);
+}
+
+/// A v5 plan file where a service looks for a fingerprint's plan is a
+/// library miss: the first service quarantines it, tunes once and files
+/// a v6 plan in its place; a restarted service loads that plan and
+/// tunes nothing.
+#[test]
+fn a_v5_plan_file_is_a_miss_that_retunes_once() {
+    let problem = Problem::poisson();
+    let dir = std::env::temp_dir().join(format!("petamg-golden-v5-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(petamg::serve::library::plan_file_name(
+        problem.fingerprint(),
+    ));
+    std::fs::write(&path, V5_FILE).unwrap();
+    let serve = || {
+        let svc = SolverService::start(
+            ServiceConfig::new(&dir)
+                .with_workers(1)
+                .with_tuning(TunePolicy::QuickTune),
+        )
+        .unwrap();
+        let inst = ProblemInstance::random_for(&problem, 3, Distribution::UnbiasedUniform, 5);
+        let request = SolveRequest::new(problem.clone(), inst.working_grid(), inst.b, 1e-8);
+        let served = svc.solve(request).expect("the request converges");
+        let library = svc.library().stats();
+        (
+            served.plan,
+            svc.stats().tunes,
+            library.quarantined,
+            library.disk_loads,
+        )
+    };
+    assert_eq!(serve(), (PlanSource::TunedNow, 1, 1, 0), "first service");
+    let mut quarantined = path.clone().into_os_string();
+    quarantined.push(".quarantined");
+    assert_eq!(std::fs::read_to_string(quarantined).unwrap(), V5_FILE);
+    let filed = std::fs::read_to_string(&path).unwrap();
+    assert!(filed.contains("\"schema\": 6"), "a v6 file replaces it");
+    TunedFamily::from_json(&filed).unwrap();
+    assert_eq!(
+        serve(),
+        (PlanSource::DiskLoad, 0, 0, 1),
+        "restarted service"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
