@@ -685,7 +685,8 @@ impl GuardedSolver {
     }
 
     /// Rung 1: the hand-built MULTIGRID-V-SIMPLE family — unless the
-    /// tuned rung just ran that very schedule (same restored `x`) into a verdict the arithmetic alone decides.
+    /// tuned rung just ran that very schedule (same restored `x`) into a
+    /// verdict the arithmetic alone decides.
     fn try_heuristic(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
         let heuristic = simple_v_family(w.level.max(1), &PAPER_ACCURACIES);
         let replayed = match (&self.plan, w.tuned_failure) {

@@ -58,9 +58,12 @@ struct PlanFile {
     provenance: String,
 }
 
+/// An FMG file's `fmg[k][i]` table.
+type FmgPlans = Vec<Vec<FmgChoice>>;
+
 /// Render `family` as a pretty-printed v6 plan file, with `fmg` as its
 /// FMG table when it is one.
-fn write_file(family: &TunedFamily, fmg: Option<&Vec<Vec<FmgChoice>>>) -> String {
+fn write_file(family: &TunedFamily, fmg: Option<&FmgPlans>) -> String {
     let file = PlanFile {
         schema: SCHEMA,
         accuracies: family.accuracies.clone(),
@@ -79,8 +82,7 @@ fn write_file(family: &TunedFamily, fmg: Option<&Vec<Vec<FmgChoice>>>) -> String
 
 /// Parse, verify and validate a v6 plan file: its V family, and its FMG
 /// table if it has one.
-#[allow(clippy::type_complexity)]
-fn read_file(json: &str) -> Result<(TunedFamily, Option<Vec<Vec<FmgChoice>>>), String> {
+fn read_file(json: &str) -> Result<(TunedFamily, Option<FmgPlans>), String> {
     let mut value: serde_json::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
     verify_checksum(&mut value)?;
     let file = PlanFile::from_value(&value).map_err(|e| e.to_string())?;

@@ -177,8 +177,9 @@ impl ExecCtx {
         bc: &mut Grid2d,
     ) {
         let op = self.problem.op_for(x.n());
+        let exec = &self.exec;
         let clock = self.tracer.start_kernel_clock(level);
-        relax_residual_restrict_op(&op, x, b, bc, OMEGA_CYCLE, 0, &self.workspace, &self.exec);
+        relax_residual_restrict_op(&op, x, b, bc, OMEGA_CYCLE, 0, &self.workspace, exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
         self.ops.level_mut(level).residuals += 1;
@@ -191,17 +192,9 @@ impl ExecCtx {
     /// estimate edge; the follow-up phase relaxes separately).
     fn interpolate(&mut self, to: usize, coarse: &Grid2d, fine: &mut Grid2d, b: &Grid2d) {
         let op = self.problem.op_for(fine.n());
+        let exec = &self.exec;
         let clock = self.tracer.start_kernel_clock(to);
-        interpolate_correct_relax_op(
-            &op,
-            coarse,
-            fine,
-            b,
-            OMEGA_CYCLE,
-            0,
-            &self.workspace,
-            &self.exec,
-        );
+        interpolate_correct_relax_op(&op, coarse, fine, b, OMEGA_CYCLE, 0, &self.workspace, exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(to, fine);
         self.ops.level_mut(to).interps += 1;
@@ -221,8 +214,9 @@ impl ExecCtx {
         omega: f64,
     ) {
         let op = self.problem.op_for(x.n());
+        let exec = &self.exec;
         let clock = self.tracer.start_kernel_clock(level);
-        relax_residual_restrict_op(&op, x, b, bc, omega, 1, &self.workspace, &self.exec);
+        relax_residual_restrict_op(&op, x, b, bc, omega, 1, &self.workspace, exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
         self.ops.level_mut(level).relax_sweeps += 1;
@@ -244,8 +238,9 @@ impl ExecCtx {
         omega: f64,
     ) {
         let op = self.problem.op_for(fine.n());
+        let exec = &self.exec;
         let clock = self.tracer.start_kernel_clock(to);
-        interpolate_correct_relax_op(&op, coarse, fine, b, omega, 1, &self.workspace, &self.exec);
+        interpolate_correct_relax_op(&op, coarse, fine, b, omega, 1, &self.workspace, exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(to, fine);
         self.ops.level_mut(to).interps += 1;
@@ -270,18 +265,9 @@ impl ExecCtx {
         omega: f64,
     ) {
         let op = self.problem.op_for(x.n());
+        let exec = &self.exec;
         let clock = self.tracer.start_kernel_clock(level);
-        interpolate_relax_residual_restrict_op(
-            &op,
-            ec,
-            x,
-            b,
-            bc,
-            omega,
-            2,
-            &self.workspace,
-            &self.exec,
-        );
+        interpolate_relax_residual_restrict_op(&op, ec, x, b, bc, omega, 2, &self.workspace, exec);
         self.tracer.stop_kernel_clock(clock);
         self.maybe_poison(level, x);
         let ops = self.ops.level_mut(level);

@@ -1,7 +1,5 @@
-//! Forwards left by the deleted kernel-knob layer: the benchmark's
-//! probes still name them; no plan, executor or file reads them.
+//! Forwards left by the deleted kernel-knob layer; only the benchmark's probes name them.
 
-use crate::plan::ExecCtx;
 use petamg_grid::Exec;
 
 // Pinned by `benchmark/src/probes.rs` (`choice.nary.evaluations.level7`, `core.plan.cycle_us.*`); delete with ROADMAP 1(i).
@@ -19,13 +17,11 @@ pub struct KnobTuneResult {
     pub evaluations: usize,
 }
 
-/// Runs no search: no knob is left to tune.
 #[doc(hidden)]
 pub fn tune_kernel_knobs(_exec: &Exec, _opts: &KnobTunerOptions) -> KnobTuneResult {
     KnobTuneResult { evaluations: 0 }
 }
 
-/// What `TunedFamily::knobs` holds: every plan runs the one schedule.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DefaultKnobs;
@@ -36,7 +32,7 @@ impl DefaultKnobs {
     }
 }
 
-impl ExecCtx {
+impl crate::plan::ExecCtx {
     #[doc(hidden)]
     pub fn with_knob_table(self, _table: DefaultKnobs) -> Self {
         self
