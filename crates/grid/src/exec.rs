@@ -6,13 +6,13 @@
 //! this workspace can be driven sequentially (deterministic, used in
 //! tests and modeled-cost tuning) or on the in-house pool.
 //!
-//! Alongside the scheduling backend, every policy carries the resolved
+//! Alongside the scheduling backend, every policy carries the
 //! [`SimdMode`] for the row kernels — the scalar-vs-vector execution
 //! path (see [`crate::simd`]). Stencil results are bitwise identical in
 //! either mode, so the mode (like the grain, band, and thread count) is
 //! a pure performance setting.
 
-use crate::simd::{SimdMode, SimdPolicy};
+use crate::simd::{vector_available, SimdMode};
 use petamg_runtime::ThreadPool;
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ enum Backend {
 }
 
 /// How a grid sweep is executed: a scheduling backend (sequential or the
-/// in-house pool) plus the resolved SIMD mode for the row kernels.
+/// in-house pool) plus the SIMD mode for the row kernels.
 #[derive(Clone)]
 pub struct Exec {
     backend: Backend,
@@ -68,7 +68,11 @@ impl Exec {
     fn with_backend(backend: Backend) -> Self {
         Exec {
             backend,
-            simd: SimdPolicy::Auto.resolve(),
+            simd: if vector_available() {
+                SimdMode::Vector
+            } else {
+                SimdMode::Scalar
+            },
         }
     }
 
@@ -138,16 +142,15 @@ impl Exec {
         }
     }
 
-    /// Resolve `policy` against the running machine and carry the
-    /// result: every row kernel driven by this policy takes the scalar
-    /// or vector path accordingly. Works on every backend, including
-    /// `Seq`.
-    pub fn with_simd(mut self, policy: SimdPolicy) -> Self {
-        self.simd = policy.resolve();
+    /// Run every row kernel driven by this policy on the `mode` path.
+    /// Works on every backend, including `Seq`. Without it a policy
+    /// runs `Vector` when [`vector_available`], `Scalar` otherwise.
+    pub fn with_simd(mut self, mode: SimdMode) -> Self {
+        self.simd = mode;
         self
     }
 
-    /// The resolved SIMD mode row kernels run under.
+    /// The SIMD mode row kernels run under.
     pub fn simd(&self) -> SimdMode {
         self.simd
     }
@@ -347,20 +350,19 @@ mod tests {
     }
 
     #[test]
-    fn simd_mode_is_carried_and_defaults_to_auto() {
+    fn simd_mode_is_carried_and_defaults_to_the_cpus() {
         for exec in policies() {
-            assert_eq!(exec.simd(), SimdPolicy::Auto.resolve(), "{exec:?}");
             assert_eq!(
-                exec.clone().with_simd(SimdPolicy::Scalar).simd(),
-                SimdMode::Scalar
+                exec.simd() == SimdMode::Vector,
+                vector_available(),
+                "{exec:?}"
             );
-            assert_eq!(
-                exec.clone().with_simd(SimdPolicy::Vector).simd(),
-                SimdMode::Vector
-            );
+            for mode in [SimdMode::Scalar, SimdMode::Vector] {
+                assert_eq!(exec.clone().with_simd(mode).simd(), mode);
+            }
             // Scheduling knobs leave the mode alone.
             assert_eq!(
-                exec.with_simd(SimdPolicy::Vector)
+                exec.with_simd(SimdMode::Vector)
                     .with_grain(3)
                     .with_band(9)
                     .simd(),

@@ -93,9 +93,7 @@ pub use ops::{
     residual_with, restrict_rows_into, zero_boundary_ring,
 };
 pub use ptr::GridPtr;
-pub use simd::{
-    batch_width, vector_available, vector_backend, FaceSum, Five, SimdMode, SimdPolicy,
-};
+pub use simd::{batch_width, vector_available, vector_backend, FaceSum, Five, SimdMode};
 pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,
     restrict_full_weighting, restrict_inject,

@@ -54,7 +54,7 @@ pub fn l2_diff(a: &Grid2d, b: &Grid2d, exec: &Exec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimdPolicy;
+    use crate::SimdMode;
 
     #[test]
     fn l2_of_ones_is_sqrt_count() {
@@ -109,8 +109,8 @@ mod tests {
     fn scalar_and_vector_norms_are_bitwise_identical() {
         // Both modes run the fixed-lane deterministic tree reduction —
         // results must agree bit for bit at every size (tails 0..=3).
-        let e_s = Exec::seq().with_simd(SimdPolicy::Scalar);
-        let e_v = Exec::seq().with_simd(SimdPolicy::Vector);
+        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
+        let e_v = Exec::seq().with_simd(SimdMode::Vector);
         for n in [3usize, 4, 5, 6, 7, 9, 17, 33] {
             let a = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 7) % 101) as f64 / 9.0 - 5.0);
             let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 89) % 97) as f64 / 3.0 - 16.0);

@@ -590,9 +590,9 @@ mod tests {
                 s: &w[..],
                 d: simd::FaceSum::new(&w, &e, &e, &w),
             };
-            for policy in [crate::SimdPolicy::Scalar, crate::SimdPolicy::Vector] {
+            for mode in [crate::SimdMode::Scalar, crate::SimdMode::Vector] {
                 for exec in [Exec::seq(), pool.clone()] {
-                    let exec = exec.with_simd(policy);
+                    let exec = exec.with_simd(mode);
                     let mut r = Grid2d::zeros(n);
                     residual(&x, &b, &mut r, &exec);
                     let want = crate::l2_norm_interior(&r, &exec);

@@ -399,8 +399,8 @@ proptest! {
         b in any_grid(17, 50.0),
     ) {
         let ws = Workspace::new();
-        let e_s = Exec::seq().with_simd(SimdPolicy::Scalar);
-        let e_v = Exec::seq().with_simd(SimdPolicy::Vector);
+        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
+        let e_v = Exec::seq().with_simd(SimdMode::Vector);
 
         let (mut r_s, mut r_v) = (Grid2d::zeros(17), Grid2d::zeros(17));
         residual(&x, &b, &mut r_s, &e_s);

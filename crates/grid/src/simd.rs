@@ -8,10 +8,13 @@
 //!
 //! * a **portable** `[f64; 4]` backend (always compiled — the scalar
 //!   fallback for [`SimdMode::Vector`] when no ISA backend applies),
-//! * a **`core::arch` AVX2+FMA** backend on `x86_64` behind the `simd`
-//!   cargo feature, selected by runtime CPU detection,
-//! * a **`core::arch` NEON** backend on `aarch64` behind the same
-//!   feature (NEON is baseline on aarch64, so no runtime probe).
+//! * a **`core::arch` AVX2+FMA** backend on `x86_64`, selected by
+//!   runtime CPU detection,
+//! * a **`core::arch` NEON** backend on `aarch64` (NEON is baseline
+//!   there, so no runtime probe).
+//!
+//! Every build compiles the backends its target has; no cargo feature
+//! gates them, and only the running CPU decides which one serves.
 //!
 //! ## Determinism rules
 //!
@@ -30,20 +33,20 @@
 //!   bitwise identical across modes, backends, and runs — they differ
 //!   (by ulps) only from the pre-SIMD sequential fold.
 //!
-//! Because every mode produces identical bits, [`SimdPolicy`] changes
-//! speed, never answers. `Auto` serves; `Scalar` is the oracle the
-//! vector = scalar tests compare the vector path against.
+//! Because every mode produces identical bits, [`SimdMode`] changes
+//! speed, never answers. `Exec` serves with `Vector` when
+//! [`vector_available`], `Scalar` otherwise; `Scalar` is also the
+//! oracle the vector = scalar tests compare the vector path against.
 
-/// Which lane path a kernel invocation actually runs: the resolved form
-/// of a [`SimdPolicy`]. Carried by `Exec` and threaded to every row
-/// primitive.
+/// Which lane path a kernel invocation runs. Carried by `Exec` and
+/// threaded to every row primitive.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SimdMode {
     /// Classic scalar loops (the reference semantics).
     Scalar,
-    /// Four-lane kernels: AVX2+FMA or NEON when compiled in and
-    /// available, otherwise the portable lane fallback. Bitwise
-    /// identical to [`SimdMode::Scalar`] for stencils by construction.
+    /// Four-lane kernels: AVX2+FMA or NEON when the CPU has them,
+    /// otherwise the portable lane fallback. Bitwise identical to
+    /// [`SimdMode::Scalar`] for stencils by construction.
     #[default]
     Vector,
 }
@@ -59,78 +62,35 @@ impl SimdMode {
     }
 }
 
-/// How an `Exec`'s kernels choose between the scalar and vector row
-/// paths. All three settings produce bitwise identical results (see
-/// the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SimdPolicy {
-    /// Use the vector path whenever a real ISA backend is compiled in
-    /// and the CPU supports it; scalar otherwise. The default.
-    #[default]
-    Auto,
-    /// Force the scalar loops.
-    Scalar,
-    /// Force the vector path (falls back to the portable lane
-    /// implementation when no ISA backend applies, so it is always
-    /// safe to request).
-    Vector,
-}
-
-impl SimdPolicy {
-    /// Resolve the policy against the running machine.
-    pub fn resolve(self) -> SimdMode {
-        match self {
-            SimdPolicy::Auto => {
-                if vector_available() {
-                    SimdMode::Vector
-                } else {
-                    SimdMode::Scalar
-                }
-            }
-            SimdPolicy::Scalar => SimdMode::Scalar,
-            SimdPolicy::Vector => SimdMode::Vector,
-        }
-    }
-
-    /// Short lower-case name (`auto` / `scalar` / `vector`) for logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdPolicy::Auto => "auto",
-            SimdPolicy::Scalar => "scalar",
-            SimdPolicy::Vector => "vector",
-        }
-    }
-}
-
-/// Whether a real ISA vector backend is compiled in **and** supported
-/// by the running CPU. `false` means [`SimdMode::Vector`] runs the
-/// portable lane fallback (still bitwise correct, rarely faster).
+/// Whether the running CPU supports one of the ISA vector backends.
+/// `false` means [`SimdMode::Vector`] runs the portable lane fallback
+/// (still bitwise correct, rarely faster).
 pub fn vector_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         avx2_available()
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     {
         true
     }
-    #[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
         false
     }
 }
 
-/// Name of the vector tier this build + machine dispatches to:
+/// Name of the vector tier this machine dispatches to:
 /// `"avx2+fma"`, `"neon"`, or `"portable"`. Recorded in the stamp of
 /// every benchmark report.
 pub fn vector_backend() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
             return "avx2+fma";
         }
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     {
         return "neon";
     }
@@ -147,7 +107,7 @@ pub fn batch_width() -> usize {
 /// Runtime probe for AVX2 + FMA (both must be present: the vector
 /// kernels are compiled with `target_feature(enable = "avx2,fma")`).
 /// std caches the CPUID probe behind the macro.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
@@ -338,11 +298,11 @@ impl Lanes for Portable {
 /// The `core::arch` AVX2+FMA backend. Methods wrap raw intrinsics;
 /// they must only *execute* inside the `target_feature(enable =
 /// "avx2,fma")` trampolines below, after the runtime probe passed.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Avx(core::arch::x86_64::__m256d);
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 impl Lanes for Avx {
     #[inline(always)]
     fn splat(v: f64) -> Self {
@@ -472,14 +432,14 @@ impl Lanes for Avx {
 
 /// The `core::arch` NEON backend: a pair of 128-bit registers. NEON is
 /// baseline on aarch64, so no runtime probe or trampoline is needed.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 #[derive(Clone, Copy)]
 struct Neon(
     core::arch::aarch64::float64x2_t,
     core::arch::aarch64::float64x2_t,
 );
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 impl Lanes for Neon {
     #[inline(always)]
     fn splat(v: f64) -> Self {
@@ -1152,15 +1112,14 @@ mod body {
 // Dispatch: one entry point per kernel
 // ---------------------------------------------------------------------
 //
-// `dispatch!` expands to: an AVX2+FMA trampoline (x86_64 + `simd`
-// feature), a NEON instantiation (aarch64 + `simd` feature), and the
-// portable-lane fallback — picked at runtime per call. The trampoline
+// `dispatch!` expands to: an AVX2+FMA trampoline (x86_64), a NEON
+// instantiation (aarch64), and the portable-lane fallback — picked at runtime per call. The trampoline
 // carries `#[target_feature]` so LLVM may schedule 256-bit code; the
 // runtime probe guards every entry.
 
 macro_rules! dispatch {
     ($(#[$doc:meta])* $vis:vis unsafe fn $name:ident / $avx:ident $(<$($g:ident),*>)? ( $($arg:ident : $ty:ty),* $(,)? )) => {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
         #[allow(clippy::too_many_arguments)]
         unsafe fn $avx $(<$($g: Weight),*>)? ($($arg: $ty),*) {
@@ -1170,11 +1129,11 @@ macro_rules! dispatch {
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
         $vis unsafe fn $name $(<$($g: Weight),*>)? ($($arg: $ty),*) {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if avx2_available() {
                 return unsafe { $avx($($arg),*) };
             }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             return unsafe { body::$name::<Neon $($(, $g)*)?>($($arg),*) };
             #[allow(unreachable_code)]
             unsafe { body::$name::<Portable $($(, $g)*)?>($($arg),*) }
@@ -1185,7 +1144,7 @@ macro_rules! dispatch {
     // the best compiled backend — so the result bits are identical
     // either way; only the instructions differ.
     ($(#[$doc:meta])* $vis:vis fn $name:ident / $avx:ident ( $($arg:ident : $ty:ty),* ) -> $ret:ty) => {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn $avx($($arg: $ty),*) -> $ret {
             body::$name::<Avx>($($arg),*)
@@ -1196,12 +1155,12 @@ macro_rules! dispatch {
             if mode == SimdMode::Scalar {
                 return body::$name::<Portable>($($arg),*);
             }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if avx2_available() {
                 // SAFETY: the probe confirmed AVX2+FMA.
                 return unsafe { $avx($($arg),*) };
             }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             return body::$name::<Neon>($($arg),*);
             #[allow(unreachable_code)]
             body::$name::<Portable>($($arg),*)
@@ -1291,18 +1250,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policy_resolution() {
-        assert_eq!(SimdPolicy::Scalar.resolve(), SimdMode::Scalar);
-        assert_eq!(SimdPolicy::Vector.resolve(), SimdMode::Vector);
-        let auto = SimdPolicy::Auto.resolve();
-        if vector_available() {
-            assert_eq!(auto, SimdMode::Vector);
-        } else {
-            assert_eq!(auto, SimdMode::Scalar);
-        }
-    }
-
-    #[test]
     fn backend_name_is_consistent() {
         let name = vector_backend();
         assert!(["avx2+fma", "neon", "portable"].contains(&name));
@@ -1328,11 +1275,11 @@ mod tests {
     fn backends<W: Weight, D: Weight, R: Weight>() -> Vec<Backend<W, D, R>> {
         #[allow(unused_mut)]
         let mut all = vec![bodies::<Portable, W, D, R>("portable")];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if avx2_available() {
             all.push(("avx2", residual_row_avx2::<W, D>, sor_row_avx2::<W, R>));
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        #[cfg(target_arch = "aarch64")]
         all.push(bodies::<Neon, W, D, R>("neon"));
         all
     }

@@ -15,9 +15,9 @@
 //! (`dot`). Rust never contracts `a*b + c`, so the bits are the same
 //! under SSE2, AVX2, AVX-512 and `-C target-cpu=native`. The factor
 //! and the forward substitution are dispatched at runtime to a tier
-//! (`vector::Tier`): the portable bodies here, or with the `simd`
-//! feature an AVX2 body that runs the same operations in the same
-//! order, so every tier gives the same bits. Where a kernel blocks rows
+//! (`vector::Tier`): the portable bodies here, or on an AVX2 CPU an
+//! AVX2 body that runs the same operations in the same order, so every
+//! tier gives the same bits. Where a kernel blocks rows
 //! or columns (four columns per pass in the factor, two rows per pass
 //! in its AVX2 body, four rows per pass in the backward substitution)
 //! every entry still sees the same operations in the same order as the

@@ -14,9 +14,9 @@
 //!   not by their `2·n·m` multiply-adds. Reductions use a fixed 8-lane
 //!   tree (the rule `grid::simd` states), so the result bits do not
 //!   depend on the vector width that carries them: the factor and the
-//!   forward substitution run portable Rust or, with the `simd`
-//!   feature on an AVX2 CPU, a runtime-dispatched `core::arch` body,
-//!   and both give the same bits,
+//!   forward substitution run portable Rust or, on an AVX2 CPU, a
+//!   runtime-dispatched `core::arch` body, and both give the same
+//!   bits,
 //! * [`assemble_poisson_band`] — assembly of the 2D 5-point system
 //!   over a grid's interior (the boundary-aware direct solve on top of
 //!   it is `petamg_problems::OpDirect`).

@@ -1,9 +1,10 @@
 //! The band factor and forward substitution at vector width.
 //!
 //! [`Tier`] names the code that carries the band kernels' reductions:
-//! the portable bodies in `band.rs`, or — on `x86_64` with the `simd`
-//! feature, when the running CPU has AVX2 — the bodies below, whose
-//! 8-lane accumulators are two `__m256d` registers each.
+//! the portable bodies in `band.rs`, or — on `x86_64`, when the running
+//! CPU has AVX2 — the bodies below, whose 8-lane accumulators are two
+//! `__m256d` registers each. Every `x86_64` build compiles both; the
+//! CPU alone picks one.
 //!
 //! **Same bits on every tier.** Lane `l` of an accumulator takes
 //! element `8c + l` as `acc + x·y` (a multiply, then an add: Rust never
@@ -33,27 +34,26 @@ pub(crate) enum Tier {
     /// them for the build's target.
     Portable,
     /// The bodies below, on two 256-bit registers per accumulator.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
 impl Tier {
-    /// The widest tier this build and the running CPU execute.
+    /// The widest tier the running CPU executes.
     pub(crate) fn detect() -> Tier {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if avx2_available() {
             return Tier::Avx2;
         }
         Tier::Portable
     }
 
-    /// Every tier this build and the running CPU execute, portable
-    /// first.
+    /// Every tier the running CPU executes, portable first.
     #[cfg(test)]
     pub(crate) fn available() -> Vec<Tier> {
         #[allow(unused_mut)]
         let mut tiers = vec![Tier::Portable];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if avx2_available() {
             tiers.push(Tier::Avx2);
         }
@@ -66,7 +66,7 @@ impl Tier {
         assert_eq!(l.len(), n * (m + 1), "packed band length");
         match self {
             Tier::Portable => factor_portable(l, n, m),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => {
                 assert!(avx2_available(), "AVX2 tier on a CPU without AVX2");
                 // SAFETY: the assertion above confirmed AVX2.
@@ -83,7 +83,7 @@ impl Tier {
         );
         match self {
             Tier::Portable => forward_portable(l, n, m, b),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => {
                 assert!(avx2_available(), "AVX2 tier on a CPU without AVX2");
                 // SAFETY: the assertion above confirmed AVX2.
@@ -94,7 +94,7 @@ impl Tier {
 }
 
 /// Runtime probe for AVX2; std caches the CPUID result.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
@@ -103,7 +103,7 @@ fn avx2_available() -> bool {
 /// bodies' order, over `Acc8`. The helpers are `#[inline(always)]`, so
 /// they compile inside the two `#[target_feature]` entry points, which
 /// only [`Tier`] calls, after the probe.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use crate::LinalgError;
     use core::arch::x86_64::*;

@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn face_sum_residual_matches_the_stored_diagonal_oracle() {
         use crate::{residual_op, StencilOp};
-        use petamg_grid::{Exec, Grid2d, SimdPolicy};
+        use petamg_grid::{Exec, Grid2d, SimdMode};
         use std::sync::Arc;
 
         for n in [3usize, 5, 6, 7, 9, 17, 33] {
@@ -403,9 +403,9 @@ mod tests {
             for (name, field) in &fields(n) {
                 let cf = Arc::new(StencilCoeffs::from_vertex_field(n, field));
                 let op = StencilOp::Var(Arc::clone(&cf));
-                for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
+                for mode in [SimdMode::Scalar, SimdMode::Vector] {
                     let mut r = Grid2d::from_fn(n, |_, _| 9.0);
-                    residual_op(&op, &x, &b, &mut r, &Exec::seq().with_simd(policy));
+                    residual_op(&op, &x, &b, &mut r, &Exec::seq().with_simd(mode));
                     for (i, j) in x.interior() {
                         let u = i * n + j;
                         let (w, e, nn, s) = (cf.e[u], cf.e[u + 1], cf.s[u], cf.s[u + n]);
@@ -418,7 +418,7 @@ mod tests {
                         assert_eq!(
                             r.at(i, j).to_bits(),
                             want.to_bits(),
-                            "{name} n={n} {policy:?} cell ({i},{j})"
+                            "{name} n={n} {mode:?} cell ({i},{j})"
                         );
                     }
                 }

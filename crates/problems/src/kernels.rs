@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn residual_norm_equals_residual_then_norm_bit_for_bit() {
         use crate::{CoeffProfile, StencilCoeffs};
-        use petamg_grid::{l2_norm_interior, SimdPolicy};
+        use petamg_grid::{l2_norm_interior, SimdMode};
         use std::sync::Arc;
         let ws = Workspace::new();
         let pool = Exec::pbrt(2).with_grain(2);
@@ -207,9 +207,9 @@ mod tests {
                 var(CoeffProfile::JumpInclusion { ratio: 1000.0 }, n),
             ];
             for op in &ops {
-                for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
+                for mode in [SimdMode::Scalar, SimdMode::Vector] {
                     for exec in [Exec::seq(), pool.clone()] {
-                        let exec = exec.with_simd(policy);
+                        let exec = exec.with_simd(mode);
                         let mut r = Grid2d::zeros(n);
                         residual_op(op, &x, &b, &mut r, &exec);
                         let want = l2_norm_interior(&r, &exec);

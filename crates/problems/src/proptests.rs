@@ -15,7 +15,7 @@ use crate::coeffs::{coarsen_vertex_field, StencilCoeffs};
 use crate::kernels::{residual_op, residual_restrict_op};
 use crate::op::StencilOp;
 use crate::Problem;
-use petamg_grid::{restrict_full_weighting, Exec, Grid2d, SimdMode, SimdPolicy, Workspace};
+use petamg_grid::{restrict_full_weighting, Exec, Grid2d, SimdMode, Workspace};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -30,8 +30,8 @@ fn coeff_field(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05f64..50.0, n * n)
 }
 
-fn exec(policy: SimdPolicy) -> Exec {
-    Exec::seq().with_simd(policy)
+fn exec(mode: SimdMode) -> Exec {
+    Exec::seq().with_simd(mode)
 }
 
 /// One full red/black SOR sweep driven row-by-row through
@@ -128,8 +128,8 @@ proptest! {
                 (StencilOp::Poisson, vec![unit_var_op(n), unit_const_five()]),
                 (constant_a, vec![var_a]),
             ];
-            for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
-                let e = exec(policy);
+            for mode in [SimdMode::Scalar, SimdMode::Vector] {
+                let e = exec(mode);
                 let mode = e.simd();
                 for (reference, twins) in &groups {
                     for op in twins {
@@ -174,9 +174,9 @@ proptest! {
 
         for op in [var, aniso] {
             let mut r_s = Grid2d::zeros(n);
-            residual_op(&op, &x, &b, &mut r_s, &exec(SimdPolicy::Scalar));
+            residual_op(&op, &x, &b, &mut r_s, &exec(SimdMode::Scalar));
             let mut r_v = Grid2d::zeros(n);
-            residual_op(&op, &x, &b, &mut r_v, &exec(SimdPolicy::Vector));
+            residual_op(&op, &x, &b, &mut r_v, &exec(SimdMode::Vector));
             prop_assert_eq!(r_s.as_slice(), r_v.as_slice());
 
             let mut x_s = x.clone();
@@ -199,15 +199,15 @@ proptest! {
         let n = 17;
         let ws = Workspace::new();
         let op = StencilOp::Var(Arc::new(StencilCoeffs::from_vertex_field(n, &field)));
-        for policy in [SimdPolicy::Scalar, SimdPolicy::Vector] {
-            let e = exec(policy);
+        for mode in [SimdMode::Scalar, SimdMode::Vector] {
+            let e = exec(mode);
             let mut r = Grid2d::zeros(n);
             residual_op(&op, &x, &b, &mut r, &e);
             let mut want = Grid2d::zeros(9);
             restrict_full_weighting(&r, &mut want, &e);
             for par in [
-                Exec::seq().with_simd(policy),
-                Exec::pbrt(2).with_band(2).with_simd(policy),
+                Exec::seq().with_simd(mode),
+                Exec::pbrt(2).with_band(2).with_simd(mode),
             ] {
                 let mut got = Grid2d::from_fn(9, |_, _| 4.5);
                 residual_restrict_op(&op, &x, &b, &mut got, &ws, &par);

@@ -6,7 +6,7 @@
 use crate::fused::{interpolate_correct_relax, relax_residual_restrict, sor_sweeps_blocked};
 use crate::relax::sor_sweeps;
 use petamg_grid::{
-    coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdPolicy, Workspace,
+    coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdMode, Workspace,
 };
 use proptest::prelude::*;
 
@@ -119,8 +119,8 @@ proptest! {
         let n = [5usize, 7, 9, 11, 17, 19][n_idx];
         let x0 = Grid2d::from_vec(n, vals[..n * n].to_vec());
         let b = Grid2d::from_vec(n, vals[n * n..2 * n * n].to_vec());
-        let e_s = Exec::seq().with_simd(SimdPolicy::Scalar);
-        let e_v = Exec::seq().with_simd(SimdPolicy::Vector);
+        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
+        let e_v = Exec::seq().with_simd(SimdMode::Vector);
         let mut x_s = x0.clone();
         let mut x_v = x0.clone();
         sor_sweeps(&mut x_s, &b, omega, sweeps, &e_s);
@@ -148,7 +148,7 @@ proptest! {
     ) {
         let ws = Workspace::new();
         let nc = coarse_size(17);
-        let e_s = Exec::seq().with_simd(SimdPolicy::Scalar);
+        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
 
         let mut x_want = x.clone();
         let mut c_want = Grid2d::zeros(nc);
@@ -157,7 +157,7 @@ proptest! {
         interpolate_correct_relax(&c, &mut x2_want, &b, 1.15, sweeps, &ws, &e_s);
 
         for exec in backends(band) {
-            let e_v = exec.with_simd(SimdPolicy::Vector);
+            let e_v = exec.with_simd(SimdMode::Vector);
             let mut x_got = x.clone();
             let mut c_got = Grid2d::zeros(nc);
             relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &e_v);

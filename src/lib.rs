@@ -79,8 +79,7 @@ pub mod prelude {
     pub use petamg_core::trace::LadderRung;
     pub use petamg_core::training::{Distribution, ProblemInstance};
     pub use petamg_core::tuner::{FmgTuner, TunerOptions, VTuner};
-    pub use petamg_grid::{Exec, Grid2d, Workspace};
-    pub use petamg_grid::{SimdMode, SimdPolicy};
+    pub use petamg_grid::{Exec, Grid2d, SimdMode, Workspace};
     pub use petamg_obs::{render_prometheus, Registry, TelemetryMode, TelemetrySnapshot};
     pub use petamg_problems::{
         CoeffProfile, Problem, ProblemFingerprint, ProblemMismatch, StencilOp,

@@ -44,10 +44,10 @@ pub fn backends(pbrt_threads: &[usize]) -> Vec<(String, Exec)> {
     let all = scheduling
         .into_iter()
         .flat_map(|(name, exec)| {
-            [SimdPolicy::Scalar, SimdPolicy::Vector].map(|policy| {
+            [SimdMode::Scalar, SimdMode::Vector].map(|mode| {
                 (
-                    format!("{name}+{}", policy.name()),
-                    exec.clone().with_simd(policy),
+                    format!("{name}+{}", mode.name()),
+                    exec.clone().with_simd(mode),
                 )
             })
         })
