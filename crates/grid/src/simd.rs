@@ -1249,6 +1249,19 @@ dispatch! {
 mod tests {
     use super::*;
 
+    /// A default build, with no cargo feature, serves the AVX2+FMA tier
+    /// on a CPU that has it. Vacuous on other CPUs.
+    #[test]
+    fn a_featureless_build_serves_the_avx2_tier() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            assert_eq!(vector_backend(), "avx2+fma");
+            assert_eq!(crate::Exec::seq().simd(), SimdMode::Vector);
+            assert_eq!(crate::Exec::pbrt(2).simd(), SimdMode::Vector);
+        }
+    }
+
     #[test]
     fn backend_name_is_consistent() {
         let name = vector_backend();

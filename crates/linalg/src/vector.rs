@@ -289,3 +289,19 @@ mod avx2 {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// A default build, with no cargo feature, factors on the AVX2 tier
+    /// on a CPU with AVX2 and FMA. Vacuous on other CPUs.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn a_featureless_build_detects_the_avx2_tier() {
+        use super::Tier;
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            assert_eq!(Tier::detect(), Tier::Avx2);
+            assert_eq!(Tier::available(), vec![Tier::Portable, Tier::Avx2]);
+        }
+    }
+}
