@@ -735,7 +735,9 @@ impl TunedFmgFamily {
             .ensure_problem(inst.problem.fingerprint())
             .unwrap_or_else(|e| panic!("{e}"));
         inst.ensure_x_opt(exec, cache);
-        cache.warm_op(3, &inst.problem.op_for(3));
+        // Warm the factor cache outside the timed region, as
+        // `TunedFamily::solve_with` does.
+        self.warm_factors_for(&inst.problem, inst.level, acc_idx, cache);
         let mut ctx =
             ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
         let mut x = inst.working_grid();
@@ -749,6 +751,46 @@ impl TunedFmgFamily {
             acc_idx,
             seconds,
             ops: ctx.ops,
+        }
+    }
+
+    /// Pre-factor every `(grid size, operator)` this plan's direct
+    /// solves touch for the posed problem.
+    pub fn warm_factors_for(
+        &self,
+        problem: &Problem,
+        level: usize,
+        acc_idx: usize,
+        cache: &Arc<DirectSolverCache>,
+    ) {
+        for n in self.direct_sizes(level, acc_idx) {
+            cache.warm_op(n, &problem.op_for(n));
+        }
+    }
+
+    /// The grid sizes whose direct factors member `acc_idx` at `level`
+    /// solves with: the estimate's, then the follow-up's (a size may
+    /// repeat).
+    pub fn direct_sizes(&self, level: usize, acc_idx: usize) -> Vec<usize> {
+        if level <= 1 {
+            return vec![level_size(level)];
+        }
+        match self.plans[level][acc_idx] {
+            FmgChoice::Direct => vec![level_size(level)],
+            FmgChoice::Estimate {
+                estimate_accuracy,
+                follow,
+            } => {
+                let mut sizes = self.direct_sizes(level - 1, estimate_accuracy as usize);
+                if let FollowUp::Recurse {
+                    sub_accuracy,
+                    iterations: 1..,
+                } = follow
+                {
+                    sizes.extend(self.v.direct_sizes(level - 1, sub_accuracy as usize));
+                }
+                sizes
+            }
         }
     }
 }
@@ -1270,6 +1312,31 @@ mod tests {
         // Estimation phase recorded restricts at every level >= 2.
         assert!(report.ops.per_level[4].restricts >= 1);
         assert!(report.ops.per_level[3].restricts >= 1);
+    }
+
+    #[test]
+    fn fmg_warm_step_leaves_nothing_to_factor_inside_the_clock() {
+        let fam = crate::tuner::FmgTuner::new(crate::tuner::TunerOptions::quick(
+            5,
+            Distribution::UnbiasedUniform,
+        ))
+        .tune();
+        let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 31);
+        for acc_idx in 0..fam.v.accuracies.len() {
+            let cache = Arc::new(DirectSolverCache::new());
+            fam.warm_factors_for(&inst.problem, 5, acc_idx, &cache);
+            let warmed = cache.factorizations();
+            let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::clone(&cache))
+                .with_problem(inst.problem.clone());
+            let mut x = inst.working_grid();
+            fam.run(5, acc_idx, &mut x, &inst.b, &mut ctx);
+            assert_eq!(
+                cache.factorizations(),
+                warmed,
+                "member {acc_idx} ({}) factored inside the clock",
+                fam.plans[5][acc_idx].describe()
+            );
+        }
     }
 
     #[test]
