@@ -404,6 +404,46 @@ mod tests {
         assert_eq!(loaded.plans, fam.plans);
     }
 
+    /// A tuned FMG family goes through a real file and comes back with
+    /// the same tables and fingerprint, and runs bit for bit like the
+    /// family that was saved.
+    #[test]
+    fn a_tuned_fmg_family_survives_a_plan_file() {
+        use crate::plan::ExecCtx;
+        use crate::training::{Distribution, ProblemInstance};
+        use crate::tuner::{FmgTuner, TunerOptions};
+        use petamg_grid::Exec;
+        use petamg_solvers::DirectSolverCache;
+        use std::sync::Arc;
+
+        let level = 6;
+        let fam = FmgTuner::new(TunerOptions::quick(level, Distribution::UnbiasedUniform)).tune();
+        let dir = tmp_dir("fmg");
+        let path = dir.join("fmg.json");
+        save_fmg_plan(&fam, &path).unwrap();
+        let loaded = load_fmg_plan(&path).unwrap();
+        assert_eq!(loaded.plans, fam.plans);
+        assert_eq!(loaded.v.plans, fam.v.plans);
+        assert_eq!(loaded.v.problem, fam.v.problem);
+
+        let inst = ProblemInstance::random(level, Distribution::UnbiasedUniform, 4_242);
+        let bits = |f: &TunedFmgFamily, acc_idx: usize| {
+            let cache = Arc::new(DirectSolverCache::new());
+            let mut ctx =
+                ExecCtx::with_cache(Exec::seq(), cache).with_problem(inst.problem.clone());
+            let mut x = inst.working_grid();
+            f.run(level, acc_idx, &mut x, &inst.b, &mut ctx);
+            x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for acc_idx in 0..fam.v.accuracies.len() {
+            assert!(
+                bits(&loaded, acc_idx) == bits(&fam, acc_idx),
+                "member {acc_idx} runs differently after the file"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn saved_plans_carry_a_verifiable_checksum() {
         let fam = simple_v_family(3, &PAPER_ACCURACIES);
