@@ -40,14 +40,13 @@
 
 /// Which lane path a kernel invocation runs. Carried by `Exec` and
 /// threaded to every row primitive.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimdMode {
     /// Classic scalar loops (the reference semantics).
     Scalar,
     /// Four-lane kernels: AVX2+FMA or NEON when the CPU has them,
     /// otherwise the portable lane fallback. Bitwise identical to
     /// [`SimdMode::Scalar`] for stencils by construction.
-    #[default]
     Vector,
 }
 
