@@ -966,6 +966,115 @@ mod tests {
         assert_eq!(ctx.ops.total_direct_solves(), 1);
     }
 
+    /// FNV-1a of the per-level operation counts and of the operation
+    /// events (their `Debug` form): algorithms fixed, unlike
+    /// `DefaultHasher`'s.
+    fn record_hashes<'a>(
+        ops: &OpCounts,
+        events: impl IntoIterator<Item = &'a CycleEvent>,
+    ) -> (u64, u64) {
+        fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(h, |h, &byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+        let ops = ops.per_level.iter().fold(SEED, |h, l| {
+            [
+                l.relax_sweeps,
+                l.residuals,
+                l.restricts,
+                l.interps,
+                l.direct_solves,
+            ]
+            .iter()
+            .fold(h, |h, count| fnv1a(h, &count.to_le_bytes()))
+        });
+        let events = events
+            .into_iter()
+            .fold(SEED, |h, e| fnv1a(h, format!("{e:?};").as_bytes()));
+        (ops, events)
+    }
+
+    /// What the executor records of a run is pinned: the counts and the
+    /// operation events of traced runs that together reach every kernel
+    /// it has — every member of a quick level-6 V family, every member
+    /// of a quick level-5 FMG family (both estimate edges), a hand-built
+    /// family with an SOR solve and `RECURSE×3` (the step boundary), and
+    /// a guarded jump walk the direct rung serves.
+    #[test]
+    fn executed_operations_keep_their_hashes() {
+        use crate::tuner::{FmgTuner, TunerOptions, VTuner};
+        let quick = |level| TunerOptions::quick(level, Distribution::UnbiasedUniform);
+        let mut got = Vec::new();
+
+        let v = VTuner::new(quick(6)).tune();
+        let inst = ProblemInstance::random(6, Distribution::UnbiasedUniform, 41);
+        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        for acc_idx in 0..v.num_accuracies() {
+            let mut x = inst.working_grid();
+            v.run(6, acc_idx, &mut x, &inst.b, &mut ctx);
+        }
+        got.push(("quick V", record_hashes(&ctx.ops, &ctx.tracer.events)));
+
+        let fmg = FmgTuner::new(quick(5)).tune();
+        let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 42);
+        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        for acc_idx in 0..fmg.v.num_accuracies() {
+            let mut x = inst.working_grid();
+            fmg.run(5, acc_idx, &mut x, &inst.b, &mut ctx);
+        }
+        got.push(("quick FMG", record_hashes(&ctx.ops, &ctx.tracer.events)));
+
+        let mut hand = simple_v_family(6, &[1e3, 1e5]);
+        hand.plans[6][1] = Choice::Recurse {
+            sub_accuracy: 0,
+            iterations: 3,
+        };
+        hand.plans[5][0] = Choice::Recurse {
+            sub_accuracy: 0,
+            iterations: 2,
+        };
+        hand.plans[4][0] = Choice::Sor { iterations: 4 };
+        let inst = ProblemInstance::random(6, Distribution::UnbiasedUniform, 43);
+        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        let mut x = inst.working_grid();
+        hand.run(6, 1, &mut x, &inst.b, &mut ctx);
+        got.push(("hand-built", record_hashes(&ctx.ops, &ctx.tracer.events)));
+
+        let jump = Problem::jump_inclusion(65);
+        let mut plan = simple_v_family(6, &PAPER_ACCURACIES);
+        plan.problem = jump.fingerprint().clone();
+        let inst = ProblemInstance::random_for(&jump, 6, Distribution::UnbiasedUniform, 44);
+        let mut x = inst.working_grid();
+        let report = crate::guard::GuardedSolver::new(jump)
+            .with_plan(plan)
+            .with_tracing()
+            .solve(&mut x, &inst.b, 1e-9)
+            .expect("the direct rung serves");
+        assert_eq!(report.rung, crate::trace::LadderRung::Direct);
+        let operations = report.tracer.events.iter().filter(|e| {
+            !matches!(
+                e,
+                CycleEvent::RungFailed { .. } | CycleEvent::RungServed { .. }
+            )
+        });
+        got.push(("guarded jump", record_hashes(&report.ops, operations)));
+
+        assert_eq!(
+            got,
+            [
+                ("quick V", (0x315e_9c04_89a3_5ae8, 0x7288_1bc0_ede3_e6bb)),
+                ("quick FMG", (0x1c25_2b14_1d53_3663, 0xc56d_1a79_8f27_3302)),
+                ("hand-built", (0x48af_fabd_4b4e_11b2, 0x2571_3870_4812_34b3)),
+                (
+                    "guarded jump",
+                    (0xc6b6_33cf_8879_e04a, 0x948a_3309_9f21_5993)
+                ),
+            ]
+        );
+    }
+
     fn operator_families(n: usize) -> [Problem; 4] {
         [
             Problem::poisson(),
