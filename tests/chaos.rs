@@ -305,6 +305,61 @@ fn telemetry_counts_injected_degradations() {
     assert_eq!(failed_or_skipped, degradations as u64);
 }
 
+/// An exhausted ladder reaches the registry too: with the gate open,
+/// both plan rungs poisoned and the direct factorization failed, the
+/// solve is one `petamg_ladder_exhausted_total`, one failure and one
+/// attempt sample per rung, no serve, and the kernel time the plan
+/// rungs spent at the top level is one `petamg_kernel_seconds` sample.
+#[test]
+fn telemetry_counts_an_exhausted_ladder() {
+    faults::clear();
+    petamg::obs::set_mode(petamg::obs::TelemetryMode::Metrics);
+    let n = (1usize << LEVEL) + 1;
+    let inst = instance(&Problem::poisson(), 61);
+    let registry = petamg::obs::Registry::new();
+    let feed = std::sync::Arc::new(petamg::core::SolveTelemetry::register(&registry));
+    let solver = GuardedSolver::new(Problem::poisson())
+        .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
+        .with_telemetry(feed);
+    let mut x = inst.working_grid();
+    // A cycle runs two kernels at the top level but one at level 1, so
+    // one level-1 poison per plan rung fails each rung's first cycle.
+    faults::inject(Fault::PoisonLevel { level: 1 });
+    faults::inject(Fault::PoisonLevel { level: 1 });
+    faults::inject(Fault::FailDirect { n });
+    let err = solver
+        .solve(&mut x, &inst.b, TOL)
+        .expect_err("every rung was sabotaged");
+    assert_eq!(err.degradations.len(), 3, "{err}");
+
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("petamg_ladder_exhausted_total", &[]), 1);
+    for rung in ["tuned", "heuristic", "direct"] {
+        let labels = [("rung", rung)];
+        assert_eq!(
+            snap.counter("petamg_rung_failed_total", &labels),
+            1,
+            "{rung}"
+        );
+        assert_eq!(
+            snap.counter("petamg_rung_served_total", &labels),
+            0,
+            "{rung}"
+        );
+        assert_eq!(
+            snap.histogram_count("petamg_rung_attempt_seconds", &labels),
+            1,
+            "{rung}"
+        );
+    }
+    let top = LEVEL.to_string();
+    assert_eq!(
+        snap.histogram_count("petamg_kernel_seconds", &[("level", &top)]),
+        1
+    );
+    assert!(!faults::armed(), "all faults consumed");
+}
+
 /// The jump-coefficient profile at the chaos level with the stamped
 /// `MULTIGRID-V-SIMPLE` family — what the default serving policy hands
 /// a fingerprint it has no tuned plan for. Point relaxation contracts
