@@ -19,6 +19,7 @@
 //! *The paper's figures label the Intel machine both "Xeon E7340" and
 //! "Harpertown"; we keep "Harpertown" as the profile name.
 
+use crate::trace::CycleEvent;
 use petamg_grid::level_size;
 use serde::{Deserialize, Serialize};
 
@@ -66,6 +67,23 @@ impl OpCounts {
             self.per_level.resize(level + 1, LevelOps::default());
         }
         &mut self.per_level[level]
+    }
+
+    /// Count one executed operation: each event bumps one counter at
+    /// its level (an SOR solve by its sweeps); entering a family member
+    /// counts nothing.
+    pub fn note(&mut self, event: CycleEvent) {
+        match event {
+            CycleEvent::Relax { level } => self.level_mut(level).relax_sweeps += 1,
+            CycleEvent::Residual { level } => self.level_mut(level).residuals += 1,
+            CycleEvent::Restrict { from } => self.level_mut(from).restricts += 1,
+            CycleEvent::Interpolate { to } => self.level_mut(to).interps += 1,
+            CycleEvent::Direct { level } => self.level_mut(level).direct_solves += 1,
+            CycleEvent::SorSolve { level, iterations } => {
+                self.level_mut(level).relax_sweeps += u64::from(iterations)
+            }
+            CycleEvent::EnterV { .. } | CycleEvent::EnterFmg { .. } => {}
+        }
     }
 
     /// Merge another count set into this one.

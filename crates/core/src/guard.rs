@@ -67,10 +67,9 @@
 //! soon a change is noticed, and no caller has a reason to trade them
 //! differently. A solver without a memory walks every rung every time.
 //!
-//! Every failed rung is recorded as a [`Degradation`] (and as a
-//! [`CycleEvent::RungFailed`] in the [`Tracer`]); the rung that
+//! Every failed rung is recorded as a [`Degradation`]; the rung that
 //! produced the returned solution is recorded in the
-//! [`GuardedReport`] and as [`CycleEvent::RungServed`]. If the whole
+//! [`GuardedReport`]. If the whole
 //! ladder is exhausted the caller gets a typed [`SolveError`] carrying
 //! the full failure history — never a panic, never an unflagged bad
 //! iterate.
@@ -81,14 +80,36 @@
 //! serving.
 
 use crate::faults;
-use crate::plan::{simple_v_family, ExecCtx, TunedFamily, PAPER_ACCURACIES};
+use crate::plan::{simple_v_family, ExecCtx, TunedFamily, MAX_TIMED_LEVELS, PAPER_ACCURACIES};
 use crate::telemetry::{rung_idx, SolveTelemetry, RUNGS};
-use crate::trace::{CycleEvent, LadderRung, Tracer};
+use crate::trace::CycleEvent;
 use crate::OpCounts;
 use petamg_grid::{l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
 use petamg_problems::{residual_norm_op, Problem, StencilOp};
 use petamg_solvers::{DirectSolverCache, GuardFailure, GuardVerdict, SolveGuard};
 use std::sync::{Arc, Mutex};
+
+/// A rung of the degradation ladder: the strategies tried in order
+/// when a solve misbehaves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LadderRung {
+    /// The caller-supplied tuned plan (fastest; first choice).
+    TunedPlan,
+    /// The default heuristic V-cycle plan (`plan::simple_v_family`).
+    HeuristicPlan,
+    /// A full-size direct band-Cholesky solve (slow but unconditional).
+    Direct,
+}
+
+impl std::fmt::Display for LadderRung {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            LadderRung::TunedPlan => "tuned plan",
+            LadderRung::HeuristicPlan => "heuristic plan",
+            LadderRung::Direct => "direct solve",
+        })
+    }
+}
 
 /// Why a ladder rung failed.
 #[derive(Clone, Debug)]
@@ -213,10 +234,9 @@ pub struct GuardedReport {
     pub residual_check_seconds: f64,
     /// Operation counts across all rungs tried.
     pub ops: OpCounts,
-    /// The executor's tracer: cycle events plus
-    /// [`CycleEvent::RungFailed`]/[`CycleEvent::RungServed`] markers
-    /// (empty unless [`GuardedSolver::with_tracing`] was requested).
-    pub tracer: Tracer,
+    /// The operations every rung ran, in order (empty unless
+    /// [`GuardedSolver::with_tracing`] was requested).
+    pub events: Vec<CycleEvent>,
 }
 
 impl GuardedReport {
@@ -464,7 +484,7 @@ impl GuardedSolver {
         self
     }
 
-    /// Record cycle events and rung markers in the report's tracer.
+    /// Keep the operations every rung ran in the report's events.
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
         self
@@ -559,7 +579,7 @@ impl GuardedSolver {
             // Clock every level's kernels for the per-level histograms
             // (two timestamps per kernel call — only paid when the
             // telemetry gate is open).
-            ctx.tracer = std::mem::take(&mut ctx.tracer).with_timing_all();
+            ctx.kernel_seconds = Some([0.0; MAX_TIMED_LEVELS]);
         }
         ctx
     }
@@ -620,7 +640,10 @@ impl GuardedSolver {
                     degradations: w.degradations,
                 };
                 if let Some(telemetry) = self.active_telemetry() {
-                    telemetry.observe_error(&err, &w.ctx.tracer);
+                    telemetry.observe_error(&err);
+                    if let Some(seconds) = &w.ctx.kernel_seconds {
+                        telemetry.observe_kernels(seconds);
+                    }
                 }
                 Err(err)
             }
@@ -736,9 +759,9 @@ impl GuardedSolver {
         let failure = match factor {
             Err(why) => FailureKind::DirectFactorization(why),
             Ok(direct) => {
-                direct.solve(x, w.check.b);
-                w.ctx.ops.level_mut(w.level).direct_solves += 1;
-                w.ctx.tracer.record(CycleEvent::Direct { level: w.level });
+                let b = w.check.b;
+                let events = [CycleEvent::Direct { level: w.level }];
+                w.ctx.kernel(w.level, x, &events, |_, x| direct.solve(x, b));
                 let check_start = std::time::Instant::now();
                 let rel = w.check.rel(x, &w.ctx.workspace, &w.ctx.exec);
                 w.resid_seconds += check_start.elapsed().as_secs_f64();
@@ -791,12 +814,9 @@ impl GuardedSolver {
         trajectory: Trajectory,
         start: std::time::Instant,
         rung_seconds: f64,
-        mut w: Walk,
+        w: Walk,
     ) -> GuardedReport {
-        w.ctx.tracer.record(CycleEvent::RungServed {
-            rung,
-            seconds: rung_seconds,
-        });
+        let kernel_seconds = w.ctx.kernel_seconds;
         let report = GuardedReport {
             rung,
             rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
@@ -807,10 +827,13 @@ impl GuardedSolver {
             rung_seconds,
             residual_check_seconds: w.resid_seconds,
             ops: w.ctx.ops,
-            tracer: w.ctx.tracer,
+            events: w.ctx.events.unwrap_or_default(),
         };
         if let Some(telemetry) = self.active_telemetry() {
             telemetry.observe_report(&report);
+            if let Some(seconds) = &kernel_seconds {
+                telemetry.observe_kernels(seconds);
+            }
         }
         report
     }
@@ -834,9 +857,6 @@ struct Walk<'a> {
 impl Walk<'_> {
     /// Record that `rung` failed (or was skipped) after `seconds`.
     fn failed(&mut self, rung: LadderRung, reason: FailureKind, seconds: f64) {
-        self.ctx
-            .tracer
-            .record(CycleEvent::RungFailed { rung, seconds });
         self.degradations.push(Degradation {
             rung,
             reason,
@@ -986,6 +1006,11 @@ mod tests {
     use crate::training::{Distribution, ProblemInstance};
     use petamg_problems::residual_op;
 
+    /// The rungs a solve degraded past, in order.
+    fn rungs(report: &GuardedReport) -> Vec<LadderRung> {
+        report.degradations.iter().map(|d| d.rung).collect()
+    }
+
     fn instance(level: usize, problem: &Problem) -> ProblemInstance {
         ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, 7)
     }
@@ -1016,8 +1041,7 @@ mod tests {
         assert_eq!(report.rung, LadderRung::TunedPlan);
         assert!(!report.degraded());
         assert!(report.rel_residual <= 1e-9);
-        assert_eq!(report.tracer.served_rung(), Some(LadderRung::TunedPlan));
-        assert!(report.tracer.failed_rungs().is_empty());
+        assert!(rungs(&report).is_empty());
     }
 
     #[test]
@@ -1036,7 +1060,7 @@ mod tests {
             report.degradations[0].reason,
             FailureKind::PlanRejected(_)
         ));
-        assert_eq!(report.tracer.failed_rungs(), vec![LadderRung::TunedPlan]);
+        assert_eq!(rungs(&report), vec![LadderRung::TunedPlan]);
         assert!(report.rel_residual <= 1e-9);
     }
 
@@ -1101,7 +1125,7 @@ mod tests {
         let report = solver.solve(&mut x, &inst.b, 1e-9).expect("direct serves");
         assert_eq!(report.rung, LadderRung::Direct);
         assert_eq!(
-            report.tracer.failed_rungs(),
+            rungs(&report),
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
         );
         assert!(report.rel_residual <= 1e-9);
@@ -1188,7 +1212,7 @@ mod tests {
         );
         assert_eq!(report.degradations[1].seconds, 0.0);
         assert_eq!(
-            report.tracer.failed_rungs(),
+            rungs(&report),
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
         );
         let top_level_cycles = report.ops.per_level[level].restricts;
@@ -1684,7 +1708,7 @@ mod tests {
             FailureKind::Guard(_)
         ));
         assert_eq!(
-            report.tracer.failed_rungs(),
+            rungs(&report),
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
         );
         // A poisoned tuned rung with the memory open: the drill sees
@@ -1737,7 +1761,7 @@ mod tests {
                     rung_seconds: 0.0,
                     residual_check_seconds: 0.0,
                     ops: OpCounts::default(),
-                    tracer: Tracer::default(),
+                    events: Vec::new(),
                 });
             }
             degradations.push(Degradation {

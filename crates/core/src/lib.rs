@@ -28,8 +28,8 @@
 //!   Sun Niagara stand-ins) for the architecture studies of §4.3;
 //! * [`plan`] — tuned-plan representation ([`plan::Choice`],
 //!   [`plan::TunedFamily`], [`plan::TunedFmgFamily`]) and the executor;
-//! * [`trace`] / [`render`] — cycle-shape event traces and the ASCII
-//!   cycle diagram of Fig 5;
+//! * [`trace`] / [`render`] — the operations a plan execution runs
+//!   ([`trace::CycleEvent`]) and the ASCII cycle diagram of Fig 5;
 //! * [`tuner`] — the DP tuners ([`tuner::VTuner`], [`tuner::FmgTuner`]),
 //!   the full Pareto-set variant of §2.2 ([`tuner::ParetoTuner`], the
 //!   reference the Fig 2 test checks the discrete DP against);

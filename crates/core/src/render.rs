@@ -27,9 +27,7 @@ pub fn render_cycle(events: &[CycleEvent]) -> String {
             CycleEvent::Interpolate { to } => drawn.push((*to, '/')),
             CycleEvent::Residual { .. }
             | CycleEvent::EnterV { .. }
-            | CycleEvent::EnterFmg { .. }
-            | CycleEvent::RungFailed { .. }
-            | CycleEvent::RungServed { .. } => continue,
+            | CycleEvent::EnterFmg { .. } => continue,
         }
         let lvl = drawn.last().expect("just pushed").0;
         max_level = max_level.max(lvl);
@@ -70,7 +68,7 @@ mod tests {
         let mut ctx = ExecCtx::new(Exec::seq()).tracing();
         let mut x = inst.working_grid();
         fam.run(level, 0, &mut x, &inst.b, &mut ctx);
-        ctx.tracer.events
+        ctx.events.expect("traced")
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! degradation-ladder rung, ladder-memory re-probes by outcome, cycles
 //! per family member at the serving rung, latency histograms for rung
 //! attempts and residual checks, and
-//! per-level kernel-time histograms fed from the
-//! executor's kernel-clock hooks
-//! ([`crate::trace::Tracer::timing_all`]). Handles
+//! per-level kernel-time histograms fed from the executor's kernel
+//! clock ([`crate::plan::ExecCtx::kernel_seconds`]). Handles
 //! are resolved once at registration, so the per-solve observation
 //! path is a handful of relaxed atomic adds with zero registry lookups
 //! and zero allocation.
@@ -16,8 +15,8 @@
 //! Observation is gated on [`petamg_obs::enabled`] by the solver, not
 //! here — tests may drive a `SolveTelemetry` directly.
 
-use crate::guard::{Degradation, GuardedReport, SolveError};
-use crate::trace::{LadderRung, Tracer, MAX_TIMED_LEVELS};
+use crate::guard::{Degradation, GuardedReport, LadderRung, SolveError};
+use crate::plan::MAX_TIMED_LEVELS;
 use petamg_obs::{Counter, Histogram, Registry};
 
 /// The Prometheus-style label value for a ladder rung.
@@ -105,8 +104,8 @@ impl SolveTelemetry {
     }
 
     /// Record a served guarded solve: the serving rung, its attempt
-    /// time, every degradation along the way, the residual-check time,
-    /// and whatever per-level kernel times the tracer clocked.
+    /// time, every degradation along the way and the residual-check
+    /// time.
     pub fn observe_report(&self, report: &GuardedReport) {
         self.served[rung_idx(report.rung)].inc();
         self.observe_members(report.rung, &report.members);
@@ -114,14 +113,22 @@ impl SolveTelemetry {
         self.residual_check_seconds
             .record_seconds(report.residual_check_seconds);
         self.observe_degradations(&report.degradations);
-        self.observe_kernel_levels(&report.tracer);
     }
 
     /// Record a ladder-exhausted solve: every rung failed.
-    pub fn observe_error(&self, err: &SolveError, tracer: &Tracer) {
+    pub fn observe_error(&self, err: &SolveError) {
         self.exhausted.inc();
         self.observe_degradations(&err.degradations);
-        self.observe_kernel_levels(tracer);
+    }
+
+    /// Record one solve's kernel seconds per level, one sample for each
+    /// level that ran a kernel.
+    pub fn observe_kernels(&self, seconds: &[f64; MAX_TIMED_LEVELS]) {
+        for (histogram, &seconds) in self.kernel_seconds.iter().zip(seconds) {
+            if seconds > 0.0 {
+                histogram.record_seconds(seconds);
+            }
+        }
     }
 
     /// Record a ladder-memory re-probe — a request that walked the
@@ -154,17 +161,6 @@ impl SolveTelemetry {
             } else {
                 self.failed[rung_idx(d.rung)].inc();
                 self.attempt_seconds[rung_idx(d.rung)].record_seconds(d.seconds);
-            }
-        }
-    }
-
-    fn observe_kernel_levels(&self, tracer: &Tracer) {
-        if !tracer.is_timing_all() {
-            return;
-        }
-        for (level, &seconds) in tracer.level_kernel_seconds().iter().enumerate() {
-            if seconds > 0.0 {
-                self.kernel_seconds[level].record_seconds(seconds);
             }
         }
     }

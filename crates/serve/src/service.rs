@@ -156,7 +156,7 @@ pub struct SolveRequest {
     pub b: Grid2d,
     /// Relative-residual target.
     pub tol: f64,
-    /// Record the executor's tracer in the response.
+    /// Keep the operations the solve ran in the response's report.
     pub trace: bool,
     /// Faults to arm on the worker thread serving this request, for
     /// chaos drills: thread-local faults armed on a client thread
@@ -178,7 +178,7 @@ impl SolveRequest {
         }
     }
 
-    /// Record the executor's tracer in the response.
+    /// Keep the operations the solve ran in the response's report.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
@@ -1205,7 +1205,7 @@ mod tests {
             let report = &response.as_ref().expect("the rest serve").report;
             assert!(report.rel_residual <= 1e-8, "slot {k}");
             assert_eq!(report.degraded(), k == 1, "slot {k}");
-            assert_eq!(report.tracer.events.is_empty(), k != 7, "slot {k}");
+            assert_eq!(report.events.is_empty(), k != 7, "slot {k}");
         }
         let stats = svc.stats();
         assert_eq!((stats.submitted, stats.completed), (8, 8));

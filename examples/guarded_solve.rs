@@ -62,7 +62,7 @@ fn solve_and_print(problem: Problem, level: usize, tol: f64) {
     let inst = ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, 2024);
     let mut plan = simple_v_family(level, &PAPER_ACCURACIES);
     plan.problem = problem.fingerprint().clone();
-    let solver = GuardedSolver::new(problem).with_plan(plan).with_tracing();
+    let solver = GuardedSolver::new(problem).with_plan(plan);
 
     let mut x = inst.working_grid();
     match solver.solve(&mut x, &inst.b, tol) {

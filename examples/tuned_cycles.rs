@@ -30,7 +30,7 @@ fn main() {
             let mut ctx = ExecCtx::new(Exec::seq()).tracing();
             let mut x = inst.working_grid();
             v.run(max_level, i, &mut x, &inst.b, &mut ctx);
-            println!("{}", render::render_cycle(&ctx.tracer.events));
+            println!("{}", render::render_cycle(&ctx.events.expect("traced")));
 
             println!(
                 "--- FULL-MULTIGRID cycle, accuracy {:>6} ---",
@@ -39,7 +39,7 @@ fn main() {
             let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::new(Default::default())).tracing();
             let mut x = inst.working_grid();
             fmg.run(max_level, i, &mut x, &inst.b, &mut ctx);
-            println!("{}", render::render_cycle(&ctx.tracer.events));
+            println!("{}", render::render_cycle(&ctx.events.expect("traced")));
         }
     }
     println!(

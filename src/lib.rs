@@ -71,12 +71,11 @@ pub use petamg_solvers as solvers;
 pub mod prelude {
     pub use petamg_core::accuracy::{error_ratio, AccuracyReport};
     pub use petamg_core::cost::{CostModel, MachineProfile};
-    pub use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
+    pub use petamg_core::guard::{GuardedReport, GuardedSolver, LadderRung, SolveError};
     pub use petamg_core::plan::{Choice, ExecCtx, TunedFamily, TunedFmgFamily};
     // Pinned by `benchmark/src/probes.rs` (`solvers.reference_v.solve_ms.*`); delete with ROADMAP 1(i).
     #[doc(hidden)]
     pub use petamg_core::plan::{MgConfig, ReferenceSolver};
-    pub use petamg_core::trace::LadderRung;
     pub use petamg_core::training::{Distribution, ProblemInstance};
     pub use petamg_core::tuner::{FmgTuner, TunerOptions, VTuner};
     pub use petamg_grid::{Exec, Grid2d, SimdMode, Workspace};

@@ -4,7 +4,7 @@
 //! Every test breaks something on purpose — a plan file, a kernel
 //! output, a direct factorization — and asserts the degradation ladder
 //! (`petamg::core::guard`) absorbs it: the solve still converges on a
-//! lower rung, the rung is visible in the report and the tracer, and a
+//! lower rung, the rung is visible in the report, and a
 //! full ladder exhaustion comes back as a typed error with `x`
 //! restored, never a panic or a poisoned iterate.
 //!
@@ -38,6 +38,11 @@ fn instance(problem: &Problem, seed: u64) -> ProblemInstance {
     ProblemInstance::random_for(problem, LEVEL, Distribution::UnbiasedUniform, seed)
 }
 
+/// The rungs a solve degraded past, in order.
+fn rungs(report: &GuardedReport) -> Vec<LadderRung> {
+    report.degradations.iter().map(|d| d.rung).collect()
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("petamg-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -46,7 +51,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Healthy baseline: with no fault armed, every backend serves the
-/// tuned rung with a clean trace — the chaos assertions below would be
+/// tuned rung with no degradation — the chaos assertions below would be
 /// meaningless if the happy path itself degraded.
 #[test]
 fn healthy_solves_serve_the_tuned_rung_on_every_backend() {
@@ -63,7 +68,7 @@ fn healthy_solves_serve_the_tuned_rung_on_every_backend() {
             .unwrap_or_else(|e| panic!("[{name}] healthy solve failed: {e}"));
         assert_eq!(report.rung, LadderRung::TunedPlan, "[{name}]");
         assert!(!report.degraded(), "[{name}]");
-        assert!(report.tracer.failed_rungs().is_empty(), "[{name}]");
+        assert!(rungs(&report).is_empty(), "[{name}]");
         assert!(
             report.rel_residual <= TOL,
             "[{name}] {}",
@@ -105,11 +110,6 @@ fn corrupted_plan_file_quarantines_then_heuristic_rung_serves() {
             .solve(&mut x, &inst.b, TOL)
             .unwrap_or_else(|e| panic!("[{name}] heuristic fallback failed: {e}"));
         assert_eq!(report.rung, LadderRung::HeuristicPlan, "[{name}]");
-        assert_eq!(
-            report.tracer.served_rung(),
-            Some(LadderRung::HeuristicPlan),
-            "[{name}]"
-        );
         assert!(report.rel_residual <= TOL, "[{name}]");
         faults::clear();
     }
@@ -117,7 +117,7 @@ fn corrupted_plan_file_quarantines_then_heuristic_rung_serves() {
 
 /// A plan whose fingerprint does not match the posed problem is
 /// rejected at rung 0 and the heuristic rung serves, with the failed
-/// rung visible in both the report and the trace.
+/// rung visible in the report.
 #[test]
 fn fingerprint_mismatch_degrades_to_heuristic_on_every_backend() {
     faults::clear();
@@ -140,11 +140,7 @@ fn fingerprint_mismatch_degrades_to_heuristic_on_every_backend() {
             "[{name}] {:?}",
             report.degradations[0].reason
         );
-        assert_eq!(
-            report.tracer.failed_rungs(),
-            vec![LadderRung::TunedPlan],
-            "[{name}]"
-        );
+        assert_eq!(rungs(&report), vec![LadderRung::TunedPlan], "[{name}]");
         assert!(report.rel_residual <= TOL, "[{name}]");
     }
 }
@@ -175,11 +171,7 @@ fn injected_mid_cycle_nan_degrades_and_still_converges() {
             "[{name}] {:?}",
             report.degradations[0].reason
         );
-        assert_eq!(
-            report.tracer.failed_rungs(),
-            vec![LadderRung::TunedPlan],
-            "[{name}]"
-        );
+        assert_eq!(rungs(&report), vec![LadderRung::TunedPlan], "[{name}]");
         assert!(x.as_slice().iter().all(|v| v.is_finite()), "[{name}]");
         assert!(report.rel_residual <= TOL, "[{name}]");
         assert!(!faults::armed(), "[{name}] fault must be consumed");
@@ -407,7 +399,7 @@ fn deterministic_tuned_failure_skips_the_replayed_heuristic_rung() {
         );
         assert_eq!(report.degradations[1].seconds, 0.0, "[{name}]");
         assert_eq!(
-            report.tracer.failed_rungs(),
+            rungs(&report),
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
             "[{name}]"
         );
@@ -447,13 +439,8 @@ fn direct_rung_serves_when_both_plan_rungs_are_poisoned() {
             .unwrap_or_else(|e| panic!("[{name}] direct rung must serve: {e}"));
         assert_eq!(report.rung, LadderRung::Direct, "[{name}]");
         assert_eq!(
-            report.tracer.failed_rungs(),
+            rungs(&report),
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
-            "[{name}]"
-        );
-        assert_eq!(
-            report.tracer.served_rung(),
-            Some(LadderRung::Direct),
             "[{name}]"
         );
         assert!(report.rel_residual <= TOL, "[{name}]");

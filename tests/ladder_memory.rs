@@ -25,6 +25,11 @@ fn request(problem: &Problem, level: usize, seed: u64) -> SolveRequest {
     SolveRequest::new(problem.clone(), inst.working_grid(), inst.b.clone(), TOL)
 }
 
+/// The rungs a solve degraded past, in order.
+fn rungs(report: &GuardedReport) -> Vec<LadderRung> {
+    report.degradations.iter().map(|d| d.rung).collect()
+}
+
 fn open_memories(svc: &SolverService) -> u64 {
     let snap = svc.telemetry_snapshot();
     let gauge = snap
@@ -205,7 +210,7 @@ fn traced_and_fault_carrying_requests_never_open_a_memory() {
         let traced = solve(request(&jump, level, 8).with_trace());
         whole_walk(&name, &traced);
         assert_eq!(
-            traced.tracer.failed_rungs(),
+            rungs(&traced),
             vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
             "[{name}]"
         );

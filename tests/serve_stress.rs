@@ -796,13 +796,7 @@ fn solve_many_and_solve_mixed_traffic_stress() {
                 );
             }
             assert!(
-                !responses[8]
-                    .as_ref()
-                    .unwrap()
-                    .report
-                    .tracer
-                    .events
-                    .is_empty(),
+                !responses[8].as_ref().unwrap().report.events.is_empty(),
                 "[{many_name}] traced request lost its trace"
             );
         });
