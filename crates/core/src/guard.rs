@@ -631,6 +631,9 @@ impl GuardedSolver {
             served = self.descend(&mut w, x, 0..first);
             w.degradations.sort_by_key(|d| rung_idx(d.rung));
         }
+        if let (Some(telemetry), Some(seconds)) = (self.active_telemetry(), &w.ctx.kernel_seconds) {
+            telemetry.observe_kernels(seconds);
+        }
         match served {
             Some((rung, trajectory, rung_seconds)) => {
                 Ok(self.report(rung, trajectory, start, rung_seconds, w))
@@ -641,9 +644,6 @@ impl GuardedSolver {
                 };
                 if let Some(telemetry) = self.active_telemetry() {
                     telemetry.observe_error(&err);
-                    if let Some(seconds) = &w.ctx.kernel_seconds {
-                        telemetry.observe_kernels(seconds);
-                    }
                 }
                 Err(err)
             }
@@ -816,7 +816,6 @@ impl GuardedSolver {
         rung_seconds: f64,
         w: Walk,
     ) -> GuardedReport {
-        let kernel_seconds = w.ctx.kernel_seconds;
         let report = GuardedReport {
             rung,
             rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
@@ -831,9 +830,6 @@ impl GuardedSolver {
         };
         if let Some(telemetry) = self.active_telemetry() {
             telemetry.observe_report(&report);
-            if let Some(seconds) = &kernel_seconds {
-                telemetry.observe_kernels(seconds);
-            }
         }
         report
     }

@@ -86,7 +86,7 @@ impl Choice {
     }
 }
 
-/// Deepest grid level [`ExecCtx::kernel_seconds`] tells apart (deeper
+/// Deepest grid level the executor's kernel clock tells apart (deeper
 /// levels accumulate into the last slot). Level 13 is already
 /// n = 8193 — beyond every sweep in the workspace.
 pub const MAX_TIMED_LEVELS: usize = 16;
@@ -114,7 +114,7 @@ pub struct ExecCtx {
     /// Kernel seconds per level, when the kernels are clocked (the
     /// guarded solver arms this for the telemetry feed's per-level
     /// histograms).
-    pub kernel_seconds: Option<[f64; MAX_TIMED_LEVELS]>,
+    pub(crate) kernel_seconds: Option<[f64; MAX_TIMED_LEVELS]>,
 }
 
 impl ExecCtx {
@@ -167,7 +167,7 @@ impl ExecCtx {
 
     /// Run one kernel at `level` whose output grid is `out`, then note
     /// the operations it performed. The kernel is clocked into
-    /// [`ExecCtx::kernel_seconds`] when that is armed. The kernel is
+    /// `kernel_seconds` when that is armed. The kernel is
     /// also the fault point: when a
     /// [`crate::faults::Fault::PoisonLevel`] is armed for `level`, `out`
     /// gets a NaN at its center — an O(1) poke the guard's finiteness

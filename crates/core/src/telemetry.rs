@@ -4,12 +4,11 @@
 //! solver reports into — served/failed/skipped counters per
 //! degradation-ladder rung, ladder-memory re-probes by outcome, cycles
 //! per family member at the serving rung, latency histograms for rung
-//! attempts and residual checks, and
-//! per-level kernel-time histograms fed from the executor's kernel
-//! clock ([`crate::plan::ExecCtx::kernel_seconds`]). Handles
-//! are resolved once at registration, so the per-solve observation
-//! path is a handful of relaxed atomic adds with zero registry lookups
-//! and zero allocation.
+//! attempts and residual checks, and per-level kernel-time histograms
+//! fed from the executor's kernel clock (`ExecCtx::kernel_seconds`,
+//! which the guarded solver arms). Handles are resolved once at
+//! registration, so the per-solve observation path is a handful of
+//! relaxed atomic adds with zero registry lookups and zero allocation.
 //!
 //! Attach one to a solver with [`crate::GuardedSolver::with_telemetry`].
 //! Observation is gated on [`petamg_obs::enabled`] by the solver, not
