@@ -72,7 +72,7 @@ impl OpCounts {
     /// Count one executed operation: each event bumps one counter at
     /// its level (an SOR solve by its sweeps); entering a family member
     /// counts nothing.
-    pub fn note(&mut self, event: CycleEvent) {
+    pub(crate) fn note(&mut self, event: CycleEvent) {
         match event {
             CycleEvent::Relax { level } => self.level_mut(level).relax_sweeps += 1,
             CycleEvent::Residual { level } => self.level_mut(level).residuals += 1,

@@ -89,7 +89,7 @@ impl Choice {
 /// Deepest grid level the executor's kernel clock tells apart (deeper
 /// levels accumulate into the last slot). Level 13 is already
 /// n = 8193 — beyond every sweep in the workspace.
-pub const MAX_TIMED_LEVELS: usize = 16;
+pub(crate) const MAX_TIMED_LEVELS: usize = 16;
 
 /// Execution context threaded through plan execution.
 pub struct ExecCtx {

@@ -122,7 +122,7 @@ impl SolveTelemetry {
 
     /// Record one solve's kernel seconds per level, one sample for each
     /// level that ran a kernel.
-    pub fn observe_kernels(&self, seconds: &[f64; MAX_TIMED_LEVELS]) {
+    pub(crate) fn observe_kernels(&self, seconds: &[f64; MAX_TIMED_LEVELS]) {
         for (histogram, &seconds) in self.kernel_seconds.iter().zip(seconds) {
             if seconds > 0.0 {
                 histogram.record_seconds(seconds);

@@ -1,13 +1,12 @@
 //! The operations a plan execution runs.
 //!
 //! The executor notes every kernel it runs as [`CycleEvent`]s: each is
-//! counted ([`crate::OpCounts::note`]) and, when the context traces,
-//! kept in order ([`crate::plan::ExecCtx::events`]). The renderer
-//! (`crate::render`) turns such a sequence into
-//! the paper's cycle diagrams (Fig 5): dots for relaxations,
-//! descending/ascending path segments for restrictions/interpolations,
-//! solid arrows for direct solves and dashed arrows for iterative
-//! (SOR) solves.
+//! counted in [`crate::OpCounts`] and, when the context traces, kept in
+//! order in [`crate::plan::ExecCtx::events`]. The renderer
+//! (`crate::render`) turns such a sequence into the paper's cycle
+//! diagrams (Fig 5): dots for relaxations, descending/ascending path
+//! segments for restrictions/interpolations, solid arrows for direct
+//! solves and dashed arrows for iterative (SOR) solves.
 
 /// One multigrid operation, as recorded during plan execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
