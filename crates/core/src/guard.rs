@@ -759,9 +759,9 @@ impl GuardedSolver {
         let failure = match factor {
             Err(why) => FailureKind::DirectFactorization(why),
             Ok(direct) => {
-                let b = w.check.b;
                 let events = [CycleEvent::Direct { level: w.level }];
-                w.ctx.kernel(w.level, x, &events, |_, x| direct.solve(x, b));
+                w.ctx
+                    .kernel(w.level, x, &events, |_, x| direct.solve(x, w.check.b));
                 let check_start = std::time::Instant::now();
                 let rel = w.check.rel(x, &w.ctx.workspace, &w.ctx.exec);
                 w.resid_seconds += check_start.elapsed().as_secs_f64();
