@@ -46,6 +46,9 @@ struct Map<K, T> {
     /// Monotonic LRU clock.
     tick: u64,
     capacity: usize,
+    /// Callers blocked in `join`, which the tests' handshakes wait on.
+    #[cfg(test)]
+    waiting: usize,
 }
 
 impl<K: Eq + Hash + Clone, T> Map<K, T> {
@@ -199,6 +202,8 @@ impl<T: Clone + Send + 'static, K: Eq + Hash + Clone + Send + 'static> SingleFli
             entries: HashMap::new(),
             tick: 0,
             capacity: capacity.max(1),
+            #[cfg(test)]
+            waiting: 0,
         };
         SingleFlight {
             shared: Arc::new(Shared {
@@ -264,15 +269,30 @@ impl<T: Clone + Send + 'static, K: Eq + Hash + Clone + Send + 'static> SingleFli
             entry.flight = Some(Vec::new());
             return Role::Leader(self.guard(key));
         }
-        loop {
+        #[cfg(test)]
+        {
+            map.waiting += 1;
+        }
+        let outcome = loop {
             self.shared.landings.wait(&mut map);
             match map.entries.get(&key) {
                 Some(Entry {
                     flight: Some(_), ..
                 }) => continue,
-                landed => return Role::Follower(landed.and_then(|e| e.value.clone())),
+                landed => break landed.and_then(|e| e.value.clone()),
             }
+        };
+        #[cfg(test)]
+        {
+            map.waiting -= 1;
         }
+        Role::Follower(outcome)
+    }
+
+    /// Callers blocked in [`SingleFlight::join`], on any key.
+    #[cfg(test)]
+    fn waiting(&self) -> usize {
+        self.shared.map.lock().waiting
     }
 
     fn guard(&self, key: K) -> FlightGuard<T, K> {
@@ -329,9 +349,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Wait, at most `PATIENCE`, until `n` callers block in `join`.
+    fn await_waiting(sf: &SingleFlight<u32>, n: usize) -> bool {
+        let deadline = Instant::now() + PATIENCE;
+        while sf.waiting() < n {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
 
     #[test]
     fn one_leader_many_followers() {
@@ -344,7 +376,8 @@ mod tests {
             handles.push(std::thread::spawn(move || match sf.join(7) {
                 Role::Leader(token) => {
                     leads.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(20));
+                    // Land only once the seven others wait on the flight.
+                    assert!(await_waiting(&sf, 7), "the followers never joined");
                     token.complete(Some(42));
                     42
                 }
@@ -370,7 +403,7 @@ mod tests {
             Role::Follower(v) => v,
             Role::Leader(_) => panic!("second join must follow"),
         });
-        std::thread::sleep(Duration::from_millis(20));
+        assert!(await_waiting(&sf, 1), "the follower never joined");
         drop(token); // leader unwinds without completing
         assert_eq!(follower.join().unwrap(), None);
         // The key is free again: the next join leads.
