@@ -150,7 +150,7 @@ pub fn reference_fmg(level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petamg_grid::level_size;
+    use petamg_grid::{level_size, SimdMode};
 
     fn problem(n: usize) -> (Grid2d, Grid2d) {
         let mut x0 = Grid2d::zeros(n);
@@ -251,7 +251,8 @@ mod tests {
             (Problem::poisson(), 0xf35b_434e_ee4d_c7ceu64),
             (Problem::smooth_sinusoidal(n), 0xfbfc_09bd_fcb2_d26b),
         ] {
-            for exec in [Exec::seq(), Exec::pbrt(2)] {
+            for mode in [SimdMode::Scalar, SimdMode::Vector] {
+                let exec = Exec::seq().with_simd(mode);
                 let cache = Arc::new(DirectSolverCache::new());
                 let x_opt = reference_solution_for(&problem, &x0, &b, &exec, &cache);
                 assert_eq!(

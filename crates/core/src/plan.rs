@@ -1178,9 +1178,9 @@ mod tests {
     }
 
     #[test]
-    fn backends_keep_the_fixed_plan_bits() {
-        // Band height, grain and backend are pure performance settings
-        // for every operator family. Level 3 runs an SOR solve.
+    fn simd_modes_keep_the_fixed_plan_bits() {
+        // The SIMD mode is a pure performance setting for every
+        // operator family. Level 3 runs an SOR solve.
         let (level, n) = (5, 33);
         let mut fam = simple_v_family(level, &[1.0]);
         fam.plans[3][0] = Choice::Sor { iterations: 5 };
@@ -1194,27 +1194,21 @@ mod tests {
                 fam.run(level, 0, &mut x, &b, &mut ctx);
                 x
             };
-            let reference = run(&Exec::seq());
-            for exec in [
-                Exec::pbrt(2).with_grain(2),
-                Exec::pbrt(2).with_band(1),
-                Exec::pbrt(2).with_band(4),
-                Exec::pbrt(3).with_band(5),
-            ] {
-                assert_eq!(
-                    run(&exec).as_slice(),
-                    reference.as_slice(),
-                    "{} {exec:?}",
-                    problem.describe()
-                );
-            }
+            let reference = run(&Exec::seq().with_simd(petamg_grid::SimdMode::Scalar));
+            let vector = Exec::seq().with_simd(petamg_grid::SimdMode::Vector);
+            assert_eq!(
+                run(&vector).as_slice(),
+                reference.as_slice(),
+                "{}",
+                problem.describe()
+            );
         }
     }
 
     /// `RECURSE_j×t` through `run` — one pre edge, `t − 1` fused step
     /// boundaries, one post edge — equals `t` separate `recurse_step`s:
     /// same grid, same operation counts, same cycle events, for every
-    /// problem family on `seq` and on a pool.
+    /// problem family in both SIMD modes.
     #[test]
     fn recurse_steps_equal_repeated_recurse_step() {
         let level = 5;
@@ -1228,7 +1222,8 @@ mod tests {
         for problem in &problems {
             let inst =
                 ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, 5);
-            for exec in [Exec::seq(), Exec::pbrt(2).with_band(4)] {
+            for mode in [petamg_grid::SimdMode::Scalar, petamg_grid::SimdMode::Vector] {
+                let exec = Exec::seq().with_simd(mode);
                 for t in [1u32, 2, 3, 7] {
                     let mut fam = simple_v_family(level, &[1e3, 1e5]);
                     fam.plans[level][1] = Choice::Recurse {

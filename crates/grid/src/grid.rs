@@ -132,6 +132,18 @@ impl Grid2d {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
+    /// The interior rows `1..n-1`, each with its index and all `n` of
+    /// its values, mutably.
+    #[inline]
+    pub(crate) fn interior_rows_mut(&mut self) -> impl Iterator<Item = (usize, &mut [f64])> {
+        let n = self.n;
+        self.data
+            .chunks_exact_mut(n)
+            .enumerate()
+            .take(n - 1)
+            .skip(1)
+    }
+
     /// The raw row-major buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {

@@ -12,11 +12,11 @@
 //!   residuals to the next coarser grid,
 //! * **bilinear interpolation** of coarse corrections back to the fine
 //!   grid,
-//! * L2 / max norms used by the accuracy metric.
+//! * the L2 norms used by the accuracy metric.
 //!
-//! All sweeps run through an [`Exec`] policy: sequential, or the in-house
-//! work-stealing pool from `petamg-runtime` (the PetaBricks runtime
-//! stand-in).
+//! Every sweep is a sequential loop over row slices. Its [`Exec`] policy
+//! carries the [`SimdMode`] of the row kernels; a served solve runs on
+//! one service worker, and the service spreads requests across workers.
 //!
 //! ## The hot path: fused kernels + workspace arena
 //!
@@ -33,9 +33,8 @@
 //!
 //! Both are **bitwise identical** to their unfused reference
 //! compositions ([`residual`] + [`restrict_full_weighting`];
-//! [`interpolate_add`]) under every [`Exec`] policy — property-tested in
-//! this crate — so solvers and tuners can switch freely between the
-//! paths.
+//! [`interpolate_add`]) in both [`SimdMode`]s — property-tested in this
+//! crate — so solvers and tuners can switch freely between the paths.
 //!
 //! Scratch storage comes from a [`Workspace`] arena: pools of per-level
 //! grids and row buffers, reused across cycles, sweeps, and tuner
@@ -50,15 +49,15 @@
 //!
 //! ```
 //! use petamg_grid::{
-//!     coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, Workspace,
+//!     coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdMode, Workspace,
 //! };
 //!
 //! let n = 17;
 //! let x0 = Grid2d::from_fn(n, |i, j| (i + j) as f64);
 //! let b = Grid2d::from_fn(n, |i, j| (i * j) as f64);
 //! let ws = Workspace::new();
-//! // Parallel pool with a tuned block-cursor band height.
-//! let exec = Exec::pbrt(2).with_band(16);
+//! // Force the scalar row kernels.
+//! let exec = Exec::seq().with_simd(SimdMode::Scalar);
 //!
 //! let mut x = x0.clone();
 //! let mut coarse_residual = ws.acquire(coarse_size(n));
@@ -66,12 +65,13 @@
 //! // (a real cycle would solve A e = r on the coarse grid here)
 //! interpolate_correct(&coarse_residual, &mut x, &exec);
 //!
-//! // Every execution policy produces the same bits.
-//! let mut x_seq = x0.clone();
-//! let mut cr_seq = ws.acquire(coarse_size(n));
-//! residual_restrict(&x_seq, &b, &mut cr_seq, &ws, &Exec::seq());
-//! interpolate_correct(&cr_seq, &mut x_seq, &Exec::seq());
-//! assert_eq!(x.as_slice(), x_seq.as_slice());
+//! // Both SIMD modes produce the same bits.
+//! let vector = Exec::seq().with_simd(SimdMode::Vector);
+//! let mut x_v = x0.clone();
+//! let mut cr_v = ws.acquire(coarse_size(n));
+//! residual_restrict(&x_v, &b, &mut cr_v, &ws, &vector);
+//! interpolate_correct(&cr_v, &mut x_v, &vector);
+//! assert_eq!(x.as_slice(), x_v.as_slice());
 //! ```
 
 #![deny(missing_docs)]
@@ -80,19 +80,17 @@ mod exec;
 mod grid;
 mod norms;
 mod ops;
-mod ptr;
 pub mod simd;
 mod transfer;
 mod workspace;
 
-pub use exec::{Exec, DEFAULT_BAND_ROWS, DEFAULT_ROW_GRAIN};
+pub use exec::Exec;
 pub use grid::{coarse_size, fine_size, level_size, size_level, BatchGrid, Grid2d};
-pub use norms::{l2_diff, l2_norm_interior, max_norm_interior};
+pub use norms::{l2_diff, l2_norm_interior};
 pub use ops::{
     apply_operator, residual, residual_norm_with, residual_restrict, residual_restrict_with,
     residual_with, restrict_rows_into, zero_boundary_ring,
 };
-pub use ptr::GridPtr;
 pub use simd::{batch_width, vector_available, vector_backend, FaceSum, Five, SimdMode};
 pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,

@@ -3,8 +3,7 @@
 //!
 //! The operator is `A_h u = (4·u_{i,j} − u_{i±1,j} − u_{i,j±1}) / h²` on
 //! the interior; boundary values participate as Dirichlet data through
-//! the neighbor reads. All kernels write disjoint rows per task, so
-//! parallel execution is exact (bitwise equal to sequential).
+//! the neighbor reads.
 //!
 //! Hot loops run over **row slices** (three-row stencil windows) rather
 //! than `(i, j)` index arithmetic: every inner loop reads from slices of
@@ -16,11 +15,10 @@
 //! residual value is produced by [`Five::residual_row_into`] in both the
 //! fused and unfused paths, and the restriction weights are combined in the
 //! same order as [`crate::restrict_full_weighting`], so fused and
-//! unfused results are **bitwise identical** under every execution
-//! policy.
+//! unfused results are **bitwise identical** in both [`SimdMode`]s.
 
 use crate::simd::{self, Five, SimdMode, Weight};
-use crate::{coarse_size, Exec, Grid2d, GridPtr, Workspace};
+use crate::{coarse_size, Exec, Grid2d, Workspace};
 
 /// Compute one interior row of `A_h x` into `out[1..n-1]`, scaled by
 /// `inv_h2`. `up`/`mid`/`dn` are rows `i-1`, `i`, `i+1` of `x`.
@@ -148,28 +146,16 @@ impl<W: Weight, D: Weight> Five<W, D> {
     }
 }
 
-/// Row `i` of `g` as a slice (safe: `g` is only read).
-#[inline]
-fn row(g: &Grid2d, i: usize) -> &[f64] {
-    let n = g.n();
-    &g.as_slice()[i * n..(i + 1) * n]
-}
-
 /// `out = A_h x` on the interior; `out`'s boundary ring is zeroed.
 ///
 /// # Panics
 /// Panics if sizes differ.
-pub fn apply_operator(x: &Grid2d, out: &mut Grid2d, exec: &Exec) {
+pub fn apply_operator(x: &Grid2d, out: &mut Grid2d, _exec: &Exec) {
     assert_eq!(x.n(), out.n(), "size mismatch in apply_operator");
-    let n = x.n();
     let inv_h2 = x.inv_h2();
-    let op = GridPtr::new(out);
-    exec.for_rows(1, n - 1, |i| {
-        // SAFETY: row `i` of `out` is written by exactly one task; `x` is
-        // only read.
-        let out_row = unsafe { std::slice::from_raw_parts_mut(op.row_mut(i), n) };
-        operator_row_into(row(x, i - 1), row(x, i), row(x, i + 1), inv_h2, out_row);
-    });
+    for (i, out_row) in out.interior_rows_mut() {
+        operator_row_into(x.row(i - 1), x.row(i), x.row(i + 1), inv_h2, out_row);
+    }
     zero_boundary_ring(out);
 }
 
@@ -198,24 +184,19 @@ pub fn residual_with<W: Weight, D: Weight>(
 ) {
     assert_eq!(x.n(), b.n(), "size mismatch in residual (x vs b)");
     assert_eq!(x.n(), r.n(), "size mismatch in residual (x vs r)");
-    let n = x.n();
     let inv_h2 = x.inv_h2();
     let mode = exec.simd();
-    let rp = GridPtr::new(r);
-    exec.for_rows(1, n - 1, |i| {
-        // SAFETY: row `i` of `r` is written by exactly one task; `x`, `b`
-        // are only read.
-        let out_row = unsafe { std::slice::from_raw_parts_mut(rp.row_mut(i), n) };
+    for (i, out_row) in r.interior_rows_mut() {
         weights(i).residual_row_into(
-            row(x, i - 1),
-            row(x, i),
-            row(x, i + 1),
-            row(b, i),
+            x.row(i - 1),
+            x.row(i),
+            x.row(i + 1),
+            b.row(i),
             inv_h2,
             out_row,
             mode,
         );
-    });
+    }
     zero_boundary_ring(r);
 }
 
@@ -223,8 +204,8 @@ pub fn residual_with<W: Weight, D: Weight>(
 /// row-`i` stencil is `weights(i)`, without a residual grid: each
 /// residual row goes into a row buffer leased from `ws`, is reduced by
 /// the same fixed-lane sum of squares [`crate::l2_norm_interior`] uses,
-/// and [`Exec::sum_rows`] combines the rows in its usual order. So the
-/// result is bitwise [`residual_with`] followed by
+/// and the rows are summed in ascending order, as that norm sums them.
+/// So the result is bitwise [`residual_with`] followed by
 /// [`crate::l2_norm_interior`] under the same `exec`, at one traversal
 /// of `x` and `b` and no `n²` write.
 ///
@@ -241,21 +222,23 @@ pub fn residual_norm_with<W: Weight, D: Weight>(
     let n = x.n();
     let inv_h2 = x.inv_h2();
     let mode = exec.simd();
-    let sum = exec.sum_rows(1, n - 1, |i| {
-        // Unzeroed lease: the residual row writes exactly the interior
-        // columns the reduction reads.
-        let mut out = ws.acquire_buffer_unzeroed(n);
-        weights(i).residual_row_into(
-            row(x, i - 1),
-            row(x, i),
-            row(x, i + 1),
-            row(b, i),
-            inv_h2,
-            &mut out,
-            mode,
-        );
-        simd::sum_sq(&out[1..n - 1], mode)
-    });
+    let sum: f64 = (1..n - 1)
+        .map(|i| {
+            // Unzeroed lease: the residual row writes exactly the
+            // interior columns the reduction reads.
+            let mut out = ws.acquire_buffer_unzeroed(n);
+            weights(i).residual_row_into(
+                x.row(i - 1),
+                x.row(i),
+                x.row(i + 1),
+                b.row(i),
+                inv_h2,
+                &mut out,
+                mode,
+            );
+            simd::sum_sq(&out[1..n - 1], mode)
+        })
+        .sum();
     sum.sqrt()
 }
 
@@ -305,20 +288,15 @@ pub fn restrict_rows_into(
 /// restrict it into `coarse` in a single traversal, never materializing
 /// the fine-grid residual. `coarse`'s boundary ring is zeroed.
 ///
-/// Bitwise identical to `residual` + `restrict_full_weighting` under
-/// every [`Exec`] policy: each residual value comes from
+/// Bitwise identical to `residual` + `restrict_full_weighting` in both
+/// [`SimdMode`]s: each residual value comes from
 /// [`Five::residual_row_into`] and each weighted sum from
-/// [`restrict_rows_into`], regardless of how rows land on tasks.
+/// [`restrict_rows_into`].
 ///
-/// Execution runs over the **block cursor**
-/// ([`Exec::for_row_bands`]): each band of coarse rows streams its fine
-/// residual rows through three rotating thirds of one buffer leased
-/// from `ws`, so advancing to the next coarse row computes exactly two
-/// new fine rows. `Seq` is one band (every fine row computed once, as
-/// before); parallel backends pay one extra window prime per band
-/// instead of re-deriving all three rows per coarse row, which is what
-/// lets the sequential rolling-window saving survive parallel
-/// execution. The band height is set by [`Exec::with_band`].
+/// The fine residual rows stream through three rotating thirds of one
+/// buffer leased from `ws`, so advancing to the next coarse row
+/// computes exactly two new fine rows and every fine row is computed
+/// once.
 ///
 /// ```
 /// use petamg_grid::{residual_restrict, coarse_size, Exec, Grid2d, Workspace};
@@ -341,7 +319,7 @@ pub fn residual_restrict(x: &Grid2d, b: &Grid2d, coarse: &mut Grid2d, ws: &Works
 /// [`residual_restrict`] for any five-point operator: `weights(i)` is
 /// the stencil of fine row `i` (`d` the diagonal). This is the one
 /// fused traversal; it is bitwise identical to [`residual_with`] +
-/// [`crate::restrict_full_weighting`] under every [`Exec`] policy.
+/// [`crate::restrict_full_weighting`].
 ///
 /// # Panics
 /// Panics if sizes differ, are not a coarse/fine pair, or a per-cell
@@ -365,10 +343,10 @@ pub fn residual_restrict_with<W: Weight, D: Weight>(
     let inv_h2 = x.inv_h2();
     let mode = exec.simd();
 
-    let cp = GridPtr::new(coarse);
-    exec.for_row_bands(1, nc - 1, |c_lo, c_hi| {
+    // A coarse grid of side 2 has no interior row to restrict into.
+    if nc > 2 {
         // Rolling window: residual rows 2ic-1, 2ic, 2ic+1 live in three
-        // rotating thirds of one leased buffer for the whole band.
+        // rotating thirds of one leased buffer.
         //
         // Unzeroed lease: the residual row writes indices 1..n-1 of
         // each third and restrict_rows_into reads only 1..n-1, so stale
@@ -379,34 +357,29 @@ pub fn residual_restrict_with<W: Weight, D: Weight>(
         let mut rows = [a, bb, c];
         let res_row = |fi: usize, out: &mut [f64]| {
             weights(fi).residual_row_into(
-                row(x, fi - 1),
-                row(x, fi),
-                row(x, fi + 1),
-                row(b, fi),
+                x.row(fi - 1),
+                x.row(fi),
+                x.row(fi + 1),
+                b.row(fi),
                 inv_h2,
                 out,
                 mode,
             );
         };
-        // Prime the window for the band's first coarse row (fine rows
-        // 2c_lo-1, 2c_lo, 2c_lo+1).
-        res_row(2 * c_lo - 1, rows[0]);
-        res_row(2 * c_lo, rows[1]);
-        res_row(2 * c_lo + 1, rows[2]);
-        for ic in c_lo..c_hi {
-            // SAFETY: bands partition the coarse interior, so each
-            // coarse row is written by exactly one task; `x` and `b`
-            // are only read.
-            let crow = unsafe { std::slice::from_raw_parts_mut(cp.row_mut(ic), nc) };
+        // Prime the window for coarse row 1 (fine rows 1, 2, 3).
+        res_row(1, rows[0]);
+        res_row(2, rows[1]);
+        res_row(3, rows[2]);
+        for (ic, crow) in coarse.interior_rows_mut() {
             restrict_rows_into(rows[0], rows[1], rows[2], crow, mode);
-            if ic + 1 < c_hi {
+            if ic + 2 < nc {
                 // Slide to fine rows 2ic+1, 2ic+2, 2ic+3.
                 rows.rotate_left(2);
                 res_row(2 * ic + 2, rows[1]);
                 res_row(2 * ic + 3, rows[2]);
             }
         }
-    });
+    }
 
     // Zero the coarse boundary ring (residuals vanish on the Dirichlet
     // boundary, exactly as in `restrict_full_weighting`).
@@ -506,21 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_bitwise() {
-        let u = Grid2d::from_fn(65, |i, j| ((i * 131 + j * 37) % 101) as f64 / 7.0);
-        let b = Grid2d::from_fn(65, |i, j| ((i * 13 + j * 89) % 97) as f64 / 3.0);
-
-        let mut r_seq = Grid2d::zeros(65);
-        residual(&u, &b, &mut r_seq, &Exec::seq());
-
-        for exec in [Exec::pbrt(2).with_grain(3), Exec::pbrt(3).with_grain(4)] {
-            let mut r_par = Grid2d::zeros(65);
-            residual(&u, &b, &mut r_par, &exec);
-            assert_eq!(r_seq.as_slice(), r_par.as_slice(), "{exec:?}");
-        }
-    }
-
-    #[test]
     fn operator_uses_boundary_values() {
         // Interior all zero, boundary all one: A x at points adjacent to
         // the boundary feels the boundary value.
@@ -557,27 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn fused_residual_restrict_parallel_bitwise_equals_sequential() {
-        let ws = Workspace::new();
-        let n = 65;
-        let x = Grid2d::from_fn(n, |i, j| ((i * 131 + j * 37) % 101) as f64 / 7.0);
-        let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 89) % 97) as f64 / 3.0);
-        let nc = coarse_size(n);
-
-        let mut c_seq = Grid2d::zeros(nc);
-        residual_restrict(&x, &b, &mut c_seq, &ws, &Exec::seq());
-
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(3)] {
-            let mut c_par = Grid2d::zeros(nc);
-            residual_restrict(&x, &b, &mut c_par, &ws, &exec);
-            assert_eq!(c_seq.as_slice(), c_par.as_slice(), "{exec:?}");
-        }
-    }
-
-    #[test]
     fn residual_norm_is_residual_then_norm_bit_for_bit() {
         let ws = Workspace::new();
-        let pool = Exec::pbrt(2).with_grain(2);
         for n in [3usize, 5, 6, 7, 9, 17, 33] {
             let x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
             let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
@@ -591,18 +530,16 @@ mod tests {
                 d: simd::FaceSum::new(&w, &e, &e, &w),
             };
             for mode in [crate::SimdMode::Scalar, crate::SimdMode::Vector] {
-                for exec in [Exec::seq(), pool.clone()] {
-                    let exec = exec.with_simd(mode);
-                    let mut r = Grid2d::zeros(n);
-                    residual(&x, &b, &mut r, &exec);
-                    let want = crate::l2_norm_interior(&r, &exec);
-                    let got = residual_norm_with(|_| Five::POISSON, &x, &b, &ws, &exec);
-                    assert_eq!(got.to_bits(), want.to_bits(), "poisson n={n} {exec:?}");
-                    residual_with(face, &x, &b, &mut r, &exec);
-                    let want = crate::l2_norm_interior(&r, &exec);
-                    let got = residual_norm_with(face, &x, &b, &ws, &exec);
-                    assert_eq!(got.to_bits(), want.to_bits(), "face sum n={n} {exec:?}");
-                }
+                let exec = Exec::seq().with_simd(mode);
+                let mut r = Grid2d::zeros(n);
+                residual(&x, &b, &mut r, &exec);
+                let want = crate::l2_norm_interior(&r, &exec);
+                let got = residual_norm_with(|_| Five::POISSON, &x, &b, &ws, &exec);
+                assert_eq!(got.to_bits(), want.to_bits(), "poisson n={n} {exec:?}");
+                residual_with(face, &x, &b, &mut r, &exec);
+                let want = crate::l2_norm_interior(&r, &exec);
+                let got = residual_norm_with(face, &x, &b, &ws, &exec);
+                assert_eq!(got.to_bits(), want.to_bits(), "face sum n={n} {exec:?}");
             }
         }
     }

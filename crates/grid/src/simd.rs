@@ -144,10 +144,6 @@ trait Lanes: Copy {
     fn mul(self, o: Self) -> Self;
     /// Lane-wise `/`.
     fn div(self, o: Self) -> Self;
-    /// Lane-wise IEEE max (inputs are never NaN here).
-    fn max(self, o: Self) -> Self;
-    /// Lane-wise absolute value.
-    fn abs(self) -> Self;
     /// Load 8 consecutive values, split into (evens, odds):
     /// `p[0],p[2],p[4],p[6]` and `p[1],p[3],p[5],p[7]`.
     ///
@@ -260,14 +256,6 @@ impl Lanes for Portable {
         Portable(std::array::from_fn(|k| self.0[k] / o.0[k]))
     }
     #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        Portable(std::array::from_fn(|k| self.0[k].max(o.0[k])))
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        Portable(std::array::from_fn(|k| self.0[k].abs()))
-    }
-    #[inline(always)]
     unsafe fn load2(p: *const f64) -> (Self, Self) {
         unsafe {
             (
@@ -337,16 +325,6 @@ impl Lanes for Avx {
     fn div(self, o: Self) -> Self {
         use core::arch::x86_64::*;
         unsafe { Avx(_mm256_div_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx(_mm256_max_pd(self.0, o.0)) }
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx(_mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0)) }
     }
     #[inline(always)]
     unsafe fn load2(p: *const f64) -> (Self, Self) {
@@ -477,16 +455,6 @@ impl Lanes for Neon {
     fn div(self, o: Self) -> Self {
         use core::arch::aarch64::*;
         unsafe { Neon(vdivq_f64(self.0, o.0), vdivq_f64(self.1, o.1)) }
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        use core::arch::aarch64::*;
-        unsafe { Neon(vmaxq_f64(self.0, o.0), vmaxq_f64(self.1, o.1)) }
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        use core::arch::aarch64::*;
-        unsafe { Neon(vabsq_f64(self.0), vabsq_f64(self.1)) }
     }
     #[inline(always)]
     unsafe fn load2(p: *const f64) -> (Self, Self) {
@@ -1086,25 +1054,6 @@ mod body {
         }
         total
     }
-
-    /// max |v| (order-insensitive, so it equals the sequential fold).
-    #[inline(always)]
-    pub(super) fn max_abs<L: Lanes>(row: &[f64]) -> f64 {
-        let m = row.len();
-        let p = row.as_ptr();
-        let mut acc = L::splat(0.0);
-        let mut j = 0usize;
-        while j + 4 <= m {
-            acc = acc.max(unsafe { L::load(p.add(j)) }.abs());
-            j += 4;
-        }
-        let a = acc.to_array();
-        let mut total = ((a[0].max(a[1])).max(a[2])).max(a[3]);
-        for &v in &row[j..] {
-            total = total.max(v.abs());
-        }
-        total
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1239,11 +1188,6 @@ dispatch! {
     pub(crate) fn sum_sq_diff / sum_sq_diff_avx2(a: &[f64], b: &[f64]) -> f64
 }
 
-dispatch! {
-    /// max |v| over a row.
-    pub(crate) fn max_abs / max_abs_avx2(row: &[f64]) -> f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1257,7 +1201,6 @@ mod tests {
         {
             assert_eq!(vector_backend(), "avx2+fma");
             assert_eq!(crate::Exec::seq().simd(), SimdMode::Vector);
-            assert_eq!(crate::Exec::pbrt(2).simd(), SimdMode::Vector);
         }
     }
 
@@ -1418,11 +1361,6 @@ mod tests {
                     sum_sq_diff(&a, &b, mode).to_bits(),
                     body::sum_sq_diff::<Portable>(&a, &b).to_bits(),
                     "sum_sq_diff m={m} {mode:?}"
-                );
-                assert_eq!(
-                    max_abs(&a, mode),
-                    body::max_abs::<Portable>(&a),
-                    "max m={m}"
                 );
             }
         }

@@ -11,12 +11,12 @@
 //! * [`interpolate_correct`] is the hot-path kernel: bilinear
 //!   interpolation **added** directly into the fine solution with
 //!   row-parity specialized loops over row slices (no per-element parity
-//!   branch), bitwise identical to [`interpolate_add`] under every
-//!   [`Exec`] policy because each output value is combined with the same
+//!   branch), bitwise identical to [`interpolate_add`] in both
+//!   [`SimdMode`]s because each output value is combined with the same
 //!   expression.
 
 use crate::simd::{self, SimdMode};
-use crate::{coarse_size, restrict_rows_into, zero_boundary_ring, Exec, Grid2d, GridPtr};
+use crate::{coarse_size, restrict_rows_into, zero_boundary_ring, Exec, Grid2d};
 
 /// Full-weighting restriction of `fine` into `coarse` (overwrite):
 ///
@@ -39,21 +39,13 @@ pub fn restrict_full_weighting(fine: &Grid2d, coarse: &mut Grid2d, exec: &Exec) 
         coarse_size(nf),
         "coarse grid size mismatch in restriction"
     );
-    let cp = GridPtr::new(coarse);
-    let fs = fine.as_slice();
     let mode = exec.simd();
-    exec.for_rows(1, nc - 1, |ic| {
+    for (ic, crow) in coarse.interior_rows_mut() {
         let fi = 2 * ic;
-        let f_up = &fs[(fi - 1) * nf..fi * nf];
-        let f_mid = &fs[fi * nf..(fi + 1) * nf];
-        let f_dn = &fs[(fi + 1) * nf..(fi + 2) * nf];
-        // SAFETY: each task writes one distinct coarse row; `fine` is
-        // read-only.
-        let crow = unsafe { std::slice::from_raw_parts_mut(cp.row_mut(ic), nc) };
         // The shared full-weighting row primitive defines the weight
         // order for every restriction path, fused or not.
-        restrict_rows_into(f_up, f_mid, f_dn, crow, mode);
-    });
+        restrict_rows_into(fine.row(fi - 1), fine.row(fi), fine.row(fi + 1), crow, mode);
+    }
     // Zero coarse boundary.
     zero_boundary_ring(coarse);
 }
@@ -84,50 +76,42 @@ pub fn restrict_inject(fine: &Grid2d, coarse: &mut Grid2d) {
 ///
 /// # Panics
 /// Panics if sizes are not a coarse/fine pair.
-pub fn interpolate_add(coarse: &Grid2d, fine: &mut Grid2d, exec: &Exec) {
-    interpolate_impl(coarse, fine, exec, true);
+pub fn interpolate_add(coarse: &Grid2d, fine: &mut Grid2d, _exec: &Exec) {
+    interpolate_impl(coarse, fine, true);
 }
 
 /// Bilinear interpolation of `coarse`, **overwriting** `fine`'s interior.
 /// Used by full multigrid to lift a coarse estimate to the fine grid.
-pub fn interpolate_into(coarse: &Grid2d, fine: &mut Grid2d, exec: &Exec) {
-    interpolate_impl(coarse, fine, exec, false);
+pub fn interpolate_into(coarse: &Grid2d, fine: &mut Grid2d, _exec: &Exec) {
+    interpolate_impl(coarse, fine, false);
 }
 
-fn interpolate_impl(coarse: &Grid2d, fine: &mut Grid2d, exec: &Exec, add: bool) {
+fn interpolate_impl(coarse: &Grid2d, fine: &mut Grid2d, add: bool) {
     let nf = fine.n();
     let nc = coarse.n();
     assert_eq!(nc, coarse_size(nf), "grid size mismatch in interpolation");
-    let cp = GridPtr::new_read(coarse);
-    let fp = GridPtr::new(fine);
-    exec.for_rows(1, nf - 1, |fi| {
+    let c = |i: usize, j: usize| coarse.at(i, j);
+    for (fi, frow) in fine.interior_rows_mut() {
         let ic = fi / 2;
         let i_even = fi % 2 == 0;
-        // SAFETY: each task writes one distinct fine row; `coarse` is
-        // read-only.
-        unsafe {
-            for fj in 1..nf - 1 {
-                let jc = fj / 2;
-                let j_even = fj % 2 == 0;
-                let v = match (i_even, j_even) {
-                    (true, true) => cp.at(ic, jc),
-                    (true, false) => 0.5 * (cp.at(ic, jc) + cp.at(ic, jc + 1)),
-                    (false, true) => 0.5 * (cp.at(ic, jc) + cp.at(ic + 1, jc)),
-                    (false, false) => {
-                        0.25 * (cp.at(ic, jc)
-                            + cp.at(ic, jc + 1)
-                            + cp.at(ic + 1, jc)
-                            + cp.at(ic + 1, jc + 1))
-                    }
-                };
-                if add {
-                    fp.set(fi, fj, fp.at(fi, fj) + v);
-                } else {
-                    fp.set(fi, fj, v);
+        for (fj, out) in frow.iter_mut().enumerate().take(nf - 1).skip(1) {
+            let jc = fj / 2;
+            let j_even = fj % 2 == 0;
+            let v = match (i_even, j_even) {
+                (true, true) => c(ic, jc),
+                (true, false) => 0.5 * (c(ic, jc) + c(ic, jc + 1)),
+                (false, true) => 0.5 * (c(ic, jc) + c(ic + 1, jc)),
+                (false, false) => {
+                    0.25 * (c(ic, jc) + c(ic, jc + 1) + c(ic + 1, jc) + c(ic + 1, jc + 1))
                 }
+            };
+            if add {
+                *out += v;
+            } else {
+                *out = v;
             }
         }
-    });
+    }
 }
 
 /// Add the bilinear interpolation of `coarse` into one interior fine
@@ -191,28 +175,17 @@ pub fn interpolate_correct_row(fi: usize, cs: &[f64], nc: usize, frow: &mut [f64
 /// `match` and index arithmetic are gone and the even/odd column updates
 /// auto-vectorize.
 ///
-/// Rows are dispatched over the block cursor ([`Exec::for_row_bands`]):
-/// adjacent fine rows share a coarse row, so banding keeps each coarse
-/// row's reads within one task instead of splitting them across tasks
-/// at arbitrary grain boundaries.
-///
 /// # Panics
 /// Panics if sizes are not a coarse/fine pair.
 pub fn interpolate_correct(coarse: &Grid2d, fine: &mut Grid2d, exec: &Exec) {
     let nf = fine.n();
     let nc = coarse.n();
     assert_eq!(nc, coarse_size(nf), "grid size mismatch in interpolation");
-    let fp = GridPtr::new(fine);
     let cs = coarse.as_slice();
     let mode = exec.simd();
-    exec.for_row_bands(1, nf - 1, |b_lo, b_hi| {
-        for fi in b_lo..b_hi {
-            // SAFETY: bands partition the fine interior, so each fine
-            // row is written by exactly one task; `coarse` is read-only.
-            let frow = unsafe { std::slice::from_raw_parts_mut(fp.row_mut(fi), nf) };
-            interpolate_correct_row(fi, cs, nc, frow, mode);
-        }
-    });
+    for (fi, frow) in fine.interior_rows_mut() {
+        interpolate_correct_row(fi, cs, nc, frow, mode);
+    }
 }
 
 #[cfg(test)]
@@ -297,25 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_transfer_matches_sequential_bitwise() {
-        let fine_in = Grid2d::from_fn(33, |i, j| ((i * 31 + j * 17) % 23) as f64 / 3.0);
-        let mut c_seq = Grid2d::zeros(17);
-        restrict_full_weighting(&fine_in, &mut c_seq, &Exec::seq());
-
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(2)] {
-            let mut c_par = Grid2d::zeros(17);
-            restrict_full_weighting(&fine_in, &mut c_par, &exec);
-            assert_eq!(c_seq.as_slice(), c_par.as_slice());
-
-            let mut f_seq = Grid2d::zeros(33);
-            let mut f_par = Grid2d::zeros(33);
-            interpolate_add(&c_seq, &mut f_seq, &Exec::seq());
-            interpolate_add(&c_par, &mut f_par, &exec);
-            assert_eq!(f_seq.as_slice(), f_par.as_slice());
-        }
-    }
-
-    #[test]
     fn fused_correct_bitwise_equals_interpolate_add() {
         for (nc, nf) in [(3usize, 5usize), (5, 9), (9, 17), (17, 33)] {
             let coarse = Grid2d::from_fn(nc, |i, j| ((i * 31 + j * 7) % 13) as f64 / 3.0 - 2.0);
@@ -327,21 +281,6 @@ mod tests {
             let mut got = base.clone();
             interpolate_correct(&coarse, &mut got, &e);
             assert_eq!(got.as_slice(), want.as_slice(), "nf = {nf}");
-        }
-    }
-
-    #[test]
-    fn fused_correct_parallel_bitwise_equals_sequential() {
-        let coarse = Grid2d::from_fn(17, |i, j| ((i * 3 + j * 11) % 19) as f64 / 2.0);
-        let base = Grid2d::from_fn(33, |i, j| ((i + 2 * j) % 7) as f64);
-
-        let mut f_seq = base.clone();
-        interpolate_correct(&coarse, &mut f_seq, &Exec::seq());
-
-        for exec in [Exec::pbrt(2).with_grain(2), Exec::pbrt(3).with_grain(3)] {
-            let mut f_par = base.clone();
-            interpolate_correct(&coarse, &mut f_par, &exec);
-            assert_eq!(f_seq.as_slice(), f_par.as_slice(), "{exec:?}");
         }
     }
 

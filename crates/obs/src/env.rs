@@ -19,7 +19,6 @@ use std::sync::Once;
 pub const KNOWN_VARS: &[&str] = &[
     "PETAMG_TELEMETRY",
     "PETAMG_FAULTS",
-    "PETAMG_CONFORMANCE_BACKEND",
     "PETAMG_CONFORMANCE_PROBLEM",
     "PETAMG_PLAN_DIR",
     "PETAMG_REGEN_GOLDEN",
@@ -76,15 +75,9 @@ pub fn faults_spec() -> Option<String> {
     var("PETAMG_FAULTS")
 }
 
-/// `PETAMG_CONFORMANCE_BACKEND`: restrict conformance/chaos/serve
-/// suites to one execution backend (`seq | pbrt | all`; a value that
-/// matches no backend fails the suites instead of skipping them).
-pub fn conformance_backend() -> Option<String> {
-    var("PETAMG_CONFORMANCE_BACKEND")
-}
-
 /// `PETAMG_CONFORMANCE_PROBLEM`: restrict the conformance suite to
-/// one operator family.
+/// one operator family (a value that matches no family fails the suite
+/// instead of skipping it).
 pub fn conformance_problem() -> Option<String> {
     var("PETAMG_CONFORMANCE_PROBLEM")
 }

@@ -7,23 +7,16 @@
 //! `petamg_grid::residual_with`, `petamg_grid::residual_norm_with` and
 //! `petamg_grid::residual_restrict_with` — handed the operator's
 //! per-row weights, matched once per sweep. So the fused and staged
-//! paths are **bitwise identical** under every [`Exec`] policy and
-//! [`SimdMode`](petamg_grid::SimdMode) for every operator variant, and
+//! paths are **bitwise identical** in both
+//! [`SimdMode`](petamg_grid::SimdMode)s for every operator variant, and
 //! with [`StencilOp::Poisson`] they are `petamg_grid::residual` /
 //! `petamg_grid::residual_restrict` themselves.
 
 use crate::op::{with_weights, StencilOp};
 use petamg_grid::{
     residual_norm_with, residual_restrict_with, residual_with, zero_boundary_ring, Exec, Grid2d,
-    GridPtr, Workspace,
+    Workspace,
 };
-
-/// Row `i` of `g` as a slice.
-#[inline]
-fn row(g: &Grid2d, i: usize) -> &[f64] {
-    let n = g.n();
-    &g.as_slice()[i * n..(i + 1) * n]
-}
 
 /// `out = A x` on the interior for operator `op`; `out`'s boundary ring
 /// is zeroed.
@@ -36,25 +29,20 @@ fn row(g: &Grid2d, i: usize) -> &[f64] {
 ///
 /// # Panics
 /// Panics if sizes differ or the operator is bound to another size.
-pub fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d, exec: &Exec) {
+pub fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d, _exec: &Exec) {
     assert_eq!(x.n(), out.n(), "size mismatch in apply_operator_op");
     op.assert_n(x.n());
     let n = x.n();
     let inv_h2 = x.inv_h2();
-    let opr = GridPtr::new(out);
-    exec.for_rows(1, n - 1, |i| {
-        // SAFETY: row `i` of `out` is written by exactly one task; `x`
-        // is only read.
-        let out_row = unsafe { std::slice::from_raw_parts_mut(opr.row_mut(i), n) };
-        let up = row(x, i - 1);
-        let mid = row(x, i);
-        let dn = row(x, i + 1);
+    let interior = out.as_mut_slice().chunks_exact_mut(n).enumerate();
+    for (i, out_row) in interior.take(n - 1).skip(1) {
+        let (up, mid, dn) = (x.row(i - 1), x.row(i), x.row(i + 1));
         for j in 1..n - 1 {
             let (cw, ce, cn, cs, cc) = op.weights_at(i, j);
             let v = cc * mid[j] - cn * up[j] - cs * dn[j] - cw * mid[j - 1] - ce * mid[j + 1];
             out_row[j] = v * inv_h2;
         }
-    });
+    }
     zero_boundary_ring(out);
 }
 
@@ -91,13 +79,12 @@ pub fn residual_norm_op(
 }
 
 /// Fused kernel for operator `op`: compute the residual `r = b − A x`
-/// and full-weighting restrict it into `coarse` in a single traversal
-/// over the block cursor ([`Exec::for_row_bands`]), never materializing
-/// the fine-grid residual. `coarse`'s boundary ring is zeroed.
+/// and full-weighting restrict it into `coarse` in a single traversal,
+/// never materializing the fine-grid residual. `coarse`'s boundary ring
+/// is zeroed.
 ///
 /// Bitwise identical to [`residual_op`] +
-/// `petamg_grid::restrict_full_weighting` under every [`Exec`] policy;
-/// with [`StencilOp::Poisson`] it is
+/// `petamg_grid::restrict_full_weighting`; with [`StencilOp::Poisson`] it is
 /// [`petamg_grid::residual_restrict`].
 ///
 /// # Panics
@@ -121,7 +108,7 @@ pub fn residual_restrict_op(
 mod tests {
     use super::*;
     use crate::Problem;
-    use petamg_grid::{residual, residual_restrict, restrict_full_weighting};
+    use petamg_grid::{residual, residual_restrict, restrict_full_weighting, SimdMode};
 
     fn test_grids(n: usize) -> (Grid2d, Grid2d) {
         let x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
@@ -153,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_equals_staged_for_every_family_and_backend() {
+    fn fused_equals_staged_for_every_family_and_simd_mode() {
         let ws = Workspace::new();
         let n = 33;
         let (x, b) = test_grids(n);
@@ -170,11 +157,8 @@ mod tests {
             residual_op(&op, &x, &b, &mut r, &e);
             let mut want = Grid2d::zeros(17);
             restrict_full_weighting(&r, &mut want, &e);
-            for exec in [
-                Exec::seq(),
-                Exec::pbrt(2).with_band(2),
-                Exec::pbrt(3).with_band(4),
-            ] {
+            for mode in [SimdMode::Scalar, SimdMode::Vector] {
+                let exec = Exec::seq().with_simd(mode);
                 let mut got = Grid2d::from_fn(17, |_, _| 1.5);
                 residual_restrict_op(&op, &x, &b, &mut got, &ws, &exec);
                 assert_eq!(got.as_slice(), want.as_slice(), "{} {exec:?}", p.describe());
@@ -183,15 +167,14 @@ mod tests {
     }
 
     /// The residual check's norm equals the residual grid's norm bit
-    /// for bit, for every family, both SIMD modes, `seq` and a pool, and
-    /// sizes that hit every tail of the four-lane row chunks.
+    /// for bit, for every family, both SIMD modes, and sizes that hit
+    /// every tail of the four-lane row chunks.
     #[test]
     fn residual_norm_equals_residual_then_norm_bit_for_bit() {
         use crate::{CoeffProfile, StencilCoeffs};
-        use petamg_grid::{l2_norm_interior, SimdMode};
+        use petamg_grid::l2_norm_interior;
         use std::sync::Arc;
         let ws = Workspace::new();
-        let pool = Exec::pbrt(2).with_grain(2);
         // The variable families' levels built straight from their
         // fields, so sizes that are not 2^k + 1 run them too.
         let var = |profile: CoeffProfile, n: usize| {
@@ -208,19 +191,17 @@ mod tests {
             ];
             for op in &ops {
                 for mode in [SimdMode::Scalar, SimdMode::Vector] {
-                    for exec in [Exec::seq(), pool.clone()] {
-                        let exec = exec.with_simd(mode);
-                        let mut r = Grid2d::zeros(n);
-                        residual_op(op, &x, &b, &mut r, &exec);
-                        let want = l2_norm_interior(&r, &exec);
-                        let got = residual_norm_op(op, &x, &b, &ws, &exec);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "{} n={n} {exec:?}",
-                            op.describe()
-                        );
-                    }
+                    let exec = Exec::seq().with_simd(mode);
+                    let mut r = Grid2d::zeros(n);
+                    residual_op(op, &x, &b, &mut r, &exec);
+                    let want = l2_norm_interior(&r, &exec);
+                    let got = residual_norm_op(op, &x, &b, &ws, &exec);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} n={n} {exec:?}",
+                        op.describe()
+                    );
                 }
             }
         }

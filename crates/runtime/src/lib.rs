@@ -29,36 +29,31 @@
 //!   a bounded timeout.
 //!
 //! The public surface is what the workspace uses: [`ThreadPool`]
-//! (`new`, `spawn`, `install`, `parallel_for`), [`join`], [`spawn`],
-//! [`parallel_for`], the deterministic [`parallel_for_reduce_sum`] /
-//! [`parallel_for_reduce_max`] reductions, [`current_worker_index`],
-//! and [`SingleFlight`]: the one keyed map of reusable values in the
-//! workspace (the direct-factor cache, the plan library's memory tier
-//! and the serving engine's plan flights), holding at most one flight
-//! in the air and one landed value per key under an LRU bound, whose
-//! landings hand parked jobs back to the pool through [`spawn`].
-//! Each pool is owned by whoever built it — `petamg_grid::Exec::pbrt`
-//! for the grid sweeps, the serving engine for requests; there is no
-//! process-global pool, and off a pool every call runs inline.
+//! (`new`, `spawn`, `install`), [`join`], [`spawn`],
+//! [`current_worker_index`], and [`SingleFlight`]: the one keyed map of
+//! reusable values in the workspace (the direct-factor cache, the plan
+//! library's memory tier and the serving engine's plan flights),
+//! holding at most one flight in the air and one landed value per key
+//! under an LRU bound, whose landings hand parked jobs back to the pool
+//! through [`spawn`]. Each pool is owned by whoever built it — the
+//! serving engine for requests, a caller of the tuner for a pooled
+//! tune; there is no process-global pool, and off a pool every call
+//! runs inline. Grid sweeps do not use a pool: one solve runs on one
+//! thread, and the serving engine spreads requests across its workers.
 //!
 //! ```
 //! let pool = petamg_runtime::ThreadPool::new(2);
 //! let (a, b) = pool.install(|| petamg_runtime::join(|| 1 + 1, || 2 + 2));
 //! assert_eq!((a, b), (2, 4));
-//!
-//! let sum = pool.install(|| petamg_runtime::parallel_for_reduce_sum(1024, 64, &|i| i as f64));
-//! assert_eq!(sum, 523_776.0);
 //! ```
 
 mod flight;
 mod job;
 mod latch;
-mod par;
 mod registry;
 mod sleep;
 
 pub use flight::{FlightGuard, Parked, ParkedJob, Role, SingleFlight};
-pub use par::{parallel_for, parallel_for_reduce_max, parallel_for_reduce_sum};
 pub use registry::{current_worker_index, ThreadPool};
 
 use job::StackJob;
@@ -157,21 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn off_a_pool_join_runs_inline_in_order_and_reductions_keep_their_bits() {
+    fn off_a_pool_join_runs_inline_in_order() {
         let caller = std::thread::current().id();
         let log = std::sync::Mutex::new(Vec::new());
         let record = |tag: char| log.lock().unwrap().push((tag, std::thread::current().id()));
         join(|| record('a'), || record('b'));
         assert_eq!(log.into_inner().unwrap(), [('a', caller), ('b', caller)]);
-
-        // The reduction tree is the splitting tree, whoever runs it.
-        let f = |i: usize| 1.0 / (1.0 + i as f64);
-        let pool = ThreadPool::new(3);
-        for grain in [1, 7, 64] {
-            let off = parallel_for_reduce_sum(4096, grain, &f);
-            let on = pool.install(|| parallel_for_reduce_sum(4096, grain, &f));
-            assert_eq!(off.to_bits(), on.to_bits(), "grain {grain}");
-        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Stress and failure-injection tests for the work-stealing runtime.
 
-use petamg_runtime::{
-    current_worker_index, join, parallel_for, parallel_for_reduce_sum, ThreadPool,
-};
+use petamg_runtime::{current_worker_index, join, ThreadPool};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -44,21 +42,17 @@ fn deep_nesting_does_not_deadlock() {
 fn parallel_for_panic_propagates_and_pool_survives() {
     let pool = ThreadPool::new(2);
     let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        pool.install(|| {
-            parallel_for(1000, 8, &|i| {
-                if i == 613 {
-                    panic!("injected failure at {i}");
-                }
-            })
+        pool.parallel_for(1000, 8, |i| {
+            if i == 613 {
+                panic!("injected failure at {i}");
+            }
         })
     }));
     assert!(res.is_err());
     // Other indices may or may not have run; the pool must still work.
     let hits = AtomicUsize::new(0);
-    pool.install(|| {
-        parallel_for(100, 4, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
+    pool.parallel_for(100, 4, |_| {
+        hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 100);
 }
@@ -69,8 +63,11 @@ fn many_pools_coexist() {
     std::thread::scope(|s| {
         for (i, pool) in pools.iter().enumerate() {
             s.spawn(move || {
-                let sum = pool.install(|| parallel_for_reduce_sum(10_000, 64, &|j| j as f64));
-                assert_eq!(sum, (0..10_000u64).sum::<u64>() as f64, "pool {i}");
+                let sum = AtomicUsize::new(0);
+                pool.parallel_for(10_000, 64, |j| {
+                    sum.fetch_add(j, Ordering::Relaxed);
+                });
+                assert_eq!(sum.into_inner(), (0..10_000).sum::<usize>(), "pool {i}");
             });
         }
     });
@@ -82,22 +79,20 @@ fn work_actually_distributes_across_threads() {
     let seen: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
     let started_elsewhere =
         |me: usize| (0..4).any(|w| w != me && seen[w].load(Ordering::Acquire) > 0);
-    pool.install(|| {
-        parallel_for(4_000, 1, &|_| {
-            let idx = current_worker_index().expect("runs on a worker");
-            // The first task on each worker holds it until a task has
-            // started on another worker, so a thief always gets to steal
-            // before one worker drains the whole range. Bounded, so a
-            // scheduler that never distributes fails the assertion below
-            // rather than hanging.
-            if seen[idx].fetch_add(1, Ordering::AcqRel) == 0 {
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while !started_elsewhere(idx) && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+    pool.parallel_for(4_000, 1, |_| {
+        let idx = current_worker_index().expect("runs on a worker");
+        // The first task on each worker holds it until a task has
+        // started on another worker, so a thief always gets to steal
+        // before one worker drains the whole range. Bounded, so a
+        // scheduler that never distributes fails the assertion below
+        // rather than hanging.
+        if seen[idx].fetch_add(1, Ordering::AcqRel) == 0 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !started_elsewhere(idx) && Instant::now() < deadline {
+                std::thread::yield_now();
             }
-            std::hint::black_box((0..100).sum::<usize>());
-        })
+        }
+        std::hint::black_box((0..100).sum::<usize>());
     });
     let active = seen
         .iter()
@@ -109,14 +104,4 @@ fn work_actually_distributes_across_threads() {
     );
     let total: usize = seen.iter().map(|c| c.load(Ordering::Relaxed)).sum();
     assert_eq!(total, 4_000);
-}
-
-#[test]
-fn reduce_stays_deterministic_under_contention() {
-    let pool = ThreadPool::new(4);
-    let run = || pool.install(|| parallel_for_reduce_sum(100_000, 128, &|i| (i as f64).sqrt()));
-    let first = run();
-    for _ in 0..5 {
-        assert_eq!(first.to_bits(), run().to_bits());
-    }
 }

@@ -36,33 +36,24 @@
 //! Each row update is the *same* row body as the staged reference
 //! ([`sor_half_sweep`](crate::relax::sor_half_sweep) shares it), reads
 //! the same values in the same state, and therefore produces **bitwise
-//! identical** results — property-tested in this crate under every
-//! [`Exec`] backend. The correction of row `t` precedes every update
+//! identical** results — property-tested in this crate in both SIMD
+//! modes. The correction of row `t` precedes every update
 //! that reads it; the residual hook trails the last half-sweep by one
 //! more row (its three-row stencil needs fully relaxed neighbors),
 //! streaming rows into the same rolling three-row window the fused
 //! [`petamg_grid::residual_restrict`] uses. Every edge kernel is this
 //! one traversal with the correction, the residual, or both left out.
 //!
-//! ## Parallel execution: the staged kernels
+//! ## The staged compositions
 //!
-//! The wavefront couples adjacent rows, so it is a sequential schedule:
-//! the sequential executor fuses, and a pool backend runs each edge as
-//! the staged composition it is bitwise equal to — [`interpolate_correct`]
-//! first for an edge that corrects, then the half-sweeps of
-//! [`sor_sweeps_op`] (rows split across the pool), then
-//! [`residual_restrict_op`] for an edge that restricts. Parallel
-//! backends used to run overlapped temporal tiles instead (each band
-//! relaxing a private copy of its rows plus a recomputed halo); on a
-//! 2-core Xeon, timing the pre, post and blocked-sweep edges over
-//! Poisson and smooth coefficients, n ∈ {129, 257, 513, 1025} and band
-//! {32, 128} on `Exec::pbrt(2)` and `Exec::seq`, the tiles were fastest
-//! in 7 of 192 cells, `Exec::seq` in most cells at n ≤ 257 and the
-//! staged pool composition in most at n ≥ 513 (ARCHITECTURE.md has the
-//! table). The temporal depth therefore only changes the schedule on
-//! the sequential executor.
+//! Each edge is bitwise equal to the staged composition it fuses:
+//! [`interpolate_correct`] first for an edge that corrects, then the
+//! half-sweeps of
+//! [`sor_sweeps_op`](crate::relax::sor_sweeps_op),
+//! then [`residual_restrict_op`] for an edge that restricts. An edge
+//! with no sweeps runs exactly that composition, and the tests hold
+//! every fused edge to it.
 
-use crate::relax::sor_sweeps_op;
 use petamg_grid::{
     coarse_size, interpolate_correct, interpolate_correct_row, restrict_rows_into,
     zero_boundary_ring, Exec, Grid2d, SimdMode, Workspace,
@@ -204,10 +195,9 @@ fn assert_sizes(op: &StencilOp, x: &Grid2d, b: &Grid2d, nc: Option<usize>, kerne
 /// traversal instead of `2·sweeps` separate passes over the grid.
 ///
 /// Bitwise identical to the staged reference
-/// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
-/// policy. The sequential executor runs the wavefront in place; a pool
-/// runs the staged sweeps (see the module docs). Neither leases
-/// scratch: `ws` only keeps the edge kernels' signatures alike.
+/// [`sor_sweeps`](crate::relax::sor_sweeps) in both SIMD modes. The
+/// wavefront runs in place and leases no scratch: `ws` only keeps the
+/// edge kernels' signatures alike.
 ///
 /// ```
 /// use petamg_grid::{Exec, Grid2d, Workspace};
@@ -236,9 +226,9 @@ pub fn sor_sweeps_blocked(
 }
 
 /// [`sor_sweeps_blocked`] for an arbitrary operator: `sweeps` Red-Black
-/// SOR sweeps of `op`, temporally blocked into one wavefront traversal
-/// on the sequential executor. Bitwise identical to the staged
-/// [`sor_sweeps_op`] under every [`Exec`] policy (a pool runs it); with
+/// SOR sweeps of `op`, temporally blocked into one wavefront
+/// traversal. Bitwise identical to the staged
+/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op); with
 /// [`StencilOp::Poisson`] it *is* [`sor_sweeps_blocked`].
 ///
 /// # Panics
@@ -254,8 +244,7 @@ pub fn sor_sweeps_blocked_op(
     exec: &Exec,
 ) {
     assert_sizes(op, x, b, None, "sor_sweeps_blocked");
-    if sweeps == 0 || !exec.is_seq() {
-        sor_sweeps_op(op, x, b, omega, sweeps, exec);
+    if sweeps == 0 {
         return;
     }
     wavefront(op, None, x, b, None, omega, sweeps, ws, exec.simd());
@@ -269,9 +258,8 @@ pub fn sor_sweeps_blocked_op(
 ///
 /// Bitwise identical to
 /// [`sor_sweeps`](crate::relax::sor_sweeps) followed by
-/// [`petamg_grid::residual_restrict`] under every [`Exec`] policy; with
-/// `sweeps == 0` it *is* [`petamg_grid::residual_restrict`]. A pool
-/// runs that staged composition (see the module docs).
+/// [`petamg_grid::residual_restrict`]; with `sweeps == 0` it *is*
+/// [`petamg_grid::residual_restrict`].
 ///
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
@@ -289,10 +277,10 @@ pub fn relax_residual_restrict(
 
 /// [`relax_residual_restrict`] for an arbitrary operator: the fused
 /// pre-relaxation cycle edge of `op`. Bitwise identical to
-/// [`sor_sweeps_op`] followed by [`residual_restrict_op`] under every
-/// [`Exec`] policy (a pool runs exactly that); with `sweeps == 0` it
-/// *is* [`residual_restrict_op`], and with [`StencilOp::Poisson`] it
-/// *is* [`relax_residual_restrict`].
+/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op)
+/// followed by [`residual_restrict_op`]; with
+/// `sweeps == 0` it *is* [`residual_restrict_op`], and with
+/// [`StencilOp::Poisson`] it *is* [`relax_residual_restrict`].
 ///
 /// # Panics
 /// Panics if sizes differ, are not a coarse/fine pair, or the operator
@@ -309,8 +297,7 @@ pub fn relax_residual_restrict_op(
     exec: &Exec,
 ) {
     assert_sizes(op, x, b, Some(coarse.n()), "relax_residual_restrict");
-    if sweeps == 0 || !exec.is_seq() {
-        sor_sweeps_op(op, x, b, omega, sweeps, exec);
+    if sweeps == 0 {
         residual_restrict_op(op, x, b, coarse, ws, exec);
         return;
     }
@@ -323,10 +310,9 @@ pub fn relax_residual_restrict_op(
 /// and the half-sweeps trail it row by row.
 ///
 /// Bitwise identical to [`interpolate_correct`] followed by
-/// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
-/// policy; with `sweeps == 0` it *is* [`interpolate_correct`]. A pool
-/// runs that staged composition (see the module docs). Neither path
-/// leases scratch: `ws` only keeps the edge kernels' signatures alike.
+/// [`sor_sweeps`](crate::relax::sor_sweeps); with `sweeps == 0` it
+/// *is* [`interpolate_correct`]. Neither path leases scratch: `ws` only
+/// keeps the edge kernels' signatures alike.
 ///
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
@@ -363,9 +349,8 @@ pub fn interpolate_correct_relax_op(
     exec: &Exec,
 ) {
     assert_sizes(op, x, b, Some(coarse.n()), "interpolate_correct_relax");
-    if sweeps == 0 || !exec.is_seq() {
+    if sweeps == 0 {
         interpolate_correct(coarse, x, exec);
-        sor_sweeps_op(op, x, b, omega, sweeps, exec);
         return;
     }
     wavefront(op, Some(coarse), x, b, None, omega, sweeps, ws, exec.simd());
@@ -379,11 +364,11 @@ pub fn interpolate_correct_relax_op(
 /// ([`interpolate_correct_relax_op`]) and the pre edge
 /// ([`relax_residual_restrict_op`]) took two.
 ///
-/// Bitwise identical to [`interpolate_correct`], [`sor_sweeps_op`] and
-/// [`residual_restrict_op`] in turn under every [`Exec`] policy — and
-/// so to the post edge with any `k ≤ sweeps` sweeps followed by the pre
-/// edge with the other `sweeps − k`. A pool runs that staged
-/// composition, as does `sweeps == 0` (see the module docs).
+/// Bitwise identical to [`interpolate_correct`],
+/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) and
+/// [`residual_restrict_op`] in turn — and so to the post edge with any
+/// `k ≤ sweeps` sweeps followed by the pre edge with the other
+/// `sweeps − k`. With `sweeps == 0` it runs that staged composition.
 ///
 /// # Panics
 /// Panics if sizes differ, `correction` and `coarse` are not the next
@@ -403,9 +388,8 @@ pub fn interpolate_relax_residual_restrict_op(
     let kernel = "interpolate_relax_residual_restrict";
     assert_sizes(op, x, b, Some(correction.n()), kernel);
     assert_sizes(op, x, b, Some(coarse.n()), kernel);
-    if sweeps == 0 || !exec.is_seq() {
+    if sweeps == 0 {
         interpolate_correct(correction, x, exec);
-        sor_sweeps_op(op, x, b, omega, sweeps, exec);
         residual_restrict_op(op, x, b, coarse, ws, exec);
         return;
     }
@@ -455,14 +439,9 @@ mod tests {
         [StencilOp::Poisson, StencilOp::Var(Arc::new(var))]
     }
 
-    fn backends() -> Vec<Exec> {
-        vec![
-            Exec::seq(),
-            Exec::pbrt(2).with_band(1),
-            Exec::pbrt(2).with_band(3),
-            Exec::pbrt(3).with_band(8),
-            Exec::pbrt(3).with_band(4),
-        ]
+    /// The sequential executor in both SIMD modes.
+    fn modes() -> [Exec; 2] {
+        [SimdMode::Scalar, SimdMode::Vector].map(|mode| Exec::seq().with_simd(mode))
     }
 
     #[test]
@@ -473,7 +452,7 @@ mod tests {
                 let (x0, b) = test_problem(n);
                 let mut want = x0.clone();
                 sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
-                for exec in backends() {
+                for exec in modes() {
                     let mut got = x0.clone();
                     sor_sweeps_blocked(&mut got, &b, 1.15, sweeps, &ws, &exec);
                     assert_eq!(
@@ -507,7 +486,7 @@ mod tests {
                 let mut c_want = Grid2d::zeros(nc);
                 residual_restrict(&x_want, &b, &mut c_want, &ws, &Exec::seq());
 
-                for exec in backends() {
+                for exec in modes() {
                     let mut x_got = x0.clone();
                     let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
                     relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec);
@@ -538,7 +517,7 @@ mod tests {
                 interpolate_correct(&correction, &mut x_want, &Exec::seq());
                 sor_sweeps(&mut x_want, &b, 1.15, sweeps, &Exec::seq());
 
-                for exec in backends() {
+                for exec in modes() {
                     let mut x_got = x0.clone();
                     interpolate_correct_relax(
                         &correction,
@@ -560,8 +539,8 @@ mod tests {
     }
 
     /// The step boundary equals a post edge of `post` sweeps followed
-    /// by a pre edge of `pre` sweeps, for every split of its sweeps, on
-    /// every backend, for Poisson and a variable-coefficient operator.
+    /// by a pre edge of `pre` sweeps, for every split of its sweeps, in
+    /// both SIMD modes, for Poisson and a variable-coefficient operator.
     #[test]
     fn fused_step_boundary_bitwise_equal_post_then_pre_edge() {
         let ws = Workspace::new();
@@ -595,7 +574,7 @@ mod tests {
                         &seq,
                     );
 
-                    for exec in backends() {
+                    for exec in modes() {
                         let mut x_got = x0.clone();
                         let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
                         interpolate_relax_residual_restrict_op(
@@ -645,7 +624,7 @@ mod tests {
     fn boundary_rows_never_modified() {
         let ws = Workspace::new();
         let (x0, b) = test_problem(17);
-        for exec in backends() {
+        for exec in modes() {
             let mut x = x0.clone();
             sor_sweeps_blocked(&mut x, &b, 1.3, 2, &ws, &exec);
             for k in 0..17 {
@@ -661,18 +640,17 @@ mod tests {
     fn steady_state_blocked_sweeps_allocate_nothing() {
         let ws = Workspace::new();
         let (x0, b) = test_problem(33);
-        for exec in [Exec::seq(), Exec::pbrt(2).with_band(4)] {
-            let mut x = x0.clone();
+        let exec = Exec::seq();
+        let mut x = x0.clone();
+        sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
+        let warm = ws.stats().allocations;
+        for _ in 0..5 {
             sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
-            let warm = ws.stats().allocations;
-            for _ in 0..5 {
-                sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
-            }
-            assert_eq!(
-                ws.stats().allocations,
-                warm,
-                "steady-state sweeps must not allocate ({exec:?})"
-            );
         }
+        assert_eq!(
+            ws.stats().allocations,
+            warm,
+            "steady-state sweeps must not allocate"
+        );
     }
 }

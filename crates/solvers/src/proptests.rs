@@ -1,7 +1,6 @@
-//! Property tests for the temporally blocked kernels: on random grids,
-//! random temporal depths, and random band heights, every fused path
-//! must be **bitwise identical** to its staged reference composition on
-//! the sequential and pooled backends.
+//! Property tests for the temporally blocked kernels: on random grids
+//! and random temporal depths, every fused path must be **bitwise
+//! identical** to its staged reference composition in both SIMD modes.
 
 use crate::fused::{interpolate_correct_relax, relax_residual_restrict, sor_sweeps_blocked};
 use crate::relax::sor_sweeps;
@@ -24,30 +23,26 @@ fn correction_grid(nc: usize, scale: f64) -> impl Strategy<Value = Grid2d> {
     })
 }
 
-fn backends(band: usize) -> Vec<Exec> {
-    vec![
-        Exec::seq(),
-        Exec::pbrt(2).with_band(band),
-        Exec::pbrt(3).with_band(band),
-    ]
+/// The sequential executor in both SIMD modes.
+fn modes() -> [Exec; 2] {
+    [SimdMode::Scalar, SimdMode::Vector].map(|mode| Exec::seq().with_simd(mode))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Temporally blocked SOR equals the staged reference bitwise for
-    /// every backend, depth, and band height.
+    /// Temporally blocked SOR equals the staged reference bitwise in
+    /// both SIMD modes and at every depth.
     #[test]
     fn blocked_sor_bitwise_equal(
         x in any_grid(17, 100.0),
         b in any_grid(17, 100.0),
         sweeps in 1usize..4,
-        band in 1usize..10,
     ) {
         let ws = Workspace::new();
         let mut want = x.clone();
         sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
-        for exec in backends(band) {
+        for exec in modes() {
             let mut got = x.clone();
             sor_sweeps_blocked(&mut got, &b, 1.15, sweeps, &ws, &exec);
             prop_assert_eq!(got.as_slice(), want.as_slice());
@@ -61,7 +56,6 @@ proptest! {
         x in any_grid(17, 100.0),
         b in any_grid(17, 100.0),
         sweeps in 0usize..3,
-        band in 1usize..8,
     ) {
         let ws = Workspace::new();
         let nc = coarse_size(17);
@@ -70,7 +64,7 @@ proptest! {
         let mut c_want = Grid2d::zeros(nc);
         residual_restrict(&x_want, &b, &mut c_want, &ws, &Exec::seq());
 
-        for exec in backends(band) {
+        for exec in modes() {
             let mut x_got = x.clone();
             let mut c_got = Grid2d::zeros(nc);
             relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec);
@@ -87,14 +81,13 @@ proptest! {
         b in any_grid(17, 100.0),
         e in correction_grid(9, 50.0),
         sweeps in 0usize..3,
-        band in 1usize..8,
     ) {
         let ws = Workspace::new();
         let mut want = x.clone();
         interpolate_correct(&e, &mut want, &Exec::seq());
         sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
 
-        for exec in backends(band) {
+        for exec in modes() {
             let mut got = x.clone();
             interpolate_correct_relax(&e, &mut got, &b, 1.15, sweeps, &ws, &exec);
             prop_assert_eq!(got.as_slice(), want.as_slice());
@@ -136,15 +129,13 @@ proptest! {
     }
 
     /// Full fused cycle edges are mode-invariant: forced-vector runs
-    /// (including parallel banded execution) match the forced-scalar
-    /// sequential reference bitwise.
+    /// match the forced-scalar reference bitwise.
     #[test]
     fn fused_edges_mode_invariant(
         x in any_grid(17, 100.0),
         b in any_grid(17, 100.0),
         c in correction_grid(9, 50.0),
         sweeps in 0usize..3,
-        band in 1usize..8,
     ) {
         let ws = Workspace::new();
         let nc = coarse_size(17);
@@ -156,17 +147,15 @@ proptest! {
         let mut x2_want = x.clone();
         interpolate_correct_relax(&c, &mut x2_want, &b, 1.15, sweeps, &ws, &e_s);
 
-        for exec in backends(band) {
-            let e_v = exec.with_simd(SimdMode::Vector);
-            let mut x_got = x.clone();
-            let mut c_got = Grid2d::zeros(nc);
-            relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &e_v);
-            prop_assert_eq!(x_got.as_slice(), x_want.as_slice());
-            prop_assert_eq!(c_got.as_slice(), c_want.as_slice());
+        let e_v = Exec::seq().with_simd(SimdMode::Vector);
+        let mut x_got = x.clone();
+        let mut c_got = Grid2d::zeros(nc);
+        relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &e_v);
+        prop_assert_eq!(x_got.as_slice(), x_want.as_slice());
+        prop_assert_eq!(c_got.as_slice(), c_want.as_slice());
 
-            let mut x2_got = x.clone();
-            interpolate_correct_relax(&c, &mut x2_got, &b, 1.15, sweeps, &ws, &e_v);
-            prop_assert_eq!(x2_got.as_slice(), x2_want.as_slice());
-        }
+        let mut x2_got = x.clone();
+        interpolate_correct_relax(&c, &mut x2_got, &b, 1.15, sweeps, &ws, &e_v);
+        prop_assert_eq!(x2_got.as_slice(), x2_want.as_slice());
     }
 }

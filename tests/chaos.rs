@@ -1,5 +1,5 @@
 //! Chaos suite: deterministic fault injection against the guarded
-//! serving pipeline, crossed over execution backends.
+//! serving pipeline, crossed over the scalar and vector row kernels.
 //!
 //! Every test breaks something on purpose — a plan file, a kernel
 //! output, a direct factorization — and asserts the degradation ladder
@@ -8,12 +8,10 @@
 //! full ladder exhaustion comes back as a typed error with `x`
 //! restored, never a panic or a poisoned iterate.
 //!
-//! The backend axis mirrors `tests/conformance.rs`: scheduling
-//! backends crossed with SIMD modes, filtered by
-//! `PETAMG_CONFORMANCE_BACKEND` so CI can shard the matrix. Fault
-//! arming is thread-local and every fault point runs on the driving
-//! thread, so the parallel backends exercise the same deterministic
-//! fault schedule as `seq`.
+//! The backend axis mirrors `tests/conformance.rs`: the sequential
+//! executor in both SIMD modes. Fault arming is thread-local and every
+//! fault point runs on the driving thread, so both modes exercise the
+//! same deterministic fault schedule.
 
 use petamg::core::faults::{self, Fault};
 use petamg::core::plan::{simple_v_family, PAPER_ACCURACIES};
@@ -23,11 +21,6 @@ use petamg::prelude::*;
 use std::path::PathBuf;
 
 mod common;
-
-/// Backends under chaos: `seq` and `pbrt2`, each in both SIMD modes.
-fn backends() -> Vec<(String, Exec)> {
-    common::backends(&[2])
-}
 
 /// Grid level the chaos instances live at (`n = 2^5 + 1 = 33`).
 const LEVEL: usize = 5;
@@ -57,7 +50,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn healthy_solves_serve_the_tuned_rung_on_every_backend() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 11);
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends() {
         let solver = GuardedSolver::new(Problem::poisson())
             .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
             .with_exec(exec)
@@ -84,8 +77,8 @@ fn healthy_solves_serve_the_tuned_rung_on_every_backend() {
 fn corrupted_plan_file_quarantines_then_heuristic_rung_serves() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 23);
-    for (name, exec) in backends() {
-        let dir = tmp_dir(&format!("corrupt-{}", name.replace('+', "-")));
+    for (name, exec) in common::backends() {
+        let dir = tmp_dir(&format!("corrupt-{name}"));
         let path = dir.join("plan.json");
         persist::save_plan(&simple_v_family(LEVEL, &PAPER_ACCURACIES), &path).unwrap();
 
@@ -123,7 +116,7 @@ fn fingerprint_mismatch_degrades_to_heuristic_on_every_backend() {
     faults::clear();
     let aniso = Problem::anisotropic(0.5);
     let inst = instance(&aniso, 31);
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends() {
         // A (nominally Poisson-tuned) plan posed an anisotropic system.
         let solver = GuardedSolver::new(aniso.clone())
             .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
@@ -152,7 +145,7 @@ fn fingerprint_mismatch_degrades_to_heuristic_on_every_backend() {
 fn injected_mid_cycle_nan_degrades_and_still_converges() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 43);
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends() {
         let solver = GuardedSolver::new(Problem::poisson())
             .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
             .with_exec(exec)
@@ -374,7 +367,7 @@ fn deterministic_tuned_failure_skips_the_replayed_heuristic_rung() {
     faults::clear();
     let (problem, plan) = jump_with_simple_plan();
     let inst = instance(&problem, 79);
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends() {
         let solver = GuardedSolver::new(problem.clone())
             .with_plan(plan.clone())
             .with_exec(exec.clone())
@@ -426,7 +419,7 @@ fn deterministic_tuned_failure_skips_the_replayed_heuristic_rung() {
 fn direct_rung_serves_when_both_plan_rungs_are_poisoned() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 47);
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends() {
         let solver = GuardedSolver::new(Problem::poisson())
             .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
             .with_exec(exec)
@@ -455,7 +448,7 @@ fn full_ladder_exhaustion_is_typed_and_restores_x() {
     faults::clear();
     let n = (1usize << LEVEL) + 1;
     let inst = instance(&Problem::poisson(), 53);
-    for (name, exec) in backends() {
+    for (name, exec) in common::backends() {
         let solver = GuardedSolver::new(Problem::poisson())
             .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
             .with_exec(exec);
@@ -529,8 +522,8 @@ fn serve_corrupt_plan_mid_serve_quarantines_and_retunes() {
     faults::clear();
     let victim = Problem::anisotropic(0.5);
     let bystander = Problem::poisson();
-    for (name, exec) in backends() {
-        let dir = tmp_dir(&format!("serve-corrupt-{}", name.replace('+', "-")));
+    for (name, exec) in common::backends() {
+        let dir = tmp_dir(&format!("serve-corrupt-{name}"));
         let svc = SolverService::start(
             ServiceConfig::new(&dir)
                 .with_workers(2)
@@ -595,8 +588,8 @@ fn serve_fail_direct_mid_serve_degrades_per_ladder_and_service_survives() {
     let n = (1usize << LEVEL) + 1;
     let victim = Problem::poisson();
     let bystander = Problem::anisotropic(0.25);
-    for (name, exec) in backends() {
-        let dir = tmp_dir(&format!("serve-direct-{}", name.replace('+', "-")));
+    for (name, exec) in common::backends() {
+        let dir = tmp_dir(&format!("serve-direct-{name}"));
         let svc = SolverService::start(
             ServiceConfig::new(&dir)
                 .with_workers(2)
@@ -667,8 +660,8 @@ fn serve_quick_tune_leader_keeps_its_faults_for_its_own_solve() {
     let n = (1usize << LEVEL) + 1;
     let leader = Problem::poisson();
     let queued = Problem::anisotropic(0.25);
-    for (name, exec) in backends() {
-        let dir = tmp_dir(&format!("serve-tune-faults-{}", name.replace('+', "-")));
+    for (name, exec) in common::backends() {
+        let dir = tmp_dir(&format!("serve-tune-faults-{name}"));
         let svc = SolverService::start(
             ServiceConfig::new(&dir)
                 .with_workers(2)

@@ -1,5 +1,8 @@
-//! Shared by the integration suites: the execution-backend matrix and
-//! the env-var filters CI shards it with.
+//! Shared by the integration suites: the row-kernel backends every
+//! suite crosses, and the env-var filter that narrows a suite's table.
+
+// Each suite uses a part of this module.
+#![allow(dead_code)]
 
 use petamg::prelude::*;
 
@@ -29,32 +32,12 @@ pub fn select<N: AsRef<str>, T>(
     kept
 }
 
-/// Execution backends under test: `seq` plus one work-stealing pool per
-/// entry of `pbrt_threads`, each crossed with both SIMD modes (stencils
-/// are bitwise identical across modes by construction, which is what
-/// the suites enforce end to end). Filtered by
-/// `PETAMG_CONFORMANCE_BACKEND` so CI can shard the matrix.
-pub fn backends(pbrt_threads: &[usize]) -> Vec<(String, Exec)> {
-    let mut scheduling = vec![("seq".to_string(), Exec::seq())];
-    scheduling.extend(
-        pbrt_threads
-            .iter()
-            .map(|&t| (format!("pbrt{t}"), Exec::pbrt(t))),
-    );
-    let all = scheduling
-        .into_iter()
-        .flat_map(|(name, exec)| {
-            [SimdMode::Scalar, SimdMode::Vector].map(|mode| {
-                (
-                    format!("{name}+{}", mode.name()),
-                    exec.clone().with_simd(mode),
-                )
-            })
-        })
-        .collect();
-    select(
-        "PETAMG_CONFORMANCE_BACKEND",
-        petamg::obs::env::conformance_backend(),
-        all,
-    )
+/// The execution policies under test: the sequential executor with the
+/// scalar and with the vector row kernels (stencils are bitwise
+/// identical across the two by construction, which is what the suites
+/// enforce end to end).
+pub fn backends() -> Vec<(String, Exec)> {
+    [SimdMode::Scalar, SimdMode::Vector]
+        .map(|mode| (mode.name().to_string(), Exec::seq().with_simd(mode)))
+        .into()
 }

@@ -2,9 +2,8 @@
 //!
 //! One table-driven harness runs every solver path — the staged
 //! (unfused) reference composition and the fused plan executor —
-//! across every execution backend (Seq, the in-house work-stealing
-//! pool at two widths) and both SIMD modes (forced scalar and forced
-//! vector row kernels), on shared fixtures, and asserts:
+//! across both row-kernel backends (forced scalar and forced vector),
+//! on shared fixtures, and asserts:
 //!
 //! * **bitwise-identical solutions** — every combination must produce
 //!   exactly the grid the staged sequential reference produces;
@@ -12,9 +11,7 @@
 //!   property of the plan, never of the backend.
 //!
 //! This replaces the ad-hoc per-backend assertions that used to live in
-//! `end_to_end.rs`. CI runs it per backend via the
-//! `PETAMG_CONFORMANCE_BACKEND` env var (`seq` / `pbrt` / unset = all)
-//! so a parity regression names the offending backend.
+//! `end_to_end.rs`; a parity regression names the offending backend.
 //!
 //! Since the operator-family subsystem, the matrix also carries an
 //! **operator dimension**: every problem family (constant Poisson,
@@ -36,11 +33,6 @@ use petamg::solvers::DirectSolverCache;
 use std::sync::Arc;
 
 mod common;
-
-/// `seq`, `pbrt2` and `pbrt3`, each in both SIMD modes.
-fn backends() -> Vec<(String, Exec)> {
-    common::backends(&[2, 3])
-}
 
 // ---------------------------------------------------------------------
 // Fixtures
@@ -88,18 +80,24 @@ fn fixture_instances() -> Vec<(&'static str, ProblemInstance)> {
     ]
 }
 
-/// The matrix filter keeps what its prefix names, and a prefix that
-/// names nothing (a typo, a deleted backend) fails loudly — it must not
-/// turn every `for .. in backends()` suite green without running it.
+/// The problem filter keeps what its prefix names, and a prefix that
+/// names nothing (a typo, a deleted family) fails loudly — it must not
+/// turn every `for .. in problem_families()` suite green without
+/// running it.
 #[test]
-#[should_panic(expected = "PETAMG_CONFORMANCE_BACKEND=gpu selects nothing; valid prefixes: seq")]
-fn backend_filter_selects_by_prefix_and_rejects_an_empty_selection() {
-    let var = "PETAMG_CONFORMANCE_BACKEND";
-    let all = || vec![("seq+scalar", 0), ("pbrt2+scalar", 1), ("pbrt3+vector", 2)];
+#[should_panic(
+    expected = "PETAMG_CONFORMANCE_PROBLEM=gpu selects nothing; valid prefixes: poisson"
+)]
+fn problem_filter_selects_by_prefix_and_rejects_an_empty_selection() {
+    let var = "PETAMG_CONFORMANCE_PROBLEM";
+    let all = || vec![("poisson", 0), ("smooth", 1), ("smooth-aniso", 2)];
     for keep_all in [None, Some(String::new()), Some("all".to_string())] {
         assert_eq!(common::select(var, keep_all, all()), all());
     }
-    assert_eq!(common::select(var, Some("pbrt".into()), all()), all()[1..]);
+    assert_eq!(
+        common::select(var, Some("smooth".into()), all()),
+        all()[1..]
+    );
     common::select(var, Some("gpu".into()), all());
 }
 
@@ -262,8 +260,7 @@ fn run_case(
 fn all_backend_combinations_match_staged_reference() {
     let cache = Arc::new(DirectSolverCache::new());
     let mut cases = 0usize;
-    // Built once: each pbrt backend owns an OS thread pool.
-    let backends = backends();
+    let backends = common::backends();
 
     for (fam_name, fam) in fixture_families() {
         for (inst_name, inst) in fixture_instances() {
@@ -297,11 +294,9 @@ fn all_backend_combinations_match_staged_reference() {
             }
         }
     }
-    // 2 families × 2 instances × 2 accuracies × |backends × simd|; even
-    // a single-backend CI filter keeps both simd modes, so the floor is
-    // the seq-only matrix.
+    // 2 families × 2 instances × 2 accuracies × 2 SIMD modes.
     assert!(
-        cases >= 2 * 2 * 2 * 2,
+        cases == 2 * 2 * 2 * 2,
         "matrix unexpectedly small: {cases} cases"
     );
     println!("conformance: {cases} combinations matched the staged reference");
@@ -333,7 +328,7 @@ fn problem_families() -> Vec<(&'static str, Problem)> {
 #[test]
 fn operator_families_match_their_staged_references() {
     let cache = Arc::new(DirectSolverCache::new());
-    let backends = backends();
+    let backends = common::backends();
     let mut cases = 0usize;
 
     // One plan shape exercising SOR, recursion, and a mid-level direct
@@ -400,7 +395,7 @@ fn tuned_family_conforms_on_every_backend() {
     let mut x_ref = inst.working_grid();
     staged_run(&tuned, LEVEL, acc, &mut x_ref, &inst.b, &cache);
 
-    for (backend_name, exec) in &backends() {
+    for (backend_name, exec) in &common::backends() {
         let got = run_case(&tuned, &inst, acc, exec, &cache);
         assert_eq!(
             got.grid.as_slice(),

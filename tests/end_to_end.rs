@@ -1,5 +1,4 @@
-//! Cross-crate integration: tuning → persistence → execution → accuracy,
-//! across execution backends.
+//! Cross-crate integration: tuning → persistence → execution → accuracy.
 
 use petamg::persist;
 use petamg::prelude::*;
@@ -32,8 +31,8 @@ fn tune_save_load_solve_roundtrip() {
 }
 
 // Backend-parity assertions (bitwise-identical grids and identical op
-// counts across Seq / pbrt) live in the table-driven suite in
-// `tests/conformance.rs`.
+// counts across the scalar and vector row kernels) live in the
+// table-driven suite in `tests/conformance.rs`.
 
 #[test]
 fn fmg_and_v_families_share_accuracies_and_solve() {

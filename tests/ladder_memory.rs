@@ -165,8 +165,8 @@ fn traced_and_fault_carrying_requests_never_open_a_memory() {
             report.degradations[0].reason
         );
     };
-    for (name, exec) in common::backends(&[2]) {
-        let dir = tmp_dir(&format!("bypass-{}", name.replace('+', "-")));
+    for (name, exec) in common::backends() {
+        let dir = tmp_dir(&format!("bypass-{name}"));
         let svc =
             SolverService::start(ServiceConfig::new(dir).with_workers(2).with_exec(exec)).unwrap();
         let solve = |request: SolveRequest| {

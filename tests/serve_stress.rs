@@ -339,7 +339,7 @@ const PATIENCE: Duration = Duration::from_secs(10);
 /// that blocks on the flight holds the worker, and A's tuner gives up.
 #[test]
 fn a_parked_follower_frees_its_worker() {
-    for (name, exec) in common::backends(&[2]) {
+    for (name, exec) in common::backends() {
         let (a, b) = (Problem::poisson(), Problem::anisotropic(0.1));
         let a_key = fingerprint_key(a.fingerprint());
         let (b_started, b_has_started) = mpsc::channel();
@@ -356,7 +356,7 @@ fn a_parked_follower_frees_its_worker() {
             simple_v_family(level.max(1), &PAPER_ACCURACIES)
         }));
         let svc = SolverService::start(
-            ServiceConfig::new(tmp_dir(&format!("parked-{}", name.replace('+', "-"))))
+            ServiceConfig::new(tmp_dir(&format!("parked-{name}")))
                 .with_workers(2)
                 .with_exec(exec)
                 .with_tuning(tuning),
@@ -738,10 +738,10 @@ fn tiny_plan_cache_under_concurrent_traffic_stays_correct() {
 /// request bit for bit — any worker, any arena, same bits.
 #[test]
 fn solve_many_and_solve_mixed_traffic_stress() {
-    for (name, exec) in common::backends(&[2]) {
+    for (name, exec) in common::backends() {
         let svc = Arc::new(
             SolverService::start(
-                ServiceConfig::new(tmp_dir(&format!("manymix-{}", name.replace('+', "-"))))
+                ServiceConfig::new(tmp_dir(&format!("manymix-{name}")))
                     .with_workers(3)
                     .with_queue_capacity(64)
                     .with_exec(exec),

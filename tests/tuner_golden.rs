@@ -28,7 +28,6 @@ use petamg::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-#[allow(dead_code)] // `backends` serves the other suites
 mod common;
 
 const FIXTURE: &str = include_str!("fixtures/tuner_golden.txt");
