@@ -22,19 +22,20 @@ use std::sync::Arc;
 /// Cap reported accuracy ratios (direct solves produce zero error up to
 /// roundoff; their ratio is "infinite"). Any ratio at or above this value
 /// means "exact for all tuning purposes".
-pub const ACC_CAP: f64 = 1e30;
+pub(crate) const ACC_CAP: f64 = 1e30;
 
 /// Largest grid size solved exactly by band Cholesky when building
 /// reference solutions; beyond this, a deeply-converged multigrid solve
 /// is used instead (factor memory/time grows as N⁴).
-pub const DIRECT_REFERENCE_MAX_N: usize = 129;
+pub(crate) const DIRECT_REFERENCE_MAX_N: usize = 129;
 
 /// The accuracy level achieved going from `x_in` to `x_out` against the
-/// optimal solution `x_opt` (capped at [`ACC_CAP`]).
+/// optimal solution `x_opt` (capped at 1e30: at or above it means
+/// "exact for all tuning purposes").
 ///
-/// Edge cases: if the input error is zero the ratio is defined as
-/// [`ACC_CAP`] (nothing to improve); if only the output error is zero the
-/// solve was exact, also [`ACC_CAP`].
+/// Edge cases: if the input error is zero the ratio is the cap (nothing
+/// to improve); if only the output error is zero the solve was exact,
+/// also the cap.
 pub fn error_ratio(x_in: &Grid2d, x_out: &Grid2d, x_opt: &Grid2d, exec: &Exec) -> f64 {
     let e_in = l2_diff(x_in, x_opt, exec);
     let e_out = l2_diff(x_out, x_opt, exec);
@@ -42,7 +43,7 @@ pub fn error_ratio(x_in: &Grid2d, x_out: &Grid2d, x_opt: &Grid2d, exec: &Exec) -
 }
 
 /// The same metric from precomputed error norms.
-pub fn ratio_of_errors(e_in: f64, e_out: f64) -> f64 {
+pub(crate) fn ratio_of_errors(e_in: f64, e_out: f64) -> f64 {
     if e_in == 0.0 {
         return ACC_CAP;
     }
@@ -83,7 +84,7 @@ impl AccuracyReport {
 /// solve; larger grids run one [`reference_fmg`] pass and then
 /// `MULTIGRID-V-SIMPLE` cycles until the residual stalls at the
 /// round-off floor.
-pub fn reference_solution_for(
+pub(crate) fn reference_solution_for(
     problem: &Problem,
     x0: &Grid2d,
     b: &Grid2d,
@@ -142,7 +143,7 @@ pub fn reference_fmg(level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx
         restrict_full_weighting(b, &mut bc, &ctx.exec);
         xc.zero_interior();
         reference_fmg(level - 1, &mut xc, &bc, ctx);
-        interpolate_into(&xc, x, &ctx.exec);
+        interpolate_into(&xc, x);
     }
     simple_v_family(level, &[1.0]).run(level, 0, x, b, ctx);
 }

@@ -64,7 +64,7 @@ pub fn classify(b: &Grid2d) -> InputClass {
 
 impl InputClass {
     /// The training distribution used for this class.
-    pub fn training_distribution(&self) -> Distribution {
+    pub(crate) fn training_distribution(&self) -> Distribution {
         match self {
             InputClass::Unbiased => Distribution::UnbiasedUniform,
             InputClass::Biased => Distribution::BiasedUniform,
@@ -98,20 +98,8 @@ impl AdaptiveSolver {
         }
     }
 
-    /// Build from pre-tuned families.
-    ///
-    /// # Panics
-    /// Panics if `families` is empty.
-    pub fn from_families(families: Vec<(InputClass, TunedFamily)>) -> Self {
-        assert!(!families.is_empty(), "need at least one family");
-        AdaptiveSolver {
-            families,
-            cache: Arc::new(DirectSolverCache::new()),
-        }
-    }
-
     /// The family that would serve `b`.
-    pub fn family_for(&self, b: &Grid2d) -> (&InputClass, &TunedFamily) {
+    pub(crate) fn family_for(&self, b: &Grid2d) -> (&InputClass, &TunedFamily) {
         let class = classify(b);
         self.families
             .iter()
@@ -200,10 +188,13 @@ mod tests {
     }
 
     #[test]
-    fn from_families_falls_back_to_first() {
+    fn family_for_falls_back_to_the_first_family() {
         let base = TunerOptions::quick(3, Distribution::UnbiasedUniform);
         let fam = VTuner::new(base).tune();
-        let solver = AdaptiveSolver::from_families(vec![(InputClass::Unbiased, fam)]);
+        let solver = AdaptiveSolver {
+            families: vec![(InputClass::Unbiased, fam)],
+            cache: Arc::new(DirectSolverCache::new()),
+        };
         // A biased instance has no matching family -> falls back.
         let inst = ProblemInstance::random(3, Distribution::BiasedUniform, 1);
         let (class, _) = solver.family_for(&inst.b);

@@ -188,7 +188,7 @@ impl MachineProfile {
     /// Sun Fire T200 "Niagara" stand-in: many slow in-order threads,
     /// weak scalar FP (very expensive direct solve), cheap thread
     /// coordination, bandwidth-oriented memory system.
-    pub fn sun_niagara() -> Self {
+    pub(crate) fn sun_niagara() -> Self {
         MachineProfile {
             name: "sun-niagara".into(),
             relax_ns: 6.0,
@@ -293,7 +293,7 @@ pub enum CostModel {
 impl CostModel {
     /// Whether this model requires a timed re-run (vs deriving cost from
     /// operation counts alone).
-    pub fn needs_timing(&self) -> bool {
+    pub(crate) fn needs_timing(&self) -> bool {
         matches!(self, CostModel::Measured { .. })
     }
 

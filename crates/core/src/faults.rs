@@ -104,7 +104,7 @@ fn consume(pred: impl Fn(&Fault) -> bool) -> Option<Fault> {
 /// Fault point: should the kernel output at `level` be poisoned?
 /// Consumes an armed [`Fault::PoisonLevel`] for this level.
 #[inline]
-pub fn poison_level(level: usize) -> bool {
+pub(crate) fn poison_level(level: usize) -> bool {
     if !armed() {
         return false;
     }
@@ -115,7 +115,7 @@ pub fn poison_level(level: usize) -> bool {
 /// corruption or truncation fault fired. Corruption bit-flips a byte
 /// in the middle of the payload (defeating both parse and checksum);
 /// truncation keeps the first half.
-pub fn mangle_plan_bytes(bytes: &mut String) -> bool {
+pub(crate) fn mangle_plan_bytes(bytes: &mut String) -> bool {
     if !armed() {
         return false;
     }
@@ -139,7 +139,7 @@ pub fn mangle_plan_bytes(bytes: &mut String) -> bool {
 
 /// Fault point: should the direct factorization for `n`×`n` grids fail?
 #[inline]
-pub fn fail_direct(n: usize) -> bool {
+pub(crate) fn fail_direct(n: usize) -> bool {
     if !armed() {
         return false;
     }

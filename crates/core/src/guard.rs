@@ -140,7 +140,7 @@ pub enum FailureKind {
 
 impl FailureKind {
     /// Whether the rung was skipped rather than attempted.
-    pub fn is_skip(&self) -> bool {
+    pub(crate) fn is_skip(&self) -> bool {
         matches!(
             self,
             FailureKind::SameScheduleAsFailed(_) | FailureKind::KnownToFail(_)
@@ -174,7 +174,7 @@ impl std::fmt::Display for FailureKind {
 
 /// One recorded step down the ladder: which rung failed, why, and how
 /// long the failed attempt ran before the guard rejected it (zero for a
-/// skipped rung, see [`FailureKind::is_skip`]).
+/// skipped rung, see `FailureKind::is_skip`).
 #[derive(Clone, Debug)]
 pub struct Degradation {
     /// The rung that failed.
@@ -987,7 +987,7 @@ fn replays_identically(g: &GuardFailure) -> bool {
 /// Panics if `n` is not of the form `2^k + 1` with `k ≥ 1` — such a
 /// grid cannot enter the multigrid hierarchy at all, which is a caller
 /// bug rather than a runtime failure the ladder could absorb.
-pub fn level_of(n: usize) -> usize {
+pub(crate) fn level_of(n: usize) -> usize {
     match petamg_grid::size_level(n) {
         Some(k) if k >= 1 => k,
         _ => panic!("grid size {n} is not 2^k + 1"),

@@ -28,7 +28,11 @@ use crate::tuner::{DefaultKnobs, TunerOptions, VTuner, Walk};
 ///
 /// # Panics
 /// Panics if `sub_acc > final_acc` or no candidate is feasible.
-pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) -> TunerResult {
+pub(crate) fn fixed_strategy_family(
+    sub_acc: f64,
+    final_acc: f64,
+    base: &TunerOptions,
+) -> TunedFamily {
     assert!(sub_acc <= final_acc, "sub accuracy must not exceed final");
     let single = (sub_acc - final_acc).abs() < f64::EPSILON * final_acc.abs();
     let accuracies = if single {
@@ -89,13 +93,7 @@ pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) 
     family
         .validate()
         .expect("heuristic construction yields valid plans");
-    TunerResult { family }
-}
-
-/// Wrapper so callers see the provenance of the restricted tuning.
-pub struct TunerResult {
-    /// The heuristic's executable family.
-    pub family: TunedFamily,
+    family
 }
 
 /// The standard strategy sweep of Fig 7: `10⁹` plus `10^x/10⁹` for
@@ -105,13 +103,13 @@ pub fn paper_strategies(base: &TunerOptions) -> Vec<(String, TunedFamily)> {
     let mut out = Vec::new();
     out.push((
         "Strategy 10^9".to_string(),
-        fixed_strategy_family(final_acc, final_acc, base).family,
+        fixed_strategy_family(final_acc, final_acc, base),
     ));
     for x in [1i32, 3, 5, 7] {
         let sub = 10f64.powi(x);
         out.push((
             format!("Strategy 10^{x}/10^9"),
-            fixed_strategy_family(sub, final_acc, base).family,
+            fixed_strategy_family(sub, final_acc, base),
         ));
     }
     out
@@ -154,8 +152,8 @@ mod tests {
         // Strategy 10^1/10^9 must iterate the top level more times than
         // 10^7/10^9 (each cheap cycle reduces error less).
         let opts = base(4);
-        let loose = fixed_strategy_family(1e1, 1e9, &opts).family;
-        let tight = fixed_strategy_family(1e7, 1e9, &opts).family;
+        let loose = fixed_strategy_family(1e1, 1e9, &opts);
+        let tight = fixed_strategy_family(1e7, 1e9, &opts);
         let top_iters = |fam: &TunedFamily| match fam.plan(4, fam.num_accuracies() - 1) {
             Choice::Recurse { iterations, .. } => iterations,
             Choice::Direct => 1,

@@ -17,12 +17,12 @@
 //! ```
 //!
 //! `t` iterations of `RECURSE_j` run as one loop
-//! ([`TunedFamily::recurse_steps`]): the opening pre-relaxation edge,
+//! (`TunedFamily::recurse_steps`): the opening pre-relaxation edge,
 //! then `t − 1` step boundaries, each fusing one step's interpolate +
 //! post-sweep with the next step's pre-sweep + residual + restrict into
 //! a single traversal of the grid, then the closing post edge. Results,
 //! operation counts and cycle events are those of `t` separate
-//! [`TunedFamily::recurse_step`]s.
+//! `TunedFamily::recurse_step`s.
 //!
 //! The executor threads an [`ExecCtx`] through the recursion to count
 //! operations (for modeled costs), record cycle events (for the cycle
@@ -484,7 +484,7 @@ impl TunedFamily {
 
     /// One `RECURSE_j` application at `level` (j = `sub_acc`): pre-relax,
     /// coarse-grid correction through `MULTIGRID-V_j`, post-relax.
-    pub fn recurse_step(
+    pub(crate) fn recurse_step(
         &self,
         level: usize,
         sub_acc: usize,
@@ -501,7 +501,7 @@ impl TunedFamily {
     /// first's interpolate + post-relax and the second's pre-relax +
     /// residual + restrict run as one fused step boundary, so `t` steps
     /// cost `t + 1` traversals of the grid at `level` instead of `2t`.
-    pub fn recurse_steps(
+    pub(crate) fn recurse_steps(
         &self,
         level: usize,
         sub_acc: usize,
@@ -605,7 +605,7 @@ impl TunedFamily {
 
     /// Pre-factor every `(grid size, operator)` this plan's direct
     /// solves touch for the posed problem.
-    pub fn warm_factors_for(
+    pub(crate) fn warm_factors_for(
         &self,
         problem: &Problem,
         level: usize,
@@ -654,19 +654,6 @@ pub enum FollowUp {
     },
 }
 
-impl FollowUp {
-    /// Short display form.
-    pub fn describe(&self) -> String {
-        match self {
-            FollowUp::Sor { iterations } => format!("SOR×{iterations}"),
-            FollowUp::Recurse {
-                sub_accuracy,
-                iterations,
-            } => format!("RECURSE_{sub_accuracy}×{iterations}"),
-        }
-    }
-}
-
 /// One choice of `FULL-MULTIGRID_i` (paper §2.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FmgChoice {
@@ -680,19 +667,6 @@ pub enum FmgChoice {
         /// What runs after the estimate.
         follow: FollowUp,
     },
-}
-
-impl FmgChoice {
-    /// Short display form.
-    pub fn describe(&self) -> String {
-        match self {
-            FmgChoice::Direct => "Direct".into(),
-            FmgChoice::Estimate {
-                estimate_accuracy,
-                follow,
-            } => format!("ESTIMATE_{estimate_accuracy} then {}", follow.describe()),
-        }
-    }
 }
 
 /// A tuned `FULL-MULTIGRID_i` family layered over a tuned V family.
@@ -781,7 +755,7 @@ impl TunedFmgFamily {
 
     /// Pre-factor every `(grid size, operator)` this plan's direct
     /// solves touch for the posed problem.
-    pub fn warm_factors_for(
+    pub(crate) fn warm_factors_for(
         &self,
         problem: &Problem,
         level: usize,
@@ -1431,8 +1405,8 @@ mod tests {
             assert_eq!(
                 cache.factorizations(),
                 warmed,
-                "member {acc_idx} ({}) factored inside the clock",
-                fam.plans[5][acc_idx].describe()
+                "member {acc_idx} ({:?}) factored inside the clock",
+                fam.plans[5][acc_idx]
             );
         }
     }
@@ -1480,14 +1454,6 @@ mod tests {
             }
             .describe(),
             "RECURSE_2×3"
-        );
-        assert_eq!(
-            FmgChoice::Estimate {
-                estimate_accuracy: 1,
-                follow: FollowUp::Sor { iterations: 4 }
-            }
-            .describe(),
-            "ESTIMATE_1 then SOR×4"
         );
     }
 }

@@ -105,7 +105,7 @@ impl SolveTelemetry {
     /// Record a served guarded solve: the serving rung, its attempt
     /// time, every degradation along the way and the residual-check
     /// time.
-    pub fn observe_report(&self, report: &GuardedReport) {
+    pub(crate) fn observe_report(&self, report: &GuardedReport) {
         self.served[rung_idx(report.rung)].inc();
         self.observe_members(report.rung, &report.members);
         self.attempt_seconds[rung_idx(report.rung)].record_seconds(report.rung_seconds);
@@ -115,7 +115,7 @@ impl SolveTelemetry {
     }
 
     /// Record a ladder-exhausted solve: every rung failed.
-    pub fn observe_error(&self, err: &SolveError) {
+    pub(crate) fn observe_error(&self, err: &SolveError) {
         self.exhausted.inc();
         self.observe_degradations(&err.degradations);
     }
@@ -133,7 +133,7 @@ impl SolveTelemetry {
     /// Record a ladder-memory re-probe — a request that walked the
     /// whole ladder although its plan's memory was open — by whether the
     /// memory is still open after it.
-    pub fn observe_reprobe(&self, still_failing: bool) {
+    pub(crate) fn observe_reprobe(&self, still_failing: bool) {
         self.reprobe[usize::from(!still_failing)].inc();
     }
 

@@ -9,7 +9,7 @@
 //! > number of random point sources/sinks in the right-hand side."
 
 use crate::accuracy::reference_solution_for;
-use petamg_grid::{level_size, size_level, Exec, Grid2d};
+use petamg_grid::{level_size, Exec, Grid2d};
 use petamg_problems::Problem;
 use petamg_solvers::DirectSolverCache;
 use rand::rngs::StdRng;
@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Magnitude bound of the paper's uniform distributions: 2³².
-pub const UNIFORM_BOUND: f64 = 4294967296.0; // 2^32
+pub(crate) const UNIFORM_BOUND: f64 = 4294967296.0; // 2^32
 /// Bias shift of the biased distribution: 2³¹.
-pub const BIAS_SHIFT: f64 = 2147483648.0; // 2^31
+pub(crate) const BIAS_SHIFT: f64 = 2147483648.0; // 2^31
 
 /// Input data distributions for training and benchmarking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,22 +120,6 @@ impl ProblemInstance {
         }
     }
 
-    /// Wrap externally constructed data (constant-coefficient Poisson).
-    ///
-    /// # Panics
-    /// Panics if sizes mismatch or are not `2^k + 1`.
-    pub fn from_parts(x0: Grid2d, b: Grid2d) -> Self {
-        assert_eq!(x0.n(), b.n(), "x0/b size mismatch");
-        let level = size_level(x0.n()).expect("grid size must be 2^k + 1");
-        ProblemInstance {
-            level,
-            problem: Problem::poisson(),
-            x0,
-            b,
-            x_opt: None,
-        }
-    }
-
     /// Grid size `N = 2^level + 1`.
     pub fn n(&self) -> usize {
         level_size(self.level)
@@ -167,33 +151,8 @@ impl ProblemInstance {
     }
 }
 
-/// Generate a deterministic training set: `count` instances at `level`.
-pub fn training_set(
-    level: usize,
-    dist: Distribution,
-    count: usize,
-    seed: u64,
-) -> Vec<ProblemInstance> {
-    training_set_for(&Problem::poisson(), level, dist, count, seed)
-}
-
-/// Generate a deterministic training set for an arbitrary posed
-/// problem: same data as [`training_set`] for the same
-/// `(level, dist, count, seed)`, with the operator attached.
-pub fn training_set_for(
-    problem: &Problem,
-    level: usize,
-    dist: Distribution,
-    count: usize,
-    seed: u64,
-) -> Vec<ProblemInstance> {
-    (0..count)
-        .map(|index| training_instance_for(problem, level, dist, seed, index))
-        .collect()
-}
-
-/// Instance `index` of [`training_set_for`] with the same
-/// `(problem, level, dist, seed)`, generated on its own.
+/// Instance `index` of the deterministic training set of `problem` at
+/// `level` drawn from `dist` with `seed`.
 pub(crate) fn training_instance_for(
     problem: &Problem,
     level: usize,
@@ -273,23 +232,18 @@ mod tests {
 
     #[test]
     fn training_set_instances_differ() {
-        let set = training_set(3, Distribution::UnbiasedUniform, 3, 42);
-        assert_eq!(set.len(), 3);
+        let set: Vec<_> = (0..3)
+            .map(|index| {
+                training_instance_for(
+                    &Problem::poisson(),
+                    3,
+                    Distribution::UnbiasedUniform,
+                    42,
+                    index,
+                )
+            })
+            .collect();
         assert!(l2_diff(&set[0].b, &set[1].b, &Exec::seq()) > 0.0);
         assert!(l2_diff(&set[1].b, &set[2].b, &Exec::seq()) > 0.0);
-    }
-
-    #[test]
-    fn from_parts_validates_size() {
-        let x0 = Grid2d::zeros(9);
-        let b = Grid2d::zeros(9);
-        let inst = ProblemInstance::from_parts(x0, b);
-        assert_eq!(inst.level, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k + 1")]
-    fn from_parts_rejects_bad_size() {
-        let _ = ProblemInstance::from_parts(Grid2d::zeros(10), Grid2d::zeros(10));
     }
 }

@@ -32,11 +32,6 @@ impl FmgTuner {
         }
     }
 
-    /// Access the wrapped V tuner.
-    pub fn v_tuner(&self) -> &VTuner {
-        &self.v_tuner
-    }
-
     /// Tune a complete FMG family: first the V family (used by follow-up
     /// phases), then the FMG plans bottom-up.
     pub fn tune(&self) -> TunedFmgFamily {
@@ -49,7 +44,7 @@ impl FmgTuner {
     ///
     /// # Panics
     /// Panics if the V family's accuracies differ from the options'.
-    pub fn tune_over(&self, v: TunedFamily) -> TunedFmgFamily {
+    pub(crate) fn tune_over(&self, v: TunedFamily) -> TunedFmgFamily {
         let opts = self.v_tuner.options();
         assert_eq!(
             v.accuracies, opts.accuracies,
@@ -248,7 +243,7 @@ mod tests {
         // exceed the tuned V solve by more than measurement slack.
         let tuner = quick(5);
         let fam = tuner.tune();
-        let opts = tuner.v_tuner().options();
+        let opts = tuner.v_tuner.options();
         let profile = opts.cost_model.profile().unwrap().clone();
         let exec = Exec::seq();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());

@@ -194,16 +194,6 @@ pub struct TuneDiagnostics {
     pub sor_sweeps: Vec<u64>,
 }
 
-impl TuneDiagnostics {
-    /// Candidates evaluated for one `(level, acc)` slot.
-    pub fn for_slot(&self, level: usize, acc_idx: usize) -> Vec<&CandidateEval> {
-        self.evaluations
-            .iter()
-            .filter(|e| e.level == level && e.acc_idx == acc_idx)
-            .collect()
-    }
-}
-
 /// Outcome of one candidate measurement for one accuracy target.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Measured {
@@ -803,6 +793,15 @@ mod tests {
         ))
     }
 
+    /// Candidates evaluated for one `(level, acc)` slot.
+    fn slot(diags: &TuneDiagnostics, level: usize, acc_idx: usize) -> Vec<&CandidateEval> {
+        diags
+            .evaluations
+            .iter()
+            .filter(|e| e.level == level && e.acc_idx == acc_idx)
+            .collect()
+    }
+
     #[test]
     fn tuned_family_is_valid_and_deep() {
         let fam = quick_tuner(5).tune();
@@ -874,7 +873,7 @@ mod tests {
         for k in 2..=6 {
             let mut prev_cost = 0.0;
             for i in 0..fam.num_accuracies() {
-                let slot = diags.for_slot(k, i);
+                let slot = slot(&diags, k, i);
                 let sel: Vec<_> = slot.iter().filter(|e| e.selected).collect();
                 assert!(!sel.is_empty(), "slot ({k},{i}) has a winner");
                 let cost = sel[0].cost;
@@ -893,7 +892,7 @@ mod tests {
         let (_, diags) = tuner.tune_with_diagnostics();
         for k in 2..=5 {
             for i in 0..5 {
-                let slot = diags.for_slot(k, i);
+                let slot = slot(&diags, k, i);
                 let winner = slot.iter().find(|e| e.selected).expect("winner exists");
                 for e in &slot {
                     if e.feasible && e.cost.is_finite() {

@@ -47,7 +47,7 @@ fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
 #[derive(Clone, Debug)]
 pub struct ParetoAlgo {
     /// How this algorithm computes its level.
-    pub kind: ParetoKind,
+    pub(crate) kind: ParetoKind,
     /// Measured accuracy on training data.
     pub accuracy: f64,
     /// Cost (modeled seconds).
@@ -56,7 +56,7 @@ pub struct ParetoAlgo {
 
 /// Algorithm structure of a Pareto-set member.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParetoKind {
+pub(crate) enum ParetoKind {
     /// Direct solve.
     Direct,
     /// `iterations` SOR(ω_opt) sweeps.

@@ -18,8 +18,9 @@ pub struct Exec {
 }
 
 impl Exec {
-    /// Sequential execution, on the vector path when
-    /// [`vector_available`] and the scalar path otherwise.
+    /// Sequential execution, on the vector path when the CPU has an ISA
+    /// vector backend ([`vector_backend`](crate::vector_backend) is not
+    /// `"portable"`) and the scalar path otherwise.
     pub fn seq() -> Self {
         Exec {
             simd: if vector_available() {

@@ -32,12 +32,6 @@ pub fn coarse_size(n: usize) -> usize {
     (n - 1) / 2 + 1
 }
 
-/// Side length of the next finer grid: `(n-1)*2 + 1`.
-#[inline]
-pub fn fine_size(n: usize) -> usize {
-    (n - 1) * 2 + 1
-}
-
 /// A dense, row-major square grid of `f64` over the unit square.
 ///
 /// Index `(i, j)` is row `i` (y direction), column `j` (x direction),
@@ -115,7 +109,7 @@ impl Grid2d {
 
     /// Mutable access at `(i, j)`.
     #[inline(always)]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+    pub(crate) fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
         debug_assert!(i < self.n && j < self.n);
         &mut self.data[i * self.n + j]
     }
@@ -210,18 +204,6 @@ impl Grid2d {
         (1..n - 1).flat_map(move |i| (1..n - 1).map(move |j| (i, j)))
     }
 
-    /// Whether `(i, j)` lies on the boundary ring.
-    #[inline]
-    pub fn is_boundary(&self, i: usize, j: usize) -> bool {
-        i == 0 || j == 0 || i == self.n - 1 || j == self.n - 1
-    }
-
-    /// Number of interior points, `(n-2)²`.
-    #[inline]
-    pub fn interior_len(&self) -> usize {
-        (self.n - 2) * (self.n - 2)
-    }
-
     /// In-place AXPY on the full buffer: `self += alpha * other`.
     pub fn axpy(&mut self, alpha: f64, other: &Grid2d) {
         assert_eq!(self.n, other.n, "size mismatch in axpy");
@@ -264,11 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn coarse_fine_are_inverse() {
+    fn coarse_size_is_one_level_down() {
         for k in 2..=10 {
-            let n = level_size(k);
-            assert_eq!(coarse_size(n), level_size(k - 1));
-            assert_eq!(fine_size(coarse_size(n)), n);
+            assert_eq!(coarse_size(level_size(k)), level_size(k - 1));
         }
     }
 
@@ -296,16 +276,12 @@ mod tests {
     }
 
     #[test]
-    fn boundary_detection() {
+    fn interior_skips_the_boundary_ring() {
         let g = Grid2d::zeros(5);
-        assert!(g.is_boundary(0, 2));
-        assert!(g.is_boundary(4, 4));
-        assert!(g.is_boundary(2, 0));
-        assert!(!g.is_boundary(1, 1));
-        assert!(!g.is_boundary(3, 3));
-        assert_eq!(g.interior_len(), 9);
         assert_eq!(g.interior().count(), 9);
-        assert!(g.interior().all(|(i, j)| !g.is_boundary(i, j)));
+        assert!(g
+            .interior()
+            .all(|(i, j)| (1..4).contains(&i) && (1..4).contains(&j)));
     }
 
     #[test]
@@ -315,7 +291,7 @@ mod tests {
         dst.copy_boundary_from(&src);
         for i in 0..5 {
             for j in 0..5 {
-                if dst.is_boundary(i, j) {
+                if i == 0 || j == 0 || i == 4 || j == 4 {
                     assert_eq!(dst.at(i, j), src.at(i, j));
                 } else {
                     assert_eq!(dst.at(i, j), -1.0);

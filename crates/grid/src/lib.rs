@@ -85,18 +85,18 @@ mod transfer;
 mod workspace;
 
 pub use exec::Exec;
-pub use grid::{coarse_size, fine_size, level_size, size_level, BatchGrid, Grid2d};
+pub use grid::{coarse_size, level_size, size_level, BatchGrid, Grid2d};
 pub use norms::{l2_diff, l2_norm_interior};
 pub use ops::{
-    apply_operator, residual, residual_norm_with, residual_restrict, residual_restrict_with,
-    residual_with, restrict_rows_into, zero_boundary_ring,
+    residual, residual_norm_with, residual_restrict, residual_restrict_with, residual_with,
+    restrict_rows_into, zero_boundary_ring,
 };
-pub use simd::{batch_width, vector_available, vector_backend, FaceSum, Five, SimdMode};
+pub use simd::{batch_width, vector_backend, FaceSum, Five, SimdMode};
 pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,
     restrict_full_weighting, restrict_inject,
 };
-pub use workspace::{BufferLease, GridLease, Workspace, WorkspaceStats, BUFFER_ALIGN};
+pub use workspace::{BufferLease, GridLease, Workspace, WorkspaceStats};
 
 #[cfg(test)]
 mod proptests;

@@ -20,20 +20,6 @@
 use crate::simd::{self, Five, SimdMode, Weight};
 use crate::{coarse_size, Exec, Grid2d, Workspace};
 
-/// Compute one interior row of `A_h x` into `out[1..n-1]`, scaled by
-/// `inv_h2`. `up`/`mid`/`dn` are rows `i-1`, `i`, `i+1` of `x`.
-#[inline]
-fn operator_row_into(up: &[f64], mid: &[f64], dn: &[f64], inv_h2: f64, out: &mut [f64]) {
-    let n = mid.len();
-    let (left, center, right) = (&mid[..n - 2], &mid[1..n - 1], &mid[2..]);
-    let (up, dn) = (&up[1..n - 1], &dn[1..n - 1]);
-    let out = &mut out[1..n - 1];
-    for j in 0..out.len() {
-        let v = 4.0 * center[j] - up[j] - dn[j] - left[j] - right[j];
-        out[j] = v * inv_h2;
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 impl<W: Weight, D: Weight> Five<W, D> {
     /// Compute one interior row of the residual `r = b − A x` into
@@ -146,15 +132,22 @@ impl<W: Weight, D: Weight> Five<W, D> {
     }
 }
 
-/// `out = A_h x` on the interior; `out`'s boundary ring is zeroed.
+/// `out = A_h x` on the interior; `out`'s boundary ring is zeroed. The
+/// tests' operator oracle: the residual kernels are checked against
+/// `b − A_h x` computed with it.
 ///
 /// # Panics
 /// Panics if sizes differ.
-pub fn apply_operator(x: &Grid2d, out: &mut Grid2d, _exec: &Exec) {
+#[cfg(test)]
+pub(crate) fn apply_operator(x: &Grid2d, out: &mut Grid2d) {
     assert_eq!(x.n(), out.n(), "size mismatch in apply_operator");
     let inv_h2 = x.inv_h2();
     for (i, out_row) in out.interior_rows_mut() {
-        operator_row_into(x.row(i - 1), x.row(i), x.row(i + 1), inv_h2, out_row);
+        let (up, mid, dn) = (x.row(i - 1), x.row(i), x.row(i + 1));
+        for j in 1..mid.len() - 1 {
+            let v = 4.0 * mid[j] - up[j] - dn[j] - mid[j - 1] - mid[j + 1];
+            out_row[j] = v * inv_h2;
+        }
     }
     zero_boundary_ring(out);
 }
@@ -423,7 +416,7 @@ mod tests {
             x * x + y * y
         });
         let mut out = Grid2d::zeros(n);
-        apply_operator(&u, &mut out, &Exec::seq());
+        apply_operator(&u, &mut out);
         for (i, j) in u.interior() {
             assert!(
                 (out.at(i, j) - (-4.0)).abs() < 1e-9,
@@ -438,7 +431,7 @@ mod tests {
         // A constant grid: stencil cancels exactly everywhere inside.
         let u = Grid2d::from_fn(9, |_, _| 5.0);
         let mut out = Grid2d::from_fn(9, |_, _| 7.0);
-        apply_operator(&u, &mut out, &Exec::seq());
+        apply_operator(&u, &mut out);
         for (i, j) in u.interior() {
             assert_eq!(out.at(i, j), 0.0);
         }
@@ -468,7 +461,7 @@ mod tests {
         let b = Grid2d::from_fn(9, |i, j| ((i * 7 + j * 3) % 11) as f64);
         let mut au = Grid2d::zeros(9);
         let mut r = Grid2d::zeros(9);
-        apply_operator(&u, &mut au, &Exec::seq());
+        apply_operator(&u, &mut au);
         residual(&u, &b, &mut r, &Exec::seq());
         for (i, j) in u.interior() {
             assert!(
@@ -486,7 +479,7 @@ mod tests {
         let mut x = Grid2d::zeros(n);
         x.set_boundary(|_, _| 1.0);
         let mut out = Grid2d::zeros(n);
-        apply_operator(&x, &mut out, &Exec::seq());
+        apply_operator(&x, &mut out);
         let inv_h2 = x.inv_h2();
         // Corner-adjacent interior point (1,1): two boundary neighbors.
         assert!((out.at(1, 1) - (-2.0 * inv_h2)).abs() < 1e-9);

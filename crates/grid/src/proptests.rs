@@ -1,6 +1,7 @@
 //! Property-based tests for the grid substrate invariants that the
 //! multigrid theory relies on.
 
+use crate::ops::apply_operator;
 use crate::*;
 use proptest::prelude::*;
 
@@ -71,7 +72,7 @@ proptest! {
         let mut rf = Grid2d::zeros(9);
         restrict_full_weighting(&f, &mut rf, &e);
         let mut pc = Grid2d::zeros(17);
-        interpolate_into(&c, &mut pc, &e);
+        interpolate_into(&c, &mut pc);
         let lhs = dot_interior(&rf, &c);
         let rhs = dot_interior(&f, &pc) / 4.0;
         let scale = lhs.abs().max(rhs.abs()).max(1.0);
@@ -87,7 +88,7 @@ proptest! {
         let mut c = Grid2d::zeros(9);
         for (i, j) in c.clone().interior() { c.set(i, j, v); }
         let mut fine = Grid2d::zeros(17);
-        interpolate_into(&c, &mut fine, &e);
+        interpolate_into(&c, &mut fine);
         let mut back = Grid2d::zeros(9);
         restrict_full_weighting(&fine, &mut back, &e);
         // Deep interior: the 3x3 fine halo of these coarse points is
@@ -106,7 +107,7 @@ proptest! {
         let mut c = Grid2d::zeros(9);
         c.set(4, 4, v);
         let mut fine = Grid2d::zeros(17);
-        interpolate_into(&c, &mut fine, &e);
+        interpolate_into(&c, &mut fine);
         let mut back = Grid2d::zeros(9);
         restrict_full_weighting(&fine, &mut back, &e);
         prop_assert!((back.at(4, 4) - 9.0 / 16.0 * v).abs() < 1e-12 * v);
@@ -131,7 +132,7 @@ proptest! {
             dx.set(i, j, x1.at(i, j) - x2.at(i, j));
         }}
         let mut adx = Grid2d::zeros(9);
-        apply_operator(&dx, &mut adx, &e);
+        apply_operator(&dx, &mut adx);
         for (i, j) in r1.interior() {
             let lhs = r1.at(i, j) - r2.at(i, j);
             let rhs = -adx.at(i, j);
@@ -147,10 +148,9 @@ proptest! {
         u in zero_boundary_grid(9, 10.0),
         v in zero_boundary_grid(9, 10.0),
     ) {
-        let e = Exec::seq();
         let (mut au, mut av) = (Grid2d::zeros(9), Grid2d::zeros(9));
-        apply_operator(&u, &mut au, &e);
-        apply_operator(&v, &mut av, &e);
+        apply_operator(&u, &mut au);
+        apply_operator(&v, &mut av);
         let lhs = dot_interior(&au, &v);
         let rhs = dot_interior(&u, &av);
         let scale = lhs.abs().max(rhs.abs()).max(1.0);
@@ -164,7 +164,7 @@ proptest! {
         let e = Exec::seq();
         prop_assume!(l2_norm_interior(&u, &e) > 1e-6);
         let mut au = Grid2d::zeros(9);
-        apply_operator(&u, &mut au, &e);
+        apply_operator(&u, &mut au);
         prop_assert!(dot_interior(&au, &u) > 0.0);
     }
 
@@ -223,7 +223,7 @@ proptest! {
     ) {
         let e = Exec::seq();
         let mut want = base.clone();
-        interpolate_add(&c, &mut want, &e);
+        interpolate_add(&c, &mut want);
         let mut got = base.clone();
         interpolate_correct(&c, &mut got, &e);
         prop_assert_eq!(got.as_slice(), want.as_slice());
@@ -239,7 +239,7 @@ proptest! {
     ) {
         let e = Exec::seq().with_simd(SimdMode::Scalar);
         let mut want = base.clone();
-        interpolate_add(&c, &mut want, &e);
+        interpolate_add(&c, &mut want);
         let scale = want.interior().map(|(i, j)| want.at(i, j).abs()).fold(1.0, f64::max);
 
         for mode in [SimdMode::Scalar, SimdMode::Vector] {

@@ -34,8 +34,8 @@
 //!   (by ulps) only from the pre-SIMD sequential fold.
 //!
 //! Because every mode produces identical bits, [`SimdMode`] changes
-//! speed, never answers. `Exec` serves with `Vector` when
-//! [`vector_available`], `Scalar` otherwise; `Scalar` is also the
+//! speed, never answers. `Exec` serves with `Vector` when the CPU has
+//! an ISA vector backend, `Scalar` otherwise; `Scalar` is also the
 //! oracle the vector = scalar tests compare the vector path against.
 
 /// Which lane path a kernel invocation runs. Carried by `Exec` and
@@ -64,7 +64,7 @@ impl SimdMode {
 /// Whether the running CPU supports one of the ISA vector backends.
 /// `false` means [`SimdMode::Vector`] runs the portable lane fallback
 /// (still bitwise correct, rarely faster).
-pub fn vector_available() -> bool {
+pub(crate) fn vector_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         avx2_available()
@@ -1228,15 +1228,19 @@ mod tests {
     /// The residual and SOR bodies of every lane backend this build
     /// and host have (the AVX ones through their trampolines).
     fn backends<W: Weight, D: Weight, R: Weight>() -> Vec<Backend<W, D, R>> {
-        #[allow(unused_mut)]
-        let mut all = vec![bodies::<Portable, W, D, R>("portable")];
         #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            all.push(("avx2", residual_row_avx2::<W, D>, sor_row_avx2::<W, R>));
-        }
+        let native = avx2_available().then_some((
+            "avx2",
+            residual_row_avx2::<W, D> as ResidualBody<W, D>,
+            sor_row_avx2::<W, R> as SorBody<W, R>,
+        ));
         #[cfg(target_arch = "aarch64")]
-        all.push(bodies::<Neon, W, D, R>("neon"));
-        all
+        let native = Some(bodies::<Neon, W, D, R>("neon"));
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let native = None;
+        std::iter::once(bodies::<Portable, W, D, R>("portable"))
+            .chain(native)
+            .collect()
     }
 
     /// On every backend, the residual body (weights `residual`) and the

@@ -76,13 +76,13 @@ pub fn restrict_inject(fine: &Grid2d, coarse: &mut Grid2d) {
 ///
 /// # Panics
 /// Panics if sizes are not a coarse/fine pair.
-pub fn interpolate_add(coarse: &Grid2d, fine: &mut Grid2d, _exec: &Exec) {
+pub fn interpolate_add(coarse: &Grid2d, fine: &mut Grid2d) {
     interpolate_impl(coarse, fine, true);
 }
 
 /// Bilinear interpolation of `coarse`, **overwriting** `fine`'s interior.
 /// Used by full multigrid to lift a coarse estimate to the fine grid.
-pub fn interpolate_into(coarse: &Grid2d, fine: &mut Grid2d, _exec: &Exec) {
+pub fn interpolate_into(coarse: &Grid2d, fine: &mut Grid2d) {
     interpolate_impl(coarse, fine, false);
 }
 
@@ -243,7 +243,7 @@ mod tests {
         let f = |x: f64, y: f64| 1.0 + 2.0 * x + 3.0 * y + x * y;
         let coarse = Grid2d::from_fn(nc, |i, j| f(j as f64 * hc, i as f64 * hc));
         let mut fine = Grid2d::zeros(nf);
-        interpolate_into(&coarse, &mut fine, &Exec::seq());
+        interpolate_into(&coarse, &mut fine);
         for (i, j) in fine.interior() {
             // Bilinear interpolation between coarse cells is exact for
             // functions bilinear *within each coarse cell*; x*y is.
@@ -260,7 +260,7 @@ mod tests {
     fn interpolate_add_accumulates() {
         let coarse = Grid2d::from_fn(5, |_, _| 1.0);
         let mut fine = Grid2d::from_fn(9, |_, _| 10.0);
-        interpolate_add(&coarse, &mut fine, &Exec::seq());
+        interpolate_add(&coarse, &mut fine);
         for (i, j) in fine.interior() {
             assert!((fine.at(i, j) - 11.0).abs() < 1e-12);
         }
@@ -277,7 +277,7 @@ mod tests {
             let e = Exec::seq();
 
             let mut want = base.clone();
-            interpolate_add(&coarse, &mut want, &e);
+            interpolate_add(&coarse, &mut want);
             let mut got = base.clone();
             interpolate_correct(&coarse, &mut got, &e);
             assert_eq!(got.as_slice(), want.as_slice(), "nf = {nf}");

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 /// keep `Vec`-backed storage: stencil rows have odd lengths, so their
 /// row bases are unaligned regardless of the allocation base, and the
 /// vector kernels use unaligned loads throughout.)
-pub const BUFFER_ALIGN: usize = 64;
+pub(crate) const BUFFER_ALIGN: usize = 64;
 
 /// A heap allocation of `f64`s aligned to [`BUFFER_ALIGN`] bytes — the
 /// storage behind pooled row buffers. `Vec<f64>` only guarantees
@@ -184,13 +184,6 @@ impl Workspace {
             ws: self,
             grid: Some(grid),
         }
-    }
-
-    /// Lease a zeroed row buffer of `len` values.
-    pub fn acquire_buffer(&self, len: usize) -> BufferLease<'_> {
-        let mut lease = self.acquire_buffer_unzeroed(len);
-        lease.fill(0.0);
-        lease
     }
 
     /// Lease a row buffer of `len` values **without** clearing pooled
@@ -370,23 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn buffers_pool_and_zero() {
-        let ws = Workspace::new();
-        {
-            let mut b = ws.acquire_buffer(12);
-            b[3] = 9.0;
-        }
-        let b = ws.acquire_buffer(12);
-        assert_eq!(b.len(), 12);
-        assert!(b.iter().all(|&v| v == 0.0));
-        assert_eq!(ws.stats().reuses, 1);
-    }
-
-    #[test]
     fn unzeroed_buffers_skip_the_clear_but_still_pool() {
         let ws = Workspace::new();
         {
-            let mut b = ws.acquire_buffer(8);
+            let mut b = ws.acquire_buffer_unzeroed(8);
             b[2] = 5.0;
         }
         {
@@ -425,7 +405,7 @@ mod tests {
         let ws = Workspace::new();
         for len in [1usize, 3, 8, 33, 99, 3 * 129] {
             {
-                let b = ws.acquire_buffer(len);
+                let b = ws.acquire_buffer_unzeroed(len);
                 assert_eq!(b.as_ptr() as usize % BUFFER_ALIGN, 0, "fresh len={len}");
             }
             // Pool round trip: the reused storage keeps its alignment.

@@ -218,8 +218,9 @@ impl BandMatrix {
     }
 
     /// Dense `y = A·x` (test oracle; one `get` per band entry).
+    #[cfg(test)]
     #[allow(clippy::needless_range_loop)] // band index arithmetic reads clearest indexed
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "matvec dimension mismatch");
         let mut y = vec![0.0; self.n];
         for i in 0..self.n {

@@ -4,7 +4,7 @@ use crate::LinalgError;
 
 /// A dense row-major square matrix (small sizes only; O(n³) solvers).
 #[derive(Clone, Debug, PartialEq)]
-pub struct DenseMatrix {
+pub(crate) struct DenseMatrix {
     n: usize,
     data: Vec<f64>,
 }
@@ -37,7 +37,7 @@ impl DenseMatrix {
     }
 
     /// `y = A x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n);
         (0..self.n)
             .map(|i| (0..self.n).map(|j| self.get(i, j) * x[j]).sum())
@@ -46,7 +46,7 @@ impl DenseMatrix {
 
     /// Dense Cholesky solve for SPD matrices (oracle for the band
     /// version).
-    pub fn cholesky_solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn cholesky_solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.n,
@@ -90,7 +90,7 @@ impl DenseMatrix {
     }
 
     /// Gaussian elimination with partial pivoting (general oracle).
-    pub fn gauss_solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn gauss_solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 expected: self.n,

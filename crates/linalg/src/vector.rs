@@ -51,11 +51,9 @@ impl Tier {
     /// Every tier the running CPU executes, portable first.
     #[cfg(test)]
     pub(crate) fn available() -> Vec<Tier> {
-        #[allow(unused_mut)]
         let mut tiers = vec![Tier::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            tiers.push(Tier::Avx2);
+        if Tier::detect() != Tier::Portable {
+            tiers.push(Tier::detect());
         }
         tiers
     }

@@ -16,7 +16,7 @@ use crate::TelemetryMode;
 use std::sync::Once;
 
 /// Every `PETAMG_*` variable the workspace understands.
-pub const KNOWN_VARS: &[&str] = &[
+pub(crate) const KNOWN_VARS: &[&str] = &[
     "PETAMG_TELEMETRY",
     "PETAMG_FAULTS",
     "PETAMG_CONFORMANCE_PROBLEM",
@@ -26,7 +26,7 @@ pub const KNOWN_VARS: &[&str] = &[
 
 /// `PETAMG_*` names present in `vars` but not in [`KNOWN_VARS`] —
 /// the pure core of the warn-once sweep, separated for tests.
-pub fn unknown_petamg_vars<'a>(vars: impl Iterator<Item = &'a str>) -> Vec<String> {
+pub(crate) fn unknown_petamg_vars<'a>(vars: impl Iterator<Item = &'a str>) -> Vec<String> {
     let mut unknown: Vec<String> = vars
         .filter(|name| name.starts_with("PETAMG_") && !KNOWN_VARS.contains(name))
         .map(str::to_string)

@@ -145,7 +145,7 @@ pub fn now_us() -> u64 {
 /// threads never contend on the same histogram shard until the thread
 /// count exceeds the shard count.
 #[inline]
-pub fn thread_index() -> u64 {
+pub(crate) fn thread_index() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
         static INDEX: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };

@@ -19,14 +19,14 @@ use parking_lot_free::Mutex;
 /// `parking_lot` shim.
 mod parking_lot_free {
     /// Non-poisoning wrapper over [`std::sync::Mutex`].
-    pub struct Mutex<T>(std::sync::Mutex<T>);
+    pub(super) struct Mutex<T>(std::sync::Mutex<T>);
 
     impl<T> Mutex<T> {
-        pub const fn new(value: T) -> Self {
+        pub(super) const fn new(value: T) -> Self {
             Mutex(std::sync::Mutex::new(value))
         }
 
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        pub(super) fn lock(&self) -> std::sync::MutexGuard<'_, T> {
             self.0
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -49,7 +49,7 @@ pub struct SpanRecord {
     /// Duration in microseconds.
     pub dur_us: u64,
     /// Dense thread index of the recording thread
-    /// ([`crate::thread_index`]).
+    /// (`crate::thread_index`).
     pub tid: u64,
 }
 

@@ -28,7 +28,7 @@ use petamg_grid::FaceSum;
 /// weight between the cells holding them. `harmonic(1, 1) == 1.0`
 /// exactly.
 #[inline]
-pub fn harmonic(a: f64, b: f64) -> f64 {
+pub(crate) fn harmonic(a: f64, b: f64) -> f64 {
     (2.0 * a * b) / (a + b)
 }
 
@@ -59,7 +59,7 @@ pub fn field_hash(values: &[f64]) -> u64 {
 /// is the east array one column behind, a north row is the previous
 /// row's south row. With the reciprocal diagonal that is three arrays,
 /// indexed like the solution; only interior entries are ever read by
-/// the kernels. The diagonal is not stored: [`StencilCoeffs::diagonal_row`]
+/// the kernels. The diagonal is not stored: `StencilCoeffs::diagonal_row`
 /// sums it from the four face rows in the association order `1/c` was
 /// computed with, so a residual kernel gets the stored array's bits
 /// without streaming it.
@@ -136,33 +136,33 @@ impl StencilCoeffs {
 
     /// West face-weight row `i`: the east faces one column behind.
     #[inline]
-    pub fn w_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn w_row(&self, i: usize) -> &[f64] {
         &self.e[i * self.n..(i + 1) * self.n]
     }
     /// East face-weight row `i`.
     #[inline]
-    pub fn e_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn e_row(&self, i: usize) -> &[f64] {
         &self.e[i * self.n + 1..(i + 1) * self.n + 1]
     }
     /// North face-weight row `i`: row `i − 1`'s south faces.
     #[inline]
-    pub fn n_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn n_row(&self, i: usize) -> &[f64] {
         &self.s[i * self.n..(i + 1) * self.n]
     }
     /// South face-weight row `i`.
     #[inline]
-    pub fn s_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn s_row(&self, i: usize) -> &[f64] {
         &self.s[(i + 1) * self.n..(i + 2) * self.n]
     }
     /// Diagonal row `i`, `c = ((w+e)+n)+s`, summed from the face rows
     /// where it is read.
     #[inline]
-    pub fn diagonal_row(&self, i: usize) -> FaceSum<'_> {
+    pub(crate) fn diagonal_row(&self, i: usize) -> FaceSum<'_> {
         FaceSum::new(self.w_row(i), self.e_row(i), self.n_row(i), self.s_row(i))
     }
     /// Reciprocal-diagonal row `i`.
     #[inline]
-    pub fn ic_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn ic_row(&self, i: usize) -> &[f64] {
         &self.ic[i * self.n..(i + 1) * self.n]
     }
 }

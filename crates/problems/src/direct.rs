@@ -20,7 +20,7 @@ use petamg_linalg::{BandCholesky, BandMatrix, LinalgError};
 ///
 /// # Panics
 /// Panics if `n < 3` or the operator is bound to another size.
-pub fn assemble_op_band(op: &StencilOp, n: usize) -> BandMatrix {
+pub(crate) fn assemble_op_band(op: &StencilOp, n: usize) -> BandMatrix {
     assert!(n >= 3, "grid too small");
     op.assert_n(n);
     let k = n - 2;

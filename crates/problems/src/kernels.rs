@@ -14,22 +14,22 @@
 
 use crate::op::{with_weights, StencilOp};
 use petamg_grid::{
-    residual_norm_with, residual_restrict_with, residual_with, zero_boundary_ring, Exec, Grid2d,
-    Workspace,
+    residual_norm_with, residual_restrict_with, residual_with, Exec, Grid2d, Workspace,
 };
 
 /// `out = A x` on the interior for operator `op`; `out`'s boundary ring
 /// is zeroed.
 ///
 /// This is the scalar **oracle** form of the operator (per-cell
-/// [`StencilOp::weights_at`] lookups, no SIMD dispatch): tests and
-/// diagnostics use it to cross-check the streaming kernels. Hot paths
-/// go through [`residual_op`] / [`residual_restrict_op`] instead,
-/// which stream whole rows in both SIMD modes.
+/// [`StencilOp::weights_at`] lookups, no SIMD dispatch): the tests use
+/// it to cross-check the streaming kernels. Hot paths go through
+/// [`residual_op`] / [`residual_restrict_op`] instead, which stream
+/// whole rows in both SIMD modes.
 ///
 /// # Panics
 /// Panics if sizes differ or the operator is bound to another size.
-pub fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d, _exec: &Exec) {
+#[cfg(test)]
+pub(crate) fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d) {
     assert_eq!(x.n(), out.n(), "size mismatch in apply_operator_op");
     op.assert_n(x.n());
     let n = x.n();
@@ -43,7 +43,7 @@ pub fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d, _exec: &E
             out_row[j] = v * inv_h2;
         }
     }
-    zero_boundary_ring(out);
+    petamg_grid::zero_boundary_ring(out);
 }
 
 /// `r = b − A x` on the interior for operator `op`; `r`'s boundary ring
@@ -220,7 +220,7 @@ mod tests {
         ] {
             let op = p.op_for(n);
             let mut ax = Grid2d::zeros(n);
-            apply_operator_op(&op, &x, &mut ax, &e);
+            apply_operator_op(&op, &x, &mut ax);
             let mut r = Grid2d::zeros(n);
             residual_op(&op, &x, &b, &mut r, &e);
             for (i, j) in x.interior() {

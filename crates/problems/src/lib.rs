@@ -49,11 +49,11 @@ mod kernels;
 mod op;
 mod problem;
 
-pub use coeffs::{field_hash, harmonic, CoeffProfile, StencilCoeffs};
-pub use direct::{assemble_op_band, OpDirect};
-pub use kernels::{apply_operator_op, residual_norm_op, residual_op, residual_restrict_op};
+pub use coeffs::{field_hash, CoeffProfile, StencilCoeffs};
+pub use direct::OpDirect;
+pub use kernels::{residual_norm_op, residual_op, residual_restrict_op};
 pub use op::StencilOp;
-pub use problem::{Problem, ProblemFamily, ProblemFingerprint, ProblemMismatch};
+pub use problem::{Problem, ProblemFingerprint, ProblemMismatch};
 
 #[cfg(test)]
 mod proptests;

@@ -137,7 +137,7 @@ impl StencilOp {
     /// Grid size this operator is bound to (`None` for size-independent
     /// operators).
     #[inline]
-    pub fn bound_n(&self) -> Option<usize> {
+    pub(crate) fn bound_n(&self) -> Option<usize> {
         match self {
             StencilOp::Var(c) => Some(c.n()),
             _ => None,
@@ -240,12 +240,12 @@ impl StencilOp {
     }
 
     /// The stencil weights of cell `(i, j)` as `(cw, ce, cn, cs, cc)` —
-    /// the assembly view used by the banded direct solver,
-    /// [`crate::apply_operator_op`], and the test oracles. (The hot
+    /// the assembly view used by the banded direct solver and the test
+    /// oracles. (The hot
     /// relaxation/residual kernels never call this; they stream whole
     /// rows.)
     #[inline]
-    pub fn weights_at(&self, i: usize, j: usize) -> (f64, f64, f64, f64, f64) {
+    pub(crate) fn weights_at(&self, i: usize, j: usize) -> (f64, f64, f64, f64, f64) {
         match self {
             StencilOp::Poisson => (1.0, 1.0, 1.0, 1.0, 4.0),
             StencilOp::ConstFive {

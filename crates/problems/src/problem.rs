@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// The operator family a [`Problem`] belongs to.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProblemFamily {
+pub(crate) enum ProblemFamily {
     /// Constant-coefficient Poisson (the seed problem).
     ConstPoisson,
     /// Axis-anisotropic Poisson `-ε·u_xx − u_yy = f`.
@@ -20,17 +20,6 @@ pub enum ProblemFamily {
     },
     /// Variable-coefficient diffusion `-∇·(a(x,y)∇u) = f`.
     VarDiffusion,
-}
-
-impl ProblemFamily {
-    /// Stable machine name used in fingerprints.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProblemFamily::ConstPoisson => "const-poisson",
-            ProblemFamily::Anisotropic { .. } => "anisotropic",
-            ProblemFamily::VarDiffusion => "variable-diffusion",
-        }
-    }
 }
 
 /// Serializable identity of a posed problem — carried inside tuned-plan
@@ -230,11 +219,6 @@ impl Problem {
     /// `n`.
     pub fn jump_inclusion(n: usize) -> Self {
         Problem::variable(n, CoeffProfile::JumpInclusion { ratio: 1000.0 })
-    }
-
-    /// The family this problem belongs to.
-    pub fn family(&self) -> ProblemFamily {
-        self.family
     }
 
     /// The serializable identity of this problem.

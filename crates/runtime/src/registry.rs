@@ -15,7 +15,6 @@ pub(crate) struct Registry {
     stealers: Vec<Stealer<JobRef>>,
     sleep: Sleep,
     terminate: AtomicBool,
-    num_threads: usize,
 }
 
 impl Registry {
@@ -191,7 +190,6 @@ impl ThreadPool {
             stealers,
             sleep: Sleep::new(),
             terminate: AtomicBool::new(false),
-            num_threads,
         });
         let mut handles = Vec::with_capacity(num_threads);
         for (index, deque) in deques.into_iter().enumerate() {
@@ -206,11 +204,6 @@ impl ThreadPool {
             registry,
             handles: Mutex::new(handles),
         }
-    }
-
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.registry.num_threads
     }
 
     /// Run `op` inside the pool, blocking the calling thread until it
@@ -306,7 +299,7 @@ mod tests {
     fn pool_spawns_and_drops_cleanly() {
         for _ in 0..4 {
             let pool = ThreadPool::new(3);
-            assert_eq!(pool.num_threads(), 3);
+            assert_eq!(pool.registry.stealers.len(), 3);
             drop(pool);
         }
     }

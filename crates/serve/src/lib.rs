@@ -33,18 +33,14 @@
 
 pub mod library;
 pub mod service;
-pub mod telemetry;
+mod telemetry;
 
-pub use library::{
-    fingerprint_key, plan_file_name, LibraryStats, PlanLibrary, PlanOrigin,
-    DEFAULT_LIBRARY_CAPACITY,
-};
+pub use library::{fingerprint_key, plan_file_name, LibraryStats, PlanLibrary, PlanOrigin};
 pub use petamg_runtime::{Parked, ParkedJob, Role, SingleFlight};
 pub use service::{
     PlanSource, Rejected, ServeError, ServeReport, ServeResponse, ServiceConfig, ServiceStats,
     SolveRequest, SolverService, Ticket, TunePolicy,
 };
-pub use telemetry::{plan_source_label, ServeTelemetry};
 
 #[cfg(test)]
 mod proptests;

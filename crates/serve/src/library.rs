@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Default number of plans held in memory.
-pub const DEFAULT_LIBRARY_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_LIBRARY_CAPACITY: usize = 32;
 
 /// Stable FNV-1a hash over the identity fields of a fingerprint.
 /// Used both as the cache key and as the plan file name, so the
@@ -206,7 +206,7 @@ impl PlanLibrary {
     /// `petamg_library_*_total` names, replacing the detached
     /// defaults. Counts made before the swap are dropped — call this
     /// at construction (the service does).
-    pub fn with_registry(mut self, registry: &Registry) -> Self {
+    pub(crate) fn with_registry(mut self, registry: &Registry) -> Self {
         self.stats = Counters::registered(registry);
         self
     }
@@ -214,7 +214,8 @@ impl PlanLibrary {
     /// Replace the fingerprint→key function (cache key **and** file
     /// name). A test seam: forcing distinct fingerprints onto one key
     /// exercises the collision defenses without reversing FNV-1a.
-    pub fn with_key_fn(mut self, key_fn: fn(&ProblemFingerprint) -> u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_key_fn(mut self, key_fn: fn(&ProblemFingerprint) -> u64) -> Self {
         self.key_fn = key_fn;
         self
     }
@@ -242,8 +243,10 @@ impl PlanLibrary {
             .join(format!("plan-{:016x}.json", (self.key_fn)(fp)))
     }
 
-    /// Cached keys in most-recently-used-first order (for tests).
-    pub fn cached_keys(&self) -> Vec<u64> {
+    /// Cached keys in most-recently-used-first order, the order the LRU
+    /// property tests compare with their model.
+    #[cfg(test)]
+    pub(crate) fn cached_keys(&self) -> Vec<u64> {
         self.memory.landed().into_iter().map(|(k, _)| k).collect()
     }
 

@@ -44,7 +44,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A caller-supplied tuning function: `(problem, level) -> family`.
-pub type TuneFn = dyn Fn(&Problem, usize) -> TunedFamily + Send + Sync;
+pub(crate) type TuneFn = dyn Fn(&Problem, usize) -> TunedFamily + Send + Sync;
 
 /// How the service produces a plan for a fingerprint it has never
 /// seen.
@@ -310,11 +310,6 @@ impl Ticket {
             }
             self.slot.done.wait(&mut slot);
         }
-    }
-
-    /// Whether the response is ready (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.slot.response.lock().is_some()
     }
 }
 

@@ -17,10 +17,10 @@ use petamg_obs::{Histogram, Registry, SpanRing};
 use std::time::Instant;
 
 /// Spans retained for Chrome-trace export (oldest overwritten first).
-pub const SPAN_RING_CAPACITY: usize = 4096;
+pub(crate) const SPAN_RING_CAPACITY: usize = 4096;
 
 /// The Prometheus-style label value for a plan source.
-pub fn plan_source_label(source: PlanSource) -> &'static str {
+pub(crate) fn plan_source_label(source: PlanSource) -> &'static str {
     match source {
         PlanSource::CacheHit => "cache-hit",
         PlanSource::DiskLoad => "disk-load",
@@ -52,7 +52,7 @@ fn source_idx(source: PlanSource) -> usize {
 /// feeds histograms (nanosecond durations), the epoch-relative
 /// microsecond start feeds spans.
 #[derive(Clone, Copy)]
-pub struct PhaseStamp {
+pub(crate) struct PhaseStamp {
     /// Wall-clock start for histogram durations.
     pub at: Instant,
     /// Microseconds since the process epoch, for span records.
@@ -63,7 +63,7 @@ impl PhaseStamp {
     /// `Some` stamp when latency telemetry is enabled, `None` (one
     /// relaxed atomic load, no clock read) otherwise.
     #[inline]
-    pub fn capture() -> Option<Self> {
+    pub(crate) fn capture() -> Option<Self> {
         if !petamg_obs::enabled() {
             return None;
         }
@@ -75,7 +75,7 @@ impl PhaseStamp {
 }
 
 /// Pre-resolved request-phase metric handles plus the span ring.
-pub struct ServeTelemetry {
+pub(crate) struct ServeTelemetry {
     /// Submission-to-worker-pickup latency.
     pub queue_wait_seconds: Histogram,
     /// Plan resolution latency by [`PlanSource`].
@@ -89,7 +89,7 @@ pub struct ServeTelemetry {
 impl ServeTelemetry {
     /// Register the serve metric families in `registry` and resolve
     /// every handle this feed will ever touch.
-    pub fn register(registry: &Registry) -> Self {
+    pub(crate) fn register(registry: &Registry) -> Self {
         ServeTelemetry {
             queue_wait_seconds: registry.histogram("petamg_queue_wait_seconds", &[]),
             plan_resolve_seconds: std::array::from_fn(|i| {
@@ -104,7 +104,7 @@ impl ServeTelemetry {
     }
 
     /// Record one queue wait that started at `stamp` and ended now.
-    pub fn observe_queue_wait(&self, stamp: PhaseStamp) {
+    pub(crate) fn observe_queue_wait(&self, stamp: PhaseStamp) {
         self.queue_wait_seconds.record_elapsed(stamp.at);
         if petamg_obs::trace_enabled() {
             self.spans
@@ -113,7 +113,7 @@ impl ServeTelemetry {
     }
 
     /// Record one plan resolution that started at `stamp`.
-    pub fn observe_plan_resolve(&self, source: PlanSource, stamp: PhaseStamp) {
+    pub(crate) fn observe_plan_resolve(&self, source: PlanSource, stamp: PhaseStamp) {
         self.plan_resolve_seconds[source_idx(source)].record_elapsed(stamp.at);
         if petamg_obs::trace_enabled() {
             self.spans.record_since(
@@ -127,7 +127,7 @@ impl ServeTelemetry {
 
     /// Record one guarded solve that started at `stamp`. `detail` is
     /// the serving rung label (or `"ladder-exhausted"`).
-    pub fn observe_solve(&self, detail: &'static str, stamp: PhaseStamp) {
+    pub(crate) fn observe_solve(&self, detail: &'static str, stamp: PhaseStamp) {
         self.solve_seconds.record_elapsed(stamp.at);
         if petamg_obs::trace_enabled() {
             self.spans

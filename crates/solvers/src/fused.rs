@@ -6,7 +6,7 @@
 //! times per cycle while each traversal does only a handful of flops
 //! per value. This module collapses those traversals:
 //!
-//! * [`sor_sweeps_blocked`] runs `d` full sweeps (`2d` half-sweeps) in
+//! * [`sor_sweeps_blocked_op`] runs `d` full sweeps (`2d` half-sweeps) in
 //!   **one traversal** using a wavefront of lagged rows;
 //! * [`relax_residual_restrict`] additionally chains the fused
 //!   residual + full-weighting restriction behind the wavefront (the
@@ -34,7 +34,7 @@
 //! ```
 //!
 //! Each row update is the *same* row body as the staged reference
-//! ([`sor_half_sweep`](crate::relax::sor_half_sweep) shares it), reads
+//! ([`sor_sweep_op`](crate::relax::sor_sweep_op) shares it), reads
 //! the same values in the same state, and therefore produces **bitwise
 //! identical** results — property-tested in this crate in both SIMD
 //! modes. The correction of row `t` precedes every update
@@ -47,12 +47,13 @@
 //! ## The staged compositions
 //!
 //! Each edge is bitwise equal to the staged composition it fuses:
-//! [`interpolate_correct`] first for an edge that corrects, then the
-//! half-sweeps of
-//! [`sor_sweeps_op`](crate::relax::sor_sweeps_op),
-//! then [`residual_restrict_op`] for an edge that restricts. An edge
-//! with no sweeps runs exactly that composition, and the tests hold
-//! every fused edge to it.
+//! [`interpolate_correct`] first for an edge that corrects, then one
+//! [`sor_sweep_op`](crate::relax::sor_sweep_op) per sweep, then
+//! [`residual_restrict_op`] for an edge that restricts. An edge with no
+//! sweeps runs exactly that composition. The tests hold every fused
+//! edge to it: this crate's proptests against the Poisson
+//! [`sor_sweeps`](crate::relax::sor_sweeps), the workspace conformance
+//! suite against `sor_sweep_op` for every operator family.
 
 use petamg_grid::{
     coarse_size, interpolate_correct, interpolate_correct_row, restrict_rows_into,
@@ -190,46 +191,31 @@ fn assert_sizes(op: &StencilOp, x: &Grid2d, b: &Grid2d, nc: Option<usize>, kerne
     }
 }
 
-/// `sweeps` Red-Black SOR sweeps for `A_h x = b`, temporally blocked:
-/// all `2·sweeps` half-sweeps advance together in one wavefront
-/// traversal instead of `2·sweeps` separate passes over the grid.
+/// `sweeps` Red-Black SOR sweeps of `op`, temporally blocked: all
+/// `2·sweeps` half-sweeps advance together in one wavefront traversal
+/// instead of `2·sweeps` separate passes over the grid.
 ///
-/// Bitwise identical to the staged reference
-/// [`sor_sweeps`](crate::relax::sor_sweeps) in both SIMD modes. The
-/// wavefront runs in place and leases no scratch: `ws` only keeps the
-/// edge kernels' signatures alike.
+/// Bitwise identical to `sweeps` staged
+/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls in both SIMD
+/// modes — with [`StencilOp::Poisson`], to
+/// [`sor_sweeps`](crate::relax::sor_sweeps). The wavefront runs in
+/// place and leases no scratch: `ws` only keeps the edge kernels'
+/// signatures alike.
 ///
 /// ```
 /// use petamg_grid::{Exec, Grid2d, Workspace};
-/// use petamg_solvers::{relax::sor_sweeps, fused::sor_sweeps_blocked};
+/// use petamg_problems::StencilOp;
+/// use petamg_solvers::{fused::sor_sweeps_blocked_op, relax::sor_sweeps};
 ///
 /// let b = Grid2d::from_fn(9, |i, j| (i + j) as f64);
 /// let mut blocked = Grid2d::zeros(9);
 /// let mut staged = blocked.clone();
 /// let ws = Workspace::new();
-/// sor_sweeps_blocked(&mut blocked, &b, 1.15, 3, &ws, &Exec::seq());
+/// let poisson = StencilOp::Poisson;
+/// sor_sweeps_blocked_op(&poisson, &mut blocked, &b, 1.15, 3, &ws, &Exec::seq());
 /// sor_sweeps(&mut staged, &b, 1.15, 3, &Exec::seq());
 /// assert_eq!(blocked.as_slice(), staged.as_slice());
 /// ```
-///
-/// # Panics
-/// Panics if grid sizes differ.
-pub fn sor_sweeps_blocked(
-    x: &mut Grid2d,
-    b: &Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    sor_sweeps_blocked_op(&StencilOp::Poisson, x, b, omega, sweeps, ws, exec);
-}
-
-/// [`sor_sweeps_blocked`] for an arbitrary operator: `sweeps` Red-Black
-/// SOR sweeps of `op`, temporally blocked into one wavefront
-/// traversal. Bitwise identical to the staged
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op); with
-/// [`StencilOp::Poisson`] it *is* [`sor_sweeps_blocked`].
 ///
 /// # Panics
 /// Panics if grid sizes differ or the operator is bound to another
@@ -243,7 +229,7 @@ pub fn sor_sweeps_blocked_op(
     ws: &Workspace,
     exec: &Exec,
 ) {
-    assert_sizes(op, x, b, None, "sor_sweeps_blocked");
+    assert_sizes(op, x, b, None, "sor_sweeps_blocked_op");
     if sweeps == 0 {
         return;
     }
@@ -276,8 +262,8 @@ pub fn relax_residual_restrict(
 }
 
 /// [`relax_residual_restrict`] for an arbitrary operator: the fused
-/// pre-relaxation cycle edge of `op`. Bitwise identical to
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op)
+/// pre-relaxation cycle edge of `op`. Bitwise identical to `sweeps`
+/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls
 /// followed by [`residual_restrict_op`]; with
 /// `sweeps == 0` it *is* [`residual_restrict_op`], and with
 /// [`StencilOp::Poisson`] it *is* [`relax_residual_restrict`].
@@ -364,8 +350,8 @@ pub fn interpolate_correct_relax_op(
 /// ([`interpolate_correct_relax_op`]) and the pre edge
 /// ([`relax_residual_restrict_op`]) took two.
 ///
-/// Bitwise identical to [`interpolate_correct`],
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) and
+/// Bitwise identical to [`interpolate_correct`], `sweeps`
+/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls and
 /// [`residual_restrict_op`] in turn — and so to the post edge with any
 /// `k ≤ sweeps` sweeps followed by the pre edge with the other
 /// `sweeps − k`. With `sweeps == 0` it runs that staged composition.
@@ -454,7 +440,15 @@ mod tests {
                 sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
                 for exec in modes() {
                     let mut got = x0.clone();
-                    sor_sweeps_blocked(&mut got, &b, 1.15, sweeps, &ws, &exec);
+                    sor_sweeps_blocked_op(
+                        &StencilOp::Poisson,
+                        &mut got,
+                        &b,
+                        1.15,
+                        sweeps,
+                        &ws,
+                        &exec,
+                    );
                     assert_eq!(
                         got.as_slice(),
                         want.as_slice(),
@@ -470,7 +464,7 @@ mod tests {
         let ws = Workspace::new();
         let (x0, b) = test_problem(9);
         let mut x = x0.clone();
-        sor_sweeps_blocked(&mut x, &b, 1.15, 0, &ws, &Exec::seq());
+        sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.15, 0, &ws, &Exec::seq());
         assert_eq!(x.as_slice(), x0.as_slice());
     }
 
@@ -626,7 +620,7 @@ mod tests {
         let (x0, b) = test_problem(17);
         for exec in modes() {
             let mut x = x0.clone();
-            sor_sweeps_blocked(&mut x, &b, 1.3, 2, &ws, &exec);
+            sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.3, 2, &ws, &exec);
             for k in 0..17 {
                 for edge in [0usize, 16] {
                     assert_eq!(x.at(edge, k), x0.at(edge, k), "{exec:?}");
@@ -642,10 +636,10 @@ mod tests {
         let (x0, b) = test_problem(33);
         let exec = Exec::seq();
         let mut x = x0.clone();
-        sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
+        sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.15, 2, &ws, &exec);
         let warm = ws.stats().allocations;
         for _ in 0..5 {
-            sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
+            sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.15, 2, &ws, &exec);
         }
         assert_eq!(
             ws.stats().allocations,

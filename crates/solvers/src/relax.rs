@@ -60,18 +60,14 @@ pub fn batch_sor_sweep_op(
     }
 }
 
-/// One half-sweep updating only cells of `color` (`(i+j) % 2 == color`).
-pub fn sor_half_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, color: usize, exec: &Exec) {
-    sor_half_sweep_op(&StencilOp::Poisson, x, b, omega, color, exec);
-}
-
-/// One half-sweep of operator `op` updating only cells of `color`.
+/// One half-sweep of operator `op` updating only cells of `color`
+/// (`(i+j) % 2 == color`).
 ///
 /// Each row runs through [`StencilOp::sor_row_update`] — **the** SOR
 /// row body shared with the temporally blocked wavefront kernels in
 /// [`crate::fused`] — so blocked, staged, scalar, and vector paths stay
 /// bitwise identical per operator.
-pub fn sor_half_sweep_op(
+pub(crate) fn sor_half_sweep_op(
     op: &StencilOp,
     x: &mut Grid2d,
     b: &Grid2d,
@@ -80,7 +76,7 @@ pub fn sor_half_sweep_op(
     exec: &Exec,
 ) {
     assert!(color < 2);
-    assert_eq!(x.n(), b.n(), "size mismatch in sor_half_sweep");
+    assert_eq!(x.n(), b.n(), "size mismatch in sor_half_sweep_op");
     op.assert_n(x.n());
     let n = x.n();
     let h2 = {
@@ -111,24 +107,10 @@ pub fn sor_half_sweep_op(
 
 /// `sweeps` Red-Black SOR sweeps in the staged reference order: the
 /// behavioural baseline the temporally blocked
-/// [`crate::fused::sor_sweeps_blocked`] is property-tested against.
+/// [`crate::fused::sor_sweeps_blocked_op`] is property-tested against.
 pub fn sor_sweeps(x: &mut Grid2d, b: &Grid2d, omega: f64, sweeps: usize, exec: &Exec) {
     for _ in 0..sweeps {
         sor_sweep(x, b, omega, exec);
-    }
-}
-
-/// `sweeps` staged Red-Black SOR sweeps of operator `op`.
-pub fn sor_sweeps_op(
-    op: &StencilOp,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    omega: f64,
-    sweeps: usize,
-    exec: &Exec,
-) {
-    for _ in 0..sweeps {
-        sor_sweep_op(op, x, b, omega, exec);
     }
 }
 
@@ -200,14 +182,14 @@ mod tests {
     fn red_pass_only_touches_red_cells() {
         let (x0, b, _) = test_problem(9);
         let mut x = x0.clone();
-        sor_half_sweep(&mut x, &b, 1.15, 0, &Exec::seq());
+        sor_half_sweep_op(&StencilOp::Poisson, &mut x, &b, 1.15, 0, &Exec::seq());
         for (i, j) in x0.interior() {
             if (i + j) % 2 == 1 {
                 assert_eq!(x.at(i, j), x0.at(i, j), "black cell ({i},{j}) changed");
             }
         }
         let mut x2 = x0.clone();
-        sor_half_sweep(&mut x2, &b, 1.15, 1, &Exec::seq());
+        sor_half_sweep_op(&StencilOp::Poisson, &mut x2, &b, 1.15, 1, &Exec::seq());
         for (i, j) in x0.interior() {
             if (i + j) % 2 == 0 {
                 assert_eq!(x2.at(i, j), x0.at(i, j), "red cell ({i},{j}) changed");

@@ -20,7 +20,6 @@
 //!   compositions) and the **`Workspace` arena** of pooled per-level
 //!   scratch that makes steady-state cycles allocation-free.
 //! * [`linalg`] — packed band Cholesky (the paper's LAPACK `DPBSV`).
-//! * [`runtime`] — Cilk-style work-stealing pool (PetaBricks runtime).
 //! * [`solvers`] — direct solver cache, Red-Black SOR, the fused
 //!   cycle-edge kernels and the per-cycle solve guard.
 //! * [`core`] — the paper's contribution: accuracy metric, DP tuner for
@@ -58,12 +57,12 @@
 //! assert!(report.achieved_accuracy >= 1e5);
 //! ```
 
+// Whole-crate re-exports: `benchmark/src` names paths under all seven (ROADMAP 1(0) moves those probes).
 pub use petamg_core as core;
 pub use petamg_grid as grid;
 pub use petamg_linalg as linalg;
 pub use petamg_obs as obs;
 pub use petamg_problems as problems;
-pub use petamg_runtime as runtime;
 pub use petamg_serve as serve;
 pub use petamg_solvers as solvers;
 

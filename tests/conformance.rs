@@ -159,7 +159,7 @@ fn staged_recurse(
     restrict_full_weighting(&r, &mut bc, &seq);
     let mut ec = Grid2d::zeros(nc);
     staged_run(fam, level - 1, sub, &mut ec, &bc, cache);
-    interpolate_add(&ec, x, &seq);
+    interpolate_add(&ec, x);
     sor_sweep(x, b, OMEGA_CYCLE, &seq);
 }
 
@@ -226,7 +226,7 @@ fn staged_recurse_op(
     restrict_full_weighting(&r, &mut bc, &seq);
     let mut ec = Grid2d::zeros(nc);
     staged_run_op(problem, fam, level - 1, sub, &mut ec, &bc, cache);
-    interpolate_add(&ec, x, &seq);
+    interpolate_add(&ec, x);
     sor_sweep_op(&op, x, b, OMEGA_CYCLE, &seq);
 }
 
