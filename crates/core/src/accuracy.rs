@@ -53,30 +53,6 @@ pub(crate) fn ratio_of_errors(e_in: f64, e_out: f64) -> f64 {
     (e_in / e_out).min(ACC_CAP)
 }
 
-/// Result of an accuracy evaluation.
-#[derive(Clone, Copy, Debug)]
-pub struct AccuracyReport {
-    /// Error norm before the solve.
-    pub error_in: f64,
-    /// Error norm after the solve.
-    pub error_out: f64,
-    /// The accuracy level `error_in / error_out` (capped).
-    pub ratio: f64,
-}
-
-impl AccuracyReport {
-    /// Evaluate the metric for a finished solve.
-    pub fn evaluate(x_in: &Grid2d, x_out: &Grid2d, x_opt: &Grid2d, exec: &Exec) -> Self {
-        let error_in = l2_diff(x_in, x_opt, exec);
-        let error_out = l2_diff(x_out, x_opt, exec);
-        AccuracyReport {
-            error_in,
-            error_out,
-            ratio: ratio_of_errors(error_in, error_out),
-        }
-    }
-}
-
 /// The exact solution of `A x = b` for the posed problem's operator,
 /// with the Dirichlet boundary taken from `x0`.
 ///

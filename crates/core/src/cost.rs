@@ -86,8 +86,9 @@ impl OpCounts {
         }
     }
 
-    /// Merge another count set into this one.
-    pub fn add(&mut self, other: &OpCounts) {
+    /// Merge another count set into this one: the tests' sum.
+    #[cfg(test)]
+    pub(crate) fn add(&mut self, other: &OpCounts) {
         if self.per_level.len() < other.per_level.len() {
             self.per_level
                 .resize(other.per_level.len(), LevelOps::default());

@@ -67,7 +67,7 @@ pub use petamg_obs as obs;
 /// `petamg-obs`, where it lives so `petamg-grid` can reach it too).
 pub use petamg_obs::env;
 
-pub use accuracy::{error_ratio, AccuracyReport};
+pub use accuracy::error_ratio;
 pub use cost::{CostModel, MachineProfile, OpCounts};
 pub use guard::{Degradation, FailureKind, GuardedReport, GuardedSolver, LadderMemory, SolveError};
 pub use plan::{Choice, SolveReport, TunedFamily, TunedFmgFamily};

@@ -134,7 +134,8 @@ impl TunerOptions {
     }
 
     /// Wall-clock tuning on the host machine.
-    pub fn measured(max_level: usize, distribution: Distribution, exec: Exec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn measured(max_level: usize, distribution: Distribution, exec: Exec) -> Self {
         TunerOptions {
             cost_model: CostModel::Measured { trials: 2 },
             exec,

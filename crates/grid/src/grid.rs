@@ -126,6 +126,19 @@ impl Grid2d {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
+    /// Rows `i − 1`, `i` (mutably) and `i + 1`: the window an in-place
+    /// row update such as [`crate::Five::sor_row_update`] takes.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= i < n − 1`.
+    #[inline]
+    pub fn rows3_mut(&mut self, i: usize) -> (&[f64], &mut [f64], &[f64]) {
+        let n = self.n;
+        let (above, below) = self.data.split_at_mut(i * n);
+        let (mid, below) = below.split_at_mut(n);
+        (&above[(i - 1) * n..], mid, &below[..n])
+    }
+
     /// The interior rows `1..n-1`, each with its index and all `n` of
     /// its values, mutably.
     #[inline]

@@ -51,30 +51,18 @@ impl<W: Weight, D: Weight> Five<W, D> {
         out: &mut [f64],
         mode: SimdMode,
     ) {
-        let n = mid.len();
-        assert!(
-            up.len() == n && dn.len() == n && brow.len() == n && out.len() == n && self.covers(n),
-            "residual row: rows and weights must all hold {n} values"
-        );
         match mode {
-            SimdMode::Vector => {
-                // SAFETY: every row and per-cell weight holds `n` values
-                // (asserted above) and `out` (a distinct `&mut`) cannot
-                // alias the inputs.
-                unsafe {
-                    simd::residual_row(
-                        self,
-                        up.as_ptr(),
-                        mid.as_ptr(),
-                        dn.as_ptr(),
-                        brow.as_ptr(),
-                        inv_h2,
-                        out.as_mut_ptr(),
-                        n,
-                    );
-                }
-            }
+            SimdMode::Vector => simd::residual_row(self, up, mid, dn, brow, inv_h2, out),
             SimdMode::Scalar => {
+                let n = mid.len();
+                assert!(
+                    up.len() == n
+                        && dn.len() == n
+                        && brow.len() == n
+                        && out.len() == n
+                        && self.covers(n),
+                    "residual row: rows and weights must all hold {n} values"
+                );
                 for j in 1..n - 1 {
                     let x = [up[j], mid[j - 1], mid[j], mid[j + 1], dn[j]];
                     out[j] = self.residual_at(j, x, brow[j], inv_h2);
@@ -83,49 +71,42 @@ impl<W: Weight, D: Weight> Five<W, D> {
         }
     }
 
-    /// Update the color cells `j0, j0+2, …` of one interior row in
-    /// place — **the** Gauss-Seidel/SOR row, shared by the staged
-    /// half-sweeps and the temporally blocked wavefront kernels in
-    /// `petamg-solvers` — for the row whose stencil weights are `self`
-    /// (`d` the **reciprocal** diagonal). Both [`SimdMode`]s evaluate
-    /// `Five::relaxed_at` per cell, so they are bitwise identical.
-    ///
-    /// # Safety
-    /// All four pointers must be valid for `n` reads (`mid` for
-    /// writes), `j0 >= 1`, and no other task may concurrently write the
-    /// cells read here (the color cells of `mid` and the opposite-color
-    /// cells of `up`/`dn`).
+    /// Update the color cells `j0, j0+2, …` (`j0 ≥ 1`) of the interior
+    /// row `mid` in place — **the** Gauss-Seidel/SOR row, shared by the
+    /// staged half-sweeps and the temporally blocked wavefront kernels
+    /// in `petamg-solvers` — for the row whose stencil weights are
+    /// `self` (`d` the **reciprocal** diagonal). `up`/`dn` are the rows
+    /// above and below ([`Grid2d::rows3_mut`] splits them off a grid)
+    /// and `brow` the right-hand side's row. Both [`SimdMode`]s
+    /// evaluate `Five::relaxed_at` per cell, so they are bitwise
+    /// identical.
     ///
     /// # Panics
-    /// Panics unless every per-cell weight is `n` long.
+    /// Panics unless all four rows and every per-cell weight are
+    /// `mid.len()` long.
     #[inline]
-    pub unsafe fn sor_row_update(
+    pub fn sor_row_update(
         self,
-        up: *const f64,
-        mid: *mut f64,
-        dn: *const f64,
-        brow: *const f64,
-        n: usize,
+        up: &[f64],
+        mid: &mut [f64],
+        dn: &[f64],
+        brow: &[f64],
         h2: f64,
         omega: f64,
         j0: usize,
         mode: SimdMode,
     ) {
-        assert!(self.covers(n), "SOR row: weights must hold {n} values");
         match mode {
-            SimdMode::Vector => {
-                // SAFETY: forwarded contract; the weights cover `n`.
-                unsafe { simd::sor_row(self, up, mid, dn, brow, n, h2, omega, j0) };
-            }
+            SimdMode::Vector => simd::sor_row(self, up, mid, dn, brow, h2, omega, j0),
             SimdMode::Scalar => {
-                let mut j = j0;
-                while j < n - 1 {
-                    // SAFETY: forwarded contract; j stays in 1..n-1.
-                    unsafe {
-                        let x = simd::star(up, mid, dn, j, |p| *p);
-                        *mid.add(j) = self.relaxed_at(j, x, *brow.add(j), h2, omega);
-                    }
-                    j += 2;
+                let n = mid.len();
+                assert!(
+                    up.len() == n && dn.len() == n && brow.len() == n && self.covers(n),
+                    "SOR row: rows and weights must all hold {n} values"
+                );
+                for j in (j0..n - 1).step_by(2) {
+                    let x = [up[j], mid[j - 1], mid[j], mid[j + 1], dn[j]];
+                    mid[j] = self.relaxed_at(j, x, brow[j], h2, omega);
                 }
             }
         }
@@ -241,6 +222,10 @@ pub fn residual_norm_with<W: Weight, D: Weight>(
 /// [`crate::restrict_full_weighting`] exactly (which itself runs
 /// through this primitive), so compositions built from it stay bitwise
 /// equal to the unfused reference — in both [`SimdMode`]s.
+///
+/// # Panics
+/// Panics unless each fine row holds `2nc − 1` values, `nc =
+/// coarse_row.len()`.
 #[inline]
 pub fn restrict_rows_into(
     r_up: &[f64],
@@ -249,23 +234,15 @@ pub fn restrict_rows_into(
     coarse_row: &mut [f64],
     mode: SimdMode,
 ) {
-    let nc = coarse_row.len();
     match mode {
-        SimdMode::Vector => {
-            debug_assert!(r_mid.len() > 2 * (nc - 1));
-            // SAFETY: the fine rows hold at least `2(nc-1)+1` values
-            // and `coarse_row` (a distinct `&mut`) holds `nc`.
-            unsafe {
-                simd::restrict_row(
-                    r_up.as_ptr(),
-                    r_mid.as_ptr(),
-                    r_dn.as_ptr(),
-                    coarse_row.as_mut_ptr(),
-                    nc,
-                );
-            }
-        }
+        SimdMode::Vector => simd::restrict_row(r_up, r_mid, r_dn, coarse_row),
         SimdMode::Scalar => {
+            let nc = coarse_row.len();
+            let nf = 2 * nc - 1;
+            assert!(
+                r_up.len() == nf && r_mid.len() == nf && r_dn.len() == nf,
+                "restriction row: fine rows must hold {nf} values"
+            );
             for (jc, out) in coarse_row.iter_mut().enumerate().take(nc - 1).skip(1) {
                 let fj = 2 * jc;
                 let center = r_mid[fj];
@@ -533,6 +510,45 @@ mod tests {
                 let want = crate::l2_norm_interior(&r, &exec);
                 let got = residual_norm_with(face, &x, &b, &ws, &exec);
                 assert_eq!(got.to_bits(), want.to_bits(), "face sum n={n} {exec:?}");
+            }
+        }
+    }
+
+    /// Each safe row entry point panics on a row one value short, in
+    /// both modes, instead of reading or writing past it.
+    #[test]
+    fn a_short_row_panics_in_every_mode() {
+        let (n, nc) = (17, 9);
+        let (row, short) = (vec![1.0; n], vec![1.0; n - 1]);
+        let coarse = vec![1.0; nc * nc];
+        type Case<'a> = (&'static str, Box<dyn Fn() + 'a>);
+        for mode in [SimdMode::Scalar, SimdMode::Vector] {
+            let cases: [Case; 4] = [
+                (
+                    "restrict_rows_into, r_up",
+                    Box::new(|| restrict_rows_into(&short, &row, &row, &mut [0.0; 9], mode)),
+                ),
+                (
+                    "restrict_rows_into, r_dn",
+                    Box::new(|| restrict_rows_into(&row, &row, &short, &mut [0.0; 9], mode)),
+                ),
+                (
+                    "interpolate_correct_row, frow",
+                    Box::new(|| {
+                        crate::interpolate_correct_row(3, &coarse, nc, &mut short.clone(), mode)
+                    }),
+                ),
+                (
+                    "sor_row_update, dn",
+                    Box::new(|| {
+                        let mid = &mut row.clone();
+                        Five::POISSON.sor_row_update(&row, mid, &short, &row, 0.01, 1.0, 1, mode)
+                    }),
+                ),
+            ];
+            for (entry, case) in cases {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case));
+                assert!(outcome.is_err(), "{entry} accepted a short row ({mode:?})");
             }
         }
     }

@@ -16,6 +16,14 @@
 //! Every build compiles the backends its target has; no cargo feature
 //! gates them, and only the running CPU decides which one serves.
 //!
+//! Every row primitive takes row slices and asserts their lengths at
+//! entry, in every build: a short row panics. Lane loads and stores
+//! take the slice starting at their first element. The only
+//! `unsafe` left here is each AVX2 intrinsic call (a trait method cannot
+//! carry `#[target_feature]`), the NEON loads and stores (their
+//! intrinsics take pointers), and the call into each `#[target_feature]`
+//! trampoline behind the runtime probe.
+//!
 //! ## Determinism rules
 //!
 //! * **Stencil kernels are bitwise identical to their scalar twins.**
@@ -123,19 +131,16 @@ fn avx2_available() -> bool {
 /// implicit FMA contraction). The width is four by design — the
 /// kernels' strides and the deterministic 4-lane reduction tree are
 /// pinned to it (widening them would change result bits).
+///
+/// Loads and stores take the slice starting at their first element and
+/// panic if it is too short.
 trait Lanes: Copy {
     /// Broadcast.
     fn splat(v: f64) -> Self;
-    /// Load 4 consecutive values (unaligned).
-    ///
-    /// # Safety
-    /// `p` must be valid for 4 reads.
-    unsafe fn load(p: *const f64) -> Self;
-    /// Store 4 consecutive values (unaligned).
-    ///
-    /// # Safety
-    /// `p` must be valid for 4 writes.
-    unsafe fn store(self, p: *mut f64);
+    /// Load `s[0..4]`.
+    fn load(s: &[f64]) -> Self;
+    /// Store to `s[0..4]`.
+    fn store(self, s: &mut [f64]);
     /// Lane-wise `+`.
     fn add(self, o: Self) -> Self;
     /// Lane-wise `-`.
@@ -144,21 +149,12 @@ trait Lanes: Copy {
     fn mul(self, o: Self) -> Self;
     /// Lane-wise `/`.
     fn div(self, o: Self) -> Self;
-    /// Load 8 consecutive values, split into (evens, odds):
-    /// `p[0],p[2],p[4],p[6]` and `p[1],p[3],p[5],p[7]`.
-    ///
-    /// # Safety
-    /// `p` must be valid for 8 reads.
-    unsafe fn load2(p: *const f64) -> (Self, Self)
-    where
-        Self: Sized;
-    /// Store lane `k` to `p[2k]`, leaving the odd slots untouched (the
-    /// red/black stride-2 write).
-    ///
-    /// # Safety
-    /// `p[0], p[2], p[4], p[6]` must be valid for writes, and no other
-    /// thread may concurrently access those slots.
-    unsafe fn store_spaced(self, p: *mut f64);
+    /// Load `s[0..8]`, split into (evens, odds):
+    /// `s[0],s[2],s[4],s[6]` and `s[1],s[3],s[5],s[7]`.
+    fn load2(s: &[f64]) -> (Self, Self);
+    /// Store lane `k` to `s[2k]`, leaving the odd slots untouched (the
+    /// red/black stride-2 write: one colour's cells, never the other's).
+    fn store_spaced(self, s: &mut [f64]);
     /// Like [`Lanes::load2`], but the lane order within each returned
     /// vector is implementation-defined (a fixed permutation). All
     /// `load2_perm` results share the same permutation, so lane-wise
@@ -166,27 +162,13 @@ trait Lanes: Copy {
     /// [`Lanes::store_spaced_perm`] inverts the permutation on the way
     /// out. Lets backends skip cross-lane shuffles (e.g. AVX2 drops
     /// two `vpermpd` per load next to [`Lanes::load2`]).
-    ///
-    /// # Safety
-    /// `p` must be valid for 8 reads.
-    unsafe fn load2_perm(p: *const f64) -> (Self, Self)
-    where
-        Self: Sized,
-    {
-        // SAFETY: forwarded contract.
-        unsafe { Self::load2(p) }
+    fn load2_perm(s: &[f64]) -> (Self, Self) {
+        Self::load2(s)
     }
-    /// Scatter lanes to `p[0], p[2], p[4], p[6]`, inverting the
+    /// Scatter lanes to `s[0], s[2], s[4], s[6]`, inverting the
     /// [`Lanes::load2_perm`] lane order.
-    ///
-    /// # Safety
-    /// Same contract as [`Lanes::store_spaced`].
-    unsafe fn store_spaced_perm(self, p: *mut f64)
-    where
-        Self: Sized,
-    {
-        // SAFETY: forwarded contract.
-        unsafe { self.store_spaced(p) }
+    fn store_spaced_perm(self, s: &mut [f64]) {
+        self.store_spaced(s)
     }
     /// Interleave two vectors element-wise:
     /// `(e, o) -> ([e0 o0 e1 o1], [e2 o2 e3 o3])`.
@@ -196,10 +178,7 @@ trait Lanes: Copy {
     /// use two plain loads + two plain stores instead of a
     /// deinterleave/reinterleave round trip, halving the shuffle count
     /// per 8 output values.
-    fn interleave(even: Self, odd: Self) -> (Self, Self)
-    where
-        Self: Sized,
-    {
+    fn interleave(even: Self, odd: Self) -> (Self, Self) {
         let e = even.to_array();
         let o = odd.to_array();
         (
@@ -227,17 +206,13 @@ impl Lanes for Portable {
         Portable([v; 4])
     }
     #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
-        unsafe { Portable([*p, *p.add(1), *p.add(2), *p.add(3)]) }
+    fn load(s: &[f64]) -> Self {
+        let s = &s[..4];
+        Portable([s[0], s[1], s[2], s[3]])
     }
     #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
-        unsafe {
-            *p = self.0[0];
-            *p.add(1) = self.0[1];
-            *p.add(2) = self.0[2];
-            *p.add(3) = self.0[3];
-        }
+    fn store(self, s: &mut [f64]) {
+        s[..4].copy_from_slice(&self.0);
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -256,20 +231,18 @@ impl Lanes for Portable {
         Portable(std::array::from_fn(|k| self.0[k] / o.0[k]))
     }
     #[inline(always)]
-    unsafe fn load2(p: *const f64) -> (Self, Self) {
-        unsafe {
-            (
-                Portable([*p, *p.add(2), *p.add(4), *p.add(6)]),
-                Portable([*p.add(1), *p.add(3), *p.add(5), *p.add(7)]),
-            )
-        }
+    fn load2(s: &[f64]) -> (Self, Self) {
+        let s = &s[..8];
+        (
+            Portable(std::array::from_fn(|k| s[2 * k])),
+            Portable(std::array::from_fn(|k| s[2 * k + 1])),
+        )
     }
     #[inline(always)]
-    unsafe fn store_spaced(self, p: *mut f64) {
-        unsafe {
-            for k in 0..4 {
-                *p.add(2 * k) = self.0[k];
-            }
+    fn store_spaced(self, s: &mut [f64]) {
+        let s = &mut s[..7];
+        for k in 0..4 {
+            s[2 * k] = self.0[k];
         }
     }
     #[inline(always)]
@@ -282,8 +255,9 @@ impl Lanes for Portable {
     }
 }
 
-/// The `core::arch` AVX2+FMA backend. Methods wrap raw intrinsics;
-/// they must only *execute* inside the `target_feature(enable =
+/// The `core::arch` AVX2+FMA backend. Its methods call AVX intrinsics
+/// from code without `#[target_feature]`, so each needs one `unsafe`
+/// block; they only *execute* inside the `target_feature(enable =
 /// "avx2,fma")` trampolines below, after the runtime probe passed.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
@@ -294,44 +268,55 @@ impl Lanes for Avx {
     #[inline(always)]
     fn splat(v: f64) -> Self {
         use core::arch::x86_64::*;
+        // SAFETY: runs only behind the AVX2 probe (see `Avx`).
         unsafe { Avx(_mm256_set1_pd(v)) }
     }
     #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
+    fn load(s: &[f64]) -> Self {
         use core::arch::x86_64::*;
-        unsafe { Avx(_mm256_loadu_pd(p)) }
+        let s = &s[..4];
+        // SAFETY: behind the AVX2 probe; `s` holds the four values read.
+        unsafe { Avx(_mm256_loadu_pd(s.as_ptr())) }
     }
     #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
+    fn store(self, s: &mut [f64]) {
         use core::arch::x86_64::*;
-        unsafe { _mm256_storeu_pd(p, self.0) }
+        let s = &mut s[..4];
+        // SAFETY: behind the AVX2 probe; `s` holds the four slots written.
+        unsafe { _mm256_storeu_pd(s.as_mut_ptr(), self.0) }
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
         use core::arch::x86_64::*;
+        // SAFETY: runs only behind the AVX2 probe (see `Avx`).
         unsafe { Avx(_mm256_add_pd(self.0, o.0)) }
     }
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         use core::arch::x86_64::*;
+        // SAFETY: runs only behind the AVX2 probe (see `Avx`).
         unsafe { Avx(_mm256_sub_pd(self.0, o.0)) }
     }
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
         use core::arch::x86_64::*;
+        // SAFETY: runs only behind the AVX2 probe (see `Avx`).
         unsafe { Avx(_mm256_mul_pd(self.0, o.0)) }
     }
     #[inline(always)]
     fn div(self, o: Self) -> Self {
         use core::arch::x86_64::*;
+        // SAFETY: runs only behind the AVX2 probe (see `Avx`).
         unsafe { Avx(_mm256_div_pd(self.0, o.0)) }
     }
     #[inline(always)]
-    unsafe fn load2(p: *const f64) -> (Self, Self) {
+    fn load2(s: &[f64]) -> (Self, Self) {
         use core::arch::x86_64::*;
+        let s = &s[..8];
+        // SAFETY: behind the AVX2 probe; `s` holds the eight values read.
         unsafe {
-            let a = _mm256_loadu_pd(p); // s0 s1 s2 s3
-            let b = _mm256_loadu_pd(p.add(4)); // s4 s5 s6 s7
+            let a = _mm256_loadu_pd(s.as_ptr()); // s0 s1 s2 s3
+            let b = _mm256_loadu_pd(s[4..].as_ptr()); // s4 s5 s6 s7
             let lo = _mm256_unpacklo_pd(a, b); // s0 s4 s2 s6
             let hi = _mm256_unpackhi_pd(a, b); // s1 s5 s3 s7
             (
@@ -341,14 +326,16 @@ impl Lanes for Avx {
         }
     }
     #[inline(always)]
-    unsafe fn store_spaced(self, p: *mut f64) {
+    fn store_spaced(self, s: &mut [f64]) {
         use core::arch::x86_64::*;
+        let p = s[..7].as_mut_ptr();
+        // SAFETY: behind the AVX2 probe; `p`, `p+2`, `p+4`, `p+6` lie in
+        // the seven values checked above. Four 64-bit lane stores (low/
+        // high halves of each 128-bit half) write only the even slots,
+        // so the odd ones (the other colour) keep their values — and
+        // they are far cheaper than the permute + maskstore sequence on
+        // every current core.
         unsafe {
-            // Four 64-bit lane stores (low/high halves of each 128-bit
-            // half). Scalar-width stores never touch the odd-color
-            // slots, so concurrent readers of the opposite color never
-            // race — and they are far cheaper than the
-            // permute + maskstore sequence on every current core.
             let lo = _mm256_castpd256_pd128(self.0); // v0 v1
             let hi = _mm256_extractf128_pd::<1>(self.0); // v2 v3
             _mm_storel_pd(p, lo); // p[0] = v0
@@ -358,21 +345,25 @@ impl Lanes for Avx {
         }
     }
     #[inline(always)]
-    unsafe fn load2_perm(p: *const f64) -> (Self, Self) {
+    fn load2_perm(s: &[f64]) -> (Self, Self) {
         use core::arch::x86_64::*;
+        let s = &s[..8];
+        // SAFETY: behind the AVX2 probe; `s` holds the eight values read.
+        // Unpack only — evens come out as [e0, e2, e1, e3], odds as
+        // [o0, o2, o1, o3]; store_spaced_perm undoes the order.
         unsafe {
-            let a = _mm256_loadu_pd(p); // s0 s1 s2 s3
-            let b = _mm256_loadu_pd(p.add(4)); // s4 s5 s6 s7
-                                               // Unpack only — evens come out as [e0, e2, e1, e3], odds as
-                                               // [o0, o2, o1, o3]; store_spaced_perm undoes the order.
+            let a = _mm256_loadu_pd(s.as_ptr()); // s0 s1 s2 s3
+            let b = _mm256_loadu_pd(s[4..].as_ptr()); // s4 s5 s6 s7
             (Avx(_mm256_unpacklo_pd(a, b)), Avx(_mm256_unpackhi_pd(a, b)))
         }
     }
     #[inline(always)]
-    unsafe fn store_spaced_perm(self, p: *mut f64) {
+    fn store_spaced_perm(self, s: &mut [f64]) {
         use core::arch::x86_64::*;
+        let p = s[..7].as_mut_ptr();
+        // SAFETY: as `store_spaced`. Lane order [v0, v2, v1, v3] (the
+        // load2_perm permutation).
         unsafe {
-            // Lane order [v0, v2, v1, v3] (the load2_perm permutation).
             let lo = _mm256_castpd256_pd128(self.0); // v0 v2
             let hi = _mm256_extractf128_pd::<1>(self.0); // v1 v3
             _mm_storel_pd(p, lo); // p[0] = v0
@@ -383,19 +374,18 @@ impl Lanes for Avx {
     }
     #[inline(always)]
     fn to_array(self) -> [f64; 4] {
-        use core::arch::x86_64::*;
         let mut out = [0.0; 4];
-        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), self.0) };
+        self.store(&mut out);
         out
     }
     #[inline(always)]
     fn from_array(a: [f64; 4]) -> Self {
-        use core::arch::x86_64::*;
-        unsafe { Avx(_mm256_loadu_pd(a.as_ptr())) }
+        Self::load(&a)
     }
     #[inline(always)]
     fn interleave(even: Self, odd: Self) -> (Self, Self) {
         use core::arch::x86_64::*;
+        // SAFETY: runs only behind the AVX2 probe (see `Avx`).
         unsafe {
             let lo = _mm256_unpacklo_pd(even.0, odd.0); // e0 o0 e2 o2
             let hi = _mm256_unpackhi_pd(even.0, odd.0); // e1 o1 e3 o3
@@ -408,7 +398,8 @@ impl Lanes for Avx {
 }
 
 /// The `core::arch` NEON backend: a pair of 128-bit registers. NEON is
-/// baseline on aarch64, so no runtime probe or trampoline is needed.
+/// baseline on aarch64, so no runtime probe or trampoline is needed,
+/// and only the intrinsics that take a pointer need `unsafe`.
 #[cfg(target_arch = "aarch64")]
 #[derive(Clone, Copy)]
 struct Neon(
@@ -421,84 +412,82 @@ impl Lanes for Neon {
     #[inline(always)]
     fn splat(v: f64) -> Self {
         use core::arch::aarch64::*;
-        unsafe { Neon(vdupq_n_f64(v), vdupq_n_f64(v)) }
+        Neon(vdupq_n_f64(v), vdupq_n_f64(v))
     }
     #[inline(always)]
-    unsafe fn load(p: *const f64) -> Self {
+    fn load(s: &[f64]) -> Self {
         use core::arch::aarch64::*;
-        unsafe { Neon(vld1q_f64(p), vld1q_f64(p.add(2))) }
+        let s = &s[..4];
+        // SAFETY: `s` holds the four values read.
+        unsafe { Neon(vld1q_f64(s.as_ptr()), vld1q_f64(s[2..].as_ptr())) }
     }
     #[inline(always)]
-    unsafe fn store(self, p: *mut f64) {
+    fn store(self, s: &mut [f64]) {
         use core::arch::aarch64::*;
+        let s = &mut s[..4];
+        // SAFETY: `s` holds the four slots written.
         unsafe {
-            vst1q_f64(p, self.0);
-            vst1q_f64(p.add(2), self.1);
+            vst1q_f64(s.as_mut_ptr(), self.0);
+            vst1q_f64(s[2..].as_mut_ptr(), self.1);
         }
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
         use core::arch::aarch64::*;
-        unsafe { Neon(vaddq_f64(self.0, o.0), vaddq_f64(self.1, o.1)) }
+        Neon(vaddq_f64(self.0, o.0), vaddq_f64(self.1, o.1))
     }
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
         use core::arch::aarch64::*;
-        unsafe { Neon(vsubq_f64(self.0, o.0), vsubq_f64(self.1, o.1)) }
+        Neon(vsubq_f64(self.0, o.0), vsubq_f64(self.1, o.1))
     }
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
         use core::arch::aarch64::*;
-        unsafe { Neon(vmulq_f64(self.0, o.0), vmulq_f64(self.1, o.1)) }
+        Neon(vmulq_f64(self.0, o.0), vmulq_f64(self.1, o.1))
     }
     #[inline(always)]
     fn div(self, o: Self) -> Self {
         use core::arch::aarch64::*;
-        unsafe { Neon(vdivq_f64(self.0, o.0), vdivq_f64(self.1, o.1)) }
+        Neon(vdivq_f64(self.0, o.0), vdivq_f64(self.1, o.1))
     }
     #[inline(always)]
-    unsafe fn load2(p: *const f64) -> (Self, Self) {
+    fn load2(s: &[f64]) -> (Self, Self) {
         use core::arch::aarch64::*;
-        unsafe {
-            let a = vld2q_f64(p); // deinterleaves p[0..4]
-            let b = vld2q_f64(p.add(4)); // deinterleaves p[4..8]
-            (Neon(a.0, b.0), Neon(a.1, b.1))
-        }
+        let s = &s[..8];
+        // SAFETY: `s` holds the eight values read.
+        let (a, b) = unsafe { (vld2q_f64(s.as_ptr()), vld2q_f64(s[4..].as_ptr())) };
+        // `a` deinterleaves s[0..4], `b` s[4..8].
+        (Neon(a.0, b.0), Neon(a.1, b.1))
     }
     #[inline(always)]
-    unsafe fn store_spaced(self, p: *mut f64) {
-        use core::arch::aarch64::*;
-        unsafe {
-            *p = vgetq_lane_f64::<0>(self.0);
-            *p.add(2) = vgetq_lane_f64::<1>(self.0);
-            *p.add(4) = vgetq_lane_f64::<0>(self.1);
-            *p.add(6) = vgetq_lane_f64::<1>(self.1);
+    fn store_spaced(self, s: &mut [f64]) {
+        let s = &mut s[..7];
+        for (k, v) in self.to_array().into_iter().enumerate() {
+            s[2 * k] = v;
         }
     }
     #[inline(always)]
     fn to_array(self) -> [f64; 4] {
         use core::arch::aarch64::*;
-        let mut out = [0.0; 4];
-        unsafe {
-            vst1q_f64(out.as_mut_ptr(), self.0);
-            vst1q_f64(out.as_mut_ptr().add(2), self.1);
-        }
-        out
+        [
+            vgetq_lane_f64::<0>(self.0),
+            vgetq_lane_f64::<1>(self.0),
+            vgetq_lane_f64::<0>(self.1),
+            vgetq_lane_f64::<1>(self.1),
+        ]
     }
     #[inline(always)]
     fn from_array(a: [f64; 4]) -> Self {
-        use core::arch::aarch64::*;
-        unsafe { Neon(vld1q_f64(a.as_ptr()), vld1q_f64(a.as_ptr().add(2))) }
+        Self::load(&a)
     }
     #[inline(always)]
     fn interleave(even: Self, odd: Self) -> (Self, Self) {
         use core::arch::aarch64::*;
-        unsafe {
-            (
-                Neon(vzip1q_f64(even.0, odd.0), vzip2q_f64(even.0, odd.0)),
-                Neon(vzip1q_f64(even.1, odd.1), vzip2q_f64(even.1, odd.1)),
-            )
-        }
+        (
+            Neon(vzip1q_f64(even.0, odd.0), vzip2q_f64(even.0, odd.0)),
+            Neon(vzip1q_f64(even.1, odd.1), vzip2q_f64(even.1, odd.1)),
+        )
     }
 }
 
@@ -569,16 +558,11 @@ mod seam {
         fn covers(self, n: usize) -> bool;
         /// `weight[j] · v`.
         fn times1(self, v: f64, j: usize) -> f64;
-        /// `weight[j..] · v`, lane-wise. `get` is how the calling
-        /// kernel fetches a per-cell weight vector from a pointer to
-        /// column `j` of a weight row: a plain load for the residual
-        /// row, the even half of a deinterleaving load for the
-        /// stride-2 SOR row.
-        ///
-        /// # Safety
-        /// A per-cell weight must be valid for every read `get` makes
-        /// from column `j`.
-        unsafe fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L;
+        /// `weight[j..] · v`, lane-wise. `get(row, j)` is how the calling
+        /// kernel fetches a per-cell weight vector from column `j` of a
+        /// weight row: a plain load for the residual row, the even half
+        /// of a deinterleaving load for the stride-2 SOR row.
+        fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(&[f64], usize) -> L) -> L;
     }
 
     impl Weight for One {
@@ -591,7 +575,7 @@ mod seam {
             v
         }
         #[inline(always)]
-        unsafe fn times<L: Lanes>(self, v: L, _j: usize, _get: impl Fn(*const f64) -> L) -> L {
+        fn times<L: Lanes>(self, v: L, _j: usize, _get: impl Fn(&[f64], usize) -> L) -> L {
             v
         }
     }
@@ -606,7 +590,7 @@ mod seam {
             self * v
         }
         #[inline(always)]
-        unsafe fn times<L: Lanes>(self, v: L, _j: usize, _get: impl Fn(*const f64) -> L) -> L {
+        fn times<L: Lanes>(self, v: L, _j: usize, _get: impl Fn(&[f64], usize) -> L) -> L {
             L::splat(self).mul(v)
         }
     }
@@ -621,9 +605,8 @@ mod seam {
             self[j] * v
         }
         #[inline(always)]
-        unsafe fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L {
-            // SAFETY: forwarded contract.
-            get(unsafe { self.as_ptr().add(j) }).mul(v)
+        fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(&[f64], usize) -> L) -> L {
+            get(self, j).mul(v)
         }
     }
 
@@ -639,16 +622,12 @@ mod seam {
             self.at(j) * v
         }
         #[inline(always)]
-        unsafe fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(*const f64) -> L) -> L {
-            // SAFETY: forwarded contract, for each of the four rows.
-            unsafe {
-                let at = |row: &[f64]| get(row.as_ptr().add(j));
-                at(self.w)
-                    .add(at(self.e))
-                    .add(at(self.n))
-                    .add(at(self.s))
-                    .mul(v)
-            }
+        fn times<L: Lanes>(self, v: L, j: usize, get: impl Fn(&[f64], usize) -> L) -> L {
+            get(self.w, j)
+                .add(get(self.e, j))
+                .add(get(self.n, j))
+                .add(get(self.s, j))
+                .mul(v)
         }
     }
 }
@@ -715,29 +694,24 @@ impl<W: Weight, D: Weight> Five<W, D> {
         b - ax
     }
 
-    /// [`Five::residual_at`] on lanes.
-    ///
-    /// # Safety
-    /// As [`Weight::times`], for all five weights.
+    /// [`Five::residual_at`] on lanes; `get` fetches per-cell weights
+    /// as in [`Weight::times`].
     #[inline(always)]
-    unsafe fn residual_lanes<L: Lanes>(
+    fn residual_lanes<L: Lanes>(
         self,
         j: usize,
         x: [L; 5],
         b: L,
         inv_h2: L,
-        get: impl Fn(*const f64) -> L + Copy,
+        get: impl Fn(&[f64], usize) -> L + Copy,
     ) -> L {
         let [up, left, center, right, down] = x;
-        // SAFETY: forwarded contract.
-        unsafe {
-            let ax = self.d.times(center, j, get);
-            let ax = ax.sub(self.n.times(up, j, get));
-            let ax = ax.sub(self.s.times(down, j, get));
-            let ax = ax.sub(self.w.times(left, j, get));
-            let ax = ax.sub(self.e.times(right, j, get));
-            b.sub(ax.mul(inv_h2))
-        }
+        let ax = self.d.times(center, j, get);
+        let ax = ax.sub(self.n.times(up, j, get));
+        let ax = ax.sub(self.s.times(down, j, get));
+        let ax = ax.sub(self.w.times(left, j, get));
+        let ax = ax.sub(self.e.times(right, j, get));
+        b.sub(ax.mul(inv_h2))
     }
 
     /// **The** SOR update at column `j`, from the stencil values
@@ -756,148 +730,171 @@ impl<W: Weight, D: Weight> Five<W, D> {
         old + omega * (gs - old)
     }
 
-    /// [`Five::relaxed_at`] on lanes.
-    ///
-    /// # Safety
-    /// As [`Weight::times`], for all five weights.
+    /// [`Five::relaxed_at`] on lanes; `get` fetches per-cell weights as
+    /// in [`Weight::times`].
     #[inline(always)]
-    unsafe fn relaxed_lanes<L: Lanes>(
+    fn relaxed_lanes<L: Lanes>(
         self,
         j: usize,
         x: [L; 5],
         b: L,
         h2: L,
         omega: L,
-        get: impl Fn(*const f64) -> L + Copy,
+        get: impl Fn(&[f64], usize) -> L + Copy,
     ) -> L {
         let [up, left, old, right, down] = x;
-        // SAFETY: forwarded contract.
-        unsafe {
-            let nb = self.n.times(up, j, get);
-            let nb = nb.add(self.s.times(down, j, get));
-            let nb = nb.add(self.w.times(left, j, get));
-            let nb = nb.add(self.e.times(right, j, get));
-            let gs = self.d.times(nb.add(h2.mul(b)), j, get);
-            old.add(omega.mul(gs.sub(old)))
-        }
-    }
-}
-
-/// The stencil values `[up, left, center, right, down]` around column
-/// `j` of three rows, each fetched by `get`.
-///
-/// # Safety
-/// `get` must be sound at `up + j`, `dn + j` and `mid + j − 1 ..= mid +
-/// j + 1`.
-#[inline(always)]
-pub(crate) unsafe fn star<T>(
-    up: *const f64,
-    mid: *const f64,
-    dn: *const f64,
-    j: usize,
-    get: impl Fn(*const f64) -> T,
-) -> [T; 5] {
-    // SAFETY: forwarded contract.
-    unsafe {
-        let (l, r) = (get(mid.add(j - 1)), get(mid.add(j + 1)));
-        [get(up.add(j)), l, get(mid.add(j)), r, get(dn.add(j))]
+        let nb = self.n.times(up, j, get);
+        let nb = nb.add(self.s.times(down, j, get));
+        let nb = nb.add(self.w.times(left, j, get));
+        let nb = nb.add(self.e.times(right, j, get));
+        let gs = self.d.times(nb.add(h2.mul(b)), j, get);
+        old.add(omega.mul(gs.sub(old)))
     }
 }
 
 // ---------------------------------------------------------------------
 // Generic kernel bodies (one definition per kernel, over any backend)
 // ---------------------------------------------------------------------
+//
+// Each body asserts its row lengths once at entry. A vector step reads
+// each row as a fixed-size array — a `window` (one bounds check), or,
+// where the steps tile the rows, `chunks` zipped together (none) — so
+// its loads and stores need no checks of their own. The interpolation
+// and restriction tails read the fine rows as two-column cells indexed
+// by the coarse column; a tail bounded by `take` stays a short scalar
+// loop.
 
 mod body {
-    use super::{star, Five, Lanes, Weight};
+    use super::{Five, Lanes, Weight};
+    use std::slice::Iter;
+
+    /// `row[from..]` as consecutive `K`-value chunks (a short last
+    /// chunk dropped).
+    #[inline(always)]
+    fn chunks<const K: usize>(row: &[f64], from: usize) -> Iter<'_, [f64; K]> {
+        row[from..].as_chunks::<K>().0.iter()
+    }
+
+    /// `row[at..at + K]` as an array.
+    #[inline(always)]
+    fn window<const K: usize>(row: &[f64], at: usize) -> &[f64; K] {
+        row[at..at + K].try_into().unwrap()
+    }
+
+    /// [`window`], mutably.
+    #[inline(always)]
+    fn window_mut<const K: usize>(row: &mut [f64], at: usize) -> &mut [f64; K] {
+        (&mut row[at..at + K]).try_into().unwrap()
+    }
+
+    /// `f[0..4] += lo`, `f[4..8] += hi`.
+    #[inline(always)]
+    fn add_into<L: Lanes>(f: &mut [f64; 8], lo: L, hi: L) {
+        L::load(f).add(lo).store(f);
+        let f = &mut f[4..];
+        L::load(f).add(hi).store(f);
+    }
 
     /// Residual row: columns `1..n-1` of `out` get `b − A x` for the
     /// row whose weights are `f` ([`Five::residual_at`] per column).
-    /// All rows are untrimmed and `n` long.
-    #[allow(clippy::too_many_arguments)]
+    /// All rows are untrimmed and `n = mid.len()` long.
     #[inline(always)]
-    pub(super) unsafe fn residual_row<L: Lanes, W: Weight, D: Weight>(
+    pub(super) fn residual_row<L: Lanes, W: Weight, D: Weight>(
         f: Five<W, D>,
-        up: *const f64,
-        mid: *const f64,
-        dn: *const f64,
-        brow: *const f64,
+        up: &[f64],
+        mid: &[f64],
+        dn: &[f64],
+        brow: &[f64],
         inv_h2: f64,
-        out: *mut f64,
-        n: usize,
+        out: &mut [f64],
     ) {
+        let n = mid.len();
+        assert!(
+            up.len() == n && dn.len() == n && brow.len() == n && out.len() == n && f.covers(n),
+            "residual row: rows and weights must all be as long as the centre row"
+        );
         let vinv = L::splat(inv_h2);
+        let load = |row: &[f64], j: usize| L::load(window::<4>(row, j));
         let mut j = 1usize;
-        unsafe {
-            while j + 4 < n {
-                let x = star(up, mid, dn, j, |p| L::load(p));
-                f.residual_lanes(j, x, L::load(brow.add(j)), vinv, |p| L::load(p))
-                    .store(out.add(j));
-                j += 4;
-            }
-            while j < n - 1 {
-                let x = star(up, mid, dn, j, |p| *p);
-                *out.add(j) = f.residual_at(j, x, *brow.add(j), inv_h2);
-                j += 1;
-            }
+        while j + 4 < n {
+            let m = window::<6>(mid, j - 1);
+            let x = [
+                load(up, j),
+                L::load(m),
+                L::load(&m[1..]),
+                L::load(&m[2..]),
+                load(dn, j),
+            ];
+            f.residual_lanes(j, x, load(brow, j), vinv, load)
+                .store(window_mut::<4>(out, j));
+            j += 4;
+        }
+        // The vector steps leave at most three columns.
+        for j in (j..n - 1).take(3) {
+            let x = [up[j], mid[j - 1], mid[j], mid[j + 1], dn[j]];
+            out[j] = f.residual_at(j, x, brow[j], inv_h2);
         }
     }
 
-    /// Full-weighting restriction row: coarse columns `1..nc-1` from
-    /// three fine residual rows.
+    /// Full-weighting restriction row: coarse columns `1..nc-1` of
+    /// `coarse_row` (`nc` long) from three fine residual rows of
+    /// `2nc − 1` values.
     #[inline(always)]
-    pub(super) unsafe fn restrict_row<L: Lanes>(
-        r_up: *const f64,
-        r_mid: *const f64,
-        r_dn: *const f64,
-        coarse_row: *mut f64,
-        nc: usize,
+    pub(super) fn restrict_row<L: Lanes>(
+        r_up: &[f64],
+        r_mid: &[f64],
+        r_dn: &[f64],
+        coarse_row: &mut [f64],
     ) {
+        let nc = coarse_row.len();
+        let nf = 2 * nc - 1;
+        assert!(
+            r_up.len() == nf && r_mid.len() == nf && r_dn.len() == nf,
+            "restriction row: fine rows must hold 2nc - 1 values"
+        );
         let four = L::splat(4.0);
         let two = L::splat(2.0);
         let sixteen = L::splat(16.0);
         let mut jc = 1usize;
-        unsafe {
-            // A vector chunk covers coarse columns jc..jc+4. Its widest
-            // read is the load2 at fine column 2jc+1, which reaches fine
-            // column 2jc+8; the last fine column is 2(nc-1), so the
-            // chunk fits exactly when jc + 5 <= nc.
-            while jc + 5 <= nc {
-                let fj = 2 * jc;
-                // evens of load2(fj-1) = corners-left, odds = centers.
-                let (ul, uc) = L::load2(r_up.add(fj - 1));
-                let (ml, mc) = L::load2(r_mid.add(fj - 1));
-                let (dl, dc) = L::load2(r_dn.add(fj - 1));
-                // evens of load2(fj+1) = corners-right.
-                let (ur, _) = L::load2(r_up.add(fj + 1));
-                let (mr, _) = L::load2(r_mid.add(fj + 1));
-                let (dr, _) = L::load2(r_dn.add(fj + 1));
-                // edges = up[fj] + dn[fj] + mid[fj-1] + mid[fj+1]
-                let edges = uc.add(dc).add(ml).add(mr);
-                // corners = up[fj-1] + up[fj+1] + dn[fj-1] + dn[fj+1]
-                let corners = ul.add(ur).add(dl).add(dr);
-                // (4·center + 2·edges + corners) / 16
-                four.mul(mc)
-                    .add(two.mul(edges))
-                    .add(corners)
-                    .div(sixteen)
-                    .store(coarse_row.add(jc));
-                jc += 4;
-            }
-            while jc < nc - 1 {
-                let fj = 2 * jc;
-                let center = *r_mid.add(fj);
-                let edges = *r_up.add(fj) + *r_dn.add(fj) + *r_mid.add(fj - 1) + *r_mid.add(fj + 1);
-                let corners =
-                    *r_up.add(fj - 1) + *r_up.add(fj + 1) + *r_dn.add(fj - 1) + *r_dn.add(fj + 1);
-                *coarse_row.add(jc) = (4.0 * center + 2.0 * edges + corners) / 16.0;
-                jc += 1;
-            }
+        // A vector step covers coarse columns jc..jc+4 from fine columns
+        // fj-1..fj+9 (fj = 2jc), which fit while jc + 5 <= nc.
+        while jc + 5 <= nc {
+            let [up, mid, dn] = [r_up, r_mid, r_dn].map(|row| window::<10>(row, 2 * jc - 1));
+            // evens of load2(fj-1) = corners-left, odds = centers.
+            let (ul, uc) = L::load2(up);
+            let (ml, mc) = L::load2(mid);
+            let (dl, dc) = L::load2(dn);
+            // evens of load2(fj+1) = corners-right.
+            let (ur, _) = L::load2(&up[2..]);
+            let (mr, _) = L::load2(&mid[2..]);
+            let (dr, _) = L::load2(&dn[2..]);
+            // edges = up[fj] + dn[fj] + mid[fj-1] + mid[fj+1]
+            let edges = uc.add(dc).add(ml).add(mr);
+            // corners = up[fj-1] + up[fj+1] + dn[fj-1] + dn[fj+1]
+            let corners = ul.add(ur).add(dl).add(dr);
+            // (4·center + 2·edges + corners) / 16
+            four.mul(mc)
+                .add(two.mul(edges))
+                .add(corners)
+                .div(sixteen)
+                .store(window_mut::<4>(coarse_row, jc));
+            jc += 4;
+        }
+        // Fine columns 2jc-1, 2jc, 2jc+1 as cells of column pairs.
+        let [up, mid, dn] = [r_up, r_mid, r_dn].map(|row| row.as_chunks::<2>().0);
+        // The vector steps leave at most three columns.
+        for jc in (jc..nc - 1).take(3) {
+            let at = |row: &[[f64; 2]]| [row[jc - 1][1], row[jc][0], row[jc][1]];
+            let ([ul, uc, ur], [ml, center, mr], [dl, dc, dr]) = (at(up), at(mid), at(dn));
+            let edges = uc + dc + ml + mr;
+            let corners = ul + ur + dl + dr;
+            coarse_row[jc] = (4.0 * center + 2.0 * edges + corners) / 16.0;
         }
     }
 
     /// Coincident-row interpolation correction: `frow[2jc] += c0[jc]`,
-    /// `frow[2jc+1] += ½(c0[jc] + c0[jc+1])` for `jc in 1..nc-1` (the
+    /// `frow[2jc+1] += ½(c0[jc] + c0[jc+1])` for `jc in 1..nc-1`, with
+    /// `nc = c0.len()` and `frow` the `2nc − 1` fine values (the
     /// `jc = 0` prologue is handled by the caller).
     ///
     /// The corrections are built in *deinterleaved* registers and then
@@ -906,107 +903,113 @@ mod body {
     /// the accumulator (the shuffle-count saving that closes the
     /// interpolation headroom noted in the roadmap).
     #[inline(always)]
-    pub(super) unsafe fn interp_row_even<L: Lanes>(c0: *const f64, frow: *mut f64, nc: usize) {
+    pub(super) fn interp_row_even<L: Lanes>(c0: &[f64], frow: &mut [f64]) {
+        let nc = c0.len();
+        assert!(
+            frow.len() == 2 * nc - 1,
+            "interpolation row: the fine row must hold 2nc - 1 values"
+        );
         let half = L::splat(0.5);
+        // A step reads c0[jc..jc+5] as two loads and adds into
+        // frow[2jc..2jc+8]; the second load bounds it: jc + 5 <= nc.
+        let steps = chunks::<4>(c0, 1)
+            .zip(chunks::<4>(c0, 2))
+            .zip(frow[2..].as_chunks_mut::<8>().0);
         let mut jc = 1usize;
-        unsafe {
-            while jc + 5 <= nc {
-                let a = L::load(c0.add(jc));
-                let b = L::load(c0.add(jc + 1));
-                let odd = half.mul(a.add(b));
-                let (i0, i1) = L::interleave(a, odd);
-                let p = frow.add(2 * jc);
-                L::load(p).add(i0).store(p);
-                let p = frow.add(2 * jc + 4);
-                L::load(p).add(i1).store(p);
-                jc += 4;
-            }
-            while jc < nc - 1 {
-                *frow.add(2 * jc) += *c0.add(jc);
-                *frow.add(2 * jc + 1) += 0.5 * (*c0.add(jc) + *c0.add(jc + 1));
-                jc += 1;
-            }
+        for ((a, b), fine) in steps {
+            let (a, b) = (L::load(a), L::load(b));
+            let odd = half.mul(a.add(b));
+            let (i0, i1) = L::interleave(a, odd);
+            add_into(fine, i0, i1);
+            jc += 4;
+        }
+        let cells = frow.as_chunks_mut::<2>().0;
+        // The vector steps leave at most three columns.
+        for jc in (jc..nc - 1).take(3) {
+            let (a, b) = (c0[jc], c0[jc + 1]);
+            let f = &mut cells[jc];
+            f[0] += a;
+            f[1] += 0.5 * (a + b);
         }
     }
 
     /// Midpoint-row interpolation correction: `frow[2jc] += ½(c0[jc] +
     /// c1[jc])`, `frow[2jc+1] += ¼(c0[jc] + c0[jc+1] + c1[jc] +
-    /// c1[jc+1])` for `jc in 1..nc-1`. Same interleave-once scheme as
-    /// [`interp_row_even`].
+    /// c1[jc+1])` for `jc in 1..nc-1`. Same lengths, steps and
+    /// interleave-once scheme as [`interp_row_even`].
     #[inline(always)]
-    pub(super) unsafe fn interp_row_odd<L: Lanes>(
-        c0: *const f64,
-        c1: *const f64,
-        frow: *mut f64,
-        nc: usize,
-    ) {
+    pub(super) fn interp_row_odd<L: Lanes>(c0: &[f64], c1: &[f64], frow: &mut [f64]) {
+        let nc = c0.len();
+        assert!(
+            c1.len() == nc && frow.len() == 2 * nc - 1,
+            "interpolation row: coarse rows must hold nc values, the fine row 2nc - 1"
+        );
         let half = L::splat(0.5);
         let quarter = L::splat(0.25);
+        let steps = chunks::<4>(c0, 1)
+            .zip(chunks::<4>(c0, 2))
+            .zip(chunks::<4>(c1, 1))
+            .zip(chunks::<4>(c1, 2))
+            .zip(frow[2..].as_chunks_mut::<8>().0);
         let mut jc = 1usize;
-        unsafe {
-            while jc + 5 <= nc {
-                let a0 = L::load(c0.add(jc));
-                let b0 = L::load(c0.add(jc + 1));
-                let a1 = L::load(c1.add(jc));
-                let b1 = L::load(c1.add(jc + 1));
-                let even = half.mul(a0.add(a1));
-                // ((c0[jc] + c0[jc+1]) + c1[jc]) + c1[jc+1], scalar order.
-                let odd = quarter.mul(a0.add(b0).add(a1).add(b1));
-                let (i0, i1) = L::interleave(even, odd);
-                let p = frow.add(2 * jc);
-                L::load(p).add(i0).store(p);
-                let p = frow.add(2 * jc + 4);
-                L::load(p).add(i1).store(p);
-                jc += 4;
-            }
-            while jc < nc - 1 {
-                *frow.add(2 * jc) += 0.5 * (*c0.add(jc) + *c1.add(jc));
-                *frow.add(2 * jc + 1) +=
-                    0.25 * (*c0.add(jc) + *c0.add(jc + 1) + *c1.add(jc) + *c1.add(jc + 1));
-                jc += 1;
-            }
+        for ((((a0, b0), a1), b1), fine) in steps {
+            let [a0, b0, a1, b1] = [a0, b0, a1, b1].map(|v| L::load(v));
+            let even = half.mul(a0.add(a1));
+            // ((c0[jc] + c0[jc+1]) + c1[jc]) + c1[jc+1], scalar order.
+            let odd = quarter.mul(a0.add(b0).add(a1).add(b1));
+            let (i0, i1) = L::interleave(even, odd);
+            add_into(fine, i0, i1);
+            jc += 4;
+        }
+        let cells = frow.as_chunks_mut::<2>().0;
+        for jc in (jc..nc - 1).take(3) {
+            let f = &mut cells[jc];
+            f[0] += 0.5 * (c0[jc] + c1[jc]);
+            f[1] += 0.25 * (c0[jc] + c0[jc + 1] + c1[jc] + c1[jc + 1]);
         }
     }
 
     /// Red/black SOR row update: color cells `j0, j0+2, ...` of `mid`
     /// get [`Five::relaxed_at`], stride 2 handled by deinterleaved
-    /// loads and color-masked stores.
+    /// loads and color-masked stores. All rows are `n = mid.len()` long.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(super) unsafe fn sor_row<L: Lanes, W: Weight, D: Weight>(
+    pub(super) fn sor_row<L: Lanes, W: Weight, D: Weight>(
         f: Five<W, D>,
-        up: *const f64,
-        mid: *mut f64,
-        dn: *const f64,
-        brow: *const f64,
-        n: usize,
+        up: &[f64],
+        mid: &mut [f64],
+        dn: &[f64],
+        brow: &[f64],
         h2: f64,
         omega: f64,
         j0: usize,
     ) {
+        let n = mid.len();
+        assert!(
+            up.len() == n && dn.len() == n && brow.len() == n && f.covers(n),
+            "SOR row: rows and weights must all be as long as the centre row"
+        );
         let vh2 = L::splat(h2);
         let vomega = L::splat(omega);
+        // A step updates the four color cells j, j+2, j+4, j+6 and
+        // reads mid[j-1..j+9], so it fits while j + 9 <= n. Permuted
+        // deinterleave: every input — per-cell weights
+        // included — shares one lane permutation, so the arithmetic
+        // stays element-aligned and the spaced store inverts the order.
+        let evens = |row: &[f64], j: usize| L::load2_perm(window::<8>(row, j)).0;
         let mut j = j0;
-        unsafe {
-            // Four color cells at j, j+2, j+4, j+6; the widest read is
-            // the deinterleaved load at j+1 (touching j+8). Permuted
-            // deinterleave: every input — per-cell weights included —
-            // shares one lane permutation, so the arithmetic stays
-            // element-aligned and the spaced store inverts the order.
-            while j + 9 <= n {
-                let evens = |p: *const f64| L::load2_perm(p).0;
-                let (u, d, b) = (evens(up.add(j)), evens(dn.add(j)), evens(brow.add(j)));
-                let (l, old) = L::load2_perm(mid.add(j - 1)); // evens j-1+2k, odds j+2k
-                let x = [u, l, old, evens(mid.add(j + 1)), d];
-                f.relaxed_lanes(j, x, b, vh2, vomega, evens)
-                    .store_spaced_perm(mid.add(j));
-                j += 8;
-            }
-            while j < n - 1 {
-                let x = star(up, mid, dn, j, |p| *p);
-                *mid.add(j) = f.relaxed_at(j, x, *brow.add(j), h2, omega);
-                j += 2;
-            }
+        while j + 9 <= n {
+            let m = window_mut::<10>(mid, j - 1);
+            let (l, old) = L::load2_perm(m); // evens j-1+2k, odds j+2k
+            let x = [evens(up, j), l, old, L::load2_perm(&m[2..]).0, evens(dn, j)];
+            f.relaxed_lanes(j, x, evens(brow, j), vh2, vomega, evens)
+                .store_spaced_perm(&mut m[1..]);
+            j += 8;
+        }
+        while j < n - 1 {
+            let x = [up[j], mid[j - 1], mid[j], mid[j + 1], dn[j]];
+            mid[j] = f.relaxed_at(j, x, brow[j], h2, omega);
+            j += 2;
         }
     }
 
@@ -1019,36 +1022,34 @@ mod body {
     /// Σ v² with the fixed-lane deterministic reduction.
     #[inline(always)]
     pub(super) fn sum_sq<L: Lanes>(row: &[f64]) -> f64 {
-        let m = row.len();
-        let p = row.as_ptr();
+        let chunks = row.chunks_exact(4);
+        let tail = chunks.remainder();
         let mut acc = L::splat(0.0);
-        let mut j = 0usize;
-        while j + 4 <= m {
-            let v = unsafe { L::load(p.add(j)) };
+        for c in chunks {
+            let v = L::load(c);
             acc = acc.add(v.mul(v));
-            j += 4;
         }
         let mut total = tree(acc.to_array());
-        for &v in &row[j..] {
+        for &v in tail {
             total += v * v;
         }
         total
     }
 
-    /// Σ (a − b)² with the fixed-lane deterministic reduction.
+    /// Σ (a − b)² over the common length, with the fixed-lane
+    /// deterministic reduction.
     #[inline(always)]
     pub(super) fn sum_sq_diff<L: Lanes>(a: &[f64], b: &[f64]) -> f64 {
         let m = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let (a, b) = (a[..m].chunks_exact(4), b[..m].chunks_exact(4));
+        let tail = a.remainder().iter().zip(b.remainder());
         let mut acc = L::splat(0.0);
-        let mut j = 0usize;
-        while j + 4 <= m {
-            let d = unsafe { L::load(pa.add(j)).sub(L::load(pb.add(j))) };
+        for (ca, cb) in a.zip(b) {
+            let d = L::load(ca).sub(L::load(cb));
             acc = acc.add(d.mul(d));
-            j += 4;
         }
         let mut total = tree(acc.to_array());
-        for (&x, &y) in a[j..m].iter().zip(&b[j..m]) {
+        for (&x, &y) in tail {
             let d = x - y;
             total += d * d;
         }
@@ -1061,30 +1062,32 @@ mod body {
 // ---------------------------------------------------------------------
 //
 // `dispatch!` expands to: an AVX2+FMA trampoline (x86_64), a NEON
-// instantiation (aarch64), and the portable-lane fallback — picked at runtime per call. The trampoline
-// carries `#[target_feature]` so LLVM may schedule 256-bit code; the
-// runtime probe guards every entry.
+// instantiation (aarch64), and the portable-lane fallback — picked at
+// runtime per call. The trampoline is a safe `#[target_feature]`
+// function, so LLVM may schedule 256-bit code; the one `unsafe` per
+// entry point is its call, behind the runtime probe.
 
 macro_rules! dispatch {
-    ($(#[$doc:meta])* $vis:vis unsafe fn $name:ident / $avx:ident $(<$($g:ident),*>)? ( $($arg:ident : $ty:ty),* $(,)? )) => {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident / $avx:ident $(<$($g:ident),*>)? ( $($arg:ident : $ty:ty),* $(,)? )) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
         #[allow(clippy::too_many_arguments)]
-        unsafe fn $avx $(<$($g: Weight),*>)? ($($arg: $ty),*) {
-            unsafe { body::$name::<Avx $($(, $g)*)?>($($arg),*) }
+        fn $avx $(<$($g: Weight),*>)? ($($arg: $ty),*) {
+            body::$name::<Avx $($(, $g)*)?>($($arg),*)
         }
 
         $(#[$doc])*
         #[allow(clippy::too_many_arguments)]
-        $vis unsafe fn $name $(<$($g: Weight),*>)? ($($arg: $ty),*) {
+        $vis fn $name $(<$($g: Weight),*>)? ($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             if avx2_available() {
+                // SAFETY: the probe confirmed AVX2+FMA.
                 return unsafe { $avx($($arg),*) };
             }
             #[cfg(target_arch = "aarch64")]
-            return unsafe { body::$name::<Neon $($(, $g)*)?>($($arg),*) };
+            return body::$name::<Neon $($(, $g)*)?>($($arg),*);
             #[allow(unreachable_code)]
-            unsafe { body::$name::<Portable $($(, $g)*)?>($($arg),*) }
+            body::$name::<Portable $($(, $g)*)?>($($arg),*)
         }
     };
     // The reductions. Both modes run the *same* fixed-lane algorithm —
@@ -1094,7 +1097,7 @@ macro_rules! dispatch {
     ($(#[$doc:meta])* $vis:vis fn $name:ident / $avx:ident ( $($arg:ident : $ty:ty),* ) -> $ret:ty) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2,fma")]
-        unsafe fn $avx($($arg: $ty),*) -> $ret {
+        fn $avx($($arg: $ty),*) -> $ret {
             body::$name::<Avx>($($arg),*)
         }
 
@@ -1118,26 +1121,24 @@ macro_rules! dispatch {
 
 dispatch! {
     /// Vector residual row for the row weights `f`: columns `1..n-1` of
-    /// `out` from untrimmed rows of `n` values.
+    /// `out` from untrimmed rows of `n = mid.len()` values.
     ///
-    /// # Safety
-    /// All pointers must be valid for `n` reads (`out` for `n` writes),
-    /// `out` must not alias the inputs, and `f.covers(n)`.
-    pub(crate) unsafe fn residual_row / residual_row_avx2 <W, D>(
-        f: Five<W, D>, up: *const f64, mid: *const f64, dn: *const f64,
-        brow: *const f64, inv_h2: f64, out: *mut f64, n: usize,
+    /// # Panics
+    /// Panics unless every row and per-cell weight holds `n` values.
+    pub(crate) fn residual_row / residual_row_avx2 <W, D>(
+        f: Five<W, D>, up: &[f64], mid: &[f64], dn: &[f64],
+        brow: &[f64], inv_h2: f64, out: &mut [f64],
     )
 }
 
 dispatch! {
-    /// Vector full-weighting restriction row (coarse columns `1..nc-1`).
+    /// Vector full-weighting restriction row (coarse columns `1..nc-1`
+    /// of the `nc` values of `coarse_row`).
     ///
-    /// # Safety
-    /// The three fine rows must be valid for `2(nc-1)+1` reads and
-    /// `coarse_row` for `nc` writes, with no aliasing.
-    pub(crate) unsafe fn restrict_row / restrict_row_avx2(
-        r_up: *const f64, r_mid: *const f64, r_dn: *const f64,
-        coarse_row: *mut f64, nc: usize,
+    /// # Panics
+    /// Panics unless each fine row holds `2nc − 1` values.
+    pub(crate) fn restrict_row / restrict_row_avx2(
+        r_up: &[f64], r_mid: &[f64], r_dn: &[f64], coarse_row: &mut [f64],
     )
 }
 
@@ -1145,36 +1146,32 @@ dispatch! {
     /// Vector coincident-row interpolation correction (columns
     /// `2..2(nc-1)`; the caller handles `frow[1]`).
     ///
-    /// # Safety
-    /// `c0` must be valid for `nc` reads and `frow` for `2(nc-1)+1`
-    /// reads and writes, with no aliasing.
-    pub(crate) unsafe fn interp_row_even / interp_row_even_avx2(
-        c0: *const f64, frow: *mut f64, nc: usize,
-    )
+    /// # Panics
+    /// Panics unless `frow` holds `2nc − 1` values, `nc = c0.len()`.
+    pub(crate) fn interp_row_even / interp_row_even_avx2(c0: &[f64], frow: &mut [f64])
 }
 
 dispatch! {
     /// Vector midpoint-row interpolation correction.
     ///
-    /// # Safety
-    /// `c0`/`c1` must be valid for `nc` reads and `frow` for
-    /// `2(nc-1)+1` reads and writes, with no aliasing.
-    pub(crate) unsafe fn interp_row_odd / interp_row_odd_avx2(
-        c0: *const f64, c1: *const f64, frow: *mut f64, nc: usize,
+    /// # Panics
+    /// Panics unless `c1` holds `nc = c0.len()` values and `frow`
+    /// `2nc − 1`.
+    pub(crate) fn interp_row_odd / interp_row_odd_avx2(
+        c0: &[f64], c1: &[f64], frow: &mut [f64],
     )
 }
 
 dispatch! {
     /// Vector red/black SOR row update for the row weights `f`,
-    /// starting at column `j0` (stride 2).
+    /// starting at column `j0 ≥ 1` (stride 2).
     ///
-    /// # Safety
-    /// All rows valid for `n` reads (`mid` for writes), no concurrent
-    /// access to the color cells of `mid`, `j0 >= 1`, and
-    /// `f.covers(n)`.
-    pub(crate) unsafe fn sor_row / sor_row_avx2 <W, D>(
-        f: Five<W, D>, up: *const f64, mid: *mut f64, dn: *const f64,
-        brow: *const f64, n: usize, h2: f64, omega: f64, j0: usize,
+    /// # Panics
+    /// Panics unless every row and per-cell weight holds `mid.len()`
+    /// values.
+    pub(crate) fn sor_row / sor_row_avx2 <W, D>(
+        f: Five<W, D>, up: &[f64], mid: &mut [f64], dn: &[f64],
+        brow: &[f64], h2: f64, omega: f64, j0: usize,
     )
 }
 
@@ -1211,36 +1208,22 @@ mod tests {
         assert_eq!(name != "portable", vector_available());
     }
 
-    type P = *const f64;
-    type ResidualBody<W, D> = unsafe fn(Five<W, D>, P, P, P, P, f64, *mut f64, usize);
-    type SorBody<W, R> = unsafe fn(Five<W, R>, P, *mut f64, P, P, usize, f64, f64, usize);
-    /// `(backend, residual body, SOR body)`.
+    type ResidualBody<W, D> = fn(Five<W, D>, &[f64], &[f64], &[f64], &[f64], f64, &mut [f64]);
+    type SorBody<W, R> = fn(Five<W, R>, &[f64], &mut [f64], &[f64], &[f64], f64, f64, usize);
     type Backend<W, D, R> = (&'static str, ResidualBody<W, D>, SorBody<W, R>);
 
-    fn bodies<L: Lanes, W: Weight, D: Weight, R: Weight>(name: &'static str) -> Backend<W, D, R> {
-        (
-            name,
-            body::residual_row::<L, W, D>,
-            body::sor_row::<L, W, R>,
-        )
-    }
-
-    /// The residual and SOR bodies of every lane backend this build
-    /// and host have (the AVX ones through their trampolines).
-    fn backends<W: Weight, D: Weight, R: Weight>() -> Vec<Backend<W, D, R>> {
-        #[cfg(target_arch = "x86_64")]
-        let native = avx2_available().then_some((
-            "avx2",
-            residual_row_avx2::<W, D> as ResidualBody<W, D>,
-            sor_row_avx2::<W, R> as SorBody<W, R>,
-        ));
-        #[cfg(target_arch = "aarch64")]
-        let native = Some(bodies::<Neon, W, D, R>("neon"));
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        let native = None;
-        std::iter::once(bodies::<Portable, W, D, R>("portable"))
-            .chain(native)
-            .collect()
+    /// `(backend, residual body, SOR body)` for the portable body and
+    /// the dispatched entry point, which runs the best backend this
+    /// build and host have (AVX2 through its trampoline, or NEON).
+    fn backends<W: Weight, D: Weight, R: Weight>() -> [Backend<W, D, R>; 2] {
+        [
+            (
+                "portable",
+                body::residual_row::<Portable, W, D>,
+                body::sor_row::<Portable, W, R>,
+            ),
+            (vector_backend(), residual_row::<W, D>, sor_row::<W, R>),
+        ]
     }
 
     /// On every backend, the residual body (weights `residual`) and the
@@ -1264,12 +1247,9 @@ mod tests {
             (0..n).map(value).collect()
         };
         let (up, mid, dn, brow) = (row(1), row(2), row(3), row(4));
-        let (u, d, b) = (up.as_ptr(), dn.as_ptr(), brow.as_ptr());
         for (name, residual_body, sor_body) in backends::<W, D, R>() {
             let mut got = vec![0.0; n];
-            // SAFETY: every row holds `n` values and the weights cover
-            // `n` columns; the AVX entries are behind their probes.
-            unsafe { residual_body(residual, u, mid.as_ptr(), d, b, inv_h2, got.as_mut_ptr(), n) };
+            residual_body(residual, &up, &mid, &dn, &brow, inv_h2, &mut got);
             let mut want = vec![0.0; n];
             residual.residual_row_into(&up, &mid, &dn, &brow, inv_h2, &mut want, scalar);
             for j in 1..n - 1 {
@@ -1279,11 +1259,8 @@ mod tests {
 
             for j0 in [1usize, 2] {
                 let (mut got, mut want) = (mid.clone(), mid.clone());
-                // SAFETY: as above; nothing else touches `got` or `want`.
-                unsafe {
-                    sor_body(relax, u, got.as_mut_ptr(), d, b, n, h2, omega, j0);
-                    relax.sor_row_update(u, want.as_mut_ptr(), d, b, n, h2, omega, j0, scalar);
-                }
+                sor_body(relax, &up, &mut got, &dn, &brow, h2, omega, j0);
+                relax.sor_row_update(&up, &mut want, &dn, &brow, h2, omega, j0, scalar);
                 for j in 0..n {
                     let (got, want) = (got[j].to_bits(), want[j].to_bits());
                     assert_eq!(got, want, "sor {name} n={n} j0={j0} j={j}");

@@ -125,8 +125,17 @@ fn interpolate_impl(coarse: &Grid2d, fine: &mut Grid2d, add: bool) {
 /// primitive; the sequential wavefront of the post-relaxation cycle
 /// edge in `petamg-solvers` reuses it row by row, keeping all paths
 /// bitwise identical to [`interpolate_add`].
+///
+/// # Panics
+/// Panics unless `frow` holds `2nc − 1` values and `cs` the coarse rows
+/// `fi` reads.
 #[inline]
 pub fn interpolate_correct_row(fi: usize, cs: &[f64], nc: usize, frow: &mut [f64], mode: SimdMode) {
+    let nf = 2 * nc - 1;
+    assert!(
+        frow.len() == nf,
+        "interpolation row: the fine row must hold {nf} values"
+    );
     let ic = fi / 2;
     let c0 = &cs[ic * nc..(ic + 1) * nc];
     if fi.is_multiple_of(2) {
@@ -134,12 +143,7 @@ pub fn interpolate_correct_row(fi: usize, cs: &[f64], nc: usize, frow: &mut [f64
         // columns average horizontal neighbors.
         frow[1] += 0.5 * (c0[0] + c0[1]);
         match mode {
-            SimdMode::Vector => {
-                debug_assert!(frow.len() > 2 * (nc - 1));
-                // SAFETY: `c0` holds `nc` values, `frow` (a distinct
-                // `&mut`) holds the full fine row of `2(nc-1)+1`.
-                unsafe { simd::interp_row_even(c0.as_ptr(), frow.as_mut_ptr(), nc) }
-            }
+            SimdMode::Vector => simd::interp_row_even(c0, frow),
             SimdMode::Scalar => {
                 for jc in 1..nc - 1 {
                     frow[2 * jc] += c0[jc];
@@ -153,11 +157,7 @@ pub fn interpolate_correct_row(fi: usize, cs: &[f64], nc: usize, frow: &mut [f64
         let c1 = &cs[(ic + 1) * nc..(ic + 2) * nc];
         frow[1] += 0.25 * (c0[0] + c0[1] + c1[0] + c1[1]);
         match mode {
-            SimdMode::Vector => {
-                debug_assert!(frow.len() > 2 * (nc - 1));
-                // SAFETY: as above, with both coarse rows in bounds.
-                unsafe { simd::interp_row_odd(c0.as_ptr(), c1.as_ptr(), frow.as_mut_ptr(), nc) }
-            }
+            SimdMode::Vector => simd::interp_row_odd(c0, c1, frow),
             SimdMode::Scalar => {
                 for jc in 1..nc - 1 {
                     frow[2 * jc] += 0.5 * (c0[jc] + c1[jc]);

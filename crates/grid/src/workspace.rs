@@ -216,13 +216,6 @@ impl Workspace {
         }
     }
 
-    /// Drop all pooled storage (counters are kept).
-    pub fn clear(&self) {
-        let mut pools = lock(&self.pools);
-        pools.grids.clear();
-        pools.buffers.clear();
-    }
-
     fn release_grid(&self, grid: Grid2d) {
         lock(&self.pools)
             .grids
@@ -412,19 +405,6 @@ mod tests {
             let b = ws.acquire_buffer_unzeroed(len);
             assert_eq!(b.as_ptr() as usize % BUFFER_ALIGN, 0, "pooled len={len}");
         }
-    }
-
-    #[test]
-    fn clear_drops_pools_but_keeps_counters() {
-        let ws = Workspace::new();
-        {
-            let _g = ws.acquire(5);
-        }
-        ws.clear();
-        {
-            let _g = ws.acquire(5);
-        }
-        assert_eq!(ws.stats().allocations, 2);
     }
 
     #[test]

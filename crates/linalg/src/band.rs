@@ -348,12 +348,6 @@ impl BandCholesky {
         self.n
     }
 
-    /// Bandwidth of the factor.
-    #[inline]
-    pub fn bandwidth(&self) -> usize {
-        self.m
-    }
-
     /// The packed factor (laid out like [`BandMatrix`]), for tests
     /// that compare or hash it bit for bit.
     pub fn packed(&self) -> &[f64] {
@@ -421,8 +415,9 @@ impl BandCholesky {
         Ok(())
     }
 
-    /// Solve into a fresh vector.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    /// Solve into a fresh vector: the tests' one-line solve.
+    #[cfg(test)]
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut x = b.to_vec();
         self.solve_in_place(&mut x)?;
         Ok(x)

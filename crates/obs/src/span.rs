@@ -58,13 +58,12 @@ struct RingInner {
     /// oldest record at `next`.
     buf: Vec<SpanRecord>,
     next: usize,
-    recorded: u64,
 }
 
 /// A bounded ring of span records. Recording past capacity overwrites
-/// the oldest spans (the total is kept in [`SpanRing::recorded`]), so
-/// a long-running service holds the most recent window of activity
-/// without unbounded growth — and without steady-state allocation.
+/// the oldest spans, so a long-running service holds the most recent
+/// window of activity without unbounded growth — and without
+/// steady-state allocation.
 pub struct SpanRing {
     inner: Mutex<RingInner>,
     capacity: usize,
@@ -78,22 +77,15 @@ impl SpanRing {
             inner: Mutex::new(RingInner {
                 buf: Vec::with_capacity(capacity),
                 next: 0,
-                recorded: 0,
             }),
             capacity,
         }
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Record one span. Never allocates: the buffer was preallocated
     /// to capacity and overwrites wrap in place.
     pub fn record(&self, span: SpanRecord) {
         let mut inner = self.inner.lock();
-        inner.recorded += 1;
         if inner.buf.len() < self.capacity {
             inner.buf.push(span);
         } else {
@@ -123,11 +115,6 @@ impl SpanRing {
         });
     }
 
-    /// Total spans ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().recorded
-    }
-
     /// Copy out the retained spans in chronological order.
     pub fn spans(&self) -> Vec<SpanRecord> {
         let inner = self.inner.lock();
@@ -136,13 +123,6 @@ impl SpanRing {
         out.extend_from_slice(&inner.buf[inner.next..]);
         out.extend_from_slice(&inner.buf[..inner.next]);
         out
-    }
-
-    /// Drop every retained span (the `recorded` total survives).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.buf.clear();
-        inner.next = 0;
     }
 }
 
@@ -167,17 +147,7 @@ mod tests {
         for t in 0..5 {
             ring.record(span(t));
         }
-        assert_eq!(ring.recorded(), 5);
         let starts: Vec<u64> = ring.spans().iter().map(|s| s.start_us).collect();
         assert_eq!(starts, vec![2, 3, 4], "oldest two overwritten, order kept");
-    }
-
-    #[test]
-    fn clear_keeps_the_total() {
-        let ring = SpanRing::with_capacity(4);
-        ring.record(span(0));
-        ring.clear();
-        assert!(ring.spans().is_empty());
-        assert_eq!(ring.recorded(), 1);
     }
 }

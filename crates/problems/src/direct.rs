@@ -93,11 +93,6 @@ impl OpDirect {
         self.n
     }
 
-    /// The operator this solver was factored for.
-    pub fn op(&self) -> &StencilOp {
-        &self.op
-    }
-
     /// Solve `A x = b` exactly: reads `b`'s interior and `x`'s boundary
     /// ring (Dirichlet data), overwrites `x`'s interior.
     ///

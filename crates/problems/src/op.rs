@@ -25,9 +25,9 @@
 //! carries over to the operator families.
 
 use crate::coeffs::StencilCoeffs;
-#[cfg(doc)]
-use petamg_grid::Five;
 use petamg_grid::SimdMode;
+#[cfg(doc)]
+use petamg_grid::{Five, Grid2d};
 use std::sync::Arc;
 
 /// Evaluate `$body` with `$weights` bound to `$op`'s per-row stencil,
@@ -128,12 +128,6 @@ impl StencilOp {
         }
     }
 
-    /// Whether this is the constant-coefficient Poisson operator.
-    #[inline]
-    pub fn is_poisson(&self) -> bool {
-        matches!(self, StencilOp::Poisson)
-    }
-
     /// Grid size this operator is bound to (`None` for size-independent
     /// operators).
     #[inline]
@@ -205,38 +199,34 @@ impl StencilOp {
             .residual_row_into(up, mid, dn, brow, inv_h2, out, mode))
     }
 
-    /// Update the `color` cells of one interior row in place — the
-    /// Gauss-Seidel/SOR row body shared by the staged half-sweeps and
-    /// the temporally blocked wavefront kernels in `petamg-solvers`.
-    /// `i` is the **global** row index (fixes the red/black column
-    /// phase and selects coefficient rows). Row `i`'s weights through
-    /// [`Five::sor_row_update`].
+    /// Update the `color` cells of the interior row `mid` in place —
+    /// the Gauss-Seidel/SOR row body shared by the staged half-sweeps
+    /// and the temporally blocked wavefront kernels in
+    /// `petamg-solvers`. `i` is the **global** row index (fixes the
+    /// red/black column phase and selects coefficient rows); `up`/`dn`
+    /// are rows `i-1`/`i+1` ([`Grid2d::rows3_mut`] splits all three off
+    /// a grid). Row `i`'s weights through [`Five::sor_row_update`].
     ///
-    /// # Safety
-    /// All four pointers must be valid for `n` reads (`mid` for
-    /// writes), and no other task may concurrently write the cells read
-    /// here (the `color` cells of `mid` and the opposite-color cells of
-    /// `up`/`dn`).
+    /// # Panics
+    /// Panics unless all four rows and every per-cell weight are
+    /// `mid.len()` long.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub unsafe fn sor_row_update(
+    pub fn sor_row_update(
         &self,
         i: usize,
-        up: *const f64,
-        mid: *mut f64,
-        dn: *const f64,
-        brow: *const f64,
-        n: usize,
+        up: &[f64],
+        mid: &mut [f64],
+        dn: &[f64],
+        brow: &[f64],
         h2: f64,
         omega: f64,
         color: usize,
         mode: SimdMode,
     ) {
         let j0 = first_column(i, color);
-        // SAFETY: forwarded contract; `j0` is 1 or 2.
-        with_weights!(self, relax, |weights| unsafe {
-            weights(i).sor_row_update(up, mid, dn, brow, n, h2, omega, j0, mode)
-        })
+        with_weights!(self, relax, |weights| weights(i)
+            .sor_row_update(up, mid, dn, brow, h2, omega, j0, mode))
     }
 
     /// The stencil weights of cell `(i, j)` as `(cw, ce, cn, cs, cc)` —

@@ -112,13 +112,13 @@ impl std::error::Error for ProblemMismatch {}
 /// from [`Problem::op_for`].
 ///
 /// ```
-/// use petamg_problems::Problem;
+/// use petamg_problems::{Problem, StencilOp};
 ///
 /// let poisson = Problem::poisson();
-/// assert!(poisson.op_for(33).is_poisson());
+/// assert!(matches!(poisson.op_for(33), StencilOp::Poisson));
 ///
 /// let jump = Problem::jump_inclusion(33);
-/// assert!(!jump.op_for(33).is_poisson());
+/// assert!(!matches!(jump.op_for(33), StencilOp::Poisson));
 /// // The hierarchy reaches the 3x3 base case for the direct solve.
 /// let _ = jump.op_for(3);
 /// ```
@@ -274,8 +274,8 @@ mod tests {
     fn poisson_is_default_and_size_independent() {
         let p = Problem::default();
         assert!(p.is_poisson());
-        assert!(p.op_for(5).is_poisson());
-        assert!(p.op_for(1025).is_poisson());
+        assert!(matches!(p.op_for(5), StencilOp::Poisson));
+        assert!(matches!(p.op_for(1025), StencilOp::Poisson));
         assert!(p.fingerprint().is_poisson());
     }
 

@@ -43,24 +43,9 @@ fn op_sor_sweep(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, mode: Si
         h * h
     };
     for color in 0..2 {
-        let xp = x.as_mut_slice().as_mut_ptr();
-        let bs = b.as_slice().as_ptr();
         for i in 1..n - 1 {
-            // SAFETY: sequential row walk; the stencil stays in bounds.
-            unsafe {
-                op.sor_row_update(
-                    i,
-                    xp.add((i - 1) * n),
-                    xp.add(i * n),
-                    xp.add((i + 1) * n),
-                    bs.add(i * n),
-                    n,
-                    h2,
-                    omega,
-                    color,
-                    mode,
-                );
-            }
+            let (up, mid, dn) = x.rows3_mut(i);
+            op.sor_row_update(i, up, mid, dn, b.row(i), h2, omega, color, mode);
         }
     }
 }

@@ -213,11 +213,6 @@ impl<T: Clone + Send + 'static, K: Eq + Hash + Clone + Send + 'static> SingleFli
         }
     }
 
-    /// The bound on landed values.
-    pub fn capacity(&self) -> usize {
-        self.shared.map.lock().capacity
-    }
-
     /// The landed value under `key`, marked most recently used.
     pub fn get(&self, key: &K) -> Option<T> {
         let mut map = self.shared.map.lock();
@@ -330,7 +325,8 @@ impl<T: Clone + Send + 'static, K: Eq + Hash + Clone + Send + 'static> SingleFli
     }
 
     /// Number of flights in the air.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         let map = self.shared.map.lock();
         map.entries.values().filter(|e| e.flight.is_some()).count()
     }

@@ -45,6 +45,8 @@ impl JobRef {
     pub(crate) unsafe fn new<T: Job>(data: *const T) -> JobRef {
         JobRef {
             pointer: data as *const (),
+            // SAFETY: `ptr` is the `data` this JobRef was made from, so
+            // the caller of `new` keeps it live for the one execution.
             execute_fn: |ptr| unsafe { T::execute(ptr as *const T) },
         }
     }
@@ -52,6 +54,8 @@ impl JobRef {
     /// # Safety
     /// Must be called at most once per underlying job instance.
     pub(crate) unsafe fn execute(self) {
+        // SAFETY: `execute_fn` was built for `pointer` in `new`; the
+        // caller runs each job at most once.
         unsafe { (self.execute_fn)(self.pointer) }
     }
 }
@@ -106,6 +110,8 @@ where
     where
         L: Sync,
     {
+        // SAFETY: forwarded contract: `self` outlives the JobRef's
+        // execution and is executed at most once.
         unsafe { JobRef::new(self as *const Self) }
     }
 
@@ -126,6 +132,8 @@ where
     R: Send,
 {
     unsafe fn execute(this: *const Self) {
+        // SAFETY: the caller passes a live instance (the owner waits on
+        // the latch before popping its frame).
         let this = unsafe { &*this };
         // SAFETY: execute-at-most-once means we are the only accessor of
         // `func` and `result` until the latch is set.
@@ -134,6 +142,8 @@ where
             Ok(r) => JobResult::Ok(r),
             Err(payload) => JobResult::Panic(payload),
         };
+        // SAFETY: as for `func` above: no other accessor until the
+        // latch is set.
         unsafe {
             *this.result.get() = outcome;
         }
@@ -171,6 +181,8 @@ where
     F: FnOnce() + Send,
 {
     unsafe fn execute(this: *const Self) {
+        // SAFETY: `this` came from `Box::into_raw` in `into_job_ref`, and
+        // a job executes at most once, so the box is rebuilt once.
         let boxed = unsafe { Box::from_raw(this as *mut Self) };
         (boxed.func)();
     }
@@ -185,7 +197,9 @@ mod tests {
     #[test]
     fn stack_job_roundtrip() {
         let job = StackJob::<SpinLatch, _, _>::new(|| 6 * 7, SpinLatch::new());
+        // SAFETY: `job` lives to the end of the test, past its latch.
         let job_ref = unsafe { job.as_job_ref() };
+        // SAFETY: the one execution of `job`.
         unsafe { job_ref.execute() };
         assert!(job.latch().probe());
         assert_eq!(job.into_result(), 42);
@@ -194,7 +208,9 @@ mod tests {
     #[test]
     fn stack_job_captures_panic() {
         let job: StackJob<SpinLatch, _, ()> = StackJob::new(|| panic!("inner"), SpinLatch::new());
+        // SAFETY: `job` lives to the end of the test, past its latch.
         let job_ref = unsafe { job.as_job_ref() };
+        // SAFETY: the one execution of `job`.
         unsafe { job_ref.execute() };
         assert!(job.latch().probe());
         let res = panic::catch_unwind(AssertUnwindSafe(move || job.into_result()));
@@ -207,6 +223,7 @@ mod tests {
         let job_ref = HeapJob::into_job_ref(|| {
             COUNT.fetch_add(1, Ordering::SeqCst);
         });
+        // SAFETY: the one execution of the heap job.
         unsafe { job_ref.execute() };
         assert_eq!(COUNT.load(Ordering::SeqCst), 1);
     }

@@ -124,6 +124,8 @@ where
         // nobody stole it), otherwise help by stealing another worker's
         // `join` halves — never an injected job (see `find_help`).
         match worker.find_help() {
+            // SAFETY: a job popped or stolen from a deque is executed
+            // once, by whoever took it.
             Some(job) => unsafe { job.execute() },
             None => {
                 std::hint::spin_loop();

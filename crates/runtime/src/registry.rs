@@ -145,6 +145,8 @@ fn worker_main(deque: Worker<JobRef>, index: usize, registry: Arc<Registry>) {
             // Jobs catch their own panics (StackJob) or are documented as
             // must-not-unwind (`ThreadPool::spawn`), so executing here
             // cannot unwind through the worker loop in normal operation.
+            // SAFETY: a job taken from a queue is executed once, by its
+            // taker.
             unsafe { job.execute() };
             continue;
         }
@@ -155,6 +157,7 @@ fn worker_main(deque: Worker<JobRef>, index: usize, registry: Arc<Registry>) {
         let ticket = worker.registry.sleep.start_looking();
         if let Some(job) = worker.find_work() {
             worker.registry.sleep.cancel();
+            // SAFETY: as above.
             unsafe { job.execute() };
             continue;
         }

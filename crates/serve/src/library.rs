@@ -35,7 +35,7 @@ use petamg_core::plan::TunedFamily;
 use petamg_obs::{Counter, Registry};
 use petamg_problems::{Problem, ProblemFingerprint};
 use petamg_runtime::{FlightGuard, Parked, ParkedJob, SingleFlight};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Default number of plans held in memory.
@@ -218,16 +218,6 @@ impl PlanLibrary {
     pub(crate) fn with_key_fn(mut self, key_fn: fn(&ProblemFingerprint) -> u64) -> Self {
         self.key_fn = key_fn;
         self
-    }
-
-    /// The plan directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The in-memory capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.memory.capacity()
     }
 
     /// Number of plans currently cached in memory: ≤ capacity whenever

@@ -624,13 +624,6 @@ impl SolverService {
         }
     }
 
-    /// The service's metric registry. Every request counter, library
-    /// counter, phase histogram, and gauge is registered here; the
-    /// registry is per-service, so concurrent services never mix.
-    pub fn registry(&self) -> &Registry {
-        &self.inner.registry
-    }
-
     /// One consistent snapshot of every registered metric, with the
     /// snapshot-time gauges (in-flight count, arena allocation
     /// counters, open ladder memories) refreshed first. This is the stable

@@ -66,11 +66,6 @@ impl DirectSolverCache {
         }
     }
 
-    /// Maximum number of factors retained.
-    pub fn capacity(&self) -> usize {
-        self.factors.capacity()
-    }
-
     /// How many factors have been evicted to honour the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -178,11 +173,6 @@ impl DirectSolverCache {
     pub fn is_empty(&self) -> bool {
         self.factors.is_empty()
     }
-
-    /// Drop all cached factors.
-    pub fn clear(&self) {
-        self.factors.clear();
-    }
 }
 
 #[cfg(test)]
@@ -210,8 +200,6 @@ mod tests {
         }
         let _ = cache.get_op(17, &StencilOp::Poisson);
         assert_eq!(cache.len(), 4);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     /// `solve_op` and `get_op` are one lookup family over one map: a
@@ -235,7 +223,6 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
         let cache = DirectSolverCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
         let [poisson, aniso, jump] = mixed_ops(9);
         let f_poisson = cache.get_op(9, &poisson);
         let _f_aniso = cache.get_op(9, &aniso);

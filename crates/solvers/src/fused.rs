@@ -62,47 +62,26 @@ use petamg_grid::{
 use petamg_problems::{residual_restrict_op, StencilOp};
 
 /// One cursor step of the red/black wavefront over the interior rows
-/// `1..n-1` of the row-major `n×n` grid `x`: stage `s` (color `s % 2`)
-/// updates row `t - s`, so stage 0 leads at the cursor and the last of
-/// the `half_sweeps` stages trails it by `half_sweeps - 1` rows.
+/// `1..n-1` of `x`: stage `s` (color `s % 2`) updates row `t - s`, so
+/// stage 0 leads at the cursor and the last of the `half_sweeps` stages
+/// trails it by `half_sweeps - 1` rows.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn wavefront_step(
     op: &StencilOp,
-    x: &mut [f64],
-    b: &[f64],
-    n: usize,
+    x: &mut Grid2d,
+    b: &Grid2d,
     h2: f64,
     omega: f64,
     half_sweeps: usize,
     t: usize,
     mode: SimdMode,
 ) {
-    assert!(x.len() == n * n && b.len() == n * n, "wavefront grid size");
-    let xs = x.as_mut_ptr();
-    for s in 0..half_sweeps {
-        if t < 1 + s {
-            break;
-        }
+    for s in 0..half_sweeps.min(t) {
         let r = t - s;
-        if r >= n - 1 {
-            continue;
-        }
-        // SAFETY: 1 <= r < n-1, so rows r-1..=r+1 lie inside the
-        // asserted n×n buffers, and `x` is borrowed exclusively.
-        unsafe {
-            op.sor_row_update(
-                r,
-                xs.add((r - 1) * n),
-                xs.add(r * n),
-                xs.add((r + 1) * n),
-                b.as_ptr().add(r * n),
-                n,
-                h2,
-                omega,
-                s % 2,
-                mode,
-            );
+        if r < x.n() - 1 {
+            let (up, mid, dn) = x.rows3_mut(r);
+            op.sor_row_update(r, up, mid, dn, b.row(r), h2, omega, s % 2, mode);
         }
     }
 }
@@ -137,23 +116,23 @@ fn wavefront(
     // third and the restriction reads only those.
     let mut window = coarse.map(|c| (c, ws.acquire_buffer_unzeroed(3 * n)));
     let third = |r: usize| r % 3 * n..(r % 3 + 1) * n;
-    let xs = x.as_mut_slice();
     for t in 1..n + half {
         if let Some(c) = correction {
             if t < n - 1 {
-                interpolate_correct_row(t, c.as_slice(), c.n(), &mut xs[t * n..(t + 1) * n], mode);
+                let row = &mut x.as_mut_slice()[t * n..(t + 1) * n];
+                interpolate_correct_row(t, c.as_slice(), c.n(), row, mode);
             }
         }
-        wavefront_step(op, xs, b.as_slice(), n, h2, omega, half, t - 1, mode);
+        wavefront_step(op, x, b, h2, omega, half, t - 1, mode);
         // Residual row r: rows r-1..=r+1 finished their last half-sweep
         // at cursors <= t, so they are final.
         let r = (t - 1).checked_sub(half).filter(|&r| r > 0);
         if let (Some((coarse, buf)), Some(r)) = (window.as_mut(), r) {
             op.residual_row_into(
                 r,
-                &xs[(r - 1) * n..r * n],
-                &xs[r * n..(r + 1) * n],
-                &xs[(r + 1) * n..(r + 2) * n],
+                x.row(r - 1),
+                x.row(r),
+                x.row(r + 1),
                 b.row(r),
                 inv_h2,
                 &mut buf[third(r)],

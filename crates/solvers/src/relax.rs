@@ -84,24 +84,9 @@ pub(crate) fn sor_half_sweep_op(
         h * h
     };
     let mode = exec.simd();
-    let xs = x.as_mut_slice().as_mut_ptr();
     for i in 1..n - 1 {
-        // SAFETY: 1 <= i < n-1, so rows i-1..=i+1 lie inside the n×n
-        // buffers, and `x` is borrowed exclusively for the sweep.
-        unsafe {
-            op.sor_row_update(
-                i,
-                xs.add((i - 1) * n),
-                xs.add(i * n),
-                xs.add((i + 1) * n),
-                b.row(i).as_ptr(),
-                n,
-                h2,
-                omega,
-                color,
-                mode,
-            );
-        }
+        let (up, mid, dn) = x.rows3_mut(i);
+        op.sor_row_update(i, up, mid, dn, b.row(i), h2, omega, color, mode);
     }
 }
 

@@ -68,7 +68,7 @@ pub use petamg_solvers as solvers;
 
 /// Convenience prelude with the most common types.
 pub mod prelude {
-    pub use petamg_core::accuracy::{error_ratio, AccuracyReport};
+    pub use petamg_core::accuracy::error_ratio;
     pub use petamg_core::cost::{CostModel, MachineProfile};
     pub use petamg_core::guard::{GuardedReport, GuardedSolver, LadderRung, SolveError};
     pub use petamg_core::plan::{Choice, ExecCtx, TunedFamily, TunedFmgFamily};
