@@ -27,7 +27,8 @@
 //!
 //! The training instances never read each other's data, so each is its
 //! own job on the pool the tuner runs on (`per_instance` halves the
-//! instance list through `petamg_runtime::join`): generating it and
+//! instance list through `petamg_runtime::join`, which lends the second
+//! half to a worker idle before the first is done): generating it and
 //! solving for its `x_opt`, each `ESTIMATE_j` of the FMG tuner, and its
 //! trajectory of every candidate walk, with its own `ExecCtx` over the
 //! tuner's shared factor cache and scratch arena. A walk merges its
@@ -232,9 +233,10 @@ enum Settle {
 
 /// `job(i)` for every training instance `i` in `0..count`, in instance
 /// order. On a pool each instance is its own job: the list is halved
-/// through [`petamg_runtime::join`], so an idle worker steals half of
-/// it. Off a pool, and on a pool whose other workers are busy, the jobs
-/// run one after another on the calling thread.
+/// through [`petamg_runtime::join`], so a worker that is idle before
+/// the first half is done takes the second. Off a pool, and on a pool
+/// whose other workers are busy, the jobs run one after another on the
+/// calling thread.
 pub(crate) fn per_instance<T: Send>(count: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     fn halves<T: Send>(range: Range<usize>, job: &(impl Fn(usize) -> T + Sync)) -> Vec<T> {
         if range.len() <= 1 {

@@ -1,32 +1,24 @@
 //! # petamg-runtime
 //!
-//! A Cilk-style work-stealing task runtime, reproducing the PetaBricks
-//! runtime substrate described in §3.2.3 of *Autotuning Multigrid with
-//! PetaBricks* (SC'09):
+//! The workspace's thread pool and keyed flight map.
 //!
-//! > "The runtime scheduler dynamically schedules tasks (that have their
-//! > input dependencies satisfied) across processors to distribute work.
-//! > The scheduler attempts to maximize locality using a greedy algorithm
-//! > that schedules tasks in a depth-first search order. Following the
-//! > approach taken by Cilk, we distribute work with thread-private deques
-//! > and a task stealing protocol."
+//! §3.2.3 of *Autotuning Multigrid with PetaBricks* (SC'09) spreads the
+//! tasks of data-parallel rules across cores the Cilk way, with
+//! thread-private deques and stealing. This workspace has no
+//! data-parallel rule: one solve runs on one thread, the serving engine
+//! spreads requests across its workers, and the tuner splits its
+//! training instances in two. So the pool is plain: named workers take
+//! jobs, oldest first, from one locked queue.
 //!
-//! The design mirrors that description directly:
-//!
-//! * every worker owns a **LIFO deque** (depth-first local execution,
-//!   FIFO stealing from the cold end — the classic Cilk discipline),
-//! * idle workers **steal** from the pool's injector and from random
-//!   victims,
-//! * blocked parents **help** by executing pending work while they wait
-//!   (continuation stealing is approximated by child stealing + helping,
-//!   as in rayon). A worker waiting in [`join`] pops its own deque and
-//!   steals from other workers' deques, never from the injector: it only
-//!   ever runs halves of some `join`, and a job injected by
-//!   [`ThreadPool::spawn`] or [`spawn`] — a serving engine's request —
-//!   starts only on a worker that is not inside another job,
-//! * sleeping workers park on a condition variable with an event-counter
-//!   protocol so that work injection can never be missed for longer than
-//!   a bounded timeout.
+//! * [`ThreadPool::spawn`] and [`spawn`] queue a detached job (a
+//!   serving engine's request, or a request handed back by a landing).
+//! * [`join`] on a worker queues its second half and runs the first.
+//!   If no worker has taken the second half by then, the caller takes
+//!   it back and runs it; otherwise it blocks until the taker is done.
+//!   A waiting caller runs nothing else, so a queued request never
+//!   starts inside someone else's `join`.
+//! * [`ThreadPool::install`] queues a job and blocks until a worker has
+//!   run it.
 //!
 //! The public surface is what the workspace uses: [`ThreadPool`]
 //! (`new`, `spawn`, `install`), [`join`], [`spawn`],
@@ -38,8 +30,7 @@
 //! through [`spawn`]. Each pool is owned by whoever built it — the
 //! serving engine for requests, a caller of the tuner for a pooled
 //! tune; there is no process-global pool, and off a pool every call
-//! runs inline. Grid sweeps do not use a pool: one solve runs on one
-//! thread, and the serving engine spreads requests across its workers.
+//! runs inline.
 //!
 //! ```
 //! let pool = petamg_runtime::ThreadPool::new(2);
@@ -48,27 +39,19 @@
 //! ```
 
 mod flight;
-mod job;
-mod latch;
-mod registry;
-mod sleep;
+mod pool;
 
 pub use flight::{FlightGuard, Parked, ParkedJob, Role, SingleFlight};
-pub use registry::{current_worker_index, ThreadPool};
-
-use job::StackJob;
-use latch::{Latch, SpinLatch};
-use registry::WorkerThread;
+pub use pool::{current_worker_index, ThreadPool};
 
 /// Execute `oper_a` and `oper_b`, potentially in parallel, returning both
 /// results.
 ///
-/// On a worker thread, `oper_b` is pushed onto the local deque (where
-/// idle workers may steal it) while `oper_a` runs immediately — exactly
-/// the Cilk `spawn`/`sync` pattern — and a panic in either closure is
-/// propagated after both complete. While it waits for a stolen
-/// `oper_b`, the worker helps with other `join` halves only: an
-/// injected job never starts before this `join` returns. Off a pool
+/// On a worker thread, `oper_b` is queued for any free worker while
+/// `oper_a` runs on the calling thread. If no worker has taken
+/// `oper_b` when `oper_a` returns, the caller runs it too; otherwise
+/// the caller blocks, running nothing else, until `oper_b` is done. A
+/// panic in either closure is re-raised after both complete. Off a pool
 /// both closures run inline on the calling thread, `oper_a` then
 /// `oper_b`.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
@@ -78,14 +61,17 @@ where
     RA: Send,
     RB: Send,
 {
-    match WorkerThread::current() {
-        Some(worker) => join_core(worker, oper_a, oper_b),
+    pool::with_worker(|worker| match worker {
+        Some((shared, _)) => match shared.fork(oper_a, oper_b, true) {
+            (Ok(a), Ok(b)) => (a, b),
+            (_, Err(payload)) | (Err(payload), _) => std::panic::resume_unwind(payload),
+        },
         None => (oper_a(), oper_b()),
-    }
+    })
 }
 
-/// Inject a detached job into the calling worker's own pool, as
-/// [`ThreadPool::spawn`] would into a pool held by handle, and return
+/// Queue a detached job on the calling worker's own pool, as
+/// [`ThreadPool::spawn`] would on a pool held by handle, and return
 /// at once. Off a pool `op` runs inline before `spawn` returns.
 ///
 /// This is how a job hands work back to the pool it runs on (the
@@ -95,50 +81,12 @@ pub fn spawn<F>(op: F)
 where
     F: FnOnce() + Send + 'static,
 {
-    match WorkerThread::current() {
-        Some(worker) => worker.registry().inject(job::HeapJob::into_job_ref(op)),
-        None => op(),
-    }
-}
-
-fn join_core<A, B, RA, RB>(worker: &WorkerThread, oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let job_b = StackJob::<SpinLatch, B, RB>::new(oper_b, SpinLatch::new());
-    // SAFETY: `job_b` lives on this stack frame and we do not return until
-    // its latch is set, so the erased pointer inside the JobRef cannot
-    // dangle while it is reachable by thieves.
-    let job_b_ref = unsafe { job_b.as_job_ref() };
-    worker.push(job_b_ref);
-
-    // Run the first half inline. If it panics we still must wait for the
-    // second half (a thief may be executing it on our stack data).
-    let status_a = std::panic::catch_unwind(std::panic::AssertUnwindSafe(oper_a));
-
-    while !job_b.latch().probe() {
-        // Depth-first: drain our own deque (this is where `job_b` sits if
-        // nobody stole it), otherwise help by stealing another worker's
-        // `join` halves — never an injected job (see `find_help`).
-        match worker.find_help() {
-            // SAFETY: a job popped or stolen from a deque is executed
-            // once, by whoever took it.
-            Some(job) => unsafe { job.execute() },
-            None => {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-            }
+    pool::with_worker(|worker| match worker {
+        Some((shared, _)) => {
+            shared.push(Box::new(op));
         }
-    }
-
-    let result_b = job_b.into_result(); // propagates a panic from B
-    match status_a {
-        Ok(result_a) => (result_a, result_b),
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
+        None => op(),
+    })
 }
 
 #[cfg(test)]
@@ -184,61 +132,93 @@ mod tests {
         );
     }
 
+    /// A worker waiting in `join` runs nothing else: the other worker
+    /// takes `b` (it has started before `a` goes on) and holds it until
+    /// `a` has queued a job and returned, and a while longer unless that
+    /// job starts. The waiting worker is then the only one free to start
+    /// it, so the job must find `b` done.
     #[test]
-    fn a_worker_waiting_in_join_does_not_start_an_injected_job() {
-        // The other worker steals `b` and holds it until `a` has returned
-        // with a job injected, and a while longer unless that job starts.
-        // The waiting worker's own deque is then empty, so the injected
-        // job is all it could run before its `join` returns.
+    fn a_waiting_join_caller_starts_no_queued_job() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        use std::time::{Duration, Instant};
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        const PATIENCE: Duration = Duration::from_secs(10);
         let pool = ThreadPool::new(2);
-        let (b_started, a_done) = (AtomicBool::new(false), AtomicBool::new(false));
-        let (injected_started, b_done) = (
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(AtomicBool::new(false)),
-        );
-        let (tx, rx) = std::sync::mpsc::channel();
-        let wait_for = |flag: &AtomicBool, patience: Duration| {
-            let deadline = Instant::now() + patience;
-            while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            flag.load(Ordering::SeqCst)
-        };
-        pool.install(|| {
+        let b_done = Arc::new(AtomicBool::new(false));
+        let (queued_started, injected_started) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        let (b_started, b_has_started) = mpsc::channel();
+        let (a_done, a_has_returned) = mpsc::channel();
+        let seen_by_queued_job = Arc::clone(&b_done);
+        pool.install(move || {
             join(
-                || {
-                    assert!(
-                        wait_for(&b_started, Duration::from_secs(10)),
-                        "`b` was never stolen"
-                    );
-                    let (started, b_done) = (Arc::clone(&injected_started), Arc::clone(&b_done));
+                move || {
+                    b_has_started
+                        .recv_timeout(PATIENCE)
+                        .expect("`b` was never taken");
+                    let b_done = seen_by_queued_job;
                     spawn(move || {
-                        started.store(true, Ordering::SeqCst);
+                        let _ = queued_started.send(());
                         tx.send(b_done.load(Ordering::SeqCst)).unwrap();
                     });
-                    a_done.store(true, Ordering::SeqCst);
+                    a_done.send(()).unwrap();
                 },
-                || {
-                    b_started.store(true, Ordering::SeqCst);
-                    assert!(
-                        wait_for(&a_done, Duration::from_secs(10)),
-                        "`a` never returned"
-                    );
-                    wait_for(&injected_started, Duration::from_millis(200));
+                move || {
+                    b_started.send(()).unwrap();
+                    a_has_returned
+                        .recv_timeout(PATIENCE)
+                        .expect("`a` never returned");
+                    let _ = injected_started.recv_timeout(Duration::from_millis(200));
                     b_done.store(true, Ordering::SeqCst);
                 },
             )
         });
-        let b_was_done = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the injected job runs");
+        let b_was_done = rx.recv_timeout(PATIENCE).expect("the queued job runs");
         assert!(
             b_was_done,
-            "the injected job started inside the join waiting for `b`"
+            "the queued job started inside the join waiting for `b`"
         );
+    }
+
+    /// `nest(10)` on two workers never runs more than two leaves at
+    /// once, and only on the two workers: a `join` lends work to a
+    /// worker, it never starts a thread.
+    #[test]
+    fn nested_joins_stay_on_the_pools_workers() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        struct Census {
+            live: AtomicUsize,
+            most: AtomicUsize,
+            threads: Mutex<HashSet<std::thread::ThreadId>>,
+        }
+        fn nest(depth: usize, census: &Census) -> usize {
+            if depth > 0 {
+                let (a, b) = join(|| nest(depth - 1, census), || nest(depth - 1, census));
+                return a + b;
+            }
+            assert!(current_worker_index().is_some(), "a leaf ran off the pool");
+            let live = census.live.fetch_add(1, Ordering::SeqCst) + 1;
+            census.most.fetch_max(live, Ordering::SeqCst);
+            census
+                .threads
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            std::hint::black_box((0..100).sum::<usize>());
+            census.live.fetch_sub(1, Ordering::SeqCst);
+            1
+        }
+        let census = Census {
+            live: AtomicUsize::new(0),
+            most: AtomicUsize::new(0),
+            threads: Mutex::new(HashSet::new()),
+        };
+        let pool = ThreadPool::new(2);
+        assert_eq!(pool.install(|| nest(10, &census)), 1 << 10);
+        assert!(census.most.load(Ordering::SeqCst) <= 2);
+        assert!(census.threads.lock().unwrap().len() <= 2);
     }
 
     #[test]

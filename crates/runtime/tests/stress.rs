@@ -1,4 +1,4 @@
-//! Stress and failure-injection tests for the work-stealing runtime.
+//! Stress and failure-injection tests for the thread pool.
 
 use petamg_runtime::{current_worker_index, join, ThreadPool};
 use std::panic::AssertUnwindSafe;
@@ -82,10 +82,10 @@ fn work_actually_distributes_across_threads() {
     pool.parallel_for(4_000, 1, |_| {
         let idx = current_worker_index().expect("runs on a worker");
         // The first task on each worker holds it until a task has
-        // started on another worker, so a thief always gets to steal
-        // before one worker drains the whole range. Bounded, so a
-        // scheduler that never distributes fails the assertion below
-        // rather than hanging.
+        // started on another worker, so an idle worker always gets to
+        // take a half before one worker drains the whole range.
+        // Bounded, so a pool that never distributes fails the
+        // assertion below rather than hanging.
         if seen[idx].fetch_add(1, Ordering::AcqRel) == 0 {
             let deadline = Instant::now() + Duration::from_secs(10);
             while !started_elsewhere(idx) && Instant::now() < deadline {

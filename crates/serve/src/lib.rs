@@ -12,7 +12,7 @@
 //!   memory, and the one flight making its next plan.
 //! * [`SolverService`] — a long-running engine whose serving loop is
 //!   `PlanLibrary::park` → `GuardedSolver::solve`, with a bounded
-//!   submission queue over the work-stealing pool (typed [`Rejected`]
+//!   submission queue over the thread pool (typed [`Rejected`]
 //!   on overload), warm per-worker [`Workspace`](petamg_grid::Workspace)
 //!   arenas, one shared `DirectSolverCache` (a `SingleFlight` too), and
 //!   one flight per cold fingerprint: its leader loads or tunes the plan

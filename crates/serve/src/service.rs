@@ -4,7 +4,7 @@
 //! tune-once/serve-many artifacts: its serving loop is
 //! `PlanLibrary::park` → `GuardedSolver::solve`. Requests enter
 //! through a bounded submission queue over the `petamg-runtime`
-//! work-stealing pool; when the queue is full, [`SolverService::submit`]
+//! thread pool; when the queue is full, [`SolverService::submit`]
 //! returns the typed [`Rejected`] instead of queueing unboundedly. Each
 //! pool worker owns a warm [`Workspace`] arena, and every request shares
 //! one [`DirectSolverCache`].
@@ -55,8 +55,8 @@ pub enum TunePolicy {
     /// a service that should never block a request on a tuning run.
     Heuristic,
     /// Run the accuracy-aware DP autotuner (`TunerOptions::quick`) at
-    /// the request's level, on the serving pool: the tuner's training
-    /// instances are jobs that idle workers steal, so the workers a
+    /// the request's level, on the serving pool: the tuner lends half
+    /// its training instances to any idle worker, so the workers a
     /// flight's parked followers left free help with its tune.
     /// Expensive — a level-10 (n = 1025) tune on smooth variable
     /// coefficients takes ≈ 3.5–4 s on one worker and ≈ 2.2–2.7 s on a
@@ -1219,10 +1219,12 @@ mod tests {
         assert_eq!(svc.in_flight(), 0);
     }
 
-    /// Regression test for the ticket wakeup path: `wait` must return
-    /// as soon as `fill` signals, not on a poll tick. The old
-    /// implementation re-checked every 100 ms; a signal-driven wait
-    /// returns within scheduler noise of the fill.
+    /// The ticket wakeup path: `wait` parks on the slot's condition
+    /// variable and returns on the fill's signal. The fill comes only
+    /// once a notify finds the waiter parked there (the wakeups before
+    /// it find the slot empty and park again). A `wait` that polled the
+    /// slot between sleeps would never park, so it would never be
+    /// filled and the test fails.
     #[test]
     fn ticket_wait_is_signal_driven_not_polled() {
         use std::time::{Duration, Instant};
@@ -1230,19 +1232,20 @@ mod tests {
         let ticket = Ticket {
             slot: Arc::clone(&slot),
         };
-        let t0 = Instant::now();
-        let filler = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            slot.fill(Err(ServeError::Panicked("wakeup drill".into())));
-        });
-        let _ = ticket.wait();
-        let waited = t0.elapsed();
-        filler.join().unwrap();
-        assert!(waited >= Duration::from_millis(25), "{waited:?}");
-        assert!(
-            waited < Duration::from_millis(95),
-            "wait must wake on the fill signal, not a 100 ms poll tick: {waited:?}"
-        );
+        let waiter = std::thread::spawn(move || ticket.wait());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !slot.done.notify_one() {
+            assert!(
+                Instant::now() < deadline,
+                "`wait` never parked on the slot's signal"
+            );
+            std::thread::yield_now();
+        }
+        slot.fill(Err(ServeError::Panicked("wakeup drill".into())));
+        assert!(matches!(
+            waiter.join().unwrap(),
+            Err(ServeError::Panicked(message)) if message == "wakeup drill"
+        ));
     }
 
     /// End-to-end telemetry: with the gate open, every request phase

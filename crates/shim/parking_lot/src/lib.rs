@@ -1,12 +1,14 @@
 //! API-compatible shim for the subset of `parking_lot` this workspace
 //! uses: `Mutex` (non-poisoning `lock()` returning a guard directly) and
-//! `Condvar` (`wait(&mut guard)` / `wait_for(&mut guard, timeout)`).
+//! `Condvar` (`wait(&mut guard)` / `wait_for(&mut guard, timeout)`, and
+//! `notify_one` reporting whether a thread was waiting).
 //!
 //! Implemented over `std::sync`; a poisoned std mutex (a thread panicked
 //! while holding it) is transparently recovered, matching parking_lot's
 //! no-poisoning semantics.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
 use std::time::Duration;
 
@@ -77,6 +79,10 @@ impl WaitTimeoutResult {
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// Threads inside `wait` / `wait_for`. A waiter counts itself while
+    /// it still holds the lock, so a notifier holding the same lock
+    /// always sees it.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -84,13 +90,16 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Block until notified, releasing the guard's lock while parked.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.guard.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.guard = Some(g);
     }
 
@@ -101,17 +110,22 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.guard.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (g, res) = self
             .inner
             .wait_timeout(g, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.guard = Some(g);
         WaitTimeoutResult(res.timed_out())
     }
 
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
+    /// Wake one waiter, and return whether a thread was waiting. A
+    /// thread counts as waiting from the moment it releases the lock in
+    /// `wait` until it holds it again.
+    pub fn notify_one(&self) -> bool {
         self.inner.notify_one();
+        self.waiters.load(Ordering::SeqCst) > 0
     }
 
     /// Wake all waiters.
@@ -149,6 +163,12 @@ mod tests {
         }
         drop(done);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn notify_one_reports_whether_a_thread_was_waiting() {
+        let c = Condvar::new();
+        assert!(!c.notify_one());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use petamg_problems::residual_op;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 mod common;
@@ -62,10 +62,12 @@ fn rel_residual(problem: &Problem, x: &Grid2d, b: &Grid2d) -> f64 {
         / petamg::grid::l2_norm_interior(b, &exec).max(f64::MIN_POSITIVE)
 }
 
-/// A tuning policy that counts invocations per fingerprint and is
-/// deliberately slow, so tuning flights overlap with request traffic
-/// and coalescing is actually exercised.
-fn counting_tuner(delay: Duration) -> (TunePolicy, Arc<Mutex<HashMap<u64, usize>>>) {
+/// A tuning policy that counts invocations per fingerprint and runs
+/// `hold` before it returns, so a test can keep a tuning flight in the
+/// air until the traffic it means to overlap has arrived.
+fn counting_tuner(
+    hold: impl Fn(&Problem) + Send + Sync + 'static,
+) -> (TunePolicy, Arc<Mutex<HashMap<u64, usize>>>) {
     let counts: Arc<Mutex<HashMap<u64, usize>>> = Arc::new(Mutex::new(HashMap::new()));
     let seen = Arc::clone(&counts);
     let policy = TunePolicy::Custom(Arc::new(move |problem: &Problem, level: usize| {
@@ -74,10 +76,30 @@ fn counting_tuner(delay: Duration) -> (TunePolicy, Arc<Mutex<HashMap<u64, usize>
             .unwrap()
             .entry(petamg::serve::fingerprint_key(problem.fingerprint()))
             .or_insert(0) += 1;
-        std::thread::sleep(delay);
+        hold(problem);
         simple_v_family(level.max(1), &PAPER_ACCURACIES)
     }));
     (policy, counts)
+}
+
+/// A `hold` under which no tune returns before `count` tunes have
+/// started, so that many flights are in the air at once.
+fn rendezvous(count: usize) -> impl Fn(&Problem) + Send + Sync + 'static {
+    let started = Arc::new((Mutex::new(0usize), Condvar::new()));
+    move |_: &Problem| {
+        let (tunes, all_started) = &*started;
+        let mut tunes = tunes.lock().unwrap();
+        *tunes += 1;
+        all_started.notify_all();
+        let (tunes, waited) = all_started
+            .wait_timeout_while(tunes, PATIENCE, |tunes| *tunes < count)
+            .unwrap();
+        assert!(
+            !waited.timed_out(),
+            "only {} of {count} tunes started: a worker was held",
+            *tunes
+        );
+    }
 }
 
 /// The headline stress: 8 client threads × 128 requests over 4
@@ -86,7 +108,8 @@ fn counting_tuner(delay: Duration) -> (TunePolicy, Arc<Mutex<HashMap<u64, usize>
 /// an independently recomputed residual), and consistent bookkeeping.
 #[test]
 fn thousand_requests_four_profiles_one_tune_each() {
-    let (tuning, counts) = counting_tuner(Duration::from_millis(25));
+    // Each worker leads one profile's flight while the traffic queues.
+    let (tuning, counts) = counting_tuner(rendezvous(4));
     let svc = Arc::new(
         SolverService::start(
             ServiceConfig::new(tmp_dir("headline"))
@@ -162,7 +185,8 @@ fn thousand_requests_four_profiles_one_tune_each() {
 #[test]
 fn telemetry_snapshot_reconciles_with_stress_reports() {
     petamg::obs::set_mode(petamg::obs::TelemetryMode::Metrics);
-    let (tuning, _) = counting_tuner(Duration::from_millis(5));
+    // The first four flights are in the air together.
+    let (tuning, _) = counting_tuner(rendezvous(4));
     let svc = Arc::new(
         SolverService::start(
             ServiceConfig::new(tmp_dir("telemetry"))
@@ -299,9 +323,22 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
 
 /// Simultaneous requests for one brand-new fingerprint: one leader
 /// tunes, everyone else coalesces onto the flight and still converges.
+/// The flight stays in the air until a request of another fingerprint,
+/// queued after the eight, starts its own tune: the pool takes jobs
+/// oldest first, so by then every one of the eight has been picked up.
 #[test]
 fn concurrent_cold_fingerprint_coalesces_onto_one_flight() {
-    let (tuning, counts) = counting_tuner(Duration::from_millis(100));
+    let problem = Problem::anisotropic(0.05);
+    let key = fingerprint_key(problem.fingerprint());
+    let (other_started, other_has_started) = mpsc::channel();
+    let other_has_started = Mutex::new(other_has_started);
+    let (tuning, counts) = counting_tuner(move |tuned: &Problem| {
+        if fingerprint_key(tuned.fingerprint()) == key {
+            let _ = other_has_started.lock().unwrap().recv_timeout(PATIENCE);
+        } else {
+            other_started.send(()).unwrap();
+        }
+    });
     let svc = SolverService::start(
         ServiceConfig::new(tmp_dir("coalesce"))
             .with_workers(4)
@@ -309,22 +346,29 @@ fn concurrent_cold_fingerprint_coalesces_onto_one_flight() {
             .with_tuning(tuning),
     )
     .unwrap();
-    let problem = Problem::anisotropic(0.05);
     let tickets: Vec<_> = (0..8)
         .map(|i| {
             svc.submit(request(&problem, 100 + i))
                 .expect("queue has room")
         })
         .collect();
+    let other = svc
+        .submit(request(&Problem::poisson(), 200))
+        .expect("queue has room");
     for ticket in tickets {
         ticket.wait().expect("coalesced solves converge");
     }
+    other.wait().expect("the other fingerprint converges");
     let stats = svc.stats();
-    assert_eq!(stats.tunes, 1, "single flight for the cold fingerprint");
-    assert_eq!(counts.lock().unwrap().values().sum::<usize>(), 1);
+    assert_eq!(stats.tunes, 2, "one flight per fingerprint");
+    assert_eq!(
+        counts.lock().unwrap().get(&key),
+        Some(&1),
+        "single flight for the cold fingerprint"
+    );
     assert!(
         stats.coalesced >= 1,
-        "with 4 workers and a 100ms tune, some request must have waited on the flight"
+        "with the flight in the air until all eight were picked up, some request must have waited on it"
     );
 }
 
@@ -554,7 +598,12 @@ fn a_cold_round_and_its_restart_keep_their_counts() {
 /// unboundedly, and accepted work still completes.
 #[test]
 fn full_queue_rejects_with_typed_error() {
-    let (tuning, _) = counting_tuner(Duration::from_millis(150));
+    // The first tune holds until the overflow has been turned away.
+    let (release, released) = mpsc::channel::<()>();
+    let released = Mutex::new(released);
+    let (tuning, _) = counting_tuner(move |_: &Problem| {
+        let _ = released.lock().unwrap().recv_timeout(PATIENCE);
+    });
     let svc = SolverService::start(
         ServiceConfig::new(tmp_dir("admission"))
             .with_workers(1)
@@ -572,6 +621,7 @@ fn full_queue_rejects_with_typed_error() {
         Ok(_) => panic!("third submit must be rejected at capacity 2"),
     }
     assert_eq!(svc.stats().rejected, 1);
+    drop(release);
     for t in accepted {
         t.wait().expect("accepted requests still complete");
     }
