@@ -6,8 +6,9 @@
 //! jump at level 7, every tuned plan and every `CandidateEval` in
 //! evaluation order (level, accuracy index, choice — including the
 //! iteration count an infeasible candidate stopped at — and the bits of
-//! its accuracy and cost), plus the `FmgTuner` plans at level 5 for two
-//! problems. A change to the search order, a budget, a tie-break, or a
+//! its accuracy and cost), the `FmgTuner` plans at levels 5 and 6 for
+//! two problems, and `ParetoTuner`'s Poisson sets at level 6 (each
+//! member's kind and the bits of its accuracy and cost). A change to the search order, a budget, a tie-break, or a
 //! kernel that shifts one training trajectory by one ulp shows here
 //! next to the plan it would have changed.
 //!
@@ -23,6 +24,7 @@
 //! Regenerate the fixture (after an *intentional* change to the search)
 //! with: `PETAMG_REGEN_GOLDEN=1 cargo test --test tuner_golden`.
 
+use petamg::core::tuner::ParetoTuner;
 use petamg::grid::level_size;
 use petamg::prelude::*;
 use std::fmt::Write as _;
@@ -42,10 +44,11 @@ const _: () = {
 enum Kind {
     V,
     Fmg,
+    Pareto,
 }
 
 /// `(conformance problem name, level, tuner)`, in fixture order.
-const CASES: [(&str, usize, Kind); 8] = [
+const CASES: [(&str, usize, Kind); 11] = [
     ("poisson", 6, Kind::V),
     ("aniso", 6, Kind::V),
     ("smooth", 6, Kind::V),
@@ -54,6 +57,9 @@ const CASES: [(&str, usize, Kind); 8] = [
     ("jump", 7, Kind::V),
     ("poisson", 5, Kind::Fmg),
     ("jump", 5, Kind::Fmg),
+    ("poisson", 6, Kind::Fmg),
+    ("jump", 6, Kind::Fmg),
+    ("poisson", 6, Kind::Pareto),
 ];
 
 /// Section name → case; names start with the conformance problem name
@@ -72,6 +78,7 @@ fn all_cases() -> Vec<(String, (Problem, usize, Kind))> {
             let tuner = match kind {
                 Kind::V => "v",
                 Kind::Fmg => "fmg",
+                Kind::Pareto => "pareto",
             };
             (format!("{name}.{tuner}{level}"), (problem, level, kind))
         })
@@ -110,6 +117,31 @@ fn render(problem: Problem, level: usize, kind: Kind) -> String {
             let family = FmgTuner::new(options(problem, level)).tune();
             for (k, row) in family.plans.iter().enumerate().skip(1) {
                 writeln!(out, "fmg {k} {row:?}").unwrap();
+            }
+        }
+        Kind::Pareto => {
+            for (k, set) in ParetoTuner::new(options(problem, level))
+                .tune()
+                .iter()
+                .enumerate()
+                .skip(1)
+            {
+                for algo in set {
+                    // The member's kind is crate-private: read it off
+                    // the derived `Debug` form.
+                    let debug = format!("{algo:?}");
+                    let kind = debug
+                        .split_once("kind: ")
+                        .and_then(|(_, rest)| rest.split_once(", accuracy: "))
+                        .map_or(debug.as_str(), |(kind, _)| kind);
+                    writeln!(
+                        out,
+                        "pareto {k} {kind} acc={:016x} cost={:016x}",
+                        algo.accuracy.to_bits(),
+                        algo.cost.to_bits()
+                    )
+                    .unwrap();
+                }
             }
         }
     }
