@@ -86,6 +86,16 @@ impl OpCounts {
         }
     }
 
+    /// The counts of `events`, noted one by one: how a price is built
+    /// for operations the executor has not run.
+    pub(crate) fn of(events: &[CycleEvent]) -> Self {
+        let mut ops = OpCounts::default();
+        for &event in events {
+            ops.note(event);
+        }
+        ops
+    }
+
     /// Merge another count set into this one: the tests' sum.
     #[cfg(test)]
     pub(crate) fn add(&mut self, other: &OpCounts) {

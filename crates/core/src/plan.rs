@@ -16,17 +16,15 @@
 //!   down; interpolate-correct; one SOR(1.15) sweep
 //! ```
 //!
-//! `t` iterations of `RECURSE_j` run as one loop
-//! (`TunedFamily::recurse_steps`): the opening pre-relaxation edge,
-//! then `t − 1` step boundaries, each fusing one step's interpolate +
-//! post-sweep with the next step's pre-sweep + residual + restrict into
-//! a single traversal of the grid, then the closing post edge. Results,
-//! operation counts and cycle events are those of `t` separate
-//! `TunedFamily::recurse_step`s.
-//!
-//! The executor threads an [`ExecCtx`] through the recursion to count
-//! operations (for modeled costs), record cycle events (for the cycle
-//! renderer), and share the direct-solver factor cache.
+//! [`ExecCtx`] is the one code that runs and counts a multigrid
+//! operation: the executor threads it through the recursion, and the
+//! tuners price and walk their candidates through it. Every traversal
+//! of a cycle is one `ExecCtx::edge` — the one fused cycle edge of
+//! `petamg_solvers`, noting the operations its shape runs — and `t`
+//! iterations of `RECURSE_j` are `ExecCtx::recurse`: the pre edge, `t −
+//! 1` step boundaries (one step's post edge fused with the next one's
+//! pre edge), the post edge. The context also keeps the cycle events
+//! (for the renderer) and shares the direct-solver factor cache.
 
 use crate::accuracy::error_ratio;
 #[cfg(test)]
@@ -39,10 +37,7 @@ use petamg_grid::{
     coarse_size, l2_norm_interior, level_size, size_level, BatchGrid, Exec, Grid2d, Workspace,
 };
 use petamg_problems::{residual_norm_op, Problem, ProblemFingerprint, ProblemMismatch, StencilOp};
-use petamg_solvers::fused::{
-    interpolate_correct_relax_op, interpolate_relax_residual_restrict_op,
-    relax_residual_restrict_op, sor_sweeps_blocked_op,
-};
+use petamg_solvers::fused::cycle_edge;
 use petamg_solvers::relax::{omega_opt, OMEGA_CYCLE};
 use petamg_solvers::{DirectSolverCache, SolveStatus};
 use serde::{Deserialize, Serialize};
@@ -167,17 +162,16 @@ impl ExecCtx {
 
     /// Run one kernel at `level` whose output grid is `out`, then note
     /// the operations it performed. The kernel is clocked into
-    /// `kernel_seconds` when that is armed. The kernel is
-    /// also the fault point: when a
-    /// [`crate::faults::Fault::PoisonLevel`] is armed for `level`, `out`
-    /// gets a NaN at its center — an O(1) poke the guard's finiteness
-    /// check must catch. Disabled cost is one thread-local flag read.
+    /// `kernel_seconds` when that is armed. It is also the fault point:
+    /// when a [`crate::faults::Fault::PoisonLevel`] is armed for `level`,
+    /// `out` gets a NaN at its center — an O(1) poke the guard's
+    /// finiteness check must catch. Disabled cost is one flag read.
     #[inline]
     pub(crate) fn kernel(
         &mut self,
         level: usize,
         out: &mut Grid2d,
-        events: &[CycleEvent],
+        events: impl IntoIterator<Item = CycleEvent>,
         run: impl FnOnce(&Self, &mut Grid2d),
     ) {
         let start = self.kernel_seconds.is_some().then(std::time::Instant::now);
@@ -189,146 +183,105 @@ impl ExecCtx {
             let n = out.n();
             out.set(n / 2, n / 2, f64::NAN);
         }
-        for &event in events {
+        for event in events {
             self.note(event);
         }
     }
 
-    /// Fused residual + restriction at `level` without relaxation (the
-    /// FMG estimate edge): one residual plus one restrict, matching the
-    /// unfused composition it replaces bitwise.
-    fn residual_restrict_into(
-        &mut self,
-        level: usize,
-        x: &mut Grid2d,
-        b: &Grid2d,
-        bc: &mut Grid2d,
-    ) {
-        let op = self.problem.op_for(x.n());
-        let events = [
-            CycleEvent::Residual { level },
-            CycleEvent::Restrict { from: level },
-        ];
-        self.kernel(level, x, &events, |ctx, x| {
-            relax_residual_restrict_op(&op, x, b, bc, OMEGA_CYCLE, 0, &ctx.workspace, &ctx.exec)
-        });
-    }
-
-    /// Interpolation correction at `to` without relaxation (the FMG
-    /// estimate edge; the follow-up phase relaxes separately).
-    fn interpolate(&mut self, to: usize, coarse: &Grid2d, fine: &mut Grid2d, b: &Grid2d) {
-        let op = self.problem.op_for(fine.n());
-        self.kernel(to, fine, &[CycleEvent::Interpolate { to }], |ctx, fine| {
-            interpolate_correct_relax_op(
-                &op,
-                coarse,
-                fine,
-                b,
-                OMEGA_CYCLE,
-                0,
-                &ctx.workspace,
-                &ctx.exec,
-            )
-        });
-    }
-
-    /// One temporally blocked relax + fused residual + restriction at
-    /// `level`: the pre-relaxation cycle edge in a single traversal,
-    /// noted exactly like the staged composition it replaces bitwise
-    /// (one relax, one residual, one restrict).
-    fn relax_residual_restrict_into(
-        &mut self,
-        level: usize,
-        x: &mut Grid2d,
-        b: &Grid2d,
-        bc: &mut Grid2d,
-        omega: f64,
-    ) {
-        let op = self.problem.op_for(x.n());
-        let events = [
-            CycleEvent::Relax { level },
-            CycleEvent::Residual { level },
-            CycleEvent::Restrict { from: level },
-        ];
-        self.kernel(level, x, &events, |ctx, x| {
-            relax_residual_restrict_op(&op, x, b, bc, omega, 1, &ctx.workspace, &ctx.exec)
-        });
-    }
-
-    /// The fused interpolation + post-relaxation cycle edge at `to`
-    /// (one traversal; one interpolation and one relax).
-    fn interpolate_relax(
-        &mut self,
-        to: usize,
-        coarse: &Grid2d,
-        fine: &mut Grid2d,
-        b: &Grid2d,
-        omega: f64,
-    ) {
-        let op = self.problem.op_for(fine.n());
-        let events = [
-            CycleEvent::Interpolate { to },
-            CycleEvent::Relax { level: to },
-        ];
-        self.kernel(to, fine, &events, |ctx, fine| {
-            interpolate_correct_relax_op(&op, coarse, fine, b, omega, 1, &ctx.workspace, &ctx.exec)
-        });
-    }
-
-    /// The fused step boundary at `level`: the post edge of one
-    /// `RECURSE` step (interpolate `ec` + one sweep) and the pre edge of
-    /// the next (one sweep + residual + restrict into `bc`) in one
-    /// traversal, noted exactly like the two edges it replaces bitwise;
-    /// one fault point for the one kernel.
+    /// One cycle edge at `level` ([`cycle_edge`]): add the interpolation
+    /// of `correction` (if any) into `x`, run `sweeps` SOR(`omega`)
+    /// sweeps, and residual-restrict into `coarse` (if any). It notes
+    /// what that same shape runs: `Interpolate` if it corrects, `Relax`
+    /// per sweep, then `Residual` and `Restrict` if it restricts.
     #[allow(clippy::too_many_arguments)]
-    fn interpolate_relax_residual_restrict(
+    pub(crate) fn edge(
         &mut self,
         level: usize,
-        ec: &Grid2d,
+        correction: Option<&Grid2d>,
         x: &mut Grid2d,
         b: &Grid2d,
-        bc: &mut Grid2d,
+        coarse: Option<&mut Grid2d>,
+        sweeps: usize,
         omega: f64,
     ) {
+        use CycleEvent::{Interpolate, Relax, Residual, Restrict};
         let op = self.problem.op_for(x.n());
-        let events = [
-            CycleEvent::Interpolate { to: level },
-            CycleEvent::Relax { level },
-            CycleEvent::Relax { level },
-            CycleEvent::Residual { level },
-            CycleEvent::Restrict { from: level },
-        ];
-        self.kernel(level, x, &events, |ctx, x| {
-            interpolate_relax_residual_restrict_op(
-                &op,
-                ec,
-                x,
-                b,
-                bc,
-                omega,
-                2,
-                &ctx.workspace,
-                &ctx.exec,
-            )
+        let restricts = coarse.is_some();
+        let restrict = [Residual { level }, Restrict { from: level }];
+        let events = correction
+            .map(|_| Interpolate { to: level })
+            .into_iter()
+            .chain(std::iter::repeat_n(Relax { level }, sweeps))
+            .chain(restrict.into_iter().filter(|_| restricts));
+        self.kernel(level, x, events, |ctx, x| {
+            let (ws, exec) = (&ctx.workspace, &ctx.exec);
+            cycle_edge(&op, correction, x, b, coarse, omega, sweeps, ws, exec)
         });
     }
 
-    fn direct(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d) {
+    /// `t = iterations` applications of `RECURSE` at `level`, each
+    /// coarse problem `(ec, bc)` solved by `coarse_solve`: the pre edge
+    /// `(None, 1, Some)`, `t − 1` step boundaries `(Some, 2, Some)` and
+    /// the post edge `(Some, 1, None)` — bitwise, count for count and
+    /// event for event `t` single steps, in `t + 1` traversals of the
+    /// grid at `level` instead of `2t`. At level 1 each is a direct solve.
+    pub(crate) fn recurse(
+        &mut self,
+        level: usize,
+        iterations: u32,
+        x: &mut Grid2d,
+        b: &Grid2d,
+        mut coarse_solve: impl FnMut(&mut Self, &mut Grid2d, &Grid2d),
+    ) {
+        if level <= 1 {
+            for _ in 0..iterations {
+                self.direct(level, x, b);
+            }
+            return;
+        }
+        if iterations == 0 {
+            return;
+        }
+        let nc = coarse_size(x.n());
+        // Lease coarse scratch from the shared arena (the local Arc
+        // clone keeps the leases from borrowing `self`, which the
+        // coarse solve needs mutably). Every edge that writes `bc`
+        // overwrites all of it; `ec` is the zero initial guess of each
+        // coarse solve.
+        let ws = Arc::clone(&self.workspace);
+        let mut bc = ws.acquire_unzeroed(nc);
+        let mut ec = ws.acquire(nc);
+        self.edge(level, None, x, b, Some(&mut *bc), 1, OMEGA_CYCLE);
+        for step in 1..=iterations {
+            coarse_solve(self, &mut ec, &bc);
+            if step == iterations {
+                self.edge(level, Some(&*ec), x, b, None, 1, OMEGA_CYCLE);
+            } else {
+                self.edge(level, Some(&*ec), x, b, Some(&mut *bc), 2, OMEGA_CYCLE);
+                ec.fill_zero();
+            }
+        }
+    }
+
+    /// A direct solve at `level`.
+    pub(crate) fn direct(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d) {
         let op = self.problem.op_for(x.n());
-        self.kernel(level, x, &[CycleEvent::Direct { level }], |ctx, x| {
+        self.kernel(level, x, [CycleEvent::Direct { level }], |ctx, x| {
             ctx.cache.solve_op(x, b, &op)
         });
     }
 
-    fn sor_solve(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d, iterations: u32) {
+    /// `iterations` SOR(ω_opt) sweeps at `level`, one wavefront
+    /// traversal each — bitwise the staged
+    /// [`petamg_solvers::relax::sor_sweep_op`]. Running all of them in
+    /// one traversal measured no faster (ARCHITECTURE, `crates/solvers`).
+    pub(crate) fn sor_solve(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d, iterations: u32) {
         let omega = omega_opt(x.n());
         let op = self.problem.op_for(x.n());
         let events = [CycleEvent::SorSolve { level, iterations }];
-        // One sweep per wavefront traversal: running all of them in one
-        // traversal measured no faster (ARCHITECTURE, `crates/solvers`).
-        self.kernel(level, x, &events, |ctx, x| {
+        self.kernel(level, x, events, |ctx, x| {
             for _ in 0..iterations {
-                sor_sweeps_blocked_op(&op, x, b, omega, 1, &ctx.workspace, &ctx.exec);
+                cycle_edge(&op, None, x, b, None, omega, 1, &ctx.workspace, &ctx.exec);
             }
         });
     }
@@ -432,29 +385,26 @@ impl TunedFamily {
                 return Err(format!("level {k} has {} plans, want {m}", row.len()));
             }
             for (i, c) in row.iter().enumerate() {
-                match c {
+                let iterations = match *c {
+                    Choice::Direct => 1,
+                    Choice::Sor { iterations } => iterations,
+                    Choice::Recurse { .. } if k == 1 => {
+                        return Err("level 1 cannot recurse".into());
+                    }
                     Choice::Recurse {
                         sub_accuracy,
                         iterations,
                     } => {
-                        if k == 1 {
-                            return Err("level 1 cannot recurse".into());
-                        }
-                        if *sub_accuracy as usize >= m {
+                        if sub_accuracy as usize >= m {
                             return Err(format!(
                                 "level {k} acc {i}: sub accuracy {sub_accuracy} out of range"
                             ));
                         }
-                        if *iterations == 0 {
-                            return Err(format!("level {k} acc {i}: zero iterations"));
-                        }
+                        iterations
                     }
-                    Choice::Sor { iterations } => {
-                        if *iterations == 0 {
-                            return Err(format!("level {k} acc {i}: zero iterations"));
-                        }
-                    }
-                    Choice::Direct => {}
+                };
+                if iterations == 0 {
+                    return Err(format!("level {k} acc {i}: zero iterations"));
                 }
                 if k == 1 && !matches!(c, Choice::Direct) {
                     return Err("level 1 must solve directly".into());
@@ -482,25 +432,9 @@ impl TunedFamily {
         }
     }
 
-    /// One `RECURSE_j` application at `level` (j = `sub_acc`): pre-relax,
-    /// coarse-grid correction through `MULTIGRID-V_j`, post-relax.
-    pub(crate) fn recurse_step(
-        &self,
-        level: usize,
-        sub_acc: usize,
-        x: &mut Grid2d,
-        b: &Grid2d,
-        ctx: &mut ExecCtx,
-    ) {
-        self.recurse_steps(level, sub_acc, 1, x, b, ctx);
-    }
-
     /// `iterations` applications of `RECURSE_j` at `level` (j =
-    /// `sub_acc`), bitwise, count for count and event for event the same
-    /// as that many [`TunedFamily::recurse_step`]s. Between two steps the
-    /// first's interpolate + post-relax and the second's pre-relax +
-    /// residual + restrict run as one fused step boundary, so `t` steps
-    /// cost `t + 1` traversals of the grid at `level` instead of `2t`.
+    /// `sub_acc`), each solving its coarse problem with
+    /// `MULTIGRID-V_j` one level down ([`ExecCtx::recurse`]).
     pub(crate) fn recurse_steps(
         &self,
         level: usize,
@@ -510,35 +444,9 @@ impl TunedFamily {
         b: &Grid2d,
         ctx: &mut ExecCtx,
     ) {
-        if level <= 1 {
-            for _ in 0..iterations {
-                ctx.direct(level, x, b);
-            }
-            return;
-        }
-        if iterations == 0 {
-            return;
-        }
-        let n = level_size(level);
-        let nc = coarse_size(n);
-        // Lease coarse scratch from the shared arena (the local Arc
-        // clone keeps the leases from borrowing `ctx`, which the
-        // recursion needs mutably). Every edge that writes `bc`
-        // overwrites all of it; `ec` is the zero initial guess of each
-        // coarse solve.
-        let ws = Arc::clone(&ctx.workspace);
-        let mut bc = ws.acquire_unzeroed(nc);
-        let mut ec = ws.acquire(nc);
-        ctx.relax_residual_restrict_into(level, x, b, &mut bc, OMEGA_CYCLE);
-        for step in 1..=iterations {
-            self.run(level - 1, sub_acc, &mut ec, &bc, ctx);
-            if step == iterations {
-                ctx.interpolate_relax(level, &ec, x, b, OMEGA_CYCLE);
-            } else {
-                ctx.interpolate_relax_residual_restrict(level, &ec, x, b, &mut bc, OMEGA_CYCLE);
-                ec.fill_zero();
-            }
-        }
+        ctx.recurse(level, iterations, x, b, |ctx, ec, bc| {
+            self.run(level - 1, sub_acc, ec, bc, ctx)
+        });
     }
 
     // Pinned by `benchmark/src/probes.rs` (`core.plan.batch_cycle_us_per_system.n129`); delete with ROADMAP 1(i).
@@ -572,49 +480,7 @@ impl TunedFamily {
         exec: &Exec,
         cache: &Arc<DirectSolverCache>,
     ) -> SolveReport {
-        assert!(
-            inst.level <= self.max_level,
-            "instance level {} exceeds tuned max level {}",
-            inst.level,
-            self.max_level
-        );
-        // A plan tuned for one operator must never silently run
-        // another: the typed mismatch is a hard error here.
-        self.ensure_problem(inst.problem.fingerprint())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let acc_idx = self.acc_index_for(target);
-        inst.ensure_x_opt(exec, cache);
-        // Warm the factor cache outside the timed region (plans reuse
-        // factors across solves, as does the paper's tuned binary).
-        self.warm_factors_for(&inst.problem, inst.level, acc_idx, cache);
-        let mut ctx =
-            ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
-        let mut x = inst.working_grid();
-        let start = std::time::Instant::now();
-        self.run(inst.level, acc_idx, &mut x, &inst.b, &mut ctx);
-        let seconds = start.elapsed().as_secs_f64();
-        let x_opt = inst.x_opt().expect("ensured above");
-        SolveReport {
-            achieved_accuracy: error_ratio(&inst.x0, &x, x_opt, exec),
-            target_accuracy: target,
-            acc_idx,
-            seconds,
-            ops: ctx.ops,
-        }
-    }
-
-    /// Pre-factor every `(grid size, operator)` this plan's direct
-    /// solves touch for the posed problem.
-    pub(crate) fn warm_factors_for(
-        &self,
-        problem: &Problem,
-        level: usize,
-        acc_idx: usize,
-        cache: &Arc<DirectSolverCache>,
-    ) {
-        for n in self.direct_sizes(level, acc_idx) {
-            cache.warm_op(n, &problem.op_for(n));
-        }
+        Family::V(self).solve_with(inst, target, exec, cache)
     }
 
     /// The grid sizes whose direct factors member `acc_idx` at `level`
@@ -697,17 +563,7 @@ impl TunedFmgFamily {
                 estimate_accuracy,
                 follow,
             } => {
-                // ESTIMATE_j: fused residual+restrict, recurse FMG on
-                // the coarse problem, interpolate the correction back.
-                let n = level_size(level);
-                let nc = coarse_size(n);
-                let ws = Arc::clone(&ctx.workspace);
-                let mut bc = ws.acquire(nc);
-                ctx.residual_restrict_into(level, x, b, &mut bc);
-                let mut ec = ws.acquire(nc);
-                self.run(level - 1, estimate_accuracy as usize, &mut ec, &bc, ctx);
-                ctx.interpolate(level, &ec, x, b);
-                // Follow-up phase at this level.
+                self.estimate(level, estimate_accuracy as usize, x, b, ctx);
                 match follow {
                     FollowUp::Sor { iterations } => ctx.sor_solve(level, x, b, iterations),
                     FollowUp::Recurse {
@@ -721,6 +577,27 @@ impl TunedFmgFamily {
         }
     }
 
+    /// `ESTIMATE_j` at `level` (paper §2.4): residual-restrict `x`'s
+    /// residual, solve the coarse problem with `FULL-MULTIGRID_j`, and
+    /// interpolate the correction back — two edges without sweeps. The
+    /// FMG tuner prices and walks from exactly this.
+    pub(crate) fn estimate(
+        &self,
+        level: usize,
+        j: usize,
+        x: &mut Grid2d,
+        b: &Grid2d,
+        ctx: &mut ExecCtx,
+    ) {
+        let nc = coarse_size(x.n());
+        let ws = Arc::clone(&ctx.workspace);
+        let mut bc = ws.acquire(nc);
+        ctx.edge(level, None, x, b, Some(&mut *bc), 0, OMEGA_CYCLE);
+        let mut ec = ws.acquire(nc);
+        self.run(level - 1, j, &mut ec, &bc, ctx);
+        ctx.edge(level, Some(&*ec), x, b, None, 0, OMEGA_CYCLE);
+    }
+
     /// Solve like [`TunedFamily::solve_with`], using FMG plans.
     pub fn solve_with(
         &self,
@@ -729,42 +606,7 @@ impl TunedFmgFamily {
         exec: &Exec,
         cache: &Arc<DirectSolverCache>,
     ) -> SolveReport {
-        let acc_idx = self.v.acc_index_for(target);
-        self.v
-            .ensure_problem(inst.problem.fingerprint())
-            .unwrap_or_else(|e| panic!("{e}"));
-        inst.ensure_x_opt(exec, cache);
-        // Warm the factor cache outside the timed region, as
-        // `TunedFamily::solve_with` does.
-        self.warm_factors_for(&inst.problem, inst.level, acc_idx, cache);
-        let mut ctx =
-            ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
-        let mut x = inst.working_grid();
-        let start = std::time::Instant::now();
-        self.run(inst.level, acc_idx, &mut x, &inst.b, &mut ctx);
-        let seconds = start.elapsed().as_secs_f64();
-        let x_opt = inst.x_opt().expect("ensured above");
-        SolveReport {
-            achieved_accuracy: error_ratio(&inst.x0, &x, x_opt, exec),
-            target_accuracy: target,
-            acc_idx,
-            seconds,
-            ops: ctx.ops,
-        }
-    }
-
-    /// Pre-factor every `(grid size, operator)` this plan's direct
-    /// solves touch for the posed problem.
-    pub(crate) fn warm_factors_for(
-        &self,
-        problem: &Problem,
-        level: usize,
-        acc_idx: usize,
-        cache: &Arc<DirectSolverCache>,
-    ) {
-        for n in self.direct_sizes(level, acc_idx) {
-            cache.warm_op(n, &problem.op_for(n));
-        }
+        Family::Fmg(self).solve_with(inst, target, exec, cache)
     }
 
     /// The grid sizes whose direct factors member `acc_idx` at `level`
@@ -790,6 +632,80 @@ impl TunedFmgFamily {
                 }
                 sizes
             }
+        }
+    }
+}
+
+/// The family a timed solve runs a member of.
+#[derive(Clone, Copy)]
+enum Family<'a> {
+    V(&'a TunedFamily),
+    Fmg(&'a TunedFmgFamily),
+}
+
+impl Family<'_> {
+    /// Solve `inst` to (at least) `target` accuracy with the member
+    /// tuned for the smallest `p_i >= target`, timing only the run: the
+    /// reference solution and the direct factors the member touches are
+    /// made before the clock starts (plans reuse factors across solves,
+    /// as does the paper's tuned binary).
+    fn solve_with(
+        self,
+        inst: &mut ProblemInstance,
+        target: f64,
+        exec: &Exec,
+        cache: &Arc<DirectSolverCache>,
+    ) -> SolveReport {
+        let (v, max_level) = match self {
+            Family::V(v) => (v, v.max_level),
+            Family::Fmg(f) => (&f.v, f.plans.len() - 1),
+        };
+        assert!(
+            inst.level <= max_level,
+            "instance level {} exceeds tuned max level {max_level}",
+            inst.level
+        );
+        // A plan tuned for one operator must never silently run
+        // another: the typed mismatch is a hard error here.
+        v.ensure_problem(inst.problem.fingerprint())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let acc_idx = v.acc_index_for(target);
+        inst.ensure_x_opt(exec, cache);
+        self.warm_factors_for(&inst.problem, inst.level, acc_idx, cache);
+        let mut ctx =
+            ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
+        let mut x = inst.working_grid();
+        let start = std::time::Instant::now();
+        match self {
+            Family::V(v) => v.run(inst.level, acc_idx, &mut x, &inst.b, &mut ctx),
+            Family::Fmg(f) => f.run(inst.level, acc_idx, &mut x, &inst.b, &mut ctx),
+        }
+        let seconds = start.elapsed().as_secs_f64();
+        let x_opt = inst.x_opt().expect("ensured above");
+        SolveReport {
+            achieved_accuracy: error_ratio(&inst.x0, &x, x_opt, exec),
+            target_accuracy: target,
+            acc_idx,
+            seconds,
+            ops: ctx.ops,
+        }
+    }
+
+    /// Pre-factor every `(grid size, operator)` member `acc_idx` at
+    /// `level` solves directly with for the posed problem.
+    fn warm_factors_for(
+        self,
+        problem: &Problem,
+        level: usize,
+        acc_idx: usize,
+        cache: &DirectSolverCache,
+    ) {
+        let sizes = match self {
+            Family::V(v) => v.direct_sizes(level, acc_idx),
+            Family::Fmg(f) => f.direct_sizes(level, acc_idx),
+        };
+        for n in sizes {
+            cache.warm_op(n, &problem.op_for(n));
         }
     }
 }
@@ -1217,7 +1133,7 @@ mod tests {
                     let mut x_steps = inst.working_grid();
                     steps.note(CycleEvent::EnterV { level, acc_idx: 1 });
                     for _ in 0..t {
-                        fam.recurse_step(level, 0, &mut x_steps, &inst.b, &mut steps);
+                        fam.recurse_steps(level, 0, 1, &mut x_steps, &inst.b, &mut steps);
                     }
 
                     let case = format!("{} t={t} {exec:?}", problem.describe());
@@ -1396,7 +1312,7 @@ mod tests {
         let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 31);
         for acc_idx in 0..fam.v.accuracies.len() {
             let cache = Arc::new(DirectSolverCache::new());
-            fam.warm_factors_for(&inst.problem, 5, acc_idx, &cache);
+            Family::Fmg(&fam).warm_factors_for(&inst.problem, 5, acc_idx, &cache);
             let warmed = cache.factorizations();
             let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::clone(&cache))
                 .with_problem(inst.problem.clone());

@@ -269,7 +269,7 @@ proptest! {
             .iter()
             .map(|inst| {
                 let mut x = inst.working_grid();
-                below.recurse_step(level, 0, &mut x, &inst.b, &mut tuner.fresh_ctx());
+                below.recurse_steps(level, 0, 1, &mut x, &inst.b, &mut tuner.fresh_ctx());
                 x
             })
             .collect();

@@ -9,12 +9,17 @@
 //! > final output, it may make sense to invest more heavily in the
 //! > estimation phase, while in cases where very high precision is
 //! > needed, a high precision estimate may not be as helpful."
+//!
+//! Every candidate runs through the one plan executor: an `ESTIMATE_j`
+//! is [`TunedFmgFamily::estimate`], the method a served FMG member
+//! runs, and the follow-ups are the V tuner's walks from the states it
+//! leaves.
 
 use super::{per_instance, Measured, TunerOptions, VTuner, Walk};
 use crate::cost::CostModel;
-use crate::plan::{ExecCtx, FmgChoice, FollowUp, TunedFamily, TunedFmgFamily};
+use crate::plan::{FmgChoice, FollowUp, TunedFamily, TunedFmgFamily};
 use crate::training::ProblemInstance;
-use petamg_grid::{level_size, Grid2d};
+use petamg_grid::Grid2d;
 use std::time::Instant;
 
 /// The `FULL-MULTIGRID_i` dynamic-programming tuner. Wraps a [`VTuner`]
@@ -146,9 +151,9 @@ impl FmgTuner {
             .collect()
     }
 
-    /// Execute `ESTIMATE_j` on each instance, each as its own job;
-    /// returns (cost of the first instance's estimate, post-estimate
-    /// states).
+    /// Run `ESTIMATE_j` ([`TunedFmgFamily::estimate`], what a served
+    /// FMG member runs) on each instance, each as its own job; returns
+    /// (cost of the first instance's estimate, post-estimate states).
     fn run_estimates(
         &self,
         partial: &TunedFmgFamily,
@@ -162,7 +167,7 @@ impl FmgTuner {
             let mut ctx = self.v_tuner.fresh_ctx();
             let mut x = inst.working_grid();
             let start = Instant::now();
-            estimate_step(partial, level, j, &mut x, &inst.b, &mut ctx);
+            partial.estimate(level, j, &mut x, &inst.b, &mut ctx);
             let cost = match &opts.cost_model {
                 CostModel::Modeled(p) => p.time(&ctx.ops),
                 CostModel::Measured { .. } => start.elapsed().as_secs_f64(),
@@ -174,38 +179,10 @@ impl FmgTuner {
     }
 }
 
-/// One `ESTIMATE_j` application (paper §2.4): residual, restrict,
-/// recursive tuned-FMG call on the coarse problem, interpolate the
-/// correction back up.
-fn estimate_step(
-    partial: &TunedFmgFamily,
-    level: usize,
-    j: usize,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    ctx: &mut ExecCtx,
-) {
-    use petamg_grid::coarse_size;
-    if level <= 1 {
-        return;
-    }
-    let n = level_size(level);
-    let nc = coarse_size(n);
-    let ws = std::sync::Arc::clone(&ctx.workspace);
-    let mut bc = ws.acquire(nc);
-    let op = ctx.problem.op_for(n);
-    petamg_problems::residual_restrict_op(&op, x, b, &mut bc, &ws, &ctx.exec);
-    ctx.ops.level_mut(level).residuals += 1;
-    ctx.ops.level_mut(level).restricts += 1;
-    let mut ec = ws.acquire(nc);
-    partial.run(level - 1, j, &mut ec, &bc, ctx);
-    petamg_grid::interpolate_correct(&ec, x, &ctx.exec);
-    ctx.ops.level_mut(level).interps += 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ExecCtx;
     use crate::training::Distribution;
     use petamg_grid::{l2_diff, Exec};
 
@@ -272,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_step_reduces_error() {
+    fn the_estimate_reduces_error() {
         let tuner = quick(4);
         let fam = tuner.tune();
         let mut inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 99);
@@ -282,7 +259,7 @@ mod tests {
         let mut ctx = ExecCtx::with_cache(exec.clone(), cache);
         let mut x = inst.working_grid();
         let e0 = l2_diff(&x, &x_opt, &exec);
-        estimate_step(&fam, 4, 2, &mut x, &inst.b, &mut ctx);
+        fam.estimate(4, 2, &mut x, &inst.b, &mut ctx);
         let e1 = l2_diff(&x, &x_opt, &exec);
         // The coarse-grid estimate can only remove the *smooth* error
         // component; on rough random data that is roughly half the

@@ -57,10 +57,10 @@ pub use pareto::ParetoTuner;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{CostModel, MachineProfile, OpCounts};
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
+use crate::trace::CycleEvent;
 use crate::training::{training_instance_for, Distribution, ProblemInstance};
 use petamg_grid::{l2_diff, level_size, Exec, Grid2d, Workspace};
 use petamg_problems::Problem;
-use petamg_solvers::relax::{omega_opt, sor_sweep_op};
 use petamg_solvers::DirectSolverCache;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -511,13 +511,11 @@ impl VTuner {
             CostModel::Modeled(p) => {
                 // Accuracy is exact by construction; cost is analytic —
                 // no execution needed even at huge sizes.
-                let mut ops = OpCounts::new(level);
-                ops.level_mut(level).direct_solves = 1;
                 Some(Measured {
                     feasible: true,
                     accuracy: ACC_CAP,
                     iterations: 1,
-                    cost: p.time(&ops),
+                    cost: p.time(&OpCounts::of(&[CycleEvent::Direct { level }])),
                 })
             }
             CostModel::Measured { trials } => {
@@ -544,22 +542,13 @@ impl VTuner {
         }
     }
 
-    /// SOR(ω_opt) sweeps until each target's error ratio is reached.
+    /// SOR(ω_opt) sweeps until each target's error ratio is reached,
+    /// one step per sweep through the executor's SOR solve: the
+    /// one-sweep traversal a served `SOR×t` member runs.
     pub(crate) fn measure_sor(&self, level: usize, ask: &Walk) -> Vec<Measured> {
-        let n = level_size(level);
-        let omega = omega_opt(n);
-        let op = &self.opts.problem.op_for(n);
-        let sweep_cost = self.modeled_cost(&{
-            let mut ops = OpCounts::new(level);
-            ops.level_mut(level).relax_sweeps = 1;
-            ops
-        });
-        self.walk(level, ask, sor_cap(n), || {
-            move |inst: &ProblemInstance, x: &mut Grid2d| {
-                sor_sweep_op(op, x, &inst.b, omega, &self.opts.exec);
-                self.sor_sweeps[level].fetch_add(1, Ordering::Relaxed);
-                sweep_cost
-            }
+        let cap = sor_cap(level_size(level));
+        self.walk(level, ask, cap, &self.sor_sweeps, |ctx, x, b| {
+            ctx.sor_solve(level, x, b, 1)
         })
     }
 
@@ -572,43 +561,46 @@ impl VTuner {
         sub_acc: usize,
         ask: &Walk,
     ) -> Vec<Measured> {
-        self.walk(level, ask, RECURSE_CAP, || {
-            let mut ctx = self.fresh_ctx();
-            let mut price = None;
-            move |inst: &ProblemInstance, x: &mut Grid2d| {
-                family.recurse_step(level, sub_acc, x, &inst.b, &mut ctx);
-                self.recurse_steps[level].fetch_add(1, Ordering::Relaxed);
-                // Every application runs the same ops: price the first.
-                if price.is_none() {
-                    price = self.modeled_cost(&ctx.ops);
-                }
-                price
-            }
+        self.walk(level, ask, RECURSE_CAP, &self.recurse_steps, |ctx, x, b| {
+            family.recurse_steps(level, sub_acc, 1, x, b, ctx)
         })
     }
 
     /// Walk one candidate's convergence trajectory per training
     /// instance and read every target off it: a target's iteration
     /// count is the first at which its error ratio is reached (max over
-    /// instances, accuracy = min). `stepper` makes one instance's step
-    /// function, which applies the candidate once and returns the
-    /// modeled price of one application, if there is one. A target is
+    /// instances, accuracy = min). One step applies the candidate once
+    /// (`apply`, on the instance's own counting context) and counts it
+    /// in `steps[level]`; the operations the first step noted price
+    /// every step under a modeled cost. A target is
     /// abandoned, for all instances, at the first unreached iteration
     /// that has cost 1.5× its budget (under wall-clock costs: 3× its
     /// budget on this walk's clock) or hits `cap`; an instance's walk
     /// ends when no target is left on it. Each instance walks as its own
     /// job and the first instance to abandon a target decides it (see
     /// the module docs).
-    fn walk<S>(
+    fn walk(
         &self,
         level: usize,
         ask: &Walk,
         cap: u32,
-        stepper: impl Fn() -> S + Sync,
-    ) -> Vec<Measured>
-    where
-        S: FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
-    {
+        steps: &[AtomicU64],
+        apply: impl Fn(&mut ExecCtx, &mut Grid2d, &Grid2d) + Sync,
+    ) -> Vec<Measured> {
+        let apply = &apply;
+        let stepper = || {
+            let mut ctx = self.fresh_ctx();
+            let mut price = None;
+            move |inst: &ProblemInstance, x: &mut Grid2d| {
+                apply(&mut ctx, x, &inst.b);
+                steps[level].fetch_add(1, Ordering::Relaxed);
+                // Every application runs the same ops: price the first.
+                if price.is_none() {
+                    price = self.modeled_cost(&ctx.ops);
+                }
+                price
+            }
+        };
         let clock = Instant::now();
         let targets = ask.targets.len();
         // `abandoned[idx][i]`: instance `idx` gave up on target `i`. The

@@ -11,10 +11,10 @@
 
 use super::TunerOptions;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, OpCounts};
 use crate::plan::ExecCtx;
-use petamg_grid::{coarse_size, interpolate_correct, l2_diff, level_size, Grid2d};
-use petamg_solvers::relax::{omega_opt, sor_sweep_op, OMEGA_CYCLE};
+use crate::trace::CycleEvent;
+use petamg_grid::{l2_diff, Grid2d};
 use petamg_solvers::DirectSolverCache;
 use std::sync::Arc;
 
@@ -138,14 +138,11 @@ impl ParetoTuner {
 
         // SOR with probed iteration counts (record accuracy at powers of
         // two).
-        let n = level_size(k);
-        let omega = omega_opt(n);
-        let op_k = self.opts.problem.op_for(n);
-        let sweep_cost = {
-            let mut ops = crate::cost::OpCounts::new(k);
-            ops.level_mut(k).relax_sweeps = 1;
-            self.profile().time(&ops)
-        };
+        let sweep = [CycleEvent::SorSolve {
+            level: k,
+            iterations: 1,
+        }];
+        let sweep_cost = self.profile().time(&OpCounts::of(&sweep));
         let mut probes: Vec<u32> = Vec::new();
         let mut t = 1u32;
         while t <= self.max_sor_probe {
@@ -158,12 +155,11 @@ impl ParetoTuner {
             let x_opt = inst.x_opt().expect("ensured");
             let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
             let mut x = inst.working_grid();
+            let mut ctx = self.ctx();
             let mut done = 0u32;
             for (pi, &p) in probes.iter().enumerate() {
-                while done < p {
-                    sor_sweep_op(&op_k, &mut x, &inst.b, omega, &self.opts.exec);
-                    done += 1;
-                }
+                ctx.sor_solve(k, &mut x, &inst.b, p - done);
+                done = p;
                 let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &self.opts.exec));
                 acc_at[pi] = acc_at[pi].min(ratio);
             }
@@ -186,10 +182,11 @@ impl ParetoTuner {
                 let x_opt = inst.x_opt().expect("ensured");
                 let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
                 let mut x = inst.working_grid();
-                let mut ctx = ExecCtx::with_cache(self.opts.exec.clone(), Arc::clone(&self.cache))
-                    .with_problem(self.opts.problem.clone());
+                let mut ctx = self.ctx();
                 for t in 0..self.max_recurse_probe {
-                    self.recurse_step(sets, k, sub_index, &mut x, &inst.b, &mut ctx);
+                    ctx.recurse(k, 1, &mut x, &inst.b, |ctx, ec, bc| {
+                        self.run_algo(sets, k - 1, sub_index, ec, bc, ctx)
+                    });
                     if ii == 0 && t == 0 {
                         per_iter = self.profile().time(&ctx.ops);
                     }
@@ -212,41 +209,14 @@ impl ParetoTuner {
         out
     }
 
-    /// Execute one recursive cycle whose coarse solve is
-    /// `sets[k-1][sub_index]`.
-    fn recurse_step(
-        &self,
-        sets: &[Vec<ParetoAlgo>],
-        k: usize,
-        sub_index: usize,
-        x: &mut Grid2d,
-        b: &Grid2d,
-        ctx: &mut ExecCtx,
-    ) {
-        if k <= 1 {
-            self.cache.solve_op(x, b, &self.opts.problem.op_for(x.n()));
-            ctx.ops.level_mut(1).direct_solves += 1;
-            return;
-        }
-        let n = level_size(k);
-        let op = self.opts.problem.op_for(n);
-        let exec = &self.opts.exec;
-        sor_sweep_op(&op, x, b, OMEGA_CYCLE, exec);
-        ctx.ops.level_mut(k).relax_sweeps += 1;
-        let nc = coarse_size(n);
-        let ws = Arc::clone(&ctx.workspace);
-        let mut bc = ws.acquire(nc);
-        petamg_problems::residual_restrict_op(&op, x, b, &mut bc, &ws, exec);
-        ctx.ops.level_mut(k).residuals += 1;
-        ctx.ops.level_mut(k).restricts += 1;
-        let mut ec = ws.acquire(nc);
-        self.run_algo(sets, k - 1, sub_index, &mut ec, &bc, ctx);
-        interpolate_correct(&ec, x, exec);
-        ctx.ops.level_mut(k).interps += 1;
-        sor_sweep_op(&op, x, b, OMEGA_CYCLE, exec);
-        ctx.ops.level_mut(k).relax_sweeps += 1;
+    /// A counting context over the tuner's factor cache and the posed
+    /// problem.
+    fn ctx(&self) -> ExecCtx {
+        ExecCtx::with_cache(self.opts.exec.clone(), Arc::clone(&self.cache))
+            .with_problem(self.opts.problem.clone())
     }
 
+    /// Run member `index` of `A_k` on `(x, b)` through the executor.
     fn run_algo(
         &self,
         sets: &[Vec<ParetoAlgo>],
@@ -257,26 +227,14 @@ impl ParetoTuner {
         ctx: &mut ExecCtx,
     ) {
         match sets[k][index].kind {
-            ParetoKind::Direct => {
-                self.cache.solve_op(x, b, &self.opts.problem.op_for(x.n()));
-                ctx.ops.level_mut(k).direct_solves += 1;
-            }
-            ParetoKind::Sor { iterations } => {
-                let omega = omega_opt(x.n());
-                let op = self.opts.problem.op_for(x.n());
-                for _ in 0..iterations {
-                    sor_sweep_op(&op, x, b, omega, &self.opts.exec);
-                }
-                ctx.ops.level_mut(k).relax_sweeps += iterations as u64;
-            }
+            ParetoKind::Direct => ctx.direct(k, x, b),
+            ParetoKind::Sor { iterations } => ctx.sor_solve(k, x, b, iterations),
             ParetoKind::Recurse {
                 sub_index,
                 iterations,
-            } => {
-                for _ in 0..iterations {
-                    self.recurse_step(sets, k, sub_index, x, b, ctx);
-                }
-            }
+            } => ctx.recurse(k, iterations, x, b, |ctx, ec, bc| {
+                self.run_algo(sets, k - 1, sub_index, ec, bc, ctx)
+            }),
         }
     }
 
@@ -302,9 +260,8 @@ impl ParetoTuner {
     }
 
     fn direct_cost(&self, k: usize) -> f64 {
-        let mut ops = crate::cost::OpCounts::new(k);
-        ops.level_mut(k).direct_solves = 1;
-        self.profile().time(&ops)
+        let direct = [CycleEvent::Direct { level: k }];
+        self.profile().time(&OpCounts::of(&direct))
     }
 }
 

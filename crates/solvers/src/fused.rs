@@ -4,23 +4,24 @@
 //! black), and a multigrid cycle brackets its transfer kernels with
 //! such sweeps — so the memory system streams the solution grid many
 //! times per cycle while each traversal does only a handful of flops
-//! per value. This module collapses those traversals:
+//! per value. This module collapses those traversals into one entry
+//! point, [`cycle_edge`], whose arguments give its shape: an optional
+//! interpolation correction leading, `d` full sweeps (`2d` half-sweeps)
+//! in **one traversal** using a wavefront of lagged rows, and an
+//! optional fused residual + full-weighting restriction trailing. That
+//! covers every traversal a cycle makes:
 //!
-//! * [`sor_sweeps_blocked_op`] runs `d` full sweeps (`2d` half-sweeps) in
-//!   **one traversal** using a wavefront of lagged rows;
-//! * [`relax_residual_restrict`] additionally chains the fused
-//!   residual + full-weighting restriction behind the wavefront (the
-//!   pre-relaxation edge of a V cycle, `RECURSE` lines 4–5 of the
-//!   paper);
-//! * [`interpolate_correct_relax`] runs the interpolation correction in
-//!   front of the wavefront (the post-relaxation edge, `RECURSE` lines
-//!   7–8);
-//! * [`interpolate_relax_residual_restrict_op`] is both at once: the
-//!   **step boundary** between two `RECURSE` applications at one level,
-//!   where step `k`'s post edge and step `k + 1`'s pre edge meet. The
-//!   correction leads, the half-sweeps of both edges trail it, and the
-//!   residual and its restriction trail those — one traversal where
-//!   the two edges took two.
+//! * no correction, no restriction — `d` temporally blocked sweeps (an
+//!   SOR solve);
+//! * restriction only — the pre-relaxation edge of a V cycle
+//!   (`RECURSE` lines 4–5 of the paper);
+//! * correction only — the post-relaxation edge (`RECURSE` lines 7–8);
+//! * both — the **step boundary** between two `RECURSE` applications
+//!   at one level, where step `k`'s post edge and step `k + 1`'s pre
+//!   edge meet: one traversal where the two edges took two.
+//!
+//! `relax_residual_restrict` and `interpolate_correct_relax` are its
+//! Poisson pre and post edges, kept only for the benchmark's probes.
 //!
 //! ## The wavefront
 //!
@@ -41,19 +42,20 @@
 //! that reads it; the residual hook trails the last half-sweep by one
 //! more row (its three-row stencil needs fully relaxed neighbors),
 //! streaming rows into the same rolling three-row window the fused
-//! [`petamg_grid::residual_restrict`] uses. Every edge kernel is this
-//! one traversal with the correction, the residual, or both left out.
+//! [`petamg_grid::residual_restrict`] uses.
 //!
 //! ## The staged compositions
 //!
-//! Each edge is bitwise equal to the staged composition it fuses:
+//! Every edge is bitwise equal to the staged composition it fuses:
 //! [`interpolate_correct`] first for an edge that corrects, then one
 //! [`sor_sweep_op`](crate::relax::sor_sweep_op) per sweep, then
 //! [`residual_restrict_op`] for an edge that restricts. An edge with no
-//! sweeps runs exactly that composition. The tests hold every fused
-//! edge to it: this crate's proptests against the Poisson
-//! [`sor_sweeps`](crate::relax::sor_sweeps), the workspace conformance
-//! suite against `sor_sweep_op` for every operator family.
+//! sweeps runs exactly that composition. The staged kernels stay as
+//! the oracles the tests hold every shape to: this crate's tests and
+//! proptests against the Poisson
+//! [`sor_sweeps`](crate::relax::sor_sweeps) and `sor_sweep_op`, the
+//! workspace conformance suite against `sor_sweep_op` for every
+//! operator family.
 
 use petamg_grid::{
     coarse_size, interpolate_correct, interpolate_correct_row, restrict_rows_into,
@@ -86,8 +88,7 @@ fn wavefront_step(
     }
 }
 
-/// The one sequential traversal behind every edge kernel of this
-/// module. At cursor `t` the interpolation of `correction` (if any) is
+/// The one sequential traversal behind [`cycle_edge`]. At cursor `t` the interpolation of `correction` (if any) is
 /// added to row `t`, half-sweep `s` (0-based) updates row `t − 1 − s`,
 /// and the residual of row `r = t − 1 − 2·sweeps` goes into the rolling
 /// three-row window from which each odd `r ≥ 3` restricts coarse row
@@ -156,78 +157,80 @@ fn wavefront(
     }
 }
 
-/// Panic unless `x` and `b` share a size `op` serves and, for an edge
-/// that transfers, `nc` is the next coarser size.
-fn assert_sizes(op: &StencilOp, x: &Grid2d, b: &Grid2d, nc: Option<usize>, kernel: &str) {
-    assert_eq!(x.n(), b.n(), "size mismatch in {kernel}");
-    op.assert_n(x.n());
-    if let Some(nc) = nc {
-        assert_eq!(
-            nc,
-            coarse_size(x.n()),
-            "coarse grid size mismatch in {kernel}"
-        );
-    }
-}
-
-/// `sweeps` Red-Black SOR sweeps of `op`, temporally blocked: all
-/// `2·sweeps` half-sweeps advance together in one wavefront traversal
-/// instead of `2·sweeps` separate passes over the grid.
+/// The fused cycle edge of `op`: add the bilinear interpolation of
+/// `correction` (if any) into `x`, run `sweeps` Red-Black SOR(`omega`)
+/// sweeps on `A x = b`, and residual-restrict the result into `coarse`
+/// (if any), all in one wavefront traversal. Its arguments give its
+/// shape:
 ///
-/// Bitwise identical to `sweeps` staged
-/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls in both SIMD
-/// modes — with [`StencilOp::Poisson`], to
-/// [`sor_sweeps`](crate::relax::sor_sweeps). The wavefront runs in
-/// place and leases no scratch: `ws` only keeps the edge kernels'
-/// signatures alike.
+/// * no correction and no `coarse` — `sweeps` temporally blocked
+///   sweeps (an SOR solve runs one per traversal);
+/// * `coarse` only — the pre-relaxation edge of a `RECURSE` step (the
+///   residual stage trails the last half-sweep by one row, feeding the
+///   rolling three-row window of [`petamg_grid::residual_restrict`]);
+/// * `correction` only — the post-relaxation edge (the correction
+///   leads, the half-sweeps trail it row by row);
+/// * both — the step boundary between two `RECURSE` steps at one level:
+///   one step's post edge and the next step's pre edge in one traversal,
+///   `sweeps` counting both edges' sweeps.
+///
+/// Bitwise identical, in both SIMD modes, to its staged composition:
+/// [`interpolate_correct`] if it corrects, `sweeps`
+/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls, then
+/// [`residual_restrict_op`] if it restricts. With `sweeps == 0` it runs
+/// that composition. Only a restricting edge leases scratch from `ws`
+/// (its three-row window).
 ///
 /// ```
 /// use petamg_grid::{Exec, Grid2d, Workspace};
 /// use petamg_problems::StencilOp;
-/// use petamg_solvers::{fused::sor_sweeps_blocked_op, relax::sor_sweeps};
+/// use petamg_solvers::{fused::cycle_edge, relax::sor_sweeps};
 ///
 /// let b = Grid2d::from_fn(9, |i, j| (i + j) as f64);
 /// let mut blocked = Grid2d::zeros(9);
 /// let mut staged = blocked.clone();
 /// let ws = Workspace::new();
 /// let poisson = StencilOp::Poisson;
-/// sor_sweeps_blocked_op(&poisson, &mut blocked, &b, 1.15, 3, &ws, &Exec::seq());
+/// cycle_edge(&poisson, None, &mut blocked, &b, None, 1.15, 3, &ws, &Exec::seq());
 /// sor_sweeps(&mut staged, &b, 1.15, 3, &Exec::seq());
 /// assert_eq!(blocked.as_slice(), staged.as_slice());
 /// ```
 ///
 /// # Panics
-/// Panics if grid sizes differ or the operator is bound to another
-/// size.
-pub fn sor_sweeps_blocked_op(
+/// Panics if `x` and `b` differ in size, `correction` or `coarse` is
+/// not the next coarser size, or the operator is bound to another size.
+#[allow(clippy::too_many_arguments)]
+pub fn cycle_edge(
     op: &StencilOp,
+    correction: Option<&Grid2d>,
     x: &mut Grid2d,
     b: &Grid2d,
+    coarse: Option<&mut Grid2d>,
     omega: f64,
     sweeps: usize,
     ws: &Workspace,
     exec: &Exec,
 ) {
-    assert_sizes(op, x, b, None, "sor_sweeps_blocked_op");
-    if sweeps == 0 {
+    assert_eq!(x.n(), b.n(), "size mismatch in cycle_edge");
+    op.assert_n(x.n());
+    let coarse_sizes = correction.map(Grid2d::n).into_iter();
+    for nc in coarse_sizes.chain(coarse.as_deref().map(Grid2d::n)) {
+        assert_eq!(nc, coarse_size(x.n()), "coarse size mismatch in cycle_edge");
+    }
+    if sweeps > 0 {
+        wavefront(op, correction, x, b, coarse, omega, sweeps, ws, exec.simd());
         return;
     }
-    wavefront(op, None, x, b, None, omega, sweeps, ws, exec.simd());
+    if let Some(correction) = correction {
+        interpolate_correct(correction, x, exec);
+    }
+    if let Some(coarse) = coarse {
+        residual_restrict_op(op, x, b, coarse, ws, exec);
+    }
 }
 
-/// The fused pre-relaxation cycle edge: `sweeps` SOR sweeps on
-/// `A_h x = b` **and** the fused residual + full-weighting restriction
-/// into `coarse`, all in one wavefront traversal — the residual stage
-/// trails the last half-sweep by one row, feeding the same rolling
-/// three-row window as [`petamg_grid::residual_restrict`].
-///
-/// Bitwise identical to
-/// [`sor_sweeps`](crate::relax::sor_sweeps) followed by
-/// [`petamg_grid::residual_restrict`]; with `sweeps == 0` it *is*
-/// [`petamg_grid::residual_restrict`].
-///
-/// # Panics
-/// Panics if sizes differ or are not a coarse/fine pair.
+// Pinned by `benchmark/src/probes.rs` (`solvers.relax_residual_restrict_us.*`); delete with ROADMAP 1(i).
+#[doc(hidden)]
 pub fn relax_residual_restrict(
     x: &mut Grid2d,
     b: &Grid2d,
@@ -237,50 +240,12 @@ pub fn relax_residual_restrict(
     ws: &Workspace,
     exec: &Exec,
 ) {
-    relax_residual_restrict_op(&StencilOp::Poisson, x, b, coarse, omega, sweeps, ws, exec);
+    let poisson = &StencilOp::Poisson;
+    cycle_edge(poisson, None, x, b, Some(coarse), omega, sweeps, ws, exec);
 }
 
-/// [`relax_residual_restrict`] for an arbitrary operator: the fused
-/// pre-relaxation cycle edge of `op`. Bitwise identical to `sweeps`
-/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls
-/// followed by [`residual_restrict_op`]; with
-/// `sweeps == 0` it *is* [`residual_restrict_op`], and with
-/// [`StencilOp::Poisson`] it *is* [`relax_residual_restrict`].
-///
-/// # Panics
-/// Panics if sizes differ, are not a coarse/fine pair, or the operator
-/// is bound to another size.
-#[allow(clippy::too_many_arguments)]
-pub fn relax_residual_restrict_op(
-    op: &StencilOp,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    coarse: &mut Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    assert_sizes(op, x, b, Some(coarse.n()), "relax_residual_restrict");
-    if sweeps == 0 {
-        residual_restrict_op(op, x, b, coarse, ws, exec);
-        return;
-    }
-    wavefront(op, None, x, b, Some(coarse), omega, sweeps, ws, exec.simd());
-}
-
-/// The fused post-relaxation cycle edge: add the bilinear interpolation
-/// of `coarse` into `x` (`x += P e`) **and** run `sweeps` SOR sweeps on
-/// `A_h x = b`, in one wavefront traversal — the correction stage leads
-/// and the half-sweeps trail it row by row.
-///
-/// Bitwise identical to [`interpolate_correct`] followed by
-/// [`sor_sweeps`](crate::relax::sor_sweeps); with `sweeps == 0` it
-/// *is* [`interpolate_correct`]. Neither path leases scratch: `ws` only
-/// keeps the edge kernels' signatures alike.
-///
-/// # Panics
-/// Panics if sizes differ or are not a coarse/fine pair.
+// Pinned by `benchmark/src/probes.rs` (`solvers.interpolate_correct_relax_us.*`); delete with ROADMAP 1(i).
+#[doc(hidden)]
 pub fn interpolate_correct_relax(
     coarse: &Grid2d,
     x: &mut Grid2d,
@@ -290,85 +255,8 @@ pub fn interpolate_correct_relax(
     ws: &Workspace,
     exec: &Exec,
 ) {
-    interpolate_correct_relax_op(&StencilOp::Poisson, coarse, x, b, omega, sweeps, ws, exec);
-}
-
-/// [`interpolate_correct_relax`] for an arbitrary operator: the fused
-/// post-relaxation cycle edge of `op` (the interpolation itself is
-/// operator-independent; the trailing half-sweeps relax `A x = b` for
-/// `op`). With [`StencilOp::Poisson`] it *is*
-/// [`interpolate_correct_relax`], bit for bit.
-///
-/// # Panics
-/// Panics if sizes differ, are not a coarse/fine pair, or the operator
-/// is bound to another size.
-#[allow(clippy::too_many_arguments)]
-pub fn interpolate_correct_relax_op(
-    op: &StencilOp,
-    coarse: &Grid2d,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    assert_sizes(op, x, b, Some(coarse.n()), "interpolate_correct_relax");
-    if sweeps == 0 {
-        interpolate_correct(coarse, x, exec);
-        return;
-    }
-    wavefront(op, Some(coarse), x, b, None, omega, sweeps, ws, exec.simd());
-}
-
-/// The fused step boundary between two `RECURSE` applications at one
-/// level: add the interpolation of `correction` into `x`, run `sweeps`
-/// SOR sweeps of `op` (the first step's post-relaxation and the next
-/// step's pre-relaxation together), and residual-restrict the result
-/// into `coarse` — one wavefront traversal where the post edge
-/// ([`interpolate_correct_relax_op`]) and the pre edge
-/// ([`relax_residual_restrict_op`]) took two.
-///
-/// Bitwise identical to [`interpolate_correct`], `sweeps`
-/// [`sor_sweep_op`](crate::relax::sor_sweep_op) calls and
-/// [`residual_restrict_op`] in turn — and so to the post edge with any
-/// `k ≤ sweeps` sweeps followed by the pre edge with the other
-/// `sweeps − k`. With `sweeps == 0` it runs that staged composition.
-///
-/// # Panics
-/// Panics if sizes differ, `correction` and `coarse` are not the next
-/// coarser size, or the operator is bound to another size.
-#[allow(clippy::too_many_arguments)]
-pub fn interpolate_relax_residual_restrict_op(
-    op: &StencilOp,
-    correction: &Grid2d,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    coarse: &mut Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    let kernel = "interpolate_relax_residual_restrict";
-    assert_sizes(op, x, b, Some(correction.n()), kernel);
-    assert_sizes(op, x, b, Some(coarse.n()), kernel);
-    if sweeps == 0 {
-        interpolate_correct(correction, x, exec);
-        residual_restrict_op(op, x, b, coarse, ws, exec);
-        return;
-    }
-    wavefront(
-        op,
-        Some(correction),
-        x,
-        b,
-        Some(coarse),
-        omega,
-        sweeps,
-        ws,
-        exec.simd(),
-    );
+    let poisson = &StencilOp::Poisson;
+    cycle_edge(poisson, Some(coarse), x, b, None, omega, sweeps, ws, exec);
 }
 
 #[cfg(test)]
@@ -409,6 +297,55 @@ mod tests {
         [SimdMode::Scalar, SimdMode::Vector].map(|mode| Exec::seq().with_simd(mode))
     }
 
+    /// Every shape of the edge — with or without a correction, with or
+    /// without a restriction, at every depth — equals its staged
+    /// composition bit for bit, for Poisson and a variable-coefficient
+    /// operator, in both SIMD modes.
+    #[test]
+    fn every_edge_shape_bitwise_equals_its_staged_composition() {
+        let ws = Workspace::new();
+        let seq = Exec::seq();
+        for n in [5usize, 9, 17, 33] {
+            let nc = coarse_size(n);
+            let (x0, b) = test_problem(n);
+            let e = test_correction(nc);
+            for op in test_ops(n) {
+                for (correction, restricts, sweeps) in [None, Some(&e)]
+                    .into_iter()
+                    .flat_map(|c| [false, true].map(|r| (c, r)))
+                    .flat_map(|(c, r)| [0usize, 1, 2, 3].map(|d| (c, r, d)))
+                {
+                    let mut x_want = x0.clone();
+                    if let Some(e) = correction {
+                        interpolate_correct(e, &mut x_want, &seq);
+                    }
+                    for _ in 0..sweeps {
+                        crate::relax::sor_sweep_op(&op, &mut x_want, &b, 1.15, &seq);
+                    }
+                    let mut c_want = Grid2d::from_fn(nc, |_, _| 42.0);
+                    if restricts {
+                        residual_restrict_op(&op, &x_want, &b, &mut c_want, &ws, &seq);
+                    }
+                    for exec in modes() {
+                        let mut x_got = x0.clone();
+                        let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
+                        let coarse = restricts.then_some(&mut c_got);
+                        cycle_edge(
+                            &op, correction, &mut x_got, &b, coarse, 1.15, sweeps, &ws, &exec,
+                        );
+                        let case = format!(
+                            "{} n={n} corrects={} restricts={restricts} sweeps={sweeps} {exec:?}",
+                            op.describe(),
+                            correction.is_some()
+                        );
+                        assert_eq!(x_got.as_slice(), x_want.as_slice(), "x: {case}");
+                        assert_eq!(c_got.as_slice(), c_want.as_slice(), "coarse: {case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn blocked_sweeps_bitwise_equal_staged() {
         let ws = Workspace::new();
@@ -419,10 +356,12 @@ mod tests {
                 sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
                 for exec in modes() {
                     let mut got = x0.clone();
-                    sor_sweeps_blocked_op(
+                    cycle_edge(
                         &StencilOp::Poisson,
+                        None,
                         &mut got,
                         &b,
+                        None,
                         1.15,
                         sweeps,
                         &ws,
@@ -443,7 +382,17 @@ mod tests {
         let ws = Workspace::new();
         let (x0, b) = test_problem(9);
         let mut x = x0.clone();
-        sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.15, 0, &ws, &Exec::seq());
+        cycle_edge(
+            &StencilOp::Poisson,
+            None,
+            &mut x,
+            &b,
+            None,
+            1.15,
+            0,
+            &ws,
+            &Exec::seq(),
+        );
         assert_eq!(x.as_slice(), x0.as_slice());
     }
 
@@ -526,21 +475,23 @@ mod tests {
                 for (post, pre) in [(0usize, 0usize), (0, 1), (1, 0), (1, 1), (2, 0), (1, 2)] {
                     let mut x_want = x0.clone();
                     let mut c_want = Grid2d::zeros(nc);
-                    interpolate_correct_relax_op(
+                    cycle_edge(
                         &op,
-                        &correction,
+                        Some(&correction),
                         &mut x_want,
                         &b,
+                        None,
                         1.15,
                         post,
                         &ws,
                         &seq,
                     );
-                    relax_residual_restrict_op(
+                    cycle_edge(
                         &op,
+                        None,
                         &mut x_want,
                         &b,
-                        &mut c_want,
+                        Some(&mut c_want),
                         1.15,
                         pre,
                         &ws,
@@ -550,12 +501,12 @@ mod tests {
                     for exec in modes() {
                         let mut x_got = x0.clone();
                         let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
-                        interpolate_relax_residual_restrict_op(
+                        cycle_edge(
                             &op,
-                            &correction,
+                            Some(&correction),
                             &mut x_got,
                             &b,
-                            &mut c_got,
+                            Some(&mut c_got),
                             1.15,
                             post + pre,
                             &ws,
@@ -599,7 +550,17 @@ mod tests {
         let (x0, b) = test_problem(17);
         for exec in modes() {
             let mut x = x0.clone();
-            sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.3, 2, &ws, &exec);
+            cycle_edge(
+                &StencilOp::Poisson,
+                None,
+                &mut x,
+                &b,
+                None,
+                1.3,
+                2,
+                &ws,
+                &exec,
+            );
             for k in 0..17 {
                 for edge in [0usize, 16] {
                     assert_eq!(x.at(edge, k), x0.at(edge, k), "{exec:?}");
@@ -615,10 +576,30 @@ mod tests {
         let (x0, b) = test_problem(33);
         let exec = Exec::seq();
         let mut x = x0.clone();
-        sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.15, 2, &ws, &exec);
+        cycle_edge(
+            &StencilOp::Poisson,
+            None,
+            &mut x,
+            &b,
+            None,
+            1.15,
+            2,
+            &ws,
+            &exec,
+        );
         let warm = ws.stats().allocations;
         for _ in 0..5 {
-            sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x, &b, 1.15, 2, &ws, &exec);
+            cycle_edge(
+                &StencilOp::Poisson,
+                None,
+                &mut x,
+                &b,
+                None,
+                1.15,
+                2,
+                &ws,
+                &exec,
+            );
         }
         assert_eq!(
             ws.stats().allocations,

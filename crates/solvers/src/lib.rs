@@ -11,8 +11,9 @@
 //!
 //! Module map:
 //! * [`relax`] — Red-Black SOR sweeps, the staged references;
-//! * [`fused`] — the temporally blocked sweep and the fused cycle edges,
-//!   bitwise equal to their staged compositions;
+//! * [`fused`] — the one fused cycle edge (blocked sweeps, with an
+//!   interpolation correction leading and a residual restriction
+//!   trailing when asked), bitwise equal to its staged compositions;
 //! * [`direct`] — the band-Cholesky factor cache;
 //! * [`guard`] — the per-cycle solve guard.
 //!
@@ -30,9 +31,6 @@ pub mod relax;
 mod proptests;
 
 pub use direct::{DirectSolverCache, DEFAULT_FACTOR_CAPACITY};
-pub use fused::{
-    interpolate_correct_relax, interpolate_correct_relax_op, relax_residual_restrict,
-    relax_residual_restrict_op, sor_sweeps_blocked_op,
-};
+pub use fused::{cycle_edge, interpolate_correct_relax, relax_residual_restrict};
 pub use guard::{GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
 pub use relax::{batch_sor_sweep_op, omega_opt, sor_sweep, sor_sweep_op, sor_sweeps};

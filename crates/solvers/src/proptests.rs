@@ -2,7 +2,7 @@
 //! and random temporal depths, every fused path must be **bitwise
 //! identical** to its staged reference composition in both SIMD modes.
 
-use crate::fused::{interpolate_correct_relax, relax_residual_restrict, sor_sweeps_blocked_op};
+use crate::fused::{cycle_edge, interpolate_correct_relax, relax_residual_restrict};
 use crate::relax::sor_sweeps;
 use petamg_grid::{
     coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdMode, Workspace,
@@ -45,7 +45,7 @@ proptest! {
         sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
         for exec in modes() {
             let mut got = x.clone();
-            sor_sweeps_blocked_op(&StencilOp::Poisson, &mut got, &b, 1.15, sweeps, &ws, &exec);
+            cycle_edge(&StencilOp::Poisson, None, &mut got, &b, None, 1.15, sweeps, &ws, &exec);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -125,7 +125,7 @@ proptest! {
         // mode must not break its bitwise equality either.
         let ws = Workspace::new();
         let mut x_bv = x0.clone();
-        sor_sweeps_blocked_op(&StencilOp::Poisson, &mut x_bv, &b, omega, sweeps, &ws, &e_v);
+        cycle_edge(&StencilOp::Poisson, None, &mut x_bv, &b, None, omega, sweeps, &ws, &e_v);
         prop_assert_eq!(x_s.as_slice(), x_bv.as_slice());
     }
 

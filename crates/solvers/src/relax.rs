@@ -92,7 +92,7 @@ pub(crate) fn sor_half_sweep_op(
 
 /// `sweeps` Red-Black SOR sweeps in the staged reference order: the
 /// behavioural baseline the temporally blocked
-/// [`crate::fused::sor_sweeps_blocked_op`] is property-tested against.
+/// [`crate::fused::cycle_edge`] is property-tested against.
 pub fn sor_sweeps(x: &mut Grid2d, b: &Grid2d, omega: f64, sweeps: usize, exec: &Exec) {
     for _ in 0..sweeps {
         sor_sweep(x, b, omega, exec);
