@@ -205,7 +205,6 @@ impl ExecCtx {
         omega: f64,
     ) {
         use CycleEvent::{Interpolate, Relax, Residual, Restrict};
-        let op = self.problem.op_for(x.n());
         let restricts = coarse.is_some();
         let restrict = [Residual { level }, Restrict { from: level }];
         let events = correction
@@ -214,9 +213,23 @@ impl ExecCtx {
             .chain(std::iter::repeat_n(Relax { level }, sweeps))
             .chain(restrict.into_iter().filter(|_| restricts));
         self.kernel(level, x, events, |ctx, x| {
-            let (ws, exec) = (&ctx.workspace, &ctx.exec);
-            cycle_edge(&op, correction, x, b, coarse, omega, sweeps, ws, exec)
+            ctx.traverse(correction, x, b, coarse, sweeps, omega)
         });
+    }
+
+    /// [`cycle_edge`] of the posed problem's operator on `x`: the one
+    /// call of it in the executor, noting nothing.
+    fn traverse(
+        &self,
+        correction: Option<&Grid2d>,
+        x: &mut Grid2d,
+        b: &Grid2d,
+        coarse: Option<&mut Grid2d>,
+        sweeps: usize,
+        omega: f64,
+    ) {
+        let (op, ws, exec) = (self.problem.op_for(x.n()), &self.workspace, &self.exec);
+        cycle_edge(&op, correction, x, b, coarse, omega, sweeps, ws, exec);
     }
 
     /// `t = iterations` applications of `RECURSE` at `level`, each
@@ -243,11 +256,9 @@ impl ExecCtx {
             return;
         }
         let nc = coarse_size(x.n());
-        // Lease coarse scratch from the shared arena (the local Arc
-        // clone keeps the leases from borrowing `self`, which the
-        // coarse solve needs mutably). Every edge that writes `bc`
-        // overwrites all of it; `ec` is the zero initial guess of each
-        // coarse solve.
+        // The local Arc keeps the leases from borrowing `self`. Every
+        // edge that writes `bc` overwrites all of it; `ec` is each
+        // coarse solve's zero initial guess.
         let ws = Arc::clone(&self.workspace);
         let mut bc = ws.acquire_unzeroed(nc);
         let mut ec = ws.acquire(nc);
@@ -277,11 +288,10 @@ impl ExecCtx {
     /// one traversal measured no faster (ARCHITECTURE, `crates/solvers`).
     pub(crate) fn sor_solve(&mut self, level: usize, x: &mut Grid2d, b: &Grid2d, iterations: u32) {
         let omega = omega_opt(x.n());
-        let op = self.problem.op_for(x.n());
         let events = [CycleEvent::SorSolve { level, iterations }];
         self.kernel(level, x, events, |ctx, x| {
             for _ in 0..iterations {
-                cycle_edge(&op, None, x, b, None, omega, 1, &ctx.workspace, &ctx.exec);
+                ctx.traverse(None, x, b, None, 1, omega);
             }
         });
     }
@@ -428,25 +438,10 @@ impl TunedFamily {
             Choice::Recurse {
                 sub_accuracy,
                 iterations,
-            } => self.recurse_steps(level, sub_accuracy as usize, iterations, x, b, ctx),
+            } => ctx.recurse(level, iterations, x, b, |ctx, ec, bc| {
+                self.run(level - 1, sub_accuracy as usize, ec, bc, ctx)
+            }),
         }
-    }
-
-    /// `iterations` applications of `RECURSE_j` at `level` (j =
-    /// `sub_acc`), each solving its coarse problem with
-    /// `MULTIGRID-V_j` one level down ([`ExecCtx::recurse`]).
-    pub(crate) fn recurse_steps(
-        &self,
-        level: usize,
-        sub_acc: usize,
-        iterations: u32,
-        x: &mut Grid2d,
-        b: &Grid2d,
-        ctx: &mut ExecCtx,
-    ) {
-        ctx.recurse(level, iterations, x, b, |ctx, ec, bc| {
-            self.run(level - 1, sub_acc, ec, bc, ctx)
-        });
     }
 
     // Pinned by `benchmark/src/probes.rs` (`core.plan.batch_cycle_us_per_system.n129`); delete with ROADMAP 1(i).
@@ -569,9 +564,9 @@ impl TunedFmgFamily {
                     FollowUp::Recurse {
                         sub_accuracy,
                         iterations,
-                    } => self
-                        .v
-                        .recurse_steps(level, sub_accuracy as usize, iterations, x, b, ctx),
+                    } => ctx.recurse(level, iterations, x, b, |ctx, ec, bc| {
+                        self.v.run(level - 1, sub_accuracy as usize, ec, bc, ctx)
+                    }),
                 }
             }
         }
@@ -1096,9 +1091,9 @@ mod tests {
     }
 
     /// `RECURSE_j×t` through `run` — one pre edge, `t − 1` fused step
-    /// boundaries, one post edge — equals `t` separate `recurse_step`s:
-    /// same grid, same operation counts, same cycle events, for every
-    /// problem family in both SIMD modes.
+    /// boundaries, one post edge — equals `t` one-step
+    /// `ExecCtx::recurse` calls: same grid, same operation counts, same
+    /// cycle events, for every problem family in both SIMD modes.
     #[test]
     fn recurse_steps_equal_repeated_recurse_step() {
         let level = 5;
@@ -1133,7 +1128,9 @@ mod tests {
                     let mut x_steps = inst.working_grid();
                     steps.note(CycleEvent::EnterV { level, acc_idx: 1 });
                     for _ in 0..t {
-                        fam.recurse_steps(level, 0, 1, &mut x_steps, &inst.b, &mut steps);
+                        steps.recurse(level, 1, &mut x_steps, &inst.b, |ctx, ec, bc| {
+                            fam.run(level - 1, 0, ec, bc, ctx)
+                        });
                     }
 
                     let case = format!("{} t={t} {exec:?}", problem.describe());

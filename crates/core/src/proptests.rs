@@ -269,7 +269,9 @@ proptest! {
             .iter()
             .map(|inst| {
                 let mut x = inst.working_grid();
-                below.recurse_steps(level, 0, 1, &mut x, &inst.b, &mut tuner.fresh_ctx());
+                tuner.fresh_ctx().recurse(level, 1, &mut x, &inst.b, |ctx, ec, bc| {
+                    below.run(level - 1, 0, ec, bc, ctx)
+                });
                 x
             })
             .collect();

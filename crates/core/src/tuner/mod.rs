@@ -43,6 +43,14 @@
 //! an otherwise idle worker, which only raise
 //! [`TuneDiagnostics::recurse_steps`] / `sor_sweeps`. Plans and
 //! evaluations are bit-identical either way.
+//!
+//! Every candidate runs, and is counted, through the plan executor's
+//! [`ExecCtx`], the code a served plan runs: a `RECURSE_j` walk steps
+//! `ExecCtx::recurse` into the tuned level below, an SOR walk steps
+//! `ExecCtx::sor_solve` (the one-sweep traversal a served `SOR×t` member
+//! runs), and a walk prices its steps by the operations the context
+//! noted for its first one. A price of operations not run (a direct
+//! solve) is built from the same events.
 
 mod fmg;
 mod knobs;
@@ -562,7 +570,9 @@ impl VTuner {
         ask: &Walk,
     ) -> Vec<Measured> {
         self.walk(level, ask, RECURSE_CAP, &self.recurse_steps, |ctx, x, b| {
-            family.recurse_steps(level, sub_acc, 1, x, b, ctx)
+            ctx.recurse(level, 1, x, b, |ctx, ec, bc| {
+                family.run(level - 1, sub_acc, ec, bc, ctx)
+            })
         })
     }
 

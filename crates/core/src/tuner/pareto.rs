@@ -8,6 +8,12 @@
 //! It is the reference the Fig 2 test checks the discrete DP against:
 //! the member the main tuner remembers for each cutoff `p_i` must cost
 //! no more than the cheapest member of this set that reaches `p_i`.
+//!
+//! It runs its candidates through the one plan executor, as the main
+//! tuner does: a direct solve is `ExecCtx::direct`, `SOR×t` is
+//! `ExecCtx::sor_solve`, and `RECURSE×t` is `ExecCtx::recurse` with the
+//! member of `A_{k−1}` it recurses into as the coarse solve. Costs are
+//! priced from the operations the context counts.
 
 use super::TunerOptions;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};

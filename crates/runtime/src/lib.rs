@@ -76,7 +76,9 @@ where
 ///
 /// This is how a job hands work back to the pool it runs on (the
 /// serving engine's flights hand back the requests parked on them).
-/// Like `ThreadPool::spawn`, `op` must not unwind.
+/// On a pool a panic escaping `op` is caught on the worker that ran
+/// it, as with `ThreadPool::spawn`; off a pool it unwinds into the
+/// caller.
 pub fn spawn<F>(op: F)
 where
     F: FnOnce() + Send + 'static,
@@ -134,9 +136,10 @@ mod tests {
 
     /// A worker waiting in `join` runs nothing else: the other worker
     /// takes `b` (it has started before `a` goes on) and holds it until
-    /// `a` has queued a job and returned, and a while longer unless that
-    /// job starts. The waiting worker is then the only one free to start
-    /// it, so the job must find `b` done.
+    /// `a` has queued a job and returned, and until the `join` caller is
+    /// parked on `b` while that job is still queued. The waiting worker
+    /// is then the only one free to start the job, so the job must find
+    /// `b` done.
     #[test]
     fn a_waiting_join_caller_starts_no_queued_job() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -158,8 +161,9 @@ mod tests {
                         .expect("`b` was never taken");
                     let b_done = seen_by_queued_job;
                     spawn(move || {
+                        let b_was_done = b_done.load(Ordering::SeqCst);
                         let _ = queued_started.send(());
-                        tx.send(b_done.load(Ordering::SeqCst)).unwrap();
+                        tx.send(b_was_done).unwrap();
                     });
                     a_done.send(()).unwrap();
                 },
@@ -168,7 +172,20 @@ mod tests {
                     a_has_returned
                         .recv_timeout(PATIENCE)
                         .expect("`a` never returned");
-                    let _ = injected_started.recv_timeout(Duration::from_millis(200));
+                    // Release once the `join` caller is parked (beside
+                    // the `install` caller) while the job is still
+                    // queued, or once the job has already looked.
+                    let deadline = std::time::Instant::now() + PATIENCE;
+                    while injected_started.try_recv().is_err() {
+                        if pool::parked_forks_and_queued_jobs() == (2, 1) {
+                            break;
+                        }
+                        assert!(
+                            std::time::Instant::now() < deadline,
+                            "the `join` caller never parked on `b`"
+                        );
+                        std::thread::yield_now();
+                    }
                     b_done.store(true, Ordering::SeqCst);
                 },
             )

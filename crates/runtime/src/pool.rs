@@ -21,6 +21,10 @@ struct State {
     /// Workers parked on `Shared::work`.
     idle: usize,
     terminate: bool,
+    /// `fork` callers blocked until a worker has run their job, which
+    /// the tests' handshakes wait on.
+    #[cfg(test)]
+    parked_forks: usize,
 }
 
 /// What the pool's handle and its workers share.
@@ -108,7 +112,17 @@ impl Shared {
         let out_a = panic::catch_unwind(AssertUnwindSafe(a));
         match take_back.then(|| self.take_back(ticket)).flatten() {
             Some(job) => job(),
-            None => done.wait(),
+            None => {
+                #[cfg(test)]
+                {
+                    self.state.lock().parked_forks += 1;
+                }
+                done.wait();
+                #[cfg(test)]
+                {
+                    self.state.lock().parked_forks -= 1;
+                }
+            }
         }
         (
             out_a,
@@ -155,9 +169,9 @@ fn worker_main(shared: Arc<Shared>, index: usize) {
                 state.idle -= 1;
             }
         };
-        // Borrowed jobs catch their own panics; a detached job must not
-        // unwind (see `ThreadPool::spawn`).
-        job();
+        // Borrowed jobs catch their own panics. A detached job's panic
+        // ends here, so the worker goes on to the next job.
+        let _ = panic::catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -184,6 +198,8 @@ impl ThreadPool {
                 next_ticket: 0,
                 idle: 0,
                 terminate: false,
+                #[cfg(test)]
+                parked_forks: 0,
             }),
             work: Condvar::new(),
         });
@@ -226,11 +242,11 @@ impl ThreadPool {
     /// plan-serving engine in `petamg-serve`, which bounds admission
     /// itself before spawning.
     ///
-    /// The closure must not unwind: a panic escaping a detached job
-    /// kills the worker thread that happened to execute it (the pool
-    /// keeps running with one fewer worker). Callers that cannot prove
-    /// their closure panic-free should wrap it in
-    /// `std::panic::catch_unwind`, as the serving engine does.
+    /// A panic escaping the job is caught on the worker that ran it,
+    /// which goes on to the next job; nobody else sees it beyond the
+    /// panic hook's message. A caller that needs to know wraps its
+    /// closure in `std::panic::catch_unwind`, as the serving engine
+    /// does.
     pub fn spawn<F>(&self, op: F)
     where
         F: FnOnce() + Send + 'static,
@@ -271,6 +287,16 @@ impl Drop for ThreadPool {
             let _ = handle.join();
         }
     }
+}
+
+/// `fork` callers of the calling worker's pool blocked on their job,
+/// and the jobs its queue holds.
+#[cfg(test)]
+pub(crate) fn parked_forks_and_queued_jobs() -> (usize, usize) {
+    with_worker(|worker| {
+        let state = worker.expect("called on a worker").0.state.lock();
+        (state.parked_forks, state.jobs.len())
+    })
 }
 
 /// Index of the current worker thread within its pool, if any. Useful for
@@ -414,6 +440,19 @@ mod tests {
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
         pool.parallel_for(0, 8, |_| panic!("must not be called"));
+    }
+
+    /// A detached job's panic is caught on its worker: a pool of one
+    /// still runs what comes after it.
+    #[test]
+    fn a_panicking_spawned_job_keeps_its_worker() {
+        let pool = Arc::new(ThreadPool::new(1));
+        pool.spawn(|| panic!("a detached job panics"));
+        let (answer, answered) = mpsc::channel();
+        let caller = Arc::clone(&pool);
+        thread::spawn(move || answer.send(caller.install(|| 42)).unwrap());
+        let got = answered.recv_timeout(PATIENCE);
+        assert_eq!(got, Ok(42), "the pool's only worker died with the job");
     }
 
     /// With no free worker — a pool of one, or the other worker held
