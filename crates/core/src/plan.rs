@@ -162,10 +162,11 @@ impl ExecCtx {
 
     /// Run one kernel at `level` whose output grid is `out`, then note
     /// the operations it performed. The kernel is clocked into
-    /// `kernel_seconds` when that is armed. It is also the fault point:
-    /// when a [`crate::faults::Fault::PoisonLevel`] is armed for `level`,
-    /// `out` gets a NaN at its center — an O(1) poke the guard's
-    /// finiteness check must catch. Disabled cost is one flag read.
+    /// `kernel_seconds` when that is armed. The kernel is
+    /// also the fault point: when a
+    /// [`crate::faults::Fault::PoisonLevel`] is armed for `level`, `out`
+    /// gets a NaN at its center — an O(1) poke the guard's finiteness
+    /// check must catch. Disabled cost is one thread-local flag read.
     #[inline]
     pub(crate) fn kernel(
         &mut self,
@@ -395,26 +396,29 @@ impl TunedFamily {
                 return Err(format!("level {k} has {} plans, want {m}", row.len()));
             }
             for (i, c) in row.iter().enumerate() {
-                let iterations = match *c {
-                    Choice::Direct => 1,
-                    Choice::Sor { iterations } => iterations,
-                    Choice::Recurse { .. } if k == 1 => {
-                        return Err("level 1 cannot recurse".into());
-                    }
+                match c {
                     Choice::Recurse {
                         sub_accuracy,
                         iterations,
                     } => {
-                        if sub_accuracy as usize >= m {
+                        if k == 1 {
+                            return Err("level 1 cannot recurse".into());
+                        }
+                        if *sub_accuracy as usize >= m {
                             return Err(format!(
                                 "level {k} acc {i}: sub accuracy {sub_accuracy} out of range"
                             ));
                         }
-                        iterations
+                        if *iterations == 0 {
+                            return Err(format!("level {k} acc {i}: zero iterations"));
+                        }
                     }
-                };
-                if iterations == 0 {
-                    return Err(format!("level {k} acc {i}: zero iterations"));
+                    Choice::Sor { iterations } => {
+                        if *iterations == 0 {
+                            return Err(format!("level {k} acc {i}: zero iterations"));
+                        }
+                    }
+                    Choice::Direct => {}
                 }
                 if k == 1 && !matches!(c, Choice::Direct) {
                     return Err("level 1 must solve directly".into());

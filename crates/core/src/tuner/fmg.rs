@@ -249,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn the_estimate_reduces_error() {
+    fn estimate_reduces_error() {
         let tuner = quick(4);
         let fam = tuner.tune();
         let mut inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 99);
