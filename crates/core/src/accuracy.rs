@@ -13,7 +13,7 @@
 use crate::plan::{simple_v_family, ExecCtx};
 use petamg_grid::{
     coarse_size, interpolate_into, l2_diff, l2_norm_interior, restrict_full_weighting,
-    restrict_inject, size_level, Exec, Grid2d,
+    restrict_inject, size_level, Grid2d, SimdMode,
 };
 use petamg_problems::{residual_norm_op, Problem};
 use petamg_solvers::DirectSolverCache;
@@ -36,9 +36,9 @@ pub(crate) const DIRECT_REFERENCE_MAX_N: usize = 129;
 /// Edge cases: if the input error is zero the ratio is the cap (nothing
 /// to improve); if only the output error is zero the solve was exact,
 /// also the cap.
-pub fn error_ratio(x_in: &Grid2d, x_out: &Grid2d, x_opt: &Grid2d, exec: &Exec) -> f64 {
-    let e_in = l2_diff(x_in, x_opt, exec);
-    let e_out = l2_diff(x_out, x_opt, exec);
+pub fn error_ratio(x_in: &Grid2d, x_out: &Grid2d, x_opt: &Grid2d, mode: SimdMode) -> f64 {
+    let e_in = l2_diff(x_in, x_opt, mode);
+    let e_out = l2_diff(x_out, x_opt, mode);
     ratio_of_errors(e_in, e_out)
 }
 
@@ -64,7 +64,7 @@ pub(crate) fn reference_solution_for(
     problem: &Problem,
     x0: &Grid2d,
     b: &Grid2d,
-    exec: &Exec,
+    mode: SimdMode,
     cache: &Arc<DirectSolverCache>,
 ) -> Grid2d {
     let n = x0.n();
@@ -76,18 +76,17 @@ pub(crate) fn reference_solution_for(
     }
     let level = size_level(n).expect("reference grids are 2^k + 1 wide");
     let v = simple_v_family(level, &[1.0]);
-    let mut ctx =
-        ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(problem.clone());
+    let mut ctx = ExecCtx::with_cache(mode, Arc::clone(cache)).with_problem(problem.clone());
     let op = problem.op_for(n);
     // Converge until the residual norm stops improving (round-off floor)
     // or drops below a scale-relative epsilon. Non-Poisson operators
     // converge slower per cycle, so the iteration cap is generous and
     // the stall test adaptive.
-    let bnorm = l2_norm_interior(b, exec).max(1e-300);
+    let bnorm = l2_norm_interior(b, &mode).max(1e-300);
     reference_fmg(level, &mut x, b, &mut ctx);
     let mut prev = f64::INFINITY;
     for _ in 0..200 {
-        let rnorm = residual_norm_op(&op, &x, b, &ctx.workspace, exec);
+        let rnorm = residual_norm_op(&op, &x, b, &ctx.workspace, mode);
         if rnorm <= 1e-14 * bnorm || rnorm >= prev * 0.9 {
             break;
         }
@@ -116,7 +115,7 @@ pub fn reference_fmg(level: usize, x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx
         let mut xc = ws.acquire(nc);
         let mut bc = ws.acquire(nc);
         restrict_inject(x, &mut xc); // boundary ring
-        restrict_full_weighting(b, &mut bc, &ctx.exec);
+        restrict_full_weighting(b, &mut bc, ctx.mode);
         xc.zero_interior();
         reference_fmg(level - 1, &mut xc, &bc, ctx);
         interpolate_into(&xc, x);
@@ -140,7 +139,7 @@ mod tests {
     fn v_cycles(x: &mut Grid2d, b: &Grid2d, cycles: usize, cache: Arc<DirectSolverCache>) {
         let level = size_level(x.n()).unwrap();
         let v = simple_v_family(level, &[1.0]);
-        let mut ctx = ExecCtx::with_cache(Exec::seq(), cache);
+        let mut ctx = ExecCtx::with_cache(SimdMode::host(), cache);
         for _ in 0..cycles {
             v.run(level, 0, x, b, &mut ctx);
         }
@@ -159,17 +158,17 @@ mod tests {
     #[test]
     fn higher_ratio_means_better_solve() {
         let (x0, b) = problem(17);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, mode, &cache);
 
         // A poor solve: one SOR sweep. A good solve: five V cycles.
         let mut x_poor = x0.clone();
-        petamg_solvers::sor_sweep(&mut x_poor, &b, 1.15, &exec);
+        petamg_solvers::sor_sweep(&mut x_poor, &b, 1.15, &mode);
         let mut x_good = x0.clone();
         v_cycles(&mut x_good, &b, 5, cache);
-        let poor = error_ratio(&x0, &x_poor, &x_opt, &exec);
-        let good = error_ratio(&x0, &x_good, &x_opt, &exec);
+        let poor = error_ratio(&x0, &x_poor, &x_opt, mode);
+        let good = error_ratio(&x0, &x_good, &x_opt, mode);
         assert!(poor > 1.0, "any SOR sweep improves: {poor}");
         assert!(
             good > 1e4 * poor,
@@ -180,25 +179,25 @@ mod tests {
     #[test]
     fn direct_solve_reports_capped_accuracy() {
         let (x0, b) = problem(9);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, mode, &cache);
         // Solving with the same direct solver gives x == x_opt bitwise.
         let mut x = x0.clone();
         x.zero_interior();
         cache.solve_op(&mut x, &b, &petamg_problems::StencilOp::Poisson);
-        assert_eq!(error_ratio(&x0, &x, &x_opt, &exec), ACC_CAP);
+        assert_eq!(error_ratio(&x0, &x, &x_opt, mode), ACC_CAP);
     }
 
     #[test]
     fn large_grid_reference_has_tiny_residual() {
         let (x0, b) = problem(257); // above DIRECT_REFERENCE_MAX_N
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, mode, &cache);
         let mut r = Grid2d::zeros(257);
-        petamg_grid::residual(&x_opt, &b, &mut r, &exec);
-        let rel = l2_norm_interior(&r, &exec) / l2_norm_interior(&b, &exec);
+        petamg_grid::residual(&x_opt, &b, &mut r, &mode);
+        let rel = l2_norm_interior(&r, &mode) / l2_norm_interior(&b, &mode);
         assert!(rel < 1e-10, "relative residual {rel}");
         // Boundary preserved.
         assert_eq!(x_opt.at(0, 5), x0.at(0, 5));
@@ -229,13 +228,12 @@ mod tests {
             (Problem::smooth_sinusoidal(n), 0xfbfc_09bd_fcb2_d26b),
         ] {
             for mode in [SimdMode::Scalar, SimdMode::Vector] {
-                let exec = Exec::seq().with_simd(mode);
                 let cache = Arc::new(DirectSolverCache::new());
-                let x_opt = reference_solution_for(&problem, &x0, &b, &exec, &cache);
+                let x_opt = reference_solution_for(&problem, &x0, &b, mode, &cache);
                 assert_eq!(
                     fnv1a(&x_opt),
                     pin,
-                    "{} on {exec:?}: {:#018x}",
+                    "{} on {mode:?}: {:#018x}",
                     problem.describe(),
                     fnv1a(&x_opt)
                 );
@@ -247,13 +245,13 @@ mod tests {
     fn small_and_large_paths_agree_at_the_boundary_size() {
         // At n = 65 (direct path) vs V-cycle converged: same answer.
         let (x0, b) = problem(65);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = Arc::new(DirectSolverCache::new());
-        let direct = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
+        let direct = reference_solution_for(&Problem::poisson(), &x0, &b, mode, &cache);
 
         let mut mg = x0.clone();
         v_cycles(&mut mg, &b, 40, cache);
-        let rel = l2_diff(&direct, &mg, &exec) / l2_norm_interior(&direct, &exec);
+        let rel = l2_diff(&direct, &mg, mode) / l2_norm_interior(&direct, &mode);
         assert!(rel < 1e-11, "paths disagree: {rel}");
     }
 
@@ -266,18 +264,18 @@ mod tests {
         let level = 6;
         let n = level_size(level);
         let (x0, b) = problem(n);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         for (problem, factor) in [
             (Problem::poisson(), 0.05),
             (Problem::smooth_sinusoidal(n), 0.1),
         ] {
             let cache = Arc::new(DirectSolverCache::new());
-            let x_opt = reference_solution_for(&problem, &x0, &b, &exec, &cache);
-            let mut ctx = ExecCtx::with_cache(exec.clone(), cache).with_problem(problem.clone());
+            let x_opt = reference_solution_for(&problem, &x0, &b, mode, &cache);
+            let mut ctx = ExecCtx::with_cache(mode, cache).with_problem(problem.clone());
             let mut x = x0.clone();
             reference_fmg(level, &mut x, &b, &mut ctx);
-            let err = l2_diff(&x, &x_opt, &exec);
-            let zero_err = l2_diff(&x0, &x_opt, &exec);
+            let err = l2_diff(&x, &x_opt, mode);
+            let zero_err = l2_diff(&x0, &x_opt, mode);
             assert!(
                 err < factor * zero_err,
                 "{}: FMG error {err} vs initial {zero_err}",
@@ -296,7 +294,7 @@ mod tests {
     fn warm_fmg_passes_allocate_nothing() {
         let level = 6;
         let (x0, b) = problem(level_size(level));
-        let mut ctx = ExecCtx::new(Exec::seq());
+        let mut ctx = ExecCtx::new(SimdMode::host());
         let mut x = x0.clone();
         reference_fmg(level, &mut x, &b, &mut ctx);
         let warm = ctx.workspace.stats().allocations;

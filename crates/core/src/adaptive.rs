@@ -16,7 +16,7 @@
 use crate::plan::{SolveReport, TunedFamily};
 use crate::training::{Distribution, ProblemInstance, BIAS_SHIFT};
 use crate::tuner::{TunerOptions, VTuner};
-use petamg_grid::{Exec, Grid2d};
+use petamg_grid::{Grid2d, SimdMode};
 use petamg_solvers::DirectSolverCache;
 use std::sync::Arc;
 
@@ -112,9 +112,9 @@ impl AdaptiveSolver {
     }
 
     /// Classify and solve.
-    pub fn solve(&self, inst: &mut ProblemInstance, target: f64, exec: &Exec) -> SolveReport {
+    pub fn solve(&self, inst: &mut ProblemInstance, target: f64, mode: SimdMode) -> SolveReport {
         let (_, family) = self.family_for(&inst.b);
-        family.solve_with(inst, target, exec, &self.cache)
+        family.solve_with(inst, target, mode, &self.cache)
     }
 
     /// All trained classes.
@@ -170,14 +170,14 @@ mod tests {
     fn adaptive_solve_meets_targets_across_distributions() {
         let base = TunerOptions::quick(4, Distribution::UnbiasedUniform);
         let solver = AdaptiveSolver::train(&base);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         for dist in [
             Distribution::UnbiasedUniform,
             Distribution::BiasedUniform,
             Distribution::PointSources(6),
         ] {
             let mut inst = ProblemInstance::random(4, dist, 5_150);
-            let report = solver.solve(&mut inst, 1e5, &exec);
+            let report = solver.solve(&mut inst, 1e5, mode);
             assert!(
                 report.achieved_accuracy >= 5e4,
                 "{}: achieved {:e}",

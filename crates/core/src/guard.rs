@@ -84,7 +84,7 @@ use crate::plan::{simple_v_family, ExecCtx, TunedFamily, MAX_TIMED_LEVELS, PAPER
 use crate::telemetry::{rung_idx, SolveTelemetry, RUNGS};
 use crate::trace::CycleEvent;
 use crate::OpCounts;
-use petamg_grid::{l2_norm_interior, Exec, Grid2d, GridLease, Workspace};
+use petamg_grid::{l2_norm_interior, Grid2d, GridLease, SimdMode, Workspace};
 use petamg_problems::{residual_norm_op, Problem, StencilOp};
 use petamg_solvers::{DirectSolverCache, GuardFailure, GuardVerdict, SolveGuard};
 use std::sync::{Arc, Mutex};
@@ -422,7 +422,7 @@ fn replayable_outcome(report: &GuardedReport) -> Option<(LadderRung, Verdicts)> 
 pub struct GuardedSolver {
     problem: Problem,
     plan: Option<Arc<TunedFamily>>,
-    exec: Exec,
+    mode: SimdMode,
     cache: Arc<DirectSolverCache>,
     workspace: Arc<Workspace>,
     tracing: bool,
@@ -431,14 +431,14 @@ pub struct GuardedSolver {
 }
 
 impl GuardedSolver {
-    /// A guarded solver for `problem`: sequential execution, fresh
+    /// A guarded solver for `problem`: the host's [`SimdMode`], fresh
     /// factor cache, no tuned plan (the ladder starts at the heuristic
     /// rung until [`GuardedSolver::with_plan`] supplies one).
     pub fn new(problem: Problem) -> Self {
         GuardedSolver {
             problem,
             plan: None,
-            exec: Exec::seq(),
+            mode: SimdMode::host(),
             cache: Arc::new(DirectSolverCache::new()),
             workspace: Arc::new(Workspace::new()),
             tracing: false,
@@ -458,12 +458,6 @@ impl GuardedSolver {
     /// from the library serves any number of concurrent requests.
     pub fn with_shared_plan(mut self, plan: Arc<TunedFamily>) -> Self {
         self.plan = Some(plan);
-        self
-    }
-
-    /// Execution policy for all kernels.
-    pub fn with_exec(mut self, exec: Exec) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -569,7 +563,7 @@ impl GuardedSolver {
 
     /// The execution context of one guarded solve.
     fn exec_ctx(&self) -> ExecCtx {
-        let mut ctx = ExecCtx::with_cache(self.exec.clone(), Arc::clone(&self.cache))
+        let mut ctx = ExecCtx::with_cache(self.mode, Arc::clone(&self.cache))
             .with_workspace(Arc::clone(&self.workspace))
             .with_problem(self.problem.clone());
         if self.tracing {
@@ -763,7 +757,7 @@ impl GuardedSolver {
                 w.ctx
                     .kernel(w.level, x, events, |_, x| direct.solve(x, w.check.b));
                 let check_start = std::time::Instant::now();
-                let rel = w.check.rel(x, &w.ctx.workspace, &w.ctx.exec);
+                let rel = w.check.rel(x, &w.ctx.workspace, w.ctx.mode);
                 w.resid_seconds += check_start.elapsed().as_secs_f64();
                 if rel.is_finite() && rel <= w.tol {
                     let trajectory = Trajectory {
@@ -798,7 +792,7 @@ impl GuardedSolver {
             let member = walk.next(fam, &guard);
             fam.run(w.level, member, x, w.check.b, &mut w.ctx);
             let check_start = std::time::Instant::now();
-            let rel = w.check.rel(x, &w.ctx.workspace, &w.ctx.exec);
+            let rel = w.check.rel(x, &w.ctx.workspace, w.ctx.mode);
             w.resid_seconds += check_start.elapsed().as_secs_f64();
             match walk.observe(fam, &mut guard, member, rel) {
                 GuardVerdict::Continue => {}
@@ -884,12 +878,12 @@ impl<'a> ResidualCheck<'a> {
 
     /// Relative residual of `x`. The residual is reduced row by row
     /// (row buffers leased from `ws`), never stored as a grid.
-    fn rel(&mut self, x: &Grid2d, ws: &Workspace, exec: &Exec) -> f64 {
-        let r_norm = residual_norm_op(self.op, x, self.b, ws, exec);
+    fn rel(&mut self, x: &Grid2d, ws: &Workspace, mode: SimdMode) -> f64 {
+        let r_norm = residual_norm_op(self.op, x, self.b, ws, mode);
         let b = self.b;
         let b_norm = self
             .b_norm
-            .get_or_insert_with(|| l2_norm_interior(b, exec).max(f64::MIN_POSITIVE));
+            .get_or_insert_with(|| l2_norm_interior(b, &mode).max(f64::MIN_POSITIVE));
         r_norm / *b_norm
     }
 }
@@ -1358,9 +1352,9 @@ mod tests {
             );
             // Independent residual check of the returned answer.
             let mut r = Grid2d::zeros(x.n());
-            let exec = Exec::seq();
-            residual_op(&problem.op_for(x.n()), &x, &inst.b, &mut r, &exec);
-            let rel = l2_norm_interior(&r, &exec) / l2_norm_interior(&inst.b, &exec);
+            let mode = SimdMode::host();
+            residual_op(&problem.op_for(x.n()), &x, &inst.b, &mut r, &mode);
+            let rel = l2_norm_interior(&r, &mode) / l2_norm_interior(&inst.b, &mode);
             assert!(rel <= 1e-8, "seed {seed}: {rel:e}");
             assert_eq!(rel, report.rel_residual);
         }
@@ -1380,7 +1374,7 @@ mod tests {
             let inst =
                 ProblemInstance::random_for(&problem, level, Distribution::UnbiasedUniform, 5);
             let mut want = inst.working_grid();
-            let mut ctx = ExecCtx::new(Exec::seq()).with_problem(problem.clone());
+            let mut ctx = ExecCtx::new(SimdMode::host()).with_problem(problem.clone());
             fam.run(level, top, &mut want, &inst.b, &mut ctx);
 
             let solver = GuardedSolver::new(problem.clone()).with_plan(fam);

@@ -178,19 +178,19 @@ mod tests {
         };
         let tuned = VTuner::new(opts.clone()).tune();
         let profile = opts.cost_model.profile().unwrap().clone();
-        let exec = petamg_grid::Exec::seq();
+        let mode = petamg_grid::SimdMode::host();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());
         let inst = ProblemInstance::random(5, Distribution::BiasedUniform, 1_000_001);
 
         let tuned_cost = {
-            let (c, _) = crate::tuner::priced_run(&profile, &exec, &cache, |ctx| {
+            let (c, _) = crate::tuner::priced_run(&profile, mode, &cache, |ctx| {
                 let mut x = inst.working_grid();
                 tuned.run(5, tuned.acc_index_for(1e9), &mut x, &inst.b, ctx);
             });
             c
         };
         for (name, fam) in paper_strategies(&opts) {
-            let (heur_cost, _) = crate::tuner::priced_run(&profile, &exec, &cache, |ctx| {
+            let (heur_cost, _) = crate::tuner::priced_run(&profile, mode, &cache, |ctx| {
                 let mut x = inst.working_grid();
                 fam.run(5, fam.num_accuracies() - 1, &mut x, &inst.b, ctx);
             });

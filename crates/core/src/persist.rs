@@ -412,7 +412,7 @@ mod tests {
         use crate::plan::ExecCtx;
         use crate::training::{Distribution, ProblemInstance};
         use crate::tuner::{FmgTuner, TunerOptions};
-        use petamg_grid::Exec;
+        use petamg_grid::SimdMode;
         use petamg_solvers::DirectSolverCache;
         use std::sync::Arc;
 
@@ -430,7 +430,7 @@ mod tests {
         let bits = |f: &TunedFmgFamily, acc_idx: usize| {
             let cache = Arc::new(DirectSolverCache::new());
             let mut ctx =
-                ExecCtx::with_cache(Exec::seq(), cache).with_problem(inst.problem.clone());
+                ExecCtx::with_cache(SimdMode::host(), cache).with_problem(inst.problem.clone());
             let mut x = inst.working_grid();
             f.run(level, acc_idx, &mut x, &inst.b, &mut ctx);
             x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -34,7 +34,7 @@ use crate::trace::CycleEvent;
 use crate::training::ProblemInstance;
 use crate::tuner::DefaultKnobs;
 use petamg_grid::{
-    coarse_size, l2_norm_interior, level_size, size_level, BatchGrid, Exec, Grid2d, Workspace,
+    coarse_size, l2_norm_interior, level_size, size_level, BatchGrid, Grid2d, SimdMode, Workspace,
 };
 use petamg_problems::{residual_norm_op, Problem, ProblemFingerprint, ProblemMismatch, StencilOp};
 use petamg_solvers::fused::cycle_edge;
@@ -88,8 +88,8 @@ pub(crate) const MAX_TIMED_LEVELS: usize = 16;
 
 /// Execution context threaded through plan execution.
 pub struct ExecCtx {
-    /// Execution policy for all grid sweeps.
-    pub exec: Exec,
+    /// The SIMD mode of every grid sweep.
+    pub mode: SimdMode,
     /// The posed problem: every kernel the executor runs applies the
     /// operator [`Problem::op_for`] returns for its level's size.
     /// Defaults to constant-coefficient Poisson (the legacy behaviour,
@@ -114,14 +114,14 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     /// Context with a fresh cache, no tracing and no kernel clock.
-    pub fn new(exec: Exec) -> Self {
-        Self::with_cache(exec, Arc::new(DirectSolverCache::new()))
+    pub fn new(mode: SimdMode) -> Self {
+        Self::with_cache(mode, Arc::new(DirectSolverCache::new()))
     }
 
     /// Context sharing an existing factor cache.
-    pub fn with_cache(exec: Exec, cache: Arc<DirectSolverCache>) -> Self {
+    pub fn with_cache(mode: SimdMode, cache: Arc<DirectSolverCache>) -> Self {
         ExecCtx {
-            exec,
+            mode,
             problem: Problem::poisson(),
             cache,
             workspace: Arc::new(Workspace::new()),
@@ -229,8 +229,9 @@ impl ExecCtx {
         sweeps: usize,
         omega: f64,
     ) {
-        let (op, ws, exec) = (self.problem.op_for(x.n()), &self.workspace, &self.exec);
-        cycle_edge(&op, correction, x, b, coarse, omega, sweeps, ws, exec);
+        let op = self.problem.op_for(x.n());
+        let ws = &self.workspace;
+        cycle_edge(&op, correction, x, b, coarse, omega, sweeps, ws, self.mode);
     }
 
     /// `t = iterations` applications of `RECURSE` at `level`, each
@@ -467,8 +468,8 @@ impl TunedFamily {
     /// member tuned for the smallest `p_i >= target`. Computes the
     /// reference solution if needed (not included in the reported time).
     pub fn solve(&self, inst: &mut ProblemInstance, target: f64) -> SolveReport {
-        let exec = Exec::seq();
-        self.solve_with(inst, target, &exec, &Arc::new(DirectSolverCache::new()))
+        let mode = SimdMode::host();
+        self.solve_with(inst, target, mode, &Arc::new(DirectSolverCache::new()))
     }
 
     /// [`TunedFamily::solve`] with explicit policy and cache.
@@ -476,10 +477,10 @@ impl TunedFamily {
         &self,
         inst: &mut ProblemInstance,
         target: f64,
-        exec: &Exec,
+        mode: SimdMode,
         cache: &Arc<DirectSolverCache>,
     ) -> SolveReport {
-        Family::V(self).solve_with(inst, target, exec, cache)
+        Family::V(self).solve_with(inst, target, mode, cache)
     }
 
     /// The grid sizes whose direct factors member `acc_idx` at `level`
@@ -602,10 +603,10 @@ impl TunedFmgFamily {
         &self,
         inst: &mut ProblemInstance,
         target: f64,
-        exec: &Exec,
+        mode: SimdMode,
         cache: &Arc<DirectSolverCache>,
     ) -> SolveReport {
-        Family::Fmg(self).solve_with(inst, target, exec, cache)
+        Family::Fmg(self).solve_with(inst, target, mode, cache)
     }
 
     /// The grid sizes whose direct factors member `acc_idx` at `level`
@@ -652,7 +653,7 @@ impl Family<'_> {
         self,
         inst: &mut ProblemInstance,
         target: f64,
-        exec: &Exec,
+        mode: SimdMode,
         cache: &Arc<DirectSolverCache>,
     ) -> SolveReport {
         let (v, max_level) = match self {
@@ -669,10 +670,10 @@ impl Family<'_> {
         v.ensure_problem(inst.problem.fingerprint())
             .unwrap_or_else(|e| panic!("{e}"));
         let acc_idx = v.acc_index_for(target);
-        inst.ensure_x_opt(exec, cache);
+        inst.ensure_x_opt(mode, cache);
         self.warm_factors_for(&inst.problem, inst.level, acc_idx, cache);
         let mut ctx =
-            ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
+            ExecCtx::with_cache(mode, Arc::clone(cache)).with_problem(inst.problem.clone());
         let mut x = inst.working_grid();
         let start = std::time::Instant::now();
         match self {
@@ -682,7 +683,7 @@ impl Family<'_> {
         let seconds = start.elapsed().as_secs_f64();
         let x_opt = inst.x_opt().expect("ensured above");
         SolveReport {
-            achieved_accuracy: error_ratio(&inst.x0, &x, x_opt, exec),
+            achieved_accuracy: error_ratio(&inst.x0, &x, x_opt, mode),
             target_accuracy: target,
             acc_idx,
             seconds,
@@ -740,19 +741,21 @@ pub fn simple_v_family(max_level: usize, accuracies: &[f64]) -> TunedFamily {
 // Pinned by `benchmark/src/probes.rs` (`solvers.reference_v.solve_ms.*`); delete with ROADMAP 1(i).
 #[doc(hidden)]
 pub struct MgConfig {
-    pub exec: Exec,
+    pub exec: SimdMode,
 }
 
 impl Default for MgConfig {
     fn default() -> Self {
-        MgConfig { exec: Exec::seq() }
+        MgConfig {
+            exec: SimdMode::host(),
+        }
     }
 }
 
 // Pinned by `benchmark/src/probes.rs` (`solvers.reference_v.solve_ms.*`); delete with ROADMAP 1(i).
 #[doc(hidden)]
 pub struct ReferenceSolver {
-    exec: Exec,
+    mode: SimdMode,
     cache: Arc<DirectSolverCache>,
     workspace: Arc<Workspace>,
 }
@@ -760,7 +763,7 @@ pub struct ReferenceSolver {
 impl ReferenceSolver {
     pub fn new(cfg: MgConfig) -> Self {
         ReferenceSolver {
-            exec: cfg.exec,
+            mode: cfg.exec,
             cache: Arc::new(DirectSolverCache::new()),
             workspace: Arc::new(Workspace::new()),
         }
@@ -776,7 +779,7 @@ impl ReferenceSolver {
     ) -> SolveStatus {
         let level = size_level(x.n()).expect("grid is 2^k + 1 wide");
         let v = simple_v_family(level, &[1.0]);
-        let mut ctx = ExecCtx::with_cache(self.exec.clone(), Arc::clone(&self.cache))
+        let mut ctx = ExecCtx::with_cache(self.mode, Arc::clone(&self.cache))
             .with_workspace(Arc::clone(&self.workspace));
         for cycle in 1..=max_iters {
             v.run(level, 0, x, b, &mut ctx);
@@ -789,8 +792,8 @@ impl ReferenceSolver {
 
     /// `‖b − A x‖₂ / ‖b‖₂` for the Poisson operator.
     pub fn rel_residual(&self, x: &Grid2d, b: &Grid2d) -> f64 {
-        residual_norm_op(&StencilOp::Poisson, x, b, &self.workspace, &self.exec)
-            / l2_norm_interior(b, &self.exec).max(f64::MIN_POSITIVE)
+        residual_norm_op(&StencilOp::Poisson, x, b, &self.workspace, self.mode)
+            / l2_norm_interior(b, &self.mode).max(f64::MIN_POSITIVE)
     }
 }
 
@@ -848,7 +851,7 @@ mod tests {
         // level 1, then interpolation and one sweep on the way back up.
         let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 3);
         let fam = simple_v_family(5, &[1e5]);
-        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        let mut ctx = ExecCtx::new(SimdMode::host()).tracing();
         let mut x = inst.working_grid();
         fam.run(5, 0, &mut x, &inst.b, &mut ctx);
 
@@ -924,7 +927,7 @@ mod tests {
 
         let v = VTuner::new(quick(6)).tune();
         let inst = ProblemInstance::random(6, Distribution::UnbiasedUniform, 41);
-        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        let mut ctx = ExecCtx::new(SimdMode::host()).tracing();
         for acc_idx in 0..v.num_accuracies() {
             let mut x = inst.working_grid();
             v.run(6, acc_idx, &mut x, &inst.b, &mut ctx);
@@ -936,7 +939,7 @@ mod tests {
 
         let fmg = FmgTuner::new(quick(5)).tune();
         let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 42);
-        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        let mut ctx = ExecCtx::new(SimdMode::host()).tracing();
         for acc_idx in 0..fmg.v.num_accuracies() {
             let mut x = inst.working_grid();
             fmg.run(5, acc_idx, &mut x, &inst.b, &mut ctx);
@@ -957,7 +960,7 @@ mod tests {
         };
         hand.plans[4][0] = Choice::Sor { iterations: 4 };
         let inst = ProblemInstance::random(6, Distribution::UnbiasedUniform, 43);
-        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        let mut ctx = ExecCtx::new(SimdMode::host()).tracing();
         let mut x = inst.working_grid();
         hand.run(6, 1, &mut x, &inst.b, &mut ctx);
         got.push((
@@ -1011,7 +1014,7 @@ mod tests {
         // more cycles and a looser target.
         let (level, n) = (5, 33);
         let fam = simple_v_family(level, &[1.0]);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         for (problem, (first, cycles, tol)) in operator_families(n).into_iter().zip([
             (0.2, 12, 1e-10),
             (1.0, 60, 1e-8),
@@ -1026,21 +1029,21 @@ mod tests {
                 .unwrap()
                 .solve(&mut x_opt, &b);
             let scale = petamg_grid::l2_norm_interior(&x_opt, &e).max(1.0);
-            let mut ctx = ExecCtx::new(e.clone()).with_problem(problem.clone());
+            let mut ctx = ExecCtx::new(e).with_problem(problem.clone());
 
             let mut fixed = x_opt.clone();
             fam.run(level, 0, &mut fixed, &b, &mut ctx);
-            let drift = petamg_grid::l2_diff(&fixed, &x_opt, &e) / scale;
+            let drift = petamg_grid::l2_diff(&fixed, &x_opt, e) / scale;
             assert!(drift < 1e-10, "{}: drift {drift}", problem.describe());
 
-            let e0 = petamg_grid::l2_diff(&x, &x_opt, &e);
+            let e0 = petamg_grid::l2_diff(&x, &x_opt, e);
             fam.run(level, 0, &mut x, &b, &mut ctx);
-            let e1 = petamg_grid::l2_diff(&x, &x_opt, &e);
+            let e1 = petamg_grid::l2_diff(&x, &x_opt, e);
             assert!(e1 < first * e0, "{}: {e0} -> {e1}", problem.describe());
             for _ in 1..cycles {
                 fam.run(level, 0, &mut x, &b, &mut ctx);
             }
-            let rel = petamg_grid::l2_diff(&x, &x_opt, &e) / scale;
+            let rel = petamg_grid::l2_diff(&x, &x_opt, e) / scale;
             assert!(rel < tol, "{}: rel err {rel}", problem.describe());
         }
     }
@@ -1055,13 +1058,13 @@ mod tests {
         petamg_problems::OpDirect::new(petamg_problems::StencilOp::Poisson, n)
             .unwrap()
             .solve(&mut x_opt, &b);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let fam = simple_v_family(level, &[1.0]);
-        let mut ctx = ExecCtx::new(e.clone());
+        let mut ctx = ExecCtx::new(e);
         for _ in 0..30 {
             fam.run(level, 0, &mut x, &b, &mut ctx);
         }
-        let rel = petamg_grid::l2_diff(&x, &x_opt, &e)
+        let rel = petamg_grid::l2_diff(&x, &x_opt, e)
             / petamg_grid::l2_norm_interior(&x_opt, &e).max(1.0);
         assert!(rel < 1e-12, "rel err {rel}");
     }
@@ -1077,16 +1080,16 @@ mod tests {
         x0.set_boundary(|i, j| ((i * 7 + j * 3) % 11) as f64);
         let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
         for problem in operator_families(n) {
-            let run = |exec: &Exec| {
-                let mut ctx = ExecCtx::new(exec.clone()).with_problem(problem.clone());
+            let run = |mode: SimdMode| {
+                let mut ctx = ExecCtx::new(mode).with_problem(problem.clone());
                 let mut x = x0.clone();
                 fam.run(level, 0, &mut x, &b, &mut ctx);
                 x
             };
-            let reference = run(&Exec::seq().with_simd(petamg_grid::SimdMode::Scalar));
-            let vector = Exec::seq().with_simd(petamg_grid::SimdMode::Vector);
+            let reference = run(petamg_grid::SimdMode::Scalar);
+            let vector = petamg_grid::SimdMode::Vector;
             assert_eq!(
-                run(&vector).as_slice(),
+                run(vector).as_slice(),
                 reference.as_slice(),
                 "{}",
                 problem.describe()
@@ -1112,18 +1115,13 @@ mod tests {
             let inst =
                 ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, 5);
             for mode in [petamg_grid::SimdMode::Scalar, petamg_grid::SimdMode::Vector] {
-                let exec = Exec::seq().with_simd(mode);
                 for t in [1u32, 2, 3, 7] {
                     let mut fam = simple_v_family(level, &[1e3, 1e5]);
                     fam.plans[level][1] = Choice::Recurse {
                         sub_accuracy: 0,
                         iterations: t,
                     };
-                    let ctx = || {
-                        ExecCtx::new(exec.clone())
-                            .with_problem(problem.clone())
-                            .tracing()
-                    };
+                    let ctx = || ExecCtx::new(mode).with_problem(problem.clone()).tracing();
                     let mut fused = ctx();
                     let mut x_fused = inst.working_grid();
                     fam.run(level, 1, &mut x_fused, &inst.b, &mut fused);
@@ -1137,7 +1135,7 @@ mod tests {
                         });
                     }
 
-                    let case = format!("{} t={t} {exec:?}", problem.describe());
+                    let case = format!("{} t={t} {mode:?}", problem.describe());
                     assert_eq!(x_fused.as_slice(), x_steps.as_slice(), "{case}");
                     assert_eq!(fused.ops, steps.ops, "{case}");
                     assert_eq!(fused.events, steps.events, "{case}");
@@ -1195,7 +1193,7 @@ mod tests {
         // tuner training loops) must be allocation-free.
         let fam = simple_v_family(5, &[1e5]);
         let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 11);
-        let mut ctx = ExecCtx::new(Exec::seq());
+        let mut ctx = ExecCtx::new(SimdMode::host());
 
         let mut x = inst.working_grid();
         fam.run(5, 0, &mut x, &inst.b, &mut ctx);
@@ -1223,14 +1221,14 @@ mod tests {
         let ws = Arc::new(Workspace::new());
         let cache = Arc::new(DirectSolverCache::new());
 
-        let mut ctx =
-            ExecCtx::with_cache(Exec::seq(), Arc::clone(&cache)).with_workspace(Arc::clone(&ws));
+        let mut ctx = ExecCtx::with_cache(SimdMode::host(), Arc::clone(&cache))
+            .with_workspace(Arc::clone(&ws));
         let mut x = inst.working_grid();
         fam.run(4, 0, &mut x, &inst.b, &mut ctx);
         let warm = ws.stats().allocations;
 
         for _ in 0..5 {
-            let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::clone(&cache))
+            let mut ctx = ExecCtx::with_cache(SimdMode::host(), Arc::clone(&cache))
                 .with_workspace(Arc::clone(&ws));
             let mut x = inst.working_grid();
             fam.run(4, 0, &mut x, &inst.b, &mut ctx);
@@ -1255,7 +1253,7 @@ mod tests {
         let fam = simple_v_family(4, &[1e3]);
         let inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 13);
 
-        let mut ctx = ExecCtx::new(Exec::seq());
+        let mut ctx = ExecCtx::new(SimdMode::host());
         ctx.kernel_seconds = Some([0.0; MAX_TIMED_LEVELS]);
         let mut x = inst.working_grid();
         fam.run(4, 0, &mut x, &inst.b, &mut ctx);
@@ -1290,9 +1288,9 @@ mod tests {
         }
         let fam = TunedFmgFamily { v, plans };
         let mut inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 23);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = Arc::new(DirectSolverCache::new());
-        let report = fam.solve_with(&mut inst, 1e3, &exec, &cache);
+        let report = fam.solve_with(&mut inst, 1e3, mode, &cache);
         assert!(
             report.achieved_accuracy >= 1e3,
             "achieved {}",
@@ -1315,7 +1313,7 @@ mod tests {
             let cache = Arc::new(DirectSolverCache::new());
             Family::Fmg(&fam).warm_factors_for(&inst.problem, 5, acc_idx, &cache);
             let warmed = cache.factorizations();
-            let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::clone(&cache))
+            let mut ctx = ExecCtx::with_cache(SimdMode::host(), Arc::clone(&cache))
                 .with_problem(inst.problem.clone());
             let mut x = inst.working_grid();
             fam.run(5, acc_idx, &mut x, &inst.b, &mut ctx);

@@ -6,7 +6,7 @@ use crate::guard::select_member;
 use crate::plan::{simple_v_family, Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
 use crate::tuner::{DefaultKnobs, TunerOptions, VTuner, Walk};
-use petamg_grid::{level_size, Exec};
+use petamg_grid::{level_size, SimdMode};
 use petamg_problems::Problem;
 use proptest::prelude::*;
 
@@ -142,7 +142,7 @@ proptest! {
         prop_assume!(fam.validate().is_ok());
         // Clamp iteration counts so SOR-heavy random plans stay fast.
         let inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 77);
-        let mut ctx = ExecCtx::new(Exec::seq());
+        let mut ctx = ExecCtx::new(SimdMode::host());
         let mut x = inst.working_grid();
         fam.run(4, acc, &mut x, &inst.b, &mut ctx);
         let n = x.n();
@@ -165,7 +165,7 @@ proptest! {
         prop_assume!(fam.validate().is_ok());
         let inst = ProblemInstance::random(4, Distribution::BiasedUniform, seed);
         let run = || {
-            let mut ctx = ExecCtx::new(Exec::seq());
+            let mut ctx = ExecCtx::new(SimdMode::host());
             let mut x = inst.working_grid();
             fam.run(4, acc, &mut x, &inst.b, &mut ctx);
             (x, ctx.ops)

@@ -60,12 +60,12 @@ mod tests {
     use super::*;
     use crate::plan::{simple_v_family, ExecCtx};
     use crate::training::{Distribution, ProblemInstance};
-    use petamg_grid::Exec;
+    use petamg_grid::SimdMode;
 
     fn trace_of(level: usize) -> Vec<CycleEvent> {
         let fam = simple_v_family(level, &[1e5]);
         let inst = ProblemInstance::random(level, Distribution::UnbiasedUniform, 7);
-        let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+        let mut ctx = ExecCtx::new(SimdMode::host()).tracing();
         let mut x = inst.working_grid();
         fam.run(level, 0, &mut x, &inst.b, &mut ctx);
         ctx.events.expect("traced")

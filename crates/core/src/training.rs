@@ -9,7 +9,7 @@
 //! > number of random point sources/sinks in the right-hand side."
 
 use crate::accuracy::reference_solution_for;
-use petamg_grid::{level_size, Exec, Grid2d};
+use petamg_grid::{level_size, Grid2d, SimdMode};
 use petamg_problems::Problem;
 use petamg_solvers::DirectSolverCache;
 use rand::rngs::StdRng;
@@ -127,13 +127,13 @@ impl ProblemInstance {
 
     /// Compute (and cache) the optimal solution of the posed operator's
     /// system.
-    pub fn ensure_x_opt(&mut self, exec: &Exec, cache: &Arc<DirectSolverCache>) -> &Grid2d {
+    pub fn ensure_x_opt(&mut self, mode: SimdMode, cache: &Arc<DirectSolverCache>) -> &Grid2d {
         if self.x_opt.is_none() {
             self.x_opt = Some(reference_solution_for(
                 &self.problem,
                 &self.x0,
                 &self.b,
-                exec,
+                mode,
                 cache,
             ));
         }
@@ -216,17 +216,17 @@ mod tests {
     #[test]
     fn x_opt_caches_and_solves() {
         let mut inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 5);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = Arc::new(DirectSolverCache::new());
         assert!(inst.x_opt().is_none());
-        let first = inst.ensure_x_opt(&exec, &cache).clone();
-        let again = inst.ensure_x_opt(&exec, &cache).clone();
+        let first = inst.ensure_x_opt(mode, &cache).clone();
+        let again = inst.ensure_x_opt(mode, &cache).clone();
         assert_eq!(first.as_slice(), again.as_slice());
         // x_opt solves the system.
         let mut r = Grid2d::zeros(inst.n());
-        petamg_grid::residual(&first, &inst.b, &mut r, &exec);
-        let rel = petamg_grid::l2_norm_interior(&r, &exec)
-            / petamg_grid::l2_norm_interior(&inst.b, &exec);
+        petamg_grid::residual(&first, &inst.b, &mut r, &mode);
+        let rel = petamg_grid::l2_norm_interior(&r, &mode)
+            / petamg_grid::l2_norm_interior(&inst.b, &mode);
         assert!(rel < 1e-10);
     }
 
@@ -243,7 +243,7 @@ mod tests {
                 )
             })
             .collect();
-        assert!(l2_diff(&set[0].b, &set[1].b, &Exec::seq()) > 0.0);
-        assert!(l2_diff(&set[1].b, &set[2].b, &Exec::seq()) > 0.0);
+        assert!(l2_diff(&set[0].b, &set[1].b, SimdMode::host()) > 0.0);
+        assert!(l2_diff(&set[1].b, &set[2].b, SimdMode::host()) > 0.0);
     }
 }

@@ -184,7 +184,7 @@ mod tests {
     use super::*;
     use crate::plan::ExecCtx;
     use crate::training::Distribution;
-    use petamg_grid::{l2_diff, Exec};
+    use petamg_grid::{l2_diff, SimdMode};
 
     fn quick(max_level: usize) -> FmgTuner {
         FmgTuner::new(TunerOptions::quick(
@@ -199,12 +199,12 @@ mod tests {
         let fam = tuner.tune();
         fam.v.validate().unwrap();
         assert_eq!(fam.plans.len(), 6);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());
         for (i, &target) in fam.v.accuracies.clone().iter().enumerate() {
             let mut inst =
                 ProblemInstance::random(5, Distribution::UnbiasedUniform, 555_000 + i as u64);
-            let report = fam.solve_with(&mut inst, target, &exec, &cache);
+            let report = fam.solve_with(&mut inst, target, mode, &cache);
             assert!(
                 report.achieved_accuracy >= target * 0.5,
                 "target {target:e}: achieved {:e}",
@@ -222,15 +222,15 @@ mod tests {
         let fam = tuner.tune();
         let opts = tuner.v_tuner.options();
         let profile = opts.cost_model.profile().unwrap().clone();
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());
         let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 42_424);
 
-        let (v_cost, _) = super::super::priced_run(&profile, &exec, &cache, |ctx| {
+        let (v_cost, _) = super::super::priced_run(&profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             fam.v.run(5, 2, &mut x, &inst.b, ctx);
         });
-        let (f_cost, _) = super::super::priced_run(&profile, &exec, &cache, |ctx| {
+        let (f_cost, _) = super::super::priced_run(&profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             fam.run(5, 2, &mut x, &inst.b, ctx);
         });
@@ -253,14 +253,14 @@ mod tests {
         let tuner = quick(4);
         let fam = tuner.tune();
         let mut inst = ProblemInstance::random(4, Distribution::UnbiasedUniform, 99);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());
-        let x_opt = inst.ensure_x_opt(&exec, &cache).clone();
-        let mut ctx = ExecCtx::with_cache(exec.clone(), cache);
+        let x_opt = inst.ensure_x_opt(mode, &cache).clone();
+        let mut ctx = ExecCtx::with_cache(mode, cache);
         let mut x = inst.working_grid();
-        let e0 = l2_diff(&x, &x_opt, &exec);
+        let e0 = l2_diff(&x, &x_opt, mode);
         fam.estimate(4, 2, &mut x, &inst.b, &mut ctx);
-        let e1 = l2_diff(&x, &x_opt, &exec);
+        let e1 = l2_diff(&x, &x_opt, mode);
         // The coarse-grid estimate can only remove the *smooth* error
         // component; on rough random data that is roughly half the
         // energy, so expect a solid but not dramatic reduction.

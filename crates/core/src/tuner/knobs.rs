@@ -1,6 +1,6 @@
 //! Forwards left by the deleted kernel-knob layer; only the benchmark's probes name them.
 
-use petamg_grid::Exec;
+use petamg_grid::SimdMode;
 
 // Pinned by `benchmark/src/probes.rs` (`choice.nary.evaluations.level7`, `core.plan.cycle_us.*`); delete with ROADMAP 1(i).
 #[doc(hidden)]
@@ -18,7 +18,7 @@ pub struct KnobTuneResult {
 }
 
 #[doc(hidden)]
-pub fn tune_kernel_knobs(_exec: &Exec, _opts: &KnobTunerOptions) -> KnobTuneResult {
+pub fn tune_kernel_knobs(_mode: &SimdMode, _opts: &KnobTunerOptions) -> KnobTuneResult {
     KnobTuneResult { evaluations: 0 }
 }
 

@@ -67,7 +67,7 @@ use crate::cost::{CostModel, MachineProfile, OpCounts};
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::trace::CycleEvent;
 use crate::training::{training_instance_for, Distribution, ProblemInstance};
-use petamg_grid::{l2_diff, level_size, Exec, Grid2d, Workspace};
+use petamg_grid::{l2_diff, level_size, Grid2d, SimdMode, Workspace};
 use petamg_problems::Problem;
 use petamg_solvers::DirectSolverCache;
 use std::ops::Range;
@@ -90,8 +90,6 @@ pub struct TunerOptions {
     pub seed: u64,
     /// Cost source (measured wall-clock or modeled machine).
     pub cost_model: CostModel,
-    /// Execution policy for training runs.
-    pub exec: Exec,
     /// The posed problem this tuner trains for. The tuned family is
     /// keyed by its fingerprint; every candidate measurement runs the
     /// problem's operator (convergence differs per operator, so plans
@@ -111,7 +109,6 @@ impl TunerOptions {
             instances: 2,
             seed: 0x5EED,
             cost_model: CostModel::Modeled(MachineProfile::intel_harpertown()),
-            exec: Exec::seq(),
             problem: Problem::poisson(),
         }
     }
@@ -144,10 +141,9 @@ impl TunerOptions {
 
     /// Wall-clock tuning on the host machine.
     #[cfg(test)]
-    pub(crate) fn measured(max_level: usize, distribution: Distribution, exec: Exec) -> Self {
+    pub(crate) fn measured(max_level: usize, distribution: Distribution) -> Self {
         TunerOptions {
             cost_model: CostModel::Measured { trials: 2 },
-            exec,
             ..Self::quick(max_level, distribution)
         }
     }
@@ -272,7 +268,7 @@ pub(crate) fn solved_training_set(
     let seed = opts.seed ^ ((level as u64) << 20);
     per_instance(opts.instances, |index| {
         let mut inst = training_instance_for(&opts.problem, level, opts.distribution, seed, index);
-        inst.ensure_x_opt(&opts.exec, cache);
+        inst.ensure_x_opt(SimdMode::host(), cache);
         inst
     })
 }
@@ -497,7 +493,7 @@ impl VTuner {
     /// arena (so back-to-back candidate evaluations never re-allocate
     /// coarse-grid scratch).
     pub(crate) fn fresh_ctx(&self) -> ExecCtx {
-        ExecCtx::with_cache(self.opts.exec.clone(), Arc::clone(&self.cache))
+        ExecCtx::with_cache(SimdMode::host(), Arc::clone(&self.cache))
             .with_workspace(Arc::clone(&self.workspace))
             .with_problem(self.opts.problem.clone())
     }
@@ -703,7 +699,7 @@ impl VTuner {
         clock: Instant,
         step: &mut impl FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
     ) -> (Vec<Settle>, Option<f64>) {
-        let exec = &self.opts.exec;
+        let mode = SimdMode::host();
         let timed = self.opts.cost_model.needs_timing();
         let inst = &ask.instances[idx];
         let mut settled = vec![Settle::Dropped; ask.targets.len()];
@@ -717,7 +713,7 @@ impl VTuner {
             return (settled, None);
         }
         let x_opt = inst.x_opt().expect("training instances carry x_opt");
-        let e0 = l2_diff(&inst.x0, x_opt, exec);
+        let e0 = l2_diff(&inst.x0, x_opt, mode);
         let abandon = |settled: &mut [Settle], i: usize, it: u32, ratio: f64| {
             settled[i] = Settle::Abandoned(it, ratio);
             abandoned[idx][i].store(true, Ordering::Relaxed);
@@ -752,14 +748,14 @@ impl VTuner {
             None => x.copy_from(&inst.x0),
             Some(states) => {
                 x.copy_from(&states[idx]);
-                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, mode));
                 settle(&mut pending, 0, ratio, None);
             }
         }
         while !pending.is_empty() && it < cap {
             price = step(inst, &mut x);
             it += 1;
-            ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+            ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, mode));
             settle(&mut pending, it, ratio, price);
         }
         for i in pending {
@@ -777,11 +773,11 @@ pub fn price_ops(profile: &MachineProfile, ops: &OpCounts) -> f64 {
 /// Execute `f` with a counting context and price it.
 pub fn priced_run(
     profile: &MachineProfile,
-    exec: &Exec,
+    mode: SimdMode,
     cache: &Arc<DirectSolverCache>,
     f: impl FnOnce(&mut ExecCtx),
 ) -> (f64, OpCounts) {
-    let mut ctx = ExecCtx::with_cache(exec.clone(), Arc::clone(cache));
+    let mut ctx = ExecCtx::with_cache(mode, Arc::clone(cache));
     f(&mut ctx);
     (profile.time(&ctx.ops), ctx.ops)
 }
@@ -1036,12 +1032,7 @@ mod tests {
     #[test]
     fn measured_mode_runs_and_validates() {
         // Wall-clock tuning on tiny levels (keeps CI fast).
-        let fam = VTuner::new(TunerOptions::measured(
-            3,
-            Distribution::UnbiasedUniform,
-            Exec::seq(),
-        ))
-        .tune();
+        let fam = VTuner::new(TunerOptions::measured(3, Distribution::UnbiasedUniform)).tune();
         fam.validate().unwrap();
         let mut inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 777);
         let report = fam.solve(&mut inst, 1e5);

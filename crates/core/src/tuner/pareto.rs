@@ -20,7 +20,7 @@ use crate::accuracy::{ratio_of_errors, ACC_CAP};
 use crate::cost::{CostModel, OpCounts};
 use crate::plan::ExecCtx;
 use crate::trace::CycleEvent;
-use petamg_grid::{l2_diff, Grid2d};
+use petamg_grid::{l2_diff, Grid2d, SimdMode, Workspace};
 use petamg_solvers::DirectSolverCache;
 use std::sync::Arc;
 
@@ -91,6 +91,9 @@ pub struct ParetoTuner {
     /// Max cycle count probed for recursive candidates.
     pub max_recurse_probe: u32,
     cache: Arc<DirectSolverCache>,
+    /// One scratch arena for every counting context (see
+    /// [`ParetoTuner::ctx`]).
+    workspace: Arc<Workspace>,
 }
 
 impl ParetoTuner {
@@ -102,6 +105,7 @@ impl ParetoTuner {
             max_sor_probe: 512,
             max_recurse_probe: 12,
             cache: Arc::new(DirectSolverCache::new()),
+            workspace: Arc::new(Workspace::new()),
         }
     }
 
@@ -133,6 +137,7 @@ impl ParetoTuner {
     /// `k`, given the sets below.
     fn enumerate_level(&self, k: usize, sets: &[Vec<ParetoAlgo>]) -> Vec<ParetoAlgo> {
         let instances = super::solved_training_set(&self.opts, k, &self.cache);
+        let mode = SimdMode::host();
         let mut out = Vec::new();
 
         // Direct.
@@ -159,14 +164,14 @@ impl ParetoTuner {
         let mut acc_at: Vec<f64> = vec![f64::INFINITY; probes.len()];
         for inst in &instances {
             let x_opt = inst.x_opt().expect("ensured");
-            let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
+            let e0 = l2_diff(&inst.x0, x_opt, mode);
             let mut x = inst.working_grid();
             let mut ctx = self.ctx();
             let mut done = 0u32;
             for (pi, &p) in probes.iter().enumerate() {
                 ctx.sor_solve(k, &mut x, &inst.b, p - done);
                 done = p;
-                let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &self.opts.exec));
+                let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, mode));
                 acc_at[pi] = acc_at[pi].min(ratio);
             }
         }
@@ -186,7 +191,7 @@ impl ParetoTuner {
             let mut acc_per_t: Vec<f64> = vec![f64::INFINITY; self.max_recurse_probe as usize];
             for (ii, inst) in instances.iter().enumerate() {
                 let x_opt = inst.x_opt().expect("ensured");
-                let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
+                let e0 = l2_diff(&inst.x0, x_opt, mode);
                 let mut x = inst.working_grid();
                 let mut ctx = self.ctx();
                 for t in 0..self.max_recurse_probe {
@@ -196,7 +201,7 @@ impl ParetoTuner {
                     if ii == 0 && t == 0 {
                         per_iter = self.profile().time(&ctx.ops);
                     }
-                    let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, &self.opts.exec));
+                    let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, mode));
                     let slot = &mut acc_per_t[t as usize];
                     *slot = slot.min(ratio);
                 }
@@ -215,10 +220,12 @@ impl ParetoTuner {
         out
     }
 
-    /// A counting context over the tuner's factor cache and the posed
-    /// problem.
+    /// A counting context over the tuner's factor cache, its one
+    /// scratch arena and the posed problem (so candidate walks never
+    /// re-allocate coarse-grid scratch, as in `VTuner::fresh_ctx`).
     fn ctx(&self) -> ExecCtx {
-        ExecCtx::with_cache(self.opts.exec.clone(), Arc::clone(&self.cache))
+        ExecCtx::with_cache(SimdMode::host(), Arc::clone(&self.cache))
+            .with_workspace(Arc::clone(&self.workspace))
             .with_problem(self.opts.problem.clone())
     }
 

@@ -14,9 +14,10 @@
 //!   grid,
 //! * the L2 norms used by the accuracy metric.
 //!
-//! Every sweep is a sequential loop over row slices. Its [`Exec`] policy
-//! carries the [`SimdMode`] of the row kernels; a served solve runs on
-//! one service worker, and the service spreads requests across workers.
+//! Every sweep is a sequential loop over row slices and takes the
+//! [`SimdMode`] of its row kernels; [`SimdMode::host`] is the one the
+//! CPU serves. A served solve runs on one service worker, and the
+//! service spreads requests across workers.
 //!
 //! ## The hot path: fused kernels + workspace arena
 //!
@@ -49,34 +50,34 @@
 //!
 //! ```
 //! use petamg_grid::{
-//!     coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdMode, Workspace,
+//!     coarse_size, interpolate_correct, residual_restrict, Grid2d, SimdMode, Workspace,
 //! };
 //!
 //! let n = 17;
 //! let x0 = Grid2d::from_fn(n, |i, j| (i + j) as f64);
 //! let b = Grid2d::from_fn(n, |i, j| (i * j) as f64);
 //! let ws = Workspace::new();
-//! // Force the scalar row kernels.
-//! let exec = Exec::seq().with_simd(SimdMode::Scalar);
+//! // The mode this CPU serves: the vector row kernels when it has an
+//! // ISA vector backend, the scalar ones otherwise.
+//! let host = SimdMode::host();
 //!
 //! let mut x = x0.clone();
 //! let mut coarse_residual = ws.acquire(coarse_size(n));
-//! residual_restrict(&x, &b, &mut coarse_residual, &ws, &exec);
+//! residual_restrict(&x, &b, &mut coarse_residual, &ws, &host);
 //! // (a real cycle would solve A e = r on the coarse grid here)
-//! interpolate_correct(&coarse_residual, &mut x, &exec);
+//! interpolate_correct(&coarse_residual, &mut x, &host);
 //!
 //! // Both SIMD modes produce the same bits.
-//! let vector = Exec::seq().with_simd(SimdMode::Vector);
-//! let mut x_v = x0.clone();
-//! let mut cr_v = ws.acquire(coarse_size(n));
-//! residual_restrict(&x_v, &b, &mut cr_v, &ws, &vector);
-//! interpolate_correct(&cr_v, &mut x_v, &vector);
-//! assert_eq!(x.as_slice(), x_v.as_slice());
+//! let scalar = SimdMode::Scalar;
+//! let mut x_s = x0.clone();
+//! let mut cr_s = ws.acquire(coarse_size(n));
+//! residual_restrict(&x_s, &b, &mut cr_s, &ws, &scalar);
+//! interpolate_correct(&cr_s, &mut x_s, &scalar);
+//! assert_eq!(x.as_slice(), x_s.as_slice());
 //! ```
 
 #![deny(missing_docs)]
 
-mod exec;
 mod grid;
 mod norms;
 mod ops;
@@ -84,7 +85,6 @@ pub mod simd;
 mod transfer;
 mod workspace;
 
-pub use exec::Exec;
 pub use grid::{coarse_size, level_size, size_level, BatchGrid, Grid2d};
 pub use norms::{l2_diff, l2_norm_interior};
 pub use ops::{
@@ -92,6 +92,10 @@ pub use ops::{
     restrict_rows_into, zero_boundary_ring,
 };
 pub use simd::{batch_width, vector_backend, FaceSum, Five, SimdMode};
+
+// Pinned by benchmark/src/{probes,workloads}.rs; delete with ROADMAP 1(i).
+#[doc(hidden)]
+pub type Exec = SimdMode;
 pub use transfer::{
     interpolate_add, interpolate_correct, interpolate_correct_row, interpolate_into,
     restrict_full_weighting, restrict_inject,

@@ -13,7 +13,7 @@
 //! are bitwise identical across scalar/vector modes and across runs.
 
 use crate::simd;
-use crate::{Exec, Grid2d};
+use crate::{Grid2d, SimdMode};
 
 #[inline]
 fn interior_row(g: &Grid2d, i: usize) -> &[f64] {
@@ -22,11 +22,11 @@ fn interior_row(g: &Grid2d, i: usize) -> &[f64] {
 }
 
 /// L2 norm of the interior: `sqrt(Σ g(i,j)²)`.
-pub fn l2_norm_interior(g: &Grid2d, exec: &Exec) -> f64 {
+// `&SimdMode` pinned by benchmark/src/{probes,workloads}.rs; ROADMAP 1(i) makes it by value.
+pub fn l2_norm_interior(g: &Grid2d, mode: &SimdMode) -> f64 {
     let n = g.n();
-    let mode = exec.simd();
     let sum: f64 = (1..n - 1)
-        .map(|i| simd::sum_sq(interior_row(g, i), mode))
+        .map(|i| simd::sum_sq(interior_row(g, i), *mode))
         .sum();
     sum.sqrt()
 }
@@ -35,10 +35,9 @@ pub fn l2_norm_interior(g: &Grid2d, exec: &Exec) -> f64 {
 ///
 /// # Panics
 /// Panics if sizes differ.
-pub fn l2_diff(a: &Grid2d, b: &Grid2d, exec: &Exec) -> f64 {
+pub fn l2_diff(a: &Grid2d, b: &Grid2d, mode: SimdMode) -> f64 {
     assert_eq!(a.n(), b.n(), "size mismatch in l2_diff");
     let n = a.n();
-    let mode = exec.simd();
     let sum: f64 = (1..n - 1)
         .map(|i| simd::sum_sq_diff(interior_row(a, i), interior_row(b, i), mode))
         .sum();
@@ -48,12 +47,11 @@ pub fn l2_diff(a: &Grid2d, b: &Grid2d, exec: &Exec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimdMode;
 
     #[test]
     fn l2_of_ones_is_sqrt_count() {
         let g = Grid2d::from_fn(5, |_, _| 1.0);
-        let norm = l2_norm_interior(&g, &Exec::seq());
+        let norm = l2_norm_interior(&g, &SimdMode::host());
         assert!((norm - 3.0).abs() < 1e-12); // 9 interior points
     }
 
@@ -61,35 +59,33 @@ mod tests {
     fn boundary_is_excluded() {
         let mut g = Grid2d::zeros(5);
         g.set_boundary(|_, _| 1e9);
-        assert_eq!(l2_norm_interior(&g, &Exec::seq()), 0.0);
+        assert_eq!(l2_norm_interior(&g, &SimdMode::host()), 0.0);
     }
 
     #[test]
     fn diff_norms_are_symmetric_and_zero_on_equal() {
         let a = Grid2d::from_fn(9, |i, j| (i * j) as f64);
         let b = Grid2d::from_fn(9, |i, j| (i + j) as f64);
-        let e = Exec::seq();
-        assert_eq!(l2_diff(&a, &a, &e), 0.0);
-        assert!((l2_diff(&a, &b, &e) - l2_diff(&b, &a, &e)).abs() < 1e-12);
+        let mode = SimdMode::host();
+        assert_eq!(l2_diff(&a, &a, mode), 0.0);
+        assert!((l2_diff(&a, &b, mode) - l2_diff(&b, &a, mode)).abs() < 1e-12);
     }
 
     #[test]
     fn scalar_and_vector_norms_are_bitwise_identical() {
         // Both modes run the fixed-lane deterministic tree reduction —
         // results must agree bit for bit at every size (tails 0..=3).
-        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
-        let e_v = Exec::seq().with_simd(SimdMode::Vector);
         for n in [3usize, 4, 5, 6, 7, 9, 17, 33] {
             let a = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 7) % 101) as f64 / 9.0 - 5.0);
             let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 89) % 97) as f64 / 3.0 - 16.0);
             assert_eq!(
-                l2_norm_interior(&a, &e_s).to_bits(),
-                l2_norm_interior(&a, &e_v).to_bits(),
+                l2_norm_interior(&a, &SimdMode::Scalar).to_bits(),
+                l2_norm_interior(&a, &SimdMode::Vector).to_bits(),
                 "l2 n={n}"
             );
             assert_eq!(
-                l2_diff(&a, &b, &e_s).to_bits(),
-                l2_diff(&a, &b, &e_v).to_bits(),
+                l2_diff(&a, &b, SimdMode::Scalar).to_bits(),
+                l2_diff(&a, &b, SimdMode::Vector).to_bits(),
                 "l2_diff n={n}"
             );
         }

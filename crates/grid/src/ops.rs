@@ -18,7 +18,7 @@
 //! unfused results are **bitwise identical** in both [`SimdMode`]s.
 
 use crate::simd::{self, Five, SimdMode, Weight};
-use crate::{coarse_size, Exec, Grid2d, Workspace};
+use crate::{coarse_size, Grid2d, Workspace};
 
 #[allow(clippy::too_many_arguments)]
 impl<W: Weight, D: Weight> Five<W, D> {
@@ -139,8 +139,9 @@ pub(crate) fn apply_operator(x: &Grid2d, out: &mut Grid2d) {
 ///
 /// # Panics
 /// Panics if sizes differ.
-pub fn residual(x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec: &Exec) {
-    residual_with(|_| Five::POISSON, x, b, r, exec);
+// `&SimdMode` pinned by benchmark/src/probes.rs; ROADMAP 1(i) makes it by value.
+pub fn residual(x: &Grid2d, b: &Grid2d, r: &mut Grid2d, mode: &SimdMode) {
+    residual_with(|_| Five::POISSON, x, b, r, *mode);
 }
 
 /// [`residual`] for any five-point operator: `weights(i)` is the
@@ -154,12 +155,11 @@ pub fn residual_with<W: Weight, D: Weight>(
     x: &Grid2d,
     b: &Grid2d,
     r: &mut Grid2d,
-    exec: &Exec,
+    mode: SimdMode,
 ) {
     assert_eq!(x.n(), b.n(), "size mismatch in residual (x vs b)");
     assert_eq!(x.n(), r.n(), "size mismatch in residual (x vs r)");
     let inv_h2 = x.inv_h2();
-    let mode = exec.simd();
     for (i, out_row) in r.interior_rows_mut() {
         weights(i).residual_row_into(
             x.row(i - 1),
@@ -180,7 +180,7 @@ pub fn residual_with<W: Weight, D: Weight>(
 /// the same fixed-lane sum of squares [`crate::l2_norm_interior`] uses,
 /// and the rows are summed in ascending order, as that norm sums them.
 /// So the result is bitwise [`residual_with`] followed by
-/// [`crate::l2_norm_interior`] under the same `exec`, at one traversal
+/// [`crate::l2_norm_interior`] under the same `mode`, at one traversal
 /// of `x` and `b` and no `n²` write.
 ///
 /// # Panics
@@ -190,12 +190,11 @@ pub fn residual_norm_with<W: Weight, D: Weight>(
     x: &Grid2d,
     b: &Grid2d,
     ws: &Workspace,
-    exec: &Exec,
+    mode: SimdMode,
 ) -> f64 {
     assert_eq!(x.n(), b.n(), "size mismatch in residual_norm (x vs b)");
     let n = x.n();
     let inv_h2 = x.inv_h2();
-    let mode = exec.simd();
     let sum: f64 = (1..n - 1)
         .map(|i| {
             // Unzeroed lease: the residual row writes exactly the
@@ -269,21 +268,28 @@ pub fn restrict_rows_into(
 /// once.
 ///
 /// ```
-/// use petamg_grid::{residual_restrict, coarse_size, Exec, Grid2d, Workspace};
+/// use petamg_grid::{residual_restrict, coarse_size, Grid2d, SimdMode, Workspace};
 ///
 /// let n = 9;
 /// let x = Grid2d::from_fn(n, |i, j| (i * j) as f64);
 /// let b = Grid2d::from_fn(n, |_, _| 1.0);
 /// let ws = Workspace::new();
 /// let mut coarse = Grid2d::zeros(coarse_size(n));
-/// residual_restrict(&x, &b, &mut coarse, &ws, &Exec::seq());
+/// residual_restrict(&x, &b, &mut coarse, &ws, &SimdMode::host());
 /// assert_eq!(coarse.at(0, 0), 0.0); // boundary ring is zeroed
 /// ```
 ///
 /// # Panics
 /// Panics if sizes differ or are not a coarse/fine pair.
-pub fn residual_restrict(x: &Grid2d, b: &Grid2d, coarse: &mut Grid2d, ws: &Workspace, exec: &Exec) {
-    residual_restrict_with(|_| Five::POISSON, x, b, coarse, ws, exec);
+// `&SimdMode` pinned by benchmark/src/probes.rs; ROADMAP 1(i) makes it by value.
+pub fn residual_restrict(
+    x: &Grid2d,
+    b: &Grid2d,
+    coarse: &mut Grid2d,
+    ws: &Workspace,
+    mode: &SimdMode,
+) {
+    residual_restrict_with(|_| Five::POISSON, x, b, coarse, ws, *mode);
 }
 
 /// [`residual_restrict`] for any five-point operator: `weights(i)` is
@@ -300,7 +306,7 @@ pub fn residual_restrict_with<W: Weight, D: Weight>(
     b: &Grid2d,
     coarse: &mut Grid2d,
     ws: &Workspace,
-    exec: &Exec,
+    mode: SimdMode,
 ) {
     assert_eq!(x.n(), b.n(), "size mismatch in residual_restrict");
     let n = x.n();
@@ -311,7 +317,6 @@ pub fn residual_restrict_with<W: Weight, D: Weight>(
         "coarse grid size mismatch in residual_restrict"
     );
     let inv_h2 = x.inv_h2();
-    let mode = exec.simd();
 
     // A coarse grid of side 2 has no interior row to restrict into.
     if nc > 2 {
@@ -426,7 +431,7 @@ mod tests {
         });
         let b = Grid2d::from_fn(n, |_, _| -4.0);
         let mut r = Grid2d::from_fn(n, |_, _| 1.0);
-        residual(&u, &b, &mut r, &Exec::seq());
+        residual(&u, &b, &mut r, &SimdMode::host());
         for (i, j) in u.interior() {
             assert!(r.at(i, j).abs() < 1e-8, "r({i},{j}) = {}", r.at(i, j));
         }
@@ -439,7 +444,7 @@ mod tests {
         let mut au = Grid2d::zeros(9);
         let mut r = Grid2d::zeros(9);
         apply_operator(&u, &mut au);
-        residual(&u, &b, &mut r, &Exec::seq());
+        residual(&u, &b, &mut r, &SimdMode::host());
         for (i, j) in u.interior() {
             assert!(
                 (r.at(i, j) - (b.at(i, j) - au.at(i, j))).abs() < 1e-9,
@@ -471,12 +476,12 @@ mod tests {
             let x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
             let b = Grid2d::from_fn(n, |i, j| ((i * 13 + j * 71) % 97) as f64 / 3.0);
             let nc = coarse_size(n);
-            let e = Exec::seq();
+            let e = SimdMode::host();
 
             let mut r = Grid2d::zeros(n);
             residual(&x, &b, &mut r, &e);
             let mut want = Grid2d::zeros(nc);
-            restrict_full_weighting(&r, &mut want, &e);
+            restrict_full_weighting(&r, &mut want, e);
 
             let mut got = Grid2d::from_fn(nc, |_, _| 42.0);
             residual_restrict(&x, &b, &mut got, &ws, &e);
@@ -500,16 +505,15 @@ mod tests {
                 d: simd::FaceSum::new(&w, &e, &e, &w),
             };
             for mode in [crate::SimdMode::Scalar, crate::SimdMode::Vector] {
-                let exec = Exec::seq().with_simd(mode);
                 let mut r = Grid2d::zeros(n);
-                residual(&x, &b, &mut r, &exec);
-                let want = crate::l2_norm_interior(&r, &exec);
-                let got = residual_norm_with(|_| Five::POISSON, &x, &b, &ws, &exec);
-                assert_eq!(got.to_bits(), want.to_bits(), "poisson n={n} {exec:?}");
-                residual_with(face, &x, &b, &mut r, &exec);
-                let want = crate::l2_norm_interior(&r, &exec);
-                let got = residual_norm_with(face, &x, &b, &ws, &exec);
-                assert_eq!(got.to_bits(), want.to_bits(), "face sum n={n} {exec:?}");
+                residual(&x, &b, &mut r, &mode);
+                let want = crate::l2_norm_interior(&r, &mode);
+                let got = residual_norm_with(|_| Five::POISSON, &x, &b, &ws, mode);
+                assert_eq!(got.to_bits(), want.to_bits(), "poisson n={n} {mode:?}");
+                residual_with(face, &x, &b, &mut r, mode);
+                let want = crate::l2_norm_interior(&r, &mode);
+                let got = residual_norm_with(face, &x, &b, &ws, mode);
+                assert_eq!(got.to_bits(), want.to_bits(), "face sum n={n} {mode:?}");
             }
         }
     }
@@ -560,10 +564,10 @@ mod tests {
         let x = Grid2d::from_fn(n, |i, j| (i + j) as f64);
         let b = Grid2d::from_fn(n, |i, j| (i * j) as f64);
         let mut c = Grid2d::zeros(coarse_size(n));
-        residual_restrict(&x, &b, &mut c, &ws, &Exec::seq());
+        residual_restrict(&x, &b, &mut c, &ws, &SimdMode::host());
         let warm = ws.stats().allocations;
         for _ in 0..10 {
-            residual_restrict(&x, &b, &mut c, &ws, &Exec::seq());
+            residual_restrict(&x, &b, &mut c, &ws, &SimdMode::host());
         }
         assert_eq!(
             ws.stats().allocations,

@@ -42,18 +42,18 @@ proptest! {
         alpha in -3.0f64..3.0,
         beta in -3.0f64..3.0,
     ) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut combo = Grid2d::zeros(17);
         for i in 0..17 { for j in 0..17 {
             combo.set(i, j, alpha * a.at(i, j) + beta * b.at(i, j));
         }}
         let mut r_combo = Grid2d::zeros(9);
-        restrict_full_weighting(&combo, &mut r_combo, &e);
+        restrict_full_weighting(&combo, &mut r_combo, e);
 
         let mut ra = Grid2d::zeros(9);
         let mut rb = Grid2d::zeros(9);
-        restrict_full_weighting(&a, &mut ra, &e);
-        restrict_full_weighting(&b, &mut rb, &e);
+        restrict_full_weighting(&a, &mut ra, e);
+        restrict_full_weighting(&b, &mut rb, e);
         for (i, j) in r_combo.interior() {
             let lin = alpha * ra.at(i, j) + beta * rb.at(i, j);
             prop_assert!((r_combo.at(i, j) - lin).abs() < 1e-9,
@@ -68,9 +68,9 @@ proptest! {
         f in zero_boundary_grid(17, 100.0),
         c in zero_boundary_grid(9, 100.0),
     ) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut rf = Grid2d::zeros(9);
-        restrict_full_weighting(&f, &mut rf, &e);
+        restrict_full_weighting(&f, &mut rf, e);
         let mut pc = Grid2d::zeros(17);
         interpolate_into(&c, &mut pc);
         let lhs = dot_interior(&rf, &c);
@@ -84,13 +84,13 @@ proptest! {
     /// center weight. (R·P is *not* the identity — it is a smoother.)
     #[test]
     fn restrict_after_interpolate_preserves_constants(v in -50.0f64..50.0) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut c = Grid2d::zeros(9);
         for (i, j) in c.clone().interior() { c.set(i, j, v); }
         let mut fine = Grid2d::zeros(17);
         interpolate_into(&c, &mut fine);
         let mut back = Grid2d::zeros(9);
-        restrict_full_weighting(&fine, &mut back, &e);
+        restrict_full_weighting(&fine, &mut back, e);
         // Deep interior: the 3x3 fine halo of these coarse points is
         // produced entirely from constant-v coarse points.
         for i in 2..7 { for j in 2..7 {
@@ -103,13 +103,13 @@ proptest! {
     /// 9/16 at its own location and 3/32 at edge neighbors.
     #[test]
     fn restrict_after_interpolate_delta_response(v in 0.5f64..50.0) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut c = Grid2d::zeros(9);
         c.set(4, 4, v);
         let mut fine = Grid2d::zeros(17);
         interpolate_into(&c, &mut fine);
         let mut back = Grid2d::zeros(9);
-        restrict_full_weighting(&fine, &mut back, &e);
+        restrict_full_weighting(&fine, &mut back, e);
         prop_assert!((back.at(4, 4) - 9.0 / 16.0 * v).abs() < 1e-12 * v);
         prop_assert!((back.at(4, 3) - 3.0 / 32.0 * v).abs() < 1e-12 * v);
         prop_assert!((back.at(3, 4) - 3.0 / 32.0 * v).abs() < 1e-12 * v);
@@ -123,7 +123,7 @@ proptest! {
         x2 in any_grid(9, 10.0),
         b in any_grid(9, 10.0),
     ) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let (mut r1, mut r2) = (Grid2d::zeros(9), Grid2d::zeros(9));
         residual(&x1, &b, &mut r1, &e);
         residual(&x2, &b, &mut r2, &e);
@@ -161,7 +161,7 @@ proptest! {
     /// <A u, u> > 0 for u != 0.
     #[test]
     fn operator_positive_definite(u in zero_boundary_grid(9, 10.0)) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         prop_assume!(l2_norm_interior(&u, &e) > 1e-6);
         let mut au = Grid2d::zeros(9);
         apply_operator(&u, &mut au);
@@ -175,12 +175,12 @@ proptest! {
         x in any_grid(17, 100.0),
         b in any_grid(17, 100.0),
     ) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let ws = Workspace::new();
         let mut r = Grid2d::zeros(17);
         residual(&x, &b, &mut r, &e);
         let mut want = Grid2d::zeros(9);
-        restrict_full_weighting(&r, &mut want, &e);
+        restrict_full_weighting(&r, &mut want, e);
 
         let mut got = Grid2d::zeros(9);
         residual_restrict(&x, &b, &mut got, &ws, &e);
@@ -196,20 +196,19 @@ proptest! {
         x in any_grid(33, 100.0),
         b in any_grid(33, 100.0),
     ) {
-        let e = Exec::seq().with_simd(SimdMode::Scalar);
+        let e = SimdMode::Scalar;
         let ws = Workspace::new();
         let mut r = Grid2d::zeros(33);
         residual(&x, &b, &mut r, &e);
         let mut want = Grid2d::zeros(17);
-        restrict_full_weighting(&r, &mut want, &e);
+        restrict_full_weighting(&r, &mut want, e);
         let scale = want.interior().map(|(i, j)| want.at(i, j).abs()).fold(1.0, f64::max);
 
         for mode in [SimdMode::Scalar, SimdMode::Vector] {
-            let exec = Exec::seq().with_simd(mode);
             let mut got = Grid2d::zeros(17);
-            residual_restrict(&x, &b, &mut got, &ws, &exec);
-            let err = l2_diff(&got, &want, &e);
-            prop_assert!(err <= 1e-13 * scale, "{:?}: err {} scale {}", exec, err, scale);
+            residual_restrict(&x, &b, &mut got, &ws, &mode);
+            let err = l2_diff(&got, &want, e);
+            prop_assert!(err <= 1e-13 * scale, "{:?}: err {} scale {}", mode, err, scale);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -221,7 +220,7 @@ proptest! {
         c in zero_boundary_grid(9, 100.0),
         base in any_grid(17, 100.0),
     ) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut want = base.clone();
         interpolate_add(&c, &mut want);
         let mut got = base.clone();
@@ -237,17 +236,16 @@ proptest! {
         c in zero_boundary_grid(17, 100.0),
         base in any_grid(33, 100.0),
     ) {
-        let e = Exec::seq().with_simd(SimdMode::Scalar);
+        let e = SimdMode::Scalar;
         let mut want = base.clone();
         interpolate_add(&c, &mut want);
         let scale = want.interior().map(|(i, j)| want.at(i, j).abs()).fold(1.0, f64::max);
 
         for mode in [SimdMode::Scalar, SimdMode::Vector] {
-            let exec = Exec::seq().with_simd(mode);
             let mut got = base.clone();
-            interpolate_correct(&c, &mut got, &exec);
-            let err = l2_diff(&got, &want, &e);
-            prop_assert!(err <= 1e-13 * scale, "{:?}: err {} scale {}", exec, err, scale);
+            interpolate_correct(&c, &mut got, &mode);
+            let err = l2_diff(&got, &want, e);
+            prop_assert!(err <= 1e-13 * scale, "{:?}: err {} scale {}", mode, err, scale);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -259,7 +257,7 @@ proptest! {
         b in zero_boundary_grid(9, 100.0),
         alpha in -5.0f64..5.0,
     ) {
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let na = l2_norm_interior(&a, &e);
         let nb = l2_norm_interior(&b, &e);
         let mut sum = a.clone();
@@ -349,8 +347,8 @@ proptest! {
         b in any_grid(17, 50.0),
     ) {
         let ws = Workspace::new();
-        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
-        let e_v = Exec::seq().with_simd(SimdMode::Vector);
+        let e_s = SimdMode::Scalar;
+        let e_v = SimdMode::Vector;
 
         let (mut r_s, mut r_v) = (Grid2d::zeros(17), Grid2d::zeros(17));
         residual(&x, &b, &mut r_s, &e_s);
@@ -358,8 +356,8 @@ proptest! {
         prop_assert_eq!(r_s.as_slice(), r_v.as_slice());
 
         let (mut c_s, mut c_v) = (Grid2d::zeros(9), Grid2d::zeros(9));
-        restrict_full_weighting(&r_s, &mut c_s, &e_s);
-        restrict_full_weighting(&r_v, &mut c_v, &e_v);
+        restrict_full_weighting(&r_s, &mut c_s, e_s);
+        restrict_full_weighting(&r_v, &mut c_v, e_v);
         prop_assert_eq!(c_s.as_slice(), c_v.as_slice());
 
         let (mut f_s, mut f_v) = (x.clone(), x.clone());
@@ -373,6 +371,6 @@ proptest! {
         prop_assert_eq!(rr_s.as_slice(), rr_v.as_slice());
 
         // Norms: both modes run the fixed-lane tree — identical bits.
-        prop_assert_eq!(l2_diff(&x, &b, &e_s).to_bits(), l2_diff(&x, &b, &e_v).to_bits());
+        prop_assert_eq!(l2_diff(&x, &b, e_s).to_bits(), l2_diff(&x, &b, e_v).to_bits());
     }
 }

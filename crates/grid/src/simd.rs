@@ -42,12 +42,13 @@
 //!   (by ulps) only from the pre-SIMD sequential fold.
 //!
 //! Because every mode produces identical bits, [`SimdMode`] changes
-//! speed, never answers. `Exec` serves with `Vector` when the CPU has
-//! an ISA vector backend, `Scalar` otherwise; `Scalar` is also the
+//! speed, never answers. [`SimdMode::host`] is `Vector` when the CPU
+//! has an ISA vector backend, `Scalar` otherwise; `Scalar` is also the
 //! oracle the vector = scalar tests compare the vector path against.
 
-/// Which lane path a kernel invocation runs. Carried by `Exec` and
-/// threaded to every row primitive.
+/// Which lane path a kernel invocation runs. Every sweep takes one and
+/// threads it to every row primitive; [`SimdMode::host`] is the one a
+/// served solve runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimdMode {
     /// Classic scalar loops (the reference semantics).
@@ -59,6 +60,23 @@ pub enum SimdMode {
 }
 
 impl SimdMode {
+    /// The mode this CPU serves: `Vector` when it has an ISA vector
+    /// backend ([`vector_backend`] is not `"portable"`), `Scalar`
+    /// otherwise.
+    pub fn host() -> Self {
+        if vector_available() {
+            SimdMode::Vector
+        } else {
+            SimdMode::Scalar
+        }
+    }
+
+    // Pinned by benchmark/src/{probes,workloads}.rs; delete with ROADMAP 1(i).
+    #[doc(hidden)]
+    pub fn seq() -> Self {
+        Self::host()
+    }
+
     /// Short lower-case name (`scalar` / `vector`) for logs and bench
     /// records.
     pub fn name(self) -> &'static str {
@@ -1190,15 +1208,18 @@ mod tests {
     use super::*;
 
     /// A default build, with no cargo feature, serves the AVX2+FMA tier
-    /// on a CPU that has it. Vacuous on other CPUs.
+    /// on a CPU that has it, and the host mode is `Vector` exactly when
+    /// the CPU has an ISA vector backend.
     #[test]
     fn a_featureless_build_serves_the_avx2_tier() {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
             assert_eq!(vector_backend(), "avx2+fma");
-            assert_eq!(crate::Exec::seq().simd(), SimdMode::Vector);
+            assert_eq!(SimdMode::host(), SimdMode::Vector);
         }
+        assert_eq!(SimdMode::host() == SimdMode::Vector, vector_available());
+        assert_eq!(SimdMode::seq(), SimdMode::host());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   expression.
 
 use crate::simd::{self, SimdMode};
-use crate::{coarse_size, restrict_rows_into, zero_boundary_ring, Exec, Grid2d};
+use crate::{coarse_size, restrict_rows_into, zero_boundary_ring, Grid2d};
 
 /// Full-weighting restriction of `fine` into `coarse` (overwrite):
 ///
@@ -31,7 +31,7 @@ use crate::{coarse_size, restrict_rows_into, zero_boundary_ring, Exec, Grid2d};
 ///
 /// # Panics
 /// Panics if `coarse.n() != (fine.n()-1)/2 + 1`.
-pub fn restrict_full_weighting(fine: &Grid2d, coarse: &mut Grid2d, exec: &Exec) {
+pub fn restrict_full_weighting(fine: &Grid2d, coarse: &mut Grid2d, mode: SimdMode) {
     let nc = coarse.n();
     let nf = fine.n();
     assert_eq!(
@@ -39,7 +39,6 @@ pub fn restrict_full_weighting(fine: &Grid2d, coarse: &mut Grid2d, exec: &Exec) 
         coarse_size(nf),
         "coarse grid size mismatch in restriction"
     );
-    let mode = exec.simd();
     for (ic, crow) in coarse.interior_rows_mut() {
         let fi = 2 * ic;
         // The shared full-weighting row primitive defines the weight
@@ -177,14 +176,14 @@ pub fn interpolate_correct_row(fi: usize, cs: &[f64], nc: usize, frow: &mut [f64
 ///
 /// # Panics
 /// Panics if sizes are not a coarse/fine pair.
-pub fn interpolate_correct(coarse: &Grid2d, fine: &mut Grid2d, exec: &Exec) {
+// `&SimdMode` pinned by benchmark/src/probes.rs; ROADMAP 1(i) makes it by value.
+pub fn interpolate_correct(coarse: &Grid2d, fine: &mut Grid2d, mode: &SimdMode) {
     let nf = fine.n();
     let nc = coarse.n();
     assert_eq!(nc, coarse_size(nf), "grid size mismatch in interpolation");
     let cs = coarse.as_slice();
-    let mode = exec.simd();
     for (fi, frow) in fine.interior_rows_mut() {
-        interpolate_correct_row(fi, cs, nc, frow, mode);
+        interpolate_correct_row(fi, cs, nc, frow, *mode);
     }
 }
 
@@ -196,7 +195,7 @@ mod tests {
     fn restriction_of_constant_is_constant() {
         let fine = Grid2d::from_fn(9, |_, _| 3.0);
         let mut coarse = Grid2d::zeros(5);
-        restrict_full_weighting(&fine, &mut coarse, &Exec::seq());
+        restrict_full_weighting(&fine, &mut coarse, SimdMode::host());
         for (i, j) in coarse.interior() {
             assert!((coarse.at(i, j) - 3.0).abs() < 1e-12);
         }
@@ -209,14 +208,14 @@ mod tests {
         let mut fine = Grid2d::zeros(9);
         fine.set(4, 4, 16.0);
         let mut coarse = Grid2d::zeros(5);
-        restrict_full_weighting(&fine, &mut coarse, &Exec::seq());
+        restrict_full_weighting(&fine, &mut coarse, SimdMode::host());
         assert!((coarse.at(2, 2) - 4.0).abs() < 1e-12);
         // Delta at an edge-midpoint fine point -> weight 2/16 to the two
         // adjacent coarse points.
         let mut fine = Grid2d::zeros(9);
         fine.set(4, 3, 16.0);
         let mut coarse = Grid2d::zeros(5);
-        restrict_full_weighting(&fine, &mut coarse, &Exec::seq());
+        restrict_full_weighting(&fine, &mut coarse, SimdMode::host());
         assert!((coarse.at(2, 1) - 2.0).abs() < 1e-12);
         assert!((coarse.at(2, 2) - 2.0).abs() < 1e-12);
     }
@@ -274,7 +273,7 @@ mod tests {
         for (nc, nf) in [(3usize, 5usize), (5, 9), (9, 17), (17, 33)] {
             let coarse = Grid2d::from_fn(nc, |i, j| ((i * 31 + j * 7) % 13) as f64 / 3.0 - 2.0);
             let base = Grid2d::from_fn(nf, |i, j| ((i * 17 + j * 5) % 11) as f64 - 5.0);
-            let e = Exec::seq();
+            let e = SimdMode::host();
 
             let mut want = base.clone();
             interpolate_add(&coarse, &mut want);
@@ -289,6 +288,6 @@ mod tests {
     fn restriction_size_mismatch_panics() {
         let fine = Grid2d::zeros(9);
         let mut coarse = Grid2d::zeros(7);
-        restrict_full_weighting(&fine, &mut coarse, &Exec::seq());
+        restrict_full_weighting(&fine, &mut coarse, SimdMode::host());
     }
 }

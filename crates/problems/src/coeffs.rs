@@ -393,7 +393,7 @@ mod tests {
     #[test]
     fn face_sum_residual_matches_the_stored_diagonal_oracle() {
         use crate::{residual_op, StencilOp};
-        use petamg_grid::{Exec, Grid2d, SimdMode};
+        use petamg_grid::{Grid2d, SimdMode};
         use std::sync::Arc;
 
         for n in [3usize, 5, 6, 7, 9, 17, 33] {
@@ -405,7 +405,7 @@ mod tests {
                 let op = StencilOp::Var(Arc::clone(&cf));
                 for mode in [SimdMode::Scalar, SimdMode::Vector] {
                     let mut r = Grid2d::from_fn(n, |_, _| 9.0);
-                    residual_op(&op, &x, &b, &mut r, &Exec::seq().with_simd(mode));
+                    residual_op(&op, &x, &b, &mut r, &mode);
                     for (i, j) in x.interior() {
                         let u = i * n + j;
                         let (w, e, nn, s) = (cf.e[u], cf.e[u + 1], cf.s[u], cf.s[u + n]);

@@ -142,7 +142,7 @@ mod tests {
     use super::*;
     use crate::kernels::residual_op;
     use crate::Problem;
-    use petamg_grid::{l2_norm_interior, Exec};
+    use petamg_grid::{l2_norm_interior, SimdMode};
     use petamg_linalg::assemble_poisson_band;
 
     #[test]
@@ -187,7 +187,7 @@ mod tests {
             solver.solve(&mut x, &b);
             let mut diff = x.clone();
             diff.axpy(-1.0, &exact);
-            let err = l2_norm_interior(&diff, &Exec::seq());
+            let err = l2_norm_interior(&diff, &SimdMode::host());
             assert!(err < 1e-9, "n={n}: err={err}");
         }
     }
@@ -209,7 +209,7 @@ mod tests {
     fn every_family_factors_and_solves_to_zero_residual() {
         // Bandwidths 15, 31 and 63: below, across and well beyond one
         // 8-lane chunk and one 4-column block of the band kernels.
-        let e = Exec::seq();
+        let e = SimdMode::host();
         for n in [17, 33, 65] {
             for p in [
                 Problem::poisson(),

@@ -14,7 +14,7 @@
 
 use crate::op::{with_weights, StencilOp};
 use petamg_grid::{
-    residual_norm_with, residual_restrict_with, residual_with, Exec, Grid2d, Workspace,
+    residual_norm_with, residual_restrict_with, residual_with, Grid2d, SimdMode, Workspace,
 };
 
 /// `out = A x` on the interior for operator `op`; `out`'s boundary ring
@@ -51,17 +51,18 @@ pub(crate) fn apply_operator_op(op: &StencilOp, x: &Grid2d, out: &mut Grid2d) {
 ///
 /// # Panics
 /// Panics if sizes differ or the operator is bound to another size.
-pub fn residual_op(op: &StencilOp, x: &Grid2d, b: &Grid2d, r: &mut Grid2d, exec: &Exec) {
+// `&SimdMode` pinned by benchmark/src/{probes,workloads}.rs; ROADMAP 1(i) makes it by value.
+pub fn residual_op(op: &StencilOp, x: &Grid2d, b: &Grid2d, r: &mut Grid2d, mode: &SimdMode) {
     op.assert_n(x.n());
     with_weights!(op, residual, |weights| residual_with(
-        weights, x, b, r, exec
+        weights, x, b, r, *mode
     ))
 }
 
 /// `‖b − A x‖₂` over the interior for operator `op`, without a
 /// residual grid (each row goes through a buffer leased from `ws`).
 /// Bitwise [`residual_op`] followed by
-/// [`petamg_grid::l2_norm_interior`] under the same `exec`.
+/// [`petamg_grid::l2_norm_interior`] under the same `mode`.
 ///
 /// # Panics
 /// Panics if sizes differ or the operator is bound to another size.
@@ -70,11 +71,11 @@ pub fn residual_norm_op(
     x: &Grid2d,
     b: &Grid2d,
     ws: &Workspace,
-    exec: &Exec,
+    mode: SimdMode,
 ) -> f64 {
     op.assert_n(x.n());
     with_weights!(op, residual, |weights| residual_norm_with(
-        weights, x, b, ws, exec
+        weights, x, b, ws, mode
     ))
 }
 
@@ -96,11 +97,11 @@ pub fn residual_restrict_op(
     b: &Grid2d,
     coarse: &mut Grid2d,
     ws: &Workspace,
-    exec: &Exec,
+    mode: SimdMode,
 ) {
     op.assert_n(x.n());
     with_weights!(op, residual, |weights| residual_restrict_with(
-        weights, x, b, coarse, ws, exec
+        weights, x, b, coarse, ws, mode
     ))
 }
 
@@ -119,7 +120,7 @@ mod tests {
     #[test]
     fn poisson_op_residual_bitwise_equals_grid_kernel() {
         let (x, b) = test_grids(33);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut want = Grid2d::zeros(33);
         residual(&x, &b, &mut want, &e);
         let mut got = Grid2d::from_fn(33, |_, _| 9.0);
@@ -131,11 +132,11 @@ mod tests {
     fn poisson_op_fused_bitwise_equals_grid_fused() {
         let ws = Workspace::new();
         let (x, b) = test_grids(33);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut want = Grid2d::zeros(17);
         residual_restrict(&x, &b, &mut want, &ws, &e);
         let mut got = Grid2d::from_fn(17, |_, _| 3.0);
-        residual_restrict_op(&StencilOp::Poisson, &x, &b, &mut got, &ws, &e);
+        residual_restrict_op(&StencilOp::Poisson, &x, &b, &mut got, &ws, e);
         assert_eq!(got.as_slice(), want.as_slice());
     }
 
@@ -152,16 +153,15 @@ mod tests {
         ];
         for p in &problems {
             let op = p.op_for(n);
-            let e = Exec::seq();
+            let e = SimdMode::host();
             let mut r = Grid2d::zeros(n);
             residual_op(&op, &x, &b, &mut r, &e);
             let mut want = Grid2d::zeros(17);
-            restrict_full_weighting(&r, &mut want, &e);
+            restrict_full_weighting(&r, &mut want, e);
             for mode in [SimdMode::Scalar, SimdMode::Vector] {
-                let exec = Exec::seq().with_simd(mode);
                 let mut got = Grid2d::from_fn(17, |_, _| 1.5);
-                residual_restrict_op(&op, &x, &b, &mut got, &ws, &exec);
-                assert_eq!(got.as_slice(), want.as_slice(), "{} {exec:?}", p.describe());
+                residual_restrict_op(&op, &x, &b, &mut got, &ws, mode);
+                assert_eq!(got.as_slice(), want.as_slice(), "{} {mode:?}", p.describe());
             }
         }
     }
@@ -191,15 +191,14 @@ mod tests {
             ];
             for op in &ops {
                 for mode in [SimdMode::Scalar, SimdMode::Vector] {
-                    let exec = Exec::seq().with_simd(mode);
                     let mut r = Grid2d::zeros(n);
-                    residual_op(op, &x, &b, &mut r, &exec);
-                    let want = l2_norm_interior(&r, &exec);
-                    let got = residual_norm_op(op, &x, &b, &ws, &exec);
+                    residual_op(op, &x, &b, &mut r, &mode);
+                    let want = l2_norm_interior(&r, &mode);
+                    let got = residual_norm_op(op, &x, &b, &ws, mode);
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
-                        "{} n={n} {exec:?}",
+                        "{} n={n} {mode:?}",
                         op.describe()
                     );
                 }
@@ -212,7 +211,7 @@ mod tests {
         // r = b − A x  ⇒  A x = b − r, for every family.
         let n = 17;
         let (x, b) = test_grids(n);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         for p in [
             Problem::poisson(),
             Problem::anisotropic(0.25),

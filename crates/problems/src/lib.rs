@@ -35,8 +35,8 @@
 //!
 //! With `a ≡ 1` the variable-coefficient kernels and the anisotropic
 //! kernels with unit weights produce **bitwise identical** results to
-//! the Poisson kernels, in both [`SimdMode`](petamg_grid::SimdMode)s,
-//! under every execution backend — property-tested in this crate. That
+//! the Poisson kernels, in both [`SimdMode`](petamg_grid::SimdMode)s —
+//! property-tested in this crate. That
 //! pins the whole operator family to the Poisson stack's established
 //! conformance story: fused == staged == scalar == vector, bit for
 //! bit, per operator.

@@ -15,7 +15,7 @@ use crate::coeffs::{coarsen_vertex_field, StencilCoeffs};
 use crate::kernels::{residual_op, residual_restrict_op};
 use crate::op::StencilOp;
 use crate::Problem;
-use petamg_grid::{restrict_full_weighting, Exec, Grid2d, SimdMode, Workspace};
+use petamg_grid::{restrict_full_weighting, Grid2d, SimdMode, Workspace};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -28,10 +28,6 @@ fn any_grid(n: usize, scale: f64) -> impl Strategy<Value = Grid2d> {
 /// three orders of magnitude.
 fn coeff_field(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05f64..50.0, n * n)
-}
-
-fn exec(mode: SimdMode) -> Exec {
-    Exec::seq().with_simd(mode)
 }
 
 /// One full red/black SOR sweep driven row-by-row through
@@ -114,15 +110,13 @@ proptest! {
                 (constant_a, vec![var_a]),
             ];
             for mode in [SimdMode::Scalar, SimdMode::Vector] {
-                let e = exec(mode);
-                let mode = e.simd();
                 for (reference, twins) in &groups {
                     for op in twins {
                         // Residual.
                         let mut r_ref = Grid2d::zeros(n);
-                        residual_op(reference, &x, &b, &mut r_ref, &e);
+                        residual_op(reference, &x, &b, &mut r_ref, &mode);
                         let mut r_op = Grid2d::from_fn(n, |_, _| 7.0);
-                        residual_op(op, &x, &b, &mut r_op, &e);
+                        residual_op(op, &x, &b, &mut r_op, &mode);
                         prop_assert_eq!(r_op.as_slice(), r_ref.as_slice());
 
                         // SOR (two sweeps to mix colors and rows).
@@ -159,9 +153,9 @@ proptest! {
 
         for op in [var, aniso] {
             let mut r_s = Grid2d::zeros(n);
-            residual_op(&op, &x, &b, &mut r_s, &exec(SimdMode::Scalar));
+            residual_op(&op, &x, &b, &mut r_s, &SimdMode::Scalar);
             let mut r_v = Grid2d::zeros(n);
-            residual_op(&op, &x, &b, &mut r_v, &exec(SimdMode::Vector));
+            residual_op(&op, &x, &b, &mut r_v, &SimdMode::Vector);
             prop_assert_eq!(r_s.as_slice(), r_v.as_slice());
 
             let mut x_s = x.clone();
@@ -185,13 +179,12 @@ proptest! {
         let ws = Workspace::new();
         let op = StencilOp::Var(Arc::new(StencilCoeffs::from_vertex_field(n, &field)));
         for mode in [SimdMode::Scalar, SimdMode::Vector] {
-            let e = exec(mode);
             let mut r = Grid2d::zeros(n);
-            residual_op(&op, &x, &b, &mut r, &e);
+            residual_op(&op, &x, &b, &mut r, &mode);
             let mut want = Grid2d::zeros(9);
-            restrict_full_weighting(&r, &mut want, &e);
+            restrict_full_weighting(&r, &mut want, mode);
             let mut got = Grid2d::from_fn(9, |_, _| 4.5);
-            residual_restrict_op(&op, &x, &b, &mut got, &ws, &e);
+            residual_restrict_op(&op, &x, &b, &mut got, &ws, mode);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }

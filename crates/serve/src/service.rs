@@ -34,7 +34,7 @@ use petamg_core::plan::{simple_v_family, TunedFamily, PAPER_ACCURACIES};
 use petamg_core::telemetry::{rung_label, SolveTelemetry};
 use petamg_core::training::Distribution;
 use petamg_core::tuner::{TunerOptions, VTuner};
-use petamg_grid::{size_level, Exec, Grid2d, Workspace, WorkspaceStats};
+use petamg_grid::{size_level, Grid2d, Workspace, WorkspaceStats};
 use petamg_obs::{self as obs, Counter, Gauge, Registry, TelemetrySnapshot};
 use petamg_problems::Problem;
 use petamg_runtime::{FlightGuard, Parked, ParkedJob, ThreadPool};
@@ -59,9 +59,8 @@ pub enum TunePolicy {
     /// its training instances to any idle worker, so the workers a
     /// flight's parked followers left free help with its tune.
     /// Expensive — a level-10 (n = 1025) tune on smooth variable
-    /// coefficients takes ≈ 3.5–4 s on one worker and ≈ 2.2–2.7 s on a
-    /// 2-worker serving pool, on a 2-core x86_64 Xeon — but produces a
-    /// genuinely tuned plan.
+    /// coefficients takes seconds, and less on a pool with idle
+    /// workers — but produces a genuinely tuned plan.
     QuickTune,
     /// Caller-supplied tuner. The returned family's fingerprint is
     /// re-stamped by the service, so hand-built families work as-is.
@@ -90,16 +89,15 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// In-memory plan cache bound (disk backs evictions).
     pub library_capacity: usize,
-    /// Execution policy inside a single solve. Defaults to sequential:
-    /// the service parallelizes across requests, not within one.
-    pub exec: Exec,
     /// What to do on a fingerprint miss.
     pub tuning: TunePolicy,
 }
 
 impl ServiceConfig {
-    /// Defaults: 4 workers, 64-deep queue, sequential per-request
-    /// execution, heuristic tuning. Every request runs under the
+    /// Defaults: 4 workers, 64-deep queue, heuristic tuning. Each
+    /// request runs sequentially on one worker, on the host's
+    /// [`SimdMode`](petamg_grid::SimdMode); the service spreads
+    /// requests across workers. Every request runs under the
     /// guard's one fixed policy, and the direct rung's factor cache
     /// holds [`petamg_solvers::DEFAULT_FACTOR_CAPACITY`] factors.
     pub fn new(plan_dir: impl Into<PathBuf>) -> Self {
@@ -108,7 +106,6 @@ impl ServiceConfig {
             workers: 4,
             queue_capacity: 64,
             library_capacity: crate::library::DEFAULT_LIBRARY_CAPACITY,
-            exec: Exec::seq(),
             tuning: TunePolicy::Heuristic,
         }
     }
@@ -128,12 +125,6 @@ impl ServiceConfig {
     /// Set the in-memory plan cache bound.
     pub fn with_library_capacity(mut self, capacity: usize) -> Self {
         self.library_capacity = capacity.max(1);
-        self
-    }
-
-    /// Set the per-solve execution policy.
-    pub fn with_exec(mut self, exec: Exec) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -393,7 +384,6 @@ struct Inner {
     /// Arena for the (never expected) case of a request handled off
     /// the pool.
     fallback_arena: Arc<Workspace>,
-    exec: Exec,
     tuning: TunePolicy,
     queue_capacity: usize,
     /// Submitted-but-unfinished request count, guarded by a mutex so
@@ -427,7 +417,6 @@ impl Inner {
             _ => Arc::clone(&self.fallback_arena),
         };
         let solver = GuardedSolver::new(problem)
-            .with_exec(self.exec.clone())
             .with_cache(Arc::clone(&self.cache))
             .with_workspace(workspace)
             .with_telemetry(Arc::clone(&self.solve_telemetry));
@@ -492,7 +481,6 @@ impl SolverService {
             cache: Arc::new(DirectSolverCache::new()),
             arenas: (0..workers).map(|_| Arc::new(Workspace::new())).collect(),
             fallback_arena: Arc::new(Workspace::new()),
-            exec: cfg.exec,
             tuning: cfg.tuning,
             queue_capacity: cfg.queue_capacity.max(1),
             in_flight: Mutex::new(0),

@@ -59,7 +59,7 @@
 
 use petamg_grid::{
     coarse_size, interpolate_correct, interpolate_correct_row, restrict_rows_into,
-    zero_boundary_ring, Exec, Grid2d, SimdMode, Workspace,
+    zero_boundary_ring, Grid2d, SimdMode, Workspace,
 };
 use petamg_problems::{residual_restrict_op, StencilOp};
 
@@ -183,7 +183,7 @@ fn wavefront(
 /// (its three-row window).
 ///
 /// ```
-/// use petamg_grid::{Exec, Grid2d, Workspace};
+/// use petamg_grid::{Grid2d, SimdMode, Workspace};
 /// use petamg_problems::StencilOp;
 /// use petamg_solvers::{fused::cycle_edge, relax::sor_sweeps};
 ///
@@ -192,8 +192,8 @@ fn wavefront(
 /// let mut staged = blocked.clone();
 /// let ws = Workspace::new();
 /// let poisson = StencilOp::Poisson;
-/// cycle_edge(&poisson, None, &mut blocked, &b, None, 1.15, 3, &ws, &Exec::seq());
-/// sor_sweeps(&mut staged, &b, 1.15, 3, &Exec::seq());
+/// cycle_edge(&poisson, None, &mut blocked, &b, None, 1.15, 3, &ws, SimdMode::host());
+/// sor_sweeps(&mut staged, &b, 1.15, 3, SimdMode::host());
 /// assert_eq!(blocked.as_slice(), staged.as_slice());
 /// ```
 ///
@@ -210,7 +210,7 @@ pub fn cycle_edge(
     omega: f64,
     sweeps: usize,
     ws: &Workspace,
-    exec: &Exec,
+    mode: SimdMode,
 ) {
     assert_eq!(x.n(), b.n(), "size mismatch in cycle_edge");
     op.assert_n(x.n());
@@ -219,14 +219,14 @@ pub fn cycle_edge(
         assert_eq!(nc, coarse_size(x.n()), "coarse size mismatch in cycle_edge");
     }
     if sweeps > 0 {
-        wavefront(op, correction, x, b, coarse, omega, sweeps, ws, exec.simd());
+        wavefront(op, correction, x, b, coarse, omega, sweeps, ws, mode);
         return;
     }
     if let Some(correction) = correction {
-        interpolate_correct(correction, x, exec);
+        interpolate_correct(correction, x, &mode);
     }
     if let Some(coarse) = coarse {
-        residual_restrict_op(op, x, b, coarse, ws, exec);
+        residual_restrict_op(op, x, b, coarse, ws, mode);
     }
 }
 
@@ -239,10 +239,10 @@ pub fn relax_residual_restrict(
     omega: f64,
     sweeps: usize,
     ws: &Workspace,
-    exec: &Exec,
+    mode: &SimdMode,
 ) {
     let poisson = &StencilOp::Poisson;
-    cycle_edge(poisson, None, x, b, Some(coarse), omega, sweeps, ws, exec);
+    cycle_edge(poisson, None, x, b, Some(coarse), omega, sweeps, ws, *mode);
 }
 
 // Pinned by `benchmark/src/probes.rs` (`solvers.interpolate_correct_relax_us.*`); delete with ROADMAP 1(i).
@@ -254,10 +254,10 @@ pub fn interpolate_correct_relax(
     omega: f64,
     sweeps: usize,
     ws: &Workspace,
-    exec: &Exec,
+    mode: &SimdMode,
 ) {
     let poisson = &StencilOp::Poisson;
-    cycle_edge(poisson, Some(coarse), x, b, None, omega, sweeps, ws, exec);
+    cycle_edge(poisson, Some(coarse), x, b, None, omega, sweeps, ws, *mode);
 }
 
 #[cfg(test)]
@@ -293,11 +293,6 @@ mod tests {
         [StencilOp::Poisson, StencilOp::Var(Arc::new(var))]
     }
 
-    /// The sequential executor in both SIMD modes.
-    fn modes() -> [Exec; 2] {
-        [SimdMode::Scalar, SimdMode::Vector].map(|mode| Exec::seq().with_simd(mode))
-    }
-
     /// Every shape of the edge — with or without a correction, with or
     /// without a restriction, at every depth — equals its staged
     /// composition bit for bit, for Poisson and a variable-coefficient
@@ -305,7 +300,7 @@ mod tests {
     #[test]
     fn every_edge_shape_bitwise_equals_its_staged_composition() {
         let ws = Workspace::new();
-        let seq = Exec::seq();
+        let seq = SimdMode::host();
         for n in [5usize, 9, 17, 33] {
             let nc = coarse_size(n);
             let (x0, b) = test_problem(n);
@@ -325,17 +320,17 @@ mod tests {
                     }
                     let mut c_want = Grid2d::from_fn(nc, |_, _| 42.0);
                     if restricts {
-                        residual_restrict_op(&op, &x_want, &b, &mut c_want, &ws, &seq);
+                        residual_restrict_op(&op, &x_want, &b, &mut c_want, &ws, seq);
                     }
-                    for exec in modes() {
+                    for mode in [SimdMode::Scalar, SimdMode::Vector] {
                         let mut x_got = x0.clone();
                         let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
                         let coarse = restricts.then_some(&mut c_got);
                         cycle_edge(
-                            &op, correction, &mut x_got, &b, coarse, 1.15, sweeps, &ws, &exec,
+                            &op, correction, &mut x_got, &b, coarse, 1.15, sweeps, &ws, mode,
                         );
                         let case = format!(
-                            "{} n={n} corrects={} restricts={restricts} sweeps={sweeps} {exec:?}",
+                            "{} n={n} corrects={} restricts={restricts} sweeps={sweeps} {mode:?}",
                             op.describe(),
                             correction.is_some()
                         );
@@ -353,7 +348,7 @@ mod tests {
     #[test]
     fn fused_step_boundary_bitwise_equal_post_then_pre_edge() {
         let ws = Workspace::new();
-        let seq = Exec::seq();
+        let seq = SimdMode::host();
         for n in [5usize, 9, 17, 33] {
             let nc = coarse_size(n);
             let correction = test_correction(nc);
@@ -371,7 +366,7 @@ mod tests {
                         1.15,
                         post,
                         &ws,
-                        &seq,
+                        seq,
                     );
                     cycle_edge(
                         &op,
@@ -382,10 +377,10 @@ mod tests {
                         1.15,
                         pre,
                         &ws,
-                        &seq,
+                        seq,
                     );
 
-                    for exec in modes() {
+                    for mode in [SimdMode::Scalar, SimdMode::Vector] {
                         let mut x_got = x0.clone();
                         let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
                         cycle_edge(
@@ -397,10 +392,10 @@ mod tests {
                             1.15,
                             post + pre,
                             &ws,
-                            &exec,
+                            mode,
                         );
                         let case =
-                            format!("{} n={n} post={post} pre={pre} {exec:?}", op.describe());
+                            format!("{} n={n} post={post} pre={pre} {mode:?}", op.describe());
                         assert_eq!(x_got.as_slice(), x_want.as_slice(), "x: {case}");
                         assert_eq!(c_got.as_slice(), c_want.as_slice(), "coarse: {case}");
                     }
@@ -418,15 +413,15 @@ mod tests {
         let nc = coarse_size(n);
         let (x0, b) = test_problem(n);
         let mut x_ref = x0.clone();
-        sor_sweep(&mut x_ref, &b, 1.15, &Exec::seq());
+        sor_sweep(&mut x_ref, &b, 1.15, &SimdMode::host());
         let mut r = Grid2d::zeros(n);
-        petamg_grid::residual(&x_ref, &b, &mut r, &Exec::seq());
+        petamg_grid::residual(&x_ref, &b, &mut r, &SimdMode::host());
         let mut c_ref = Grid2d::zeros(nc);
-        restrict_full_weighting(&r, &mut c_ref, &Exec::seq());
+        restrict_full_weighting(&r, &mut c_ref, SimdMode::host());
 
         let mut x = x0.clone();
         let mut c = Grid2d::zeros(nc);
-        relax_residual_restrict(&mut x, &b, &mut c, 1.15, 1, &ws, &Exec::seq());
+        relax_residual_restrict(&mut x, &b, &mut c, 1.15, 1, &ws, &SimdMode::host());
         assert_eq!(x.as_slice(), x_ref.as_slice());
         assert_eq!(c.as_slice(), c_ref.as_slice());
     }
@@ -435,7 +430,7 @@ mod tests {
     fn boundary_rows_never_modified() {
         let ws = Workspace::new();
         let (x0, b) = test_problem(17);
-        for exec in modes() {
+        for mode in [SimdMode::Scalar, SimdMode::Vector] {
             let mut x = x0.clone();
             cycle_edge(
                 &StencilOp::Poisson,
@@ -446,12 +441,12 @@ mod tests {
                 1.3,
                 2,
                 &ws,
-                &exec,
+                mode,
             );
             for k in 0..17 {
                 for edge in [0usize, 16] {
-                    assert_eq!(x.at(edge, k), x0.at(edge, k), "{exec:?}");
-                    assert_eq!(x.at(k, edge), x0.at(k, edge), "{exec:?}");
+                    assert_eq!(x.at(edge, k), x0.at(edge, k), "{mode:?}");
+                    assert_eq!(x.at(k, edge), x0.at(k, edge), "{mode:?}");
                 }
             }
         }
@@ -461,7 +456,7 @@ mod tests {
     fn steady_state_blocked_sweeps_allocate_nothing() {
         let ws = Workspace::new();
         let (x0, b) = test_problem(33);
-        let exec = Exec::seq();
+        let mode = SimdMode::host();
         let mut x = x0.clone();
         cycle_edge(
             &StencilOp::Poisson,
@@ -472,7 +467,7 @@ mod tests {
             1.15,
             2,
             &ws,
-            &exec,
+            mode,
         );
         let warm = ws.stats().allocations;
         for _ in 0..5 {
@@ -485,7 +480,7 @@ mod tests {
                 1.15,
                 2,
                 &ws,
-                &exec,
+                mode,
             );
         }
         assert_eq!(

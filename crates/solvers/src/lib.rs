@@ -17,8 +17,9 @@
 //! * [`direct`] — the band-Cholesky factor cache;
 //! * [`guard`] — the per-cycle solve guard.
 //!
-//! Every sweep takes an `Exec` (sequential; it carries the SIMD mode of
-//! the row kernels) and is deterministic for a fixed mode.
+//! Every sweep runs sequentially, takes the
+//! [`SimdMode`](petamg_grid::SimdMode) of its row kernels and gives the
+//! same bits in either mode.
 
 #![deny(missing_docs)]
 

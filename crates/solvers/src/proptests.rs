@@ -5,7 +5,7 @@
 use crate::fused::{cycle_edge, interpolate_correct_relax, relax_residual_restrict};
 use crate::relax::sor_sweeps;
 use petamg_grid::{
-    coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdMode, Workspace,
+    coarse_size, interpolate_correct, residual_restrict, Grid2d, SimdMode, Workspace,
 };
 use petamg_problems::StencilOp;
 use proptest::prelude::*;
@@ -24,11 +24,6 @@ fn correction_grid(nc: usize, scale: f64) -> impl Strategy<Value = Grid2d> {
     })
 }
 
-/// The sequential executor in both SIMD modes.
-fn modes() -> [Exec; 2] {
-    [SimdMode::Scalar, SimdMode::Vector].map(|mode| Exec::seq().with_simd(mode))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -42,10 +37,10 @@ proptest! {
     ) {
         let ws = Workspace::new();
         let mut want = x.clone();
-        sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
-        for exec in modes() {
+        sor_sweeps(&mut want, &b, 1.15, sweeps, SimdMode::host());
+        for mode in [SimdMode::Scalar, SimdMode::Vector] {
             let mut got = x.clone();
-            cycle_edge(&StencilOp::Poisson, None, &mut got, &b, None, 1.15, sweeps, &ws, &exec);
+            cycle_edge(&StencilOp::Poisson, None, &mut got, &b, None, 1.15, sweeps, &ws, mode);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -61,14 +56,14 @@ proptest! {
         let ws = Workspace::new();
         let nc = coarse_size(17);
         let mut x_want = x.clone();
-        sor_sweeps(&mut x_want, &b, 1.15, sweeps, &Exec::seq());
+        sor_sweeps(&mut x_want, &b, 1.15, sweeps, SimdMode::host());
         let mut c_want = Grid2d::zeros(nc);
-        residual_restrict(&x_want, &b, &mut c_want, &ws, &Exec::seq());
+        residual_restrict(&x_want, &b, &mut c_want, &ws, &SimdMode::host());
 
-        for exec in modes() {
+        for mode in [SimdMode::Scalar, SimdMode::Vector] {
             let mut x_got = x.clone();
             let mut c_got = Grid2d::zeros(nc);
-            relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec);
+            relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &mode);
             prop_assert_eq!(x_got.as_slice(), x_want.as_slice());
             prop_assert_eq!(c_got.as_slice(), c_want.as_slice());
         }
@@ -85,12 +80,12 @@ proptest! {
     ) {
         let ws = Workspace::new();
         let mut want = x.clone();
-        interpolate_correct(&e, &mut want, &Exec::seq());
-        sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
+        interpolate_correct(&e, &mut want, &SimdMode::host());
+        sor_sweeps(&mut want, &b, 1.15, sweeps, SimdMode::host());
 
-        for exec in modes() {
+        for mode in [SimdMode::Scalar, SimdMode::Vector] {
             let mut got = x.clone();
-            interpolate_correct_relax(&e, &mut got, &b, 1.15, sweeps, &ws, &exec);
+            interpolate_correct_relax(&e, &mut got, &b, 1.15, sweeps, &ws, &mode);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -113,19 +108,19 @@ proptest! {
         let n = [5usize, 7, 9, 11, 17, 19][n_idx];
         let x0 = Grid2d::from_vec(n, vals[..n * n].to_vec());
         let b = Grid2d::from_vec(n, vals[n * n..2 * n * n].to_vec());
-        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
-        let e_v = Exec::seq().with_simd(SimdMode::Vector);
+        let e_s = SimdMode::Scalar;
+        let e_v = SimdMode::Vector;
         let mut x_s = x0.clone();
         let mut x_v = x0.clone();
-        sor_sweeps(&mut x_s, &b, omega, sweeps, &e_s);
-        sor_sweeps(&mut x_v, &b, omega, sweeps, &e_v);
+        sor_sweeps(&mut x_s, &b, omega, sweeps, e_s);
+        sor_sweeps(&mut x_v, &b, omega, sweeps, e_v);
         prop_assert_eq!(x_s.as_slice(), x_v.as_slice());
 
         // The wavefront-blocked kernel shares the same row body; the
         // mode must not break its bitwise equality either.
         let ws = Workspace::new();
         let mut x_bv = x0.clone();
-        cycle_edge(&StencilOp::Poisson, None, &mut x_bv, &b, None, omega, sweeps, &ws, &e_v);
+        cycle_edge(&StencilOp::Poisson, None, &mut x_bv, &b, None, omega, sweeps, &ws, e_v);
         prop_assert_eq!(x_s.as_slice(), x_bv.as_slice());
     }
 
@@ -140,7 +135,7 @@ proptest! {
     ) {
         let ws = Workspace::new();
         let nc = coarse_size(17);
-        let e_s = Exec::seq().with_simd(SimdMode::Scalar);
+        let e_s = SimdMode::Scalar;
 
         let mut x_want = x.clone();
         let mut c_want = Grid2d::zeros(nc);
@@ -148,7 +143,7 @@ proptest! {
         let mut x2_want = x.clone();
         interpolate_correct_relax(&c, &mut x2_want, &b, 1.15, sweeps, &ws, &e_s);
 
-        let e_v = Exec::seq().with_simd(SimdMode::Vector);
+        let e_v = SimdMode::Vector;
         let mut x_got = x.clone();
         let mut c_got = Grid2d::zeros(nc);
         relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &e_v);

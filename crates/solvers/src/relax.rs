@@ -8,7 +8,7 @@
 //! neighbors and vice versa, so a half-sweep's result does not depend on
 //! the order its rows are visited in.
 
-use petamg_grid::{BatchGrid, Exec, Grid2d};
+use petamg_grid::{BatchGrid, Grid2d, SimdMode};
 use petamg_problems::StencilOp;
 
 /// The SOR weight inside tuned/reference cycles, fixed by the paper to
@@ -29,8 +29,9 @@ pub fn omega_opt(n: usize) -> f64 {
 ///
 /// # Panics
 /// Panics if grid sizes differ.
-pub fn sor_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, exec: &Exec) {
-    sor_sweep_op(&StencilOp::Poisson, x, b, omega, exec);
+// `&SimdMode` pinned by benchmark/src/probes.rs; ROADMAP 1(i) makes it by value.
+pub fn sor_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, mode: &SimdMode) {
+    sor_sweep_op(&StencilOp::Poisson, x, b, omega, mode);
 }
 
 /// One Red-Black SOR sweep for operator `op` (`A x = b`): the
@@ -40,10 +41,11 @@ pub fn sor_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, exec: &Exec) {
 /// # Panics
 /// Panics if grid sizes differ or the operator is bound to another
 /// size.
-pub fn sor_sweep_op(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, exec: &Exec) {
+// `&SimdMode` pinned by benchmark/src/probes.rs; ROADMAP 1(i) makes it by value.
+pub fn sor_sweep_op(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, mode: &SimdMode) {
     assert_eq!(x.n(), b.n(), "size mismatch in sor_sweep");
-    sor_half_sweep_op(op, x, b, omega, 0, exec); // red: (i + j) % 2 == 0
-    sor_half_sweep_op(op, x, b, omega, 1, exec); // black
+    sor_half_sweep_op(op, x, b, omega, 0, *mode); // red: (i + j) % 2 == 0
+    sor_half_sweep_op(op, x, b, omega, 1, *mode); // black
 }
 
 // Pinned by `benchmark/src/probes.rs` (`solvers.batch_sor_sweep_us_per_system.n129`); delete with ROADMAP 1(i).
@@ -53,10 +55,10 @@ pub fn batch_sor_sweep_op(
     x: &mut BatchGrid,
     b: &BatchGrid,
     omega: f64,
-    exec: &Exec,
+    mode: &SimdMode,
 ) {
     for (x, b) in x.0.iter_mut().zip(&b.0) {
-        sor_sweep_op(op, x, b, omega, exec);
+        sor_sweep_op(op, x, b, omega, mode);
     }
 }
 
@@ -73,7 +75,7 @@ pub(crate) fn sor_half_sweep_op(
     b: &Grid2d,
     omega: f64,
     color: usize,
-    exec: &Exec,
+    mode: SimdMode,
 ) {
     assert!(color < 2);
     assert_eq!(x.n(), b.n(), "size mismatch in sor_half_sweep_op");
@@ -83,7 +85,6 @@ pub(crate) fn sor_half_sweep_op(
         let h = x.h();
         h * h
     };
-    let mode = exec.simd();
     for i in 1..n - 1 {
         let (up, mid, dn) = x.rows3_mut(i);
         op.sor_row_update(i, up, mid, dn, b.row(i), h2, omega, color, mode);
@@ -93,9 +94,9 @@ pub(crate) fn sor_half_sweep_op(
 /// `sweeps` Red-Black SOR sweeps in the staged reference order: the
 /// behavioural baseline the temporally blocked
 /// [`crate::fused::cycle_edge`] is property-tested against.
-pub fn sor_sweeps(x: &mut Grid2d, b: &Grid2d, omega: f64, sweeps: usize, exec: &Exec) {
+pub fn sor_sweeps(x: &mut Grid2d, b: &Grid2d, omega: f64, sweeps: usize, mode: SimdMode) {
     for _ in 0..sweeps {
-        sor_sweep(x, b, omega, exec);
+        sor_sweep(x, b, omega, &mode);
     }
 }
 
@@ -133,48 +134,48 @@ mod tests {
     #[test]
     fn sor_monotonically_reduces_error() {
         let (mut x, b, x_opt) = test_problem(17);
-        let e = Exec::seq();
-        let mut prev = l2_diff(&x, &x_opt, &e);
+        let e = SimdMode::host();
+        let mut prev = l2_diff(&x, &x_opt, e);
         for _ in 0..30 {
             sor_sweep(&mut x, &b, omega_opt(17), &e);
-            let now = l2_diff(&x, &x_opt, &e);
+            let now = l2_diff(&x, &x_opt, e);
             assert!(now <= prev * 1.0001, "error grew: {prev} -> {now}");
             prev = now;
         }
-        assert!(prev < 1e-2 * l2_diff(&Grid2d::zeros(17), &x_opt, &e));
+        assert!(prev < 1e-2 * l2_diff(&Grid2d::zeros(17), &x_opt, e));
     }
 
     #[test]
     fn sor_converges_to_exact_solution() {
         let (mut x, b, x_opt) = test_problem(9);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         for _ in 0..500 {
             sor_sweep(&mut x, &b, omega_opt(9), &e);
         }
-        assert!(l2_diff(&x, &x_opt, &e) < 1e-10 * l2_norm_interior(&x_opt, &e).max(1.0));
+        assert!(l2_diff(&x, &x_opt, e) < 1e-10 * l2_norm_interior(&x_opt, &e).max(1.0));
     }
 
     #[test]
     fn exact_solution_is_fixed_point() {
         let (_, b, x_opt) = test_problem(17);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut x = x_opt.clone();
         sor_sweep(&mut x, &b, 1.3, &e);
-        assert!(l2_diff(&x, &x_opt, &e) < 1e-9);
+        assert!(l2_diff(&x, &x_opt, e) < 1e-9);
     }
 
     #[test]
     fn red_pass_only_touches_red_cells() {
         let (x0, b, _) = test_problem(9);
         let mut x = x0.clone();
-        sor_half_sweep_op(&StencilOp::Poisson, &mut x, &b, 1.15, 0, &Exec::seq());
+        sor_half_sweep_op(&StencilOp::Poisson, &mut x, &b, 1.15, 0, SimdMode::host());
         for (i, j) in x0.interior() {
             if (i + j) % 2 == 1 {
                 assert_eq!(x.at(i, j), x0.at(i, j), "black cell ({i},{j}) changed");
             }
         }
         let mut x2 = x0.clone();
-        sor_half_sweep_op(&StencilOp::Poisson, &mut x2, &b, 1.15, 1, &Exec::seq());
+        sor_half_sweep_op(&StencilOp::Poisson, &mut x2, &b, 1.15, 1, SimdMode::host());
         for (i, j) in x0.interior() {
             if (i + j) % 2 == 0 {
                 assert_eq!(x2.at(i, j), x0.at(i, j), "red cell ({i},{j}) changed");
@@ -186,7 +187,7 @@ mod tests {
     fn boundary_never_modified() {
         let (x0, b, _) = test_problem(9);
         let mut x = x0.clone();
-        let e = Exec::seq();
+        let e = SimdMode::host();
         for _ in 0..5 {
             sor_sweep(&mut x, &b, 1.5, &e);
         }
@@ -201,7 +202,7 @@ mod tests {
     #[test]
     fn gs_residual_decreases() {
         let (mut x, b, _) = test_problem(17);
-        let e = Exec::seq();
+        let e = SimdMode::host();
         let mut r = Grid2d::zeros(17);
         residual(&x, &b, &mut r, &e);
         let r0 = l2_norm_interior(&r, &e);

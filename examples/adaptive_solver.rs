@@ -16,7 +16,7 @@ fn main() {
     let solver = AdaptiveSolver::train(&base);
     println!("classes trained: {:?}\n", solver.classes());
 
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     for (label, dist, seed) in [
         ("dense zero-mean", Distribution::UnbiasedUniform, 101u64),
         ("dense shifted", Distribution::BiasedUniform, 102),
@@ -24,7 +24,7 @@ fn main() {
     ] {
         let mut inst = ProblemInstance::random(level, dist, seed);
         let class = classify(&inst.b);
-        let report = solver.solve(&mut inst, 1e5, &exec);
+        let report = solver.solve(&mut inst, 1e5, mode);
         println!(
             "{label:<18} -> classified {class:?}; solved to {:.2e} \
              ({} sweeps, {} direct solves)",

@@ -22,7 +22,7 @@ fn main() {
     println!("building heuristic strategies ...");
     let strategies = paper_strategies(&opts);
 
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let cache = Arc::new(petamg::solvers::DirectSolverCache::new());
 
     println!(
@@ -31,7 +31,7 @@ fn main() {
     );
     for level in [5, 6, 7] {
         let inst = ProblemInstance::random(level, Distribution::BiasedUniform, 9_999);
-        let (tuned_cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+        let (tuned_cost, _) = priced_run(&profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             tuned.run(level, tuned.acc_index_for(1e9), &mut x, &inst.b, ctx);
         });
@@ -43,7 +43,7 @@ fn main() {
             1.0
         );
         for (name, fam) in &strategies {
-            let (cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+            let (cost, _) = priced_run(&profile, mode, &cache, |ctx| {
                 let mut x = inst.working_grid();
                 fam.run(level, fam.num_accuracies() - 1, &mut x, &inst.b, ctx);
             });

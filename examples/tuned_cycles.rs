@@ -27,7 +27,7 @@ fn main() {
                 format!("{p:.0e}"),
                 (1usize << max_level) + 1
             );
-            let mut ctx = ExecCtx::new(Exec::seq()).tracing();
+            let mut ctx = ExecCtx::new(SimdMode::host()).tracing();
             let mut x = inst.working_grid();
             v.run(max_level, i, &mut x, &inst.b, &mut ctx);
             println!("{}", render::render_cycle(&ctx.events.expect("traced")));
@@ -36,7 +36,8 @@ fn main() {
                 "--- FULL-MULTIGRID cycle, accuracy {:>6} ---",
                 format!("{p:.0e}")
             );
-            let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::new(Default::default())).tracing();
+            let mut ctx =
+                ExecCtx::with_cache(SimdMode::host(), Arc::new(Default::default())).tracing();
             let mut x = inst.working_grid();
             fmg.run(max_level, i, &mut x, &inst.b, &mut ctx);
             println!("{}", render::render_cycle(&ctx.events.expect("traced")));

@@ -77,7 +77,10 @@ pub mod prelude {
     pub use petamg_core::plan::{MgConfig, ReferenceSolver};
     pub use petamg_core::training::{Distribution, ProblemInstance};
     pub use petamg_core::tuner::{FmgTuner, TunerOptions, VTuner};
-    pub use petamg_grid::{Exec, Grid2d, SimdMode, Workspace};
+    pub use petamg_grid::{Grid2d, SimdMode, Workspace};
+    // Pinned by benchmark/src/{probes,workloads}.rs; delete with ROADMAP 1(i).
+    #[doc(hidden)]
+    pub use petamg_grid::Exec;
     pub use petamg_obs::{render_prometheus, Registry, TelemetryMode, TelemetrySnapshot};
     pub use petamg_problems::{
         CoeffProfile, Problem, ProblemFingerprint, ProblemMismatch, StencilOp,

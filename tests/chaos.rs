@@ -1,5 +1,5 @@
 //! Chaos suite: deterministic fault injection against the guarded
-//! serving pipeline, crossed over the scalar and vector row kernels.
+//! serving pipeline.
 //!
 //! Every test breaks something on purpose — a plan file, a kernel
 //! output, a direct factorization — and asserts the degradation ladder
@@ -8,10 +8,10 @@
 //! full ladder exhaustion comes back as a typed error with `x`
 //! restored, never a panic or a poisoned iterate.
 //!
-//! The backend axis mirrors `tests/conformance.rs`: the sequential
-//! executor in both SIMD modes. Fault arming is thread-local and every
-//! fault point runs on the driving thread, so both modes exercise the
-//! same deterministic fault schedule.
+//! Every solve runs on the host's SIMD mode; scalar = vector on whole
+//! plans is `tests/conformance.rs`'s to check. Fault arming is
+//! thread-local and every fault point runs on the driving thread, so
+//! each run exercises the same deterministic fault schedule.
 
 use petamg::core::faults::{self, Fault};
 use petamg::core::plan::{simple_v_family, PAPER_ACCURACIES};
@@ -19,8 +19,6 @@ use petamg::core::FailureKind;
 use petamg::persist::{self, PlanLoadError};
 use petamg::prelude::*;
 use std::path::PathBuf;
-
-mod common;
 
 /// Grid level the chaos instances live at (`n = 2^5 + 1 = 33`).
 const LEVEL: usize = 5;
@@ -43,31 +41,24 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Healthy baseline: with no fault armed, every backend serves the
+/// Healthy baseline: with no fault armed, the solver serves the
 /// tuned rung with no degradation — the chaos assertions below would be
 /// meaningless if the happy path itself degraded.
 #[test]
-fn healthy_solves_serve_the_tuned_rung_on_every_backend() {
+fn healthy_solves_serve_the_tuned_rung() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 11);
-    for (name, exec) in common::backends() {
-        let solver = GuardedSolver::new(Problem::poisson())
-            .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
-            .with_exec(exec)
-            .with_tracing();
-        let mut x = inst.working_grid();
-        let report = solver
-            .solve(&mut x, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] healthy solve failed: {e}"));
-        assert_eq!(report.rung, LadderRung::TunedPlan, "[{name}]");
-        assert!(!report.degraded(), "[{name}]");
-        assert!(rungs(&report).is_empty(), "[{name}]");
-        assert!(
-            report.rel_residual <= TOL,
-            "[{name}] {}",
-            report.rel_residual
-        );
-    }
+    let solver = GuardedSolver::new(Problem::poisson())
+        .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
+        .with_tracing();
+    let mut x = inst.working_grid();
+    let report = solver
+        .solve(&mut x, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("healthy solve failed: {e}"));
+    assert_eq!(report.rung, LadderRung::TunedPlan);
+    assert!(!report.degraded());
+    assert!(rungs(&report).is_empty());
+    assert!(report.rel_residual <= TOL, "{}", report.rel_residual);
 }
 
 /// A corrupted plan file is quarantined at load, and the serving path
@@ -77,98 +68,88 @@ fn healthy_solves_serve_the_tuned_rung_on_every_backend() {
 fn corrupted_plan_file_quarantines_then_heuristic_rung_serves() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 23);
-    for (name, exec) in common::backends() {
-        let dir = tmp_dir(&format!("corrupt-{name}"));
-        let path = dir.join("plan.json");
-        persist::save_plan(&simple_v_family(LEVEL, &PAPER_ACCURACIES), &path).unwrap();
+    let dir = tmp_dir("corrupt");
+    let path = dir.join("plan.json");
+    persist::save_plan(&simple_v_family(LEVEL, &PAPER_ACCURACIES), &path).unwrap();
 
-        faults::inject(Fault::CorruptPlan);
-        let loaded = persist::load_plan_for(&path, &Problem::poisson());
-        let quarantined = match loaded {
-            Err(PlanLoadError::Parse {
-                quarantined: Some(q),
-                ..
-            }) => q,
-            other => panic!("[{name}] expected quarantining parse error, got {other:?}"),
-        };
-        assert!(quarantined.exists(), "[{name}] quarantined copy kept");
-        assert!(!path.exists(), "[{name}] original moved aside");
+    faults::inject(Fault::CorruptPlan);
+    let loaded = persist::load_plan_for(&path, &Problem::poisson());
+    let quarantined = match loaded {
+        Err(PlanLoadError::Parse {
+            quarantined: Some(q),
+            ..
+        }) => q,
+        other => panic!("expected quarantining parse error, got {other:?}"),
+    };
+    assert!(quarantined.exists(), "quarantined copy kept");
+    assert!(!path.exists(), "original moved aside");
 
-        // The service continues without the plan: heuristic rung.
-        let solver = GuardedSolver::new(Problem::poisson())
-            .with_exec(exec)
-            .with_tracing();
-        let mut x = inst.working_grid();
-        let report = solver
-            .solve(&mut x, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] heuristic fallback failed: {e}"));
-        assert_eq!(report.rung, LadderRung::HeuristicPlan, "[{name}]");
-        assert!(report.rel_residual <= TOL, "[{name}]");
-        faults::clear();
-    }
+    // The service continues without the plan: heuristic rung.
+    let solver = GuardedSolver::new(Problem::poisson()).with_tracing();
+    let mut x = inst.working_grid();
+    let report = solver
+        .solve(&mut x, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("heuristic fallback failed: {e}"));
+    assert_eq!(report.rung, LadderRung::HeuristicPlan);
+    assert!(report.rel_residual <= TOL);
+    faults::clear();
 }
 
 /// A plan whose fingerprint does not match the posed problem is
 /// rejected at rung 0 and the heuristic rung serves, with the failed
 /// rung visible in the report.
 #[test]
-fn fingerprint_mismatch_degrades_to_heuristic_on_every_backend() {
+fn fingerprint_mismatch_degrades_to_heuristic() {
     faults::clear();
     let aniso = Problem::anisotropic(0.5);
     let inst = instance(&aniso, 31);
-    for (name, exec) in common::backends() {
-        // A (nominally Poisson-tuned) plan posed an anisotropic system.
-        let solver = GuardedSolver::new(aniso.clone())
-            .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
-            .with_exec(exec)
-            .with_tracing();
-        let mut x = inst.working_grid();
-        let report = solver
-            .solve(&mut x, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] must degrade, not die: {e}"));
-        assert_eq!(report.rung, LadderRung::HeuristicPlan, "[{name}]");
-        assert_eq!(report.degradations.len(), 1, "[{name}]");
-        assert!(
-            matches!(report.degradations[0].reason, FailureKind::PlanRejected(_)),
-            "[{name}] {:?}",
-            report.degradations[0].reason
-        );
-        assert_eq!(rungs(&report), vec![LadderRung::TunedPlan], "[{name}]");
-        assert!(report.rel_residual <= TOL, "[{name}]");
-    }
+    // A (nominally Poisson-tuned) plan posed an anisotropic system.
+    let solver = GuardedSolver::new(aniso.clone())
+        .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
+        .with_tracing();
+    let mut x = inst.working_grid();
+    let report = solver
+        .solve(&mut x, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("must degrade, not die: {e}"));
+    assert_eq!(report.rung, LadderRung::HeuristicPlan);
+    assert_eq!(report.degradations.len(), 1);
+    assert!(
+        matches!(report.degradations[0].reason, FailureKind::PlanRejected(_)),
+        "{:?}",
+        report.degradations[0].reason
+    );
+    assert_eq!(rungs(&report), vec![LadderRung::TunedPlan]);
+    assert!(report.rel_residual <= TOL);
 }
 
 /// A NaN injected into a mid-cycle kernel output trips the guard's
 /// finiteness check; the ladder retries on the heuristic rung and the
-/// returned solution is finite and converged on every backend.
+/// returned solution is finite and converged.
 #[test]
 fn injected_mid_cycle_nan_degrades_and_still_converges() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 43);
-    for (name, exec) in common::backends() {
-        let solver = GuardedSolver::new(Problem::poisson())
-            .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
-            .with_exec(exec)
-            .with_tracing();
-        let mut x = inst.working_grid();
-        faults::inject(Fault::PoisonLevel { level: LEVEL });
-        let report = solver
-            .solve(&mut x, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] must degrade, not die: {e}"));
-        assert_eq!(report.rung, LadderRung::HeuristicPlan, "[{name}]");
-        assert!(
-            matches!(
-                report.degradations[0].reason,
-                FailureKind::Guard(GuardFailure::NonFinite { .. })
-            ),
-            "[{name}] {:?}",
-            report.degradations[0].reason
-        );
-        assert_eq!(rungs(&report), vec![LadderRung::TunedPlan], "[{name}]");
-        assert!(x.as_slice().iter().all(|v| v.is_finite()), "[{name}]");
-        assert!(report.rel_residual <= TOL, "[{name}]");
-        assert!(!faults::armed(), "[{name}] fault must be consumed");
-    }
+    let solver = GuardedSolver::new(Problem::poisson())
+        .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
+        .with_tracing();
+    let mut x = inst.working_grid();
+    faults::inject(Fault::PoisonLevel { level: LEVEL });
+    let report = solver
+        .solve(&mut x, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("must degrade, not die: {e}"));
+    assert_eq!(report.rung, LadderRung::HeuristicPlan);
+    assert!(
+        matches!(
+            report.degradations[0].reason,
+            FailureKind::Guard(GuardFailure::NonFinite { .. })
+        ),
+        "{:?}",
+        report.degradations[0].reason
+    );
+    assert_eq!(rungs(&report), vec![LadderRung::TunedPlan]);
+    assert!(x.as_slice().iter().all(|v| v.is_finite()));
+    assert!(report.rel_residual <= TOL);
+    assert!(!faults::armed(), "fault must be consumed");
 }
 
 /// The failure taxonomy is visible through the metric registry: with
@@ -361,55 +342,50 @@ fn jump_with_simple_plan() -> (Problem, TunedFamily) {
 /// the same schedule from the same restored iterate — is recorded as
 /// skipped, not replayed, and the direct rung serves. The answer is
 /// bit for bit what the ladder produces when the heuristic rung does
-/// run (a plan-less solver), on every backend.
+/// run (a plan-less solver).
 #[test]
 fn deterministic_tuned_failure_skips_the_replayed_heuristic_rung() {
     faults::clear();
     let (problem, plan) = jump_with_simple_plan();
     let inst = instance(&problem, 79);
-    for (name, exec) in common::backends() {
-        let solver = GuardedSolver::new(problem.clone())
-            .with_plan(plan.clone())
-            .with_exec(exec.clone())
-            .with_tracing();
-        let mut x = inst.working_grid();
-        let report = solver
-            .solve(&mut x, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] direct rung must serve: {e}"));
-        assert_eq!(report.rung, LadderRung::Direct, "[{name}]");
-        assert_eq!(report.degradations.len(), 2, "[{name}]");
-        let verdict = match &report.degradations[0].reason {
-            FailureKind::Guard(g) => *g,
-            other => panic!("[{name}] tuned rung must fail on a guard verdict: {other}"),
-        };
-        assert!(
-            matches!(
-                &report.degradations[1].reason,
-                FailureKind::SameScheduleAsFailed(g) if *g == verdict
-            ),
-            "[{name}] {}",
-            report.degradations[1].reason
-        );
-        assert_eq!(report.degradations[1].seconds, 0.0, "[{name}]");
-        assert_eq!(
-            rungs(&report),
-            vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
-            "[{name}]"
-        );
-        assert!(
-            report.ops.per_level[LEVEL].restricts < 50,
-            "[{name}] the doomed attempt is abandoned before its budget"
-        );
-        assert!(report.rel_residual <= TOL, "[{name}]");
+    let solver = GuardedSolver::new(problem.clone())
+        .with_plan(plan.clone())
+        .with_tracing();
+    let mut x = inst.working_grid();
+    let report = solver
+        .solve(&mut x, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("direct rung must serve: {e}"));
+    assert_eq!(report.rung, LadderRung::Direct);
+    assert_eq!(report.degradations.len(), 2);
+    let verdict = match &report.degradations[0].reason {
+        FailureKind::Guard(g) => *g,
+        other => panic!("tuned rung must fail on a guard verdict: {other}"),
+    };
+    assert!(
+        matches!(
+            &report.degradations[1].reason,
+            FailureKind::SameScheduleAsFailed(g) if *g == verdict
+        ),
+        "{}",
+        report.degradations[1].reason
+    );
+    assert_eq!(report.degradations[1].seconds, 0.0);
+    assert_eq!(
+        rungs(&report),
+        vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
+    );
+    assert!(
+        report.ops.per_level[LEVEL].restricts < 50,
+        "the doomed attempt is abandoned before its budget"
+    );
+    assert!(report.rel_residual <= TOL);
 
-        let mut want = inst.working_grid();
-        let planless = GuardedSolver::new(problem.clone())
-            .with_exec(exec)
-            .solve(&mut want, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] plan-less ladder must serve: {e}"));
-        assert_eq!(planless.rung, LadderRung::Direct, "[{name}]");
-        assert_eq!(x.as_slice(), want.as_slice(), "[{name}]");
-    }
+    let mut want = inst.working_grid();
+    let planless = GuardedSolver::new(problem.clone())
+        .solve(&mut want, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("plan-less ladder must serve: {e}"));
+    assert_eq!(planless.rung, LadderRung::Direct);
+    assert_eq!(x.as_slice(), want.as_slice());
 }
 
 /// Both plan rungs poisoned → the unconditional direct rung serves.
@@ -419,26 +395,22 @@ fn deterministic_tuned_failure_skips_the_replayed_heuristic_rung() {
 fn direct_rung_serves_when_both_plan_rungs_are_poisoned() {
     faults::clear();
     let inst = instance(&Problem::poisson(), 47);
-    for (name, exec) in common::backends() {
-        let solver = GuardedSolver::new(Problem::poisson())
-            .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
-            .with_exec(exec)
-            .with_tracing();
-        let mut x = inst.working_grid();
-        faults::inject(Fault::PoisonLevel { level: 1 });
-        faults::inject(Fault::PoisonLevel { level: 1 });
-        let report = solver
-            .solve(&mut x, &inst.b, TOL)
-            .unwrap_or_else(|e| panic!("[{name}] direct rung must serve: {e}"));
-        assert_eq!(report.rung, LadderRung::Direct, "[{name}]");
-        assert_eq!(
-            rungs(&report),
-            vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
-            "[{name}]"
-        );
-        assert!(report.rel_residual <= TOL, "[{name}]");
-        faults::clear();
-    }
+    let solver = GuardedSolver::new(Problem::poisson())
+        .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
+        .with_tracing();
+    let mut x = inst.working_grid();
+    faults::inject(Fault::PoisonLevel { level: 1 });
+    faults::inject(Fault::PoisonLevel { level: 1 });
+    let report = solver
+        .solve(&mut x, &inst.b, TOL)
+        .unwrap_or_else(|e| panic!("direct rung must serve: {e}"));
+    assert_eq!(report.rung, LadderRung::Direct);
+    assert_eq!(
+        rungs(&report),
+        vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
+    );
+    assert!(report.rel_residual <= TOL);
+    faults::clear();
 }
 
 /// Sabotage every rung: typed `SolveError` carrying the per-rung
@@ -448,31 +420,28 @@ fn full_ladder_exhaustion_is_typed_and_restores_x() {
     faults::clear();
     let n = (1usize << LEVEL) + 1;
     let inst = instance(&Problem::poisson(), 53);
-    for (name, exec) in common::backends() {
-        let solver = GuardedSolver::new(Problem::poisson())
-            .with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES))
-            .with_exec(exec);
-        let mut x = inst.working_grid();
-        let x0 = x.clone();
-        faults::inject(Fault::PoisonLevel { level: 1 });
-        faults::inject(Fault::PoisonLevel { level: 1 });
-        faults::inject(Fault::FailDirect { n });
-        let err = solver
-            .solve(&mut x, &inst.b, TOL)
-            .expect_err("every rung was sabotaged");
-        assert_eq!(err.degradations.len(), 3, "[{name}] {err}");
-        assert!(
-            matches!(
-                err.degradations[2].reason,
-                FailureKind::DirectFactorization(_)
-            ),
-            "[{name}] {:?}",
-            err.degradations[2].reason
-        );
-        assert_eq!(x.as_slice(), x0.as_slice(), "[{name}] x restored");
-        assert!(!faults::armed(), "[{name}] all faults consumed");
-        faults::clear();
-    }
+    let solver =
+        GuardedSolver::new(Problem::poisson()).with_plan(simple_v_family(LEVEL, &PAPER_ACCURACIES));
+    let mut x = inst.working_grid();
+    let x0 = x.clone();
+    faults::inject(Fault::PoisonLevel { level: 1 });
+    faults::inject(Fault::PoisonLevel { level: 1 });
+    faults::inject(Fault::FailDirect { n });
+    let err = solver
+        .solve(&mut x, &inst.b, TOL)
+        .expect_err("every rung was sabotaged");
+    assert_eq!(err.degradations.len(), 3, "{err}");
+    assert!(
+        matches!(
+            err.degradations[2].reason,
+            FailureKind::DirectFactorization(_)
+        ),
+        "{:?}",
+        err.degradations[2].reason
+    );
+    assert_eq!(x.as_slice(), x0.as_slice(), "x restored");
+    assert!(!faults::armed(), "all faults consumed");
+    faults::clear();
 }
 
 /// The `PETAMG_FAULTS` spec grammar drives the same machinery the
@@ -522,60 +491,53 @@ fn serve_corrupt_plan_mid_serve_quarantines_and_retunes() {
     faults::clear();
     let victim = Problem::anisotropic(0.5);
     let bystander = Problem::poisson();
-    for (name, exec) in common::backends() {
-        let dir = tmp_dir(&format!("serve-corrupt-{name}"));
-        let svc = SolverService::start(
-            ServiceConfig::new(&dir)
-                .with_workers(2)
-                .with_exec(exec.clone()),
-        )
-        .unwrap();
-        // Warm both fingerprints onto disk.
-        svc.solve(serve_request(&victim, 61))
-            .unwrap_or_else(|e| panic!("[{name}] victim warm-up failed: {e}"));
-        svc.solve(serve_request(&bystander, 62))
-            .unwrap_or_else(|e| panic!("[{name}] bystander warm-up failed: {e}"));
-        assert_eq!(svc.stats().tunes, 2, "[{name}]");
+    let dir = tmp_dir("serve-corrupt");
+    let svc = SolverService::start(ServiceConfig::new(&dir).with_workers(2)).unwrap();
+    // Warm both fingerprints onto disk.
+    svc.solve(serve_request(&victim, 61))
+        .unwrap_or_else(|e| panic!("victim warm-up failed: {e}"));
+    svc.solve(serve_request(&bystander, 62))
+        .unwrap_or_else(|e| panic!("bystander warm-up failed: {e}"));
+    assert_eq!(svc.stats().tunes, 2);
 
-        // Force the next get to go to disk, then corrupt that read.
-        svc.library().clear_cache();
-        let chaos = svc
-            .submit(serve_request(&victim, 63).with_faults(vec![Fault::CorruptPlan]))
-            .expect("queue has room");
-        let healthy = svc.submit(serve_request(&bystander, 64)).expect("room");
+    // Force the next get to go to disk, then corrupt that read.
+    svc.library().clear_cache();
+    let chaos = svc
+        .submit(serve_request(&victim, 63).with_faults(vec![Fault::CorruptPlan]))
+        .expect("queue has room");
+    let healthy = svc.submit(serve_request(&bystander, 64)).expect("room");
 
-        let report = chaos
-            .wait()
-            .unwrap_or_else(|e| panic!("[{name}] corrupt plan must retune, not fail: {e}"));
-        assert_eq!(
-            report.plan,
-            PlanSource::TunedNow,
-            "[{name}] the quarantined fingerprint re-tunes on the spot"
-        );
-        assert!(report.report.rel_residual <= TOL, "[{name}]");
-        healthy
-            .wait()
-            .unwrap_or_else(|e| panic!("[{name}] bystander fingerprint must keep serving: {e}"));
+    let report = chaos
+        .wait()
+        .unwrap_or_else(|e| panic!("corrupt plan must retune, not fail: {e}"));
+    assert_eq!(
+        report.plan,
+        PlanSource::TunedNow,
+        "the quarantined fingerprint re-tunes on the spot"
+    );
+    assert!(report.report.rel_residual <= TOL);
+    healthy
+        .wait()
+        .unwrap_or_else(|e| panic!("bystander fingerprint must keep serving: {e}"));
 
-        let lib = svc.library().stats();
-        assert_eq!(lib.quarantined, 1, "[{name}] one file quarantined");
-        let mut quarantine_path = svc
-            .library()
-            .path_for(victim.fingerprint())
-            .into_os_string();
-        quarantine_path.push(".quarantined");
-        assert!(
-            std::path::PathBuf::from(quarantine_path).exists(),
-            "[{name}] quarantined artifact preserved for inspection"
-        );
-        assert_eq!(svc.stats().tunes, 3, "[{name}] exactly one re-tune");
-        assert_eq!(svc.stats().panics, 0, "[{name}]");
-        // The freshly re-tuned plan serves the next request from cache.
-        let after = svc
-            .solve(serve_request(&victim, 65))
-            .unwrap_or_else(|e| panic!("[{name}] post-chaos serve failed: {e}"));
-        assert_eq!(after.plan, PlanSource::CacheHit, "[{name}]");
-    }
+    let lib = svc.library().stats();
+    assert_eq!(lib.quarantined, 1, "one file quarantined");
+    let mut quarantine_path = svc
+        .library()
+        .path_for(victim.fingerprint())
+        .into_os_string();
+    quarantine_path.push(".quarantined");
+    assert!(
+        std::path::PathBuf::from(quarantine_path).exists(),
+        "quarantined artifact preserved for inspection"
+    );
+    assert_eq!(svc.stats().tunes, 3, "exactly one re-tune");
+    assert_eq!(svc.stats().panics, 0);
+    // The freshly re-tuned plan serves the next request from cache.
+    let after = svc
+        .solve(serve_request(&victim, 65))
+        .unwrap_or_else(|e| panic!("post-chaos serve failed: {e}"));
+    assert_eq!(after.plan, PlanSource::CacheHit);
 }
 
 /// Every rung of one request's ladder sabotaged mid-serve: that
@@ -588,65 +550,55 @@ fn serve_fail_direct_mid_serve_degrades_per_ladder_and_service_survives() {
     let n = (1usize << LEVEL) + 1;
     let victim = Problem::poisson();
     let bystander = Problem::anisotropic(0.25);
-    for (name, exec) in common::backends() {
-        let dir = tmp_dir(&format!("serve-direct-{name}"));
-        let svc = SolverService::start(
-            ServiceConfig::new(&dir)
-                .with_workers(2)
-                .with_exec(exec.clone()),
-        )
-        .unwrap();
-        svc.solve(serve_request(&victim, 71))
-            .unwrap_or_else(|e| panic!("[{name}] warm-up failed: {e}"));
+    let dir = tmp_dir("serve-direct");
+    let svc = SolverService::start(ServiceConfig::new(&dir).with_workers(2)).unwrap();
+    svc.solve(serve_request(&victim, 71))
+        .unwrap_or_else(|e| panic!("warm-up failed: {e}"));
 
-        let sabotage = vec![
-            Fault::PoisonLevel { level: 1 },
-            Fault::PoisonLevel { level: 1 },
-            Fault::FailDirect { n },
-        ];
-        let doomed = serve_request(&victim, 72);
-        let x0 = doomed.x0.clone();
-        let chaos = svc
-            .submit(doomed.with_faults(sabotage))
-            .expect("queue has room");
-        let healthy = svc.submit(serve_request(&bystander, 73)).expect("room");
+    let sabotage = vec![
+        Fault::PoisonLevel { level: 1 },
+        Fault::PoisonLevel { level: 1 },
+        Fault::FailDirect { n },
+    ];
+    let doomed = serve_request(&victim, 72);
+    let x0 = doomed.x0.clone();
+    let chaos = svc
+        .submit(doomed.with_faults(sabotage))
+        .expect("queue has room");
+    let healthy = svc.submit(serve_request(&bystander, 73)).expect("room");
 
-        match chaos.wait() {
-            Err(ServeError::Ladder { error, x }) => {
-                assert_eq!(error.degradations.len(), 3, "[{name}] {error}");
-                assert!(
-                    matches!(
-                        error.degradations[2].reason,
-                        FailureKind::DirectFactorization(_)
-                    ),
-                    "[{name}] {:?}",
-                    error.degradations[2].reason
-                );
-                assert_eq!(
-                    x.as_slice(),
-                    x0.as_slice(),
-                    "[{name}] iterate restored, never poisoned"
-                );
-            }
-            other => panic!("[{name}] expected typed ladder exhaustion, got {other:?}"),
+    match chaos.wait() {
+        Err(ServeError::Ladder { error, x }) => {
+            assert_eq!(error.degradations.len(), 3, "{error}");
+            assert!(
+                matches!(
+                    error.degradations[2].reason,
+                    FailureKind::DirectFactorization(_)
+                ),
+                "{:?}",
+                error.degradations[2].reason
+            );
+            assert_eq!(
+                x.as_slice(),
+                x0.as_slice(),
+                "iterate restored, never poisoned"
+            );
         }
-        healthy
-            .wait()
-            .unwrap_or_else(|e| panic!("[{name}] bystander must keep serving: {e}"));
-
-        // The sabotaged worker is healthy again: no leaked faults, no
-        // panic, and the victim fingerprint still serves.
-        let after = svc
-            .solve(serve_request(&victim, 74))
-            .unwrap_or_else(|e| panic!("[{name}] post-chaos serve failed: {e}"));
-        assert!(after.report.rel_residual <= TOL, "[{name}]");
-        assert_eq!(svc.stats().panics, 0, "[{name}]");
-        assert_eq!(svc.stats().ladder_failures, 1, "[{name}]");
-        assert!(
-            !faults::armed(),
-            "[{name}] faults never leak to the client thread"
-        );
+        other => panic!("expected typed ladder exhaustion, got {other:?}"),
     }
+    healthy
+        .wait()
+        .unwrap_or_else(|e| panic!("bystander must keep serving: {e}"));
+
+    // The sabotaged worker is healthy again: no leaked faults, no
+    // panic, and the victim fingerprint still serves.
+    let after = svc
+        .solve(serve_request(&victim, 74))
+        .unwrap_or_else(|e| panic!("post-chaos serve failed: {e}"));
+    assert!(after.report.rel_residual <= TOL);
+    assert_eq!(svc.stats().panics, 0);
+    assert_eq!(svc.stats().ladder_failures, 1);
+    assert!(!faults::armed(), "faults never leak to the client thread");
 }
 
 /// A `QuickTune` leader's faults are for its own solve. Its tune runs
@@ -660,63 +612,59 @@ fn serve_quick_tune_leader_keeps_its_faults_for_its_own_solve() {
     let n = (1usize << LEVEL) + 1;
     let leader = Problem::poisson();
     let queued = Problem::anisotropic(0.25);
-    for (name, exec) in common::backends() {
-        let dir = tmp_dir(&format!("serve-tune-faults-{name}"));
-        let svc = SolverService::start(
-            ServiceConfig::new(&dir)
-                .with_workers(2)
-                .with_exec(exec.clone())
-                .with_tuning(TunePolicy::QuickTune),
-        )
-        .unwrap();
-        // Every plan rung runs kernels at the request's level, whatever
-        // the tuned plan's shape, and so does every tune that reaches it.
-        let sabotage = vec![
-            Fault::PoisonLevel { level: LEVEL },
-            Fault::PoisonLevel { level: LEVEL },
-            Fault::FailDirect { n },
-        ];
-        let doomed = serve_request(&leader, 91);
-        let x0 = doomed.x0.clone();
-        let chaos = svc
-            .submit(doomed.with_faults(sabotage))
-            .expect("queue has room");
-        let bystander = svc.submit(serve_request(&queued, 92)).expect("room");
+    let dir = tmp_dir("serve-tune-faults");
+    let svc = SolverService::start(
+        ServiceConfig::new(&dir)
+            .with_workers(2)
+            .with_tuning(TunePolicy::QuickTune),
+    )
+    .unwrap();
+    // Every plan rung runs kernels at the request's level, whatever
+    // the tuned plan's shape, and so does every tune that reaches it.
+    let sabotage = vec![
+        Fault::PoisonLevel { level: LEVEL },
+        Fault::PoisonLevel { level: LEVEL },
+        Fault::FailDirect { n },
+    ];
+    let doomed = serve_request(&leader, 91);
+    let x0 = doomed.x0.clone();
+    let chaos = svc
+        .submit(doomed.with_faults(sabotage))
+        .expect("queue has room");
+    let bystander = svc.submit(serve_request(&queued, 92)).expect("room");
 
-        match chaos.wait() {
-            Err(ServeError::Ladder { error, x }) => {
-                assert_eq!(
-                    error.degradations.len(),
-                    3,
-                    "[{name}] a fault fired outside the leader's solve: {error}"
-                );
-                assert!(
-                    matches!(
-                        error.degradations[2].reason,
-                        FailureKind::DirectFactorization(_)
-                    ),
-                    "[{name}] {:?}",
-                    error.degradations[2].reason
-                );
-                assert_eq!(x.as_slice(), x0.as_slice(), "[{name}] iterate restored");
-            }
-            other => panic!("[{name}] the leader's faults must exhaust its ladder, got {other:?}"),
+    match chaos.wait() {
+        Err(ServeError::Ladder { error, x }) => {
+            assert_eq!(
+                error.degradations.len(),
+                3,
+                "a fault fired outside the leader's solve: {error}"
+            );
+            assert!(
+                matches!(
+                    error.degradations[2].reason,
+                    FailureKind::DirectFactorization(_)
+                ),
+                "{:?}",
+                error.degradations[2].reason
+            );
+            assert_eq!(x.as_slice(), x0.as_slice(), "iterate restored");
         }
-        let served = bystander
-            .wait()
-            .unwrap_or_else(|e| panic!("[{name}] the queued request must serve: {e}"));
-        assert_eq!(served.plan, PlanSource::TunedNow, "[{name}]");
-        assert!(
-            !served.report.degraded(),
-            "[{name}] the leader's faults fired in another request"
-        );
-        let stats = svc.stats();
-        assert_eq!(
-            (stats.tunes, stats.ladder_failures, stats.panics),
-            (2, 1, 0),
-            "[{name}]"
-        );
+        other => panic!("the leader's faults must exhaust its ladder, got {other:?}"),
     }
+    let served = bystander
+        .wait()
+        .unwrap_or_else(|e| panic!("the queued request must serve: {e}"));
+    assert_eq!(served.plan, PlanSource::TunedNow);
+    assert!(
+        !served.report.degraded(),
+        "the leader's faults fired in another request"
+    );
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.tunes, stats.ladder_failures, stats.panics),
+        (2, 1, 0)
+    );
 }
 
 /// A fault that never fires (its rung never runs) must not leak into

@@ -32,12 +32,11 @@ pub fn select<N: AsRef<str>, T>(
     kept
 }
 
-/// The execution policies under test: the sequential executor with the
-/// scalar and with the vector row kernels (stencils are bitwise
-/// identical across the two by construction, which is what the suites
-/// enforce end to end).
-pub fn backends() -> Vec<(String, Exec)> {
+/// The SIMD modes under test: the scalar and the vector row kernels
+/// (stencils are bitwise identical across the two by construction,
+/// which is what the suites enforce end to end).
+pub fn backends() -> Vec<(String, SimdMode)> {
     [SimdMode::Scalar, SimdMode::Vector]
-        .map(|mode| (mode.name().to_string(), Exec::seq().with_simd(mode)))
+        .map(|mode| (mode.name().to_string(), mode))
         .into()
 }

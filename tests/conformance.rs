@@ -117,7 +117,7 @@ fn staged_run(
     b: &Grid2d,
     cache: &Arc<DirectSolverCache>,
 ) {
-    let seq = Exec::seq();
+    let seq = SimdMode::host();
     match fam.plan(level, acc) {
         Choice::Direct => cache.solve_op(x, b, &StencilOp::Poisson),
         Choice::Sor { iterations } => {
@@ -145,7 +145,7 @@ fn staged_recurse(
     b: &Grid2d,
     cache: &Arc<DirectSolverCache>,
 ) {
-    let seq = Exec::seq();
+    let seq = SimdMode::host();
     if level <= 1 {
         cache.solve_op(x, b, &StencilOp::Poisson);
         return;
@@ -156,7 +156,7 @@ fn staged_recurse(
     let mut r = Grid2d::zeros(n);
     residual(x, b, &mut r, &seq);
     let mut bc = Grid2d::zeros(nc);
-    restrict_full_weighting(&r, &mut bc, &seq);
+    restrict_full_weighting(&r, &mut bc, seq);
     let mut ec = Grid2d::zeros(nc);
     staged_run(fam, level - 1, sub, &mut ec, &bc, cache);
     interpolate_add(&ec, x);
@@ -181,7 +181,7 @@ fn staged_run_op(
     b: &Grid2d,
     cache: &Arc<DirectSolverCache>,
 ) {
-    let seq = Exec::seq();
+    let seq = SimdMode::host();
     match fam.plan(level, acc) {
         Choice::Direct => cache.solve_op(x, b, &problem.op_for(x.n())),
         Choice::Sor { iterations } => {
@@ -211,7 +211,7 @@ fn staged_recurse_op(
     b: &Grid2d,
     cache: &Arc<DirectSolverCache>,
 ) {
-    let seq = Exec::seq();
+    let seq = SimdMode::host();
     if level <= 1 {
         cache.solve_op(x, b, &problem.op_for(x.n()));
         return;
@@ -223,7 +223,7 @@ fn staged_recurse_op(
     let mut r = Grid2d::zeros(n);
     residual_op(&op, x, b, &mut r, &seq);
     let mut bc = Grid2d::zeros(nc);
-    restrict_full_weighting(&r, &mut bc, &seq);
+    restrict_full_weighting(&r, &mut bc, seq);
     let mut ec = Grid2d::zeros(nc);
     staged_run_op(problem, fam, level - 1, sub, &mut ec, &bc, cache);
     interpolate_add(&ec, x);
@@ -239,11 +239,10 @@ fn run_case(
     fam: &TunedFamily,
     inst: &ProblemInstance,
     acc: usize,
-    exec: &Exec,
+    mode: SimdMode,
     cache: &Arc<DirectSolverCache>,
 ) -> CaseResult {
-    let mut ctx =
-        ExecCtx::with_cache(exec.clone(), Arc::clone(cache)).with_problem(inst.problem.clone());
+    let mut ctx = ExecCtx::with_cache(mode, Arc::clone(cache)).with_problem(inst.problem.clone());
     let mut x = inst.working_grid();
     fam.run(LEVEL, acc, &mut x, &inst.b, &mut ctx);
     CaseResult {
@@ -270,15 +269,15 @@ fn all_backend_combinations_match_staged_reference() {
                 staged_run(&fam, LEVEL, acc, &mut x_ref, &inst.b, &cache);
 
                 // Reference op counts from the fused seq executor.
-                let baseline = run_case(&fam, &inst, acc, &Exec::seq(), &cache);
+                let baseline = run_case(&fam, &inst, acc, SimdMode::host(), &cache);
                 assert_eq!(
                     baseline.grid.as_slice(),
                     x_ref.as_slice(),
                     "[{fam_name}/{inst_name}/acc{acc}] fused executor diverged from staged kernels"
                 );
 
-                for (backend_name, exec) in &backends {
-                    let got = run_case(&fam, &inst, acc, exec, &cache);
+                for (backend_name, mode) in &backends {
+                    let got = run_case(&fam, &inst, acc, *mode, &cache);
                     let tag = format!("[{fam_name}/{inst_name}/acc{acc}/{backend_name}]");
                     assert_eq!(
                         got.grid.as_slice(),
@@ -356,15 +355,15 @@ fn operator_families_match_their_staged_references() {
                 );
             }
 
-            let baseline = run_case(&fam, &inst, acc, &Exec::seq(), &cache);
+            let baseline = run_case(&fam, &inst, acc, SimdMode::host(), &cache);
             assert_eq!(
                 baseline.grid.as_slice(),
                 x_ref.as_slice(),
                 "[{prob_name}/acc{acc}] fused executor diverged from staged op kernels"
             );
 
-            for (backend_name, exec) in &backends {
-                let got = run_case(&fam, &inst, acc, exec, &cache);
+            for (backend_name, mode) in &backends {
+                let got = run_case(&fam, &inst, acc, *mode, &cache);
                 let tag = format!("[{prob_name}/acc{acc}/{backend_name}]");
                 assert_eq!(
                     got.grid.as_slice(),
@@ -395,14 +394,14 @@ fn tuned_family_conforms_on_every_backend() {
     let mut x_ref = inst.working_grid();
     staged_run(&tuned, LEVEL, acc, &mut x_ref, &inst.b, &cache);
 
-    for (backend_name, exec) in &common::backends() {
-        let got = run_case(&tuned, &inst, acc, exec, &cache);
+    for (backend_name, mode) in &common::backends() {
+        let got = run_case(&tuned, &inst, acc, *mode, &cache);
         assert_eq!(
             got.grid.as_slice(),
             x_ref.as_slice(),
             "[tuned/{backend_name}] diverged"
         );
-        let report = tuned.solve_with(&mut inst.clone(), 1e5, exec, &cache);
+        let report = tuned.solve_with(&mut inst.clone(), 1e5, *mode, &cache);
         assert!(
             report.achieved_accuracy >= 1e5 * 0.5,
             "[tuned/{backend_name}] solve_with achieved {:e}",

@@ -37,11 +37,11 @@ fn tune_save_load_solve_roundtrip() {
 #[test]
 fn fmg_and_v_families_share_accuracies_and_solve() {
     let fmg = FmgTuner::new(TunerOptions::quick(5, Distribution::UnbiasedUniform)).tune();
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let cache = Arc::new(DirectSolverCache::new());
     let mut inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 888);
-    let rv = fmg.v.solve_with(&mut inst.clone(), 1e5, &exec, &cache);
-    let rf = fmg.solve_with(&mut inst, 1e5, &exec, &cache);
+    let rv = fmg.v.solve_with(&mut inst.clone(), 1e5, mode, &cache);
+    let rf = fmg.solve_with(&mut inst, 1e5, mode, &cache);
     assert!(rv.achieved_accuracy >= 5e4);
     assert!(rf.achieved_accuracy >= 5e4);
 }
@@ -61,7 +61,7 @@ fn facade_prelude_is_usable() {
 #[test]
 fn solve_respects_requested_accuracy_tiers() {
     let tuned = VTuner::new(TunerOptions::quick(6, Distribution::UnbiasedUniform)).tune();
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let cache = Arc::new(DirectSolverCache::new());
     // The monotone quantity across accuracy tiers is the *modeled cost*
     // on the machine the family was tuned for (a cheaper plan achieving
@@ -70,7 +70,7 @@ fn solve_respects_requested_accuracy_tiers() {
     let mut prev_cost = 0.0f64;
     for target in [1e1, 1e5, 1e9] {
         let mut inst = ProblemInstance::random(6, Distribution::UnbiasedUniform, 4_242);
-        let report = tuned.solve_with(&mut inst, target, &exec, &cache);
+        let report = tuned.solve_with(&mut inst, target, mode, &cache);
         assert!(
             report.achieved_accuracy >= target * 0.5,
             "target {target:e} achieved {:e}",

@@ -10,8 +10,6 @@ use petamg::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-mod common;
-
 const TOL: f64 = 1e-8;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -149,7 +147,7 @@ fn a_degrading_fingerprint_is_served_from_the_rung_that_serves_it() {
     assert_eq!(open_memories(&svc), 0);
 }
 
-/// Rule 3 through the service, on every backend: traced requests and
+/// Rule 3 through the service: traced requests and
 /// requests that carry faults walk the whole ladder and teach the
 /// memory nothing, on a healthy fingerprint and on a degrading one.
 #[test]
@@ -157,65 +155,55 @@ fn traced_and_fault_carrying_requests_never_open_a_memory() {
     let level = 5;
     let poisson = Problem::poisson();
     let jump = Problem::jump_inclusion(33);
-    let whole_walk = |name: &str, report: &GuardedReport| {
-        assert_eq!(report.rung, LadderRung::Direct, "[{name}]");
+    let whole_walk = |report: &GuardedReport| {
+        assert_eq!(report.rung, LadderRung::Direct);
         assert!(
             matches!(report.degradations[0].reason, FailureKind::Guard(_)),
-            "[{name}] {}",
+            "{}",
             report.degradations[0].reason
         );
     };
-    for (name, exec) in common::backends() {
-        let dir = tmp_dir(&format!("bypass-{name}"));
-        let svc =
-            SolverService::start(ServiceConfig::new(dir).with_workers(2).with_exec(exec)).unwrap();
-        let solve = |request: SolveRequest| {
-            svc.solve(request)
-                .unwrap_or_else(|e| panic!("[{name}] must serve: {e}"))
-                .report
-        };
+    let dir = tmp_dir("bypass");
+    let svc = SolverService::start(ServiceConfig::new(dir).with_workers(2)).unwrap();
+    let solve = |request: SolveRequest| {
+        svc.solve(request)
+            .unwrap_or_else(|e| panic!("must serve: {e}"))
+            .report
+    };
 
-        for seed in 0..8 {
-            let poison = vec![Fault::PoisonLevel { level }];
-            let poisoned = solve(request(&poisson, level, seed).with_faults(poison));
-            assert_eq!(poisoned.rung, LadderRung::HeuristicPlan, "[{name}]");
-            let traced = solve(request(&poisson, level, seed).with_trace());
-            assert_eq!(traced.rung, LadderRung::TunedPlan, "[{name}]");
-        }
-        assert_eq!(open_memories(&svc), 0, "[{name}]");
-
-        for seed in 0..4 {
-            whole_walk(&name, &solve(request(&jump, level, seed).with_trace()));
-            // A fault that never fires still marks the request a drill.
-            let dormant = vec![Fault::FailDirect { n: 3 }];
-            whole_walk(
-                &name,
-                &solve(request(&jump, level, seed).with_faults(dormant)),
-            );
-        }
-        assert_eq!(open_memories(&svc), 0, "[{name}]");
-
-        for seed in 4..7 {
-            whole_walk(&name, &solve(request(&jump, level, seed)));
-        }
-        assert_eq!(open_memories(&svc), 1, "[{name}]");
-        let remembered = solve(request(&jump, level, 7));
-        assert!(
-            matches!(
-                remembered.degradations[0].reason,
-                FailureKind::KnownToFail(_)
-            ),
-            "[{name}]"
-        );
-        let traced = solve(request(&jump, level, 8).with_trace());
-        whole_walk(&name, &traced);
-        assert_eq!(
-            rungs(&traced),
-            vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan],
-            "[{name}]"
-        );
-        assert_eq!(open_memories(&svc), 1, "[{name}]");
+    for seed in 0..8 {
+        let poison = vec![Fault::PoisonLevel { level }];
+        let poisoned = solve(request(&poisson, level, seed).with_faults(poison));
+        assert_eq!(poisoned.rung, LadderRung::HeuristicPlan);
+        let traced = solve(request(&poisson, level, seed).with_trace());
+        assert_eq!(traced.rung, LadderRung::TunedPlan);
     }
+    assert_eq!(open_memories(&svc), 0);
+
+    for seed in 0..4 {
+        whole_walk(&solve(request(&jump, level, seed).with_trace()));
+        // A fault that never fires still marks the request a drill.
+        let dormant = vec![Fault::FailDirect { n: 3 }];
+        whole_walk(&solve(request(&jump, level, seed).with_faults(dormant)));
+    }
+    assert_eq!(open_memories(&svc), 0);
+
+    for seed in 4..7 {
+        whole_walk(&solve(request(&jump, level, seed)));
+    }
+    assert_eq!(open_memories(&svc), 1);
+    let remembered = solve(request(&jump, level, 7));
+    assert!(matches!(
+        remembered.degradations[0].reason,
+        FailureKind::KnownToFail(_)
+    ));
+    let traced = solve(request(&jump, level, 8).with_trace());
+    whole_walk(&traced);
+    assert_eq!(
+        rungs(&traced),
+        vec![LadderRung::TunedPlan, LadderRung::HeuristicPlan]
+    );
+    assert_eq!(open_memories(&svc), 1);
 }
 
 /// A ladder memory lives in its plan's resident entry: with room for

@@ -24,7 +24,7 @@ fn reference_passes(
     mut done: impl FnMut(&Grid2d) -> bool,
 ) -> SolveStatus {
     let v = simple_v_family(inst.level, &[1.0]);
-    let mut ctx = ExecCtx::with_cache(Exec::seq(), Arc::clone(cache));
+    let mut ctx = ExecCtx::with_cache(SimdMode::host(), Arc::clone(cache));
     let mut x = inst.working_grid();
     for pass in 1..=max {
         if fmg && pass == 1 {
@@ -46,11 +46,11 @@ fn reference_cycles(
     cache: &Arc<DirectSolverCache>,
     fmg: bool,
 ) -> usize {
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let x_opt = inst.x_opt().expect("precomputed");
-    let e0 = l2_diff(&inst.x0, x_opt, &exec);
+    let e0 = l2_diff(&inst.x0, x_opt, mode);
     let status = reference_passes(inst, cache, fmg, 200, |x| {
-        l2_diff(x, x_opt, &exec) <= e0 / target
+        l2_diff(x, x_opt, mode) <= e0 / target
     });
     assert!(status.converged(), "reference failed to reach {target:e}");
     status.cycles()
@@ -68,7 +68,7 @@ fn reference_v_cost(
 ) -> f64 {
     let iters = reference_cycles(inst, target, cache, false);
     let fam = simple_v_family(inst.level, &[target]);
-    let (one, _) = priced_run(profile, &Exec::seq(), cache, |ctx| {
+    let (one, _) = priced_run(profile, SimdMode::host(), cache, |ctx| {
         let mut x = inst.working_grid();
         fam.run(inst.level, 0, &mut x, &inst.b, ctx);
         ctx.ops.level_mut(inst.level).residuals += 1;
@@ -93,7 +93,7 @@ fn discrete_tuner_choice_is_on_the_pareto_front() {
     let front = &pareto.tune()[level];
     let discrete = VTuner::new(opts).tune();
     let cache = Arc::new(DirectSolverCache::new());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let inst = ProblemInstance::random(level, Distribution::UnbiasedUniform, 5);
     for (i, &p) in discrete.accuracies.iter().enumerate() {
         let pareto_best = front
@@ -101,7 +101,7 @@ fn discrete_tuner_choice_is_on_the_pareto_front() {
             .filter(|a| a.accuracy >= p)
             .map(|a| a.cost)
             .fold(f64::INFINITY, f64::min);
-        let (cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+        let (cost, _) = priced_run(&profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             discrete.run(level, i, &mut x, &inst.b, ctx);
         });
@@ -118,12 +118,12 @@ fn discrete_tuner_choice_is_on_the_pareto_front() {
 /// biased data at 1e5 strictly fewer.
 #[test]
 fn full_multigrid_needs_no_more_passes_than_v_cycles() {
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let cache = Arc::new(DirectSolverCache::new());
     for dist in [Distribution::UnbiasedUniform, Distribution::BiasedUniform] {
         for level in 4..=6 {
             let mut inst = ProblemInstance::random(level, dist, 303 + level as u64);
-            inst.ensure_x_opt(&exec, &cache);
+            inst.ensure_x_opt(mode, &cache);
             for target in [1e3, 1e5, 1e9] {
                 let v = reference_cycles(&inst, target, &cache, false);
                 let fmg = reference_cycles(&inst, target, &cache, true);
@@ -158,7 +158,7 @@ fn training_distribution_changes_the_tuned_tables() {
 #[test]
 fn autotuned_beats_reference_v_at_1e5() {
     let cache = Arc::new(DirectSolverCache::new());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     for profile in MachineProfile::all_testbeds() {
         let top = if profile == MachineProfile::intel_harpertown() {
             7
@@ -169,10 +169,10 @@ fn autotuned_beats_reference_v_at_1e5() {
             let tuned = VTuner::new(TunerOptions::modeled(top, dist, profile.clone())).tune();
             for level in 4..=top {
                 let mut inst = ProblemInstance::random(level, dist, 31_337 + level as u64);
-                inst.ensure_x_opt(&exec, &cache);
+                inst.ensure_x_opt(mode, &cache);
                 for target in [1e5, 1e9] {
                     let ref_cost = reference_v_cost(&profile, &inst, target, &cache);
-                    let (tuned_cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+                    let (tuned_cost, _) = priced_run(&profile, mode, &cache, |ctx| {
                         let mut x = inst.working_grid();
                         tuned.run(level, tuned.acc_index_for(target), &mut x, &inst.b, ctx);
                     });
@@ -200,11 +200,11 @@ fn guarded_solve_matches_reference_v_to_1e8_residual() {
     let profile = MachineProfile::intel_harpertown();
     let problem = Problem::poisson();
     let cache = Arc::new(DirectSolverCache::new());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let rel_residual = |x: &Grid2d, b: &Grid2d| {
         let mut r = Grid2d::zeros(x.n());
-        petamg::problems::residual_op(&problem.op_for(x.n()), x, b, &mut r, &exec);
-        petamg::grid::l2_norm_interior(&r, &exec) / petamg::grid::l2_norm_interior(b, &exec)
+        petamg::problems::residual_op(&problem.op_for(x.n()), x, b, &mut r, &mode);
+        petamg::grid::l2_norm_interior(&r, &mode) / petamg::grid::l2_norm_interior(b, &mode)
     };
     for level in [5, 6, 7] {
         let tuned = VTuner::new(TunerOptions::quick(level, Distribution::UnbiasedUniform)).tune();
@@ -224,7 +224,7 @@ fn guarded_solve_matches_reference_v_to_1e8_residual() {
         });
         assert!(status.converged(), "reference V failed to reach {tol:e}");
         let simple = simple_v_family(level, &[1.0]);
-        let (one_cycle, _) = priced_run(&profile, &exec, &cache, |ctx| {
+        let (one_cycle, _) = priced_run(&profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             simple.run(level, 0, &mut x, &inst.b, ctx);
         });
@@ -246,11 +246,11 @@ fn small_problems_get_big_speedups_from_direct_shortcut() {
     let opts = TunerOptions::modeled(4, Distribution::UnbiasedUniform, profile.clone());
     let tuned = VTuner::new(opts).tune();
     let cache = Arc::new(DirectSolverCache::new());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let mut inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 5);
-    inst.ensure_x_opt(&exec, &cache);
+    inst.ensure_x_opt(mode, &cache);
     let ref_cost = reference_v_cost(&profile, &inst, 1e5, &cache);
-    let (tuned_cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+    let (tuned_cost, _) = priced_run(&profile, mode, &cache, |ctx| {
         let mut x = inst.working_grid();
         tuned.run(3, tuned.acc_index_for(1e5), &mut x, &inst.b, ctx);
     });
@@ -268,14 +268,14 @@ fn autotuned_dominates_heuristic_strategies() {
     let profile = opts.cost_model.profile().unwrap().clone();
     let tuned = VTuner::new(opts.clone()).tune();
     let cache = Arc::new(DirectSolverCache::new());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let inst = ProblemInstance::random(6, Distribution::BiasedUniform, 606);
-    let (tuned_cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+    let (tuned_cost, _) = priced_run(&profile, mode, &cache, |ctx| {
         let mut x = inst.working_grid();
         tuned.run(6, tuned.acc_index_for(1e9), &mut x, &inst.b, ctx);
     });
     for (name, fam) in paper_strategies(&opts) {
-        let (cost, _) = priced_run(&profile, &exec, &cache, |ctx| {
+        let (cost, _) = priced_run(&profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             fam.run(6, fam.num_accuracies() - 1, &mut x, &inst.b, ctx);
         });
@@ -300,11 +300,11 @@ fn cross_tuning_never_beats_native_tuning() {
         .map(|p| FmgTuner::new(TunerOptions::modeled(level, dist, p.clone())).tune())
         .collect();
     let cache = Arc::new(DirectSolverCache::new());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let inst = ProblemInstance::random(level, dist, 11);
 
     let price = |fam: &TunedFamily, profile: &MachineProfile| {
-        let (c, _) = priced_run(profile, &exec, &cache, |ctx| {
+        let (c, _) = priced_run(profile, mode, &cache, |ctx| {
             let mut x = inst.working_grid();
             fam.run(level, fam.acc_index_for(1e5), &mut x, &inst.b, ctx);
         });
@@ -331,21 +331,21 @@ fn cross_tuning_never_beats_native_tuning() {
 /// total-work separation.
 #[test]
 fn iteration_scaling_matches_complexity_table() {
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let cache = Arc::new(DirectSolverCache::new());
     let mut sor_iters = Vec::new();
     let mut mg_iters = Vec::new();
     for level in [4usize, 5, 6] {
         let mut inst = ProblemInstance::random(level, Distribution::UnbiasedUniform, 99);
-        let x_opt = inst.ensure_x_opt(&exec, &cache).clone();
-        let e0 = l2_diff(&inst.x0, &x_opt, &exec);
+        let x_opt = inst.ensure_x_opt(mode, &cache).clone();
+        let e0 = l2_diff(&inst.x0, &x_opt, mode);
         let n = inst.n();
         // SOR sweeps to reduce error 1e3x.
         let mut x = inst.working_grid();
         let omega = petamg::solvers::omega_opt(n);
         let mut it = 0;
-        while l2_diff(&x, &x_opt, &exec) > e0 / 1e3 && it < 100_000 {
-            petamg::solvers::sor_sweep(&mut x, &inst.b, omega, &exec);
+        while l2_diff(&x, &x_opt, mode) > e0 / 1e3 && it < 100_000 {
+            petamg::solvers::sor_sweep(&mut x, &inst.b, omega, &mode);
             it += 1;
         }
         sor_iters.push(it);

@@ -17,8 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
-mod common;
-
 /// Grid level the stress instances live at (`n = 2^4 + 1 = 17`).
 const LEVEL: usize = 4;
 const N: usize = 17;
@@ -55,11 +53,11 @@ fn request_at(problem: &Problem, level: usize, seed: u64) -> SolveRequest {
 /// cache) cannot pass this.
 fn rel_residual(problem: &Problem, x: &Grid2d, b: &Grid2d) -> f64 {
     let op = problem.op_for(x.n());
-    let exec = Exec::seq();
+    let mode = SimdMode::host();
     let mut r = Grid2d::zeros(x.n());
-    residual_op(&op, x, b, &mut r, &exec);
-    petamg::grid::l2_norm_interior(&r, &exec)
-        / petamg::grid::l2_norm_interior(b, &exec).max(f64::MIN_POSITIVE)
+    residual_op(&op, x, b, &mut r, &mode);
+    petamg::grid::l2_norm_interior(&r, &mode)
+        / petamg::grid::l2_norm_interior(b, &mode).max(f64::MIN_POSITIVE)
 }
 
 /// A tuning policy that counts invocations per fingerprint and runs
@@ -383,51 +381,48 @@ const PATIENCE: Duration = Duration::from_secs(10);
 /// that blocks on the flight holds the worker, and A's tuner gives up.
 #[test]
 fn a_parked_follower_frees_its_worker() {
-    for (name, exec) in common::backends() {
-        let (a, b) = (Problem::poisson(), Problem::anisotropic(0.1));
-        let a_key = fingerprint_key(a.fingerprint());
-        let (b_started, b_has_started) = mpsc::channel();
-        let b_has_started = Mutex::new(b_has_started);
-        let saw_b = Arc::new(Mutex::new(None));
-        let seen = Arc::clone(&saw_b);
-        let tuning = TunePolicy::Custom(Arc::new(move |problem: &Problem, level: usize| {
-            if fingerprint_key(problem.fingerprint()) == a_key {
-                let waited = b_has_started.lock().unwrap().recv_timeout(PATIENCE);
-                *seen.lock().unwrap() = Some(waited.is_ok());
-            } else {
-                b_started.send(()).unwrap();
-            }
-            simple_v_family(level.max(1), &PAPER_ACCURACIES)
-        }));
-        let svc = SolverService::start(
-            ServiceConfig::new(tmp_dir(&format!("parked-{name}")))
-                .with_workers(2)
-                .with_exec(exec)
-                .with_tuning(tuning),
-        )
-        .unwrap();
-        let sources: Vec<PlanSource> = [(&a, 1), (&a, 2), (&b, 3)]
-            .map(|(problem, seed)| svc.submit(request(problem, seed)).expect("room"))
-            .into_iter()
-            .map(|ticket| ticket.wait().expect("every request converges").plan)
-            .collect();
-        assert_eq!(
-            *saw_b.lock().unwrap(),
-            Some(true),
-            "[{name}] B's tuner never started while A's flight was in the air: \
-             A's follower held its worker"
-        );
-        // Either A request may lead; the other parked.
-        assert!(
-            sources[..2].contains(&PlanSource::TunedNow)
-                && sources[..2].contains(&PlanSource::Coalesced),
-            "[{name}] {sources:?}"
-        );
-        assert_eq!(sources[2], PlanSource::TunedNow, "[{name}]");
-        let stats = svc.stats();
-        assert_eq!((stats.tunes, stats.coalesced), (2, 1), "[{name}]");
-        assert_eq!(svc.in_flight(), 0, "[{name}]");
-    }
+    let (a, b) = (Problem::poisson(), Problem::anisotropic(0.1));
+    let a_key = fingerprint_key(a.fingerprint());
+    let (b_started, b_has_started) = mpsc::channel();
+    let b_has_started = Mutex::new(b_has_started);
+    let saw_b = Arc::new(Mutex::new(None));
+    let seen = Arc::clone(&saw_b);
+    let tuning = TunePolicy::Custom(Arc::new(move |problem: &Problem, level: usize| {
+        if fingerprint_key(problem.fingerprint()) == a_key {
+            let waited = b_has_started.lock().unwrap().recv_timeout(PATIENCE);
+            *seen.lock().unwrap() = Some(waited.is_ok());
+        } else {
+            b_started.send(()).unwrap();
+        }
+        simple_v_family(level.max(1), &PAPER_ACCURACIES)
+    }));
+    let svc = SolverService::start(
+        ServiceConfig::new(tmp_dir("parked"))
+            .with_workers(2)
+            .with_tuning(tuning),
+    )
+    .unwrap();
+    let sources: Vec<PlanSource> = [(&a, 1), (&a, 2), (&b, 3)]
+        .map(|(problem, seed)| svc.submit(request(problem, seed)).expect("room"))
+        .into_iter()
+        .map(|ticket| ticket.wait().expect("every request converges").plan)
+        .collect();
+    assert_eq!(
+        *saw_b.lock().unwrap(),
+        Some(true),
+        "B's tuner never started while A's flight was in the air: \
+         A's follower held its worker"
+    );
+    // Either A request may lead; the other parked.
+    assert!(
+        sources[..2].contains(&PlanSource::TunedNow)
+            && sources[..2].contains(&PlanSource::Coalesced),
+        "{sources:?}"
+    );
+    assert_eq!(sources[2], PlanSource::TunedNow);
+    let stats = svc.stats();
+    assert_eq!((stats.tunes, stats.coalesced), (2, 1));
+    assert_eq!(svc.in_flight(), 0);
 }
 
 /// The level and size of the factor-handover tests: every stress
@@ -780,104 +775,98 @@ fn tiny_plan_cache_under_concurrent_traffic_stays_correct() {
     );
 }
 
-/// `solve_many` and `solve` traffic mixed under concurrency, on every
-/// backend: one client submits a `solve_many` mix (two same-fingerprint
+/// `solve_many` and `solve` traffic mixed under concurrency: one client submits a `solve_many` mix (two same-fingerprint
 /// runs, a different size, a traced request) while other clients
 /// hammer plain `solve` on the same service. Every response must pass
 /// the independent residual check and equal `solve` of the same
 /// request bit for bit — any worker, any arena, same bits.
 #[test]
 fn solve_many_and_solve_mixed_traffic_stress() {
-    for (name, exec) in common::backends() {
-        let svc = Arc::new(
-            SolverService::start(
-                ServiceConfig::new(tmp_dir(&format!("manymix-{name}")))
-                    .with_workers(3)
-                    .with_queue_capacity(64)
-                    .with_exec(exec),
-            )
-            .unwrap(),
-        );
-        let profiles = profiles();
+    let svc = Arc::new(
+        SolverService::start(
+            ServiceConfig::new(tmp_dir("manymix"))
+                .with_workers(3)
+                .with_queue_capacity(64),
+        )
+        .unwrap(),
+    );
+    let profiles = profiles();
 
-        // `solve_many` client: 4 Poisson@17 + 3 aniso@17 + 1 Poisson@33 +
-        // 1 traced Poisson@17 in one submission.
-        let many_svc = Arc::clone(&svc);
-        let many_name = name.clone();
-        let many = std::thread::spawn(move || {
-            let mut requests = Vec::new();
-            for k in 0..4 {
-                requests.push(request(&Problem::poisson(), 500 + k));
-            }
-            for k in 0..3 {
-                requests.push(request(&Problem::anisotropic(0.1), 510 + k));
-            }
-            let big = ProblemInstance::random_for(
-                &Problem::poisson(),
-                LEVEL + 1,
-                Distribution::UnbiasedUniform,
-                520,
-            );
-            requests.push(SolveRequest::new(
-                Problem::poisson(),
-                big.working_grid(),
-                big.b.clone(),
-                TOL,
-            ));
-            requests.push(request(&Problem::poisson(), 521).with_trace());
-            let responses = many_svc.solve_many(requests.clone());
-            assert_eq!(responses.len(), 9);
-            for (k, (request, response)) in requests.into_iter().zip(&responses).enumerate() {
-                let report = response
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("[{many_name}] slot {k} failed: {e:?}"));
-                assert!(report.report.rel_residual <= TOL);
-                let recomputed = rel_residual(&request.problem, &report.x, &request.b);
-                assert!(
-                    recomputed <= TOL * 10.0,
-                    "[{many_name}] slot {k}: independent residual {recomputed:.3e} \
-                     disagrees — the response carries another system's iterate"
-                );
-                let alone = many_svc.solve(request).expect("solve serves");
-                assert_eq!(
-                    report.x.as_slice(),
-                    alone.x.as_slice(),
-                    "[{many_name}] slot {k} differs from `solve` of the same request"
-                );
-            }
+    // `solve_many` client: 4 Poisson@17 + 3 aniso@17 + 1 Poisson@33 +
+    // 1 traced Poisson@17 in one submission.
+    let many_svc = Arc::clone(&svc);
+    let many = std::thread::spawn(move || {
+        let mut requests = Vec::new();
+        for k in 0..4 {
+            requests.push(request(&Problem::poisson(), 500 + k));
+        }
+        for k in 0..3 {
+            requests.push(request(&Problem::anisotropic(0.1), 510 + k));
+        }
+        let big = ProblemInstance::random_for(
+            &Problem::poisson(),
+            LEVEL + 1,
+            Distribution::UnbiasedUniform,
+            520,
+        );
+        requests.push(SolveRequest::new(
+            Problem::poisson(),
+            big.working_grid(),
+            big.b.clone(),
+            TOL,
+        ));
+        requests.push(request(&Problem::poisson(), 521).with_trace());
+        let responses = many_svc.solve_many(requests.clone());
+        assert_eq!(responses.len(), 9);
+        for (k, (request, response)) in requests.into_iter().zip(&responses).enumerate() {
+            let report = response
+                .as_ref()
+                .unwrap_or_else(|e| panic!("slot {k} failed: {e:?}"));
+            assert!(report.report.rel_residual <= TOL);
+            let recomputed = rel_residual(&request.problem, &report.x, &request.b);
             assert!(
-                !responses[8].as_ref().unwrap().report.events.is_empty(),
-                "[{many_name}] traced request lost its trace"
+                recomputed <= TOL * 10.0,
+                "slot {k}: independent residual {recomputed:.3e} \
+                 disagrees — the response carries another system's iterate"
             );
-        });
-
-        // `solve` clients on the same service, overlapping the call.
-        let mut clients = vec![many];
-        for t in 0..2u64 {
-            let svc = Arc::clone(&svc);
-            let profiles = profiles.clone();
-            let name = name.clone();
-            clients.push(std::thread::spawn(move || {
-                for j in 0..6u64 {
-                    let p = &profiles[((t + j) % profiles.len() as u64) as usize];
-                    let report = svc
-                        .solve(request(p, 600 + t * 50 + j))
-                        .unwrap_or_else(|e| panic!("[{name}] solve failed: {e:?}"));
-                    assert!(report.report.rel_residual <= TOL);
-                }
-            }));
+            let alone = many_svc.solve(request).expect("solve serves");
+            assert_eq!(
+                report.x.as_slice(),
+                alone.x.as_slice(),
+                "slot {k} differs from `solve` of the same request"
+            );
         }
-        for c in clients {
-            c.join().unwrap();
-        }
-
-        let stats = svc.stats();
-        assert_eq!(
-            stats.completed, 30,
-            "[{name}] 9 in one call, each again alone, 12 more"
+        assert!(
+            !responses[8].as_ref().unwrap().report.events.is_empty(),
+            "traced request lost its trace"
         );
-        assert_eq!(stats.panics, 0, "[{name}] worker panicked");
-        assert_eq!(stats.bad_requests, 0);
-        assert_eq!(svc.in_flight(), 0, "[{name}] in-flight leak");
+    });
+
+    // `solve` clients on the same service, overlapping the call.
+    let mut clients = vec![many];
+    for t in 0..2u64 {
+        let svc = Arc::clone(&svc);
+        let profiles = profiles.clone();
+        clients.push(std::thread::spawn(move || {
+            for j in 0..6u64 {
+                let p = &profiles[((t + j) % profiles.len() as u64) as usize];
+                let report = svc
+                    .solve(request(p, 600 + t * 50 + j))
+                    .unwrap_or_else(|e| panic!("solve failed: {e:?}"));
+                assert!(report.report.rel_residual <= TOL);
+            }
+        }));
     }
+    for c in clients {
+        c.join().unwrap();
+    }
+
+    let stats = svc.stats();
+    assert_eq!(
+        stats.completed, 30,
+        "9 in one call, each again alone, 12 more"
+    );
+    assert_eq!(stats.panics, 0, "worker panicked");
+    assert_eq!(stats.bad_requests, 0);
+    assert_eq!(svc.in_flight(), 0, "in-flight leak");
 }
