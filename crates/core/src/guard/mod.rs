@@ -3,8 +3,9 @@
 //! The ROADMAP's north star is a plan-serving engine, and a serving
 //! engine must never turn a bad plan into a panic or a silent wrong
 //! answer. [`GuardedSolver`] wraps plan execution in the per-cycle
-//! [`SolveGuard`] checks from `petamg-solvers` and walks a three-rung
-//! **degradation ladder** when anything misbehaves:
+//! [`SolveGuard`](petamg_solvers::SolveGuard) checks from
+//! `petamg-solvers` and walks a three-rung **degradation ladder** when
+//! anything misbehaves:
 //!
 //! 1. [`LadderRung::TunedPlan`] — the caller-supplied tuned plan,
 //!    iterated under guard (NaN/Inf, divergence, stagnation, budget);
@@ -79,15 +80,24 @@
 //! needs no reference solution and is therefore computable while
 //! serving.
 
+mod memory;
+mod select;
+mod walk;
+
+pub use memory::LadderMemory;
+#[cfg(test)]
+pub(crate) use select::select_member;
+
 use crate::faults;
-use crate::plan::{simple_v_family, ExecCtx, TunedFamily, MAX_TIMED_LEVELS, PAPER_ACCURACIES};
-use crate::telemetry::{rung_idx, SolveTelemetry, RUNGS};
+use crate::plan::TunedFamily;
+use crate::telemetry::SolveTelemetry;
 use crate::trace::CycleEvent;
 use crate::OpCounts;
-use petamg_grid::{l2_norm_interior, Grid2d, GridLease, SimdMode, Workspace};
-use petamg_problems::{residual_norm_op, Problem, StencilOp};
-use petamg_solvers::{DirectSolverCache, GuardFailure, GuardVerdict, SolveGuard};
-use std::sync::{Arc, Mutex};
+use memory::Admission;
+use petamg_grid::{Grid2d, SimdMode, Workspace};
+use petamg_problems::Problem;
+use petamg_solvers::{DirectSolverCache, GuardFailure};
+use std::sync::Arc;
 
 /// A rung of the degradation ladder: the strategies tried in order
 /// when a solve misbehaves.
@@ -108,6 +118,29 @@ impl std::fmt::Display for LadderRung {
             LadderRung::HeuristicPlan => "heuristic plan",
             LadderRung::Direct => "direct solve",
         })
+    }
+}
+
+impl LadderRung {
+    /// The rungs in ladder order, which is their declaration order.
+    pub(crate) const ALL: [LadderRung; 3] = [
+        LadderRung::TunedPlan,
+        LadderRung::HeuristicPlan,
+        LadderRung::Direct,
+    ];
+
+    /// The rung's position in [`LadderRung::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The Prometheus-style label value for the rung.
+    pub fn label(self) -> &'static str {
+        match self {
+            LadderRung::TunedPlan => "tuned",
+            LadderRung::HeuristicPlan => "heuristic",
+            LadderRung::Direct => "direct",
+        }
     }
 }
 
@@ -246,177 +279,6 @@ impl GuardedReport {
     }
 }
 
-/// Consecutive covered requests that must end on the same rung below
-/// the tuned one before later requests start there.
-const KNOWN_AFTER: u32 = 3;
-
-/// While a level's memory is open, every this-many-th covered request
-/// walks the whole ladder again.
-const REPROBE_EVERY: u32 = 64;
-
-/// The verdicts remembered for the two plan rungs (tuned, heuristic):
-/// `Some` exactly for the rungs above the remembered one.
-type Verdicts = [Option<GuardFailure>; 2];
-
-/// What one level's recent requests showed.
-#[derive(Clone, Copy)]
-struct LevelMemory {
-    /// Consecutive covered requests that ended on `rung` with only
-    /// replayable verdicts above it; 0 when nothing is remembered.
-    streak: u32,
-    rung: LadderRung,
-    verdicts: Verdicts,
-    /// The tightest `tol` of the streak: what it covers.
-    tol: f64,
-    /// Covered requests since the memory opened or last re-probed.
-    since_probe: u32,
-}
-
-impl LevelMemory {
-    const EMPTY: LevelMemory = LevelMemory {
-        streak: 0,
-        rung: LadderRung::TunedPlan,
-        verdicts: [None; 2],
-        tol: f64::INFINITY,
-        since_probe: 0,
-    };
-
-    fn open(&self) -> bool {
-        self.streak >= KNOWN_AFTER
-    }
-}
-
-/// How a request enters the ladder, as its solver's memory decides.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Admission {
-    /// No memory, or a request looser than the streak: the whole
-    /// ladder, and the memory is not told.
-    Unremembered,
-    /// The whole ladder; the outcome is remembered.
-    Walk,
-    /// The whole ladder although the memory is open; the outcome is
-    /// remembered and counted as a re-probe.
-    Reprobe,
-    /// Start at this rung, the rungs above it known to fail.
-    StartAt(LadderRung, Verdicts),
-}
-
-/// What a resident plan's ladder did for the requests before: per
-/// level, the rung that served them and the deterministic verdicts of
-/// the rungs above it. See "What the service remembers" in the module
-/// docs. One memory belongs to one plan object and is shared by every
-/// solver built over that plan.
-#[derive(Default)]
-pub struct LadderMemory {
-    /// Indexed by level, grown on demand.
-    levels: Mutex<Vec<LevelMemory>>,
-}
-
-impl LadderMemory {
-    /// An empty memory: the next requests walk the whole ladder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether requests at some level currently start below the tuned
-    /// rung.
-    pub fn is_open(&self) -> bool {
-        self.lock().iter().any(LevelMemory::open)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<LevelMemory>> {
-        self.levels
-            .lock()
-            .expect("no code path panics while holding the ladder memory")
-    }
-
-    /// Decide how a request at `level` to `tol` enters the ladder.
-    fn admit(&self, level: usize, tol: f64) -> Admission {
-        let mut levels = self.lock();
-        if levels.len() <= level {
-            levels.resize(level + 1, LevelMemory::EMPTY);
-        }
-        let m = &mut levels[level];
-        let covered = tol <= m.tol;
-        if !covered {
-            return Admission::Unremembered;
-        }
-        if !m.open() {
-            return Admission::Walk;
-        }
-        m.since_probe += 1;
-        if m.since_probe == REPROBE_EVERY {
-            m.since_probe = 0;
-            Admission::Reprobe
-        } else {
-            Admission::StartAt(m.rung, m.verdicts)
-        }
-    }
-
-    /// Take in how the request admitted as `admission` ended. Returns
-    /// whether the level's memory is open afterwards.
-    fn settle(
-        &self,
-        level: usize,
-        tol: f64,
-        admission: Admission,
-        result: Result<&GuardedReport, &SolveError>,
-    ) -> bool {
-        let mut levels = self.lock();
-        let m = &mut levels[level];
-        match admission {
-            Admission::Unremembered => {}
-            // The remembered rung served again: nothing new. Anything
-            // else and what was remembered no longer holds.
-            Admission::StartAt(rung, _) => {
-                if !result.is_ok_and(|report| report.rung == rung) {
-                    *m = LevelMemory::EMPTY;
-                }
-            }
-            Admission::Walk | Admission::Reprobe => {
-                match result.ok().and_then(replayable_outcome) {
-                    Some((rung, verdicts)) if m.streak > 0 && m.rung == rung => {
-                        m.streak = m.streak.saturating_add(1);
-                        m.verdicts = verdicts;
-                        m.tol = m.tol.min(tol);
-                    }
-                    Some((rung, verdicts)) => {
-                        *m = LevelMemory {
-                            streak: 1,
-                            rung,
-                            verdicts,
-                            tol,
-                            since_probe: 0,
-                        }
-                    }
-                    None => *m = LevelMemory::EMPTY,
-                }
-            }
-        }
-        m.open()
-    }
-}
-
-/// What a full walk's report leaves to remember: the serving rung and
-/// the verdicts above it, when the rung is below the tuned one and
-/// every rung above failed (or was skipped as the replay of a failure)
-/// on a verdict that [`replays_identically`].
-fn replayable_outcome(report: &GuardedReport) -> Option<(LadderRung, Verdicts)> {
-    let mut verdicts = [None; 2];
-    for d in &report.degradations {
-        match d.reason {
-            FailureKind::Guard(g) | FailureKind::SameScheduleAsFailed(g)
-                if replays_identically(&g) =>
-            {
-                // Only the two plan rungs ever end on a guard verdict.
-                verdicts[rung_idx(d.rung)] = Some(g);
-            }
-            _ => return None,
-        }
-    }
-    (report.rung != LadderRung::TunedPlan).then_some((report.rung, verdicts))
-}
-
 /// A solver that executes tuned plans under guard and degrades down
 /// the ladder instead of panicking. See the module docs.
 pub struct GuardedSolver {
@@ -447,17 +309,12 @@ impl GuardedSolver {
         }
     }
 
-    /// Serve `plan` as the ladder's first rung.
-    pub fn with_plan(mut self, plan: TunedFamily) -> Self {
-        self.plan = Some(Arc::new(plan));
-        self
-    }
-
-    /// Serve an already-shared `plan` as the ladder's first rung
-    /// without cloning it. This is the serving-engine path: one plan
-    /// from the library serves any number of concurrent requests.
-    pub fn with_shared_plan(mut self, plan: Arc<TunedFamily>) -> Self {
-        self.plan = Some(plan);
+    /// Serve `plan` as the ladder's first rung. An already-shared
+    /// `Arc` is taken without cloning the family: that is the
+    /// serving-engine path, where one plan from the library serves any
+    /// number of concurrent requests.
+    pub fn with_plan(mut self, plan: impl Into<Arc<TunedFamily>>) -> Self {
+        self.plan = Some(plan.into());
         self
     }
 
@@ -560,410 +417,6 @@ impl GuardedSolver {
         }
         result
     }
-
-    /// The execution context of one guarded solve.
-    fn exec_ctx(&self) -> ExecCtx {
-        let mut ctx = ExecCtx::with_cache(self.mode, Arc::clone(&self.cache))
-            .with_workspace(Arc::clone(&self.workspace))
-            .with_problem(self.problem.clone());
-        if self.tracing {
-            ctx = ctx.tracing();
-        }
-        if self.active_telemetry().is_some() {
-            // Clock every level's kernels for the per-level histograms
-            // (two timestamps per kernel call — only paid when the
-            // telemetry gate is open).
-            ctx.kernel_seconds = Some([0.0; MAX_TIMED_LEVELS]);
-        }
-        ctx
-    }
-
-    /// One request's trip down the ladder, entered as `admission` says.
-    fn walk(
-        &self,
-        x: &mut Grid2d,
-        b: &Grid2d,
-        tol: f64,
-        level: usize,
-        admission: Admission,
-    ) -> Result<GuardedReport, SolveError> {
-        let n = x.n();
-        // The restore snapshot is leased from the shared arena (and
-        // fully overwritten before any read), so a warm solver performs
-        // zero steady-state grid allocations per request.
-        let mut x0 = self.workspace.acquire_unzeroed(n);
-        x0.copy_from(x);
-        let ctx = self.exec_ctx();
-        let start = std::time::Instant::now();
-        let op = self.problem.op_for(n);
-        let mut w = Walk {
-            level,
-            tol,
-            x0,
-            ctx,
-            check: ResidualCheck::new(&op, b),
-            resid_seconds: 0.0,
-            degradations: Vec::new(),
-            tuned_failure: None,
-        };
-
-        // The rungs the memory knows to fail are listed, not run.
-        let mut first = 0;
-        if let Admission::StartAt(rung, verdicts) = admission {
-            first = rung_idx(rung);
-            for (rung, verdict) in RUNGS.into_iter().zip(verdicts.into_iter().flatten()) {
-                w.failed(rung, FailureKind::KnownToFail(verdict), 0.0);
-            }
-        }
-        let mut served = self.descend(&mut w, x, first..RUNGS.len());
-        if served.is_none() && first > 0 {
-            // The remembered rung and everything below it failed: what
-            // was known no longer holds, and an error may only say
-            // "every rung failed" of rungs that ran.
-            w.degradations
-                .retain(|d| !matches!(d.reason, FailureKind::KnownToFail(_)));
-            served = self.descend(&mut w, x, 0..first);
-            w.degradations.sort_by_key(|d| rung_idx(d.rung));
-        }
-        if let (Some(telemetry), Some(seconds)) = (self.active_telemetry(), &w.ctx.kernel_seconds) {
-            telemetry.observe_kernels(seconds);
-        }
-        match served {
-            Some((rung, trajectory, rung_seconds)) => {
-                Ok(self.report(rung, trajectory, start, rung_seconds, w))
-            }
-            None => {
-                let err = SolveError {
-                    degradations: w.degradations,
-                };
-                if let Some(telemetry) = self.active_telemetry() {
-                    telemetry.observe_error(&err);
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// Try `rungs` (indices into ladder order) one after the other
-    /// until one serves: its trajectory and the seconds its attempt
-    /// took. Every rung that fails is recorded in `w` and leaves `x`
-    /// the initial guess.
-    fn descend(
-        &self,
-        w: &mut Walk,
-        x: &mut Grid2d,
-        rungs: std::ops::Range<usize>,
-    ) -> Option<(LadderRung, Trajectory, f64)> {
-        RUNGS[rungs].iter().find_map(|&rung| {
-            let served = match rung {
-                LadderRung::TunedPlan => self.try_tuned(w, x),
-                LadderRung::HeuristicPlan => self.try_heuristic(w, x),
-                LadderRung::Direct => self.try_direct(w, x),
-            };
-            served.map(|(trajectory, seconds)| (rung, trajectory, seconds))
-        })
-    }
-
-    /// Whether `fam` may serve this solver's problem at `level`.
-    fn admit_plan(&self, fam: &TunedFamily, level: usize) -> Result<(), String> {
-        fam.ensure_problem(self.problem.fingerprint())
-            .map_err(|e| e.to_string())?;
-        fam.validate()?;
-        if level > fam.max_level {
-            return Err(format!(
-                "instance level {level} exceeds tuned max level {}",
-                fam.max_level
-            ));
-        }
-        Ok(())
-    }
-
-    /// Rung 0: the tuned plan, if one was supplied and it matches.
-    fn try_tuned(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
-        let fam = self.plan.as_ref()?;
-        let rung_start = std::time::Instant::now();
-        let failure = match self.admit_plan(fam, w.level) {
-            Err(why) => FailureKind::PlanRejected(why),
-            Ok(()) => match self.run_family_guarded(fam, w, x) {
-                Ok(trajectory) => return Some((trajectory, rung_start.elapsed().as_secs_f64())),
-                Err(g) => {
-                    x.copy_from(&w.x0);
-                    w.tuned_failure = Some(g);
-                    FailureKind::Guard(g)
-                }
-            },
-        };
-        w.failed(
-            LadderRung::TunedPlan,
-            failure,
-            rung_start.elapsed().as_secs_f64(),
-        );
-        None
-    }
-
-    /// Rung 1: the hand-built MULTIGRID-V-SIMPLE family — unless the
-    /// tuned rung just ran that very schedule (same restored `x`) into a
-    /// verdict the arithmetic alone decides.
-    fn try_heuristic(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
-        let heuristic = simple_v_family(w.level.max(1), &PAPER_ACCURACIES);
-        let replayed = match (&self.plan, w.tuned_failure) {
-            (Some(fam), Some(g))
-                if replays_identically(&g)
-                    && fam.accuracies == heuristic.accuracies
-                    && fam.plans[..=w.level] == heuristic.plans[..=w.level] =>
-            {
-                Some(g)
-            }
-            _ => None,
-        };
-        if let Some(g) = replayed {
-            w.failed(
-                LadderRung::HeuristicPlan,
-                FailureKind::SameScheduleAsFailed(g),
-                0.0,
-            );
-            return None;
-        }
-        let rung_start = std::time::Instant::now();
-        match self.run_family_guarded(&heuristic, w, x) {
-            Ok(trajectory) => Some((trajectory, rung_start.elapsed().as_secs_f64())),
-            Err(g) => {
-                x.copy_from(&w.x0);
-                w.failed(
-                    LadderRung::HeuristicPlan,
-                    FailureKind::Guard(g),
-                    rung_start.elapsed().as_secs_f64(),
-                );
-                None
-            }
-        }
-    }
-
-    /// Rung 2: unconditional full-size direct solve.
-    fn try_direct(&self, w: &mut Walk, x: &mut Grid2d) -> Option<(Trajectory, f64)> {
-        let n = x.n();
-        let rung_start = std::time::Instant::now();
-        let factor = if faults::fail_direct(n) {
-            Err("injected factorization fault".to_string())
-        } else {
-            self.cache
-                .try_get_op(n, w.check.op)
-                .map_err(|e| format!("{e:?}"))
-        };
-        let failure = match factor {
-            Err(why) => FailureKind::DirectFactorization(why),
-            Ok(direct) => {
-                let events = [CycleEvent::Direct { level: w.level }];
-                w.ctx
-                    .kernel(w.level, x, events, |_, x| direct.solve(x, w.check.b));
-                let check_start = std::time::Instant::now();
-                let rel = w.check.rel(x, &w.ctx.workspace, w.ctx.mode);
-                w.resid_seconds += check_start.elapsed().as_secs_f64();
-                if rel.is_finite() && rel <= w.tol {
-                    let trajectory = Trajectory {
-                        history: vec![rel],
-                        members: Vec::new(),
-                    };
-                    return Some((trajectory, rung_start.elapsed().as_secs_f64()));
-                }
-                x.copy_from(&w.x0);
-                FailureKind::ToleranceNotMet { rel_residual: rel }
-            }
-        };
-        w.failed(
-            LadderRung::Direct,
-            failure,
-            rung_start.elapsed().as_secs_f64(),
-        );
-        None
-    }
-
-    /// Iterate `fam` under guard until the walk's `tol` or failure, each
-    /// cycle on the member its [`MemberWalk`] selects.
-    fn run_family_guarded(
-        &self,
-        fam: &TunedFamily,
-        w: &mut Walk,
-        x: &mut Grid2d,
-    ) -> Result<Trajectory, GuardFailure> {
-        let mut guard = SolveGuard::new(w.tol);
-        let mut walk = MemberWalk::default();
-        loop {
-            let member = walk.next(fam, &guard);
-            fam.run(w.level, member, x, w.check.b, &mut w.ctx);
-            let check_start = std::time::Instant::now();
-            let rel = w.check.rel(x, &w.ctx.workspace, w.ctx.mode);
-            w.resid_seconds += check_start.elapsed().as_secs_f64();
-            match walk.observe(fam, &mut guard, member, rel) {
-                GuardVerdict::Continue => {}
-                GuardVerdict::Converged => return Ok(walk.finish(&guard)),
-                GuardVerdict::Fail(f) => return Err(f),
-            }
-        }
-    }
-
-    fn report(
-        &self,
-        rung: LadderRung,
-        trajectory: Trajectory,
-        start: std::time::Instant,
-        rung_seconds: f64,
-        w: Walk,
-    ) -> GuardedReport {
-        let report = GuardedReport {
-            rung,
-            rel_residual: trajectory.history.last().copied().unwrap_or(f64::NAN),
-            residual_history: trajectory.history,
-            members: trajectory.members,
-            degradations: w.degradations,
-            seconds: start.elapsed().as_secs_f64(),
-            rung_seconds,
-            residual_check_seconds: w.resid_seconds,
-            ops: w.ctx.ops,
-            events: w.ctx.events.unwrap_or_default(),
-        };
-        if let Some(telemetry) = self.active_telemetry() {
-            telemetry.observe_report(&report);
-        }
-        report
-    }
-}
-
-/// What one walk down the ladder carries from rung to rung.
-struct Walk<'a> {
-    level: usize,
-    tol: f64,
-    /// The initial guess, put back into `x` after every failed attempt.
-    x0: GridLease<'a>,
-    ctx: ExecCtx,
-    check: ResidualCheck<'a>,
-    /// Wall time of the per-cycle residual checks so far.
-    resid_seconds: f64,
-    degradations: Vec<Degradation>,
-    /// The tuned rung's guard verdict, once it has failed on one.
-    tuned_failure: Option<GuardFailure>,
-}
-
-impl Walk<'_> {
-    /// Record that `rung` failed (or was skipped) after `seconds`.
-    fn failed(&mut self, rung: LadderRung, reason: FailureKind, seconds: f64) {
-        self.degradations.push(Degradation {
-            rung,
-            reason,
-            seconds,
-        });
-    }
-}
-
-/// What the per-cycle relative-residual check `‖b − A x‖₂ / ‖b‖₂`
-/// needs that does not change from cycle to cycle: the posed operator
-/// and the norm scale (clamped so an all-zero `b` cannot divide by
-/// zero), resolved once per system instead of once per observation.
-/// The scale is taken at the first observation, not up front, so a
-/// one-cycle solve does exactly the work it always did.
-struct ResidualCheck<'a> {
-    op: &'a StencilOp,
-    b: &'a Grid2d,
-    b_norm: Option<f64>,
-}
-
-impl<'a> ResidualCheck<'a> {
-    fn new(op: &'a StencilOp, b: &'a Grid2d) -> Self {
-        ResidualCheck {
-            op,
-            b,
-            b_norm: None,
-        }
-    }
-
-    /// Relative residual of `x`. The residual is reduced row by row
-    /// (row buffers leased from `ws`), never stored as a grid.
-    fn rel(&mut self, x: &Grid2d, ws: &Workspace, mode: SimdMode) -> f64 {
-        let r_norm = residual_norm_op(self.op, x, self.b, ws, mode);
-        let b = self.b;
-        let b_norm = self
-            .b_norm
-            .get_or_insert_with(|| l2_norm_interior(b, &mode).max(f64::MIN_POSITIVE));
-        r_norm / *b_norm
-    }
-}
-
-/// The family member a follow-up cycle runs: the cheapest one whose
-/// tuned accuracy `p_i` covers the reduction still `need`ed
-/// (`rel / tol`), but no member below `floor` — and the top member when
-/// nothing sub-top qualifies.
-pub(crate) fn select_member(fam: &TunedFamily, need: f64, floor: usize) -> usize {
-    fam.acc_index_for(need)
-        .max(floor)
-        .min(fam.num_accuracies() - 1)
-}
-
-/// A converged guarded iteration, as the serving rung's report carries
-/// it: `members[c]` ran cycle `c` and left `history[c]`.
-struct Trajectory {
-    history: Vec<f64>,
-    members: Vec<u8>,
-}
-
-/// Which member each cycle of one guarded iteration runs.
-///
-/// Cycle 1 runs the top member: no residual is known yet. Every later
-/// cycle runs [`select_member`] of what the last observation left to
-/// do. A sub-top member that was given the job and missed is not asked
-/// again, nor is anything weaker (`floor`), so an iteration spends at
-/// most `m − 1` sub-top cycles — each cheaper than a top cycle — before
-/// it is back on the top member for good.
-#[derive(Default)]
-struct MemberWalk {
-    floor: usize,
-    members: Vec<u8>,
-}
-
-impl MemberWalk {
-    /// The member the next cycle runs.
-    fn next(&self, fam: &TunedFamily, guard: &SolveGuard) -> usize {
-        match guard.history().last() {
-            None => fam.num_accuracies() - 1,
-            Some(rel) => select_member(fam, rel / guard.target(), self.floor),
-        }
-    }
-
-    /// Record that `member` ran and left `rel`; the guard's verdict,
-    /// except that a budget projection drawn from weaker members than
-    /// the one about to run is not acted on. The projection's ρ is the
-    /// best contraction of the last four cycles, which bounds the cycles
-    /// still needed from below only while the cycles to come are no
-    /// stronger than the ones observed.
-    fn observe(
-        &mut self,
-        fam: &TunedFamily,
-        guard: &mut SolveGuard,
-        member: usize,
-        rel: f64,
-    ) -> GuardVerdict {
-        self.members
-            .push(u8::try_from(member).expect("an admitted family has at most 256 members"));
-        let verdict = guard.observe(rel);
-        if verdict != GuardVerdict::Converged && member + 1 < fam.num_accuracies() {
-            self.floor = member + 1;
-        }
-        match verdict {
-            GuardVerdict::Fail(GuardFailure::BudgetUnreachable { .. })
-                if self.next(fam, guard) > member =>
-            {
-                GuardVerdict::Continue
-            }
-            verdict => verdict,
-        }
-    }
-
-    /// The converged iteration's record.
-    fn finish(self, guard: &SolveGuard) -> Trajectory {
-        Trajectory {
-            history: guard.history().to_vec(),
-            members: self.members,
-        }
-    }
 }
 
 /// Whether re-running the same schedule from the same input must end
@@ -992,8 +445,9 @@ pub(crate) fn level_of(n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::faults::Fault;
-    use crate::plan::Choice;
+    use crate::plan::{simple_v_family, Choice, ExecCtx, PAPER_ACCURACIES};
     use crate::training::{Distribution, ProblemInstance};
+    use petamg_grid::l2_norm_interior;
     use petamg_problems::residual_op;
 
     /// The rungs a solve degraded past, in order.
@@ -1001,7 +455,7 @@ mod tests {
         report.degradations.iter().map(|d| d.rung).collect()
     }
 
-    fn instance(level: usize, problem: &Problem) -> ProblemInstance {
+    pub(super) fn instance(level: usize, problem: &Problem) -> ProblemInstance {
         ProblemInstance::random_for(problem, level, Distribution::UnbiasedUniform, 7)
     }
 
@@ -1122,45 +576,9 @@ mod tests {
         assert_eq!(report.residual_history.len(), 1);
     }
 
-    /// A warm plan whose members run `RECURSE_0×3` (two fused step
-    /// boundaries per cycle) and the guard's per-cycle residual checks
-    /// lease every grid and row buffer from the solver's arena: once
-    /// warm, a solve allocates nothing.
-    #[test]
-    fn warm_step_boundaries_and_residual_checks_allocate_nothing() {
-        faults::clear();
-        let level = 5;
-        let problem = Problem::smooth_sinusoidal(petamg_grid::level_size(level));
-        let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
-        fam.problem = problem.fingerprint().clone();
-        fam.plans[level].fill(Choice::Recurse {
-            sub_accuracy: 0,
-            iterations: 3,
-        });
-        let workspace = Arc::new(Workspace::new());
-        let solver = GuardedSolver::new(problem.clone())
-            .with_plan(fam)
-            .with_workspace(Arc::clone(&workspace));
-        let inst = instance(level, &problem);
-        let solve = || {
-            let mut x = inst.working_grid();
-            let report = solver.solve(&mut x, &inst.b, 1e-9).expect("must serve");
-            assert_eq!(report.rung, LadderRung::TunedPlan);
-            let cycles = report.residual_history.len() as u64;
-            assert!(cycles >= 2, "{cycles} guarded cycles");
-            assert_eq!(report.ops.per_level[level].restricts, 3 * cycles);
-        };
-        solve();
-        let warm = workspace.stats().allocations;
-        for _ in 0..3 {
-            solve();
-        }
-        assert_eq!(workspace.stats().allocations, warm);
-    }
-
     /// The jump-coefficient profile at `level`, with the stamped
     /// `MULTIGRID-V-SIMPLE` family the default serving policy hands out.
-    fn jump_with_simple_plan(level: usize) -> (Problem, TunedFamily) {
+    pub(super) fn jump_with_simple_plan(level: usize) -> (Problem, TunedFamily) {
         let problem = Problem::jump_inclusion(petamg_grid::level_size(level));
         let mut fam = simple_v_family(level, &PAPER_ACCURACIES);
         fam.problem = problem.fingerprint().clone();
@@ -1445,53 +863,12 @@ mod tests {
         assert!(report.members[4..].iter().all(|&m| m == 4));
     }
 
-    /// A budget projection drawn from members weaker than the one about
-    /// to run is not acted on; once the top member has run, it is. Fed
-    /// the same trajectory — 9.5x above the target, then 1 % better per
-    /// cycle — a bare guard projects its budget unreachable at cycle 5.
-    #[test]
-    fn a_projection_from_weaker_members_is_not_acted_on() {
-        let fam = simple_v_family(5, &PAPER_ACCURACIES);
-        let tol = 1e-8;
-        let trajectory: Vec<f64> = (0..6).map(|c| 9.5 * tol * 0.99f64.powi(c)).collect();
-        let mut bare = SolveGuard::new(tol);
-        let bare_verdicts: Vec<GuardVerdict> =
-            trajectory.iter().map(|&rel| bare.observe(rel)).collect();
-        assert!(
-            matches!(
-                bare_verdicts[4],
-                GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle: 5, .. })
-            ),
-            "{bare_verdicts:?}"
-        );
-
-        let mut guard = SolveGuard::new(tol);
-        let mut walk = MemberWalk::default();
-        let verdicts: Vec<GuardVerdict> = trajectory
-            .iter()
-            .map(|&rel| {
-                let member = walk.next(&fam, &guard);
-                walk.observe(&fam, &mut guard, member, rel)
-            })
-            .collect();
-        assert_eq!(walk.members, [4, 0, 1, 2, 3, 4]);
-        assert_eq!(verdicts[..5], [GuardVerdict::Continue; 5]);
-        assert_eq!(verdicts[5], bare_verdicts[5]);
-        assert!(
-            matches!(
-                verdicts[5],
-                GuardVerdict::Fail(GuardFailure::BudgetUnreachable { cycle: 6, .. })
-            ),
-            "{verdicts:?}"
-        );
-    }
-
     // -----------------------------------------------------------------
     // Ladder memory.
     // -----------------------------------------------------------------
 
     /// A solver for `problem` serving `fam` over `memory`.
-    fn remembering_solver(
+    pub(super) fn remembering_solver(
         problem: &Problem,
         fam: &TunedFamily,
         memory: &Arc<LadderMemory>,
@@ -1607,7 +984,7 @@ mod tests {
             .solve(&mut x, &inst.b, 1e-18)
             .expect_err("no rung reaches 1e-18");
         let rungs: Vec<LadderRung> = err.degradations.iter().map(|d| d.rung).collect();
-        assert_eq!(rungs, RUNGS, "{err}");
+        assert_eq!(rungs, LadderRung::ALL, "{err}");
         let [tuned, heuristic, direct] = &err.degradations[..] else {
             unreachable!()
         };
@@ -1711,250 +1088,5 @@ mod tests {
         ));
         faults::clear();
         assert!(memory.is_open());
-    }
-
-    /// What each rung would do with one generated request, and the
-    /// verdict a failing plan rung ends on.
-    #[derive(Clone, Copy, Debug)]
-    struct World {
-        serves: [bool; 3],
-        verdict: GuardFailure,
-    }
-
-    /// The ladder `GuardedSolver::walk` implements, with `world`
-    /// standing in for the arithmetic.
-    fn simulated_walk(world: World, admission: Admission) -> Result<GuardedReport, SolveError> {
-        let mut degradations = Vec::new();
-        let mut first = 0;
-        if let Admission::StartAt(rung, verdicts) = admission {
-            first = rung_idx(rung);
-            for (rung, g) in RUNGS.into_iter().zip(verdicts.into_iter().flatten()) {
-                degradations.push(Degradation {
-                    rung,
-                    reason: FailureKind::KnownToFail(g),
-                    seconds: 0.0,
-                });
-            }
-        }
-        for i in (first..3).chain(0..first) {
-            if i == 0 && first > 0 {
-                degradations.retain(|d| !matches!(d.reason, FailureKind::KnownToFail(_)));
-            }
-            if world.serves[i] {
-                return Ok(GuardedReport {
-                    rung: RUNGS[i],
-                    rel_residual: 0.0,
-                    residual_history: Vec::new(),
-                    members: Vec::new(),
-                    degradations,
-                    seconds: 0.0,
-                    rung_seconds: 0.0,
-                    residual_check_seconds: 0.0,
-                    ops: OpCounts::default(),
-                    events: Vec::new(),
-                });
-            }
-            degradations.push(Degradation {
-                rung: RUNGS[i],
-                reason: if RUNGS[i] == LadderRung::Direct {
-                    FailureKind::DirectFactorization("generated".into())
-                } else {
-                    FailureKind::Guard(world.verdict)
-                },
-                seconds: 1.0,
-            });
-        }
-        Err(SolveError { degradations })
-    }
-
-    /// The reference model of one level's memory.
-    struct Model {
-        streak: u32,
-        rung: LadderRung,
-        tol: f64,
-        since_probe: u32,
-    }
-
-    impl Model {
-        const EMPTY: Model = Model {
-            streak: 0,
-            rung: LadderRung::TunedPlan,
-            tol: f64::INFINITY,
-            since_probe: 0,
-        };
-
-        /// The rung a request that may use the memory must be started
-        /// at (`None`: the whole ladder), and whether that walk is a
-        /// re-probe; then the state after it.
-        fn step(&mut self, world: World, tol: f64) -> (Option<LadderRung>, bool) {
-            if tol > self.tol {
-                return (None, false);
-            }
-            let open = self.streak >= KNOWN_AFTER;
-            if open {
-                self.since_probe += 1;
-            }
-            let reprobe = open && self.since_probe == REPROBE_EVERY;
-            if open && !reprobe {
-                if !world.serves[rung_idx(self.rung)] {
-                    *self = Model::EMPTY;
-                    return (Some(LadderRung::TunedPlan), false);
-                }
-                return (Some(self.rung), false);
-            }
-            if reprobe {
-                self.since_probe = 0;
-            }
-            let served = world.serves.iter().position(|&s| s);
-            match served {
-                Some(i) if i > 0 && replays_identically(&world.verdict) => {
-                    if self.streak > 0 && self.rung == RUNGS[i] {
-                        self.streak += 1;
-                        self.tol = self.tol.min(tol);
-                    } else {
-                        *self = Model {
-                            streak: 1,
-                            rung: RUNGS[i],
-                            tol,
-                            since_probe: 0,
-                        };
-                    }
-                }
-                _ => *self = Model::EMPTY,
-            }
-            (None, reprobe)
-        }
-    }
-
-    /// Runs of identical requests: (what the rungs do, tolerance,
-    /// how the request is made, how many times).
-    fn arb_traffic() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u8, u8, u32)>> {
-        use proptest::prelude::*;
-        prop::collection::vec((0u8..12, 0u8..3, 0u8..6, 1u32..90), 1..10)
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// The memory against its model over generated traffic: which
-        /// requests start low and where, which walk the whole ladder,
-        /// which of those are re-probes, and whether the memory is open
-        /// after each — with traced and fault-armed requests changing
-        /// nothing.
-        #[test]
-        fn ladder_memory_follows_its_model(traffic in arb_traffic()) {
-            use proptest::prelude::*;
-            faults::clear();
-            let level = 3;
-            let memory = Arc::new(LadderMemory::new());
-            let fam = simple_v_family(level, &PAPER_ACCURACIES);
-            let solver = remembering_solver(&Problem::poisson(), &fam, &memory);
-            let traced = remembering_solver(&Problem::poisson(), &fam, &memory).with_tracing();
-            let mut model = Model::EMPTY;
-            for (outcome, tol, how, repeat) in traffic {
-                let world = match outcome {
-                    0 => World { serves: [true; 3], verdict: GuardFailure::Stagnated { cycle: 9 } },
-                    1 => World { serves: [false, true, true], verdict: GuardFailure::Diverged { cycle: 4, growth: 3.0 } },
-                    2 => World { serves: [false, false, true], verdict: GuardFailure::NonFinite { cycle: 1 } },
-                    3 => World { serves: [false; 3], verdict: GuardFailure::BudgetExhausted { cycles: 50 } },
-                    _ => World { serves: [false, false, true], verdict: GuardFailure::BudgetUnreachable { cycle: 5, needed: 80 } },
-                };
-                let tol = [1e-6, 1e-8, 1e-10][usize::from(tol)];
-                for _ in 0..repeat {
-                    let mut admitted = None;
-                    let walk = |admission| {
-                        admitted = Some(admission);
-                        simulated_walk(world, admission)
-                    };
-                    match how {
-                        0 => {
-                            let _ = traced.remembering(level, tol, walk);
-                            prop_assert_eq!(admitted, Some(Admission::Unremembered));
-                        }
-                        1 => {
-                            faults::inject(Fault::FailDirect { n: 3 });
-                            let _ = solver.remembering(level, tol, walk);
-                            faults::clear();
-                            prop_assert_eq!(admitted, Some(Admission::Unremembered));
-                        }
-                        _ => {
-                            let was_covered = tol <= model.tol;
-                            let was_open = model.streak >= KNOWN_AFTER;
-                            let (start, reprobe) = model.step(world, tol);
-                            let result = solver.remembering(level, tol, walk);
-                            match admitted.expect("the walk ran") {
-                                Admission::Unremembered => prop_assert!(!was_covered),
-                                Admission::Walk => prop_assert!(was_covered && !was_open),
-                                Admission::Reprobe => prop_assert!(reprobe),
-                                Admission::StartAt(rung, _) => {
-                                    prop_assert!(was_open && !reprobe);
-                                    // Served where the memory said, or
-                                    // (rule 4) after every rung was tried.
-                                    match start {
-                                        Some(LadderRung::TunedPlan) => {
-                                            prop_assert!(!world.serves[rung_idx(rung)]);
-                                            if let Err(e) = &result {
-                                                prop_assert_eq!(e.degradations.len(), 3);
-                                                prop_assert!(e.degradations.iter().all(|d| !d.reason.is_skip()));
-                                            }
-                                        }
-                                        other => {
-                                            prop_assert_eq!(other, Some(rung));
-                                            prop_assert_eq!(result.map(|r| r.rung).ok(), Some(rung));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    prop_assert_eq!(memory.is_open(), model.streak >= KNOWN_AFTER);
-                }
-            }
-        }
-    }
-
-    /// The two constants, exactly: open after the third covered
-    /// failure, re-probe on every 64th covered request from there.
-    #[test]
-    fn opens_after_three_and_reprobes_every_sixty_fourth() {
-        faults::clear();
-        let level = 3;
-        let memory = Arc::new(LadderMemory::new());
-        let fam = simple_v_family(level, &PAPER_ACCURACIES);
-        let solver = remembering_solver(&Problem::poisson(), &fam, &memory);
-        let world = World {
-            serves: [false, false, true],
-            verdict: GuardFailure::BudgetUnreachable {
-                cycle: 5,
-                needed: 80,
-            },
-        };
-        let mut full_walks = Vec::new();
-        for request in 1..=200u32 {
-            solver
-                .remembering(level, 1e-8, |admission| {
-                    match admission {
-                        Admission::Walk | Admission::Reprobe => full_walks.push(request),
-                        Admission::StartAt(rung, _) => assert_eq!(rung, LadderRung::Direct),
-                        Admission::Unremembered => panic!("every request is covered"),
-                    }
-                    simulated_walk(world, admission)
-                })
-                .expect("direct serves");
-            assert_eq!(memory.is_open(), request >= 3, "request {request}");
-        }
-        assert_eq!(full_walks, [1, 2, 3, 3 + 64, 3 + 128, 3 + 192]);
-
-        // The tuned rung serving a re-probe closes it.
-        let healthy = World {
-            serves: [true; 3],
-            ..world
-        };
-        for _ in 0..REPROBE_EVERY {
-            solver
-                .remembering(level, 1e-8, |admission| simulated_walk(healthy, admission))
-                .expect("serves");
-        }
-        assert!(!memory.is_open());
     }
 }

@@ -18,31 +18,6 @@ use crate::guard::{Degradation, GuardedReport, LadderRung, SolveError};
 use crate::plan::MAX_TIMED_LEVELS;
 use petamg_obs::{Counter, Histogram, Registry};
 
-/// The Prometheus-style label value for a ladder rung.
-pub fn rung_label(rung: LadderRung) -> &'static str {
-    match rung {
-        LadderRung::TunedPlan => "tuned",
-        LadderRung::HeuristicPlan => "heuristic",
-        LadderRung::Direct => "direct",
-    }
-}
-
-/// The rungs in ladder order.
-pub(crate) const RUNGS: [LadderRung; 3] = [
-    LadderRung::TunedPlan,
-    LadderRung::HeuristicPlan,
-    LadderRung::Direct,
-];
-
-/// A rung's position in [`RUNGS`].
-pub(crate) fn rung_idx(rung: LadderRung) -> usize {
-    match rung {
-        LadderRung::TunedPlan => 0,
-        LadderRung::HeuristicPlan => 1,
-        LadderRung::Direct => 2,
-    }
-}
-
 /// Family members `petamg_cycle_member_total` tells apart (members
 /// past the last slot accumulate into it). The paper's family has five.
 const MAX_COUNTED_MEMBERS: usize = 8;
@@ -66,7 +41,7 @@ impl SolveTelemetry {
     /// every handle this feed will ever touch.
     pub fn register(registry: &Registry) -> Self {
         let per_rung_counter = |name: &'static str| -> [Counter; 3] {
-            std::array::from_fn(|i| registry.counter(name, &[("rung", rung_label(RUNGS[i]))]))
+            LadderRung::ALL.map(|rung| registry.counter(name, &[("rung", rung.label())]))
         };
         SolveTelemetry {
             served: per_rung_counter("petamg_rung_served_total"),
@@ -77,17 +52,14 @@ impl SolveTelemetry {
                     registry.counter(
                         "petamg_cycle_member_total",
                         &[
-                            ("rung", rung_label(RUNGS[i])),
+                            ("rung", LadderRung::ALL[i].label()),
                             ("member", &member.to_string()),
                         ],
                     )
                 })
             }),
-            attempt_seconds: std::array::from_fn(|i| {
-                registry.histogram(
-                    "petamg_rung_attempt_seconds",
-                    &[("rung", rung_label(RUNGS[i]))],
-                )
+            attempt_seconds: LadderRung::ALL.map(|rung| {
+                registry.histogram("petamg_rung_attempt_seconds", &[("rung", rung.label())])
             }),
             residual_check_seconds: registry.histogram("petamg_residual_check_seconds", &[]),
             kernel_seconds: (0..MAX_TIMED_LEVELS)
@@ -106,9 +78,9 @@ impl SolveTelemetry {
     /// time, every degradation along the way and the residual-check
     /// time.
     pub(crate) fn observe_report(&self, report: &GuardedReport) {
-        self.served[rung_idx(report.rung)].inc();
+        self.served[report.rung.index()].inc();
         self.observe_members(report.rung, &report.members);
-        self.attempt_seconds[rung_idx(report.rung)].record_seconds(report.rung_seconds);
+        self.attempt_seconds[report.rung.index()].record_seconds(report.rung_seconds);
         self.residual_check_seconds
             .record_seconds(report.residual_check_seconds);
         self.observe_degradations(&report.degradations);
@@ -140,7 +112,7 @@ impl SolveTelemetry {
     /// One count per cycle of the serving rung, by the member that ran
     /// it. The direct rung runs no member.
     fn observe_members(&self, rung: LadderRung, members: &[u8]) {
-        let Some(per_member) = self.cycle_member.get(rung_idx(rung)) else {
+        let Some(per_member) = self.cycle_member.get(rung.index()) else {
             return;
         };
         for &member in members {
@@ -156,10 +128,10 @@ impl SolveTelemetry {
     fn observe_degradations(&self, degradations: &[Degradation]) {
         for d in degradations {
             if d.reason.is_skip() {
-                self.skipped[rung_idx(d.rung)].inc();
+                self.skipped[d.rung.index()].inc();
             } else {
-                self.failed[rung_idx(d.rung)].inc();
-                self.attempt_seconds[rung_idx(d.rung)].record_seconds(d.seconds);
+                self.failed[d.rung.index()].inc();
+                self.attempt_seconds[d.rung.index()].record_seconds(d.seconds);
             }
         }
     }

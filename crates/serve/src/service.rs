@@ -31,7 +31,7 @@ use parking_lot::{Condvar, Mutex};
 use petamg_core::faults::{self, Fault};
 use petamg_core::guard::{GuardedReport, GuardedSolver, SolveError};
 use petamg_core::plan::{simple_v_family, TunedFamily, PAPER_ACCURACIES};
-use petamg_core::telemetry::{rung_label, SolveTelemetry};
+use petamg_core::telemetry::SolveTelemetry;
 use petamg_core::training::Distribution;
 use petamg_core::tuner::{TunerOptions, VTuner};
 use petamg_grid::{size_level, Grid2d, Workspace, WorkspaceStats};
@@ -198,6 +198,33 @@ pub enum PlanSource {
     /// No plan could be produced (tuner failure); the ladder served
     /// from its heuristic rung.
     Untuned,
+}
+
+impl PlanSource {
+    /// Every source, in declaration order.
+    pub(crate) const ALL: [PlanSource; 5] = [
+        PlanSource::CacheHit,
+        PlanSource::DiskLoad,
+        PlanSource::TunedNow,
+        PlanSource::Coalesced,
+        PlanSource::Untuned,
+    ];
+
+    /// The source's position in [`PlanSource::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The Prometheus-style label value for the source.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            PlanSource::CacheHit => "cache-hit",
+            PlanSource::DiskLoad => "disk-load",
+            PlanSource::TunedNow => "tuned-now",
+            PlanSource::Coalesced => "coalesced",
+            PlanSource::Untuned => "untuned",
+        }
+    }
 }
 
 /// Successful response: the solution grid plus the guarded report.
@@ -421,9 +448,7 @@ impl Inner {
             .with_workspace(workspace)
             .with_telemetry(Arc::clone(&self.solve_telemetry));
         match plan {
-            Some(Resident { plan, memory }) => {
-                solver.with_ladder_memory(memory).with_shared_plan(plan)
-            }
+            Some(Resident { plan, memory }) => solver.with_ladder_memory(memory).with_plan(plan),
             None => solver,
         }
     }
@@ -826,7 +851,7 @@ impl Pending {
         let result = solver.solve(&mut x0, &b, tol);
         if let Some(stamp) = stamp {
             let detail = match &result {
-                Ok(report) => rung_label(report.rung),
+                Ok(report) => report.rung.label(),
                 Err(_) => "ladder-exhausted",
             };
             inner.telemetry.observe_solve(detail, stamp);

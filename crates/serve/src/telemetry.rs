@@ -19,35 +19,6 @@ use std::time::Instant;
 /// Spans retained for Chrome-trace export (oldest overwritten first).
 pub(crate) const SPAN_RING_CAPACITY: usize = 4096;
 
-/// The Prometheus-style label value for a plan source.
-pub(crate) fn plan_source_label(source: PlanSource) -> &'static str {
-    match source {
-        PlanSource::CacheHit => "cache-hit",
-        PlanSource::DiskLoad => "disk-load",
-        PlanSource::TunedNow => "tuned-now",
-        PlanSource::Coalesced => "coalesced",
-        PlanSource::Untuned => "untuned",
-    }
-}
-
-const SOURCES: [PlanSource; 5] = [
-    PlanSource::CacheHit,
-    PlanSource::DiskLoad,
-    PlanSource::TunedNow,
-    PlanSource::Coalesced,
-    PlanSource::Untuned,
-];
-
-fn source_idx(source: PlanSource) -> usize {
-    match source {
-        PlanSource::CacheHit => 0,
-        PlanSource::DiskLoad => 1,
-        PlanSource::TunedNow => 2,
-        PlanSource::Coalesced => 3,
-        PlanSource::Untuned => 4,
-    }
-}
-
 /// A phase timestamp taken only when telemetry is on: the `Instant`
 /// feeds histograms (nanosecond durations), the epoch-relative
 /// microsecond start feeds spans.
@@ -92,11 +63,8 @@ impl ServeTelemetry {
     pub(crate) fn register(registry: &Registry) -> Self {
         ServeTelemetry {
             queue_wait_seconds: registry.histogram("petamg_queue_wait_seconds", &[]),
-            plan_resolve_seconds: std::array::from_fn(|i| {
-                registry.histogram(
-                    "petamg_plan_resolve_seconds",
-                    &[("source", plan_source_label(SOURCES[i]))],
-                )
+            plan_resolve_seconds: PlanSource::ALL.map(|source| {
+                registry.histogram("petamg_plan_resolve_seconds", &[("source", source.label())])
             }),
             solve_seconds: registry.histogram("petamg_solve_seconds", &[]),
             spans: SpanRing::with_capacity(SPAN_RING_CAPACITY),
@@ -114,14 +82,10 @@ impl ServeTelemetry {
 
     /// Record one plan resolution that started at `stamp`.
     pub(crate) fn observe_plan_resolve(&self, source: PlanSource, stamp: PhaseStamp) {
-        self.plan_resolve_seconds[source_idx(source)].record_elapsed(stamp.at);
+        self.plan_resolve_seconds[source.index()].record_elapsed(stamp.at);
         if petamg_obs::trace_enabled() {
-            self.spans.record_since(
-                "plan_resolve",
-                "serve",
-                plan_source_label(source),
-                stamp.start_us,
-            );
+            self.spans
+                .record_since("plan_resolve", "serve", source.label(), stamp.start_us);
         }
     }
 
@@ -149,16 +113,13 @@ mod tests {
             at: Instant::now(),
             start_us: 0,
         };
-        for source in SOURCES {
+        for source in PlanSource::ALL {
             telemetry.observe_plan_resolve(source, stamp);
         }
         let snap = registry.snapshot();
-        for source in SOURCES {
+        for source in PlanSource::ALL {
             assert_eq!(
-                snap.histogram_count(
-                    "petamg_plan_resolve_seconds",
-                    &[("source", plan_source_label(source))]
-                ),
+                snap.histogram_count("petamg_plan_resolve_seconds", &[("source", source.label())]),
                 1,
                 "{source:?}"
             );

@@ -235,7 +235,7 @@ fn telemetry_snapshot_reconciles_with_stress_reports() {
                 *rungs
                     .lock()
                     .unwrap()
-                    .entry(petamg::core::telemetry::rung_label(report.report.rung))
+                    .entry(report.report.rung.label())
                     .or_insert(0) += 1;
             }
         }));
