@@ -1,20 +1,17 @@
-//! Cost models.
+//! The cost model.
 //!
-//! The tuner needs a scalar cost per candidate algorithm. Two sources
-//! are provided:
-//!
-//! * [`CostModel::Measured`] — wall-clock timing on the host, as the
-//!   real PetaBricks autotuner does. Non-deterministic; used for the
-//!   native-machine experiments (Figs 6–9).
-//! * [`CostModel::Modeled`] — a deterministic analytic model driven by
-//!   operation counts and a [`MachineProfile`]. This is the substitution
-//!   for the paper's three physical testbeds (Intel Xeon E7340
-//!   "Harpertown"*, AMD Opteron 2356 "Barcelona", Sun Fire T200
-//!   "Niagara"): the profiles encode the architectural contrasts that
-//!   drive the paper's §4.3 observations — relative cost of the direct
-//!   solver vs relaxations, parallel width vs per-core speed, and cache
-//!   capacity effects at large grid levels. Modeled cost makes the whole
-//!   DP tuner deterministic and unit-testable.
+//! The tuner needs a scalar cost per candidate algorithm, and it has one
+//! source for it: the operations the plan executor counts ([`OpCounts`])
+//! priced on a [`MachineProfile`] ([`MachineProfile::time`]). This is the
+//! substitution for the paper's three physical testbeds (Intel Xeon
+//! E7340 "Harpertown"*, AMD Opteron 2356 "Barcelona", Sun Fire T200
+//! "Niagara"), whose autotuner timed each candidate on the machine: the
+//! profiles encode the architectural contrasts that drive the paper's
+//! §4.3 observations — relative cost of the direct solver vs
+//! relaxations, parallel width vs per-core speed, and cache capacity
+//! effects at large grid levels. A count-based price makes the whole DP
+//! tuner deterministic and unit-testable; no candidate is timed on the
+//! host.
 //!
 //! *The paper's figures label the Intel machine both "Xeon E7340" and
 //! "Harpertown"; we keep "Harpertown" as the profile name.
@@ -286,34 +283,6 @@ impl MachineProfile {
             total += l.direct_solves as f64 * self.direct_time(cells);
         }
         total
-    }
-}
-
-/// How the tuner prices candidate algorithms.
-#[derive(Clone, Debug)]
-pub enum CostModel {
-    /// Wall-clock timing with this many trials (minimum is taken).
-    Measured {
-        /// Timed repetitions per candidate.
-        trials: usize,
-    },
-    /// Deterministic analytic model.
-    Modeled(MachineProfile),
-}
-
-impl CostModel {
-    /// Whether this model requires a timed re-run (vs deriving cost from
-    /// operation counts alone).
-    pub(crate) fn needs_timing(&self) -> bool {
-        matches!(self, CostModel::Measured { .. })
-    }
-
-    /// The profile, if modeled.
-    pub fn profile(&self) -> Option<&MachineProfile> {
-        match self {
-            CostModel::Modeled(p) => Some(p),
-            CostModel::Measured { .. } => None,
-        }
     }
 }
 

@@ -27,7 +27,7 @@ use crate::tuner::{DefaultKnobs, TunerOptions, VTuner, Walk};
 /// measured on training data from `base` options.
 ///
 /// # Panics
-/// Panics if `sub_acc > final_acc` or no candidate is feasible.
+/// Panics if `sub_acc > final_acc`.
 pub(crate) fn fixed_strategy_family(
     sub_acc: f64,
     final_acc: f64,
@@ -52,8 +52,8 @@ pub(crate) fn fixed_strategy_family(
     for k in 2..=base.max_level {
         let instances = tuner.training_instances(k);
         let partial = tuner.family_view(&plans, k);
-        // Candidate 1: direct (if available/affordable).
-        let direct = tuner.measure_direct(k, &instances);
+        // Candidate 1: direct.
+        let direct = tuner.measure_direct(k);
         // Candidate 2: RECURSE at the pinned sub accuracy (index 0),
         // one walk for both targets.
         let recurse = tuner.measure_recurse(
@@ -64,20 +64,20 @@ pub(crate) fn fixed_strategy_family(
                 instances: &instances,
                 starts: None,
                 targets: &accuracies,
-                budgets: &vec![direct.map(|d| d.cost); m],
+                budgets: &vec![Some(direct.cost); m],
             },
         );
         plans[k] = recurse
             .iter()
-            .map(|r| match direct {
-                Some(d) if !r.feasible || d.cost <= r.cost => Choice::Direct,
-                _ if r.feasible => Choice::Recurse {
-                    sub_accuracy: 0,
-                    iterations: r.iterations,
-                },
-                _ => panic!(
-                    "heuristic {sub_acc:e}/{final_acc:e}: no feasible candidate at level {k}"
-                ),
+            .map(|r| {
+                if !r.feasible || direct.cost <= r.cost {
+                    Choice::Direct
+                } else {
+                    Choice::Recurse {
+                        sub_accuracy: 0,
+                        iterations: r.iterations,
+                    }
+                }
             })
             .collect();
     }
@@ -177,7 +177,7 @@ mod tests {
             ..base(5)
         };
         let tuned = VTuner::new(opts.clone()).tune();
-        let profile = opts.cost_model.profile().unwrap().clone();
+        let profile = opts.profile.clone();
         let mode = petamg_grid::SimdMode::host();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());
         let inst = ProblemInstance::random(5, Distribution::BiasedUniform, 1_000_001);

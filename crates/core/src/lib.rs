@@ -23,9 +23,9 @@
 //! * [`accuracy`] — the metric and reference (exact discrete) solutions;
 //! * [`training`] — the paper's training distributions (§4): unbiased /
 //!   biased uniform over `[−2³², 2³²]`, plus point sources;
-//! * [`cost`] — cost models: measured wall-clock or deterministic
-//!   modeled machine profiles (Intel Harpertown / AMD Barcelona /
-//!   Sun Niagara stand-ins) for the architecture studies of §4.3;
+//! * [`cost`] — the cost model: counted operations priced on a
+//!   machine profile (Intel Harpertown / AMD Barcelona / Sun Niagara
+//!   stand-ins) for the architecture studies of §4.3;
 //! * [`plan`] — tuned-plan representation ([`plan::Choice`],
 //!   [`plan::TunedFamily`], [`plan::TunedFmgFamily`]) and the executor;
 //! * [`trace`] / [`render`] — the operations a plan execution runs
@@ -68,7 +68,7 @@ pub use petamg_obs as obs;
 pub use petamg_obs::env;
 
 pub use accuracy::error_ratio;
-pub use cost::{CostModel, MachineProfile, OpCounts};
+pub use cost::{MachineProfile, OpCounts};
 pub use guard::{Degradation, FailureKind, GuardedReport, GuardedSolver, LadderMemory, SolveError};
 pub use plan::{Choice, SolveReport, TunedFamily, TunedFmgFamily};
 pub use telemetry::SolveTelemetry;

@@ -259,7 +259,7 @@ proptest! {
             .collect();
         // No budget, one no step survives, and a range around the
         // price of the walk's natural yardstick, a direct solve.
-        let direct = tuner.measure_direct(level, &instances).expect("modeled").cost;
+        let direct = tuner.measure_direct(level).cost;
         let scales = [None, Some(0.0), Some(0.02), Some(0.1), Some(0.5), Some(3.0), Some(50.0)];
         let budgets: Vec<Option<f64>> = budgets[..targets.len()]
             .iter()

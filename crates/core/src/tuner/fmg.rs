@@ -16,11 +16,9 @@
 //! leaves.
 
 use super::{per_instance, Measured, TunerOptions, VTuner, Walk};
-use crate::cost::CostModel;
 use crate::plan::{FmgChoice, FollowUp, TunedFamily, TunedFmgFamily};
 use crate::training::ProblemInstance;
 use petamg_grid::Grid2d;
-use std::time::Instant;
 
 /// The `FULL-MULTIGRID_i` dynamic-programming tuner. Wraps a [`VTuner`]
 /// (for shared options, caches, and measurement machinery) and layers
@@ -90,10 +88,9 @@ impl FmgTuner {
         let targets = &self.v_tuner.options().accuracies[..];
         let m = targets.len();
 
-        // 1. Direct.
-        let direct = self.v_tuner.measure_direct(level, instances);
-        let mut best: Vec<Option<(f64, FmgChoice)>> =
-            vec![direct.map(|d| (d.cost, FmgChoice::Direct)); m];
+        // 1. Direct: the incumbent of every slot.
+        let direct = self.v_tuner.measure_direct(level);
+        let mut best = vec![(direct.cost, FmgChoice::Direct); m];
 
         // 2. ESTIMATE_j followed by SOR or RECURSE_m.
         let partial = self.partial(v, plans, level);
@@ -105,7 +102,7 @@ impl FmgTuner {
                                  follow: &dyn Fn(u32) -> FollowUp| {
                 let budgets: Vec<Option<f64>> = best
                     .iter()
-                    .map(|b| b.map(|(cost, _)| (cost - est_cost).max(0.0)))
+                    .map(|&(cost, _)| Some((cost - est_cost).max(0.0)))
                     .collect();
                 let measured = measure(&Walk {
                     instances,
@@ -115,12 +112,12 @@ impl FmgTuner {
                 });
                 for (slot, meas) in best.iter_mut().zip(measured) {
                     let total = est_cost + meas.cost;
-                    if meas.feasible && slot.is_none_or(|(cost, _)| total < cost) {
+                    if meas.feasible && total < slot.0 {
                         let choice = FmgChoice::Estimate {
                             estimate_accuracy: j as u8,
                             follow: follow(meas.iterations),
                         };
-                        *slot = Some((total, choice));
+                        *slot = (total, choice);
                     }
                 }
             };
@@ -139,16 +136,7 @@ impl FmgTuner {
             }
         }
 
-        best.iter()
-            .zip(targets)
-            .map(|(slot, target)| {
-                slot.map(|(_, choice)| choice).unwrap_or_else(|| {
-                    panic!(
-                        "no feasible FULL-MULTIGRID candidate at level {level} for target {target:e}"
-                    )
-                })
-            })
-            .collect()
+        best.into_iter().map(|(_, choice)| choice).collect()
     }
 
     /// Run `ESTIMATE_j` ([`TunedFmgFamily::estimate`], what a served
@@ -161,18 +149,12 @@ impl FmgTuner {
         j: usize,
         instances: &[ProblemInstance],
     ) -> (f64, Vec<Grid2d>) {
-        let opts = self.v_tuner.options();
         let estimates = per_instance(instances.len(), |idx| {
             let inst = &instances[idx];
             let mut ctx = self.v_tuner.fresh_ctx();
             let mut x = inst.working_grid();
-            let start = Instant::now();
             partial.estimate(level, j, &mut x, &inst.b, &mut ctx);
-            let cost = match &opts.cost_model {
-                CostModel::Modeled(p) => p.time(&ctx.ops),
-                CostModel::Measured { .. } => start.elapsed().as_secs_f64(),
-            };
-            (cost, x)
+            (self.v_tuner.modeled_cost(&ctx.ops), x)
         });
         let cost = estimates.first().map_or(0.0, |&(cost, _)| cost);
         (cost, estimates.into_iter().map(|(_, x)| x).collect())
@@ -221,7 +203,7 @@ mod tests {
         let tuner = quick(5);
         let fam = tuner.tune();
         let opts = tuner.v_tuner.options();
-        let profile = opts.cost_model.profile().unwrap().clone();
+        let profile = opts.profile.clone();
         let mode = SimdMode::host();
         let cache = std::sync::Arc::new(petamg_solvers::DirectSolverCache::new());
         let inst = ProblemInstance::random(5, Distribution::UnbiasedUniform, 42_424);

@@ -4,7 +4,7 @@
 //! level `k−1` are tuned, the tuner measures three candidate classes on
 //! training instances, for every target accuracy `p_i` of the level:
 //!
-//! * **Direct** — exact, cost known (or measured);
+//! * **Direct** — exact, priced without running it;
 //! * **RECURSE_j × t** for every `j` — each cycle recursing into the
 //!   already-tuned `MULTIGRID-V_j` of level `k−1`;
 //! * **SOR(ω_opt) × t**;
@@ -63,7 +63,7 @@ pub use knobs::{tune_kernel_knobs, DefaultKnobs, KnobTuneResult, KnobTunerOption
 pub use pareto::ParetoTuner;
 
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
-use crate::cost::{CostModel, MachineProfile, OpCounts};
+use crate::cost::{MachineProfile, OpCounts};
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::trace::CycleEvent;
 use crate::training::{training_instance_for, Distribution, ProblemInstance};
@@ -73,7 +73,6 @@ use petamg_solvers::DirectSolverCache;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Options controlling a tuning run.
 #[derive(Clone, Debug)]
@@ -88,8 +87,9 @@ pub struct TunerOptions {
     pub instances: usize,
     /// RNG seed for training data.
     pub seed: u64,
-    /// Cost source (measured wall-clock or modeled machine).
-    pub cost_model: CostModel,
+    /// The machine every candidate's counted operations are priced on
+    /// ([`MachineProfile::time`]).
+    pub profile: MachineProfile,
     /// The posed problem this tuner trains for. The tuned family is
     /// keyed by its fingerprint; every candidate measurement runs the
     /// problem's operator (convergence differs per operator, so plans
@@ -108,7 +108,7 @@ impl TunerOptions {
             distribution,
             instances: 2,
             seed: 0x5EED,
-            cost_model: CostModel::Modeled(MachineProfile::intel_harpertown()),
+            profile: MachineProfile::intel_harpertown(),
             problem: Problem::poisson(),
         }
     }
@@ -134,25 +134,11 @@ impl TunerOptions {
     /// Preset with a specific modeled machine.
     pub fn modeled(max_level: usize, distribution: Distribution, profile: MachineProfile) -> Self {
         TunerOptions {
-            cost_model: CostModel::Modeled(profile),
-            ..Self::quick(max_level, distribution)
-        }
-    }
-
-    /// Wall-clock tuning on the host machine.
-    #[cfg(test)]
-    pub(crate) fn measured(max_level: usize, distribution: Distribution) -> Self {
-        TunerOptions {
-            cost_model: CostModel::Measured { trials: 2 },
+            profile,
             ..Self::quick(max_level, distribution)
         }
     }
 }
-
-/// Measured costs only *execute* the Direct candidate for grids up to
-/// this size (factor memory grows as N³; modeled costs need no
-/// execution).
-const DIRECT_MAX_N: usize = 257;
 
 /// SOR iteration cap multiplier: the cap is `SOR_CAP_MULT`·N + 200.
 const SOR_CAP_MULT: u32 = 60;
@@ -177,7 +163,7 @@ pub struct CandidateEval {
     pub choice: Choice,
     /// Measured accuracy level (error ratio, capped).
     pub accuracy: f64,
-    /// Cost in (modeled or measured) seconds.
+    /// Cost in modeled seconds.
     pub cost: f64,
     /// Whether this candidate won its `(level, acc)` slot.
     pub selected: bool,
@@ -387,12 +373,9 @@ impl VTuner {
             knobs: DefaultKnobs,
             problem: self.opts.problem.fingerprint().clone(),
             provenance: format!(
-                "VTuner(dist={}, cost={}, seed={}, instances={})",
+                "VTuner(dist={}, cost=modeled:{}, seed={}, instances={})",
                 self.opts.distribution.name(),
-                match &self.opts.cost_model {
-                    CostModel::Measured { .. } => "measured".to_string(),
-                    CostModel::Modeled(p) => format!("modeled:{}", p.name),
-                },
+                self.opts.profile.name,
                 self.opts.seed,
                 self.opts.instances,
             ),
@@ -435,9 +418,8 @@ impl VTuner {
             }
         };
         // 1. Direct (cheap to price).
-        if let Some(meas) = self.measure_direct(level, instances) {
-            candidate(&|_| vec![meas; m], &|_| Choice::Direct);
-        }
+        let direct = self.measure_direct(level);
+        candidate(&|_| vec![direct; m], &|_| Choice::Direct);
         // 2. RECURSE_j for every sub-accuracy.
         for j in 0..m {
             candidate(
@@ -454,13 +436,8 @@ impl VTuner {
         });
 
         let mut winners = Vec::with_capacity(m);
-        for (slot, target) in slots.into_iter().zip(targets) {
-            let (_, _, winner) = slot.best.unwrap_or_else(|| {
-                panic!(
-                    "no feasible candidate at level {level} for accuracy {target:e} \
-                     (no candidate reached it within its iteration cap)"
-                )
-            });
+        for slot in slots {
+            let (_, _, winner) = slot.best.expect("Direct is feasible in every slot");
             evaluations.extend(slot.evals.into_iter().map(|mut e| {
                 e.selected = e.choice == winner;
                 e
@@ -498,51 +475,21 @@ impl VTuner {
             .with_problem(self.opts.problem.clone())
     }
 
-    /// Price one set of op counts (modeled mode only).
-    pub(crate) fn modeled_cost(&self, ops: &OpCounts) -> Option<f64> {
-        self.opts.cost_model.profile().map(|p| p.time(ops))
+    /// Price one set of op counts on the options' machine.
+    pub(crate) fn modeled_cost(&self, ops: &OpCounts) -> f64 {
+        self.opts.profile.time(ops)
     }
 
     // ----- candidate measurements ------------------------------------
 
-    pub(crate) fn measure_direct(
-        &self,
-        level: usize,
-        instances: &[ProblemInstance],
-    ) -> Option<Measured> {
-        let n = level_size(level);
-        match &self.opts.cost_model {
-            CostModel::Modeled(p) => {
-                // Accuracy is exact by construction; cost is analytic —
-                // no execution needed even at huge sizes.
-                Some(Measured {
-                    feasible: true,
-                    accuracy: ACC_CAP,
-                    iterations: 1,
-                    cost: p.time(&OpCounts::of(&[CycleEvent::Direct { level }])),
-                })
-            }
-            CostModel::Measured { trials } => {
-                if n > DIRECT_MAX_N {
-                    return None; // factoring would blow memory/time
-                }
-                let op = self.opts.problem.op_for(n);
-                self.cache.warm_op(n, &op); // factor outside timing
-                let inst = &instances[0];
-                let mut best = f64::INFINITY;
-                for _ in 0..(*trials).max(1) {
-                    let mut x = inst.working_grid();
-                    let start = Instant::now();
-                    self.cache.solve_op(&mut x, &inst.b, &op);
-                    best = best.min(start.elapsed().as_secs_f64());
-                }
-                Some(Measured {
-                    feasible: true,
-                    accuracy: ACC_CAP,
-                    iterations: 1,
-                    cost: best,
-                })
-            }
+    /// A direct solve: exact by construction, and priced from its one
+    /// event, so it runs at no size.
+    pub(crate) fn measure_direct(&self, level: usize) -> Measured {
+        Measured {
+            feasible: true,
+            accuracy: ACC_CAP,
+            iterations: 1,
+            cost: self.modeled_cost(&OpCounts::of(&[CycleEvent::Direct { level }])),
         }
     }
 
@@ -578,13 +525,11 @@ impl VTuner {
     /// instances, accuracy = min). One step applies the candidate once
     /// (`apply`, on the instance's own counting context) and counts it
     /// in `steps[level]`; the operations the first step noted price
-    /// every step under a modeled cost. A target is
-    /// abandoned, for all instances, at the first unreached iteration
-    /// that has cost 1.5× its budget (under wall-clock costs: 3× its
-    /// budget on this walk's clock) or hits `cap`; an instance's walk
-    /// ends when no target is left on it. Each instance walks as its own
-    /// job and the first instance to abandon a target decides it (see
-    /// the module docs).
+    /// every step. A target is abandoned, for all instances, at the
+    /// first unreached iteration that has cost 1.5× its budget or hits
+    /// `cap`; an instance's walk ends when no target is left on it. Each
+    /// instance walks as its own job and the first instance to abandon a
+    /// target decides it (see the module docs).
     fn walk(
         &self,
         level: usize,
@@ -601,13 +546,9 @@ impl VTuner {
                 apply(&mut ctx, x, &inst.b);
                 steps[level].fetch_add(1, Ordering::Relaxed);
                 // Every application runs the same ops: price the first.
-                if price.is_none() {
-                    price = self.modeled_cost(&ctx.ops);
-                }
-                price
+                *price.get_or_insert_with(|| self.modeled_cost(&ctx.ops))
             }
         };
-        let clock = Instant::now();
         let targets = ask.targets.len();
         // `abandoned[idx][i]`: instance `idx` gave up on target `i`. The
         // flags only prune later instances' work and publish no data
@@ -618,7 +559,7 @@ impl VTuner {
             .map(|_| (0..targets).map(|_| AtomicBool::new(false)).collect())
             .collect();
         let trajectories = per_instance(ask.instances.len(), |idx| {
-            self.walk_instance(level, ask, cap, idx, &abandoned, clock, &mut stepper())
+            self.walk_instance(level, ask, cap, idx, &abandoned, &mut stepper())
         });
 
         let mut out = vec![
@@ -654,32 +595,9 @@ impl VTuner {
             }
         }
 
-        let feasible = out.iter_mut().filter(|meas| meas.feasible);
-        match &self.opts.cost_model {
-            // No step ran ⇒ no price, and nothing to pay for.
-            CostModel::Modeled(_) => {
-                for meas in feasible {
-                    meas.cost = price.unwrap_or(0.0) * meas.iterations as f64;
-                }
-            }
-            CostModel::Measured { trials } => {
-                let inst = &ask.instances[0];
-                let start = ask.starts.map_or(&inst.x0, |states| &states[0]);
-                let mut step = stepper();
-                let mut x = self.workspace.acquire_unzeroed(level_size(level));
-                for meas in feasible {
-                    let mut best = f64::INFINITY;
-                    for _ in 0..(*trials).max(1) {
-                        x.copy_from(start);
-                        let timer = Instant::now();
-                        for _ in 0..meas.iterations {
-                            step(inst, &mut x);
-                        }
-                        best = best.min(timer.elapsed().as_secs_f64());
-                    }
-                    meas.cost = best;
-                }
-            }
+        // No step ran ⇒ no price, and nothing to pay for.
+        for meas in out.iter_mut().filter(|meas| meas.feasible) {
+            meas.cost = price.unwrap_or(0.0) * meas.iterations as f64;
         }
         out
     }
@@ -688,7 +606,6 @@ impl VTuner {
     /// each target, and the price `step` returned last, if it stepped.
     /// It drops a target as soon as an earlier instance has flagged it
     /// in `abandoned`, and flags the targets it abandons itself.
-    #[allow(clippy::too_many_arguments)]
     fn walk_instance(
         &self,
         level: usize,
@@ -696,11 +613,9 @@ impl VTuner {
         cap: u32,
         idx: usize,
         abandoned: &[Vec<AtomicBool>],
-        clock: Instant,
-        step: &mut impl FnMut(&ProblemInstance, &mut Grid2d) -> Option<f64>,
+        step: &mut impl FnMut(&ProblemInstance, &mut Grid2d) -> f64,
     ) -> (Vec<Settle>, Option<f64>) {
         let mode = SimdMode::host();
-        let timed = self.opts.cost_model.needs_timing();
         let inst = &ask.instances[idx];
         let mut settled = vec![Settle::Dropped; ask.targets.len()];
         let given_up = |i: usize| {
@@ -730,10 +645,8 @@ impl VTuner {
                     settled[i] = Settle::Reached(it, ratio);
                     return false;
                 }
-                let spent = ask.budgets[i].is_some_and(|b| {
-                    price.is_some_and(|c| it as f64 * c > b * 1.5)
-                        || (timed && clock.elapsed().as_secs_f64() > (3.0 * b).max(0.25))
-                });
+                let spent =
+                    ask.budgets[i].is_some_and(|b| price.is_some_and(|c| it as f64 * c > b * 1.5));
                 if spent {
                     abandon(&mut settled, i, it, ratio);
                 }
@@ -753,7 +666,7 @@ impl VTuner {
             }
         }
         while !pending.is_empty() && it < cap {
-            price = step(inst, &mut x);
+            price = Some(step(inst, &mut x));
             it += 1;
             ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, mode));
             settle(&mut pending, it, ratio, price);
@@ -763,11 +676,6 @@ impl VTuner {
         }
         (settled, price)
     }
-}
-
-/// Price an arbitrary execution's op counts on a machine profile.
-pub fn price_ops(profile: &MachineProfile, ops: &OpCounts) -> f64 {
-    profile.time(ops)
 }
 
 /// Execute `f` with a counting context and price it.
@@ -1027,16 +935,6 @@ mod tests {
             intel.plans, sun.plans,
             "architecturally distinct machines should tune differently"
         );
-    }
-
-    #[test]
-    fn measured_mode_runs_and_validates() {
-        // Wall-clock tuning on tiny levels (keeps CI fast).
-        let fam = VTuner::new(TunerOptions::measured(3, Distribution::UnbiasedUniform)).tune();
-        fam.validate().unwrap();
-        let mut inst = ProblemInstance::random(3, Distribution::UnbiasedUniform, 777);
-        let report = fam.solve(&mut inst, 1e5);
-        assert!(report.achieved_accuracy >= 1e4);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use super::TunerOptions;
 use crate::accuracy::{ratio_of_errors, ACC_CAP};
-use crate::cost::{CostModel, OpCounts};
+use crate::cost::OpCounts;
 use crate::plan::ExecCtx;
 use crate::trace::CycleEvent;
 use petamg_grid::{l2_diff, Grid2d, SimdMode, Workspace};
@@ -109,15 +109,6 @@ impl ParetoTuner {
         }
     }
 
-    fn profile(&self) -> &crate::cost::MachineProfile {
-        match &self.opts.cost_model {
-            CostModel::Modeled(p) => p,
-            CostModel::Measured { .. } => {
-                panic!("ParetoTuner requires a modeled cost (deterministic DP)")
-            }
-        }
-    }
-
     /// Build the optimal sets for levels `1..=max_level`.
     pub fn tune(&self) -> Vec<Vec<ParetoAlgo>> {
         let mut sets: Vec<Vec<ParetoAlgo>> = vec![Vec::new(); self.opts.max_level + 1];
@@ -153,7 +144,7 @@ impl ParetoTuner {
             level: k,
             iterations: 1,
         }];
-        let sweep_cost = self.profile().time(&OpCounts::of(&sweep));
+        let sweep_cost = self.opts.profile.time(&OpCounts::of(&sweep));
         let mut probes: Vec<u32> = Vec::new();
         let mut t = 1u32;
         while t <= self.max_sor_probe {
@@ -199,7 +190,7 @@ impl ParetoTuner {
                         self.run_algo(sets, k - 1, sub_index, ec, bc, ctx)
                     });
                     if ii == 0 && t == 0 {
-                        per_iter = self.profile().time(&ctx.ops);
+                        per_iter = self.opts.profile.time(&ctx.ops);
                     }
                     let ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, mode));
                     let slot = &mut acc_per_t[t as usize];
@@ -274,7 +265,7 @@ impl ParetoTuner {
 
     fn direct_cost(&self, k: usize) -> f64 {
         let direct = [CycleEvent::Direct { level: k }];
-        self.profile().time(&OpCounts::of(&direct))
+        self.opts.profile.time(&OpCounts::of(&direct))
     }
 }
 

@@ -260,10 +260,6 @@ impl PlanLibrary {
         }
     }
 
-    fn bump(counter: &Counter) {
-        counter.inc();
-    }
-
     fn key(&self, problem: &Problem) -> u64 {
         (self.key_fn)(problem.fingerprint())
     }
@@ -277,8 +273,8 @@ impl PlanLibrary {
     fn owns(&self, plan: &TunedFamily, problem: &Problem) -> bool {
         let owns = plan.ensure_problem(problem.fingerprint()).is_ok();
         if !owns {
-            Self::bump(&self.stats.mismatches);
-            Self::bump(&self.stats.misses);
+            self.stats.mismatches.inc();
+            self.stats.misses.inc();
         }
         owns
     }
@@ -314,7 +310,7 @@ impl PlanLibrary {
     /// `resident`'s plan, counted as a hit, if it is `problem`'s.
     fn hit(&self, resident: Resident, problem: &Problem) -> Option<Arc<TunedFamily>> {
         self.owns(&resident.plan, problem).then(|| {
-            Self::bump(&self.stats.hits);
+            self.stats.hits.inc();
             resident.plan
         })
     }
@@ -334,7 +330,7 @@ impl PlanLibrary {
         let accept = |resident: &Resident, job: &J| {
             let hit = self.owns(&resident.plan, problem(job)) && serves(&resident.plan);
             if hit {
-                Self::bump(&self.stats.hits);
+                self.stats.hits.inc();
             }
             hit
         };
@@ -359,12 +355,12 @@ impl PlanLibrary {
     pub fn load(&self, problem: &Problem) -> Option<TunedFamily> {
         match persist::load_plan_for(&self.path_for(problem.fingerprint()), problem) {
             Ok(family) => {
-                Self::bump(&self.stats.disk_loads);
+                self.stats.disk_loads.inc();
                 Some(family)
             }
             Err(PlanLoadError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 // No file: the routine cold miss.
-                Self::bump(&self.stats.misses);
+                self.stats.misses.inc();
                 None
             }
             Err(PlanLoadError::Io(_)) => {
@@ -372,20 +368,20 @@ impl PlanLibrary {
                 // device error, …). Still a miss — the ladder's
                 // heuristic rung covers it — but distinguishable from
                 // "never tuned" so operators can see a sick plan dir.
-                Self::bump(&self.stats.io_errors);
-                Self::bump(&self.stats.misses);
+                self.stats.io_errors.inc();
+                self.stats.misses.inc();
                 None
             }
             Err(PlanLoadError::Parse { quarantined, .. }) => {
                 if quarantined.is_some() {
-                    Self::bump(&self.stats.quarantined);
+                    self.stats.quarantined.inc();
                 }
-                Self::bump(&self.stats.misses);
+                self.stats.misses.inc();
                 None
             }
             Err(PlanLoadError::ProblemMismatch(_)) => {
-                Self::bump(&self.stats.mismatches);
-                Self::bump(&self.stats.misses);
+                self.stats.mismatches.inc();
+                self.stats.misses.inc();
                 None
             }
         }
@@ -415,7 +411,7 @@ impl PlanLibrary {
             ));
         }
         persist::save_plan(family, &self.path_for(problem.fingerprint()))?;
-        Self::bump(&self.stats.inserts);
+        self.stats.inserts.inc();
         Ok(())
     }
 

@@ -145,7 +145,8 @@ pub struct SolveRequest {
     pub x0: Grid2d,
     /// Right-hand side.
     pub b: Grid2d,
-    /// Relative-residual target.
+    /// Relative-residual target: finite and > 0, or the request is a
+    /// [`ServeError::BadRequest`].
     pub tol: f64,
     /// Keep the operations the solve ran in the response's report.
     pub trace: bool,
@@ -397,10 +398,6 @@ impl StatCounters {
     }
 }
 
-fn bump(c: &Counter) {
-    c.inc();
-}
-
 struct Inner {
     /// The plans, each with its ladder memory, and their flights.
     library: PlanLibrary,
@@ -526,11 +523,11 @@ impl SolverService {
     /// submission queue is full — the caller decides whether to shed
     /// or retry.
     pub fn submit(&self, request: SolveRequest) -> Result<Ticket, Rejected> {
-        bump(&self.inner.stats.submitted);
+        self.inner.stats.submitted.inc();
         {
             let mut in_flight = self.inner.in_flight.lock();
             if *in_flight >= self.inner.queue_capacity {
-                bump(&self.inner.stats.rejected);
+                self.inner.stats.rejected.inc();
                 return Err(Rejected {
                     capacity: self.inner.queue_capacity,
                 });
@@ -543,7 +540,7 @@ impl SolverService {
     /// Submit, blocking until there is room in the queue. The
     /// backpressure-friendly front door for batch drivers.
     pub fn submit_blocking(&self, request: SolveRequest) -> Ticket {
-        bump(&self.inner.stats.submitted);
+        self.inner.stats.submitted.inc();
         {
             let mut in_flight = self.inner.in_flight.lock();
             while *in_flight >= self.inner.queue_capacity {
@@ -726,15 +723,15 @@ fn stretch(inner: &Inner, slot: &Slot, work: impl FnOnce() -> Option<ServeRespon
         Ok(Some(response)) => response,
         Ok(None) => return,
         Err(p) => {
-            bump(&inner.stats.panics);
+            inner.stats.panics.inc();
             Err(ServeError::Panicked(panic_message(&p)))
         }
     };
-    bump(&inner.stats.completed);
+    inner.stats.completed.inc();
     match &response {
-        Ok(_) => bump(&inner.stats.converged),
-        Err(ServeError::Ladder { .. }) => bump(&inner.stats.ladder_failures),
-        Err(ServeError::BadRequest(_)) => bump(&inner.stats.bad_requests),
+        Ok(_) => inner.stats.converged.inc(),
+        Err(ServeError::Ladder { .. }) => inner.stats.ladder_failures.inc(),
+        Err(ServeError::BadRequest(_)) => inner.stats.bad_requests.inc(),
         Err(ServeError::Panicked(_)) => {}
     }
     // Release the queue slot before publishing the response: a client
@@ -767,7 +764,7 @@ impl Pending {
         request: SolveRequest,
         slot: Arc<Slot>,
     ) -> Result<Self, ServeError> {
-        let level = validate(&request.problem, &request.x0, &request.b)?;
+        let level = validate(&request)?;
         let pending = Pending {
             inner,
             request,
@@ -815,7 +812,7 @@ impl Pending {
 
     /// Continue after the flight this request parked on landed.
     fn landed(self, outcome: Option<Resident>) -> Option<ServeResponse> {
-        bump(&self.inner.stats.coalesced);
+        self.inner.stats.coalesced.inc();
         match outcome.filter(|landed| landed.plan.max_level >= self.level) {
             Some(plan) => Some(self.serve(Some(plan), PlanSource::Coalesced)),
             // The leader failed, or made a plan for a shallower
@@ -877,8 +874,21 @@ impl ParkedJob<Resident> for Pending {
     }
 }
 
-/// Shape/size validation. Returns the request's multigrid level.
-fn validate(problem: &Problem, x0: &Grid2d, b: &Grid2d) -> Result<usize, ServeError> {
+/// Shape, size and tolerance validation. Returns the request's
+/// multigrid level.
+fn validate(request: &SolveRequest) -> Result<usize, ServeError> {
+    let SolveRequest {
+        problem,
+        x0,
+        b,
+        tol,
+        ..
+    } = request;
+    if !(tol.is_finite() && *tol > 0.0) {
+        return Err(ServeError::BadRequest(format!(
+            "tolerance {tol} is not finite and > 0"
+        )));
+    }
     let n = b.n();
     if x0.n() != n {
         return Err(ServeError::BadRequest(format!(
@@ -932,7 +942,7 @@ fn lead(
             PlanSource::DiskLoad,
         );
     }
-    bump(&inner.stats.tunes);
+    inner.stats.tunes.inc();
     let trims = level >= TRIM_FROM_LEVEL && !matches!(inner.tuning, TunePolicy::Heuristic);
     if trims {
         release_free_memory();
@@ -959,7 +969,7 @@ fn lead(
             }
         }
         Err(_) => {
-            bump(&inner.stats.tune_failures);
+            inner.stats.tune_failures.inc();
             (None, PlanSource::Untuned)
         }
     };
@@ -1084,7 +1094,21 @@ mod tests {
             1e-8,
         );
         assert!(matches!(svc.solve(req), Err(ServeError::BadRequest(_))));
-        assert_eq!(svc.stats().bad_requests, 2);
+        // A tolerance no solve can meet is refused before any tune.
+        for tol in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let req = SolveRequest::new(
+                Problem::poisson(),
+                Grid2d::zeros(17),
+                Grid2d::zeros(17),
+                tol,
+            );
+            match svc.solve(req) {
+                Err(ServeError::BadRequest(why)) => assert!(why.contains("tolerance"), "{why}"),
+                other => panic!("tol {tol}: expected BadRequest, got {other:?}"),
+            }
+        }
+        assert_eq!(svc.stats().bad_requests, 6);
+        assert_eq!(svc.stats().tunes, 0);
     }
 
     #[test]

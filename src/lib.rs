@@ -69,7 +69,7 @@ pub use petamg_solvers as solvers;
 /// Convenience prelude with the most common types.
 pub mod prelude {
     pub use petamg_core::accuracy::error_ratio;
-    pub use petamg_core::cost::{CostModel, MachineProfile};
+    pub use petamg_core::cost::MachineProfile;
     pub use petamg_core::guard::{GuardedReport, GuardedSolver, LadderRung, SolveError};
     pub use petamg_core::plan::{Choice, ExecCtx, TunedFamily, TunedFmgFamily};
     // Pinned by `benchmark/src/probes.rs` (`solvers.reference_v.solve_ms.*`); delete with ROADMAP 1(i).

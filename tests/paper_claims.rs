@@ -86,7 +86,7 @@ fn reference_v_cost(
 fn discrete_tuner_choice_is_on_the_pareto_front() {
     let level = 6;
     let opts = TunerOptions::quick(level, Distribution::UnbiasedUniform);
-    let profile = opts.cost_model.profile().unwrap().clone();
+    let profile = opts.profile.clone();
     let mut pareto = ParetoTuner::new(opts.clone());
     pareto.max_sor_probe = 64;
     pareto.max_recurse_probe = 6;
@@ -217,7 +217,7 @@ fn guarded_solve_matches_reference_v_to_1e8_residual() {
         let report = guarded.solve(&mut x, &inst.b, tol).expect("must serve");
         assert!(!report.degraded());
         assert!(rel_residual(&x, &inst.b) <= tol);
-        let guarded_cost = petamg::core::tuner::price_ops(&profile, &report.ops);
+        let guarded_cost = profile.time(&report.ops);
 
         let status = reference_passes(&inst, &cache, false, 50, |x| {
             rel_residual(x, &inst.b) <= tol
@@ -265,7 +265,7 @@ fn small_problems_get_big_speedups_from_direct_shortcut() {
 #[test]
 fn autotuned_dominates_heuristic_strategies() {
     let opts = TunerOptions::quick(6, Distribution::BiasedUniform);
-    let profile = opts.cost_model.profile().unwrap().clone();
+    let profile = opts.profile.clone();
     let tuned = VTuner::new(opts.clone()).tune();
     let cache = Arc::new(DirectSolverCache::new());
     let mode = SimdMode::host();
