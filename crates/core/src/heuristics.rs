@@ -55,7 +55,8 @@ pub(crate) fn fixed_strategy_family(
         // Candidate 1: direct.
         let direct = tuner.measure_direct(k);
         // Candidate 2: RECURSE at the pinned sub accuracy (index 0),
-        // one walk for both targets.
+        // one walk for both targets. Direct wins ties.
+        let wins = |cost: f64, direct: f64| cost < direct;
         let recurse = tuner.measure_recurse(
             &partial,
             k,
@@ -64,19 +65,20 @@ pub(crate) fn fixed_strategy_family(
                 instances: &instances,
                 starts: None,
                 targets: &accuracies,
-                budgets: &vec![Some(direct.cost); m],
+                budgets: &vec![direct.cost; m],
+                wins: &wins,
             },
         );
         plans[k] = recurse
             .iter()
             .map(|r| {
-                if !r.feasible || direct.cost <= r.cost {
-                    Choice::Direct
-                } else {
+                if r.feasible && wins(r.cost, direct.cost) {
                     Choice::Recurse {
                         sub_accuracy: 0,
                         iterations: r.iterations,
                     }
+                } else {
+                    Choice::Direct
                 }
             })
             .collect();

@@ -5,8 +5,8 @@ use crate::cost::{LevelOps, MachineProfile, OpCounts};
 use crate::guard::select_member;
 use crate::plan::{simple_v_family, Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
-use crate::tuner::{DefaultKnobs, TunerOptions, VTuner, Walk};
-use petamg_grid::{level_size, SimdMode};
+use crate::tuner::{DefaultKnobs, Measured, TunerOptions, VTuner, Walk};
+use petamg_grid::{level_size, Grid2d, SimdMode};
 use petamg_problems::Problem;
 use proptest::prelude::*;
 
@@ -62,6 +62,103 @@ fn arb_family(max_level: usize) -> impl Strategy<Value = TunedFamily> {
         problem: petamg_problems::ProblemFingerprint::poisson(),
         provenance: "proptest".into(),
     })
+}
+
+/// One candidate walk's fixture: a quick tuner at `level` for problem
+/// `family`, its training instances, the family tuned below, and the
+/// states one `RECURSE_0` cycle leaves the instances in (the form of an
+/// FMG follow-up's start).
+struct WalkCase {
+    tuner: VTuner,
+    below: TunedFamily,
+    instances: Vec<ProblemInstance>,
+    states: Vec<Grid2d>,
+    level: usize,
+    /// `RECURSE_{sub_acc}`, or SOR when `sor`.
+    sub_acc: usize,
+    sor: bool,
+    /// The price of a direct solve at `level`: the walk's natural
+    /// yardstick for a budget.
+    direct: f64,
+}
+
+impl WalkCase {
+    fn new(family: usize, level: usize, sub_acc: usize, sor: bool) -> Self {
+        let n = level_size(level);
+        let problem = match family {
+            0 => Problem::poisson(),
+            1 => Problem::anisotropic_canonical(),
+            2 => Problem::smooth_sinusoidal(n),
+            _ => Problem::jump_inclusion(n),
+        };
+        let opts = |max_level| {
+            TunerOptions::quick(max_level, Distribution::UnbiasedUniform)
+                .with_problem(problem.clone())
+        };
+        let below = VTuner::new(opts(level - 1)).tune();
+        let tuner = VTuner::new(opts(level));
+        let instances = tuner.training_instances(level);
+        let states = instances
+            .iter()
+            .map(|inst| {
+                let mut x = inst.working_grid();
+                tuner
+                    .fresh_ctx()
+                    .recurse(level, 1, &mut x, &inst.b, |ctx, ec, bc| {
+                        below.run(level - 1, 0, ec, bc, ctx)
+                    });
+                x
+            })
+            .collect();
+        let direct = tuner.measure_direct(level).cost;
+        WalkCase {
+            tuner,
+            below,
+            instances,
+            states,
+            level,
+            sub_acc,
+            sor,
+            direct,
+        }
+    }
+
+    fn measure(
+        &self,
+        starts: Option<&[Grid2d]>,
+        targets: &[f64],
+        budgets: &[f64],
+        wins: &(dyn Fn(f64, f64) -> bool + Sync),
+    ) -> Vec<Measured> {
+        let walk = Walk {
+            instances: &self.instances,
+            starts,
+            targets,
+            budgets,
+            wins,
+        };
+        if self.sor {
+            self.tuner.measure_sor(self.level, &walk)
+        } else {
+            self.tuner
+                .measure_recurse(&self.below, self.level, self.sub_acc, &walk)
+        }
+    }
+}
+
+/// The paper's accuracies whose bits are set in `mask`.
+fn masked_targets(mask: usize) -> Vec<f64> {
+    (0..5)
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| PAPER_ACCURACIES[i])
+        .collect()
+}
+
+/// Budgets picked by index: none (∞), one no step survives, and a
+/// range around the direct price `direct`.
+fn scaled_budgets(picks: &[usize], direct: f64) -> Vec<f64> {
+    let scales = [f64::INFINITY, 0.0, 0.02, 0.1, 0.5, 3.0, 50.0];
+    picks.iter().map(|&pick| scales[pick] * direct).collect()
 }
 
 proptest! {
@@ -239,60 +336,60 @@ proptest! {
         sor in 0usize..2,
         from_states in 0usize..2,
     ) {
-        let n = level_size(level);
-        let problem = match family {
-            0 => Problem::poisson(),
-            1 => Problem::anisotropic_canonical(),
-            2 => Problem::smooth_sinusoidal(n),
-            _ => Problem::jump_inclusion(n),
-        };
-        let opts = |max_level| {
-            TunerOptions::quick(max_level, Distribution::UnbiasedUniform)
-                .with_problem(problem.clone())
-        };
-        let below = VTuner::new(opts(level - 1)).tune();
-        let tuner = VTuner::new(opts(level));
-        let instances = tuner.training_instances(level);
-        let targets: Vec<f64> = (0..5)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| PAPER_ACCURACIES[i])
-            .collect();
-        // No budget, one no step survives, and a range around the
-        // price of the walk's natural yardstick, a direct solve.
-        let direct = tuner.measure_direct(level).cost;
-        let scales = [None, Some(0.0), Some(0.02), Some(0.1), Some(0.5), Some(3.0), Some(50.0)];
-        let budgets: Vec<Option<f64>> = budgets[..targets.len()]
-            .iter()
-            .map(|&b| scales[b].map(|scale| scale * direct))
-            .collect();
-        let states: Vec<_> = instances
-            .iter()
-            .map(|inst| {
-                let mut x = inst.working_grid();
-                tuner.fresh_ctx().recurse(level, 1, &mut x, &inst.b, |ctx, ec, bc| {
-                    below.run(level - 1, 0, ec, bc, ctx)
-                });
-                x
-            })
-            .collect();
-        let starts = (from_states == 1).then_some(&states[..]);
-
-        let measure = |targets: &[f64], budgets: &[Option<f64>]| {
-            let walk = Walk { instances: &instances, starts, targets, budgets };
-            if sor == 1 {
-                tuner.measure_sor(level, &walk)
-            } else {
-                tuner.measure_recurse(&below, level, sub_acc, &walk)
-            }
-        };
-        let together = measure(&targets, &budgets);
+        let case = WalkCase::new(family, level, sub_acc, sor == 1);
+        let targets = masked_targets(mask);
+        let budgets = scaled_budgets(&budgets[..targets.len()], case.direct);
+        let starts = (from_states == 1).then_some(&case.states[..]);
+        let wins = |cost: f64, budget: f64| cost <= budget;
+        let together = case.measure(starts, &targets, &budgets, &wins);
         prop_assert_eq!(together.len(), targets.len());
         for i in 0..targets.len() {
-            let alone = measure(&targets[i..=i], &budgets[i..=i]);
+            let alone = case.measure(starts, &targets[i..=i], &budgets[i..=i], &wins);
             prop_assert!(
                 alone[0] == together[i],
                 "target {} of {:?}: alone {:?}, together {:?}",
                 i, targets, alone[0], together[i]
+            );
+        }
+    }
+
+    /// The walk's bound never drops a winner: against a walk with no
+    /// budget, every target of a budgeted walk reads the same, field for
+    /// field, or was abandoned where the unbounded walk finds it
+    /// infeasible or failing its win test against the budget. Budgets
+    /// span 0, a range around the direct price and ∞, under each
+    /// caller's win test: the V DP's (no dearer than the incumbent),
+    /// the heuristic tables' (strictly cheaper) and the FMG follow-up's
+    /// (strictly cheaper after an estimate's cost).
+    #[test]
+    fn the_walk_bound_never_drops_a_winner(
+        family in 0usize..4,
+        level in 2usize..=4,
+        mask in 1usize..32,
+        budgets in prop::collection::vec(0usize..7, 5),
+        sub_acc in 0usize..5,
+        sor in 0usize..2,
+        from_states in 0usize..2,
+        rule in 0usize..3,
+    ) {
+        let case = WalkCase::new(family, level, sub_acc, sor == 1);
+        let targets = masked_targets(mask);
+        let budgets = scaled_budgets(&budgets[..targets.len()], case.direct);
+        let starts = (from_states == 1).then_some(&case.states[..]);
+        let estimate = 0.25 * case.direct;
+        let wins = |cost: f64, budget: f64| match rule {
+            0 => cost <= budget,
+            1 => cost < budget,
+            _ => estimate + cost < budget,
+        };
+        let bounded = case.measure(starts, &targets, &budgets, &wins);
+        let unbounded = case.measure(starts, &targets, &vec![f64::INFINITY; targets.len()], &wins);
+        for (i, (b, u)) in bounded.iter().zip(&unbounded).enumerate() {
+            let lost = !u.feasible || !wins(u.cost, budgets[i]);
+            prop_assert!(
+                b == u || (!b.feasible && lost),
+                "target {} of {:?}, budget {}: bounded {:?}, unbounded {:?}",
+                i, targets, budgets[i], b, u
             );
         }
     }

@@ -97,27 +97,26 @@ impl FmgTuner {
         for j in 0..m {
             // Run the estimate once per instance, snapshotting states.
             let (est_cost, est_states) = self.run_estimates(&partial, level, j, instances);
-            // What the incumbent leaves for the follow-up is its budget.
+            // A follow-up wins a slot when the estimate and it together
+            // cost less than the incumbent; its walk stops on that test.
+            let wins = |cost: f64, best: f64| est_cost + cost < best;
             let mut follow_up = |measure: &dyn Fn(&Walk) -> Vec<Measured>,
                                  follow: &dyn Fn(u32) -> FollowUp| {
-                let budgets: Vec<Option<f64>> = best
-                    .iter()
-                    .map(|&(cost, _)| Some((cost - est_cost).max(0.0)))
-                    .collect();
+                let budgets: Vec<f64> = best.iter().map(|&(cost, _)| cost).collect();
                 let measured = measure(&Walk {
                     instances,
                     starts: Some(&est_states),
                     targets,
                     budgets: &budgets,
+                    wins: &wins,
                 });
                 for (slot, meas) in best.iter_mut().zip(measured) {
-                    let total = est_cost + meas.cost;
-                    if meas.feasible && total < slot.0 {
+                    if meas.feasible && wins(meas.cost, slot.0) {
                         let choice = FmgChoice::Estimate {
                             estimate_accuracy: j as u8,
                             follow: follow(meas.iterations),
                         };
-                        *slot = (total, choice);
+                        *slot = (est_cost + meas.cost, choice);
                     }
                 }
             };

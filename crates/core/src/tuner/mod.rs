@@ -17,13 +17,16 @@
 //! against the same level `k−1`, so the error trajectory of a candidate
 //! does not depend on which `p_i` is asked. Each candidate is therefore
 //! walked **once** per training instance and every target reads its `t`
-//! off that one trajectory. A target leaves the walk when it is reached
-//! or when the walk has cost more than 1.5× the target's own incumbent
-//! (hopeless SOR runs at large sizes cannot dominate tuning time; the
-//! paper instead capped its search space — the effect is the same), and
-//! the walk ends when no target is left. Slots of one level share
-//! nothing but the trajectory, so budgets, winners, tie-breaks and
-//! diagnostics are those of tuning each slot alone.
+//! off that one trajectory. A target leaves the walk when it is reached,
+//! or at the first unreached iteration `it` where reaching it at `it + 1`
+//! could no longer win its slot: the caller's own win test, applied to
+//! `(it + 1)` steps at the walk's price against the slot's incumbent.
+//! Every step costs the same price on every instance, so the bound is
+//! exact: it stops only candidates that have already lost, and every
+//! winner is the one an unbounded walk finds. The walk ends when no
+//! target is left. Slots of one level share nothing but the trajectory,
+//! so budgets, winners, tie-breaks and diagnostics are those of tuning
+//! each slot alone.
 //!
 //! The training instances never read each other's data, so each is its
 //! own job on the pool the tuner runs on (`per_instance` halves the
@@ -205,9 +208,13 @@ pub(crate) struct Walk<'a> {
     pub(crate) starts: Option<&'a [Grid2d]>,
     /// Ascending accuracy targets read off the one trajectory.
     pub(crate) targets: &'a [f64],
-    /// Per target, the incumbent's cost: the walk abandons the target
-    /// once it has cost 1.5× as much (`None`: no incumbent yet).
-    pub(crate) budgets: &'a [Option<f64>],
+    /// Per target, the incumbent's cost.
+    pub(crate) budgets: &'a [f64],
+    /// The caller's win test: whether a candidate that costs `cost` may
+    /// still beat an incumbent that costs `budget`. A dearer candidate
+    /// must never win where a cheaper one loses; the walk abandons a
+    /// target once `(it + 1)` steps at its price fail the test.
+    pub(crate) wins: &'a (dyn Fn(f64, f64) -> bool + Sync),
 }
 
 /// How one training instance's trajectory left one target of a walk.
@@ -260,14 +267,26 @@ pub(crate) fn solved_training_set(
 }
 
 /// One `(level, acc)` slot of the DP table while its level is tuned.
-#[derive(Default)]
 struct Slot {
     evals: Vec<CandidateEval>,
     /// `(cost, iterations, choice)` of the incumbent.
-    best: Option<(f64, u32, Choice)>,
+    best: (f64, u32, Choice),
 }
 
 impl Slot {
+    /// A slot whose first candidate, and so first incumbent, is the
+    /// direct solve `direct`.
+    fn direct(level: usize, acc_idx: usize, direct: Measured) -> Self {
+        let mut slot = Slot {
+            evals: Vec::new(),
+            best: (direct.cost, direct.iterations, Choice::Direct),
+        };
+        slot.consider(level, acc_idx, direct, Choice::Direct);
+        slot
+    }
+
+    /// Record a candidate; it takes the slot if it is feasible and
+    /// strictly cheaper, or as cheap in fewer iterations.
     fn consider(&mut self, level: usize, acc_idx: usize, meas: Measured, choice: Choice) {
         self.evals.push(CandidateEval {
             level,
@@ -278,11 +297,10 @@ impl Slot {
             selected: false,
             feasible: meas.feasible,
         });
-        let better = self.best.is_none_or(|(cost, iterations, _)| {
-            meas.cost < cost || (meas.cost == cost && meas.iterations < iterations)
-        });
+        let (cost, iterations, _) = self.best;
+        let better = meas.cost < cost || (meas.cost == cost && meas.iterations < iterations);
         if meas.feasible && better {
-            self.best = Some((meas.cost, meas.iterations, choice));
+            self.best = (meas.cost, meas.iterations, choice);
         }
     }
 }
@@ -398,28 +416,27 @@ impl VTuner {
     ) -> Vec<Choice> {
         let targets = &self.opts.accuracies[..];
         let m = targets.len();
-        let mut slots: Vec<Slot> = (0..m).map(|_| Slot::default()).collect();
-        // Walk one candidate (each slot's incumbent cost is its
-        // early-abandon budget) and offer it to every slot.
+        // 1. Direct (cheap to price): every slot's first incumbent.
+        let direct = self.measure_direct(level);
+        let mut slots: Vec<Slot> = (0..m).map(|i| Slot::direct(level, i, direct)).collect();
+        // Walk one candidate (each slot's incumbent cost is its budget)
+        // and offer it to every slot. Iterations are unknown until a
+        // target is reached, so the walk's win test is `Slot::consider`'s
+        // without its tie-break: no dearer than the incumbent.
         let mut candidate = |measure: &dyn Fn(&Walk) -> Vec<Measured>,
                              choice: &dyn Fn(u32) -> Choice| {
-            let budgets: Vec<Option<f64>> = slots
-                .iter()
-                .map(|slot| slot.best.map(|(cost, _, _)| cost))
-                .collect();
+            let budgets: Vec<f64> = slots.iter().map(|slot| slot.best.0).collect();
             let measured = measure(&Walk {
                 instances,
                 starts: None,
                 targets,
                 budgets: &budgets,
+                wins: &|cost, budget| cost <= budget,
             });
             for (i, (slot, meas)) in slots.iter_mut().zip(measured).enumerate() {
                 slot.consider(level, i, meas, choice(meas.iterations));
             }
         };
-        // 1. Direct (cheap to price).
-        let direct = self.measure_direct(level);
-        candidate(&|_| vec![direct; m], &|_| Choice::Direct);
         // 2. RECURSE_j for every sub-accuracy.
         for j in 0..m {
             candidate(
@@ -437,7 +454,7 @@ impl VTuner {
 
         let mut winners = Vec::with_capacity(m);
         for slot in slots {
-            let (_, _, winner) = slot.best.expect("Direct is feasible in every slot");
+            let (_, _, winner) = slot.best;
             evaluations.extend(slot.evals.into_iter().map(|mut e| {
                 e.selected = e.choice == winner;
                 e
@@ -525,11 +542,12 @@ impl VTuner {
     /// instances, accuracy = min). One step applies the candidate once
     /// (`apply`, on the instance's own counting context) and counts it
     /// in `steps[level]`; the operations the first step noted price
-    /// every step. A target is abandoned, for all instances, at the
-    /// first unreached iteration that has cost 1.5× its budget or hits
-    /// `cap`; an instance's walk ends when no target is left on it. Each
-    /// instance walks as its own job and the first instance to abandon a
-    /// target decides it (see the module docs).
+    /// every step. A target is abandoned, for all instances, at `cap` or
+    /// at the first unreached iteration `it` where `(it + 1)` steps at
+    /// that price fail `ask.wins` against its budget; an instance's walk
+    /// ends when no target is left on it. Each instance walks as its own
+    /// job and the first instance to abandon a target decides it (see
+    /// the module docs).
     fn walk(
         &self,
         level: usize,
@@ -634,8 +652,8 @@ impl VTuner {
             abandoned[idx][i].store(true, Ordering::Relaxed);
         };
         // Drop from `pending` the targets an earlier instance abandoned,
-        // and those that iteration `it` reached or that have outspent
-        // their budget by it.
+        // those that iteration `it` reached, and those that can no longer
+        // win: reaching them at `it + 1` would already cost too much.
         let mut settle = |pending: &mut Vec<usize>, it: u32, ratio: f64, price: Option<f64>| {
             pending.retain(|&i| {
                 if given_up(i) {
@@ -645,12 +663,11 @@ impl VTuner {
                     settled[i] = Settle::Reached(it, ratio);
                     return false;
                 }
-                let spent =
-                    ask.budgets[i].is_some_and(|b| price.is_some_and(|c| it as f64 * c > b * 1.5));
-                if spent {
+                let lost = price.is_some_and(|c| !(ask.wins)((it + 1) as f64 * c, ask.budgets[i]));
+                if lost {
                     abandon(&mut settled, i, it, ratio);
                 }
-                !spent
+                !lost
             });
         };
         let mut x = self.workspace.acquire_unzeroed(level_size(level));
@@ -866,11 +883,12 @@ mod tests {
             );
         }
         let upto = |counts: &[u64], level: usize| counts[..=level].iter().sum::<u64>();
-        // One walk per target ran 472 / 307 and 630 / 483.
-        assert_eq!(upto(&diags.recurse_steps, 6), 142);
-        assert_eq!(upto(&diags.sor_sweeps, 6), 84);
-        assert_eq!(upto(&diags.recurse_steps, 7), 194);
-        assert_eq!(upto(&diags.sor_sweeps, 7), 148);
+        // One walk per target ran 472 / 307 and 630 / 483, and the 1.5×
+        // slack ran 142 / 84 and 194 / 148.
+        assert_eq!(upto(&diags.recurse_steps, 6), 80);
+        assert_eq!(upto(&diags.sor_sweeps, 6), 51);
+        assert_eq!(upto(&diags.recurse_steps, 7), 111);
+        assert_eq!(upto(&diags.sor_sweeps, 7), 93);
     }
 
     #[test]

@@ -57,10 +57,12 @@ pub enum TunePolicy {
     /// Run the accuracy-aware DP autotuner (`TunerOptions::quick`) at
     /// the request's level, on the serving pool: the tuner lends half
     /// its training instances to any idle worker, so the workers a
-    /// flight's parked followers left free help with its tune.
+    /// flight's parked followers left free help with its tune. Each
+    /// candidate's walk stops at the first step where the candidate can
+    /// no longer win a slot, which leaves every plan as it is.
     /// Expensive — a level-10 (n = 1025) tune on smooth variable
-    /// coefficients takes seconds, and less on a pool with idle
-    /// workers — but produces a genuinely tuned plan.
+    /// coefficients takes 1.5–2 s on one core of a 2-core Xeon, and
+    /// about 1.2 s on both — but produces a genuinely tuned plan.
     QuickTune,
     /// Caller-supplied tuner. The returned family's fingerprint is
     /// re-stamped by the service, so hand-built families work as-is.
